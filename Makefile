@@ -2,12 +2,18 @@
 
 GO ?= go
 
-.PHONY: all build vet test race race-par cluster churn gossip bench bench-json bench-gate loadtest metrics-smoke rolling-smoke gossip-smoke trace-smoke profile chaos experiments examples fuzz clean
+.PHONY: all build ignore-guard vet test race race-par cluster churn gossip bench bench-json bench-gate bench-e2e loadtest metrics-smoke rolling-smoke gossip-smoke trace-smoke profile chaos experiments examples fuzz clean
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# Fail if .gitignore hides Go source: no ignored *.go file in the tree
+# (git ls-files --others --ignored), and no package directory in which a
+# new one would be ignored.
+ignore-guard:
+	sh ./scripts/check_ignored_go.sh
 
 vet:
 	$(GO) vet ./...
@@ -60,7 +66,8 @@ gossip:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined' -benchmem ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' -benchmem ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenForwarded' -benchmem ./internal/cluster/ ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -proto 2 -gobench ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial -gobench ; \
@@ -69,11 +76,19 @@ bench-json:
 	| $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
 
-# Allocation-regression gate: re-run the fsnet hot-path benches and fail
-# if allocs/op regressed >20% against the committed BENCH_BASELINE.json
-# (ns/op is reported but not gated; see scripts/bench_gate.sh).
+# Allocation-regression gate: re-run the fsnet hot-path and cluster
+# forward-path benches and fail if allocs/op regressed >20% against the
+# committed BENCH_BASELINE.json (ns/op is reported but not gated; see
+# scripts/bench_gate.sh).
 bench-gate:
 	sh ./scripts/bench_gate.sh
+
+# The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
+# then one short cluster3 run through the same command the driver uses.
+# A smoke — the measured run is `bash benchmark/run.sh --workload all`.
+bench-e2e:
+	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh --workload cluster3 --seconds 1
 
 # Load-generator comparison: the pipelined serving path vs the lock-step
 # baseline over a simulated 2ms-RTT network, 8 connections x 8 goroutines.

@@ -543,7 +543,13 @@ func TestRunPeersFileReload(t *testing.T) {
 	pf := filepath.Join(t.TempDir(), "peers.conf")
 	writePeers := func(lines ...string) {
 		t.Helper()
-		if err := os.WriteFile(pf, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		// Replaced atomically, as an operator would: a node still booting
+		// reads the old list or the new one, never a truncated file.
+		tmp := pf + ".tmp"
+		if err := os.WriteFile(tmp, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, pf); err != nil {
 			t.Fatal(err)
 		}
 	}

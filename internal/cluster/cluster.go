@@ -7,7 +7,10 @@
 // a group's anchor path and its learned successors hash together only in
 // the owner's metadata, and the single OpenGroup round trip moves the
 // entire group to the requesting node, which mirrors it (see mirror) so
-// follow-on member opens are local.
+// follow-on member opens are local. The peer clients are transport only:
+// a forwarded group is copied once, out of the connection's frame
+// buffers into a slab of its own, and the mirror and every reply that
+// serves it reference that one copy.
 //
 // A Node plugs into an fsnet.Server as its OpenRouter: the server
 // consults RouteOpen before its own cache and store, and everything the
@@ -188,7 +191,10 @@ type forward struct {
 	err   error
 }
 
-var _ fsnet.TracedRouter = (*Node)(nil)
+var (
+	_ fsnet.TracedRouter = (*Node)(nil)
+	_ fsnet.InlineRouter = (*Node)(nil)
+)
 
 // NewNode validates cfg and installs the epoch-1 view: the ring over
 // cfg.Peers plus one lazy-dialing fsnet client per remote peer. No
@@ -337,11 +343,30 @@ func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, boo
 // own spans under the same trace ID; the fleet scraper stitches the two
 // nodes' rings back into one tree.
 func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) ([]fsnet.GroupFile, bool, error) {
+	files, handled, _, err := n.route(path, accessed, tctx, true)
+	return files, handled, err
+}
+
+// TryRouteOpen implements fsnet.InlineRouter: the routing outcomes that
+// need no peer round trip — the path is this node's own, its group is
+// mirrored, or its owner's breaker is open — are served here, on the
+// calling connection's read loop; anything else reports blocks=true
+// untouched, and comes back through RouteOpenTraced on a worker.
+func (n *Node) TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []fsnet.GroupFile, handled, blocks bool) {
+	files, handled, blocks, _ = n.route(path, accessed, tctx, false)
+	return files, handled, blocks
+}
+
+// route is the one routing path behind both entry points. mayForward is
+// false on a read loop, where the open stops short of the forward and of
+// admit, whose probe slot belongs to a caller that goes on to forward: a
+// read loop only degrades while the breaker's cooldown is running.
+func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (files []fsnet.GroupFile, handled, blocks bool, err error) {
 	v := n.view.Load()
 	owner := v.ring.Owner(path)
 	if owner == n.self || owner == "" {
 		n.localOpens.Add(1)
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 	p := v.peers[owner]
 
@@ -363,16 +388,19 @@ func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) 
 		if tctx.Sampled {
 			tr.Record(tr.Child(tctx), "mirror", path, tstart, n.cfg.Now().Sub(tstart))
 		}
-		return files, true, nil
+		return files, true, false, nil
 	}
 
-	if !p.admit() {
+	if !mayForward && p.up() {
+		return nil, false, true, nil
+	}
+	if !mayForward || !p.admit() {
 		// Hinted handoff: the owner is down, so stage the access history
 		// locally and replay it when the probe heals the peer. The open
 		// itself degrades to the local path as before.
 		n.stageHints(p.addr, path, accessed)
 		n.degradedOpens.Add(1)
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 
 	// Coalesce concurrent forwards of the same path: one OpenGroup
@@ -418,17 +446,17 @@ func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) 
 		} else {
 			n.forwardedOpens.Add(1)
 		}
-		return res.files, true, nil
+		return res.files, true, false, nil
 	case errors.Is(res.err, fsnet.ErrNotFound):
 		// The owner is authoritative and the stores are replicas: a
 		// local re-check cannot succeed, so answer not-found directly.
 		n.notFound.Add(1)
-		return nil, true, res.err
+		return nil, true, false, res.err
 	default:
 		// Transport or server failure: degrade to the local store. The
 		// open still succeeds, just without the owner's group metadata.
 		n.degradedOpens.Add(1)
-		return nil, false, nil
+		return nil, false, false, nil
 	}
 }
 

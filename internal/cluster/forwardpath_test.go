@@ -1,0 +1,217 @@
+package cluster
+
+import (
+	"bytes"
+	"fmt"
+	"net"
+	"testing"
+	"time"
+
+	"aggcache/internal/alloctest"
+	"aggcache/internal/fsnet"
+	"aggcache/internal/obs/otrace"
+)
+
+// forwardRing is the 3-node ring of the allocation pins and benchmarks:
+// peers dial each other over plain TCP (the fault-injecting wrapper the
+// other tests interpose allocates on its own account) and mirrored groups
+// never age out under the test.
+func forwardRing(t testing.TB, mirrorCapacity int) *testCluster {
+	return startCluster(t, 3, func(i int, cfg *Config) {
+		cfg.MirrorCapacity = mirrorCapacity
+		cfg.MirrorTTL = time.Hour
+		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	})
+}
+
+// pathsOwnedBy returns n distinct test paths owned by node owner.
+func (tc *testCluster) pathsOwnedBy(t testing.TB, owner, n int) []string {
+	t.Helper()
+	skip := make(map[string]bool)
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = tc.pathOwnedBy(t, owner, skip)
+		skip[paths[i]] = true
+	}
+	return paths
+}
+
+// opener returns an op that opens paths round-robin through a client of
+// node entry whose cache holds a single file, so every open is a fetch.
+func (tc *testCluster) opener(t testing.TB, entry int, paths []string) func() {
+	client := tc.client(t, entry, fsnet.ClientConfig{CacheCapacity: 1})
+	var buf []byte
+	i := 0
+	return func() {
+		path := paths[i%len(paths)]
+		i++
+		var err error
+		if buf, err = client.OpenInto(path, buf); err != nil {
+			t.Fatal(err)
+		}
+		if string(buf) != testContent(path) {
+			t.Fatalf("open %s = %q", path, buf)
+		}
+	}
+}
+
+// TestAllocBudgetForwardedOpen pins the forwarded byte's life: the entry
+// node materialises the owner's group once (one slab, one member slice)
+// and the owner stages it (one result slice). Before the single-copy
+// path this open cost a goroutine spawn and fresh request strings on
+// both nodes, a timer, two singleflight flights and a copy per member.
+func TestAllocBudgetForwardedOpen(t *testing.T) {
+	tc := forwardRing(t, -1) // no mirror: every open forwards
+	op := tc.opener(t, 0, tc.pathsOwnedBy(t, 1, 4))
+	if allocs := alloctest.PerOp(t, op); allocs > 3 {
+		t.Errorf("forwarded open allocates %.0f objects, budget 3", allocs)
+	}
+	if st := tc.nodes[0].Stats(); st.ForwardedOpens < 400 || st.MirrorHits != 0 {
+		t.Errorf("ForwardedOpens = %d, MirrorHits = %d: the pinned opens did not all forward", st.ForwardedOpens, st.MirrorHits)
+	}
+}
+
+// TestAllocBudgetMirrorHitMemberOpen pins an open answered from the
+// mirror for a member that is not its group's anchor: the member-first
+// order is built once per member and served from the index slot after.
+func TestAllocBudgetMirrorHitMemberOpen(t *testing.T) {
+	tc := forwardRing(t, 0)
+	paths := tc.pathsOwnedBy(t, 1, 3)
+	// Teach the owner the group, then mirror it at node 0 by opening its
+	// anchor there.
+	trainer := tc.client(t, 1, fsnet.ClientConfig{CacheCapacity: 1})
+	for round := 0; round < 4; round++ {
+		for _, p := range paths {
+			if _, err := trainer.Open(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := tc.client(t, 0, fsnet.ClientConfig{}).Open(paths[0]); err != nil {
+		t.Fatal(err)
+	}
+	before := tc.nodes[0].Stats()
+	op := tc.opener(t, 0, paths[1:])
+	if allocs := alloctest.PerOp(t, op); allocs > 0 {
+		t.Errorf("mirror-hit member open allocates %.0f objects, budget 0", allocs)
+	}
+	after := tc.nodes[0].Stats()
+	if after.MirrorHits-before.MirrorHits < 400 || after.ForwardedOpens != before.ForwardedOpens {
+		t.Errorf("MirrorHits +%d, ForwardedOpens +%d: the pinned opens did not all hit the mirror",
+			after.MirrorHits-before.MirrorHits, after.ForwardedOpens-before.ForwardedOpens)
+	}
+}
+
+// TestAllocBudgetLocallyOwnedOpen pins an open of a path the entry node
+// owns: routed, declined, and served on the read loop for the price of an
+// unrouted open.
+func TestAllocBudgetLocallyOwnedOpen(t *testing.T) {
+	tc := forwardRing(t, 0)
+	op := tc.opener(t, 0, tc.pathsOwnedBy(t, 0, 4))
+	if allocs := alloctest.PerOp(t, op); allocs > 1 {
+		t.Errorf("locally owned open allocates %.0f objects, budget 1", allocs)
+	}
+	if st := tc.nodes[0].Stats(); st.LocalOpens < 400 || st.ForwardedOpens != 0 {
+		t.Errorf("LocalOpens = %d, ForwardedOpens = %d: the pinned opens were not all local", st.LocalOpens, st.ForwardedOpens)
+	}
+}
+
+// TestMirroredArenaIsNotAliased: a mirrored group's bytes are a copy of
+// their own. They must survive the peer connection's frame buffers being
+// recycled under other replies, and a later Write to the same path at the
+// owner (the mirror serves the group as fetched until its TTL).
+func TestMirroredArenaIsNotAliased(t *testing.T) {
+	tc := forwardRing(t, 0)
+	path := tc.pathOwnedBy(t, 1, nil)
+	if _, err := tc.client(t, 0, fsnet.ClientConfig{}).Open(path); err != nil {
+		t.Fatal(err)
+	}
+
+	// Recycle the 0→1 peer connection's frame buffers through replies of
+	// other contents: same length as the mirrored file's, so the pool
+	// hands the very same buffers back.
+	skip := map[string]bool{path: true}
+	churn := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 1})
+	for i := 0; i < 16; i++ {
+		other := tc.pathOwnedBy(t, 1, skip)
+		skip[other] = true
+		junk := bytes.Repeat([]byte{byte('A' + i)}, len(testContent(path)))
+		for _, st := range tc.stores {
+			if err := st.Put(other, junk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if data, err := churn.Open(other); err != nil || !bytes.Equal(data, junk) {
+			t.Fatalf("churn open %s = %q, %v", other, data, err)
+		}
+	}
+	// Overwrite the mirrored path at its owner.
+	if err := tc.client(t, 1, fsnet.ClientConfig{}).Write(path, []byte("rewritten at the owner")); err != nil {
+		t.Fatal(err)
+	}
+
+	before := tc.nodes[0].Stats().MirrorHits
+	data, err := tc.client(t, 0, fsnet.ClientConfig{}).Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != testContent(path) {
+		t.Errorf("mirrored bytes changed under recycling and a write: %q", data)
+	}
+	if hits := tc.nodes[0].Stats().MirrorHits; hits != before+1 {
+		t.Errorf("MirrorHits = %d, want %d: the open was not served from the mirror", hits, before+1)
+	}
+}
+
+// TestTryRouteOpen pins what a read loop may do on its own: decline a
+// path the node owns, answer from the mirror, degrade while the owner's
+// breaker is open — and refuse, touching nothing, an open that needs the
+// peer.
+func TestTryRouteOpen(t *testing.T) {
+	tc := startCluster(t, 2, func(i int, cfg *Config) {
+		cfg.MirrorTTL = time.Hour
+		cfg.FailureThreshold = 1
+		cfg.DownDuration = time.Minute
+	})
+	n := tc.nodes[0]
+	own := tc.pathOwnedBy(t, 0, nil)
+	remote := tc.pathOwnedBy(t, 1, nil)
+	other := tc.pathOwnedBy(t, 1, map[string]bool{remote: true})
+
+	if files, handled, blocks := n.TryRouteOpen(own, nil, otrace.Ctx{}); files != nil || handled || blocks {
+		t.Errorf("own path: handled=%v blocks=%v, want declined", handled, blocks)
+	}
+	before := n.Stats()
+	if _, handled, blocks := n.TryRouteOpen(remote, []string{own}, otrace.Ctx{}); handled || !blocks {
+		t.Errorf("unmirrored remote path: handled=%v blocks=%v, want refused", handled, blocks)
+	}
+	if after := n.Stats(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("a refused try moved the counters:\n%+v\n%+v", before, after)
+	}
+
+	if _, handled, err := n.RouteOpen(remote, nil); !handled || err != nil {
+		t.Fatalf("forward: handled=%v err=%v", handled, err)
+	}
+	files, handled, blocks := n.TryRouteOpen(remote, nil, otrace.Ctx{})
+	if !handled || blocks || len(files) == 0 || string(files[0].Data) != testContent(remote) {
+		t.Errorf("mirrored path: handled=%v blocks=%v files=%d, want the mirrored group", handled, blocks, len(files))
+	}
+
+	// Owner down, breaker open: the read loop degrades on its own and
+	// stages the hint; it never takes the probe.
+	tc.gates[tc.addrs[1]].SetDown(true)
+	if _, handled, _ := n.RouteOpen(other, nil); handled {
+		t.Fatal("forward to a dead owner was handled")
+	}
+	if _, handled, blocks := n.TryRouteOpen(other, nil, otrace.Ctx{}); handled || blocks {
+		t.Errorf("owner down: handled=%v blocks=%v, want degraded inline", handled, blocks)
+	}
+	if st := n.Stats(); st.DegradedOpens != 2 || st.HintsQueued == 0 {
+		t.Errorf("DegradedOpens = %d, HintsQueued = %d, want 2 and >0", st.DegradedOpens, st.HintsQueued)
+	}
+	// Cooldown over: admitting the probe is the forwarding caller's job.
+	tc.clk.Advance(2 * time.Minute)
+	if _, handled, blocks := n.TryRouteOpen(other, nil, otrace.Ctx{}); handled || !blocks {
+		t.Errorf("cooldown lapsed: handled=%v blocks=%v, want refused", handled, blocks)
+	}
+}

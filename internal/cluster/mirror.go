@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"time"
 
 	"aggcache/internal/fsnet"
@@ -29,12 +28,22 @@ type mirror struct {
 	ttl      time.Duration // <0 means entries never expire
 	now      func() time.Time
 
-	entries map[string]*list.Element // member path -> LRU element
-	order   *list.List               // of *mirrorEntry, front = most recent
+	entries map[string]memberRef // member path -> its group
+	// lru is the sentinel of the recency ring: lru.next is the most
+	// recently used group, lru.prev the eviction victim.
+	lru mirrorEntry
+	n   int
+	// free chains (through next) the structs of dropped groups for put to
+	// reuse: a full mirror drops one group per group it takes in.
+	free *mirrorEntry
 
 	hits, misses, expired, evicted uint64
 }
 
+// mirrorEntry is one mirrored group. files is the slice the forward
+// returned, contents in the group's own slab: the entry is its only
+// holder besides the replies still being written from it, so dropping the
+// entry frees the group as a unit.
 type mirrorEntry struct {
 	files  []fsnet.GroupFile
 	stored time.Time
@@ -43,6 +52,19 @@ type mirrorEntry struct {
 	// may build the group differently; serving the departed peer's
 	// shape until TTL would hide the rebalance).
 	owner string
+
+	prev, next *mirrorEntry
+}
+
+// memberRef is one member path's index slot.
+type memberRef struct {
+	ent *mirrorEntry
+	// led is ent.files ordered as an open of this member replies: the
+	// member first, the rest as fetched. It is built by the member's
+	// first hit and kept, so its later hits allocate nothing; the
+	// anchor's is ent.files itself. Immutable once built — replies in
+	// flight read it.
+	led []fsnet.GroupFile
 }
 
 // newMirror returns a mirror with cfg-normalized knobs, or nil when the
@@ -58,103 +80,115 @@ func newMirror(capacity int, ttl time.Duration, now func() time.Time) *mirror {
 	if ttl == 0 {
 		ttl = defaultMirrorTTL
 	}
-	return &mirror{
+	m := &mirror{
 		capacity: capacity,
 		ttl:      ttl,
 		now:      now,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
+		entries:  make(map[string]memberRef),
 	}
+	m.lru.prev, m.lru.next = &m.lru, &m.lru
+	return m
 }
 
-// get returns the mirrored group containing path — reordered so path
+// get returns the mirrored group containing path — ordered so path
 // leads, as the open reply demands — or ok=false on miss/expiry. The
-// returned files share data slices with the mirror; callers treat them
-// as read-only (the serving path only serializes them).
+// returned slice and its contents are the mirror's own, shared with every
+// other reply served from the group; callers treat them as read-only
+// (the serving path only serializes them).
 //
 // Callers hold the node mutex; the mirror has no lock of its own.
 func (m *mirror) get(path string) ([]fsnet.GroupFile, bool) {
 	if m == nil {
 		return nil, false
 	}
-	el, ok := m.entries[path]
+	ref, ok := m.entries[path]
 	if !ok {
 		m.misses++
 		return nil, false
 	}
-	ent := el.Value.(*mirrorEntry)
+	ent := ref.ent
 	if m.ttl >= 0 && m.now().Sub(ent.stored) > m.ttl {
-		m.removeEntry(el)
+		m.removeEntry(ent)
 		m.expired++
 		m.misses++
 		return nil, false
 	}
-	m.order.MoveToFront(el)
+	m.unlink(ent)
+	m.pushFront(ent)
 	m.hits++
-	if ent.files[0].Path == path {
-		return ent.files, true
-	}
-	// A member open: lead with the demanded file, keep the rest in
-	// arrival order.
-	out := make([]fsnet.GroupFile, 0, len(ent.files))
-	for _, f := range ent.files {
-		if f.Path == path {
-			out = append(out, f)
+	if ref.led == nil {
+		// A member's first open: lead with the demanded file, keep the
+		// rest in arrival order.
+		ref.led = make([]fsnet.GroupFile, 0, len(ent.files))
+		for _, f := range ent.files {
+			if f.Path == path {
+				ref.led = append(ref.led, f)
+			}
 		}
-	}
-	for _, f := range ent.files {
-		if f.Path != path {
-			out = append(out, f)
+		for _, f := range ent.files {
+			if f.Path != path {
+				ref.led = append(ref.led, f)
+			}
 		}
+		m.entries[path] = ref
 	}
-	return out, true
+	return ref.led, true
 }
 
 // put mirrors a freshly fetched group under all its member paths,
 // evicting least-recently-used groups beyond capacity. A member path
 // already indexed for another group is re-pointed here — newest group
 // wins, mirroring how the owner's own group evolves. owner records the
-// peer the group came from, for purgeOwner.
+// peer the group came from, for purgeOwner. The mirror keeps files: the
+// caller may still read it, never write it.
 func (m *mirror) put(files []fsnet.GroupFile, owner string) {
 	if m == nil || len(files) == 0 {
 		return
 	}
-	ent := &mirrorEntry{files: files, stored: m.now(), owner: owner}
-	el := m.order.PushFront(ent)
-	for _, f := range files {
-		if old, ok := m.entries[f.Path]; ok && old != el {
-			m.unindex(old, f.Path)
-		}
-		m.entries[f.Path] = el
+	ent := m.free
+	if ent != nil {
+		m.free, ent.next = ent.next, nil
+	} else {
+		ent = new(mirrorEntry)
 	}
-	for m.order.Len() > m.capacity {
+	ent.files, ent.stored, ent.owner = files, m.now(), owner
+	m.pushFront(ent)
+	for i, f := range files {
+		if old, ok := m.entries[f.Path]; ok && old.ent != ent {
+			m.unindex(old.ent, f.Path)
+		}
+		ref := memberRef{ent: ent}
+		if i == 0 {
+			ref.led = files
+		}
+		m.entries[f.Path] = ref
+	}
+	for m.n > m.capacity {
 		m.evicted++
-		m.removeEntry(m.order.Back())
+		m.removeEntry(m.lru.prev)
 	}
 }
 
-// unindex drops one path's index entry for el, removing the whole group
+// unindex drops one path's index entry for ent, removing the whole group
 // once no member still points at it.
-func (m *mirror) unindex(el *list.Element, path string) {
+func (m *mirror) unindex(ent *mirrorEntry, path string) {
 	delete(m.entries, path)
-	ent := el.Value.(*mirrorEntry)
 	for _, f := range ent.files {
-		if f.Path != path && m.entries[f.Path] == el {
+		if f.Path != path && m.entries[f.Path].ent == ent {
 			return // still reachable through another member
 		}
 	}
-	m.order.Remove(el)
+	m.drop(ent)
 }
 
 // removeEntry drops a group and every member index pointing at it.
-func (m *mirror) removeEntry(el *list.Element) {
-	ent := el.Value.(*mirrorEntry)
+func (m *mirror) removeEntry(ent *mirrorEntry) {
 	for _, f := range ent.files {
-		if m.entries[f.Path] == el {
+		if m.entries[f.Path].ent == ent {
 			delete(m.entries, f.Path)
 		}
 	}
-	m.order.Remove(el)
+	m.drop(ent)
 }
 
 // purgeOwner drops every group fetched from owner — called when a
@@ -163,10 +197,10 @@ func (m *mirror) purgeOwner(owner string) {
 	if m == nil {
 		return
 	}
-	var el *list.Element
-	for e := m.order.Front(); e != nil; e = el {
-		el = e.Next()
-		if e.Value.(*mirrorEntry).owner == owner {
+	var next *mirrorEntry
+	for e := m.lru.next; e != &m.lru; e = next {
+		next = e.next
+		if e.owner == owner {
 			m.removeEntry(e)
 		}
 	}
@@ -177,5 +211,24 @@ func (m *mirror) groups() int {
 	if m == nil {
 		return 0
 	}
-	return m.order.Len()
+	return m.n
+}
+
+func (m *mirror) pushFront(ent *mirrorEntry) {
+	ent.prev, ent.next = &m.lru, m.lru.next
+	ent.prev.next, ent.next.prev = ent, ent
+	m.n++
+}
+
+func (m *mirror) unlink(ent *mirrorEntry) {
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	m.n--
+}
+
+// drop unlinks a group no index entry points at any more and keeps its
+// struct — not its files, which replies may still be reading — for reuse.
+func (m *mirror) drop(ent *mirrorEntry) {
+	m.unlink(ent)
+	*ent = mirrorEntry{next: m.free}
+	m.free = ent
 }

@@ -14,6 +14,12 @@ const benchFiles = 512
 // the client's protocol version: 1 forces the lock-step baseline).
 func benchPair(b *testing.B, clientMax int) *Client {
 	b.Helper()
+	return benchPairRouted(b, clientMax, nil)
+}
+
+// benchPairRouted is benchPair with the server consulting router first.
+func benchPairRouted(b *testing.B, clientMax int, router OpenRouter) *Client {
+	b.Helper()
 	store := NewStore()
 	for i := 0; i < benchFiles; i++ {
 		path := fmt.Sprintf("/bench/f%04d", i)
@@ -21,7 +27,7 @@ func benchPair(b *testing.B, clientMax int) *Client {
 			b.Fatal(err)
 		}
 	}
-	srv, err := NewServer(store, ServerConfig{GroupSize: 5, CacheCapacity: 256})
+	srv, err := NewServer(store, ServerConfig{GroupSize: 5, CacheCapacity: 256, Router: router})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,6 +69,22 @@ var benchPaths = func() [benchFiles]string {
 // larger than the client cache so misses and group replies are exercised.
 func BenchmarkOpenLoopback(b *testing.B) {
 	client := benchPair(b, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Open(benchPaths[i%benchFiles]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportHitRate(b, client)
+}
+
+// BenchmarkOpenRoutedLocal is BenchmarkOpenLoopback on a clustered node
+// that owns every path: each open is routed, declined, and served on the
+// connection's read loop. It should cost what the unrouted open costs.
+func BenchmarkOpenRoutedLocal(b *testing.B) {
+	client := benchPairRouted(b, 0, newPeerRouter())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

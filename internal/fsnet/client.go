@@ -225,8 +225,8 @@ type Client struct {
 	gidScratch  []trace.FileID
 	// freeData recycles the backing arrays of evicted cache entries so
 	// a steady churn of installs stops allocating once the working set
-	// is warm. Entries are exclusively cache-owned (Open/OpenGroup hand
-	// out copies), so an evicted backing can be reused immediately.
+	// is warm. Entries are exclusively cache-owned (Open hands out
+	// copies), so an evicted backing can be reused immediately.
 	freeData [][]byte
 	stats    ClientStats
 	closed   bool
@@ -458,11 +458,16 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 
 // OpenGroup fetches path from the server and returns the entire group
 // reply — the demanded file first, then its opportunistically fetched
-// members — installing the group into the local cache exactly like Open.
-// Unlike Open it never answers from the local cache: the cluster tier
-// uses it to stage a whole remote group in one peer hop, and it must see
-// the owner's current group, not a stale local copy. The returned slices
-// are the caller's to keep.
+// members. It is the transport the cluster tier forwards through: it
+// never answers from the local cache (a forward must see the owner's
+// current group, not a stale local copy) and never installs into it (the
+// caller keeps the group; a second copy here would never be read). Only
+// the access history and the fetch counters are touched.
+//
+// The group is materialised once: every member's contents sit in one
+// slab the returned slice owns, copied out of the connection's pooled
+// frame buffers before they are recycled. The caller may keep the result
+// indefinitely and must treat it as read-only if it shares it.
 func (c *Client) OpenGroup(path string) ([]GroupFile, error) {
 	return c.OpenGroupCtx(path, c.cfg.Trace.Root())
 }
@@ -484,8 +489,6 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	id := c.ids.Intern(path)
-	c.ensureDense(id)
 	if !c.cfg.DisablePiggyback && len(c.pending) < maxStatPaths {
 		c.appendPending(path)
 	}
@@ -495,37 +498,45 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 	if err != nil {
 		return nil, err
 	}
+	// A contiguous (version <= 2) reply was decoded into slices of its
+	// own, which nothing else references: they are the result.
+	out := resp.Files
+	var size int
+	if g != nil {
+		for _, d := range g.datas {
+			size += len(d)
+		}
+		out = make([]GroupFile, len(g.datas))
+	}
 
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
+	c.stats.FilesReceived += uint64(len(out))
 	if g != nil {
-		ids := c.installViews(id, g)
-		out := make([]GroupFile, len(ids))
-		for i, mid := range ids {
-			data := make([]byte, len(g.datas[i]))
-			copy(data, g.datas[i])
-			// The interner owns the path string, so no per-member
-			// allocation here.
-			out[i] = GroupFile{Path: c.ids.Path(mid), Data: data}
+		c.stats.BytesReceived += uint64(size)
+		for i, p := range g.paths {
+			// The interner owns the path string: no per-member
+			// allocation once the path has been seen.
+			out[i].Path = c.ids.Path(c.ids.InternBytes(p))
 		}
-		c.mu.Unlock()
-		g.recycle()
-		if tctx.Sampled {
-			c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
+	} else {
+		for _, f := range out {
+			c.stats.BytesReceived += uint64(len(f.Data))
 		}
-		return out, nil
-	}
-	c.install(id, resp)
-	out := make([]GroupFile, len(resp.Files))
-	for i, f := range resp.Files {
-		// The cache owns resp's slices after install; hand the caller
-		// copies so neither side can corrupt the other.
-		data := make([]byte, len(f.Data))
-		copy(data, f.Data)
-		out[i] = GroupFile{Path: f.Path, Data: data}
 	}
 	c.mu.Unlock()
+
+	if g != nil {
+		slab := make([]byte, size)
+		for i, d := range g.datas {
+			n := copy(slab, d)
+			// Capacity-limited, so an append through one member cannot
+			// reach into the next.
+			out[i].Data, slab = slab[:n:n], slab[n:]
+		}
+		g.recycle()
+	}
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
 	}
@@ -728,9 +739,11 @@ func (c *Client) Write(path string, data []byte) error {
 	}
 }
 
-// chunkGroup is a decoded streamed group reply: the pooled chunk buffers
-// plus per-member path/data views into them. The views stay valid until
-// recycle hands the buffers back to the frame pool.
+// chunkGroup is a streamed group reply: the pooled chunk buffers in
+// arrival order plus, once decoded, per-member path/data views into
+// them. The mux reader fills bufs, decodeChunks adds the views, and the
+// views stay valid until recycle hands the buffers back to the frame
+// pool.
 type chunkGroup struct {
 	bufs  [][]byte
 	paths [][]byte
@@ -739,8 +752,9 @@ type chunkGroup struct {
 
 var chunkGroupPool = sync.Pool{New: func() interface{} { return new(chunkGroup) }}
 
-// recycle returns the chunk buffers to the frame pool and the container
-// to its own; the views must not be used afterwards.
+// recycle returns the chunk buffers to the frame pool and the container —
+// its three backing arrays included — to its own; the views must not be
+// used afterwards.
 func (g *chunkGroup) recycle() {
 	for i, b := range g.bufs {
 		putFrameBuf(b)
@@ -749,35 +763,28 @@ func (g *chunkGroup) recycle() {
 	for i := range g.paths {
 		g.paths[i], g.datas[i] = nil, nil
 	}
-	g.bufs = nil
-	g.paths, g.datas = g.paths[:0], g.datas[:0]
+	g.bufs, g.paths, g.datas = g.bufs[:0], g.paths[:0], g.datas[:0]
 	chunkGroupPool.Put(g)
 }
 
-// decodeChunks validates a streamed reply's chunks and wraps them in a
-// chunkGroup. On error the chunk buffers are recycled before returning.
-func decodeChunks(chunks [][]byte, path string) (*chunkGroup, error) {
-	g := chunkGroupPool.Get().(*chunkGroup)
-	g.bufs = chunks
-	for _, buf := range chunks {
+// decodeChunks validates a streamed reply's chunks and records their
+// views in g. On error g is recycled before returning.
+func decodeChunks(g *chunkGroup, path string) error {
+	for _, buf := range g.bufs {
 		p, d, err := memberChunkView(buf)
 		if err != nil {
 			g.recycle()
-			return nil, err
+			return err
 		}
 		g.paths = append(g.paths, p)
 		g.datas = append(g.datas, d)
 	}
-	if len(g.paths) == 0 {
-		g.recycle()
-		return nil, errors.New("empty streamed group")
-	}
 	if string(g.paths[0]) != path {
 		first := string(g.paths[0])
 		g.recycle()
-		return nil, fmt.Errorf("reply leads with %q, want %q", first, path)
+		return fmt.Errorf("reply leads with %q, want %q", first, path)
 	}
-	return g, nil
+	return nil
 }
 
 // fetch performs one open round trip, retrying per the config. The
@@ -791,16 +798,17 @@ func decodeChunks(chunks [][]byte, path string) (*chunkGroup, error) {
 // on a version-3 connection, a streamed one (the returned chunkGroup,
 // which the caller recycles after installing).
 func (c *Client) fetch(path string, tctx otrace.Ctx) (groupResponse, *chunkGroup, error) {
-	typ, body, chunks, err := c.roundTrip(msgOpen, path, nil, tctx)
+	typ, body, g, err := c.roundTrip(msgOpen, path, nil, tctx)
 	if err != nil {
 		return groupResponse{}, nil, err
 	}
 	defer putFrameBuf(body)
 	switch typ {
 	case msgGroup:
-		if chunks != nil {
-			g, derr := decodeChunks(chunks, path)
-			if derr != nil {
+		if g != nil {
+			// The mux reader only delivers a group its msgGroupEnd
+			// counted, and the count is never zero: g has members.
+			if derr := decodeChunks(g, path); derr != nil {
 				c.poisonCurrent()
 				return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
 			}
@@ -931,9 +939,9 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // up to cfg.MaxRetries; a msgError carrying CodeBusy (the server's
 // MaxConns rejection) is retried the same way. Application errors are
 // returned to the caller undisturbed. The returned payload — or, for a
-// streamed group reply, each returned chunk — aliases a pooled buffer;
-// the caller recycles them with putFrameBuf after decoding.
-func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, [][]byte, error) {
+// streamed group reply, each chunk of the returned group — aliases a
+// pooled buffer; the caller recycles them after decoding.
+func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *chunkGroup, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
 		start := time.Now()
@@ -967,10 +975,10 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 		}
 		var typ uint8
 		var body []byte
-		var chunks [][]byte
+		var group *chunkGroup
 		var claimed []string
 		if m != nil {
-			typ, body, chunks, claimed, err = c.callMux(m, reqType, path, payload, tctx)
+			typ, body, group, claimed, err = c.callMux(m, reqType, path, payload, tctx)
 		} else {
 			// Lock-step (v1) peers predate trace frames; the context is
 			// negotiated away exactly like view frames.
@@ -1010,12 +1018,12 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 		// Any non-busy reply means the server consumed the piggybacked
 		// history; its storage can back the next backlog.
 		c.freePending(claimed)
-		return typ, body, chunks, nil
+		return typ, body, group, nil
 	}
 }
 
 // callMux performs one pipelined call over the multiplexed transport.
-func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, [][]byte, []string, error) {
+func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *chunkGroup, []string, error) {
 	if isViewMsg(reqType) && m.ver < protocolV3 {
 		// A version-2 peer has no view frames; sending one would draw an
 		// "unknown message type" error and desynchronize nothing, but the
@@ -1026,29 +1034,21 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
-	var res muxResult
-	if c.cfg.Timeout > 0 {
-		timer := time.NewTimer(c.cfg.Timeout)
-		select {
-		case res = <-call.done:
-			timer.Stop()
-		case <-timer.C:
-			// The stream position is unknown after a timeout, so the whole
-			// connection is poisoned — which guarantees a result below.
-			m.poison(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, c.cfg.Timeout))
-			res = <-call.done
-		}
-	} else {
-		res = <-call.done
+	// With a timeout configured the connection's watchdog poisons it once
+	// the call is overdue, which delivers an error result here.
+	res := <-call.done
+	if res.err != nil {
+		// A poisoned connection fails its calls while its writer may still
+		// be reading them out of the batch it was sending: the call is left
+		// to the collector, not recycled under the writer.
+		return 0, nil, nil, nil, res.err
 	}
-	// Exactly one result is ever delivered, so the call is free for reuse
+	// A reply means the writer sent the request and is done with the call,
+	// and exactly one result is ever delivered: the call is free for reuse
 	// once its fields of interest are copied out.
 	claimed := call.claimed
 	putMuxCall(call)
-	if res.err != nil {
-		return 0, nil, nil, nil, res.err
-	}
-	return res.typ, res.payload, res.chunks, claimed, nil
+	return res.typ, res.payload, res.group, claimed, nil
 }
 
 // callV1 performs one lock-step round trip over the legacy transport.
@@ -1417,9 +1417,8 @@ func (c *Client) setData(id trace.FileID, src []byte) {
 // installViews applies the aggregating-cache placement for a streamed
 // group, interning member paths straight from the chunk views (no string
 // materialization for already-known paths) and copying each member's
-// contents once, into the cache's own buffer. Returns the member IDs,
-// valid until mu is released. Called with mu held.
-func (c *Client) installViews(id trace.FileID, g *chunkGroup) []trace.FileID {
+// contents once, into the cache's own buffer. Called with mu held.
+func (c *Client) installViews(id trace.FileID, g *chunkGroup) {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
 		mid := c.ids.InternBytes(g.paths[i])
@@ -1457,7 +1456,6 @@ func (c *Client) installViews(id trace.FileID, g *chunkGroup) []trace.FileID {
 		c.setData(mid, g.datas[i])
 		c.prefetched[mid] = true
 	}
-	return ids
 }
 
 // install applies the aggregating-cache placement: demanded file at the

@@ -1,0 +1,178 @@
+package fsnet
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"aggcache/internal/alloctest"
+	"aggcache/internal/obs/otrace"
+)
+
+// peerRouter stands in for the cluster tier: paths under /remote/ are
+// another node's, so TryRouteOpen refuses them and RouteOpen "forwards" —
+// it parks until released — while every other path is declined to the
+// local serving path without waiting.
+type peerRouter struct {
+	entered chan string   // receives each path RouteOpen parks on
+	release chan struct{} // closed to let parked forwards return
+}
+
+func newPeerRouter() *peerRouter {
+	return &peerRouter{entered: make(chan string, 16), release: make(chan struct{})}
+}
+
+func (r *peerRouter) RouteOpen(path string, accessed []string) ([]GroupFile, bool, error) {
+	if !strings.HasPrefix(path, "/remote/") {
+		return nil, false, nil
+	}
+	r.entered <- path
+	<-r.release
+	return []GroupFile{{Path: path, Data: []byte("forwarded " + path)}}, true, nil
+}
+
+func (r *peerRouter) TryRouteOpen(path string, accessed []string, _ otrace.Ctx) ([]GroupFile, bool, bool) {
+	return nil, false, strings.HasPrefix(path, "/remote/")
+}
+
+// TestPipelinedLocalOpenOvertakesSlowForward: serving locally owned opens
+// on the read loop must not serialise the connection behind a peer round
+// trip — an open that needs one leaves the read loop for a worker, and a
+// later local open on the same connection is answered while it waits.
+func TestPipelinedLocalOpenOvertakesSlowForward(t *testing.T) {
+	router := newPeerRouter()
+	srv, addr := startServer(t, seededStore(t, 4), ServerConfig{Router: router})
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	forwarded := make(chan error, 1)
+	go func() {
+		data, err := client.Open("/remote/slow")
+		if err == nil && string(data) != "forwarded /remote/slow" {
+			err = errors.New("forwarded open returned " + string(data))
+		}
+		forwarded <- err
+	}()
+	<-router.entered // the forward is parked on its worker
+
+	local := make(chan error, 1)
+	go func() {
+		data, err := client.Open("/data/f001")
+		if err == nil && string(data) != "contents of /data/f001" {
+			err = errors.New("local open returned " + string(data))
+		}
+		local <- err
+	}()
+	select {
+	case err := <-local:
+		if err != nil {
+			t.Fatalf("local open behind a slow forward: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("local open waited for the forward ahead of it on the connection")
+	}
+	select {
+	case err := <-forwarded:
+		t.Fatalf("forward returned (%v) before its peer answered", err)
+	default:
+	}
+	close(router.release)
+	if err := <-forwarded; err != nil {
+		t.Fatalf("forwarded open: %v", err)
+	}
+	if st := srv.Stats(); st.Requests != 2 || st.RemoteOpens != 1 {
+		t.Errorf("Requests = %d, RemoteOpens = %d, want 2 and 1 (a refused inline try counts nothing)", st.Requests, st.RemoteOpens)
+	}
+}
+
+// TestClientWatchdogRearmsAfterIdle: the per-connection deadline watchdog
+// goes idle when nothing is in flight and must come back for the next
+// call — a request that stalls after a quiet spell still fails within its
+// timeout, with the typed transport error.
+func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
+	router := newPeerRouter()
+	defer close(router.release)
+	_, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: router})
+	const timeout = 100 * time.Millisecond
+	client, err := Dial(addr, ClientConfig{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	if _, err := client.Open("/data/f000"); err != nil {
+		t.Fatal(err)
+	}
+	// Long enough for the watchdog armed by that open to fire, find
+	// nothing in flight, and stand down.
+	time.Sleep(3 * timeout)
+	start := time.Now()
+	_, err = client.Open("/remote/never")
+	if !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("stalled open err = %v, want a timed-out ErrConnBroken", err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
+		t.Errorf("stalled open failed after %v, want about %v", elapsed, timeout)
+	}
+	// The poisoned connection is replaced and serves again.
+	if _, err := client.Open("/data/f001"); err != nil {
+		t.Fatalf("open after the timed-out connection was replaced: %v", err)
+	}
+}
+
+// TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
+// router is consulted and declines, and from there the request costs what
+// an unrouted one does — the staged group's result slice and nothing
+// else. It used to decode into fresh strings and spawn a goroutine.
+func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
+	const files = 8
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3, Router: newPeerRouter()})
+	// One cached file: every open below is a fetch.
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/data/f%03d", i)
+	}
+	var buf []byte
+	i := 0
+	allocs := alloctest.PerOp(t, func() {
+		var err error
+		if buf, err = client.OpenInto(paths[i%files], buf); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 1 {
+		t.Errorf("routed-local open allocates %.0f objects, budget 1", allocs)
+	}
+}
+
+// TestAllocBudgetWrite pins a write-through Write end to end: the client's
+// encoded request; the server's path string and the store's own copy of
+// the contents.
+func TestAllocBudgetWrite(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	data := make([]byte, 2048)
+	allocs := alloctest.PerOp(t, func() {
+		if err := client.Write("/data/f000", data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Errorf("Write allocates %.0f objects, budget 3", allocs)
+	}
+}

@@ -20,7 +20,10 @@ import (
 // delivers each to its call's completion channel. On a version-3
 // connection a group reply arrives as a stream of msgMemberChunk frames
 // closed by msgGroupEnd; the reader accumulates the chunks and delivers
-// the completed group. Any transport or protocol error poisons the whole
+// the completed group. With a request timeout configured, one watchdog
+// timer per connection — not one per call — poisons the connection when
+// the oldest unanswered call passes its deadline (the stream position is
+// unknown by then). Any transport or protocol error poisons the whole
 // connection: every in-flight call fails fast with ErrConnBroken, claimed
 // piggyback history is restored to the client in call order, and the
 // connection is closed and never reused — exactly the poisoning contract
@@ -45,6 +48,12 @@ type muxConn struct {
 	freeQ  []*muxCall          // recycled queue storage for the next batch
 	broken bool
 	err    error // first error, set when broken
+	// watch is the deadline watchdog: armed by the first call enqueued
+	// while it is idle (watching false), it re-arms itself for the oldest
+	// in-flight deadline each time it fires and goes idle when nothing is
+	// in flight. Nil until the first call of a connection with a timeout.
+	watch    *time.Timer
+	watching bool
 
 	wake chan struct{} // capacity 1; nudges the writer
 }
@@ -67,14 +76,17 @@ type muxCall struct {
 	claimed []string
 	// start is the enqueue time of a msgOpen, for time-to-first-byte.
 	start time.Time
+	// deadline is when the watchdog gives up on the call; zero without a
+	// configured timeout.
+	deadline time.Time
 	// tctx is the call's trace context. A sampled context makes the
 	// writer emit one msgTraceCtx piggyback frame ahead of the request
 	// frame (v3 only); the zero value sends nothing.
 	tctx otrace.Ctx
-	// chunks accumulates the member-chunk payloads of a streamed
+	// group accumulates the member-chunk payloads of a streamed
 	// (version-3) group reply until its msgGroupEnd arrives. Owned by the
-	// reader while the call is in flight.
-	chunks [][]byte
+	// reader while the call is in flight, then handed to the caller.
+	group *chunkGroup
 	// done receives exactly one result (buffered so the reader never
 	// blocks on a caller).
 	done chan muxResult
@@ -89,8 +101,8 @@ var muxCallPool = sync.Pool{
 
 func putMuxCall(call *muxCall) {
 	call.id, call.typ, call.path = 0, 0, ""
-	call.payload, call.claimed, call.chunks = nil, nil, nil
-	call.start = time.Time{}
+	call.payload, call.claimed, call.group = nil, nil, nil
+	call.start, call.deadline = time.Time{}, time.Time{}
 	call.tctx = otrace.Ctx{}
 	muxCallPool.Put(call)
 }
@@ -98,11 +110,11 @@ func putMuxCall(call *muxCall) {
 type muxResult struct {
 	typ     uint8
 	payload []byte
-	// chunks is a streamed group reply: the member-chunk payloads in
-	// group order (typ is msgGroup, payload nil). Each element is a
-	// pooled frame buffer the receiver recycles after decoding.
-	chunks [][]byte
-	err    error
+	// group is a streamed group reply: the member-chunk payloads in
+	// group order (typ is msgGroup, payload nil), not yet validated. The
+	// receiver recycles it after decoding.
+	group *chunkGroup
+	err   error
 }
 
 func newMuxConn(c *Client, cc *clientConn, ver int) *muxConn {
@@ -138,8 +150,14 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 		// (rather than erroring like view verbs) keeps tracing advisory.
 		call.tctx = tctx
 	}
+	timeout := m.c.cfg.Timeout
 	if reqType == msgOpen {
 		call.start = time.Now()
+		if timeout > 0 {
+			call.deadline = call.start.Add(timeout)
+		}
+	} else if timeout > 0 {
+		call.deadline = time.Now().Add(timeout)
 	}
 	m.mu.Lock()
 	if m.broken {
@@ -147,6 +165,16 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 		m.mu.Unlock()
 		putMuxCall(call)
 		return nil, err
+	}
+	if timeout > 0 && !m.watching {
+		// Every call shares one timeout, so deadlines only grow: the
+		// watchdog, once armed, needs no nudge from later calls.
+		m.watching = true
+		if m.watch == nil {
+			m.watch = time.AfterFunc(timeout, m.expire)
+		} else {
+			m.watch.Reset(timeout)
+		}
 	}
 	m.nextID++
 	call.id = m.nextID
@@ -158,6 +186,37 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	default:
 	}
 	return call, nil
+}
+
+// expire is the watchdog's timer function: it poisons the connection if
+// the oldest in-flight call is past its deadline, otherwise sleeps until
+// that deadline, and goes idle when nothing is in flight.
+func (m *muxConn) expire() {
+	m.mu.Lock()
+	if m.broken {
+		m.mu.Unlock()
+		return
+	}
+	var oldest time.Time
+	for _, call := range m.calls {
+		if oldest.IsZero() || call.deadline.Before(oldest) {
+			oldest = call.deadline
+		}
+	}
+	if oldest.IsZero() {
+		m.watching = false
+		m.mu.Unlock()
+		return
+	}
+	if wait := time.Until(oldest); wait > 0 {
+		m.watch.Reset(wait)
+		m.mu.Unlock()
+		return
+	}
+	m.mu.Unlock()
+	// The stream position is unknown after a timeout, so the whole
+	// connection is poisoned — which fails every in-flight call.
+	m.poison(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, m.c.cfg.Timeout))
 }
 
 // writer drains the queue in batches: every queued frame is buffered and
@@ -289,19 +348,17 @@ func (m *muxConn) reader() {
 			call, ok := m.calls[id]
 			var first bool
 			if ok {
-				if len(call.chunks) >= maxGroup {
+				if call.group == nil {
+					call.group = chunkGroupPool.Get().(*chunkGroup)
+				}
+				if len(call.group.bufs) >= maxGroup {
 					m.mu.Unlock()
 					putFrameBuf(payload)
 					m.poison(fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
 					return
 				}
-				first = len(call.chunks) == 0
-				if call.chunks == nil {
-					// One right-sized allocation per streamed reply
-					// instead of append's doubling crawl.
-					call.chunks = make([][]byte, 0, 8)
-				}
-				call.chunks = append(call.chunks, payload)
+				first = len(call.group.bufs) == 0
+				call.group.bufs = append(call.group.bufs, payload)
 			}
 			m.mu.Unlock()
 			if !ok {
@@ -326,14 +383,21 @@ func (m *muxConn) reader() {
 			}
 			n, derr := decodeGroupEnd(payload)
 			putFrameBuf(payload)
-			if derr == nil && n != len(call.chunks) {
-				derr = fmt.Errorf("group end declares %d members, got %d", n, len(call.chunks))
+			g := call.group
+			call.group = nil
+			if derr == nil && (g == nil || n != len(g.bufs)) {
+				// decodeGroupEnd rejects a count of zero, so a group end
+				// with no chunks before it lands here too.
+				got := 0
+				if g != nil {
+					got = len(g.bufs)
+				}
+				derr = fmt.Errorf("group end declares %d members, got %d", n, got)
 			}
 			if derr != nil {
-				for _, b := range call.chunks {
-					putFrameBuf(b)
+				if g != nil {
+					g.recycle()
 				}
-				call.chunks = nil
 				werr := fmt.Errorf("%w: %v", ErrConnBroken, derr)
 				// The stream is untrustworthy beyond this point; the call
 				// was already removed from the in-flight map, so fail it
@@ -342,9 +406,7 @@ func (m *muxConn) reader() {
 				call.done <- muxResult{err: werr}
 				return
 			}
-			chunks := call.chunks
-			call.chunks = nil
-			call.done <- muxResult{typ: msgGroup, chunks: chunks}
+			call.done <- muxResult{typ: msgGroup, group: g}
 		default:
 			m.mu.Lock()
 			call, ok := m.calls[id]
@@ -398,6 +460,23 @@ func (m *muxConn) poison(err error) {
 	}
 	m.calls = nil
 	m.queue, m.freeQ = nil, nil
+	if m.watch != nil {
+		m.watch.Stop()
+	}
+	// Request IDs were assigned — and their histories claimed — in ID
+	// order, so restoring in ID order reassembles the piggyback backlog
+	// oldest-first.
+	sort.Slice(orphans, func(i, j int) bool { return orphans[i].id < orphans[j].id })
+	var hist []string
+	for _, call := range orphans {
+		hist = append(hist, call.claimed...)
+	}
+	// Both before the lock drops: a caller that enqueue refuses from here
+	// on must already find the history restored and the client
+	// disconnected (a cache hit right after its failed fetch is a
+	// degraded one).
+	m.c.restorePending(hist)
+	m.c.dropMux(m)
 	m.mu.Unlock()
 
 	_ = m.conn.Close()
@@ -407,21 +486,11 @@ func (m *muxConn) poison(err error) {
 	default:
 	}
 
-	// Request IDs were assigned — and their histories claimed — in ID
-	// order, so restoring in ID order reassembles the piggyback backlog
-	// oldest-first.
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].id < orphans[j].id })
-	var hist []string
 	for _, call := range orphans {
-		hist = append(hist, call.claimed...)
-	}
-	m.c.restorePending(hist)
-	m.c.dropMux(m)
-	for _, call := range orphans {
-		for _, b := range call.chunks {
-			putFrameBuf(b)
+		if call.group != nil {
+			call.group.recycle()
+			call.group = nil
 		}
-		call.chunks = nil
 		call.done <- muxResult{err: err}
 	}
 	for i := range orphans {

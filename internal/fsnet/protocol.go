@@ -144,11 +144,10 @@ type openRequest struct {
 	Accessed []string
 }
 
-// fileData is one file in a group reply.
-type fileData struct {
-	Path string
-	Data []byte
-}
+// fileData is one file in a group reply; the serving path's name for
+// GroupFile, so routed and locally staged groups reach the reply writer
+// as the same slice type.
+type fileData = GroupFile
 
 // GroupFile is one file of a group, as exposed to code embedding the
 // client or server — the cluster peer tier (internal/cluster) routes
@@ -254,16 +253,22 @@ func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 // pipelined connection may return replies out of order.
 const v2HdrLen = 1 + 8 // type + request ID, inside the length prefix
 
-// putFrameID buffers one v2 frame without flushing.
+// putFrameID buffers one v2 frame without flushing. The header is built
+// in the writer's own spare capacity: a local array handed to Write
+// escapes through bufio's io.Writer and costs an allocation per frame.
 func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 	if len(payload)+v2HdrLen > maxFrame {
 		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+v2HdrLen)
 	}
-	var hdr [4 + v2HdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+v2HdrLen))
-	hdr[4] = typ
-	binary.BigEndian.PutUint64(hdr[5:], id)
-	if _, err := w.Write(hdr[:]); err != nil {
+	if w.Available() < 4+v2HdrLen {
+		if err := w.Flush(); err != nil {
+			return err
+		}
+	}
+	hdr := binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(payload)+v2HdrLen))
+	hdr = append(hdr, typ)
+	hdr = binary.BigEndian.AppendUint64(hdr, id)
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -412,54 +417,43 @@ func (d *decoder) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (d *decoder) str(limit int) (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(limit) {
-		return "", fmt.Errorf("fsnet: string of %d bytes exceeds limit %d", n, limit)
-	}
-	if uint64(len(d.buf)) < n {
-		return "", errors.New("fsnet: truncated string")
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s, nil
-}
-
-// view returns the next length-prefixed byte string as a view aliasing
-// the payload buffer — no copy; valid only while the buffer is.
-func (d *decoder) view(limit int) ([]byte, error) {
+// span consumes the next length-prefixed run of bytes — what names it in
+// errors — as a view aliasing the payload buffer: no copy, valid only
+// while the buffer is.
+func (d *decoder) span(limit int, what string) ([]byte, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return nil, err
 	}
 	if n > uint64(limit) {
-		return nil, fmt.Errorf("fsnet: string of %d bytes exceeds limit %d", n, limit)
+		return nil, fmt.Errorf("fsnet: %s of %d bytes exceeds limit %d", what, n, limit)
 	}
 	if uint64(len(d.buf)) < n {
-		return nil, errors.New("fsnet: truncated string")
+		return nil, errors.New("fsnet: truncated " + what)
 	}
 	v := d.buf[:n]
 	d.buf = d.buf[n:]
 	return v, nil
 }
 
+func (d *decoder) str(limit int) (string, error) {
+	v, err := d.span(limit, "string")
+	return string(v), err
+}
+
+// view is str without the copy: the string's bytes where they lie.
+func (d *decoder) view(limit int) ([]byte, error) { return d.span(limit, "string") }
+
+// blobView is bytes without the copy.
+func (d *decoder) blobView(limit int) ([]byte, error) { return d.span(limit, "blob") }
+
 func (d *decoder) bytes(limit int) ([]byte, error) {
-	n, err := d.uvarint()
+	v, err := d.span(limit, "blob")
 	if err != nil {
 		return nil, err
 	}
-	if n > uint64(limit) {
-		return nil, fmt.Errorf("fsnet: blob of %d bytes exceeds limit %d", n, limit)
-	}
-	if uint64(len(d.buf)) < n {
-		return nil, errors.New("fsnet: truncated blob")
-	}
-	out := make([]byte, n)
-	copy(out, d.buf[:n])
-	d.buf = d.buf[n:]
+	out := make([]byte, len(v))
+	copy(out, v)
 	return out, nil
 }
 
@@ -566,14 +560,17 @@ func decodeHandoffRequest(payload []byte) (handoffRequest, error) {
 	return req, nil
 }
 
-// writeRequest is the payload of msgWrite.
+// writeRequest is the payload of msgWrite. A decoded request's Data is a
+// view into the frame it was decoded from — the store copies what it
+// keeps — so the frame outlives the request.
 type writeRequest struct {
 	Path string
 	Data []byte
 }
 
 func encodeWriteRequest(req writeRequest) []byte {
-	b := appendString(nil, req.Path)
+	b := make([]byte, 0, len(req.Path)+len(req.Data)+2*binary.MaxVarintLen32)
+	b = appendString(b, req.Path)
 	return appendBytes(b, req.Data)
 }
 
@@ -587,7 +584,7 @@ func decodeWriteRequest(payload []byte) (writeRequest, error) {
 	if req.Path == "" {
 		return req, errors.New("fsnet: empty path")
 	}
-	if req.Data, err = d.bytes(maxFileSize); err != nil {
+	if req.Data, err = d.blobView(maxFileSize); err != nil {
 		return req, err
 	}
 	if err := d.done(); err != nil {

@@ -19,9 +19,9 @@ import (
 	"aggcache/internal/trace"
 )
 
-// maxServerPipeline bounds the request-handler goroutines in flight per
-// pipelined connection, so one peer flooding requests cannot exhaust the
-// scheduler before backpressure reaches its socket.
+// maxServerPipeline bounds the request-handler goroutines per pipelined
+// connection, so one peer flooding requests cannot exhaust the scheduler
+// before backpressure reaches its socket.
 const maxServerPipeline = 64
 
 // ServerConfig parameterizes a file server.
@@ -94,9 +94,12 @@ type OpenRouter interface {
 	// reports handled=false to have the server stage the group from its
 	// own store. accessed is the client's piggybacked access history,
 	// relayed so the remote owner's metadata stays as complete as the
-	// local server's would (§3). A handled error is returned to the
-	// client: ErrNotFound maps to CodeNotFound, anything else to
-	// CodeInternal.
+	// local server's would (§3); it is the server's pooled scratch, valid
+	// only until RouteOpen returns, though the strings in it (and path)
+	// may be kept. The returned files go to the reply writer as they are
+	// and may be shared with other replies: nobody writes to them. A
+	// handled error is returned to the client: ErrNotFound maps to
+	// CodeNotFound, anything else to CodeInternal.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
 }
 
@@ -110,6 +113,20 @@ type TracedRouter interface {
 	// RouteOpenTraced is RouteOpen with the caller's trace context. The
 	// zero Ctx means the request is untraced.
 	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled bool, err error)
+}
+
+// InlineRouter is an optional extension of OpenRouter: a router that can
+// tell, without waiting on anything, whether an open needs a peer round
+// trip. With one, a connection's read loop serves the opens that need
+// none itself, exactly as a server without a router serves every open;
+// without one, every open of a routed server runs on a worker goroutine.
+type InlineRouter interface {
+	OpenRouter
+	// TryRouteOpen routes the open like RouteOpen (under tctx, like
+	// RouteOpenTraced) if that takes no peer round trip. Otherwise it
+	// does nothing and reports blocks=true, and the server repeats the
+	// open through RouteOpen from a goroutine that may wait.
+	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled, blocks bool)
 }
 
 // maxProto normalizes MaxProtocol to a usable version number.
@@ -172,9 +189,11 @@ type Server struct {
 	store  *Store
 	logger *log.Logger
 
-	// troute is cfg.Router's TracedRouter form, asserted once at
-	// construction; nil when the router does not accept trace contexts.
+	// troute and iroute are cfg.Router's TracedRouter and InlineRouter
+	// forms, asserted once at construction; nil when the router is not
+	// one.
 	troute TracedRouter
+	iroute InlineRouter
 
 	// Hot counters; atomic (obs.Counter wraps one atomic each) so
 	// concurrent handlers never contend. With cfg.Obs these are the very
@@ -234,9 +253,8 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 		m:      newServerMetrics(cfg.Obs, cfg.SlowRequest),
 	}
-	if tr, ok := cfg.Router.(TracedRouter); ok {
-		s.troute = tr
-	}
+	s.troute, _ = cfg.Router.(TracedRouter)
+	s.iroute, _ = cfg.Router.(InlineRouter)
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("fsnet_server_open_conns", "connections currently served", func() float64 {
 			s.connMu.Lock()
@@ -349,7 +367,7 @@ func (s *Server) Close() error {
 // inconsistent while requests are in flight. The load order makes the
 // skew one-sided — the cache accounting and per-path counters are read
 // first and Requests last, and every handler increments its request
-// counter before anything else — so a snapshot always satisfies
+// counter before any of those — so a snapshot always satisfies
 //
 //	Requests >= Cache.Hits + Cache.GroupFetches + RemoteOpens
 //
@@ -508,13 +526,14 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 			}
 		case msgWrite:
 			req, err := decodeWriteRequest(payload)
-			putFrameBuf(payload)
 			if err != nil {
+				putFrameBuf(payload)
 				s.armWrite(conn)
 				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 				return
 			}
 			errResp := s.write(req)
+			putFrameBuf(payload)
 			s.armWrite(conn)
 			var sendErr error
 			if errResp.Code != 0 {
@@ -555,19 +574,22 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 	}
 }
 
-// serveV2 is the pipelined loop: plain opens are served inline by the
-// read loop (the in-memory fast path never blocks on anything but the
-// reply writer's own backpressure, and a goroutine spawn plus two
-// scheduler hops per request is measurable at loopback rates), while
-// routed opens, writes, and handoffs get a bounded handler goroutine
-// each. A dedicated reply writer batches completed replies — out of
-// order — onto the wire with one flush per batch. A malformed request
-// payload fails only its own request; the framed stream stays intact,
-// so the connection keeps serving.
+// serveV2 is the pipelined loop. The read loop serves inline every open
+// that finishes without a peer round trip — all of them on a server with
+// no router; the locally owned, mirrored and degraded ones behind an
+// InlineRouter: the in-memory path never blocks on anything but the
+// reply writer's own backpressure, and a goroutine hand-off is two
+// scheduler hops per request, measurable at loopback rates. Forwarded
+// opens, writes, handoffs and view frames go to the connection's workers,
+// so a slow peer never holds up the opens queued behind it. A dedicated
+// reply writer batches completed replies — out of order — onto the wire
+// with one flush per batch. A malformed request payload fails only its
+// own request; the framed stream stays intact, so the connection keeps
+// serving.
 func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, ver int) {
 	rw := newReplyWriter(s, conn, w, ver)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxServerPipeline)
+	cw := connWorkers{s: s, rw: rw, src: src, jobs: make(chan connJob)}
+	inlineOpens := s.cfg.Router == nil || s.iroute != nil
 	func() {
 		// A panic in the read loop itself (as opposed to in a handler,
 		// which recovers per request) must not skip the drain below: the
@@ -637,28 +659,80 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 					tctx = s.cfg.Trace.Root()
 				}
 				pendCtx = otrace.Ctx{}
+				if inlineOpens && s.serveRequestV2(rw, src, typ, id, payload, tctx, true) {
+					continue
+				}
 			}
-			if typ == msgOpen && s.cfg.Router == nil {
-				s.serveRequestV2(rw, src, typ, id, payload, tctx)
-				continue
-			}
-			sem <- struct{}{}
-			wg.Add(1)
-			go func(typ uint8, id uint64, payload []byte, tctx otrace.Ctx) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				s.serveRequestV2(rw, src, typ, id, payload, tctx)
-			}(typ, id, payload, tctx)
+			cw.dispatch(connJob{typ: typ, id: id, payload: payload, tctx: tctx})
 		}
 	}()
-	wg.Wait()
+	cw.stop()
 	rw.drainAndStop()
+}
+
+// connWorkers runs the requests of one pipelined connection that may
+// wait on a peer or the store's write lock. Workers start lazily, one
+// per request that finds none idle, up to maxServerPipeline, and live
+// until the connection closes: a steady request stream is handed from the
+// read loop to a parked goroutine instead of spawning one per request.
+// dispatch and stop are the read loop's.
+type connWorkers struct {
+	s   *Server
+	rw  *replyWriter
+	src uint64
+	// jobs is unbuffered, so a send that does not block has found a
+	// worker parked in its receive.
+	jobs    chan connJob
+	started int
+	wg      sync.WaitGroup
+}
+
+// connJob is one request frame on its way to a worker.
+type connJob struct {
+	typ     uint8
+	id      uint64
+	payload []byte
+	tctx    otrace.Ctx
+}
+
+func (cw *connWorkers) dispatch(j connJob) {
+	select {
+	case cw.jobs <- j:
+		return
+	default:
+	}
+	if cw.started < maxServerPipeline {
+		cw.started++
+		cw.wg.Add(1)
+		go cw.run(j)
+		return
+	}
+	// Every worker is busy: wait for one, so backpressure reaches the
+	// peer's socket.
+	cw.jobs <- j
+}
+
+func (cw *connWorkers) run(j connJob) {
+	defer cw.wg.Done()
+	for ok := true; ok; j, ok = <-cw.jobs {
+		cw.s.serveRequestV2(cw.rw, cw.src, j.typ, j.id, j.payload, j.tctx, false)
+	}
+}
+
+// stop lets every worker finish its request and exit.
+func (cw *connWorkers) stop() {
+	close(cw.jobs)
+	cw.wg.Wait()
 }
 
 // serveRequestV2 handles one pipelined request. A panic is recovered
 // here, converted into a CodeInternal reply for this request only, and
 // the connection keeps serving.
-func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx) {
+//
+// inline marks a call from the read loop, which only passes opens: one
+// that turns out to need a peer round trip is left untouched — payload
+// included — and reported as not served, for a worker to repeat.
+func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx, inline bool) (served bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
@@ -666,32 +740,20 @@ func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint6
 			rw.sendError(id, errorResponse{Code: CodeInternal, Message: "internal server error"})
 		}
 	}()
+	served = true
 	switch typ {
 	case msgOpen:
-		var files []fileData
-		var errResp errorResponse
-		if s.cfg.Router == nil {
-			// Fast path: the demanded and piggybacked paths are interned
-			// straight out of the pooled frame buffer — no path strings,
-			// no Accessed slice — and the group is built in pooled
-			// scratch.
-			var err error
-			files, errResp, err = s.openView(payload, src, tctx)
-			putFrameBuf(payload)
-			if err != nil {
-				rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-		} else {
-			// The router path materializes the request (its interface
-			// carries strings across the cluster tier).
-			req, err := decodeOpenRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			files, errResp = s.open(req, src, tctx)
+		// The demanded and piggybacked paths are interned straight out of
+		// the pooled frame buffer — no path strings, no Accessed slice —
+		// and the group is built in pooled scratch.
+		files, errResp, err := s.openView(payload, src, tctx, inline)
+		if err == errRouteBlocks {
+			return false
+		}
+		putFrameBuf(payload)
+		if err != nil {
+			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
+			return
 		}
 		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
@@ -705,12 +767,14 @@ func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint6
 		rw.send(id, msgGroup, appendGroupResponse(getEncodeBuf(), files), true)
 	case msgWrite:
 		req, err := decodeWriteRequest(payload)
-		putFrameBuf(payload)
 		if err != nil {
+			putFrameBuf(payload)
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
-		if errResp := s.write(req); errResp.Code != 0 {
+		errResp := s.write(req)
+		putFrameBuf(payload)
+		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
 			return
 		}
@@ -779,6 +843,7 @@ func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint6
 			Message: fmt.Sprintf("unknown message type %d", typ),
 		})
 	}
+	return
 }
 
 // armWrite starts the per-reply write deadline, so a peer that stops
@@ -905,19 +970,26 @@ func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
 type openScratch struct {
 	views [][]byte // piggybacked path views into the frame buffer
 	ids   []trace.FileID
-	group []trace.FileID
-	paths []string
+	// accessed is the piggybacked history as the interner's own strings,
+	// for the router (whose interface carries strings across the cluster
+	// tier); filled only on a routed server.
+	accessed []string
+	group    []trace.FileID
+	paths    []string
 }
 
 var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
 
-// open runs one request through the metadata and the server cache and
-// assembles the group reply. The store is only touched outside aggMu:
-// existence is checked lock-free up front, and the group's contents are
-// staged after the critical section, coalesced with any concurrent
-// staging of the same demanded path.
+// errRouteBlocks is openView's answer to the read loop when the open
+// needs a peer round trip: nothing was counted, learned or released.
+var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
+
+// open runs one lock-step (version-1) request through the router, the
+// metadata and the server cache and assembles the group reply. The store
+// is only touched outside aggMu: existence is checked lock-free up
+// front, and the group's contents are staged after the critical section,
+// coalesced with any concurrent staging of the same demanded path.
 func (s *Server) open(req openRequest, src uint64, tctx otrace.Ctx) ([]fileData, errorResponse) {
-	s.m.requests.Add(1)
 	// The clock is only read when a registry (or slow-request threshold,
 	// or a sampled trace) demands it, so uninstrumented servers keep a
 	// syscall-free path.
@@ -927,12 +999,15 @@ func (s *Server) open(req openRequest, src uint64, tctx otrace.Ctx) ([]fileData,
 		start = time.Now()
 	}
 	if s.cfg.Router != nil {
-		if files, errResp, handled := s.routeOpen(req, tctx); handled {
+		files, errResp, handled, _ := s.routeOpen(req.Path, req.Accessed, tctx, false)
+		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", req.Path, start)
 			}
 			return files, errResp
 		}
+	} else {
+		s.m.requests.Add(1)
 	}
 	if !s.store.Contains(req.Path) {
 		return nil, errorResponse{Code: CodeNotFound, Message: req.Path}
@@ -954,13 +1029,16 @@ func (s *Server) open(req openRequest, src uint64, tctx otrace.Ctx) ([]fileData,
 	return files, errResp
 }
 
-// openView is the pooled fast path of the pipelined open: the demanded
-// and piggybacked paths are interned as byte views straight out of the
-// frame buffer — no request struct, no path strings, no Accessed slice —
-// and the group is built in pooled scratch. A non-nil error reports a
-// malformed payload (the caller answers CodeBadRequest without counting
-// a request, exactly like the decode-then-open path).
-func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx) ([]fileData, errorResponse, error) {
+// openView is the pooled path of the pipelined open: the demanded and
+// piggybacked paths are interned as byte views straight out of the frame
+// buffer — no request struct, no path strings, no Accessed slice — and
+// the group is built in pooled scratch. A router sees the interner's own
+// strings for the same paths, so a routed open decodes without
+// allocating either. A non-nil error reports a malformed payload (the
+// caller answers CodeBadRequest without counting a request, exactly like
+// the decode-then-open path) or, from the read loop only (inline),
+// errRouteBlocks.
+func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bool) ([]fileData, errorResponse, error) {
 	d := decoder{buf: payload}
 	pathView, err := d.view(maxPath)
 	if err != nil {
@@ -977,11 +1055,11 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx) ([]fileDa
 		return nil, errorResponse{}, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
 	sc := openScratchPool.Get().(*openScratch)
+	defer openScratchPool.Put(sc)
 	sc.views = sc.views[:0]
 	for i := uint64(0); i < n; i++ {
 		pv, err := d.view(maxPath)
 		if err != nil {
-			openScratchPool.Put(sc)
 			return nil, errorResponse{}, err
 		}
 		if len(pv) == 0 {
@@ -990,31 +1068,59 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx) ([]fileDa
 		sc.views = append(sc.views, pv)
 	}
 	if err := d.done(); err != nil {
-		openScratchPool.Put(sc)
 		return nil, errorResponse{}, err
 	}
 
-	s.m.requests.Add(1)
 	var start time.Time
 	timed := s.m.timed() || tctx.Sampled
 	if timed {
 		start = time.Now()
 	}
-	// Existence check before any interning, so nonexistent demanded
-	// paths never grow the ID space (the lock-step path behaves the
-	// same way).
-	if !s.store.containsBytes(pathView) {
-		openScratchPool.Put(sc)
-		return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
+	// Existence check before interning the demanded path, so nonexistent
+	// ones never grow the ID space (the lock-step path behaves the same
+	// way).
+	exists := s.store.containsBytes(pathView)
+	routed := s.cfg.Router != nil
+	if !routed {
+		s.m.requests.Add(1)
+		if !exists {
+			return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
+		}
 	}
-	sc.ids = sc.ids[:0]
+	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
 	for _, pv := range sc.views {
-		sc.ids = append(sc.ids, s.ids.InternBytes(pv))
+		aid := s.ids.InternBytes(pv)
+		sc.ids = append(sc.ids, aid)
+		if routed {
+			sc.accessed = append(sc.accessed, s.ids.Path(aid))
+		}
 	}
-	id := s.ids.InternBytes(pathView)
-	path := s.ids.Path(id) // the interned string: no per-request copy
+	var id trace.FileID
+	var path string
+	if exists {
+		id = s.ids.InternBytes(pathView)
+		path = s.ids.Path(id) // the interned string: no per-request copy
+	} else {
+		path = string(pathView)
+	}
+	if routed {
+		// The router comes first: a path another node owns is answered by
+		// that node, present in the local store or not.
+		files, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
+		if blocks {
+			return nil, errorResponse{}, errRouteBlocks
+		}
+		if handled {
+			if timed {
+				s.observeServed(tctx, "forward", path, start)
+			}
+			return files, errResp, nil
+		}
+		if !exists {
+			return nil, errorResponse{Code: CodeNotFound, Message: path}, nil
+		}
+	}
 	files, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
-	openScratchPool.Put(sc)
 	return files, errResp, nil
 }
 
@@ -1077,43 +1183,43 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 	s.m.observeOpen(phase, path, d, "")
 }
 
-// routeOpen hands one open to the configured Router. handled=false means
-// the caller serves the request locally (the router declined: the path is
-// locally owned, or its owner is down and the open degrades to a local
-// fetch).
-func (s *Server) routeOpen(req openRequest, tctx otrace.Ctx) ([]fileData, errorResponse, bool) {
-	var (
-		files   []GroupFile
-		handled bool
-		err     error
-	)
-	if s.troute != nil {
-		files, handled, err = s.troute.RouteOpenTraced(req.Path, req.Accessed, tctx)
-	} else {
-		files, handled, err = s.cfg.Router.RouteOpen(req.Path, req.Accessed)
+// routeOpen hands one open to the configured Router and counts the
+// request once the router has answered. handled=false means the caller
+// serves the request locally (the router declined: the path is locally
+// owned, or its owner is down and the open degrades to a local fetch).
+// inline asks the InlineRouter not to wait on a peer; blocks=true is its
+// refusal, with nothing counted.
+func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (files []fileData, errResp errorResponse, handled, blocks bool) {
+	var err error
+	switch {
+	case inline:
+		if files, handled, blocks = s.iroute.TryRouteOpen(path, accessed, tctx); blocks {
+			return nil, errorResponse{}, false, true
+		}
+	case s.troute != nil:
+		files, handled, err = s.troute.RouteOpenTraced(path, accessed, tctx)
+	default:
+		files, handled, err = s.cfg.Router.RouteOpen(path, accessed)
 	}
+	s.m.requests.Add(1)
 	if !handled {
-		return nil, errorResponse{}, false
+		return nil, errorResponse{}, false, false
 	}
 	if err != nil {
 		if errors.Is(err, ErrNotFound) {
-			return nil, errorResponse{Code: CodeNotFound, Message: req.Path}, true
+			return nil, errorResponse{Code: CodeNotFound, Message: path}, true, false
 		}
-		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true
+		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
 	}
-	if len(files) == 0 || files[0].Path != req.Path {
-		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true
+	if len(files) == 0 || files[0].Path != path {
+		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true, false
 	}
 	if len(files) > maxGroup {
 		files = files[:maxGroup]
 	}
-	out := make([]fileData, len(files))
-	for i, f := range files {
-		out[i] = fileData{Path: f.Path, Data: f.Data}
-	}
 	s.m.remote.Add(1)
-	s.m.sent.Add(uint64(len(out)))
-	return out, errorResponse{}, true
+	s.m.sent.Add(uint64(len(files)))
+	return files, errorResponse{}, true, false
 }
 
 // stageGroup reads the demanded file plus the group members from the

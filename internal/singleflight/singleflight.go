@@ -17,9 +17,15 @@ import "sync"
 type Group[V any] struct {
 	mu      sync.Mutex
 	flights map[string]*flight[V]
+	// free holds flights nobody joined, for reuse: the uncontended call —
+	// nearly every call — then allocates nothing. Its length never exceeds
+	// the most leaders that were ever in flight at once.
+	free []*flight[V]
 }
 
 type flight[V any] struct {
+	// done is made by the first follower to join and closed by the leader;
+	// nil while the flight is uncontended.
 	done chan struct{}
 	val  V
 	ok   bool
@@ -33,24 +39,53 @@ type flight[V any] struct {
 // The ok result is carried through from fn verbatim; it lets callers
 // distinguish "ran and found nothing" from a usable result without
 // resorting to sentinel values.
+//
+// If fn panics the panic propagates to the leader's caller, the key is
+// released, and the flight's followers return the zero value with
+// ok=false.
 func (g *Group[V]) Do(key string, fn func() (V, bool)) (val V, ok, coalesced bool) {
 	g.mu.Lock()
+	if f, exists := g.flights[key]; exists {
+		if f.done == nil {
+			f.done = make(chan struct{})
+		}
+		done := f.done
+		g.mu.Unlock()
+		<-done
+		return f.val, f.ok, true
+	}
+	var f *flight[V]
+	if n := len(g.free); n > 0 {
+		f, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		f = new(flight[V])
+	}
 	if g.flights == nil {
 		g.flights = make(map[string]*flight[V])
 	}
-	if f, exists := g.flights[key]; exists {
-		g.mu.Unlock()
-		<-f.done
-		return f.val, f.ok, true
-	}
-	f := &flight[V]{done: make(chan struct{})}
 	g.flights[key] = f
 	g.mu.Unlock()
 
+	// Deferred, so a panicking fn cannot wedge the key: it runs after the
+	// results below are copied out, or while the panic unwinds.
+	defer g.finish(key, f)
 	f.val, f.ok = fn()
+	return f.val, f.ok, false
+}
+
+// finish releases key and either wakes the flight's followers — who then
+// own it, so it is left to the collector — or recycles it.
+func (g *Group[V]) finish(key string, f *flight[V]) {
 	g.mu.Lock()
 	delete(g.flights, key)
+	done := f.done
+	if done == nil {
+		var zero V
+		f.val, f.ok = zero, false
+		g.free = append(g.free, f)
+	}
 	g.mu.Unlock()
-	close(f.done)
-	return f.val, f.ok, false
+	if done != nil {
+		close(done)
+	}
 }

@@ -1,6 +1,7 @@
 package singleflight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -129,5 +130,67 @@ func TestDoConcurrentStress(t *testing.T) {
 	wg.Wait()
 	if executions.Load() == 0 {
 		t.Error("fn never executed")
+	}
+}
+
+// TestDoLeaderPanicReleasesKey: a panicking fn propagates to the leader's
+// caller only. The follower that joined the flight returns ok=false, and
+// the key is free again for a later caller — it used to stay claimed
+// forever, blocking every later Do of that key.
+func TestDoLeaderPanicReleasesKey(t *testing.T) {
+	var g Group[string]
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan interface{}, 1)
+	go func() {
+		defer func() { leaderDone <- recover() }()
+		g.Do("k", func() (string, bool) {
+			close(entered)
+			<-release
+			panic("stage exploded")
+		})
+	}()
+	<-entered
+
+	followerDone := make(chan struct{})
+	go func() {
+		defer close(followerDone)
+		val, ok, coalesced := g.Do("k", func() (string, bool) {
+			t.Error("follower executed fn despite leader in flight")
+			return "", false
+		})
+		if val != "" || ok || !coalesced {
+			t.Errorf("follower got val=%q ok=%v coalesced=%v, want \"\",false,true", val, ok, coalesced)
+		}
+	}()
+	// The follower has joined once the flight has a done channel.
+	for joined := false; !joined; runtime.Gosched() {
+		g.mu.Lock()
+		joined = g.flights["k"].done != nil
+		g.mu.Unlock()
+	}
+	close(release)
+	if p := <-leaderDone; p != "stage exploded" {
+		t.Fatalf("leader recovered %v, want the fn's panic", p)
+	}
+	<-followerDone
+
+	val, ok, coalesced := g.Do("k", func() (string, bool) { return "fresh", true })
+	if val != "fresh" || !ok || coalesced {
+		t.Errorf("later call got val=%q ok=%v coalesced=%v, want a fresh run", val, ok, coalesced)
+	}
+}
+
+// TestDoUncontendedAllocatesNothing pins the recycled flight: a Do nobody
+// joins costs no allocation once the group is warm.
+func TestDoUncontendedAllocatesNothing(t *testing.T) {
+	var g Group[[]byte]
+	val := []byte("v")
+	fn := func() ([]byte, bool) { return val, true }
+	if allocs := testing.AllocsPerRun(100, func() { g.Do("k", fn) }); allocs != 0 {
+		t.Errorf("uncontended Do allocates %.1f objects, want 0", allocs)
+	}
+	if f := g.free[0]; f.val != nil || f.ok {
+		t.Error("recycled flight still references its last result")
 	}
 }
