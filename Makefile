@@ -66,11 +66,9 @@ gossip:
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' -benchmem ./internal/fsnet/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' -benchmem ./internal/fsnet/ ; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkOpenForwarded' -benchmem ./internal/cluster/ ; \
 	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -gobench ; \
-	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -proto 2 -gobench ; \
-	  $(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial -gobench ; \
 	  $(GO) run ./cmd/aggbench -cluster 1 -conns 9 -workers 4 -opens 4000 -gobench ; \
 	  $(GO) run ./cmd/aggbench -cluster 3 -conns 9 -workers 4 -opens 4000 -gobench ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
@@ -90,12 +88,13 @@ bench-e2e:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload cluster3 --seconds 1
 
-# Load-generator comparison: the pipelined serving path vs the lock-step
-# baseline over a simulated 2ms-RTT network, 8 connections x 8 goroutines.
-# The throughput ratio is the headline speedup of DESIGN.md §10.
+# Load-generator comparison over a simulated 2ms-RTT network: 8
+# connections x 8 pipelining goroutines vs the lock-step baseline of one
+# request in flight per connection (-workers 1). The throughput ratio is
+# the headline speedup of DESIGN.md §10.
 loadtest:
 	$(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms
-	$(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms -serial
+	$(GO) run ./cmd/aggbench -conns 8 -workers 1 -opens 4000 -rtt 2ms
 	$(GO) run ./cmd/aggbench -cluster 1 -conns 9 -workers 4 -opens 4000
 	$(GO) run ./cmd/aggbench -cluster 3 -conns 9 -workers 4 -opens 4000
 
@@ -151,7 +150,7 @@ examples:
 
 # Short fuzzing pass over the wire and trace codecs.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeOpenRequest -fuzztime=30s ./internal/fsnet/
+	$(GO) test -run=^$$ -fuzz=FuzzParseOpenRequest -fuzztime=30s ./internal/fsnet/
 	$(GO) test -run=^$$ -fuzz=FuzzReadBinary -fuzztime=30s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzRingOwner -fuzztime=30s ./internal/cluster/
 

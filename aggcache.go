@@ -339,6 +339,11 @@ var ErrNotFound = fsnet.ErrNotFound
 // backoff, and cache hits keep being served in the meantime.
 var ErrConnBroken = fsnet.ErrConnBroken
 
+// ErrProtocolVersion marks a peer that speaks another protocol version:
+// the connection is closed (the error also wraps ErrConnBroken) and the
+// request is not retried.
+var ErrProtocolVersion = fsnet.ErrProtocolVersion
+
 // NewStore returns an empty file store.
 func NewStore() *Store { return fsnet.NewStore() }
 

@@ -7,14 +7,11 @@
 //
 // By default aggbench spins up an in-process server on a loopback socket,
 // so one command measures the whole stack; point -addr at a running
-// aggserve to load an external server instead. -serial caps the clients
-// at protocol version 1, turning every connection into the lock-step
-// request/reply baseline — the pipelined/serial ratio is the headline
-// speedup of the concurrent serving path (DESIGN.md §10). -proto pins any
-// version explicitly (2 pins the assembled-group pipelined protocol, so
-// v3's streamed-group delivery diffs against it directly); runs over
-// version 3 additionally report time-to-first-byte percentiles, the
-// latency until the demanded member's first chunk lands.
+// aggserve to load an external server instead. -workers 1 keeps one
+// request in flight per connection — the lock-step baseline; its ratio to
+// a pipelined run is the headline speedup of the concurrent serving path
+// (DESIGN.md §10). Every run also reports time-to-first-byte percentiles,
+// the latency until the demanded member's first chunk lands.
 //
 // -metrics wires an internal/obs registry into the clients and reports
 // its series alongside the usual summary; the benchmark name gains an
@@ -49,7 +46,7 @@
 // Examples:
 //
 //	aggbench -conns 8 -workers 4
-//	aggbench -conns 8 -workers 4 -serial
+//	aggbench -conns 8 -workers 1
 //	aggbench -addr 127.0.0.1:7070 -conns 16 -opens 50000
 //	aggbench -conns 8 -json > pipelined.json
 //	aggbench -cluster 3 -conns 9 -workers 4
@@ -393,8 +390,6 @@ type config struct {
 	opens       int
 	seed        int64
 	rtt         time.Duration
-	proto       int
-	serial      bool
 	cluster     int
 	churn       bool
 	metrics     bool
@@ -417,12 +412,10 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.clientCache, "cache", 64, "client cache capacity in files")
 	fs.IntVar(&cfg.serverCache, "servercache", 256, "server cache capacity in files (in-process server only)")
 	fs.IntVar(&cfg.conns, "conns", 8, "concurrent client connections")
-	fs.IntVar(&cfg.workers, "workers", 4, "pipelining goroutines per connection")
+	fs.IntVar(&cfg.workers, "workers", 4, "pipelining goroutines per connection (1 = lock-step baseline: one request in flight per connection)")
 	fs.IntVar(&cfg.opens, "opens", 20000, "opens per connection")
 	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
 	fs.DurationVar(&cfg.rtt, "rtt", 0, "simulated network round-trip time (half is injected before each client read and write syscall); zero measures raw loopback")
-	fs.IntVar(&cfg.proto, "proto", 0, "cap clients at this protocol version: 1 lock-step, 2 pipelined, 3 streamed groups; 0 negotiates the latest")
-	fs.BoolVar(&cfg.serial, "serial", false, "cap clients at protocol version 1 (lock-step baseline; shorthand for -proto 1)")
 	fs.IntVar(&cfg.cluster, "cluster", 0, "run an in-process consistent-hash cluster of N nodes with replicated stores, connections spread round-robin (0 = plain single server)")
 	fs.BoolVar(&cfg.churn, "churn", false, "mid-run membership churn: at 40%% progress the last node drains out of the ring (its goodbye gossip updates the survivors), at 70%% the rejoin view is installed on one node and gossip spreads it; the run fails unless every node converges (requires -cluster >= 2)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "wire an obs registry into the clients and report its series; the benchmark name gains an Obs suffix so instrumented and bare runs diff separately")
@@ -443,23 +436,11 @@ func parseFlags(args []string) (config, error) {
 	if cfg.conns < 1 || cfg.workers < 1 || cfg.opens < 1 {
 		return cfg, fmt.Errorf("conns, workers, and opens must all be positive")
 	}
-	if cfg.proto < 0 || cfg.proto > 3 {
-		return cfg, fmt.Errorf("-proto must be 0..3, got %d", cfg.proto)
-	}
-	if cfg.serial && cfg.proto > 1 {
-		return cfg, fmt.Errorf("-serial means protocol 1; it conflicts with -proto %d", cfg.proto)
-	}
-	if cfg.serial {
-		cfg.proto = 1
-	}
 	if cfg.cluster < 0 {
 		return cfg, fmt.Errorf("-cluster must be >= 0, got %d", cfg.cluster)
 	}
 	if cfg.cluster > 0 && cfg.addr != "" {
 		return cfg, fmt.Errorf("-cluster runs in-process nodes; it cannot target an external -addr")
-	}
-	if cfg.cluster > 0 && cfg.proto == 1 {
-		return cfg, fmt.Errorf("-cluster requires the pipelined protocol; drop -serial/-proto 1")
 	}
 	if cfg.churn && cfg.cluster < 2 {
 		return cfg, fmt.Errorf("-churn needs a ring to leave and rejoin; use -cluster 2 or more")
@@ -472,17 +453,16 @@ func parseFlags(args []string) (config, error) {
 // carry privately, now shared through internal/obs so /metrics and the
 // load generator report percentiles from identical math.
 type result struct {
-	cfg       config
-	opens     uint64
-	errors    uint64
-	elapsed   time.Duration
-	hist      *obs.Histogram
-	reg       *obs.Registry         // client-side registry; nil unless -metrics
-	client    fsnet.ClientStats     // summed over all connections
-	ttfb      obs.HistogramSnapshot // time-to-first-byte, merged over all connections
-	hitRate   float64
-	protoName string
-	clus      clusterSummary // zero when not clustered
+	cfg     config
+	opens   uint64
+	errors  uint64
+	elapsed time.Duration
+	hist    *obs.Histogram
+	reg     *obs.Registry         // client-side registry; nil unless -metrics
+	client  fsnet.ClientStats     // summed over all connections
+	ttfb    obs.HistogramSnapshot // time-to-first-byte, merged over all connections
+	hitRate float64
+	clus    clusterSummary // zero when not clustered
 }
 
 // pct converts the histogram's nanosecond percentile back to a Duration.
@@ -718,7 +698,6 @@ func runLoad(cfg config) (*result, error) {
 		MaxRetries:    3,
 		Seed:          cfg.seed,
 		Obs:           reg,
-		MaxProtocol:   cfg.proto,
 	}
 	if cfg.addr != "" {
 		// External server: provision the working set over the wire
@@ -768,13 +747,7 @@ func runLoad(cfg config) (*result, error) {
 		}
 	}()
 
-	res := &result{cfg: cfg, hist: obs.NewHistogram(), reg: reg, protoName: "pipelined"}
-	switch cfg.proto {
-	case 1:
-		res.protoName = "serial"
-	case 2:
-		res.protoName = "pipelined-v2"
-	}
+	res := &result{cfg: cfg, hist: obs.NewHistogram(), reg: reg}
 	var opens, errCount atomic.Uint64
 
 	// -churn: a background conductor takes the last node through a full
@@ -881,7 +854,7 @@ func runLoad(cfg config) (*result, error) {
 	res.opens = opens.Load()
 	res.errors = errCount.Load()
 	for _, c := range clients {
-		// Per-member time-to-first-byte: on a streamed (v3) connection the
+		// Per-member time-to-first-byte: a group reply is streamed and the
 		// clock stops at the first member chunk, so the gap between ttfb
 		// and whole-open latency is the streaming win.
 		ts := c.TTFB()
@@ -930,8 +903,8 @@ func runLoad(cfg config) (*result, error) {
 }
 
 func (r *result) writeText(out *os.File) {
-	fmt.Fprintf(out, "aggbench: %s protocol, %d conns x %d workers, %d opens/conn\n",
-		r.protoName, r.cfg.conns, r.cfg.workers, r.cfg.opens)
+	fmt.Fprintf(out, "aggbench: %d conns x %d workers, %d opens/conn\n",
+		r.cfg.conns, r.cfg.workers, r.cfg.opens)
 	fmt.Fprintf(out, "  throughput: %.0f opens/s (%d opens in %v, %d errors)\n",
 		r.throughput(), r.opens, r.elapsed.Round(time.Millisecond), r.errors)
 	fmt.Fprintf(out, "  latency:    p50 %v  p95 %v  p99 %v\n",
@@ -990,10 +963,6 @@ func (r *result) benchName() string {
 		name = fmt.Sprintf("AggbenchOpenClusterChurn%d", r.cfg.cluster)
 	case r.cfg.cluster > 0:
 		name = fmt.Sprintf("AggbenchOpenCluster%d", r.cfg.cluster)
-	case r.cfg.serial || r.cfg.proto == 1:
-		name = "AggbenchOpenSerial"
-	case r.cfg.proto == 2:
-		name = "AggbenchOpenPipelinedV2"
 	}
 	if r.cfg.metrics {
 		name += "Obs"
@@ -1035,8 +1004,6 @@ func (r *result) writeGobench(out *os.File) {
 	fmt.Fprintf(out, "Benchmark%s-%d\t%8d\t%.1f ns/op\t%.0f opens/s\t%d p95_ns\t%d p99_ns\t%.3f hit_rate",
 		r.benchName(), r.cfg.conns*r.cfg.workers, r.opens, nsPerOp, r.throughput(),
 		r.pct(95).Nanoseconds(), r.pct(99).Nanoseconds(), r.hitRate)
-	// Unconditional, like the JSON path: stable columns across protocol
-	// versions keep the committed baseline's key set fixed.
 	fmt.Fprintf(out, "\t%d ttfb_p50_ns\t%d ttfb_p95_ns",
 		r.ttfb.Percentile(50), r.ttfb.Percentile(95))
 	if om := r.obsMetrics(); om != nil {
@@ -1065,11 +1032,9 @@ func (r *result) writeJSON(out *os.File) error {
 				"fetches":  float64(r.client.Fetches),
 				"conns":    float64(r.cfg.conns),
 				"workers":  float64(r.cfg.workers),
-				"proto":    float64(r.cfg.proto),
-				// TTFB keys are emitted unconditionally (zero when the run
-				// recorded no fetch timings) so the key set — what benchparse
-				// diffs and BENCH_BASELINE.json commits — is identical across
-				// protocol versions instead of gaining columns at v3.
+				// Zero when the run recorded no fetch timings, so the key set
+				// — what benchparse diffs and BENCH_BASELINE.json commits —
+				// does not depend on the run.
 				"ttfb_count":  float64(r.ttfb.Count),
 				"ttfb_p50_ns": float64(r.ttfb.Percentile(50)),
 				"ttfb_p95_ns": float64(r.ttfb.Percentile(95)),

@@ -17,7 +17,8 @@ func TestParseFlagsRejectsBadCombos(t *testing.T) {
 		{"-opens", "-5"},
 		{"-cluster", "-1"},
 		{"-cluster", "3", "-addr", "127.0.0.1:7070"},
-		{"-cluster", "3", "-serial"},
+		{"-serial"},
+		{"-proto", "2"},
 		{"-churn"},
 		{"-cluster", "1", "-churn"},
 		{"-badflag"},
@@ -35,12 +36,10 @@ func TestBenchNames(t *testing.T) {
 		want string
 	}{
 		{config{}, "AggbenchOpenPipelined"},
-		{config{serial: true}, "AggbenchOpenSerial"},
 		{config{cluster: 3}, "AggbenchOpenCluster3"},
-		{config{cluster: 1, serial: false}, "AggbenchOpenCluster1"},
+		{config{cluster: 1}, "AggbenchOpenCluster1"},
 		{config{metrics: true}, "AggbenchOpenPipelinedObs"},
 		{config{cluster: 3, metrics: true}, "AggbenchOpenCluster3Obs"},
-		{config{serial: true, metrics: true}, "AggbenchOpenSerialObs"},
 		{config{cluster: 2, churn: true}, "AggbenchOpenClusterChurn2"},
 		{config{cluster: 3, churn: true, metrics: true}, "AggbenchOpenClusterChurn3Obs"},
 	} {

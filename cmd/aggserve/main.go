@@ -103,7 +103,6 @@ func run(args []string) error {
 		idleTimeout  = fl.Duration("idle-timeout", 5*time.Minute, "drop connections idle for this long (0 disables)")
 		writeTimeout = fl.Duration("write-timeout", 30*time.Second, "per-reply write deadline so stalled readers cannot wedge handlers (0 disables)")
 		maxConns     = fl.Int("max-conns", 0, "cap on concurrently served connections; excess get a busy rejection (0 = unlimited)")
-		maxProto     = fl.Int("max-proto", 0, "cap the negotiated protocol version: 1 lock-step, 2 pipelined, 3 streamed groups (0 = latest)")
 		cpuProf      = fl.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = fl.String("memprofile", "", "write an allocation profile to this file at shutdown")
 		pprofSrv     = fl.String("pprof", "", "serve net/http/pprof on this address while running")
@@ -177,9 +176,6 @@ func run(args []string) error {
 
 	if *maxConns < 0 {
 		return fmt.Errorf("-max-conns must be >= 0, got %d", *maxConns)
-	}
-	if *maxProto < 0 || *maxProto > 3 {
-		return fmt.Errorf("-max-proto must be 0..3, got %d", *maxProto)
 	}
 
 	// The registry is unconditional: a standing server always pays the few
@@ -295,7 +291,6 @@ func run(args []string) error {
 		IdleTimeout:       *idleTimeout,
 		WriteTimeout:      *writeTimeout,
 		MaxConns:          *maxConns,
-		MaxProtocol:       *maxProto,
 		Logger:            log.New(os.Stderr, "", log.LstdFlags),
 		Obs:               reg,
 		SlowRequest:       *slowReq,

@@ -38,9 +38,9 @@ type DrainReport struct {
 	// PerPeer counts delivered groups by receiving peer address.
 	PerPeer map[string]int
 	// Goodbye accounting: the self-less view's epoch, and how many peers
-	// it was pushed to, failed to reach, or was skipped for (breaker open
-	// or a pre-v3 peer). Survivors that miss the goodbye still converge
-	// by gossip from the peers that got it.
+	// it was pushed to, failed to reach, or was skipped for (breaker
+	// open). Survivors that miss the goodbye still converge by gossip
+	// from the peers that got it.
 	GoodbyeEpoch   uint64
 	GoodbyePushed  int
 	GoodbyeFailed  int
@@ -100,11 +100,7 @@ func (n *Node) Drain(src GroupSource) (DrainReport, error) {
 			_, err := p.client.ViewPush(rep.GoodbyeEpoch, goodbye)
 			n.noteOutcome(p, err)
 			if err != nil {
-				if errors.Is(err, fsnet.ErrViewUnsupported) {
-					rep.GoodbyeSkipped++
-				} else {
-					rep.GoodbyeFailed++
-				}
+				rep.GoodbyeFailed++
 				continue
 			}
 			rep.GoodbyePushed++

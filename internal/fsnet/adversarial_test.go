@@ -51,127 +51,86 @@ func assertHealthy(t *testing.T, addr string) {
 	}
 }
 
-func TestAdversarialOversizedFrame(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], maxFrame+1)
-	hdr[4] = msgOpen
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := waitServerErrors(t, srv, 1); got == 0 {
-		t.Error("oversized frame did not advance ServerStats.Errors")
-	}
-	// The connection is gone: the next read sees EOF/reset.
-	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err == nil {
-		t.Error("server kept the connection after an oversized frame")
-	}
-	assertHealthy(t, addr)
+// idFrameHdr is a hand-built request-ID frame header claiming n bytes
+// after the length prefix.
+func idFrameHdr(n uint32, typ uint8, id uint64) []byte {
+	hdr := binary.BigEndian.AppendUint32(nil, n)
+	return binary.BigEndian.AppendUint64(append(hdr, typ), id)
 }
 
-func TestAdversarialZeroLengthFrame(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	if _, err := conn.Write([]byte{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
+// TestAdversarialBrokenFrames: a frame the reader cannot even delimit —
+// oversized, shorter than its own header, or cut off mid-payload — counts
+// one error and costs the peer its connection, before the handshake and
+// after it alike.
+func TestAdversarialBrokenFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		bare, framed []byte // the same fault in the hello envelope and in request-ID framing
+		hangUp       bool
+	}{
+		{name: "oversized",
+			bare:   binary.BigEndian.AppendUint32(nil, maxFrame+1),
+			framed: idFrameHdr(maxFrame+1, msgOpen, 1)},
+		{name: "zero-length",
+			bare:   []byte{0, 0, 0, 0},
+			framed: []byte{0, 0, 0, 0}},
+		{name: "truncated-mid-payload", hangUp: true,
+			bare:   append(binary.BigEndian.AppendUint32(nil, 101), make([]byte, 11)...),
+			framed: append(idFrameHdr(v2HdrLen+100, msgOpen, 1), make([]byte, 10)...)},
+	} {
+		for _, stage := range []string{"before-hello", "after-hello"} {
+			t.Run(tc.name+"/"+stage, func(t *testing.T) {
+				srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
+				conn := rawDial(t, addr)
+				frame := tc.bare
+				if stage == "after-hello" {
+					rawHello(t, conn)
+					frame = tc.framed
+				}
+				if _, err := conn.Write(frame); err != nil {
+					t.Fatal(err)
+				}
+				if tc.hangUp {
+					_ = conn.Close()
+				} else {
+					// The connection is gone: the next read sees EOF/reset.
+					_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+					if _, err := conn.Read(make([]byte, 1)); err == nil {
+						t.Error("server kept the connection after a broken frame")
+					}
+				}
+				if got := waitServerErrors(t, srv, 1); got != 1 {
+					t.Errorf("ServerStats.Errors = %d after a broken frame, want 1", got)
+				}
+				assertHealthy(t, addr)
+			})
+		}
 	}
-	if got := waitServerErrors(t, srv, 1); got == 0 {
-		t.Error("zero-length frame did not advance ServerStats.Errors")
-	}
-	assertHealthy(t, addr)
 }
 
-func TestAdversarialTruncatedFrameMidPayload(t *testing.T) {
+// TestAdversarialBadRequests: a request that frames correctly but cannot
+// be served — an unknown message type, an open whose payload is garbage —
+// fails alone with a typed msgError; the stream is intact, so the
+// connection keeps serving.
+func TestAdversarialBadRequests(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	// Header promises 100 payload bytes; send 10 and hang up mid-frame.
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], 101)
-	hdr[4] = msgOpen
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
+	rc := rawHello(t, rawDial(t, addr))
+	_ = rc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	rc.send(t, 0x7f, 1, nil) // no such message type
+	if e := rc.recvError(t, 1); e.Code != CodeBadRequest {
+		t.Errorf("unknown type: error code = %d, want CodeBadRequest", e.Code)
 	}
-	if _, err := conn.Write(make([]byte, 10)); err != nil {
-		t.Fatal(err)
+	rc.send(t, msgOpen, 2, []byte{0xff, 0xff, 0xff, 0xff, 0xff})
+	if e := rc.recvError(t, 2); e.Code != CodeBadRequest {
+		t.Errorf("malformed open: error code = %d, want CodeBadRequest", e.Code)
 	}
-	if err := conn.Close(); err != nil {
-		t.Fatal(err)
+	rc.send(t, msgOpen, 3, appendOpenRequest(nil, "/data/f000", nil))
+	if typ, id, _, err := readFrameID(rc.r); err != nil || typ != msgMemberChunk || id != 3 {
+		t.Fatalf("open after two bad requests = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
-	if got := waitServerErrors(t, srv, 1); got == 0 {
-		t.Error("truncated frame did not advance ServerStats.Errors")
+	if st := srv.Stats(); st.Errors != 2 || st.Requests != 1 {
+		t.Errorf("server stats = %+v, want two errors and the one served open", st)
 	}
-	assertHealthy(t, addr)
-}
-
-func TestAdversarialUnknownMessageType(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], 1)
-	hdr[4] = 0x7f // no such message type
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	// The server must reply with a typed msgError before departing.
-	r := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, payload, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no reply to unknown message type: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadRequest {
-		t.Errorf("error code = %d, want CodeBadRequest", e.Code)
-	}
-	if got := waitServerErrors(t, srv, 1); got == 0 {
-		t.Error("unknown message type did not advance ServerStats.Errors")
-	}
-	// And then the connection closes.
-	if _, _, err := readFrame(r); err == nil {
-		t.Error("server kept the connection after an unknown message type")
-	}
-	assertHealthy(t, addr)
-}
-
-func TestAdversarialMalformedOpenPayload(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	conn := rawDial(t, addr)
-	// A syntactically framed msgOpen whose payload is garbage.
-	payload := []byte{0xff, 0xff, 0xff, 0xff, 0xff}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = msgOpen
-	if _, err := conn.Write(append(hdr[:], payload...)); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(conn)
-	_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	typ, body, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no reply to malformed open: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeBadRequest {
-		t.Errorf("error code = %d, want CodeBadRequest", e.Code)
-	}
-	if got := waitServerErrors(t, srv, 1); got == 0 {
-		t.Error("malformed open did not advance ServerStats.Errors")
-	}
-	assertHealthy(t, addr)
 }
 
 // TestAdversarialSilentClientDepartsCleanly: a connection that never
@@ -278,11 +237,8 @@ func TestServerWriteTimeoutUnwedgesStalledReader(t *testing.T) {
 	}
 	srv, addr := startServer(t, store, ServerConfig{WriteTimeout: 150 * time.Millisecond})
 
-	conn := rawDial(t, addr)
-	w := bufio.NewWriter(conn)
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/big"})); err != nil {
-		t.Fatal(err)
-	}
+	rc := rawHello(t, rawDial(t, addr))
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/big", nil))
 	// Never read the multi-megabyte reply. The handler must give up on
 	// its own (not because we closed).
 	deadline := time.Now().Add(5 * time.Second)
@@ -313,59 +269,58 @@ func assertHealthyPath(t *testing.T, addr, path string, want []byte) {
 }
 
 // TestServerPanicRecovery: a handler panic must be converted into a
-// msgError (CodeInternal) reply, counted, and must not take the process
-// or the accept loop down.
+// msgError (CodeInternal) reply for its own request, a panic in the
+// connection's read loop must cost only that connection, both must be
+// counted, and neither may take the process or the accept loop down.
 func TestServerPanicRecovery(t *testing.T) {
-	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	// Drive handleConn directly over a pipe whose second Read panics,
-	// simulating a request whose handling blows up mid-connection.
-	srvConn, clientConn := net.Pipe()
-	defer clientConn.Close()
-	go srv.handleConn(&panicConn{Conn: srvConn, panicAt: 2}, 999)
+	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: panicRouter{}})
 
-	w := bufio.NewWriter(clientConn)
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/data/f000"})); err != nil {
-		t.Fatal(err)
-	}
-	r := bufio.NewReader(clientConn)
-	_ = clientConn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	// First reply is the normal group/error reply.
-	if _, _, err := readFrame(r); err != nil {
-		t.Fatalf("first reply: %v", err)
-	}
-	// The second request hits the injected panic; the handler must
-	// recover and reply CodeInternal.
-	if err := writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: "/data/f001"})); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(r)
-	if err != nil {
-		t.Fatalf("no panic-recovery reply: %v", err)
-	}
-	if typ != msgError {
-		t.Fatalf("recovery reply type = %d, want msgError", typ)
-	}
-	e, err := decodeErrorResponse(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Code != CodeInternal {
+	rc := rawHello(t, rawDial(t, addr))
+	_ = rc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/panic", nil))
+	if e := rc.recvError(t, 1); e.Code != CodeInternal {
 		t.Errorf("recovery code = %d, want CodeInternal", e.Code)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Stats().Panics == 0 && !time.Now().After(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// The connection survives its handler's panic.
+	rc.send(t, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil))
+	if typ, id, _, err := readFrameID(rc.r); err != nil || typ != msgMemberChunk || id != 2 {
+		t.Fatalf("open after the panic = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
-	if srv.Stats().Panics == 0 {
-		t.Error("panic not counted")
+
+	// Drive handleConn directly over a pipe whose second Read panics: the
+	// hello is served, the read of the first request blows up.
+	srvConn, clientConn := net.Pipe()
+	defer clientConn.Close()
+	go func() {
+		defer srvConn.Close()
+		srv.handleConn(&panicConn{Conn: srvConn, panicAt: 2}, 999)
+	}()
+	_ = clientConn.SetDeadline(time.Now().Add(2 * time.Second))
+	pc := rawHello(t, clientConn)
+	pc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil))
+	if _, _, _, err := readFrameID(pc.r); err == nil {
+		t.Error("connection outlived a read-loop panic")
+	}
+	if got := srv.Stats().Panics; got != 2 {
+		t.Errorf("Panics = %d, want the handler's and the read loop's", got)
 	}
 	// The server proper is unharmed.
 	assertHealthy(t, addr)
 }
 
-// panicConn panics on the panicAt-th Read call, simulating a request
-// whose handling blows up mid-connection. With net.Pipe and a buffered
-// writer flushing whole frames, each request arrives as exactly one Read.
+// panicRouter blows up on one path and declines the rest.
+type panicRouter struct{}
+
+func (panicRouter) RouteOpen(path string, _ []string) ([]GroupFile, bool, error) {
+	if path == "/panic" {
+		panic("injected handler panic")
+	}
+	return nil, false, nil
+}
+
+// panicConn panics on the panicAt-th Read call, simulating a connection
+// whose read loop blows up. With net.Pipe and whole-frame writes, each
+// frame arrives as exactly one Read.
 type panicConn struct {
 	net.Conn
 	reads   int
@@ -376,9 +331,9 @@ func (p *panicConn) Read(b []byte) (int, error) {
 	n, err := p.Conn.Read(b)
 	p.reads++
 	if p.reads == p.panicAt {
-		// Consume the request first (net.Pipe writes block until read),
-		// then blow up while "handling" it.
-		panic("injected handler panic")
+		// Consume the frame first (net.Pipe writes block until read), then
+		// blow up while "handling" it.
+		panic("injected read-loop panic")
 	}
 	return n, err
 }

@@ -10,15 +10,14 @@ import (
 
 const benchFiles = 512
 
-// benchPair stands up a loopback server plus one client (clientMax caps
-// the client's protocol version: 1 forces the lock-step baseline).
-func benchPair(b *testing.B, clientMax int) *Client {
+// benchPair stands up a loopback server plus one client.
+func benchPair(b *testing.B) *Client {
 	b.Helper()
-	return benchPairRouted(b, clientMax, nil)
+	return benchPairRouted(b, nil)
 }
 
 // benchPairRouted is benchPair with the server consulting router first.
-func benchPairRouted(b *testing.B, clientMax int, router OpenRouter) *Client {
+func benchPairRouted(b *testing.B, router OpenRouter) *Client {
 	b.Helper()
 	store := NewStore()
 	for i := 0; i < benchFiles; i++ {
@@ -38,7 +37,7 @@ func benchPairRouted(b *testing.B, clientMax int, router OpenRouter) *Client {
 	go func() { _ = srv.Serve(l) }()
 	b.Cleanup(func() { _ = srv.Close() })
 
-	client, err := Dial(l.Addr().String(), ClientConfig{CacheCapacity: 128, MaxProtocol: clientMax})
+	client, err := Dial(l.Addr().String(), ClientConfig{CacheCapacity: 128})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -68,7 +67,7 @@ var benchPaths = func() [benchFiles]string {
 // full protocol stack on a loopback socket, cycling through a working set
 // larger than the client cache so misses and group replies are exercised.
 func BenchmarkOpenLoopback(b *testing.B) {
-	client := benchPair(b, 0)
+	client := benchPair(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -84,23 +83,7 @@ func BenchmarkOpenLoopback(b *testing.B) {
 // that owns every path: each open is routed, declined, and served on the
 // connection's read loop. It should cost what the unrouted open costs.
 func BenchmarkOpenRoutedLocal(b *testing.B) {
-	client := benchPairRouted(b, 0, newPeerRouter())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Open(benchPaths[i%benchFiles]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	reportHitRate(b, client)
-}
-
-// BenchmarkOpenLoopbackSerial is the same sequential workload forced onto
-// the lock-step version-1 protocol: the serialized baseline the pipelined
-// transport is measured against.
-func BenchmarkOpenLoopbackSerial(b *testing.B) {
-	client := benchPair(b, 1)
+	client := benchPairRouted(b, newPeerRouter())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -116,7 +99,7 @@ func BenchmarkOpenLoopbackSerial(b *testing.B) {
 // goroutines, exercising the multiplexed transport and the server's
 // concurrent serving path end to end.
 func BenchmarkOpenPipelined(b *testing.B) {
-	client := benchPair(b, 0)
+	client := benchPair(b)
 	const workers = 8
 	b.ReportAllocs()
 	b.ResetTimer()

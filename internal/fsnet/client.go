@@ -19,17 +19,18 @@ import (
 // ErrConnBroken marks a connection poisoned by an I/O or protocol error.
 // A frame-level failure may leave the stream desynchronized, so a broken
 // connection is closed and never reused; the next request redials when a
-// Dialer is configured, otherwise it fails with this error. On a
-// pipelined (version-2) connection every in-flight call fails fast with
-// this error when the connection is poisoned.
+// Dialer is configured, otherwise it fails with this error. Every
+// in-flight call of a pipelined connection fails fast with this error
+// when the connection is poisoned.
 var ErrConnBroken = errors.New("fsnet: connection broken")
 
-var errClientClosed = errors.New("fsnet: client closed")
+// ErrProtocolVersion reports a peer that does not speak this build's
+// protocol version: it refused the hello, or answered it with another
+// version. The connection is closed (the error also wraps ErrConnBroken)
+// and the request is not retried — a redial would meet the same peer.
+var ErrProtocolVersion = errors.New("fsnet: peer speaks another protocol version")
 
-// errLegacyServer reports that the peer answered the protocol handshake
-// with "unknown message type": it predates version 2, so the client
-// downgrades to lock-step version 1 and redials.
-var errLegacyServer = errors.New("fsnet: legacy server (no handshake)")
+var errClientClosed = errors.New("fsnet: client closed")
 
 // Backoff is an exponential backoff schedule with jitter, governing the
 // delay before each retry of a failed round trip.
@@ -115,39 +116,26 @@ type ClientConfig struct {
 	// Seed makes retry jitter deterministic; zero selects a fixed
 	// default so behaviour is reproducible unless varied explicitly.
 	Seed int64
-	// MaxProtocol caps the protocol version offered at handshake. Zero
-	// offers the latest. Setting 1 skips the handshake entirely and
-	// speaks the original lock-step protocol — useful against ancient
-	// servers and as the serialized baseline in benchmarks.
-	MaxProtocol int
 	// Obs, when set, registers client-side counters (reconnects, broken
 	// connections, retries, degraded hits), an in-flight gauge, and a
 	// round-trip latency histogram with the given registry, and records
-	// reconnect/downgrade/conn_broken/degraded_hit events to its event
-	// log. ClientStats stays authoritative either way.
+	// reconnect/conn_broken/degraded_hit events to its event log.
+	// ClientStats stays authoritative either way.
 	Obs *obs.Registry
 	// Views, when set, wires membership-view dissemination into the
-	// transport (internal/gossip): version-3 connections piggyback the
-	// local epoch as a msgViewHint ahead of each request batch, inbound
+	// transport (internal/gossip): connections piggyback the local epoch
+	// as a msgViewHint ahead of each request batch, inbound
 	// hints are forwarded to Views.NoteViewEpoch, and ViewPull/ViewPush
 	// become usable. Nil keeps the wire byte-identical to a pre-gossip
 	// client.
 	Views ViewSource
 	// Trace, when set, mints a trace context at every Open/OpenGroup
 	// entry (head-sampled per the tracer's rate) and records the client
-	// span into the tracer's ring. Sampled contexts ride version-3
-	// connections as msgTraceCtx piggybacks so downstream servers join
-	// the same trace; unsampled requests pay one atomic add and send
+	// span into the tracer's ring. Sampled contexts ride the connection
+	// as msgTraceCtx piggybacks so downstream servers join the same
+	// trace; unsampled requests pay one atomic add and send
 	// nothing. Nil disables tracing entirely.
 	Trace *otrace.Tracer
-}
-
-// maxProto normalizes MaxProtocol to a usable version number.
-func (cfg ClientConfig) maxProto() int {
-	if cfg.MaxProtocol <= 0 || cfg.MaxProtocol > protocolLatest {
-		return protocolLatest
-	}
-	return cfg.MaxProtocol
 }
 
 // ClientStats is a snapshot of client cache activity.
@@ -189,30 +177,30 @@ type clientConn struct {
 	w    *bufio.Writer
 }
 
+func newClientConn(conn net.Conn) *clientConn {
+	return &clientConn{conn: conn, r: bufio.NewReaderSize(conn, connBufSize), w: bufio.NewWriterSize(conn, connBufSize)}
+}
+
 // Client is the client-side cache manager of Figure 2. It is safe for
-// concurrent use by multiple goroutines. After the version handshake the
-// connection is multiplexed: concurrent opens are pipelined over one
-// connection and replies are matched by request ID, so N goroutines
-// proceed without serializing on the wire. Against a legacy (version-1)
-// server the client falls back to lock-step request/reply. Broken
-// connections are redialed with exponential backoff when a Dialer is
-// configured.
+// concurrent use by multiple goroutines. The connection is multiplexed:
+// concurrent opens are pipelined over one connection and replies are
+// matched by request ID, so N goroutines proceed without serializing on
+// the wire. Broken connections are redialed with exponential backoff when
+// a Dialer is configured.
 //
 // Locking (see DESIGN.md §10): mu guards the cache state, stats, pending
-// history, and the transport slots, and is never held across network I/O
+// history, and the connection slots, and is never held across network I/O
 // — Stats, Contains, Close, and cache hits always return promptly even
 // while requests are stalled on the wire. connMu serializes connection
-// establishment (dial + handshake). reqMu serializes round trips on the
-// legacy lock-step path only. rngMu guards the retry-jitter source.
-// Order: reqMu / connMu → mux.mu → mu; rngMu is a leaf.
+// establishment (dial + handshake). rngMu guards the retry-jitter source.
+// Order: connMu → mux.mu → mu; rngMu is a leaf.
 type Client struct {
 	cfg ClientConfig
 	m   clientMetrics
 
 	mu         sync.Mutex
-	conn       *clientConn // v1 or not-yet-negotiated connection; nil while disconnected
-	mux        *muxConn    // pipelined (v2/v3) transport; nil while disconnected
-	proto      int         // 0 until negotiated, then protocolV1..protocolV3
+	conn       *clientConn // dialed, handshake pending; nil once the mux owns it
+	mux        *muxConn    // live transport; nil while disconnected
 	ids        *trace.Interner
 	lru        *cache.LRU
 	data       [][]byte // file contents, indexed by interned FileID
@@ -244,7 +232,6 @@ type Client struct {
 	scrapOrphans []*muxCall
 
 	connMu sync.Mutex // serializes dial + handshake
-	reqMu  sync.Mutex // serializes lock-step (v1) round trips
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // retry jitter; guarded by rngMu
@@ -289,10 +276,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		rng: rand.New(rand.NewSource(seed)),
 	}
 	if conn != nil {
-		c.conn = &clientConn{conn: conn, r: bufio.NewReaderSize(conn, connBufSize), w: bufio.NewWriterSize(conn, connBufSize)}
-	}
-	if cfg.maxProto() == protocolV1 {
-		c.proto = protocolV1 // no handshake: pure legacy lock-step
+		c.conn = newClientConn(conn)
 	}
 	lru.OnEvict(func(id trace.FileID) {
 		if d := c.data[id]; cap(d) > 0 && len(c.freeData) < 256 {
@@ -351,15 +335,6 @@ func (c *Client) Connected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.conn != nil || c.mux != nil
-}
-
-// ProtocolVersion returns the negotiated protocol version: 0 before the
-// first handshake, then 1 (lock-step), 2 (pipelined), or 3 (pipelined
-// with streamed group replies).
-func (c *Client) ProtocolVersion() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.proto
 }
 
 // ensureDense grows the FileID-indexed data/prefetched slices to cover id.
@@ -432,7 +407,7 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	}
 	c.mu.Unlock()
 
-	resp, g, err := c.fetch(path, tctx)
+	g, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
 	}
@@ -440,16 +415,10 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	if g != nil {
-		c.installViews(id, g)
-	} else {
-		c.install(id, resp)
-	}
+	c.installViews(id, g)
 	out := append(buf[:0], c.data[id]...)
 	c.mu.Unlock()
-	if g != nil {
-		g.recycle()
-	}
+	g.recycle()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open", path, tstart, time.Since(tstart))
 	}
@@ -494,49 +463,36 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 	}
 	c.mu.Unlock()
 
-	resp, g, err := c.fetch(path, tctx)
+	g, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
 	}
-	// A contiguous (version <= 2) reply was decoded into slices of its
-	// own, which nothing else references: they are the result.
-	out := resp.Files
 	var size int
-	if g != nil {
-		for _, d := range g.datas {
-			size += len(d)
-		}
-		out = make([]GroupFile, len(g.datas))
+	for _, d := range g.datas {
+		size += len(d)
 	}
+	out := make([]GroupFile, len(g.datas))
 
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
 	c.stats.FilesReceived += uint64(len(out))
-	if g != nil {
-		c.stats.BytesReceived += uint64(size)
-		for i, p := range g.paths {
-			// The interner owns the path string: no per-member
-			// allocation once the path has been seen.
-			out[i].Path = c.ids.Path(c.ids.InternBytes(p))
-		}
-	} else {
-		for _, f := range out {
-			c.stats.BytesReceived += uint64(len(f.Data))
-		}
+	c.stats.BytesReceived += uint64(size)
+	for i, p := range g.paths {
+		// The interner owns the path string: no per-member allocation
+		// once the path has been seen.
+		out[i].Path = c.ids.Path(c.ids.InternBytes(p))
 	}
 	c.mu.Unlock()
 
-	if g != nil {
-		slab := make([]byte, size)
-		for i, d := range g.datas {
-			n := copy(slab, d)
-			// Capacity-limited, so an append through one member cannot
-			// reach into the next.
-			out[i].Data, slab = slab[:n:n], slab[n:]
-		}
-		g.recycle()
+	slab := make([]byte, size)
+	for i, d := range g.datas {
+		n := copy(slab, d)
+		// Capacity-limited, so an append through one member cannot reach
+		// into the next.
+		out[i].Data, slab = slab[:n:n], slab[n:]
 	}
+	g.recycle()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
 	}
@@ -589,20 +545,10 @@ func (c *Client) Handoff(anchor string, members []string) error {
 		return err
 	}
 	defer putFrameBuf(body)
-	switch typ {
-	case msgHandoffOK:
-		return nil
-	case msgError:
-		e, derr := decodeErrorResponse(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
-	default:
-		c.poisonCurrent()
-		return fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+	if typ != msgHandoffOK {
+		return c.replyErr(typ, body)
 	}
+	return nil
 }
 
 // ViewPull asks the server for its membership view (gossip anti-entropy).
@@ -610,8 +556,7 @@ func (c *Client) Handoff(anchor string, members []string) error {
 // note us for a symmetric pull-back if we are the newer side. The reply
 // is either the responder's full view (members non-nil: it was newer) or
 // just its epoch (members nil: it was not newer than the epoch we sent).
-// Requires cfg.Views; fails with ErrViewUnsupported against a peer whose
-// negotiated protocol predates version 3.
+// Requires cfg.Views.
 func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 	vs := c.cfg.Views
 	if vs == nil {
@@ -627,8 +572,7 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 	case msgViewPush:
 		epoch, _, members, derr := decodeViewPush(body)
 		if derr != nil {
-			c.poisonCurrent()
-			return 0, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
+			return 0, nil, c.desync(derr)
 		}
 		if members == nil {
 			members = []string{} // non-nil: a pushed empty view is still a view
@@ -637,20 +581,11 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 	case msgViewHint:
 		epoch, _, derr := decodeViewMsg(body)
 		if derr != nil {
-			c.poisonCurrent()
-			return 0, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
+			return 0, nil, c.desync(derr)
 		}
 		return epoch, nil, nil
-	case msgError:
-		e, derr := decodeErrorResponse(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return 0, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		return 0, nil, fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
 	default:
-		c.poisonCurrent()
-		return 0, nil, fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+		return 0, nil, c.replyErr(typ, body)
 	}
 }
 
@@ -660,7 +595,7 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 // the receiver's epoch after the install. The pushed view is explicit
 // rather than read from cfg.Views because a draining node's goodbye
 // pushes a view it deliberately does not install itself. Requires
-// cfg.Views; fails with ErrViewUnsupported against a pre-v3 peer.
+// cfg.Views.
 func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, err error) {
 	vs := c.cfg.Views
 	if vs == nil {
@@ -675,25 +610,14 @@ func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, e
 		return 0, err
 	}
 	defer putFrameBuf(body)
-	switch typ {
-	case msgViewHint:
-		remoteEpoch, _, derr := decodeViewMsg(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return 0, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		return remoteEpoch, nil
-	case msgError:
-		e, derr := decodeErrorResponse(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return 0, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		return 0, fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
-	default:
-		c.poisonCurrent()
-		return 0, fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+	if typ != msgViewHint {
+		return 0, c.replyErr(typ, body)
 	}
+	remoteEpoch, _, derr := decodeViewMsg(body)
+	if derr != nil {
+		return 0, c.desync(derr)
+	}
+	return remoteEpoch, nil
 }
 
 // Write stores a whole file on the server (write-through) and refreshes
@@ -714,29 +638,50 @@ func (c *Client) Write(path string, data []byte) error {
 		return err
 	}
 	defer putFrameBuf(body)
-	switch typ {
-	case msgWriteOK:
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		// Refresh the local copy so our own reads see the write.
-		if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			c.data[id] = cp
-		}
-		c.stats.Writes++
-		return nil
-	case msgError:
-		e, err := decodeErrorResponse(body)
-		if err != nil {
-			return err
-		}
-		return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
-	default:
-		// An unexpected reply type means the stream is desynchronized.
-		c.poisonCurrent()
-		return fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+	if typ != msgWriteOK {
+		return c.replyErr(typ, body)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Refresh the local copy so our own reads see the write.
+	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		c.data[id] = cp
+	}
+	c.stats.Writes++
+	return nil
+}
+
+// replyErr turns a reply of a type its verb did not ask for into the
+// call's error. A msgError is the server's typed answer (CodeNotFound
+// maps to ErrNotFound) and leaves the connection in service. Anything
+// else — an error payload that does not decode included — means the reply
+// stream is desynchronized, and the connection is poisoned.
+func (c *Client) replyErr(typ uint8, body []byte) error {
+	if typ != msgError {
+		return c.desync(fmt.Errorf("unexpected reply type %d", typ))
+	}
+	e, derr := decodeErrorResponse(body)
+	if derr != nil {
+		return c.desync(derr)
+	}
+	if e.Code == CodeNotFound {
+		return fmt.Errorf("%w: %s", ErrNotFound, e.Message)
+	}
+	return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
+}
+
+// desync poisons the live connection after a reply that round-tripped
+// intact failed to decode, and wraps the cause for the caller.
+func (c *Client) desync(cause error) error {
+	c.mu.Lock()
+	m := c.mux
+	c.mu.Unlock()
+	if m != nil {
+		m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
+	}
+	return fmt.Errorf("%w: %v", ErrConnBroken, cause)
 }
 
 // chunkGroup is a streamed group reply: the pooled chunk buffers in
@@ -794,50 +739,22 @@ func decodeChunks(g *chunkGroup, path string) error {
 // transitions are re-sent — and the server still learns them — on the
 // next successful request (§3 metadata quality).
 //
-// The reply is either a contiguous group (the returned groupResponse) or,
-// on a version-3 connection, a streamed one (the returned chunkGroup,
-// which the caller recycles after installing).
-func (c *Client) fetch(path string, tctx otrace.Ctx) (groupResponse, *chunkGroup, error) {
+// The caller recycles the returned group after installing it.
+func (c *Client) fetch(path string, tctx otrace.Ctx) (*chunkGroup, error) {
 	typ, body, g, err := c.roundTrip(msgOpen, path, nil, tctx)
 	if err != nil {
-		return groupResponse{}, nil, err
+		return nil, err
 	}
-	defer putFrameBuf(body)
-	switch typ {
-	case msgGroup:
-		if g != nil {
-			// The mux reader only delivers a group its msgGroupEnd
-			// counted, and the count is never zero: g has members.
-			if derr := decodeChunks(g, path); derr != nil {
-				c.poisonCurrent()
-				return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-			}
-			return groupResponse{}, g, nil
-		}
-		resp, derr := decodeGroupResponse(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		if resp.Files[0].Path != path {
-			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: reply leads with %q, want %q", ErrConnBroken, resp.Files[0].Path, path)
-		}
-		return resp, nil, nil
-	case msgError:
-		e, derr := decodeErrorResponse(body)
-		if derr != nil {
-			c.poisonCurrent()
-			return groupResponse{}, nil, fmt.Errorf("%w: %v", ErrConnBroken, derr)
-		}
-		if e.Code == CodeNotFound {
-			return groupResponse{}, nil, fmt.Errorf("%w: %s", ErrNotFound, e.Message)
-		}
-		return groupResponse{}, nil, fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
-	default:
-		c.poisonCurrent()
-		return groupResponse{}, nil, fmt.Errorf("%w: unexpected reply type %d", ErrConnBroken, typ)
+	if typ != msgGroupEnd {
+		defer putFrameBuf(body)
+		return nil, c.replyErr(typ, body)
 	}
+	// The mux reader only delivers a group its msgGroupEnd counted, and
+	// the count is never zero: g has members.
+	if derr := decodeChunks(g, path); derr != nil {
+		return nil, c.desync(derr)
+	}
+	return g, nil
 }
 
 // claimPending atomically takes the pending history for one open of path.
@@ -934,13 +851,14 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 }
 
 // roundTrip performs one request with retries: ensure a live transport
-// (handshaking and redialing as needed), send, await the matching reply.
-// Transport failures poison the connection and are retried with backoff
-// up to cfg.MaxRetries; a msgError carrying CodeBusy (the server's
-// MaxConns rejection) is retried the same way. Application errors are
-// returned to the caller undisturbed. The returned payload — or, for a
-// streamed group reply, each chunk of the returned group — aliases a
-// pooled buffer; the caller recycles them after decoding.
+// (dialing and handshaking as needed), send, await the matching reply.
+// Transport failures — the server's MaxConns rejection of a hello among
+// them — poison the connection and are retried with backoff up to
+// cfg.MaxRetries; a peer of another protocol version is not.
+// Application errors are returned to the caller undisturbed. The returned
+// payload — or, for a streamed group reply, each chunk of the returned
+// group — aliases a pooled buffer; the caller recycles them after
+// decoding.
 func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *chunkGroup, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
@@ -950,7 +868,6 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 			c.m.inflight.Add(-1)
 		}()
 	}
-	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			time.Sleep(c.backoffDelay(attempt - 1))
@@ -965,74 +882,26 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 			}
 			c.m.retries.Inc()
 		}
-		m, cc, err := c.transport()
-		if err != nil {
-			if errors.Is(err, errClientClosed) || attempt >= c.cfg.MaxRetries {
-				return 0, nil, nil, err
-			}
-			lastErr = err
-			continue
-		}
-		var typ uint8
-		var body []byte
-		var group *chunkGroup
-		var claimed []string
-		if m != nil {
-			typ, body, group, claimed, err = c.callMux(m, reqType, path, payload, tctx)
-		} else {
-			// Lock-step (v1) peers predate trace frames; the context is
-			// negotiated away exactly like view frames.
-			typ, body, claimed, err = c.callV1(cc, reqType, path, payload)
-		}
-		if err != nil {
-			// The poisoning path already restored any claimed history.
-			lastErr = err
-			if errors.Is(err, errClientClosed) || errors.Is(err, ErrViewUnsupported) || attempt >= c.cfg.MaxRetries {
-				// ErrViewUnsupported is terminal: the peer's negotiated
-				// protocol has no view frames, and a retry renegotiates
-				// the same version.
-				return 0, nil, nil, lastErr
-			}
-			continue
-		}
-		if typ == msgError {
-			if e, derr := decodeErrorResponse(body); derr == nil && e.Code == CodeBusy {
-				// Accept-limit rejection: the server closes the connection
-				// after this reply and never processed the request, so the
-				// claimed history goes back on the backlog before backoff.
-				putFrameBuf(body)
-				c.restorePending(claimed)
-				busy := fmt.Errorf("%w: server busy: %s", ErrConnBroken, e.Message)
-				if m != nil {
-					m.poison(busy)
-				} else {
-					c.poison(cc)
-				}
-				lastErr = busy
-				if attempt >= c.cfg.MaxRetries {
-					return 0, nil, nil, lastErr
-				}
-				continue
+		m, err := c.transport()
+		if err == nil {
+			var res muxResult
+			// A failed call's claimed history was restored by the poison
+			// that failed it.
+			if res, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
+				return res.typ, res.payload, res.group, nil
 			}
 		}
-		// Any non-busy reply means the server consumed the piggybacked
-		// history; its storage can back the next backlog.
-		c.freePending(claimed)
-		return typ, body, group, nil
+		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) || attempt >= c.cfg.MaxRetries {
+			return 0, nil, nil, err
+		}
 	}
 }
 
 // callMux performs one pipelined call over the multiplexed transport.
-func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *chunkGroup, []string, error) {
-	if isViewMsg(reqType) && m.ver < protocolV3 {
-		// A version-2 peer has no view frames; sending one would draw an
-		// "unknown message type" error and desynchronize nothing, but the
-		// contract is stronger: pre-v3 peers never see gossip traffic.
-		return 0, nil, nil, nil, ErrViewUnsupported
-	}
+func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, error) {
 	call, err := m.enqueue(reqType, path, payload, tctx)
 	if err != nil {
-		return 0, nil, nil, nil, err
+		return muxResult{}, err
 	}
 	// With a timeout configured the connection's watchdog poisons it once
 	// the call is overdue, which delivers an error result here.
@@ -1041,220 +910,114 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 		// A poisoned connection fails its calls while its writer may still
 		// be reading them out of the batch it was sending: the call is left
 		// to the collector, not recycled under the writer.
-		return 0, nil, nil, nil, res.err
+		return muxResult{}, res.err
 	}
 	// A reply means the writer sent the request and is done with the call,
-	// and exactly one result is ever delivered: the call is free for reuse
-	// once its fields of interest are copied out.
-	claimed := call.claimed
+	// and exactly one result is ever delivered: the call is free for reuse.
+	// The server consumed the piggybacked history the call claimed, so its
+	// storage can back the next backlog.
+	c.freePending(call.claimed)
 	putMuxCall(call)
-	return res.typ, res.payload, res.group, claimed, nil
+	return res, nil
 }
 
-// callV1 performs one lock-step round trip over the legacy transport.
-// reqMu serializes these; it is never held by the pipelined path.
-func (c *Client) callV1(cc *clientConn, reqType uint8, path string, payload []byte) (uint8, []byte, []string, error) {
-	if isViewMsg(reqType) {
-		// Lock-step peers predate view frames entirely.
-		return 0, nil, nil, ErrViewUnsupported
-	}
-	c.reqMu.Lock()
-	defer c.reqMu.Unlock()
-	var claimed []string
-	var start time.Time
-	if reqType == msgOpen {
-		start = time.Now()
-		var accessed []string
-		accessed, claimed = c.claimPending(path)
-		enc := appendOpenRequest(getEncodeBuf(), path, accessed)
-		defer putFrameBuf(enc)
-		payload = enc
-	}
-	if c.cfg.Timeout > 0 {
-		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
-	}
-	err := writeFrame(cc.w, reqType, payload)
-	var typ uint8
-	var body []byte
-	if err == nil {
-		typ, body, err = readFrame(cc.r)
-	}
-	if err != nil {
-		c.restorePending(claimed)
-		c.poison(cc)
-		return 0, nil, nil, fmt.Errorf("%w: %v", ErrConnBroken, err)
-	}
-	if c.cfg.Timeout > 0 {
-		_ = cc.conn.SetDeadline(time.Time{})
-	}
-	if !start.IsZero() {
-		// Lock-step replies arrive whole, so first byte ≈ whole reply.
-		c.m.ttfb.ObserveDuration(time.Since(start))
-	}
-	return typ, body, claimed, nil
-}
-
-// transport returns the live transport — the mux for a version-2
-// connection, or the lock-step clientConn for version 1 — establishing
-// one (dial + handshake) when the slot is empty. connMu makes sure only
-// one goroutine dials while the rest wait and then share the result.
-func (c *Client) transport() (*muxConn, *clientConn, error) {
-	if m, cc, ok, err := c.liveTransport(); ok || err != nil {
-		return m, cc, err
+// transport returns the live mux, establishing one (dial + handshake)
+// when the slot is empty. connMu makes sure only one goroutine dials
+// while the rest wait and then share the result.
+func (c *Client) transport() (*muxConn, error) {
+	if m, err := c.liveMux(); m != nil || err != nil {
+		return m, err
 	}
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	if m, cc, ok, err := c.liveTransport(); ok || err != nil {
-		return m, cc, err
+	if m, err := c.liveMux(); m != nil || err != nil {
+		return m, err
 	}
 
-	// Take the not-yet-negotiated connection if there is one (the conn
-	// NewClient wrapped); otherwise this is a redial. The candidate stays
-	// published in c.conn throughout the handshake so a concurrent Close
-	// can abort a blocked negotiation by closing the socket.
+	// Take the connection NewClient wrapped if it is still waiting for its
+	// handshake; otherwise this is a redial. The candidate stays published
+	// in c.conn throughout the handshake so a concurrent Close can abort a
+	// blocked negotiation by closing the socket.
 	c.mu.Lock()
 	cc := c.conn
-	proto := c.proto
 	c.mu.Unlock()
-	countRedial := cc == nil
-	for {
-		if cc == nil {
-			if c.cfg.Dialer == nil {
-				return nil, nil, fmt.Errorf("%w: no dialer configured", ErrConnBroken)
-			}
-			raw, err := c.cfg.Dialer()
-			if err != nil {
-				return nil, nil, fmt.Errorf("%w: redial: %v", ErrConnBroken, err)
-			}
-			cc = &clientConn{conn: raw, r: bufio.NewReaderSize(raw, connBufSize), w: bufio.NewWriterSize(raw, connBufSize)}
-			c.mu.Lock()
-			if c.closed {
-				c.mu.Unlock()
-				_ = raw.Close()
-				return nil, nil, errClientClosed
-			}
-			c.conn = cc
+	redial := cc == nil
+	if redial {
+		if c.cfg.Dialer == nil {
+			return nil, fmt.Errorf("%w: no dialer configured", ErrConnBroken)
+		}
+		raw, err := c.cfg.Dialer()
+		if err != nil {
+			return nil, fmt.Errorf("%w: redial: %v", ErrConnBroken, err)
+		}
+		cc = newClientConn(raw)
+		c.mu.Lock()
+		if c.closed {
 			c.mu.Unlock()
+			_ = raw.Close()
+			return nil, errClientClosed
 		}
-		if proto == protocolV1 {
-			v1, err := c.installV1(cc, countRedial)
-			return nil, v1, err
-		}
-		ver, err := c.handshake(cc)
-		switch {
-		case err == nil && ver >= protocolV2:
-			m, err := c.installMux(cc, countRedial, ver)
-			return m, nil, err
-		case err == nil:
-			// The server negotiated version 1 explicitly; the same
-			// connection continues in lock-step mode.
-			c.setProto(protocolV1)
-			v1, ierr := c.installV1(cc, countRedial)
-			return nil, v1, ierr
-		case errors.Is(err, errLegacyServer):
-			// Pre-handshake peer: it answered the hello with "unknown
-			// message type" and closed the connection. Remember version 1
-			// and redial; the downgrade redial is connection
-			// establishment, not a reconnect or a broken connection, so
-			// neither stat moves.
-			c.m.events.Record("downgrade", obs.F("proto", "1"))
-			c.setProto(protocolV1)
-			proto = protocolV1
-			c.dropConn(cc)
-			cc = nil
-			if c.cfg.Dialer == nil {
-				return nil, nil, fmt.Errorf("%w: legacy server and no dialer to redial", ErrConnBroken)
-			}
-			continue
-		default:
-			// poison counts the broken connection only if the candidate is
-			// still in the slot — a concurrent Close already emptied it.
-			c.poison(cc)
-			return nil, nil, err
-		}
+		c.conn = cc
+		c.mu.Unlock()
 	}
+	if err := c.handshake(cc); err != nil {
+		c.dropConn(cc)
+		return nil, err
+	}
+	return c.installMux(cc, redial)
 }
 
-// liveTransport returns the installed transport, if any. ok reports
-// whether one was found.
-func (c *Client) liveTransport() (*muxConn, *clientConn, bool, error) {
+// liveMux returns the installed transport, or nil when there is none.
+func (c *Client) liveMux() (*muxConn, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return nil, nil, false, errClientClosed
+		return nil, errClientClosed
 	}
-	if c.mux != nil {
-		return c.mux, nil, true, nil
-	}
-	if c.proto == protocolV1 && c.conn != nil {
-		return nil, c.conn, true, nil
-	}
-	return nil, nil, false, nil
+	return c.mux, nil
 }
 
-func (c *Client) setProto(p int) {
-	c.mu.Lock()
-	c.proto = p
-	c.mu.Unlock()
-}
-
-// handshake offers our maximum protocol version and decodes the server's
-// answer. Called with connMu held, before the connection is installed.
-func (c *Client) handshake(cc *clientConn) (int, error) {
+// handshake offers protocolVersion and requires the server to accept
+// exactly that. Called with connMu held, before the connection is
+// installed.
+func (c *Client) handshake(cc *clientConn) error {
 	if c.cfg.Timeout > 0 {
 		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	if err := writeHello(cc.w, msgHello, c.cfg.maxProto()); err != nil {
-		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+	if err := writeHello(cc.conn, msgHello, protocolVersion); err != nil {
+		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	typ, payload, err := readFrame(cc.r)
 	if err != nil {
-		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	defer putFrameBuf(payload)
 	switch typ {
 	case msgHelloOK:
 		ver, derr := decodeHello(payload)
 		if derr != nil {
-			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
-		if ver > c.cfg.maxProto() {
-			return 0, fmt.Errorf("%w: server negotiated unoffered version %d", ErrConnBroken, ver)
+		if ver != protocolVersion {
+			return fmt.Errorf("%w: %w: server answered version %d, want %d", ErrConnBroken, ErrProtocolVersion, ver, protocolVersion)
 		}
-		return ver, nil
+		return nil
 	case msgError:
 		e, derr := decodeErrorResponse(payload)
 		if derr != nil {
-			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
 		if e.Code == CodeBadRequest {
-			return 0, errLegacyServer
+			// The peer understood the frame but not the offer.
+			return fmt.Errorf("%w: %w: hello refused: %s", ErrConnBroken, ErrProtocolVersion, e.Message)
 		}
-		return 0, fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
+		// CodeBusy lands here: the accept limit answers the hello, and the
+		// caller backs off and redials.
+		return fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
 	default:
-		return 0, fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
+		return fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
 	}
-}
-
-// installV1 publishes a lock-step connection. Called with connMu held.
-func (c *Client) installV1(cc *clientConn, countRedial bool) (*clientConn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		_ = cc.conn.Close()
-		return nil, errClientClosed
-	}
-	c.proto = protocolV1
-	c.conn = cc
-	if countRedial {
-		c.stats.Reconnects++
-	}
-	c.mu.Unlock()
-	if countRedial {
-		c.noteReconnect(cc.conn)
-	}
-	return cc, nil
 }
 
 // noteReconnect mirrors a successful redial into the obs registry.
@@ -1268,19 +1031,18 @@ func (c *Client) noteReconnect(conn net.Conn) {
 	c.m.events.Record("reconnect", obs.F("addr", addr))
 }
 
-// installMux publishes a pipelined connection (negotiated version ver,
-// which is 2 or 3) and starts its goroutines. Called with connMu held.
-func (c *Client) installMux(cc *clientConn, countRedial bool, ver int) (*muxConn, error) {
-	m := newMuxConn(c, cc, ver)
+// installMux publishes a handshaken connection as the transport and
+// starts its goroutines. Called with connMu held.
+func (c *Client) installMux(cc *clientConn, countRedial bool) (*muxConn, error) {
+	m := newMuxConn(c, cc)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		_ = cc.conn.Close()
 		return nil, errClientClosed
 	}
-	c.proto = ver
 	if c.conn == cc {
-		c.conn = nil // the candidate graduates from the v1 slot to the mux
+		c.conn = nil // the candidate graduates to the mux
 	}
 	c.mux = m
 	if countRedial {
@@ -1294,21 +1056,11 @@ func (c *Client) installMux(cc *clientConn, countRedial bool, ver int) (*muxConn
 	return m, nil
 }
 
-// dropConn closes a connection and empties the slot without counting a
-// broken connection — used for the legacy-server downgrade, which is
-// connection establishment rather than a failure.
+// dropConn closes a connection whose handshake failed and empties the
+// slot so nothing reuses its stream. The broken connection is counted
+// only if the candidate is still in the slot — a concurrent Close already
+// emptied it.
 func (c *Client) dropConn(cc *clientConn) {
-	_ = cc.conn.Close()
-	c.mu.Lock()
-	if c.conn == cc {
-		c.conn = nil
-	}
-	c.mu.Unlock()
-}
-
-// poison closes a broken lock-step connection and empties the slot so
-// nothing ever reuses its (possibly desynchronized) stream.
-func (c *Client) poison(cc *clientConn) {
 	_ = cc.conn.Close()
 	c.mu.Lock()
 	counted := c.conn == cc
@@ -1318,14 +1070,13 @@ func (c *Client) poison(cc *clientConn) {
 	}
 	c.mu.Unlock()
 	if counted {
-		c.m.brokenConns.Inc()
-		c.m.events.Record("conn_broken", obs.F("transport", "v1"))
+		c.noteBroken()
 	}
 }
 
-// dropMux empties the pipelined-connection slot after a poison. The
-// deliberate teardown in Close empties the slot first, so a poison racing
-// with Close does not count a broken connection.
+// dropMux empties the transport slot after a poison. The deliberate
+// teardown in Close empties the slot first, so a poison racing with Close
+// does not count a broken connection.
 func (c *Client) dropMux(m *muxConn) {
 	c.mu.Lock()
 	counted := false
@@ -1338,23 +1089,14 @@ func (c *Client) dropMux(m *muxConn) {
 	}
 	c.mu.Unlock()
 	if counted {
-		c.m.brokenConns.Inc()
-		c.m.events.Record("conn_broken", obs.F("transport", "v2"))
+		c.noteBroken()
 	}
 }
 
-// poisonCurrent poisons whatever transport is currently installed; used
-// when a decoded reply reveals desynchronization after roundTrip returned.
-func (c *Client) poisonCurrent() {
-	c.mu.Lock()
-	cc, m := c.conn, c.mux
-	c.mu.Unlock()
-	if m != nil {
-		m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
-	}
-	if cc != nil {
-		c.poison(cc)
-	}
+// noteBroken mirrors a counted broken connection into the obs registry.
+func (c *Client) noteBroken() {
+	c.m.brokenConns.Inc()
+	c.m.events.Record("conn_broken")
 }
 
 // takeCallScrap hands out the recycled in-flight map for a new mux
@@ -1396,7 +1138,7 @@ func (c *Client) storeScrap(calls map[uint64]*muxCall, orphans []*muxCall) {
 
 // TTFB returns a snapshot of the fetch time-to-first-byte histogram:
 // enqueue until the first reply frame of the request (the first member
-// chunk of a streamed reply, the whole group otherwise). Recorded for
+// chunk of a group reply, or its error). Recorded for
 // every fetch regardless of whether an obs registry is configured.
 func (c *Client) TTFB() obs.HistogramSnapshot {
 	return c.m.ttfb.Snapshot()
@@ -1414,10 +1156,12 @@ func (c *Client) setData(id trace.FileID, src []byte) {
 	c.data[id] = append(buf[:0], src...)
 }
 
-// installViews applies the aggregating-cache placement for a streamed
-// group, interning member paths straight from the chunk views (no string
-// materialization for already-known paths) and copying each member's
-// contents once, into the cache's own buffer. Called with mu held.
+// installViews applies the aggregating-cache placement to a fetched
+// group: demanded file at the head, other members appended at the tail,
+// never evicting the incoming group's own files to make room. Member
+// paths are interned straight from the chunk views (no string
+// materialization for already-known paths) and each member's contents are
+// copied once, into the cache's own buffer. Called with mu held.
 func (c *Client) installViews(id trace.FileID, g *chunkGroup) {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
@@ -1454,47 +1198,6 @@ func (c *Client) installViews(id trace.FileID, g *chunkGroup) {
 		}
 		c.lru.InsertTail(mid)
 		c.setData(mid, g.datas[i])
-		c.prefetched[mid] = true
-	}
-}
-
-// install applies the aggregating-cache placement: demanded file at the
-// head, other members appended at the tail, never evicting the incoming
-// group's own files to make room. Called with mu held.
-func (c *Client) install(id trace.FileID, resp groupResponse) {
-	memberIDs := make([]trace.FileID, len(resp.Files))
-	for i, f := range resp.Files {
-		memberIDs[i] = c.ids.Intern(f.Path)
-		c.ensureDense(memberIDs[i])
-		c.stats.FilesReceived++
-		c.stats.BytesReceived += uint64(len(f.Data))
-	}
-
-	for c.lru.Len() >= c.cfg.CacheCapacity {
-		if _, ok := c.lru.EvictVictimExceptIDs(memberIDs); ok {
-			continue
-		}
-		if _, ok := c.lru.EvictVictim(); !ok {
-			break
-		}
-	}
-	c.lru.InsertHead(id)
-	c.data[id] = resp.Files[0].Data
-	c.prefetched[id] = false
-
-	for i := 1; i < len(resp.Files); i++ {
-		mid := memberIDs[i]
-		if c.lru.Contains(mid) {
-			c.data[mid] = resp.Files[i].Data // refresh contents
-			continue
-		}
-		if c.lru.Len() >= c.cfg.CacheCapacity {
-			if _, ok := c.lru.EvictVictimExceptIDs(memberIDs); !ok {
-				break
-			}
-		}
-		c.lru.InsertTail(mid)
-		c.data[mid] = resp.Files[i].Data
 		c.prefetched[mid] = true
 	}
 }

@@ -54,48 +54,38 @@ func TestHandoffRequestCodec(t *testing.T) {
 // learned state — a later OpenGroup of the anchor delivers the members in
 // one round trip, with the documented stats contract intact.
 func TestHandoffInstallsGroup(t *testing.T) {
-	for _, proto := range []struct {
-		name string
-		cfg  ClientConfig
-	}{
-		{"v2", ClientConfig{}},
-		{"v1", ClientConfig{MaxProtocol: 1}},
-	} {
-		t.Run(proto.name, func(t *testing.T) {
-			srv, addr := startServer(t, seededStore(t, 5), ServerConfig{GroupSize: 4})
-			c, err := Dial(addr, proto.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	srv, addr := startServer(t, seededStore(t, 5), ServerConfig{GroupSize: 4})
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 
-			anchor := "/data/f000"
-			members := []string{"/data/f001", "/data/f002"}
-			if err := c.Handoff(anchor, members); err != nil {
-				t.Fatalf("handoff: %v", err)
-			}
-			st := srv.Stats()
-			if st.Handoffs != 1 {
-				t.Errorf("Handoffs = %d, want 1", st.Handoffs)
-			}
-			if st.Requests < st.Cache.Hits+st.Cache.GroupFetches+st.RemoteOpens {
-				t.Errorf("stats contract violated after handoff: %+v", st)
-			}
+	anchor := "/data/f000"
+	members := []string{"/data/f001", "/data/f002"}
+	if err := c.Handoff(anchor, members); err != nil {
+		t.Fatalf("handoff: %v", err)
+	}
+	st := srv.Stats()
+	if st.Handoffs != 1 {
+		t.Errorf("Handoffs = %d, want 1", st.Handoffs)
+	}
+	if st.Requests < st.Cache.Hits+st.Cache.GroupFetches+st.RemoteOpens {
+		t.Errorf("stats contract violated after handoff: %+v", st)
+	}
 
-			group, err := c.OpenGroup(anchor)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := map[string]bool{}
-			for _, f := range group {
-				got[f.Path] = true
-			}
-			for _, m := range append([]string{anchor}, members...) {
-				if !got[m] {
-					t.Errorf("%s missing from post-handoff group %v", m, group)
-				}
-			}
-		})
+	group, err := c.OpenGroup(anchor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, f := range group {
+		got[f.Path] = true
+	}
+	for _, m := range append([]string{anchor}, members...) {
+		if !got[m] {
+			t.Errorf("%s missing from post-handoff group %v", m, group)
+		}
 	}
 }
 

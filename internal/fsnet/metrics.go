@@ -59,7 +59,7 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 	m.coalesced = reg.Counter("fsnet_server_coalesced_stages_total", "open requests that shared another request's in-flight store staging")
 	m.remote = reg.Counter("fsnet_server_remote_opens_total", "open requests answered by the configured router")
 	m.handoffs = reg.Counter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers")
-	m.streamed = reg.Counter("fsnet_server_streamed_groups_total", "group replies delivered as version-3 member streams")
+	m.streamed = reg.Counter("fsnet_server_streamed_groups_total", "group replies delivered, each as a member stream")
 	const latName = "fsnet_server_request_latency_ns"
 	const latHelp = "open latency in nanoseconds by serving phase"
 	m.latHit = reg.Histogram(latName, latHelp, obs.L("phase", "hit"))

@@ -11,29 +11,26 @@ import (
 	"aggcache/internal/obs/otrace"
 )
 
-// muxConn is the pipelined client transport (protocol version >= 2): one
-// TCP connection shared by any number of goroutines, with pipelined
-// requests and out-of-order replies matched by request ID.
+// muxConn is the client transport: one TCP connection shared by any
+// number of goroutines, with pipelined requests and out-of-order replies
+// matched by request ID.
 //
 // A writer goroutine drains a queue of calls and flushes them in batches
 // (many frames, one syscall); a reader goroutine decodes reply frames and
-// delivers each to its call's completion channel. On a version-3
-// connection a group reply arrives as a stream of msgMemberChunk frames
-// closed by msgGroupEnd; the reader accumulates the chunks and delivers
-// the completed group. With a request timeout configured, one watchdog
-// timer per connection — not one per call — poisons the connection when
-// the oldest unanswered call passes its deadline (the stream position is
-// unknown by then). Any transport or protocol error poisons the whole
-// connection: every in-flight call fails fast with ErrConnBroken, claimed
-// piggyback history is restored to the client in call order, and the
-// connection is closed and never reused — exactly the poisoning contract
-// the lock-step path established.
+// delivers each to its call's completion channel. A group reply arrives
+// as a stream of msgMemberChunk frames closed by msgGroupEnd; the reader
+// accumulates the chunks and delivers the completed group. With a request
+// timeout configured, one watchdog timer per connection — not one per
+// call — poisons the connection when the oldest unanswered call passes
+// its deadline (the stream position is unknown by then). Any transport or
+// protocol error poisons the whole connection: every in-flight call fails
+// fast with ErrConnBroken, claimed piggyback history is restored to the
+// client in call order, and the connection is closed and never reused.
 type muxConn struct {
 	c    *Client
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
-	ver  int // negotiated protocol version (>= 2)
 
 	// View-hint piggyback state, touched only by the writer goroutine:
 	// the epoch last announced on this connection, so a stable view costs
@@ -81,11 +78,11 @@ type muxCall struct {
 	deadline time.Time
 	// tctx is the call's trace context. A sampled context makes the
 	// writer emit one msgTraceCtx piggyback frame ahead of the request
-	// frame (v3 only); the zero value sends nothing.
+	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
-	// group accumulates the member-chunk payloads of a streamed
-	// (version-3) group reply until its msgGroupEnd arrives. Owned by the
-	// reader while the call is in flight, then handed to the caller.
+	// group accumulates the member-chunk payloads of a streamed group
+	// reply until its msgGroupEnd arrives. Owned by the reader while the
+	// call is in flight, then handed to the caller.
 	group *chunkGroup
 	// done receives exactly one result (buffered so the reader never
 	// blocks on a caller).
@@ -111,19 +108,18 @@ type muxResult struct {
 	typ     uint8
 	payload []byte
 	// group is a streamed group reply: the member-chunk payloads in
-	// group order (typ is msgGroup, payload nil), not yet validated. The
-	// receiver recycles it after decoding.
+	// group order (typ is msgGroupEnd, payload nil), not yet validated.
+	// The receiver recycles it after decoding.
 	group *chunkGroup
 	err   error
 }
 
-func newMuxConn(c *Client, cc *clientConn, ver int) *muxConn {
+func newMuxConn(c *Client, cc *clientConn) *muxConn {
 	return &muxConn{
 		c:     c,
 		conn:  cc.conn,
 		r:     cc.r,
 		w:     cc.w,
-		ver:   ver,
 		calls: c.takeCallScrap(),
 		wake:  make(chan struct{}, 1),
 	}
@@ -145,11 +141,7 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	call.typ = reqType
 	call.path = path
 	call.payload = payload
-	if tctx.Sampled && m.ver >= protocolV3 {
-		// Pre-v3 peers never see trace frames; dropping the context here
-		// (rather than erroring like view verbs) keeps tracing advisory.
-		call.tctx = tctx
-	}
+	call.tctx = tctx
 	timeout := m.c.cfg.Timeout
 	if reqType == msgOpen {
 		call.start = time.Now()
@@ -257,13 +249,13 @@ func (m *muxConn) writer() {
 			}
 			m.mu.Unlock()
 			var err error
-			// Piggyback the membership epoch ahead of the batch on a
-			// version-3 connection with a view source: one msgViewHint
-			// under request ID 0 (never a real request ID — those start at
-			// 1), re-sent only when the epoch changes. Appending to enc
-			// after the unlock is safe: if append reallocates, the batch
-			// payload slices keep aliasing the old (immutable) backing.
-			if m.ver >= protocolV3 && m.c.cfg.Views != nil {
+			// Piggyback the membership epoch ahead of the batch when a
+			// view source is wired: one msgViewHint under request ID 0
+			// (never a real request ID — those start at 1), re-sent only
+			// when the epoch changes. Appending to enc after the unlock is
+			// safe: if append reallocates, the batch payload slices keep
+			// aliasing the old (immutable) backing.
+			if m.c.cfg.Views != nil {
 				if epoch := m.c.cfg.Views.Epoch(); !m.hintSent || epoch != m.hintEpoch {
 					start := len(enc)
 					enc = appendViewMsg(enc, epoch, m.c.cfg.Views.Self())
@@ -314,11 +306,10 @@ func (m *muxConn) recycleBatch(batch []*muxCall) {
 	m.mu.Unlock()
 }
 
-// reader decodes replies and delivers each to its caller. Streamed
-// (version-3) group replies accumulate on their call until the closing
-// msgGroupEnd. Any read or framing error — including Close of the
-// underlying connection — poisons the mux, which fails all in-flight
-// calls.
+// reader decodes replies and delivers each to its caller. Streamed group
+// replies accumulate on their call until the closing msgGroupEnd. Any
+// read or framing error — including Close of the underlying connection —
+// poisons the mux, which fails all in-flight calls.
 func (m *muxConn) reader() {
 	for {
 		typ, id, payload, err := readFrameID(m.r)
@@ -406,17 +397,26 @@ func (m *muxConn) reader() {
 				call.done <- muxResult{err: werr}
 				return
 			}
-			call.done <- muxResult{typ: msgGroup, group: g}
+			call.done <- muxResult{typ: msgGroupEnd, group: g}
 		default:
 			m.mu.Lock()
 			call, ok := m.calls[id]
-			if ok {
+			// A single-frame reply to a call that has already buffered
+			// member chunks cuts a streamed group short: the call stays in
+			// flight, so the poison below fails it and recycles its chunks.
+			midStream := ok && call.group != nil
+			if ok && !midStream {
 				delete(m.calls, id)
 			}
 			m.mu.Unlock()
 			if !ok {
 				putFrameBuf(payload)
 				m.poison(fmt.Errorf("%w: reply for unknown request %d", ErrConnBroken, id))
+				return
+			}
+			if midStream {
+				putFrameBuf(payload)
+				m.poison(fmt.Errorf("%w: reply type %d inside the streamed group of request %d", ErrConnBroken, typ, id))
 				return
 			}
 			if !call.start.IsZero() {

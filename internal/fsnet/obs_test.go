@@ -136,7 +136,7 @@ func TestClientReconnectMetrics(t *testing.T) {
 	if _, err := c.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
-	c.poisonCurrent()
+	_ = c.desync(errors.New("injected"))
 	if _, err := c.Open("/data/f001"); err != nil {
 		t.Fatal(err)
 	}

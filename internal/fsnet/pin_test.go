@@ -1,7 +1,6 @@
 package fsnet
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -12,11 +11,14 @@ import (
 	"aggcache/internal/core"
 )
 
-// The sequential-behaviour pin: a scripted, strictly sequential legacy
-// (v1) client session must produce byte-identical group replies and an
-// identical ServerStats snapshot across refactors of the serving path.
-// The constants below were captured from the pre-concurrency server; any
-// change to them is a semantic regression, not a perf improvement.
+// The sequential-behaviour pin: a scripted, strictly sequential client
+// session must produce byte-identical group replies and an identical
+// ServerStats snapshot across refactors of the serving path. The
+// constants below were captured from the pre-concurrency server, over the
+// lock-step protocol of the day; the script now runs over a raw streamed
+// connection and each reply is re-encoded in that original form before it
+// is hashed. Any change to them is a semantic regression, not a perf
+// improvement.
 
 // pinStep is one scripted request: an open with an explicit piggybacked
 // history, or a whole-file write.
@@ -64,9 +66,9 @@ func pinScript() []pinStep {
 	}
 }
 
-// runPinScript replays the script over one raw legacy connection and
-// returns the SHA-256 over every reply frame (type byte || payload),
-// oldest first.
+// runPinScript replays the script over one raw connection and returns the
+// SHA-256 over every reply in its historical form (type byte || payload,
+// a streamed group reassembled into one msgGroupV1 payload), oldest first.
 func runPinScript(t *testing.T, addr string) string {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -74,25 +76,39 @@ func runPinScript(t *testing.T, addr string) string {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	rc := rawHello(t, conn)
 	h := sha256.New()
 	for i, step := range pinScript() {
-		var sendErr error
+		id := uint64(i + 1)
 		if step.write {
-			sendErr = writeFrame(w, msgWrite, encodeWriteRequest(writeRequest{Path: step.path, Data: []byte(step.data)}))
+			rc.send(t, msgWrite, id, encodeWriteRequest(writeRequest{Path: step.path, Data: []byte(step.data)}))
 		} else {
-			sendErr = writeFrame(w, msgOpen, encodeOpenRequest(openRequest{Path: step.path, Accessed: step.accessed}))
+			rc.send(t, msgOpen, id, appendOpenRequest(nil, step.path, step.accessed))
 		}
-		if sendErr != nil {
-			t.Fatalf("step %d send: %v", i, sendErr)
+		var files []fileData
+		for done := false; !done; {
+			typ, gotID, payload, err := readFrameID(rc.r)
+			if err != nil || gotID != id {
+				t.Fatalf("step %d reply: id %d, %v", i, gotID, err)
+			}
+			switch typ {
+			case msgMemberChunk:
+				path, data, err := memberChunkView(payload)
+				if err != nil {
+					t.Fatalf("step %d chunk: %v", i, err)
+				}
+				files = append(files, fileData{Path: string(path), Data: data})
+				continue
+			case msgGroupEnd:
+				if n, err := decodeGroupEnd(payload); err != nil || n != len(files) {
+					t.Fatalf("step %d group end: %d members of %d, %v", i, n, len(files), err)
+				}
+				typ, payload = msgGroupV1, appendGroupResponse(nil, files)
+			}
+			h.Write([]byte{typ})
+			h.Write(payload)
+			done = true
 		}
-		typ, payload, err := readFrame(r)
-		if err != nil {
-			t.Fatalf("step %d reply: %v", i, err)
-		}
-		h.Write([]byte{typ})
-		h.Write(payload)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -102,9 +118,10 @@ func runPinScript(t *testing.T, addr string) string {
 const pinWantHash = "b2f73518b0d58cfae86056e6b82f56e0465a3b581df6a75d97c883bf8fd62bf4"
 
 var pinWantStats = ServerStats{
-	Requests:  18,
-	Errors:    1,
-	FilesSent: 32,
+	Requests:       18,
+	Errors:         1,
+	FilesSent:      32,
+	StreamedGroups: 16, // every successful open; the one field not in the original capture
 	Cache: core.Stats{
 		Hits:         8,
 		Misses:       8,

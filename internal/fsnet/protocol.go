@@ -4,8 +4,12 @@
 // cache manager that installs the group per the aggregating-cache rules
 // and piggybacks its access statistics onto subsequent requests (§3).
 //
-// The wire protocol is a simple length-prefixed binary framing over TCP,
-// built only on the standard library.
+// The wire protocol is a length-prefixed binary framing over TCP, built
+// only on the standard library. A connection opens with one handshake —
+// msgHello answered by msgHelloOK, both in bare frames — and then carries
+// request-ID frames: pipelined requests one way, and the other way group
+// replies streamed as per-member msgMemberChunk frames closed by
+// msgGroupEnd, out of order across requests (DESIGN.md §10).
 package fsnet
 
 import (
@@ -23,23 +27,21 @@ const (
 	// the piggybacked list of paths the client accessed (hit or miss)
 	// since its previous request, in order.
 	msgOpen = uint8(iota + 1)
-	// msgGroup is the server->client reply: the demanded file first,
-	// then the opportunistically fetched group members.
-	msgGroup
+	// Type 2 is reserved: it was the contiguous group reply of the retired
+	// protocol versions 1 and 2. Nothing sends it and no reader accepts it.
+	_
 	// msgError is the server->client failure reply.
 	msgError
 	// msgWrite is a client->server whole-file write (write-through).
 	msgWrite
 	// msgWriteOK acknowledges a write.
 	msgWriteOK
-	// msgHello is the client's protocol-version offer, sent as the very
-	// first frame of a connection by version-2-capable clients. Legacy
-	// servers answer it with msgError ("unknown message type") and close,
-	// which the client detects and downgrades to lock-step version 1.
+	// msgHello is the client's protocol-version offer, the first frame of
+	// every connection. A server answers an offer below protocolVersion —
+	// or any other first frame — with one msgError and closes.
 	msgHello
-	// msgHelloOK is the server's handshake reply carrying the negotiated
-	// version: min(client offer, server maximum). At version >= 2 every
-	// subsequent frame on the connection carries a request ID and replies
+	// msgHelloOK is the server's handshake reply carrying the version the
+	// connection speaks. Every later frame carries a request ID and replies
 	// may return out of order.
 	msgHelloOK
 	// msgHandoff is a peer->peer drain transfer: one group a departing
@@ -49,9 +51,9 @@ const (
 	msgHandoff
 	// msgHandoffOK acknowledges a handoff install.
 	msgHandoffOK
-	// msgMemberChunk is one member of a streamed (version-3) group reply:
-	// the path plus contents of a single file. The demanded file is always
-	// the first chunk of its request ID; chunks of different requests may
+	// msgMemberChunk is one member of a streamed group reply: the path
+	// plus contents of a single file. The demanded file is always the
+	// first chunk of its request ID; chunks of different requests may
 	// interleave on the wire, but chunks of one request arrive in group
 	// order.
 	msgMemberChunk
@@ -60,11 +62,10 @@ const (
 	msgGroupEnd
 	// msgViewHint is an advisory membership-epoch announcement: the
 	// sender's advertised cluster address plus its installed view epoch.
-	// It piggybacks on version-3 connections — unsolicited under request
-	// ID 0, deduplicated per epoch per connection — and also serves as
-	// the "not newer than you" reply to msgViewPull and the ack to
-	// msgViewPush. Advisory only: a receiver without a view source
-	// ignores it, and it is never sent on a pre-v3 connection.
+	// It piggybacks unsolicited under request ID 0, deduplicated per epoch
+	// per connection, and also serves as the "not newer than you" reply to
+	// msgViewPull and the ack to msgViewPush. Advisory only: a receiver
+	// without a view source ignores it.
 	msgViewHint
 	// msgViewPull asks the receiver for its membership view. The payload
 	// carries the puller's own address and epoch so the responder can
@@ -80,25 +81,18 @@ const (
 	// frame under request ID 0 announcing the trace context (128-bit
 	// trace ID, parent span ID, flags) of the request frame that follows
 	// it in the same batch, matched by the annotated request ID it
-	// carries. Sent only for head-sampled requests and only on version-3
-	// connections (negotiated away like view frames, see traces.go); a
-	// receiver without a tracer skips it.
+	// carries. Sent only for head-sampled requests; a receiver without a
+	// tracer skips it.
 	msgTraceCtx
 )
 
-// Protocol versions. Version 1 is the original lock-step protocol (no
-// handshake, one request in flight per connection); version 2 adds the
-// hello exchange and request-ID framing for pipelining; version 3 keeps
-// version 2's framing but streams each group reply as per-member
-// msgMemberChunk frames closed by msgGroupEnd, so the client starts
-// consuming member 1 while the server is still writing member g and the
-// server never assembles a group into one contiguous reply buffer.
-const (
-	protocolV1     = 1
-	protocolV2     = 2
-	protocolV3     = 3
-	protocolLatest = protocolV3
-)
+// protocolVersion is the one protocol version this package speaks: the
+// hello exchange, request-ID framing, and streamed group replies. The
+// number is a wire value — versions 1 and 2 were the lock-step and
+// assembled-reply generations it replaced (DESIGN.md §10) — and the
+// handshake exists to turn a peer built before or after it away with a
+// typed error instead of a desynchronised stream.
+const protocolVersion = 3
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -134,16 +128,6 @@ const (
 // ErrNotFound is returned by Client.Open for missing files.
 var ErrNotFound = errors.New("fsnet: file not found")
 
-// openRequest is the payload of msgOpen.
-type openRequest struct {
-	// Path is the demanded file.
-	Path string
-	// Accessed is the piggybacked access history since the last
-	// request, oldest first. It excludes the demanded Path itself,
-	// which the server appends to the learned stream on arrival.
-	Accessed []string
-}
-
 // fileData is one file in a group reply; the serving path's name for
 // GroupFile, so routed and locally staged groups reach the reply writer
 // as the same slice type.
@@ -156,11 +140,6 @@ type fileData = GroupFile
 type GroupFile struct {
 	Path string
 	Data []byte
-}
-
-// groupResponse is the payload of msgGroup.
-type groupResponse struct {
-	Files []fileData
 }
 
 // HandoffGroup is one group being drained from a departing cluster node
@@ -178,35 +157,22 @@ type errorResponse struct {
 	Message string
 }
 
-// writeFrame emits one frame: u32 length (type+payload), u8 type, payload.
-func writeFrame(w *bufio.Writer, typ uint8, payload []byte) error {
-	if err := putFrame(w, typ, payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
+// Bare frames — u32 length (type + payload), u8 type, payload — are the
+// handshake envelope: the hello, its answer, and a refusal sent before
+// any handshake. Everything after msgHelloOK is request-ID framed.
 
-// putFrame buffers one v1 frame without flushing, so batches of frames
-// can share a single flush (and, typically, a single syscall).
-func putFrame(w *bufio.Writer, typ uint8, payload []byte) error {
+// writeFrame writes one bare frame to w in a single Write.
+func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+1)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	b := binary.BigEndian.AppendUint32(getEncodeBuf(), uint32(len(payload)+1))
+	b = append(append(b, typ), payload...)
+	_, err := w.Write(b)
+	putFrameBuf(b)
 	return err
 }
 
-// readFrame reads one frame, returning its type and payload. The header
-// is read separately from the payload so the returned payload slice spans
-// its pooled buffer from offset zero: recycling it preserves the buffer's
-// full capacity. (Slicing the type byte off a combined read would shave a
-// byte of capacity per cycle until every buffer cap-missed.)
 // peekN returns n buffered bytes without consuming them, with
 // io.ReadFull's error semantics (ErrUnexpectedEOF on a partial header).
 // Peeking instead of reading into a local array keeps the header bytes
@@ -223,6 +189,11 @@ func peekN(r *bufio.Reader, n int) ([]byte, error) {
 	return b, nil
 }
 
+// readFrame reads one bare frame, returning its type and payload. The
+// header is read separately from the payload so the returned payload
+// slice spans its pooled buffer from offset zero: recycling it preserves
+// the buffer's full capacity. (Slicing the type byte off a combined read
+// would shave a byte of capacity per cycle until every buffer cap-missed.)
 func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	hdr, err := peekN(r, 4)
 	if err != nil {
@@ -248,13 +219,15 @@ func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	return typ, payload, nil
 }
 
-// Version-2 framing: u32 length (type + id + payload), u8 type, u64
+// Request-ID framing: u32 length (type + id + payload), u8 type, u64
 // request ID, payload. The request ID ties a reply to its request so a
-// pipelined connection may return replies out of order.
+// pipelined connection may return replies out of order. (The constant is
+// named for the protocol version that introduced the header; the
+// wire-format pin test, which must not change, spells it this way.)
 const v2HdrLen = 1 + 8 // type + request ID, inside the length prefix
 
-// putFrameID buffers one v2 frame without flushing. The header is built
-// in the writer's own spare capacity: a local array handed to Write
+// putFrameID buffers one request-ID frame without flushing. The header is
+// built in the writer's own spare capacity: a local array handed to Write
 // escapes through bufio's io.Writer and costs an allocation per frame.
 func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 	if len(payload)+v2HdrLen > maxFrame {
@@ -275,8 +248,8 @@ func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 	return err
 }
 
-// readFrameID reads one v2 frame, returning its type, request ID, and
-// payload. The payload aliases a pooled buffer; hand it back via
+// readFrameID reads one request-ID frame, returning its type, request ID,
+// and payload. The payload aliases a pooled buffer; hand it back via
 // putFrameBuf once fully decoded. As in readFrame, the frame header is
 // read separately so the recycled payload keeps its full capacity.
 func readFrameID(r *bufio.Reader) (uint8, uint64, []byte, error) {
@@ -354,19 +327,11 @@ func getEncodeBuf() []byte {
 	return getFrameBuf(0)
 }
 
-// helloRequest is the payload of msgHello and msgHelloOK: just a protocol
-// version.
-func encodeHello(version int) []byte {
-	return appendUvarint(nil, uint64(version))
-}
-
-// writeHello frames a hello/helloOK through a pooled scratch buffer, so
-// handshakes allocate nothing.
-func writeHello(w *bufio.Writer, typ uint8, version int) error {
-	b := appendUvarint(getEncodeBuf(), uint64(version))
-	err := writeFrame(w, typ, b)
-	putFrameBuf(b)
-	return err
+// writeHello frames a msgHello or msgHelloOK, whose payload is just a
+// protocol version.
+func writeHello(w io.Writer, typ uint8, version int) error {
+	var v [binary.MaxVarintLen64]byte
+	return writeFrame(w, typ, v[:binary.PutUvarint(v[:], uint64(version))])
 }
 
 func decodeHello(payload []byte) (int, error) {
@@ -447,16 +412,6 @@ func (d *decoder) view(limit int) ([]byte, error) { return d.span(limit, "string
 // blobView is bytes without the copy.
 func (d *decoder) blobView(limit int) ([]byte, error) { return d.span(limit, "blob") }
 
-func (d *decoder) bytes(limit int) ([]byte, error) {
-	v, err := d.span(limit, "blob")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, nil
-}
-
 func (d *decoder) done() error {
 	if len(d.buf) != 0 {
 		return fmt.Errorf("fsnet: %d trailing payload bytes", len(d.buf))
@@ -464,12 +419,11 @@ func (d *decoder) done() error {
 	return nil
 }
 
-func encodeOpenRequest(req openRequest) []byte {
-	return appendOpenRequest(nil, req.Path, req.Accessed)
-}
-
-// appendOpenRequest appends an open-request payload to dst; the pipelined
-// writer encodes into a reused scratch buffer through this.
+// appendOpenRequest appends a msgOpen payload to dst: the demanded path,
+// then the piggybacked list of paths the client accessed (hit or miss)
+// since its previous request, oldest first. The list excludes the
+// demanded path itself, which the server appends to the learned stream on
+// arrival.
 func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	dst = appendString(dst, path)
 	dst = appendUvarint(dst, uint64(len(accessed)))
@@ -479,35 +433,35 @@ func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	return dst
 }
 
-func decodeOpenRequest(payload []byte) (openRequest, error) {
+// parseOpenRequest validates a msgOpen payload and returns the demanded
+// path plus the piggybacked paths appended to accessed, all as views
+// aliasing payload — no copies, valid only while the payload buffer is.
+// Empty piggybacked paths carry no access and are dropped.
+func parseOpenRequest(payload []byte, accessed [][]byte) (path []byte, _ [][]byte, err error) {
 	d := decoder{buf: payload}
-	var req openRequest
-	var err error
-	if req.Path, err = d.str(maxPath); err != nil {
-		return req, err
+	if path, err = d.view(maxPath); err != nil {
+		return nil, accessed, err
 	}
-	if req.Path == "" {
-		return req, errors.New("fsnet: empty path")
+	if len(path) == 0 {
+		return nil, accessed, errors.New("fsnet: empty path")
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return req, err
+		return nil, accessed, err
 	}
 	if n > maxStatPaths {
-		return req, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
+		return nil, accessed, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
-	req.Accessed = make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		p, err := d.str(maxPath)
+		p, err := d.view(maxPath)
 		if err != nil {
-			return req, err
+			return nil, accessed, err
 		}
-		req.Accessed = append(req.Accessed, p)
+		if len(p) != 0 {
+			accessed = append(accessed, p)
+		}
 	}
-	if err := d.done(); err != nil {
-		return req, err
-	}
-	return req, nil
+	return path, accessed, d.done()
 }
 
 // handoffRequest is the payload of msgHandoff: one drained group's
@@ -593,53 +547,6 @@ func decodeWriteRequest(payload []byte) (writeRequest, error) {
 	return req, nil
 }
 
-func encodeGroupResponse(resp groupResponse) []byte {
-	return appendGroupResponse(nil, resp.Files)
-}
-
-// appendGroupResponse appends a contiguous (version ≤ 2) group-reply
-// payload to dst; the reply writer encodes into pooled buffers through
-// this.
-func appendGroupResponse(dst []byte, files []fileData) []byte {
-	dst = appendUvarint(dst, uint64(len(files)))
-	for _, f := range files {
-		dst = appendString(dst, f.Path)
-		dst = appendBytes(dst, f.Data)
-	}
-	return dst
-}
-
-func decodeGroupResponse(payload []byte) (groupResponse, error) {
-	d := decoder{buf: payload}
-	var resp groupResponse
-	n, err := d.uvarint()
-	if err != nil {
-		return resp, err
-	}
-	if n == 0 || n > maxGroup {
-		return resp, fmt.Errorf("fsnet: group of %d files out of range", n)
-	}
-	resp.Files = make([]fileData, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var f fileData
-		if f.Path, err = d.str(maxPath); err != nil {
-			return resp, err
-		}
-		if f.Data, err = d.bytes(maxFileSize); err != nil {
-			return resp, err
-		}
-		resp.Files = append(resp.Files, f)
-	}
-	if err := d.done(); err != nil {
-		return resp, err
-	}
-	return resp, nil
-}
-
-func encodeErrorResponse(resp errorResponse) []byte {
-	return appendErrorResponse(nil, resp)
-}
-
 func appendErrorResponse(dst []byte, resp errorResponse) []byte {
 	dst = appendUvarint(dst, uint64(resp.Code))
 	return appendString(dst, resp.Message)
@@ -662,12 +569,11 @@ func decodeErrorResponse(payload []byte) (errorResponse, error) {
 	return resp, nil
 }
 
-// Version-3 streamed group replies. A group reply is n msgMemberChunk
-// frames — each carrying one file's path and contents — closed by one
-// msgGroupEnd frame carrying the member count. All frames reuse the
-// version-2 framing (length, type, request ID), so chunks of different
-// pipelined requests may interleave; within one request ID, chunks arrive
-// in group order with the demanded file first.
+// Streamed group replies. A group reply is n msgMemberChunk frames —
+// each carrying one file's path and contents — closed by one msgGroupEnd
+// frame carrying the member count. All are request-ID framed, so chunks
+// of different pipelined requests may interleave; within one request ID,
+// chunks arrive in group order with the demanded file first.
 //
 // The server never materializes a chunk frame as one contiguous buffer:
 // appendMemberChunkHdr builds everything up to the file contents in a
@@ -690,7 +596,7 @@ func appendMemberChunkHdr(dst []byte, id uint64, path string, dataLen int) []byt
 	return dst
 }
 
-// appendFrameID appends one complete v2-framed message (header plus
+// appendFrameID appends one complete request-ID frame (header plus
 // payload) to dst; the scatter-gather reply path uses it for the small
 // frames (group end, write/handoff acks, errors) that share a batch with
 // streamed chunks.

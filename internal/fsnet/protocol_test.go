@@ -10,8 +10,7 @@ import (
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, msgOpen, []byte("hello")); err != nil {
+	if err := writeFrame(&buf, msgOpen, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(bufio.NewReader(&buf))
@@ -25,8 +24,7 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameEmptyPayload(t *testing.T) {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	if err := writeFrame(w, msgError, nil); err != nil {
+	if err := writeFrame(&buf, msgError, nil); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(bufio.NewReader(&buf))
@@ -122,53 +120,9 @@ func TestDecodeOpenRequestRejects(t *testing.T) {
 	}
 }
 
-func TestGroupResponseRoundTrip(t *testing.T) {
-	resp := groupResponse{Files: []fileData{
-		{Path: "/a", Data: []byte("alpha")},
-		{Path: "/b", Data: nil},
-		{Path: "/c", Data: []byte{0, 1, 2, 255}},
-	}}
-	got, err := decodeGroupResponse(encodeGroupResponse(resp))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Files) != 3 {
-		t.Fatalf("files = %d", len(got.Files))
-	}
-	if got.Files[0].Path != "/a" || string(got.Files[0].Data) != "alpha" {
-		t.Errorf("file 0 = %+v", got.Files[0])
-	}
-	if len(got.Files[1].Data) != 0 {
-		t.Errorf("file 1 data = %v, want empty", got.Files[1].Data)
-	}
-	if !bytes.Equal(got.Files[2].Data, []byte{0, 1, 2, 255}) {
-		t.Errorf("file 2 data = %v", got.Files[2].Data)
-	}
-}
-
-func TestDecodeGroupResponseRejects(t *testing.T) {
-	// Empty group.
-	if _, err := decodeGroupResponse(encodeGroupResponse(groupResponse{})); err == nil {
-		t.Error("empty group accepted")
-	}
-	// Too many files.
-	big := groupResponse{Files: make([]fileData, maxGroup+1)}
-	for i := range big.Files {
-		big.Files[i] = fileData{Path: "/f"}
-	}
-	if _, err := decodeGroupResponse(encodeGroupResponse(big)); err == nil {
-		t.Error("oversized group accepted")
-	}
-	// Truncated.
-	full := encodeGroupResponse(groupResponse{Files: []fileData{{Path: "/a", Data: []byte("zz")}}})
-	if _, err := decodeGroupResponse(full[:len(full)-1]); err == nil {
-		t.Error("truncated group accepted")
-	}
-}
-
 func TestErrorResponseRoundTrip(t *testing.T) {
 	resp := errorResponse{Code: CodeNotFound, Message: "/missing"}
-	got, err := decodeErrorResponse(encodeErrorResponse(resp))
+	got, err := decodeErrorResponse(appendErrorResponse(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,12 +45,6 @@ type ServerConfig struct {
 	// are rejected gracefully: the server sends msgError with CodeBusy
 	// and closes. Zero means unlimited.
 	MaxConns int
-	// MaxProtocol caps the protocol version the server negotiates. Zero
-	// allows the latest. Setting 1 makes the server answer the version
-	// handshake exactly like a pre-handshake server ("unknown message
-	// type", then close) — every client is forced onto the lock-step
-	// protocol, which doubles as the serialized benchmark baseline.
-	MaxProtocol int
 	// Router, when set, is consulted before any open is served from the
 	// local cache and store. It lets an embedding tier (internal/cluster)
 	// place a path's group on another server: when RouteOpen reports the
@@ -78,8 +72,8 @@ type ServerConfig struct {
 	// trace frames and keeps the serving path span-free.
 	Trace *otrace.Tracer
 	// Views, when set, wires membership-view dissemination into the
-	// serving path (internal/gossip): version-3 reply batches piggyback
-	// the local epoch as a msgViewHint, inbound hints feed
+	// serving path (internal/gossip): reply batches piggyback the local
+	// epoch as a msgViewHint, inbound hints feed
 	// Views.NoteViewEpoch, and msgViewPull/msgViewPush are served.
 	// Nil answers view frames with CodeBadRequest and keeps the reply
 	// stream byte-identical to a pre-gossip server.
@@ -129,21 +123,13 @@ type InlineRouter interface {
 	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled, blocks bool)
 }
 
-// maxProto normalizes MaxProtocol to a usable version number.
-func (cfg ServerConfig) maxProto() int {
-	if cfg.MaxProtocol <= 0 || cfg.MaxProtocol > protocolLatest {
-		return protocolLatest
-	}
-	return cfg.MaxProtocol
-}
-
 // ServerStats is a snapshot of server activity.
 type ServerStats struct {
 	// Requests counts open requests served (including errors).
 	Requests uint64
-	// Errors counts error replies plus protocol violations (malformed
-	// or truncated frames, unknown message types) that terminated a
-	// connection.
+	// Errors counts error replies — a refused handshake included — plus
+	// protocol violations (malformed or truncated frames) that terminated
+	// a connection.
 	Errors uint64
 	// FilesSent counts files transferred in group replies.
 	FilesSent uint64
@@ -165,9 +151,8 @@ type ServerStats struct {
 	// peers (each learns the group's successor chain and stages its
 	// anchor into the cache).
 	Handoffs uint64
-	// StreamedGroups counts group replies delivered as version-3 member
-	// streams (msgMemberChunk frames) rather than one contiguous
-	// msgGroup payload.
+	// StreamedGroups counts successful group replies, each delivered as a
+	// member stream (msgMemberChunk frames closed by msgGroupEnd).
 	StreamedGroups uint64
 	// Cache is the server memory cache accounting (hits are requests
 	// served without staging from the store).
@@ -320,9 +305,8 @@ func (s *Server) Serve(l net.Listener) error {
 
 // rejectConn turns an over-limit connection away gracefully: a best-effort
 // msgError carrying CodeBusy, then close. The write is deadline-bounded so
-// a non-reading peer cannot pin the goroutine. The reply uses version-1
-// framing, which both protocol generations decode (a version-2 client sees
-// it as the answer to its handshake).
+// a non-reading peer cannot pin the goroutine. The reply is a bare frame:
+// the client reads it as the answer to its hello.
 func (s *Server) rejectConn(conn net.Conn) {
 	defer conn.Close()
 	d := s.cfg.WriteTimeout
@@ -330,8 +314,7 @@ func (s *Server) rejectConn(conn net.Conn) {
 		d = 2 * time.Second
 	}
 	_ = conn.SetWriteDeadline(time.Now().Add(d))
-	w := bufio.NewWriter(conn)
-	_ = writeFrame(w, msgError, encodeErrorResponse(errorResponse{
+	_ = writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
 		Code:    CodeBusy,
 		Message: "server at connection limit",
 	}))
@@ -415,166 +398,81 @@ func (s *Server) logf(format string, args ...interface{}) {
 // timeout. src is the connection's learning context: transitions are only
 // recorded within one client's stream, so interleaved clients cannot
 // manufacture relationships that never happened on any machine (§2.2).
-//
-// The first frame selects the protocol: msgHello negotiates a version
-// (when the server allows version 2) and hands the connection to the
-// pipelined serving loop; anything else is served by the original
-// lock-step loop, first frame included, so pre-handshake clients work
-// byte-for-byte as before.
 func (s *Server) handleConn(conn net.Conn, src uint64) {
 	r := bufio.NewReaderSize(conn, connBufSize)
-	w := bufio.NewWriterSize(conn, connBufSize)
-	// Panic recovery for the negotiation and lock-step paths. The
-	// pipelined path recovers per request (and in its read loop) and
-	// never panics out of serveV2, so this defer cannot race its reply
-	// writer.
+	if s.handshake(conn, r) {
+		s.serve(conn, r, src)
+	}
+}
+
+// handshake reads the connection's first frame, which must be a msgHello
+// offering at least protocolVersion, and answers msgHelloOK. Anything else
+// — another message type, a malformed hello, an older version — is
+// refused with one bare-framed msgError, and the caller closes.
+func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (ok bool) {
+	// serve recovers its own panics and owns the write side from its first
+	// reply on; this recovery covers the handshake alone.
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
-			s.logf("fsnet: %s: recovered handler panic: %v", conn.RemoteAddr(), p)
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{Code: CodeInternal, Message: "internal server error"})
+			s.logf("fsnet: %s: recovered handshake panic: %v", conn.RemoteAddr(), p)
+			s.refuse(conn, CodeInternal, "internal server error")
+			ok = false
 		}
 	}()
-
-	typ, payload, ok := s.readRequestV1(conn, r)
-	if !ok {
-		return
-	}
-	if typ == msgHello && s.cfg.maxProto() >= protocolV2 {
-		offered, err := decodeHello(payload)
-		putFrameBuf(payload)
-		if err != nil {
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-			return
-		}
-		ver := offered
-		if ver > s.cfg.maxProto() {
-			ver = s.cfg.maxProto()
-		}
-		s.armWrite(conn)
-		if err := writeHello(w, msgHelloOK, ver); err != nil {
-			s.disconnect(conn, err)
-			return
-		}
-		if ver >= protocolV2 {
-			s.serveV2(conn, r, w, src, ver)
-			return
-		}
-		s.serveV1(conn, r, w, src, 0, nil, false)
-		return
-	}
-	// A msgHello reaching serveV1 (MaxProtocol 1) hits the unknown-type
-	// branch — the exact answer a pre-handshake server gives, which is
-	// what tells the client to downgrade.
-	s.serveV1(conn, r, w, src, typ, payload, true)
-}
-
-// readRequestV1 arms the idle deadline and reads one version-1 frame,
-// classifying read failures: clean departures (EOF, closed, idle timeout)
-// are silent, anything else counts as a protocol error.
-func (s *Server) readRequestV1(conn net.Conn, r *bufio.Reader) (uint8, []byte, bool) {
-	if s.cfg.IdleTimeout > 0 {
-		if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-			return 0, nil, false
-		}
+	if !s.armIdle(conn) {
+		return false
 	}
 	typ, payload, err := readFrame(r)
 	if err != nil {
-		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-			s.m.errors.Add(1)
-			s.logf("fsnet: %s: read: %v", conn.RemoteAddr(), err)
-		}
-		return 0, nil, false
+		s.readFailed(conn, err)
+		return false
 	}
-	return typ, payload, true
+	defer putFrameBuf(payload)
+	var refusal string
+	if typ != msgHello {
+		refusal = fmt.Sprintf("expected a protocol hello, got message type %d", typ)
+	} else if offered, err := decodeHello(payload); err != nil {
+		refusal = err.Error()
+	} else if offered < protocolVersion {
+		refusal = fmt.Sprintf("protocol version %d is not supported, need %d", offered, protocolVersion)
+	}
+	if refusal != "" {
+		s.refuse(conn, CodeBadRequest, refusal)
+		return false
+	}
+	s.armWrite(conn)
+	if err := writeHello(conn, msgHelloOK, protocolVersion); err != nil {
+		s.disconnect(conn, err)
+		return false
+	}
+	return true
 }
 
-// serveV1 is the original lock-step loop: one request, one reply, in
-// order. first (when haveFirst) is a frame handleConn already read.
-func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, firstTyp uint8, firstPayload []byte, haveFirst bool) {
-	for {
-		var typ uint8
-		var payload []byte
-		if haveFirst {
-			typ, payload = firstTyp, firstPayload
-			haveFirst = false
-		} else {
-			var ok bool
-			typ, payload, ok = s.readRequestV1(conn, r)
-			if !ok {
-				return
-			}
-		}
-		switch typ {
-		case msgOpen:
-			req, err := decodeOpenRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			// Lock-step (v1) peers predate trace frames, so the open is
-			// untraced unless the server's own sampler admits it.
-			group, errResp := s.open(req, src, s.cfg.Trace.Root())
-			s.armWrite(conn)
-			if err := s.replyV1(w, group, errResp); err != nil {
-				s.disconnect(conn, err)
-				return
-			}
-		case msgWrite:
-			req, err := decodeWriteRequest(payload)
-			if err != nil {
-				putFrameBuf(payload)
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			errResp := s.write(req)
-			putFrameBuf(payload)
-			s.armWrite(conn)
-			var sendErr error
-			if errResp.Code != 0 {
-				sendErr = s.replyV1(w, nil, errResp)
-			} else {
-				sendErr = writeFrame(w, msgWriteOK, nil)
-			}
-			if sendErr != nil {
-				s.disconnect(conn, sendErr)
-				return
-			}
-		case msgHandoff:
-			req, err := decodeHandoffRequest(payload)
-			putFrameBuf(payload)
-			if err != nil {
-				s.armWrite(conn)
-				_ = s.replyV1(w, nil, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-				return
-			}
-			s.handoff(req)
-			s.armWrite(conn)
-			if err := writeFrame(w, msgHandoffOK, nil); err != nil {
-				s.disconnect(conn, err)
-				return
-			}
-		default:
-			// The frame itself parsed, so the stream is intact; still,
-			// an unknown type means an incompatible peer. Reply with a
-			// typed error, then depart.
-			putFrameBuf(payload)
-			s.armWrite(conn)
-			_ = s.replyV1(w, nil, errorResponse{
-				Code:    CodeBadRequest,
-				Message: fmt.Sprintf("unknown message type %d", typ),
-			})
-			return
-		}
+// refuse answers a connection that failed the handshake: one bare-framed
+// msgError, counted like every error reply.
+func (s *Server) refuse(conn net.Conn, code uint32, msg string) {
+	s.m.errors.Add(1)
+	s.armWrite(conn)
+	_ = writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{Code: code, Message: msg}))
+}
+
+// armIdle starts the idle deadline for the next frame read.
+func (s *Server) armIdle(conn net.Conn) bool {
+	return s.cfg.IdleTimeout <= 0 || conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)) == nil
+}
+
+// readFailed classifies a failed frame read: clean departures (EOF,
+// closed, idle timeout) are silent, anything else counts as a protocol
+// error.
+func (s *Server) readFailed(conn net.Conn, err error) {
+	if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
+		s.m.errors.Add(1)
+		s.logf("fsnet: %s: read: %v", conn.RemoteAddr(), err)
 	}
 }
 
-// serveV2 is the pipelined loop. The read loop serves inline every open
+// serve is the pipelined loop. The read loop serves inline every open
 // that finishes without a peer round trip — all of them on a server with
 // no router; the locally owned, mirrored and degraded ones behind an
 // InlineRouter: the in-memory path never blocks on anything but the
@@ -586,15 +484,14 @@ func (s *Server) serveV1(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 // with one flush per batch. A malformed request payload fails only its
 // own request; the framed stream stays intact, so the connection keeps
 // serving.
-func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src uint64, ver int) {
-	rw := newReplyWriter(s, conn, w, ver)
+func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
+	rw := newReplyWriter(s, conn)
 	cw := connWorkers{s: s, rw: rw, src: src, jobs: make(chan connJob)}
 	inlineOpens := s.cfg.Router == nil || s.iroute != nil
 	func() {
 		// A panic in the read loop itself (as opposed to in a handler,
 		// which recovers per request) must not skip the drain below: the
-		// reply writer owns the write side and a stray v1-framed reply
-		// would corrupt it.
+		// reply writer owns the write side.
 		defer func() {
 			if p := recover(); p != nil {
 				s.m.panics.Add(1)
@@ -607,24 +504,19 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 		var pendID uint64
 		var pendCtx otrace.Ctx
 		for {
-			if s.cfg.IdleTimeout > 0 {
-				if err := conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout)); err != nil {
-					return
-				}
+			if !s.armIdle(conn) {
+				return
 			}
 			typ, id, payload, err := readFrameID(r)
 			if err != nil {
-				if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) && !errors.Is(err, os.ErrDeadlineExceeded) {
-					s.m.errors.Add(1)
-					s.logf("fsnet: %s: read: %v", conn.RemoteAddr(), err)
-				}
+				s.readFailed(conn, err)
 				return
 			}
 			if typ == msgViewHint {
 				// Unsolicited epoch announcement piggybacked ahead of a
 				// client's request batch. Advisory by design: malformed or
 				// unconfigured hints are dropped, never answered, so a
-				// plain v3 client works unchanged against a gossip-enabled
+				// plain client works unchanged against a gossip-enabled
 				// server and vice versa.
 				if vs := s.cfg.Views; vs != nil {
 					if epoch, sender, derr := decodeViewMsg(payload); derr == nil {
@@ -659,7 +551,7 @@ func (s *Server) serveV2(conn net.Conn, r *bufio.Reader, w *bufio.Writer, src ui
 					tctx = s.cfg.Trace.Root()
 				}
 				pendCtx = otrace.Ctx{}
-				if inlineOpens && s.serveRequestV2(rw, src, typ, id, payload, tctx, true) {
+				if inlineOpens && s.serveRequest(rw, src, typ, id, payload, tctx, true) {
 					continue
 				}
 			}
@@ -715,7 +607,7 @@ func (cw *connWorkers) dispatch(j connJob) {
 func (cw *connWorkers) run(j connJob) {
 	defer cw.wg.Done()
 	for ok := true; ok; j, ok = <-cw.jobs {
-		cw.s.serveRequestV2(cw.rw, cw.src, j.typ, j.id, j.payload, j.tctx, false)
+		cw.s.serveRequest(cw.rw, cw.src, j.typ, j.id, j.payload, j.tctx, false)
 	}
 }
 
@@ -725,14 +617,14 @@ func (cw *connWorkers) stop() {
 	cw.wg.Wait()
 }
 
-// serveRequestV2 handles one pipelined request. A panic is recovered
+// serveRequest handles one pipelined request. A panic is recovered
 // here, converted into a CodeInternal reply for this request only, and
 // the connection keeps serving.
 //
 // inline marks a call from the read loop, which only passes opens: one
 // that turns out to need a peer round trip is left untouched — payload
 // included — and reported as not served, for a worker to repeat.
-func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx, inline bool) (served bool) {
+func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx, inline bool) (served bool) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
@@ -759,12 +651,8 @@ func (s *Server) serveRequestV2(rw *replyWriter, src uint64, typ uint8, id uint6
 			rw.sendError(id, errResp)
 			return
 		}
-		if rw.ver >= protocolV3 {
-			s.m.streamed.Add(1)
-			rw.sendGroup(id, files)
-			return
-		}
-		rw.send(id, msgGroup, appendGroupResponse(getEncodeBuf(), files), true)
+		s.m.streamed.Add(1)
+		rw.sendGroup(id, files)
 	case msgWrite:
 		req, err := decodeWriteRequest(payload)
 		if err != nil {
@@ -859,23 +747,6 @@ func (s *Server) armWrite(conn net.Conn) {
 func (s *Server) disconnect(conn net.Conn, err error) {
 	s.m.disconnects.Add(1)
 	s.logf("fsnet: %s: write: %v", conn.RemoteAddr(), err)
-}
-
-// replyV1 writes one lock-step reply, counting error replies. The
-// payload is encoded into a pooled buffer; the wire bytes are identical
-// to the historical allocate-per-reply encoding.
-func (s *Server) replyV1(w *bufio.Writer, group []fileData, errResp errorResponse) error {
-	var b []byte
-	var typ uint8
-	if errResp.Code != 0 {
-		s.m.errors.Add(1)
-		typ, b = msgError, appendErrorResponse(getEncodeBuf(), errResp)
-	} else {
-		typ, b = msgGroup, appendGroupResponse(getEncodeBuf(), group)
-	}
-	err := writeFrame(w, typ, b)
-	putFrameBuf(b)
-	return err
 }
 
 // write stores a whole-file update. Writes are write-through to the
@@ -984,90 +855,20 @@ var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch
 // needs a peer round trip: nothing was counted, learned or released.
 var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
 
-// open runs one lock-step (version-1) request through the router, the
-// metadata and the server cache and assembles the group reply. The store
-// is only touched outside aggMu: existence is checked lock-free up
-// front, and the group's contents are staged after the critical section,
-// coalesced with any concurrent staging of the same demanded path.
-func (s *Server) open(req openRequest, src uint64, tctx otrace.Ctx) ([]fileData, errorResponse) {
-	// The clock is only read when a registry (or slow-request threshold,
-	// or a sampled trace) demands it, so uninstrumented servers keep a
-	// syscall-free path.
-	var start time.Time
-	timed := s.m.timed() || tctx.Sampled
-	if timed {
-		start = time.Now()
-	}
-	if s.cfg.Router != nil {
-		files, errResp, handled, _ := s.routeOpen(req.Path, req.Accessed, tctx, false)
-		if handled {
-			if timed {
-				s.observeServed(tctx, "forward", req.Path, start)
-			}
-			return files, errResp
-		}
-	} else {
-		s.m.requests.Add(1)
-	}
-	if !s.store.Contains(req.Path) {
-		return nil, errorResponse{Code: CodeNotFound, Message: req.Path}
-	}
-
-	// Path→ID translation takes the interner's lock-free fast path for
-	// already-known paths and never needs aggMu.
-	sc := openScratchPool.Get().(*openScratch)
-	sc.ids = sc.ids[:0]
-	for _, p := range req.Accessed {
-		if p == "" || len(p) > maxPath {
-			continue
-		}
-		sc.ids = append(sc.ids, s.ids.Intern(p))
-	}
-	id := s.ids.Intern(req.Path)
-	files, errResp := s.serveOpen(id, req.Path, src, sc, timed, start, tctx)
-	openScratchPool.Put(sc)
-	return files, errResp
-}
-
-// openView is the pooled path of the pipelined open: the demanded and
+// openView serves one open out of its frame: the demanded and
 // piggybacked paths are interned as byte views straight out of the frame
 // buffer — no request struct, no path strings, no Accessed slice — and
 // the group is built in pooled scratch. A router sees the interner's own
 // strings for the same paths, so a routed open decodes without
 // allocating either. A non-nil error reports a malformed payload (the
-// caller answers CodeBadRequest without counting a request, exactly like
-// the decode-then-open path) or, from the read loop only (inline),
-// errRouteBlocks.
+// caller answers CodeBadRequest without counting a request) or, from the
+// read loop only (inline), errRouteBlocks.
 func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bool) ([]fileData, errorResponse, error) {
-	d := decoder{buf: payload}
-	pathView, err := d.view(maxPath)
-	if err != nil {
-		return nil, errorResponse{}, err
-	}
-	if len(pathView) == 0 {
-		return nil, errorResponse{}, errors.New("fsnet: empty path")
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return nil, errorResponse{}, err
-	}
-	if n > maxStatPaths {
-		return nil, errorResponse{}, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
-	}
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
-	sc.views = sc.views[:0]
-	for i := uint64(0); i < n; i++ {
-		pv, err := d.view(maxPath)
-		if err != nil {
-			return nil, errorResponse{}, err
-		}
-		if len(pv) == 0 {
-			continue
-		}
-		sc.views = append(sc.views, pv)
-	}
-	if err := d.done(); err != nil {
+	pathView, views, err := parseOpenRequest(payload, sc.views[:0])
+	sc.views = views
+	if err != nil {
 		return nil, errorResponse{}, err
 	}
 
@@ -1077,8 +878,7 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 		start = time.Now()
 	}
 	// Existence check before interning the demanded path, so nonexistent
-	// ones never grow the ID space (the lock-step path behaves the same
-	// way).
+	// ones never grow the ID space.
 	exists := s.store.containsBytes(pathView)
 	routed := s.cfg.Router != nil
 	if !routed {
@@ -1124,7 +924,7 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 	return files, errResp, nil
 }
 
-// serveOpen is the shared tail of the open paths: learn the piggybacked
+// serveOpen is the local tail of an open: learn the piggybacked
 // transitions, stage the group through the aggregating cache, and read
 // the members' contents. sc.ids holds the interned access history.
 func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) ([]fileData, errorResponse) {
@@ -1255,24 +1055,22 @@ func (s *Server) stageGroup(path string, paths []string) ([]fileData, bool) {
 
 // replyWriter serializes and batches the replies of one pipelined
 // connection: handler goroutines enqueue completed replies, and a single
-// writer goroutine drains whatever has accumulated with one flush — so k
+// writer goroutine drains whatever has accumulated in one write — so k
 // ready replies cost one syscall, and a slow store read never blocks the
 // replies queued behind it.
 //
-// At protocol version 3 the writer is scatter-gather: group replies are
-// member streams whose frame headers and path metadata live in one
-// pooled arena while the file contents ride as store references, and the
-// whole batch goes to the socket in a single net.Buffers writev — the
-// reply bytes are never assembled into a contiguous buffer.
+// The writer is scatter-gather: group replies are member streams whose
+// frame headers and path metadata live in one pooled arena while the file
+// contents ride as store references, and the whole batch goes to the
+// socket in a single net.Buffers writev — the reply bytes are never
+// assembled into a contiguous buffer.
 type replyWriter struct {
 	s    *Server
 	conn net.Conn
-	w    *bufio.Writer
-	ver  int
 
 	mu      sync.Mutex
-	queue   []v2Reply
-	free    []v2Reply // recycled batch storage
+	queue   []reply
+	free    []reply // recycled batch storage
 	dead    bool
 	stop    bool
 	wake    chan struct{}
@@ -1282,14 +1080,13 @@ type replyWriter struct {
 
 	// View-hint piggyback state, touched only by the loop goroutine: the
 	// epoch last announced on this connection, so a stable view costs one
-	// frame per connection rather than one per batch. Only the version-3
-	// batch path hints; v2 reply bytes stay identical to every earlier
-	// server.
+	// frame per connection rather than one per batch.
 	sentAny   bool
 	sentEpoch uint64
 }
 
-type v2Reply struct {
+// reply is one queued reply: a single frame, or a streamed group.
+type reply struct {
 	id      uint64
 	typ     uint8
 	payload []byte
@@ -1297,19 +1094,17 @@ type v2Reply struct {
 	// writer hands it back once the bytes are on the wire (or the write
 	// side is dead).
 	pooled bool
-	// files, when non-nil, is a streamed version-3 group reply (typ and
-	// payload are unused): one msgMemberChunk per file plus a closing
+	// files, when non-nil, is a streamed group reply (typ and payload are
+	// unused): one msgMemberChunk per file plus a closing
 	// msgGroupEnd. The slice is the singleflight-shared staging result —
 	// read-only here.
 	files []fileData
 }
 
-func newReplyWriter(s *Server, conn net.Conn, w *bufio.Writer, ver int) *replyWriter {
+func newReplyWriter(s *Server, conn net.Conn) *replyWriter {
 	rw := &replyWriter{
 		s:       s,
 		conn:    conn,
-		w:       w,
-		ver:     ver,
 		wake:    make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 	}
@@ -1317,7 +1112,7 @@ func newReplyWriter(s *Server, conn net.Conn, w *bufio.Writer, ver int) *replyWr
 	return rw
 }
 
-// sendError enqueues an error reply, counting it like the lock-step path.
+// sendError enqueues an error reply and counts it.
 func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 	rw.s.m.errors.Add(1)
 	rw.send(id, msgError, appendErrorResponse(getEncodeBuf(), errResp), true)
@@ -1325,15 +1120,15 @@ func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 
 // send enqueues one reply frame for the writer goroutine.
 func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
-	rw.enqueue(v2Reply{id: id, typ: typ, payload: payload, pooled: pooled})
+	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendGroup enqueues one streamed (version-3) group reply.
+// sendGroup enqueues one streamed group reply.
 func (rw *replyWriter) sendGroup(id uint64, files []fileData) {
-	rw.enqueue(v2Reply{id: id, files: files})
+	rw.enqueue(reply{id: id, files: files})
 }
 
-func (rw *replyWriter) enqueue(rep v2Reply) {
+func (rw *replyWriter) enqueue(rep reply) {
 	rw.mu.Lock()
 	if rw.dead {
 		rw.mu.Unlock()
@@ -1387,12 +1182,7 @@ func (rw *replyWriter) loop() {
 				break
 			}
 			rw.s.armWrite(rw.conn)
-			var err error
-			if rw.ver >= protocolV3 {
-				err = rw.writeBatchV3(batch)
-			} else {
-				err = rw.writeBatchV2(batch)
-			}
+			err := rw.writeBatch(batch)
 			rw.recycle(batch)
 			if err != nil {
 				rw.fail(err)
@@ -1402,34 +1192,13 @@ func (rw *replyWriter) loop() {
 	}
 }
 
-// writeBatchV2 is the contiguous-frame path: each reply's payload is
-// buffered through the bufio writer and the batch shares one flush. The
-// wire bytes are identical to every earlier version-2 server.
-func (rw *replyWriter) writeBatchV2(batch []v2Reply) error {
-	var err error
-	for i := range batch {
-		rep := &batch[i]
-		if err = putFrameID(rw.w, rep.typ, rep.id, rep.payload); err != nil {
-			break
-		}
-		if rep.pooled {
-			putFrameBuf(rep.payload)
-			rep.pooled = false
-		}
-	}
-	if err == nil {
-		err = rw.w.Flush()
-	}
-	return err
-}
-
-// writeBatchV3 is the scatter-gather path: frame headers and chunk
+// writeBatch puts one batch on the wire: frame headers and chunk
 // metadata accumulate in one pooled arena, file contents are referenced
 // in place, and the whole batch leaves in a single net.Buffers write.
 // Arena growth may reallocate its backing array, but segments already
 // recorded in bufs keep pointing at the old array's (immutable) bytes,
 // so earlier frames are never corrupted.
-func (rw *replyWriter) writeBatchV3(batch []v2Reply) error {
+func (rw *replyWriter) writeBatch(batch []reply) error {
 	arena := getEncodeBuf()
 	bufs := rw.bufs[:0]
 	// Piggyback the membership epoch ahead of the batch when a view
@@ -1481,12 +1250,12 @@ func (rw *replyWriter) writeBatchV3(batch []v2Reply) error {
 
 // recycle returns any still-pooled payloads and offers the batch storage
 // back for the next drain.
-func (rw *replyWriter) recycle(batch []v2Reply) {
+func (rw *replyWriter) recycle(batch []reply) {
 	for i := range batch {
 		if batch[i].pooled {
 			putFrameBuf(batch[i].payload)
 		}
-		batch[i] = v2Reply{}
+		batch[i] = reply{}
 	}
 	rw.mu.Lock()
 	if rw.free == nil || cap(batch) > cap(rw.free) {
@@ -1497,7 +1266,7 @@ func (rw *replyWriter) recycle(batch []v2Reply) {
 
 // release drops a batch that will never be written, returning its pooled
 // payloads.
-func (rw *replyWriter) release(batch []v2Reply) {
+func (rw *replyWriter) release(batch []reply) {
 	for i := range batch {
 		if batch[i].pooled {
 			putFrameBuf(batch[i].payload)

@@ -1,11 +1,10 @@
 package fsnet
 
-// Trace-context piggyback (msgTraceCtx). Like the view frames of
-// views.go, trace contexts ride v3 connections under request ID 0 and
-// never travel to a pre-v3 peer: the writer goroutine emits one
-// msgTraceCtx immediately before each head-sampled request frame in
-// the same batch, and the receiver's read loop decodes it inline and
-// attaches it to the request frame whose ID it names. Unsampled
+// Trace-context piggyback (msgTraceCtx). Like the view hints of
+// views.go, trace contexts ride under request ID 0: the writer goroutine
+// emits one msgTraceCtx immediately before each head-sampled request
+// frame in the same batch, and the receiver's read loop decodes it inline
+// and attaches it to the request frame whose ID it names. Unsampled
 // requests send nothing, so the fast path's wire image is unchanged.
 //
 // The payload is: uvarint annotated-request-ID, one flags byte, then

@@ -2,132 +2,18 @@ package fsnet
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/hex"
 	"errors"
-	"fmt"
+	"io"
 	"net"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// The v3 suite pins the streamed-group protocol: the full version
-// negotiation matrix, byte-level equivalence between streamed and
-// assembled group replies, and the poisoning contract when a member
-// stream is cut mid-flight.
-
-// TestNegotiationMatrix drives every client/server version pairing
-// through real opens and checks the negotiated version, the served
-// bytes, and whether replies streamed.
-func TestNegotiationMatrix(t *testing.T) {
-	cases := []struct {
-		name              string
-		clientMax, svrMax int
-		wantVer           int
-		wantStreamed      bool
-		legacyDowngrade   bool // server answers the hello like a pre-handshake build
-	}{
-		{name: "v3-v3", clientMax: 0, svrMax: 0, wantVer: protocolV3, wantStreamed: true},
-		{name: "v3-v3-explicit", clientMax: 3, svrMax: 3, wantVer: protocolV3, wantStreamed: true},
-		{name: "v3client-v2server", clientMax: 0, svrMax: 2, wantVer: protocolV2},
-		{name: "v2client-v3server", clientMax: 2, svrMax: 0, wantVer: protocolV2},
-		{name: "v3client-v1server", clientMax: 0, svrMax: 1, wantVer: protocolV1, legacyDowngrade: true},
-		{name: "v1client-v3server", clientMax: 1, svrMax: 0, wantVer: protocolV1},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			const files = 8
-			store := seededStore(t, files)
-			srv, addr := startServer(t, store, ServerConfig{
-				GroupSize: 3, CacheCapacity: 32, MaxProtocol: tc.svrMax,
-			})
-			client, err := Dial(addr, ClientConfig{CacheCapacity: 4, MaxProtocol: tc.clientMax})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			for i := 0; i < files; i++ {
-				path := fmt.Sprintf("/data/f%03d", i)
-				data, err := client.Open(path)
-				if err != nil {
-					t.Fatalf("open %s: %v", path, err)
-				}
-				if want := "contents of " + path; string(data) != want {
-					t.Errorf("open %s = %q, want %q", path, data, want)
-				}
-			}
-			if got := client.ProtocolVersion(); got != tc.wantVer {
-				t.Errorf("negotiated version %d, want %d", got, tc.wantVer)
-			}
-			st := srv.Stats()
-			if tc.wantStreamed && st.StreamedGroups == 0 {
-				t.Errorf("server streamed no groups on a v3 session: %+v", st)
-			}
-			if !tc.wantStreamed && st.StreamedGroups != 0 {
-				t.Errorf("server streamed %d groups on a v%d session, want 0", st.StreamedGroups, tc.wantVer)
-			}
-			if tc.legacyDowngrade {
-				// The hello probe costs one counted error, nothing else.
-				if st.Errors != 1 {
-					t.Errorf("legacy downgrade errors = %d, want 1 (the probe)", st.Errors)
-				}
-			} else if st.Errors != 0 {
-				t.Errorf("server errors = %d, want 0: %+v", st.Errors, st)
-			}
-		})
-	}
-}
-
-// TestStreamedGroupMatchesAssembled is the golden equivalence check: the
-// same open against the same store must hand the application identical
-// group contents whether the reply streamed (v3) or arrived as one
-// assembled frame (v2 cap).
-func TestStreamedGroupMatchesAssembled(t *testing.T) {
-	const files = 12
-	open := func(serverMax int) []GroupFile {
-		store := seededStore(t, files)
-		srv, addr := startServer(t, store, ServerConfig{
-			GroupSize: 4, CacheCapacity: 32, MaxProtocol: serverMax,
-		})
-		client, err := Dial(addr, ClientConfig{CacheCapacity: 16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-		// Warm the server's successor metadata so the reply is a real
-		// multi-member group, then fetch it.
-		for i := 0; i < files; i++ {
-			if _, err := client.Open(fmt.Sprintf("/data/f%03d", i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		group, err := client.OpenGroup("/data/f000")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if serverMax == 0 && srv.Stats().StreamedGroups == 0 {
-			t.Fatal("uncapped run did not stream; equivalence test is vacuous")
-		}
-		return group
-	}
-	streamed := open(0)
-	assembled := open(2)
-	if len(streamed) != len(assembled) {
-		t.Fatalf("streamed group has %d members, assembled %d", len(streamed), len(assembled))
-	}
-	if len(streamed) < 2 {
-		t.Fatalf("group of %d members exercises no streaming; grow the warmup", len(streamed))
-	}
-	for i := range streamed {
-		if streamed[i].Path != assembled[i].Path {
-			t.Errorf("member %d path: streamed %q, assembled %q", i, streamed[i].Path, assembled[i].Path)
-		}
-		if !bytes.Equal(streamed[i].Data, assembled[i].Data) {
-			t.Errorf("member %d data: streamed %q, assembled %q", i, streamed[i].Data, assembled[i].Data)
-		}
-	}
-}
+// The v3 suite pins the streamed-group protocol: the exact wire bytes,
+// the version check at both ends of the handshake, and the poisoning
+// contract when a member stream is cut or corrupted mid-flight.
 
 // TestPinV3ChunkWireFormat pins the exact v3 wire bytes: a member chunk
 // frame and its closing group end, hex-encoded. A codec change that
@@ -166,60 +52,13 @@ func TestPinV3ChunkWireFormat(t *testing.T) {
 	}
 }
 
-// TestPinV3StreamDecodesToV2Group checks, purely at the codec level, that
-// a group streamed as member chunks reassembles into byte-identical
-// members to the same group's v2 single-frame encoding.
-func TestPinV3StreamDecodesToV2Group(t *testing.T) {
-	group := []fileData{
-		{Path: "/g/anchor", Data: []byte("anchor contents")},
-		{Path: "/g/m1", Data: []byte{}},
-		{Path: "/g/m2", Data: []byte("third member, longer contents \x00\xff")},
-	}
-
-	// v2: one assembled frame.
-	v2resp, err := decodeGroupResponse(appendGroupResponse(nil, group))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// v3: one chunk frame per member, then the end frame, exactly as
-	// writeBatchV3 lays them out.
-	var reassembled []fileData
-	for _, f := range group {
-		hdr := appendMemberChunkHdr(nil, 7, f.Path, len(f.Data))
-		frame := append(hdr, f.Data...)
-		path, data, err := memberChunkView(frame[4+v2HdrLen:])
-		if err != nil {
-			t.Fatalf("chunk %s: %v", f.Path, err)
-		}
-		reassembled = append(reassembled, fileData{Path: string(path), Data: append([]byte{}, data...)})
-	}
-	n, err := decodeGroupEnd(appendGroupEnd(nil, len(group)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(reassembled) {
-		t.Fatalf("group end count %d, reassembled %d members", n, len(reassembled))
-	}
-
-	if len(v2resp.Files) != len(reassembled) {
-		t.Fatalf("v2 decoded %d members, v3 %d", len(v2resp.Files), len(reassembled))
-	}
-	for i := range v2resp.Files {
-		if v2resp.Files[i].Path != reassembled[i].Path {
-			t.Errorf("member %d path: v2 %q, v3 %q", i, v2resp.Files[i].Path, reassembled[i].Path)
-		}
-		if !bytes.Equal(v2resp.Files[i].Data, reassembled[i].Data) {
-			t.Errorf("member %d data: v2 %q, v3 %q", i, v2resp.Files[i].Data, reassembled[i].Data)
-		}
-	}
-}
-
-// fakeV3Server accepts connections, completes the v3 handshake, and
-// hands each decoded open request to serve, which writes the reply
-// directly — the harness for wire-level fault scripts the real server
-// cannot be coaxed into.
-func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, id uint64, req openRequest) bool) string {
+// fakeV3Server accepts connections, completes the handshake, and hands
+// each request frame to serve, which writes the reply directly — the
+// harness for wire-level fault scripts the real server cannot be coaxed
+// into. Piggybacked frames under request ID 0 (view hints, trace
+// contexts) are advisory and dropped. serve returning false, or a failed
+// flush after it, ends the connection.
+func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, typ uint8, id uint64, payload []byte) bool) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -241,10 +80,7 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, id ui
 					return
 				}
 				putFrameBuf(payload)
-				if err := writeHello(w, msgHelloOK, protocolV3); err != nil {
-					return
-				}
-				if err := w.Flush(); err != nil {
+				if writeHello(conn, msgHelloOK, protocolVersion) != nil {
 					return
 				}
 				for {
@@ -252,19 +88,9 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, id ui
 					if err != nil {
 						return
 					}
-					if typ != msgOpen {
-						putFrameBuf(payload)
-						return
-					}
-					req, err := decodeOpenRequest(payload)
+					ok := id == 0 || serve(conn, w, typ, id, payload)
 					putFrameBuf(payload)
-					if err != nil {
-						return
-					}
-					if !serve(conn, w, id, req) {
-						return
-					}
-					if err := w.Flush(); err != nil {
+					if !ok || w.Flush() != nil {
 						return
 					}
 				}
@@ -272,6 +98,15 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, id ui
 		}
 	}()
 	return l.Addr().String()
+}
+
+// serveOpens adapts a script that only answers opens to fakeV3Server;
+// any other request ends the connection.
+func serveOpens(serve func(w *bufio.Writer, id uint64, req openRequest) bool) func(net.Conn, *bufio.Writer, uint8, uint64, []byte) bool {
+	return func(_ net.Conn, w *bufio.Writer, typ uint8, id uint64, payload []byte) bool {
+		req, err := decodeOpenRequest(payload)
+		return typ == msgOpen && err == nil && serve(w, id, req)
+	}
 }
 
 // writeChunk writes one member chunk frame for id.
@@ -288,7 +123,7 @@ func writeChunk(w *bufio.Writer, id uint64, path string, data []byte) error {
 // call (on the redialed connection) must be untouched.
 func TestMidStreamCutFailsOnlyThatCall(t *testing.T) {
 	var opens atomic.Int32
-	addr := fakeV3Server(t, func(conn net.Conn, w *bufio.Writer, id uint64, req openRequest) bool {
+	addr := fakeV3Server(t, serveOpens(func(w *bufio.Writer, id uint64, req openRequest) bool {
 		switch opens.Add(1) {
 		case 2:
 			// Half a stream, then a hard cut: one chunk, no group end.
@@ -305,7 +140,7 @@ func TestMidStreamCutFailsOnlyThatCall(t *testing.T) {
 			}
 			return putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 2)) == nil
 		}
-	})
+	}))
 
 	client, err := Dial(addr, ClientConfig{CacheCapacity: 8, MaxRetries: 0})
 	if err != nil {
@@ -320,9 +155,6 @@ func TestMidStreamCutFailsOnlyThatCall(t *testing.T) {
 	}
 	if want := "whole /s/one"; string(data) != want {
 		t.Errorf("open 1 = %q, want %q", data, want)
-	}
-	if got := client.ProtocolVersion(); got != protocolV3 {
-		t.Fatalf("negotiated %d, want %d", got, protocolV3)
 	}
 
 	// Call 2: the stream is cut after its first chunk. With retries
@@ -355,39 +187,190 @@ func TestMidStreamCutFailsOnlyThatCall(t *testing.T) {
 	}
 }
 
-// TestStreamCountMismatchPoisons scripts a group end that declares more
-// members than were streamed; the client must reject the reply with the
-// typed transport error rather than surface a short group.
-func TestStreamCountMismatchPoisons(t *testing.T) {
-	addr := fakeV3Server(t, func(conn net.Conn, w *bufio.Writer, id uint64, req openRequest) bool {
-		_ = writeChunk(w, id, req.Path, []byte("lonely"))
-		_ = putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 3))
-		return true // loop flushes; the client poisons and closes
-	})
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 8, MaxRetries: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Open("/s/short"); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("short stream err = %v, want ErrConnBroken", err)
+// TestStreamFaultsPoison scripts replies that violate the streaming
+// contract after a well-formed start. Each must fail the open with the
+// typed transport error and poison the connection — never surface a short
+// group, a misdelivered one, or a clean server error for a request whose
+// group was already half delivered.
+func TestStreamFaultsPoison(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply func(w *bufio.Writer, id uint64, path string)
+	}{
+		{"count-mismatch", func(w *bufio.Writer, id uint64, path string) {
+			_ = writeChunk(w, id, path, []byte("lonely"))
+			_ = putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 3))
+		}},
+		{"wrong-first-chunk", func(w *bufio.Writer, id uint64, path string) {
+			_ = writeChunk(w, id, "/not/"+path, []byte("imposter"))
+			_ = putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 1))
+		}},
+		{"error-mid-stream", func(w *bufio.Writer, id uint64, path string) {
+			_ = writeChunk(w, id, path, []byte("half a group"))
+			_ = putFrameID(w, msgError, id, appendErrorResponse(nil, errorResponse{Code: CodeNotFound, Message: path}))
+		}},
+		{"ack-mid-stream", func(w *bufio.Writer, id uint64, path string) {
+			_ = writeChunk(w, id, path, []byte("half a group"))
+			_ = putFrameID(w, msgWriteOK, id, nil)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakeV3Server(t, serveOpens(func(w *bufio.Writer, id uint64, req openRequest) bool {
+				tc.reply(w, id, req.Path)
+				return true // the harness flushes; the client poisons and closes
+			}))
+			client, err := Dial(addr, ClientConfig{CacheCapacity: 8, MaxRetries: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Open("/s/fault"); !errors.Is(err, ErrConnBroken) {
+				t.Fatalf("open err = %v, want ErrConnBroken", err)
+			}
+			if st := client.Stats(); st.BrokenConns != 1 || client.Connected() {
+				t.Errorf("stats = %+v, connected = %v; want the connection poisoned", st, client.Connected())
+			}
+		})
 	}
 }
 
-// TestStreamedWrongFirstChunkPoisons scripts a stream whose first chunk
-// is not the demanded path — reply misdelivery the client must refuse.
-func TestStreamedWrongFirstChunkPoisons(t *testing.T) {
-	addr := fakeV3Server(t, func(conn net.Conn, w *bufio.Writer, id uint64, req openRequest) bool {
-		_ = writeChunk(w, id, "/not/"+req.Path, []byte("imposter"))
-		_ = putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 1))
-		return true // loop flushes; the client poisons and closes
-	})
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 8, MaxRetries: 0})
-	if err != nil {
-		t.Fatal(err)
+// TestGarbageReplyPoisonsEveryVerb answers each of the five request verbs
+// with a reply it cannot use — a msgError whose payload does not decode,
+// and a frame type no verb expects. Both mean the reply stream is
+// desynchronized: the call fails with the typed transport error and the
+// connection is poisoned rather than left installed for the next caller.
+func TestGarbageReplyPoisonsEveryVerb(t *testing.T) {
+	verbs := []struct {
+		name string
+		call func(c *Client) error
+	}{
+		{"open", func(c *Client) error { _, err := c.Open("/g/x"); return err }},
+		{"write", func(c *Client) error { return c.Write("/g/x", []byte("data")) }},
+		{"handoff", func(c *Client) error { return c.Handoff("/g/x", []string{"/g/y"}) }},
+		{"view-pull", func(c *Client) error { _, _, err := c.ViewPull(); return err }},
+		{"view-push", func(c *Client) error { _, err := c.ViewPush(2, []string{"a:1"}); return err }},
 	}
-	defer client.Close()
-	if _, err := client.Open("/s/mismatch"); !errors.Is(err, ErrConnBroken) {
-		t.Fatalf("mismatched stream err = %v, want ErrConnBroken", err)
+	garbage := []struct {
+		name    string
+		typ     uint8
+		payload []byte
+	}{
+		{"undecodable-error", msgError, []byte{0xff}},
+		{"unexpected-type", msgHelloOK, nil},
+	}
+	for _, v := range verbs {
+		for _, g := range garbage {
+			t.Run(v.name+"/"+g.name, func(t *testing.T) {
+				addr := fakeV3Server(t, func(_ net.Conn, w *bufio.Writer, _ uint8, id uint64, _ []byte) bool {
+					return putFrameID(w, g.typ, id, g.payload) == nil
+				})
+				client, err := Dial(addr, ClientConfig{Views: newTestViews("client:1", 1, "client:1")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer client.Close()
+				if err := v.call(client); !errors.Is(err, ErrConnBroken) {
+					t.Fatalf("err = %v, want ErrConnBroken", err)
+				}
+				if st := client.Stats(); st.BrokenConns != 1 || client.Connected() {
+					t.Errorf("stats = %+v, connected = %v; want the connection poisoned", st, client.Connected())
+				}
+			})
+		}
+	}
+}
+
+// TestVersionRejection pins the one place protocol versions still matter:
+// the handshake. A server turns anything but a hello offering its version
+// away with one typed, bare-framed msgError and closes; a client whose
+// hello is refused, or answered with another version, fails with
+// ErrProtocolVersion on the spot instead of burning retries on redials
+// that would meet the same peer.
+func TestVersionRejection(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		first func(conn net.Conn) error
+	}{
+		{"open-first", func(conn net.Conn) error {
+			return writeFrame(conn, msgOpen, appendOpenRequest(nil, "/data/f000", nil))
+		}},
+		{"hello-1", func(conn net.Conn) error { return writeHello(conn, msgHello, 1) }},
+		{"hello-2", func(conn net.Conn) error { return writeHello(conn, msgHello, 2) }},
+	} {
+		t.Run("server/"+tc.name, func(t *testing.T) {
+			srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
+			conn := rawDial(t, addr)
+			if err := tc.first(conn); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+			r := bufio.NewReader(conn)
+			typ, payload, err := readFrame(r)
+			if err != nil || typ != msgError {
+				t.Fatalf("refusal = type %d, %v; want one msgError", typ, err)
+			}
+			if e, err := decodeErrorResponse(payload); err != nil || e.Code != CodeBadRequest {
+				t.Errorf("refusal = %+v, %v; want CodeBadRequest", e, err)
+			}
+			if _, err := r.ReadByte(); !errors.Is(err, io.EOF) {
+				t.Errorf("after the refusal: %v, want EOF", err)
+			}
+			if st := srv.Stats(); st.Errors != 1 || st.Panics != 0 || st.Requests != 0 {
+				t.Errorf("server stats = %+v, want exactly one counted error", st)
+			}
+			assertHealthy(t, addr)
+		})
+	}
+
+	for _, tc := range []struct {
+		name   string
+		answer func(conn net.Conn) error
+	}{
+		{"hello-ok-2", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 2) }},
+		{"unknown-type", func(conn net.Conn) error {
+			return writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
+				Code: CodeBadRequest, Message: "unknown message type 6",
+			}))
+		}},
+	} {
+		t.Run("client/"+tc.name, func(t *testing.T) {
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			go func() {
+				for {
+					conn, err := l.Accept()
+					if err != nil {
+						return
+					}
+					if _, _, err := readFrame(bufio.NewReader(conn)); err == nil {
+						_ = tc.answer(conn)
+					}
+					_ = conn.Close()
+				}
+			}()
+			var dials atomic.Int32
+			client, err := Dial(l.Addr().String(), ClientConfig{
+				MaxRetries: 3,
+				Backoff:    Backoff{Base: time.Millisecond, Max: time.Millisecond},
+				Dialer: func() (net.Conn, error) {
+					dials.Add(1)
+					return net.Dial("tcp", l.Addr().String())
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Open("/x"); !errors.Is(err, ErrProtocolVersion) {
+				t.Fatalf("open err = %v, want ErrProtocolVersion", err)
+			}
+			st := client.Stats()
+			if dials.Load() != 1 || st.Retries != 0 || st.Reconnects != 0 {
+				t.Errorf("dials = %d, stats = %+v; want one dial and no retry", dials.Load(), st)
+			}
+		})
 	}
 }

@@ -33,21 +33,10 @@ type ViewSource interface {
 	NoteViewEpoch(addr string, epoch uint64)
 }
 
-// ErrViewUnsupported reports a view exchange attempted over a connection
-// whose negotiated protocol predates version 3. The caller's peer cannot
-// speak view frames; there is nothing to retry.
-var ErrViewUnsupported = errors.New("fsnet: peer protocol has no view frames")
-
 // maxViewMembers bounds the peer list of a msgViewPush. Matches the
 // piggyback-history bound: far beyond any plausible ring, small enough
 // that a hostile frame cannot balloon decode work.
 const maxViewMembers = 1024
-
-// isViewMsg reports whether typ is a gossip view frame — the request
-// types a client must never emit toward a pre-v3 peer.
-func isViewMsg(typ uint8) bool {
-	return typ == msgViewHint || typ == msgViewPull || typ == msgViewPush
-}
 
 // viewMsg — the payload of msgViewHint and msgViewPull — is
 // uvarint epoch, then the sender's advertised address.

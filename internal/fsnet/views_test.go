@@ -12,10 +12,9 @@ import (
 )
 
 // The view suite pins the gossip wire extension: codec bounds, the
-// pull/push exchange against a real server, the negotiation gate (a v3
-// node must never emit view frames toward a pre-v3 peer), the
-// mid-stream-cut poisoning contract, and the hint piggyback riding
-// ordinary opens in both directions.
+// pull/push exchange against a real server, the mid-stream-cut poisoning
+// contract, and the hint piggyback riding ordinary opens in both
+// directions.
 
 // testViews is a scripted ViewSource: a mutable epoch+members pair with
 // highest-epoch-wins ApplyView semantics and a log of every hint noted.
@@ -197,221 +196,36 @@ func TestViewExchangeAgainstUnconfiguredServer(t *testing.T) {
 	}
 }
 
-// TestViewFramesGatedByNegotiation is the gossip half of the
-// negotiation matrix: against a server capped at v2 or v1, a client
-// configured with Views must keep the wire byte-identical to a
-// view-less client — exchanges fail locally with ErrViewUnsupported,
-// no hint frames ride the batches, and the session stays healthy.
-func TestViewFramesGatedByNegotiation(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		svrMax     int
-		wantVer    int
-		wantErrors uint64 // the v1 legacy downgrade costs one counted probe error
-	}{
-		{name: "v2-server", svrMax: 2, wantVer: protocolV2, wantErrors: 0},
-		{name: "v1-server", svrMax: 1, wantVer: protocolV1, wantErrors: 1},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			store := seededStore(t, 6)
-			srv, addr := startServer(t, store, ServerConfig{
-				GroupSize: 2, CacheCapacity: 8, MaxProtocol: tc.svrMax,
-			})
-			cv := newTestViews("client:1", 4, "client:1")
-			client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer client.Close()
-			open := func() {
-				t.Helper()
-				for i := 0; i < 6; i++ {
-					if _, err := client.Open(fmt.Sprintf("/data/f%03d", i)); err != nil {
-						t.Fatalf("open f%03d: %v", i, err)
-					}
-				}
-			}
-			open()
-			if got := client.ProtocolVersion(); got != tc.wantVer {
-				t.Fatalf("negotiated %d, want %d", got, tc.wantVer)
-			}
-			if _, _, err := client.ViewPull(); !errors.Is(err, ErrViewUnsupported) {
-				t.Fatalf("ViewPull on v%d = %v, want ErrViewUnsupported", tc.wantVer, err)
-			}
-			if _, err := client.ViewPush(9, []string{"client:1"}); !errors.Is(err, ErrViewUnsupported) {
-				t.Fatalf("ViewPush on v%d = %v, want ErrViewUnsupported", tc.wantVer, err)
-			}
-			// The refusal is local: had a frame leaked onto a v1
-			// lock-step or v2 session, the stream would desync and these
-			// opens would fail or count server errors.
-			open()
-			st := srv.Stats()
-			if st.Errors != tc.wantErrors {
-				t.Errorf("server errors = %d, want %d", st.Errors, tc.wantErrors)
-			}
-			if cs := client.Stats(); cs.BrokenConns != 0 {
-				t.Errorf("client broke %d connections on refused view calls", cs.BrokenConns)
-			}
-		})
-	}
-}
-
-// TestViewFrameAuditOnV2Wire watches the raw frames a Views-configured
-// client puts on a v2 wire: nothing but opens. This is the direct form
-// of the "never emits" guarantee — the real-server case above can only
-// observe side effects, this one records every frame type.
-func TestViewFrameAuditOnV2Wire(t *testing.T) {
-	var mu sync.Mutex
-	var seen []uint8
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				typ, payload, err := readFrame(r)
-				if err != nil || typ != msgHello {
-					return
-				}
-				putFrameBuf(payload)
-				if writeHello(w, msgHelloOK, protocolV2) != nil || w.Flush() != nil {
-					return
-				}
-				for {
-					typ, id, payload, err := readFrameID(r)
-					if err != nil {
-						return
-					}
-					putFrameBuf(payload)
-					mu.Lock()
-					seen = append(seen, typ)
-					mu.Unlock()
-					if typ != msgOpen {
-						return
-					}
-					resp := appendErrorResponse(nil, errorResponse{Code: CodeNotFound, Message: "audit server holds nothing"})
-					if putFrameID(w, msgError, id, resp) != nil || w.Flush() != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	cv := newTestViews("client:1", 11, "client:1")
-	client, err := Dial(l.Addr().String(), ClientConfig{CacheCapacity: 4, Views: cv, MaxRetries: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for i := 0; i < 3; i++ {
-		if _, err := client.Open(fmt.Sprintf("/x/f%d", i)); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("open %d = %v, want ErrNotFound", i, err)
-		}
-	}
-	if _, _, err := client.ViewPull(); !errors.Is(err, ErrViewUnsupported) {
-		t.Fatalf("ViewPull = %v, want ErrViewUnsupported", err)
-	}
-	if _, err := client.Open("/x/after"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("open after pull = %v, want ErrNotFound", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 4 {
-		t.Fatalf("server saw %d frames, want 4 opens: %v", len(seen), seen)
-	}
-	for i, typ := range seen {
-		if typ != msgOpen {
-			t.Errorf("frame %d has type %d, want only opens (%d) on a v2 wire", i, typ, msgOpen)
-		}
-	}
-}
-
 // TestViewPushMidStreamCutPoisonsOnlyInFlight mirrors the v3 streaming
 // cut test for the view exchange: a server that dies mid-frame while
 // answering a pull fails that call with the typed transport error, and
 // nothing else — the next call redials and completes.
 func TestViewPushMidStreamCutPoisonsOnlyInFlight(t *testing.T) {
 	var pulls atomic.Int32
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = l.Close() })
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
+	addr := fakeV3Server(t, func(conn net.Conn, w *bufio.Writer, typ uint8, id uint64, payload []byte) bool {
+		switch typ {
+		case msgOpen:
+			req, derr := decodeOpenRequest(payload)
+			return derr == nil &&
+				writeChunk(w, id, req.Path, []byte("whole "+req.Path)) == nil &&
+				putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 1)) == nil
+		case msgViewPull:
+			reply := appendFrameID(nil, msgViewPush, id,
+				appendViewPush(nil, 9, "srv:1", []string{"srv:1", "other:2"}))
+			if pulls.Add(1) == 1 {
+				// Half the push frame, then a hard cut.
+				_, _ = conn.Write(reply[:len(reply)-4])
+				time.Sleep(10 * time.Millisecond) // let the bytes land before the RST
+				return false
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				r := bufio.NewReader(conn)
-				w := bufio.NewWriter(conn)
-				typ, payload, err := readFrame(r)
-				if err != nil || typ != msgHello {
-					return
-				}
-				putFrameBuf(payload)
-				if writeHello(w, msgHelloOK, protocolV3) != nil || w.Flush() != nil {
-					return
-				}
-				for {
-					typ, id, payload, err := readFrameID(r)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case msgViewHint:
-						// The client's piggybacked hint; advisory, drop it.
-						putFrameBuf(payload)
-					case msgOpen:
-						req, derr := decodeOpenRequest(payload)
-						putFrameBuf(payload)
-						if derr != nil {
-							return
-						}
-						if writeChunk(w, id, req.Path, []byte("whole "+req.Path)) != nil {
-							return
-						}
-						if putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 1)) != nil || w.Flush() != nil {
-							return
-						}
-					case msgViewPull:
-						putFrameBuf(payload)
-						reply := appendFrameID(nil, msgViewPush, id,
-							appendViewPush(nil, 9, "srv:1", []string{"srv:1", "other:2"}))
-						if pulls.Add(1) == 1 {
-							// Half the push frame, then a hard cut.
-							if _, err := conn.Write(reply[:len(reply)-4]); err != nil {
-								return
-							}
-							time.Sleep(10 * time.Millisecond) // let the bytes land before the RST
-							return
-						}
-						if _, err := conn.Write(reply); err != nil {
-							return
-						}
-					default:
-						putFrameBuf(payload)
-						return
-					}
-				}
-			}(conn)
+			_, err := conn.Write(reply)
+			return err == nil
 		}
-	}()
+		return false
+	})
 
 	cv := newTestViews("client:1", 1, "client:1")
-	client, err := Dial(l.Addr().String(), ClientConfig{CacheCapacity: 4, Views: cv, MaxRetries: 0})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv, MaxRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@
 // operator action. It layers two dissemination channels over the view
 // verbs the cluster tier exposes:
 //
-// Piggyback: every fsnet forward and reply on a v3 connection already
+// Piggyback: every fsnet forward and reply already
 // carries the sender's view epoch as a tiny hint frame (see
 // fsnet.ViewSource). The transport surfaces each hint through
 // OnViewHint; the gossiper reacts to a hint newer than the installed

@@ -1,6 +1,6 @@
 // Package otrace is the distributed-tracing layer: 128-bit trace IDs
 // minted at the client edge, span contexts propagated hop-by-hop over
-// the fsnet v3 wire, and completed spans recorded into a per-node
+// the fsnet wire, and completed spans recorded into a per-node
 // bounded ring that /traces and /trace/<id> expose for fleet-wide
 // stitching (see cmd/aggbench -trace-collect).
 //

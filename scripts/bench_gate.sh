@@ -17,7 +17,7 @@ GO=${GO:-go}
 
 {
   $GO test -run '^$' \
-      -bench 'BenchmarkOpenLoopback$|BenchmarkOpenLoopbackSerial|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' \
+      -bench 'BenchmarkOpenLoopback$|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' \
       -benchmem -benchtime 0.5s -count 1 ./internal/fsnet/
   $GO test -run '^$' -bench 'BenchmarkOpenForwarded' \
       -benchmem -benchtime 0.5s -count 1 ./internal/cluster/
