@@ -1,29 +1,21 @@
-// Command aggbench is the fsnet load generator: it replays a
-// deterministic multi-client workload trace against a server over N
-// concurrent connections with M pipelining goroutines per connection, and
-// reports open throughput plus a latency distribution (p50/p95/p99 from a
-// fixed power-of-two-bucket histogram, so the hot path never allocates or
-// sorts).
+// Command aggbench is the fleet driver: it replays a deterministic
+// multi-client workload against running fsnet servers over N concurrent
+// connections with M pipelining goroutines per connection, checks every
+// reply byte for byte, and exits non-zero if any open failed. It is a
+// deployment check, not the benchmark — the numbers anyone compares come
+// from benchmark/ (BENCHMARK.json); the throughput and percentiles
+// printed here are a human-readable reading of one run.
 //
-// By default aggbench spins up an in-process server on a loopback socket,
-// so one command measures the whole stack; point -addr at a running
-// aggserve to load an external server instead. -workers 1 keeps one
-// request in flight per connection — the lock-step baseline; its ratio to
-// a pipelined run is the headline speedup of the concurrent serving path
-// (DESIGN.md §10). Every run also reports time-to-first-byte percentiles,
-// the latency until the demanded member's first chunk lands.
-//
-// -metrics wires an internal/obs registry into the clients and reports
-// its series alongside the usual summary; the benchmark name gains an
-// "Obs" suffix so baselines track instrumented and bare runs separately
-// (their difference is the client-side instrumentation overhead).
-//
-// -cluster N spins up an in-process consistent-hash cluster of N nodes
-// (internal/cluster) with replicated stores and spreads the connections
-// across them round-robin, so the same workload measures the sharded
-// peer tier — forwarded group hops, mirror absorption, and all — against
-// the single-server baseline (-cluster 1 runs one node through the same
-// code path for an apples-to-apples comparison).
+// -addr takes a comma-separated list of servers (a clustered aggserve
+// fleet, say): the working set is written to every one of them and the
+// connections spread over them round-robin. Without -addr the same load
+// drives an in-process consistent-hash ring of -cluster nodes
+// (internal/cluster, replicated stores; 1 by default), through the same
+// code path. -rtt injects a simulated round trip; -workers 1 keeps one
+// request in flight per connection, the lock-step baseline whose ratio
+// to a pipelined run is the latency-hiding claim of DESIGN.md §10.
+// -metrics wires an internal/obs registry into the clients and prints
+// its series with the report.
 //
 // -churn (with -cluster >= 2) exercises elastic membership under load:
 // at 40% progress the last node drains — its goodbye gossip removes it
@@ -31,41 +23,34 @@
 // every owned group's learned state to the new owners; at 70% the full
 // membership is reinstalled on ONE node and gossip (internal/gossip)
 // spreads it to the rest. The workload never pauses; the run fails if
-// churn surfaces client-visible errors or if any node fails to converge
-// to the final epoch, and the summary gains drain/handoff/hint counters
-// plus the gossip convergence verdict.
+// any node fails to converge to the final epoch, and the report gains
+// drain/handoff/hint counters plus the gossip convergence verdict.
 //
-// -trace-collect turns aggbench into the fleet trace scraper instead of
-// a load generator: given the stats addresses of running aggserve nodes,
-// it unions the trace IDs from each node's /traces, joins every node's
-// /trace/<id> spans on trace ID, and emits the stitched fleet-wide
-// traces as JSON (widest first). -trace-min-nodes fails the run unless
-// some trace spans that many nodes — the smoke test's cross-node
-// propagation assertion is just this exit code.
+// -trace-collect turns aggbench into the fleet trace scraper instead:
+// given the stats addresses of running aggserve nodes, it unions the
+// trace IDs from each node's /traces, joins every node's /trace/<id>
+// spans on trace ID, and emits the stitched fleet-wide traces as JSON
+// (widest first). -trace-min-nodes fails the run unless some trace
+// spans that many nodes.
 //
 // Examples:
 //
-//	aggbench -conns 8 -workers 4
-//	aggbench -conns 8 -workers 1
-//	aggbench -addr 127.0.0.1:7070 -conns 16 -opens 50000
-//	aggbench -conns 8 -json > pipelined.json
-//	aggbench -cluster 3 -conns 9 -workers 4
+//	aggbench -conns 8 -workers 8 -rtt 2ms
+//	aggbench -addr 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072 -conns 6
+//	aggbench -cluster 3 -conns 9 -workers 4 -churn
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"net"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"aggcache/internal/benchparse"
 	"aggcache/internal/cluster"
 	"aggcache/internal/fsnet"
 	"aggcache/internal/gossip"
@@ -378,25 +363,26 @@ func main() {
 	}
 }
 
+// The workload's shape is fixed: the driver checks a deployment, it does
+// not explore a parameter space (benchmark/ does that).
+const (
+	storeFiles  = 2048 // in-process store size, and the workload's noise universe
+	fileSize    = 1024 // bytes
+	groupSize   = 5    // in-process server group size g
+	clientCache = 64   // files
+	serverCache = 256  // files, in-process servers
+	seed        = 1
+)
+
 type config struct {
-	addr        string
-	files       int
-	fileSize    int
-	group       int
-	clientCache int
-	serverCache int
-	conns       int
-	workers     int
-	opens       int
-	seed        int64
-	rtt         time.Duration
-	cluster     int
-	churn       bool
-	metrics     bool
-	jsonOut     bool
-	gobench     bool
-	cpuProf     string
-	memProf     string
+	addrs   []string // external servers; empty drives the in-process ring
+	conns   int
+	workers int
+	opens   int
+	rtt     time.Duration
+	cluster int
+	churn   bool
+	metrics bool
 
 	traceCollect  string
 	traceMinNodes int
@@ -405,24 +391,15 @@ type config struct {
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("aggbench", flag.ContinueOnError)
 	var cfg config
-	fs.StringVar(&cfg.addr, "addr", "", "server address; empty runs an in-process loopback server")
-	fs.IntVar(&cfg.files, "files", 2048, "synthetic store size in files (in-process server only)")
-	fs.IntVar(&cfg.fileSize, "filesize", 1024, "synthetic file size in bytes")
-	fs.IntVar(&cfg.group, "group", 5, "server group size g")
-	fs.IntVar(&cfg.clientCache, "cache", 64, "client cache capacity in files")
-	fs.IntVar(&cfg.serverCache, "servercache", 256, "server cache capacity in files (in-process server only)")
+	var addr string
+	fs.StringVar(&addr, "addr", "", "comma-separated server addresses: the working set is written to every one and connections spread over them round-robin; empty drives an in-process ring (see -cluster)")
 	fs.IntVar(&cfg.conns, "conns", 8, "concurrent client connections")
 	fs.IntVar(&cfg.workers, "workers", 4, "pipelining goroutines per connection (1 = lock-step baseline: one request in flight per connection)")
 	fs.IntVar(&cfg.opens, "opens", 20000, "opens per connection")
-	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
-	fs.DurationVar(&cfg.rtt, "rtt", 0, "simulated network round-trip time (half is injected before each client read and write syscall); zero measures raw loopback")
-	fs.IntVar(&cfg.cluster, "cluster", 0, "run an in-process consistent-hash cluster of N nodes with replicated stores, connections spread round-robin (0 = plain single server)")
-	fs.BoolVar(&cfg.churn, "churn", false, "mid-run membership churn: at 40%% progress the last node drains out of the ring (its goodbye gossip updates the survivors), at 70%% the rejoin view is installed on one node and gossip spreads it; the run fails unless every node converges (requires -cluster >= 2)")
-	fs.BoolVar(&cfg.metrics, "metrics", false, "wire an obs registry into the clients and report its series; the benchmark name gains an Obs suffix so instrumented and bare runs diff separately")
-	fs.BoolVar(&cfg.jsonOut, "json", false, "emit machine-readable JSON (benchjson-compatible schema)")
-	fs.BoolVar(&cfg.gobench, "gobench", false, "emit one `go test -bench`-style result line (pipes into cmd/benchjson)")
-	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile of the load run to this file")
-	fs.StringVar(&cfg.memProf, "memprofile", "", "write an allocation profile of the load run to this file")
+	fs.DurationVar(&cfg.rtt, "rtt", 0, "simulated network round-trip time, charged once per flight on the client's read path; zero measures raw loopback")
+	fs.IntVar(&cfg.cluster, "cluster", 1, "without -addr, the number of nodes in the in-process consistent-hash ring (replicated stores, connections spread round-robin)")
+	fs.BoolVar(&cfg.churn, "churn", false, "mid-run membership churn: at 40% progress the last node drains out of the ring (its goodbye gossip updates the survivors), at 70% the rejoin view is installed on one node and gossip spreads it; the run fails unless every node converges (requires -cluster >= 2)")
+	fs.BoolVar(&cfg.metrics, "metrics", false, "wire an obs registry into the clients and print its series with the report")
 	fs.StringVar(&cfg.traceCollect, "trace-collect", "", "comma-separated stats addresses: skip load generation, scrape each node's /traces and /trace/<id>, and emit fleet-stitched traces as JSON")
 	fs.IntVar(&cfg.traceMinNodes, "trace-min-nodes", 1, "with -trace-collect, fail unless some stitched trace spans at least this many nodes")
 	if err := fs.Parse(args); err != nil {
@@ -436,33 +413,50 @@ func parseFlags(args []string) (config, error) {
 	if cfg.conns < 1 || cfg.workers < 1 || cfg.opens < 1 {
 		return cfg, fmt.Errorf("conns, workers, and opens must all be positive")
 	}
-	if cfg.cluster < 0 {
-		return cfg, fmt.Errorf("-cluster must be >= 0, got %d", cfg.cluster)
+	if cfg.cluster < 1 {
+		return cfg, fmt.Errorf("-cluster must be >= 1, got %d", cfg.cluster)
 	}
-	if cfg.cluster > 0 && cfg.addr != "" {
-		return cfg, fmt.Errorf("-cluster runs in-process nodes; it cannot target an external -addr")
+	if addr != "" {
+		if cfg.addrs = splitList(addr); len(cfg.addrs) == 0 {
+			return cfg, fmt.Errorf("-addr %q names no server", addr)
+		}
+		clusterSet := false
+		fs.Visit(func(f *flag.Flag) { clusterSet = clusterSet || f.Name == "cluster" })
+		if clusterSet {
+			return cfg, fmt.Errorf("-cluster runs in-process nodes; it cannot target an external -addr")
+		}
 	}
 	if cfg.churn && cfg.cluster < 2 {
-		return cfg, fmt.Errorf("-churn needs a ring to leave and rejoin; use -cluster 2 or more")
+		return cfg, fmt.Errorf("-churn needs an in-process ring to leave and rejoin; use -cluster 2 or more")
 	}
 	return cfg, nil
 }
 
+// splitList parses a comma-separated address list, dropping blanks.
+func splitList(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // result is one complete load-generation run. Latency lands in an
-// obs.Histogram — the same power-of-two-bucket histogram aggbench used to
-// carry privately, now shared through internal/obs so /metrics and the
-// load generator report percentiles from identical math.
+// obs.Histogram, so /metrics and the driver report percentiles from
+// identical math.
 type result struct {
 	cfg     config
 	opens   uint64
-	errors  uint64
+	errors  uint64 // opens that failed or returned the wrong bytes
 	elapsed time.Duration
 	hist    *obs.Histogram
 	reg     *obs.Registry         // client-side registry; nil unless -metrics
 	client  fsnet.ClientStats     // summed over all connections
 	ttfb    obs.HistogramSnapshot // time-to-first-byte, merged over all connections
 	hitRate float64
-	clus    clusterSummary // zero when not clustered
+	clus    clusterSummary // zero for an external fleet
 }
 
 // pct converts the histogram's nanosecond percentile back to a Duration.
@@ -504,12 +498,27 @@ func (r *result) throughput() float64 {
 	return float64(r.opens) / r.elapsed.Seconds()
 }
 
+// verdict is the run's pass/fail decision. The service contract is every
+// open answered with the right bytes, never an error, so a single failed
+// open fails the run; and a churn script that ran to completion must have
+// converged every node by gossip alone.
+func (r *result) verdict() error {
+	if r.errors > 0 {
+		return fmt.Errorf("%d of %d opens failed", r.errors, r.errors+r.opens)
+	}
+	if r.clus.scriptDone && !(r.clus.leaveConverged && r.clus.rejoinConverged) {
+		return fmt.Errorf("churn: gossip failed to converge membership (leave=%v rejoin=%v)",
+			r.clus.leaveConverged, r.clus.rejoinConverged)
+	}
+	return nil
+}
+
 // sequences deals the workload's per-client open streams out to conns
 // connections, cycling when the trace has fewer clients than connections,
 // and trims or tiles each to exactly opens entries.
 func sequences(cfg config) ([][]string, error) {
 	tr, err := workload.Generate(workload.Config{
-		Seed:            cfg.seed,
+		Seed:            seed,
 		Opens:           cfg.conns * cfg.opens,
 		Clients:         cfg.conns,
 		InterleaveChunk: 4,
@@ -518,7 +527,7 @@ func sequences(cfg config) ([][]string, error) {
 		SharedFiles:     8,
 		ZipfS:           1.2,
 		Noise:           0.05,
-		NoiseUniverse:   cfg.files,
+		NoiseUniverse:   storeFiles,
 	})
 	if err != nil {
 		return nil, err
@@ -549,19 +558,38 @@ func sequences(cfg config) ([][]string, error) {
 	return out, nil
 }
 
+// contents is a file's bytes: a pure function of its path, so every
+// reply can be checked without remembering what was stored.
+func contents(path string) []byte {
+	data := make([]byte, fileSize)
+	for i := range data {
+		data[i] = byte(len(path) + i)
+	}
+	return data
+}
+
+// intact reports whether data is exactly contents(path).
+func intact(path string, data []byte) bool {
+	if len(data) != fileSize {
+		return false
+	}
+	for i, b := range data {
+		if b != byte(len(path)+i) {
+			return false
+		}
+	}
+	return true
+}
+
 // seedStore puts every path the sequences demand (plus synthetic filler up
-// to cfg.files) into the store, with deterministic contents.
-func seedStore(cfg config, seqs [][]string) (*fsnet.Store, error) {
+// to storeFiles) into a fresh store.
+func seedStore(seqs [][]string) (*fsnet.Store, error) {
 	store := fsnet.NewStore()
 	put := func(path string) error {
 		if store.Contains(path) {
 			return nil
 		}
-		data := make([]byte, cfg.fileSize)
-		for i := range data {
-			data[i] = byte(len(path) + i)
-		}
-		return store.Put(path, data)
+		return store.Put(path, contents(path))
 	}
 	for _, seq := range seqs {
 		for _, p := range seq {
@@ -570,7 +598,7 @@ func seedStore(cfg config, seqs [][]string) (*fsnet.Store, error) {
 			}
 		}
 	}
-	for i := store.Len(); i < cfg.files; i++ {
+	for i := store.Len(); i < storeFiles; i++ {
 		if err := put(fmt.Sprintf("/bench/fill%06d", i)); err != nil {
 			return nil, err
 		}
@@ -578,11 +606,12 @@ func seedStore(cfg config, seqs [][]string) (*fsnet.Store, error) {
 	return store, nil
 }
 
-// provision writes every path the sequences demand to an external
-// server, with the same deterministic contents seedStore uses. Runs on a
-// plain (undelayed) connection; it is setup, not measurement.
-func provision(cfg config, seqs [][]string) error {
-	c, err := fsnet.Dial(cfg.addr, fsnet.ClientConfig{CacheCapacity: 1, MaxRetries: 3})
+// provision writes every path the sequences demand to one external
+// server. Writes are write-through to that server's own store only, so a
+// clustered fleet needs it once per replica. Runs on a plain (undelayed)
+// connection; it is setup, not measurement.
+func provision(addr string, seqs [][]string) error {
+	c, err := fsnet.Dial(addr, fsnet.ClientConfig{CacheCapacity: 1, MaxRetries: 3})
 	if err != nil {
 		return err
 	}
@@ -594,16 +623,88 @@ func provision(cfg config, seqs [][]string) error {
 				continue
 			}
 			written[p] = true
-			data := make([]byte, cfg.fileSize)
-			for i := range data {
-				data[i] = byte(len(p) + i)
-			}
-			if err := c.Write(p, data); err != nil {
-				return fmt.Errorf("provision %s: %w", p, err)
+			if err := c.Write(p, contents(p)); err != nil {
+				return fmt.Errorf("provision %s on %s: %w", p, addr, err)
 			}
 		}
 	}
 	return nil
+}
+
+// fleet is what a run drives: the addresses its connections spread over
+// and, for the in-process ring, the handles -churn and the report read.
+type fleet struct {
+	targets []string
+	nodes   []*cluster.Node // nil for an external fleet
+	servers []*fsnet.Server // parallel to nodes
+	stops   []func() error
+}
+
+func (f *fleet) close() {
+	for _, stop := range f.stops {
+		_ = stop()
+	}
+}
+
+// boot readies the fleet holding the sequences' working set: the servers
+// -addr lists, provisioned over the wire, or else an in-process ring of
+// cfg.cluster nodes, each with a full replica of the store, a membership
+// over all the listen addresses, and a server with the node wired in as
+// its open router.
+func boot(cfg config, seqs [][]string) (*fleet, error) {
+	if len(cfg.addrs) > 0 {
+		f := &fleet{targets: cfg.addrs}
+		for _, addr := range f.targets {
+			if err := provision(addr, seqs); err != nil {
+				return nil, err
+			}
+		}
+		return f, nil
+	}
+	f := &fleet{targets: make([]string, cfg.cluster)}
+	listeners := make([]net.Listener, cfg.cluster)
+	for i := range listeners {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		listeners[i] = l
+		f.targets[i] = l.Addr().String()
+	}
+	for i, self := range f.targets {
+		store, err := seedStore(seqs)
+		if err != nil {
+			return nil, err
+		}
+		node, err := cluster.NewNode(cluster.Config{Self: self, Peers: f.targets})
+		if err != nil {
+			return nil, err
+		}
+		srv, err := fsnet.NewServer(store, fsnet.ServerConfig{
+			GroupSize:     groupSize,
+			CacheCapacity: serverCache,
+			Router:        node,
+			Views:         node,
+		})
+		if err != nil {
+			_ = node.Close()
+			return nil, err
+		}
+		l := listeners[i]
+		go func() { _ = srv.Serve(l) }()
+		f.nodes = append(f.nodes, node)
+		f.servers = append(f.servers, srv)
+		if cfg.churn {
+			// Churn runs converge by gossip, not by the conductor
+			// updating every node; a short anti-entropy period keeps
+			// the convergence window well inside the run.
+			gsp := gossip.New(gossip.Config{Node: node, Interval: 25 * time.Millisecond})
+			gsp.Start()
+			f.stops = append(f.stops, func() error { gsp.Stop(); return nil })
+		}
+		f.stops = append(f.stops, node.Close, srv.Close)
+	}
+	return f, nil
 }
 
 func runLoad(cfg config) (*result, error) {
@@ -611,81 +712,17 @@ func runLoad(cfg config) (*result, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	targets := []string{cfg.addr}
-	var shutdowns []func() error
-	var nodes []*cluster.Node
-	var servers []*fsnet.Server
-	switch {
-	case cfg.addr == "" && cfg.cluster > 0:
-		// In-process cluster: every node gets a full replica of the
-		// store, a ring membership over all the listen addresses, and a
-		// server with the node wired in as its open router.
-		listeners := make([]net.Listener, cfg.cluster)
-		addrs := make([]string, cfg.cluster)
-		for i := range listeners {
-			l, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			listeners[i] = l
-			addrs[i] = l.Addr().String()
-		}
-		for i := range addrs {
-			store, err := seedStore(cfg, seqs)
-			if err != nil {
-				return nil, err
-			}
-			node, err := cluster.NewNode(cluster.Config{Self: addrs[i], Peers: addrs})
-			if err != nil {
-				return nil, err
-			}
-			srv, err := fsnet.NewServer(store, fsnet.ServerConfig{
-				GroupSize:     cfg.group,
-				CacheCapacity: cfg.serverCache,
-				Router:        node,
-				Views:         node,
-			})
-			if err != nil {
-				_ = node.Close()
-				return nil, err
-			}
-			l := listeners[i]
-			go func() { _ = srv.Serve(l) }()
-			nodes = append(nodes, node)
-			servers = append(servers, srv)
-			if cfg.churn {
-				// Churn runs converge by gossip, not by the conductor
-				// updating every node; a short anti-entropy period keeps
-				// the convergence window well inside the run.
-				gsp := gossip.New(gossip.Config{Node: node, Interval: 25 * time.Millisecond})
-				gsp.Start()
-				shutdowns = append(shutdowns, func() error { gsp.Stop(); return nil })
-			}
-			shutdowns = append(shutdowns, node.Close, srv.Close)
-		}
-		targets = addrs
-	case cfg.addr == "":
-		store, err := seedStore(cfg, seqs)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := fsnet.NewServer(store, fsnet.ServerConfig{
-			GroupSize:     cfg.group,
-			CacheCapacity: cfg.serverCache,
-		})
-		if err != nil {
-			return nil, err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		go func() { _ = srv.Serve(l) }()
-		targets = []string{l.Addr().String()}
-		shutdowns = append(shutdowns, srv.Close)
+	f, err := boot(cfg, seqs)
+	if err != nil {
+		return nil, err
 	}
+	defer f.close()
+	return drive(cfg, seqs, f)
+}
 
+// drive replays seqs against the fleet, one connection per sequence, and
+// checks every reply against contents.
+func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 	// -metrics: one shared client-side registry; every connection's
 	// counters land in the same series, so the report is fleet-wide.
 	var reg *obs.Registry
@@ -693,27 +730,20 @@ func runLoad(cfg config) (*result, error) {
 		reg = obs.NewRegistry()
 	}
 
-	clientCfg := fsnet.ClientConfig{
-		CacheCapacity: cfg.clientCache,
-		MaxRetries:    3,
-		Seed:          cfg.seed,
-		Obs:           reg,
-	}
-	if cfg.addr != "" {
-		// External server: provision the working set over the wire
-		// (writes are write-through to the server's store) so the run
-		// measures serving, not NotFound errors.
-		if err := provision(cfg, seqs); err != nil {
-			return nil, err
+	clients := make([]*fsnet.Client, 0, cfg.conns)
+	defer func() {
+		for _, c := range clients {
+			_ = c.Close()
 		}
-	}
-
-	clients := make([]*fsnet.Client, cfg.conns)
-	for i := range clients {
-		// Connections fan out over the cluster round-robin; with one
-		// target every client hits the same server, as before.
-		target := targets[i%len(targets)]
-		ccfg := clientCfg
+	}()
+	for i := 0; i < cfg.conns; i++ {
+		target := f.targets[i%len(f.targets)]
+		ccfg := fsnet.ClientConfig{
+			CacheCapacity: clientCache,
+			MaxRetries:    3,
+			Seed:          seed,
+			Obs:           reg,
+		}
 		if cfg.rtt > 0 {
 			// Simulated WAN: the full round trip of propagation delay,
 			// charged once on the reply path. A request/response exchange
@@ -736,16 +766,8 @@ func runLoad(cfg config) (*result, error) {
 		if err != nil {
 			return nil, err
 		}
-		clients[i] = c
+		clients = append(clients, c)
 	}
-	defer func() {
-		for _, c := range clients {
-			_ = c.Close()
-		}
-		for _, stop := range shutdowns {
-			_ = stop()
-		}
-	}()
 
 	res := &result{cfg: cfg, hist: obs.NewHistogram(), reg: reg}
 	var opens, errCount atomic.Uint64
@@ -765,7 +787,7 @@ func runLoad(cfg config) (*result, error) {
 	churnDone := make(chan struct{})
 	var drainRep cluster.DrainReport
 	var leaveConverged, rejoinConverged, churnScriptDone bool
-	if cfg.churn && len(nodes) >= 2 {
+	if cfg.churn && len(f.nodes) >= 2 {
 		total := uint64(cfg.conns) * uint64(cfg.opens)
 		waitFor := func(frac float64) bool {
 			threshold := uint64(frac * float64(total))
@@ -800,19 +822,19 @@ func runLoad(cfg config) (*result, error) {
 		}
 		go func() {
 			defer close(churnDone)
-			victim := len(nodes) - 1
+			victim := len(f.nodes) - 1
 			if !waitFor(0.4) {
 				return
 			}
-			if rep, err := nodes[victim].Drain(servers[victim]); err == nil {
+			if rep, err := f.nodes[victim].Drain(f.servers[victim]); err == nil {
 				drainRep = rep
 			}
-			leaveConverged = converged(drainRep.GoodbyeEpoch, nodes[:victim])
+			leaveConverged = converged(drainRep.GoodbyeEpoch, f.nodes[:victim])
 			if !waitFor(0.7) {
 				return
 			}
-			_ = nodes[0].Update(drainRep.GoodbyeEpoch+1, targets)
-			rejoinConverged = converged(drainRep.GoodbyeEpoch+1, nodes)
+			_ = f.nodes[0].Update(drainRep.GoodbyeEpoch+1, f.targets)
+			rejoinConverged = converged(drainRep.GoodbyeEpoch+1, f.nodes)
 			churnScriptDone = true
 		}()
 	} else {
@@ -837,7 +859,7 @@ func runLoad(cfg config) (*result, error) {
 					t0 := time.Now()
 					out, err := c.OpenInto(seq[n], buf)
 					res.hist.ObserveDuration(time.Since(t0))
-					if err != nil {
+					if err != nil || !intact(seq[n], out) {
 						errCount.Add(1)
 						continue
 					}
@@ -877,8 +899,8 @@ func runLoad(cfg config) (*result, error) {
 	if res.client.Opens > 0 {
 		res.hitRate = float64(res.client.Hits) / float64(res.client.Opens)
 	}
-	res.clus.nodes = len(nodes)
-	for _, n := range nodes {
+	res.clus.nodes = len(f.nodes)
+	for _, n := range f.nodes {
 		st := n.Stats()
 		res.clus.local += st.LocalOpens
 		res.clus.forwarded += st.ForwardedOpens
@@ -895,7 +917,7 @@ func runLoad(cfg config) (*result, error) {
 		res.clus.scriptDone = churnScriptDone
 		res.clus.leaveConverged = leaveConverged
 		res.clus.rejoinConverged = rejoinConverged
-		for _, s := range servers {
+		for _, s := range f.servers {
 			res.clus.handoffs += s.Stats().Handoffs
 		}
 	}
@@ -953,180 +975,18 @@ func (r *result) writeText(out *os.File) {
 	}
 }
 
-// benchName is the identity the baseline gate diffs on; -metrics runs get
-// an Obs suffix so instrumented throughput is tracked as its own series
-// against the bare run, never mixed into it.
-func (r *result) benchName() string {
-	name := "AggbenchOpenPipelined"
-	switch {
-	case r.cfg.cluster > 0 && r.cfg.churn:
-		name = fmt.Sprintf("AggbenchOpenClusterChurn%d", r.cfg.cluster)
-	case r.cfg.cluster > 0:
-		name = fmt.Sprintf("AggbenchOpenCluster%d", r.cfg.cluster)
-	}
-	if r.cfg.metrics {
-		name += "Obs"
-	}
-	return name
-}
-
-// obsMetrics flattens the client registry into metric-name -> value pairs
-// for the machine-readable outputs. Histograms contribute _count/_p50/_p95
-// pseudo-series; labelled series are rare on the client side, so labels
-// are folded into the name.
-func (r *result) obsMetrics() map[string]float64 {
-	if r.reg == nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for _, s := range r.reg.Snapshot() {
-		name := s.Name
-		for _, l := range s.Labels {
-			name += "_" + l.Value
-		}
-		if s.Hist != nil {
-			out[name+"_count"] = float64(s.Hist.Count)
-			out[name+"_p50"] = float64(s.Hist.Percentile(50))
-			out[name+"_p95"] = float64(s.Hist.Percentile(95))
-			continue
-		}
-		out[name] = s.Value
-	}
-	return out
-}
-
-// writeGobench emits the run as one standard benchmark result line, so
-// `aggbench -gobench` pipes into cmd/benchjson alongside `go test -bench`
-// output and lands in the same committed baseline.
-func (r *result) writeGobench(out *os.File) {
-	nsPerOp := float64(r.elapsed.Nanoseconds()) / float64(r.opens)
-	fmt.Fprintf(out, "pkg: aggcache/cmd/aggbench\n")
-	fmt.Fprintf(out, "Benchmark%s-%d\t%8d\t%.1f ns/op\t%.0f opens/s\t%d p95_ns\t%d p99_ns\t%.3f hit_rate",
-		r.benchName(), r.cfg.conns*r.cfg.workers, r.opens, nsPerOp, r.throughput(),
-		r.pct(95).Nanoseconds(), r.pct(99).Nanoseconds(), r.hitRate)
-	fmt.Fprintf(out, "\t%d ttfb_p50_ns\t%d ttfb_p95_ns",
-		r.ttfb.Percentile(50), r.ttfb.Percentile(95))
-	if om := r.obsMetrics(); om != nil {
-		fmt.Fprintf(out, "\t%.0f obs_call_p95_ns\t%.0f obs_reconnects",
-			om["fsnet_client_call_latency_ns_p95"], om["fsnet_client_reconnects_total"])
-	}
-	fmt.Fprintln(out)
-}
-
-// writeJSON emits the run in the benchparse schema, so the loadtest
-// numbers diff and gate exactly like the committed go-test baselines.
-func (r *result) writeJSON(out *os.File) error {
-	set := benchparse.Set{
-		Benchmarks: []benchparse.Benchmark{{
-			Name:       r.benchName(),
-			Procs:      r.cfg.conns * r.cfg.workers,
-			Pkg:        "aggcache/cmd/aggbench",
-			Iterations: int64(r.opens),
-			Metrics: map[string]float64{
-				"opens/s":  r.throughput(),
-				"p50_ns":   float64(r.pct(50).Nanoseconds()),
-				"p95_ns":   float64(r.pct(95).Nanoseconds()),
-				"p99_ns":   float64(r.pct(99).Nanoseconds()),
-				"errors":   float64(r.errors),
-				"hit_rate": r.hitRate,
-				"fetches":  float64(r.client.Fetches),
-				"conns":    float64(r.cfg.conns),
-				"workers":  float64(r.cfg.workers),
-				// Zero when the run recorded no fetch timings, so the key set
-				// — what benchparse diffs and BENCH_BASELINE.json commits —
-				// does not depend on the run.
-				"ttfb_count":  float64(r.ttfb.Count),
-				"ttfb_p50_ns": float64(r.ttfb.Percentile(50)),
-				"ttfb_p95_ns": float64(r.ttfb.Percentile(95)),
-				"ttfb_p99_ns": float64(r.ttfb.Percentile(99)),
-			},
-		}},
-	}
-	if r.clus.nodes > 0 {
-		m := set.Benchmarks[0].Metrics
-		m["cluster_nodes"] = float64(r.clus.nodes)
-		m["forwarded"] = float64(r.clus.forwarded)
-		m["mirror_hits"] = float64(r.clus.mirrorHits)
-		m["coalesced"] = float64(r.clus.coalesced)
-		m["degraded"] = float64(r.clus.degraded)
-		if r.clus.churned {
-			m["churn_drain_sent"] = float64(r.clus.drainSent)
-			m["churn_drain_failed"] = float64(r.clus.drainFail)
-			m["churn_handoffs"] = float64(r.clus.handoffs)
-			m["churn_hints_queued"] = float64(r.clus.hintQueued)
-			m["churn_hints_replayed"] = float64(r.clus.hintReplay)
-			churnOK := 0.0
-			if r.clus.scriptDone && r.clus.leaveConverged && r.clus.rejoinConverged {
-				churnOK = 1
-			}
-			m["churn_gossip_converged"] = churnOK
-		}
-	}
-	for name, v := range r.obsMetrics() {
-		set.Benchmarks[0].Metrics[name] = v
-	}
-	enc := json.NewEncoder(out)
-	enc.SetIndent("", "  ")
-	return enc.Encode(set)
-}
-
 func run(args []string, out *os.File) error {
 	cfg, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
 	if cfg.traceCollect != "" {
-		var addrs []string
-		for _, a := range strings.Split(cfg.traceCollect, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				addrs = append(addrs, a)
-			}
-		}
-		return collectTraces(addrs, cfg.traceMinNodes, out)
-	}
-	if cfg.cpuProf != "" {
-		f, err := os.Create(cfg.cpuProf)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return err
-		}
-		defer pprof.StopCPUProfile()
+		return collectTraces(splitList(cfg.traceCollect), cfg.traceMinNodes, out)
 	}
 	res, err := runLoad(cfg)
 	if err != nil {
 		return err
 	}
-	if cfg.memProf != "" {
-		f, ferr := os.Create(cfg.memProf)
-		if ferr != nil {
-			return ferr
-		}
-		runtime.GC()
-		if werr := pprof.Lookup("allocs").WriteTo(f, 0); werr != nil {
-			_ = f.Close()
-			return werr
-		}
-		if cerr := f.Close(); cerr != nil {
-			return cerr
-		}
-	}
-	if res.errors > res.opens/10 {
-		return fmt.Errorf("%d of %d opens failed; load run not representative", res.errors, res.errors+res.opens)
-	}
-	if res.clus.scriptDone && !(res.clus.leaveConverged && res.clus.rejoinConverged) {
-		return fmt.Errorf("churn: gossip failed to converge membership (leave=%v rejoin=%v)",
-			res.clus.leaveConverged, res.clus.rejoinConverged)
-	}
-	if cfg.jsonOut {
-		return res.writeJSON(out)
-	}
-	if cfg.gobench {
-		res.writeGobench(out)
-		return nil
-	}
 	res.writeText(out)
-	return nil
+	return res.verdict()
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"os"
-	"strings"
+	"net"
 	"testing"
 
-	"aggcache/internal/benchparse"
+	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
 )
 
@@ -16,56 +13,84 @@ func TestParseFlagsRejectsBadCombos(t *testing.T) {
 		{"-conns", "0"},
 		{"-opens", "-5"},
 		{"-cluster", "-1"},
+		{"-cluster", "0"},
 		{"-cluster", "3", "-addr", "127.0.0.1:7070"},
+		{"-addr", " , "},
 		{"-serial"},
 		{"-proto", "2"},
 		{"-churn"},
 		{"-cluster", "1", "-churn"},
+		{"-addr", "127.0.0.1:7070", "-churn"},
 		{"-badflag"},
+		// The second-benchmark flags, gone with what they selected.
+		{"-files", "128"},
+		{"-filesize", "1024"},
+		{"-group", "5"},
+		{"-cache", "64"},
+		{"-servercache", "256"},
+		{"-seed", "1"},
+		{"-json"},
+		{"-gobench"},
+		{"-cpuprofile", "cpu.out"},
+		{"-memprofile", "mem.out"},
 	}
 	for _, args := range cases {
 		if _, err := parseFlags(args); err == nil {
 			t.Errorf("parseFlags(%v) succeeded", args)
 		}
 	}
+	cfg, err := parseFlags([]string{"-addr", "a:1, b:2"})
+	if err != nil {
+		t.Fatalf("a two-server -addr list was rejected: %v", err)
+	}
+	if got := cfg.addrs; len(got) != 2 || got[0] != "a:1" || got[1] != "b:2" {
+		t.Errorf("-addr \"a:1, b:2\" parsed as %q", got)
+	}
 }
 
-func TestBenchNames(t *testing.T) {
+// TestVerdict: one failed open fails the run, however many succeeded, and
+// a completed churn script must have converged both transitions.
+func TestVerdict(t *testing.T) {
 	for _, tc := range []struct {
-		cfg  config
-		want string
+		name string
+		res  result
+		ok   bool
 	}{
-		{config{}, "AggbenchOpenPipelined"},
-		{config{cluster: 3}, "AggbenchOpenCluster3"},
-		{config{cluster: 1}, "AggbenchOpenCluster1"},
-		{config{metrics: true}, "AggbenchOpenPipelinedObs"},
-		{config{cluster: 3, metrics: true}, "AggbenchOpenCluster3Obs"},
-		{config{cluster: 2, churn: true}, "AggbenchOpenClusterChurn2"},
-		{config{cluster: 3, churn: true, metrics: true}, "AggbenchOpenClusterChurn3Obs"},
+		{"clean", result{opens: 1000}, true},
+		{"one failed open in a million", result{opens: 999999, errors: 1}, false},
+		{"nine percent failed", result{opens: 91, errors: 9}, false},
+		{"every open failed", result{errors: 10}, false},
+		{"churn converged", result{opens: 10, clus: clusterSummary{churned: true, scriptDone: true, leaveConverged: true, rejoinConverged: true}}, true},
+		{"churn leave stuck", result{opens: 10, clus: clusterSummary{churned: true, scriptDone: true, rejoinConverged: true}}, false},
+		{"churn rejoin stuck", result{opens: 10, clus: clusterSummary{churned: true, scriptDone: true, leaveConverged: true}}, false},
+		{"churn script cut short by a short run", result{opens: 10, clus: clusterSummary{churned: true}}, true},
+		{"churn converged but an open failed", result{opens: 10, errors: 1, clus: clusterSummary{churned: true, scriptDone: true, leaveConverged: true, rejoinConverged: true}}, false},
 	} {
-		if got := (&result{cfg: tc.cfg}).benchName(); got != tc.want {
-			t.Errorf("benchName(%+v) = %q, want %q", tc.cfg, got, tc.want)
+		if err := tc.res.verdict(); (err == nil) != tc.ok {
+			t.Errorf("%s: verdict = %v, want pass=%v", tc.name, err, tc.ok)
 		}
 	}
+}
+
+func mustParse(t *testing.T, args ...string) config {
+	t.Helper()
+	cfg, err := parseFlags(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestRunLoadCluster drives a small but complete clustered load run:
 // in-process ring, replicated stores, every open correct (errors gate),
 // and the routing counters account for actual cross-node traffic.
 func TestRunLoadCluster(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-cluster", "2", "-conns", "4", "-workers", "2",
-		"-opens", "300", "-files", "128",
-	})
+	res, err := runLoad(mustParse(t, "-cluster", "2", "-conns", "4", "-workers", "2", "-opens", "300"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.errors != 0 {
-		t.Errorf("clustered load run had %d errors", res.errors)
+	if err := res.verdict(); err != nil {
+		t.Errorf("clustered load run: %v", err)
 	}
 	if res.opens != 4*300 {
 		t.Errorf("opens = %d, want %d", res.opens, 4*300)
@@ -89,19 +114,12 @@ func TestRunLoadCluster(t *testing.T) {
 // a single client-visible error, and every group it sent must have been
 // installed somewhere in the ring.
 func TestRunLoadChurn(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-cluster", "2", "-conns", "4", "-workers", "2",
-		"-opens", "400", "-files", "128", "-churn",
-	})
+	res, err := runLoad(mustParse(t, "-cluster", "2", "-conns", "4", "-workers", "2", "-opens", "400", "-churn"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := runLoad(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.errors != 0 {
-		t.Errorf("churn run had %d client-visible errors, want 0", res.errors)
+	if err := res.verdict(); err != nil {
+		t.Errorf("churn run: %v", err)
 	}
 	if res.opens != 4*400 {
 		t.Errorf("opens = %d, want %d", res.opens, 4*400)
@@ -121,109 +139,125 @@ func TestRunLoadChurn(t *testing.T) {
 	}
 }
 
-// TestClusterJSONMetrics: the -cluster -json path lands the routing
-// counters in the benchparse schema the baseline gate diffs.
-func TestClusterJSONMetrics(t *testing.T) {
-	res := &result{
-		cfg:  config{cluster: 3, conns: 6, workers: 2},
-		hist: obs.NewHistogram(),
-		clus: clusterSummary{nodes: 3, forwarded: 10, mirrorHits: 5},
-	}
-	tmp, err := os.CreateTemp(t.TempDir(), "bench*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.writeJSON(tmp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tmp.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var set benchparse.Set
-	if err := json.NewDecoder(tmp).Decode(&set); err != nil {
-		t.Fatal(err)
-	}
-	b := set.Benchmarks[0]
-	if b.Name != "AggbenchOpenCluster3" {
-		t.Errorf("bench name = %q", b.Name)
-	}
-	if b.Metrics["cluster_nodes"] != 3 || b.Metrics["forwarded"] != 10 || b.Metrics["mirror_hits"] != 5 {
-		t.Errorf("cluster metrics missing: %v", b.Metrics)
-	}
-}
-
 // TestRunLoadMetrics drives a small instrumented run end to end and
-// checks the client-side registry lands in the benchparse JSON: the call
-// latency histogram must account for every open, and the bare summary
-// counters must agree with their obs twins.
+// checks the client-side registry: the call latency histogram must
+// account for every wire fetch, nothing is in flight at quiescence, and
+// the series the report prints are registered.
 func TestRunLoadMetrics(t *testing.T) {
-	cfg, err := parseFlags([]string{
-		"-metrics", "-conns", "2", "-workers", "2",
-		"-opens", "200", "-files", "64", "-json",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runLoad(cfg)
+	res, err := runLoad(mustParse(t, "-metrics", "-conns", "2", "-workers", "2", "-opens", "200"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.reg == nil {
 		t.Fatal("-metrics run has no registry")
 	}
-	om := res.obsMetrics()
-	if got := om["fsnet_client_call_latency_ns_count"]; got < float64(res.client.Fetches) {
-		t.Errorf("call latency count %v < %d wire fetches", got, res.client.Fetches)
-	}
-	if om["fsnet_client_inflight"] != 0 {
-		t.Errorf("in-flight gauge %v nonzero at quiescence", om["fsnet_client_inflight"])
-	}
-
-	tmp, err := os.CreateTemp(t.TempDir(), "bench*.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.writeJSON(tmp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tmp.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var set benchparse.Set
-	if err := json.NewDecoder(tmp).Decode(&set); err != nil {
-		t.Fatal(err)
-	}
-	b := set.Benchmarks[0]
-	if b.Name != "AggbenchOpenPipelinedObs" {
-		t.Errorf("bench name = %q, want AggbenchOpenPipelinedObs", b.Name)
+	series := make(map[string]obs.Sample)
+	for _, s := range res.reg.Snapshot() {
+		series[s.Name] = s
 	}
 	for _, want := range []string{
-		"fsnet_client_call_latency_ns_p95",
+		"fsnet_client_call_latency_ns",
 		"fsnet_client_reconnects_total",
 		"fsnet_client_degraded_hits_total",
 	} {
-		if _, ok := b.Metrics[want]; !ok {
-			t.Errorf("JSON metrics missing %s: %v", want, b.Metrics)
+		if _, ok := series[want]; !ok {
+			t.Errorf("registry missing %s", want)
 		}
+	}
+	if h := series["fsnet_client_call_latency_ns"].Hist; h == nil || h.Count < res.client.Fetches {
+		t.Errorf("call latency histogram %+v does not cover %d wire fetches", h, res.client.Fetches)
+	}
+	if v := series["fsnet_client_inflight"].Value; v != 0 {
+		t.Errorf("in-flight gauge %v nonzero at quiescence", v)
 	}
 }
 
-func TestGobenchLineShape(t *testing.T) {
-	res := &result{cfg: config{cluster: 3, conns: 6, workers: 2}, opens: 100, elapsed: 1e6, hist: obs.NewHistogram()}
-	var buf bytes.Buffer
-	f, err := os.CreateTemp(t.TempDir(), "gobench")
+// plainServer is an empty, unclustered fsnet server on a loopback port.
+func plainServer(t *testing.T) (addr string, store *fsnet.Store, srv *fsnet.Server) {
+	t.Helper()
+	store = fsnet.NewStore()
+	srv, err := fsnet.NewServer(store, fsnet.ServerConfig{GroupSize: groupSize, CacheCapacity: serverCache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.writeGobench(f)
-	if _, err := f.Seek(0, 0); err != nil {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := buf.ReadFrom(f); err != nil {
+	go func() { _ = srv.Serve(l) }()
+	t.Cleanup(func() { _ = srv.Close() })
+	return l.Addr().String(), store, srv
+}
+
+// TestRunLoadMultiAddr: -addr a,b provisions the working set on both
+// servers (a write reaches only its target's store) and spreads the
+// connections over both, so one run drives a whole external fleet.
+func TestRunLoadMultiAddr(t *testing.T) {
+	a, storeA, srvA := plainServer(t)
+	b, storeB, srvB := plainServer(t)
+	cfg := mustParse(t, "-addr", a+","+b, "-conns", "4", "-workers", "2", "-opens", "200")
+	res, err := runLoad(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, "BenchmarkAggbenchOpenCluster3-12") {
-		t.Errorf("gobench line = %q", out)
+	if err := res.verdict(); err != nil {
+		t.Errorf("two-server run: %v", err)
+	}
+	if res.opens != 4*200 {
+		t.Errorf("opens = %d, want %d", res.opens, 4*200)
+	}
+	seqs, err := sequences(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range seqs {
+		for _, p := range seq {
+			if !storeA.Contains(p) || !storeB.Contains(p) {
+				t.Fatalf("%s provisioned on a=%v b=%v, want both", p, storeA.Contains(p), storeB.Contains(p))
+			}
+		}
+	}
+	if fa, fb := srvA.Stats().FilesSent, srvB.Stats().FilesSent; fa == 0 || fb == 0 {
+		t.Errorf("files sent a=%d b=%d; connections must land on both servers", fa, fb)
+	}
+}
+
+// TestDriveChecksBytes: a server that answers an open with another
+// file's worth of bytes is a failed open, not a served one.
+func TestDriveChecksBytes(t *testing.T) {
+	cfg := mustParse(t, "-conns", "2", "-workers", "2", "-opens", "200")
+	seqs, err := sequences(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := boot(cfg, seqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.close()
+	victim := seqs[0][0]
+	c, err := fsnet.Dial(f.targets[0], fsnet.ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrong := contents(victim)
+	wrong[len(wrong)-1]++
+	if err := c.Write(victim, wrong); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.Close()
+
+	res, err := drive(cfg, seqs, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.errors == 0 {
+		t.Errorf("%s holds wrong bytes, yet all %d opens passed", victim, res.opens)
+	}
+	if res.verdict() == nil {
+		t.Error("verdict passed a run that served wrong bytes")
+	}
+	if !intact(victim, contents(victim)) || intact(victim, wrong) || intact(victim, wrong[:fileSize-1]) {
+		t.Error("intact must accept exactly contents(path)")
 	}
 }

@@ -80,8 +80,8 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		refAllocs, haveRef := ref.Metrics["allocs/op"]
 		nsDelta := delta(cur.Metrics["ns/op"], ref.Metrics["ns/op"])
 		if !haveCur || !haveRef {
-			// aggbench gobench lines carry opens/s but no -benchmem
-			// columns; report throughput movement instead of gating.
+			// A line benchmarked without -benchmem has no allocs/op
+			// column; report its time movement instead of gating.
 			fmt.Fprintf(out, "INFO  %-40s ns/op %+.1f%% (no allocs/op; not gated)\n", cur.Name, nsDelta)
 			continue
 		}

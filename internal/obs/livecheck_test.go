@@ -8,8 +8,8 @@ import (
 	"time"
 )
 
-// TestLiveExposition is the scrape half of the metrics-smoke check
-// (scripts/metrics_smoke.sh, `make metrics-smoke`): point it at a
+// TestLiveExposition is the scrape half of the fleet smoke
+// (scripts/fleet_smoke.sh, `make fleet-smoke`): point it at a
 // running aggserve's /metrics with AGGCACHE_METRICS_URL and it validates
 // the live exposition under the strict parser, including the catalogue a
 // dashboard would actually chart. Without the env var it skips, so the
@@ -17,7 +17,7 @@ import (
 func TestLiveExposition(t *testing.T) {
 	url := os.Getenv("AGGCACHE_METRICS_URL")
 	if url == "" {
-		t.Skip("AGGCACHE_METRICS_URL not set; run via `make metrics-smoke`")
+		t.Skip("AGGCACHE_METRICS_URL not set; run via `make fleet-smoke`")
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	resp, err := client.Get(url)
