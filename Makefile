@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard vet test race bench bench-json bench-gate bench-e2e loadtest fleet-smoke profile experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-gate bench-e2e loadtest fleet-smoke profile experiments examples fuzz clean
 
 all: build vet test
 
@@ -14,6 +14,14 @@ build:
 # new one would be ignored.
 ignore-guard:
 	sh ./scripts/check_ignored_go.sh
+
+# Deleted concepts stay deleted: the LRU placement primitives have one
+# caller, cache.GroupLRU (PR 18), and the fsnet v1/v2 serving paths (PR 15)
+# and aggbench's second measurement stack (PR 17) are gone. Test files may
+# name them; other Go source may not.
+lint-dead:
+	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
+	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

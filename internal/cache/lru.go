@@ -2,19 +2,19 @@ package cache
 
 import "aggcache/internal/trace"
 
-// LRU is a least-recently-used cache. Beyond the Cache interface it exposes
-// the explicit placement operations the aggregating cache needs: the paper
-// places the demanded file at the head of the LRU list and appends the rest
-// of the fetched group at the tail so that unconfirmed successors do not
-// displace confirmed residents (§3).
+// LRU is a least-recently-used cache. Exported, it is the plain baseline
+// of the Cache interface; its explicit placement operations (head and tail
+// insertion, protected eviction, the eviction hook) are package-private and
+// compose into the paper's group placement rule in one place, GroupLRU.
 type LRU struct {
 	capacity int
 	nodes    map[trace.FileID]*lruNode
 	head     *lruNode // most recently used
 	tail     *lruNode // least recently used
 	free     *lruNode // recycled nodes, so steady-state churn stays off the heap
-	onEvict  func(trace.FileID)
-	stats    Stats
+	// onEvict, when set, sees every capacity eviction (not remove).
+	onEvict func(id trace.FileID, speculative bool)
+	stats   Stats
 }
 
 var _ Cache = (*LRU)(nil)
@@ -22,6 +22,8 @@ var _ Cache = (*LRU)(nil)
 type lruNode struct {
 	id         trace.FileID
 	prev, next *lruNode
+	// speculative marks a GroupLRU member not demanded since it arrived.
+	speculative bool
 }
 
 // NewLRU returns an LRU cache holding up to capacity files.
@@ -44,7 +46,7 @@ func (c *LRU) Access(id trace.FileID) bool {
 		return true
 	}
 	c.stats.Misses++
-	c.InsertHead(id)
+	c.insertHead(id)
 	return false
 }
 
@@ -54,9 +56,9 @@ func (c *LRU) Contains(id trace.FileID) bool {
 	return ok
 }
 
-// Touch moves a resident id to the head without counting a demand access.
+// touch moves a resident id to the head without counting a demand access.
 // It reports whether id was resident.
-func (c *LRU) Touch(id trace.FileID) bool {
+func (c *LRU) touch(id trace.FileID) bool {
 	n, ok := c.nodes[id]
 	if ok {
 		c.moveToHead(n)
@@ -64,43 +66,45 @@ func (c *LRU) Touch(id trace.FileID) bool {
 	return ok
 }
 
-// InsertHead places id at the most-recently-used position, evicting from
+// insertHead places id at the most-recently-used position, evicting from
 // the tail if needed. A resident id is moved, not duplicated.
-func (c *LRU) InsertHead(id trace.FileID) {
+func (c *LRU) insertHead(id trace.FileID) *lruNode {
 	if n, ok := c.nodes[id]; ok {
 		c.moveToHead(n)
-		return
+		return n
 	}
 	c.makeRoom()
 	n := c.newNode(id)
 	c.nodes[id] = n
 	c.pushHead(n)
+	return n
 }
 
-// InsertTail places id at the least-recently-used position — the paper's
+// insertTail places id at the least-recently-used position — the paper's
 // placement for opportunistically fetched group members. A resident id is
 // left where it is (it already earned its position). Inserting into a full
 // cache evicts the current tail first, so the newcomer never displaces more
 // than one resident and becomes the next victim itself.
-func (c *LRU) InsertTail(id trace.FileID) {
-	if _, ok := c.nodes[id]; ok {
-		return
+func (c *LRU) insertTail(id trace.FileID) *lruNode {
+	if n, ok := c.nodes[id]; ok {
+		return n
 	}
 	c.makeRoom()
 	n := c.newNode(id)
 	c.nodes[id] = n
 	if c.tail == nil {
 		c.head, c.tail = n, n
-		return
+		return n
 	}
 	n.prev = c.tail
 	c.tail.next = n
 	c.tail = n
+	return n
 }
 
-// Remove drops id from the cache, reporting whether it was resident.
+// remove drops id from the cache, reporting whether it was resident.
 // The removal is not counted as an eviction.
-func (c *LRU) Remove(id trace.FileID) bool {
+func (c *LRU) remove(id trace.FileID) bool {
 	n, ok := c.nodes[id]
 	if !ok {
 		return false
@@ -120,35 +124,20 @@ func (c *LRU) Cap() int { return c.capacity }
 // Stats returns a copy of the demand statistics.
 func (c *LRU) Stats() Stats { return c.stats }
 
-// Victim returns the id that would be evicted next, or false if empty.
-func (c *LRU) Victim() (trace.FileID, bool) {
+// victim returns the id that would be evicted next, or false if empty.
+func (c *LRU) victim() (trace.FileID, bool) {
 	if c.tail == nil {
 		return 0, false
 	}
 	return c.tail.id, true
 }
 
-// EvictVictimExcept evicts the least recently used entry whose id is not
-// in protected, reporting which id was dropped, or false when every
-// resident is protected. The aggregating cache uses this so that making
-// room for an incoming group never evicts the group's own members — the
-// paper's "increasing the retention priority of soon-to-be-accessed group
-// members".
-func (c *LRU) EvictVictimExcept(protected map[trace.FileID]bool) (trace.FileID, bool) {
-	for n := c.tail; n != nil; n = n.prev {
-		if protected[n.id] {
-			continue
-		}
-		return c.evict(n), true
-	}
-	return 0, false
-}
-
-// EvictVictimExceptIDs is EvictVictimExcept with the protected set given
-// as a slice — for callers whose set is a small fetch group. Membership
-// is a linear scan, which for the paper's g of a handful beats building
-// a map on every miss; the slice is read-only and never retained.
-func (c *LRU) EvictVictimExceptIDs(protected []trace.FileID) (trace.FileID, bool) {
+// evictVictimExceptIDs evicts the least recently used entry whose id is
+// not in protected, reporting which id was dropped, or false when every
+// resident is protected. The protected set is a small fetch group:
+// membership is a linear scan, which for the paper's g of a handful beats
+// building a map on every miss; the slice is read-only and never retained.
+func (c *LRU) evictVictimExceptIDs(protected []trace.FileID) (trace.FileID, bool) {
 	for n := c.tail; n != nil; n = n.prev {
 		if containsID(protected, n.id) {
 			continue
@@ -169,33 +158,28 @@ func containsID(ids []trace.FileID, id trace.FileID) bool {
 
 // evict removes n for capacity, recycles it, and fires the hook.
 func (c *LRU) evict(n *lruNode) trace.FileID {
-	id := n.id
+	id, speculative := n.id, n.speculative
 	c.unlink(n)
 	delete(c.nodes, id)
 	c.recycle(n)
 	c.stats.Evictions++
 	if c.onEvict != nil {
-		c.onEvict(id)
+		c.onEvict(id, speculative)
 	}
 	return id
 }
 
-// OnEvict registers f to be called with each id evicted for capacity
-// (including EvictVictim, but not Remove). Pass nil to clear.
-func (c *LRU) OnEvict(f func(trace.FileID)) { c.onEvict = f }
-
-// EvictVictim evicts the least recently used entry, reporting which id was
-// dropped. Used by the aggregating cache to make room for an incoming
-// group before placing its members at the tail.
-func (c *LRU) EvictVictim() (trace.FileID, bool) {
+// evictVictim evicts the least recently used entry, reporting which id was
+// dropped.
+func (c *LRU) evictVictim() (trace.FileID, bool) {
 	if c.tail == nil {
 		return 0, false
 	}
 	return c.evict(c.tail), true
 }
 
-// Resident returns the resident ids from most to least recently used.
-func (c *LRU) Resident() []trace.FileID {
+// resident returns the resident ids from most to least recently used.
+func (c *LRU) resident() []trace.FileID {
 	out := make([]trace.FileID, 0, len(c.nodes))
 	for n := c.head; n != nil; n = n.next {
 		out = append(out, n.id)
@@ -214,8 +198,7 @@ func (c *LRU) makeRoom() {
 func (c *LRU) newNode(id trace.FileID) *lruNode {
 	if n := c.free; n != nil {
 		c.free = n.next
-		n.id = id
-		n.prev, n.next = nil, nil
+		*n = lruNode{id: id}
 		return n
 	}
 	return &lruNode{id: id}

@@ -11,7 +11,7 @@ func TestLRUEvictVictim(t *testing.T) {
 	c.Access(1)
 	c.Access(2)
 	c.Access(3)
-	id, ok := c.EvictVictim()
+	id, ok := c.evictVictim()
 	if !ok || id != 1 {
 		t.Fatalf("EvictVictim = %d,%v want 1,true", id, ok)
 	}
@@ -21,9 +21,9 @@ func TestLRUEvictVictim(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", s.Evictions)
 	}
-	c.EvictVictim()
-	c.EvictVictim()
-	if _, ok := c.EvictVictim(); ok {
+	c.evictVictim()
+	c.evictVictim()
+	if _, ok := c.evictVictim(); ok {
 		t.Error("EvictVictim on empty cache reported ok")
 	}
 }
@@ -34,10 +34,9 @@ func TestLRUEvictVictimExceptSkipsProtected(t *testing.T) {
 		c.Access(id)
 	}
 	// LRU order (victim first): 1, 2, 3, 4.
-	protected := map[trace.FileID]bool{1: true, 2: true}
-	id, ok := c.EvictVictimExcept(protected)
+	id, ok := c.evictVictimExceptIDs([]trace.FileID{1, 2})
 	if !ok || id != 3 {
-		t.Fatalf("EvictVictimExcept = %d,%v want 3,true", id, ok)
+		t.Fatalf("evictVictimExceptIDs = %d,%v want 3,true", id, ok)
 	}
 	if !c.Contains(1) || !c.Contains(2) {
 		t.Error("protected entries evicted")
@@ -48,7 +47,7 @@ func TestLRUEvictVictimExceptAllProtected(t *testing.T) {
 	c, _ := NewLRU(2)
 	c.Access(1)
 	c.Access(2)
-	if _, ok := c.EvictVictimExcept(map[trace.FileID]bool{1: true, 2: true}); ok {
+	if _, ok := c.evictVictimExceptIDs([]trace.FileID{1, 2}); ok {
 		t.Error("eviction succeeded with every resident protected")
 	}
 	if c.Len() != 2 {
@@ -59,23 +58,23 @@ func TestLRUEvictVictimExceptAllProtected(t *testing.T) {
 func TestLRUOnEvictCallback(t *testing.T) {
 	c, _ := NewLRU(2)
 	var evicted []trace.FileID
-	c.OnEvict(func(id trace.FileID) { evicted = append(evicted, id) })
+	c.onEvict = func(id trace.FileID, _ bool) { evicted = append(evicted, id) }
 	c.Access(1)
 	c.Access(2)
 	c.Access(3) // evicts 1
-	c.EvictVictim()
+	c.evictVictim()
 	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 2 {
 		t.Errorf("evicted = %v, want [1 2]", evicted)
 	}
 	// Remove must NOT fire the callback.
 	c.Access(4)
 	before := len(evicted)
-	c.Remove(4)
+	c.remove(4)
 	if len(evicted) != before {
 		t.Error("Remove fired the eviction callback")
 	}
 	// Clearing the callback must stop notifications.
-	c.OnEvict(nil)
+	c.onEvict = nil
 	c.Access(5)
 	c.Access(6)
 	if len(evicted) != before {

@@ -45,7 +45,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Errorf("%d evicted, want resident", id)
 		}
 	}
-	if v, ok := c.Victim(); !ok || v != 3 {
+	if v, ok := c.victim(); !ok || v != 3 {
 		t.Errorf("Victim = %d,%v want 3,true", v, ok)
 	}
 }
@@ -54,8 +54,8 @@ func TestLRUInsertTailIsNextVictim(t *testing.T) {
 	c, _ := NewLRU(3)
 	c.Access(1)
 	c.Access(2)
-	c.InsertTail(9)
-	if v, _ := c.Victim(); v != 9 {
+	c.insertTail(9)
+	if v, _ := c.victim(); v != 9 {
 		t.Errorf("Victim = %d, want tail-inserted 9", v)
 	}
 	// Tail insert into a full cache evicts the old tail, and the
@@ -64,11 +64,11 @@ func TestLRUInsertTailIsNextVictim(t *testing.T) {
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
 	}
-	c.InsertTail(10)
+	c.insertTail(10)
 	if c.Len() != 3 {
 		t.Errorf("Len = %d after tail insert, want 3", c.Len())
 	}
-	if v, _ := c.Victim(); v != 10 {
+	if v, _ := c.victim(); v != 10 {
 		t.Errorf("Victim = %d, want 10", v)
 	}
 }
@@ -77,8 +77,8 @@ func TestLRUInsertTailResidentNoop(t *testing.T) {
 	c, _ := NewLRU(3)
 	c.Access(1)
 	c.Access(2) // order: 2,1
-	c.InsertTail(2)
-	got := c.Resident()
+	c.insertTail(2)
+	got := c.resident()
 	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
 		t.Errorf("Resident = %v, want [2 1] (tail insert must not demote a resident)", got)
 	}
@@ -88,17 +88,17 @@ func TestLRUTouch(t *testing.T) {
 	c, _ := NewLRU(2)
 	c.Access(1)
 	c.Access(2) // order: 2,1
-	if !c.Touch(1) {
+	if !c.touch(1) {
 		t.Error("Touch(1) = false")
 	}
-	if c.Touch(9) {
+	if c.touch(9) {
 		t.Error("Touch(9) = true for absent id")
 	}
 	// Touch must not count demand stats.
 	if s := c.Stats(); s.Hits != 0 || s.Misses != 2 {
 		t.Errorf("stats after Touch = %+v", s)
 	}
-	if v, _ := c.Victim(); v != 2 {
+	if v, _ := c.victim(); v != 2 {
 		t.Errorf("Victim = %d, want 2 after touching 1", v)
 	}
 }
@@ -107,10 +107,10 @@ func TestLRURemove(t *testing.T) {
 	c, _ := NewLRU(2)
 	c.Access(1)
 	c.Access(2)
-	if !c.Remove(1) {
+	if !c.remove(1) {
 		t.Error("Remove(1) = false")
 	}
-	if c.Remove(1) {
+	if c.remove(1) {
 		t.Error("double Remove(1) = true")
 	}
 	if c.Len() != 1 {
@@ -126,8 +126,8 @@ func TestLRUResidentOrder(t *testing.T) {
 	for _, id := range []trace.FileID{1, 2, 3} {
 		c.Access(id)
 	}
-	c.InsertTail(9)
-	got := c.Resident()
+	c.insertTail(9)
+	got := c.resident()
 	want := []trace.FileID{3, 2, 1, 9}
 	if len(got) != len(want) {
 		t.Fatalf("Resident = %v, want %v", got, want)
@@ -141,7 +141,7 @@ func TestLRUResidentOrder(t *testing.T) {
 
 func TestLRUVictimEmpty(t *testing.T) {
 	c, _ := NewLRU(1)
-	if _, ok := c.Victim(); ok {
+	if _, ok := c.victim(); ok {
 		t.Error("Victim on empty cache reported ok")
 	}
 }
@@ -187,7 +187,7 @@ func TestLRUMatchesModel(t *testing.T) {
 			if c.Len() > capacity {
 				return false
 			}
-			got := c.Resident()
+			got := c.resident()
 			if len(got) != len(m.order) {
 				return false
 			}

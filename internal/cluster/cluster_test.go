@@ -163,7 +163,7 @@ func TestClusterPlacementAgreement(t *testing.T) {
 // TestClusterEveryOpenCorrect is the acceptance workload: concurrent
 // clients against all three nodes open every file repeatedly; every open
 // must return the right bytes no matter which node served it or where
-// the path lives. Runs under -race in `make cluster`.
+// the path lives. Runs under -race in `make race`.
 func TestClusterEveryOpenCorrect(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	var wg sync.WaitGroup

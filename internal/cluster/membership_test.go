@@ -444,7 +444,7 @@ func TestHintQueueDropsOldestWhenFull(t *testing.T) {
 // and then a *different* node is removed from the ring and drained — all
 // without one client-visible error, with the drained node's group state
 // landing warm on the new owners, and with the routing counter equation
-// intact on every node afterwards. Runs under -race in `make churn`.
+// intact on every node afterwards. Runs under -race in `make race`.
 func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.MirrorCapacity = -1 // keep every open on the routing/health path

@@ -173,17 +173,11 @@ func (s Stats) PrefetchAccuracy() float64 {
 // concurrent use; network deployments (fsnet) serialize access.
 type AggregatingCache struct {
 	cfg     Config
-	lru     *cache.LRU
+	lru     *cache.GroupLRU // residency and the §3 placement rule
 	tracker *successor.Tracker
 	builder *group.Builder
-	// prefetched is a dense per-file flag table indexed by FileID
-	// (interned ids are dense): true means the file is resident because
-	// of a speculative group fetch and has not been demanded since. A
-	// slice beats a map here — the flag is read on every hit and cleared
-	// on every miss.
-	prefetched []bool
-	stats      Stats
-	m          coreMetrics
+	stats   Stats
+	m       coreMetrics
 
 	// groupBuf is the reused per-miss group scratch: fetchGroup builds
 	// into it via Builder.AppendBuild and consumes it immediately, so
@@ -212,7 +206,7 @@ func New(cfg Config) (*AggregatingCache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	lru, err := cache.NewLRU(cfg.Capacity)
+	lru, err := cache.NewGroupLRU(cfg.Capacity)
 	if err != nil {
 		return nil, err
 	}
@@ -283,15 +277,13 @@ func (c *AggregatingCache) LearnFrom(src uint64, id trace.FileID) {
 // Serve performs the caching half of an access: hit bookkeeping or a group
 // fetch. Callers that also Learn the same stream should use Access.
 func (c *AggregatingCache) Serve(id trace.FileID) bool {
-	if c.lru.Contains(id) {
+	if hit, speculative := c.lru.Demand(id); hit {
 		c.stats.Hits++
 		c.m.hits.Inc()
-		if c.isPrefetched(id) {
+		if speculative {
 			c.stats.PrefetchHits++
 			c.m.prefetchHits.Inc()
-			c.prefetched[id] = false
 		}
-		c.lru.Touch(id)
 		return true
 	}
 	c.stats.Misses++
@@ -301,54 +293,16 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 }
 
 // fetchGroup retrieves the group for id and installs it. The whole group
-// transfers (the server makes a best-effort retrieval of g files); the
-// demanded file goes to the head, non-resident members are placed per
-// cfg.Placement, resident members keep their current (earned) position.
-// Crucially, making room never evicts a file belonging to the incoming
-// group: grouping's second benefit in §2 is precisely the increased
-// retention priority of soon-to-be-accessed group members.
+// transfers (the server makes a best-effort retrieval of g files); where
+// its files land, and what makes room for them, is cache.GroupLRU's rule.
 func (c *AggregatingCache) fetchGroup(id trace.FileID) {
 	c.groupBuf = c.builder.AppendBuild(c.groupBuf[:0], id)
 	g := c.groupBuf
 	c.stats.GroupFetches++
 	c.stats.FilesFetched += uint64(len(g))
 	c.m.groupSize.Observe(uint64(len(g)))
-
-	// The group itself is the protected set: making room never evicts a
-	// file belonging to the incoming group (a linear scan over the small
-	// g beats building a map per miss). The demanded file always enters,
-	// evicting a protected resident only when everything resident
-	// belongs to the group (tiny caches).
-	for c.lru.Len() >= c.cfg.Capacity {
-		if _, ok := c.lru.EvictVictimExceptIDs(g); ok {
-			continue
-		}
-		if _, ok := c.lru.EvictVictim(); !ok {
-			break
-		}
-	}
-	c.lru.InsertHead(id)
-	c.clearPrefetched(id)
-
-	// Members in rank order; when no unprotected victim remains the
-	// least likely members are dropped, mirroring tail truncation.
-	for _, m := range g[1:] {
-		if c.lru.Contains(m) {
-			continue
-		}
-		if c.lru.Len() >= c.cfg.Capacity {
-			if _, ok := c.lru.EvictVictimExceptIDs(g); !ok {
-				break
-			}
-		}
-		if c.cfg.Placement == PlacementHead {
-			c.lru.InsertHead(m)
-		} else {
-			c.lru.InsertTail(m)
-		}
-		c.setPrefetched(m)
-	}
-	c.stats.Evictions = c.lru.Stats().Evictions
+	c.lru.Install(g, c.cfg.Placement == PlacementHead)
+	c.stats.Evictions = c.lru.Evictions()
 	if c.cfg.Adaptive && c.stats.GroupFetches%adaptWindow == 0 {
 		c.adapt()
 	}
@@ -395,32 +349,11 @@ func (c *AggregatingCache) shrinkGroup() {
 // Adaptive).
 func (c *AggregatingCache) CurrentGroupSize() int { return c.builder.Size() }
 
-// evicted is the LRU eviction hook: it retires prefetch bookkeeping and
-// counts wasted speculation.
-func (c *AggregatingCache) evicted(id trace.FileID) {
+// evicted is the eviction hook: it counts wasted speculation.
+func (c *AggregatingCache) evicted(_ trace.FileID, speculative bool) {
 	c.m.evictions.Inc()
-	if c.isPrefetched(id) {
+	if speculative {
 		c.stats.PrefetchedEvicted++
-		c.prefetched[id] = false
-	}
-}
-
-func (c *AggregatingCache) isPrefetched(id trace.FileID) bool {
-	return int(id) < len(c.prefetched) && c.prefetched[id]
-}
-
-func (c *AggregatingCache) setPrefetched(id trace.FileID) {
-	if int(id) >= len(c.prefetched) {
-		grown := make([]bool, int(id)+1+len(c.prefetched)/2)
-		copy(grown, c.prefetched)
-		c.prefetched = grown
-	}
-	c.prefetched[id] = true
-}
-
-func (c *AggregatingCache) clearPrefetched(id trace.FileID) {
-	if int(id) < len(c.prefetched) {
-		c.prefetched[id] = false
 	}
 }
 
@@ -440,7 +373,7 @@ func (c *AggregatingCache) GroupSize() int { return c.cfg.GroupSize }
 // the underlying list.
 func (c *AggregatingCache) Stats() Stats {
 	s := c.stats
-	s.Evictions = c.lru.Stats().Evictions
+	s.Evictions = c.lru.Evictions()
 	return s
 }
 

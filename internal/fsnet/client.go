@@ -198,14 +198,13 @@ type Client struct {
 	cfg ClientConfig
 	m   clientMetrics
 
-	mu         sync.Mutex
-	conn       *clientConn // dialed, handshake pending; nil once the mux owns it
-	mux        *muxConn    // live transport; nil while disconnected
-	ids        *trace.Interner
-	lru        *cache.LRU
-	data       [][]byte // file contents, indexed by interned FileID
-	prefetched []bool   // arrived as non-demanded group member, indexed by FileID
-	pending    []string // access history awaiting piggybacking
+	mu      sync.Mutex
+	conn    *clientConn // dialed, handshake pending; nil once the mux owns it
+	mux     *muxConn    // live transport; nil while disconnected
+	ids     *trace.Interner
+	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
+	data    [][]byte        // file contents, indexed by interned FileID
+	pending []string        // access history awaiting piggybacking
 	// pendingFree is the storage of the last successfully delivered
 	// claim, handed back so the backlog regrows without reallocating
 	// after every sweep.
@@ -260,7 +259,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		cfg.CacheCapacity = 128
 	}
 	cfg.Backoff = cfg.Backoff.withDefaults()
-	lru, err := cache.NewLRU(cfg.CacheCapacity)
+	lru, err := cache.NewGroupLRU(cfg.CacheCapacity)
 	if err != nil {
 		return nil, err
 	}
@@ -278,12 +277,11 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if conn != nil {
 		c.conn = newClientConn(conn)
 	}
-	lru.OnEvict(func(id trace.FileID) {
+	lru.OnEvict(func(id trace.FileID, _ bool) {
 		if d := c.data[id]; cap(d) > 0 && len(c.freeData) < 256 {
 			c.freeData = append(c.freeData, d[:0])
 		}
 		c.data[id] = nil
-		c.prefetched[id] = false
 	})
 	return c, nil
 }
@@ -337,14 +335,13 @@ func (c *Client) Connected() bool {
 	return c.conn != nil || c.mux != nil
 }
 
-// ensureDense grows the FileID-indexed data/prefetched slices to cover id.
-// Interned IDs are dense and small, so these stay proportional to the
-// number of distinct paths seen, and indexing them replaces two map
-// lookups on the open hot path. Called with mu held.
+// ensureDense grows the FileID-indexed data slice to cover id. Interned
+// IDs are dense and small, so it stays proportional to the number of
+// distinct paths seen, and indexing it replaces a map lookup on the open
+// hot path. Called with mu held.
 func (c *Client) ensureDense(id trace.FileID) {
 	for int(id) >= len(c.data) {
 		c.data = append(c.data, nil)
-		c.prefetched = append(c.prefetched, false)
 	}
 }
 
@@ -382,18 +379,16 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	if !c.cfg.DisablePiggyback && len(c.pending) < maxStatPaths {
 		c.appendPending(path)
 	}
-	if c.lru.Contains(id) {
+	if hit, speculative := c.lru.Demand(id); hit {
 		c.stats.Opens++
 		c.stats.Hits++
 		degraded := c.conn == nil && c.mux == nil
 		if degraded {
 			c.stats.DegradedHits++
 		}
-		if c.prefetched[id] {
+		if speculative {
 			c.stats.PrefetchHits++
-			c.prefetched[id] = false
 		}
-		c.lru.Touch(id)
 		out := append(buf[:0], c.data[id]...)
 		c.mu.Unlock()
 		if degraded {
@@ -415,7 +410,7 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	c.installViews(id, g)
+	c.installViews(g)
 	out := append(buf[:0], c.data[id]...)
 	c.mu.Unlock()
 	g.recycle()
@@ -645,9 +640,7 @@ func (c *Client) Write(path string, data []byte) error {
 	defer c.mu.Unlock()
 	// Refresh the local copy so our own reads see the write.
 	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		c.data[id] = cp
+		c.setData(id, data)
 	}
 	c.stats.Writes++
 	return nil
@@ -1156,13 +1149,15 @@ func (c *Client) setData(id trace.FileID, src []byte) {
 	c.data[id] = append(buf[:0], src...)
 }
 
-// installViews applies the aggregating-cache placement to a fetched
-// group: demanded file at the head, other members appended at the tail,
-// never evicting the incoming group's own files to make room. Member
-// paths are interned straight from the chunk views (no string
-// materialization for already-known paths) and each member's contents are
-// copied once, into the cache's own buffer. Called with mu held.
-func (c *Client) installViews(id trace.FileID, g *chunkGroup) {
+// installViews installs a fetched group: cache.GroupLRU decides which of
+// its files are resident afterwards (demanded file at the head, other
+// members at the tail, never evicting the incoming group's own files) and
+// every resident one gets the fetched contents, so a member that was
+// already cached is refreshed. Member paths are interned straight from the
+// chunk views (no string materialization for already-known paths) and each
+// member's contents are copied once, into the cache's own buffer. Called
+// with mu held.
+func (c *Client) installViews(g *chunkGroup) {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
 		mid := c.ids.InternBytes(g.paths[i])
@@ -1173,31 +1168,10 @@ func (c *Client) installViews(id trace.FileID, g *chunkGroup) {
 	}
 	c.gidScratch = ids
 
-	for c.lru.Len() >= c.cfg.CacheCapacity {
-		if _, ok := c.lru.EvictVictimExceptIDs(ids); ok {
-			continue
-		}
-		if _, ok := c.lru.EvictVictim(); !ok {
-			break
-		}
-	}
-	c.lru.InsertHead(id)
-	c.setData(id, g.datas[0])
-	c.prefetched[id] = false
-
-	for i := 1; i < len(ids); i++ {
-		mid := ids[i]
+	c.lru.Install(ids, false)
+	for i, mid := range ids {
 		if c.lru.Contains(mid) {
-			c.setData(mid, g.datas[i]) // refresh contents
-			continue
+			c.setData(mid, g.datas[i])
 		}
-		if c.lru.Len() >= c.cfg.CacheCapacity {
-			if _, ok := c.lru.EvictVictimExceptIDs(ids); !ok {
-				break
-			}
-		}
-		c.lru.InsertTail(mid)
-		c.setData(mid, g.datas[i])
-		c.prefetched[mid] = true
 	}
 }

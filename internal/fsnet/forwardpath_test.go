@@ -158,7 +158,8 @@ func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 
 // TestAllocBudgetWrite pins a write-through Write end to end: the client's
 // encoded request; the server's path string and the store's own copy of
-// the contents.
+// the contents. A path resident in the client cache costs the same: the
+// local refresh reuses the cache slot's backing.
 func TestAllocBudgetWrite(t *testing.T) {
 	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
 	client, err := Dial(addr, ClientConfig{})
@@ -166,13 +167,22 @@ func TestAllocBudgetWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
+	if _, err := client.Open("/data/f001"); err != nil {
+		t.Fatal(err)
+	}
 	data := make([]byte, 2048)
-	allocs := alloctest.PerOp(t, func() {
-		if err := client.Write("/data/f000", data); err != nil {
-			t.Fatal(err)
+	for _, path := range []string{"/data/f000", "/data/f001"} {
+		resident := client.Contains(path)
+		if want := path == "/data/f001"; resident != want {
+			t.Fatalf("%s resident = %v, want %v", path, resident, want)
 		}
-	})
-	if allocs > 3 {
-		t.Errorf("Write allocates %.0f objects, budget 3", allocs)
+		allocs := alloctest.PerOp(t, func() {
+			if err := client.Write(path, data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("Write(%s, resident=%v) allocates %.0f objects, budget 3", path, resident, allocs)
+		}
 	}
 }

@@ -219,7 +219,7 @@ func TestClientDegradedHitMetrics(t *testing.T) {
 //	Requests >= Cache.Hits + Cache.GroupFetches + RemoteOpens
 //
 // and at quiescence the inequality closes to equality. Run with -race
-// (the race-par make target matches this test by name).
+// (`make race`).
 func TestConcurrentStatsSnapshot(t *testing.T) {
 	store := seededStore(t, 32)
 	srv, addr := startServer(t, store, ServerConfig{GroupSize: 2, Router: stubRouter{}})

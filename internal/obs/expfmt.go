@@ -59,7 +59,7 @@ func (p *ParsedExposition) Find(name string, want map[string]string) (ParsedSamp
 // and label names, a known TYPE for every declared family, parseable
 // values, samples of a typed family appearing after its TYPE line, and
 // for histograms a _count equal to the +Inf bucket. It exists so tests
-// (and the CI metrics-smoke step) can assert that what /metrics serves
+// (and `make fleet-smoke`) can assert that what /metrics serves
 // is genuinely scrapeable, not merely non-empty.
 func ParseExposition(r io.Reader) (*ParsedExposition, error) {
 	out := &ParsedExposition{Types: make(map[string]string)}

@@ -23,8 +23,8 @@ func populated() *Registry {
 	return r
 }
 
-// TestPrometheusRoundTrip is the exposition-format validation the CI
-// metrics-smoke step relies on: what WritePrometheus emits must parse
+// TestPrometheusRoundTrip is the exposition-format validation `make
+// fleet-smoke` relies on: what WritePrometheus emits must parse
 // cleanly under the package's own strict parser.
 func TestPrometheusRoundTrip(t *testing.T) {
 	r := populated()

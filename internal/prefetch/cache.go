@@ -45,17 +45,16 @@ func (s Stats) Accuracy() float64 {
 
 // PrefetchingCache is a classic prefetching client cache: an LRU cache
 // plus a Predictor; after every demand access it issues explicit prefetch
-// requests for the predictor's suggestions. Prefetched files enter at the
-// LRU tail (the same conservative placement the aggregating cache uses)
-// so the comparison isolates *how* data is brought in, not where it is
-// placed.
+// requests for the predictor's suggestions. Prefetched files are placed by
+// the very rule the aggregating cache uses (cache.GroupLRU: tail
+// placement, the batch protected from its own evictions) so the
+// comparison isolates *how* data is brought in, not where it is placed.
 type PrefetchingCache struct {
-	capacity   int
-	depth      int
-	lru        *cache.LRU
-	predictor  Predictor
-	prefetched map[trace.FileID]bool
-	stats      Stats
+	depth     int
+	lru       *cache.GroupLRU
+	predictor Predictor
+	batch     []trace.FileID // reused [current, predictions...] scratch
+	stats     Stats
 }
 
 // NewPrefetchingCache builds a prefetching cache of the given capacity
@@ -67,72 +66,37 @@ func NewPrefetchingCache(capacity, depth int, predictor Predictor) (*Prefetching
 	if depth < 0 {
 		return nil, fmt.Errorf("prefetch: depth must be >= 0, got %d", depth)
 	}
-	lru, err := cache.NewLRU(capacity)
+	lru, err := cache.NewGroupLRU(capacity)
 	if err != nil {
 		return nil, err
 	}
-	c := &PrefetchingCache{
-		capacity:   capacity,
-		depth:      depth,
-		lru:        lru,
-		predictor:  predictor,
-		prefetched: make(map[trace.FileID]bool),
-	}
-	lru.OnEvict(func(id trace.FileID) { delete(c.prefetched, id) })
-	return c, nil
+	return &PrefetchingCache{depth: depth, lru: lru, predictor: predictor}, nil
 }
 
 // Access processes a demand open, then prefetches.
 func (c *PrefetchingCache) Access(id trace.FileID) bool {
 	c.predictor.Observe(id)
-	hit := c.lru.Contains(id)
+	c.batch = append(c.batch[:0], id)
+	hit, speculative := c.lru.Demand(id)
 	if hit {
 		c.stats.Hits++
-		if c.prefetched[id] {
+		if speculative {
 			c.stats.PrefetchHits++
-			delete(c.prefetched, id)
 		}
-		c.lru.Touch(id)
 	} else {
 		c.stats.Misses++
-		c.lru.InsertHead(id)
-		delete(c.prefetched, id)
+		c.lru.Install(c.batch, false) // the demand fetch: a one-file group
 	}
-	c.prefetch(id)
+	// Explicit fetches for the predictor's suggestions that are not
+	// already resident, installed as a group led by the file just
+	// demanded: it is resident, so only the predictions can enter, none of
+	// them at its expense or each other's, and when only the batch's own
+	// files remain the deeper (less likely) predictions are dropped.
+	if c.depth > 0 {
+		c.batch = append(c.batch, c.predictor.Predict(c.depth)...)
+		c.stats.PrefetchFetches += uint64(c.lru.Install(c.batch, false))
+	}
 	return hit
-}
-
-// prefetch issues explicit fetches for the predictor's suggestions that
-// are not already resident. Like the aggregating cache's group install,
-// making room never evicts the batch's own files (or the file just
-// demanded); when only protected residents remain, the deeper (less
-// likely) predictions are dropped.
-func (c *PrefetchingCache) prefetch(current trace.FileID) {
-	if c.depth == 0 {
-		return
-	}
-	preds := c.predictor.Predict(c.depth)
-	if len(preds) == 0 {
-		return
-	}
-	protected := make(map[trace.FileID]bool, len(preds)+1)
-	protected[current] = true
-	for _, id := range preds {
-		protected[id] = true
-	}
-	for _, id := range preds {
-		if c.lru.Contains(id) {
-			continue
-		}
-		if c.lru.Len() >= c.capacity {
-			if _, ok := c.lru.EvictVictimExcept(protected); !ok {
-				break
-			}
-		}
-		c.stats.PrefetchFetches++
-		c.lru.InsertTail(id)
-		c.prefetched[id] = true
-	}
 }
 
 // Contains reports residency without changing state.
@@ -142,11 +106,11 @@ func (c *PrefetchingCache) Contains(id trace.FileID) bool { return c.lru.Contain
 func (c *PrefetchingCache) Len() int { return c.lru.Len() }
 
 // Cap returns the capacity in files.
-func (c *PrefetchingCache) Cap() int { return c.capacity }
+func (c *PrefetchingCache) Cap() int { return c.lru.Cap() }
 
 // Stats returns a copy of the statistics.
 func (c *PrefetchingCache) Stats() Stats {
 	s := c.stats
-	s.Evictions = c.lru.Stats().Evictions
+	s.Evictions = c.lru.Evictions()
 	return s
 }
