@@ -16,12 +16,13 @@ ignore-guard:
 	sh ./scripts/check_ignored_go.sh
 
 # Deleted concepts stay deleted: the LRU placement primitives have one
-# caller, cache.GroupLRU (PR 18), and the fsnet v1/v2 serving paths (PR 15)
-# and aggbench's second measurement stack (PR 17) are gone. Test files may
-# name them; other Go source may not.
+# caller, cache.GroupLRU (PR 18), and the fsnet v1/v2 serving paths (PR 15),
+# aggbench's second measurement stack (PR 17) and the client's copy-out
+# path (PR 20: Open returns immutable cache storage) are gone. Test files
+# may name them; other Go source may not.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
-	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

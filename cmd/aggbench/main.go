@@ -850,20 +850,18 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 			wg.Add(1)
 			go func(c *fsnet.Client) {
 				defer wg.Done()
-				var buf []byte // per-worker reuse buffer: one alloc per max file size
 				for {
 					n := cursor.Add(1) - 1
 					if n >= int64(len(seq)) {
 						return
 					}
 					t0 := time.Now()
-					out, err := c.OpenInto(seq[n], buf)
+					out, err := c.Open(seq[n])
 					res.hist.ObserveDuration(time.Since(t0))
 					if err != nil || !intact(seq[n], out) {
 						errCount.Add(1)
 						continue
 					}
-					buf = out
 					opens.Add(1)
 				}
 			}(c)

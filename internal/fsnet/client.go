@@ -203,20 +203,15 @@ type Client struct {
 	mux     *muxConn    // live transport; nil while disconnected
 	ids     *trace.Interner
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
-	data    [][]byte        // file contents, indexed by interned FileID
+	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	pending []string        // access history awaiting piggybacking
 	// pendingFree is the storage of the last successfully delivered
 	// claim, handed back so the backlog regrows without reallocating
 	// after every sweep.
 	pendingFree []string
 	gidScratch  []trace.FileID
-	// freeData recycles the backing arrays of evicted cache entries so
-	// a steady churn of installs stops allocating once the working set
-	// is warm. Entries are exclusively cache-owned (Open hands out
-	// copies), so an evicted backing can be reused immediately.
-	freeData [][]byte
-	stats    ClientStats
-	closed   bool
+	stats       ClientStats
+	closed      bool
 
 	// pendingN mirrors len(pending) so claimPending can skip the lock
 	// when there is nothing to claim — the common case once a batch's
@@ -277,12 +272,7 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if conn != nil {
 		c.conn = newClientConn(conn)
 	}
-	lru.OnEvict(func(id trace.FileID, _ bool) {
-		if d := c.data[id]; cap(d) > 0 && len(c.freeData) < 256 {
-			c.freeData = append(c.freeData, d[:0])
-		}
-		c.data[id] = nil
-	})
+	lru.OnEvict(func(id trace.FileID, _ bool) { c.data[id] = nil })
 	return c, nil
 }
 
@@ -348,16 +338,14 @@ func (c *Client) ensureDense(id trace.FileID) {
 // Open returns the contents of path, from the local cache when possible,
 // otherwise via a group fetch from the server. Cache hits never touch the
 // network, so they keep succeeding while the server is unreachable.
+//
+// The result is the cache's own storage, shared with every other caller
+// that opens path: treat it as read-only. It is never overwritten — a
+// later fetch or Write of path installs new storage — so it stays valid
+// and unchanged for as long as the caller keeps it, and cap == len, so an
+// append reallocates. A caller that wants a private copy writes
+// append(buf[:0], d...).
 func (c *Client) Open(path string) ([]byte, error) {
-	return c.OpenInto(path, nil)
-}
-
-// OpenInto is Open with a caller-supplied destination buffer: the result
-// is appended to buf[:0] and the (possibly regrown) slice returned. A
-// caller that reuses the same buffer across opens amortizes the per-open
-// copy allocation away entirely once the buffer has grown to the largest
-// file it sees. Passing nil behaves exactly like Open.
-func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	if path == "" || len(path) > maxPath {
 		return nil, fmt.Errorf("fsnet: invalid path %q", path)
 	}
@@ -374,31 +362,33 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	id := c.ids.Intern(path)
-	c.ensureDense(id)
 	if !c.cfg.DisablePiggyback && len(c.pending) < maxStatPaths {
 		c.appendPending(path)
 	}
-	if hit, speculative := c.lru.Demand(id); hit {
-		c.stats.Opens++
-		c.stats.Hits++
-		degraded := c.conn == nil && c.mux == nil
-		if degraded {
-			c.stats.DegradedHits++
+	// Lookup, not Intern: a path is interned when a reply delivers it, so
+	// opens of nonexistent paths leave nothing behind.
+	if id, known := c.ids.Lookup(path); known {
+		if hit, speculative := c.lru.Demand(id); hit {
+			c.stats.Opens++
+			c.stats.Hits++
+			degraded := c.conn == nil && c.mux == nil
+			if degraded {
+				c.stats.DegradedHits++
+			}
+			if speculative {
+				c.stats.PrefetchHits++
+			}
+			out := c.data[id]
+			c.mu.Unlock()
+			if degraded {
+				c.m.degradedHits.Inc()
+				c.m.events.Record("degraded_hit", obs.F("path", path))
+			}
+			if tctx.Sampled {
+				c.cfg.Trace.Record(tctx, "client_hit", path, tstart, time.Since(tstart))
+			}
+			return out, nil
 		}
-		if speculative {
-			c.stats.PrefetchHits++
-		}
-		out := append(buf[:0], c.data[id]...)
-		c.mu.Unlock()
-		if degraded {
-			c.m.degradedHits.Inc()
-			c.m.events.Record("degraded_hit", obs.F("path", path))
-		}
-		if tctx.Sampled {
-			c.cfg.Trace.Record(tctx, "client_hit", path, tstart, time.Since(tstart))
-		}
-		return out, nil
 	}
 	c.mu.Unlock()
 
@@ -410,8 +400,10 @@ func (c *Client) OpenInto(path string, buf []byte) ([]byte, error) {
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	c.installViews(g)
-	out := append(buf[:0], c.data[id]...)
+	// The reply leads with path (decodeChunks), so path exists: interning
+	// the caller's string here saves installViews materialising a copy.
+	c.ids.Intern(path)
+	out := c.installViews(g)
 	c.mu.Unlock()
 	g.recycle()
 	if tctx.Sampled {
@@ -638,9 +630,12 @@ func (c *Client) Write(path string, data []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Refresh the local copy so our own reads see the write.
+	// Refresh the local copy so our own reads see the write. The slot gets
+	// new storage (earlier Open results keep the old bytes) without a copy:
+	// the encoded request ends with the contents, and a reply means the mux
+	// writer is done with it.
 	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
-		c.setData(id, data)
+		c.data[id] = payload[len(payload)-len(data) : len(payload) : len(payload)]
 	}
 	c.stats.Writes++
 	return nil
@@ -1137,27 +1132,17 @@ func (c *Client) TTFB() obs.HistogramSnapshot {
 	return c.m.ttfb.Snapshot()
 }
 
-// setData copies src into id's cache slot, reusing the slot's existing
-// backing or a recycled one from the eviction free list before falling
-// back to the allocator. Called with mu held.
-func (c *Client) setData(id trace.FileID, src []byte) {
-	buf := c.data[id]
-	if buf == nil && len(c.freeData) > 0 {
-		buf = c.freeData[len(c.freeData)-1]
-		c.freeData = c.freeData[:len(c.freeData)-1]
-	}
-	c.data[id] = append(buf[:0], src...)
-}
-
-// installViews installs a fetched group: cache.GroupLRU decides which of
-// its files are resident afterwards (demanded file at the head, other
-// members at the tail, never evicting the incoming group's own files) and
-// every resident one gets the fetched contents, so a member that was
-// already cached is refreshed. Member paths are interned straight from the
-// chunk views (no string materialization for already-known paths) and each
-// member's contents are copied once, into the cache's own buffer. Called
-// with mu held.
-func (c *Client) installViews(g *chunkGroup) {
+// installViews installs a fetched group and returns the demanded file's
+// contents: cache.GroupLRU decides which of its files are resident
+// afterwards (demanded file at the head — it always enters — other members
+// at the tail, never evicting the incoming group's own files) and every
+// resident one gets the fetched contents, so a member that was already
+// cached is refreshed. Member paths are interned straight from the chunk
+// views (no string materialization for already-known paths) and the
+// resident members' contents are copied once, into one new slab the slots
+// window; a slot's old storage is left as it was for whoever still holds
+// it. Called with mu held.
+func (c *Client) installViews(g *chunkGroup) []byte {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
 		mid := c.ids.InternBytes(g.paths[i])
@@ -1169,9 +1154,20 @@ func (c *Client) installViews(g *chunkGroup) {
 	c.gidScratch = ids
 
 	c.lru.Install(ids, false)
+	size := 0
 	for i, mid := range ids {
 		if c.lru.Contains(mid) {
-			c.setData(mid, g.datas[i])
+			size += len(g.datas[i])
 		}
 	}
+	slab := make([]byte, size)
+	for i, mid := range ids {
+		if c.lru.Contains(mid) {
+			n := copy(slab, g.datas[i])
+			// Capacity-limited, so an append through one member cannot
+			// reach into the next.
+			c.data[mid], slab = slab[:n:n], slab[n:]
+		}
+	}
+	return c.data[ids[0]]
 }

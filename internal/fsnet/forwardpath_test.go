@@ -1,6 +1,7 @@
 package fsnet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -127,8 +128,13 @@ func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
 
 // TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
 // router is consulted and declines, and from there the request costs what
-// an unrouted one does — the staged group's result slice and nothing
-// else. It used to decode into fresh strings and spawn a goroutine.
+// an unrouted one does — the server's staged group result slice and the
+// client's slab for the fetched group, nothing else. It used to decode
+// into fresh strings and spawn a goroutine. The budget was 1 while Open
+// had a variant that copied into a caller's reused buffer and the test
+// measured through that; through Open itself the parent cost the same 2
+// (its copy-out is now the slab). A reused buffer's 0-alloc fetch is what
+// immutable cache storage gives up.
 func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 	const files = 8
 	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3, Router: newPeerRouter()})
@@ -142,24 +148,47 @@ func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 	for i := range paths {
 		paths[i] = fmt.Sprintf("/data/f%03d", i)
 	}
-	var buf []byte
 	i := 0
 	allocs := alloctest.PerOp(t, func() {
-		var err error
-		if buf, err = client.OpenInto(paths[i%files], buf); err != nil {
+		if _, err := client.Open(paths[i%files]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	if allocs > 1 {
-		t.Errorf("routed-local open allocates %.0f objects, budget 1", allocs)
+	if allocs > 2 {
+		t.Errorf("routed-local open allocates %.0f objects, budget 2", allocs)
+	}
+}
+
+// TestAllocBudgetClientHit pins the reason the client cache exists: an
+// open of a resident path returns the cache's own bytes and allocates
+// nothing.
+func TestAllocBudgetClientHit(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	allocs := alloctest.PerOp(t, func() {
+		if _, err := client.Open("/data/f000"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("client hit allocates %.0f objects, budget 0", allocs)
+	}
+	if st := client.Stats(); st.Fetches != 1 {
+		t.Errorf("Fetches = %d, want 1: the pinned opens were not all hits", st.Fetches)
 	}
 }
 
 // TestAllocBudgetWrite pins a write-through Write end to end: the client's
 // encoded request; the server's path string and the store's own copy of
 // the contents. A path resident in the client cache costs the same: the
-// local refresh reuses the cache slot's backing.
+// local refresh points the slot at the tail of the encoded request, new
+// storage that nothing overwrites, so a slice an earlier Open returned
+// keeps the old bytes.
 func TestAllocBudgetWrite(t *testing.T) {
 	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
 	client, err := Dial(addr, ClientConfig{})
@@ -167,9 +196,11 @@ func TestAllocBudgetWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	if _, err := client.Open("/data/f001"); err != nil {
+	old, err := client.Open("/data/f001")
+	if err != nil {
 		t.Fatal(err)
 	}
+	was := string(old)
 	data := make([]byte, 2048)
 	for _, path := range []string{"/data/f000", "/data/f001"} {
 		resident := client.Contains(path)
@@ -184,5 +215,11 @@ func TestAllocBudgetWrite(t *testing.T) {
 		if allocs > 3 {
 			t.Errorf("Write(%s, resident=%v) allocates %.0f objects, budget 3", path, resident, allocs)
 		}
+	}
+	if string(old) != was {
+		t.Errorf("a slice Open returned before the Write changed: %q, was %q", old, was)
+	}
+	if fresh, err := client.Open("/data/f001"); err != nil || !bytes.Equal(fresh, data) {
+		t.Errorf("Open after the Write = %d bytes, %v; want the %d written", len(fresh), err, len(data))
 	}
 }
