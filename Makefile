@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-gate bench-e2e loadtest fleet-smoke profile experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-e2e loadtest fleet-smoke profile experiments examples fuzz clean
 
 all: build vet test
 
@@ -18,11 +18,15 @@ ignore-guard:
 # Deleted concepts stay deleted: the LRU placement primitives have one
 # caller, cache.GroupLRU (PR 18), and the fsnet v1/v2 serving paths (PR 15),
 # aggbench's second measurement stack (PR 17) and the client's copy-out
-# path (PR 20: Open returns immutable cache storage) are gone. Test files
-# may name them; other Go source may not.
+# path (PR 20: Open returns immutable cache storage) are gone; so are the
+# server's store-staging coalescer (fsnet no longer uses singleflight), the
+# client's reconnect scrap recycling and the second optional router
+# interface (PR 21). Test files may name them; other Go source may not.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'takeCallScrap|takeOrphanScrap|storeScrap|scrapCalls|TracedRouter|troute' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' internal/fsnet
 
 vet:
 	$(GO) vet ./...
@@ -46,13 +50,6 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'BenchmarkOpenForwarded' -benchmem ./internal/cluster/ ; } \
 	| $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
 	@echo wrote BENCH_BASELINE.json
-
-# Allocation-regression gate: re-run the fsnet hot-path and cluster
-# forward-path benches and fail if allocs/op regressed >20% against the
-# committed BENCH_BASELINE.json (ns/op is reported but not gated; see
-# scripts/bench_gate.sh).
-bench-gate:
-	sh ./scripts/bench_gate.sh
 
 # The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
 # then one short cluster3 run through the same command the driver uses.

@@ -191,10 +191,7 @@ type forward struct {
 	err   error
 }
 
-var (
-	_ fsnet.TracedRouter = (*Node)(nil)
-	_ fsnet.InlineRouter = (*Node)(nil)
-)
+var _ fsnet.InlineRouter = (*Node)(nil)
 
 // NewNode validates cfg and installs the epoch-1 view: the ring over
 // cfg.Peers plus one lazy-dialing fsnet client per remote peer. No
@@ -268,35 +265,19 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 // no registry, registered series otherwise — plus the pull-style mirror
 // residency, membership-epoch, drain, and hint-depth gauges.
 func (n *Node) wireMetrics(reg *obs.Registry) {
-	if reg == nil {
-		n.localOpens = obs.NewCounter()
-		n.forwardedOpens = obs.NewCounter()
-		n.mirrorHits = obs.NewCounter()
-		n.coalesced = obs.NewCounter()
-		n.degradedOpens = obs.NewCounter()
-		n.notFound = obs.NewCounter()
-		n.updates = obs.NewCounter()
-		n.staleUpdates = obs.NewCounter()
-		n.hintsQueued = obs.NewCounter()
-		n.hintsReplayed = obs.NewCounter()
-		n.hintsDropped = obs.NewCounter()
-		n.drainSent = obs.NewCounter()
-		n.drainFailed = obs.NewCounter()
-		return
-	}
-	n.localOpens = reg.Counter("cluster_local_opens_total", "opens this node owned, declined to the local serving path")
-	n.forwardedOpens = reg.Counter("cluster_forwarded_opens_total", "opens answered by an owner fetch (successful peer hops)")
-	n.mirrorHits = reg.Counter("cluster_mirror_hits_total", "opens answered from the hot-group mirror without a peer hop")
-	n.coalesced = reg.Counter("cluster_coalesced_forwards_total", "opens that shared another open's in-flight owner fetch")
-	n.degradedOpens = reg.Counter("cluster_degraded_opens_total", "opens declined to the local path because the owner was down or the forward failed")
-	n.notFound = reg.Counter("cluster_not_found_total", "owner replies that the path does not exist")
-	n.updates = reg.Counter("cluster_membership_updates_total", "membership views installed by Update")
-	n.staleUpdates = reg.Counter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
-	n.hintsQueued = reg.Counter("cluster_hints_queued_total", "access paths staged for a down peer")
-	n.hintsReplayed = reg.Counter("cluster_hints_replayed_total", "staged access paths delivered to a healed peer")
-	n.hintsDropped = reg.Counter("cluster_hints_dropped_total", "staged access paths dropped: queue overflow (oldest first) or peer removed")
-	n.drainSent = reg.Counter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
-	n.drainFailed = reg.Counter("cluster_drain_groups_failed_total", "groups Drain could not deliver to their new owners")
+	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens this node owned, declined to the local serving path")
+	n.forwardedOpens = reg.LiveCounter("cluster_forwarded_opens_total", "opens answered by an owner fetch (successful peer hops)")
+	n.mirrorHits = reg.LiveCounter("cluster_mirror_hits_total", "opens answered from the hot-group mirror without a peer hop")
+	n.coalesced = reg.LiveCounter("cluster_coalesced_forwards_total", "opens that shared another open's in-flight owner fetch")
+	n.degradedOpens = reg.LiveCounter("cluster_degraded_opens_total", "opens declined to the local path because the owner was down or the forward failed")
+	n.notFound = reg.LiveCounter("cluster_not_found_total", "owner replies that the path does not exist")
+	n.updates = reg.LiveCounter("cluster_membership_updates_total", "membership views installed by Update")
+	n.staleUpdates = reg.LiveCounter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
+	n.hintsQueued = reg.LiveCounter("cluster_hints_queued_total", "access paths staged for a down peer")
+	n.hintsReplayed = reg.LiveCounter("cluster_hints_replayed_total", "staged access paths delivered to a healed peer")
+	n.hintsDropped = reg.LiveCounter("cluster_hints_dropped_total", "staged access paths dropped: queue overflow (oldest first) or peer removed")
+	n.drainSent = reg.LiveCounter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
+	n.drainFailed = reg.LiveCounter("cluster_drain_groups_failed_total", "groups Drain could not deliver to their new owners")
 	n.events = reg.Events()
 	reg.GaugeFunc("cluster_mirror_groups", "groups currently resident in the hot-group mirror", func() float64 {
 		n.mirMu.Lock()
@@ -336,7 +317,7 @@ func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, boo
 	return n.RouteOpenTraced(path, accessed, otrace.Ctx{})
 }
 
-// RouteOpenTraced implements fsnet.TracedRouter: RouteOpen carrying the
+// RouteOpenTraced implements fsnet.InlineRouter: RouteOpen carrying the
 // request's trace context. A sampled context gets child spans for the
 // routing outcome — "mirror", "coalesced_wait", or "forward_rpc" — and
 // rides the forwarded OpenGroup to the owner, whose server records its

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -130,6 +131,53 @@ func TestAdversarialBadRequests(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Errors != 2 || st.Requests != 1 {
 		t.Errorf("server stats = %+v, want two errors and the one served open", st)
+	}
+}
+
+// TestPiggybackedMissingPathsAreNotInterned: history naming files the
+// store never held must not grow the server's ID space (nor, through it,
+// ExportGroups' walk and the saved metadata), on an unrouted server and on
+// a routed one alike; history naming real files still arrives.
+func TestPiggybackedMissingPathsAreNotInterned(t *testing.T) {
+	for name, router := range map[string]OpenRouter{"unrouted": nil, "routed": newPeerRouter()} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startServer(t, seededStore(t, 4), ServerConfig{Router: router})
+			rc := rawHello(t, rawDial(t, addr))
+			_ = rc.SetReadDeadline(time.Now().Add(10 * time.Second))
+			open := func(id uint64, accessed []string) {
+				t.Helper()
+				rc.send(t, msgOpen, id, appendOpenRequest(nil, "/data/f000", accessed))
+				for {
+					typ, gotID, payload, err := readFrameID(rc.r)
+					if err != nil || gotID != id || (typ != msgMemberChunk && typ != msgGroupEnd) {
+						t.Fatalf("open %d: reply type %d id %d, %v; want its group stream", id, typ, gotID, err)
+					}
+					putFrameBuf(payload)
+					if typ == msgGroupEnd {
+						return
+					}
+				}
+			}
+			open(1, []string{"/data/f001", "/data/f002"})
+			known := srv.ids.Len()
+			if known != 3 {
+				t.Fatalf("after one open with two real piggybacked paths the server knows %d paths, want 3", known)
+			}
+			const opens, perOpen = 10, 1000
+			for o := 0; o < opens; o++ {
+				bogus := make([]string, perOpen)
+				for i := range bogus {
+					bogus[i] = fmt.Sprintf("/missing/%d/%d", o, i)
+				}
+				open(uint64(2+o), bogus)
+			}
+			if got := srv.ids.Len(); got != known {
+				t.Errorf("after %d missing piggybacked paths the server knows %d paths, was %d", opens*perOpen, got, known)
+			}
+			if st := srv.Stats(); st.Errors != 0 || st.Requests != 1+opens {
+				t.Errorf("server stats = %+v, want %d clean opens", st, 1+opens)
+			}
+		})
 	}
 }
 

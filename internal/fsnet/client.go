@@ -218,13 +218,6 @@ type Client struct {
 	// first open has swept the backlog.
 	pendingN atomic.Int64
 
-	// Scrap storage recycled across mux connections: the in-flight call
-	// map and the poison orphan scratch of a cut connection seed the next
-	// one, so a flaky link does not reallocate them per cut.
-	scrapMu      sync.Mutex
-	scrapCalls   map[uint64]*muxCall
-	scrapOrphans []*muxCall
-
 	connMu sync.Mutex // serializes dial + handshake
 
 	rngMu sync.Mutex
@@ -1085,43 +1078,6 @@ func (c *Client) dropMux(m *muxConn) {
 func (c *Client) noteBroken() {
 	c.m.brokenConns.Inc()
 	c.m.events.Record("conn_broken")
-}
-
-// takeCallScrap hands out the recycled in-flight map for a new mux
-// connection, or a fresh one.
-func (c *Client) takeCallScrap() map[uint64]*muxCall {
-	c.scrapMu.Lock()
-	calls := c.scrapCalls
-	c.scrapCalls = nil
-	c.scrapMu.Unlock()
-	if calls == nil {
-		calls = make(map[uint64]*muxCall)
-	}
-	return calls
-}
-
-// takeOrphanScrap hands out the recycled poison orphan scratch (possibly
-// nil; append grows it).
-func (c *Client) takeOrphanScrap() []*muxCall {
-	c.scrapMu.Lock()
-	s := c.scrapOrphans
-	c.scrapOrphans = nil
-	c.scrapMu.Unlock()
-	return s
-}
-
-// storeScrap stashes a poisoned connection's cleared call map and orphan
-// scratch for the replacement connection.
-func (c *Client) storeScrap(calls map[uint64]*muxCall, orphans []*muxCall) {
-	clear(calls)
-	c.scrapMu.Lock()
-	if c.scrapCalls == nil {
-		c.scrapCalls = calls
-	}
-	if cap(orphans) > cap(c.scrapOrphans) {
-		c.scrapOrphans = orphans
-	}
-	c.scrapMu.Unlock()
 }
 
 // TTFB returns a snapshot of the fetch time-to-first-byte histogram:

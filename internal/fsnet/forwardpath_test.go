@@ -34,6 +34,10 @@ func (r *peerRouter) RouteOpen(path string, accessed []string) ([]GroupFile, boo
 	return []GroupFile{{Path: path, Data: []byte("forwarded " + path)}}, true, nil
 }
 
+func (r *peerRouter) RouteOpenTraced(path string, accessed []string, _ otrace.Ctx) ([]GroupFile, bool, error) {
+	return r.RouteOpen(path, accessed)
+}
+
 func (r *peerRouter) TryRouteOpen(path string, accessed []string, _ otrace.Ctx) ([]GroupFile, bool, bool) {
 	return nil, false, strings.HasPrefix(path, "/remote/")
 }
@@ -126,19 +130,12 @@ func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
-// router is consulted and declines, and from there the request costs what
-// an unrouted one does — the server's staged group result slice and the
-// client's slab for the fetched group, nothing else. It used to decode
-// into fresh strings and spawn a goroutine. The budget was 1 while Open
-// had a variant that copied into a caller's reused buffer and the test
-// measured through that; through Open itself the parent cost the same 2
-// (its copy-out is now the slab). A reused buffer's 0-alloc fetch is what
-// immutable cache storage gives up.
-func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
+// fetchAllocs measures one fetching open end to end — client and server
+// both — over a loopback connection whose client caches a single file, so
+// every open is a fetch.
+func fetchAllocs(t *testing.T, router OpenRouter) float64 {
 	const files = 8
-	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3, Router: newPeerRouter()})
-	// One cached file: every open below is a fetch.
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3, Router: router})
 	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -149,14 +146,86 @@ func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 		paths[i] = fmt.Sprintf("/data/f%03d", i)
 	}
 	i := 0
-	allocs := alloctest.PerOp(t, func() {
+	return alloctest.PerOp(t, func() {
 		if _, err := client.Open(paths[i%files]); err != nil {
 			t.Fatal(err)
 		}
 		i++
 	})
-	if allocs > 2 {
+}
+
+// TestAllocBudgetLocalFetch pins the plain fetch, no router configured:
+// the server's staged group result slice and the client's slab for the
+// fetched group, nothing else.
+func TestAllocBudgetLocalFetch(t *testing.T) {
+	if allocs := fetchAllocs(t, nil); allocs > 2 {
+		t.Errorf("local fetch allocates %.0f objects, budget 2", allocs)
+	}
+}
+
+// TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
+// router is consulted and declines, and from there the request costs what
+// an unrouted one does. It used to decode into fresh strings and spawn a
+// goroutine. The budget was 1 while Open had a variant that copied into a
+// caller's reused buffer and the test measured through that; through Open
+// itself the parent cost the same 2 (its copy-out is now the slab). A
+// reused buffer's 0-alloc fetch is what immutable cache storage gives up.
+func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
+	if allocs := fetchAllocs(t, newPeerRouter()); allocs > 2 {
 		t.Errorf("routed-local open allocates %.0f objects, budget 2", allocs)
+	}
+}
+
+// TestAllocBudgetPipelinedOpens pins the fetch under pipelining: eight
+// goroutines share one connection and each op is one flight of eight
+// fetches. Batched writes, out-of-order replies and the mux's queues cost
+// nothing on top of eight single fetches; the piggyback backlog does: a
+// claim in flight has taken its storage, the client recycles one claim's
+// worth, so a miss that lands meanwhile regrows the backlog — at most one
+// allocation per open, each open appending one path.
+func TestAllocBudgetPipelinedOpens(t *testing.T) {
+	const (
+		workers = 8
+		files   = 64
+	)
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/data/f%03d", i)
+	}
+	next := make(chan string)
+	done := make(chan error)
+	for w := 0; w < workers; w++ {
+		go func() {
+			for p := range next {
+				_, err := client.Open(p)
+				done <- err
+			}
+		}()
+	}
+	defer close(next)
+	i := 0
+	allocs := alloctest.PerOp(t, func() {
+		for w := 0; w < workers; w++ {
+			next <- paths[i%files]
+			i++
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if budget := float64((2 + 1) * workers); allocs > budget {
+		t.Errorf("a flight of %d pipelined fetches allocates %.0f objects, budget %.0f", workers, allocs, budget)
+	}
+	if st := client.Stats(); st.Hits != 0 {
+		t.Errorf("Hits = %d: the pinned opens were not all fetches", st.Hits)
 	}
 }
 

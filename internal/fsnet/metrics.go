@@ -19,7 +19,6 @@ type serverMetrics struct {
 	rejected    *obs.Counter
 	panics      *obs.Counter
 	disconnects *obs.Counter
-	coalesced   *obs.Counter
 	remote      *obs.Counter
 	handoffs    *obs.Counter
 	streamed    *obs.Counter
@@ -36,37 +35,24 @@ type serverMetrics struct {
 
 // newServerMetrics wires the bundle, registering with reg when non-nil.
 func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
-	m := serverMetrics{slow: slow}
-	if reg == nil {
-		m.requests = obs.NewCounter()
-		m.errors = obs.NewCounter()
-		m.sent = obs.NewCounter()
-		m.rejected = obs.NewCounter()
-		m.panics = obs.NewCounter()
-		m.disconnects = obs.NewCounter()
-		m.coalesced = obs.NewCounter()
-		m.remote = obs.NewCounter()
-		m.handoffs = obs.NewCounter()
-		m.streamed = obs.NewCounter()
-		return m
-	}
-	m.requests = reg.Counter("fsnet_server_requests_total", "open and write requests served, including errors")
-	m.errors = reg.Counter("fsnet_server_errors_total", "error replies plus protocol violations")
-	m.sent = reg.Counter("fsnet_server_files_sent_total", "files transferred in group replies")
-	m.rejected = reg.Counter("fsnet_server_rejected_total", "connections turned away at the MaxConns limit")
-	m.panics = reg.Counter("fsnet_server_panics_total", "handler panics recovered and converted to error replies")
-	m.disconnects = reg.Counter("fsnet_server_disconnects_total", "connections terminated abnormally by I/O failures")
-	m.coalesced = reg.Counter("fsnet_server_coalesced_stages_total", "open requests that shared another request's in-flight store staging")
-	m.remote = reg.Counter("fsnet_server_remote_opens_total", "open requests answered by the configured router")
-	m.handoffs = reg.Counter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers")
-	m.streamed = reg.Counter("fsnet_server_streamed_groups_total", "group replies delivered, each as a member stream")
 	const latName = "fsnet_server_request_latency_ns"
 	const latHelp = "open latency in nanoseconds by serving phase"
-	m.latHit = reg.Histogram(latName, latHelp, obs.L("phase", "hit"))
-	m.latStage = reg.Histogram(latName, latHelp, obs.L("phase", "stage"))
-	m.latForward = reg.Histogram(latName, latHelp, obs.L("phase", "forward"))
-	m.events = reg.Events()
-	return m
+	return serverMetrics{
+		requests:    reg.LiveCounter("fsnet_server_requests_total", "open and write requests served, including errors"),
+		errors:      reg.LiveCounter("fsnet_server_errors_total", "error replies plus protocol violations"),
+		sent:        reg.LiveCounter("fsnet_server_files_sent_total", "files transferred in group replies"),
+		rejected:    reg.LiveCounter("fsnet_server_rejected_total", "connections turned away at the MaxConns limit"),
+		panics:      reg.LiveCounter("fsnet_server_panics_total", "handler panics recovered and converted to error replies"),
+		disconnects: reg.LiveCounter("fsnet_server_disconnects_total", "connections terminated abnormally by I/O failures"),
+		remote:      reg.LiveCounter("fsnet_server_remote_opens_total", "open requests answered by the configured router"),
+		handoffs:    reg.LiveCounter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers"),
+		streamed:    reg.LiveCounter("fsnet_server_streamed_groups_total", "group replies delivered, each as a member stream"),
+		latHit:      reg.Histogram(latName, latHelp, obs.L("phase", "hit")),
+		latStage:    reg.Histogram(latName, latHelp, obs.L("phase", "stage")),
+		latForward:  reg.Histogram(latName, latHelp, obs.L("phase", "forward")),
+		events:      reg.Events(),
+		slow:        slow,
+	}
 }
 
 // timed reports whether the open path should read the clock at all.

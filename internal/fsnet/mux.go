@@ -120,7 +120,7 @@ func newMuxConn(c *Client, cc *clientConn) *muxConn {
 		conn:  cc.conn,
 		r:     cc.r,
 		w:     cc.w,
-		calls: c.takeCallScrap(),
+		calls: make(map[uint64]*muxCall),
 		wake:  make(chan struct{}, 1),
 	}
 }
@@ -442,9 +442,7 @@ func (m *muxConn) observeTTFB(call *muxCall) {
 // poison marks the mux broken, closes the connection, restores every
 // unanswered call's claimed history to the client (oldest call first),
 // empties the client's connection slot, and fails every unanswered call
-// with err. Idempotent; only the first error wins. The in-flight map and
-// orphan scratch are handed back to the client for the replacement
-// connection, so a flaky link does not reallocate them on every cut.
+// with err. Idempotent; only the first error wins.
 func (m *muxConn) poison(err error) {
 	m.mu.Lock()
 	if m.broken {
@@ -453,9 +451,8 @@ func (m *muxConn) poison(err error) {
 	}
 	m.broken = true
 	m.err = err
-	calls := m.calls
-	orphans := m.c.takeOrphanScrap()
-	for _, call := range calls {
+	orphans := make([]*muxCall, 0, len(m.calls))
+	for _, call := range m.calls {
 		orphans = append(orphans, call)
 	}
 	m.calls = nil
@@ -493,8 +490,4 @@ func (m *muxConn) poison(err error) {
 		}
 		call.done <- muxResult{err: err}
 	}
-	for i := range orphans {
-		orphans[i] = nil
-	}
-	m.c.storeScrap(calls, orphans[:0])
 }

@@ -8,11 +8,10 @@ import (
 	"time"
 
 	"aggcache/internal/faultnet"
-	"aggcache/internal/singleflight"
 )
 
 // The pipeline suite covers the pipelined serving path: many goroutines
-// multiplexed over one connection, staging coalescing, and the poisoning
+// multiplexed over one connection, a same-path herd, and the poisoning
 // contract when a connection is cut with calls in flight.
 
 // TestConcurrentPipelinedOpens shares one client — hence one connection —
@@ -168,60 +167,47 @@ func TestChaosPipelineCutMidFlight(t *testing.T) {
 	}
 }
 
-// TestFlightGroupCoalesces pins the server's singleflight usage contract
-// (now provided by internal/singleflight): overlapping
-// calls with one key share the leader's single execution, and
-// non-overlapping calls run fresh.
-func TestFlightGroupCoalesces(t *testing.T) {
-	var g singleflight.Group[[]fileData]
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var calls int
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		files, ok, coalesced := g.Do("k", func() ([]fileData, bool) {
-			calls++
-			close(entered)
-			<-release
-			return []fileData{{Path: "k", Data: []byte("v")}}, true
-		})
-		if !ok || coalesced || len(files) != 1 {
-			t.Errorf("leader got ok=%v coalesced=%v files=%d", ok, coalesced, len(files))
+// TestSamePathHerd: many clients open one cold path at the same instant.
+// Every open stages the group from the store itself — nothing on the
+// server deduplicates them — so every reply must carry the right bytes
+// and each request must be exactly one cache hit or one group fetch.
+func TestSamePathHerd(t *testing.T) {
+	const herd = 16
+	srv, addr := startServer(t, seededStore(t, 8), ServerConfig{GroupSize: 4})
+	const path = "/data/f003"
+	clients := make([]*Client, herd)
+	for i := range clients {
+		c, err := Dial(addr, ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	<-entered
-
-	const followers = 8
-	var wg sync.WaitGroup
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			files, ok, coalesced := g.Do("k", func() ([]fileData, bool) {
-				t.Error("follower executed fn despite leader in flight")
-				return nil, false
-			})
-			if !ok || !coalesced {
-				t.Errorf("follower got ok=%v coalesced=%v", ok, coalesced)
-			}
-			if len(files) != 1 || string(files[0].Data) != "v" {
-				t.Errorf("follower files = %v", files)
-			}
-		}()
+		defer c.Close()
+		clients[i] = c
 	}
-	// Give the followers a moment to join the flight, then release it.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	<-leaderDone
-	if calls != 1 {
-		t.Errorf("fn ran %d times, want 1", calls)
+	start := make(chan struct{})
+	errs := make(chan error, herd)
+	for _, c := range clients {
+		go func(c *Client) {
+			<-start
+			data, err := c.Open(path)
+			if err == nil && string(data) != "contents of "+path {
+				err = fmt.Errorf("wrong bytes %q", data)
+			}
+			errs <- err
+		}(c)
 	}
-
-	// A later, non-overlapping call starts fresh.
-	_, _, coalesced := g.Do("k", func() ([]fileData, bool) { return nil, true })
-	if coalesced {
-		t.Error("non-overlapping call reported coalesced")
+	close(start)
+	for i := 0; i < herd; i++ {
+		if err := <-errs; err != nil {
+			t.Errorf("herd open: %v", err)
+		}
+	}
+	st := srv.Stats()
+	if st.Requests != herd || st.Requests != st.Cache.Hits+st.Cache.GroupFetches {
+		t.Errorf("Requests = %d, Hits %d + GroupFetches %d: want %d requests, each one hit or one fetch",
+			st.Requests, st.Cache.Hits, st.Cache.GroupFetches, herd)
+	}
+	if st.StreamedGroups != herd || st.Errors != 0 {
+		t.Errorf("StreamedGroups = %d, Errors = %d, want %d clean group replies", st.StreamedGroups, st.Errors, herd)
 	}
 }

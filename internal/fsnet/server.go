@@ -15,7 +15,6 @@ import (
 	"aggcache/internal/core"
 	"aggcache/internal/obs"
 	"aggcache/internal/obs/otrace"
-	"aggcache/internal/singleflight"
 	"aggcache/internal/trace"
 )
 
@@ -91,35 +90,30 @@ type OpenRouter interface {
 	// local server's would (§3); it is the server's pooled scratch, valid
 	// only until RouteOpen returns, though the strings in it (and path)
 	// may be kept. The returned files go to the reply writer as they are
-	// and may be shared with other replies: nobody writes to them. A
+	// and may be shared with other replies (the cluster tier's mirror
+	// answers many opens from one arena): nobody writes to them. A
 	// handled error is returned to the client: ErrNotFound maps to
 	// CodeNotFound, anything else to CodeInternal.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
 }
 
-// TracedRouter is an optional extension of OpenRouter: a router that
-// also accepts the request's trace context, so a forwarded open's
-// downstream RPC becomes a child span of this server's. The server
-// type-asserts once at construction; plain OpenRouter implementations
-// keep working unchanged (the context is simply not propagated).
-type TracedRouter interface {
+// InlineRouter is the optional extension of OpenRouter, asserted once at
+// construction: a router that accepts the request's trace context — so a
+// forwarded open's downstream RPC becomes a child span of this server's —
+// and can tell, without waiting on anything, whether an open needs a peer
+// round trip. With one, a connection's read loop serves the opens that
+// need none itself, exactly as a server without a router serves every
+// open; behind a plain OpenRouter every open runs on a worker goroutine
+// and the trace context is not propagated.
+type InlineRouter interface {
 	OpenRouter
 	// RouteOpenTraced is RouteOpen with the caller's trace context. The
 	// zero Ctx means the request is untraced.
 	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled bool, err error)
-}
-
-// InlineRouter is an optional extension of OpenRouter: a router that can
-// tell, without waiting on anything, whether an open needs a peer round
-// trip. With one, a connection's read loop serves the opens that need
-// none itself, exactly as a server without a router serves every open;
-// without one, every open of a routed server runs on a worker goroutine.
-type InlineRouter interface {
-	OpenRouter
-	// TryRouteOpen routes the open like RouteOpen (under tctx, like
-	// RouteOpenTraced) if that takes no peer round trip. Otherwise it
-	// does nothing and reports blocks=true, and the server repeats the
-	// open through RouteOpen from a goroutine that may wait.
+	// TryRouteOpen routes the open like RouteOpenTraced if that takes no
+	// peer round trip. Otherwise it does nothing and reports blocks=true,
+	// and the server repeats the open through RouteOpenTraced from a
+	// goroutine that may wait.
 	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled, blocks bool)
 }
 
@@ -140,9 +134,9 @@ type ServerStats struct {
 	// Disconnects counts connections terminated abnormally by I/O
 	// failures (including reply writes cut off by WriteTimeout).
 	Disconnects uint64
-	// CoalescedStages counts open requests that shared another request's
-	// in-flight store staging of the same demanded path instead of
-	// reading the store themselves.
+	// CoalescedStages is always zero: the server no longer coalesces store
+	// stagings (the store is an in-memory map; DESIGN.md §10). The field
+	// stays only until the repository benchmark stops reading it.
 	CoalescedStages uint64
 	// RemoteOpens counts open requests answered by the configured Router
 	// (the cluster peer tier) rather than by the local cache and store.
@@ -166,18 +160,16 @@ type ServerStats struct {
 // The serving path is sharded so concurrent requests mostly avoid each
 // other (see DESIGN.md §10): counters are atomics, the path interner has
 // a read-lock fast path for known paths, store reads happen outside any
-// server lock with singleflight coalescing per demanded path, and only
-// the successor-table update plus cache admission sit under the short
-// aggMu critical section.
+// server lock, and only the successor-table update plus cache admission
+// sit under the short aggMu critical section — the one server-wide mutex
+// a locally served open takes, once.
 type Server struct {
 	cfg    ServerConfig
 	store  *Store
 	logger *log.Logger
 
-	// troute and iroute are cfg.Router's TracedRouter and InlineRouter
-	// forms, asserted once at construction; nil when the router is not
-	// one.
-	troute TracedRouter
+	// iroute is cfg.Router's InlineRouter form, asserted once at
+	// construction; nil when the router is not one.
 	iroute InlineRouter
 
 	// Hot counters; atomic (obs.Counter wraps one atomic each) so
@@ -194,9 +186,6 @@ type Server struct {
 	// network I/O.
 	aggMu sync.Mutex
 	agg   *core.AggregatingCache
-
-	// flights coalesces concurrent store stagings of the same group.
-	flights singleflight.Group[[]fileData]
 
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -238,7 +227,6 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 		m:      newServerMetrics(cfg.Obs, cfg.SlowRequest),
 	}
-	s.troute, _ = cfg.Router.(TracedRouter)
 	s.iroute, _ = cfg.Router.(InlineRouter)
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("fsnet_server_open_conns", "connections currently served", func() float64 {
@@ -362,16 +350,15 @@ func (s *Server) Stats() ServerStats {
 	cacheStats := s.agg.Stats()
 	s.aggMu.Unlock()
 	st := ServerStats{
-		Errors:          s.m.errors.Load(),
-		FilesSent:       s.m.sent.Load(),
-		Rejected:        s.m.rejected.Load(),
-		Panics:          s.m.panics.Load(),
-		Disconnects:     s.m.disconnects.Load(),
-		CoalescedStages: s.m.coalesced.Load(),
-		RemoteOpens:     s.m.remote.Load(),
-		Handoffs:        s.m.handoffs.Load(),
-		StreamedGroups:  s.m.streamed.Load(),
-		Cache:           cacheStats,
+		Errors:         s.m.errors.Load(),
+		FilesSent:      s.m.sent.Load(),
+		Rejected:       s.m.rejected.Load(),
+		Panics:         s.m.panics.Load(),
+		Disconnects:    s.m.disconnects.Load(),
+		RemoteOpens:    s.m.remote.Load(),
+		Handoffs:       s.m.handoffs.Load(),
+		StreamedGroups: s.m.streamed.Load(),
+		Cache:          cacheStats,
 	}
 	// Last, so its value bounds every per-outcome counter read above.
 	st.Requests = s.m.requests.Load()
@@ -836,8 +823,8 @@ func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
 }
 
 // openScratch carries the per-request working set of the open hot path:
-// interned access IDs, the built group, and its paths. Pooled so a
-// steady-state open allocates none of it.
+// interned access IDs and the built group. Pooled so a steady-state open
+// allocates none of it.
 type openScratch struct {
 	views [][]byte // piggybacked path views into the frame buffer
 	ids   []trace.FileID
@@ -846,7 +833,6 @@ type openScratch struct {
 	// tier); filled only on a routed server.
 	accessed []string
 	group    []trace.FileID
-	paths    []string
 }
 
 var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
@@ -889,7 +875,18 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
 	for _, pv := range sc.views {
-		aid := s.ids.InternBytes(pv)
+		// Like the demanded path, a piggybacked one gets an ID only if it
+		// exists: history naming files the store never held is dropped, so
+		// a client cannot grow the ID space or teach successor lists
+		// members no group could carry. The store is consulted only for a
+		// path the interner has not seen.
+		aid, known := s.ids.LookupBytes(pv)
+		if !known {
+			if !s.store.containsBytes(pv) {
+				continue
+			}
+			aid = s.ids.InternBytes(pv)
+		}
 		sc.ids = append(sc.ids, aid)
 		if routed {
 			sc.accessed = append(sc.accessed, s.ids.Path(aid))
@@ -941,12 +938,7 @@ func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScr
 	sc.group = s.agg.AppendBuildGroup(sc.group[:0], id)
 	s.aggMu.Unlock()
 
-	sc.paths = sc.paths[:0]
-	for _, gid := range sc.group {
-		sc.paths = append(sc.paths, s.ids.Path(gid))
-	}
-
-	files, ok := s.stageGroup(path, sc.paths)
+	files, ok := s.stageGroup(sc.group)
 	if !ok {
 		// The file vanished between the existence check and the staged
 		// read; rare, and the learning above recorded a genuine access.
@@ -992,14 +984,14 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (files []fileData, errResp errorResponse, handled, blocks bool) {
 	var err error
 	switch {
+	case s.iroute == nil:
+		files, handled, err = s.cfg.Router.RouteOpen(path, accessed)
 	case inline:
 		if files, handled, blocks = s.iroute.TryRouteOpen(path, accessed, tctx); blocks {
 			return nil, errorResponse{}, false, true
 		}
-	case s.troute != nil:
-		files, handled, err = s.troute.RouteOpenTraced(path, accessed, tctx)
 	default:
-		files, handled, err = s.cfg.Router.RouteOpen(path, accessed)
+		files, handled, err = s.iroute.RouteOpenTraced(path, accessed, tctx)
 	}
 	s.m.requests.Add(1)
 	if !handled {
@@ -1022,35 +1014,26 @@ func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inli
 	return files, errorResponse{}, true, false
 }
 
-// stageGroup reads the demanded file plus the group members from the
-// store, coalescing with any concurrent staging of the same demanded
-// path: followers wait for the leader's read and share its (read-only)
-// result instead of hitting the store themselves.
+// stageGroup reads the built group — demanded file first — from the
+// store: the best-effort read of §3, so a member that has vanished is
+// skipped and only a missing demanded file fails the open.
 //
 // The contents are zero-copy references into the store (GetRef): Put
 // replaces a path's slice wholesale, so a staged ref can never be
-// mutated underneath the reply writer, and the result slice itself is
-// shared across coalesced followers — it must never be pooled or
-// written to.
-func (s *Server) stageGroup(path string, paths []string) ([]fileData, bool) {
-	files, ok, coalesced := s.flights.Do(path, func() ([]fileData, bool) {
-		data, ok := s.store.GetRef(path)
-		if !ok {
+// mutated underneath the reply writer. The result slice belongs to this
+// open's reply alone.
+func (s *Server) stageGroup(group []trace.FileID) ([]fileData, bool) {
+	files := make([]fileData, 0, len(group))
+	for i, gid := range group {
+		p := s.ids.Path(gid)
+		d, ok := s.store.GetRef(p)
+		if ok {
+			files = append(files, fileData{Path: p, Data: d})
+		} else if i == 0 {
 			return nil, false
 		}
-		files := make([]fileData, 0, len(paths))
-		files = append(files, fileData{Path: path, Data: data})
-		for _, p := range paths[1:] {
-			if d, ok := s.store.GetRef(p); ok {
-				files = append(files, fileData{Path: p, Data: d})
-			}
-		}
-		return files, true
-	})
-	if coalesced {
-		s.m.coalesced.Add(1)
 	}
-	return files, ok
+	return files, true
 }
 
 // replyWriter serializes and batches the replies of one pipelined
@@ -1096,8 +1079,7 @@ type reply struct {
 	pooled bool
 	// files, when non-nil, is a streamed group reply (typ and payload are
 	// unused): one msgMemberChunk per file plus a closing
-	// msgGroupEnd. The slice is the singleflight-shared staging result —
-	// read-only here.
+	// msgGroupEnd.
 	files []fileData
 }
 

@@ -153,23 +153,13 @@ func New(cfg Config) *Gossiper {
 }
 
 func (g *Gossiper) wireMetrics(reg *obs.Registry) {
-	if reg == nil {
-		g.rounds = obs.NewCounter()
-		g.pulls = obs.NewCounter()
-		g.pushes = obs.NewCounter()
-		g.applied = obs.NewCounter()
-		g.hintPulls = obs.NewCounter()
-		g.staleHints = obs.NewCounter()
-		g.failures = obs.NewCounter()
-		return
-	}
-	g.rounds = reg.Counter("gossip_rounds_total", "anti-entropy rounds run")
-	g.pulls = reg.Counter("gossip_pulls_total", "view pull exchanges completed")
-	g.pushes = reg.Counter("gossip_pushes_total", "views pushed to peers that were older")
-	g.applied = reg.Counter("gossip_views_applied_total", "remote views installed via gossip")
-	g.hintPulls = reg.Counter("gossip_hint_pulls_total", "background pulls triggered by piggybacked hints")
-	g.staleHints = reg.Counter("gossip_stale_hints_total", "hints ignored: epoch not newer than installed")
-	g.failures = reg.Counter("gossip_failures_total", "view exchanges that failed (transport or refused)")
+	g.rounds = reg.LiveCounter("gossip_rounds_total", "anti-entropy rounds run")
+	g.pulls = reg.LiveCounter("gossip_pulls_total", "view pull exchanges completed")
+	g.pushes = reg.LiveCounter("gossip_pushes_total", "views pushed to peers that were older")
+	g.applied = reg.LiveCounter("gossip_views_applied_total", "remote views installed via gossip")
+	g.hintPulls = reg.LiveCounter("gossip_hint_pulls_total", "background pulls triggered by piggybacked hints")
+	g.staleHints = reg.LiveCounter("gossip_stale_hints_total", "hints ignored: epoch not newer than installed")
+	g.failures = reg.LiveCounter("gossip_failures_total", "view exchanges that failed (transport or refused)")
 	g.events = reg.Events()
 	reg.GaugeFunc("gossip_view_epoch", "epoch of the installed membership view as gossip sees it", func() float64 {
 		return float64(g.node.Epoch())

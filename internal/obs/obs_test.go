@@ -128,6 +128,17 @@ func TestRegistryDedup(t *testing.T) {
 	if l1 == l2 {
 		t.Fatal("distinct label values must be distinct series")
 	}
+	// LiveCounter is the same registered series; from a nil registry it
+	// is a working standalone counter where Counter hands out nil.
+	if r.LiveCounter("reqs_total", "requests") != a {
+		t.Fatal("LiveCounter must return the registered series")
+	}
+	var none *Registry
+	live := none.LiveCounter("reqs_total", "requests")
+	live.Add(2)
+	if live.Load() != 2 || none.Counter("reqs_total", "requests") != nil {
+		t.Fatal("nil registry: LiveCounter must count, Counter must stay nil")
+	}
 	// Label order must not matter.
 	x := r.Gauge("multi", "", L("a", "1"), L("b", "2"))
 	y := r.Gauge("multi", "", L("b", "2"), L("a", "1"))

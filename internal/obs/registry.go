@@ -100,6 +100,17 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.register(name, help, KindCounter, labels).counter
 }
 
+// LiveCounter is Counter for a counter its owner also reads back (a stats
+// snapshot fed from the same storage /metrics exposes): the registered
+// series, or a standalone counter when r is nil, so the owner writes its
+// counter list once and never holds a nil.
+func (r *Registry) LiveCounter(name, help string, labels ...Label) *Counter {
+	if r == nil {
+		return NewCounter()
+	}
+	return r.Counter(name, help, labels...)
+}
+
 // Gauge returns the gauge registered under name and labels, creating it
 // on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {

@@ -164,6 +164,25 @@ func (s *SyncInterner) Lookup(path string) (FileID, bool) {
 	return id, ok
 }
 
+// LookupBytes is Lookup for a path held in a byte slice; it never
+// allocates. A server uses it to recognise a known path before deciding
+// whether an unknown one deserves an ID.
+func (s *SyncInterner) LookupBytes(path []byte) (FileID, bool) {
+	snap := s.snap.Load()
+	if id, ok := snap.ids[string(path)]; ok {
+		return id, true
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if snap2 := s.snap.Load(); snap2 != snap {
+		if id, ok := snap2.ids[string(path)]; ok {
+			return id, true
+		}
+	}
+	id, ok := s.dirty[string(path)]
+	return id, ok
+}
+
 // Path returns the path for id, or "" if id has not been assigned.
 func (s *SyncInterner) Path(id FileID) string {
 	snap := s.snap.Load()

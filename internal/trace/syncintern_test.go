@@ -119,6 +119,14 @@ func TestSyncInternerPromotion(t *testing.T) {
 		if got := s.Path(FileID(i)); got != p {
 			t.Errorf("Path(%d) = %q, want %q", i, got, p)
 		}
+		// Promoted or still in the overlay, a known path is found; the
+		// lookup itself assigns nothing.
+		if id, ok := s.LookupBytes([]byte(p)); !ok || int(id) != i {
+			t.Errorf("LookupBytes(%q) = %d,%v, want %d,true", p, id, ok, i)
+		}
+	}
+	if _, ok := s.LookupBytes([]byte("/epoch/missing")); ok || s.Len() != n {
+		t.Errorf("LookupBytes of an unknown path: ok=%v, Len = %d, want false and %d", ok, s.Len(), n)
 	}
 }
 
