@@ -21,12 +21,18 @@ ignore-guard:
 # path (PR 20: Open returns immutable cache storage) are gone; so are the
 # server's store-staging coalescer (fsnet no longer uses singleflight), the
 # client's reconnect scrap recycling and the second optional router
-# interface (PR 21). Test files may name them; other Go source may not.
+# interface (PR 21), and the slab-and-slice forward — the client call that
+# copied a group out of its frames, the unexported container it copied from
+# and the write decoder that materialised a path string (PR 22: a group
+# reply is one fsnet.Group end to end; the mirror's member-first slice went
+# with it, but `led` is too short a word to guard). Test files may name
+# them; other Go source may not.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'takeCallScrap|takeOrphanScrap|storeScrap|scrapCalls|TracedRouter|troute' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' internal/fsnet
+	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

@@ -479,7 +479,10 @@ func TestRunClusterDrainEndpoints(t *testing.T) {
 		t.Errorf("/readyz = %d %q, want 200 ready", code, body)
 	}
 
-	// Open some files so the node has learned group state to hand off.
+	// Open some files so the node has learned group state to hand off —
+	// once its peer is listening: forwards into a port nobody has bound yet
+	// trip the peer's breaker, and a drain skips a peer that is down.
+	dialRetry(t, addrs[1]).Close()
 	client := dialRetry(t, addrs[0])
 	for f := 0; f < 30; f++ {
 		path := fmt.Sprintf("/synthetic/f%06d", f)

@@ -5,12 +5,13 @@
 // fsnet client, and the owner's whole group reply comes back in that one
 // hop. Placement is therefore group-affine without any extra machinery:
 // a group's anchor path and its learned successors hash together only in
-// the owner's metadata, and the single OpenGroup round trip moves the
+// the owner's metadata, and the single FetchGroup round trip moves the
 // entire group to the requesting node, which mirrors it (see mirror) so
-// follow-on member opens are local. The peer clients are transport only:
-// a forwarded group is copied once, out of the connection's frame
-// buffers into a slab of its own, and the mirror and every reply that
-// serves it reference that one copy.
+// follow-on member opens are local. The peer clients are transport only,
+// and a forwarded group is never copied: the frames read from the owner
+// are one reference-counted fsnet.Group that the mirror keeps and every
+// reply served from it writes to its socket (DESIGN.md §11 has the
+// ownership rules).
 //
 // A Node plugs into an fsnet.Server as its OpenRouter: the server
 // consults RouteOpen before its own cache and store, and everything the
@@ -185,10 +186,18 @@ type Node struct {
 	events *obs.EventLog
 }
 
-// forward is one owner fetch's outcome, shared across coalesced opens.
+// forward is one owner fetch's outcome, shared across coalesced opens:
+// the leader owns the reference the fetch returned, and shareForward takes
+// one more for each follower before it wakes.
 type forward struct {
-	files []fsnet.GroupFile
+	group *fsnet.Group
 	err   error
+}
+
+func shareForward(f forward) {
+	if f.group != nil {
+		f.group.Retain()
+	}
 }
 
 var _ fsnet.InlineRouter = (*Node)(nil)
@@ -284,6 +293,11 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 		defer n.mirMu.Unlock()
 		return float64(n.mirror.groups())
 	})
+	reg.GaugeFunc("cluster_mirror_retained_bytes", "frame buffer capacity pinned by the groups resident in the mirror", func() float64 {
+		n.mirMu.Lock()
+		defer n.mirMu.Unlock()
+		return float64(n.mirror.retainedBytes())
+	})
 	reg.GaugeFunc("cluster_membership_epoch", "epoch of the installed membership view", func() float64 {
 		return float64(n.Epoch())
 	})
@@ -307,25 +321,42 @@ func (n *Node) Self() string { return n.self }
 // RouteOpen implements fsnet.OpenRouter. Paths this node owns — and
 // paths whose owner is unreachable — are declined so the embedding
 // server serves them from its own aggregating cache and store; everything
-// else is answered from the mirror or by one OpenGroup hop to the owner,
+// else is answered from the mirror or by one FetchGroup hop to the owner,
 // with the downstream client's piggybacked history relayed so the
 // owner's successor metadata stays as complete as a direct client's.
 //
 // The membership view is loaded once per call: an open that raced a
 // ring swap completes against the view it started with.
+//
+// This plain form is a thin adapter for callers that want a slice (a
+// server embeds the node as an InlineRouter and never comes this way): the
+// files are lead-first, and the reference route handed over is abandoned,
+// never released, so the group is never recycled and the slice stays
+// valid for as long as the caller keeps it.
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
-	return n.RouteOpenTraced(path, accessed, otrace.Ctx{})
+	g, lead, handled, err := n.RouteOpenTraced(path, accessed, otrace.Ctx{})
+	if g == nil {
+		return nil, handled, err
+	}
+	if lead == 0 {
+		return g.Files, handled, err
+	}
+	files := make([]fsnet.GroupFile, 0, len(g.Files))
+	files = append(files, g.Files[lead])
+	files = append(files, g.Files[:lead]...)
+	return append(files, g.Files[lead+1:]...), handled, err
 }
 
 // RouteOpenTraced implements fsnet.InlineRouter: RouteOpen carrying the
 // request's trace context. A sampled context gets child spans for the
 // routing outcome — "mirror", "coalesced_wait", or "forward_rpc" — and
-// rides the forwarded OpenGroup to the owner, whose server records its
+// rides the forwarded FetchGroup to the owner, whose server records its
 // own spans under the same trace ID; the fleet scraper stitches the two
-// nodes' rings back into one tree.
-func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) ([]fsnet.GroupFile, bool, error) {
-	files, handled, _, err := n.route(path, accessed, tctx, true)
-	return files, handled, err
+// nodes' rings back into one tree. The caller owns one reference to a
+// handled group.
+func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (*fsnet.Group, int, bool, error) {
+	g, lead, handled, _, err := n.route(path, accessed, tctx, true)
+	return g, lead, handled, err
 }
 
 // TryRouteOpen implements fsnet.InlineRouter: the routing outcomes that
@@ -333,21 +364,23 @@ func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) 
 // mirrored, or its owner's breaker is open — are served here, on the
 // calling connection's read loop; anything else reports blocks=true
 // untouched, and comes back through RouteOpenTraced on a worker.
-func (n *Node) TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []fsnet.GroupFile, handled, blocks bool) {
-	files, handled, blocks, _ = n.route(path, accessed, tctx, false)
-	return files, handled, blocks
+func (n *Node) TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (g *fsnet.Group, lead int, handled, blocks bool) {
+	g, lead, handled, blocks, _ = n.route(path, accessed, tctx, false)
+	return g, lead, handled, blocks
 }
 
 // route is the one routing path behind both entry points. mayForward is
 // false on a read loop, where the open stops short of the forward and of
 // admit, whose probe slot belongs to a caller that goes on to forward: a
-// read loop only degrades while the breaker's cooldown is running.
-func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (files []fsnet.GroupFile, handled, blocks bool, err error) {
+// read loop only degrades while the breaker's cooldown is running. A
+// handled group comes with one reference for the caller, and lead indexes
+// the demanded file in it.
+func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (g *fsnet.Group, lead int, handled, blocks bool, err error) {
 	v := n.view.Load()
 	owner := v.ring.Owner(path)
 	if owner == n.self || owner == "" {
 		n.localOpens.Add(1)
-		return nil, false, false, nil
+		return nil, 0, false, false, nil
 	}
 	p := v.peers[owner]
 
@@ -360,20 +393,20 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 	// Mirror first: a mirrored group answers even while its owner is
 	// down, and relays the history so it rides the next forward fetch.
 	n.mirMu.Lock()
-	files, ok := n.mirror.get(path)
+	g, lead = n.mirror.get(path)
 	n.mirMu.Unlock()
-	if ok {
+	if g != nil {
 		n.mirrorHits.Add(1)
 		p.client.NoteAccess(accessed...)
 		p.client.NoteAccess(path)
 		if tctx.Sampled {
 			tr.Record(tr.Child(tctx), "mirror", path, tstart, n.cfg.Now().Sub(tstart))
 		}
-		return files, true, false, nil
+		return g, lead, true, false, nil
 	}
 
 	if !mayForward && p.up() {
-		return nil, false, true, nil
+		return nil, 0, false, true, nil
 	}
 	if !mayForward || !p.admit() {
 		// Hinted handoff: the owner is down, so stage the access history
@@ -381,13 +414,13 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		// itself degrades to the local path as before.
 		n.stageHints(p.addr, path, accessed)
 		n.degradedOpens.Add(1)
-		return nil, false, false, nil
+		return nil, 0, false, false, nil
 	}
 
-	// Coalesce concurrent forwards of the same path: one OpenGroup
-	// serves every open that arrived while it was in flight. Only the
-	// leader's context travels downstream; a sampled follower records
-	// just its local wait below.
+	// Coalesce concurrent forwards of the same path: one FetchGroup
+	// serves every open that arrived while it was in flight, each through
+	// a reference of its own. Only the leader's context travels
+	// downstream; a sampled follower records just its local wait below.
 	res, _, coalesced := n.flights.Do(path, func() (forward, bool) {
 		p.client.NoteAccess(accessed...)
 		fctx := tr.Child(tctx)
@@ -395,7 +428,7 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		if fctx.Sampled {
 			fstart = n.cfg.Now()
 		}
-		files, err := p.client.OpenGroupCtx(path, fctx)
+		g, err := p.client.FetchGroup(path, fctx)
 		if fctx.Sampled {
 			tr.Record(fctx, "forward_rpc", path, fstart, n.cfg.Now().Sub(fstart))
 		}
@@ -405,7 +438,7 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 				go n.replayHints(p)
 			}
 			n.mirMu.Lock()
-			n.mirror.put(files, p.addr)
+			n.mirror.put(g, p.addr)
 			n.mirMu.Unlock()
 		case errors.Is(err, fsnet.ErrConnBroken):
 			p.noteFailure()
@@ -415,8 +448,8 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 				go n.replayHints(p)
 			}
 		}
-		return forward{files: files, err: err}, true
-	})
+		return forward{group: g, err: err}, true
+	}, shareForward)
 	switch {
 	case res.err == nil:
 		if coalesced {
@@ -427,17 +460,18 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		} else {
 			n.forwardedOpens.Add(1)
 		}
-		return res.files, true, false, nil
+		// The owner's reply leads with the path it was asked for.
+		return res.group, 0, true, false, nil
 	case errors.Is(res.err, fsnet.ErrNotFound):
 		// The owner is authoritative and the stores are replicas: a
 		// local re-check cannot succeed, so answer not-found directly.
 		n.notFound.Add(1)
-		return nil, true, false, res.err
+		return nil, 0, true, false, res.err
 	default:
 		// Transport or server failure: degrade to the local store. The
 		// open still succeeds, just without the owner's group metadata.
 		n.degradedOpens.Add(1)
-		return nil, false, false, nil
+		return nil, 0, false, false, nil
 	}
 }
 
@@ -490,9 +524,12 @@ type NodeStats struct {
 	LocalOpens     uint64
 	ForwardedOpens uint64
 	// MirrorHits were answered from the hot-group mirror without a peer
-	// hop; MirrorGroups is its current residency.
-	MirrorHits   uint64
-	MirrorGroups int
+	// hop; MirrorGroups is its current residency and MirrorRetainedBytes
+	// the frame buffer capacity those groups pin (at least their
+	// contents' length: a chunk may sit in a buffer a larger frame sized).
+	MirrorHits          uint64
+	MirrorGroups        int
+	MirrorRetainedBytes int
 	// CoalescedForwards counts opens that shared another open's
 	// in-flight owner fetch.
 	CoalescedForwards uint64
@@ -537,7 +574,7 @@ func (n *Node) Stats() NodeStats {
 		DrainGroupsFailed: n.drainFailed.Load(),
 	}
 	n.mirMu.Lock()
-	st.MirrorGroups = n.mirror.groups()
+	st.MirrorGroups, st.MirrorRetainedBytes = n.mirror.groups(), n.mirror.retainedBytes()
 	n.mirMu.Unlock()
 	for _, p := range v.peers {
 		st.Peers = append(st.Peers, PeerStatus{

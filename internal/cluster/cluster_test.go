@@ -10,6 +10,7 @@ import (
 
 	"aggcache/internal/faultnet"
 	"aggcache/internal/fsnet"
+	"aggcache/internal/obs/otrace"
 )
 
 // testCluster is an in-process N-node cluster: every node runs a real
@@ -31,6 +32,14 @@ const testFiles = 80
 func testContent(path string) string { return "contents of " + path }
 
 func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config)) *testCluster {
+	t.Helper()
+	return startClusterBehind(t, numNodes, mut, nil)
+}
+
+// startClusterBehind is startCluster with node i's listener passed through
+// wrap first (nil leaves them all plain), for tests that interpose on the
+// connections a node accepts rather than the ones it dials.
+func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config), wrap func(i int, l net.Listener) net.Listener) *testCluster {
 	t.Helper()
 	tc := &testCluster{gates: make(map[string]*faultnet.Gate), clk: newTick()}
 
@@ -98,18 +107,63 @@ func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config)) *tes
 		}
 		tc.servers = append(tc.servers, srv)
 		l := listeners[i]
+		if wrap != nil {
+			l = wrap(i, l)
+		}
 		go func() { _ = srv.Serve(l) }()
 	}
 
-	t.Cleanup(func() {
-		for _, n := range tc.nodes {
-			_ = n.Close()
-		}
-		for _, s := range tc.servers {
-			_ = s.Close()
-		}
-	})
+	t.Cleanup(tc.close)
 	return tc
+}
+
+// close shuts every node and server down and waits for their handlers,
+// so no reply is in flight afterwards. Idempotent.
+func (tc *testCluster) close() {
+	for _, n := range tc.nodes {
+		_ = n.Close()
+	}
+	for _, s := range tc.servers {
+		_ = s.Close()
+	}
+}
+
+// checkGroupBalance is the reference balance at teardown: with the
+// cluster closed, every group taken since base has been released but the
+// ones the mirrors still hold — a leaked reference and a double release
+// both break the equation. Only race builds count (liveGroups).
+func (tc *testCluster) checkGroupBalance(t *testing.T, base int64) {
+	t.Helper()
+	tc.close()
+	var mirrored int64
+	for _, n := range tc.nodes {
+		mirrored += int64(n.Stats().MirrorGroups)
+	}
+	// A hint replay off a heal edge runs on its own goroutine and may
+	// still be giving its reference back.
+	var live int64
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		now, counted := liveGroups()
+		if live = now - base; !counted || live == mirrored {
+			return
+		}
+	}
+	t.Errorf("%d groups still referenced at teardown, the mirrors hold %d", live, mirrored)
+}
+
+// fetchGroup is FetchGroup for a test that only inspects the reply: a
+// private copy of the group, its reference released.
+func fetchGroup(c *fsnet.Client, path string) ([]fsnet.GroupFile, error) {
+	g, err := c.FetchGroup(path, otrace.Ctx{})
+	if err != nil {
+		return nil, err
+	}
+	defer g.Release()
+	files := make([]fsnet.GroupFile, len(g.Files))
+	for i, f := range g.Files {
+		files[i] = fsnet.GroupFile{Path: f.Path, Data: append([]byte(nil), f.Data...)}
+	}
+	return files, nil
 }
 
 // client dials a plain workload client against node i's server.
@@ -165,7 +219,9 @@ func TestClusterPlacementAgreement(t *testing.T) {
 // must return the right bytes no matter which node served it or where
 // the path lives. Runs under -race in `make race`.
 func TestClusterEveryOpenCorrect(t *testing.T) {
+	base, _ := liveGroups()
 	tc := startCluster(t, 3, nil)
+	defer tc.checkGroupBalance(t, base)
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
 	for i := 0; i < 3; i++ {
@@ -273,7 +329,7 @@ func TestClusterGroupAffinity(t *testing.T) {
 
 	client := tc.client(t, 1, fsnet.ClientConfig{})
 	// Train: open anchor then follow repeatedly. Cache hits accumulate
-	// in the client's piggyback backlog; OpenGroup drains it through
+	// in the client's piggyback backlog; FetchGroup drains it through
 	// node 1, which relays it to the owner on the forwarded fetch.
 	for round := 0; round < 6; round++ {
 		if _, err := client.Open(anchor); err != nil {
@@ -282,7 +338,7 @@ func TestClusterGroupAffinity(t *testing.T) {
 		if _, err := client.Open(follow); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := client.OpenGroup(anchor); err != nil {
+		if _, err := fetchGroup(client, anchor); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -290,7 +346,7 @@ func TestClusterGroupAffinity(t *testing.T) {
 	// A fresh client of node 1 opens only the anchor; the owner's group
 	// must bring the learned successor along in the same hop.
 	probe := tc.client(t, 1, fsnet.ClientConfig{})
-	group, err := probe.OpenGroup(anchor)
+	group, err := fetchGroup(probe, anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +394,7 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 
 	open := func() {
 		t.Helper()
-		data, err := client.OpenGroup(path)
+		data, err := fetchGroup(client, path)
 		if err != nil {
 			t.Fatalf("open during failover: %v", err)
 		}
@@ -406,12 +462,14 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 // guarantee holds when the peer dies in the middle of a concurrent
 // workload, not between requests.
 func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
+	base, _ := liveGroups()
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.MirrorCapacity = -1 // don't let round-0 mirrors absorb the outage
 		cfg.FailureThreshold = 2
 		cfg.DownDuration = time.Minute
 		cfg.PeerTimeout = 2 * time.Second
 	})
+	defer tc.checkGroupBalance(t, base)
 	victim := 2
 
 	var wg sync.WaitGroup
@@ -482,9 +540,9 @@ func TestClusterMirrorAbsorbsHotGroup(t *testing.T) {
 
 	const rounds = 5
 	for i := 0; i < rounds; i++ {
-		// OpenGroup bypasses the workload client's cache, so every round
+		// FetchGroup bypasses the workload client's cache, so every round
 		// reaches node 0's router — the hotspot shape.
-		group, err := client.OpenGroup(path)
+		group, err := fetchGroup(client, path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -503,7 +561,7 @@ func TestClusterMirrorAbsorbsHotGroup(t *testing.T) {
 	// Past the TTL the mirror refetches: the owner's current group state
 	// is re-observed once per window.
 	tc.clk.Advance(2 * time.Minute)
-	if _, err := client.OpenGroup(path); err != nil {
+	if _, err := fetchGroup(client, path); err != nil {
 		t.Fatal(err)
 	}
 	if got := tc.nodes[0].Stats().ForwardedOpens; got != 2 {
@@ -514,13 +572,18 @@ func TestClusterMirrorAbsorbsHotGroup(t *testing.T) {
 // TestClusterForwardCoalescing: concurrent opens of the same remote path
 // share one owner fetch. The dialer stalls the first connection long
 // enough for the herd to pile up, then every open resolves from the one
-// flight (or the mirror it filled).
+// flight — each through a reference of its own. The mirror is off, so
+// once the leader's reply is written (its reference released) a
+// follower's reference is the only thing keeping the group's frames from
+// the pool: the followers outlive the leader, read their bytes after
+// every earlier holder has let go, and the last one out recycles.
 func TestClusterForwardCoalescing(t *testing.T) {
 	const herd = 8
 	release := make(chan struct{})
 	var stallOnce sync.Once
+	base, counted := liveGroups()
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorTTL = time.Hour
+		cfg.MirrorCapacity = -1
 		base := cfg.Dialer
 		cfg.Dialer = func(addr string) (net.Conn, error) {
 			stallOnce.Do(func() { <-release })
@@ -529,43 +592,54 @@ func TestClusterForwardCoalescing(t *testing.T) {
 	})
 	path := tc.pathOwnedBy(t, 1, nil)
 
+	type held struct {
+		g    *fsnet.Group
+		lead int
+	}
 	var wg sync.WaitGroup
-	errs := make(chan error, herd)
+	got := make(chan held, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			files, handled, err := tc.nodes[0].RouteOpen(path, nil)
+			g, lead, handled, err := tc.nodes[0].RouteOpenTraced(path, nil, otrace.Ctx{})
 			if err != nil || !handled {
-				errs <- fmt.Errorf("RouteOpen handled=%v err=%v", handled, err)
+				t.Errorf("RouteOpenTraced handled=%v err=%v", handled, err)
 				return
 			}
-			if string(files[0].Data) != testContent(path) {
-				errs <- fmt.Errorf("coalesced open = %q", files[0].Data)
-				return
-			}
-			errs <- nil
+			got <- held{g, lead}
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the herd queue behind the stalled dial
 	close(release)
 	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+	close(got)
+	if t.Failed() {
+		return
 	}
 	st := tc.nodes[0].Stats()
-	if total := st.ForwardedOpens + st.CoalescedForwards + st.MirrorHits; total != herd {
-		t.Errorf("forwarded %d + coalesced %d + mirrored %d != herd %d",
-			st.ForwardedOpens, st.CoalescedForwards, st.MirrorHits, herd)
+	if total := st.ForwardedOpens + st.CoalescedForwards; total != herd {
+		t.Errorf("forwarded %d + coalesced %d != herd %d", st.ForwardedOpens, st.CoalescedForwards, herd)
 	}
 	if st.ForwardedOpens != 1 {
 		t.Errorf("ForwardedOpens = %d, want 1 (single flight)", st.ForwardedOpens)
 	}
 	if st.CoalescedForwards == 0 {
 		t.Error("no opens coalesced behind the stalled flight")
+	}
+	// One holder after another writes its reply and lets go; whoever is
+	// left still reads the right bytes.
+	for h := range got {
+		if h.lead >= len(h.g.Files) {
+			t.Fatalf("a holder's group has %d files, lead %d: an earlier holder's release emptied it", len(h.g.Files), h.lead)
+		}
+		if f := h.g.Files[h.lead]; f.Path != path || string(f.Data) != testContent(path) {
+			t.Fatalf("coalesced open read %q = %q after earlier holders released", f.Path, f.Data)
+		}
+		h.g.Release()
+	}
+	if now, _ := liveGroups(); counted && now != base {
+		t.Errorf("%d groups still referenced after the whole herd released, want 0", now-base)
 	}
 }
 

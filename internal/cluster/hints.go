@@ -120,9 +120,10 @@ func (n *Node) stageHints(addr, path string, accessed []string) {
 }
 
 // replayHints delivers a healed peer's staged access history. The whole
-// queue rides as piggyback on one OpenGroup of the newest staged path:
+// queue rides as piggyback on one FetchGroup of the newest staged path:
 // the owner learns every transition in order, and the group reply
-// re-warms the mirror. Runs in its own goroutine off the heal edge, so
+// re-warms the mirror, which takes its own reference — the replay's is
+// released at once. Runs in its own goroutine off the heal edge, so
 // the open that probed the peer is never delayed.
 //
 // On a transport failure the fsnet client restores the un-delivered
@@ -149,12 +150,13 @@ func (n *Node) replayHints(p *peer) {
 		}()
 	}
 	p.client.NoteAccess(paths...)
-	files, err := p.client.OpenGroupCtx(paths[len(paths)-1], tr.Child(tctx))
+	g, err := p.client.FetchGroup(paths[len(paths)-1], tr.Child(tctx))
 	switch {
 	case err == nil:
 		n.mirMu.Lock()
-		n.mirror.put(files, p.addr)
+		n.mirror.put(g, p.addr)
 		n.mirMu.Unlock()
+		g.Release()
 	case errors.Is(err, fsnet.ErrConnBroken):
 		p.noteFailure()
 		return

@@ -40,12 +40,13 @@ type mirror struct {
 	hits, misses, expired, evicted uint64
 }
 
-// mirrorEntry is one mirrored group. files is the slice the forward
-// returned, contents in the group's own slab: the entry is its only
-// holder besides the replies still being written from it, so dropping the
-// entry frees the group as a unit.
+// mirrorEntry is one mirrored group: the very frames the forward read
+// from the owner, held by one reference the entry takes at put and gives
+// up when it is dropped. Replies still being written from the group hold
+// their own, so dropping the entry recycles the group only once the last
+// of them is on the wire.
 type mirrorEntry struct {
-	files  []fsnet.GroupFile
+	group  *fsnet.Group
 	stored time.Time
 	// owner is the peer the group was fetched from, so a membership
 	// change that removes the peer can purge its groups (the new owner
@@ -56,15 +57,11 @@ type mirrorEntry struct {
 	prev, next *mirrorEntry
 }
 
-// memberRef is one member path's index slot.
+// memberRef is one member path's index slot: its group and its place in
+// it, which is the lead index an open of the member replies with.
 type memberRef struct {
-	ent *mirrorEntry
-	// led is ent.files ordered as an open of this member replies: the
-	// member first, the rest as fetched. It is built by the member's
-	// first hit and kept, so its later hits allocate nothing; the
-	// anchor's is ent.files itself. Immutable once built — replies in
-	// flight read it.
-	led []fsnet.GroupFile
+	ent  *mirrorEntry
+	lead int
 }
 
 // newMirror returns a mirror with cfg-normalized knobs, or nil when the
@@ -90,78 +87,60 @@ func newMirror(capacity int, ttl time.Duration, now func() time.Time) *mirror {
 	return m
 }
 
-// get returns the mirrored group containing path — ordered so path
-// leads, as the open reply demands — or ok=false on miss/expiry. The
-// returned slice and its contents are the mirror's own, shared with every
-// other reply served from the group; callers treat them as read-only
-// (the serving path only serializes them).
+// get returns the mirrored group containing path and path's index in it
+// — the reply leads with that file and follows with the rest in arrival
+// order — or nil on miss/expiry. The caller owns one reference to the
+// group, retained here while the entry is indexed, and shares the group
+// read-only with the mirror and every other reply served from it.
 //
 // Callers hold the node mutex; the mirror has no lock of its own.
-func (m *mirror) get(path string) ([]fsnet.GroupFile, bool) {
+func (m *mirror) get(path string) (g *fsnet.Group, lead int) {
 	if m == nil {
-		return nil, false
+		return nil, 0
 	}
 	ref, ok := m.entries[path]
 	if !ok {
 		m.misses++
-		return nil, false
+		return nil, 0
 	}
 	ent := ref.ent
 	if m.ttl >= 0 && m.now().Sub(ent.stored) > m.ttl {
 		m.removeEntry(ent)
 		m.expired++
 		m.misses++
-		return nil, false
+		return nil, 0
 	}
 	m.unlink(ent)
 	m.pushFront(ent)
 	m.hits++
-	if ref.led == nil {
-		// A member's first open: lead with the demanded file, keep the
-		// rest in arrival order.
-		ref.led = make([]fsnet.GroupFile, 0, len(ent.files))
-		for _, f := range ent.files {
-			if f.Path == path {
-				ref.led = append(ref.led, f)
-			}
-		}
-		for _, f := range ent.files {
-			if f.Path != path {
-				ref.led = append(ref.led, f)
-			}
-		}
-		m.entries[path] = ref
-	}
-	return ref.led, true
+	ent.group.Retain()
+	return ent.group, ref.lead
 }
 
 // put mirrors a freshly fetched group under all its member paths,
 // evicting least-recently-used groups beyond capacity. A member path
 // already indexed for another group is re-pointed here — newest group
 // wins, mirroring how the owner's own group evolves. owner records the
-// peer the group came from, for purgeOwner. The mirror keeps files: the
-// caller may still read it, never write it.
-func (m *mirror) put(files []fsnet.GroupFile, owner string) {
-	if m == nil || len(files) == 0 {
+// peer the group came from, for purgeOwner. The mirror takes a reference
+// of its own; the caller keeps the one it came with.
+func (m *mirror) put(g *fsnet.Group, owner string) {
+	if m == nil || len(g.Files) == 0 {
 		return
 	}
+	g.Retain()
 	ent := m.free
 	if ent != nil {
 		m.free, ent.next = ent.next, nil
 	} else {
 		ent = new(mirrorEntry)
 	}
-	ent.files, ent.stored, ent.owner = files, m.now(), owner
+	ent.group, ent.stored, ent.owner = g, m.now(), owner
 	m.pushFront(ent)
-	for i, f := range files {
+	for i, f := range g.Files {
 		if old, ok := m.entries[f.Path]; ok && old.ent != ent {
 			m.unindex(old.ent, f.Path)
 		}
-		ref := memberRef{ent: ent}
-		if i == 0 {
-			ref.led = files
-		}
-		m.entries[f.Path] = ref
+		m.entries[f.Path] = memberRef{ent: ent, lead: i}
 	}
 	for m.n > m.capacity {
 		m.evicted++
@@ -173,7 +152,7 @@ func (m *mirror) put(files []fsnet.GroupFile, owner string) {
 // once no member still points at it.
 func (m *mirror) unindex(ent *mirrorEntry, path string) {
 	delete(m.entries, path)
-	for _, f := range ent.files {
+	for _, f := range ent.group.Files {
 		if f.Path != path && m.entries[f.Path].ent == ent {
 			return // still reachable through another member
 		}
@@ -183,7 +162,7 @@ func (m *mirror) unindex(ent *mirrorEntry, path string) {
 
 // removeEntry drops a group and every member index pointing at it.
 func (m *mirror) removeEntry(ent *mirrorEntry) {
-	for _, f := range ent.files {
+	for _, f := range ent.group.Files {
 		if m.entries[f.Path].ent == ent {
 			delete(m.entries, f.Path)
 		}
@@ -214,6 +193,18 @@ func (m *mirror) groups() int {
 	return m.n
 }
 
+// retainedBytes returns the frame buffer capacity the resident groups pin.
+func (m *mirror) retainedBytes() int {
+	if m == nil {
+		return 0
+	}
+	n := 0
+	for e := m.lru.next; e != &m.lru; e = e.next {
+		n += e.group.RetainedBytes()
+	}
+	return n
+}
+
 func (m *mirror) pushFront(ent *mirrorEntry) {
 	ent.prev, ent.next = &m.lru, m.lru.next
 	ent.prev.next, ent.next.prev = ent, ent
@@ -225,10 +216,12 @@ func (m *mirror) unlink(ent *mirrorEntry) {
 	m.n--
 }
 
-// drop unlinks a group no index entry points at any more and keeps its
-// struct — not its files, which replies may still be reading — for reuse.
+// drop unlinks a group no index entry points at any more, gives up the
+// mirror's reference to it — replies may hold theirs a while longer — and
+// keeps the entry's struct for reuse.
 func (m *mirror) drop(ent *mirrorEntry) {
 	m.unlink(ent)
+	ent.group.Release()
 	*ent = mirrorEntry{next: m.free}
 	m.free = ent
 }

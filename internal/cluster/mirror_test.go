@@ -29,26 +29,49 @@ func (c *tick) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func mkGroup(paths ...string) []fsnet.GroupFile {
-	out := make([]fsnet.GroupFile, len(paths))
-	for i, p := range paths {
-		out[i] = fsnet.GroupFile{Path: p, Data: []byte("data " + p)}
+// mkGroup builds a group as a forward would hand it over: one reference,
+// the caller's.
+func mkGroup(paths ...string) *fsnet.Group {
+	g := fsnet.NewGroup()
+	for _, p := range paths {
+		g.Files = append(g.Files, fsnet.GroupFile{Path: p, Data: []byte("data " + p)})
 	}
-	return out
+	return g
+}
+
+// putNew mirrors a fresh group the way route does — the mirror retains,
+// the fetch's own reference goes to the reply — with the reply already
+// written: the mirror's reference is the only one left.
+func putNew(m *mirror, owner string, paths ...string) {
+	g := mkGroup(paths...)
+	m.put(g, owner)
+	g.Release()
+}
+
+// led is get as a reply would serialise it: the demanded file first, the
+// rest in arrival order. The reference get handed over is released.
+func led(m *mirror, path string) ([]fsnet.GroupFile, bool) {
+	g, lead := m.get(path)
+	if g == nil {
+		return nil, false
+	}
+	defer g.Release()
+	files := append([]fsnet.GroupFile{g.Files[lead]}, g.Files[:lead]...)
+	return append(files, g.Files[lead+1:]...), true
 }
 
 func TestMirrorIndexesEveryMember(t *testing.T) {
 	clk := newTick()
 	m := newMirror(4, time.Minute, clk.Now)
-	m.put(mkGroup("/a", "/b", "/c"), "peer")
+	putNew(m, "peer", "/a", "/b", "/c")
 
 	// Anchor lookup returns the group as stored.
-	files, ok := m.get("/a")
+	files, ok := led(m, "/a")
 	if !ok || len(files) != 3 || files[0].Path != "/a" {
 		t.Fatalf("get(/a) = %v, %v", files, ok)
 	}
 	// Member lookup reorders: demanded path leads, rest keep order.
-	files, ok = m.get("/c")
+	files, ok = led(m, "/c")
 	if !ok || len(files) != 3 {
 		t.Fatalf("get(/c) = %v, %v", files, ok)
 	}
@@ -58,7 +81,7 @@ func TestMirrorIndexesEveryMember(t *testing.T) {
 	if string(files[0].Data) != "data /c" {
 		t.Errorf("member data = %q", files[0].Data)
 	}
-	if _, ok := m.get("/missing"); ok {
+	if _, ok := led(m, "/missing"); ok {
 		t.Error("get(/missing) hit")
 	}
 	if m.hits != 2 || m.misses != 1 {
@@ -69,16 +92,16 @@ func TestMirrorIndexesEveryMember(t *testing.T) {
 func TestMirrorTTLExpiry(t *testing.T) {
 	clk := newTick()
 	m := newMirror(4, time.Second, clk.Now)
-	m.put(mkGroup("/a", "/b"), "peer")
-	if _, ok := m.get("/a"); !ok {
+	putNew(m, "peer", "/a", "/b")
+	if _, ok := led(m, "/a"); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	clk.Advance(1500 * time.Millisecond)
-	if _, ok := m.get("/a"); ok {
+	if _, ok := led(m, "/a"); ok {
 		t.Error("expired entry still served")
 	}
 	// Expiry evicts the whole group, every index included.
-	if _, ok := m.get("/b"); ok {
+	if _, ok := led(m, "/b"); ok {
 		t.Error("expired group still served via member")
 	}
 	if m.groups() != 0 {
@@ -92,9 +115,9 @@ func TestMirrorTTLExpiry(t *testing.T) {
 func TestMirrorNeverExpires(t *testing.T) {
 	clk := newTick()
 	m := newMirror(4, -1, clk.Now)
-	m.put(mkGroup("/a"), "peer")
+	putNew(m, "peer", "/a")
 	clk.Advance(1000 * time.Hour)
-	if _, ok := m.get("/a"); !ok {
+	if _, ok := led(m, "/a"); !ok {
 		t.Error("negative TTL entry expired")
 	}
 }
@@ -102,17 +125,17 @@ func TestMirrorNeverExpires(t *testing.T) {
 func TestMirrorLRUEviction(t *testing.T) {
 	clk := newTick()
 	m := newMirror(2, time.Minute, clk.Now)
-	m.put(mkGroup("/g1", "/g1.m"), "peer")
-	m.put(mkGroup("/g2"), "peer")
-	m.get("/g1") // touch: g2 is now LRU
-	m.put(mkGroup("/g3"), "peer")
-	if _, ok := m.get("/g2"); ok {
+	putNew(m, "peer", "/g1", "/g1.m")
+	putNew(m, "peer", "/g2")
+	led(m, "/g1") // touch: g2 is now LRU
+	putNew(m, "peer", "/g3")
+	if _, ok := led(m, "/g2"); ok {
 		t.Error("LRU group survived eviction")
 	}
-	if _, ok := m.get("/g1"); !ok {
+	if _, ok := led(m, "/g1"); !ok {
 		t.Error("recently used group evicted")
 	}
-	if _, ok := m.get("/g3"); !ok {
+	if _, ok := led(m, "/g3"); !ok {
 		t.Error("fresh group evicted")
 	}
 	if m.evicted != 1 {
@@ -123,14 +146,14 @@ func TestMirrorLRUEviction(t *testing.T) {
 func TestMirrorNewerGroupWinsSharedMember(t *testing.T) {
 	clk := newTick()
 	m := newMirror(4, time.Minute, clk.Now)
-	m.put(mkGroup("/a", "/shared"), "peer")
-	m.put(mkGroup("/b", "/shared"), "peer")
-	files, ok := m.get("/shared")
+	putNew(m, "peer", "/a", "/shared")
+	putNew(m, "peer", "/b", "/shared")
+	files, ok := led(m, "/shared")
 	if !ok || files[1].Path != "/b" {
 		t.Fatalf("shared member resolves to %v, want /b's group", files)
 	}
 	// /a's group is still reachable through its anchor.
-	if files, ok := m.get("/a"); !ok || len(files) != 2 {
+	if files, ok := led(m, "/a"); !ok || len(files) != 2 {
 		t.Errorf("get(/a) = %v, %v after member re-point", files, ok)
 	}
 }
@@ -138,12 +161,12 @@ func TestMirrorNewerGroupWinsSharedMember(t *testing.T) {
 func TestMirrorSingleMemberOverlapDropsOldGroup(t *testing.T) {
 	clk := newTick()
 	m := newMirror(4, time.Minute, clk.Now)
-	m.put(mkGroup("/solo"), "peer")
-	m.put(mkGroup("/other", "/solo"), "peer")
+	putNew(m, "peer", "/solo")
+	putNew(m, "peer", "/other", "/solo")
 	if m.groups() != 1 {
 		t.Errorf("groups = %d, want 1 (old single-member group unreachable)", m.groups())
 	}
-	files, ok := m.get("/solo")
+	files, ok := led(m, "/solo")
 	if !ok || files[1].Path != "/other" {
 		t.Errorf("get(/solo) = %v, %v", files, ok)
 	}
@@ -154,8 +177,8 @@ func TestMirrorDisabledIsNilSafe(t *testing.T) {
 	if m != nil {
 		t.Fatal("capacity < 0 should disable the mirror")
 	}
-	m.put(mkGroup("/a"), "peer")
-	if _, ok := m.get("/a"); ok {
+	putNew(m, "peer", "/a")
+	if _, ok := led(m, "/a"); ok {
 		t.Error("disabled mirror served a hit")
 	}
 	if m.groups() != 0 {
@@ -168,7 +191,7 @@ func TestMirrorManyGroups(t *testing.T) {
 	m := newMirror(8, time.Minute, clk.Now)
 	for i := 0; i < 32; i++ {
 		anchor := fmt.Sprintf("/g%02d", i)
-		m.put(mkGroup(anchor, anchor+".m1", anchor+".m2"), "peer")
+		putNew(m, "peer", anchor, anchor+".m1", anchor+".m2")
 	}
 	if m.groups() != 8 {
 		t.Errorf("groups = %d, want capacity 8", m.groups())
@@ -179,7 +202,7 @@ func TestMirrorManyGroups(t *testing.T) {
 	}
 	// The newest 8 survive.
 	for i := 24; i < 32; i++ {
-		if _, ok := m.get(fmt.Sprintf("/g%02d.m2", i)); !ok {
+		if _, ok := led(m, fmt.Sprintf("/g%02d.m2", i)); !ok {
 			t.Errorf("recent group g%02d evicted", i)
 		}
 	}

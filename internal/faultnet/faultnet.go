@@ -96,8 +96,18 @@ func (s *Stats) Total() uint64 {
 // draws, so flipping a gate never perturbs another fault's schedule. It
 // models a peer dropping off the network at an exact, test-controlled
 // instant — the primitive the cluster failover suite kills peers with.
+//
+// A gate can also park traffic instead of failing it: between Hold and
+// Resume every Write on a gated connection blocks, then proceeds untouched
+// — a receiver that stopped draining at an exact instant, which is how a
+// test keeps a reply in its writer's hands while it pulls the reply's
+// source out from under it.
 type Gate struct {
 	down atomic.Bool
+
+	mu      sync.Mutex
+	held    chan struct{} // non-nil between Hold and Resume, which closes it
+	waiting atomic.Int32
 }
 
 // SetDown opens (true) or heals (false) the gate.
@@ -105,6 +115,44 @@ func (g *Gate) SetDown(down bool) { g.down.Store(down) }
 
 // Down reports whether the gate is currently failing operations.
 func (g *Gate) Down() bool { return g.down.Load() }
+
+// Hold parks every Write on a gated connection until Resume.
+func (g *Gate) Hold() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.held == nil {
+		g.held = make(chan struct{})
+	}
+}
+
+// Resume lets the writes parked since Hold proceed.
+func (g *Gate) Resume() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.held != nil {
+		close(g.held)
+		g.held = nil
+	}
+}
+
+// Waiting reports how many writes are parked right now.
+func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
+
+// park blocks while the gate is held, or until closed is.
+func (g *Gate) park(closed <-chan struct{}) {
+	g.mu.Lock()
+	held := g.held
+	g.mu.Unlock()
+	if held == nil {
+		return
+	}
+	g.waiting.Add(1)
+	defer g.waiting.Add(-1)
+	select {
+	case <-held:
+	case <-closed:
+	}
+}
 
 // gated reports whether the gate fault fires for this connection.
 func (c *Conn) gated() bool {
@@ -239,6 +287,9 @@ func (c *Conn) blackhole() error {
 
 // Write implements net.Conn.
 func (c *Conn) Write(p []byte) (int, error) {
+	if c.f.Gate != nil {
+		c.f.Gate.park(c.closed)
+	}
 	if c.gated() {
 		c.stats.Gated.Add(1)
 		return 0, fmt.Errorf("%w: gate down: write", ErrInjected)

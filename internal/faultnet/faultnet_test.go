@@ -405,3 +405,57 @@ func TestGateDoesNotPerturbSchedule(t *testing.T) {
 		}
 	}
 }
+
+// TestGateHoldParksWrites: between Hold and Resume a gated Write blocks
+// and then goes through untouched; a connection closed meanwhile gets its
+// parked write back.
+func TestGateHoldParksWrites(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	var gate Gate
+	c := Wrap(a, Faults{Gate: &gate}, nil)
+	got := make(chan string, 1)
+	go func() {
+		buf := make([]byte, 8)
+		n, _ := b.Read(buf)
+		got <- string(buf[:n])
+	}()
+
+	gate.Hold()
+	wrote := make(chan error, 1)
+	go func() {
+		_, err := c.Write([]byte("parked"))
+		wrote <- err
+	}()
+	for gate.Waiting() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-wrote:
+		t.Fatalf("write returned (%v) while the gate was held", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	gate.Resume()
+	if err := <-wrote; err != nil {
+		t.Fatalf("resumed write: %v", err)
+	}
+	if s := <-got; s != "parked" {
+		t.Errorf("peer read %q, want the parked bytes", s)
+	}
+
+	gate.Hold()
+	go func() {
+		_, err := c.Write([]byte("never"))
+		wrote <- err
+	}()
+	for gate.Waiting() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	_ = c.Close()
+	if err := <-wrote; err == nil {
+		t.Error("write parked on a closed connection succeeded")
+	}
+	if gate.Waiting() != 0 {
+		t.Errorf("Waiting = %d after the connection closed, want 0", gate.Waiting())
+	}
+}

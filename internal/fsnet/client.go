@@ -129,10 +129,10 @@ type ClientConfig struct {
 	// become usable. Nil keeps the wire byte-identical to a pre-gossip
 	// client.
 	Views ViewSource
-	// Trace, when set, mints a trace context at every Open/OpenGroup
-	// entry (head-sampled per the tracer's rate) and records the client
-	// span into the tracer's ring. Sampled contexts ride the connection
-	// as msgTraceCtx piggybacks so downstream servers join the same
+	// Trace, when set, mints a trace context at every Open entry
+	// (head-sampled per the tracer's rate; FetchGroup runs under its
+	// caller's) and records the client span into the tracer's ring.
+	// Sampled contexts ride the connection as msgTraceCtx piggybacks so downstream servers join the same
 	// trace; unsampled requests pay one atomic add and send
 	// nothing. Nil disables tracing entirely.
 	Trace *otrace.Tracer
@@ -205,10 +205,12 @@ type Client struct {
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	pending []string        // access history awaiting piggybacking
-	// pendingFree is the storage of the last successfully delivered
-	// claim, handed back so the backlog regrows without reallocating
-	// after every sweep.
-	pendingFree []string
+	// pendingFree stacks the storage of successfully delivered claims,
+	// handed back so the backlog regrows without reallocating after every
+	// sweep. A claim in flight has taken its array with it, so k pipelined
+	// claims need k arrays: a new one is only made when the stack is empty,
+	// which bounds the stack by the most claims ever in flight at once.
+	pendingFree [][]string
 	gidScratch  []trace.FileID
 	stats       ClientStats
 	closed      bool
@@ -398,34 +400,28 @@ func (c *Client) Open(path string) ([]byte, error) {
 	c.ids.Intern(path)
 	out := c.installViews(g)
 	c.mu.Unlock()
-	g.recycle()
+	g.Release()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open", path, tstart, time.Since(tstart))
 	}
 	return out, nil
 }
 
-// OpenGroup fetches path from the server and returns the entire group
+// FetchGroup fetches path from the server and returns the entire group
 // reply — the demanded file first, then its opportunistically fetched
-// members. It is the transport the cluster tier forwards through: it
-// never answers from the local cache (a forward must see the owner's
-// current group, not a stale local copy) and never installs into it (the
-// caller keeps the group; a second copy here would never be read). Only
-// the access history and the fetch counters are touched.
+// members — as the frames it arrived in: the group's Data are views into
+// the buffers the mux reader filled, nothing is copied, and the caller owns
+// one reference (see Group). It is the transport the cluster tier forwards
+// through: it never answers from the local cache (a forward must see the
+// owner's current group, not a stale local copy) and never installs into
+// it (the caller keeps the group; a second copy here would never be read).
+// Only the access history and the fetch counters are touched.
 //
-// The group is materialised once: every member's contents sit in one
-// slab the returned slice owns, copied out of the connection's pooled
-// frame buffers before they are recycled. The caller may keep the result
-// indefinitely and must treat it as read-only if it shares it.
-func (c *Client) OpenGroup(path string) ([]GroupFile, error) {
-	return c.OpenGroupCtx(path, c.cfg.Trace.Root())
-}
-
-// OpenGroupCtx is OpenGroup under a caller-supplied trace context: the
-// cluster tier threads the server-side context of the open it is
-// forwarding, so the downstream owner's spans join the original trace
-// instead of starting a new one. A zero context traces nothing.
-func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error) {
+// tctx is the caller's trace context: the cluster tier threads the
+// server-side context of the open it is forwarding, so the downstream
+// owner's spans join the original trace instead of starting a new one. A
+// zero context traces nothing.
+func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 	if path == "" || len(path) > maxPath {
 		return nil, fmt.Errorf("fsnet: invalid path %q", path)
 	}
@@ -447,36 +443,22 @@ func (c *Client) OpenGroupCtx(path string, tctx otrace.Ctx) ([]GroupFile, error)
 	if err != nil {
 		return nil, err
 	}
-	var size int
-	for _, d := range g.datas {
-		size += len(d)
-	}
-	out := make([]GroupFile, len(g.datas))
 
 	c.mu.Lock()
 	c.stats.Opens++
 	c.stats.Fetches++
-	c.stats.FilesReceived += uint64(len(out))
-	c.stats.BytesReceived += uint64(size)
+	c.stats.FilesReceived += uint64(len(g.Files))
 	for i, p := range g.paths {
 		// The interner owns the path string: no per-member allocation
 		// once the path has been seen.
-		out[i].Path = c.ids.Path(c.ids.InternBytes(p))
+		g.Files[i].Path = c.ids.Path(c.ids.InternBytes(p))
+		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
 	}
 	c.mu.Unlock()
-
-	slab := make([]byte, size)
-	for i, d := range g.datas {
-		n := copy(slab, d)
-		// Capacity-limited, so an append through one member cannot reach
-		// into the next.
-		out[i].Data, slab = slab[:n:n], slab[n:]
-	}
-	g.recycle()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
 	}
-	return out, nil
+	return g, nil
 }
 
 // NoteAccess appends externally observed opens — e.g. a cluster node
@@ -665,54 +647,6 @@ func (c *Client) desync(cause error) error {
 	return fmt.Errorf("%w: %v", ErrConnBroken, cause)
 }
 
-// chunkGroup is a streamed group reply: the pooled chunk buffers in
-// arrival order plus, once decoded, per-member path/data views into
-// them. The mux reader fills bufs, decodeChunks adds the views, and the
-// views stay valid until recycle hands the buffers back to the frame
-// pool.
-type chunkGroup struct {
-	bufs  [][]byte
-	paths [][]byte
-	datas [][]byte
-}
-
-var chunkGroupPool = sync.Pool{New: func() interface{} { return new(chunkGroup) }}
-
-// recycle returns the chunk buffers to the frame pool and the container —
-// its three backing arrays included — to its own; the views must not be
-// used afterwards.
-func (g *chunkGroup) recycle() {
-	for i, b := range g.bufs {
-		putFrameBuf(b)
-		g.bufs[i] = nil
-	}
-	for i := range g.paths {
-		g.paths[i], g.datas[i] = nil, nil
-	}
-	g.bufs, g.paths, g.datas = g.bufs[:0], g.paths[:0], g.datas[:0]
-	chunkGroupPool.Put(g)
-}
-
-// decodeChunks validates a streamed reply's chunks and records their
-// views in g. On error g is recycled before returning.
-func decodeChunks(g *chunkGroup, path string) error {
-	for _, buf := range g.bufs {
-		p, d, err := memberChunkView(buf)
-		if err != nil {
-			g.recycle()
-			return err
-		}
-		g.paths = append(g.paths, p)
-		g.datas = append(g.datas, d)
-	}
-	if string(g.paths[0]) != path {
-		first := string(g.paths[0])
-		g.recycle()
-		return fmt.Errorf("reply leads with %q, want %q", first, path)
-	}
-	return nil
-}
-
 // fetch performs one open round trip, retrying per the config. The
 // piggybacked history is claimed when the request is written and
 // restored if the server demonstrably never processed it (any reply frame
@@ -720,8 +654,8 @@ func decodeChunks(g *chunkGroup, path string) error {
 // transitions are re-sent — and the server still learns them — on the
 // next successful request (§3 metadata quality).
 //
-// The caller recycles the returned group after installing it.
-func (c *Client) fetch(path string, tctx otrace.Ctx) (*chunkGroup, error) {
+// The caller owns the returned group's one reference.
+func (c *Client) fetch(path string, tctx otrace.Ctx) (*Group, error) {
 	typ, body, g, err := c.roundTrip(msgOpen, path, nil, tctx)
 	if err != nil {
 		return nil, err
@@ -733,6 +667,7 @@ func (c *Client) fetch(path string, tctx otrace.Ctx) (*chunkGroup, error) {
 	// The mux reader only delivers a group its msgGroupEnd counted, and
 	// the count is never zero: g has members.
 	if derr := decodeChunks(g, path); derr != nil {
+		g.Release()
 		return nil, c.desync(derr)
 	}
 	return g, nil
@@ -775,19 +710,19 @@ func (c *Client) claimPending(path string) (accessed, claimed []string) {
 	return accessed, claimed
 }
 
-// appendPending adds one path to the piggyback backlog, reviving the
-// recycled claim storage when the backlog is empty. Called with mu held.
+// appendPending adds one path to the piggyback backlog, reviving a
+// recycled claim's storage when the backlog is empty. Called with mu held.
 func (c *Client) appendPending(path string) {
-	if c.pending == nil && c.pendingFree != nil {
-		c.pending = c.pendingFree
-		c.pendingFree = nil
+	if n := len(c.pendingFree); c.pending == nil && n > 0 {
+		c.pending, c.pendingFree[n-1] = c.pendingFree[n-1], nil
+		c.pendingFree = c.pendingFree[:n-1]
 	}
 	c.pending = append(c.pending, path)
 	c.pendingN.Add(1)
 }
 
 // freePending recycles a claimed history the server has consumed: its
-// storage backs the next backlog. String refs are dropped so the recycled
+// storage backs a later backlog. String refs are dropped so the recycled
 // array does not pin old paths.
 func (c *Client) freePending(claimed []string) {
 	if cap(claimed) == 0 {
@@ -797,9 +732,7 @@ func (c *Client) freePending(claimed []string) {
 		claimed[i] = ""
 	}
 	c.mu.Lock()
-	if cap(claimed) > cap(c.pendingFree) {
-		c.pendingFree = claimed[:0]
-	}
+	c.pendingFree = append(c.pendingFree, claimed[:0])
 	c.mu.Unlock()
 }
 
@@ -838,9 +771,9 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // cfg.MaxRetries; a peer of another protocol version is not.
 // Application errors are returned to the caller undisturbed. The returned
 // payload — or, for a streamed group reply, each chunk of the returned
-// group — aliases a pooled buffer; the caller recycles them after
-// decoding.
-func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *chunkGroup, error) {
+// group — aliases a pooled buffer; the caller recycles the payload, or
+// releases the group, after decoding.
+func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *Group, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
 		start := time.Now()
@@ -1098,14 +1031,14 @@ func (c *Client) TTFB() obs.HistogramSnapshot {
 // resident members' contents are copied once, into one new slab the slots
 // window; a slot's old storage is left as it was for whoever still holds
 // it. Called with mu held.
-func (c *Client) installViews(g *chunkGroup) []byte {
+func (c *Client) installViews(g *Group) []byte {
 	ids := c.gidScratch[:0]
 	for i := range g.paths {
 		mid := c.ids.InternBytes(g.paths[i])
 		c.ensureDense(mid)
 		ids = append(ids, mid)
 		c.stats.FilesReceived++
-		c.stats.BytesReceived += uint64(len(g.datas[i]))
+		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
 	}
 	c.gidScratch = ids
 
@@ -1113,13 +1046,13 @@ func (c *Client) installViews(g *chunkGroup) []byte {
 	size := 0
 	for i, mid := range ids {
 		if c.lru.Contains(mid) {
-			size += len(g.datas[i])
+			size += len(g.Files[i].Data)
 		}
 	}
 	slab := make([]byte, size)
 	for i, mid := range ids {
 		if c.lru.Contains(mid) {
-			n := copy(slab, g.datas[i])
+			n := copy(slab, g.Files[i].Data)
 			// Capacity-limited, so an append through one member cannot
 			// reach into the next.
 			c.data[mid], slab = slab[:n:n], slab[n:]

@@ -51,7 +51,7 @@ func TestHandoffRequestCodec(t *testing.T) {
 }
 
 // TestHandoffInstallsGroup: a handed-off group becomes the receiver's own
-// learned state — a later OpenGroup of the anchor delivers the members in
+// learned state — a later FetchGroup of the anchor delivers the members in
 // one round trip, with the documented stats contract intact.
 func TestHandoffInstallsGroup(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 5), ServerConfig{GroupSize: 4})
@@ -74,7 +74,7 @@ func TestHandoffInstallsGroup(t *testing.T) {
 		t.Errorf("stats contract violated after handoff: %+v", st)
 	}
 
-	group, err := c.OpenGroup(anchor)
+	group, err := fetchGroup(c, anchor)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ type muxCall struct {
 	// group accumulates the member-chunk payloads of a streamed group
 	// reply until its msgGroupEnd arrives. Owned by the reader while the
 	// call is in flight, then handed to the caller.
-	group *chunkGroup
+	group *Group
 	// done receives exactly one result (buffered so the reader never
 	// blocks on a caller).
 	done chan muxResult
@@ -109,8 +109,8 @@ type muxResult struct {
 	payload []byte
 	// group is a streamed group reply: the member-chunk payloads in
 	// group order (typ is msgGroupEnd, payload nil), not yet validated.
-	// The receiver recycles it after decoding.
-	group *chunkGroup
+	// The receiver owns its one reference.
+	group *Group
 	err   error
 }
 
@@ -340,7 +340,7 @@ func (m *muxConn) reader() {
 			var first bool
 			if ok {
 				if call.group == nil {
-					call.group = chunkGroupPool.Get().(*chunkGroup)
+					call.group = NewGroup()
 				}
 				if len(call.group.bufs) >= maxGroup {
 					m.mu.Unlock()
@@ -387,7 +387,7 @@ func (m *muxConn) reader() {
 			}
 			if derr != nil {
 				if g != nil {
-					g.recycle()
+					g.Release()
 				}
 				werr := fmt.Errorf("%w: %v", ErrConnBroken, derr)
 				// The stream is untrustworthy beyond this point; the call
@@ -485,7 +485,7 @@ func (m *muxConn) poison(err error) {
 
 	for _, call := range orphans {
 		if call.group != nil {
-			call.group.recycle()
+			call.group.Release()
 			call.group = nil
 		}
 		call.done <- muxResult{err: err}

@@ -44,13 +44,13 @@ func TestServerMetricsExposition(t *testing.T) {
 	defer c.Close()
 
 	// Two fetches of the same path: the first stages, the second is a
-	// server cache hit (OpenGroup never answers from the local cache).
+	// server cache hit (FetchGroup never answers from the local cache).
 	for i := 0; i < 2; i++ {
-		if _, err := c.OpenGroup("/data/f000"); err != nil {
+		if _, err := fetchGroup(c, "/data/f000"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.OpenGroup(routePrefix + "a"); err != nil {
+	if _, err := fetchGroup(c, routePrefix+"a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,9 +271,9 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 				default:
 					path = fmt.Sprintf("%sr%d", routePrefix, i%5)
 				}
-				// OpenGroup never answers from the local cache, so every
+				// FetchGroup never answers from the local cache, so every
 				// iteration exercises the server.
-				if _, err := c.OpenGroup(path); err != nil && !errors.Is(err, errClientClosed) {
+				if _, err := fetchGroup(c, path); err != nil && !errors.Is(err, errClientClosed) {
 					t.Errorf("open %s: %v", path, err)
 					return
 				}

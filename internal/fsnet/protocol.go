@@ -514,9 +514,7 @@ func decodeHandoffRequest(payload []byte) (handoffRequest, error) {
 	return req, nil
 }
 
-// writeRequest is the payload of msgWrite. A decoded request's Data is a
-// view into the frame it was decoded from — the store copies what it
-// keeps — so the frame outlives the request.
+// writeRequest is the payload of msgWrite.
 type writeRequest struct {
 	Path string
 	Data []byte
@@ -528,23 +526,21 @@ func encodeWriteRequest(req writeRequest) []byte {
 	return appendBytes(b, req.Data)
 }
 
-func decodeWriteRequest(payload []byte) (writeRequest, error) {
+// parseWriteRequest validates a msgWrite payload and returns its path and
+// contents as views into it — the store copies what it keeps — so the
+// frame outlives both.
+func parseWriteRequest(payload []byte) (path, data []byte, err error) {
 	d := decoder{buf: payload}
-	var req writeRequest
-	var err error
-	if req.Path, err = d.str(maxPath); err != nil {
-		return req, err
+	if path, err = d.view(maxPath); err != nil {
+		return nil, nil, err
 	}
-	if req.Path == "" {
-		return req, errors.New("fsnet: empty path")
+	if len(path) == 0 {
+		return nil, nil, errors.New("fsnet: empty path")
 	}
-	if req.Data, err = d.blobView(maxFileSize); err != nil {
-		return req, err
+	if data, err = d.blobView(maxFileSize); err != nil {
+		return nil, nil, err
 	}
-	if err := d.done(); err != nil {
-		return req, err
-	}
-	return req, nil
+	return path, data, d.done()
 }
 
 func appendErrorResponse(dst []byte, resp errorResponse) []byte {

@@ -9,7 +9,7 @@ import (
 )
 
 // The router suite covers the hooks the cluster peer tier composes from:
-// the ServerConfig.Router open interception point, Client.OpenGroup's
+// the ServerConfig.Router open interception point, Client.FetchGroup's
 // whole-group staging, and Client.NoteAccess's piggyback relay.
 
 // scriptedRouter handles paths under /remote/ with a fixed two-file
@@ -179,7 +179,7 @@ func TestClusterOpenGroup(t *testing.T) {
 		}
 	}
 
-	group, err := client.OpenGroup("/data/f000")
+	group, err := fetchGroup(client, "/data/f000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,13 +202,13 @@ func TestClusterOpenGroup(t *testing.T) {
 		t.Errorf("trained successor /data/f001 missing from group %v", groupPaths(group))
 	}
 
-	// OpenGroup bypasses the local cache: another call fetches again.
+	// FetchGroup bypasses the local cache: another call fetches again.
 	before := client.Stats().Fetches
-	if _, err := client.OpenGroup("/data/f000"); err != nil {
+	if _, err := fetchGroup(client, "/data/f000"); err != nil {
 		t.Fatal(err)
 	}
 	if got := client.Stats().Fetches; got != before+1 {
-		t.Errorf("Fetches = %d after second OpenGroup, want %d", got, before+1)
+		t.Errorf("Fetches = %d after second FetchGroup, want %d", got, before+1)
 	}
 	// ... while plain Open is a cache hit.
 	hitsBefore := client.Stats().Hits
@@ -218,6 +218,21 @@ func TestClusterOpenGroup(t *testing.T) {
 	if got := client.Stats().Hits; got != hitsBefore+1 {
 		t.Errorf("Hits = %d after Open of grouped file, want %d", got, hitsBefore+1)
 	}
+}
+
+// fetchGroup is FetchGroup for a test that only inspects the reply: a
+// private copy of the group, its reference released.
+func fetchGroup(c *Client, path string) ([]GroupFile, error) {
+	g, err := c.FetchGroup(path, c.cfg.Trace.Root())
+	if err != nil {
+		return nil, err
+	}
+	defer g.Release()
+	files := make([]GroupFile, len(g.Files))
+	for i, f := range g.Files {
+		files[i] = GroupFile{Path: f.Path, Data: append([]byte(nil), f.Data...)}
+	}
+	return files, nil
 }
 
 func groupPaths(files []GroupFile) []string {
@@ -244,12 +259,12 @@ func TestClusterNoteAccessRelay(t *testing.T) {
 	// several times, each followed by a fetch that carries it.
 	for i := 0; i < 6; i++ {
 		relay.NoteAccess("/data/f002", "/data/f003")
-		if _, err := relay.OpenGroup("/data/f003"); err != nil {
+		if _, err := fetchGroup(relay, "/data/f003"); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	group, err := relay.OpenGroup("/data/f002")
+	group, err := fetchGroup(relay, "/data/f002")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,32 +89,39 @@ type OpenRouter interface {
 	// relayed so the remote owner's metadata stays as complete as the
 	// local server's would (§3); it is the server's pooled scratch, valid
 	// only until RouteOpen returns, though the strings in it (and path)
-	// may be kept. The returned files go to the reply writer as they are
-	// and may be shared with other replies (the cluster tier's mirror
-	// answers many opens from one arena): nobody writes to them. A
-	// handled error is returned to the client: ErrNotFound maps to
-	// CodeNotFound, anything else to CodeInternal.
+	// may be kept. The server copies the returned slice's elements into
+	// its reply and never writes through them; the contents must stay
+	// unchanged until the reply is on the wire, which a router cannot
+	// observe — so they are the router's to leave to the collector, never
+	// to reuse. A handled error is returned to the client: ErrNotFound maps
+	// to CodeNotFound, anything else to CodeInternal.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
 }
 
 // InlineRouter is the optional extension of OpenRouter, asserted once at
 // construction: a router that accepts the request's trace context — so a
 // forwarded open's downstream RPC becomes a child span of this server's —
-// and can tell, without waiting on anything, whether an open needs a peer
-// round trip. With one, a connection's read loop serves the opens that
-// need none itself, exactly as a server without a router serves every
-// open; behind a plain OpenRouter every open runs on a worker goroutine
-// and the trace context is not propagated.
+// can tell, without waiting on anything, whether an open needs a peer
+// round trip, and answers with the reference-counted Group it holds
+// instead of a slice. With one, a connection's read loop serves the opens
+// that need no round trip itself, exactly as a server without a router
+// serves every open, and a handled group reaches the reply writer as it
+// is; behind a plain OpenRouter every open runs on a worker goroutine,
+// the trace context is not propagated and the reply copies the slice.
 type InlineRouter interface {
 	OpenRouter
-	// RouteOpenTraced is RouteOpen with the caller's trace context. The
-	// zero Ctx means the request is untraced.
-	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled bool, err error)
+	// RouteOpenTraced is RouteOpen with the caller's trace context (the
+	// zero Ctx means the request is untraced), answering with a group and
+	// the index of the demanded file in it: the reply leads with
+	// g.Files[lead] and follows with the rest in order. The server owns
+	// one reference to a handled group and releases it once the reply is
+	// written or dropped.
+	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (g *Group, lead int, handled bool, err error)
 	// TryRouteOpen routes the open like RouteOpenTraced if that takes no
 	// peer round trip. Otherwise it does nothing and reports blocks=true,
 	// and the server repeats the open through RouteOpenTraced from a
 	// goroutine that may wait.
-	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (files []GroupFile, handled, blocks bool)
+	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (g *Group, lead int, handled, blocks bool)
 }
 
 // ServerStats is a snapshot of server activity.
@@ -625,7 +632,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
 		// and the group is built in pooled scratch.
-		files, errResp, err := s.openView(payload, src, tctx, inline)
+		g, lead, errResp, err := s.openView(payload, src, tctx, inline)
 		if err == errRouteBlocks {
 			return false
 		}
@@ -639,15 +646,15 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			return
 		}
 		s.m.streamed.Add(1)
-		rw.sendGroup(id, files)
+		rw.sendGroup(id, g, lead)
 	case msgWrite:
-		req, err := decodeWriteRequest(payload)
+		path, data, err := parseWriteRequest(payload)
 		if err != nil {
 			putFrameBuf(payload)
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
-		errResp := s.write(req)
+		errResp := s.write(path, data)
 		putFrameBuf(payload)
 		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
@@ -741,10 +748,26 @@ func (s *Server) disconnect(conn net.Conn, err error) {
 // (the server cache tracks identities, not bytes). Consistency across
 // clients is last-writer-wins; like the paper's model, the system is
 // read-mostly and provides no cross-client invalidation.
-func (s *Server) write(req writeRequest) errorResponse {
+//
+// path and data are views into the request's frame. The store is reached
+// through the interner's string for a path it knows, so only the first
+// write of a path no open has named allocates its key; that path is
+// interned once the store has accepted it, and a rejected write interns
+// nothing.
+func (s *Server) write(pathView, data []byte) errorResponse {
 	s.m.requests.Add(1)
-	if err := s.store.Put(req.Path, req.Data); err != nil {
+	var path string
+	id, known := s.ids.LookupBytes(pathView)
+	if known {
+		path = s.ids.Path(id)
+	} else {
+		path = string(pathView)
+	}
+	if err := s.store.Put(path, data); err != nil {
 		return errorResponse{Code: CodeBadRequest, Message: err.Error()}
+	}
+	if !known {
+		s.ids.Intern(path)
 	}
 	return errorResponse{}
 }
@@ -848,14 +871,15 @@ var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
 // strings for the same paths, so a routed open decodes without
 // allocating either. A non-nil error reports a malformed payload (the
 // caller answers CodeBadRequest without counting a request) or, from the
-// read loop only (inline), errRouteBlocks.
-func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bool) ([]fileData, errorResponse, error) {
+// read loop only (inline), errRouteBlocks. The caller owns one reference
+// to the returned group; lead indexes the demanded file in it.
+func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bool) (g *Group, lead int, _ errorResponse, _ error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	pathView, views, err := parseOpenRequest(payload, sc.views[:0])
 	sc.views = views
 	if err != nil {
-		return nil, errorResponse{}, err
+		return nil, 0, errorResponse{}, err
 	}
 
 	var start time.Time
@@ -870,7 +894,7 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 	if !routed {
 		s.m.requests.Add(1)
 		if !exists {
-			return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
+			return nil, 0, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
 		}
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
@@ -903,28 +927,28 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 	if routed {
 		// The router comes first: a path another node owns is answered by
 		// that node, present in the local store or not.
-		files, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
+		g, lead, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
 		if blocks {
-			return nil, errorResponse{}, errRouteBlocks
+			return nil, 0, errorResponse{}, errRouteBlocks
 		}
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
 			}
-			return files, errResp, nil
+			return g, lead, errResp, nil
 		}
 		if !exists {
-			return nil, errorResponse{Code: CodeNotFound, Message: path}, nil
+			return nil, 0, errorResponse{Code: CodeNotFound, Message: path}, nil
 		}
 	}
-	files, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
-	return files, errResp, nil
+	g, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
+	return g, 0, errResp, nil
 }
 
 // serveOpen is the local tail of an open: learn the piggybacked
 // transitions, stage the group through the aggregating cache, and read
 // the members' contents. sc.ids holds the interned access history.
-func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) ([]fileData, errorResponse) {
+func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) (*Group, errorResponse) {
 	s.aggMu.Lock()
 	// Piggybacked history first (oldest..newest), then the demanded
 	// open, preserving the client's true access order.
@@ -938,13 +962,13 @@ func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScr
 	sc.group = s.agg.AppendBuildGroup(sc.group[:0], id)
 	s.aggMu.Unlock()
 
-	files, ok := s.stageGroup(sc.group)
-	if !ok {
+	g := s.stageGroup(sc.group)
+	if g == nil {
 		// The file vanished between the existence check and the staged
 		// read; rare, and the learning above recorded a genuine access.
 		return nil, errorResponse{Code: CodeNotFound, Message: path}
 	}
-	s.m.sent.Add(uint64(len(files)))
+	s.m.sent.Add(uint64(len(g.Files)))
 	if timed {
 		phase := "stage"
 		if hit {
@@ -952,7 +976,7 @@ func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScr
 		}
 		s.observeServed(tctx, phase, path, start)
 	}
-	return files, errorResponse{}
+	return g, errorResponse{}
 }
 
 // observeServed finishes one timed open: the phase span for a sampled
@@ -980,60 +1004,68 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 // serves the request locally (the router declined: the path is locally
 // owned, or its owner is down and the open degrades to a local fetch).
 // inline asks the InlineRouter not to wait on a peer; blocks=true is its
-// refusal, with nothing counted.
-func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (files []fileData, errResp errorResponse, handled, blocks bool) {
+// refusal, with nothing counted. A handled group comes with one reference
+// for the caller: the InlineRouter's own, or a pooled container holding a
+// plain router's files.
+func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (g *Group, lead int, errResp errorResponse, handled, blocks bool) {
 	var err error
 	switch {
 	case s.iroute == nil:
-		files, handled, err = s.cfg.Router.RouteOpen(path, accessed)
+		var files []GroupFile
+		if files, handled, err = s.cfg.Router.RouteOpen(path, accessed); len(files) > 0 {
+			g = NewGroup()
+			g.Files = append(g.Files, files[:min(len(files), maxGroup)]...)
+		}
 	case inline:
-		if files, handled, blocks = s.iroute.TryRouteOpen(path, accessed, tctx); blocks {
-			return nil, errorResponse{}, false, true
+		if g, lead, handled, blocks = s.iroute.TryRouteOpen(path, accessed, tctx); blocks {
+			return nil, 0, errorResponse{}, false, true
 		}
 	default:
-		files, handled, err = s.iroute.RouteOpenTraced(path, accessed, tctx)
+		g, lead, handled, err = s.iroute.RouteOpenTraced(path, accessed, tctx)
 	}
 	s.m.requests.Add(1)
-	if !handled {
-		return nil, errorResponse{}, false, false
+	if handled && err == nil && (g == nil || len(g.Files) > maxGroup || lead < 0 || lead >= len(g.Files) || g.Files[lead].Path != path) {
+		err = errors.New("router returned malformed group")
 	}
-	if err != nil {
-		if errors.Is(err, ErrNotFound) {
-			return nil, errorResponse{Code: CodeNotFound, Message: path}, true, false
-		}
-		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
+	if g != nil && (!handled || err != nil) {
+		g.Release()
 	}
-	if len(files) == 0 || files[0].Path != path {
-		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true, false
+	switch {
+	case !handled:
+		return nil, 0, errorResponse{}, false, false
+	case err == nil:
+		s.m.remote.Add(1)
+		s.m.sent.Add(uint64(len(g.Files)))
+		return g, lead, errorResponse{}, true, false
+	case errors.Is(err, ErrNotFound):
+		return nil, 0, errorResponse{Code: CodeNotFound, Message: path}, true, false
+	default:
+		return nil, 0, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
 	}
-	if len(files) > maxGroup {
-		files = files[:maxGroup]
-	}
-	s.m.remote.Add(1)
-	s.m.sent.Add(uint64(len(files)))
-	return files, errorResponse{}, true, false
 }
 
 // stageGroup reads the built group — demanded file first — from the
-// store: the best-effort read of §3, so a member that has vanished is
-// skipped and only a missing demanded file fails the open.
+// store into a pooled Group: the best-effort read of §3, so a member that
+// has vanished is skipped and only a missing demanded file fails the open
+// (nil).
 //
 // The contents are zero-copy references into the store (GetRef): Put
 // replaces a path's slice wholesale, so a staged ref can never be
-// mutated underneath the reply writer. The result slice belongs to this
-// open's reply alone.
-func (s *Server) stageGroup(group []trace.FileID) ([]fileData, bool) {
-	files := make([]fileData, 0, len(group))
+// mutated underneath the reply writer. The caller owns the group's one
+// reference.
+func (s *Server) stageGroup(group []trace.FileID) *Group {
+	g := NewGroup()
 	for i, gid := range group {
 		p := s.ids.Path(gid)
 		d, ok := s.store.GetRef(p)
 		if ok {
-			files = append(files, fileData{Path: p, Data: d})
+			g.Files = append(g.Files, fileData{Path: p, Data: d})
 		} else if i == 0 {
-			return nil, false
+			g.Release()
+			return nil
 		}
 	}
-	return files, true
+	return g
 }
 
 // replyWriter serializes and batches the replies of one pipelined
@@ -1077,10 +1109,12 @@ type reply struct {
 	// writer hands it back once the bytes are on the wire (or the write
 	// side is dead).
 	pooled bool
-	// files, when non-nil, is a streamed group reply (typ and payload are
-	// unused): one msgMemberChunk per file plus a closing
-	// msgGroupEnd.
-	files []fileData
+	// group, when non-nil, is a streamed group reply (typ and payload are
+	// unused): one msgMemberChunk per file — group.Files[lead] first, then
+	// the rest in order — plus a closing msgGroupEnd. The reply owns one
+	// reference, released once the batch is written or dropped.
+	group *Group
+	lead  int
 }
 
 func newReplyWriter(s *Server, conn net.Conn) *replyWriter {
@@ -1105,18 +1139,17 @@ func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendGroup enqueues one streamed group reply.
-func (rw *replyWriter) sendGroup(id uint64, files []fileData) {
-	rw.enqueue(reply{id: id, files: files})
+// sendGroup enqueues one streamed group reply, taking over the caller's
+// reference to g.
+func (rw *replyWriter) sendGroup(id uint64, g *Group, lead int) {
+	rw.enqueue(reply{id: id, group: g, lead: lead})
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
 	rw.mu.Lock()
 	if rw.dead {
 		rw.mu.Unlock()
-		if rep.pooled {
-			putFrameBuf(rep.payload)
-		}
+		rep.drop()
 		return
 	}
 	rw.queue = append(rw.queue, rep)
@@ -1153,7 +1186,7 @@ func (rw *replyWriter) loop() {
 			dead, stopped := rw.dead, rw.stop
 			rw.mu.Unlock()
 			if dead {
-				rw.release(batch)
+				rw.recycle(batch)
 				return
 			}
 			if len(batch) == 0 {
@@ -1199,14 +1232,17 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 	}
 	for i := range batch {
 		rep := &batch[i]
-		if rep.files != nil {
-			for _, f := range rep.files {
-				start := len(arena)
-				arena = appendMemberChunkHdr(arena, rep.id, f.Path, len(f.Data))
-				bufs = append(bufs, arena[start:], f.Data)
+		if rep.group != nil {
+			// The demanded file leads, the rest follow in arrival order.
+			files := rep.group.Files
+			arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[rep.lead])
+			for i, f := range files {
+				if i != rep.lead {
+					arena, bufs = appendMemberChunk(arena, bufs, rep.id, f)
+				}
 			}
 			var cnt [10]byte // uvarint member count
-			n := binary.PutUvarint(cnt[:], uint64(len(rep.files)))
+			n := binary.PutUvarint(cnt[:], uint64(len(files)))
 			start := len(arena)
 			arena = appendFrameID(arena, msgGroupEnd, rep.id, cnt[:n])
 			bufs = append(bufs, arena[start:])
@@ -1215,10 +1251,6 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 		start := len(arena)
 		arena = appendFrameID(arena, rep.typ, rep.id, rep.payload)
 		bufs = append(bufs, arena[start:])
-		if rep.pooled {
-			putFrameBuf(rep.payload)
-			rep.pooled = false
-		}
 	}
 	// WriteTo consumes its receiver (and may rewrite elements on partial
 	// writes), so give it the scratch directly and re-truncate next
@@ -1230,14 +1262,31 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 	return err
 }
 
-// recycle returns any still-pooled payloads and offers the batch storage
-// back for the next drain.
+// appendMemberChunk adds one member to a batch: its chunk header in the
+// arena, its contents referenced where they lie.
+func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f fileData) ([]byte, net.Buffers) {
+	start := len(arena)
+	arena = appendMemberChunkHdr(arena, id, f.Path, len(f.Data))
+	return arena, append(bufs, arena[start:], f.Data)
+}
+
+// drop gives up what a reply holds — its pooled payload, its reference
+// to its group — once it is on the wire or will never be.
+func (rep *reply) drop() {
+	if rep.pooled {
+		putFrameBuf(rep.payload)
+	}
+	if rep.group != nil {
+		rep.group.Release()
+	}
+	*rep = reply{}
+}
+
+// recycle drops a batch that has been written, or never will be, and
+// offers its storage back for the next drain.
 func (rw *replyWriter) recycle(batch []reply) {
 	for i := range batch {
-		if batch[i].pooled {
-			putFrameBuf(batch[i].payload)
-		}
-		batch[i] = reply{}
+		batch[i].drop()
 	}
 	rw.mu.Lock()
 	if rw.free == nil || cap(batch) > cap(rw.free) {
@@ -1246,23 +1295,18 @@ func (rw *replyWriter) recycle(batch []reply) {
 	rw.mu.Unlock()
 }
 
-// release drops a batch that will never be written, returning its pooled
-// payloads.
-func (rw *replyWriter) release(batch []reply) {
-	for i := range batch {
-		if batch[i].pooled {
-			putFrameBuf(batch[i].payload)
-		}
-	}
-}
-
-// fail marks the write side dead after an I/O failure and closes the
-// connection so the read loop unblocks; counted once as a disconnect.
+// fail marks the write side dead after an I/O failure, drops the replies
+// queued behind the failed batch, and closes the connection so the read
+// loop unblocks; counted once as a disconnect.
 func (rw *replyWriter) fail(err error) {
 	rw.mu.Lock()
 	rw.dead = true
+	queued := rw.queue
 	rw.queue = nil
 	rw.mu.Unlock()
+	for i := range queued {
+		queued[i].drop()
+	}
 	rw.s.disconnect(rw.conn, err)
 	_ = rw.conn.Close()
 }

@@ -27,8 +27,10 @@ type flight[V any] struct {
 	// done is made by the first follower to join and closed by the leader;
 	// nil while the flight is uncontended.
 	done chan struct{}
-	val  V
-	ok   bool
+	// followers counts the callers that joined, under the group's mutex.
+	followers int
+	val       V
+	ok        bool
 }
 
 // Do runs fn once per key among overlapping callers: the first caller for
@@ -40,15 +42,23 @@ type flight[V any] struct {
 // distinguish "ran and found nothing" from a usable result without
 // resorting to sentinel values.
 //
+// share, when non-nil, lets the result be something a caller must own a
+// piece of (a counted reference): the leader calls it once on behalf of
+// each follower, after the key is released — so no more can join — and
+// before any follower wakes, which is while the leader still holds
+// whatever fn handed it. A follower therefore never has to acquire
+// anything through a value it merely holds a copy of.
+//
 // If fn panics the panic propagates to the leader's caller, the key is
 // released, and the flight's followers return the zero value with
-// ok=false.
-func (g *Group[V]) Do(key string, fn func() (V, bool)) (val V, ok, coalesced bool) {
+// ok=false (share sees that zero value too).
+func (g *Group[V]) Do(key string, fn func() (V, bool), share func(V)) (val V, ok, coalesced bool) {
 	g.mu.Lock()
 	if f, exists := g.flights[key]; exists {
 		if f.done == nil {
 			f.done = make(chan struct{})
 		}
+		f.followers++
 		done := f.done
 		g.mu.Unlock()
 		<-done
@@ -68,14 +78,14 @@ func (g *Group[V]) Do(key string, fn func() (V, bool)) (val V, ok, coalesced boo
 
 	// Deferred, so a panicking fn cannot wedge the key: it runs after the
 	// results below are copied out, or while the panic unwinds.
-	defer g.finish(key, f)
+	defer g.finish(key, f, share)
 	f.val, f.ok = fn()
 	return f.val, f.ok, false
 }
 
 // finish releases key and either wakes the flight's followers — who then
 // own it, so it is left to the collector — or recycles it.
-func (g *Group[V]) finish(key string, f *flight[V]) {
+func (g *Group[V]) finish(key string, f *flight[V], share func(V)) {
 	g.mu.Lock()
 	delete(g.flights, key)
 	done := f.done
@@ -86,6 +96,10 @@ func (g *Group[V]) finish(key string, f *flight[V]) {
 	}
 	g.mu.Unlock()
 	if done != nil {
+		// The key is gone, so followers is final.
+		for i := 0; share != nil && i < f.followers; i++ {
+			share(f.val)
+		}
 		close(done)
 	}
 }

@@ -24,7 +24,7 @@ func TestDoCoalescesOverlappingCalls(t *testing.T) {
 			close(entered)
 			<-release
 			return "value", true
-		})
+		}, nil)
 		if !ok || coalesced || val != "value" {
 			t.Errorf("leader got val=%q ok=%v coalesced=%v", val, ok, coalesced)
 		}
@@ -40,7 +40,7 @@ func TestDoCoalescesOverlappingCalls(t *testing.T) {
 			val, ok, coalesced := g.Do("k", func() (string, bool) {
 				t.Error("follower executed fn despite leader in flight")
 				return "", false
-			})
+			}, nil)
 			if !ok || !coalesced || val != "value" {
 				t.Errorf("follower got val=%q ok=%v coalesced=%v", val, ok, coalesced)
 			}
@@ -55,7 +55,7 @@ func TestDoCoalescesOverlappingCalls(t *testing.T) {
 	}
 
 	// Non-overlapping call starts fresh.
-	_, _, coalesced := g.Do("k", func() (string, bool) { calls.Add(1); return "", true })
+	_, _, coalesced := g.Do("k", func() (string, bool) { calls.Add(1); return "", true }, nil)
 	if coalesced {
 		t.Error("later call reported coalesced")
 	}
@@ -74,12 +74,12 @@ func TestDoDistinctKeysRunIndependently(t *testing.T) {
 		close(aEntered)
 		<-aRelease
 		return 1, true
-	})
+	}, nil)
 	<-aEntered
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		val, ok, coalesced := g.Do("b", func() (int, bool) { return 2, true })
+		val, ok, coalesced := g.Do("b", func() (int, bool) { return 2, true }, nil)
 		if val != 2 || !ok || coalesced {
 			t.Errorf(`Do("b") = %d,%v,%v`, val, ok, coalesced)
 		}
@@ -96,7 +96,7 @@ func TestDoDistinctKeysRunIndependently(t *testing.T) {
 // followers (the "ran and found nothing" case).
 func TestDoNotOK(t *testing.T) {
 	var g Group[[]byte]
-	val, ok, coalesced := g.Do("missing", func() ([]byte, bool) { return nil, false })
+	val, ok, coalesced := g.Do("missing", func() ([]byte, bool) { return nil, false }, nil)
 	if val != nil || ok || coalesced {
 		t.Errorf("Do = %v,%v,%v, want nil,false,false", val, ok, coalesced)
 	}
@@ -119,7 +119,7 @@ func TestDoConcurrentStress(t *testing.T) {
 				val, ok, _ := g.Do(key, func() (int, bool) {
 					executions.Add(1)
 					return len(key), true
-				})
+				}, nil)
 				if !ok || val != len(key) {
 					t.Errorf("Do(%q) = %d,%v", key, val, ok)
 					return
@@ -148,7 +148,7 @@ func TestDoLeaderPanicReleasesKey(t *testing.T) {
 			close(entered)
 			<-release
 			panic("stage exploded")
-		})
+		}, nil)
 	}()
 	<-entered
 
@@ -158,7 +158,7 @@ func TestDoLeaderPanicReleasesKey(t *testing.T) {
 		val, ok, coalesced := g.Do("k", func() (string, bool) {
 			t.Error("follower executed fn despite leader in flight")
 			return "", false
-		})
+		}, nil)
 		if val != "" || ok || !coalesced {
 			t.Errorf("follower got val=%q ok=%v coalesced=%v, want \"\",false,true", val, ok, coalesced)
 		}
@@ -175,7 +175,7 @@ func TestDoLeaderPanicReleasesKey(t *testing.T) {
 	}
 	<-followerDone
 
-	val, ok, coalesced := g.Do("k", func() (string, bool) { return "fresh", true })
+	val, ok, coalesced := g.Do("k", func() (string, bool) { return "fresh", true }, nil)
 	if val != "fresh" || !ok || coalesced {
 		t.Errorf("later call got val=%q ok=%v coalesced=%v, want a fresh run", val, ok, coalesced)
 	}
@@ -187,10 +187,57 @@ func TestDoUncontendedAllocatesNothing(t *testing.T) {
 	var g Group[[]byte]
 	val := []byte("v")
 	fn := func() ([]byte, bool) { return val, true }
-	if allocs := testing.AllocsPerRun(100, func() { g.Do("k", fn) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { g.Do("k", fn, nil) }); allocs != 0 {
 		t.Errorf("uncontended Do allocates %.1f objects, want 0", allocs)
 	}
 	if f := g.free[0]; f.val != nil || f.ok {
 		t.Error("recycled flight still references its last result")
 	}
+}
+
+// TestDoSharesOncePerFollower pins the hand-over the cluster tier's
+// reference-counted forwards rely on: the leader calls share once for
+// each follower that joined, all of them before any follower wakes, and
+// never for an uncontended flight.
+func TestDoSharesOncePerFollower(t *testing.T) {
+	var g Group[*atomic.Int64]
+	share := func(refs *atomic.Int64) { refs.Add(1) }
+	refs := new(atomic.Int64)
+	if _, _, coalesced := g.Do("k", func() (*atomic.Int64, bool) { return refs, true }, share); coalesced || refs.Load() != 0 {
+		t.Fatalf("uncontended flight shared %d times, want 0", refs.Load())
+	}
+
+	const followers = 6
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		g.Do("k", func() (*atomic.Int64, bool) {
+			close(entered)
+			<-release
+			return refs, true
+		}, share)
+	}()
+	<-entered
+	var wg sync.WaitGroup
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			val, _, coalesced := g.Do("k", func() (*atomic.Int64, bool) { return nil, false }, share)
+			// Every share happened before the first follower woke.
+			if !coalesced || val.Load() != followers {
+				t.Errorf("follower woke with coalesced=%v and %d shares, want %d", coalesced, val.Load(), followers)
+			}
+		}()
+	}
+	for joined := 0; joined < followers; runtime.Gosched() {
+		g.mu.Lock()
+		joined = g.flights["k"].followers
+		g.mu.Unlock()
+	}
+	close(release)
+	wg.Wait()
+	<-leaderDone
 }
