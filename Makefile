@@ -25,14 +25,18 @@ ignore-guard:
 # copied a group out of its frames, the unexported container it copied from
 # and the write decoder that materialised a path string (PR 22: a group
 # reply is one fsnet.Group end to end; the mirror's member-first slice went
-# with it, but `led` is too short a word to guard). Test files may name
-# them; other Go source may not.
+# with it, but `led` is too short a word to guard), and hinted handoff's
+# second queue — the per-dead-peer table, its replay, its knob and its four
+# counters (PR 23: the history a node owes an owner waits on the peer
+# client's backlog and nowhere else). Test files may name them; other Go
+# source may not.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'takeCallScrap|takeOrphanScrap|storeScrap|scrapCalls|TracedRouter|troute' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' internal/fsnet
 	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

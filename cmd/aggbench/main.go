@@ -476,12 +476,10 @@ type clusterSummary struct {
 	// Churn-run extras: what the departing node handed off and what the
 	// survivors installed (drainSent counts groups streamed out by the
 	// drained node; handoffs counts groups accepted ring-wide).
-	churned    bool
-	drainSent  uint64
-	drainFail  uint64
-	handoffs   uint64
-	hintQueued uint64
-	hintReplay uint64
+	churned   bool
+	drainSent uint64
+	drainFail uint64
+	handoffs  uint64
 
 	// Gossip convergence verdict for the churn script: whether both
 	// transitions completed, and whether every node reached the leave
@@ -905,8 +903,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		res.clus.mirrorHits += st.MirrorHits
 		res.clus.coalesced += st.CoalescedForwards
 		res.clus.degraded += st.DegradedOpens
-		res.clus.hintQueued += st.HintsQueued
-		res.clus.hintReplay += st.HintsReplayed
 	}
 	if cfg.churn {
 		res.clus.churned = true
@@ -945,8 +941,8 @@ func (r *result) writeText(out *os.File) {
 			r.clus.nodes, r.clus.local, r.clus.forwarded, r.clus.mirrorHits, r.clus.coalesced, r.clus.degraded)
 	}
 	if r.clus.churned {
-		fmt.Fprintf(out, "  churn:      drain-sent %d  drain-failed %d  handoffs-installed %d  hints-queued %d  hints-replayed %d\n",
-			r.clus.drainSent, r.clus.drainFail, r.clus.handoffs, r.clus.hintQueued, r.clus.hintReplay)
+		fmt.Fprintf(out, "  churn:      drain-sent %d  drain-failed %d  handoffs-installed %d\n",
+			r.clus.drainSent, r.clus.drainFail, r.clus.handoffs)
 		verdict := func(ok bool) string {
 			if ok {
 				return "converged"

@@ -25,8 +25,8 @@
 // so nodes join and leave a running cluster without a restart. Graceful
 // departure is Drain (drain.go): the leaving node streams each owned
 // group's learned state to its new owner. While a peer is down past its
-// breaker, accesses bound for it are staged in a bounded hint queue and
-// replayed when the peer heals (hints.go).
+// breaker, the history its opens owe it waits on the peer client's
+// piggyback backlog and rides, in order, the probe that heals the peer.
 //
 // Peer health is a consecutive-failure circuit breaker fed only by
 // transport errors (fsnet.ErrConnBroken). A tripped breaker short-
@@ -55,7 +55,6 @@ const (
 	defaultFailureThreshold = 3
 	defaultDownDuration     = 2 * time.Second
 	defaultPeerTimeout      = 2 * time.Second
-	defaultHintCapacity     = 512
 )
 
 // Config describes one node's view of the cluster. Peers is only the
@@ -90,11 +89,6 @@ type Config struct {
 	// (0 selects the default of 5s, negative never expires).
 	MirrorTTL time.Duration
 
-	// HintCapacity bounds the per-dead-peer hinted-handoff queue in
-	// staged access paths (0 selects the default of 512, negative
-	// disables hinting). Overflow drops oldest-first and is counted.
-	HintCapacity int
-
 	// Dialer opens a connection to a peer address; nil selects TCP.
 	// Tests use it to interpose faultnet gates and latency.
 	Dialer func(addr string) (net.Conn, error)
@@ -103,13 +97,13 @@ type Config struct {
 	Now func() time.Time
 	// Obs, when set, registers the node's routing counters, a per-peer
 	// breaker-state gauge (0 closed, 1 open, 2 half-open), per-peer
-	// failure/trip gauges, membership/drain/hint counters, and a mirror-
+	// failure/trip/backlog gauges, membership/drain counters, and a mirror-
 	// residency gauge with the given registry, and records breaker and
 	// membership transitions to its event log. NodeStats works either
 	// way, fed from the same counters.
 	Obs *obs.Registry
 	// Trace, when set, records routing spans — mirror hits, coalesced
-	// waits, forwarded RPCs, hint replays — as children of the request's
+	// waits, forwarded RPCs — as children of the request's
 	// inbound trace context, and propagates the context to the owning
 	// peer on forwarded opens (fsnet msgTraceCtx). Nil keeps routing
 	// span-free; untraced requests cost nothing either way.
@@ -125,9 +119,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.PeerTimeout == 0 {
 		cfg.PeerTimeout = defaultPeerTimeout
-	}
-	if cfg.HintCapacity == 0 {
-		cfg.HintCapacity = defaultHintCapacity
 	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -161,8 +152,6 @@ type Node struct {
 	mirMu  sync.Mutex
 	mirror *mirror
 
-	hints *hintTable
-
 	flights singleflight.Group[forward]
 
 	// Routing counters (obs.Counter wraps one atomic each). With cfg.Obs
@@ -174,14 +163,11 @@ type Node struct {
 	degradedOpens  *obs.Counter
 	notFound       *obs.Counter
 
-	// Membership, hint, and drain accounting.
-	updates       *obs.Counter
-	staleUpdates  *obs.Counter
-	hintsQueued   *obs.Counter
-	hintsReplayed *obs.Counter
-	hintsDropped  *obs.Counter
-	drainSent     *obs.Counter
-	drainFailed   *obs.Counter
+	// Membership and drain accounting.
+	updates      *obs.Counter
+	staleUpdates *obs.Counter
+	drainSent    *obs.Counter
+	drainFailed  *obs.Counter
 
 	events *obs.EventLog
 }
@@ -223,7 +209,6 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg:    cfg,
 		self:   cfg.Self,
 		mirror: newMirror(cfg.MirrorCapacity, cfg.MirrorTTL, cfg.Now),
-		hints:  newHintTable(cfg.HintCapacity),
 	}
 	n.wireMetrics(cfg.Obs)
 	v := &view{epoch: 1, ring: ring, peers: make(map[string]*peer), hash: viewHash(ring.Members())}
@@ -272,7 +257,7 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 
 // wireMetrics initializes the routing counters — standalone atomics with
 // no registry, registered series otherwise — plus the pull-style mirror
-// residency, membership-epoch, drain, and hint-depth gauges.
+// residency, membership-epoch and drain gauges.
 func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens this node owned, declined to the local serving path")
 	n.forwardedOpens = reg.LiveCounter("cluster_forwarded_opens_total", "opens answered by an owner fetch (successful peer hops)")
@@ -282,9 +267,6 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.notFound = reg.LiveCounter("cluster_not_found_total", "owner replies that the path does not exist")
 	n.updates = reg.LiveCounter("cluster_membership_updates_total", "membership views installed by Update")
 	n.staleUpdates = reg.LiveCounter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
-	n.hintsQueued = reg.LiveCounter("cluster_hints_queued_total", "access paths staged for a down peer")
-	n.hintsReplayed = reg.LiveCounter("cluster_hints_replayed_total", "staged access paths delivered to a healed peer")
-	n.hintsDropped = reg.LiveCounter("cluster_hints_dropped_total", "staged access paths dropped: queue overflow (oldest first) or peer removed")
 	n.drainSent = reg.LiveCounter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
 	n.drainFailed = reg.LiveCounter("cluster_drain_groups_failed_total", "groups Drain could not deliver to their new owners")
 	n.events = reg.Events()
@@ -306,9 +288,6 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 			return 1
 		}
 		return 0
-	})
-	reg.GaugeFunc("cluster_hint_depth", "access paths currently staged across all hint queues", func() float64 {
-		return float64(n.hints.depth())
 	})
 }
 
@@ -390,29 +369,31 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		tstart = n.cfg.Now()
 	}
 
-	// Mirror first: a mirrored group answers even while its owner is
-	// down, and relays the history so it rides the next forward fetch.
+	// Mirror first: a mirrored group answers even while its owner is down.
 	n.mirMu.Lock()
 	g, lead = n.mirror.get(path)
 	n.mirMu.Unlock()
+	if g == nil && !mayForward && p.up() {
+		return nil, 0, false, true, nil
+	}
+
+	// The relay, once per remotely owned open answered here: the downstream
+	// client's history joins the owner's backlog, then the open itself —
+	// appended by the FetchGroup that forwards it, noted by every outcome
+	// that sends none. Nothing else holds history, so an outage reaches the
+	// owner in the order it happened, in the probe that heals it.
+	p.client.NoteAccess(accessed...)
 	if g != nil {
 		n.mirrorHits.Add(1)
-		p.client.NoteAccess(accessed...)
 		p.client.NoteAccess(path)
 		if tctx.Sampled {
 			tr.Record(tr.Child(tctx), "mirror", path, tstart, n.cfg.Now().Sub(tstart))
 		}
 		return g, lead, true, false, nil
 	}
-
-	if !mayForward && p.up() {
-		return nil, 0, false, true, nil
-	}
 	if !mayForward || !p.admit() {
-		// Hinted handoff: the owner is down, so stage the access history
-		// locally and replay it when the probe heals the peer. The open
-		// itself degrades to the local path as before.
-		n.stageHints(p.addr, path, accessed)
+		// The owner is down: the open degrades to the local path.
+		p.client.NoteAccess(path)
 		n.degradedOpens.Add(1)
 		return nil, 0, false, false, nil
 	}
@@ -422,7 +403,6 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 	// a reference of its own. Only the leader's context travels
 	// downstream; a sampled follower records just its local wait below.
 	res, _, coalesced := n.flights.Do(path, func() (forward, bool) {
-		p.client.NoteAccess(accessed...)
 		fctx := tr.Child(tctx)
 		var fstart time.Time
 		if fctx.Sampled {
@@ -434,9 +414,7 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		}
 		switch {
 		case err == nil:
-			if p.noteSuccess() {
-				go n.replayHints(p)
-			}
+			p.noteSuccess()
 			n.mirMu.Lock()
 			n.mirror.put(g, p.addr)
 			n.mirMu.Unlock()
@@ -444,12 +422,14 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 			p.noteFailure()
 		case errors.Is(err, fsnet.ErrNotFound):
 			// The owner answered; not-found is healthy.
-			if p.noteSuccess() {
-				go n.replayHints(p)
-			}
+			p.noteSuccess()
 		}
 		return forward{group: g, err: err}, true
 	}, shareForward)
+	if coalesced {
+		// A follower sent nothing: its open rides the next forward.
+		p.client.NoteAccess(path)
+	}
 	switch {
 	case res.err == nil:
 		if coalesced {
@@ -505,6 +485,9 @@ type PeerStatus struct {
 	Failures uint64
 	// Trips counts how many times the breaker opened.
 	Trips uint64
+	// Backlog counts relayed accesses waiting for the next forward to the
+	// peer: while it is down, the outage so far (bounded, newest kept).
+	Backlog int
 }
 
 // NodeStats is a snapshot of the node's routing activity, shaped for
@@ -538,13 +521,6 @@ type NodeStats struct {
 	DegradedOpens uint64
 	// NotFound counts owner replies that the path does not exist.
 	NotFound uint64
-	// Hint queue accounting: paths staged for down peers, paths
-	// replayed after a heal, paths dropped (overflow or peer removal),
-	// and the current staged depth across all queues.
-	HintsQueued   uint64
-	HintsReplayed uint64
-	HintsDropped  uint64
-	HintDepth     int
 	// Drain accounting: groups handed off to their new owners, and
 	// groups the drain could not deliver.
 	DrainGroupsSent   uint64
@@ -566,10 +542,6 @@ func (n *Node) Stats() NodeStats {
 		CoalescedForwards: n.coalesced.Load(),
 		DegradedOpens:     n.degradedOpens.Load(),
 		NotFound:          n.notFound.Load(),
-		HintsQueued:       n.hintsQueued.Load(),
-		HintsReplayed:     n.hintsReplayed.Load(),
-		HintsDropped:      n.hintsDropped.Load(),
-		HintDepth:         n.hints.depth(),
 		DrainGroupsSent:   n.drainSent.Load(),
 		DrainGroupsFailed: n.drainFailed.Load(),
 	}
@@ -582,6 +554,7 @@ func (n *Node) Stats() NodeStats {
 			Up:       p.up(),
 			Failures: p.fails.Load(),
 			Trips:    p.trips.Load(),
+			Backlog:  p.client.Backlog(),
 		})
 	}
 	sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].Addr < st.Peers[j].Addr })
@@ -618,7 +591,7 @@ const (
 )
 
 // wireMetrics registers the peer's breaker-state gauge plus pull-style
-// failure and trip gauges, labelled by peer address. Registration is
+// failure, trip and backlog gauges, labelled by peer address. Registration is
 // idempotent, so a peer removed and later re-added reuses the same
 // series; the GaugeFunc callbacks are replaced to read the new peer's
 // (fresh) breaker state.
@@ -634,6 +607,9 @@ func (p *peer) wireMetrics(reg *obs.Registry) {
 	}, obs.L("peer", p.addr))
 	reg.GaugeFunc("cluster_peer_trips", "times the peer's breaker opened", func() float64 {
 		return float64(p.trips.Load())
+	}, obs.L("peer", p.addr))
+	reg.GaugeFunc("cluster_peer_backlog", "relayed accesses waiting for the next forward to the peer", func() float64 {
+		return float64(p.client.Backlog())
 	}, obs.L("peer", p.addr))
 }
 
@@ -665,9 +641,8 @@ func (p *peer) up() bool {
 	return du == 0 || p.now().UnixNano() >= du
 }
 
-// noteSuccess resets the breaker and reports whether this success healed
-// a down peer — the edge on which staged hints are replayed.
-func (p *peer) noteSuccess() (healed bool) {
+// noteSuccess resets the breaker.
+func (p *peer) noteSuccess() {
 	p.fails.Store(0)
 	// Swap detects the actual transition so concurrent successes emit
 	// one breaker_close, and steady-state successes emit none.
@@ -676,9 +651,7 @@ func (p *peer) noteSuccess() (healed bool) {
 	if prev != 0 {
 		p.state.Set(breakerClosed)
 		p.events.Record("breaker_close", obs.F("peer", p.addr))
-		return true
 	}
-	return false
 }
 
 func (p *peer) noteFailure() {

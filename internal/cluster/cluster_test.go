@@ -139,16 +139,9 @@ func (tc *testCluster) checkGroupBalance(t *testing.T, base int64) {
 	for _, n := range tc.nodes {
 		mirrored += int64(n.Stats().MirrorGroups)
 	}
-	// A hint replay off a heal edge runs on its own goroutine and may
-	// still be giving its reference back.
-	var live int64
-	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		now, counted := liveGroups()
-		if live = now - base; !counted || live == mirrored {
-			return
-		}
+	if now, counted := liveGroups(); counted && now-base != mirrored {
+		t.Errorf("%d groups still referenced at teardown, the mirrors hold %d", now-base, mirrored)
 	}
-	t.Errorf("%d groups still referenced at teardown, the mirrors hold %d", live, mirrored)
 }
 
 // fetchGroup is FetchGroup for a test that only inspects the reply: a
@@ -640,6 +633,59 @@ func TestClusterForwardCoalescing(t *testing.T) {
 	}
 	if now, _ := liveGroups(); counted && now != base {
 		t.Errorf("%d groups still referenced after the whole herd released, want 0", now-base)
+	}
+}
+
+// TestCoalescedFollowerHistoryReachesOwner: a follower of a coalesced
+// forward sends no request of its own, but the history it carried and its
+// open of the path are still owed to the owner. Two opens of one path,
+// each with a different predecessor, share one flight parked behind a held
+// gate; after the next forward flushes the backlog the owner has learned
+// the path as the successor of both.
+func TestCoalescedFollowerHistoryReachesOwner(t *testing.T) {
+	tc := startCluster(t, 2, func(i int, cfg *Config) {
+		cfg.MirrorCapacity = -1
+	})
+	n, gate := tc.nodes[0], tc.gates[tc.addrs[1]]
+	p := tc.pathsOwnedBy(t, 1, 5)
+	warm, path, first, second, flush := p[0], p[1], p[2], p[3], p[4]
+
+	// Handshake now, so the only write the gate parks is the leader's fetch.
+	if _, handled, err := n.RouteOpen(warm, nil); !handled || err != nil {
+		t.Fatalf("warm forward: handled=%v err=%v", handled, err)
+	}
+	gate.Hold()
+	var wg sync.WaitGroup
+	open := func(history string) {
+		defer wg.Done()
+		if _, handled, err := n.RouteOpen(path, []string{history}); !handled || err != nil {
+			t.Errorf("open of %s after %s: handled=%v err=%v", path, history, handled, err)
+		}
+	}
+	wg.Add(2)
+	go open(first)
+	for gate.Waiting() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go open(second)
+	// The follower notes its history, then joins the flight.
+	for deadline := time.Now().Add(2 * time.Second); n.Stats().Peers[0].Backlog == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	gate.Resume()
+	wg.Wait()
+	if st := n.Stats(); st.ForwardedOpens != 2 || st.CoalescedForwards != 1 {
+		t.Fatalf("forwarded %d, coalesced %d: the second open did not share the first's flight", st.ForwardedOpens, st.CoalescedForwards)
+	}
+
+	if _, handled, err := n.RouteOpen(flush, nil); !handled || err != nil {
+		t.Fatalf("flushing forward: handled=%v err=%v", handled, err)
+	}
+	for _, history := range []string{first, second} {
+		if got := groupOf(tc.servers[1], history); len(got) == 0 || got[0] != path {
+			t.Errorf("owner's group of %s = %v, want it led by %s", history, got, path)
+		}
 	}
 }
 

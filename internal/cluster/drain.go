@@ -98,7 +98,7 @@ func (n *Node) Drain(src GroupSource) (DrainReport, error) {
 				continue
 			}
 			_, err := p.client.ViewPush(rep.GoodbyeEpoch, goodbye)
-			n.noteOutcome(p, err)
+			p.noteOutcome(err)
 			if err != nil {
 				rep.GoodbyeFailed++
 				continue

@@ -271,7 +271,7 @@ func TestTryRouteOpen(t *testing.T) {
 	g.Release()
 
 	// Owner down, breaker open: the read loop degrades on its own and
-	// stages the hint; it never takes the probe.
+	// leaves the open on the owner's backlog; it never takes the probe.
 	tc.gates[tc.addrs[1]].SetDown(true)
 	if _, handled, _ := n.RouteOpen(other, nil); handled {
 		t.Fatal("forward to a dead owner was handled")
@@ -279,8 +279,8 @@ func TestTryRouteOpen(t *testing.T) {
 	if _, _, handled, blocks := n.TryRouteOpen(other, nil, otrace.Ctx{}); handled || blocks {
 		t.Errorf("owner down: handled=%v blocks=%v, want degraded inline", handled, blocks)
 	}
-	if st := n.Stats(); st.DegradedOpens != 2 || st.HintsQueued == 0 {
-		t.Errorf("DegradedOpens = %d, HintsQueued = %d, want 2 and >0", st.DegradedOpens, st.HintsQueued)
+	if st := n.Stats(); st.DegradedOpens != 2 || st.Peers[0].Backlog == 0 {
+		t.Errorf("DegradedOpens = %d, Backlog = %d, want 2 and >0", st.DegradedOpens, st.Peers[0].Backlog)
 	}
 	// Cooldown over: admitting the probe is the forwarding caller's job.
 	tc.clk.Advance(2 * time.Minute)

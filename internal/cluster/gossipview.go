@@ -81,7 +81,7 @@ func (n *Node) ViewPullFrom(addr string) (applied bool, remoteEpoch uint64, err 
 			return false, 0, fmt.Errorf("%w: %s", ErrPeerDown, addr)
 		}
 		epoch, members, err := p.client.ViewPull()
-		n.noteOutcome(p, err)
+		p.noteOutcome(err)
 		if err != nil {
 			return false, 0, err
 		}
@@ -129,7 +129,7 @@ func (n *Node) ViewPushTo(addr string, epoch uint64, members []string) (remoteEp
 			return 0, fmt.Errorf("%w: %s", ErrPeerDown, addr)
 		}
 		remoteEpoch, err = p.client.ViewPush(epoch, members)
-		n.noteOutcome(p, err)
+		p.noteOutcome(err)
 		if err != nil {
 			return 0, err
 		}
@@ -148,14 +148,12 @@ func (n *Node) ViewPushTo(addr string, epoch uint64, members []string) (remoteEp
 // a typed server error — proves the peer alive. Leaving an admitted
 // probe unresolved would wedge the breaker half-open and refuse every
 // later exchange, so each exchange must end here.
-func (n *Node) noteOutcome(p *peer, err error) {
+func (p *peer) noteOutcome(err error) {
 	if errors.Is(err, fsnet.ErrConnBroken) {
 		p.noteFailure()
 		return
 	}
-	if p.noteSuccess() {
-		go n.replayHints(p)
-	}
+	p.noteSuccess()
 }
 
 // transientClient dials an address outside the current view for a

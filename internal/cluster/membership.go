@@ -83,9 +83,9 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // Surviving peers keep their breaker state and client connections;
 // joining peers get fresh ones. Removed peers are garbage-collected:
 // their clients are closed (an in-flight forward to one degrades to the
-// local path, like any transport failure), their breaker entries are
-// dropped, their mirrored groups are purged, and their staged hints are
-// discarded and counted as dropped.
+// local path, like any transport failure) and take the history still
+// owed to the peer with them, their breaker entries are dropped, and
+// their mirrored groups are purged.
 //
 // An update whose member list includes Self ends a drain: the operator
 // has explicitly put this node back in the ring, so it becomes ready
@@ -140,9 +140,6 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 		n.mirMu.Lock()
 		n.mirror.purgeOwner(addr)
 		n.mirMu.Unlock()
-		if dropped := n.hints.drop(addr); dropped > 0 {
-			n.hintsDropped.Add(uint64(dropped))
-		}
 	}
 
 	if ring.Has(n.self) && n.draining.CompareAndSwap(true, false) {

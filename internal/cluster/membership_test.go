@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aggcache/internal/fsnet"
+	"aggcache/internal/obs"
 )
 
 // TestMembershipUpdateSwapsRing: installing a smaller view reassigns the
@@ -163,8 +164,9 @@ func sameMembers(a, b []string) bool {
 
 // TestMembershipRemovedPeerGC is the regression test for the leak where
 // a removed peer's breaker and mirror state lived forever: dropping a
-// peer from the view must delete its breaker entry and purge its mirror
-// groups, and re-adding it must start from a fresh, closed breaker.
+// peer from the view must delete its breaker entry and backlog and purge
+// its mirror groups, and re-adding it must start from a fresh, closed
+// breaker and an empty backlog.
 func TestMembershipRemovedPeerGC(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.FailureThreshold = 1
@@ -203,7 +205,15 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 		t.Fatal("victim missing from stats before removal")
 	}
 
-	// Remove the victim: breaker entry and mirror groups must go with it.
+	// The failed forward's history is owed to the victim.
+	for _, p := range st.Peers {
+		if p.Addr == victim && p.Backlog == 0 {
+			t.Errorf("nothing on the victim's backlog after a failed forward: %+v", p)
+		}
+	}
+
+	// Remove the victim: breaker entry, backlog (it is the closed client's)
+	// and mirror groups must go with it.
 	if err := n.Update(2, tc.addrs[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -228,8 +238,8 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 	for _, p := range st.Peers {
 		if p.Addr == victim {
 			found = true
-			if !p.Up || p.Failures != 0 || p.Trips != 0 {
-				t.Errorf("re-added peer inherited old breaker state: %+v", p)
+			if !p.Up || p.Failures != 0 || p.Trips != 0 || p.Backlog != 0 {
+				t.Errorf("re-added peer inherited old breaker state or backlog: %+v", p)
 			}
 		}
 	}
@@ -300,142 +310,72 @@ func TestParsePeersFile(t *testing.T) {
 	}
 }
 
-func TestHintTableBounds(t *testing.T) {
-	h := newHintTable(3)
-	q, d := h.add("a", []string{"/1", "/2"})
-	if q != 2 || d != 0 {
-		t.Fatalf("add = %d queued, %d dropped", q, d)
+// groupOf returns the members an owner would ship with anchor right now.
+func groupOf(s *fsnet.Server, anchor string) []string {
+	for _, g := range s.ExportGroups(func(path string) bool { return path == anchor }) {
+		return g.Members
 	}
-	// Overflow sheds oldest-first: /1 goes, /3 and /4 stay.
-	q, d = h.add("a", []string{"/3", "/4"})
-	if q != 2 || d != 1 {
-		t.Fatalf("overflow add = %d queued, %d dropped", q, d)
-	}
-	if got := h.depth(); got != 3 {
-		t.Fatalf("depth = %d, want 3", got)
-	}
-	paths := h.take("a")
-	if len(paths) != 3 || paths[0] != "/2" || paths[2] != "/4" {
-		t.Fatalf("take = %v", paths)
-	}
-	if h.depth() != 0 || h.take("a") != nil {
-		t.Error("take did not clear the queue")
-	}
-
-	// A batch larger than capacity keeps only the newest entries: all
-	// five were staged, two had to be shed immediately.
-	q, d = h.add("b", []string{"/1", "/2", "/3", "/4", "/5"})
-	if q != 5 || d != 2 {
-		t.Fatalf("oversize add = %d queued, %d dropped", q, d)
-	}
-	if paths := h.take("b"); paths[0] != "/3" || paths[2] != "/5" {
-		t.Fatalf("oversize take = %v", paths)
-	}
-
-	h.add("c", []string{"/x"})
-	h.drop("c")
-	if h.depth() != 0 {
-		t.Error("drop left entries behind")
-	}
-
-	// Disabled table is nil-safe everywhere.
-	var off *hintTable
-	if q, d := off.add("a", []string{"/1"}); q != 0 || d != 0 {
-		t.Error("nil table queued")
-	}
-	if off.take("a") != nil || off.depth() != 0 {
-		t.Error("nil table not empty")
-	}
-	off.drop("a")
+	return nil
 }
 
-// TestHintedHandoffReplay: while an owner is down past its breaker, the
-// forwarding node stages the accesses it could not deliver; when the
-// probe heals the peer, the queue replays so the owner's learned state
-// catches up on what it missed.
-func TestHintedHandoffReplay(t *testing.T) {
+// TestOutageHistoryRidesHealingProbe: the history a node owes a down owner
+// waits in one place, the peer client's backlog, so the probe that heals
+// the peer delivers the whole outage in its own request and the owner
+// learns it in the order it happened. Opens a, b, c land while the breaker
+// is open and d is the probe: the owner must learn a→b, b→c, c→d — not
+// a→d, what it learned when the first forward's history rode the probe and
+// the rest a replay behind it.
+func TestOutageHistoryRidesHealingProbe(t *testing.T) {
+	reg := obs.NewRegistry()
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
 		cfg.MirrorCapacity = -1 // every open reaches the health gate
 		cfg.FailureThreshold = 1
 		cfg.DownDuration = time.Minute
+		if i == 0 {
+			cfg.Obs = reg
+		}
 	})
 	n := tc.nodes[0]
 	victim := tc.addrs[1]
-	path := tc.pathOwnedBy(t, 1, nil)
-	second := tc.pathOwnedBy(t, 1, map[string]bool{path: true})
+	p := tc.pathsOwnedBy(t, 1, 4) // a, b, c, d
 
 	tc.gates[victim].SetDown(true)
-	// First open eats the forward failure and trips the breaker (threshold
-	// 1); it is served degraded from the local replica (handled=false).
-	if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
-		t.Fatalf("degraded open: handled=%v err=%v", handled, err)
+	// The first open eats the forward failure and trips the breaker
+	// (threshold 1); the next two short-circuit on it. All three degrade
+	// to the local replica.
+	for _, path := range p[:3] {
+		if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
+			t.Fatalf("open of %s with the owner down: handled=%v err=%v, want degraded", path, handled, err)
+		}
 	}
-	// Subsequent opens short-circuit on the open breaker and stage hints,
-	// including the piggybacked access history they carried.
-	if _, _, err := n.RouteOpen(second, []string{path}); err != nil {
-		t.Fatal(err)
+	if got := n.Stats().Peers[0].Backlog; got != 3 {
+		t.Fatalf("Backlog = %d with three opens owed to the down owner, want 3", got)
 	}
-	st := n.Stats()
-	if st.HintsQueued == 0 || st.HintDepth == 0 {
-		t.Fatalf("no hints staged while owner down: %+v", st)
+	if got := gaugeValue(t, reg, "cluster_peer_backlog", victim); got != 3 {
+		t.Errorf("cluster_peer_backlog = %v during the outage, want 3", got)
 	}
 
-	// Heal and lapse the cooldown; the next open probes, succeeds, and
-	// kicks off the replay.
+	// Heal and lapse the cooldown: the next open is the probe.
 	tc.gates[victim].SetDown(false)
 	tc.clk.Advance(2 * time.Minute)
-	if _, handled, err := n.RouteOpen(path, nil); err != nil || !handled {
+	if _, handled, err := n.RouteOpen(p[3], nil); err != nil || !handled {
 		t.Fatalf("probe open: handled=%v err=%v", handled, err)
 	}
-	deadline := time.Now().Add(3 * time.Second)
-	for {
-		st = n.Stats()
-		if st.HintsReplayed > 0 && st.HintDepth == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("hints never replayed: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if got, st := gaugeValue(t, reg, "cluster_peer_backlog", victim), n.Stats().Peers[0]; got != 0 || st.Backlog != 0 || !st.Up {
+		t.Errorf("after the probe: cluster_peer_backlog = %v, peer %+v, want an empty backlog on a healed peer", got, st)
 	}
-	if st.HintsDropped != 0 {
-		t.Errorf("healthy replay dropped %d hints", st.HintsDropped)
-	}
-}
 
-// TestHintQueueDropsOldestWhenFull: a dead owner with a tiny hint budget
-// sheds the oldest accesses and counts every drop.
-func TestHintQueueDropsOldestWhenFull(t *testing.T) {
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1
-		cfg.FailureThreshold = 1
-		cfg.DownDuration = time.Hour
-		cfg.HintCapacity = 2
-	})
-	n := tc.nodes[0]
-	tc.gates[tc.addrs[1]].SetDown(true)
-
-	var remote []string
-	skip := map[string]bool{}
-	for len(remote) < 4 {
-		p := tc.pathOwnedBy(t, 1, skip)
-		skip[p] = true
-		remote = append(remote, p)
+	owner := tc.servers[1]
+	if got := groupOf(owner, p[0]); len(got) == 0 || got[0] != p[1] {
+		t.Errorf("owner's group of a = %v, want it led by b (%s)", got, p[1])
 	}
-	for _, p := range remote {
-		if _, _, err := n.RouteOpen(p, nil); err != nil && !errors.Is(err, fsnet.ErrNotFound) {
-			t.Fatal(err)
+	if got := groupOf(owner, p[2]); len(got) == 0 || got[0] != p[3] {
+		t.Errorf("owner's group of c = %v, want it led by d (%s)", got, p[3])
+	}
+	for _, m := range groupOf(owner, p[0]) {
+		if m == p[3] {
+			t.Errorf("owner learned a→d (group of a = %v): the outage arrived out of order", groupOf(owner, p[0]))
 		}
-	}
-	st := n.Stats()
-	if st.HintDepth != 2 {
-		t.Errorf("hint depth = %d, want capacity 2", st.HintDepth)
-	}
-	if st.HintsDropped == 0 {
-		t.Error("overflow dropped nothing")
-	}
-	if st.HintsQueued < st.HintsDropped {
-		t.Errorf("queued %d < dropped %d", st.HintsQueued, st.HintsDropped)
 	}
 }
 
@@ -500,7 +440,7 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	warmed.Wait()
 	tc.gates[tc.addrs[victim]].SetDown(true)
 	close(killed)
-	// ...give the survivors time to trip breakers and stage hints, then
+	// ...give the survivors time to trip breakers and degrade opens, then
 	// heal it and lapse the cooldown so probes readmit it.
 	time.Sleep(100 * time.Millisecond)
 	tc.gates[tc.addrs[victim]].SetDown(false)

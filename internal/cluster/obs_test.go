@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
 )
 
@@ -45,8 +46,13 @@ func TestBreakerGaugeTransitions(t *testing.T) {
 	reg := obs.NewRegistry()
 	clk := newTick()
 	const addr = "127.0.0.1:7001"
+	client, err := fsnet.NewClient(nil, fsnet.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := &peer{
 		addr:      addr,
+		client:    client,
 		threshold: 3,
 		downFor:   2 * time.Second,
 		now:       clk.Now,
@@ -174,7 +180,7 @@ func TestNodeMetricsRegistered(t *testing.T) {
 		}
 	}
 	for _, addr := range []string{"127.0.0.1:7002", "127.0.0.1:7003"} {
-		for _, name := range []string{"cluster_peer_state", "cluster_peer_failures", "cluster_peer_trips"} {
+		for _, name := range []string{"cluster_peer_state", "cluster_peer_failures", "cluster_peer_trips", "cluster_peer_backlog"} {
 			if _, ok := parsed.Find(name, map[string]string{"peer": addr}); !ok {
 				t.Errorf("metric %s{peer=%q} not exported", name, addr)
 			}

@@ -463,9 +463,10 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 
 // NoteAccess appends externally observed opens — e.g. a cluster node
 // relaying a downstream client's piggybacked history — to the history
-// this client piggybacks on its next fetch, preserving order. Entries
-// beyond the protocol limit are dropped (the next claim also trims
-// oldest-first), so a flood cannot grow the backlog without bound.
+// this client piggybacks on its next fetch, preserving order. The backlog
+// is bounded by the protocol limit and keeps the newest: at the bound the
+// oldest quarter is shed in one block (amortised constant work a note), so
+// a flood or an outage that outlasts it loses only its oldest transitions.
 func (c *Client) NoteAccess(paths ...string) {
 	if c.cfg.DisablePiggyback {
 		return
@@ -477,11 +478,18 @@ func (c *Client) NoteAccess(paths ...string) {
 			continue
 		}
 		if len(c.pending) >= maxStatPaths {
-			return
+			kept := copy(c.pending, c.pending[len(c.pending)-maxStatPaths*3/4:])
+			clear(c.pending[kept:])
+			c.pending = c.pending[:kept]
+			c.pendingN.Store(int64(kept))
 		}
 		c.appendPending(p)
 	}
 }
+
+// Backlog reports how many noted accesses are waiting for the next fetch
+// to carry them to the server.
+func (c *Client) Backlog() int { return int(c.pendingN.Load()) }
 
 // Handoff streams one drained group to the server: the anchor path plus
 // its learned members, which the server installs into its successor

@@ -3,6 +3,7 @@ package fsnet
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -276,5 +277,46 @@ func TestClusterNoteAccessRelay(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("relayed transition f002->f003 not learned; group = %v", groupPaths(group))
+	}
+}
+
+// TestNoteAccessKeepsNewest: the relay backlog is bounded by the protocol's
+// piggyback limit and sheds from the front, so what survives a flood — or
+// an outage longer than the bound — is the newest history, unbroken and in
+// order, and that is what the next fetch delivers.
+func TestNoteAccessKeepsNewest(t *testing.T) {
+	// The server drops history naming files it never held: note real ones.
+	const notes, batchLen = 3 * maxStatPaths, 7
+	router := &scriptedRouter{}
+	_, addr := startServer(t, seededStore(t, notes+batchLen), ServerConfig{Router: router})
+	relay, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer relay.Close()
+
+	var noted []string
+	for len(noted) < notes {
+		batch := make([]string, batchLen)
+		for i := range batch {
+			batch[i] = fmt.Sprintf("/data/f%03d", len(noted)+i)
+		}
+		relay.NoteAccess(batch...)
+		noted = append(noted, batch...)
+	}
+	kept := relay.Backlog()
+	if kept == 0 || kept > maxStatPaths {
+		t.Fatalf("Backlog = %d after %d notes, want within (0, %d]", kept, len(noted), maxStatPaths)
+	}
+	if _, err := fetchGroup(relay, "/data/f000"); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := router.lastAccess.Load().([]string)
+	if want := noted[len(noted)-kept:]; !slices.Equal(got, want) {
+		t.Errorf("the fetch delivered %d paths ending in %q; want the newest %d noted, %q … %q",
+			len(got), got[max(len(got)-1, 0):], kept, want[0], want[kept-1])
+	}
+	if relay.Backlog() != 0 {
+		t.Errorf("Backlog = %d after the fetch that carried it, want 0", relay.Backlog())
 	}
 }
