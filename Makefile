@@ -28,8 +28,11 @@ ignore-guard:
 # with it, but `led` is too short a word to guard), and hinted handoff's
 # second queue — the per-dead-peer table, its replay, its knob and its four
 # counters (PR 23: the history a node owes an owner waits on the peer
-# client's backlog and nowhere else). Test files may name them; other Go
-# source may not.
+# client's backlog and nowhere else), and the client's two silent history
+# guards — Open and FetchGroup each dropped the newest access at the bound;
+# every access now goes through appendPending, which sheds the oldest and
+# counts it — with the protocol generation whose replies carried no tags
+# (PR 24). Test files may name them; other Go source may not.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -37,6 +40,7 @@ lint-dead:
 	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' internal/fsnet
 	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'len\(c\.pending\) < maxStatPaths|protocolVersion = 3' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -106,7 +110,7 @@ examples:
 # Short fuzzing pass over every decoder the serving path runs and the
 # trace codecs, ten seconds a target; CI calls this target.
 fuzz:
-	for t in FuzzParseOpenRequest FuzzMemberChunkView FuzzDecodeGroupEnd FuzzDecodeHello FuzzDecodeViewMsg FuzzDecodeTraceCtx FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeErrorResponse; do \
+	for t in FuzzParseOpenRequest FuzzMemberChunkView FuzzDecodeGroupEnd FuzzDecodeHello FuzzDecodeViewMsg FuzzDecodeTraceCtx FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeWriteOK FuzzDecodeErrorResponse; do \
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/fsnet/ || exit 1; \
 	done
 	for t in FuzzReadBinary FuzzReadText FuzzReadDFSTrace; do \

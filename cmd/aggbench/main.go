@@ -888,6 +888,9 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		res.client.FilesReceived += st.FilesReceived
 		res.client.BytesReceived += st.BytesReceived
 		res.client.PrefetchHits += st.PrefetchHits
+		res.client.ValidatedFiles += st.ValidatedFiles
+		res.client.ValidationMisses += st.ValidationMisses
+		res.client.HistoryDropped += st.HistoryDropped
 		res.client.Retries += st.Retries
 		res.client.BrokenConns += st.BrokenConns
 		res.client.Reconnects += st.Reconnects
@@ -932,6 +935,8 @@ func (r *result) writeText(out *os.File) {
 	}
 	fmt.Fprintf(out, "  client:     hit-rate %.3f  fetches %d  files-received %d  prefetch-hits %d\n",
 		r.hitRate, r.client.Fetches, r.client.FilesReceived, r.client.PrefetchHits)
+	fmt.Fprintf(out, "  validation: validated-files %d  validation-misses %d  history-dropped %d  bytes-received %d\n",
+		r.client.ValidatedFiles, r.client.ValidationMisses, r.client.HistoryDropped, r.client.BytesReceived)
 	if r.client.Retries+r.client.BrokenConns > 0 {
 		fmt.Fprintf(out, "  recovery:   retries %d  broken-conns %d  reconnects %d\n",
 			r.client.Retries, r.client.BrokenConns, r.client.Reconnects)

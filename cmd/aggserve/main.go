@@ -440,8 +440,9 @@ loop:
 		return err
 	}
 	st := srv.Stats()
-	log.Printf("aggserve: requests=%d errors=%d files-sent=%d rejected=%d panics=%d disconnects=%d cache{%s}",
-		st.Requests, st.Errors, st.FilesSent, st.Rejected, st.Panics, st.Disconnects, st.Cache.String())
+	log.Printf("aggserve: requests=%d errors=%d files-sent=%d validated=%d bytes-saved=%d shadow-resets=%d rejected=%d panics=%d disconnects=%d cache{%s}",
+		st.Requests, st.Errors, st.FilesSent, st.ValidatedMembers, st.ValidatedBytesSaved, st.ShadowResets,
+		st.Rejected, st.Panics, st.Disconnects, st.Cache.String())
 	if node != nil {
 		cs := node.Stats()
 		log.Printf("aggserve: cluster local=%d forwarded=%d mirror-hits=%d coalesced=%d degraded=%d",

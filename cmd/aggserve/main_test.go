@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -281,12 +282,23 @@ func TestRunCluster(t *testing.T) {
 		t.Fatalf("stats endpoint: %v", err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read stats: %v", err)
+	}
 	var snap snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("decode stats: %v", err)
 	}
 	if snap.Server.Requests == 0 {
 		t.Error("stats report zero requests after workload")
+	}
+	// The document follows the struct: the validated-reply counters are
+	// there without anyone listing them.
+	for _, field := range []string{"ValidatedMembers", "ValidatedBytesSaved", "ShadowResets"} {
+		if !bytes.Contains(body, []byte(`"`+field+`"`)) {
+			t.Errorf("/stats has no %s field", field)
+		}
 	}
 	if snap.Cluster == nil {
 		t.Fatal("stats missing cluster section on a clustered node")

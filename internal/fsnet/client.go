@@ -147,9 +147,22 @@ type ClientStats struct {
 	Hits    uint64
 	Fetches uint64
 	// FilesReceived and BytesReceived count everything delivered in
-	// group replies, demanded and opportunistic.
+	// group replies, demanded and opportunistic. A member that arrives
+	// header-only — the server knew the cache held it unchanged — counts
+	// as a file and adds no bytes.
 	FilesReceived uint64
 	BytesReceived uint64
+	// ValidatedFiles counts header-only members matched against the
+	// cached copy and left in place. ValidationMisses counts the ones the
+	// cache could not match — not resident, or resident under another tag:
+	// each is dropped from its group (one lost prefetch) and ends
+	// validation on the connection.
+	ValidatedFiles   uint64
+	ValidationMisses uint64
+	// HistoryDropped counts piggyback-history entries shed, oldest first,
+	// because more than the protocol bound accumulated between two
+	// requests (or across failed ones).
+	HistoryDropped uint64
 	// PrefetchHits counts opens served by a file that arrived as a
 	// non-demanded group member and had not been demanded since.
 	PrefetchHits uint64
@@ -204,6 +217,7 @@ type Client struct {
 	ids     *trace.Interner
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
+	tags    []uint64        // by FileID: the tag data[id] arrived (or was written) under
 	pending []string        // access history awaiting piggybacking
 	// pendingFree stacks the storage of successfully delivered claims,
 	// handed back so the backlog regrows without reallocating after every
@@ -219,6 +233,15 @@ type Client struct {
 	// when there is nothing to claim — the common case once a batch's
 	// first open has swept the backlog.
 	pendingN atomic.Int64
+
+	// novalidate is set, for good, once the cache stops being what a server
+	// replaying this client's requests and replies would compute: history
+	// was shed, a header-only chunk did not match, replies are not cached
+	// (FetchGroup) or accesses are not its own (NoteAccess), piggybacking
+	// is off, or a connection is dialed with files already cached. From
+	// then on a hello declares no capacity and every open on a connection
+	// that did declare one carries openUnvalidated (DESIGN.md §11).
+	novalidate atomic.Bool
 
 	connMu sync.Mutex // serializes dial + handshake
 
@@ -267,6 +290,8 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if conn != nil {
 		c.conn = newClientConn(conn)
 	}
+	// Without the piggybacked hits a server cannot follow the cache.
+	c.novalidate.Store(cfg.DisablePiggyback)
 	lru.OnEvict(func(id trace.FileID, _ bool) { c.data[id] = nil })
 	return c, nil
 }
@@ -320,13 +345,14 @@ func (c *Client) Connected() bool {
 	return c.conn != nil || c.mux != nil
 }
 
-// ensureDense grows the FileID-indexed data slice to cover id. Interned
+// ensureDense grows the FileID-indexed data and tags slices to cover id. Interned
 // IDs are dense and small, so it stays proportional to the number of
 // distinct paths seen, and indexing it replaces a map lookup on the open
 // hot path. Called with mu held.
 func (c *Client) ensureDense(id trace.FileID) {
 	for int(id) >= len(c.data) {
 		c.data = append(c.data, nil)
+		c.tags = append(c.tags, 0)
 	}
 }
 
@@ -357,7 +383,7 @@ func (c *Client) Open(path string) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	if !c.cfg.DisablePiggyback && len(c.pending) < maxStatPaths {
+	if !c.cfg.DisablePiggyback {
 		c.appendPending(path)
 	}
 	// Lookup, not Intern: a path is interned when a reply delivers it, so
@@ -415,7 +441,9 @@ func (c *Client) Open(path string) ([]byte, error) {
 // through: it never answers from the local cache (a forward must see the
 // owner's current group, not a stale local copy) and never installs into
 // it (the caller keeps the group; a second copy here would never be read).
-// Only the access history and the fetch counters are touched.
+// Only the access history and the fetch counters are touched — which is
+// why a client used this way asks for no validation: its cache is not what
+// the replies would make it.
 //
 // tctx is the caller's trace context: the cluster tier threads the
 // server-side context of the open it is forwarding, so the downstream
@@ -434,7 +462,8 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	if !c.cfg.DisablePiggyback && len(c.pending) < maxStatPaths {
+	c.novalidate.Store(true)
+	if !c.cfg.DisablePiggyback {
 		c.appendPending(path)
 	}
 	c.mu.Unlock()
@@ -442,6 +471,11 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 	g, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
+	}
+	if g.held != 0 {
+		// Nothing here could supply the bytes, and the request said so.
+		g.Release()
+		return nil, c.desync(errors.New("header-only chunk in an unvalidated reply"))
 	}
 
 	c.mu.Lock()
@@ -464,24 +498,20 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 // NoteAccess appends externally observed opens — e.g. a cluster node
 // relaying a downstream client's piggybacked history — to the history
 // this client piggybacks on its next fetch, preserving order. The backlog
-// is bounded by the protocol limit and keeps the newest: at the bound the
-// oldest quarter is shed in one block (amortised constant work a note), so
+// is bounded by the protocol limit and keeps the newest (appendPending), so
 // a flood or an outage that outlasts it loses only its oldest transitions.
+// Accesses this client's own cache never saw end validation, like
+// FetchGroup.
 func (c *Client) NoteAccess(paths ...string) {
 	if c.cfg.DisablePiggyback {
 		return
 	}
+	c.novalidate.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range paths {
 		if p == "" || len(p) > maxPath {
 			continue
-		}
-		if len(c.pending) >= maxStatPaths {
-			kept := copy(c.pending, c.pending[len(c.pending)-maxStatPaths*3/4:])
-			clear(c.pending[kept:])
-			c.pending = c.pending[:kept]
-			c.pendingN.Store(int64(kept))
 		}
 		c.appendPending(p)
 	}
@@ -611,14 +641,20 @@ func (c *Client) Write(path string, data []byte) error {
 	if typ != msgWriteOK {
 		return c.replyErr(typ, body)
 	}
+	tag, derr := decodeWriteOK(body)
+	if derr != nil {
+		return c.desync(derr)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Refresh the local copy so our own reads see the write. The slot gets
 	// new storage (earlier Open results keep the old bytes) without a copy:
 	// the encoded request ends with the contents, and a reply means the mux
-	// writer is done with it.
+	// writer is done with it. The tag the server's store gave those bytes
+	// comes with the ack, so the pair stays one a later reply can validate.
 	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
 		c.data[id] = payload[len(payload)-len(data) : len(payload) : len(payload)]
+		c.tags[id] = tag
 	}
 	c.stats.Writes++
 	return nil
@@ -714,19 +750,41 @@ func (c *Client) claimPending(path string) (accessed, claimed []string) {
 		overflow := len(accessed) - maxStatPaths
 		accessed = accessed[overflow:]
 		claimed = claimed[overflow:]
+		c.noteShed(overflow)
 	}
 	return accessed, claimed
 }
 
-// appendPending adds one path to the piggyback backlog, reviving a
-// recycled claim's storage when the backlog is empty. Called with mu held.
+// appendPending adds one path to the piggyback backlog — the one way in,
+// for an open, a group fetch and a relayed access alike — reviving a
+// recycled claim's storage when the backlog is empty. The backlog is
+// bounded by the protocol limit and keeps the newest: at the bound the
+// oldest quarter is shed in one block (amortised constant work an
+// access), counted, never silently. Called with mu held.
 func (c *Client) appendPending(path string) {
+	if len(c.pending) >= maxStatPaths {
+		shed := len(c.pending) - maxStatPaths*3/4
+		kept := copy(c.pending, c.pending[shed:])
+		clear(c.pending[kept:])
+		c.pending = c.pending[:kept]
+		c.pendingN.Store(int64(kept))
+		c.noteShed(shed)
+	}
 	if n := len(c.pendingFree); c.pending == nil && n > 0 {
 		c.pending, c.pendingFree[n-1] = c.pendingFree[n-1], nil
 		c.pendingFree = c.pendingFree[:n-1]
 	}
 	c.pending = append(c.pending, path)
 	c.pendingN.Add(1)
+}
+
+// noteShed accounts for n history entries the server will never see. It
+// can no longer follow the cache from what it is sent, so validation ends.
+// Called with mu held.
+func (c *Client) noteShed(n int) {
+	c.stats.HistoryDropped += uint64(n)
+	c.m.historyDropped.Add(uint64(n))
+	c.novalidate.Store(true)
 }
 
 // freePending recycles a claimed history the server has consumed: its
@@ -882,11 +940,12 @@ func (c *Client) transport() (*muxConn, error) {
 		c.conn = cc
 		c.mu.Unlock()
 	}
-	if err := c.handshake(cc); err != nil {
+	validated, err := c.handshake(cc)
+	if err != nil {
 		c.dropConn(cc)
 		return nil, err
 	}
-	return c.installMux(cc, redial)
+	return c.installMux(cc, redial, validated)
 }
 
 // liveMux returns the installed transport, or nil when there is none.
@@ -900,45 +959,58 @@ func (c *Client) liveMux() (*muxConn, error) {
 }
 
 // handshake offers protocolVersion and requires the server to accept
-// exactly that. Called with connMu held, before the connection is
-// installed.
-func (c *Client) handshake(cc *clientConn) error {
+// exactly that. The hello declares the cache's capacity only while the
+// cache is still empty and validation has not ended: a server can replay a
+// cache from nothing, not from the middle. validated reports that the
+// server agreed to shadow it, so this connection's opens must say when
+// that stops being true. Called with connMu held, before the connection
+// is installed.
+func (c *Client) handshake(cc *clientConn) (validated bool, err error) {
 	if c.cfg.Timeout > 0 {
 		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	if err := writeHello(cc.conn, msgHello, protocolVersion); err != nil {
-		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+	c.mu.Lock()
+	if c.lru.Len() > 0 {
+		c.novalidate.Store(true)
+	}
+	c.mu.Unlock()
+	var capacity uint64
+	if !c.novalidate.Load() {
+		capacity = uint64(c.cfg.CacheCapacity)
+	}
+	if err := writeHello(cc.conn, msgHello, protocolVersion, capacity); err != nil {
+		return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	typ, payload, err := readFrame(cc.r)
 	if err != nil {
-		return fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+		return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	defer putFrameBuf(payload)
 	switch typ {
 	case msgHelloOK:
-		ver, derr := decodeHello(payload)
+		ver, shadowed, derr := decodeHello(payload)
 		if derr != nil {
-			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
 		if ver != protocolVersion {
-			return fmt.Errorf("%w: %w: server answered version %d, want %d", ErrConnBroken, ErrProtocolVersion, ver, protocolVersion)
+			return false, fmt.Errorf("%w: %w: server answered version %d, want %d", ErrConnBroken, ErrProtocolVersion, ver, protocolVersion)
 		}
-		return nil
+		return shadowed > 0, nil
 	case msgError:
 		e, derr := decodeErrorResponse(payload)
 		if derr != nil {
-			return fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
 		if e.Code == CodeBadRequest {
 			// The peer understood the frame but not the offer.
-			return fmt.Errorf("%w: %w: hello refused: %s", ErrConnBroken, ErrProtocolVersion, e.Message)
+			return false, fmt.Errorf("%w: %w: hello refused: %s", ErrConnBroken, ErrProtocolVersion, e.Message)
 		}
 		// CodeBusy lands here: the accept limit answers the hello, and the
 		// caller backs off and redials.
-		return fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
+		return false, fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
 	default:
-		return fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
+		return false, fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
 	}
 }
 
@@ -955,8 +1027,8 @@ func (c *Client) noteReconnect(conn net.Conn) {
 
 // installMux publishes a handshaken connection as the transport and
 // starts its goroutines. Called with connMu held.
-func (c *Client) installMux(cc *clientConn, countRedial bool) (*muxConn, error) {
-	m := newMuxConn(c, cc)
+func (c *Client) installMux(cc *clientConn, countRedial, validated bool) (*muxConn, error) {
+	m := newMuxConn(c, cc, validated)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -1033,37 +1105,63 @@ func (c *Client) TTFB() obs.HistogramSnapshot {
 // contents: cache.GroupLRU decides which of its files are resident
 // afterwards (demanded file at the head — it always enters — other members
 // at the tail, never evicting the incoming group's own files) and every
-// resident one gets the fetched contents, so a member that was already
-// cached is refreshed. Member paths are interned straight from the chunk
-// views (no string materialization for already-known paths) and the
-// resident members' contents are copied once, into one new slab the slots
-// window; a slot's old storage is left as it was for whoever still holds
-// it. Called with mu held.
+// resident one that carried its bytes gets them, so a member that was
+// already cached is refreshed. Member paths are interned straight from the
+// chunk views (no string materialization for already-known paths) and the
+// contents are copied once, into one new slab the slots window; a slot's
+// old storage is left as it was for whoever still holds it.
+//
+// A header-only member carries a tag and no bytes: the server's shadow of
+// this cache showed it resident with those very contents. If it is, its
+// slot, tag and LRU position stay as they are — Install keeps a resident
+// member where it earned its place — and the slab is sized without it. If
+// it is not (the shadow was wrong), the member is left out of the install
+// altogether: one lost prefetch, nothing cached that was not received, and
+// the next request tells the server to stop validating. Called with mu
+// held.
 func (c *Client) installViews(g *Group) []byte {
 	ids := c.gidScratch[:0]
+	var file [maxGroup]uint8 // ids[k] is g.Files[file[k]]
 	for i := range g.paths {
-		mid := c.ids.InternBytes(g.paths[i])
-		c.ensureDense(mid)
-		ids = append(ids, mid)
 		c.stats.FilesReceived++
 		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
+		if g.held&(1<<i) != 0 {
+			tag := g.Files[i].Tag
+			mid, known := c.ids.LookupBytes(g.paths[i])
+			if !known || tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
+				c.stats.ValidationMisses++
+				c.m.validationMisses.Inc()
+				c.novalidate.Store(true)
+				continue
+			}
+			c.stats.ValidatedFiles++
+			c.m.validatedFiles.Inc()
+			file[len(ids)] = uint8(i)
+			ids = append(ids, mid)
+			continue
+		}
+		mid := c.ids.InternBytes(g.paths[i])
+		c.ensureDense(mid)
+		file[len(ids)] = uint8(i)
+		ids = append(ids, mid)
 	}
 	c.gidScratch = ids
 
 	c.lru.Install(ids, false)
 	size := 0
-	for i, mid := range ids {
-		if c.lru.Contains(mid) {
+	for k, mid := range ids {
+		if i := file[k]; g.held&(1<<i) == 0 && c.lru.Contains(mid) {
 			size += len(g.Files[i].Data)
 		}
 	}
 	slab := make([]byte, size)
-	for i, mid := range ids {
-		if c.lru.Contains(mid) {
+	for k, mid := range ids {
+		if i := file[k]; g.held&(1<<i) == 0 && c.lru.Contains(mid) {
 			n := copy(slab, g.Files[i].Data)
 			// Capacity-limited, so an append through one member cannot
 			// reach into the next.
 			c.data[mid], slab = slab[:n:n], slab[n:]
+			c.tags[mid] = g.Files[i].Tag
 		}
 	}
 	return c.data[ids[0]]

@@ -18,11 +18,14 @@ import (
 // same paths (minus the empty piggybacked ones it drops).
 func FuzzParseOpenRequest(f *testing.F) {
 	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a", "", "/b"}}))
+	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a"}, Flags: openUnvalidated}))
+	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x02)) // an unknown flag
+	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x00)) // a flags byte nobody needed to send
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeOpenRequest(data)
-		path, views, err := parseOpenRequest(data, nil)
+		path, views, flags, err := parseOpenRequest(data, nil)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("parseOpenRequest err = %v, reference err = %v", err, wantErr)
 		}
@@ -38,24 +41,36 @@ func FuzzParseOpenRequest(f *testing.F) {
 				ref = append(ref, p)
 			}
 		}
-		if string(path) != want.Path || !reflect.DeepEqual(got, ref) {
-			t.Fatalf("parsed (%q, %q), reference (%q, %q)", path, got, want.Path, ref)
+		if string(path) != want.Path || !reflect.DeepEqual(got, ref) || flags != want.Flags {
+			t.Fatalf("parsed (%q, %q, %#x), reference (%q, %q, %#x)", path, got, flags, want.Path, ref, want.Flags)
 		}
 	})
 }
 
+// FuzzMemberChunkView covers both chunk forms: whatever the decoder
+// accepts re-encodes through the one header builder to a frame that
+// decodes to the same member, and a header-only chunk never yields bytes.
 func FuzzMemberChunkView(f *testing.F) {
-	f.Add(appendBytes(appendString(nil, "/x"), []byte("data")))
+	payload := func(hdr, data []byte) []byte { return append(hdr[4+v2HdrLen:], data...) }
+	f.Add(payload(appendMemberChunkHdr(nil, 1, "/x", 7, 4, false), []byte("data")))
+	f.Add(payload(appendMemberChunkHdr(nil, 1, "/x", 7, 4, true), nil))
+	f.Add(payload(appendMemberChunkHdr(nil, 1, "/x", 7, 4, true), []byte("data"))) // held, yet bytes follow
+	f.Add(payload(appendMemberChunkHdr(nil, 1, "/x", 0, 0, false), nil))
 	f.Add([]byte{})
 	f.Add([]byte{0x01, '/', 0x05, 'a'})
+	f.Add([]byte{0x01, '/', 0x02, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown flags
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path, body, err := memberChunkView(data)
+		path, body, tag, held, err := memberChunkView(data)
 		if err != nil {
 			return
 		}
-		p2, b2, err := memberChunkView(appendBytes(appendString(nil, string(path)), body))
-		if err != nil || !bytes.Equal(p2, path) || !bytes.Equal(b2, body) {
-			t.Fatalf("round trip = (%q, %q, %v), want (%q, %q)", p2, b2, err, path, body)
+		if held && body != nil {
+			t.Fatalf("header-only chunk decoded with %d bytes of contents", len(body))
+		}
+		again := payload(appendMemberChunkHdr(nil, 9, string(path), tag, len(body), held), body)
+		p2, b2, t2, h2, err := memberChunkView(again)
+		if err != nil || !bytes.Equal(p2, path) || !bytes.Equal(b2, body) || t2 != tag || h2 != held {
+			t.Fatalf("round trip = (%q, %q, %#x, %v, %v), want (%q, %q, %#x, %v)", p2, b2, t2, h2, err, path, body, tag, held)
 		}
 	})
 }
@@ -76,16 +91,22 @@ func FuzzDecodeGroupEnd(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(appendUvarint(nil, protocolVersion))
+	f.Add(appendUvarint(appendUvarint(nil, protocolVersion), 128))
+	f.Add(appendUvarint(nil, protocolVersion)) // the older generations' form: no capacity
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := decodeHello(data)
+		v, capacity, err := decodeHello(data)
 		if err != nil {
 			return
 		}
-		if again, err := decodeHello(appendUvarint(nil, uint64(v))); err != nil || again != v {
-			t.Fatalf("round trip = (%d, %v), want %d", again, err, v)
+		var wire bytes.Buffer
+		if err := writeHello(&wire, msgHello, v, capacity); err != nil {
+			t.Fatal(err)
+		}
+		v2, c2, err := decodeHello(wire.Bytes()[4+1:])
+		if err != nil || v2 != v || c2 != capacity {
+			t.Fatalf("round trip = (%d, %d, %v), want (%d, %d)", v2, c2, err, v, capacity)
 		}
 	})
 }
@@ -154,6 +175,20 @@ func FuzzDecodeWriteRequest(f *testing.F) {
 		p2, c2, err := parseWriteRequest(encodeWriteRequest(writeRequest{Path: string(path), Data: contents}))
 		if err != nil || !bytes.Equal(p2, path) || !bytes.Equal(c2, contents) {
 			t.Fatalf("round trip = (%q, %q, %v), want (%q, %q)", p2, c2, err, path, contents)
+		}
+	})
+}
+
+func FuzzDecodeWriteOK(f *testing.F) {
+	f.Add(appendWriteOK(nil, 0x1122334455667788))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tag, err := decodeWriteOK(data)
+		if err != nil {
+			return
+		}
+		if again, err := decodeWriteOK(appendWriteOK(nil, tag)); err != nil || again != tag {
+			t.Fatalf("round trip = (%#x, %v), want %#x", again, err, tag)
 		}
 	})
 }

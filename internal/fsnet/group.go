@@ -34,6 +34,10 @@ type Group struct {
 	// bytes inside them, set by decodeChunks for the client to intern.
 	bufs  [][]byte
 	paths [][]byte
+	// held has bit i set when chunk i arrived header-only: Files[i] then
+	// has a tag and no Data, which only a client that already caches the
+	// member can make good (installViews).
+	held uint64
 
 	refs atomic.Int32
 }
@@ -78,7 +82,7 @@ func (g *Group) Release() {
 	for i := range g.Files {
 		g.Files[i] = GroupFile{}
 	}
-	g.bufs, g.paths, g.Files = g.bufs[:0], g.paths[:0], g.Files[:0]
+	g.bufs, g.paths, g.Files, g.held = g.bufs[:0], g.paths[:0], g.Files[:0], 0
 	if poolReleased {
 		groupPool.Put(g)
 	}
@@ -97,21 +101,28 @@ func (g *Group) RetainedBytes() int {
 }
 
 // decodeChunks validates a streamed reply's chunks and records their
-// views in g: each member's contents in Files, its path bytes in paths.
-// On error the caller still owns g.
+// views in g: each member's contents and tag in Files, its path bytes in
+// paths, the header-only ones in held. The demanded file must lead and
+// must have come in full. On error the caller still owns g.
 func decodeChunks(g *Group, path string) error {
-	for _, buf := range g.bufs {
-		p, d, err := memberChunkView(buf)
+	for i, buf := range g.bufs {
+		p, d, tag, held, err := memberChunkView(buf)
 		if err != nil {
 			return err
+		}
+		if held {
+			g.held |= 1 << i // the mux reader admits at most maxGroup (64) chunks
 		}
 		g.paths = append(g.paths, p)
 		// Capacity-limited, so an append through one member cannot reach
 		// into its buffer's spare bytes.
-		g.Files = append(g.Files, GroupFile{Data: d[:len(d):len(d)]})
+		g.Files = append(g.Files, GroupFile{Data: d[:len(d):len(d)], Tag: tag})
 	}
 	if string(g.paths[0]) != path {
 		return fmt.Errorf("reply leads with %q, want %q", g.paths[0], path)
+	}
+	if g.held&1 != 0 {
+		return fmt.Errorf("reply leads with a header-only chunk for %q", path)
 	}
 	return nil
 }

@@ -6,7 +6,7 @@ import (
 	"aggcache/internal/obs"
 )
 
-// serverMetrics is the server's instrumentation bundle. The nine
+// serverMetrics is the server's instrumentation bundle. The
 // counters exist unconditionally — standalone atomics when no registry
 // is configured, registry-owned series otherwise — so ServerStats reads
 // the same storage /metrics is scraped from and the two can never
@@ -23,6 +23,13 @@ type serverMetrics struct {
 	handoffs    *obs.Counter
 	streamed    *obs.Counter
 
+	// Validated replies (DESIGN.md §11): members sent header-only, the
+	// contents that saved, and shadows discarded, by what discarded them.
+	validated      *obs.Counter
+	validatedBytes *obs.Counter
+	resetsHistory  *obs.Counter
+	resetsClient   *obs.Counter
+
 	// Per-phase open latency: a request is a cache hit, a store stage,
 	// or a router forward — the three serving paths of DESIGN.md §10/§11.
 	latHit     *obs.Histogram
@@ -37,6 +44,8 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 	const latName = "fsnet_server_request_latency_ns"
 	const latHelp = "open latency in nanoseconds by serving phase"
+	const resetsName = "fsnet_server_shadow_resets_total"
+	const resetsHelp = "connection shadows discarded after vouching for a reply, by what contradicted them"
 	return serverMetrics{
 		requests:    reg.LiveCounter("fsnet_server_requests_total", "open and write requests served, including errors"),
 		errors:      reg.LiveCounter("fsnet_server_errors_total", "error replies plus protocol violations"),
@@ -47,11 +56,17 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 		remote:      reg.LiveCounter("fsnet_server_remote_opens_total", "open requests answered by the configured router"),
 		handoffs:    reg.LiveCounter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers"),
 		streamed:    reg.LiveCounter("fsnet_server_streamed_groups_total", "group replies delivered, each as a member stream"),
-		latHit:      reg.Histogram(latName, latHelp, obs.L("phase", "hit")),
-		latStage:    reg.Histogram(latName, latHelp, obs.L("phase", "stage")),
-		latForward:  reg.Histogram(latName, latHelp, obs.L("phase", "forward")),
-		events:      reg.Events(),
-		slow:        slow,
+
+		validated:      reg.LiveCounter("fsnet_server_validated_members_total", "group members sent header-only: the client held them unchanged"),
+		validatedBytes: reg.LiveCounter("fsnet_server_validated_bytes_saved_total", "file contents kept off the wire by header-only members"),
+		resetsHistory:  reg.LiveCounter(resetsName, resetsHelp, obs.L("reason", "history")),
+		resetsClient:   reg.LiveCounter(resetsName, resetsHelp, obs.L("reason", "client")),
+
+		latHit:     reg.Histogram(latName, latHelp, obs.L("phase", "hit")),
+		latStage:   reg.Histogram(latName, latHelp, obs.L("phase", "stage")),
+		latForward: reg.Histogram(latName, latHelp, obs.L("phase", "forward")),
+		events:     reg.Events(),
+		slow:       slow,
 	}
 }
 
@@ -88,9 +103,14 @@ type clientMetrics struct {
 	brokenConns  *obs.Counter
 	retries      *obs.Counter
 	degradedHits *obs.Counter
-	inflight     *obs.Gauge
-	callLat      *obs.Histogram
-	events       *obs.EventLog
+	// Validated replies, the client's side: header-only members honoured,
+	// ones it could not honour, and piggyback history shed at the bound.
+	validatedFiles   *obs.Counter
+	validationMisses *obs.Counter
+	historyDropped   *obs.Counter
+	inflight         *obs.Gauge
+	callLat          *obs.Histogram
+	events           *obs.EventLog
 
 	// ttfb records fetch time-to-first-byte: enqueue until the first
 	// reply frame of the request arrives (the first member chunk on a
@@ -110,9 +130,14 @@ func newClientMetrics(reg *obs.Registry) clientMetrics {
 		brokenConns:  reg.Counter("fsnet_client_broken_conns_total", "connections poisoned after an I/O or protocol error"),
 		retries:      reg.Counter("fsnet_client_retries_total", "round-trip attempts beyond each request's first"),
 		degradedHits: reg.Counter("fsnet_client_degraded_hits_total", "cache hits served with no live connection"),
-		inflight:     reg.Gauge("fsnet_client_inflight", "round trips currently on the wire"),
-		callLat:      reg.Histogram("fsnet_client_call_latency_ns", "round-trip latency in nanoseconds, retries included"),
-		ttfb:         reg.Histogram("fsnet_client_ttfb_ns", "fetch time to first reply byte in nanoseconds"),
-		events:       reg.Events(),
+
+		validatedFiles:   reg.Counter("fsnet_client_validated_files_total", "group members that arrived header-only and matched the cached copy"),
+		validationMisses: reg.Counter("fsnet_client_validation_misses_total", "header-only members the cache could not match, dropped from their group"),
+		historyDropped:   reg.Counter("fsnet_client_history_dropped_total", "piggyback history entries shed, oldest first, at the protocol bound"),
+
+		inflight: reg.Gauge("fsnet_client_inflight", "round trips currently on the wire"),
+		callLat:  reg.Histogram("fsnet_client_call_latency_ns", "round-trip latency in nanoseconds, retries included"),
+		ttfb:     reg.Histogram("fsnet_client_ttfb_ns", "fetch time to first reply byte in nanoseconds"),
+		events:   reg.Events(),
 	}
 }

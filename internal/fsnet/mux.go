@@ -38,6 +38,11 @@ type muxConn struct {
 	hintSent  bool
 	hintEpoch uint64
 
+	// validated: the server answered the hello by agreeing to shadow the
+	// client's cache, so every open written once the client's novalidate is
+	// set must carry openUnvalidated. Fixed at the handshake.
+	validated bool
+
 	mu     sync.Mutex
 	nextID uint64
 	calls  map[uint64]*muxCall // in flight: queued or written, awaiting reply
@@ -114,14 +119,15 @@ type muxResult struct {
 	err   error
 }
 
-func newMuxConn(c *Client, cc *clientConn) *muxConn {
+func newMuxConn(c *Client, cc *clientConn, validated bool) *muxConn {
 	return &muxConn{
-		c:     c,
-		conn:  cc.conn,
-		r:     cc.r,
-		w:     cc.w,
-		calls: make(map[uint64]*muxCall),
-		wake:  make(chan struct{}, 1),
+		c:         c,
+		conn:      cc.conn,
+		r:         cc.r,
+		w:         cc.w,
+		validated: validated,
+		calls:     make(map[uint64]*muxCall),
+		wake:      make(chan struct{}, 1),
 	}
 }
 
@@ -245,6 +251,9 @@ func (m *muxConn) writer() {
 				accessed, call.claimed = m.c.claimPending(call.path)
 				start := len(enc)
 				enc = appendOpenRequest(enc, call.path, accessed)
+				if m.validated && m.c.novalidate.Load() {
+					enc = append(enc, openUnvalidated)
+				}
 				call.payload = enc[start:]
 			}
 			m.mu.Unlock()

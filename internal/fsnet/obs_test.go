@@ -1,6 +1,7 @@
 package fsnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"strings"
@@ -294,5 +295,115 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 	}
 	if st.Requests != workers*opensPerWorker {
 		t.Fatalf("Requests = %d, want %d", st.Requests, workers*opensPerWorker)
+	}
+}
+
+// TestValidationSeriesMove drives each series of the validated-reply
+// protocol off zero and checks it against the stats struct it mirrors:
+// members sent header-only and the bytes that saved, the client's count of
+// the ones it honoured and of the ones it could not, history shed at the
+// bound, and shadows dropped for either reason.
+func TestValidationSeriesMove(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, seededStore(t, 24), ServerConfig{GroupSize: 4, Obs: reg})
+	c, err := Dial(addr, ClientConfig{CacheCapacity: 8, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	value := func(name string, labels map[string]string) float64 {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		parsed, err := obs.ParseExposition(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := parsed.Find(name, labels)
+		if !ok {
+			t.Fatalf("series %s%v is not exposed", name, labels)
+		}
+		return s.Value
+	}
+	open := func(c *Client, n int) {
+		t.Helper()
+		if _, err := c.Open(fmt.Sprintf("/data/f%03d", n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3*40; i++ {
+		open(c, sharedWalk(i))
+	}
+	ss, cs := srv.Stats(), c.Stats()
+	if ss.ValidatedMembers == 0 || ss.ValidatedBytesSaved == 0 || cs.ValidatedFiles != ss.ValidatedMembers {
+		t.Fatalf("setup validated nothing: server %+v, client %+v", ss, cs)
+	}
+	if v := value("fsnet_server_validated_members_total", nil); v != float64(ss.ValidatedMembers) {
+		t.Errorf("validated_members_total = %v, Stats says %d", v, ss.ValidatedMembers)
+	}
+	if v := value("fsnet_server_validated_bytes_saved_total", nil); v != float64(ss.ValidatedBytesSaved) {
+		t.Errorf("validated_bytes_saved_total = %v, Stats says %d", v, ss.ValidatedBytesSaved)
+	}
+	if v := value("fsnet_client_validated_files_total", nil); v != float64(cs.ValidatedFiles) {
+		t.Errorf("client validated_files_total = %v, Stats says %d", v, cs.ValidatedFiles)
+	}
+	for _, reason := range []string{"history", "client"} {
+		if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": reason}); v != 0 {
+			t.Errorf("shadow_resets_total{reason=%s} = %v before any reset", reason, v)
+		}
+	}
+
+	// More hits than one request can carry: history is shed, the next
+	// request says so, and the server drops the shadow at the client's word.
+	for i := 0; i < maxStatPaths+8; i++ {
+		open(c, 1+i%2)
+	}
+	open(c, 23)
+	if cs := c.Stats(); cs.HistoryDropped == 0 || value("fsnet_client_history_dropped_total", nil) != float64(cs.HistoryDropped) {
+		t.Errorf("history_dropped_total = %v, Stats says %d; want both above zero",
+			value("fsnet_client_history_dropped_total", nil), cs.HistoryDropped)
+	}
+	if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": "client"}); v != 1 {
+		t.Errorf("shadow_resets_total{reason=client} = %v, want 1", v)
+	}
+
+	// A second connection piggybacks an access it was never sent: the
+	// server drops that shadow on its own evidence.
+	rc := rawHelloCap(t, rawDial(t, addr), 4)
+	for id, accessed := range [][]string{nil, {"/data/f020"}} {
+		rc.send(t, msgOpen, uint64(id+1), appendOpenRequest(nil, "/data/f001", accessed))
+		for typ := uint8(0); typ != msgGroupEnd; {
+			var payload []byte
+			if typ, _, payload, err = readFrameID(rc.r); err != nil {
+				t.Fatal(err)
+			}
+			putFrameBuf(payload)
+		}
+	}
+	if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": "history"}); v != 1 {
+		t.Errorf("shadow_resets_total{reason=history} = %v, want 1", v)
+	}
+	if got := srv.Stats().ShadowResets; got != 2 {
+		t.Errorf("Stats().ShadowResets = %d, want both resets", got)
+	}
+
+	// A server whose shadow is wrong: a header-only chunk for a file this
+	// client never received.
+	fake := fakeV3Server(t, serveOpens(func(w *bufio.Writer, id uint64, req openRequest) bool {
+		return writeChunk(w, id, req.Path, []byte("x")) == nil && writeHeldChunk(w, id, "/never/sent", 7) == nil &&
+			putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 2)) == nil
+	}))
+	wrong, err := Dial(fake, ClientConfig{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wrong.Close()
+	if _, err := wrong.Open("/some/file"); err != nil {
+		t.Fatal(err)
+	}
+	if v := value("fsnet_client_validation_misses_total", nil); v != 1 || wrong.Stats().ValidationMisses != 1 {
+		t.Errorf("validation_misses_total = %v, Stats says %d; want 1 and 1", v, wrong.Stats().ValidationMisses)
 	}
 }

@@ -34,11 +34,12 @@ const (
 	msgError
 	// msgWrite is a client->server whole-file write (write-through).
 	msgWrite
-	// msgWriteOK acknowledges a write.
+	// msgWriteOK acknowledges a write, carrying the stored contents' tag.
 	msgWriteOK
-	// msgHello is the client's protocol-version offer, the first frame of
-	// every connection. A server answers an offer below protocolVersion —
-	// or any other first frame — with one msgError and closes.
+	// msgHello is the client's protocol-version offer plus the capacity of
+	// the cache it asks the server to shadow, the first frame of every
+	// connection. A server answers an offer below protocolVersion — or any
+	// other first frame — with one msgError and closes.
 	msgHello
 	// msgHelloOK is the server's handshake reply carrying the version the
 	// connection speaks. Every later frame carries a request ID and replies
@@ -51,11 +52,12 @@ const (
 	msgHandoff
 	// msgHandoffOK acknowledges a handoff install.
 	msgHandoffOK
-	// msgMemberChunk is one member of a streamed group reply: the path
-	// plus contents of a single file. The demanded file is always the
-	// first chunk of its request ID; chunks of different requests may
-	// interleave on the wire, but chunks of one request arrive in group
-	// order.
+	// msgMemberChunk is one member of a streamed group reply: the path,
+	// content tag and contents of a single file — or, for a member the
+	// client already holds at that tag, the path and tag alone. The
+	// demanded file is always the first chunk of its request ID and always
+	// complete; chunks of different requests may interleave on the wire,
+	// but chunks of one request arrive in group order.
 	msgMemberChunk
 	// msgGroupEnd terminates a streamed group reply, carrying the member
 	// count so the client can verify it saw the whole group.
@@ -87,12 +89,13 @@ const (
 )
 
 // protocolVersion is the one protocol version this package speaks: the
-// hello exchange, request-ID framing, and streamed group replies. The
-// number is a wire value — versions 1 and 2 were the lock-step and
-// assembled-reply generations it replaced (DESIGN.md §10) — and the
-// handshake exists to turn a peer built before or after it away with a
-// typed error instead of a desynchronised stream.
-const protocolVersion = 3
+// hello exchange carrying the client's cache capacity, request-ID framing,
+// and streamed group replies whose member chunks carry a content tag and
+// may be header-only (DESIGN.md §10). The number is a wire value — earlier
+// ones were the lock-step, assembled-reply and untagged-stream generations
+// it replaced — and the handshake exists to turn a peer built before or
+// after it away with a typed error instead of a desynchronised stream.
+const protocolVersion = 4
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -140,6 +143,11 @@ type fileData = GroupFile
 type GroupFile struct {
 	Path string
 	Data []byte
+	// Tag is the validator of Data: a 64-bit tag of the contents, computed
+	// once by the store that holds them and carried unchanged by every hop
+	// (DESIGN.md §11). Equal non-zero tags of one path mean equal contents;
+	// zero means "no validator", and such a member is always sent in full.
+	Tag uint64
 }
 
 // HandoffGroup is one group being drained from a departing cluster node
@@ -327,26 +335,40 @@ func getEncodeBuf() []byte {
 	return getFrameBuf(0)
 }
 
-// writeHello frames a msgHello or msgHelloOK, whose payload is just a
-// protocol version.
-func writeHello(w io.Writer, typ uint8, version int) error {
-	var v [binary.MaxVarintLen64]byte
-	return writeFrame(w, typ, v[:binary.PutUvarint(v[:], uint64(version))])
+// writeHello frames a msgHello or msgHelloOK: the protocol version, then
+// a client cache capacity in whole files. In a msgHello it is the size of
+// the (empty) cache the client asks the server to shadow so that members
+// it already holds can be validated instead of re-sent; zero asks for no
+// validation. In a msgHelloOK it is what the server agreed to shadow — the
+// offer, or zero.
+func writeHello(w io.Writer, typ uint8, version int, capacity uint64) error {
+	var v [2 * binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(v[:], uint64(version))
+	n += binary.PutUvarint(v[n:], capacity)
+	return writeFrame(w, typ, v[:n])
 }
 
-func decodeHello(payload []byte) (int, error) {
+// decodeHello accepts a hello that ends after the version (capacity zero):
+// that is what the generations before the capacity field sent, and they
+// must reach the version check to be refused by number.
+func decodeHello(payload []byte) (version int, capacity uint64, err error) {
 	d := decoder{buf: payload}
 	v, err := d.uvarint()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	if v == 0 || v > 1<<16 {
-		return 0, fmt.Errorf("fsnet: protocol version %d out of range", v)
+		return 0, 0, fmt.Errorf("fsnet: protocol version %d out of range", v)
+	}
+	if len(d.buf) > 0 {
+		if capacity, err = d.uvarint(); err != nil {
+			return 0, 0, err
+		}
 	}
 	if err := d.done(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return int(v), nil
+	return int(v), capacity, nil
 }
 
 // Payload encoding helpers: strings and byte blobs are uvarint length +
@@ -419,11 +441,19 @@ func (d *decoder) done() error {
 	return nil
 }
 
+// openUnvalidated is the one msgOpen flag: the client's cache is no longer
+// what a replay of this connection's requests and replies would make it —
+// it shed history, found a header-only chunk it could not honour, or is
+// not caching these replies at all — so the server must stop validating
+// for the rest of the connection's life.
+const openUnvalidated = 0x01
+
 // appendOpenRequest appends a msgOpen payload to dst: the demanded path,
 // then the piggybacked list of paths the client accessed (hit or miss)
 // since its previous request, oldest first. The list excludes the
 // demanded path itself, which the server appends to the learned stream on
-// arrival.
+// arrival. One flags byte may follow the list; it is omitted when zero, so
+// the sender appends it itself.
 func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	dst = appendString(dst, path)
 	dst = appendUvarint(dst, uint64(len(accessed)))
@@ -435,33 +465,39 @@ func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 
 // parseOpenRequest validates a msgOpen payload and returns the demanded
 // path plus the piggybacked paths appended to accessed, all as views
-// aliasing payload — no copies, valid only while the payload buffer is.
-// Empty piggybacked paths carry no access and are dropped.
-func parseOpenRequest(payload []byte, accessed [][]byte) (path []byte, _ [][]byte, err error) {
+// aliasing payload — no copies, valid only while the payload buffer is —
+// and the flags byte (zero when the payload ends without one). Empty
+// piggybacked paths carry no access and are dropped.
+func parseOpenRequest(payload []byte, accessed [][]byte) (path []byte, _ [][]byte, flags uint8, err error) {
 	d := decoder{buf: payload}
 	if path, err = d.view(maxPath); err != nil {
-		return nil, accessed, err
+		return nil, accessed, 0, err
 	}
 	if len(path) == 0 {
-		return nil, accessed, errors.New("fsnet: empty path")
+		return nil, accessed, 0, errors.New("fsnet: empty path")
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, accessed, err
+		return nil, accessed, 0, err
 	}
 	if n > maxStatPaths {
-		return nil, accessed, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
+		return nil, accessed, 0, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
 	for i := uint64(0); i < n; i++ {
 		p, err := d.view(maxPath)
 		if err != nil {
-			return nil, accessed, err
+			return nil, accessed, 0, err
 		}
 		if len(p) != 0 {
 			accessed = append(accessed, p)
 		}
 	}
-	return path, accessed, d.done()
+	if len(d.buf) == 1 {
+		if flags, d.buf = d.buf[0], nil; flags&^openUnvalidated != 0 {
+			return nil, accessed, 0, fmt.Errorf("fsnet: unknown open flags %#x", flags)
+		}
+	}
+	return path, accessed, flags, d.done()
 }
 
 // handoffRequest is the payload of msgHandoff: one drained group's
@@ -543,6 +579,19 @@ func parseWriteRequest(payload []byte) (path, data []byte, err error) {
 	return path, data, d.done()
 }
 
+// A msgWriteOK carries the tag the store gave the written contents, so
+// the writer's cached copy keeps a validator it never has to compute.
+func appendWriteOK(dst []byte, tag uint64) []byte {
+	return binary.BigEndian.AppendUint64(dst, tag)
+}
+
+func decodeWriteOK(payload []byte) (uint64, error) {
+	if len(payload) != 8 {
+		return 0, fmt.Errorf("fsnet: write ack of %d bytes, want 8", len(payload))
+	}
+	return binary.BigEndian.Uint64(payload), nil
+}
+
 func appendErrorResponse(dst []byte, resp errorResponse) []byte {
 	dst = appendUvarint(dst, uint64(resp.Code))
 	return appendString(dst, resp.Message)
@@ -566,27 +615,41 @@ func decodeErrorResponse(payload []byte) (errorResponse, error) {
 }
 
 // Streamed group replies. A group reply is n msgMemberChunk frames —
-// each carrying one file's path and contents — closed by one msgGroupEnd
-// frame carrying the member count. All are request-ID framed, so chunks
-// of different pipelined requests may interleave; within one request ID,
-// chunks arrive in group order with the demanded file first.
+// each carrying one file's path, content tag and contents — closed by one
+// msgGroupEnd frame carrying the member count. All are request-ID framed,
+// so chunks of different pipelined requests may interleave; within one
+// request ID, chunks arrive in group order with the demanded file first.
+//
+// A member the server knows the client holds unchanged (DESIGN.md §11)
+// crosses as a header-only chunk: path and tag, flagged chunkHeld, no
+// contents. The demanded file never does.
 //
 // The server never materializes a chunk frame as one contiguous buffer:
 // appendMemberChunkHdr builds everything up to the file contents in a
 // pooled scratch slice, and the contents ride as their own element of a
 // net.Buffers scatter-gather write, straight from the store's slice.
 
+// chunkHeld flags a header-only member chunk.
+const chunkHeld = 0x01
+
 // appendMemberChunkHdr appends a member chunk's frame header and metadata
 // to dst: u32 length, type, request ID, uvarint path length, path bytes,
-// uvarint data length. The file contents (dataLen bytes) must follow on
-// the wire immediately after.
-func appendMemberChunkHdr(dst []byte, id uint64, path string, dataLen int) []byte {
+// flags byte, u64 tag, and — unless held — the uvarint data length, after
+// which the file contents (dataLen bytes) must follow on the wire
+// immediately. A held chunk ends with its tag.
+func appendMemberChunkHdr(dst []byte, id uint64, path string, tag uint64, dataLen int, held bool) []byte {
 	meta := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length, patched below
 	dst = append(dst, msgMemberChunk)
 	dst = binary.BigEndian.AppendUint64(dst, id)
 	dst = appendString(dst, path)
-	dst = appendUvarint(dst, uint64(dataLen))
+	if held {
+		dst, dataLen = append(dst, chunkHeld), 0
+		dst = binary.BigEndian.AppendUint64(dst, tag)
+	} else {
+		dst = binary.BigEndian.AppendUint64(append(dst, 0), tag)
+		dst = appendUvarint(dst, uint64(dataLen))
+	}
 	payloadLen := len(dst) - meta - 4 + dataLen
 	binary.BigEndian.PutUint32(dst[meta:meta+4], uint32(payloadLen))
 	return dst
@@ -606,31 +669,43 @@ func appendFrameID(dst []byte, typ uint8, id uint64, payload []byte) []byte {
 
 // memberChunkView decodes a msgMemberChunk payload into views aliasing
 // the payload buffer — no copies; the caller owns the buffer until it is
-// done with both views.
-func memberChunkView(payload []byte) (path, data []byte, err error) {
+// done with both views. A held chunk has nil data.
+func memberChunkView(payload []byte) (path, data []byte, tag uint64, held bool, err error) {
 	d := decoder{buf: payload}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, false, err
 	}
 	if n == 0 || n > maxPath {
-		return nil, nil, fmt.Errorf("fsnet: chunk path of %d bytes out of range", n)
+		return nil, nil, 0, false, fmt.Errorf("fsnet: chunk path of %d bytes out of range", n)
 	}
 	if uint64(len(d.buf)) < n {
-		return nil, nil, errors.New("fsnet: truncated chunk path")
+		return nil, nil, 0, false, errors.New("fsnet: truncated chunk path")
 	}
 	path, d.buf = d.buf[:n], d.buf[n:]
+	if len(d.buf) < 1+8 {
+		return nil, nil, 0, false, errors.New("fsnet: truncated chunk tag")
+	}
+	flags := d.buf[0]
+	tag, d.buf = binary.BigEndian.Uint64(d.buf[1:]), d.buf[1+8:]
+	switch flags {
+	case chunkHeld:
+		return path, nil, tag, true, d.done()
+	case 0:
+	default:
+		return nil, nil, 0, false, fmt.Errorf("fsnet: unknown chunk flags %#x", flags)
+	}
 	n, err = d.uvarint()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, false, err
 	}
 	if n > maxFileSize {
-		return nil, nil, fmt.Errorf("fsnet: chunk of %d bytes exceeds limit %d", n, maxFileSize)
+		return nil, nil, 0, false, fmt.Errorf("fsnet: chunk of %d bytes exceeds limit %d", n, maxFileSize)
 	}
 	if uint64(len(d.buf)) != n {
-		return nil, nil, fmt.Errorf("fsnet: chunk data length %d, frame carries %d", n, len(d.buf))
+		return nil, nil, 0, false, fmt.Errorf("fsnet: chunk data length %d, frame carries %d", n, len(d.buf))
 	}
-	return path, d.buf, nil
+	return path, d.buf, tag, false, nil
 }
 
 // appendGroupEnd appends a msgGroupEnd payload (the member count) to dst.

@@ -18,10 +18,15 @@ import (
 type openRequest struct {
 	Path     string
 	Accessed []string
+	Flags    uint8
 }
 
 func encodeOpenRequest(req openRequest) []byte {
-	return appendOpenRequest(nil, req.Path, req.Accessed)
+	b := appendOpenRequest(nil, req.Path, req.Accessed)
+	if req.Flags != 0 {
+		b = append(b, req.Flags)
+	}
+	return b
 }
 
 // decodeOpenRequest is the reference decoder for parseOpenRequest: same
@@ -52,6 +57,11 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 		}
 		req.Accessed = append(req.Accessed, p)
 	}
+	if len(d.buf) == 1 {
+		if req.Flags, d.buf = d.buf[0], nil; req.Flags&^openUnvalidated != 0 {
+			return req, fmt.Errorf("fsnet: unknown open flags %#x", req.Flags)
+		}
+	}
 	return req, d.done()
 }
 
@@ -77,16 +87,24 @@ type rawConn struct {
 	w *bufio.Writer
 }
 
-// rawHello completes the client side of the handshake on conn.
-func rawHello(t testing.TB, conn net.Conn) *rawConn {
+// rawHello completes the client side of the handshake on conn, asking for
+// no validation: every reply arrives in full.
+func rawHello(t testing.TB, conn net.Conn) *rawConn { return rawHelloCap(t, conn, 0) }
+
+// rawHelloCap is rawHello declaring a client cache of capacity files for
+// the server to shadow, which the server must agree to.
+func rawHelloCap(t testing.TB, conn net.Conn, capacity uint64) *rawConn {
 	t.Helper()
 	rc := &rawConn{Conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
-	if err := writeHello(conn, msgHello, protocolVersion); err != nil {
+	if err := writeHello(conn, msgHello, protocolVersion, capacity); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(rc.r)
 	if err != nil || typ != msgHelloOK {
 		t.Fatalf("handshake reply = type %d, %v; want msgHelloOK", typ, err)
+	}
+	if ver, shadowed, err := decodeHello(payload); err != nil || ver != protocolVersion || shadowed != capacity {
+		t.Fatalf("handshake reply = version %d, capacity %d, %v; want %d, %d", ver, shadowed, err, protocolVersion, capacity)
 	}
 	putFrameBuf(payload)
 	return rc

@@ -155,6 +155,18 @@ type ServerStats struct {
 	// StreamedGroups counts successful group replies, each delivered as a
 	// member stream (msgMemberChunk frames closed by msgGroupEnd).
 	StreamedGroups uint64
+	// ValidatedMembers counts group members sent header-only because the
+	// connection's shadow showed the client holding them unchanged (they
+	// are counted in FilesSent too); ValidatedBytesSaved sums the contents
+	// that therefore stayed off the wire — the redundant bytes per group
+	// fetch, live.
+	ValidatedMembers    uint64
+	ValidatedBytesSaved uint64
+	// ShadowResets counts connections whose shadow was discarded after it
+	// had vouched for at least one reply: the piggybacked history did not
+	// fit it, or the client reported a miss. Such a connection is served
+	// in full for the rest of its life.
+	ShadowResets uint64
 	// Cache is the server memory cache accounting (hits are requests
 	// served without staging from the store).
 	Cache core.Stats
@@ -366,6 +378,10 @@ func (s *Server) Stats() ServerStats {
 		Handoffs:       s.m.handoffs.Load(),
 		StreamedGroups: s.m.streamed.Load(),
 		Cache:          cacheStats,
+
+		ValidatedMembers:    s.m.validated.Load(),
+		ValidatedBytesSaved: s.m.validatedBytes.Load(),
+		ShadowResets:        s.m.resetsHistory.Load() + s.m.resetsClient.Load(),
 	}
 	// Last, so its value bounds every per-outcome counter read above.
 	st.Requests = s.m.requests.Load()
@@ -394,16 +410,17 @@ func (s *Server) logf(format string, args ...interface{}) {
 // manufacture relationships that never happened on any machine (§2.2).
 func (s *Server) handleConn(conn net.Conn, src uint64) {
 	r := bufio.NewReaderSize(conn, connBufSize)
-	if s.handshake(conn, r) {
-		s.serve(conn, r, src)
+	if capacity, ok := s.handshake(conn, r); ok {
+		s.serve(conn, r, src, newShadow(capacity))
 	}
 }
 
 // handshake reads the connection's first frame, which must be a msgHello
 // offering at least protocolVersion, and answers msgHelloOK. Anything else
 // — another message type, a malformed hello, an older version — is
-// refused with one bare-framed msgError, and the caller closes.
-func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (ok bool) {
+// refused with one bare-framed msgError, and the caller closes. capacity
+// is the client cache the server agreed to shadow, zero for none.
+func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (capacity uint64, ok bool) {
 	// serve recovers its own panics and owns the write side from its first
 	// reply on; this recovery covers the handshake alone.
 	defer func() {
@@ -411,36 +428,38 @@ func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (ok bool) {
 			s.m.panics.Add(1)
 			s.logf("fsnet: %s: recovered handshake panic: %v", conn.RemoteAddr(), p)
 			s.refuse(conn, CodeInternal, "internal server error")
-			ok = false
+			capacity, ok = 0, false
 		}
 	}()
 	if !s.armIdle(conn) {
-		return false
+		return 0, false
 	}
 	typ, payload, err := readFrame(r)
 	if err != nil {
 		s.readFailed(conn, err)
-		return false
+		return 0, false
 	}
 	defer putFrameBuf(payload)
 	var refusal string
 	if typ != msgHello {
 		refusal = fmt.Sprintf("expected a protocol hello, got message type %d", typ)
-	} else if offered, err := decodeHello(payload); err != nil {
+	} else if offered, declared, err := decodeHello(payload); err != nil {
 		refusal = err.Error()
 	} else if offered < protocolVersion {
 		refusal = fmt.Sprintf("protocol version %d is not supported, need %d", offered, protocolVersion)
+	} else if declared <= maxShadowCapacity {
+		capacity = declared
 	}
 	if refusal != "" {
 		s.refuse(conn, CodeBadRequest, refusal)
-		return false
+		return 0, false
 	}
 	s.armWrite(conn)
-	if err := writeHello(conn, msgHelloOK, protocolVersion); err != nil {
+	if err := writeHello(conn, msgHelloOK, protocolVersion, capacity); err != nil {
 		s.disconnect(conn, err)
-		return false
+		return 0, false
 	}
-	return true
+	return capacity, true
 }
 
 // refuse answers a connection that failed the handshake: one bare-framed
@@ -478,8 +497,8 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // with one flush per batch. A malformed request payload fails only its
 // own request; the framed stream stays intact, so the connection keeps
 // serving.
-func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
-	rw := newReplyWriter(s, conn)
+func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64, sh *shadow) {
+	rw := newReplyWriter(s, conn, sh)
 	cw := connWorkers{s: s, rw: rw, src: src, jobs: make(chan connJob)}
 	inlineOpens := s.cfg.Router == nil || s.iroute != nil
 	func() {
@@ -632,7 +651,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
 		// and the group is built in pooled scratch.
-		g, lead, errResp, err := s.openView(payload, src, tctx, inline)
+		g, lead, errResp, err := s.openView(payload, src, rw.shadow, tctx, inline)
 		if err == errRouteBlocks {
 			return false
 		}
@@ -654,13 +673,13 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
-		errResp := s.write(path, data)
+		tag, errResp := s.write(path, data, rw.shadow)
 		putFrameBuf(payload)
 		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
 			return
 		}
-		rw.send(id, msgWriteOK, nil, false)
+		rw.send(id, msgWriteOK, appendWriteOK(getEncodeBuf(), tag), true)
 	case msgHandoff:
 		req, err := decodeHandoffRequest(payload)
 		putFrameBuf(payload)
@@ -753,8 +772,10 @@ func (s *Server) disconnect(conn net.Conn, err error) {
 // through the interner's string for a path it knows, so only the first
 // write of a path no open has named allocates its key; that path is
 // interned once the store has accepted it, and a rejected write interns
-// nothing.
-func (s *Server) write(pathView, data []byte) errorResponse {
+// nothing. The tag the store gave the contents goes back in the ack and,
+// for a path the connection's shadow holds, into the shadow: the client
+// refreshes its cached copy from the same pair.
+func (s *Server) write(pathView, data []byte, sh *shadow) (uint64, errorResponse) {
 	s.m.requests.Add(1)
 	var path string
 	id, known := s.ids.LookupBytes(pathView)
@@ -763,13 +784,16 @@ func (s *Server) write(pathView, data []byte) errorResponse {
 	} else {
 		path = string(pathView)
 	}
-	if err := s.store.Put(path, data); err != nil {
-		return errorResponse{Code: CodeBadRequest, Message: err.Error()}
+	tag, err := s.store.put(path, data)
+	if err != nil {
+		return 0, errorResponse{Code: CodeBadRequest, Message: err.Error()}
 	}
-	if !known {
+	if known {
+		sh.wrote(id, tag)
+	} else {
 		s.ids.Intern(path)
 	}
-	return errorResponse{}
+	return tag, errorResponse{}
 }
 
 // handoff installs one drained group from a departing peer: the anchor
@@ -873,14 +897,19 @@ var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
 // caller answers CodeBadRequest without counting a request) or, from the
 // read loop only (inline), errRouteBlocks. The caller owns one reference
 // to the returned group; lead indexes the demanded file in it.
-func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bool) (g *Group, lead int, _ errorResponse, _ error) {
+//
+// sh, the connection's shadow, is shown the piggybacked history exactly
+// once per request that is answered — not by an inline attempt that ends
+// in errRouteBlocks, which a worker repeats from the top.
+func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ctx, inline bool) (g *Group, lead int, _ errorResponse, _ error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
-	pathView, views, err := parseOpenRequest(payload, sc.views[:0])
+	pathView, views, flags, err := parseOpenRequest(payload, sc.views[:0])
 	sc.views = views
 	if err != nil {
 		return nil, 0, errorResponse{}, err
 	}
+	unvalidated := flags&openUnvalidated != 0
 
 	var start time.Time
 	timed := s.m.timed() || tctx.Sampled
@@ -894,10 +923,13 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 	if !routed {
 		s.m.requests.Add(1)
 		if !exists {
+			// The history this request carried is read by nobody.
+			sh.note(&s.m, nil, len(sc.views) > 0, unvalidated)
 			return nil, 0, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
 		}
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
+	lost := false
 	for _, pv := range sc.views {
 		// Like the demanded path, a piggybacked one gets an ID only if it
 		// exists: history naming files the store never held is dropped, so
@@ -907,6 +939,7 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 		aid, known := s.ids.LookupBytes(pv)
 		if !known {
 			if !s.store.containsBytes(pv) {
+				lost = true
 				continue
 			}
 			aid = s.ids.InternBytes(pv)
@@ -931,6 +964,7 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 		if blocks {
 			return nil, 0, errorResponse{}, errRouteBlocks
 		}
+		sh.note(&s.m, sc.ids, lost, unvalidated)
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
@@ -940,6 +974,8 @@ func (s *Server) openView(payload []byte, src uint64, tctx otrace.Ctx, inline bo
 		if !exists {
 			return nil, 0, errorResponse{Code: CodeNotFound, Message: path}, nil
 		}
+	} else {
+		sh.note(&s.m, sc.ids, lost, unvalidated)
 	}
 	g, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
 	return g, 0, errResp, nil
@@ -1049,7 +1085,8 @@ func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inli
 // has vanished is skipped and only a missing demanded file fails the open
 // (nil).
 //
-// The contents are zero-copy references into the store (GetRef): Put
+// The contents are zero-copy references into the store (getRef), each with
+// the tag the store gave it: Put
 // replaces a path's slice wholesale, so a staged ref can never be
 // mutated underneath the reply writer. The caller owns the group's one
 // reference.
@@ -1057,9 +1094,9 @@ func (s *Server) stageGroup(group []trace.FileID) *Group {
 	g := NewGroup()
 	for i, gid := range group {
 		p := s.ids.Path(gid)
-		d, ok := s.store.GetRef(p)
+		d, tag, ok := s.store.getRef(p)
 		if ok {
-			g.Files = append(g.Files, fileData{Path: p, Data: d})
+			g.Files = append(g.Files, fileData{Path: p, Data: d, Tag: tag})
 		} else if i == 0 {
 			g.Release()
 			return nil
@@ -1082,6 +1119,9 @@ func (s *Server) stageGroup(group []trace.FileID) *Group {
 type replyWriter struct {
 	s    *Server
 	conn net.Conn
+	// shadow is the connection's replay of its client's cache, nil when the
+	// hello asked for none: writeBatch consults it for every group reply.
+	shadow *shadow
 
 	mu      sync.Mutex
 	queue   []reply
@@ -1117,10 +1157,11 @@ type reply struct {
 	lead  int
 }
 
-func newReplyWriter(s *Server, conn net.Conn) *replyWriter {
+func newReplyWriter(s *Server, conn net.Conn, sh *shadow) *replyWriter {
 	rw := &replyWriter{
 		s:       s,
 		conn:    conn,
+		shadow:  sh,
 		wake:    make(chan struct{}, 1),
 		stopped: make(chan struct{}),
 	}
@@ -1233,13 +1274,20 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 	for i := range batch {
 		rep := &batch[i]
 		if rep.group != nil {
-			// The demanded file leads, the rest follow in arrival order.
+			// The demanded file leads, the rest follow in arrival order —
+			// each in full unless the connection's shadow shows the client
+			// holding it at this very tag. Staged, mirrored and forwarded
+			// groups all come through here.
 			files := rep.group.Files
-			arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[rep.lead])
-			for i, f := range files {
-				if i != rep.lead {
-					arena, bufs = appendMemberChunk(arena, bufs, rep.id, f)
+			held := rw.shadow.install(rw.s.ids, files, rep.lead)
+			for k := range files {
+				i := wireOrder(k, rep.lead)
+				skip := held&(1<<i) != 0
+				if skip {
+					rw.s.m.validated.Inc()
+					rw.s.m.validatedBytes.Add(uint64(len(files[i].Data)))
 				}
+				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[i], skip)
 			}
 			var cnt [10]byte // uvarint member count
 			n := binary.PutUvarint(cnt[:], uint64(len(files)))
@@ -1263,11 +1311,15 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 }
 
 // appendMemberChunk adds one member to a batch: its chunk header in the
-// arena, its contents referenced where they lie.
-func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f fileData) ([]byte, net.Buffers) {
+// arena and, unless the client holds it (held), its contents referenced
+// where they lie.
+func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f fileData, held bool) ([]byte, net.Buffers) {
 	start := len(arena)
-	arena = appendMemberChunkHdr(arena, id, f.Path, len(f.Data))
-	return arena, append(bufs, arena[start:], f.Data)
+	arena = appendMemberChunkHdr(arena, id, f.Path, f.Tag, len(f.Data), held)
+	if bufs = append(bufs, arena[start:]); !held {
+		bufs = append(bufs, f.Data)
+	}
+	return arena, bufs
 }
 
 // drop gives up what a reply holds — its pooled payload, its reference

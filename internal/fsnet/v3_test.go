@@ -11,25 +11,42 @@ import (
 	"time"
 )
 
-// The v3 suite pins the streamed-group protocol: the exact wire bytes,
-// the version check at both ends of the handshake, and the poisoning
-// contract when a member stream is cut or corrupted mid-flight.
+// This suite pins the streamed-group protocol (the file is named for the
+// version that introduced it; the bytes are version 4's): the exact wire
+// bytes, the version check at both ends of the handshake, and the
+// poisoning contract when a member stream is cut or corrupted mid-flight.
 
-// TestPinV3ChunkWireFormat pins the exact v3 wire bytes: a member chunk
-// frame and its closing group end, hex-encoded. A codec change that
-// breaks this test breaks deployed v3 peers.
-func TestPinV3ChunkWireFormat(t *testing.T) {
-	// Frame: len | msgMemberChunk | id=0x0102 | pathlen=2 "/a" | datalen=3, then "xyz".
-	hdr := appendMemberChunkHdr(nil, 0x0102, "/a", 3)
+// TestPinChunkWireFormat pins the exact wire bytes: a member chunk frame
+// in full and header-only, and the closing group end, hex-encoded. A
+// codec change that breaks this test breaks deployed peers.
+func TestPinChunkWireFormat(t *testing.T) {
+	// Frame: len | msgMemberChunk | id=0x0102 | pathlen=2 "/a" | flags=0 |
+	// tag | datalen=3, then "xyz".
+	const tag = 0x1122334455667788
+	hdr := appendMemberChunkHdr(nil, 0x0102, "/a", tag, 3, false)
 	frame := append(append([]byte{}, hdr...), []byte("xyz")...)
-	const wantChunk = "00000010" + // length: 16 bytes after the prefix
+	const wantChunk = "00000019" + // length: 25 bytes after the prefix
 		"0a" + // msgMemberChunk
 		"0000000000000102" + // request ID
 		"022f61" + // path "/a"
+		"00" + // flags: contents follow
+		"1122334455667788" + // content tag
 		"03" + // data length
 		"78797a" // "xyz"
 	if got := hex.EncodeToString(frame); got != wantChunk {
 		t.Errorf("member chunk wire bytes:\n got %s\nwant %s", got, wantChunk)
+	}
+	// The same member held by the client: the data length the caller
+	// passes is what stays off the wire.
+	const wantHeld = "00000015" + "0a" + "0000000000000102" + "022f61" +
+		"01" + // flags: chunkHeld
+		"1122334455667788" // the chunk ends with its tag
+	if got := hex.EncodeToString(appendMemberChunkHdr(nil, 0x0102, "/a", tag, 3, true)); got != wantHeld {
+		t.Errorf("header-only chunk wire bytes:\n got %s\nwant %s", got, wantHeld)
+	}
+	if path, data, gotTag, held, err := memberChunkView(mustHex(t, wantHeld)[4+v2HdrLen:]); err != nil ||
+		string(path) != "/a" || data != nil || gotTag != tag || !held {
+		t.Errorf("memberChunkView(header-only) = %q, %q, %#x, %v, %v", path, data, gotTag, held, err)
 	}
 	end := appendFrameID(nil, msgGroupEnd, 0x0102, appendGroupEnd(nil, 2))
 	const wantEnd = "0000000a" + "0b" + "0000000000000102" + "02"
@@ -39,12 +56,12 @@ func TestPinV3ChunkWireFormat(t *testing.T) {
 
 	// Round trip: the views decode back to exactly what was encoded.
 	payload := frame[4+v2HdrLen:]
-	path, data, err := memberChunkView(payload)
+	path, data, gotTag, held, err := memberChunkView(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(path) != "/a" || string(data) != "xyz" {
-		t.Errorf("memberChunkView = %q, %q", path, data)
+	if string(path) != "/a" || string(data) != "xyz" || gotTag != tag || held {
+		t.Errorf("memberChunkView = %q, %q, %#x, %v", path, data, gotTag, held)
 	}
 	n, err := decodeGroupEnd(end[4+v2HdrLen:])
 	if err != nil || n != 2 {
@@ -52,8 +69,18 @@ func TestPinV3ChunkWireFormat(t *testing.T) {
 	}
 }
 
-// fakeV3Server accepts connections, completes the handshake, and hands
-// each request frame to serve, which writes the reply directly — the
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// fakeV3Server accepts connections, completes the handshake — agreeing to
+// shadow whatever cache the hello declares, as a real server would — and
+// hands each request frame to serve, which writes the reply directly — the
 // harness for wire-level fault scripts the real server cannot be coaxed
 // into. Piggybacked frames under request ID 0 (view hints, trace
 // contexts) are advisory and dropped. serve returning false, or a failed
@@ -79,8 +106,9 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, typ u
 				if err != nil || typ != msgHello {
 					return
 				}
+				_, capacity, err := decodeHello(payload)
 				putFrameBuf(payload)
-				if writeHello(conn, msgHelloOK, protocolVersion) != nil {
+				if err != nil || writeHello(conn, msgHelloOK, protocolVersion, capacity) != nil {
 					return
 				}
 				for {
@@ -109,11 +137,18 @@ func serveOpens(serve func(w *bufio.Writer, id uint64, req openRequest) bool) fu
 	}
 }
 
-// writeChunk writes one member chunk frame for id.
+// writeChunk writes one member chunk frame for id, in full and tagged as
+// a store would tag it.
 func writeChunk(w *bufio.Writer, id uint64, path string, data []byte) error {
-	payload := appendString(nil, path)
-	payload = appendBytes(payload, data)
-	return putFrameID(w, msgMemberChunk, id, payload)
+	hdr := appendMemberChunkHdr(nil, id, path, contentTag(data), len(data), false)
+	_, err := w.Write(append(hdr, data...))
+	return err
+}
+
+// writeHeldChunk writes one header-only member chunk for id.
+func writeHeldChunk(w *bufio.Writer, id uint64, path string, tag uint64) error {
+	_, err := w.Write(appendMemberChunkHdr(nil, id, path, tag, 0, true))
+	return err
 }
 
 // TestMidStreamCutFailsOnlyThatCall scripts a server that serves the
@@ -211,7 +246,7 @@ func TestStreamFaultsPoison(t *testing.T) {
 		}},
 		{"ack-mid-stream", func(w *bufio.Writer, id uint64, path string) {
 			_ = writeChunk(w, id, path, []byte("half a group"))
-			_ = putFrameID(w, msgWriteOK, id, nil)
+			_ = putFrameID(w, msgWriteOK, id, appendWriteOK(nil, 1))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,8 +329,10 @@ func TestVersionRejection(t *testing.T) {
 		{"open-first", func(conn net.Conn) error {
 			return writeFrame(conn, msgOpen, appendOpenRequest(nil, "/data/f000", nil))
 		}},
-		{"hello-1", func(conn net.Conn) error { return writeHello(conn, msgHello, 1) }},
-		{"hello-2", func(conn net.Conn) error { return writeHello(conn, msgHello, 2) }},
+		// The retired generations' hellos ended after the version.
+		{"hello-1", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 1)) }},
+		{"hello-2", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 2)) }},
+		{"hello-3", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 3)) }},
 	} {
 		t.Run("server/"+tc.name, func(t *testing.T) {
 			srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
@@ -326,7 +363,8 @@ func TestVersionRejection(t *testing.T) {
 		name   string
 		answer func(conn net.Conn) error
 	}{
-		{"hello-ok-2", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 2) }},
+		{"hello-ok-2", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 2, 0) }},
+		{"hello-ok-3", func(conn net.Conn) error { return writeFrame(conn, msgHelloOK, appendUvarint(nil, 3)) }},
 		{"unknown-type", func(conn net.Conn) error {
 			return writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
 				Code: CodeBadRequest, Message: "unknown message type 6",

@@ -3,7 +3,7 @@
 # aggbench once, boots one three-node cluster from a shared peers file
 # with tracing, gossip and the event log all switched on, and walks it
 # through a deployment's life in order: ready -> verified load + metrics
-# -> stitched traces -> a one-node reload spread by gossip -> a drain
+# -> validated replies -> stitched traces -> a one-node reload spread by gossip -> a drain
 # under load. aggbench exits non-zero on any failed or wrong-bytes open,
 # so "the load exits 0" is the zero-failed-opens assertion.
 # Run via `make fleet-smoke`.
@@ -56,6 +56,26 @@ done
 # 2. One run drives the whole fleet: the working set is written to every
 # replica, connections spread over all three nodes, every reply checked.
 "$TMP/aggbench" -addr "$A1,$A2,$A3" -conns 6 -workers 2 -opens 600 -metrics || fail "load run failed"
+
+# 2b. Validated replies, fleet-wide. With one request in flight per
+# connection (-workers 1) every node's shadow of every client cache is
+# exact: members a client already holds cross as headers on all three
+# nodes' replies — staged, forwarded and mirrored alike — and not one of
+# them misses. (Pipelined connections, as in step 2, may drop their
+# shadows; that is allowed, so the equality is asserted here.)
+validated_members() {
+    n=0
+    for s in "$S1" "$S2" "$S3"; do n=$((n + $(metric "$s" fsnet_server_validated_members_total))); done
+    echo "$n"
+}
+before=$(validated_members)
+"$TMP/aggbench" -addr "$A1,$A2,$A3" -conns 6 -workers 1 -opens 600 -metrics > "$TMP/lockstep" \
+    || { cat "$TMP/lockstep" >&2; fail "lock-step load run failed"; }
+grep 'validation:' "$TMP/lockstep"
+validated=$(($(validated_members) - before))
+[ "$validated" -gt 0 ] || fail "validated_members did not move on a lock-step run"
+misses=$(awk '$2 == "fsnet_client_validation_misses_total" { print $3 }' "$TMP/lockstep")
+[ "$misses" = 0 ] || fail "validation_misses = '$misses' on a lock-step run, want 0"
 
 # 3. The live exposition: shape checks a human can read in CI logs (grep
 # reads the whole stream so curl never sees a closed pipe), then the
@@ -124,4 +144,4 @@ for s in "$S1" "$S2"; do
     curl -fsS "http://$s/stats" | grep -q '"Members": 2' || fail "survivor $s still lists the drained node"
 done
 
-echo "fleet-smoke: OK (trace $TID spans $hits nodes, $moved gossip transfers, $installed handoff groups installed, zero failed opens)"
+echo "fleet-smoke: OK ($validated members validated and $misses missed in lock step, trace $TID spans $hits nodes, $moved gossip transfers, $installed handoff groups installed, zero failed opens)"
