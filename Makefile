@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-e2e loadtest fleet-smoke profile experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-e2e loadtest fleet-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -87,14 +87,6 @@ loadtest:
 # §15, §16). Every in-process race test is `make race`.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
-
-# Profile the headline claims experiment and print the hottest frames.
-# Leaves cpu.pprof and mem.pprof behind for interactive `go tool pprof`.
-profile:
-	$(GO) run ./cmd/experiments -fig claims -opens 120000 -seed 1 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
-	$(GO) tool pprof -top -nodecount 15 cpu.pprof
-	$(GO) tool pprof -top -nodecount 15 -sample_index=alloc_space mem.pprof
 
 # Regenerate every paper figure at full scale (see EXPERIMENTS.md).
 experiments:

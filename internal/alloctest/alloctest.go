@@ -19,3 +19,14 @@ func PerOp(t *testing.T, op func()) float64 {
 	}
 	return testing.AllocsPerRun(400, op)
 }
+
+// Total returns what one run of op allocates, for an op that is a whole
+// workload rather than one operation of a warmed system; it skips the test
+// under the race detector, like PerOp.
+func Total(t *testing.T, op func()) float64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation budgets are pinned without the race detector")
+	}
+	return testing.AllocsPerRun(1, op)
+}

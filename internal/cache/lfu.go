@@ -14,7 +14,13 @@ type LFU struct {
 	capacity int
 	nodes    map[trace.FileID]*lfuNode
 	freqHead *freqBucket // lowest frequency
-	stats    Stats
+	// freeNodes and freeBuckets recycle evicted nodes and emptied buckets
+	// (linked through next), so a full cache misses with no allocation.
+	// Neither list outgrows the high-water mark of its kind in use, and
+	// there are never more than capacity of either.
+	freeNodes   *lfuNode
+	freeBuckets *freqBucket
+	stats       Stats
 }
 
 var _ Cache = (*LFU)(nil)
@@ -93,14 +99,14 @@ func (c *LFU) Victim() (trace.FileID, bool) {
 func (c *LFU) insert(id trace.FileID) {
 	b := c.freqHead
 	if b == nil || b.freq != 1 {
-		nb := &freqBucket{freq: 1, next: b}
+		nb := c.newBucket(freqBucket{freq: 1, next: b})
 		if b != nil {
 			b.prev = nb
 		}
 		c.freqHead = nb
 		b = nb
 	}
-	n := &lfuNode{id: id}
+	n := c.newNode(id)
 	c.nodes[id] = n
 	bucketPushHead(b, n)
 	n.bucket = b
@@ -111,7 +117,7 @@ func (c *LFU) promote(n *lfuNode) {
 	b := n.bucket
 	next := b.next
 	if next == nil || next.freq != b.freq+1 {
-		nb := &freqBucket{freq: b.freq + 1, prev: b, next: next}
+		nb := c.newBucket(freqBucket{freq: b.freq + 1, prev: b, next: next})
 		if next != nil {
 			next.prev = nb
 		}
@@ -128,7 +134,32 @@ func (c *LFU) evict() {
 	v := b.tail
 	c.bucketRemove(b, v)
 	delete(c.nodes, v.id)
+	v.bucket, v.next = nil, c.freeNodes
+	c.freeNodes = v
 	c.stats.Evictions++
+}
+
+// newNode reuses a recycled node when one is available, like LRU.newNode.
+func (c *LFU) newNode(id trace.FileID) *lfuNode {
+	if n := c.freeNodes; n != nil {
+		c.freeNodes = n.next
+		*n = lfuNode{id: id}
+		return n
+	}
+	return &lfuNode{id: id}
+}
+
+// newBucket places a bucket holding b in recycled storage when there is
+// some.
+func (c *LFU) newBucket(b freqBucket) *freqBucket {
+	nb := c.freeBuckets
+	if nb == nil {
+		nb = new(freqBucket)
+	} else {
+		c.freeBuckets = nb.next
+	}
+	*nb = b
+	return nb
 }
 
 // bucketRemove unlinks n from b, dropping b entirely if it empties.
@@ -154,6 +185,8 @@ func (c *LFU) bucketRemove(b *freqBucket, n *lfuNode) {
 		if b.next != nil {
 			b.next.prev = b.prev
 		}
+		*b = freqBucket{next: c.freeBuckets}
+		c.freeBuckets = b
 	}
 }
 

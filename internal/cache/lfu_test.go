@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 )
 
@@ -161,5 +162,28 @@ func TestLFUMatchesModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocBudgetLFUMissEvicts pins a miss on a full LFU at zero
+// allocations: the evicted node and any bucket it empties are recycled for
+// the newcomer. Each op also hits the newcomer once, so buckets empty and
+// are rebuilt at two frequencies.
+func TestAllocBudgetLFUMissEvicts(t *testing.T) {
+	c, err := NewLFU(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := trace.FileID(0)
+	allocs := alloctest.PerOp(t, func() {
+		c.Access(next)
+		c.Access(next)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("an evicting LFU miss allocates %.0f objects, budget exactly 0", allocs)
+	}
+	if s := c.Stats(); s.Evictions == 0 || s.Hits != s.Misses {
+		t.Errorf("stats = %+v: the pinned ops were not an evicting miss and a hit each", s)
 	}
 }

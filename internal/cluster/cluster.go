@@ -308,22 +308,35 @@ func (n *Node) Self() string { return n.self }
 // ring swap completes against the view it started with.
 //
 // This plain form is a thin adapter for callers that want a slice (a
-// server embeds the node as an InlineRouter and never comes this way): the
-// files are lead-first, and the reference route handed over is abandoned,
-// never released, so the group is never recycled and the slice stays
-// valid for as long as the caller keeps it.
+// server embeds the node as an InlineRouter and never comes this way): it
+// copies the files lead-first into one exact-size slab and a fresh
+// []GroupFile, which the caller may keep as long as it likes, and releases
+// the group route handed over, so its frames go back to the pool.
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
 	g, lead, handled, err := n.RouteOpenTraced(path, accessed, otrace.Ctx{})
 	if g == nil {
 		return nil, handled, err
 	}
-	if lead == 0 {
-		return g.Files, handled, err
+	defer g.Release()
+	size := 0
+	for _, f := range g.Files {
+		size += len(f.Data)
 	}
+	slab := make([]byte, 0, size)
 	files := make([]fsnet.GroupFile, 0, len(g.Files))
-	files = append(files, g.Files[lead])
-	files = append(files, g.Files[:lead]...)
-	return append(files, g.Files[lead+1:]...), handled, err
+	add := func(f fsnet.GroupFile) {
+		start := len(slab)
+		slab = append(slab, f.Data...)
+		f.Data = slab[start:len(slab):len(slab)]
+		files = append(files, f)
+	}
+	add(g.Files[lead])
+	for i, f := range g.Files {
+		if i != lead {
+			add(f)
+		}
+	}
+	return files, handled, err
 }
 
 // RouteOpenTraced implements fsnet.InlineRouter: RouteOpen carrying the

@@ -235,6 +235,52 @@ func TestMirroredArenaIsNotAliased(t *testing.T) {
 	}
 }
 
+// TestRouteOpenCopiesAndReleases: the plain OpenRouter adapter hands its
+// caller a lead-first slice in memory of its own and releases the group.
+// Forwards and mirror hits — members served lead-first out of a mirrored
+// group — go through a mirror of two, so groups are evicted, released and
+// their frames recycled (scribbled, in race builds) while the caller still
+// holds every slice it was given; each must read its own file's bytes, and
+// at teardown no group is referenced but the mirrors' (race builds count:
+// the adapter used to abandon one reference per handled open).
+func TestRouteOpenCopiesAndReleases(t *testing.T) {
+	base, _ := liveGroups()
+	tc := forwardRing(t, 2)
+	defer tc.checkGroupBalance(t, base)
+	paths := tc.pathsOwnedBy(t, tc.busiestPeer(), 6)
+	var kept [][]fsnet.GroupFile
+	for round := 0; round < 4; round++ {
+		for _, p := range paths {
+			files, handled, err := tc.nodes[0].RouteOpen(p, nil)
+			if err != nil || !handled {
+				t.Fatalf("RouteOpen(%s): handled=%v err=%v", p, handled, err)
+			}
+			if files[0].Path != p {
+				t.Fatalf("RouteOpen(%s) leads with %s", p, files[0].Path)
+			}
+			kept = append(kept, files)
+		}
+	}
+	if st := tc.nodes[0].Stats(); st.MirrorHits == 0 || st.ForwardedOpens == 0 {
+		t.Fatalf("mirror hits %d, forwards %d: want both paths exercised", st.MirrorHits, st.ForwardedOpens)
+	}
+	members := 0
+	for _, files := range kept {
+		members += len(files) - 1
+		for _, f := range files {
+			if string(f.Data) != testContent(f.Path) {
+				t.Errorf("%s reads %q after its group was released", f.Path, f.Data)
+			}
+			if cap(f.Data) != len(f.Data) {
+				t.Errorf("%s: cap %d > len %d, an append would reach its neighbour", f.Path, cap(f.Data), len(f.Data))
+			}
+		}
+	}
+	if members == 0 {
+		t.Error("no handled open carried a member: the lead-first copy went untested")
+	}
+}
+
 // TestTryRouteOpen pins what a read loop may do on its own: decline a
 // path the node owns, answer from the mirror, degrade while the owner's
 // breaker is open — and refuse, touching nothing, an open that needs the

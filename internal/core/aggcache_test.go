@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/cache"
 	"aggcache/internal/group"
 	"aggcache/internal/successor"
@@ -311,5 +312,24 @@ func TestChainStrategyHelpsOnPredictableWorkload(t *testing.T) {
 	g5Fetches := run(5, group.StrategyChain)
 	if g5Fetches >= lruFetches {
 		t.Errorf("g5 fetches %d >= LRU fetches %d; grouping did not help", g5Fetches, lruFetches)
+	}
+}
+
+// TestAllocBudgetAccessFirstSight pins a demand access of a never-seen
+// file on a full cache at zero allocations: the tracker takes the new
+// file's successor list from its slab and entries from its arena, and the
+// cache recycles the node it evicts.
+func TestAllocBudgetAccessFirstSight(t *testing.T) {
+	c := mustNew(t, Config{Capacity: 32, GroupSize: 5})
+	next := trace.FileID(0)
+	allocs := alloctest.PerOp(t, func() {
+		c.Access(next)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("Access of a never-seen id allocates %.0f objects, budget exactly 0", allocs)
+	}
+	if s := c.Stats(); s.Hits != 0 {
+		t.Errorf("Hits = %d: the pinned accesses were not all first sights", s.Hits)
 	}
 }

@@ -171,6 +171,41 @@ func TestAllocBudgetLocalFetch(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetFirstSightFetch pins a fetch of a path neither end has
+// seen: the client's and the server's interners copy it into their path
+// arenas, the server's tracker takes its successor list from a slab, and
+// both caches are full so their nodes recycle — first sight costs the
+// client's slab and nothing else (it cost about 4 while each of those was
+// a heap object of its own). The dense per-file tables, the interners'
+// maps and the arenas' chunks still grow now and then, amortised to
+// nothing per open.
+func TestAllocBudgetFirstSightFetch(t *testing.T) {
+	const files = 1024 // more than the warm-up and the measured runs open
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 3, CacheCapacity: 16})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/data/f%03d", i)
+	}
+	i := 0
+	allocs := alloctest.PerOp(t, func() {
+		if _, err := client.Open(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs != 1 {
+		t.Errorf("first-sight fetch allocates %.0f objects, budget exactly 1", allocs)
+	}
+	if st := client.Stats(); st.Hits != 0 || st.Fetches != uint64(i) {
+		t.Errorf("Hits = %d, Fetches = %d after %d opens: the pinned opens were not all first-sight fetches", st.Hits, st.Fetches, i)
+	}
+}
+
 // TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
 // router is consulted and declines, and from there the request costs what
 // an unrouted one does. It used to decode into fresh strings and spawn a

@@ -20,9 +20,7 @@ import (
 // touches neither Files nor any Data: the last Release hands the frame
 // buffers to the frame pool and the container to its own. A reference that
 // is never released is merely garbage — the group is then never recycled
-// and the collector frees it — which is what keeps a plain OpenRouter's
-// []GroupFile valid for as long as its caller likes. DESIGN.md §11 has the
-// holder table.
+// and the collector frees it. DESIGN.md §11 has the holder table.
 type Group struct {
 	// Files is the group in arrival order: the file the owner was asked
 	// for first, then its opportunistically fetched members. Read-only —

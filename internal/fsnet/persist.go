@@ -87,6 +87,7 @@ func (s *Server) LoadMetadata(r io.Reader) error {
 		return err
 	}
 	ids := trace.NewInterner()
+	buf := make([]byte, maxPath) // InternBytes copies a new path out
 	for i := uint64(0); i < n; i++ {
 		plen, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -95,11 +96,10 @@ func (s *Server) LoadMetadata(r io.Reader) error {
 		if plen == 0 || plen > maxPath {
 			return fmt.Errorf("fsnet: metadata path length %d out of range", plen)
 		}
-		buf := make([]byte, plen)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if _, err := io.ReadFull(br, buf[:plen]); err != nil {
 			return err
 		}
-		ids.Intern(string(buf))
+		ids.InternBytes(buf[:plen])
 	}
 
 	s.aggMu.Lock()

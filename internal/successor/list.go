@@ -65,6 +65,55 @@ type List struct {
 	lambda   float64
 	entries  []entry // maintained in rank order, best candidate first
 	clock    uint64
+	// arena supplies the blocks entries move to as the list grows: the
+	// owning tracker's, or nil for a standalone list, whose blocks come
+	// straight from the heap.
+	arena *entryArena
+}
+
+// firstBlock is the entries a list's first block holds, capped at its
+// capacity: the default capacity (3) never grows past it.
+const firstBlock = 4
+
+// arenaChunk is the entries one arena chunk holds (32 B each: 64 KiB).
+const arenaChunk = 2048
+
+// entryArena carves list blocks out of shared chunks, so learning a new
+// file or a new successor does not cost a heap object per list. A block is
+// never handed out twice: a list that outgrows its block leaves it behind
+// in its chunk, and the chunk lives as long as any block carved from it.
+type entryArena struct {
+	free []entry // the unused tail of the current chunk
+}
+
+// carve returns an empty block with room for n entries. A block over a
+// quarter of a chunk is allocated on its own, so one huge list cannot
+// waste most of a chunk.
+func (a *entryArena) carve(n int) []entry {
+	if a == nil || n > arenaChunk/4 {
+		return make([]entry, 0, n)
+	}
+	if len(a.free) < n {
+		a.free = make([]entry, arenaChunk)
+	}
+	b := a.free[:0:n]
+	a.free = a.free[n:]
+	return b
+}
+
+// room guarantees space for one more entry. A full block is replaced by
+// one twice its size (the first holds firstBlock), capped at capacity
+// except under PolicyOracle — one growth rule for every policy, so a
+// list's block never holds more than twice its entries once it has grown.
+func (l *List) room() {
+	if len(l.entries) < cap(l.entries) {
+		return
+	}
+	n := max(2*cap(l.entries), firstBlock)
+	if l.policy != PolicyOracle {
+		n = min(n, l.capacity)
+	}
+	l.entries = append(l.arena.carve(n), l.entries...)
 }
 
 // NewList returns an empty successor list. Capacity is ignored for
@@ -117,6 +166,7 @@ func (l *List) Observe(id trace.FileID) {
 		}
 		e := entry{id: id, count: 1, tick: l.clock}
 		if len(l.entries) < l.capacity {
+			l.room()
 			l.entries = append(l.entries, entry{})
 		}
 		copy(l.entries[1:], l.entries)
@@ -136,6 +186,7 @@ func (l *List) Observe(id trace.FileID) {
 		}
 		e := entry{id: id, count: 1, tick: l.clock}
 		if len(l.entries) < l.capacity {
+			l.room()
 			l.entries = append(l.entries, e)
 		} else {
 			// Replace the worst-ranked entry (list is rank ordered).
@@ -158,6 +209,7 @@ func (l *List) Observe(id trace.FileID) {
 		} else {
 			e := entry{id: id, count: 1, weight: 1, tick: l.clock}
 			if len(l.entries) < l.capacity {
+				l.room()
 				l.entries = append(l.entries, e)
 			} else {
 				// Rank order means the worst weight is last.
@@ -179,6 +231,7 @@ func (l *List) Observe(id trace.FileID) {
 			l.entries[idx].tick = l.clock
 			return
 		}
+		l.room()
 		l.entries = append(l.entries, entry{id: id, count: 1, tick: l.clock})
 	}
 }

@@ -258,7 +258,10 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 			return nil, fmt.Errorf("successor: list for %d has %d entries, capacity %d",
 				owner, nEntries, t.capacity)
 		}
-		l.entries = make([]entry, 0, nEntries)
+		// Entries land in the tracker's arena by the live growth rule, so a
+		// loaded list is laid out as if it had been learned, and a bogus
+		// count fails at the end of the input instead of sizing a block.
+		l.entries = l.entries[:0]
 		for j := uint64(0); j < nEntries; j++ {
 			var e entry
 			id, err := get()
@@ -277,6 +280,7 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 			if e.tick, err = get(); err != nil {
 				return nil, err
 			}
+			l.room()
 			l.entries = append(l.entries, e)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 )
 
@@ -117,5 +118,40 @@ func TestSaveLoadEmptyTracker(t *testing.T) {
 	}
 	if restored.Observed() != 0 || restored.TrackedFiles() != 0 {
 		t.Error("empty tracker not empty after restore")
+	}
+}
+
+// TestSaveLoadSaveIsByteIdentical: a loaded tracker carves its lists from
+// its own slab and arena by the live growth rule, and saves back to the
+// very bytes it was loaded from; learning a new file afterwards allocates
+// nothing, as it does on a tracker that learned everything live.
+func TestSaveLoadSaveIsByteIdentical(t *testing.T) {
+	for name, orig := range newPolicyTrackers(t) {
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 5000; i++ {
+			orig.Observe(trace.FileID(rng.Intn(700)))
+		}
+		var first bytes.Buffer
+		if err := orig.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadTracker(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var second bytes.Buffer
+		if err := loaded.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("%s: Save -> Load -> Save changed the snapshot (%d -> %d bytes)", name, first.Len(), second.Len())
+		}
+		next := trace.FileID(700)
+		if allocs := alloctest.PerOp(t, func() {
+			loaded.Observe(next)
+			next++
+		}); allocs != 0 {
+			t.Errorf("%s: a loaded tracker's Observe of a never-seen id allocates %.0f objects, budget exactly 0", name, allocs)
+		}
 	}
 }

@@ -19,9 +19,15 @@ type Tracker struct {
 	// interned IDs are assigned densely in first-use order, so direct
 	// indexing replaces the map hashing that used to dominate the
 	// Observe hot path. Slots for never-seen ids are nil/zero.
-	lists    []*List
-	counts   []uint64
-	tracked  int // number of non-nil lists
+	lists   []*List
+	counts  []uint64
+	tracked int // number of non-nil lists
+	// slab is the unused tail of the current block of List structs and
+	// arena the chunks their entries are carved from: first sight of a
+	// file costs no heap object of its own. A List never moves, so the
+	// pointers in lists (and the ones List hands out) stay valid.
+	slab     []List
+	arena    entryArena
 	prev     trace.FileID
 	hasPrev  bool
 	observed uint64
@@ -200,6 +206,9 @@ func (t *Tracker) MetadataEntries() int {
 	return n
 }
 
+// listSlab is how many List structs one slab allocation holds.
+const listSlab = 256
+
 func (t *Tracker) listFor(id trace.FileID) *List {
 	if int(id) >= len(t.lists) {
 		t.lists = growDense(t.lists, int(id))
@@ -207,19 +216,13 @@ func (t *Tracker) listFor(id trace.FileID) *List {
 	if l := t.lists[id]; l != nil {
 		return l
 	}
-	var (
-		l   *List
-		err error
-	)
-	if t.policy == PolicyDecay {
-		l, err = NewDecayList(t.capacity, t.lambda)
-	} else {
-		l, err = NewList(t.policy, t.capacity)
+	if len(t.slab) == 0 {
+		t.slab = make([]List, listSlab)
 	}
-	if err != nil {
-		// NewTracker validated the configuration; this is unreachable.
-		panic("successor: invalid tracker configuration: " + err.Error())
-	}
+	l := &t.slab[0]
+	t.slab = t.slab[1:]
+	// NewTracker validated the configuration against NewList.
+	*l = List{policy: t.policy, capacity: t.capacity, lambda: t.lambda, arena: &t.arena}
 	t.lists[id] = l
 	t.tracked++
 	return l

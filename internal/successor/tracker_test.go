@@ -2,9 +2,12 @@ package successor
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 )
 
@@ -372,5 +375,99 @@ func TestEvaluateReplacementEventsPerClient(t *testing.T) {
 	}
 	if again.Transitions != perClient.Transitions {
 		t.Error("write event counted as a transition")
+	}
+}
+
+// newPolicyTrackers returns one tracker per policy, bounded ones at
+// capacity 3 (the default) and 5 (a list that grows past its first block).
+func newPolicyTrackers(t *testing.T) map[string]*Tracker {
+	t.Helper()
+	out := make(map[string]*Tracker)
+	for _, c := range []int{3, 5} {
+		for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyDecay} {
+			tr, err := NewTracker(p, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[fmt.Sprintf("%s/%d", p, c)] = tr
+		}
+	}
+	tr, err := NewTracker(PolicyOracle, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["oracle"] = tr
+	return out
+}
+
+// TestTrackerListsMatchStandaloneLists: a tracker's lists live in its slab
+// and their entries in blocks carved from one arena, interleaved as the
+// files are first seen and as each list outgrows its block. Fed the same
+// transitions, standalone lists (heap blocks, nothing shared) must rank
+// exactly as the tracker's do — a block that overlapped a neighbour's, or a
+// move that lost an entry, shows up as a different ranking.
+func TestTrackerListsMatchStandaloneLists(t *testing.T) {
+	for name, tr := range newPolicyTrackers(t) {
+		rng := rand.New(rand.NewSource(11))
+		ref := make(map[trace.FileID]*List)
+		var prev trace.FileID
+		for i := 0; i < 30000; i++ {
+			// A skewed universe: a few files with long successor lists,
+			// thousands seen once or twice.
+			id := trace.FileID(rng.Intn(8))
+			if rng.Intn(3) == 0 {
+				id = trace.FileID(rng.Intn(4000))
+			}
+			tr.Observe(id)
+			if i > 0 {
+				l := ref[prev]
+				if l == nil {
+					var err error
+					if l, err = NewList(tr.policy, tr.capacity); err != nil {
+						t.Fatal(err)
+					}
+					ref[prev] = l
+				}
+				l.Observe(id)
+			}
+			prev = id
+		}
+		if tr.TrackedFiles() != len(ref) {
+			t.Fatalf("%s: TrackedFiles = %d, want %d", name, tr.TrackedFiles(), len(ref))
+		}
+		for id, l := range ref {
+			got, want := tr.Successors(id), l.Ranked()
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Successors(%d) = %v, standalone list says %v", name, id, got, want)
+			}
+			if tl := tr.List(id); tl.Len() > cap(tl.entries) || (tl.Len() > firstBlock && cap(tl.entries) >= 2*tl.Len()) {
+				t.Fatalf("%s: list of %d holds %d entries in a block of %d", name, id, tl.Len(), cap(tl.entries))
+			}
+		}
+	}
+}
+
+// TestAllocBudgetObserveFirstSight pins learning a new file at zero
+// allocations under every policy: its successor list comes from the
+// tracker's slab and its entries from the tracker's arena. The dense
+// per-file tables and the slab and arena chunks still grow now and then,
+// amortised to nothing per observation.
+func TestAllocBudgetObserveFirstSight(t *testing.T) {
+	for name, tr := range newPolicyTrackers(t) {
+		next := trace.FileID(0)
+		if allocs := alloctest.PerOp(t, func() {
+			tr.Observe(next)
+			next++
+		}); allocs != 0 {
+			t.Errorf("%s: Observe of a never-seen id allocates %.0f objects, budget exactly 0", name, allocs)
+		}
+		// Interleaved sources, as a server learns from its connections:
+		// the sources are known, the files are not.
+		if allocs := alloctest.PerOp(t, func() {
+			tr.ObserveFrom(uint64(next%4), next)
+			next++
+		}); allocs != 0 {
+			t.Errorf("%s: ObserveFrom of a never-seen id allocates %.0f objects, budget exactly 0", name, allocs)
+		}
 	}
 }

@@ -1,5 +1,7 @@
 package trace
 
+import "strings"
+
 // Interner maps file path names to dense FileIDs and back. IDs are assigned
 // in first-use order starting at zero so they can index per-file tables
 // directly. The zero value is not usable; call NewInterner.
@@ -9,6 +11,7 @@ package trace
 type Interner struct {
 	ids   map[string]FileID
 	paths []string
+	arena pathArena
 }
 
 // NewInterner returns an empty interner.
@@ -30,14 +33,15 @@ func (in *Interner) Intern(path string) FileID {
 
 // InternBytes is Intern for a path held in a byte slice. Looking up an
 // already-known path allocates nothing (the map index with a string
-// conversion compiles to an allocation-free lookup); only a first-time
-// assignment materializes the string. The wire decoders use this to
+// conversion compiles to an allocation-free lookup); a first-time
+// assignment copies the path into the interner's arena, so path may be
+// overwritten as soon as the call returns. The wire decoders use this to
 // translate paths straight out of pooled frame buffers.
 func (in *Interner) InternBytes(path []byte) FileID {
 	if id, ok := in.ids[string(path)]; ok {
 		return id
 	}
-	p := string(path)
+	p := in.arena.copy(path)
 	id := FileID(len(in.paths))
 	in.ids[p] = id
 	in.paths = append(in.paths, p)
@@ -79,4 +83,31 @@ func (in *Interner) Clone() *Interner {
 	}
 	copy(out.paths, in.paths)
 	return out
+}
+
+// pathChunk is the size of one path arena chunk.
+const pathChunk = 64 << 10
+
+// pathArena copies first-seen paths into append-only chunks, so interning
+// a new path costs no heap object of its own. A chunk is a strings.Builder
+// that is never reset: each path is a substring of its String(), and the
+// bytes behind an earlier String() are never written again, so no unsafe
+// is needed. A path that does not fit starts the next chunk; a path over a
+// quarter of a chunk gets a string of its own.
+type pathArena struct {
+	b strings.Builder
+}
+
+// copy returns an immutable copy of p.
+func (a *pathArena) copy(p []byte) string {
+	if len(p) > pathChunk/4 {
+		return string(p)
+	}
+	if a.b.Cap()-a.b.Len() < len(p) {
+		a.b = strings.Builder{}
+		a.b.Grow(pathChunk)
+	}
+	start := a.b.Len()
+	a.b.Write(p)
+	return a.b.String()[start:]
 }

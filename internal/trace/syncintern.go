@@ -25,10 +25,12 @@ type SyncInterner struct {
 	snap atomic.Pointer[internSnap]
 
 	// mu guards the dirty overlay holding paths interned since the last
-	// promotion. Reads only take it after missing the snapshot.
+	// promotion, and the arena new paths' bytes are copied into. Reads
+	// only take it after missing the snapshot.
 	mu         sync.Mutex
 	dirty      map[string]FileID
 	dirtyPaths []string // overlay ID→path, offset by len(snap.paths)
+	arena      pathArena
 }
 
 // internSnap is one immutable epoch.
@@ -75,9 +77,10 @@ func (s *SyncInterner) Intern(path string) FileID {
 }
 
 // InternBytes is Intern for a path held in a byte slice; the lock-free
-// hit path allocates nothing, and the string is only materialized for a
-// first-time assignment. Wire decoders use this to intern paths straight
-// out of pooled frame buffers.
+// hit path allocates nothing, and a first-time assignment copies the path
+// into the interner's arena, so path may be overwritten as soon as the
+// call returns. Wire decoders use this to intern paths straight out of
+// pooled frame buffers.
 func (s *SyncInterner) InternBytes(path []byte) FileID {
 	snap := s.snap.Load()
 	if id, ok := snap.ids[string(path)]; ok {
@@ -88,8 +91,8 @@ func (s *SyncInterner) InternBytes(path []byte) FileID {
 
 // internSlow assigns an ID under mu for a path that missed the snapshot,
 // re-checking both the (possibly advanced) snapshot and the overlay. The
-// path arrives either as a string or as raw bytes; the bytes form is only
-// converted once the path is known to be new.
+// path arrives either as a string, kept as it is, or as raw bytes, copied
+// into the arena once the path is known to be new.
 func (s *SyncInterner) internSlow(seen *internSnap, path string, raw []byte) FileID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -112,7 +115,7 @@ func (s *SyncInterner) internSlow(seen *internSnap, path string, raw []byte) Fil
 		if id, ok := s.dirty[string(raw)]; ok {
 			return id
 		}
-		path = string(raw)
+		path = s.arena.copy(raw)
 	} else if id, ok := s.dirty[path]; ok {
 		return id
 	}
