@@ -33,6 +33,8 @@ ignore-guard:
 # every access now goes through appendPending, which sheds the oldest and
 # counts it — with the protocol generation whose replies carried no tags
 # (PR 24). Test files may name them; other Go source may not.
+# So are the map-indexed LRU and LFU: residency is a FileID slot table
+# into a pointer-free node slab.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -41,6 +43,7 @@ lint-dead:
 	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'len\(c\.pending\) < maxStatPaths|protocolVersion = 3' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'map\[trace\.FileID\]\*(lruNode|lfuNode)' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -66,11 +69,15 @@ bench-json:
 	@echo wrote BENCH_BASELINE.json
 
 # The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
-# then one short cluster3 run through the same command the driver uses.
-# A smoke — the measured run is `bash benchmark/run.sh --workload all`.
+# then one short cluster3 run and one short sim_sweep run through the
+# command BENCHMARK.json declares. sim_sweep's warm-up is a differential check of
+# the simulator: RunClient at g = 1 and FilterLRU against an independent
+# container/list LRU at every capacity on every profile. A smoke — the
+# measured run is `bash benchmark/run.sh --workload all`.
 bench-e2e:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload cluster3 --seconds 1
+	bash benchmark/run.sh --workload sim_sweep --seconds 1
 
 # Human-run comparison over a simulated 2ms-RTT network: 8 connections
 # x 8 pipelining goroutines vs the lock-step baseline of one request in
@@ -99,8 +106,9 @@ examples:
 	$(GO) run ./examples/predictability
 	$(GO) run ./examples/grouping-apps
 
-# Short fuzzing pass over every decoder the serving path runs and the
-# trace codecs, ten seconds a target; CI calls this target.
+# Short fuzzing pass over every decoder the serving path runs, the trace
+# codecs, the ring and the group placement rule against its model, ten
+# seconds a target; CI calls this target.
 fuzz:
 	for t in FuzzParseOpenRequest FuzzMemberChunkView FuzzDecodeGroupEnd FuzzDecodeHello FuzzDecodeViewMsg FuzzDecodeTraceCtx FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeWriteOK FuzzDecodeErrorResponse; do \
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/fsnet/ || exit 1; \
@@ -109,6 +117,7 @@ fuzz:
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/trace/ || exit 1; \
 	done
 	$(GO) test -run='^$$' -fuzz='^FuzzRingOwner$$' -fuzztime=10s ./internal/cluster/
+	$(GO) test -run='^$$' -fuzz='^FuzzGroupLRU$$' -fuzztime=10s ./internal/cache/
 
 clean:
 	$(GO) clean ./...

@@ -39,6 +39,26 @@ func BenchmarkPolicies(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupLRU drives the §3 placement rule the way the simulator
+// does: a demand per reference and, on a miss, Install of a group of five,
+// the reference and the four that follow it standing in for its predicted
+// successors.
+func BenchmarkGroupLRU(b *testing.B) {
+	refs := benchRefs(1<<16, 4096)
+	g, err := NewGroupLRU(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i & (len(refs) - 1)
+		if hit, _ := g.Demand(refs[k]); !hit {
+			g.Install(refs[k:min(k+5, len(refs))], false)
+		}
+	}
+}
+
 func BenchmarkOPT(b *testing.B) {
 	refs := benchRefs(1<<16, 4096)
 	b.ReportAllocs()

@@ -6,6 +6,13 @@
 // Caches here model whole-file caching driven by open requests, exactly as
 // in the paper's evaluation: an Access is a demand reference that counts a
 // hit or a miss and inserts the file on a miss.
+//
+// LRU, GroupLRU and LFU find a file by indexing a table with its FileID,
+// so besides a node slab bounded by capacity each holds memory
+// proportional to the largest FileID it has inserted: 4 bytes per id, up
+// to 1.5 x (largest id + 1). FileIDs are dense (trace.FileID), which keeps
+// that near the number of distinct files seen. A cache holds at most
+// math.MaxInt32 files.
 package cache
 
 import (

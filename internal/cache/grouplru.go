@@ -28,12 +28,14 @@ func NewGroupLRU(capacity int) (*GroupLRU, error) {
 // and this is its first demand (the flag is cleared). On a miss nothing
 // changes: the caller fetches a group and calls Install.
 func (g *GroupLRU) Demand(id trace.FileID) (hit, speculative bool) {
-	n, ok := g.lru.nodes[id]
-	if !ok {
+	l := g.lru
+	i := l.slot.lookup(id)
+	if i == none {
 		return false, false
 	}
+	n := &l.nodes[i]
 	speculative, n.speculative = n.speculative, false
-	g.lru.moveToHead(n)
+	l.moveToHead(i)
 	return true, speculative
 }
 
@@ -49,11 +51,11 @@ func (g *GroupLRU) Demand(id trace.FileID) (hit, speculative bool) {
 // admitted. The group is read-only and not retained.
 func (g *GroupLRU) Install(group []trace.FileID, head bool) (admitted int) {
 	l := g.lru
-	if n, ok := l.nodes[group[0]]; ok {
-		n.speculative = false
-		l.moveToHead(n)
+	if i := l.slot.lookup(group[0]); i != none {
+		l.nodes[i].speculative = false
+		l.moveToHead(i)
 	} else {
-		for len(l.nodes) >= l.capacity {
+		for l.size >= l.capacity {
 			if _, ok := l.evictVictimExceptIDs(group); ok {
 				continue
 			}
@@ -67,16 +69,18 @@ func (g *GroupLRU) Install(group []trace.FileID, head bool) (admitted int) {
 		if l.Contains(m) {
 			continue
 		}
-		if len(l.nodes) >= l.capacity {
+		if l.size >= l.capacity {
 			if _, ok := l.evictVictimExceptIDs(group); !ok {
 				break
 			}
 		}
+		var i int32
 		if head {
-			l.insertHead(m).speculative = true
+			i = l.insertHead(m)
 		} else {
-			l.insertTail(m).speculative = true
+			i = l.insertTail(m)
 		}
+		l.nodes[i].speculative = true
 		admitted++
 	}
 	return admitted
@@ -90,7 +94,7 @@ func (g *GroupLRU) OnEvict(f func(id trace.FileID, speculative bool)) { g.lru.on
 func (g *GroupLRU) Contains(id trace.FileID) bool { return g.lru.Contains(id) }
 
 // Len returns the number of resident files.
-func (g *GroupLRU) Len() int { return len(g.lru.nodes) }
+func (g *GroupLRU) Len() int { return g.lru.size }
 
 // Cap returns the capacity in files.
 func (g *GroupLRU) Cap() int { return g.lru.capacity }

@@ -145,7 +145,7 @@ func TestLFUMatchesModel(t *testing.T) {
 		}
 		m := newLFUModel(capacity)
 		for i := 0; i < 600; i++ {
-			id := trace.FileID(rng.Intn(capacity * 3))
+			id := sparseID(rng.Intn(capacity * 3))
 			if c.Access(id) != m.access(id) {
 				return false
 			}
@@ -168,17 +168,21 @@ func TestLFUMatchesModel(t *testing.T) {
 // TestAllocBudgetLFUMissEvicts pins a miss on a full LFU at zero
 // allocations: the evicted node and any bucket it empties are recycled for
 // the newcomer. Each op also hits the newcomer once, so buckets empty and
-// are rebuilt at two frequencies.
+// are rebuilt at two frequencies. The ids loop over twice the capacity,
+// which the set-up has inserted, so the slot table never grows.
 func TestAllocBudgetLFUMissEvicts(t *testing.T) {
-	c, err := NewLFU(64)
+	const capacity, universe = 64, 128
+	c, err := NewLFU(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.Access(universe - 1)
+	c.Access(universe - 1)
 	next := trace.FileID(0)
 	allocs := alloctest.PerOp(t, func() {
 		c.Access(next)
 		c.Access(next)
-		next++
+		next = (next + 1) % universe
 	})
 	if allocs != 0 {
 		t.Errorf("an evicting LFU miss allocates %.0f objects, budget exactly 0", allocs)

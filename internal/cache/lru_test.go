@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 )
 
@@ -168,6 +169,15 @@ func (m *lruModel) access(id trace.FileID) bool {
 	return false
 }
 
+// sparseID spreads a quarter of a small universe far past the slot table
+// the rest grows, so model tests cross regrowth and unseen high ids.
+func sparseID(k int) trace.FileID {
+	if k%4 == 0 {
+		return farID(k)
+	}
+	return trace.FileID(k)
+}
+
 // Property: the LRU implementation agrees with the executable model on
 // random access strings, and never exceeds capacity.
 func TestLRUMatchesModel(t *testing.T) {
@@ -180,7 +190,7 @@ func TestLRUMatchesModel(t *testing.T) {
 		}
 		m := &lruModel{cap: capacity}
 		for i := 0; i < 500; i++ {
-			id := trace.FileID(rng.Intn(capacity * 3))
+			id := sparseID(rng.Intn(capacity * 3))
 			if c.Access(id) != m.access(id) {
 				return false
 			}
@@ -201,5 +211,31 @@ func TestLRUMatchesModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocBudgetLRUMissEvicts pins a miss on a full LRU at zero
+// allocations: the evicted node is recycled for the newcomer. A loop over
+// twice the capacity misses on every access, and the set-up has inserted
+// the whole universe, so the slot table never grows.
+func TestAllocBudgetLRUMissEvicts(t *testing.T) {
+	const capacity, universe = 64, 128
+	c, err := NewLRU(capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := range trace.FileID(universe) {
+		c.Access(id)
+	}
+	next := trace.FileID(0)
+	allocs := alloctest.PerOp(t, func() {
+		c.Access(next)
+		next = (next + 1) % universe
+	})
+	if allocs != 0 {
+		t.Errorf("an evicting LRU miss allocates %.0f objects, budget exactly 0", allocs)
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Evictions == 0 {
+		t.Errorf("stats = %+v: the pinned op was not an evicting miss", s)
 	}
 }

@@ -350,9 +350,9 @@ func (c *Client) Connected() bool {
 // distinct paths seen, and indexing it replaces a map lookup on the open
 // hot path. Called with mu held.
 func (c *Client) ensureDense(id trace.FileID) {
-	for int(id) >= len(c.data) {
-		c.data = append(c.data, nil)
-		c.tags = append(c.tags, 0)
+	if int(id) >= len(c.data) {
+		c.data = trace.GrowDense(c.data, id)
+		c.tags = trace.GrowDense(c.tags, id)
 	}
 }
 

@@ -135,8 +135,8 @@ func (sh *shadow) install(ids *trace.SyncInterner, files []fileData, lead int) (
 	gids := sh.gids[:0]
 	for k := range files {
 		id := ids.Intern(files[wireOrder(k, lead)].Path)
-		for int(id) >= len(sh.tags) {
-			sh.tags = append(sh.tags, 0)
+		if int(id) >= len(sh.tags) {
+			sh.tags = trace.GrowDense(sh.tags, id)
 		}
 		gids = append(gids, id)
 	}

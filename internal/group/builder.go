@@ -131,9 +131,7 @@ func (b *Builder) nextGen() {
 // count.
 func (b *Builder) mark(id trace.FileID) {
 	if int(id) >= len(b.seen) {
-		grown := make([]uint32, int(id)+1+len(b.seen)/2)
-		copy(grown, b.seen)
-		b.seen = grown
+		b.seen = trace.GrowDense(b.seen, id)
 	}
 	b.seen[id] = b.gen
 }

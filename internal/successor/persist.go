@@ -229,7 +229,7 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 			return nil, fmt.Errorf("successor: count file id %d out of range", id)
 		}
 		if int(id) >= len(t.counts) {
-			t.counts = growDense(t.counts, int(id))
+			t.counts = trace.GrowDense(t.counts, trace.FileID(id))
 		}
 		t.counts[trace.FileID(id)] = n
 	}

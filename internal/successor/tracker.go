@@ -80,17 +80,9 @@ func (t *Tracker) Observe(id trace.FileID) {
 // on first sight of a high id.
 func (t *Tracker) bumpCount(id trace.FileID) {
 	if int(id) >= len(t.counts) {
-		t.counts = growDense(t.counts, int(id))
+		t.counts = trace.GrowDense(t.counts, id)
 	}
 	t.counts[id]++
-}
-
-// growDense extends a dense per-file table so index id is addressable,
-// over-allocating by half to amortize regrowth.
-func growDense[T any](s []T, id int) []T {
-	grown := make([]T, id+1+len(s)/2)
-	copy(grown, s)
-	return grown
 }
 
 // ObserveFrom records an access attributed to a specific source (a
@@ -211,7 +203,7 @@ const listSlab = 256
 
 func (t *Tracker) listFor(id trace.FileID) *List {
 	if int(id) >= len(t.lists) {
-		t.lists = growDense(t.lists, int(id))
+		t.lists = trace.GrowDense(t.lists, id)
 	}
 	if l := t.lists[id]; l != nil {
 		return l

@@ -19,6 +19,17 @@ import (
 // indices into per-file tables.
 type FileID uint32
 
+// GrowDense extends a dense per-file table so that index id, which must be
+// at or past its end, is addressable: the table becomes id+1+len(s)/2
+// long, over-allocating by half to amortize regrowth, and the new slots
+// are zero. The per-file tables that grow on first sight of an id share
+// this rule, so each is at most 1.5 x (largest id seen + 1) long.
+func GrowDense[T any](s []T, id FileID) []T {
+	grown := make([]T, int(id)+1+len(s)/2)
+	copy(grown, s)
+	return grown
+}
+
 // Op is the kind of file-system operation an Event records.
 type Op uint8
 
