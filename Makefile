@@ -34,7 +34,9 @@ ignore-guard:
 # counts it — with the protocol generation whose replies carried no tags
 # (PR 24). Test files may name them; other Go source may not.
 # So are the map-indexed LRU and LFU: residency is a FileID slot table
-# into a pointer-free node slab.
+# into a pointer-free node slab. So are CLOCK, 2Q and MQ, deleted on
+# purpose (ARC beat all three in every xbakeoff cell), and container/list
+# in internal/cache: ARC is four of the package's dense LRUs.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -44,6 +46,8 @@ lint-dead:
 	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'len\(c\.pending\) < maxStatPaths|protocolVersion = 3' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'map\[trace\.FileID\]\*(lruNode|lfuNode)' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'NewCLOCK|NewTwoQ|NewMQ|PolicyCLOCK|PolicyMQ|PolicyTwoQ|BaselineCLOCK|BaselineMQ|BaselineTwoQ' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn '"container/list"' --include='*.go' --exclude='*_test.go' internal/cache
 
 vet:
 	$(GO) vet ./...
@@ -107,8 +111,8 @@ examples:
 	$(GO) run ./examples/grouping-apps
 
 # Short fuzzing pass over every decoder the serving path runs, the trace
-# codecs, the ring and the group placement rule against its model, ten
-# seconds a target; CI calls this target.
+# codecs, the ring, the group placement rule against its model and ARC
+# against its reference, ten seconds a target; CI calls this target.
 fuzz:
 	for t in FuzzParseOpenRequest FuzzMemberChunkView FuzzDecodeGroupEnd FuzzDecodeHello FuzzDecodeViewMsg FuzzDecodeTraceCtx FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeWriteOK FuzzDecodeErrorResponse; do \
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/fsnet/ || exit 1; \
@@ -118,6 +122,7 @@ fuzz:
 	done
 	$(GO) test -run='^$$' -fuzz='^FuzzRingOwner$$' -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz='^FuzzGroupLRU$$' -fuzztime=10s ./internal/cache/
+	$(GO) test -run='^$$' -fuzz='^FuzzARC$$' -fuzztime=10s ./internal/cache/
 
 clean:
 	$(GO) clean ./...

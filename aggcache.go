@@ -287,8 +287,9 @@ func FilterLRU(ids []FileID, capacity int) ([]FileID, error) {
 
 // Baseline caches.
 type (
-	// BaselineCache is the uniform interface over LRU, LFU, CLOCK and
-	// MQ whole-file cache simulators.
+	// BaselineCache is the uniform interface over the online whole-file
+	// cache simulators LRU, LFU and ARC. Belady's OPT, their offline
+	// bound, needs the future reference string and is not one.
 	BaselineCache = cache.Cache
 	// BaselinePolicy names a baseline replacement policy.
 	BaselinePolicy = cache.Policy
@@ -298,12 +299,9 @@ type (
 
 // Baseline replacement policies.
 const (
-	BaselineLRU   = cache.PolicyLRU
-	BaselineLFU   = cache.PolicyLFU
-	BaselineCLOCK = cache.PolicyCLOCK
-	BaselineMQ    = cache.PolicyMQ
-	BaselineARC   = cache.PolicyARC
-	BaselineTwoQ  = cache.PolicyTwoQ
+	BaselineLRU = cache.PolicyLRU
+	BaselineLFU = cache.PolicyLFU
+	BaselineARC = cache.PolicyARC
 )
 
 // NewBaseline constructs a baseline cache simulator.

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"testing"
+
+	"aggcache/internal/cache"
 )
 
 // TestFacadeQuickstart exercises the README quickstart end to end through
@@ -147,7 +149,7 @@ func TestFacadeSimulation(t *testing.T) {
 }
 
 func TestFacadeBaselines(t *testing.T) {
-	for _, p := range []BaselinePolicy{BaselineLRU, BaselineLFU, BaselineCLOCK, BaselineMQ, BaselineARC, BaselineTwoQ} {
+	for _, p := range cache.Policies {
 		c, err := NewBaseline(p, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", p, err)

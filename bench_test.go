@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"aggcache/internal/cache"
 	"aggcache/internal/experiments"
 )
 
@@ -185,8 +186,7 @@ func BenchmarkAblationSuccessorPolicy(b *testing.B) {
 // Plain replacement policies on the same workload, for context.
 func BenchmarkAblationBaselines(b *testing.B) {
 	ids := workloadIDs(b, ProfileServer)
-	for _, p := range []BaselinePolicy{BaselineLRU, BaselineLFU, BaselineCLOCK, BaselineMQ, BaselineARC, BaselineTwoQ} {
-		p := p
+	for _, p := range cache.Policies {
 		b.Run(string(p), func(b *testing.B) {
 			var hitRate float64
 			for i := 0; i < b.N; i++ {

@@ -1,10 +1,6 @@
 package cache
 
-import (
-	"container/list"
-
-	"aggcache/internal/trace"
-)
+import "aggcache/internal/trace"
 
 // ARC is the Adaptive Replacement Cache of Megiddo & Modha (FAST 2003), a
 // later landmark answer to the same recency-vs-frequency tension the
@@ -12,101 +8,94 @@ import (
 // and a frequency list (T2), keeps ghost histories of evictions from each
 // (B1, B2), and continuously tunes the target size p of T1 from which
 // ghost list is getting hits. Included as an ablation baseline.
+//
+// The four lists are the package's dense LRUs (DESIGN.md §9), MRU at the
+// head, so a file is found by slot lookups and an access allocates nothing
+// once the slabs are full. ARC's own bounds keep |T1|+|B1| <= c,
+// |T1|+|T2| <= c and all four together <= 2c, so no list is full when it
+// is inserted into and none ever evicts by itself.
 type ARC struct {
 	capacity int
 	p        int // target size of t1
 
-	t1, t2, b1, b2 *list.List // MRU at Front
-	where          map[trace.FileID]arcLoc
-	elems          map[trace.FileID]*list.Element
-	stats          Stats
+	t1, t2, b1 *LRU // capacity c each
+	b2         *LRU // capacity 2c
+	stats      Stats
 }
 
 var _ Cache = (*ARC)(nil)
-
-type arcLoc uint8
-
-const (
-	inT1 arcLoc = iota + 1
-	inT2
-	inB1
-	inB2
-)
 
 // NewARC returns an ARC cache holding up to capacity files.
 func NewARC(capacity int) (*ARC, error) {
 	if err := checkCapacity(capacity); err != nil {
 		return nil, err
 	}
-	return &ARC{
-		capacity: capacity,
-		t1:       list.New(),
-		t2:       list.New(),
-		b1:       list.New(),
-		b2:       list.New(),
-		where:    make(map[trace.FileID]arcLoc, 2*capacity),
-		elems:    make(map[trace.FileID]*list.Element, 2*capacity),
-	}, nil
+	t1, _ := NewLRU(capacity)
+	t2, _ := NewLRU(capacity)
+	b1, _ := NewLRU(capacity)
+	b2, _ := NewLRU(2 * capacity)
+	return &ARC{capacity: capacity, t1: t1, t2: t2, b1: b1, b2: b2}, nil
 }
 
 // Access records a demand reference per the ARC algorithm.
 func (c *ARC) Access(id trace.FileID) bool {
-	switch c.where[id] {
-	case inT1, inT2:
-		// Case I: hit — promote to MRU of T2.
+	switch {
+	case c.t2.touch(id):
+		// Case I: hit in T2 — move to its MRU.
 		c.stats.Hits++
-		c.remove(id)
-		c.pushFront(c.t2, id, inT2)
 		return true
 
-	case inB1:
+	case c.t1.remove(id):
+		// Case I: hit in T1 — promote to MRU of T2.
+		c.stats.Hits++
+		c.t2.insertHead(id)
+		return true
+
+	case c.b1.Contains(id):
 		// Case II: ghost hit in B1 — favour recency.
 		c.stats.Misses++
-		c.p = minInt(c.capacity, c.p+maxInt(1, c.b2.Len()/maxInt(1, c.b1.Len())))
+		c.p = min(c.capacity, c.p+max(1, c.b2.Len()/max(1, c.b1.Len())))
 		c.replace(false)
-		c.remove(id)
-		c.pushFront(c.t2, id, inT2)
+		c.b1.remove(id)
+		c.t2.insertHead(id)
 		return false
 
-	case inB2:
+	case c.b2.Contains(id):
 		// Case III: ghost hit in B2 — favour frequency.
 		c.stats.Misses++
-		c.p = maxInt(0, c.p-maxInt(1, c.b1.Len()/maxInt(1, c.b2.Len())))
+		c.p = max(0, c.p-max(1, c.b1.Len()/max(1, c.b2.Len())))
 		c.replace(true)
-		c.remove(id)
-		c.pushFront(c.t2, id, inT2)
+		c.b2.remove(id)
+		c.t2.insertHead(id)
 		return false
 	}
 
 	// Case IV: complete miss.
 	c.stats.Misses++
-	switch {
-	case c.t1.Len()+c.b1.Len() == c.capacity:
+	switch l1 := c.t1.Len() + c.b1.Len(); {
+	case l1 == c.capacity:
 		if c.t1.Len() < c.capacity {
-			c.dropLRU(c.b1)
+			dropLRU(c.b1)
 			c.replace(false)
-		} else {
+		} else if _, ok := dropLRU(c.t1); ok {
 			// B1 is empty and T1 full: evict T1's LRU outright.
-			c.evictLRU(c.t1)
+			c.stats.Evictions++
 		}
-	case c.t1.Len()+c.b1.Len() < c.capacity:
-		total := c.t1.Len() + c.t2.Len() + c.b1.Len() + c.b2.Len()
+	case l1 < c.capacity:
+		total := l1 + c.t2.Len() + c.b2.Len()
 		if total >= c.capacity {
 			if total == 2*c.capacity {
-				c.dropLRU(c.b2)
+				dropLRU(c.b2)
 			}
 			c.replace(false)
 		}
 	}
-	c.pushFront(c.t1, id, inT1)
+	c.t1.insertHead(id)
 	return false
 }
 
 // Contains reports residency (T1 or T2) without perturbing state.
-func (c *ARC) Contains(id trace.FileID) bool {
-	loc := c.where[id]
-	return loc == inT1 || loc == inT2
-}
+func (c *ARC) Contains(id trace.FileID) bool { return c.t1.Contains(id) || c.t2.Contains(id) }
 
 // Len returns the number of resident files.
 func (c *ARC) Len() int { return c.t1.Len() + c.t2.Len() }
@@ -123,67 +112,22 @@ func (c *ARC) TargetRecency() int { return c.p }
 
 // replace demotes a resident to its ghost list per the ARC REPLACE rule.
 func (c *ARC) replace(ghostHitInB2 bool) {
-	if c.t1.Len() >= 1 && (c.t1.Len() > c.p || (ghostHitInB2 && c.t1.Len() == c.p)) {
-		id := c.t1.Back().Value.(trace.FileID)
-		c.remove(id)
-		c.pushFront(c.b1, id, inB1)
+	if n := c.t1.Len(); n >= 1 && (n > c.p || (ghostHitInB2 && n == c.p)) {
+		id, _ := dropLRU(c.t1)
+		c.b1.insertHead(id)
 		c.stats.Evictions++
-	} else if c.t2.Len() > 0 {
-		id := c.t2.Back().Value.(trace.FileID)
-		c.remove(id)
-		c.pushFront(c.b2, id, inB2)
+	} else if id, ok := dropLRU(c.t2); ok {
+		c.b2.insertHead(id)
 		c.stats.Evictions++
 	}
 }
 
-func (c *ARC) pushFront(l *list.List, id trace.FileID, loc arcLoc) {
-	c.elems[id] = l.PushFront(id)
-	c.where[id] = loc
-}
-
-// remove unlinks id from whichever list holds it.
-func (c *ARC) remove(id trace.FileID) {
-	if e, ok := c.elems[id]; ok {
-		switch c.where[id] {
-		case inT1:
-			c.t1.Remove(e)
-		case inT2:
-			c.t2.Remove(e)
-		case inB1:
-			c.b1.Remove(e)
-		case inB2:
-			c.b2.Remove(e)
-		}
-		delete(c.elems, id)
-		delete(c.where, id)
+// dropLRU removes l's least recently used entry, reporting which id it was,
+// or false when l is empty.
+func dropLRU(l *LRU) (trace.FileID, bool) {
+	id, ok := l.victim()
+	if ok {
+		l.remove(id)
 	}
-}
-
-// dropLRU forgets the LRU entry of a ghost list.
-func (c *ARC) dropLRU(l *list.List) {
-	if back := l.Back(); back != nil {
-		c.remove(back.Value.(trace.FileID))
-	}
-}
-
-// evictLRU evicts the LRU resident of l without ghost tracking.
-func (c *ARC) evictLRU(l *list.List) {
-	if back := l.Back(); back != nil {
-		c.remove(back.Value.(trace.FileID))
-		c.stats.Evictions++
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return id, ok
 }

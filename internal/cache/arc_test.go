@@ -1,9 +1,12 @@
 package cache
 
 import (
+	"container/list"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 )
 
@@ -117,33 +120,127 @@ func TestARCGhostHitAdaptsP(t *testing.T) {
 	}
 }
 
-func TestARCFactory(t *testing.T) {
-	c, err := New(PolicyARC, 8)
+// listOrder returns l's ids from MRU to LRU.
+func listOrder(l *list.List) []trace.FileID {
+	var out []trace.FileID
+	for e := l.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(trace.FileID))
+	}
+	return out
+}
+
+// checkARC runs ids through ARC and arcRef side by side and fails at the
+// first access after which they disagree on the hit, p, Len, Stats,
+// residency of the accessed file or the order of any of T1, T2, B1 and B2,
+// or after which one of ARC's LRUs has evicted by itself.
+func checkARC(t testing.TB, capacity int, ids []trace.FileID) {
+	t.Helper()
+	got, err := NewARC(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Access(1)
-	if !c.Contains(1) {
-		t.Error("factory-built ARC broken")
+	want, _ := newARCRef(capacity)
+	for k, id := range ids {
+		if hit, wantHit := got.Access(id), want.Access(id); hit != wantHit {
+			t.Fatalf("access %d: Access(%d) = %v, reference %v", k, id, hit, wantHit)
+		}
+		if got.TargetRecency() != want.TargetRecency() || got.Len() != want.Len() || got.Stats() != want.Stats() {
+			t.Fatalf("access %d: p/Len/Stats = %d/%d/%+v, reference %d/%d/%+v", k,
+				got.TargetRecency(), got.Len(), got.Stats(), want.TargetRecency(), want.Len(), want.Stats())
+		}
+		if got.Contains(id) != want.Contains(id) {
+			t.Fatalf("access %d: Contains(%d) = %v, reference disagrees", k, id, got.Contains(id))
+		}
+		for _, l := range []struct {
+			name string
+			got  *LRU
+			want *list.List
+		}{{"T1", got.t1, want.t1}, {"T2", got.t2, want.t2}, {"B1", got.b1, want.b1}, {"B2", got.b2, want.b2}} {
+			if g, w := l.got.resident(), listOrder(l.want); !slices.Equal(g, w) {
+				t.Fatalf("access %d: %s = %v, reference %v", k, l.name, g, w)
+			}
+			if n := l.got.Stats().Evictions; n != 0 {
+				t.Fatalf("access %d: %s evicted %d entries by itself", k, l.name, n)
+			}
+		}
 	}
 }
 
-func TestARCNeverBeatsOPT(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	refs := make([]trace.FileID, 4000)
-	for i := range refs {
-		refs[i] = trace.FileID(rng.Intn(rng.Intn(50) + 1))
+// TestARCMatchesReference holds ARC to the map-and-list implementation the
+// published numbers came from: random skewed strings at capacities 1-16,
+// over universes from just past the capacity (ghost hits) to four times
+// it, a quarter of the ids far past the slot tables.
+func TestARCMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(16)
+		universe := capacity + 1 + rng.Intn(3*capacity)
+		ids := make([]trace.FileID, 3000)
+		for k := range ids {
+			n := 1 + rng.Intn(universe)
+			if rng.Intn(4) == 0 {
+				ids[k] = farID(rng.Intn(n))
+			} else {
+				ids[k] = trace.FileID(rng.Intn(n))
+			}
+		}
+		checkARC(t, capacity, ids)
 	}
-	opt, _ := NewOPT(12, refs)
-	optStats, err := opt.Run()
+}
+
+// FuzzARC checks ARC against the reference on strings decoded from the
+// input: the first byte picks the capacity (1..16), each later byte an id;
+// a byte of 0xC0 or more is a far id.
+func FuzzARC(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 1, 2, 3, 4, 2, 5, 0, 1})
+	f.Add([]byte{0, 1, 2, 1, 0xc1, 2, 0xc1, 0xc2, 1})
+	f.Add([]byte{15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 0, 1, 2, 0xf0, 3, 0xf0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		ids := make([]trace.FileID, 0, len(data)-1)
+		for _, b := range data[1:] {
+			if b >= 0xC0 {
+				ids = append(ids, farID(int(b)))
+			} else {
+				ids = append(ids, trace.FileID(b%40))
+			}
+		}
+		checkARC(t, 1+int(data[0]%16), ids)
+	})
+}
+
+// TestAllocBudgetARCMissEvicts pins an access on a full ARC — a hit, a
+// ghost hit or an evicting miss — at zero allocations: every list recycles
+// the node its last removal freed. The reference string has gone through
+// the cache four times before the measurement, so the slabs and slot
+// tables have grown all they will.
+func TestAllocBudgetARCMissEvicts(t *testing.T) {
+	const capacity, universe = 64, 256
+	c, err := NewARC(capacity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arc, _ := NewARC(12)
-	for _, id := range refs {
-		arc.Access(id)
+	rng := rand.New(rand.NewSource(1))
+	refs := make([]trace.FileID, 4096)
+	for k := range refs {
+		refs[k] = trace.FileID(rng.Intn(1 + rng.Intn(universe)))
 	}
-	if arc.Stats().Hits > optStats.Hits {
-		t.Errorf("ARC hits %d > OPT hits %d", arc.Stats().Hits, optStats.Hits)
+	for range 4 {
+		for _, id := range refs {
+			c.Access(id)
+		}
+	}
+	before, next := c.Stats(), 0
+	allocs := alloctest.PerOp(t, func() {
+		c.Access(refs[next])
+		next = (next + 1) % len(refs)
+	})
+	if allocs != 0 {
+		t.Errorf("an ARC access allocates %.0f objects, budget exactly 0", allocs)
+	}
+	if s := c.Stats(); s.Hits == before.Hits || s.Misses == before.Misses || s.Evictions == before.Evictions {
+		t.Errorf("stats %+v, before %+v: the pinned ops did not hit, miss and evict", s, before)
 	}
 }

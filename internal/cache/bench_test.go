@@ -23,8 +23,7 @@ func benchRefs(n, universe int) []trace.FileID {
 
 func BenchmarkPolicies(b *testing.B) {
 	refs := benchRefs(1<<16, 4096)
-	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCLOCK, PolicyMQ, PolicyARC, PolicyTwoQ} {
-		p := p
+	for _, p := range Policies {
 		b.Run(string(p), func(b *testing.B) {
 			c, err := New(p, 1024)
 			if err != nil {

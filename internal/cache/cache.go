@@ -1,18 +1,18 @@
 // Package cache provides the whole-file cache simulators the paper's
 // experiments are built on: LRU and LFU (the baselines of Figure 4), plus
-// CLOCK, Multi-Queue (Zhou et al. 2001, discussed in related work) and
-// Belady's OPT as reference points for ablation studies.
+// ARC (Megiddo & Modha 2003), the strongest online demand-only policy of
+// the extension bake-off, and Belady's OPT as the offline bound.
 //
 // Caches here model whole-file caching driven by open requests, exactly as
 // in the paper's evaluation: an Access is a demand reference that counts a
 // hit or a miss and inserts the file on a miss.
 //
-// LRU, GroupLRU and LFU find a file by indexing a table with its FileID,
-// so besides a node slab bounded by capacity each holds memory
-// proportional to the largest FileID it has inserted: 4 bytes per id, up
-// to 1.5 x (largest id + 1). FileIDs are dense (trace.FileID), which keeps
-// that near the number of distinct files seen. A cache holds at most
-// math.MaxInt32 files.
+// LRU, GroupLRU, LFU and ARC (four LRUs) find a file by indexing a table
+// with its FileID, so besides a node slab bounded by capacity each holds
+// memory proportional to the largest FileID it has inserted: 4 bytes per
+// id, up to 1.5 x (largest id + 1). FileIDs are dense (trace.FileID),
+// which keeps that near the number of distinct files seen. A cache holds
+// at most math.MaxInt32 files.
 package cache
 
 import (
@@ -67,13 +67,13 @@ type Policy string
 
 // Replacement policies available from New.
 const (
-	PolicyLRU   Policy = "lru"
-	PolicyLFU   Policy = "lfu"
-	PolicyCLOCK Policy = "clock"
-	PolicyMQ    Policy = "mq"
-	PolicyARC   Policy = "arc"
-	PolicyTwoQ  Policy = "2q"
+	PolicyLRU Policy = "lru"
+	PolicyLFU Policy = "lfu"
+	PolicyARC Policy = "arc"
 )
+
+// Policies lists every policy New builds, in the order tables report them.
+var Policies = []Policy{PolicyLRU, PolicyLFU, PolicyARC}
 
 // New constructs a cache of the given policy and capacity. OPT is excluded
 // because it needs the future reference string; build it with NewOPT.
@@ -83,14 +83,8 @@ func New(p Policy, capacity int) (Cache, error) {
 		return NewLRU(capacity)
 	case PolicyLFU:
 		return NewLFU(capacity)
-	case PolicyCLOCK:
-		return NewCLOCK(capacity)
-	case PolicyMQ:
-		return NewMQ(capacity)
 	case PolicyARC:
 		return NewARC(capacity)
-	case PolicyTwoQ:
-		return NewTwoQ(capacity)
 	default:
 		return nil, fmt.Errorf("cache: unknown policy %q", p)
 	}

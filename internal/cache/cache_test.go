@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewFactory(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCLOCK, PolicyMQ, PolicyARC, PolicyTwoQ} {
+	for _, p := range Policies {
 		c, err := New(p, 8)
 		if err != nil {
 			t.Fatalf("New(%s): %v", p, err)
@@ -46,8 +46,7 @@ func TestStatsHelpers(t *testing.T) {
 // Contains agrees with what Access just did, and a repeated access always
 // hits.
 func TestAllPoliciesInvariants(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCLOCK, PolicyMQ, PolicyARC, PolicyTwoQ} {
-		p := p
+	for _, p := range Policies {
 		t.Run(string(p), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			c, err := New(p, 10)
@@ -77,8 +76,7 @@ func TestAllPoliciesInvariants(t *testing.T) {
 
 // A cache with capacity >= universe must stop missing once warm.
 func TestAllPoliciesNoEvictionWhenOversized(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCLOCK, PolicyMQ, PolicyARC, PolicyTwoQ} {
-		p := p
+	for _, p := range Policies {
 		t.Run(string(p), func(t *testing.T) {
 			c, err := New(p, 100)
 			if err != nil {
@@ -96,92 +94,6 @@ func TestAllPoliciesNoEvictionWhenOversized(t *testing.T) {
 				t.Errorf("misses = %d, want 50 (one per unique file)", s.Misses)
 			}
 		})
-	}
-}
-
-func TestCLOCKSecondChance(t *testing.T) {
-	c, _ := NewCLOCK(3)
-	c.Access(1)
-	c.Access(2)
-	c.Access(3)
-	// Re-reference 1: its bit is set, so the sweep must skip it and evict
-	// 2 (the first unreferenced entry after clearing order).
-	c.Access(1)
-	c.Access(4)
-	if !c.Contains(1) {
-		t.Error("referenced 1 evicted despite second chance")
-	}
-	if c.Contains(2) {
-		t.Error("2 survived, want evicted")
-	}
-}
-
-func TestCLOCKAllReferencedDegradesToFIFO(t *testing.T) {
-	c, _ := NewCLOCK(2)
-	c.Access(1)
-	c.Access(2)
-	c.Access(1)
-	c.Access(2) // both referenced
-	c.Access(3) // sweep clears both, evicts the first candidate
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if !c.Contains(3) {
-		t.Error("newcomer 3 not resident")
-	}
-}
-
-func TestMQPromotesFrequentBlocks(t *testing.T) {
-	c, _ := NewMQ(4)
-	// Make 1 frequent.
-	for i := 0; i < 8; i++ {
-		c.Access(1)
-	}
-	c.Access(2)
-	c.Access(3)
-	c.Access(4)
-	// Cache full; a burst of new files should evict the low-frequency
-	// queue entries, never the frequent 1.
-	c.Access(5)
-	c.Access(6)
-	if !c.Contains(1) {
-		t.Error("frequent file 1 evicted before one-shot files")
-	}
-}
-
-func TestMQHistoryRestoresFrequency(t *testing.T) {
-	c, _ := NewMQLifeTime(2, 1000)
-	for i := 0; i < 7; i++ {
-		c.Access(1) // freq 7 -> level 2
-	}
-	c.Access(2)
-	c.Access(3) // evicts... 2 or 1 depending on queues; force 1 out:
-	c.Access(2)
-	c.Access(3)
-	// After enough churn 1 is evicted; re-access it and it should be
-	// protected quickly thanks to ghost history.
-	if c.Contains(1) {
-		// Evict 1 by filling with fresh ids.
-		c.Access(4)
-		c.Access(5)
-	}
-	if c.Contains(1) {
-		t.Skip("workload did not evict 1; MQ parameters changed")
-	}
-	c.Access(1) // recall: freq resumes near 8, placing it in a high queue
-	c.Access(9)
-	c.Access(10)
-	if !c.Contains(1) {
-		t.Error("re-fetched frequent file 1 evicted immediately; ghost history not applied")
-	}
-}
-
-func TestNewMQLifeTimeValidation(t *testing.T) {
-	if _, err := NewMQLifeTime(4, 0); err == nil {
-		t.Error("NewMQLifeTime(4, 0) succeeded")
-	}
-	if _, err := NewMQLifeTime(0, 10); err == nil {
-		t.Error("NewMQLifeTime(0, 10) succeeded")
 	}
 }
 
@@ -266,7 +178,7 @@ func TestOPTIsUpperBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range []Policy{PolicyLRU, PolicyLFU, PolicyCLOCK, PolicyMQ, PolicyARC, PolicyTwoQ} {
+		for _, p := range Policies {
 			c, _ := New(p, capacity)
 			for _, id := range refs {
 				c.Access(id)

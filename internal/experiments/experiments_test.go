@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"aggcache/internal/cache"
 )
 
 // small keeps experiment tests fast; shapes asserted here are coarse, the
@@ -418,21 +421,27 @@ func TestExtensionBakeoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 8 || len(tab.RowLabels) != 8 {
-		t.Fatalf("rows = %d, want 8 policies", len(tab.Rows))
+	if want := len(cache.Policies) + 2; len(tab.Rows) != want || len(tab.RowLabels) != want {
+		t.Fatalf("rows = %v, want every policy, aggregating and OPT", tab.RowLabels)
 	}
-	// The aggregating row (index 6) must beat plain LRU (index 0) on
-	// every workload; OPT (last row) must bound all demand-only rows.
-	for col := 0; col < 4; col++ {
-		if tab.Rows[6][col] <= tab.Rows[0][col] {
-			t.Errorf("%s: aggregating %.1f <= lru %.1f",
-				tab.Columns[col], tab.Rows[6][col], tab.Rows[0][col])
+	row := func(label string) []float64 {
+		i := slices.Index(tab.RowLabels, label)
+		if i < 0 {
+			t.Fatalf("no %q row in %v", label, tab.RowLabels)
 		}
-		opt := tab.Rows[7][col]
-		for r := 0; r < 6; r++ {
-			if tab.Rows[r][col] > opt+1e-9 {
-				t.Errorf("%s: %s %.2f above OPT %.2f",
-					tab.Columns[col], tab.RowLabels[r], tab.Rows[r][col], opt)
+		return tab.Rows[i]
+	}
+	// The headline: grouping beats every online demand-only policy on
+	// every workload, and OPT bounds every one of them.
+	agg, opt := row("aggregating g=5"), row("OPT (offline bound)")
+	for _, p := range cache.Policies {
+		online := row(string(p))
+		for col, name := range tab.Columns {
+			if agg[col] <= online[col] {
+				t.Errorf("%s: aggregating %.2f <= %s %.2f", name, agg[col], p, online[col])
+			}
+			if online[col] > opt[col]+1e-9 {
+				t.Errorf("%s: %s %.2f above OPT %.2f", name, p, online[col], opt[col])
 			}
 		}
 	}

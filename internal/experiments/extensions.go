@@ -472,9 +472,7 @@ func xbakeoff(cfg Config) (*Table, error) {
 		return nil
 	}
 
-	for _, p := range []cache.Policy{cache.PolicyLRU, cache.PolicyLFU, cache.PolicyCLOCK,
-		cache.PolicyTwoQ, cache.PolicyARC, cache.PolicyMQ} {
-		p := p
+	for _, p := range cache.Policies {
 		if err := addRow(string(p), func(ids []trace.FileID) (float64, error) {
 			c, err := cache.New(p, capacity)
 			if err != nil {
