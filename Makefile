@@ -73,13 +73,15 @@ bench-json:
 	@echo wrote BENCH_BASELINE.json
 
 # The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
-# then one short cluster3 run and one short sim_sweep run through the
-# command BENCHMARK.json declares. sim_sweep's warm-up is a differential check of
+# then one short client_hot, cluster3 and sim_sweep run each through the
+# command BENCHMARK.json declares. client_hot is the workload whose set-up
+# is mostly trace synthesis. sim_sweep's warm-up is a differential check of
 # the simulator: RunClient at g = 1 and FilterLRU against an independent
 # container/list LRU at every capacity on every profile. A smoke — the
 # measured run is `bash benchmark/run.sh --workload all`.
 bench-e2e:
 	cd benchmark && $(GO) test ./...
+	bash benchmark/run.sh --workload client_hot --seconds 1
 	bash benchmark/run.sh --workload cluster3 --seconds 1
 	bash benchmark/run.sh --workload sim_sweep --seconds 1
 

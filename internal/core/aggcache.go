@@ -267,11 +267,12 @@ func (c *AggregatingCache) Learn(id trace.FileID) {
 	c.tracker.Observe(id)
 }
 
-// LearnFrom feeds one access attributed to a source context (e.g. a
-// client connection) so transitions are only recorded within that
-// source's own stream. See successor.Tracker.ObserveFrom.
-func (c *AggregatingCache) LearnFrom(src uint64, id trace.FileID) {
-	c.tracker.ObserveFrom(src, id)
+// LearnFrom feeds accesses attributed to a source context (e.g. a client
+// connection), oldest first, so transitions are only recorded within that
+// source's own stream. A request's whole history is one call. See
+// successor.Tracker.ObserveFrom.
+func (c *AggregatingCache) LearnFrom(src uint64, ids ...trace.FileID) {
+	c.tracker.ObserveFrom(src, ids...)
 }
 
 // Serve performs the caching half of an access: hit bookkeeping or a group

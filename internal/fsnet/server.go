@@ -812,10 +812,10 @@ func (s *Server) write(pathView, data []byte, sh *shadow) (uint64, errorResponse
 // with equality at quiescence exactly as for opens.
 func (s *Server) handoff(req handoffRequest) {
 	s.m.requests.Add(1)
-	anchorID := s.ids.Intern(req.Anchor)
-	memberIDs := make([]trace.FileID, 0, len(req.Members))
+	chain := make([]trace.FileID, 0, 1+len(req.Members))
+	chain = append(chain, s.ids.Intern(req.Anchor))
 	for _, p := range req.Members {
-		memberIDs = append(memberIDs, s.ids.Intern(p))
+		chain = append(chain, s.ids.Intern(p))
 	}
 	s.connMu.Lock()
 	s.nextSrc++
@@ -823,11 +823,8 @@ func (s *Server) handoff(req handoffRequest) {
 	s.connMu.Unlock()
 
 	s.aggMu.Lock()
-	s.agg.LearnFrom(src, anchorID)
-	for _, mid := range memberIDs {
-		s.agg.LearnFrom(src, mid)
-	}
-	s.agg.Serve(anchorID)
+	s.agg.LearnFrom(src, chain...)
+	s.agg.Serve(chain[0])
 	// The transfer source is one-shot; drop its stream cursor so the id
 	// space stays bounded by live connections.
 	s.agg.Tracker().ForgetSource(src)
@@ -983,15 +980,15 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 
 // serveOpen is the local tail of an open: learn the piggybacked
 // transitions, stage the group through the aggregating cache, and read
-// the members' contents. sc.ids holds the interned access history.
+// the members' contents. sc.ids holds the interned access history; the
+// demanded id is appended to it.
 func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) (*Group, errorResponse) {
-	s.aggMu.Lock()
 	// Piggybacked history first (oldest..newest), then the demanded
-	// open, preserving the client's true access order.
-	for _, aid := range sc.ids {
-		s.agg.LearnFrom(src, aid)
-	}
-	s.agg.LearnFrom(src, id)
+	// open, preserving the client's true access order: one call learns
+	// the whole request.
+	sc.ids = append(sc.ids, id)
+	s.aggMu.Lock()
+	s.agg.LearnFrom(src, sc.ids...)
 	// Stage the group into the server memory cache; hit-or-miss selects
 	// the latency phase below.
 	hit := s.agg.Serve(id)

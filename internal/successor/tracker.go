@@ -85,21 +85,30 @@ func (t *Tracker) bumpCount(id trace.FileID) {
 	t.counts[id]++
 }
 
-// ObserveFrom records an access attributed to a specific source (a
-// client, user or process): the transition is taken against the source's
-// own previous access, while the successor lists and counts remain
-// shared. Use this when one tracker ingests interleaved streams, e.g. a
-// server learning from several clients at once.
-func (t *Tracker) ObserveFrom(src uint64, id trace.FileID) {
-	t.observed++
-	t.bumpCount(id)
+// ObserveFrom records accesses attributed to a specific source (a client,
+// user or process), oldest first: each transition is taken against the
+// source's own previous access, while the successor lists and counts
+// remain shared. Use this when one tracker ingests interleaved streams,
+// e.g. a server learning from several clients at once. A run of accesses
+// is one call — a request's whole piggybacked history — so the source's
+// context is read and written once, not once per access.
+func (t *Tracker) ObserveFrom(src uint64, ids ...trace.FileID) {
+	if len(ids) == 0 {
+		return
+	}
 	if t.prevBySrc == nil {
 		t.prevBySrc = make(map[uint64]trace.FileID)
 	}
-	if prev, ok := t.prevBySrc[src]; ok {
-		t.listFor(prev).Observe(id)
+	prev, ok := t.prevBySrc[src]
+	for _, id := range ids {
+		t.observed++
+		t.bumpCount(id)
+		if ok {
+			t.listFor(prev).Observe(id)
+		}
+		prev, ok = id, true
 	}
-	t.prevBySrc[src] = id
+	t.prevBySrc[src] = prev
 }
 
 // ForgetSource drops a source's predecessor context (e.g. when its

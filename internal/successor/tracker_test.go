@@ -313,6 +313,59 @@ func TestObserveFromKeepsStreamsSeparate(t *testing.T) {
 	}
 }
 
+// TestObserveFromBatchMatchesSingles: a run of accesses handed to
+// ObserveFrom in one call must teach exactly what the same accesses teach
+// one call at a time — same rankings, same counts, same Observed — under
+// every policy, with four sources interleaving batches of 0 to 50 sparse
+// ids, each source's context carrying over from one batch to its next.
+func TestObserveFromBatchMatchesSingles(t *testing.T) {
+	batched, single := newPolicyTrackers(t), newPolicyTrackers(t)
+	for name, bt := range batched {
+		st := single[name]
+		rng := rand.New(rand.NewSource(29))
+		// Sparse ids: a few hundred files scattered over 64 k, so the
+		// dense tables grow in jumps and most slots stay empty.
+		universe := make([]trace.FileID, 300)
+		for i := range universe {
+			universe[i] = trace.FileID(rng.Intn(1 << 16))
+		}
+		var batch []trace.FileID
+		for round := 0; round < 3000; round++ {
+			src := uint64(rng.Intn(4))
+			batch = batch[:0]
+			for n := rng.Intn(51); n > 0; n-- {
+				// Skewed, so lists fill, rank and evict.
+				batch = append(batch, universe[rng.Intn(1+rng.Intn(len(universe)))])
+			}
+			bt.ObserveFrom(src, batch...)
+			for _, id := range batch {
+				st.ObserveFrom(src, id)
+			}
+		}
+		if bt.Observed() != st.Observed() {
+			t.Fatalf("%s: Observed = %d batched, %d one at a time", name, bt.Observed(), st.Observed())
+		}
+		if bt.TrackedFiles() != st.TrackedFiles() || bt.MetadataEntries() != st.MetadataEntries() {
+			t.Fatalf("%s: %d files / %d entries batched, %d / %d one at a time", name,
+				bt.TrackedFiles(), bt.MetadataEntries(), st.TrackedFiles(), st.MetadataEntries())
+		}
+		for _, id := range universe {
+			if bt.AccessCount(id) != st.AccessCount(id) {
+				t.Fatalf("%s: AccessCount(%d) = %d batched, %d one at a time", name, id, bt.AccessCount(id), st.AccessCount(id))
+			}
+			got, want := bt.Successors(id), st.Successors(id)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s: Successors(%d) = %v batched, %v one at a time", name, id, got, want)
+			}
+			for _, s := range want {
+				if bt.List(id).Count(s) != st.List(id).Count(s) {
+					t.Fatalf("%s: count of %d after %d = %d batched, %d one at a time", name, s, id, bt.List(id).Count(s), st.List(id).Count(s))
+				}
+			}
+		}
+	}
+}
+
 func TestForgetSource(t *testing.T) {
 	tr, _ := NewTracker(PolicyLRU, 2)
 	tr.ObserveFrom(7, 1)
@@ -468,6 +521,17 @@ func TestAllocBudgetObserveFirstSight(t *testing.T) {
 			next++
 		}); allocs != 0 {
 			t.Errorf("%s: ObserveFrom of a never-seen id allocates %.0f objects, budget exactly 0", name, allocs)
+		}
+		// A request's history in one call, as the server learns it.
+		var batch [8]trace.FileID
+		if allocs := alloctest.PerOp(t, func() {
+			for i := range batch {
+				batch[i] = next
+				next++
+			}
+			tr.ObserveFrom(uint64(next%4), batch[:]...)
+		}); allocs != 0 {
+			t.Errorf("%s: ObserveFrom of a batch of never-seen ids allocates %.0f objects, budget exactly 0", name, allocs)
 		}
 	}
 }

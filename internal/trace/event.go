@@ -80,20 +80,22 @@ func ParseOp(s string) (Op, error) {
 	return 0, fmt.Errorf("unknown trace op %q", s)
 }
 
-// Event is a single record in a file-access trace.
+// Event is a single record in a file-access trace. Its fields are ordered
+// widest first, so an event is 24 bytes, not the 32 that declaration order
+// padded it to: a synthesized trace holds tens of millions of them.
 type Event struct {
 	// Time is the offset from the start of the trace. The grouping model
 	// never consults it (see the package comment).
 	Time time.Duration
-	// Client identifies the machine or workstation issuing the request.
-	Client uint16
 	// PID and UID identify the driving process and user, when known.
 	PID uint32
 	UID uint32
-	// Op is the operation performed.
-	Op Op
 	// File is the interned identity of the file operated on.
 	File FileID
+	// Client identifies the machine or workstation issuing the request.
+	Client uint16
+	// Op is the operation performed.
+	Op Op
 }
 
 // Trace is an in-memory file-access trace: an event sequence plus the
@@ -123,11 +125,18 @@ func (t *Trace) Opens() []Event { return ByOp(t.Events, OpOpen) }
 
 // OpenIDs returns the sequence of FileIDs touched by open events, which is
 // the exact input consumed by the successor model and the cache simulators.
+// The opens are counted first, so the result is sized exactly.
 func (t *Trace) OpenIDs() []FileID {
-	ids := make([]FileID, 0, len(t.Events))
-	for _, ev := range t.Events {
-		if ev.Op == OpOpen {
-			ids = append(ids, ev.File)
+	n := 0
+	for i := range t.Events {
+		if t.Events[i].Op == OpOpen {
+			n++
+		}
+	}
+	ids := make([]FileID, 0, n)
+	for i := range t.Events {
+		if t.Events[i].Op == OpOpen {
+			ids = append(ids, t.Events[i].File)
 		}
 	}
 	return ids

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -90,8 +91,8 @@ func TestTraceOpenIDs(t *testing.T) {
 
 	ids := tr.OpenIDs()
 	want := []FileID{0, 1, 0}
-	if len(ids) != len(want) {
-		t.Fatalf("OpenIDs len = %d, want %d", len(ids), len(want))
+	if len(ids) != len(want) || cap(ids) != len(want) {
+		t.Fatalf("OpenIDs len %d cap %d, want both %d", len(ids), cap(ids), len(want))
 	}
 	for i := range want {
 		if ids[i] != want[i] {
@@ -105,7 +106,15 @@ func TestTraceOpens(t *testing.T) {
 	tr.Append(Event{Op: OpOpen, Time: time.Second}, "a")
 	tr.Append(Event{Op: OpWrite}, "a")
 	opens := tr.Opens()
-	if len(opens) != 1 || opens[0].Time != time.Second {
-		t.Fatalf("Opens = %+v, want single open at 1s", opens)
+	if len(opens) != 1 || cap(opens) != 1 || opens[0].Time != time.Second {
+		t.Fatalf("Opens = %+v (cap %d), want single open at 1s", opens, cap(opens))
+	}
+}
+
+// TestEventSize pins the field order: a synthesized trace holds tens of
+// millions of events, and declaration order once padded each to 32 bytes.
+func TestEventSize(t *testing.T) {
+	if got := reflect.TypeOf(Event{}).Size(); got != 24 {
+		t.Errorf("Event is %d bytes, want 24", got)
 	}
 }

@@ -1,17 +1,34 @@
 package trace
 
-// ByOp returns the events whose operation is one of ops, in order.
+// ByOp returns the events whose operation is one of ops, in order, or nil
+// if there are none. The matches are counted first, so the result is sized
+// exactly.
 func ByOp(events []Event, ops ...Op) []Event {
-	var out []Event
-	for _, ev := range events {
-		for _, op := range ops {
-			if ev.Op == op {
-				out = append(out, ev)
-				break
-			}
+	n := 0
+	for i := range events {
+		if hasOp(ops, events[i].Op) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for i := range events {
+		if hasOp(ops, events[i].Op) {
+			out = append(out, events[i])
 		}
 	}
 	return out
+}
+
+func hasOp(ops []Op, op Op) bool {
+	for _, o := range ops {
+		if o == op {
+			return true
+		}
+	}
+	return false
 }
 
 // ByClient returns the events issued by client, in order.

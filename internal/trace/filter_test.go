@@ -21,8 +21,11 @@ func TestByOp(t *testing.T) {
 		t.Fatalf("ByOp(open) len = %d, want 3", len(opens))
 	}
 	both := ByOp(evs, OpOpen, OpWrite)
-	if len(both) != 4 {
-		t.Fatalf("ByOp(open,write) len = %d, want 4", len(both))
+	if len(both) != 4 || cap(both) != 4 {
+		t.Fatalf("ByOp(open,write) len %d cap %d, want both 4", len(both), cap(both))
+	}
+	if both[3] != evs[4] || both[1] != evs[1] {
+		t.Errorf("ByOp(open,write) = %+v, out of order", both)
 	}
 	if got := ByOp(nil, OpOpen); got != nil {
 		t.Errorf("ByOp(nil) = %v, want nil", got)

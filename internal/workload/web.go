@@ -85,11 +85,13 @@ func (c WebConfig) validate() error {
 		return fmt.Errorf("workload: pages must be >= 1, got %d", c.Pages)
 	case c.ObjectsPerPage < 0:
 		return fmt.Errorf("workload: objects per page must be >= 0, got %d", c.ObjectsPerPage)
+	case c.SharedAssets < 1:
+		return fmt.Errorf("workload: shared assets must be >= 1, got %d", c.SharedAssets)
 	case c.Links < 1:
 		return fmt.Errorf("workload: links must be >= 1, got %d", c.Links)
-	case c.FollowProb < 0 || c.FollowProb > 1:
+	case !unit(c.FollowProb):
 		return fmt.Errorf("workload: follow probability must be in [0,1], got %v", c.FollowProb)
-	case c.ZipfS <= 1:
+	case !(c.ZipfS > 1):
 		return fmt.Errorf("workload: ZipfS must be > 1, got %v", c.ZipfS)
 	case c.Clients < 1:
 		return fmt.Errorf("workload: clients must be >= 1, got %d", c.Clients)
@@ -106,16 +108,16 @@ func GenerateWeb(cfg WebConfig) (*trace.Trace, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	zipf := rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Pages-1))
 
-	// Lay out each page's object list (embedding shared assets at two
-	// deterministic slots) and its outbound links.
+	// Lay out each page's files — its HTML, then its objects, embedding
+	// shared assets at two deterministic slots — and its outbound links.
 	type page struct {
-		html    string
-		objects []string
-		links   []int
+		files []slot
+		links []int
 	}
 	pages := make([]page, cfg.Pages)
 	for i := range pages {
-		p := page{html: fmt.Sprintf("/site/page%04d.html", i)}
+		p := page{files: make([]slot, 1+cfg.ObjectsPerPage), links: make([]int, cfg.Links)}
+		p.files[0].path = fmt.Sprintf("/site/page%04d.html", i)
 		sharedA := rng.Intn(cfg.SharedAssets)
 		sharedB := rng.Intn(cfg.SharedAssets)
 		slotA := 0
@@ -124,18 +126,19 @@ func GenerateWeb(cfg WebConfig) (*trace.Trace, error) {
 			slotA = rng.Intn(cfg.ObjectsPerPage)
 			slotB = rng.Intn(cfg.ObjectsPerPage)
 		}
-		for j := 0; j < cfg.ObjectsPerPage; j++ {
+		objects := p.files[1:]
+		for j := range objects {
 			switch j {
 			case slotA:
-				p.objects = append(p.objects, fmt.Sprintf("/assets/shared%03d", sharedA))
+				objects[j].path = fmt.Sprintf("/assets/shared%03d", sharedA)
 			case slotB:
-				p.objects = append(p.objects, fmt.Sprintf("/assets/shared%03d", sharedB))
+				objects[j].path = fmt.Sprintf("/assets/shared%03d", sharedB)
 			default:
-				p.objects = append(p.objects, fmt.Sprintf("/site/page%04d/obj%02d", i, j))
+				objects[j].path = fmt.Sprintf("/site/page%04d/obj%02d", i, j)
 			}
 		}
-		for j := 0; j < cfg.Links; j++ {
-			p.links = append(p.links, rng.Intn(cfg.Pages))
+		for j := range p.links {
+			p.links[j] = rng.Intn(cfg.Pages)
 		}
 		pages[i] = p
 	}
@@ -150,15 +153,11 @@ func GenerateWeb(cfg WebConfig) (*trace.Trace, error) {
 		sessions[i] = &session{client: uint16(i + 1)}
 	}
 
+	// Every request is one open event, so the trace's length is known.
 	tr := trace.NewTrace()
+	tr.Events = make([]trace.Event, 0, cfg.Requests)
 	now := time.Duration(0)
-	emit := func(c uint16, path string) {
-		now += time.Duration(1+rng.Intn(500)) * time.Microsecond
-		tr.Append(trace.Event{Time: now, Client: c, Op: trace.OpOpen}, path)
-	}
-
-	requests := 0
-	for requests < cfg.Requests {
+	for len(tr.Events) < cfg.Requests {
 		s := sessions[rng.Intn(len(sessions))]
 		if !s.started || rng.Float64() >= cfg.FollowProb {
 			s.current = int(zipf.Uint64())
@@ -167,15 +166,10 @@ func GenerateWeb(cfg WebConfig) (*trace.Trace, error) {
 			links := pages[s.current].links
 			s.current = links[rng.Intn(len(links))]
 		}
-		pg := pages[s.current]
-		emit(s.client, pg.html)
-		requests++
-		for _, obj := range pg.objects {
-			if requests >= cfg.Requests {
-				break
-			}
-			emit(s.client, obj)
-			requests++
+		files := pages[s.current].files
+		for i := 0; i < len(files) && len(tr.Events) < cfg.Requests; i++ {
+			now += time.Duration(1+rng.Intn(500)) * time.Microsecond
+			tr.Events = append(tr.Events, trace.Event{Time: now, File: files[i].file(tr.Paths), Client: s.client, Op: trace.OpOpen})
 		}
 	}
 	return tr, nil

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +35,7 @@ func TestGenerateWebBudgetAndDeterminism(t *testing.T) {
 }
 
 func TestGenerateWebValidation(t *testing.T) {
+	nan := math.NaN()
 	bad := []WebConfig{
 		{Requests: -1},
 		{Pages: -2},
@@ -41,11 +44,19 @@ func TestGenerateWebValidation(t *testing.T) {
 		{Clients: -1},
 		{Links: -1},
 		{ObjectsPerPage: -1},
+		{SharedAssets: -1},
+		{FollowProb: nan},
+		{ZipfS: nan},
 	}
 	for _, cfg := range bad {
-		if _, err := GenerateWeb(cfg); err == nil {
-			t.Errorf("GenerateWeb(%+v) succeeded", cfg)
+		name := fmt.Sprintf("GenerateWeb(%+v)", cfg)
+		if err := returnsWithin(t, name, func() error { _, err := GenerateWeb(cfg); return err }); err == nil {
+			t.Errorf("%s succeeded", name)
 		}
+	}
+	tiny := WebConfig{Requests: 100, Pages: 1, SharedAssets: 1, Links: 1}
+	if err := returnsWithin(t, "tiny web", func() error { _, err := GenerateWeb(tiny); return err }); err != nil {
+		t.Errorf("GenerateWeb(%+v): %v", tiny, err)
 	}
 }
 

@@ -21,6 +21,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -207,17 +208,23 @@ func (c Config) validate() error {
 		return fmt.Errorf("workload: opens must be >= 0, got %d", c.Opens)
 	case c.Clients < 1:
 		return fmt.Errorf("workload: clients must be >= 1, got %d", c.Clients)
+	case c.InterleaveChunk < 1:
+		return fmt.Errorf("workload: interleave chunk must be >= 1, got %d", c.InterleaveChunk)
 	case c.Tasks < 1 || c.TaskLen < 1:
 		return fmt.Errorf("workload: tasks and task length must be >= 1")
-	case c.ZipfS <= 1:
+	case c.SharedFiles < 1:
+		return fmt.Errorf("workload: shared files must be >= 1, got %d", c.SharedFiles)
+	case c.NoiseUniverse < 1:
+		return fmt.Errorf("workload: noise universe must be >= 1, got %d", c.NoiseUniverse)
+	case !(c.ZipfS > 1):
 		return fmt.Errorf("workload: ZipfS must be > 1, got %v", c.ZipfS)
-	case c.Noise < 0 || c.Noise > 1:
+	case !unit(c.Noise):
 		return fmt.Errorf("workload: noise must be in [0,1], got %v", c.Noise)
-	case c.ChurnProb < 0 || c.ChurnProb > 1:
+	case !unit(c.ChurnProb):
 		return fmt.Errorf("workload: churn must be in [0,1], got %v", c.ChurnProb)
-	case c.FreshProb < 0 || c.FreshProb > 1:
+	case !unit(c.FreshProb):
 		return fmt.Errorf("workload: fresh must be in [0,1], got %v", c.FreshProb)
-	case c.WriteFraction < 0 || c.WriteFraction > 1:
+	case !unit(c.WriteFraction):
 		return fmt.Errorf("workload: write fraction must be in [0,1], got %v", c.WriteFraction)
 	case c.PhaseEvery < 0:
 		return fmt.Errorf("workload: phase interval must be >= 0, got %d", c.PhaseEvery)
@@ -225,17 +232,54 @@ func (c Config) validate() error {
 	return nil
 }
 
+// unit reports whether p is a probability; NaN is not.
+func unit(p float64) bool { return p >= 0 && p <= 1 }
+
+// eventBudget is the capacity Generate gives Trace.Events before the first
+// emit: each open may bring a create (FreshProb) and a write
+// (WriteFraction), plus 1 % slack and four times the square root of the
+// expected count, which covers the spread of a short trace. The slice is
+// then never regrown, and its copies never double the peak footprint.
+func (c Config) eventBudget() int {
+	n := float64(c.Opens) * (1 + c.FreshProb + c.WriteFraction)
+	return int(n + n/100 + 4*math.Sqrt(n))
+}
+
 // generator carries the evolving generation state.
 type generator struct {
-	cfg     Config
-	rng     *rand.Rand
-	zipf    *rand.Zipf
-	tr      *trace.Trace
-	tasks   [][]string // task -> ordered file paths (mutated by churn)
+	cfg   Config
+	rng   *rand.Rand
+	zipf  *rand.Zipf
+	tr    *trace.Trace
+	tasks [][]slot // task -> ordered files (mutated by churn)
+	// noise[n] is noise file n's id plus one, 0 until the trace first
+	// names it; noise files past the table's end are interned on each use.
+	noise   []trace.FileID
 	clients []*clientState
 	now     time.Duration
 	freshN  int
 	opens   int
+}
+
+// maxNoiseTable bounds the noise id table (4 MiB), so a huge NoiseUniverse
+// does not cost a table of its size.
+const maxNoiseTable = 1 << 20
+
+// slot is one position in a file list a generator walks again and again (a
+// task's, a web page's): its path, interned when the trace first names it,
+// and from then on its id, so a repeat costs no formatting or hashing.
+type slot struct {
+	path string
+	id   trace.FileID
+	seen bool
+}
+
+// file returns s's id, interning its path into in on first use.
+func (s *slot) file(in *trace.Interner) trace.FileID {
+	if !s.seen {
+		s.id, s.seen = in.Intern(s.path), true
+	}
+	return s.id
 }
 
 type clientState struct {
@@ -255,11 +299,13 @@ func Generate(cfg Config) (*trace.Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	g := &generator{
-		cfg:  cfg,
-		rng:  rng,
-		zipf: rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Tasks-1)),
-		tr:   trace.NewTrace(),
+		cfg:   cfg,
+		rng:   rng,
+		zipf:  rand.NewZipf(rng, cfg.ZipfS, 1, uint64(cfg.Tasks-1)),
+		tr:    trace.NewTrace(),
+		noise: make([]trace.FileID, min(cfg.NoiseUniverse, maxNoiseTable)),
 	}
+	g.tr.Events = make([]trace.Event, 0, cfg.eventBudget())
 	g.buildTasks()
 	g.buildClients()
 	g.run()
@@ -269,22 +315,22 @@ func Generate(cfg Config) (*trace.Trace, error) {
 // buildTasks lays out each task's file list, splicing hub files into fixed
 // slots so popular executables recur inside many distinct working sets.
 func (g *generator) buildTasks() {
-	g.tasks = make([][]string, g.cfg.Tasks)
+	g.tasks = make([][]slot, g.cfg.Tasks)
 	for t := range g.tasks {
-		files := make([]string, 0, g.cfg.TaskLen)
+		files := make([]slot, g.cfg.TaskLen)
 		// Two hub files at deterministic-per-task positions.
 		hubA := g.rng.Intn(g.cfg.SharedFiles)
 		hubB := g.rng.Intn(g.cfg.SharedFiles)
 		posA := g.rng.Intn(g.cfg.TaskLen)
 		posB := g.rng.Intn(g.cfg.TaskLen)
-		for i := 0; i < g.cfg.TaskLen; i++ {
+		for i := range files {
 			switch i {
 			case posA:
-				files = append(files, sharedPath(hubA))
+				files[i].path = sharedPath(hubA)
 			case posB:
-				files = append(files, sharedPath(hubB))
+				files[i].path = sharedPath(hubB)
 			default:
-				files = append(files, fmt.Sprintf("/task%04d/f%03d", t, i))
+				files[i].path = fmt.Sprintf("/task%04d/f%03d", t, i)
 			}
 		}
 		g.tasks[t] = files
@@ -322,23 +368,23 @@ func (g *generator) step(c *clientState) {
 		c.pid++
 	}
 
-	var path string
+	var id trace.FileID
 	switch {
 	case g.rng.Float64() < g.cfg.FreshProb:
-		path = fmt.Sprintf("/tmp/fresh%07d", g.freshN)
+		id = g.tr.Paths.Intern(fmt.Sprintf("/tmp/fresh%07d", g.freshN))
 		g.freshN++
-		g.emit(c, trace.OpCreate, path)
+		g.emit(c, trace.OpCreate, id)
 	case g.rng.Float64() < g.cfg.Noise:
-		path = fmt.Sprintf("/noise/n%05d", g.rng.Intn(g.cfg.NoiseUniverse))
+		id = g.noiseFile(g.rng.Intn(g.cfg.NoiseUniverse))
 	default:
-		path = g.tasks[c.task][c.pos]
+		id = g.tasks[c.task][c.pos].file(g.tr.Paths)
 		c.pos++
 	}
 
-	g.emit(c, trace.OpOpen, path)
+	g.emit(c, trace.OpOpen, id)
 	g.opens++
 	if g.rng.Float64() < g.cfg.WriteFraction {
-		g.emit(c, trace.OpWrite, path)
+		g.emit(c, trace.OpWrite, id)
 	}
 
 	if c.pos >= len(g.tasks[c.task]) {
@@ -369,24 +415,55 @@ func (g *generator) churn(task int) {
 	// hubs (cannot happen with the presets, but stay safe).
 	for try := 0; try < 4; try++ {
 		i := g.rng.Intn(len(files))
-		if isSharedPath(files[i]) {
+		if isSharedPath(files[i].path) {
 			continue
 		}
-		files[i] = fmt.Sprintf("/task%04d/gen%07d", task, g.freshN)
+		files[i] = slot{path: fmt.Sprintf("/task%04d/gen%07d", task, g.freshN)}
 		g.freshN++
 		return
 	}
 }
 
-func (g *generator) emit(c *clientState, op trace.Op, path string) {
-	g.now += time.Duration(1+g.rng.Intn(2000)) * time.Microsecond
-	g.tr.Append(trace.Event{
+// noiseFile returns noise file n's id, interning its path on first use.
+func (g *generator) noiseFile(n int) trace.FileID {
+	if n < len(g.noise) && g.noise[n] != 0 {
+		return g.noise[n] - 1
+	}
+	id := g.tr.Paths.Intern(fmt.Sprintf("/noise/n%05d", n))
+	if n < len(g.noise) {
+		g.noise[n] = id + 1
+	}
+	return id
+}
+
+// maxGap is the longest gap between two events, in microseconds.
+const maxGap = 2000
+
+// gap draws the time before the next event, 1 to maxGap microseconds,
+// exactly as time.Duration(1+g.rng.Intn(maxGap))*time.Microsecond would:
+// the same draws, the same value. It is math/rand's Int31n with the bound
+// a constant, so the two divisions Int31n makes per call compile to
+// multiplies; they were a quarter of trace synthesis.
+func (g *generator) gap() time.Duration {
+	const limit = (1<<31 - 1) - (1<<31)%maxGap // Int31n's rejection bound
+	v := g.rng.Int31()
+	for v > limit {
+		v = g.rng.Int31()
+	}
+	return time.Duration(1+v%maxGap) * time.Microsecond
+}
+
+// emit appends one event for file id, into the room eventBudget reserved.
+func (g *generator) emit(c *clientState, op trace.Op, id trace.FileID) {
+	g.now += g.gap()
+	g.tr.Events = append(g.tr.Events, trace.Event{
 		Time:   g.now,
-		Client: c.id,
 		PID:    c.pid,
 		UID:    c.uid,
+		File:   id,
+		Client: c.id,
 		Op:     op,
-	}, path)
+	})
 }
 
 func sharedPath(i int) string { return fmt.Sprintf("/shared/bin%03d", i) }

@@ -1,7 +1,12 @@
 package workload
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"aggcache/internal/core"
 	"aggcache/internal/entropy"
@@ -57,10 +62,43 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// returnsWithin runs f and fails t if it panics or has not returned by the
+// deadline: a count that slips past validation can make a generator spin.
+func returnsWithin(t *testing.T, name string, f func() error) error {
+	t.Helper()
+	type result struct {
+		err      error
+		panicked any
+	}
+	done := make(chan result, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				done <- result{panicked: r}
+			}
+		}()
+		done <- result{err: f()}
+	}()
+	select {
+	case r := <-done:
+		if r.panicked != nil {
+			t.Fatalf("%s panicked: %v", name, r.panicked)
+		}
+		return r.err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s: no return within 5 s", name)
+	}
+	return nil
+}
+
+// TestGenerateValidation: Generate is reachable through the public
+// facade, so a bad count must come back as an error, not as a panic
+// inside math/rand or a loop that never emits.
 func TestGenerateValidation(t *testing.T) {
 	if _, err := ProfileConfig("bogus", 1, 100); err == nil {
 		t.Error("bogus profile accepted")
 	}
+	nan := math.NaN()
 	bad := []Config{
 		{Opens: -1},
 		{Clients: -2},
@@ -69,12 +107,96 @@ func TestGenerateValidation(t *testing.T) {
 		{WriteFraction: -0.1},
 		{ChurnProb: 2},
 		{FreshProb: -1},
+		{InterleaveChunk: -1},
+		{SharedFiles: -1},
+		{NoiseUniverse: -3},
+		{Tasks: -1},
+		{TaskLen: -1},
+		{PhaseEvery: -1},
+		{ZipfS: nan},
+		{Noise: nan},
+		{ChurnProb: nan},
+		{FreshProb: nan},
+		{WriteFraction: nan},
 	}
 	for _, cfg := range bad {
-		if _, err := Generate(cfg); err == nil {
-			t.Errorf("Generate(%+v) succeeded", cfg)
+		name := fmt.Sprintf("Generate(%+v)", cfg)
+		if err := returnsWithin(t, name, func() error { _, err := Generate(cfg); return err }); err == nil {
+			t.Errorf("%s succeeded", name)
 		}
 	}
+	// The smallest valid counts still generate.
+	tiny := Config{Opens: 100, Clients: 1, InterleaveChunk: 1, Tasks: 1, TaskLen: 1, SharedFiles: 1, NoiseUniverse: 1, Noise: 0.5}
+	if err := returnsWithin(t, "tiny", func() error { _, err := Generate(tiny); return err }); err != nil {
+		t.Errorf("Generate(%+v): %v", tiny, err)
+	}
+}
+
+// TestGenerateNeverRegrows: Generate sizes Trace.Events once, before the
+// first emit, so a trace that had to regrow it would end with a larger
+// capacity than the budget.
+func TestGenerateNeverRegrows(t *testing.T) {
+	for _, p := range Profiles() {
+		for _, opens := range []int{1000, 100000, 1000000} {
+			cfg, err := ProfileConfig(p, 1, opens)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := Generate(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if budget := cfg.eventBudget(); cap(tr.Events) != budget {
+				t.Errorf("%s/%d: cap(Events) = %d after %d events, want the budget %d", p, opens, cap(tr.Events), len(tr.Events), budget)
+			}
+		}
+	}
+	web, err := GenerateWeb(WebConfig{Seed: 1, Requests: 10000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(web.Events) != 10000 || cap(web.Events) != 10000 {
+		t.Errorf("web: len %d cap %d, want both 10000", len(web.Events), cap(web.Events))
+	}
+}
+
+// TestGapIsIntn: gap is math/rand's Intn with the bound folded into a
+// constant, so it must consume the same draws and return the same values.
+func TestGapIsIntn(t *testing.T) {
+	g := &generator{rng: rand.New(rand.NewSource(3))}
+	ref := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000000; i++ {
+		if got, want := g.gap(), time.Duration(1+ref.Intn(maxGap))*time.Microsecond; got != want {
+			t.Fatalf("draw %d: gap %v, Intn says %v", i, got, want)
+		}
+	}
+}
+
+// BenchmarkGenerate times trace synthesis per event: the server profile at
+// 1 M opens, the shape the repository benchmark's client_hot workload
+// generates one trace per worker of.
+func BenchmarkGenerate(b *testing.B) {
+	cfg, err := ProfileConfig(ProfileServer, 1, 1000000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	b.ResetTimer()
+	var events int
+	for i := 0; i < b.N; i++ {
+		tr, err := Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += len(tr.Events)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.ReportMetric(float64(ms.TotalAlloc-before)/float64(events), "B/event")
 }
 
 func TestGenerateDefaults(t *testing.T) {
