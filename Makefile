@@ -36,7 +36,9 @@ ignore-guard:
 # So are the map-indexed LRU and LFU: residency is a FileID slot table
 # into a pointer-free node slab. So are CLOCK, 2Q and MQ, deleted on
 # purpose (ARC beat all three in every xbakeoff cell), and container/list
-# in internal/cache: ARC is four of the package's dense LRUs.
+# in internal/cache: ARC is four of the package's dense LRUs. So is
+# format sniffing in the commands: trace.NewScanner tells text from binary
+# on any reader, so no command retries on ErrBadMagic or peeks itself.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -48,6 +50,8 @@ lint-dead:
 	@! grep -rnE 'map\[trace\.FileID\]\*(lruNode|lfuNode)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'NewCLOCK|NewTwoQ|NewMQ|PolicyCLOCK|PolicyMQ|PolicyTwoQ|BaselineCLOCK|BaselineMQ|BaselineTwoQ' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn '"container/list"' --include='*.go' --exclude='*_test.go' internal/cache
+	@! grep -rn 'ErrBadMagic' --include='*.go' --exclude='*_test.go' cmd
+	@! grep -rn 'newPeeker' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

@@ -127,13 +127,7 @@ func loadOpenIDs(path, profile string, seed int64, opens int) ([]trace.FileID, e
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.ReadBinary(f)
-	if err == trace.ErrBadMagic {
-		if _, serr := f.Seek(0, 0); serr != nil {
-			return nil, serr
-		}
-		tr, err = trace.ReadText(f)
-	}
+	tr, err := trace.Read(f)
 	if err != nil {
 		return nil, err
 	}

@@ -126,14 +126,7 @@ func loadTrace(path, profile string, seed int64, opens int) (*trace.Trace, error
 		return nil, err
 	}
 	defer f.Close()
-	tr, err := trace.ReadBinary(f)
-	if err == trace.ErrBadMagic {
-		if _, serr := f.Seek(0, 0); serr != nil {
-			return nil, serr
-		}
-		tr, err = trace.ReadText(f)
-	}
-	return tr, err
+	return trace.Read(f)
 }
 
 // writeSVG writes a chart through render into path.

@@ -116,7 +116,8 @@ func convert(r io.Reader, from string, writer *trace.Writer) (int, error) {
 	return n, scanner.Err()
 }
 
-// openScanner builds a streaming scanner, sniffing the format when asked.
+// openScanner builds a streaming scanner; "auto" lets trace.NewScanner
+// tell the formats apart.
 func openScanner(r io.Reader, from string) (*trace.Scanner, error) {
 	switch from {
 	case "text":
@@ -124,45 +125,8 @@ func openScanner(r io.Reader, from string) (*trace.Scanner, error) {
 	case "binary":
 		return trace.NewBinaryScanner(r)
 	case "auto":
-		br := newPeeker(r)
-		head, err := br.peek(4)
-		if err != nil {
-			return nil, fmt.Errorf("sniff format: %w", err)
-		}
-		if string(head) == "AGTR" {
-			return trace.NewBinaryScanner(br)
-		}
-		return trace.NewTextScanner(br)
+		return trace.NewScanner(r)
 	default:
 		return nil, fmt.Errorf("unknown input format %q", from)
 	}
-}
-
-// peeker lets the sniffer look at the first bytes without consuming them.
-type peeker struct {
-	r   io.Reader
-	buf []byte
-}
-
-func newPeeker(r io.Reader) *peeker { return &peeker{r: r} }
-
-func (p *peeker) peek(n int) ([]byte, error) {
-	for len(p.buf) < n {
-		tmp := make([]byte, n-len(p.buf))
-		m, err := p.r.Read(tmp)
-		p.buf = append(p.buf, tmp[:m]...)
-		if err != nil {
-			return p.buf, err
-		}
-	}
-	return p.buf[:n], nil
-}
-
-func (p *peeker) Read(b []byte) (int, error) {
-	if len(p.buf) > 0 {
-		n := copy(b, p.buf)
-		p.buf = p.buf[n:]
-		return n, nil
-	}
-	return p.r.Read(b)
 }

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
@@ -69,6 +71,8 @@ func TestTextRejectsBadInput(t *testing.T) {
 		{"bad time", textHeader + "\nxx\t0\t0\t0\topen\t/x\n"},
 		{"bad client", textHeader + "\n0\t99999\t0\t0\topen\t/x\n"},
 		{"empty path", textHeader + "\n0\t0\t0\t0\topen\t\n"},
+		{"carriage return in path", textHeader + "\n0\t0\t0\t0\topen\t/a\rb\n"},
+		{"time out of range", textHeader + "\n9223372036854775807\t0\t0\t0\topen\t/x\n"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -175,5 +179,142 @@ func TestWriteBinaryRejectsMalformedTraces(t *testing.T) {
 	buf.Reset()
 	if err := WriteText(&buf, bad); err == nil {
 		t.Error("unknown file id accepted by text writer")
+	}
+}
+
+// binaryRecord is one hand-built binary record: zero time delta, client,
+// pid and uid, op open, then file and, when path is not empty, the path.
+func binaryRecord(file byte, path string) []byte {
+	rec := []byte{0, 0, 0, 0, byte(OpOpen), file}
+	if path != "" {
+		rec = append(append(rec, byte(len(path))), path...)
+	}
+	return rec
+}
+
+// repeatedPathTrace gives a second "new" file id the path of the first,
+// then uses that id again.
+var repeatedPathTrace = bytes.Join([][]byte{
+	[]byte("AGTR\x01"), binaryRecord(0, "/a"), binaryRecord(1, "/a"), binaryRecord(1, ""),
+}, nil)
+
+func TestBinaryDecodeErrors(t *testing.T) {
+	tests := []struct {
+		name, in, want string
+	}{
+		{"repeated path", string(repeatedPathTrace), "trace: record 1 new file id 1 repeats the path of file 0"},
+		{"client out of range", "AGTR\x01\x00\xf0\xa2\x04", "trace: record 0 client 70000 out of range"},
+		{"path with newline", "AGTR\x01" + string(binaryRecord(0, "/a\nb")), `trace: record 0 invalid path "/a\nb"`},
+		{"empty path", "AGTR\x01\x00\x00\x00\x00\x01\x00\x00", "trace: record 0 path length 0 out of range"},
+		{"time overflow", "AGTR\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", "trace: record 0 time out of range"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := ReadBinary(strings.NewReader(tt.in)); err == nil || err.Error() != tt.want {
+				t.Errorf("ReadBinary: err = %v, want %q", err, tt.want)
+			}
+			s, err := NewBinaryScanner(strings.NewReader(tt.in))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Scan() {
+			}
+			if err := s.Err(); err == nil || err.Error() != tt.want {
+				t.Errorf("Scanner: err = %v, want %q", err, tt.want)
+			}
+		})
+	}
+}
+
+// encoders are the four ways to write a trace: each format's whole-trace
+// writer and its streaming Writer.
+var encoders = []struct {
+	Format, Name string
+	Write        func(io.Writer, *Trace) error
+}{
+	{"text", "WriteText", WriteText},
+	{"binary", "WriteBinary", WriteBinary},
+	{"text", "TextWriter", streamWrite(NewTextWriter)},
+	{"binary", "BinaryWriter", streamWrite(NewBinaryWriter)},
+}
+
+func streamWrite(open func(io.Writer) (*Writer, error)) func(io.Writer, *Trace) error {
+	return func(out io.Writer, tr *Trace) error {
+		w, err := open(out)
+		if err != nil {
+			return err
+		}
+		for _, ev := range tr.Events {
+			if err := w.Write(ev, tr.Paths.Path(ev.File)); err != nil {
+				return err
+			}
+		}
+		return w.Flush()
+	}
+}
+
+// Every encoder refuses what either decoder would refuse or misread, so
+// whatever one writes, both formats read back unchanged.
+func TestEncodersShareOneRecordRule(t *testing.T) {
+	refused := []struct {
+		name, path string
+		op         Op
+	}{
+		{"empty path", "", OpOpen},
+		{"path over the limit", "/" + strings.Repeat("x", maxPathLen), OpOpen},
+		{"path with newline", "/a\n0\t0\t0\t0\topen\t/evil", OpOpen},
+		{"path with carriage return", "/a\r", OpOpen},
+		{"undefined op", "/a", OpStat + 1},
+	}
+	for _, tt := range refused {
+		tr := NewTrace()
+		tr.Append(Event{Op: OpOpen}, "/ok")
+		tr.Append(Event{Op: tt.op}, tt.path)
+		for _, enc := range encoders {
+			if err := enc.Write(io.Discard, tr); err == nil {
+				t.Errorf("%s: %s accepted", tt.name, enc.Name)
+			}
+		}
+	}
+
+	accepted := NewTrace()
+	accepted.Append(Event{Op: OpOpen}, "/"+strings.Repeat("x", maxPathLen-1))
+	accepted.Append(Event{Op: OpOpen}, "/with\ttab")
+	for _, enc := range encoders {
+		var buf bytes.Buffer
+		if err := enc.Write(&buf, accepted); err != nil {
+			t.Fatalf("%s: %v", enc.Name, err)
+		}
+		got, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: read back: %v", enc.Name, err)
+		}
+		if !tracesEqual(accepted, got) {
+			t.Errorf("%s: trace changed on the way back", enc.Name)
+		}
+	}
+}
+
+// NewScanner tells the formats apart from the first bytes alone, so it
+// reads either from a reader that cannot seek, one byte at a time.
+func TestNewScannerSniffsFormat(t *testing.T) {
+	tr := randomTrace(t, 5, 300)
+	for _, enc := range encoders {
+		var buf bytes.Buffer
+		if err := enc.Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Read(iotest.OneByteReader(&buf))
+		if err != nil {
+			t.Fatalf("%s: %v", enc.Name, err)
+		}
+		if !tracesEqual(tr, got) {
+			t.Errorf("%s: sniffed read changed the trace", enc.Name)
+		}
+	}
+	for _, in := range []string{"", "AG", "AGTR", "junk\n"} {
+		if _, err := Read(strings.NewReader(in)); err == nil {
+			t.Errorf("Read(%q) succeeded", in)
+		}
 	}
 }

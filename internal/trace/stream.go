@@ -2,152 +2,98 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"strings"
+	"math"
 	"time"
 )
 
 // Streaming I/O
 //
-// The in-memory codecs (ReadText/ReadBinary) are convenient for the
-// simulator, but the paper's traces span up to a year; Scanner and Writer
-// process the same two formats record-at-a-time so tools can filter or
-// transform traces whose event list does not fit in memory. Only the
-// path table (one entry per distinct file) is kept resident.
+// The paper's traces span up to a year; Scanner and Writer process the
+// two formats record-at-a-time so tools can filter or transform traces
+// whose event list does not fit in memory. Only the path table (one entry
+// per distinct file) is kept resident. Each format has one record decoder
+// and one record encoder; the whole-trace ReadText/ReadBinary drain a
+// Scanner and WriteText/WriteBinary loop over the same encoder.
+
+// validPath is the one path rule of both formats, applied by every encoder
+// and decoder: a path is non-empty, at most maxPathLen bytes, and holds no
+// line break, which would end a text record.
+func validPath[P string | []byte](p P) bool {
+	if len(p) == 0 || len(p) > maxPathLen {
+		return false
+	}
+	for i := 0; i < len(p); i++ {
+		if c := p[i]; c <= '\r' && (c == '\n' || c == '\r') {
+			return false
+		}
+	}
+	return true
+}
+
+// maxUS bounds a record's time in microseconds: the most a Duration holds.
+const maxUS = math.MaxInt64 / int64(time.Microsecond)
+
+// checkRecord applies the rules both encoders share to a record: its op is
+// defined and, at the first use of its path in the stream, the path passes
+// validPath.
+func checkRecord(ev Event, path string, isNew bool) error {
+	if !ev.Op.Valid() {
+		return fmt.Errorf("invalid op %d", ev.Op)
+	}
+	if isNew && !validPath(path) {
+		return fmt.Errorf("invalid path %q", path)
+	}
+	return nil
+}
+
+// recordDecoder reads one format's records.
+type recordDecoder interface {
+	// decode reads the next record into ev, interning its path into
+	// paths. It returns io.EOF at the end of input.
+	decode(ev *Event, paths *Interner) error
+}
 
 // Scanner reads trace records one at a time.
 type Scanner struct {
-	next  func() (Event, string, error)
+	dec   recordDecoder
 	paths *Interner
 	ev    Event
-	path  string
 	err   error
 	done  bool
 }
 
-// NewTextScanner returns a Scanner over the text format; it consumes and
-// validates the header immediately.
-func NewTextScanner(r io.Reader) (*Scanner, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty input, want %q header", textHeader)
-	}
-	if got := strings.TrimRight(sc.Text(), "\r"); got != textHeader {
-		return nil, fmt.Errorf("trace: bad header %q, want %q", got, textHeader)
-	}
-	line := 1
-	next := func() (Event, string, error) {
-		for sc.Scan() {
-			line++
-			raw := strings.TrimRight(sc.Text(), "\r")
-			if raw == "" || strings.HasPrefix(raw, "#") {
-				continue
-			}
-			ev, path, err := parseTextLine(raw)
-			if err != nil {
-				return Event{}, "", fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			return ev, path, nil
-		}
-		if err := sc.Err(); err != nil {
-			return Event{}, "", err
-		}
-		return Event{}, "", io.EOF
-	}
-	return &Scanner{next: next, paths: NewInterner()}, nil
+func newScanner(dec recordDecoder) *Scanner {
+	return &Scanner{dec: dec, paths: NewInterner()}
 }
 
-// NewBinaryScanner returns a Scanner over the binary format; it consumes
-// and validates the magic and version immediately.
-func NewBinaryScanner(r io.Reader) (*Scanner, error) {
+// NewScanner returns a Scanner over either format: input that starts with
+// the binary magic is read as binary, anything else as text.
+func NewScanner(r io.Reader) (*Scanner, error) {
 	br := bufio.NewReader(r)
-	var magic [4]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, fmt.Errorf("trace: read magic: %w", err)
+	if magic, _ := br.Peek(len(binaryMagic)); string(magic) == string(binaryMagic[:]) {
+		return NewBinaryScanner(br)
 	}
-	if magic != binaryMagic {
-		return nil, ErrBadMagic
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: read version: %w", err)
-	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
-	}
+	return NewTextScanner(br)
+}
 
-	s := &Scanner{paths: NewInterner()}
-	var (
-		prevUS int64
-		rec    int
-	)
-	s.next = func() (Event, string, error) {
-		dtime, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			return Event{}, "", io.EOF
-		}
-		if err != nil {
-			return Event{}, "", fmt.Errorf("trace: record %d: %w", rec, err)
-		}
-		client, err := binary.ReadUvarint(br)
-		if err != nil || client > 0xffff {
-			return Event{}, "", fmt.Errorf("trace: record %d client: %v", rec, err)
-		}
-		pid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Event{}, "", fmt.Errorf("trace: record %d pid: %w", rec, err)
-		}
-		uid, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Event{}, "", fmt.Errorf("trace: record %d uid: %w", rec, err)
-		}
-		opByte, err := br.ReadByte()
-		if err != nil {
-			return Event{}, "", fmt.Errorf("trace: record %d op: %w", rec, err)
-		}
-		op := Op(opByte)
-		if !op.Valid() {
-			return Event{}, "", fmt.Errorf("trace: record %d invalid op %d", rec, opByte)
-		}
-		file, err := binary.ReadUvarint(br)
-		if err != nil {
-			return Event{}, "", fmt.Errorf("trace: record %d file: %w", rec, err)
-		}
-		seen := FileID(s.paths.Len())
-		if file > uint64(seen) {
-			return Event{}, "", fmt.Errorf("trace: record %d file id %d skips ahead", rec, file)
-		}
-		var path string
-		if FileID(file) == seen {
-			n, err := binary.ReadUvarint(br)
-			if err != nil || n == 0 || n > maxPathLen {
-				return Event{}, "", fmt.Errorf("trace: record %d path length: %v", rec, err)
-			}
-			raw := make([]byte, n)
-			if _, err := io.ReadFull(br, raw); err != nil {
-				return Event{}, "", fmt.Errorf("trace: record %d path: %w", rec, err)
-			}
-			path = string(raw)
-		} else {
-			path = s.paths.Path(FileID(file))
-		}
-		prevUS += int64(dtime)
-		rec++
-		return Event{
-			Time:   time.Duration(prevUS) * time.Microsecond,
-			Client: uint16(client),
-			PID:    uint32(pid),
-			UID:    uint32(uid),
-			Op:     op,
-		}, path, nil
+// Read decodes a whole trace in either format (see NewScanner).
+func Read(r io.Reader) (*Trace, error) { return drain(NewScanner(r)) }
+
+// drain reads every record of s into a trace whose Paths is s's interner.
+func drain(s *Scanner, err error) (*Trace, error) {
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	var events []Event
+	for s.Scan() {
+		events = append(events, s.ev)
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
+	return &Trace{Events: events, Paths: s.paths}, nil
 }
 
 // Scan advances to the next record, reporting whether one is available.
@@ -155,17 +101,13 @@ func (s *Scanner) Scan() bool {
 	if s.done {
 		return false
 	}
-	ev, path, err := s.next()
-	if err != nil {
+	if err := s.dec.decode(&s.ev, s.paths); err != nil {
 		s.done = true
 		if err != io.EOF {
 			s.err = err
 		}
 		return false
 	}
-	ev.File = s.paths.Intern(path)
-	s.ev = ev
-	s.path = path
 	return true
 }
 
@@ -173,7 +115,7 @@ func (s *Scanner) Scan() bool {
 func (s *Scanner) Event() Event { return s.ev }
 
 // Path returns the current record's path.
-func (s *Scanner) Path() string { return s.path }
+func (s *Scanner) Path() string { return s.paths.Path(s.ev.File) }
 
 // Paths returns the interner accumulated so far (dense ids in
 // first-appearance order, matching the in-memory readers).
@@ -182,98 +124,55 @@ func (s *Scanner) Paths() *Interner { return s.paths }
 // Err returns the first non-EOF error encountered.
 func (s *Scanner) Err() error { return s.err }
 
+// outputBlock is how many encoded bytes an output gathers before handing
+// them to its writer. A record is at most maxPathLen and a few dozen bytes
+// more, so a buffer of twice the block never grows.
+const outputBlock = 8 << 10
+
+// output gathers encoded records and hands them to w a block at a time.
+// The encoders append straight into buf, so a record is copied once, into
+// w.
+type output struct {
+	w   io.Writer
+	buf []byte
+}
+
+func newOutput(w io.Writer) output {
+	return output{w: w, buf: make([]byte, 0, 2*outputBlock)}
+}
+
+// wrote hands a full block to w; call it after appending each record.
+func (o *output) wrote() error {
+	if len(o.buf) < outputBlock {
+		return nil
+	}
+	return o.flush()
+}
+
+// flush hands everything gathered to w.
+func (o *output) flush() error {
+	if len(o.buf) == 0 {
+		return nil
+	}
+	_, err := o.w.Write(o.buf)
+	o.buf = o.buf[:0]
+	return err
+}
+
 // Writer emits trace records one at a time.
 type Writer struct {
-	emit  func(ev Event, path string) error
-	flush func() error
-	ids   *Interner
-}
-
-// NewTextWriter returns a Writer in the text format; the header is
-// written immediately.
-func NewTextWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, textHeader); err != nil {
-		return nil, err
-	}
-	return &Writer{
-		ids: NewInterner(),
-		emit: func(ev Event, path string) error {
-			_, err := fmt.Fprintf(bw, "%d\t%d\t%d\t%d\t%s\t%s\n",
-				ev.Time.Microseconds(), ev.Client, ev.PID, ev.UID, ev.Op, path)
-			return err
-		},
-		flush: bw.Flush,
-	}, nil
-}
-
-// NewBinaryWriter returns a Writer in the binary format; the magic and
-// version are written immediately.
-func NewBinaryWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
-		return nil, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(tmp[:], v)
-		_, err := bw.Write(tmp[:n])
-		return err
-	}
-	if err := putUvarint(binaryVersion); err != nil {
-		return nil, err
-	}
-	ids := NewInterner()
-	var prevUS int64
-	return &Writer{
-		ids: ids,
-		emit: func(ev Event, path string) error {
-			us := ev.Time.Microseconds()
-			if us < prevUS {
-				return fmt.Errorf("trace: event time goes backwards")
-			}
-			known := ids.Len()
-			id := ids.Intern(path)
-			if err := putUvarint(uint64(us - prevUS)); err != nil {
-				return err
-			}
-			prevUS = us
-			if err := putUvarint(uint64(ev.Client)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(ev.PID)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(ev.UID)); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(byte(ev.Op)); err != nil {
-				return err
-			}
-			if err := putUvarint(uint64(id)); err != nil {
-				return err
-			}
-			if int(id) == known { // first use: append the path
-				if err := putUvarint(uint64(len(path))); err != nil {
-					return err
-				}
-				if _, err := bw.WriteString(path); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		flush: bw.Flush,
-	}, nil
+	output
+	// encode appends one record of the format to b.
+	encode func(b []byte, ev Event, path string) ([]byte, error)
 }
 
 // Write emits one record. The event's File field is ignored; identity
 // comes from path.
-func (w *Writer) Write(ev Event, path string) error {
-	if path == "" || len(path) > maxPathLen {
-		return fmt.Errorf("trace: invalid path %q", path)
+func (w *Writer) Write(ev Event, path string) (err error) {
+	if w.buf, err = w.encode(w.buf, ev, path); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
-	return w.emit(ev, path)
+	return w.wrote()
 }
 
 // Flush forces buffered records out. Call it once after the last Write.

@@ -143,6 +143,21 @@ func TestWriterValidation(t *testing.T) {
 	if err := w.Write(Event{Op: OpOpen, Time: time.Microsecond}, "/b"); err == nil {
 		t.Error("time regression accepted by binary writer")
 	}
+	// A refused record leaves nothing behind: "/b" is still new, so its
+	// path goes out with the next record that names it.
+	if err := w.Write(Event{Op: OpOpen, Time: 6 * time.Microsecond}, "/b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 2 || got.Paths.Path(got.Events[1].File) != "/b" {
+		t.Errorf("read back %d events, paths %d", got.Len(), got.Paths.Len())
+	}
 }
 
 // Streaming a trace through Writer then Scanner must preserve it exactly,

@@ -17,88 +17,50 @@ import (
 //	<time_us> <client> <pid> <uid> <op> <path>
 //
 // Fields are tab-separated. time_us is a decimal offset in microseconds
-// from the start of the trace. op is a mnemonic from Op.String. Paths must
-// not contain tabs or newlines. Lines that are empty or start with '#'
-// (other than the header) are ignored, which allows annotated traces.
+// from the start of the trace. op is a mnemonic from Op.String. The path is
+// the last field, so it may hold tabs, but not a line break. Lines that are
+// empty or start with '#' (other than the header) are ignored, which allows
+// annotated traces.
 
 const textHeader = "#aggtrace v1"
 
-// WriteText encodes the trace in the text format described above.
-func WriteText(w io.Writer, t *Trace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, textHeader); err != nil {
-		return err
+// appendTextLine appends ev's line, naming its file by path, to b. isNew
+// marks the path's first use in the stream, when it is checked. A line that
+// breaks the format is refused before anything is appended.
+func appendTextLine(b []byte, ev Event, path string, isNew bool) ([]byte, error) {
+	if err := checkRecord(ev, path, isNew); err != nil {
+		return b, err
 	}
-	// One reusable line buffer; strconv.Append* keeps the per-record
-	// path free of fmt's interface boxing and scratch allocations.
-	line := make([]byte, 0, 128)
-	for i := range t.Events {
-		ev := &t.Events[i]
-		path := t.Paths.Path(ev.File)
-		if path == "" {
-			return fmt.Errorf("trace: event %d references unknown file id %d", i, ev.File)
-		}
-		line = strconv.AppendInt(line[:0], ev.Time.Microseconds(), 10)
-		line = append(line, '\t')
-		line = strconv.AppendUint(line, uint64(ev.Client), 10)
-		line = append(line, '\t')
-		line = strconv.AppendUint(line, uint64(ev.PID), 10)
-		line = append(line, '\t')
-		line = strconv.AppendUint(line, uint64(ev.UID), 10)
-		line = append(line, '\t')
-		line = append(line, ev.Op.String()...)
-		line = append(line, '\t')
-		line = append(line, path...)
-		line = append(line, '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	b = strconv.AppendInt(b, ev.Time.Microseconds(), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(ev.Client), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(ev.PID), 10)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, uint64(ev.UID), 10)
+	b = append(b, '\t')
+	b = append(b, opNames[ev.Op]...)
+	b = append(b, '\t')
+	b = append(b, path...)
+	return append(b, '\n'), nil
 }
 
-// ReadText decodes a trace in the text format produced by WriteText.
-func ReadText(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("trace: empty input, want %q header", textHeader)
-	}
-	if got := strings.TrimRight(sc.Text(), "\r"); got != textHeader {
-		return nil, fmt.Errorf("trace: bad header %q, want %q", got, textHeader)
-	}
-
-	t := NewTrace()
-	line := 1
-	for sc.Scan() {
-		line++
-		raw := strings.TrimRight(sc.Text(), "\r")
-		if raw == "" || strings.HasPrefix(raw, "#") {
-			continue
-		}
-		ev, path, err := parseTextLine(raw)
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", line, err)
-		}
-		t.Append(ev, path)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
+// parseTextLine decodes one record line; the event's File is left zero.
 func parseTextLine(raw string) (Event, string, error) {
-	fields := strings.SplitN(raw, "\t", 6)
-	if len(fields) != 6 {
-		return Event{}, "", fmt.Errorf("want 6 tab-separated fields, got %d", len(fields))
+	var fields [6]string
+	for i := range 5 {
+		var ok bool
+		if fields[i], raw, ok = strings.Cut(raw, "\t"); !ok {
+			return Event{}, "", fmt.Errorf("want 6 tab-separated fields, got %d", i+1)
+		}
 	}
+	fields[5] = raw
 	us, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
 		return Event{}, "", fmt.Errorf("time: %w", err)
+	}
+	if us < -maxUS || us > maxUS {
+		return Event{}, "", fmt.Errorf("time %d out of range", us)
 	}
 	client, err := strconv.ParseUint(fields[1], 10, 16)
 	if err != nil {
@@ -116,8 +78,8 @@ func parseTextLine(raw string) (Event, string, error) {
 	if err != nil {
 		return Event{}, "", err
 	}
-	if fields[5] == "" {
-		return Event{}, "", fmt.Errorf("empty path")
+	if !validPath(fields[5]) {
+		return Event{}, "", fmt.Errorf("invalid path %q", fields[5])
 	}
 	ev := Event{
 		Time:   time.Duration(us) * time.Microsecond,
@@ -127,4 +89,90 @@ func parseTextLine(raw string) (Event, string, error) {
 		Op:     op,
 	}
 	return ev, fields[5], nil
+}
+
+// textDecoder decodes the lines that follow a text header.
+type textDecoder struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+// decode reads the next record into ev, interning its path into paths. It
+// returns io.EOF at the end of input.
+func (d *textDecoder) decode(ev *Event, paths *Interner) error {
+	for d.sc.Scan() {
+		d.line++
+		raw := strings.TrimRight(d.sc.Text(), "\r")
+		if raw == "" || raw[0] == '#' {
+			continue
+		}
+		e, path, err := parseTextLine(raw)
+		if err != nil {
+			return fmt.Errorf("trace: line %d: %w", d.line, err)
+		}
+		e.File = paths.Intern(path)
+		*ev = e
+		return nil
+	}
+	if err := d.sc.Err(); err != nil {
+		return err
+	}
+	return io.EOF
+}
+
+// NewTextScanner returns a Scanner over the text format; it consumes and
+// validates the header immediately.
+func NewTextScanner(r io.Reader) (*Scanner, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("trace: empty input, want %q header", textHeader)
+	}
+	if got := strings.TrimRight(sc.Text(), "\r"); got != textHeader {
+		return nil, fmt.Errorf("trace: bad header %q, want %q", got, textHeader)
+	}
+	return newScanner(&textDecoder{sc: sc, line: 1}), nil
+}
+
+// ReadText decodes a trace in the text format produced by WriteText.
+func ReadText(r io.Reader) (*Trace, error) { return drain(NewTextScanner(r)) }
+
+// newTextOutput starts a text trace on w with its header line.
+func newTextOutput(w io.Writer) output {
+	o := newOutput(w)
+	o.buf = append(o.buf, textHeader+"\n"...)
+	return o
+}
+
+// NewTextWriter returns a Writer in the text format; the header is
+// written immediately.
+func NewTextWriter(w io.Writer) (*Writer, error) {
+	// The Writer keeps no path table, so it checks every line's path.
+	return &Writer{output: newTextOutput(w), encode: func(b []byte, ev Event, path string) ([]byte, error) {
+		return appendTextLine(b, ev, path, true)
+	}}, nil
+}
+
+// WriteText encodes the trace in the text format described above.
+func WriteText(w io.Writer, t *Trace) (err error) {
+	o := newTextOutput(w)
+	used := make([]bool, t.Paths.Len()) // the files written so far
+	for i := range t.Events {
+		ev := t.Events[i]
+		path := t.Paths.Path(ev.File)
+		if path == "" {
+			return fmt.Errorf("trace: event %d references unknown file id %d", i, ev.File)
+		}
+		if o.buf, err = appendTextLine(o.buf, ev, path, !used[ev.File]); err != nil {
+			return fmt.Errorf("trace: event %d: %w", i, err)
+		}
+		used[ev.File] = true
+		if err := o.wrote(); err != nil {
+			return err
+		}
+	}
+	return o.flush()
 }
