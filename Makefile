@@ -38,7 +38,10 @@ ignore-guard:
 # purpose (ARC beat all three in every xbakeoff cell), and container/list
 # in internal/cache: ARC is four of the package's dense LRUs. So is
 # format sniffing in the commands: trace.NewScanner tells text from binary
-# on any reader, so no command retries on ErrBadMagic or peeks itself.
+# on any reader, so no command retries on ErrBadMagic or peeks itself. So
+# is the adaptive group-size controller: the link cut
+# (core.Config.LinkShare) beat it on fetches in every cell of three of
+# four profiles in xprune.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -52,6 +55,7 @@ lint-dead:
 	@! grep -rn '"container/list"' --include='*.go' --exclude='*_test.go' internal/cache
 	@! grep -rn 'ErrBadMagic' --include='*.go' --exclude='*_test.go' cmd
 	@! grep -rn 'newPeeker' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'Adaptive:|\.Adaptive\b|MinGroupSize|MaxGroupSize|CurrentGroupSize|growGroup|shrinkGroup|adaptWindow|SetSize\(' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -117,8 +121,10 @@ examples:
 	$(GO) run ./examples/grouping-apps
 
 # Short fuzzing pass over every decoder the serving path runs, the trace
-# codecs, the ring, the group placement rule against its model and ARC
-# against its reference, ten seconds a target; CI calls this target.
+# codecs, the ring, the group placement rule against its model, ARC
+# against its reference and the group builder at share 0 against the
+# builder from before the link cut, ten seconds a target; CI calls this
+# target.
 fuzz:
 	for t in FuzzParseOpenRequest FuzzMemberChunkView FuzzDecodeGroupEnd FuzzDecodeHello FuzzDecodeViewMsg FuzzDecodeTraceCtx FuzzDecodeHandoffRequest FuzzDecodeWriteRequest FuzzDecodeWriteOK FuzzDecodeErrorResponse; do \
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/fsnet/ || exit 1; \
@@ -129,6 +135,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzRingOwner$$' -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz='^FuzzGroupLRU$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -run='^$$' -fuzz='^FuzzARC$$' -fuzztime=10s ./internal/cache/
+	$(GO) test -run='^$$' -fuzz='^FuzzBuilder$$' -fuzztime=10s ./internal/group/
 
 clean:
 	$(GO) clean ./...

@@ -307,35 +307,3 @@ func BenchmarkExtensionHoard(b *testing.B) {
 		return "closure_minus_freq_pts", row[2] - row[1]
 	})
 }
-
-// Adaptive group sizing (future work §6) vs static g on the server
-// workload.
-func BenchmarkAblationAdaptiveGroupSize(b *testing.B) {
-	ids := workloadIDs(b, ProfileServer)
-	configs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"static-g2", Config{Capacity: 300, GroupSize: 2}},
-		{"static-g5", Config{Capacity: 300, GroupSize: 5}},
-		{"static-g10", Config{Capacity: 300, GroupSize: 10}},
-		{"adaptive", Config{Capacity: 300, GroupSize: 2, Adaptive: true, MinGroupSize: 1, MaxGroupSize: 10}},
-	}
-	for _, tt := range configs {
-		tt := tt
-		b.Run(tt.name, func(b *testing.B) {
-			var fetches uint64
-			for i := 0; i < b.N; i++ {
-				c, err := New(tt.cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, id := range ids {
-					c.Access(id)
-				}
-				fetches = c.Stats().DemandFetches()
-			}
-			b.ReportMetric(float64(fetches), "fetches")
-		})
-	}
-}

@@ -96,7 +96,7 @@ func run(args []string) error {
 		addr         = fl.String("addr", "127.0.0.1:7070", "listen address")
 		root         = fl.String("root", "", "seed the store from this directory tree")
 		synthetic    = fl.Int("synthetic", 0, "seed the store with N synthetic files instead")
-		group        = fl.Int("group", 5, "retrieval group size g")
+		group        = fl.Int("group", 5, "retrieval group size cap g")
 		capacity     = fl.Int("cache", 256, "server memory cache capacity (files)")
 		succCap      = fl.Int("successors", 3, "per-file successor list capacity")
 		metadata     = fl.String("metadata", "", "persist learned relationships to this file (loaded at start if present, saved at shutdown)")

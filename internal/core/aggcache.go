@@ -37,8 +37,8 @@ const (
 type Config struct {
 	// Capacity is the cache size in whole files.
 	Capacity int
-	// GroupSize is g, the best-effort retrieval group size. 1 degrades
-	// to plain LRU.
+	// GroupSize is g, the best-effort retrieval group size — a cap when
+	// LinkShare cuts. 1 degrades to plain LRU.
 	GroupSize int
 	// SuccessorPolicy manages the per-file successor lists. The paper
 	// uses and recommends LRU (§4.4).
@@ -50,17 +50,12 @@ type Config struct {
 	Strategy group.Strategy
 	// Placement selects member placement; default tail.
 	Placement Placement
-	// Adaptive lets the cache tune the group size online between
-	// MinGroupSize and MaxGroupSize: when recent speculative fetches
-	// are mostly used, g grows; when they are mostly wasted, g shrinks.
-	// GroupSize is the starting point. This implements the paper's §6
-	// future work on group construction ("forming groups of arbitrary
-	// size").
-	Adaptive bool
-	// MinGroupSize and MaxGroupSize bound adaptation (defaults 1 and
-	// 2x GroupSize).
-	MinGroupSize int
-	MaxGroupSize int
+	// LinkShare cuts weak links: a successor joins a group only when its
+	// count is more than LinkShare of the counts its predecessor's list
+	// retains, so GroupSize becomes a cap (group.NewCutBuilder). 0, the
+	// default, cuts nothing — the paper's rule, which every simulator
+	// figure runs; the network server runs fsnet.LinkShare.
+	LinkShare float64
 	// Obs, when set, registers hit/miss/prefetch/eviction counters and a
 	// group-size distribution histogram with the given registry,
 	// incremented alongside Stats. Nil (the simulator default) leaves the
@@ -85,14 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.Placement == 0 {
 		c.Placement = PlacementTail
 	}
-	if c.Adaptive {
-		if c.MinGroupSize == 0 {
-			c.MinGroupSize = 1
-		}
-		if c.MaxGroupSize == 0 {
-			c.MaxGroupSize = 2 * c.GroupSize
-		}
-	}
 	return c
 }
 
@@ -105,15 +92,6 @@ func (c Config) validate() error {
 	}
 	if c.Placement != PlacementTail && c.Placement != PlacementHead {
 		return fmt.Errorf("core: unknown placement %d", c.Placement)
-	}
-	if c.Adaptive {
-		if c.MinGroupSize < 1 || c.MaxGroupSize < c.MinGroupSize {
-			return fmt.Errorf("core: adaptive bounds [%d,%d] invalid", c.MinGroupSize, c.MaxGroupSize)
-		}
-		if c.GroupSize < c.MinGroupSize || c.GroupSize > c.MaxGroupSize {
-			return fmt.Errorf("core: group size %d outside adaptive bounds [%d,%d]",
-				c.GroupSize, c.MinGroupSize, c.MaxGroupSize)
-		}
 	}
 	return nil
 }
@@ -183,21 +161,7 @@ type AggregatingCache struct {
 	// into it via Builder.AppendBuild and consumes it immediately, so
 	// the miss path performs no group allocation.
 	groupBuf []trace.FileID
-
-	// Adaptive group sizing state: stats snapshots at the last window
-	// boundary.
-	lastSpeculative uint64
-	lastUsed        uint64
 }
-
-// Adaptation constants: every adaptWindow group fetches, the recent
-// speculative-fetch accuracy decides whether g grows (above growAbove) or
-// shrinks (below shrinkBelow).
-const (
-	adaptWindow = 64
-	growAbove   = 0.55
-	shrinkBelow = 0.25
-)
 
 // New builds an aggregating cache from cfg, applying documented defaults
 // for zero-valued fields.
@@ -214,7 +178,7 @@ func New(cfg Config) (*AggregatingCache, error) {
 	if err != nil {
 		return nil, err
 	}
-	builder, err := group.NewBuilder(tracker, cfg.GroupSize, cfg.Strategy)
+	builder, err := group.NewCutBuilder(tracker, cfg.GroupSize, cfg.Strategy, cfg.LinkShare)
 	if err != nil {
 		return nil, err
 	}
@@ -304,51 +268,7 @@ func (c *AggregatingCache) fetchGroup(id trace.FileID) {
 	c.m.groupSize.Observe(uint64(len(g)))
 	c.lru.Install(g, c.cfg.Placement == PlacementHead)
 	c.stats.Evictions = c.lru.Evictions()
-	if c.cfg.Adaptive && c.stats.GroupFetches%adaptWindow == 0 {
-		c.adapt()
-	}
 }
-
-// adapt tunes the group size from the last window's speculative-fetch
-// accuracy.
-func (c *AggregatingCache) adapt() {
-	speculative := c.stats.FilesFetched - c.stats.GroupFetches
-	used := c.stats.PrefetchHits
-	dSpec := speculative - c.lastSpeculative
-	dUsed := used - c.lastUsed
-	c.lastSpeculative = speculative
-	c.lastUsed = used
-	if dSpec == 0 {
-		// Nothing speculative happened (g == 1 or no metadata yet):
-		// probe upward so a predictable workload can escape g == 1.
-		c.growGroup()
-		return
-	}
-	accuracy := float64(dUsed) / float64(dSpec)
-	switch {
-	case accuracy > growAbove:
-		c.growGroup()
-	case accuracy < shrinkBelow:
-		c.shrinkGroup()
-	}
-}
-
-func (c *AggregatingCache) growGroup() {
-	if g := c.builder.Size(); g < c.cfg.MaxGroupSize {
-		// SetSize cannot fail for g+1 >= 2.
-		_ = c.builder.SetSize(g + 1)
-	}
-}
-
-func (c *AggregatingCache) shrinkGroup() {
-	if g := c.builder.Size(); g > c.cfg.MinGroupSize {
-		_ = c.builder.SetSize(g - 1)
-	}
-}
-
-// CurrentGroupSize returns the group size in effect (== GroupSize unless
-// Adaptive).
-func (c *AggregatingCache) CurrentGroupSize() int { return c.builder.Size() }
 
 // evicted is the eviction hook: it counts wasted speculation.
 func (c *AggregatingCache) evicted(_ trace.FileID, speculative bool) {
@@ -413,7 +333,7 @@ func (c *AggregatingCache) LoadMetadata(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	b, err := group.NewBuilder(t, c.builder.Size(), c.cfg.Strategy)
+	b, err := group.NewCutBuilder(t, c.cfg.GroupSize, c.cfg.Strategy, c.cfg.LinkShare)
 	if err != nil {
 		return err
 	}

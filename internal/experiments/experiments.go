@@ -76,6 +76,7 @@ var titles = map[string]string{
 	"xoverlap":   "Extension: storage cost of overlapping groups vs group size (\u00a76)",
 	"xcontext":   "Extension: per-client vs merged successor contexts on the users workload (\u00a72.2)",
 	"xbakeoff":   "Extension: every replacement policy vs the aggregating cache, all workloads",
+	"xprune":     "Extension: cutting weak links vs static group size (Fig 7's falling predictability)",
 }
 
 // registry maps experiment IDs to runners.
@@ -101,6 +102,7 @@ var registry = map[string]Runner{
 	"xoverlap":   xoverlap,
 	"xcontext":   xcontext,
 	"xbakeoff":   xbakeoff,
+	"xprune":     xprune,
 }
 
 // IDs returns the known experiment IDs in stable order.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ var small = Config{Opens: 12000, Seed: 1}
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
 	want := []string{"3a", "3b", "4a", "4b", "4c", "5a", "5b", "7", "8a", "8b", "claims",
-		"xbakeoff", "xcontext", "xdecay", "xhoard", "xlatency", "xoverlap", "xplacement", "xprefetch", "xweb"}
+		"xbakeoff", "xcontext", "xdecay", "xhoard", "xlatency", "xoverlap", "xplacement", "xprefetch", "xprune", "xweb"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v, want %v", ids, want)
 	}
@@ -444,5 +445,42 @@ func TestExtensionBakeoff(t *testing.T) {
 				t.Errorf("%s: %s %.2f above OPT %.2f", name, p, online[col], opt[col])
 			}
 		}
+	}
+}
+
+// TestExtensionPrune pins xprune's shape: at share 1/3 the link cut costs
+// fewer demand fetches and transfers fewer files than static g in every
+// profile x capacity cell.
+func TestExtensionPrune(t *testing.T) {
+	tab, err := Run("xprune", small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * 4 * len(pruneSchemes); len(tab.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
+	}
+	static := map[string][]float64{}
+	var cells int
+	for i, row := range tab.Rows {
+		label := tab.RowLabels[i]
+		profile, scheme, _ := strings.Cut(label, " ")
+		key := fmt.Sprintf("%s/%v", profile, row[0])
+		switch scheme {
+		case "static g=5":
+			static[key] = row
+		case "cut 1/3":
+			base, ok := static[key]
+			if !ok {
+				t.Fatalf("%s: no static row before it", label)
+			}
+			cells++
+			if row[1] >= base[1] || row[2] >= base[2] {
+				t.Errorf("%s: fetches %v files %v, static g fetches %v files %v",
+					key, row[1], row[2], base[1], base[2])
+			}
+		}
+	}
+	if cells != 16 {
+		t.Errorf("compared %d cells, want 16", cells)
 	}
 }

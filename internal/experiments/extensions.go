@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"aggcache/internal/cache"
+	"aggcache/internal/core"
 	"aggcache/internal/group"
 	"aggcache/internal/hoard"
 	"aggcache/internal/multilevel"
@@ -430,6 +431,69 @@ func xcontext(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("workload=users (%d interleaved clients) opens=%d seed=%d", 8, cfg.Opens, cfg.Seed),
 		"extension study (paper §2.2): y = P(successor list misses the next file); per-client transitions never span clients")
+	return t, nil
+}
+
+// pruneSchemes are xprune's rows: static g and the link cut at three
+// shares.
+var pruneSchemes = []struct {
+	label string
+	cfg   core.Config
+}{
+	{"static g=5", core.Config{GroupSize: 5}},
+	{"cut 0.2", core.Config{GroupSize: 5, LinkShare: 0.2}},
+	{"cut 1/3", core.Config{GroupSize: 5, LinkShare: 1.0 / 3}},
+	{"cut 0.5", core.Config{GroupSize: 5, LinkShare: 0.5}},
+}
+
+// xprune weighs the link cut (core.Config.LinkShare) against static g:
+// what each costs in demand fetches and what it transfers for them, on
+// every profile at four client capacities.
+func xprune(cfg Config) (*Table, error) {
+	profiles := []workload.Profile{
+		workload.ProfileWorkstation, workload.ProfileUsers,
+		workload.ProfileWrite, workload.ProfileServer,
+	}
+	capacities := []int{20, 50, 100, 300}
+	t := &Table{
+		ID:      "xprune",
+		XLabel:  "profile, client capacity, group rule",
+		Columns: []string{"capacity", "demand fetches", "files transferred", "hit rate (%)", "prefetch accuracy (%)"},
+	}
+	t.Title, _ = Title("xprune")
+	per := len(capacities) * len(pruneSchemes)
+	t.Rows = make([][]float64, len(profiles)*per)
+	t.RowLabels = make([]string, len(t.Rows))
+	err := runParallel(len(t.Rows), cfg.Parallelism, func(i int) error {
+		p := profiles[i/per]
+		capacity := capacities[i%per/len(pruneSchemes)]
+		scheme := pruneSchemes[i%len(pruneSchemes)]
+		ids, err := openIDs(cfg, p)
+		if err != nil {
+			return err
+		}
+		c := scheme.cfg
+		c.Capacity = capacity
+		r, err := simulate.RunClientConfig(ids, c)
+		if err != nil {
+			return err
+		}
+		t.RowLabels[i] = fmt.Sprintf("%s %s", p, scheme.label)
+		t.Rows[i] = []float64{
+			float64(capacity),
+			float64(r.Fetches),
+			float64(r.Stats.FilesFetched),
+			100 * r.HitRate,
+			100 * r.Stats.PrefetchAccuracy(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("opens=%d seed=%d; aggregating client cache, g=5 as the cap", cfg.Opens, cfg.Seed),
+		"cut s: a successor joins a group only when its count is more than s of its predecessor's retained counts")
 	return t, nil
 }
 

@@ -1,10 +1,14 @@
 package fsnet
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"aggcache/internal/trace"
 )
 
 func TestHandoffRequestCodec(t *testing.T) {
@@ -113,13 +117,97 @@ func TestHandoffValidation(t *testing.T) {
 		t.Error("oversized member list accepted")
 	}
 
-	// Handoff is metadata-only: members absent from this store are legal
-	// (the group builder simply cannot serve their bytes).
+	// A member absent from this store is dropped, not an error
+	// (TestHandoffLearnsOnlyStoredPaths).
 	if err := c.Handoff("/data/f000", []string{"/data/f001", "/elsewhere/gone"}); err != nil {
 		t.Fatalf("handoff with absent member: %v", err)
 	}
 	if st := srv.Stats(); st.Handoffs != 1 {
 		t.Errorf("Handoffs = %d, want 1", st.Handoffs)
+	}
+}
+
+// TestHandoffLearnsOnlyStoredPaths: like an open, a handoff gives an id
+// only to a path the store holds. An anchor the store lacks is answered
+// not-found and counts only the request; a member it lacks is dropped
+// before learning, so it never takes a share of a successor list.
+func TestHandoffLearnsOnlyStoredPaths(t *testing.T) {
+	cases := []struct {
+		name    string
+		stored  []string
+		anchor  string
+		members []string
+		// wantErr: the handoff is answered ErrNotFound.
+		wantErr bool
+		// wantIDs lists every interned path; wantSucc is the anchor's
+		// successor list, by path.
+		wantIDs  []string
+		wantSucc []string
+		// wantFiles is the files the anchor's group fetch staged.
+		wantFiles uint64
+	}{
+		{
+			name: "ghost anchor", stored: []string{"/a"},
+			anchor: "/ghost", members: []string{"/a", "/nope1", "/nope2"},
+			wantErr: true,
+		},
+		{
+			name: "ghost members dropped", stored: []string{"/a", "/b"},
+			anchor: "/a", members: []string{"/nope1", "/b", "/nope2"},
+			wantIDs: []string{"/a", "/b"}, wantSucc: []string{"/b"}, wantFiles: 2,
+		},
+		{
+			name: "every member a ghost", stored: []string{"/a"},
+			anchor: "/a", members: []string{"/nope"},
+			wantIDs: []string{"/a"}, wantFiles: 1,
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			store := NewStore()
+			for _, p := range c.stored {
+				if err := store.Put(p, []byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, addr := startServer(t, store, ServerConfig{GroupSize: 4})
+			cl, err := Dial(addr, ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			err = cl.Handoff(c.anchor, c.members)
+			if c.wantErr != errors.Is(err, ErrNotFound) || (!c.wantErr && err != nil) {
+				t.Fatalf("Handoff = %v, want not-found %v", err, c.wantErr)
+			}
+			var ids []string
+			for i := 0; i < srv.ids.Len(); i++ {
+				ids = append(ids, srv.ids.Path(trace.FileID(i)))
+			}
+			if !slices.Equal(ids, c.wantIDs) {
+				t.Errorf("interned %v, want %v", ids, c.wantIDs)
+			}
+			var succ []string
+			if id, ok := srv.ids.Lookup(c.anchor); ok {
+				for _, s := range srv.agg.Tracker().Successors(id) {
+					succ = append(succ, srv.ids.Path(s))
+				}
+			}
+			if !slices.Equal(succ, c.wantSucc) {
+				t.Errorf("anchor successors %v, want %v", succ, c.wantSucc)
+			}
+			st := srv.Stats()
+			want := uint64(1)
+			if c.wantErr {
+				want = 0
+			}
+			if st.Requests != 1 || st.Errors != 1-want || st.Handoffs != want ||
+				st.Cache.GroupFetches != want || st.Cache.FilesFetched != c.wantFiles {
+				t.Errorf("stats %+v, want 1 request, %d error, %d handoff and group fetch, %d files",
+					st, 1-want, want, c.wantFiles)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,11 @@ import (
 // simulate.RunServer's piggyback branch drives it (Learn on every open,
 // Serve on every client miss). Every open must agree on hit or miss, the
 // client's counters must equal the simulated client's, and
-// ServerStats.Cache must equal the simulated server's.
+// ServerStats.Cache must equal the simulated server's. Both simulated
+// caches build their groups with the server's LinkShare. So that the
+// oracle really exercises the cut, at least one cell must receive fewer
+// files than Fetches × g, and fewer than a client whose groups are not
+// cut would have received.
 //
 // The equality holds while fewer than maxStatPaths hits separate two
 // fetches: past that the client stops recording history, the server
@@ -28,6 +32,7 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 		serverCache = 256
 	)
 	cells := []struct{ capacity, g int }{{32, 5}, {128, 3}, {8, 5}, {64, 1}, {512, 8}}
+	cut := false
 	for _, p := range []workload.Profile{workload.ProfileServer, workload.ProfileUsers, workload.ProfileWorkstation} {
 		tr, err := workload.Standard(p, 1, opens)
 		if err != nil {
@@ -48,11 +53,15 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cl.Close()
-				simClient, err := core.New(core.Config{Capacity: cell.capacity, GroupSize: cell.g})
+				simClient, err := core.New(core.Config{Capacity: cell.capacity, GroupSize: cell.g, LinkShare: LinkShare})
 				if err != nil {
 					t.Fatal(err)
 				}
-				simServer, err := core.New(core.Config{Capacity: serverCache, GroupSize: cell.g})
+				simServer, err := core.New(core.Config{Capacity: serverCache, GroupSize: cell.g, LinkShare: LinkShare})
+				if err != nil {
+					t.Fatal(err)
+				}
+				uncut, err := core.New(core.Config{Capacity: cell.capacity, GroupSize: cell.g})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,6 +72,7 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 					}
 					liveHit := cl.Stats().Hits > before
 					simServer.Learn(id)
+					uncut.Access(id)
 					simHit := simClient.Access(id)
 					if !simHit {
 						simServer.Serve(id)
@@ -79,7 +89,13 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 				if got, want := srv.Stats().Cache, simServer.Stats(); got != want {
 					t.Errorf("server cache stats %+v, simulator %+v", got, want)
 				}
+				if cs.FilesReceived < cs.Fetches*uint64(cell.g) && cs.FilesReceived < uncut.Stats().FilesFetched {
+					cut = true
+				}
 			})
 		}
+	}
+	if !cut {
+		t.Error("every fetch carried a full group: the link cut never fired")
 	}
 }

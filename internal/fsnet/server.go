@@ -25,7 +25,8 @@ const maxServerPipeline = 64
 
 // ServerConfig parameterizes a file server.
 type ServerConfig struct {
-	// GroupSize is the best-effort retrieval group size g (default 5).
+	// GroupSize caps the retrieval group size g (default 5); a group stops
+	// earlier where its links are weak (LinkShare).
 	GroupSize int
 	// CacheCapacity is the server's memory cache in whole files
 	// (default 256). The cache is an aggregating cache: when a demanded
@@ -214,6 +215,13 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
+// LinkShare is the link cut every server builds its groups with
+// (core.Config.LinkShare): a successor joins a group only when it took more
+// than a third of its predecessor's retained successions, so a group stops
+// where prediction stops and GroupSize is a cap. DESIGN.md §5 has the
+// measurements behind the value.
+const LinkShare = 1.0 / 3
+
 // NewServer builds a server over the given store.
 func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 	if store == nil {
@@ -232,6 +240,7 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		Capacity:          cfg.CacheCapacity,
 		GroupSize:         cfg.GroupSize,
 		SuccessorCapacity: cfg.SuccessorCapacity,
+		LinkShare:         LinkShare,
 		Obs:               cfg.Obs,
 	})
 	if err != nil {
@@ -687,7 +696,10 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
-		s.handoff(req)
+		if errResp := s.handoff(req); errResp.Code != 0 {
+			rw.sendError(id, errResp)
+			return
+		}
 		rw.send(id, msgHandoffOK, nil, false)
 	case msgViewPull:
 		// Anti-entropy exchange: answer with our full view when we are at
@@ -806,16 +818,32 @@ func (s *Server) write(pathView, data []byte, sh *shadow) (uint64, errorResponse
 // re-expands transitively, so a later BuildGroup(anchor) reproduces the
 // departed owner's group shape up to the configured group size.
 //
+// Like an open, a handoff gives an id only to a path the store holds
+// (DESIGN.md §10): an anchor the store lacks is answered CodeNotFound,
+// having learned and staged nothing, and a member it lacks is dropped
+// before learning, as openView drops piggybacked history — a dead link
+// would otherwise take a share of its predecessor's counts.
+//
 // Accounting keeps the documented Stats contract: the handoff counts
 // one request, and the Serve below counts exactly one cache hit or
 // group fetch, so Requests >= Hits + GroupFetches + RemoteOpens holds
 // with equality at quiescence exactly as for opens.
-func (s *Server) handoff(req handoffRequest) {
+func (s *Server) handoff(req handoffRequest) errorResponse {
 	s.m.requests.Add(1)
+	if !s.store.Contains(req.Anchor) {
+		return errorResponse{Code: CodeNotFound, Message: req.Anchor}
+	}
 	chain := make([]trace.FileID, 0, 1+len(req.Members))
 	chain = append(chain, s.ids.Intern(req.Anchor))
 	for _, p := range req.Members {
-		chain = append(chain, s.ids.Intern(p))
+		id, known := s.ids.Lookup(p)
+		if !known {
+			if !s.store.Contains(p) {
+				continue
+			}
+			id = s.ids.Intern(p)
+		}
+		chain = append(chain, id)
 	}
 	s.connMu.Lock()
 	s.nextSrc++
@@ -830,6 +858,7 @@ func (s *Server) handoff(req handoffRequest) {
 	s.agg.Tracker().ForgetSource(src)
 	s.aggMu.Unlock()
 	s.m.handoffs.Add(1)
+	return errorResponse{}
 }
 
 // ExportGroups snapshots the groups this server would serve right now

@@ -28,7 +28,7 @@ const (
 	StrategyBreadth
 )
 
-// Builder assembles groups of a fixed target size from a tracker's
+// Builder assembles groups of up to a fixed size from a tracker's
 // metadata. The tracker stays owned by the caller and keeps learning as the
 // workload proceeds; Build reads the current metadata.
 //
@@ -40,6 +40,10 @@ type Builder struct {
 	tracker  *successor.Tracker
 	size     int
 	strategy Strategy
+	// share is the link cut: a successor is a candidate only when its
+	// count is more than share of the counts its predecessor's list
+	// retains. 0 cuts nothing.
+	share float64
 
 	// seen is a dense generation-stamped membership set indexed by
 	// FileID (IDs are interned densely, so they double as indices).
@@ -54,8 +58,20 @@ type Builder struct {
 	queue []trace.FileID
 }
 
-// NewBuilder returns a Builder producing groups of up to size files.
+// NewBuilder returns a Builder producing groups of up to size files that
+// cuts no link: it chains successors until the group holds size files or
+// the metadata runs out — the paper's rule.
 func NewBuilder(t *successor.Tracker, size int, strategy Strategy) (*Builder, error) {
+	return NewCutBuilder(t, size, strategy, 0)
+}
+
+// NewCutBuilder returns a Builder that also cuts weak links: a successor
+// joins a group only when its count is more than share of the counts its
+// predecessor's list retains (at share 1/3, 3·count > total). A link that
+// fails the test is skipped, and the chain falls back to earlier members
+// under the same rule, so size is a cap rather than a target. Share 0 is
+// NewBuilder.
+func NewCutBuilder(t *successor.Tracker, size int, strategy Strategy, share float64) (*Builder, error) {
 	if t == nil {
 		return nil, fmt.Errorf("group: tracker must not be nil")
 	}
@@ -65,21 +81,14 @@ func NewBuilder(t *successor.Tracker, size int, strategy Strategy) (*Builder, er
 	if strategy != StrategyChain && strategy != StrategyBreadth {
 		return nil, fmt.Errorf("group: unknown strategy %d", strategy)
 	}
-	return &Builder{tracker: t, size: size, strategy: strategy}, nil
-}
-
-// Size returns the target group size g.
-func (b *Builder) Size() int { return b.size }
-
-// SetSize changes the target group size; the adaptive aggregating cache
-// tunes g online through this.
-func (b *Builder) SetSize(n int) error {
-	if n < 1 {
-		return fmt.Errorf("group: size must be >= 1, got %d", n)
+	if !(share >= 0 && share < 1) {
+		return nil, fmt.Errorf("group: link share must be in [0,1), got %v", share)
 	}
-	b.size = n
-	return nil
+	return &Builder{tracker: t, size: size, strategy: strategy, share: share}, nil
 }
+
+// Size returns the group size cap g.
+func (b *Builder) Size() int { return b.size }
 
 // Build returns a best-effort group for a demand access to id: id itself
 // first, then up to size-1 predicted members, without duplicates. The
@@ -162,10 +171,16 @@ func (b *Builder) extendChain(dst []trace.FileID, start int) []trace.FileID {
 	return dst
 }
 
+// successors reads id's ranked successors that pass the link cut into the
+// scratch buffer.
+func (b *Builder) successors(id trace.FileID) []trace.FileID {
+	b.succ = b.tracker.AppendLikely(b.succ[:0], id, b.share)
+	return b.succ
+}
+
 // chainNext picks the best-ranked unseen successor of cur.
 func (b *Builder) chainNext(cur trace.FileID) (trace.FileID, bool) {
-	b.succ = b.tracker.AppendSuccessors(b.succ[:0], cur)
-	for _, s := range b.succ {
+	for _, s := range b.successors(cur) {
 		if !b.marked(s) {
 			return s, true
 		}
@@ -177,8 +192,7 @@ func (b *Builder) chainNext(cur trace.FileID) (trace.FileID, bool) {
 // member order, so stalled chains restart from the most confirmed context.
 func (b *Builder) fallback(group []trace.FileID) (trace.FileID, bool) {
 	for _, m := range group {
-		b.succ = b.tracker.AppendSuccessors(b.succ[:0], m)
-		for _, s := range b.succ {
+		for _, s := range b.successors(m) {
 			if !b.marked(s) {
 				return s, true
 			}
@@ -191,9 +205,7 @@ func (b *Builder) fallback(group []trace.FileID) (trace.FileID, bool) {
 func (b *Builder) extendBreadth(dst []trace.FileID, start int) []trace.FileID {
 	b.queue = append(b.queue[:0], dst[start])
 	for qi := 0; qi < len(b.queue) && len(dst)-start < b.size; qi++ {
-		cur := b.queue[qi]
-		b.succ = b.tracker.AppendSuccessors(b.succ[:0], cur)
-		for _, s := range b.succ {
+		for _, s := range b.successors(b.queue[qi]) {
 			if b.marked(s) {
 				continue
 			}

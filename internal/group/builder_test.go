@@ -1,9 +1,13 @@
 package group
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/successor"
 	"aggcache/internal/trace"
 )
@@ -247,4 +251,164 @@ func TestCoverStatsEmpty(t *testing.T) {
 	if st != (CoverStats{}) {
 		t.Errorf("empty stats = %+v", st)
 	}
+}
+
+// cutBuild observes seq into an LRU tracker of capacity 3 and builds the
+// group of id at size 5 under the given share.
+func cutBuild(t *testing.T, seq []trace.FileID, share float64, id trace.FileID) []trace.FileID {
+	t.Helper()
+	b, err := NewCutBuilder(newTracker(t, seq), 5, StrategyChain, share)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Build(id)
+}
+
+// TestBuildCutsWeakLinks: at share 1/3 a successor joins only when 3·count
+// exceeds the counts its predecessor's list retains, in the chain and in
+// the fallback alike.
+func TestBuildCutsWeakLinks(t *testing.T) {
+	cases := []struct {
+		name string
+		seq  []trace.FileID
+		want []trace.FileID
+	}{
+		// 1's counts (1,1,1): no link passes 3 > 3.
+		{"three-way tie", []trace.FileID{1, 2, 1, 3, 1, 4}, []trace.FileID{1}},
+		// (2,1,1): only the 2 passes 6 > 4; the ranked-first 4 and the
+		// fallback's 3 do not.
+		{"one strong link", []trace.FileID{1, 3, 1, 2, 1, 2, 1, 4}, []trace.FileID{1, 2}},
+		// (1,1): both pass 3 > 2; the chain takes the most recent, 3, and
+		// the fallback the other.
+		{"two-way tie", []trace.FileID{1, 2, 1, 3}, []trace.FileID{1, 3, 2}},
+		// 1's counts 4:1 (ranked first), 3:3, 2:3 — 4 is weak. The chain
+		// runs 1, 3, 8 and stalls at 8 (its one successor is 1). The
+		// fallback takes 1's other strong successor, 2, skipping the weak
+		// 4; 2's successors 10, 7, 9 are a three-way tie, so it stops.
+		{"fallback", []trace.FileID{1, 2, 9, 1, 3, 8, 1, 2, 7, 1, 3, 8, 1, 2, 10, 1, 3, 8, 1, 4, 5}, []trace.FileID{1, 3, 8, 2}},
+	}
+	for _, c := range cases {
+		if got := cutBuild(t, c.seq, 1.0/3, 1); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Build(1) = %v, want %v", c.name, got, c.want)
+		}
+	}
+	// Uncut, the same metadata fills the group.
+	seq := cases[len(cases)-1].seq
+	if got, want := cutBuild(t, seq, 0, 1), []trace.FileID{1, 4, 5, 3, 8}; !slices.Equal(got, want) {
+		t.Errorf("share 0: Build(1) = %v, want %v", got, want)
+	}
+}
+
+func TestNewCutBuilderValidation(t *testing.T) {
+	tr := newTracker(t, nil)
+	for _, share := range []float64{-0.1, 1, 2, math.NaN()} {
+		if _, err := NewCutBuilder(tr, 3, StrategyChain, share); err == nil {
+			t.Errorf("share %v accepted", share)
+		}
+	}
+}
+
+// TestAllocBudgetCutBuild pins a build under the cut, into a reused
+// buffer, at zero allocations.
+func TestAllocBudgetCutBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seq := make([]trace.FileID, 5000)
+	for i := range seq {
+		seq[i] = trace.FileID(rng.Intn(200))
+	}
+	b, err := NewCutBuilder(newTracker(t, seq), 5, StrategyChain, 1.0/3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]trace.FileID, 0, 5)
+	var id trace.FileID
+	if n := alloctest.PerOp(t, func() {
+		buf = b.AppendBuild(buf[:0], id)
+		id = (id + 1) % 200
+	}); n != 0 {
+		t.Errorf("cut build allocates %v, want 0", n)
+	}
+}
+
+// checkBuilder observes seq into a tracker of the given policy and, every
+// seventh observation and at the end, builds the group of every id seen so
+// far with Builder at share 0 and with refBuilder, for both strategies and
+// sizes 1-8. The builders persist across checks, so their scratch state
+// is exercised too.
+func checkBuilder(t *testing.T, policy successor.Policy, capacity int, seq []trace.FileID) {
+	t.Helper()
+	tr, err := successor.NewTracker(policy, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		got  *Builder
+		want *refBuilder
+	}
+	var pairs []pair
+	for _, st := range []Strategy{StrategyChain, StrategyBreadth} {
+		for size := 1; size <= 8; size++ {
+			got, err := NewBuilder(tr, size, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := newRefBuilder(tr, size, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs = append(pairs, pair{got, want})
+		}
+	}
+	var maxID trace.FileID
+	for i, id := range seq {
+		tr.Observe(id)
+		maxID = max(maxID, id)
+		if i%7 != 6 && i != len(seq)-1 {
+			continue
+		}
+		for _, p := range pairs {
+			for q := trace.FileID(0); q <= maxID; q++ {
+				if got, want := p.got.Build(q), p.want.Build(q); !slices.Equal(got, want) {
+					t.Fatalf("%s/%d, strategy %d size %d, after %d observations: Build(%d) = %v, reference %v",
+						policy, capacity, p.got.strategy, p.got.size, i+1, q, got, want)
+				}
+			}
+		}
+	}
+}
+
+var refPolicies = []successor.Policy{successor.PolicyLRU, successor.PolicyLFU, successor.PolicyDecay, successor.PolicyOracle}
+
+// TestBuilderMatchesReferenceAtZero: with no cut, Builder is the builder
+// from before the cut, group for group, on every policy and strategy.
+func TestBuilderMatchesReferenceAtZero(t *testing.T) {
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 2 + rng.Intn(24)
+		seq := make([]trace.FileID, 150)
+		for i := range seq {
+			seq[i] = trace.FileID(rng.Intn(universe))
+		}
+		checkBuilder(t, refPolicies[seed%4], 1+rng.Intn(5), seq)
+	}
+}
+
+// FuzzBuilder checks Builder at share 0 against the reference on traces
+// decoded from the input: the first byte picks the policy (low two bits)
+// and the list capacity (1..5), each later byte an id.
+func FuzzBuilder(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 2, 4, 1, 3, 5, 2})
+	f.Add([]byte{7, 0, 1, 0, 2, 0, 3, 0, 1, 4, 4, 1})
+	f.Add([]byte{14, 1, 2, 9, 1, 3, 8, 1, 2, 7, 1, 3, 8, 1, 2, 10, 1, 3, 8, 1, 4, 5})
+	f.Add([]byte{3, 5, 5, 5, 6, 5, 7, 6, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 400 {
+			return
+		}
+		seq := make([]trace.FileID, 0, len(data)-1)
+		for _, b := range data[1:] {
+			seq = append(seq, trace.FileID(b%24))
+		}
+		checkBuilder(t, refPolicies[data[0]&3], 1+int(data[0]>>2)%5, seq)
+	})
 }

@@ -29,7 +29,13 @@ type ClientResult struct {
 // RunClient simulates an aggregating client cache over the open sequence.
 // GroupSize 1 is plain LRU.
 func RunClient(ids []trace.FileID, capacity, groupSize int) (ClientResult, error) {
-	agg, err := core.New(core.Config{Capacity: capacity, GroupSize: groupSize})
+	return RunClientConfig(ids, core.Config{Capacity: capacity, GroupSize: groupSize})
+}
+
+// RunClientConfig is RunClient for any aggregating-cache configuration,
+// such as one that cuts weak links.
+func RunClientConfig(ids []trace.FileID, cfg core.Config) (ClientResult, error) {
+	agg, err := core.New(cfg)
 	if err != nil {
 		return ClientResult{}, fmt.Errorf("client sim: %w", err)
 	}
@@ -38,8 +44,8 @@ func RunClient(ids []trace.FileID, capacity, groupSize int) (ClientResult, error
 	}
 	s := agg.Stats()
 	return ClientResult{
-		Capacity:  capacity,
-		GroupSize: groupSize,
+		Capacity:  cfg.Capacity,
+		GroupSize: agg.GroupSize(),
 		Fetches:   s.DemandFetches(),
 		HitRate:   s.HitRate(),
 		Stats:     s,

@@ -314,6 +314,30 @@ func (l *List) AppendRanked(dst []trace.FileID) []trace.FileID {
 	return dst
 }
 
+// AppendLikely is AppendRanked keeping only the candidates whose count is
+// more than share of the counts the list retains: at share 1/3, a
+// successor that took more than a third of the retained successions.
+// Share 0 keeps every candidate.
+func (l *List) AppendLikely(dst []trace.FileID, share float64) []trace.FileID {
+	start := len(dst)
+	dst = l.AppendRanked(dst)
+	if share <= 0 {
+		return dst
+	}
+	var total uint64
+	for i := range l.entries {
+		total += l.entries[i].count
+	}
+	cut := share * float64(total)
+	kept := dst[:start]
+	for _, id := range dst[start:] {
+		if float64(l.Count(id)) > cut {
+			kept = append(kept, id)
+		}
+	}
+	return kept
+}
+
 // Count returns how many times id has been observed while retained.
 // Evicted candidates lose their counts, exactly like the paper's bounded
 // metadata.

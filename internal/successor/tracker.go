@@ -152,11 +152,18 @@ func (t *Tracker) Successors(id trace.FileID) []trace.FileID {
 
 // AppendSuccessors appends id's candidate successors, best first, to dst
 // and returns the extended slice, allocating nothing when dst has spare
-// capacity. The group builder calls this once per chain step, so it must
-// stay off the heap.
+// capacity.
 func (t *Tracker) AppendSuccessors(dst []trace.FileID, id trace.FileID) []trace.FileID {
+	return t.AppendLikely(dst, id, 0)
+}
+
+// AppendLikely is AppendSuccessors keeping only the successors whose count
+// is more than share of the counts id's list retains (List.AppendLikely).
+// The group builder calls this once per chain step, so it must stay off
+// the heap.
+func (t *Tracker) AppendLikely(dst []trace.FileID, id trace.FileID, share float64) []trace.FileID {
 	if l := t.List(id); l != nil {
-		return l.AppendRanked(dst)
+		return l.AppendLikely(dst, share)
 	}
 	return dst
 }
