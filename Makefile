@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead vet test race bench bench-json bench-e2e loadtest fleet-smoke experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead vet test race bench bench-e2e fleet-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -41,7 +41,10 @@ ignore-guard:
 # on any reader, so no command retries on ErrBadMagic or peeks itself. So
 # is the adaptive group-size controller: the link cut
 # (core.Config.LinkShare) beat it on fetches in every cell of three of
-# four profiles in xprune.
+# four profiles in xprune. So is every measuring path outside benchmark/
+# that nothing read: aggbench's delay harness behind -rtt, the
+# go-bench baseline stack (cmd/benchjson, internal/benchparse) and the
+# client's registry-less TTFB histogram with its Client.TTFB reader.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -56,6 +59,7 @@ lint-dead:
 	@! grep -rn 'ErrBadMagic' --include='*.go' --exclude='*_test.go' cmd
 	@! grep -rn 'newPeeker' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'Adaptive:|\.Adaptive\b|MinGroupSize|MaxGroupSize|CurrentGroupSize|growGroup|shrinkGroup|adaptWindow|SetSize\(' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'delayConn|delayWheel|sharedWheel|getDelayBuf|benchparse|benchjson|TTFB\(\)' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -69,17 +73,6 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable baseline for the key hot-path and sweep benchmarks
-# (ns/op, B/op, allocs/op, custom metrics). Commit the refreshed file when
-# a perf change moves the numbers on purpose.
-bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkAccess|BenchmarkTrackerObserve|BenchmarkSuccessorEntropyK1' -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClientSweep|BenchmarkServerSweep' -benchmem -benchtime 2x ./internal/simulate/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenLoopback$$|BenchmarkOpenPipelined|BenchmarkOpenRoutedLocal' -benchmem ./internal/fsnet/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkOpenForwarded' -benchmem ./internal/cluster/ ; } \
-	| $(GO) run ./cmd/benchjson > BENCH_BASELINE.json
-	@echo wrote BENCH_BASELINE.json
-
 # The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
 # then one short client_hot, cluster3 and sim_sweep run each through the
 # command BENCHMARK.json declares. client_hot is the workload whose set-up
@@ -92,14 +85,6 @@ bench-e2e:
 	bash benchmark/run.sh --workload client_hot --seconds 1
 	bash benchmark/run.sh --workload cluster3 --seconds 1
 	bash benchmark/run.sh --workload sim_sweep --seconds 1
-
-# Human-run comparison over a simulated 2ms-RTT network: 8 connections
-# x 8 pipelining goroutines vs the lock-step baseline of one request in
-# flight per connection (-workers 1). The throughput ratio is the
-# latency-hiding claim of DESIGN.md §10; nothing gates on it.
-loadtest:
-	$(GO) run ./cmd/aggbench -conns 8 -workers 8 -opens 4000 -rtt 2ms
-	$(GO) run ./cmd/aggbench -conns 8 -workers 1 -opens 4000 -rtt 2ms
 
 # The one real-process deployment check: build aggserve and aggbench,
 # boot a 3-node cluster, and walk it through readiness, a verified load

@@ -11,11 +11,10 @@
 // connections spread over them round-robin. Without -addr the same load
 // drives an in-process consistent-hash ring of -cluster nodes
 // (internal/cluster, replicated stores; 1 by default), through the same
-// code path. -rtt injects a simulated round trip; -workers 1 keeps one
-// request in flight per connection, the lock-step baseline whose ratio
-// to a pipelined run is the latency-hiding claim of DESIGN.md §10.
-// -metrics wires an internal/obs registry into the clients and prints
-// its series with the report.
+// code path. -workers 1 keeps one request in flight per connection, the
+// lock-step baseline. -metrics wires an internal/obs registry into the
+// clients and prints its series with the report, time-to-first-byte
+// (fsnet_client_ttfb_ns) included.
 //
 // -churn (with -cluster >= 2) exercises elastic membership under load:
 // at 40% progress the last node drains — its goodbye gossip removes it
@@ -35,7 +34,7 @@
 //
 // Examples:
 //
-//	aggbench -conns 8 -workers 8 -rtt 2ms
+//	aggbench -conns 8 -workers 8
 //	aggbench -addr 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072 -conns 6
 //	aggbench -cluster 3 -conns 9 -workers 4 -churn
 package main
@@ -45,7 +44,7 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -58,303 +57,6 @@ import (
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
 )
-
-// delayConn models propagation delay: every byte written becomes visible
-// to the peer d later, and every byte the peer sent becomes readable d
-// after it hit the wire — without charging anything per syscall, exactly
-// like a long pipe and unlike a per-operation sleep (which would bill a
-// pipelined batch once per frame instead of once per flight). Throughput
-// is unconstrained; only latency is injected, so the measurement isolates
-// what request pipelining is supposed to hide.
-//
-// Release timing is owned by a single process-wide wheel goroutine (see
-// delayWheel) rather than per-connection sleeps: time.Sleep rounds up
-// to the kernel timer tick (~1.1ms on this hardware), which both
-// inflates the injected delay by up to a tick and synchronizes every
-// in-flight flight onto the same tick — the wakeup burst then
-// serializes on the single CPU and bills queueing delay to the protocol
-// under test.
-type delayConn struct {
-	net.Conn
-	dOut time.Duration   // propagation charged on the write path
-	dIn  time.Duration   // propagation charged on the read path
-	out  chan delayChunk // wheel -> write pump, already due
-	in   chan delayChunk // wheel -> Read, already due
-
-	mu         sync.Mutex
-	pending    []byte  // matured but unconsumed read bytes
-	pendingBox *[]byte // pooled backing array behind pending
-	readErr    error
-	werr       atomic.Value // first write-pump error
-}
-
-type delayChunk struct {
-	data []byte
-	box  *[]byte // pooled backing array, recycled once data is consumed
-	err  error
-}
-
-// delayBufPool recycles chunk backing arrays. The pumps move tens of
-// thousands of chunks per second; allocating each one fresh made the
-// harness itself the biggest source of GC work in the profile, which
-// was billed to the client under measurement.
-var delayBufPool = sync.Pool{New: func() any {
-	b := make([]byte, 128<<10)
-	return &b
-}}
-
-func getDelayBuf(n int) ([]byte, *[]byte) {
-	bp := delayBufPool.Get().(*[]byte)
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	return (*bp)[:n], bp
-}
-
-// delayRelease is one scheduled hand-off: at due (nanoseconds on the
-// wheel's monotonic clock), chunk c is forwarded to ch (a delayConn's
-// out or in channel). seq breaks due ties so same-connection chunks
-// keep FIFO order through the heap.
-type delayRelease struct {
-	due int64
-	seq uint64
-	ch  chan delayChunk
-	c   delayChunk
-}
-
-// delayWheel releases every delayConn's chunks at their due times from
-// one goroutine. A min-heap orders releases; the loop sleeps through
-// the bulk of the wait and yields through the final kernel tick
-// (time.Sleep rounds up to the ~1.1ms tick on this hardware, which
-// would both inflate the injected delay by up to half an RTT and
-// synchronize every in-flight reply onto the same tick — the wakeup
-// burst then serializes on the CPU and bills queueing delay to the
-// protocol under test). Centralizing the wait means exactly one
-// spinner exists no matter how many connections carry delay, and the
-// spin reads only the clock and an atomic — the heap lock is taken
-// just to push and pop.
-type delayWheel struct {
-	epoch time.Time
-	head  atomic.Int64 // earliest due, or noDue when the heap is empty
-	mu    sync.Mutex
-	h     []delayRelease
-	seq   uint64
-	wake  chan struct{}
-}
-
-const noDue = int64(1) << 62
-
-var (
-	wheelOnce sync.Once
-	wheel     *delayWheel
-)
-
-func sharedWheel() *delayWheel {
-	wheelOnce.Do(func() {
-		wheel = &delayWheel{epoch: time.Now(), wake: make(chan struct{}, 1)}
-		wheel.head.Store(noDue)
-		go wheel.loop()
-	})
-	return wheel
-}
-
-// now is the wheel's monotonic clock: nanoseconds since the wheel
-// started.
-func (w *delayWheel) now() int64 {
-	return int64(time.Since(w.epoch))
-}
-
-func (w *delayWheel) add(delay time.Duration, ch chan delayChunk, c delayChunk) {
-	due := w.now() + int64(delay)
-	w.mu.Lock()
-	w.seq++
-	w.h = append(w.h, delayRelease{due: due, seq: w.seq, ch: ch, c: c})
-	w.up(len(w.h) - 1)
-	first := w.h[0].seq == w.seq
-	if first {
-		w.head.Store(due)
-	}
-	w.mu.Unlock()
-	if first {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (w *delayWheel) less(i, j int) bool {
-	if w.h[i].due != w.h[j].due {
-		return w.h[i].due < w.h[j].due
-	}
-	return w.h[i].seq < w.h[j].seq
-}
-
-func (w *delayWheel) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !w.less(i, p) {
-			break
-		}
-		w.h[i], w.h[p] = w.h[p], w.h[i]
-		i = p
-	}
-}
-
-func (w *delayWheel) down(i int) {
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < len(w.h) && w.less(l, m) {
-			m = l
-		}
-		if r < len(w.h) && w.less(r, m) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		w.h[i], w.h[m] = w.h[m], w.h[i]
-		i = m
-	}
-}
-
-func (w *delayWheel) loop() {
-	// Empirical kernel timer granularity: time.Sleep(d) completes at
-	// roughly d rounded up to the next ~1.1ms tick. Sleep only the
-	// portion guaranteed not to overshoot; yield through the rest. One
-	// yield per clock read keeps releases prompt even when the run
-	// queue is deep — every Gosched may run another goroutine's full
-	// slice, so batching yields would stall releases.
-	const tick = 1150 * time.Microsecond
-	var scratch []delayRelease
-	for {
-		head := w.head.Load()
-		if head == noDue {
-			<-w.wake
-			continue
-		}
-		d := head - w.now()
-		if d > int64(tick) {
-			t := time.NewTimer(time.Duration(d) - tick)
-			select {
-			case <-w.wake:
-				t.Stop()
-			case <-t.C:
-			}
-			continue
-		}
-		if d > 0 {
-			runtime.Gosched()
-			continue
-		}
-		now := w.now()
-		w.mu.Lock()
-		scratch = scratch[:0]
-		for len(w.h) > 0 && w.h[0].due <= now {
-			scratch = append(scratch, w.h[0])
-			last := len(w.h) - 1
-			w.h[0] = w.h[last]
-			w.h[last] = delayRelease{}
-			w.h = w.h[:last]
-			w.down(0)
-		}
-		if len(w.h) > 0 {
-			w.head.Store(w.h[0].due)
-		} else {
-			w.head.Store(noDue)
-		}
-		w.mu.Unlock()
-		for i := range scratch {
-			scratch[i].ch <- scratch[i].c
-			scratch[i] = delayRelease{}
-		}
-	}
-}
-
-func newDelayConn(conn net.Conn, dOut, dIn time.Duration) *delayConn {
-	dc := &delayConn{
-		Conn: conn,
-		dOut: dOut,
-		dIn:  dIn,
-		out:  make(chan delayChunk, 1024),
-		in:   make(chan delayChunk, 1024),
-	}
-	if dOut > 0 {
-		go dc.writePump()
-	}
-	go dc.readPump()
-	return dc
-}
-
-func (dc *delayConn) writePump() {
-	for c := range dc.out {
-		var err error
-		if dc.werr.Load() == nil {
-			_, err = dc.Conn.Write(c.data)
-		}
-		if c.box != nil {
-			delayBufPool.Put(c.box)
-		}
-		if err != nil {
-			// Keep draining so the wheel never blocks on a dead
-			// connection's channel; Write reports the error.
-			dc.werr.Store(err)
-		}
-	}
-}
-
-func (dc *delayConn) readPump() {
-	w := sharedWheel()
-	for {
-		buf, box := getDelayBuf(128 << 10)
-		n, err := dc.Conn.Read(buf)
-		c := delayChunk{err: err}
-		if n > 0 {
-			c.data = buf[:n]
-			c.box = box
-		} else {
-			delayBufPool.Put(box)
-		}
-		w.add(dc.dIn, dc.in, c)
-		if err != nil {
-			return
-		}
-	}
-}
-
-func (dc *delayConn) Write(p []byte) (int, error) {
-	if dc.dOut <= 0 {
-		return dc.Conn.Write(p)
-	}
-	if err, ok := dc.werr.Load().(error); ok {
-		return 0, err
-	}
-	cp, box := getDelayBuf(len(p))
-	copy(cp, p)
-	sharedWheel().add(dc.dOut, dc.out, delayChunk{data: cp, box: box})
-	return len(p), nil
-}
-
-func (dc *delayConn) Read(p []byte) (int, error) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	for len(dc.pending) == 0 {
-		if dc.readErr != nil {
-			return 0, dc.readErr
-		}
-		c := <-dc.in
-		dc.pending = c.data
-		dc.pendingBox = c.box
-		dc.readErr = c.err
-	}
-	n := copy(p, dc.pending)
-	dc.pending = dc.pending[n:]
-	if len(dc.pending) == 0 && dc.pendingBox != nil {
-		delayBufPool.Put(dc.pendingBox)
-		dc.pendingBox = nil
-	}
-	return n, nil
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -379,7 +81,6 @@ type config struct {
 	conns   int
 	workers int
 	opens   int
-	rtt     time.Duration
 	cluster int
 	churn   bool
 	metrics bool
@@ -396,7 +97,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.conns, "conns", 8, "concurrent client connections")
 	fs.IntVar(&cfg.workers, "workers", 4, "pipelining goroutines per connection (1 = lock-step baseline: one request in flight per connection)")
 	fs.IntVar(&cfg.opens, "opens", 20000, "opens per connection")
-	fs.DurationVar(&cfg.rtt, "rtt", 0, "simulated network round-trip time, charged once per flight on the client's read path; zero measures raw loopback")
 	fs.IntVar(&cfg.cluster, "cluster", 1, "without -addr, the number of nodes in the in-process consistent-hash ring (replicated stores, connections spread round-robin)")
 	fs.BoolVar(&cfg.churn, "churn", false, "mid-run membership churn: at 40% progress the last node drains out of the ring (its goodbye gossip updates the survivors), at 70% the rejoin view is installed on one node and gossip spreads it; the run fails unless every node converges (requires -cluster >= 2)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "wire an obs registry into the clients and print its series with the report")
@@ -452,9 +152,8 @@ type result struct {
 	errors  uint64 // opens that failed or returned the wrong bytes
 	elapsed time.Duration
 	hist    *obs.Histogram
-	reg     *obs.Registry         // client-side registry; nil unless -metrics
-	client  fsnet.ClientStats     // summed over all connections
-	ttfb    obs.HistogramSnapshot // time-to-first-byte, merged over all connections
+	reg     *obs.Registry     // client-side registry; nil unless -metrics
+	client  fsnet.ClientStats // summed over all connections
 	hitRate float64
 	clus    clusterSummary // zero for an external fleet
 }
@@ -512,8 +211,9 @@ func (r *result) verdict() error {
 }
 
 // sequences deals the workload's per-client open streams out to conns
-// connections, cycling when the trace has fewer clients than connections,
-// and trims or tiles each to exactly opens entries.
+// connections in ascending client id, cycling when the trace has fewer
+// clients than connections, and trims or tiles each to exactly opens
+// entries. Equal configs give equal sequences.
 func sequences(cfg config) ([][]string, error) {
 	tr, err := workload.Generate(workload.Config{
 		Seed:            seed,
@@ -537,9 +237,14 @@ func sequences(cfg config) ([][]string, error) {
 		}
 		perClient[ev.Client] = append(perClient[ev.Client], tr.Paths.Path(ev.File))
 	}
-	streams := make([][]string, 0, len(perClient))
-	for _, seq := range perClient {
-		streams = append(streams, seq)
+	ids := make([]uint16, 0, len(perClient))
+	for id := range perClient {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	streams := make([][]string, len(ids))
+	for i, id := range ids {
+		streams[i] = perClient[id]
 	}
 	if len(streams) == 0 {
 		return nil, fmt.Errorf("workload produced no opens")
@@ -606,8 +311,7 @@ func seedStore(seqs [][]string) (*fsnet.Store, error) {
 
 // provision writes every path the sequences demand to one external
 // server. Writes are write-through to that server's own store only, so a
-// clustered fleet needs it once per replica. Runs on a plain (undelayed)
-// connection; it is setup, not measurement.
+// clustered fleet needs it once per replica.
 func provision(addr string, seqs [][]string) error {
 	c, err := fsnet.Dial(addr, fsnet.ClientConfig{CacheCapacity: 1, MaxRetries: 3})
 	if err != nil {
@@ -735,32 +439,12 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		}
 	}()
 	for i := 0; i < cfg.conns; i++ {
-		target := f.targets[i%len(f.targets)]
-		ccfg := fsnet.ClientConfig{
+		c, err := fsnet.Dial(f.targets[i%len(f.targets)], fsnet.ClientConfig{
 			CacheCapacity: clientCache,
 			MaxRetries:    3,
 			Seed:          seed,
 			Obs:           reg,
-		}
-		if cfg.rtt > 0 {
-			// Simulated WAN: the full round trip of propagation delay,
-			// charged once on the reply path. A request/response exchange
-			// only ever observes the round-trip sum, and one release
-			// horizon suffers the kernel timer-tick quantization once
-			// instead of once per direction. A lock-step exchange pays
-			// the full RTT per open; a pipelined flight of k requests
-			// shares one — which is exactly the latency-hiding the
-			// concurrent serving path exists for.
-			d := cfg.rtt
-			ccfg.Dialer = func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", target)
-				if err != nil {
-					return nil, err
-				}
-				return newDelayConn(conn, 0, d), nil
-			}
-		}
-		c, err := fsnet.Dial(target, ccfg)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -872,15 +556,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 	res.opens = opens.Load()
 	res.errors = errCount.Load()
 	for _, c := range clients {
-		// Per-member time-to-first-byte: a group reply is streamed and the
-		// clock stops at the first member chunk, so the gap between ttfb
-		// and whole-open latency is the streaming win.
-		ts := c.TTFB()
-		for i, n := range ts.Buckets {
-			res.ttfb.Buckets[i] += n
-		}
-		res.ttfb.Count += ts.Count
-		res.ttfb.Sum += ts.Sum
 		st := c.Stats()
 		res.client.Opens += st.Opens
 		res.client.Hits += st.Hits
@@ -928,11 +603,6 @@ func (r *result) writeText(out *os.File) {
 		r.throughput(), r.opens, r.elapsed.Round(time.Millisecond), r.errors)
 	fmt.Fprintf(out, "  latency:    p50 %v  p95 %v  p99 %v\n",
 		r.pct(50), r.pct(95), r.pct(99))
-	if r.ttfb.Count > 0 {
-		fmt.Fprintf(out, "  ttfb:       p50 %v  p95 %v  p99 %v (%d fetches)\n",
-			time.Duration(r.ttfb.Percentile(50)), time.Duration(r.ttfb.Percentile(95)),
-			time.Duration(r.ttfb.Percentile(99)), r.ttfb.Count)
-	}
 	fmt.Fprintf(out, "  client:     hit-rate %.3f  fetches %d  files-received %d  prefetch-hits %d\n",
 		r.hitRate, r.client.Fetches, r.client.FilesReceived, r.client.PrefetchHits)
 	fmt.Fprintf(out, "  validation: validated-files %d  validation-misses %d  history-dropped %d  bytes-received %d\n",

@@ -2,6 +2,7 @@ package main
 
 import (
 	"net"
+	"reflect"
 	"testing"
 
 	"aggcache/internal/fsnet"
@@ -33,6 +34,8 @@ func TestParseFlagsRejectsBadCombos(t *testing.T) {
 		{"-gobench"},
 		{"-cpuprofile", "cpu.out"},
 		{"-memprofile", "mem.out"},
+		// The delay harness, gone with the comparison it served.
+		{"-rtt", "2ms"},
 	}
 	for _, args := range cases {
 		if _, err := parseFlags(args); err == nil {
@@ -68,6 +71,25 @@ func TestVerdict(t *testing.T) {
 	} {
 		if err := tc.res.verdict(); (err == nil) != tc.ok {
 			t.Errorf("%s: verdict = %v, want pass=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// TestSequencesDeterministic: the workload is a pure function of the
+// config, so repeated calls deal every connection the same stream.
+func TestSequencesDeterministic(t *testing.T) {
+	cfg := config{conns: 6, opens: 50}
+	first, err := sequences(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := sequences(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(again, first) {
+			t.Fatalf("call %d dealt different sequences than the first", i+2)
 		}
 	}
 }
@@ -166,6 +188,9 @@ func TestRunLoadMetrics(t *testing.T) {
 	}
 	if h := series["fsnet_client_call_latency_ns"].Hist; h == nil || h.Count < res.client.Fetches {
 		t.Errorf("call latency histogram %+v does not cover %d wire fetches", h, res.client.Fetches)
+	}
+	if h := series["fsnet_client_ttfb_ns"].Hist; h == nil || h.Count < res.client.Fetches {
+		t.Errorf("ttfb histogram %+v does not cover %d wire fetches", h, res.client.Fetches)
 	}
 	if v := series["fsnet_client_inflight"].Value; v != 0 {
 		t.Errorf("in-flight gauge %v nonzero at quiescence", v)

@@ -1093,14 +1093,6 @@ func (c *Client) noteBroken() {
 	c.m.events.Record("conn_broken")
 }
 
-// TTFB returns a snapshot of the fetch time-to-first-byte histogram:
-// enqueue until the first reply frame of the request (the first member
-// chunk of a group reply, or its error). Recorded for
-// every fetch regardless of whether an obs registry is configured.
-func (c *Client) TTFB() obs.HistogramSnapshot {
-	return c.m.ttfb.Snapshot()
-}
-
 // installViews installs a fetched group and returns the demanded file's
 // contents: cache.GroupLRU decides which of its files are resident
 // afterwards (demanded file at the head — it always enters — other members

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aggcache/internal/trace"
 )
 
 // startServer launches a server on a loopback listener and returns its
@@ -622,6 +624,75 @@ func TestServerLoadMetadataRejectsGarbage(t *testing.T) {
 	full := snap.Bytes()
 	if err := srv.LoadMetadata(bytes.NewReader(full[:len(full)/2])); err == nil {
 		t.Error("truncated snapshot accepted")
+	}
+}
+
+// TestServerLoadMetadataPathTable: ids are positions in the snapshot's path
+// table, so a table that names a path twice is rejected rather than loaded
+// with every later id shifted onto the wrong file.
+func TestServerLoadMetadataPathTable(t *testing.T) {
+	store := NewStore()
+	for _, p := range []string{"/a", "/b", "/c"} {
+		if err := store.Put(p, []byte("contents of "+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, addr := startServer(t, store, ServerConfig{GroupSize: 3})
+	c, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		for _, p := range []string{"/a", "/b", "/c"} {
+			if _, err := c.Open(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.SaveMetadata(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if n := src.ids.Len(); n != 3 {
+		t.Fatalf("source interned %d paths, want 3", n)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		from, to string // the first length-prefixed occurrence is rewritten
+		wantErr  bool
+	}{
+		{"clean round trip", "", "", false},
+		{"second path repeats the first", "\x02/b", "\x02/a", true},
+		{"third path repeats the second", "\x02/c", "\x02/b", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data := bytes.Replace(snap.Bytes(), []byte(tc.from), []byte(tc.to), 1)
+			srv, err := NewServer(store, ServerConfig{GroupSize: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			err = srv.LoadMetadata(bytes.NewReader(data))
+			if tc.wantErr {
+				if !errors.Is(err, ErrBadServerMetadata) {
+					t.Fatalf("err = %v, want ErrBadServerMetadata", err)
+				}
+				if n := srv.ids.Len(); n != 0 {
+					t.Errorf("rejected snapshot left %d interned paths, want 0", n)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range []string{"/a", "/b", "/c"} {
+				if got := srv.ids.Path(trace.FileID(i)); got != p {
+					t.Errorf("id %d names %q, want %q", i, got, p)
+				}
+			}
+		})
 	}
 }
 

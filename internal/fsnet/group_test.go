@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"aggcache/internal/faultnet"
+	"aggcache/internal/obs"
 	"aggcache/internal/obs/otrace"
 )
 
@@ -103,7 +104,9 @@ func TestClientCloseMidGroup(t *testing.T) {
 		// One chunk, then silence.
 		return writeChunk(w, id, req.Path, []byte("half a group")) == nil
 	}))
-	client, err := Dial(addr, ClientConfig{})
+	reg := obs.NewRegistry()
+	ttfb := reg.Histogram("fsnet_client_ttfb_ns", "")
+	client, err := Dial(addr, ClientConfig{Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +118,7 @@ func TestClientCloseMidGroup(t *testing.T) {
 		}
 		done <- err
 	}()
-	for client.TTFB().Count == 0 { // the chunk has reached the call
+	for ttfb.Count() == 0 { // the chunk has reached the call
 		time.Sleep(time.Millisecond)
 	}
 	if err := client.Close(); err != nil {

@@ -114,16 +114,14 @@ type clientMetrics struct {
 
 	// ttfb records fetch time-to-first-byte: enqueue until the first
 	// reply frame of the request arrives (the first member chunk on a
-	// streamed reply, the whole group otherwise). Unlike the rest of the
-	// bundle it always exists — one atomic add per fetch — so load
-	// generators can report streaming latency without wiring a registry.
+	// streamed reply, the whole group otherwise).
 	ttfb *obs.Histogram
 }
 
-// newClientMetrics wires the bundle; all but ttfb stay nil when reg is.
+// newClientMetrics wires the bundle; every series stays nil when reg is.
 func newClientMetrics(reg *obs.Registry) clientMetrics {
 	if reg == nil {
-		return clientMetrics{ttfb: obs.NewHistogram()}
+		return clientMetrics{}
 	}
 	return clientMetrics{
 		reconnects:   reg.Counter("fsnet_client_reconnects_total", "successful redials after a broken connection"),

@@ -76,7 +76,8 @@ type muxCall struct {
 	// Calls poisoned before they were written have no claim — their
 	// history simply stayed on the pending list.
 	claimed []string
-	// start is the enqueue time of a msgOpen, for time-to-first-byte.
+	// start is the enqueue time of a msgOpen, for time-to-first-byte;
+	// zero when the client has no ttfb histogram to record it in.
 	start time.Time
 	// deadline is when the watchdog gives up on the call; zero without a
 	// configured timeout.
@@ -149,13 +150,15 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	call.payload = payload
 	call.tctx = tctx
 	timeout := m.c.cfg.Timeout
-	if reqType == msgOpen {
+	if reqType == msgOpen && m.c.m.ttfb != nil {
 		call.start = time.Now()
-		if timeout > 0 {
-			call.deadline = call.start.Add(timeout)
+	}
+	if timeout > 0 {
+		now := call.start
+		if now.IsZero() {
+			now = time.Now()
 		}
-	} else if timeout > 0 {
-		call.deadline = time.Now().Add(timeout)
+		call.deadline = now.Add(timeout)
 	}
 	m.mu.Lock()
 	if m.broken {

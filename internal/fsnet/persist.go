@@ -99,7 +99,11 @@ func (s *Server) LoadMetadata(r io.Reader) error {
 		if _, err := io.ReadFull(br, buf[:plen]); err != nil {
 			return err
 		}
-		ids.InternBytes(buf[:plen])
+		// Ids are positions in the table: a repeated path would shift every
+		// later id onto the wrong file.
+		if id := ids.InternBytes(buf[:plen]); uint64(id) != i {
+			return fmt.Errorf("%w: path %q listed twice", ErrBadServerMetadata, buf[:plen])
+		}
 	}
 
 	s.aggMu.Lock()
