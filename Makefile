@@ -44,7 +44,12 @@ ignore-guard:
 # four profiles in xprune. So is every measuring path outside benchmark/
 # that nothing read: aggbench's delay harness behind -rtt, the
 # go-bench baseline stack (cmd/benchjson, internal/benchparse) and the
-# client's registry-less TTFB histogram with its Client.TTFB reader.
+# client's registry-less TTFB histogram with its Client.TTFB reader. So is
+# the cluster's hot-group mirror, with its TTL, its residency stats, its
+# three series and fsnet.Group.RetainedBytes, whose one caller it was: a
+# remotely owned open is answered by the owner's group or degrades.
+# cluster.Config.MirrorCapacity and NodeStats.MirrorHits stay, inert,
+# because benchmark/ still names them.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -60,6 +65,7 @@ lint-dead:
 	@! grep -rn 'newPeeker' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'Adaptive:|\.Adaptive\b|MinGroupSize|MaxGroupSize|CurrentGroupSize|growGroup|shrinkGroup|adaptWindow|SetSize\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'delayConn|delayWheel|sharedWheel|getDelayBuf|benchparse|benchjson|TTFB\(\)' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'newMirror|purgeOwner|mirMu|MirrorTTL|MirrorGroups|MirrorRetainedBytes|RetainedBytes\(|cluster_mirror_' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

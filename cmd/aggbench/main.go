@@ -165,12 +165,11 @@ func (r *result) pct(p float64) time.Duration {
 
 // clusterSummary aggregates node routing counters across the ring.
 type clusterSummary struct {
-	nodes      int
-	local      uint64
-	forwarded  uint64
-	mirrorHits uint64
-	coalesced  uint64
-	degraded   uint64
+	nodes     int
+	local     uint64
+	forwarded uint64
+	coalesced uint64
+	degraded  uint64
 
 	// Churn-run extras: what the departing node handed off and what the
 	// survivors installed (drainSent counts groups streamed out by the
@@ -578,7 +577,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		st := n.Stats()
 		res.clus.local += st.LocalOpens
 		res.clus.forwarded += st.ForwardedOpens
-		res.clus.mirrorHits += st.MirrorHits
 		res.clus.coalesced += st.CoalescedForwards
 		res.clus.degraded += st.DegradedOpens
 	}
@@ -612,8 +610,8 @@ func (r *result) writeText(out *os.File) {
 			r.client.Retries, r.client.BrokenConns, r.client.Reconnects)
 	}
 	if r.clus.nodes > 0 {
-		fmt.Fprintf(out, "  cluster:    %d nodes  local %d  forwarded %d  mirror-hits %d  coalesced %d  degraded %d\n",
-			r.clus.nodes, r.clus.local, r.clus.forwarded, r.clus.mirrorHits, r.clus.coalesced, r.clus.degraded)
+		fmt.Fprintf(out, "  cluster:    %d nodes  local %d  forwarded %d  coalesced %d  degraded %d\n",
+			r.clus.nodes, r.clus.local, r.clus.forwarded, r.clus.coalesced, r.clus.degraded)
 	}
 	if r.clus.churned {
 		fmt.Fprintf(out, "  churn:      drain-sent %d  drain-failed %d  handoffs-installed %d\n",

@@ -18,11 +18,12 @@
 //
 // Clustering: -peers (or -peers-file) joins a consistent-hash peer ring
 // (internal/cluster). Opens for paths this node owns are served locally;
-// everything else is fetched from the owning peer in one group hop, with
-// a hot-group mirror and health-checked failover to the local store when
-// a peer is down. Every node of a cluster must be started with the same
-// peer list and a -self address that appears in it. -stats serves a
-// JSON snapshot (server counters plus per-peer health) over HTTP.
+// everything else is fetched from the owning peer in one group hop — the
+// owner's group, anchored at the demanded file — with health-checked
+// failover to the local store when a peer is down. Every node of a
+// cluster must be started with the same peer list and a -self address
+// that appears in it. -stats serves a JSON snapshot (server counters plus
+// per-peer health) over HTTP.
 //
 // Elastic membership: -peers-file names a file of peer addresses (one
 // per line, optional "epoch N" directive) that is re-read on SIGHUP or
@@ -445,8 +446,8 @@ loop:
 		st.Rejected, st.Panics, st.Disconnects, st.Cache.String())
 	if node != nil {
 		cs := node.Stats()
-		log.Printf("aggserve: cluster local=%d forwarded=%d mirror-hits=%d coalesced=%d degraded=%d",
-			cs.LocalOpens, cs.ForwardedOpens, cs.MirrorHits, cs.CoalescedForwards, cs.DegradedOpens)
+		log.Printf("aggserve: cluster local=%d forwarded=%d coalesced=%d degraded=%d",
+			cs.LocalOpens, cs.ForwardedOpens, cs.CoalescedForwards, cs.DegradedOpens)
 	}
 	return nil
 }

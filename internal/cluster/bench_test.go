@@ -4,9 +4,9 @@ import "testing"
 
 // BenchmarkOpenForwarded is an open whose group lives on another node:
 // client → entry node → owner and back, the owner's group materialised
-// once at the entry node. No mirror, so every iteration forwards.
+// once at the entry node. Every iteration forwards.
 func BenchmarkOpenForwarded(b *testing.B) {
-	tc := forwardRing(b, -1)
+	tc := forwardRing(b)
 	op := tc.opener(b, 0, tc.pathsOwnedBy(b, 1, 8))
 	for i := 0; i < 64; i++ {
 		op()

@@ -6,12 +6,12 @@
 // hop. Placement is therefore group-affine without any extra machinery:
 // a group's anchor path and its learned successors hash together only in
 // the owner's metadata, and the single FetchGroup round trip moves the
-// entire group to the requesting node, which mirrors it (see mirror) so
-// follow-on member opens are local. The peer clients are transport only,
-// and a forwarded group is never copied: the frames read from the owner
-// are one reference-counted fsnet.Group that the mirror keeps and every
-// reply served from it writes to its socket (DESIGN.md §11 has the
-// ownership rules).
+// entire group, anchored at the demanded file, to the requesting node. A
+// remotely owned open has one answer: the owner's group, or, while the
+// owner's breaker is open, the degraded local path. The peer clients are
+// transport only, and a forwarded group is never copied: the frames read
+// from the owner are one reference-counted fsnet.Group that the reply
+// writes to its socket (DESIGN.md §11 has the ownership rules).
 //
 // A Node plugs into an fsnet.Server as its OpenRouter: the server
 // consults RouteOpen before its own cache and store, and everything the
@@ -82,31 +82,28 @@ type Config struct {
 	// forward must never hang longer than a degraded local fetch would.
 	PeerTimeout time.Duration
 
-	// MirrorCapacity bounds the hot-group mirror in whole groups
-	// (0 selects the default of 128, negative disables the mirror).
+	// MirrorCapacity is ignored: the node keeps no copy of a peer's
+	// groups. It stays settable for callers that still name it.
 	MirrorCapacity int
-	// MirrorTTL ages mirrored groups so owner-side learning propagates
-	// (0 selects the default of 5s, negative never expires).
-	MirrorTTL time.Duration
 
 	// Dialer opens a connection to a peer address; nil selects TCP.
 	// Tests use it to interpose faultnet gates and latency.
 	Dialer func(addr string) (net.Conn, error)
-	// Now is the clock for mirror TTLs and breaker cooldowns; nil
-	// selects time.Now. Tests substitute a fake clock.
+	// Now is the clock for breaker cooldowns; nil selects time.Now.
+	// Tests substitute a fake clock.
 	Now func() time.Time
 	// Obs, when set, registers the node's routing counters, a per-peer
 	// breaker-state gauge (0 closed, 1 open, 2 half-open), per-peer
-	// failure/trip/backlog gauges, membership/drain counters, and a mirror-
-	// residency gauge with the given registry, and records breaker and
-	// membership transitions to its event log. NodeStats works either
-	// way, fed from the same counters.
+	// failure/trip/backlog gauges and membership/drain counters with the
+	// given registry, and records breaker and membership transitions to
+	// its event log. NodeStats works either way, fed from the same
+	// counters.
 	Obs *obs.Registry
-	// Trace, when set, records routing spans — mirror hits, coalesced
-	// waits, forwarded RPCs — as children of the request's
-	// inbound trace context, and propagates the context to the owning
-	// peer on forwarded opens (fsnet msgTraceCtx). Nil keeps routing
-	// span-free; untraced requests cost nothing either way.
+	// Trace, when set, records routing spans — coalesced waits and
+	// forwarded RPCs — as children of the request's inbound trace
+	// context, and propagates the context to the owning peer on forwarded
+	// opens (fsnet msgTraceCtx). Nil keeps routing span-free; untraced
+	// requests cost nothing either way.
 	Trace *otrace.Tracer
 }
 
@@ -149,16 +146,12 @@ type Node struct {
 	// gossipview.go); nil until a gossiper subscribes.
 	viewHint atomic.Pointer[func(addr string, epoch uint64)]
 
-	mirMu  sync.Mutex
-	mirror *mirror
-
 	flights singleflight.Group[forward]
 
 	// Routing counters (obs.Counter wraps one atomic each). With cfg.Obs
 	// these are the series /metrics exposes, so NodeStats cannot drift.
 	localOpens     *obs.Counter
 	forwardedOpens *obs.Counter
-	mirrorHits     *obs.Counter
 	coalesced      *obs.Counter
 	degradedOpens  *obs.Counter
 	notFound       *obs.Counter
@@ -205,11 +198,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if !ring.Has(cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q not in Peers %v", cfg.Self, cfg.Peers)
 	}
-	n := &Node{
-		cfg:    cfg,
-		self:   cfg.Self,
-		mirror: newMirror(cfg.MirrorCapacity, cfg.MirrorTTL, cfg.Now),
-	}
+	n := &Node{cfg: cfg, self: cfg.Self}
 	n.wireMetrics(cfg.Obs)
 	v := &view{epoch: 1, ring: ring, peers: make(map[string]*peer), hash: viewHash(ring.Members())}
 	for _, addr := range ring.Members() {
@@ -256,12 +245,11 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 }
 
 // wireMetrics initializes the routing counters — standalone atomics with
-// no registry, registered series otherwise — plus the pull-style mirror
-// residency, membership-epoch and drain gauges.
+// no registry, registered series otherwise — plus the pull-style
+// membership-epoch and drain gauges.
 func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens this node owned, declined to the local serving path")
 	n.forwardedOpens = reg.LiveCounter("cluster_forwarded_opens_total", "opens answered by an owner fetch (successful peer hops)")
-	n.mirrorHits = reg.LiveCounter("cluster_mirror_hits_total", "opens answered from the hot-group mirror without a peer hop")
 	n.coalesced = reg.LiveCounter("cluster_coalesced_forwards_total", "opens that shared another open's in-flight owner fetch")
 	n.degradedOpens = reg.LiveCounter("cluster_degraded_opens_total", "opens declined to the local path because the owner was down or the forward failed")
 	n.notFound = reg.LiveCounter("cluster_not_found_total", "owner replies that the path does not exist")
@@ -270,16 +258,6 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.drainSent = reg.LiveCounter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
 	n.drainFailed = reg.LiveCounter("cluster_drain_groups_failed_total", "groups Drain could not deliver to their new owners")
 	n.events = reg.Events()
-	reg.GaugeFunc("cluster_mirror_groups", "groups currently resident in the hot-group mirror", func() float64 {
-		n.mirMu.Lock()
-		defer n.mirMu.Unlock()
-		return float64(n.mirror.groups())
-	})
-	reg.GaugeFunc("cluster_mirror_retained_bytes", "frame buffer capacity pinned by the groups resident in the mirror", func() float64 {
-		n.mirMu.Lock()
-		defer n.mirMu.Unlock()
-		return float64(n.mirror.retainedBytes())
-	})
 	reg.GaugeFunc("cluster_membership_epoch", "epoch of the installed membership view", func() float64 {
 		return float64(n.Epoch())
 	})
@@ -300,20 +278,20 @@ func (n *Node) Self() string { return n.self }
 // RouteOpen implements fsnet.OpenRouter. Paths this node owns — and
 // paths whose owner is unreachable — are declined so the embedding
 // server serves them from its own aggregating cache and store; everything
-// else is answered from the mirror or by one FetchGroup hop to the owner,
-// with the downstream client's piggybacked history relayed so the
-// owner's successor metadata stays as complete as a direct client's.
+// else is answered by one FetchGroup hop to the owner, with the
+// downstream client's piggybacked history relayed so the owner's
+// successor metadata stays as complete as a direct client's.
 //
 // The membership view is loaded once per call: an open that raced a
 // ring swap completes against the view it started with.
 //
 // This plain form is a thin adapter for callers that want a slice (a
 // server embeds the node as an InlineRouter and never comes this way): it
-// copies the files lead-first into one exact-size slab and a fresh
-// []GroupFile, which the caller may keep as long as it likes, and releases
-// the group route handed over, so its frames go back to the pool.
+// copies the files, demanded file first, into one exact-size slab and a
+// fresh []GroupFile, which the caller may keep as long as it likes, and
+// releases the group route handed over, so its frames go back to the pool.
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
-	g, lead, handled, err := n.RouteOpenTraced(path, accessed, otrace.Ctx{})
+	g, handled, _, err := n.route(path, accessed, otrace.Ctx{}, true)
 	if g == nil {
 		return nil, handled, err
 	}
@@ -324,70 +302,53 @@ func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, boo
 	}
 	slab := make([]byte, 0, size)
 	files := make([]fsnet.GroupFile, 0, len(g.Files))
-	add := func(f fsnet.GroupFile) {
+	for _, f := range g.Files {
 		start := len(slab)
 		slab = append(slab, f.Data...)
 		f.Data = slab[start:len(slab):len(slab)]
 		files = append(files, f)
 	}
-	add(g.Files[lead])
-	for i, f := range g.Files {
-		if i != lead {
-			add(f)
-		}
-	}
 	return files, handled, err
 }
 
 // RouteOpenTraced implements fsnet.InlineRouter: RouteOpen carrying the
-// request's trace context. A sampled context gets child spans for the
-// routing outcome — "mirror", "coalesced_wait", or "forward_rpc" — and
-// rides the forwarded FetchGroup to the owner, whose server records its
-// own spans under the same trace ID; the fleet scraper stitches the two
-// nodes' rings back into one tree. The caller owns one reference to a
-// handled group.
+// request's trace context. A sampled context gets a child span for the
+// routing outcome — "coalesced_wait" or "forward_rpc" — and rides the
+// forwarded FetchGroup to the owner, whose server records its own spans
+// under the same trace ID; the fleet scraper stitches the two nodes'
+// rings back into one tree. The caller owns one reference to a handled
+// group, which leads with the demanded file (lead is always 0).
 func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (*fsnet.Group, int, bool, error) {
-	g, lead, handled, _, err := n.route(path, accessed, tctx, true)
-	return g, lead, handled, err
+	g, handled, _, err := n.route(path, accessed, tctx, true)
+	return g, 0, handled, err
 }
 
 // TryRouteOpen implements fsnet.InlineRouter: the routing outcomes that
-// need no peer round trip — the path is this node's own, its group is
-// mirrored, or its owner's breaker is open — are served here, on the
-// calling connection's read loop; anything else reports blocks=true
-// untouched, and comes back through RouteOpenTraced on a worker.
+// need no peer round trip — the path is this node's own, or its owner's
+// breaker is open — are served here, on the calling connection's read
+// loop; anything else reports blocks=true untouched, and comes back
+// through RouteOpenTraced on a worker. It never hands back a group.
 func (n *Node) TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (g *fsnet.Group, lead int, handled, blocks bool) {
-	g, lead, handled, blocks, _ = n.route(path, accessed, tctx, false)
-	return g, lead, handled, blocks
+	_, handled, blocks, _ = n.route(path, accessed, tctx, false)
+	return nil, 0, handled, blocks
 }
 
 // route is the one routing path behind both entry points. mayForward is
 // false on a read loop, where the open stops short of the forward and of
 // admit, whose probe slot belongs to a caller that goes on to forward: a
 // read loop only degrades while the breaker's cooldown is running. A
-// handled group comes with one reference for the caller, and lead indexes
-// the demanded file in it.
-func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (g *fsnet.Group, lead int, handled, blocks bool, err error) {
+// handled group comes with one reference for the caller and leads with
+// the demanded file.
+func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (g *fsnet.Group, handled, blocks bool, err error) {
 	v := n.view.Load()
 	owner := v.ring.Owner(path)
 	if owner == n.self || owner == "" {
 		n.localOpens.Add(1)
-		return nil, 0, false, false, nil
+		return nil, false, false, nil
 	}
 	p := v.peers[owner]
-
-	tr := n.cfg.Trace
-	var tstart time.Time
-	if tctx.Sampled {
-		tstart = n.cfg.Now()
-	}
-
-	// Mirror first: a mirrored group answers even while its owner is down.
-	n.mirMu.Lock()
-	g, lead = n.mirror.get(path)
-	n.mirMu.Unlock()
-	if g == nil && !mayForward && p.up() {
-		return nil, 0, false, true, nil
+	if !mayForward && p.up() {
+		return nil, false, true, nil
 	}
 
 	// The relay, once per remotely owned open answered here: the downstream
@@ -396,19 +357,17 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 	// that sends none. Nothing else holds history, so an outage reaches the
 	// owner in the order it happened, in the probe that heals it.
 	p.client.NoteAccess(accessed...)
-	if g != nil {
-		n.mirrorHits.Add(1)
-		p.client.NoteAccess(path)
-		if tctx.Sampled {
-			tr.Record(tr.Child(tctx), "mirror", path, tstart, n.cfg.Now().Sub(tstart))
-		}
-		return g, lead, true, false, nil
-	}
 	if !mayForward || !p.admit() {
 		// The owner is down: the open degrades to the local path.
 		p.client.NoteAccess(path)
 		n.degradedOpens.Add(1)
-		return nil, 0, false, false, nil
+		return nil, false, false, nil
+	}
+
+	tr := n.cfg.Trace
+	var tstart time.Time
+	if tctx.Sampled {
+		tstart = n.cfg.Now()
 	}
 
 	// Coalesce concurrent forwards of the same path: one FetchGroup
@@ -425,18 +384,9 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		if fctx.Sampled {
 			tr.Record(fctx, "forward_rpc", path, fstart, n.cfg.Now().Sub(fstart))
 		}
-		switch {
-		case err == nil:
-			p.noteSuccess()
-			n.mirMu.Lock()
-			n.mirror.put(g, p.addr)
-			n.mirMu.Unlock()
-		case errors.Is(err, fsnet.ErrConnBroken):
-			p.noteFailure()
-		case errors.Is(err, fsnet.ErrNotFound):
-			// The owner answered; not-found is healthy.
-			p.noteSuccess()
-		}
+		// Every outcome resolves the breaker: the one admit handed out may
+		// have been the probe.
+		p.noteOutcome(err)
 		return forward{group: g, err: err}, true
 	}, shareForward)
 	if coalesced {
@@ -454,17 +404,17 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 			n.forwardedOpens.Add(1)
 		}
 		// The owner's reply leads with the path it was asked for.
-		return res.group, 0, true, false, nil
+		return res.group, true, false, nil
 	case errors.Is(res.err, fsnet.ErrNotFound):
 		// The owner is authoritative and the stores are replicas: a
 		// local re-check cannot succeed, so answer not-found directly.
 		n.notFound.Add(1)
-		return nil, 0, true, false, res.err
+		return nil, true, false, res.err
 	default:
 		// Transport or server failure: degrade to the local store. The
 		// open still succeeds, just without the owner's group metadata.
 		n.degradedOpens.Add(1)
-		return nil, 0, false, false, nil
+		return nil, false, false, nil
 	}
 }
 
@@ -519,13 +469,9 @@ type NodeStats struct {
 	// number of successful peer hops).
 	LocalOpens     uint64
 	ForwardedOpens uint64
-	// MirrorHits were answered from the hot-group mirror without a peer
-	// hop; MirrorGroups is its current residency and MirrorRetainedBytes
-	// the frame buffer capacity those groups pin (at least their
-	// contents' length: a chunk may sit in a buffer a larger frame sized).
-	MirrorHits          uint64
-	MirrorGroups        int
-	MirrorRetainedBytes int
+	// MirrorHits is always 0: the node keeps no copy of a peer's groups.
+	// It stays for readers that still name it.
+	MirrorHits uint64
 	// CoalescedForwards counts opens that shared another open's
 	// in-flight owner fetch.
 	CoalescedForwards uint64
@@ -551,16 +497,12 @@ func (n *Node) Stats() NodeStats {
 		Draining:          n.draining.Load(),
 		LocalOpens:        n.localOpens.Load(),
 		ForwardedOpens:    n.forwardedOpens.Load(),
-		MirrorHits:        n.mirrorHits.Load(),
 		CoalescedForwards: n.coalesced.Load(),
 		DegradedOpens:     n.degradedOpens.Load(),
 		NotFound:          n.notFound.Load(),
 		DrainGroupsSent:   n.drainSent.Load(),
 		DrainGroupsFailed: n.drainFailed.Load(),
 	}
-	n.mirMu.Lock()
-	st.MirrorGroups, st.MirrorRetainedBytes = n.mirror.groups(), n.mirror.retainedBytes()
-	n.mirMu.Unlock()
 	for _, p := range v.peers {
 		st.Peers = append(st.Peers, PeerStatus{
 			Addr:     p.addr,
@@ -652,6 +594,20 @@ func (p *peer) admit() bool {
 func (p *peer) up() bool {
 	du := p.downUntil.Load()
 	return du == 0 || p.now().UnixNano() >= du
+}
+
+// noteOutcome resolves the breaker verdict an admit() demands: a
+// transport failure feeds the breaker, while anything else — success or
+// a typed server error — proves the peer alive. Leaving an admitted
+// probe unresolved would wedge the breaker half-open and refuse every
+// later exchange, so every exchange that admit let through — a forward,
+// a handoff, a view pull or push — ends here.
+func (p *peer) noteOutcome(err error) {
+	if errors.Is(err, fsnet.ErrConnBroken) {
+		p.noteFailure()
+		return
+	}
+	p.noteSuccess()
 }
 
 // noteSuccess resets the breaker.

@@ -29,6 +29,26 @@ type testCluster struct {
 
 const testFiles = 80
 
+// tick is a fake clock for breaker cooldown tests.
+type tick struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newTick() *tick { return &tick{t: time.Unix(1000, 0)} }
+
+func (c *tick) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *tick) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.t = c.t.Add(d)
+	c.mu.Unlock()
+}
+
 func testContent(path string) string { return "contents of " + path }
 
 func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config)) *testCluster {
@@ -129,18 +149,14 @@ func (tc *testCluster) close() {
 }
 
 // checkGroupBalance is the reference balance at teardown: with the
-// cluster closed, every group taken since base has been released but the
-// ones the mirrors still hold — a leaked reference and a double release
-// both break the equation. Only race builds count (liveGroups).
+// cluster closed, every group taken since base has been released — a
+// leaked reference and a double release both break the equation. Only
+// race builds count (liveGroups).
 func (tc *testCluster) checkGroupBalance(t *testing.T, base int64) {
 	t.Helper()
 	tc.close()
-	var mirrored int64
-	for _, n := range tc.nodes {
-		mirrored += int64(n.Stats().MirrorGroups)
-	}
-	if now, counted := liveGroups(); counted && now-base != mirrored {
-		t.Errorf("%d groups still referenced at teardown, the mirrors hold %d", now-base, mirrored)
+	if now, counted := liveGroups(); counted && now != base {
+		t.Errorf("%d groups still referenced at teardown, want 0", now-base)
 	}
 }
 
@@ -255,12 +271,11 @@ func TestClusterEveryOpenCorrect(t *testing.T) {
 		}
 	}
 
-	var local, forwarded, mirrored uint64
+	var local, forwarded uint64
 	for i, n := range tc.nodes {
 		st := n.Stats()
 		local += st.LocalOpens
 		forwarded += st.ForwardedOpens
-		mirrored += st.MirrorHits
 		if st.DegradedOpens != 0 {
 			t.Errorf("node %d: %d degraded opens with all peers up", i, st.DegradedOpens)
 		}
@@ -269,16 +284,13 @@ func TestClusterEveryOpenCorrect(t *testing.T) {
 				t.Errorf("node %d reports peer %s down", i, p.Addr)
 			}
 		}
-		answered := st.ForwardedOpens + st.MirrorHits + st.CoalescedForwards
+		answered := st.ForwardedOpens + st.CoalescedForwards
 		if srv := tc.servers[i].Stats(); srv.RemoteOpens != answered {
 			t.Errorf("node %d: server RemoteOpens=%d, node answered %d", i, srv.RemoteOpens, answered)
 		}
 	}
 	if local == 0 || forwarded == 0 {
 		t.Errorf("workload exercised local=%d forwarded=%d opens; want both > 0", local, forwarded)
-	}
-	if mirrored == 0 {
-		t.Errorf("repeated opens produced no mirror hits")
 	}
 }
 
@@ -312,9 +324,7 @@ func TestClusterNotFound(t *testing.T) {
 // relayed piggyback history, and one forwarded hop then delivers the
 // whole learned group to a client of a *different* node.
 func TestClusterGroupAffinity(t *testing.T) {
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1 // always forward: the owner's view, not a mirror
-	})
+	tc := startCluster(t, 3, nil)
 
 	// anchor is owned by node 0; the workload runs against node 1.
 	anchor := tc.pathOwnedBy(t, 0, nil)
@@ -375,7 +385,6 @@ func TestClusterGroupAffinity(t *testing.T) {
 func TestClusterPeerDeathDegrades(t *testing.T) {
 	const threshold = 2
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1 // force every open through the health gate
 		cfg.FailureThreshold = threshold
 		cfg.DownDuration = time.Minute // lapses only via the fake clock
 		cfg.PeerTimeout = 2 * time.Second
@@ -457,7 +466,6 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	base, _ := liveGroups()
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1 // don't let round-0 mirrors absorb the outage
 		cfg.FailureThreshold = 2
 		cfg.DownDuration = time.Minute
 		cfg.PeerTimeout = 2 * time.Second
@@ -521,62 +529,20 @@ func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	}
 }
 
-// TestClusterMirrorAbsorbsHotGroup: repeat opens of a remote group are
-// answered from the mirror — one peer hop per TTL window, not per open —
-// and the TTL refetches so owner-side learning propagates.
-func TestClusterMirrorAbsorbsHotGroup(t *testing.T) {
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MirrorTTL = time.Minute
-	})
-	path := tc.pathOwnedBy(t, 1, nil)
-	client := tc.client(t, 0, fsnet.ClientConfig{})
-
-	const rounds = 5
-	for i := 0; i < rounds; i++ {
-		// FetchGroup bypasses the workload client's cache, so every round
-		// reaches node 0's router — the hotspot shape.
-		group, err := fetchGroup(client, path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(group[0].Data) != testContent(path) {
-			t.Fatalf("round %d data = %q", i, group[0].Data)
-		}
-	}
-	st := tc.nodes[0].Stats()
-	if st.ForwardedOpens != 1 {
-		t.Errorf("ForwardedOpens = %d, want 1 (mirror absorbs the rest)", st.ForwardedOpens)
-	}
-	if st.MirrorHits != rounds-1 {
-		t.Errorf("MirrorHits = %d, want %d", st.MirrorHits, rounds-1)
-	}
-
-	// Past the TTL the mirror refetches: the owner's current group state
-	// is re-observed once per window.
-	tc.clk.Advance(2 * time.Minute)
-	if _, err := fetchGroup(client, path); err != nil {
-		t.Fatal(err)
-	}
-	if got := tc.nodes[0].Stats().ForwardedOpens; got != 2 {
-		t.Errorf("ForwardedOpens = %d after TTL, want 2", got)
-	}
-}
-
 // TestClusterForwardCoalescing: concurrent opens of the same remote path
 // share one owner fetch. The dialer stalls the first connection long
 // enough for the herd to pile up, then every open resolves from the one
-// flight — each through a reference of its own. The mirror is off, so
-// once the leader's reply is written (its reference released) a
-// follower's reference is the only thing keeping the group's frames from
-// the pool: the followers outlive the leader, read their bytes after
-// every earlier holder has let go, and the last one out recycles.
+// flight — each through a reference of its own. Once the leader's reply
+// is written (its reference released) a follower's reference is the only
+// thing keeping the group's frames from the pool: the followers outlive
+// the leader, read their bytes after every earlier holder has let go, and
+// the last one out recycles.
 func TestClusterForwardCoalescing(t *testing.T) {
 	const herd = 8
 	release := make(chan struct{})
 	var stallOnce sync.Once
 	base, counted := liveGroups()
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1
 		base := cfg.Dialer
 		cfg.Dialer = func(addr string) (net.Conn, error) {
 			stallOnce.Do(func() { <-release })
@@ -643,9 +609,7 @@ func TestClusterForwardCoalescing(t *testing.T) {
 // gate; after the next forward flushes the backlog the owner has learned
 // the path as the successor of both.
 func TestCoalescedFollowerHistoryReachesOwner(t *testing.T) {
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1
-	})
+	tc := startCluster(t, 2, nil)
 	n, gate := tc.nodes[0], tc.gates[tc.addrs[1]]
 	p := tc.pathsOwnedBy(t, 1, 5)
 	warm, path, first, second, flush := p[0], p[1], p[2], p[3], p[4]

@@ -123,15 +123,13 @@ func (n *Node) Drain(src GroupSource) (DrainReport, error) {
 				rep.GroupsSkipped++
 				continue
 			}
-			if err := p.client.Handoff(g.Anchor, g.Members); err != nil {
-				if errors.Is(err, fsnet.ErrConnBroken) {
-					p.noteFailure()
-				}
+			err := p.client.Handoff(g.Anchor, g.Members)
+			p.noteOutcome(err)
+			if err != nil {
 				rep.GroupsFailed++
 				n.drainFailed.Add(1)
 				continue
 			}
-			p.noteSuccess()
 			rep.GroupsSent++
 			rep.PerPeer[target]++
 			n.drainSent.Add(1)

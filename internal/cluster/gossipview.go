@@ -143,19 +143,6 @@ func (n *Node) ViewPushTo(addr string, epoch uint64, members []string) (remoteEp
 	return client.ViewPush(epoch, members)
 }
 
-// noteOutcome resolves the breaker verdict an admit() demands: a
-// transport failure feeds the breaker, while anything else — success or
-// a typed server error — proves the peer alive. Leaving an admitted
-// probe unresolved would wedge the breaker half-open and refuse every
-// later exchange, so each exchange must end here.
-func (p *peer) noteOutcome(err error) {
-	if errors.Is(err, fsnet.ErrConnBroken) {
-		p.noteFailure()
-		return
-	}
-	p.noteSuccess()
-}
-
 // transientClient dials an address outside the current view for a
 // one-shot exchange. The caller closes it.
 func (n *Node) transientClient(addr string) (*fsnet.Client, error) {

@@ -84,8 +84,7 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // joining peers get fresh ones. Removed peers are garbage-collected:
 // their clients are closed (an in-flight forward to one degrades to the
 // local path, like any transport failure) and take the history still
-// owed to the peer with them, their breaker entries are dropped, and
-// their mirrored groups are purged.
+// owed to the peer with them, and their breaker entries are dropped.
 //
 // An update whose member list includes Self ends a drain: the operator
 // has explicitly put this node back in the ring, so it becomes ready
@@ -129,17 +128,13 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 	}
 	n.view.Store(next)
 
-	// GC everything owned by departed peers. This runs after the swap so
-	// no new open can pick a removed peer, and closing its client fails
-	// the (bounded) in-flight forwards over to the degraded local path.
+	// Close the clients of departed peers. This runs after the swap so no
+	// new open can pick a removed peer, and closing its client fails the
+	// (bounded) in-flight forwards over to the degraded local path.
 	for addr, p := range cur.peers {
-		if next.peers[addr] != nil {
-			continue
+		if next.peers[addr] == nil {
+			_ = p.client.Close()
 		}
-		_ = p.client.Close()
-		n.mirMu.Lock()
-		n.mirror.purgeOwner(addr)
-		n.mirMu.Unlock()
 	}
 
 	if ring.Has(n.self) && n.draining.CompareAndSwap(true, false) {

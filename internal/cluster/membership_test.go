@@ -163,26 +163,21 @@ func sameMembers(a, b []string) bool {
 }
 
 // TestMembershipRemovedPeerGC is the regression test for the leak where
-// a removed peer's breaker and mirror state lived forever: dropping a
-// peer from the view must delete its breaker entry and backlog and purge
-// its mirror groups, and re-adding it must start from a fresh, closed
-// breaker and an empty backlog.
+// a removed peer's breaker state lived forever: dropping a peer from the
+// view must delete its breaker entry and backlog, and re-adding it must
+// start from a fresh, closed breaker and an empty backlog.
 func TestMembershipRemovedPeerGC(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
 		cfg.FailureThreshold = 1
 		cfg.DownDuration = time.Hour
-		cfg.MirrorTTL = time.Hour
 	})
 	n := tc.nodes[0]
 	victim := tc.addrs[2]
 	path := tc.pathOwnedBy(t, 2, nil)
 
-	// Populate mirror state owned by the victim, then trip its breaker.
+	// Forward once, then trip the victim's breaker.
 	if _, handled, err := n.RouteOpen(path, nil); err != nil || !handled {
 		t.Fatalf("warm forward: handled=%v err=%v", handled, err)
-	}
-	if n.Stats().MirrorGroups == 0 {
-		t.Fatal("forward did not mirror the group")
 	}
 	tc.gates[victim].SetDown(true)
 	second := tc.pathOwnedBy(t, 2, map[string]bool{path: true})
@@ -212,8 +207,8 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 		}
 	}
 
-	// Remove the victim: breaker entry, backlog (it is the closed client's)
-	// and mirror groups must go with it.
+	// Remove the victim: breaker entry and backlog (it is the closed
+	// client's) must go with it.
 	if err := n.Update(2, tc.addrs[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -222,9 +217,6 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 		if p.Addr == victim {
 			t.Errorf("removed peer still in stats: %+v", p)
 		}
-	}
-	if st.MirrorGroups != 0 {
-		t.Errorf("removed peer left %d mirror groups behind", st.MirrorGroups)
 	}
 
 	// Re-add: the peer returns with a fresh closed breaker, not the
@@ -328,7 +320,6 @@ func groupOf(s *fsnet.Server, anchor string) []string {
 func TestOutageHistoryRidesHealingProbe(t *testing.T) {
 	reg := obs.NewRegistry()
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1 // every open reaches the health gate
 		cfg.FailureThreshold = 1
 		cfg.DownDuration = time.Minute
 		if i == 0 {
@@ -387,7 +378,6 @@ func TestOutageHistoryRidesHealingProbe(t *testing.T) {
 // intact on every node afterwards. Runs under -race in `make race`.
 func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.MirrorCapacity = -1 // keep every open on the routing/health path
 		cfg.FailureThreshold = 2
 		cfg.DownDuration = time.Minute
 		cfg.PeerTimeout = 2 * time.Second
@@ -487,10 +477,10 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	// accounted for by exactly one routing outcome.
 	for i, n := range tc.nodes {
 		st := n.Stats()
-		answered := st.ForwardedOpens + st.MirrorHits + st.CoalescedForwards
+		answered := st.ForwardedOpens + st.CoalescedForwards
 		if srv := tc.servers[i].Stats(); srv.RemoteOpens != answered {
-			t.Errorf("node %d: server RemoteOpens=%d != forwarded %d + mirror %d + coalesced %d",
-				i, srv.RemoteOpens, st.ForwardedOpens, st.MirrorHits, st.CoalescedForwards)
+			t.Errorf("node %d: server RemoteOpens=%d != forwarded %d + coalesced %d",
+				i, srv.RemoteOpens, st.ForwardedOpens, st.CoalescedForwards)
 		}
 	}
 	degraded := tc.nodes[0].Stats().DegradedOpens + tc.nodes[drained].Stats().DegradedOpens

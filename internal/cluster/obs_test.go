@@ -168,16 +168,16 @@ func TestNodeMetricsRegistered(t *testing.T) {
 	for _, name := range []string{
 		"cluster_local_opens_total",
 		"cluster_forwarded_opens_total",
-		"cluster_mirror_hits_total",
 		"cluster_coalesced_forwards_total",
 		"cluster_degraded_opens_total",
 		"cluster_not_found_total",
-		"cluster_mirror_groups",
-		"cluster_mirror_retained_bytes",
 	} {
 		if _, ok := parsed.Find(name, nil); !ok {
 			t.Errorf("metric %s not exported", name)
 		}
+	}
+	if strings.Contains(sb.String(), "cluster_mirror_") {
+		t.Error("a mirror series is exported; the node keeps no copy of a peer's groups")
 	}
 	for _, addr := range []string{"127.0.0.1:7002", "127.0.0.1:7003"} {
 		for _, name := range []string{"cluster_peer_state", "cluster_peer_failures", "cluster_peer_trips", "cluster_peer_backlog"} {
@@ -190,60 +190,5 @@ func TestNodeMetricsRegistered(t *testing.T) {
 	n.localOpens.Add(2)
 	if st := n.Stats(); st.LocalOpens != 2 {
 		t.Fatalf("NodeStats.LocalOpens = %d, want 2", st.LocalOpens)
-	}
-}
-
-// TestMirrorRetainedBytesGauge: cluster_mirror_retained_bytes is alive —
-// it rises by what a mirrored group's frames pin (at least the bytes the
-// group carries), agrees with NodeStats, and falls back when the group is
-// dropped.
-func TestMirrorRetainedBytesGauge(t *testing.T) {
-	reg := obs.NewRegistry()
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.MirrorTTL = time.Hour
-		if i == 0 {
-			cfg.Obs = reg
-		}
-	})
-	scrape := func() float64 {
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := obs.ParseExposition(strings.NewReader(sb.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, ok := parsed.Find("cluster_mirror_retained_bytes", nil)
-		if !ok {
-			t.Fatal("cluster_mirror_retained_bytes not exported")
-		}
-		return s.Value
-	}
-	if got := scrape(); got != 0 {
-		t.Fatalf("retained bytes = %v before anything is mirrored, want 0", got)
-	}
-	path := tc.pathOwnedBy(t, 1, nil)
-	files, handled, err := tc.nodes[0].RouteOpen(path, nil)
-	if !handled || err != nil {
-		t.Fatalf("forward: handled=%v err=%v", handled, err)
-	}
-	carried := 0
-	for _, f := range files {
-		carried += len(f.Data)
-	}
-	got := scrape()
-	if got < float64(carried) {
-		t.Errorf("retained bytes = %v with a group of %d bytes mirrored, want at least that", got, carried)
-	}
-	if st := tc.nodes[0].Stats(); float64(st.MirrorRetainedBytes) != got || st.MirrorGroups != 1 {
-		t.Errorf("NodeStats says %d bytes in %d groups, the gauge %v in 1", st.MirrorRetainedBytes, st.MirrorGroups, got)
-	}
-	// The owner leaves the view: its groups are purged.
-	if err := tc.nodes[0].Update(2, []string{tc.addrs[0]}); err != nil {
-		t.Fatal(err)
-	}
-	if got := scrape(); got != 0 {
-		t.Errorf("retained bytes = %v after the group was purged, want 0", got)
 	}
 }

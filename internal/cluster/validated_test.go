@@ -8,31 +8,27 @@ import (
 
 // TestValidatedRepliesOnEveryPath: the entry node's reply writer validates
 // a group the same way wherever the group came from — staged from its own
-// store, read off the wire from the owner, or kept in the mirror — because
-// a tag is a function of the contents and every hop carries the owner's.
-// A read-only client walks paths of one owner through node 0; on each of
-// the three paths members it already holds must cross as headers, and
-// every byte must still match the store.
+// store or read off the wire from the owner — because a tag is a function
+// of the contents and every hop carries the owner's. A read-only client
+// walks paths of one owner through node 0; on both paths members it
+// already holds must cross as headers, and every byte must still match
+// the store.
 func TestValidatedRepliesOnEveryPath(t *testing.T) {
 	const steps = 5
 	for _, tc := range []struct {
 		name     string
-		mirror   int  // forwardRing's capacity: negative disables it
 		remote   bool // walk paths another node owns
 		measured func(before, after NodeStats) bool
 	}{
-		{"staged", -1, false, func(b, a NodeStats) bool {
-			return a.LocalOpens > b.LocalOpens && a.ForwardedOpens == b.ForwardedOpens && a.MirrorHits == b.MirrorHits
+		{"staged", false, func(b, a NodeStats) bool {
+			return a.LocalOpens > b.LocalOpens && a.ForwardedOpens == b.ForwardedOpens
 		}},
-		{"forwarded", -1, true, func(b, a NodeStats) bool {
-			return a.ForwardedOpens > b.ForwardedOpens && a.MirrorHits == b.MirrorHits && a.LocalOpens == b.LocalOpens
-		}},
-		{"mirrored", 0, true, func(b, a NodeStats) bool {
-			return a.MirrorHits > b.MirrorHits && a.ForwardedOpens == b.ForwardedOpens && a.LocalOpens == b.LocalOpens
+		{"forwarded", true, func(b, a NodeStats) bool {
+			return a.ForwardedOpens > b.ForwardedOpens && a.LocalOpens == b.LocalOpens
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ring := forwardRing(t, tc.mirror)
+			ring := forwardRing(t)
 			owner := 0
 			if tc.remote {
 				owner = ring.busiestPeer()
@@ -57,8 +53,8 @@ func TestValidatedRepliesOnEveryPath(t *testing.T) {
 					}
 				}
 			}
-			// Teach the owner its groups directly, then fill the mirror (if
-			// any) and this client's cache with one unmeasured walk.
+			// Teach the owner its groups directly, then fill this client's
+			// cache with one unmeasured walk.
 			walk(ring.client(t, owner, fsnet.ClientConfig{CacheCapacity: 1}))
 			client := ring.client(t, 0, fsnet.ClientConfig{CacheCapacity: 6})
 			walk(client)

@@ -8,10 +8,9 @@ import (
 
 // Group is one group reply, carried unchanged through every layer that
 // touches it: the mux reader fills it with the chunk frames the owner
-// sent, the cluster tier's mirror keeps it, and the entry node's reply
-// writer sends it — the bytes read off the wire are the bytes kept and
-// the bytes written. A locally staged group is the same type with no
-// frames: its Data are references into the store.
+// sent, and the entry node's reply writer sends it — the bytes read off
+// the wire are the bytes written. A locally staged group is the same type
+// with no frames: its Data are references into the store.
 //
 // A Group is reference counted and recycled. Whoever receives one from
 // Client.FetchGroup, an InlineRouter or NewGroup owns one reference and
@@ -84,18 +83,6 @@ func (g *Group) Release() {
 	if poolReleased {
 		groupPool.Put(g)
 	}
-}
-
-// RetainedBytes is the capacity of the frame buffers the group pins: what
-// holding it costs beyond the members' own lengths, since a small chunk
-// may sit in a buffer an earlier, larger frame sized. Zero for a staged
-// group, whose contents are the store's.
-func (g *Group) RetainedBytes() int {
-	n := 0
-	for _, b := range g.bufs {
-		n += cap(b)
-	}
-	return n
 }
 
 // decodeChunks validates a streamed reply's chunks and records their

@@ -496,7 +496,7 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 
 // serve is the pipelined loop. The read loop serves inline every open
 // that finishes without a peer round trip — all of them on a server with
-// no router; the locally owned, mirrored and degraded ones behind an
+// no router; the locally owned and degraded ones behind an
 // InlineRouter: the in-memory path never blocks on anything but the
 // reply writer's own backpressure, and a goroutine hand-off is two
 // scheduler hops per request, measurable at loopback rates. Forwarded
@@ -1302,8 +1302,8 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 		if rep.group != nil {
 			// The demanded file leads, the rest follow in arrival order —
 			// each in full unless the connection's shadow shows the client
-			// holding it at this very tag. Staged, mirrored and forwarded
-			// groups all come through here.
+			// holding it at this very tag. Staged and forwarded groups
+			// both come through here.
 			files := rep.group.Files
 			held := rw.shadow.install(rw.s.ids, files, rep.lead)
 			for k := range files {

@@ -17,7 +17,7 @@ const (
 	KindHistogram
 	// KindGaugeFunc is a pull-style gauge: its value is computed by a
 	// callback at snapshot/exposition time, so components can expose
-	// mutex-guarded state (mirror residency, live connections) without
+	// mutex-guarded state (live connections, peer backlogs) without
 	// paying anything on their hot paths.
 	KindGaugeFunc
 )

@@ -60,7 +60,7 @@ done
 # 2b. Validated replies, fleet-wide. With one request in flight per
 # connection (-workers 1) every node's shadow of every client cache is
 # exact: members a client already holds cross as headers on all three
-# nodes' replies — staged, forwarded and mirrored alike — and not one of
+# nodes' replies — staged and forwarded alike — and not one of
 # them misses. (Pipelined connections, as in step 2, may drop their
 # shadows; that is allowed, so the equality is asserted here.)
 validated_members() {
