@@ -49,7 +49,17 @@ ignore-guard:
 # three series and fsnet.Group.RetainedBytes, whose one caller it was: a
 # remotely owned open is answered by the owner's group or degrades.
 # cluster.Config.MirrorCapacity and NodeStats.MirrorHits stay, inert,
-# because benchmark/ still names them.
+# because benchmark/ still names them. So is the second routing verb and
+# the lead index it carried: with the mirror gone every reply leads with
+# the demanded file, so an InlineRouter has one method, Route, and the
+# reply writer sends a group's files in order (no wireOrder). So are
+# experiments' copy of the sweep worker pool (simulate.ForEach is the one)
+# and the sweeps' Options-less forms; the knobs nobody set — the ring's
+# per-node virtual-node count, on which nodes that disagreed silently
+# diverged in ownership, and the gossip fanout (one random peer a round);
+# and aggbench's churn conductor, a third drain-and-rejoin check beside
+# TestClusterDrainUnderLoadRejoinsByGossip and fleet-smoke: aggbench
+# neither names churn nor imports internal/gossip.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -66,6 +76,8 @@ lint-dead:
 	@! grep -rnE 'Adaptive:|\.Adaptive\b|MinGroupSize|MaxGroupSize|CurrentGroupSize|growGroup|shrinkGroup|adaptWindow|SetSize\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'delayConn|delayWheel|sharedWheel|getDelayBuf|benchparse|benchjson|TTFB\(\)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'newMirror|purgeOwner|mirMu|MirrorTTL|MirrorGroups|MirrorRetainedBytes|RetainedBytes\(|cluster_mirror_' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'RouteOpenTraced|TryRouteOpen|wireOrder|runParallel|ClientSweepOpt|ServerSweepOpt|ring-replicas|gossip-fanout|Fanout:' --include='*.go' --exclude='*_test.go' .
+	@! grep -rniE 'churn|internal/gossip' --include='*.go' --exclude='*_test.go' cmd/aggbench
 
 vet:
 	$(GO) vet ./...

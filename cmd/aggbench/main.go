@@ -16,15 +16,6 @@
 // clients and prints its series with the report, time-to-first-byte
 // (fsnet_client_ttfb_ns) included.
 //
-// -churn (with -cluster >= 2) exercises elastic membership under load:
-// at 40% progress the last node drains — its goodbye gossip removes it
-// from the survivors' views, no per-node operator action — and streams
-// every owned group's learned state to the new owners; at 70% the full
-// membership is reinstalled on ONE node and gossip (internal/gossip)
-// spreads it to the rest. The workload never pauses; the run fails if
-// any node fails to converge to the final epoch, and the report gains
-// drain/handoff/hint counters plus the gossip convergence verdict.
-//
 // -trace-collect turns aggbench into the fleet trace scraper instead:
 // given the stats addresses of running aggserve nodes, it unions the
 // trace IDs from each node's /traces, joins every node's /trace/<id>
@@ -36,7 +27,7 @@
 //
 //	aggbench -conns 8 -workers 8
 //	aggbench -addr 127.0.0.1:7070,127.0.0.1:7071,127.0.0.1:7072 -conns 6
-//	aggbench -cluster 3 -conns 9 -workers 4 -churn
+//	aggbench -cluster 3 -conns 9 -workers 4
 package main
 
 import (
@@ -52,7 +43,6 @@ import (
 
 	"aggcache/internal/cluster"
 	"aggcache/internal/fsnet"
-	"aggcache/internal/gossip"
 	"aggcache/internal/obs"
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
@@ -82,7 +72,6 @@ type config struct {
 	workers int
 	opens   int
 	cluster int
-	churn   bool
 	metrics bool
 
 	traceCollect  string
@@ -98,7 +87,6 @@ func parseFlags(args []string) (config, error) {
 	fs.IntVar(&cfg.workers, "workers", 4, "pipelining goroutines per connection (1 = lock-step baseline: one request in flight per connection)")
 	fs.IntVar(&cfg.opens, "opens", 20000, "opens per connection")
 	fs.IntVar(&cfg.cluster, "cluster", 1, "without -addr, the number of nodes in the in-process consistent-hash ring (replicated stores, connections spread round-robin)")
-	fs.BoolVar(&cfg.churn, "churn", false, "mid-run membership churn: at 40% progress the last node drains out of the ring (its goodbye gossip updates the survivors), at 70% the rejoin view is installed on one node and gossip spreads it; the run fails unless every node converges (requires -cluster >= 2)")
 	fs.BoolVar(&cfg.metrics, "metrics", false, "wire an obs registry into the clients and print its series with the report")
 	fs.StringVar(&cfg.traceCollect, "trace-collect", "", "comma-separated stats addresses: skip load generation, scrape each node's /traces and /trace/<id>, and emit fleet-stitched traces as JSON")
 	fs.IntVar(&cfg.traceMinNodes, "trace-min-nodes", 1, "with -trace-collect, fail unless some stitched trace spans at least this many nodes")
@@ -125,9 +113,6 @@ func parseFlags(args []string) (config, error) {
 		if clusterSet {
 			return cfg, fmt.Errorf("-cluster runs in-process nodes; it cannot target an external -addr")
 		}
-	}
-	if cfg.churn && cfg.cluster < 2 {
-		return cfg, fmt.Errorf("-churn needs an in-process ring to leave and rejoin; use -cluster 2 or more")
 	}
 	return cfg, nil
 }
@@ -170,21 +155,6 @@ type clusterSummary struct {
 	forwarded uint64
 	coalesced uint64
 	degraded  uint64
-
-	// Churn-run extras: what the departing node handed off and what the
-	// survivors installed (drainSent counts groups streamed out by the
-	// drained node; handoffs counts groups accepted ring-wide).
-	churned   bool
-	drainSent uint64
-	drainFail uint64
-	handoffs  uint64
-
-	// Gossip convergence verdict for the churn script: whether both
-	// transitions completed, and whether every node reached the leave
-	// and rejoin epochs without the conductor updating it.
-	scriptDone      bool
-	leaveConverged  bool
-	rejoinConverged bool
 }
 
 func (r *result) throughput() float64 {
@@ -196,15 +166,10 @@ func (r *result) throughput() float64 {
 
 // verdict is the run's pass/fail decision. The service contract is every
 // open answered with the right bytes, never an error, so a single failed
-// open fails the run; and a churn script that ran to completion must have
-// converged every node by gossip alone.
+// open fails the run.
 func (r *result) verdict() error {
 	if r.errors > 0 {
 		return fmt.Errorf("%d of %d opens failed", r.errors, r.errors+r.opens)
-	}
-	if r.clus.scriptDone && !(r.clus.leaveConverged && r.clus.rejoinConverged) {
-		return fmt.Errorf("churn: gossip failed to converge membership (leave=%v rejoin=%v)",
-			r.clus.leaveConverged, r.clus.rejoinConverged)
 	}
 	return nil
 }
@@ -333,11 +298,10 @@ func provision(addr string, seqs [][]string) error {
 }
 
 // fleet is what a run drives: the addresses its connections spread over
-// and, for the in-process ring, the handles -churn and the report read.
+// and, for the in-process ring, the nodes the report reads.
 type fleet struct {
 	targets []string
 	nodes   []*cluster.Node // nil for an external fleet
-	servers []*fsnet.Server // parallel to nodes
 	stops   []func() error
 }
 
@@ -394,15 +358,6 @@ func boot(cfg config, seqs [][]string) (*fleet, error) {
 		l := listeners[i]
 		go func() { _ = srv.Serve(l) }()
 		f.nodes = append(f.nodes, node)
-		f.servers = append(f.servers, srv)
-		if cfg.churn {
-			// Churn runs converge by gossip, not by the conductor
-			// updating every node; a short anti-entropy period keeps
-			// the convergence window well inside the run.
-			gsp := gossip.New(gossip.Config{Node: node, Interval: 25 * time.Millisecond})
-			gsp.Start()
-			f.stops = append(f.stops, func() error { gsp.Stop(); return nil })
-		}
 		f.stops = append(f.stops, node.Close, srv.Close)
 	}
 	return f, nil
@@ -453,75 +408,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 	res := &result{cfg: cfg, hist: obs.NewHistogram(), reg: reg}
 	var opens, errCount atomic.Uint64
 
-	// -churn: a background conductor takes the last node through a full
-	// leave/rejoin cycle while the workload runs — and since PR 9 it acts
-	// on a single node per transition, leaving dissemination to gossip.
-	// At 40% progress the last node drains: its goodbye push removes it
-	// from the survivors' views with no conductor involvement. At 70% the
-	// full view is reinstalled on node 0 only, and piggybacked hints plus
-	// anti-entropy carry it to everyone else — the drained node included,
-	// which is what clears its draining flag (the rejoin). The workload
-	// itself never pauses, and the run asserts every node converges to
-	// the final epoch — elastic membership is only working if the clients
-	// cannot tell and the operators did not have to fan out.
-	loadDone := make(chan struct{})
-	churnDone := make(chan struct{})
-	var drainRep cluster.DrainReport
-	var leaveConverged, rejoinConverged, churnScriptDone bool
-	if cfg.churn && len(f.nodes) >= 2 {
-		total := uint64(cfg.conns) * uint64(cfg.opens)
-		waitFor := func(frac float64) bool {
-			threshold := uint64(frac * float64(total))
-			for opens.Load()+errCount.Load() < threshold {
-				select {
-				case <-loadDone:
-					return false
-				case <-time.After(2 * time.Millisecond):
-				}
-			}
-			return true
-		}
-		// converged polls (bounded) until every listed node has reached
-		// epoch want. The poll outlives the load on purpose: gossip may
-		// still be spreading the last view when the final open lands.
-		converged := func(want uint64, members []*cluster.Node) bool {
-			deadline := time.Now().Add(10 * time.Second)
-			for time.Now().Before(deadline) {
-				ok := true
-				for _, n := range members {
-					if n.Epoch() < want {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					return true
-				}
-				time.Sleep(2 * time.Millisecond)
-			}
-			return false
-		}
-		go func() {
-			defer close(churnDone)
-			victim := len(f.nodes) - 1
-			if !waitFor(0.4) {
-				return
-			}
-			if rep, err := f.nodes[victim].Drain(f.servers[victim]); err == nil {
-				drainRep = rep
-			}
-			leaveConverged = converged(drainRep.GoodbyeEpoch, f.nodes[:victim])
-			if !waitFor(0.7) {
-				return
-			}
-			_ = f.nodes[0].Update(drainRep.GoodbyeEpoch+1, f.targets)
-			rejoinConverged = converged(drainRep.GoodbyeEpoch+1, f.nodes)
-			churnScriptDone = true
-		}()
-	} else {
-		close(churnDone)
-	}
-
 	var wg sync.WaitGroup
 	start := time.Now()
 	for ci, c := range clients {
@@ -549,8 +435,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		}
 	}
 	wg.Wait()
-	close(loadDone)
-	<-churnDone
 	res.elapsed = time.Since(start)
 	res.opens = opens.Load()
 	res.errors = errCount.Load()
@@ -580,17 +464,6 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		res.clus.coalesced += st.CoalescedForwards
 		res.clus.degraded += st.DegradedOpens
 	}
-	if cfg.churn {
-		res.clus.churned = true
-		res.clus.drainSent = uint64(drainRep.GroupsSent)
-		res.clus.drainFail = uint64(drainRep.GroupsFailed)
-		res.clus.scriptDone = churnScriptDone
-		res.clus.leaveConverged = leaveConverged
-		res.clus.rejoinConverged = rejoinConverged
-		for _, s := range f.servers {
-			res.clus.handoffs += s.Stats().Handoffs
-		}
-	}
 	return res, nil
 }
 
@@ -612,22 +485,6 @@ func (r *result) writeText(out *os.File) {
 	if r.clus.nodes > 0 {
 		fmt.Fprintf(out, "  cluster:    %d nodes  local %d  forwarded %d  coalesced %d  degraded %d\n",
 			r.clus.nodes, r.clus.local, r.clus.forwarded, r.clus.coalesced, r.clus.degraded)
-	}
-	if r.clus.churned {
-		fmt.Fprintf(out, "  churn:      drain-sent %d  drain-failed %d  handoffs-installed %d\n",
-			r.clus.drainSent, r.clus.drainFail, r.clus.handoffs)
-		verdict := func(ok bool) string {
-			if ok {
-				return "converged"
-			}
-			return "FAILED"
-		}
-		if r.clus.scriptDone {
-			fmt.Fprintf(out, "  gossip:     leave %s  rejoin %s\n",
-				verdict(r.clus.leaveConverged), verdict(r.clus.rejoinConverged))
-		} else {
-			fmt.Fprintf(out, "  gossip:     churn script did not complete (run too short)\n")
-		}
 	}
 	if r.reg != nil {
 		for _, s := range r.reg.Snapshot() {

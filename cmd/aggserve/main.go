@@ -110,9 +110,7 @@ func run(args []string) error {
 		peers        = fl.String("peers", "", "comma-separated cluster peer addresses (must include -self); empty runs standalone")
 		peersFile    = fl.String("peers-file", "", "file of cluster peer addresses, one per line with optional 'epoch N' directive; re-read on SIGHUP or POST /reload")
 		self         = fl.String("self", "", "this node's advertised address within -peers (defaults to -addr)")
-		replicas     = fl.Int("ring-replicas", 0, "consistent-hash virtual nodes per peer (0 = library default)")
 		gossipEvery  = fl.Duration("gossip-interval", time.Second, "anti-entropy period for membership gossip (0 disables the background loop; piggybacked hints still converge)")
-		gossipFanout = fl.Int("gossip-fanout", 1, "distinct random peers reconciled per anti-entropy round")
 		traceSample  = fl.Int("trace-sample", otrace.DefaultSampleRate, "head-sample one request trace in N (1 traces everything, negative disables head sampling; slow requests are always tail-captured)")
 		traceCap     = fl.Int("trace-buffer", otrace.DefaultCapacity, "bound on the in-memory span ring served by /traces and /trace/<id>")
 		statsAddr    = fl.String("stats", "", "serve stats over HTTP on this address: /stats (JSON counters), /metrics (Prometheus text), /metrics.json (metrics plus recent events)")
@@ -235,11 +233,10 @@ func run(args []string) error {
 		}
 		var err error
 		node, err = cluster.NewNode(cluster.Config{
-			Self:     selfAddr,
-			Peers:    peerList,
-			Replicas: *replicas,
-			Obs:      reg,
-			Trace:    tracer,
+			Self:  selfAddr,
+			Peers: peerList,
+			Obs:   reg,
+			Trace: tracer,
 		})
 		if err != nil {
 			return err
@@ -259,7 +256,7 @@ func run(args []string) error {
 	// hint-triggered pulls (a peer's piggybacked epoch outrunning ours)
 	// need its subscription regardless of the anti-entropy loop.
 	if node != nil {
-		gsp := gossip.New(gossip.Config{Node: node, Interval: *gossipEvery, Fanout: *gossipFanout, Obs: reg, Trace: tracer})
+		gsp := gossip.New(gossip.Config{Node: node, Interval: *gossipEvery, Obs: reg, Trace: tracer})
 		gsp.Start()
 		defer gsp.Stop()
 	}

@@ -68,9 +68,6 @@ type Config struct {
 	Self string
 	// Peers lists every member's address, Self included.
 	Peers []string
-	// Replicas is the consistent-hash virtual-node count per member
-	// (0 selects the ring default).
-	Replicas int
 
 	// FailureThreshold is how many consecutive transport failures mark
 	// a peer down (default 3; negative is rejected).
@@ -193,7 +190,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.FailureThreshold < 0 {
 		return nil, fmt.Errorf("cluster: negative FailureThreshold %d", cfg.FailureThreshold)
 	}
-	ring := NewRing(cfg.Replicas)
+	ring := NewRing(0)
 	ring.Add(cfg.Peers...)
 	if !ring.Has(cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q not in Peers %v", cfg.Self, cfg.Peers)
@@ -289,9 +286,9 @@ func (n *Node) Self() string { return n.self }
 // server embeds the node as an InlineRouter and never comes this way): it
 // copies the files, demanded file first, into one exact-size slab and a
 // fresh []GroupFile, which the caller may keep as long as it likes, and
-// releases the group route handed over, so its frames go back to the pool.
+// releases the group Route handed over, so its frames go back to the pool.
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
-	g, handled, _, err := n.route(path, accessed, otrace.Ctx{}, true)
+	g, handled, _, err := n.Route(path, accessed, otrace.Ctx{}, true)
 	if g == nil {
 		return nil, handled, err
 	}
@@ -311,35 +308,19 @@ func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, boo
 	return files, handled, err
 }
 
-// RouteOpenTraced implements fsnet.InlineRouter: RouteOpen carrying the
-// request's trace context. A sampled context gets a child span for the
-// routing outcome — "coalesced_wait" or "forward_rpc" — and rides the
-// forwarded FetchGroup to the owner, whose server records its own spans
-// under the same trace ID; the fleet scraper stitches the two nodes'
-// rings back into one tree. The caller owns one reference to a handled
-// group, which leads with the demanded file (lead is always 0).
-func (n *Node) RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (*fsnet.Group, int, bool, error) {
-	g, handled, _, err := n.route(path, accessed, tctx, true)
-	return g, 0, handled, err
-}
-
-// TryRouteOpen implements fsnet.InlineRouter: the routing outcomes that
-// need no peer round trip — the path is this node's own, or its owner's
-// breaker is open — are served here, on the calling connection's read
-// loop; anything else reports blocks=true untouched, and comes back
-// through RouteOpenTraced on a worker. It never hands back a group.
-func (n *Node) TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (g *fsnet.Group, lead int, handled, blocks bool) {
-	_, handled, blocks, _ = n.route(path, accessed, tctx, false)
-	return nil, 0, handled, blocks
-}
-
-// route is the one routing path behind both entry points. mayForward is
-// false on a read loop, where the open stops short of the forward and of
-// admit, whose probe slot belongs to a caller that goes on to forward: a
-// read loop only degrades while the breaker's cooldown is running. A
-// handled group comes with one reference for the caller and leads with
-// the demanded file.
-func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward bool) (g *fsnet.Group, handled, blocks bool, err error) {
+// Route implements fsnet.InlineRouter, the one routing path behind
+// RouteOpen too. mayWait is false on a read loop, where the open stops
+// short of the forward and of admit, whose probe slot belongs to a caller
+// that goes on to forward: the routing outcomes that need no peer round
+// trip — the path is this node's own, or its owner's breaker is open —
+// are served there, and anything else reports blocks=true untouched, to
+// come back with mayWait on a worker. A sampled context gets a child span
+// for the routing outcome — "coalesced_wait" or "forward_rpc" — and rides
+// the forwarded FetchGroup to the owner, whose server records its own
+// spans under the same trace ID; the fleet scraper stitches the two
+// nodes' rings back into one tree. A handled group comes with one
+// reference for the caller and leads with the demanded file.
+func (n *Node) Route(path string, accessed []string, tctx otrace.Ctx, mayWait bool) (g *fsnet.Group, handled, blocks bool, err error) {
 	v := n.view.Load()
 	owner := v.ring.Owner(path)
 	if owner == n.self || owner == "" {
@@ -347,7 +328,7 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 		return nil, false, false, nil
 	}
 	p := v.peers[owner]
-	if !mayForward && p.up() {
+	if !mayWait && p.up() {
 		return nil, false, true, nil
 	}
 
@@ -357,7 +338,7 @@ func (n *Node) route(path string, accessed []string, tctx otrace.Ctx, mayForward
 	// that sends none. Nothing else holds history, so an outage reaches the
 	// owner in the order it happened, in the probe that heals it.
 	p.client.NoteAccess(accessed...)
-	if !mayForward || !p.admit() {
+	if !mayWait || !p.admit() {
 		// The owner is down: the open degrades to the local path.
 		p.client.NoteAccess(path)
 		n.degradedOpens.Add(1)

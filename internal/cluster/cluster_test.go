@@ -551,22 +551,18 @@ func TestClusterForwardCoalescing(t *testing.T) {
 	})
 	path := tc.pathOwnedBy(t, 1, nil)
 
-	type held struct {
-		g    *fsnet.Group
-		lead int
-	}
 	var wg sync.WaitGroup
-	got := make(chan held, herd)
+	got := make(chan *fsnet.Group, herd)
 	for i := 0; i < herd; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g, lead, handled, err := tc.nodes[0].RouteOpenTraced(path, nil, otrace.Ctx{})
+			g, handled, _, err := tc.nodes[0].Route(path, nil, otrace.Ctx{}, true)
 			if err != nil || !handled {
-				t.Errorf("RouteOpenTraced handled=%v err=%v", handled, err)
+				t.Errorf("Route handled=%v err=%v", handled, err)
 				return
 			}
-			got <- held{g, lead}
+			got <- g
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the herd queue behind the stalled dial
@@ -588,14 +584,14 @@ func TestClusterForwardCoalescing(t *testing.T) {
 	}
 	// One holder after another writes its reply and lets go; whoever is
 	// left still reads the right bytes.
-	for h := range got {
-		if h.lead >= len(h.g.Files) {
-			t.Fatalf("a holder's group has %d files, lead %d: an earlier holder's release emptied it", len(h.g.Files), h.lead)
+	for g := range got {
+		if len(g.Files) == 0 {
+			t.Fatal("a holder's group is empty: an earlier holder's release emptied it")
 		}
-		if f := h.g.Files[h.lead]; f.Path != path || string(f.Data) != testContent(path) {
+		if f := g.Files[0]; f.Path != path || string(f.Data) != testContent(path) {
 			t.Fatalf("coalesced open read %q = %q after earlier holders released", f.Path, f.Data)
 		}
-		h.g.Release()
+		g.Release()
 	}
 	if now, _ := liveGroups(); counted && now != base {
 		t.Errorf("%d groups still referenced after the whole herd released, want 0", now-base)

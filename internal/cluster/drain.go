@@ -73,7 +73,7 @@ func (n *Node) Drain(src GroupSource) (DrainReport, error) {
 		obs.F("epoch", strconv.FormatUint(v.epoch, 10)))
 
 	// The ring as it will be without us decides where each group goes.
-	rest := NewRing(n.cfg.Replicas)
+	rest := NewRing(0)
 	for _, m := range v.ring.Members() {
 		if m != n.self {
 			rest.Add(m)

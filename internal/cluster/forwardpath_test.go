@@ -204,11 +204,12 @@ func TestRouteOpenCopiesAndReleases(t *testing.T) {
 	}
 }
 
-// TestTryRouteOpen pins what a read loop may do on its own: decline a
+// TestRouteFromReadLoop pins what Route does for a read loop (mayWait
+// false) on its own: decline a
 // path the node owns and degrade while the owner's breaker is open — and
 // refuse, touching nothing, an open that needs the peer, even one whose
 // group was just forwarded.
-func TestTryRouteOpen(t *testing.T) {
+func TestRouteFromReadLoop(t *testing.T) {
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
 		cfg.FailureThreshold = 1
 		cfg.DownDuration = time.Minute
@@ -218,11 +219,11 @@ func TestTryRouteOpen(t *testing.T) {
 	remote := tc.pathOwnedBy(t, 1, nil)
 	other := tc.pathOwnedBy(t, 1, map[string]bool{remote: true})
 
-	if g, _, handled, blocks := n.TryRouteOpen(own, nil, otrace.Ctx{}); g != nil || handled || blocks {
+	if g, handled, blocks, _ := n.Route(own, nil, otrace.Ctx{}, false); g != nil || handled || blocks {
 		t.Errorf("own path: handled=%v blocks=%v, want declined", handled, blocks)
 	}
 	before := n.Stats()
-	if _, _, handled, blocks := n.TryRouteOpen(remote, []string{own}, otrace.Ctx{}); handled || !blocks {
+	if _, handled, blocks, _ := n.Route(remote, []string{own}, otrace.Ctx{}, false); handled || !blocks {
 		t.Errorf("remote path: handled=%v blocks=%v, want refused", handled, blocks)
 	}
 	if after := n.Stats(); fmt.Sprint(after) != fmt.Sprint(before) {
@@ -234,7 +235,7 @@ func TestTryRouteOpen(t *testing.T) {
 	}
 	// The node keeps nothing of the group it forwarded: the next open of
 	// the path needs the owner again.
-	if g, _, handled, blocks := n.TryRouteOpen(remote, nil, otrace.Ctx{}); g != nil || handled || !blocks {
+	if g, handled, blocks, _ := n.Route(remote, nil, otrace.Ctx{}, false); g != nil || handled || !blocks {
 		t.Errorf("forwarded path: handled=%v blocks=%v, want refused", handled, blocks)
 	}
 
@@ -244,7 +245,7 @@ func TestTryRouteOpen(t *testing.T) {
 	if _, handled, _ := n.RouteOpen(other, nil); handled {
 		t.Fatal("forward to a dead owner was handled")
 	}
-	if _, _, handled, blocks := n.TryRouteOpen(other, nil, otrace.Ctx{}); handled || blocks {
+	if _, handled, blocks, _ := n.Route(other, nil, otrace.Ctx{}, false); handled || blocks {
 		t.Errorf("owner down: handled=%v blocks=%v, want degraded inline", handled, blocks)
 	}
 	if st := n.Stats(); st.DegradedOpens != 2 || st.Peers[0].Backlog == 0 {
@@ -252,7 +253,7 @@ func TestTryRouteOpen(t *testing.T) {
 	}
 	// Cooldown over: admitting the probe is the forwarding caller's job.
 	tc.clk.Advance(2 * time.Minute)
-	if _, _, handled, blocks := n.TryRouteOpen(other, nil, otrace.Ctx{}); handled || !blocks {
+	if _, handled, blocks, _ := n.Route(other, nil, otrace.Ctx{}, false); handled || !blocks {
 		t.Errorf("cooldown lapsed: handled=%v blocks=%v, want refused", handled, blocks)
 	}
 }

@@ -100,7 +100,7 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 		n.staleUpdates.Add(1)
 		return fmt.Errorf("%w: epoch %d < installed %d", ErrStaleView, epoch, cur.epoch)
 	}
-	ring := NewRing(n.cfg.Replicas)
+	ring := NewRing(0)
 	ring.Add(peers...)
 	if ring.Len() == 0 {
 		return errors.New("cluster: membership view has no members")

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aggcache/internal/fsnet"
+	"aggcache/internal/gossip"
 	"aggcache/internal/obs"
 )
 
@@ -499,5 +501,129 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 		if string(data) != testContent(path) {
 			t.Fatalf("open %s after rebalance = %q", path, data)
 		}
+	}
+}
+
+// TestClusterDrainUnderLoadRejoinsByGossip is the leave-and-rejoin cycle
+// under load: while a client on every node keeps opening, the last node
+// drains — its goodbye alone moves the survivors to the shrunk view, and
+// every group it streams out is installed by a survivor — and afterwards
+// one Update with the full membership, on one node, reaches every node by
+// anti-entropy rounds driven by hand, the drained node included, which
+// is ready again. No open fails or returns the wrong bytes. Runs under
+// -race in `make race`.
+func TestClusterDrainUnderLoadRejoinsByGossip(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	const drained = 2
+	gossipers := make([]*gossip.Gossiper, len(tc.nodes))
+	for i, n := range tc.nodes {
+		gossipers[i] = gossip.New(gossip.Config{Node: n, Seed: int64(i + 1)})
+		defer gossipers[i].Stop()
+	}
+
+	// Each client opens every file once per round until stop is closed.
+	stop := make(chan struct{})
+	var opens atomic.Uint64
+	var wg, warmed sync.WaitGroup
+	errs := make(chan error, len(tc.nodes))
+	for i := range tc.nodes {
+		client := tc.client(t, i, fsnet.ClientConfig{CacheCapacity: 4})
+		wg.Add(1)
+		warmed.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; ; round++ {
+				if round == 1 {
+					warmed.Done()
+				}
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				for f := 0; f < testFiles; f++ {
+					path := fmt.Sprintf("/data/f%03d", (f+29*i)%testFiles)
+					data, err := client.Open(path)
+					if err == nil && string(data) != testContent(path) {
+						err = fmt.Errorf("wrong bytes %q", data)
+					}
+					if err != nil {
+						if round == 0 {
+							warmed.Done()
+						}
+						errs <- fmt.Errorf("client of node %d, round %d: open %s: %w", i, round, path, err)
+						return
+					}
+					opens.Add(1)
+				}
+			}
+		}()
+	}
+
+	warmed.Wait() // every client has opened a round's worth
+	before := opens.Load()
+	rep, err := tc.nodes[drained].Drain(tc.servers[drained])
+	during := opens.Load() - before
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if during == 0 {
+		t.Error("no open completed while the drain ran")
+	}
+	if rep.GroupsSent == 0 {
+		t.Error("drain streamed no groups: the departing node handed nothing off")
+	}
+	if rep.GroupsFailed != 0 {
+		t.Errorf("drain failed %d groups against healthy survivors", rep.GroupsFailed)
+	}
+	if installed := tc.servers[0].Stats().Handoffs + tc.servers[1].Stats().Handoffs; installed != uint64(rep.GroupsSent) {
+		t.Errorf("survivors installed %d handoff groups, drain sent %d: every sent group must land", installed, rep.GroupsSent)
+	}
+	// No Update ran on a survivor: the goodbye put them on the shrunk view.
+	for i := 0; i < drained; i++ {
+		if n := tc.nodes[i]; n.Epoch() != rep.GoodbyeEpoch || len(n.Members()) != 2 {
+			t.Errorf("survivor %d at epoch %d with %v, want the goodbye view %d without the drained node",
+				i, n.Epoch(), n.Members(), rep.GoodbyeEpoch)
+		}
+	}
+	if tc.nodes[drained].Ready() {
+		t.Error("drained node still ready")
+	}
+
+	// Rejoin: the full membership on node 0 only; gossip carries it on.
+	rejoin := rep.GoodbyeEpoch + 1
+	if err := tc.nodes[0].Update(rejoin, tc.addrs); err != nil {
+		t.Fatal(err)
+	}
+	converged := func() bool {
+		for _, n := range tc.nodes {
+			if n.Epoch() != rejoin {
+				return false
+			}
+		}
+		return true
+	}
+	for round := 0; round < 20 && !converged(); round++ {
+		for _, g := range gossipers {
+			g.Tick()
+		}
+	}
+	for i, n := range tc.nodes {
+		if n.Epoch() != rejoin || len(n.Members()) != len(tc.addrs) {
+			t.Errorf("node %d at epoch %d with %d members after 20 rounds, want %d with %d",
+				i, n.Epoch(), len(n.Members()), rejoin, len(tc.addrs))
+		}
+	}
+	if !tc.nodes[drained].Ready() || tc.nodes[drained].Draining() {
+		t.Error("the rejoin view did not bring the drained node back into service")
 	}
 }

@@ -10,10 +10,7 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"aggcache/internal/entropy"
 	"aggcache/internal/simulate"
@@ -139,7 +136,7 @@ func RunAll(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	ids := IDs()
 	out := make([]*Table, len(ids))
-	err := runParallel(len(ids), cfg.Parallelism, func(i int) error {
+	err := simulate.ForEach(len(ids), sweepOptions(cfg), func(i int) error {
 		t, err := Run(ids[i], cfg)
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", ids[i], err)
@@ -151,59 +148,6 @@ func RunAll(cfg Config) ([]*Table, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// runParallel executes n independent jobs on a bounded worker pool,
-// mirroring the sweep engine in internal/simulate: results go into
-// pre-sized slots by index and the lowest-indexed error wins, so output
-// and failure behaviour match the sequential loop.
-func runParallel(n, parallelism int, job func(i int) error) error {
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := job(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		firstI  = n
-		firstE  error
-		stopped atomic.Bool
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || stopped.Load() {
-					return
-				}
-				if err := job(i); err != nil {
-					mu.Lock()
-					if i < firstI {
-						firstI, firstE = i, err
-					}
-					mu.Unlock()
-					stopped.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstE
 }
 
 func openIDs(cfg Config, p workload.Profile) ([]trace.FileID, error) {
@@ -224,7 +168,7 @@ func fig3(cfg Config, p workload.Profile) (*Table, error) {
 	}
 	groups := []int{1, 2, 3, 5, 7, 10}
 	capacities := []int{100, 200, 300, 400, 500, 600, 700, 800}
-	grid, err := simulate.ClientSweepOpt(ids, groups, capacities, sweepOptions(cfg))
+	grid, err := simulate.ClientSweep(ids, groups, capacities, sweepOptions(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +206,7 @@ func fig4(cfg Config, p workload.Profile) (*Table, error) {
 		{ServerCapacity: serverCap, Scheme: simulate.SchemeLFU},
 	}
 	filters := []int{50, 100, 150, 200, 250, 300, 350, 400, 450, 500}
-	grid, err := simulate.ServerSweepOpt(ids, schemes, filters, sweepOptions(cfg))
+	grid, err := simulate.ServerSweep(ids, schemes, filters, sweepOptions(cfg))
 	if err != nil {
 		return nil, err
 	}

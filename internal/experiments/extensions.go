@@ -464,7 +464,7 @@ func xprune(cfg Config) (*Table, error) {
 	per := len(capacities) * len(pruneSchemes)
 	t.Rows = make([][]float64, len(profiles)*per)
 	t.RowLabels = make([]string, len(t.Rows))
-	err := runParallel(len(t.Rows), cfg.Parallelism, func(i int) error {
+	err := simulate.ForEach(len(t.Rows), sweepOptions(cfg), func(i int) error {
 		p := profiles[i/per]
 		capacity := capacities[i%per/len(pruneSchemes)]
 		scheme := pruneSchemes[i%len(pruneSchemes)]

@@ -13,9 +13,9 @@ import (
 )
 
 // peerRouter stands in for the cluster tier: paths under /remote/ are
-// another node's, so TryRouteOpen refuses them and RouteOpen "forwards" —
-// it parks until released — while every other path is declined to the
-// local serving path without waiting.
+// another node's, so Route refuses them from a read loop and RouteOpen
+// "forwards" — it parks until released — while every other path is
+// declined to the local serving path without waiting.
 type peerRouter struct {
 	entered chan string   // receives each path RouteOpen parks on
 	release chan struct{} // closed to let parked forwards return
@@ -34,18 +34,17 @@ func (r *peerRouter) RouteOpen(path string, accessed []string) ([]GroupFile, boo
 	return []GroupFile{{Path: path, Data: []byte("forwarded " + path)}}, true, nil
 }
 
-func (r *peerRouter) RouteOpenTraced(path string, accessed []string, _ otrace.Ctx) (*Group, int, bool, error) {
+func (r *peerRouter) Route(path string, accessed []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
+	if !mayWait && strings.HasPrefix(path, "/remote/") {
+		return nil, false, true, nil
+	}
 	files, handled, err := r.RouteOpen(path, accessed)
 	if !handled {
-		return nil, 0, false, err
+		return nil, false, false, err
 	}
 	g := NewGroup()
 	g.Files = append(g.Files, files...)
-	return g, 0, true, err
-}
-
-func (r *peerRouter) TryRouteOpen(path string, accessed []string, _ otrace.Ctx) (*Group, int, bool, bool) {
-	return nil, 0, false, strings.HasPrefix(path, "/remote/")
+	return g, true, false, err
 }
 
 // TestPipelinedLocalOpenOvertakesSlowForward: serving locally owned opens

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"errors"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -151,19 +150,18 @@ func (r *holdRouter) RouteOpen(string, []string) ([]GroupFile, bool, error) {
 	return nil, false, errors.New("holdRouter is an InlineRouter")
 }
 
-func (r *holdRouter) RouteOpenTraced(path string, _ []string, _ otrace.Ctx) (*Group, int, bool, error) {
+func (r *holdRouter) Route(path string, _ []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
 	g := r.groups[path]
 	if g == nil {
-		return nil, 0, false, nil
+		return nil, false, false, nil
+	}
+	if !mayWait {
+		return nil, false, true, nil
 	}
 	r.entered <- path
 	<-r.release[path]
 	g.Retain() // the server's reference
-	return g, 0, true, nil
-}
-
-func (r *holdRouter) TryRouteOpen(path string, _ []string, _ otrace.Ctx) (*Group, int, bool, bool) {
-	return nil, 0, false, strings.HasPrefix(path, "/remote/")
+	return g, true, false, nil
 }
 
 // TestReplyDroppedUnwrittenReleasesGroup: a group reply that never

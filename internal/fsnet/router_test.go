@@ -7,6 +7,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"aggcache/internal/obs/otrace"
 )
 
 // The router suite covers the hooks the cluster peer tier composes from:
@@ -129,6 +132,74 @@ func TestClusterRouterErrorsStayPerRequest(t *testing.T) {
 			t.Errorf("%s: local open after routed error: %v", name, err)
 		}
 		client.Close()
+	}
+}
+
+// badGroupRouter is an InlineRouter whose every /remote/ group is
+// malformed: empty, or headed by a file other than the demanded one (the
+// demanded file follows it, so only the head is wrong). With onWorker it
+// refuses the read loop, so the open comes back on a worker; otherwise
+// it answers inline.
+type badGroupRouter struct {
+	empty    bool
+	onWorker bool
+}
+
+func (r badGroupRouter) RouteOpen(string, []string) ([]GroupFile, bool, error) {
+	return nil, false, errors.New("badGroupRouter is an InlineRouter")
+}
+
+func (r badGroupRouter) Route(path string, _ []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
+	if !strings.HasPrefix(path, "/remote/") {
+		return nil, false, false, nil
+	}
+	if r.onWorker && !mayWait {
+		return nil, false, true, nil
+	}
+	g := NewGroup()
+	if !r.empty {
+		g.Files = append(g.Files,
+			GroupFile{Path: "/wrong/head", Data: []byte("x")},
+			GroupFile{Path: path, Data: []byte("routed " + path)})
+	}
+	return g, true, false, nil
+}
+
+// TestInlineRouterMalformedGroupStaysPerRequest: a group that does not
+// lead with the demanded file — an empty one included — fails its own
+// request with CodeInternal, inline or on a worker, and by the server's
+// check, not a recovered panic; the connection keeps serving, and the
+// server releases the rejected group (race builds count the balance).
+func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
+	for _, r := range []badGroupRouter{{empty: true}, {}, {empty: true, onWorker: true}, {onWorker: true}} {
+		name := fmt.Sprintf("empty=%v/onWorker=%v", r.empty, r.onWorker)
+		base, counted := liveGroups()
+		srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: r})
+		rc := rawHello(t, rawDial(t, addr))
+		_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for id := uint64(1); id <= 4; id += 2 {
+			rc.send(t, msgOpen, id, appendOpenRequest(nil, "/remote/x", nil))
+			if e := rc.recvError(t, id); e.Code != CodeInternal {
+				t.Errorf("%s: malformed group: code %d, want CodeInternal", name, e.Code)
+			}
+			rc.send(t, msgOpen, id+1, appendOpenRequest(nil, "/data/f000", nil))
+			for {
+				typ, got, _, err := readFrameID(rc.r)
+				if err != nil || got != id+1 || (typ != msgMemberChunk && typ != msgGroupEnd) {
+					t.Fatalf("%s: local open after the malformed group = type %d id %d, %v", name, typ, got, err)
+				}
+				if typ == msgGroupEnd {
+					break
+				}
+			}
+		}
+		if st := srv.Stats(); st.RemoteOpens != 0 || st.Errors != 2 || st.Panics != 0 {
+			t.Errorf("%s: RemoteOpens %d Errors %d Panics %d, want 0, 2 and 0", name, st.RemoteOpens, st.Errors, st.Panics)
+		}
+		_ = srv.Close() // waits for the handlers: no reply is in flight
+		if now, _ := liveGroups(); counted && now != base {
+			t.Errorf("%s: %d groups still referenced, want 0", name, now-base)
+		}
 	}
 }
 

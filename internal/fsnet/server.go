@@ -111,18 +111,14 @@ type OpenRouter interface {
 // the trace context is not propagated and the reply copies the slice.
 type InlineRouter interface {
 	OpenRouter
-	// RouteOpenTraced is RouteOpen with the caller's trace context (the
-	// zero Ctx means the request is untraced), answering with a group and
-	// the index of the demanded file in it: the reply leads with
-	// g.Files[lead] and follows with the rest in order. The server owns
-	// one reference to a handled group and releases it once the reply is
-	// written or dropped.
-	RouteOpenTraced(path string, accessed []string, tctx otrace.Ctx) (g *Group, lead int, handled bool, err error)
-	// TryRouteOpen routes the open like RouteOpenTraced if that takes no
-	// peer round trip. Otherwise it does nothing and reports blocks=true,
-	// and the server repeats the open through RouteOpenTraced from a
-	// goroutine that may wait.
-	TryRouteOpen(path string, accessed []string, tctx otrace.Ctx) (g *Group, lead int, handled, blocks bool)
+	// Route is RouteOpen with the caller's trace context (the zero Ctx
+	// means the request is untraced), answering with a group that leads
+	// with the demanded file. The server owns one reference to a handled
+	// group and releases it once the reply is written or dropped. With
+	// mayWait false the caller is a read loop: an open that needs a peer
+	// round trip is left untouched and reported as blocks=true, and the
+	// server repeats it with mayWait true from a goroutine that may wait.
+	Route(path string, accessed []string, tctx otrace.Ctx, mayWait bool) (g *Group, handled, blocks bool, err error)
 }
 
 // ServerStats is a snapshot of server activity.
@@ -660,7 +656,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
 		// and the group is built in pooled scratch.
-		g, lead, errResp, err := s.openView(payload, src, rw.shadow, tctx, inline)
+		g, errResp, err := s.openView(payload, src, rw.shadow, tctx, inline)
 		if err == errRouteBlocks {
 			return false
 		}
@@ -674,7 +670,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			return
 		}
 		s.m.streamed.Add(1)
-		rw.sendGroup(id, g, lead)
+		rw.sendGroup(id, g)
 	case msgWrite:
 		path, data, err := parseWriteRequest(payload)
 		if err != nil {
@@ -922,18 +918,18 @@ var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
 // allocating either. A non-nil error reports a malformed payload (the
 // caller answers CodeBadRequest without counting a request) or, from the
 // read loop only (inline), errRouteBlocks. The caller owns one reference
-// to the returned group; lead indexes the demanded file in it.
+// to the returned group, which leads with the demanded file.
 //
 // sh, the connection's shadow, is shown the piggybacked history exactly
 // once per request that is answered — not by an inline attempt that ends
 // in errRouteBlocks, which a worker repeats from the top.
-func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ctx, inline bool) (g *Group, lead int, _ errorResponse, _ error) {
+func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ctx, inline bool) (*Group, errorResponse, error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	pathView, views, flags, err := parseOpenRequest(payload, sc.views[:0])
 	sc.views = views
 	if err != nil {
-		return nil, 0, errorResponse{}, err
+		return nil, errorResponse{}, err
 	}
 	unvalidated := flags&openUnvalidated != 0
 
@@ -951,7 +947,7 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 		if !exists {
 			// The history this request carried is read by nobody.
 			sh.note(&s.m, nil, len(sc.views) > 0, unvalidated)
-			return nil, 0, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
+			return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
 		}
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
@@ -986,25 +982,25 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 	if routed {
 		// The router comes first: a path another node owns is answered by
 		// that node, present in the local store or not.
-		g, lead, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
+		g, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
 		if blocks {
-			return nil, 0, errorResponse{}, errRouteBlocks
+			return nil, errorResponse{}, errRouteBlocks
 		}
 		sh.note(&s.m, sc.ids, lost, unvalidated)
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
 			}
-			return g, lead, errResp, nil
+			return g, errResp, nil
 		}
 		if !exists {
-			return nil, 0, errorResponse{Code: CodeNotFound, Message: path}, nil
+			return nil, errorResponse{Code: CodeNotFound, Message: path}, nil
 		}
 	} else {
 		sh.note(&s.m, sc.ids, lost, unvalidated)
 	}
 	g, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
-	return g, 0, errResp, nil
+	return g, errResp, nil
 }
 
 // serveOpen is the local tail of an open: learn the piggybacked
@@ -1069,24 +1065,22 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 // refusal, with nothing counted. A handled group comes with one reference
 // for the caller: the InlineRouter's own, or a pooled container holding a
 // plain router's files.
-func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (g *Group, lead int, errResp errorResponse, handled, blocks bool) {
+func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (g *Group, errResp errorResponse, handled, blocks bool) {
 	var err error
-	switch {
-	case s.iroute == nil:
+	if s.iroute == nil {
 		var files []GroupFile
 		if files, handled, err = s.cfg.Router.RouteOpen(path, accessed); len(files) > 0 {
 			g = NewGroup()
 			g.Files = append(g.Files, files[:min(len(files), maxGroup)]...)
 		}
-	case inline:
-		if g, lead, handled, blocks = s.iroute.TryRouteOpen(path, accessed, tctx); blocks {
-			return nil, 0, errorResponse{}, false, true
+	} else {
+		g, handled, blocks, err = s.iroute.Route(path, accessed, tctx, !inline)
+		if blocks {
+			return nil, errorResponse{}, false, true
 		}
-	default:
-		g, lead, handled, err = s.iroute.RouteOpenTraced(path, accessed, tctx)
 	}
 	s.m.requests.Add(1)
-	if handled && err == nil && (g == nil || len(g.Files) > maxGroup || lead < 0 || lead >= len(g.Files) || g.Files[lead].Path != path) {
+	if handled && err == nil && (g == nil || len(g.Files) == 0 || len(g.Files) > maxGroup || g.Files[0].Path != path) {
 		err = errors.New("router returned malformed group")
 	}
 	if g != nil && (!handled || err != nil) {
@@ -1094,15 +1088,15 @@ func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inli
 	}
 	switch {
 	case !handled:
-		return nil, 0, errorResponse{}, false, false
+		return nil, errorResponse{}, false, false
 	case err == nil:
 		s.m.remote.Add(1)
 		s.m.sent.Add(uint64(len(g.Files)))
-		return g, lead, errorResponse{}, true, false
+		return g, errorResponse{}, true, false
 	case errors.Is(err, ErrNotFound):
-		return nil, 0, errorResponse{Code: CodeNotFound, Message: path}, true, false
+		return nil, errorResponse{Code: CodeNotFound, Message: path}, true, false
 	default:
-		return nil, 0, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
+		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
 	}
 }
 
@@ -1176,11 +1170,10 @@ type reply struct {
 	// side is dead).
 	pooled bool
 	// group, when non-nil, is a streamed group reply (typ and payload are
-	// unused): one msgMemberChunk per file — group.Files[lead] first, then
-	// the rest in order — plus a closing msgGroupEnd. The reply owns one
-	// reference, released once the batch is written or dropped.
+	// unused): one msgMemberChunk per file, in order — the demanded file
+	// first — plus a closing msgGroupEnd. The reply owns one reference,
+	// released once the batch is written or dropped.
 	group *Group
-	lead  int
 }
 
 func newReplyWriter(s *Server, conn net.Conn, sh *shadow) *replyWriter {
@@ -1208,8 +1201,8 @@ func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 
 // sendGroup enqueues one streamed group reply, taking over the caller's
 // reference to g.
-func (rw *replyWriter) sendGroup(id uint64, g *Group, lead int) {
-	rw.enqueue(reply{id: id, group: g, lead: lead})
+func (rw *replyWriter) sendGroup(id uint64, g *Group) {
+	rw.enqueue(reply{id: id, group: g})
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
@@ -1305,15 +1298,14 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 			// holding it at this very tag. Staged and forwarded groups
 			// both come through here.
 			files := rep.group.Files
-			held := rw.shadow.install(rw.s.ids, files, rep.lead)
+			held := rw.shadow.install(rw.s.ids, files)
 			for k := range files {
-				i := wireOrder(k, rep.lead)
-				skip := held&(1<<i) != 0
+				skip := held&(1<<k) != 0
 				if skip {
 					rw.s.m.validated.Inc()
-					rw.s.m.validatedBytes.Add(uint64(len(files[i].Data)))
+					rw.s.m.validatedBytes.Add(uint64(len(files[k].Data)))
 				}
-				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[i], skip)
+				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[k], skip)
 			}
 			var cnt [10]byte // uvarint member count
 			n := binary.PutUvarint(cnt[:], uint64(len(files)))

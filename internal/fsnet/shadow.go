@@ -112,10 +112,10 @@ func (sh *shadow) wrote(id trace.FileID, tag uint64) {
 }
 
 // install replays the client's installation of one group reply, about to
-// be written as files[lead] followed by the rest in order, and returns the
+// be written as files in order — the demanded file first — and returns the
 // members to send header-only: bit i set means files[i] is one the client
 // holds at that very tag. The demanded file is never held.
-func (sh *shadow) install(ids *trace.SyncInterner, files []fileData, lead int) (held uint64) {
+func (sh *shadow) install(ids *trace.SyncInterner, files []fileData) (held uint64) {
 	if sh == nil {
 		return 0
 	}
@@ -133,8 +133,8 @@ func (sh *shadow) install(ids *trace.SyncInterner, files []fileData, lead int) (
 		sh.lru = lru
 	}
 	gids := sh.gids[:0]
-	for k := range files {
-		id := ids.Intern(files[wireOrder(k, lead)].Path)
+	for i := range files {
+		id := ids.Intern(files[i].Path)
 		if int(id) >= len(sh.tags) {
 			sh.tags = trace.GrowDense(sh.tags, id)
 		}
@@ -142,32 +142,18 @@ func (sh *shadow) install(ids *trace.SyncInterner, files []fileData, lead int) (
 	}
 	sh.gids = gids
 	// Residency and tags as the client has them before this reply lands.
-	for k, id := range gids[1:] {
-		i := wireOrder(k+1, lead)
-		if tag := files[i].Tag; tag != 0 && sh.tags[id] == tag && sh.lru.Contains(id) {
+	for i := 1; i < len(gids); i++ {
+		if tag := files[i].Tag; tag != 0 && sh.tags[gids[i]] == tag && sh.lru.Contains(gids[i]) {
 			held |= 1 << i
 		}
 	}
 	sh.lru.Install(gids, false)
 	// Every member resident afterwards that carried its bytes was
 	// refreshed by them.
-	for k, id := range gids {
-		if i := wireOrder(k, lead); held&(1<<i) == 0 && sh.lru.Contains(id) {
+	for i, id := range gids {
+		if held&(1<<i) == 0 && sh.lru.Contains(id) {
 			sh.tags[id] = files[i].Tag
 		}
 	}
 	return held
-}
-
-// wireOrder maps the k-th chunk of a reply to its index in the group's
-// files: the demanded file, files[lead], is sent first and the rest follow
-// in order.
-func wireOrder(k, lead int) int {
-	switch {
-	case k == 0:
-		return lead
-	case k <= lead:
-		return k - 1
-	}
-	return k
 }

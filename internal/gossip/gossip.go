@@ -12,14 +12,12 @@
 // pushing on a hint means a new view is fetched once per hinted peer,
 // not blasted at every connection (no push storms).
 //
-// Anti-entropy: a background loop wakes every Interval, picks Fanout
-// distinct random live peers (one by default), and exchanges views with
-// each — pull first, then push back if the peer turned out to be older.
-// Anti-entropy is what carries idle fleets and heals partitions: it
-// needs no traffic and no hints, only that the pair can talk. Random
-// peer choice gives the standard epidemic O(log n) spread without
-// tracking who knows what; raising the fanout trades bandwidth for a
-// proportionally shorter convergence tail.
+// Anti-entropy: a background loop wakes every Interval, picks one random
+// live peer, and exchanges views with it — pull first, then push back if
+// the peer turned out to be older. Anti-entropy is what carries idle
+// fleets and heals partitions: it needs no traffic and no hints, only
+// that the pair can talk. Random peer choice gives the standard epidemic
+// O(log n) spread without tracking who knows what.
 //
 // Epoch rules are the cluster tier's (Update): higher epoch wins,
 // stale views are refused, ties never install. The gossiper adds no
@@ -73,11 +71,6 @@ type Config struct {
 	// Seed seeds peer selection; 0 draws from the wall clock. Tests fix
 	// it so every round's peer choice is reproducible.
 	Seed int64
-	// Fanout is how many distinct random peers each anti-entropy round
-	// reconciles with (0 selects 1; values above the live peer count are
-	// clamped per round). Higher fanout shortens the convergence tail at
-	// the cost of proportionally more exchanges.
-	Fanout int
 	// Obs, when set, registers the gossip counters and the view-epoch
 	// gauge with the given registry.
 	Obs *obs.Registry
@@ -94,7 +87,6 @@ type Gossiper struct {
 	node     View
 	interval time.Duration
 	ticker   func(d time.Duration) (<-chan time.Time, func())
-	fanout   int
 	trace    *otrace.Tracer
 
 	rndMu sync.Mutex
@@ -133,15 +125,10 @@ func New(cfg Config) *Gossiper {
 			return t.C, t.Stop
 		}
 	}
-	fanout := cfg.Fanout
-	if fanout <= 0 {
-		fanout = 1
-	}
 	g := &Gossiper{
 		node:     cfg.Node,
 		interval: cfg.Interval,
 		ticker:   tick,
-		fanout:   fanout,
 		trace:    cfg.Trace,
 		rnd:      rand.New(rand.NewSource(seed)),
 		inflight: make(map[string]uint64),
@@ -211,14 +198,10 @@ func (g *Gossiper) Stop() {
 	g.wg.Wait()
 }
 
-// Tick runs one synchronous anti-entropy round: choose Fanout distinct
-// random peers from the installed view, pull each one's view (installing
-// it if newer), and push ours back to each peer that turned out to be
-// older. The view snapshot is taken once per round — a pull that
-// installs a newer view mid-round does not change what the remaining
-// exchanges offer; the refreshed view rides the next round. Exported so
-// tests — and operators' debug hooks — can drive rounds
-// deterministically.
+// Tick runs one synchronous anti-entropy round: choose one random peer
+// from the installed view, pull its view (installing it if newer), and
+// push ours back if the peer turned out to be older. Exported so tests —
+// and operators' debug hooks — can drive rounds deterministically.
 func (g *Gossiper) Tick() {
 	g.rounds.Add(1)
 	epoch, members := g.node.ViewSnapshot()
@@ -232,24 +215,12 @@ func (g *Gossiper) Tick() {
 	if len(peers) == 0 {
 		return
 	}
-	k := g.fanout
-	if k > len(peers) {
-		k = len(peers)
-	}
 	tctx := g.trace.Root()
 	var tstart time.Time
 	if tctx.Sampled {
 		tstart = time.Now()
 	}
-	// Partial Fisher-Yates over the local peers copy: each draw swaps the
-	// chosen peer into the round's prefix, so the k selections are
-	// distinct and a fanout of 1 consumes exactly one rand draw (keeping
-	// the historical single-peer selection sequence for seeded tests).
-	for i := 0; i < k; i++ {
-		j := i + g.intn(len(peers)-i)
-		peers[i], peers[j] = peers[j], peers[i]
-		g.exchange(peers[i], epoch, members, tctx)
-	}
+	g.exchange(peers[g.intn(len(peers))], epoch, members, tctx)
 	if tctx.Sampled {
 		g.trace.Record(tctx, "gossip_round", "", tstart, time.Since(tstart))
 	}

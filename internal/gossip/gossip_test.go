@@ -329,51 +329,15 @@ func (v *reportingView) ViewPullFrom(addr string) (bool, uint64, error) {
 	return false, v.report, nil
 }
 
-// TestTickFanoutPullsDistinctPeers: with Fanout k, one round reconciles
-// with exactly k peers and never the same peer twice; a fanout above the
-// live peer count clamps to every peer exactly once. Seeded, so the
-// selections are reproducible run to run.
-func TestTickFanoutPullsDistinctPeers(t *testing.T) {
-	members := []string{"a:1", "b:2", "c:3", "d:4", "e:5"}
-	for _, tc := range []struct {
-		fanout int
-		want   int
-	}{
-		{fanout: 0, want: 1}, // default
-		{fanout: 3, want: 3},
-		{fanout: 99, want: 4}, // clamped to the 4 live peers
-	} {
-		v := &scriptedView{self: "a:1", epoch: 5, members: members}
-		g := gossip.New(gossip.Config{Node: v, Seed: 42, Fanout: tc.fanout})
-		g.Tick()
-		g.Stop()
-		v.mu.Lock()
-		pulls := append([]string(nil), v.pulls...)
-		v.mu.Unlock()
-		if len(pulls) != tc.want {
-			t.Errorf("fanout %d: %d pulls %v, want %d", tc.fanout, len(pulls), pulls, tc.want)
-		}
-		seen := make(map[string]bool)
-		for _, addr := range pulls {
-			if addr == "a:1" {
-				t.Errorf("fanout %d: round pulled self", tc.fanout)
-			}
-			if seen[addr] {
-				t.Errorf("fanout %d: peer %s pulled twice in one round: %v", tc.fanout, addr, pulls)
-			}
-			seen[addr] = true
-		}
-	}
-}
-
-// TestTickFanoutDeterministic: the same seed yields the same peer
-// selection sequence across rounds, so failures in fanout scheduling
-// reproduce exactly.
+// TestTickFanoutDeterministic: each round reconciles with exactly one
+// peer, never self, and the same seed yields the same peer selection
+// sequence across rounds, so failures in peer scheduling reproduce
+// exactly.
 func TestTickFanoutDeterministic(t *testing.T) {
 	members := []string{"a:1", "b:2", "c:3", "d:4", "e:5"}
 	run := func() []string {
 		v := &scriptedView{self: "a:1", epoch: 5, members: members}
-		g := gossip.New(gossip.Config{Node: v, Seed: 7, Fanout: 2})
+		g := gossip.New(gossip.Config{Node: v, Seed: 7})
 		defer g.Stop()
 		for i := 0; i < 4; i++ {
 			g.Tick()
@@ -383,10 +347,13 @@ func TestTickFanoutDeterministic(t *testing.T) {
 		return append([]string(nil), v.pulls...)
 	}
 	first, second := run(), run()
-	if len(first) != 8 {
-		t.Fatalf("4 rounds at fanout 2 made %d pulls, want 8", len(first))
+	if len(first) != 4 {
+		t.Fatalf("4 rounds made %d pulls, want 4", len(first))
 	}
 	for i := range first {
+		if first[i] == "a:1" {
+			t.Errorf("round %d pulled self", i)
+		}
 		if first[i] != second[i] {
 			t.Fatalf("same seed diverged at pull %d: %v vs %v", i, first, second)
 		}

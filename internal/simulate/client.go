@@ -54,24 +54,18 @@ func RunClientConfig(ids []trace.FileID, cfg core.Config) (ClientResult, error) 
 
 // ClientSweep runs RunClient for every (groupSize, capacity) pair,
 // returning results[i][j] for groupSizes[i] x capacities[j] — the exact
-// grid behind each Figure-3 panel. Cells fan out across GOMAXPROCS
-// workers; use ClientSweepOpt to bound or disable the parallelism.
-func ClientSweep(ids []trace.FileID, groupSizes, capacities []int) ([][]ClientResult, error) {
-	return ClientSweepOpt(ids, groupSizes, capacities, Options{})
-}
-
-// ClientSweepOpt is ClientSweep with explicit execution options. The
-// grid cells are independent simulations sharing only the read-only
-// open sequence, so they are safe to run concurrently; each cell stays
-// single-threaded internally and writes its result into a pre-sized
-// slot by index, keeping the grid bit-identical to a sequential sweep.
-func ClientSweepOpt(ids []trace.FileID, groupSizes, capacities []int, opt Options) ([][]ClientResult, error) {
+// grid behind each Figure-3 panel. The grid cells are independent
+// simulations sharing only the read-only open sequence, so opt fans them
+// out (ForEach); each cell stays single-threaded internally and writes
+// its result into a pre-sized slot by index, keeping the grid
+// bit-identical to a sequential sweep.
+func ClientSweep(ids []trace.FileID, groupSizes, capacities []int, opt Options) ([][]ClientResult, error) {
 	out := make([][]ClientResult, len(groupSizes))
 	for i := range out {
 		out[i] = make([]ClientResult, len(capacities))
 	}
 	nc := len(capacities)
-	err := runCells(len(groupSizes)*nc, opt, func(cell int) error {
+	err := ForEach(len(groupSizes)*nc, opt, func(cell int) error {
 		i, j := cell/nc, cell%nc
 		r, err := RunClient(ids, capacities[j], groupSizes[i])
 		if err != nil {

@@ -109,23 +109,16 @@ func RunServer(ids []trace.FileID, cfg ServerConfig) (ServerResult, error) {
 
 // ServerSweep runs RunServer across filter capacities for each scheme,
 // returning results[i][j] for schemes[i] x filters[j] — one Figure-4
-// panel. Cells fan out across GOMAXPROCS workers; use ServerSweepOpt to
-// bound or disable the parallelism.
-func ServerSweep(ids []trace.FileID, schemes []ServerConfig, filters []int) ([][]ServerResult, error) {
-	return ServerSweepOpt(ids, schemes, filters, Options{})
-}
-
-// ServerSweepOpt is ServerSweep with explicit execution options. Like
-// ClientSweepOpt, cells share only the read-only open sequence and land
-// in pre-sized grid slots by index, so the result is bit-identical to a
-// sequential sweep.
-func ServerSweepOpt(ids []trace.FileID, schemes []ServerConfig, filters []int, opt Options) ([][]ServerResult, error) {
+// panel. Like ClientSweep, cells fan out as opt says, share only the
+// read-only open sequence and land in pre-sized grid slots by index, so
+// the result is bit-identical to a sequential sweep.
+func ServerSweep(ids []trace.FileID, schemes []ServerConfig, filters []int, opt Options) ([][]ServerResult, error) {
 	out := make([][]ServerResult, len(schemes))
 	for i := range out {
 		out[i] = make([]ServerResult, len(filters))
 	}
 	nf := len(filters)
-	err := runCells(len(schemes)*nf, opt, func(cell int) error {
+	err := ForEach(len(schemes)*nf, opt, func(cell int) error {
 		i, j := cell/nf, cell%nf
 		cfg := schemes[i]
 		cfg.FilterCapacity = filters[j]

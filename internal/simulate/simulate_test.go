@@ -57,7 +57,7 @@ func TestClientSweepShape(t *testing.T) {
 	ids := serverIDs(t, 8000)
 	groups := []int{1, 3, 5}
 	caps := []int{100, 200, 400}
-	grid, err := ClientSweep(ids, groups, caps)
+	grid, err := ClientSweep(ids, groups, caps, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestServerSweepShape(t *testing.T) {
 		{ServerCapacity: 200, Scheme: SchemeAggregating, GroupSize: 5},
 	}
 	filters := []int{50, 150, 300}
-	grid, err := ServerSweep(ids, schemes, filters)
+	grid, err := ServerSweep(ids, schemes, filters, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,14 +22,14 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runCells executes n independent grid cells, fanning them across a
-// bounded worker pool. Each cell writes its result into a pre-sized slot
+// ForEach executes n independent cells, fanning them across a bounded
+// worker pool. Each cell writes its result into a pre-sized slot
 // identified by its index, so the output layout — and therefore every
 // figure table — is identical regardless of scheduling. Cells must not
 // share mutable state (sweep cells share only the read-only open
 // sequence). The lowest-indexed error wins, matching the sequential
 // early-exit order.
-func runCells(n int, opt Options, cell func(i int) error) error {
+func ForEach(n int, opt Options, cell func(i int) error) error {
 	workers := opt.workers()
 	if workers > n {
 		workers = n

@@ -34,7 +34,7 @@ func TestRunCellsCoversAllCells(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		const n = 100
 		var hits [n]atomic.Int32
-		err := runCells(n, Options{Parallelism: par}, func(i int) error {
+		err := ForEach(n, Options{Parallelism: par}, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
@@ -63,7 +63,7 @@ func TestRunCellsLowestErrorWins(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 2, 8} {
-		err := runCells(64, Options{Parallelism: par}, errAt(40, 7, 55))
+		err := ForEach(64, Options{Parallelism: par}, errAt(40, 7, 55))
 		if err == nil {
 			t.Fatalf("par=%d: no error", par)
 		}
@@ -78,7 +78,7 @@ func TestRunCellsLowestErrorWins(t *testing.T) {
 
 func TestRunCellsZeroCells(t *testing.T) {
 	called := false
-	if err := runCells(0, Options{}, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEach(0, Options{}, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -93,11 +93,11 @@ func TestClientSweepParallelMatchesSequential(t *testing.T) {
 	ids := serverIDs(t, 12000)
 	groups := []int{1, 3, 5, 7}
 	caps := []int{100, 200, 400}
-	seq, err := ClientSweepOpt(ids, groups, caps, Options{Parallelism: 1})
+	seq, err := ClientSweep(ids, groups, caps, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ClientSweepOpt(ids, groups, caps, Options{Parallelism: 8})
+	par, err := ClientSweep(ids, groups, caps, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +118,11 @@ func TestServerSweepParallelMatchesSequential(t *testing.T) {
 		{ServerCapacity: 200, Scheme: SchemeAggregating, GroupSize: 5},
 	}
 	filters := []int{50, 100, 200, 300}
-	seq, err := ServerSweepOpt(ids, schemes, filters, Options{Parallelism: 1})
+	seq, err := ServerSweep(ids, schemes, filters, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := ServerSweepOpt(ids, schemes, filters, Options{Parallelism: 8})
+	par, err := ServerSweep(ids, schemes, filters, Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +138,11 @@ func TestServerSweepParallelMatchesSequential(t *testing.T) {
 func TestSweepErrorSurfaced(t *testing.T) {
 	ids := serverIDs(t, 2000)
 	// Capacity 0 in one cell must fail the whole sweep, in parallel too.
-	if _, err := ClientSweepOpt(ids, []int{1, 5}, []int{100, 0}, Options{Parallelism: 4}); err == nil {
+	if _, err := ClientSweep(ids, []int{1, 5}, []int{100, 0}, Options{Parallelism: 4}); err == nil {
 		t.Error("parallel client sweep swallowed a cell error")
 	}
 	bad := []ServerConfig{{ServerCapacity: 100, Scheme: "nope"}}
-	if _, err := ServerSweepOpt(ids, bad, []int{100}, Options{Parallelism: 4}); err == nil {
+	if _, err := ServerSweep(ids, bad, []int{100}, Options{Parallelism: 4}); err == nil {
 		t.Error("parallel server sweep swallowed a cell error")
 	}
 }
@@ -163,7 +163,7 @@ func BenchmarkClientSweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errSink = ClientSweepOpt(ids, groups, caps, Options{Parallelism: bc.par})
+				_, errSink = ClientSweep(ids, groups, caps, Options{Parallelism: bc.par})
 				if errSink != nil {
 					b.Fatal(errSink)
 				}
@@ -187,7 +187,7 @@ func BenchmarkServerSweep(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_, errSink = ServerSweepOpt(ids, schemes, filters, Options{Parallelism: bc.par})
+				_, errSink = ServerSweep(ids, schemes, filters, Options{Parallelism: bc.par})
 				if errSink != nil {
 					b.Fatal(errSink)
 				}
