@@ -59,7 +59,16 @@ ignore-guard:
 # diverged in ownership, and the gossip fanout (one random peer a round);
 # and aggbench's churn conductor, a third drain-and-rejoin check beside
 # TestClusterDrainUnderLoadRejoinsByGossip and fleet-smoke: aggbench
-# neither names churn nor imports internal/gossip.
+# neither names churn nor imports internal/gossip. So is the second
+# two-level simulator: internal/multilevel ran simulate.RunServer's model
+# again, generalised to N levels no caller used, so the §4.3 hierarchy is
+# RunServer priced by ServerResult.MeanLatency and the façade's
+# SimulateHierarchy names went with it. So are the knobs only tests set:
+# the breaker's threshold, cooldown and forward timeout are unexported
+# constants, and the client always piggybacks its history (the §4.3 "no
+# cooperation" model lives in the simulator, ServerConfig.Piggyback). So
+# is gossip's copy of the membership epoch, cluster_membership_epoch's
+# value under a second name.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -78,6 +87,7 @@ lint-dead:
 	@! grep -rnE 'newMirror|purgeOwner|mirMu|MirrorTTL|MirrorGroups|MirrorRetainedBytes|RetainedBytes\(|cluster_mirror_' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'RouteOpenTraced|TryRouteOpen|wireOrder|runParallel|ClientSweepOpt|ServerSweepOpt|ring-replicas|gossip-fanout|Fanout:' --include='*.go' --exclude='*_test.go' .
 	@! grep -rniE 'churn|internal/gossip' --include='*.go' --exclude='*_test.go' cmd/aggbench
+	@! grep -rnE 'internal/multilevel|SimulateHierarchy|HierarchyConfig|DisablePiggyback|FailureThreshold|DownDuration|PeerTimeout|gossip_view_epoch' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -124,7 +134,7 @@ examples:
 	$(GO) run ./examples/grouping-apps
 
 # Short fuzzing pass over every decoder the serving path runs, the trace
-# codecs, the ring, the group placement rule against its model, ARC
+# codecs, the learned-metadata snapshot loader, the ring, the group placement rule against its model, ARC
 # against its reference and the group builder at share 0 against the
 # builder from before the link cut, ten seconds a target; CI calls this
 # target.
@@ -135,6 +145,7 @@ fuzz:
 	for t in FuzzReadBinary FuzzReadText FuzzReadDFSTrace; do \
 		$(GO) test -run='^$$' -fuzz="^$$t$$" -fuzztime=10s ./internal/trace/ || exit 1; \
 	done
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadTracker$$' -fuzztime=10s ./internal/successor/
 	$(GO) test -run='^$$' -fuzz='^FuzzRingOwner$$' -fuzztime=10s ./internal/cluster/
 	$(GO) test -run='^$$' -fuzz='^FuzzGroupLRU$$' -fuzztime=10s ./internal/cache/
 	$(GO) test -run='^$$' -fuzz='^FuzzARC$$' -fuzztime=10s ./internal/cache/

@@ -106,12 +106,14 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestHierarchyMode(t *testing.T) {
+// Server mode prices §4.3's hierarchy: the opens both levels missed go to
+// the backend, and the mean open latency is printed beside the hit rate.
+func TestServerModeLatency(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return run([]string{"-profile", "workstation", "-opens", "3000", "-mode", "hierarchy",
-			"-capacity", "100", "-server-capacity", "200", "-scheme", "agg"})
+		return run([]string{"-profile", "workstation", "-opens", "3000", "-mode", "server",
+			"-filter", "100", "-server-capacity", "200", "-scheme", "agg"})
 	})
-	for _, want := range []string{"hierarchy:", "client", "server", "mean open latency"} {
+	for _, want := range []string{"server hit rate", "backend fetches", "mean open latency"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

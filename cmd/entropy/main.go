@@ -21,7 +21,6 @@ import (
 
 	"aggcache/internal/entropy"
 	"aggcache/internal/simulate"
-	"aggcache/internal/trace"
 	"aggcache/internal/viz"
 	"aggcache/internal/workload"
 )
@@ -54,7 +53,7 @@ func run(args []string) error {
 		return fmt.Errorf("maxlen must be >= 1, got %d", *maxLen)
 	}
 
-	tr, err := loadTrace(*traceFile, *profile, *seed, *opens)
+	tr, err := workload.Load(*traceFile, workload.Profile(*profile), *seed, *opens)
 	if err != nil {
 		return err
 	}
@@ -113,20 +112,6 @@ func run(args []string) error {
 		fmt.Printf("%6d  %13.4f  %5d  %11d\n", r.SymbolLength, r.Bits, r.Files, r.Occurrences)
 	}
 	return nil
-}
-
-// loadTrace mirrors cachesim's trace loading but keeps the whole trace
-// (per-file reports need path names).
-func loadTrace(path, profile string, seed int64, opens int) (*trace.Trace, error) {
-	if path == "" {
-		return workload.Standard(workload.Profile(profile), seed, opens)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
 }
 
 // writeSVG writes a chart through render into path.

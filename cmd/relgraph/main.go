@@ -40,7 +40,7 @@ func run(args []string) error {
 		return err
 	}
 
-	tr, err := loadTrace(*traceFile, *profile, *seed, *opens)
+	tr, err := workload.Load(*traceFile, workload.Profile(*profile), *seed, *opens)
 	if err != nil {
 		return err
 	}
@@ -88,17 +88,4 @@ func run(args []string) error {
 
 	g := successor.BuildGraph(tk)
 	return g.WriteDOT(os.Stdout, tr.Paths)
-}
-
-// loadTrace mirrors cachesim's trace loading.
-func loadTrace(path, profile string, seed int64, opens int) (*trace.Trace, error) {
-	if path == "" {
-		return workload.Standard(workload.Profile(profile), seed, opens)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return trace.Read(f)
 }

@@ -2,9 +2,9 @@ package aggcache
 
 import (
 	"io"
+	"math"
 
 	"aggcache/internal/hoard"
-	"aggcache/internal/multilevel"
 	"aggcache/internal/placement"
 	"aggcache/internal/prefetch"
 	"aggcache/internal/successor"
@@ -30,10 +30,10 @@ type (
 
 // NewLastSuccessorPredictor returns the last-successor model (Lei &
 // Duchamp 1997).
-func NewLastSuccessorPredictor() *prefetch.LastSuccessor { return prefetch.NewLastSuccessor() }
+func NewLastSuccessorPredictor() *prefetch.SuccessorChain { return prefetch.NewLastSuccessor() }
 
 // NewFirstSuccessorPredictor returns the first-successor model.
-func NewFirstSuccessorPredictor() *prefetch.FirstSuccessor { return prefetch.NewFirstSuccessor() }
+func NewFirstSuccessorPredictor() *prefetch.SuccessorChain { return prefetch.NewFirstSuccessor() }
 
 // NewProbabilityGraphPredictor returns Griffioen & Appleton's
 // probability-graph predictor.
@@ -107,30 +107,6 @@ func EvaluateHoardRuns(h *Hoard, runs [][]FileID) HoardRunResult {
 	return hoard.EvaluateRuns(h, runs)
 }
 
-// Multi-level hierarchies.
-type (
-	// HierarchyLevel describes one tier of a cache hierarchy.
-	HierarchyLevel = multilevel.Level
-	// HierarchyConfig describes a hierarchy run with a latency model.
-	HierarchyConfig = multilevel.Config
-	// HierarchyResult is the outcome of a hierarchy run.
-	HierarchyResult = multilevel.Result
-	// HierarchyScheme selects a level's cache policy.
-	HierarchyScheme = multilevel.Scheme
-)
-
-// Hierarchy level schemes.
-const (
-	LevelLRU         = multilevel.SchemeLRU
-	LevelLFU         = multilevel.SchemeLFU
-	LevelAggregating = multilevel.SchemeAggregating
-)
-
-// SimulateHierarchy replays an open sequence through a cache hierarchy.
-func SimulateHierarchy(ids []FileID, cfg HierarchyConfig) (HierarchyResult, error) {
-	return multilevel.Run(ids, cfg)
-}
-
 // Workload visualization.
 type (
 	// FileProfileEntry is one file's predictability summary.
@@ -176,7 +152,9 @@ func EvaluateSuccessorPolicyEvents(events []Event, policy SuccessorPolicy, capac
 func SaveTracker(t *Tracker, w io.Writer) error { return t.Save(w) }
 
 // LoadTracker restores a tracker from a snapshot written by SaveTracker.
-func LoadTracker(r io.Reader) (*Tracker, error) { return successor.LoadTracker(r) }
+func LoadTracker(r io.Reader) (*Tracker, error) {
+	return successor.LoadTracker(r, math.MaxInt)
+}
 
 // WebWorkloadConfig parameterizes the web-proxy workload generator (the
 // related-work domain of Hummingbird, §5).

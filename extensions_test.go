@@ -2,8 +2,10 @@ package aggcache
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestFacadePrefetchBaselines(t *testing.T) {
@@ -146,21 +148,27 @@ func TestFacadeDFSImportAndMerge(t *testing.T) {
 }
 
 func TestFacadeHierarchy(t *testing.T) {
+	// §4.3's two-level hierarchy is SimulateServer priced per open: LRU(2)
+	// serves the second 1 and 2, and the aggregating server, which has
+	// learned nothing yet, misses 1, 2 and 3.
 	seq := []FileID{1, 2, 1, 2, 3}
-	res, err := SimulateHierarchy(seq, HierarchyConfig{
-		Levels: []HierarchyLevel{
-			{Name: "l1", Capacity: 2, Scheme: LevelLRU},
-			{Name: "l2", Capacity: 4, Scheme: LevelAggregating, GroupSize: 2},
-		},
+	res, err := SimulateServer(seq, ServerSimConfig{
+		FilterCapacity: 2,
+		ServerCapacity: 4,
+		Scheme:         ServerAggregating,
+		GroupSize:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Accesses != 5 || len(res.Levels) != 2 {
-		t.Errorf("result = %+v", res)
+	if res.Opens != 5 || res.ClientMisses != 3 || res.ServerHits != 0 {
+		t.Errorf("result = %+v, want 5 opens, 3 client misses, 0 server hits", res)
 	}
-	if _, err := SimulateHierarchy(seq, HierarchyConfig{}); err == nil {
-		t.Error("empty hierarchy accepted")
+	if got, want := res.MeanLatency(time.Millisecond, 2*time.Millisecond, 10*time.Millisecond), (2*time.Millisecond+3*10*time.Millisecond)/5; got != want {
+		t.Errorf("MeanLatency = %v, want %v", got, want)
+	}
+	if _, err := SimulateServer(seq, ServerSimConfig{}); err == nil {
+		t.Error("empty configuration accepted")
 	}
 	// PPM predictor is exposed too.
 	ppm, err := NewPPMPredictor(2)
@@ -208,7 +216,7 @@ func TestFacadePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.LoadMetadata(&buf); err != nil {
+	if err := c2.LoadMetadata(&buf, math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
 	g := c2.BuildGroup(1)

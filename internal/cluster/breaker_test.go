@@ -26,8 +26,8 @@ func (r *failOnceRouter) RouteOpen(string, []string) ([]fsnet.GroupFile, bool, e
 
 // breakerRig is a node whose one peer is a plain fsnet.Server behind
 // router (nil for none), reached through a gate, on a fake clock. The
-// returned path is the peer's, and the peer's breaker has tripped on it:
-// threshold 1, a cooldown of a minute.
+// returned path is the peer's, and the peer's breaker has tripped on it
+// after failureThreshold failed forwards.
 type breakerRig struct {
 	node *Node
 	path string
@@ -58,11 +58,9 @@ func newBreakerRig(t *testing.T, router fsnet.OpenRouter) *breakerRig {
 	owner := l.Addr().String()
 	r := &breakerRig{gate: &faultnet.Gate{}, clk: newTick()}
 	r.node, err = NewNode(Config{
-		Self:             "127.0.0.1:1", // never dialled: the node serves no one here
-		Peers:            []string{"127.0.0.1:1", owner},
-		FailureThreshold: 1,
-		DownDuration:     time.Minute,
-		Now:              r.clk.Now,
+		Self:  "127.0.0.1:1", // never dialled: the node serves no one here
+		Peers: []string{"127.0.0.1:1", owner},
+		Now:   r.clk.Now,
 		Dialer: func(addr string) (net.Conn, error) {
 			if r.gate.Down() {
 				return nil, fmt.Errorf("%w: gate down: dial %s", faultnet.ErrInjected, addr)
@@ -88,11 +86,13 @@ func newBreakerRig(t *testing.T, router fsnet.OpenRouter) *breakerRig {
 	}
 
 	r.gate.SetDown(true)
-	if _, handled, err := r.node.RouteOpen(r.path, nil); handled || err != nil {
-		t.Fatalf("open with the owner down: handled=%v err=%v, want degraded", handled, err)
+	for i := 0; i < failureThreshold; i++ {
+		if _, handled, err := r.node.RouteOpen(r.path, nil); handled || err != nil {
+			t.Fatalf("open with the owner down: handled=%v err=%v, want degraded", handled, err)
+		}
 	}
 	if st := r.node.Stats().Peers[0]; st.Up || st.Trips != 1 {
-		t.Fatalf("peer %+v after a failed forward at threshold 1, want tripped", st)
+		t.Fatalf("peer %+v after %d failed forwards, want tripped", st, failureThreshold)
 	}
 	r.gate.SetDown(false)
 	return r

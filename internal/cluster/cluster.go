@@ -30,7 +30,7 @@
 //
 // Peer health is a consecutive-failure circuit breaker fed only by
 // transport errors (fsnet.ErrConnBroken). A tripped breaker short-
-// circuits forwarding for DownDuration, then admits exactly one probe;
+// circuits forwarding for downDuration, then admits exactly one probe;
 // the probe's outcome either heals the peer or re-arms the cooldown.
 package cluster
 
@@ -50,11 +50,17 @@ import (
 	"aggcache/internal/singleflight"
 )
 
-// Health and forwarding defaults.
+// Peer health and forwarding.
 const (
-	defaultFailureThreshold = 3
-	defaultDownDuration     = 2 * time.Second
-	defaultPeerTimeout      = 2 * time.Second
+	// failureThreshold is how many consecutive transport failures mark a
+	// peer down.
+	failureThreshold = 3
+	// downDuration is how long a tripped peer stays down before one
+	// probe is admitted.
+	downDuration = 2 * time.Second
+	// peerTimeout bounds each forwarded round trip: a forward must never
+	// hang longer than a degraded local fetch would.
+	peerTimeout = 2 * time.Second
 )
 
 // Config describes one node's view of the cluster. Peers is only the
@@ -68,16 +74,6 @@ type Config struct {
 	Self string
 	// Peers lists every member's address, Self included.
 	Peers []string
-
-	// FailureThreshold is how many consecutive transport failures mark
-	// a peer down (default 3; negative is rejected).
-	FailureThreshold int
-	// DownDuration is how long a tripped peer stays down before one
-	// probe is admitted (default 2s).
-	DownDuration time.Duration
-	// PeerTimeout bounds each forwarded round trip (default 2s). A
-	// forward must never hang longer than a degraded local fetch would.
-	PeerTimeout time.Duration
 
 	// MirrorCapacity is ignored: the node keeps no copy of a peer's
 	// groups. It stays settable for callers that still name it.
@@ -105,15 +101,6 @@ type Config struct {
 }
 
 func (cfg Config) withDefaults() Config {
-	if cfg.FailureThreshold == 0 {
-		cfg.FailureThreshold = defaultFailureThreshold
-	}
-	if cfg.DownDuration == 0 {
-		cfg.DownDuration = defaultDownDuration
-	}
-	if cfg.PeerTimeout == 0 {
-		cfg.PeerTimeout = defaultPeerTimeout
-	}
 	if cfg.Dialer == nil {
 		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
@@ -187,9 +174,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self must be set")
 	}
-	if cfg.FailureThreshold < 0 {
-		return nil, fmt.Errorf("cluster: negative FailureThreshold %d", cfg.FailureThreshold)
-	}
 	ring := NewRing(0)
 	ring.Add(cfg.Peers...)
 	if !ring.Has(cfg.Self) {
@@ -219,7 +203,7 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 	dial := n.cfg.Dialer
 	client, err := fsnet.NewClient(nil, fsnet.ClientConfig{
 		Dialer:  func() (net.Conn, error) { return dial(addr) },
-		Timeout: n.cfg.PeerTimeout,
+		Timeout: peerTimeout,
 		// Fail fast: retries would only delay the breaker's verdict,
 		// and the degraded local path is always available.
 		MaxRetries: 0,
@@ -231,11 +215,9 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 		return nil, err
 	}
 	p := &peer{
-		addr:      addr,
-		client:    client,
-		threshold: uint64(n.cfg.FailureThreshold),
-		downFor:   n.cfg.DownDuration,
-		now:       n.cfg.Now,
+		addr:   addr,
+		client: client,
+		now:    n.cfg.Now,
 	}
 	p.wireMetrics(n.cfg.Obs)
 	return p, nil
@@ -501,11 +483,9 @@ func (n *Node) Stats() NodeStats {
 // breaker. Only transport failures (ErrConnBroken) feed the breaker:
 // typed server errors prove the peer is alive.
 type peer struct {
-	addr      string
-	client    *fsnet.Client
-	threshold uint64
-	downFor   time.Duration
-	now       func() time.Time
+	addr   string
+	client *fsnet.Client
+	now    func() time.Time
 
 	fails     atomic.Uint64 // consecutive transport failures
 	trips     atomic.Uint64
@@ -606,10 +586,10 @@ func (p *peer) noteSuccess() {
 
 func (p *peer) noteFailure() {
 	fails := p.fails.Add(1)
-	if fails < p.threshold {
+	if fails < failureThreshold {
 		return
 	}
-	prev := p.downUntil.Swap(p.now().Add(p.downFor).UnixNano())
+	prev := p.downUntil.Swap(p.now().Add(downDuration).UnixNano())
 	p.probe.Store(false)
 	p.trips.Add(1)
 	// Emit only on a real transition: closed→open (prev zero) or a

@@ -97,11 +97,10 @@ func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config)
 		tc.stores = append(tc.stores, store)
 
 		cfg := Config{
-			Self:        tc.addrs[i],
-			Peers:       tc.addrs,
-			PeerTimeout: 2 * time.Second,
-			Dialer:      dial,
-			Now:         tc.clk.Now,
+			Self:   tc.addrs[i],
+			Peers:  tc.addrs,
+			Dialer: dial,
+			Now:    tc.clk.Now,
 		}
 		if mut != nil {
 			mut(i, &cfg)
@@ -383,12 +382,8 @@ func TestClusterGroupAffinity(t *testing.T) {
 // failure threshold, and a healed peer is readmitted after cooldown via
 // a single probe.
 func TestClusterPeerDeathDegrades(t *testing.T) {
-	const threshold = 2
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.FailureThreshold = threshold
-		cfg.DownDuration = time.Minute // lapses only via the fake clock
-		cfg.PeerTimeout = 2 * time.Second
-	})
+	const threshold = failureThreshold
+	tc := startCluster(t, 3, nil) // the cooldown lapses only via the fake clock
 
 	victim := 2
 	path := tc.pathOwnedBy(t, victim, nil)
@@ -447,7 +442,7 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 	}
 
 	// Cooldown lapses: exactly one probe goes through and heals.
-	tc.clk.Advance(time.Minute + time.Second)
+	tc.clk.Advance(downDuration + time.Second)
 	open()
 	st = tc.nodes[0].Stats()
 	if st.ForwardedOpens != 2 {
@@ -465,11 +460,7 @@ func TestClusterPeerDeathDegrades(t *testing.T) {
 // workload, not between requests.
 func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	base, _ := liveGroups()
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.FailureThreshold = 2
-		cfg.DownDuration = time.Minute
-		cfg.PeerTimeout = 2 * time.Second
-	})
+	tc := startCluster(t, 3, nil)
 	defer tc.checkGroupBalance(t, base)
 	victim := 2
 
@@ -656,9 +647,6 @@ func TestClusterNodeConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNode(Config{Self: "x", Peers: []string{"a", "b"}}); err == nil {
 		t.Error("Self outside Peers accepted")
-	}
-	if _, err := NewNode(Config{Self: "a", Peers: []string{"a"}, FailureThreshold: -1}); err == nil {
-		t.Error("negative FailureThreshold accepted")
 	}
 	// A single-node cluster owns everything and never forwards.
 	n, err := NewNode(Config{Self: "a", Peers: []string{"a"}})

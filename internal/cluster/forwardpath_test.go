@@ -210,10 +210,7 @@ func TestRouteOpenCopiesAndReleases(t *testing.T) {
 // refuse, touching nothing, an open that needs the peer, even one whose
 // group was just forwarded.
 func TestRouteFromReadLoop(t *testing.T) {
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.FailureThreshold = 1
-		cfg.DownDuration = time.Minute
-	})
+	tc := startCluster(t, 2, nil)
 	n := tc.nodes[0]
 	own := tc.pathOwnedBy(t, 0, nil)
 	remote := tc.pathOwnedBy(t, 1, nil)
@@ -242,14 +239,16 @@ func TestRouteFromReadLoop(t *testing.T) {
 	// Owner down, breaker open: the read loop degrades on its own and
 	// leaves the open on the owner's backlog; it never takes the probe.
 	tc.gates[tc.addrs[1]].SetDown(true)
-	if _, handled, _ := n.RouteOpen(other, nil); handled {
-		t.Fatal("forward to a dead owner was handled")
+	for i := 0; i < failureThreshold; i++ {
+		if _, handled, _ := n.RouteOpen(other, nil); handled {
+			t.Fatal("forward to a dead owner was handled")
+		}
 	}
 	if _, handled, blocks, _ := n.Route(other, nil, otrace.Ctx{}, false); handled || blocks {
 		t.Errorf("owner down: handled=%v blocks=%v, want degraded inline", handled, blocks)
 	}
-	if st := n.Stats(); st.DegradedOpens != 2 || st.Peers[0].Backlog == 0 {
-		t.Errorf("DegradedOpens = %d, Backlog = %d, want 2 and >0", st.DegradedOpens, st.Peers[0].Backlog)
+	if st := n.Stats(); st.DegradedOpens != failureThreshold+1 || st.Peers[0].Backlog == 0 {
+		t.Errorf("DegradedOpens = %d, Backlog = %d, want %d and >0", st.DegradedOpens, st.Peers[0].Backlog, failureThreshold+1)
 	}
 	// Cooldown over: admitting the probe is the forwarding caller's job.
 	tc.clk.Advance(2 * time.Minute)

@@ -149,7 +149,7 @@ func (n *Node) transientClient(addr string) (*fsnet.Client, error) {
 	dial := n.cfg.Dialer
 	return fsnet.NewClient(nil, fsnet.ClientConfig{
 		Dialer:     func() (net.Conn, error) { return dial(addr) },
-		Timeout:    n.cfg.PeerTimeout,
+		Timeout:    peerTimeout,
 		MaxRetries: 0,
 		Views:      n,
 	})

@@ -156,7 +156,7 @@ func TestViewExchangeRespectsBreaker(t *testing.T) {
 	n := tc.nodes[0]
 	tc.gates[tc.addrs[1]].SetDown(true)
 	// Trip the breaker with failing pulls.
-	for i := 0; i < defaultFailureThreshold; i++ {
+	for i := 0; i < failureThreshold; i++ {
 		if _, _, err := n.ViewPullFrom(tc.addrs[1]); err == nil {
 			t.Fatal("pull through a down gate succeeded")
 		}
@@ -167,7 +167,7 @@ func TestViewExchangeRespectsBreaker(t *testing.T) {
 	// Heal and lapse the cooldown on the fake clock; the next exchange
 	// is the probe and it closes the breaker.
 	tc.gates[tc.addrs[1]].SetDown(false)
-	tc.clk.Advance(defaultDownDuration + time.Second)
+	tc.clk.Advance(downDuration + time.Second)
 	if _, _, err := n.ViewPullFrom(tc.addrs[1]); err != nil {
 		t.Fatalf("post-heal probe pull: %v", err)
 	}

@@ -169,10 +169,7 @@ func sameMembers(a, b []string) bool {
 // view must delete its breaker entry and backlog, and re-adding it must
 // start from a fresh, closed breaker and an empty backlog.
 func TestMembershipRemovedPeerGC(t *testing.T) {
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.FailureThreshold = 1
-		cfg.DownDuration = time.Hour
-	})
+	tc := startCluster(t, 3, nil)
 	n := tc.nodes[0]
 	victim := tc.addrs[2]
 	path := tc.pathOwnedBy(t, 2, nil)
@@ -183,18 +180,20 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 	}
 	tc.gates[victim].SetDown(true)
 	second := tc.pathOwnedBy(t, 2, map[string]bool{path: true})
-	// The failed forward degrades to the local replica (handled=false)
-	// and, with threshold 1, trips the victim's breaker.
-	if _, handled, err := n.RouteOpen(second, nil); err != nil || handled {
-		t.Fatalf("tripping open: handled=%v err=%v", handled, err)
+	// Each failed forward degrades to the local replica (handled=false);
+	// the failureThreshold-th trips the victim's breaker.
+	for i := 0; i < failureThreshold; i++ {
+		if _, handled, err := n.RouteOpen(second, nil); err != nil || handled {
+			t.Fatalf("tripping open %d: handled=%v err=%v", i, handled, err)
+		}
 	}
 	st := n.Stats()
 	var found bool
 	for _, p := range st.Peers {
 		if p.Addr == victim {
 			found = true
-			if p.Failures == 0 && p.Trips == 0 {
-				t.Errorf("victim breaker untouched before removal: %+v", p)
+			if p.Trips != 1 || p.Up {
+				t.Errorf("victim breaker not tripped before removal: %+v", p)
 			}
 		}
 	}
@@ -315,42 +314,55 @@ func groupOf(s *fsnet.Server, anchor string) []string {
 // TestOutageHistoryRidesHealingProbe: the history a node owes a down owner
 // waits in one place, the peer client's backlog, so the probe that heals
 // the peer delivers the whole outage in its own request and the owner
-// learns it in the order it happened. Opens a, b, c land while the breaker
-// is open and d is the probe: the owner must learn a→b, b→c, c→d — not
-// a→d, what it learned when the first forward's history rode the probe and
-// the rest a replay behind it.
+// learns it in the order it happened. Failed forwards lead up to a, whose
+// forward trips the breaker; b and c are short-circuited while it is open
+// and d is the probe: the owner must learn a→b, b→c, c→d — not a→d, what
+// it learned when the failed forwards' history rode the probe and the
+// short-circuited opens a replay behind it.
 func TestOutageHistoryRidesHealingProbe(t *testing.T) {
 	reg := obs.NewRegistry()
 	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		cfg.FailureThreshold = 1
-		cfg.DownDuration = time.Minute
 		if i == 0 {
 			cfg.Obs = reg
 		}
 	})
 	n := tc.nodes[0]
 	victim := tc.addrs[1]
-	p := tc.pathsOwnedBy(t, 1, 4) // a, b, c, d
+	all := tc.pathsOwnedBy(t, 1, failureThreshold+3)
+	p := all[failureThreshold-1:] // a, b, c, d
 
 	tc.gates[victim].SetDown(true)
-	// The first open eats the forward failure and trips the breaker
-	// (threshold 1); the next two short-circuit on it. All three degrade
-	// to the local replica.
-	for _, path := range p[:3] {
+	// The leading opens and a each eat a forward failure, and a's trips
+	// the breaker; b and c short-circuit on it. All degrade to the local
+	// replica.
+	for _, path := range all[:failureThreshold] {
 		if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
 			t.Fatalf("open of %s with the owner down: handled=%v err=%v, want degraded", path, handled, err)
 		}
 	}
-	if got := n.Stats().Peers[0].Backlog; got != 3 {
-		t.Fatalf("Backlog = %d with three opens owed to the down owner, want 3", got)
+	if st := n.Stats().Peers[0]; st.Trips != 1 || st.Up {
+		t.Fatalf("peer %+v after %d failed forwards, want tripped", st, failureThreshold)
 	}
-	if got := gaugeValue(t, reg, "cluster_peer_backlog", victim); got != 3 {
-		t.Errorf("cluster_peer_backlog = %v during the outage, want 3", got)
+	failed := n.Stats().Peers[0].Failures
+	for _, path := range p[1:3] {
+		if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
+			t.Fatalf("open of %s with the breaker open: handled=%v err=%v, want degraded", path, handled, err)
+		}
+	}
+	if st := n.Stats().Peers[0]; st.Trips != 1 || st.Up || st.Failures != failed {
+		t.Fatalf("peer %+v after two opens on the open breaker, want still tripped with no new forward failure", st)
+	}
+	owed := failureThreshold + 2
+	if got := n.Stats().Peers[0].Backlog; got != owed {
+		t.Fatalf("Backlog = %d with %d opens owed to the down owner, want %d", got, owed, owed)
+	}
+	if got := gaugeValue(t, reg, "cluster_peer_backlog", victim); got != float64(owed) {
+		t.Errorf("cluster_peer_backlog = %v during the outage, want %d", got, owed)
 	}
 
 	// Heal and lapse the cooldown: the next open is the probe.
 	tc.gates[victim].SetDown(false)
-	tc.clk.Advance(2 * time.Minute)
+	tc.clk.Advance(downDuration + time.Second)
 	if _, handled, err := n.RouteOpen(p[3], nil); err != nil || !handled {
 		t.Fatalf("probe open: handled=%v err=%v", handled, err)
 	}
@@ -379,11 +391,7 @@ func TestOutageHistoryRidesHealingProbe(t *testing.T) {
 // landing warm on the new owners, and with the routing counter equation
 // intact on every node afterwards. Runs under -race in `make race`.
 func TestClusterChurnKillRejoinDrain(t *testing.T) {
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
-		cfg.FailureThreshold = 2
-		cfg.DownDuration = time.Minute
-		cfg.PeerTimeout = 2 * time.Second
-	})
+	tc := startCluster(t, 3, nil)
 	const (
 		victim  = 2 // killed and healed mid-workload
 		drained = 1 // removed from the ring and drained at the end

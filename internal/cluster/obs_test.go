@@ -50,13 +50,7 @@ func TestBreakerGaugeTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &peer{
-		addr:      addr,
-		client:    client,
-		threshold: 3,
-		downFor:   2 * time.Second,
-		now:       clk.Now,
-	}
+	p := &peer{addr: addr, client: client, now: clk.Now} // failureThreshold 3, downDuration 2s
 	p.wireMetrics(reg)
 	reg.Events().SetClock(clk.Now)
 

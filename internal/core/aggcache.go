@@ -327,9 +327,11 @@ func (c *AggregatingCache) SaveMetadata(w io.Writer) error {
 
 // LoadMetadata replaces the successor metadata with a snapshot written by
 // SaveMetadata. The snapshot's successor policy and capacity supersede
-// the configured ones; the group size in effect is kept.
-func (c *AggregatingCache) LoadMetadata(r io.Reader) error {
-	t, err := successor.LoadTracker(r)
+// the configured ones; the group size in effect is kept. files bounds the
+// file ids the snapshot may name, as successor.LoadTracker's does; a
+// rejected snapshot leaves the metadata as it was.
+func (c *AggregatingCache) LoadMetadata(r io.Reader, files int) error {
+	t, err := successor.LoadTracker(r, files)
 	if err != nil {
 		return err
 	}

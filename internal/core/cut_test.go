@@ -222,7 +222,7 @@ func TestLoadMetadataKeepsCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	restored := mustNew(t, cfg)
-	if err := restored.LoadMetadata(&buf); err != nil {
+	if err := restored.LoadMetadata(&buf, math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
 	for id, want := range before {

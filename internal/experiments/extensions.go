@@ -9,7 +9,6 @@ import (
 	"aggcache/internal/core"
 	"aggcache/internal/group"
 	"aggcache/internal/hoard"
-	"aggcache/internal/multilevel"
 	"aggcache/internal/placement"
 	"aggcache/internal/prefetch"
 	"aggcache/internal/simulate"
@@ -225,9 +224,9 @@ func xhoard(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// xlatency runs a three-scheme latency comparison through the multilevel
-// hierarchy: the Figure-4 scenario expressed in milliseconds instead of
-// hit rates.
+// xlatency prices the Figure-4 scenario in milliseconds instead of hit
+// rates: one RunServer per scheme, every open costing the latency of the
+// level that served it.
 func xlatency(cfg Config) (*Table, error) {
 	ids, err := openIDs(cfg, workload.ProfileWorkstation)
 	if err != nil {
@@ -239,31 +238,33 @@ func xlatency(cfg Config) (*Table, error) {
 		Columns: []string{"mean open latency (ms)", "client hit (%)", "server hit (%)", "backend fetches"},
 	}
 	t.Title, _ = Title("xlatency")
-	for _, scheme := range []multilevel.Scheme{multilevel.SchemeLRU, multilevel.SchemeLFU, multilevel.SchemeAggregating} {
-		res, err := multilevel.Run(ids, multilevel.Config{
-			Levels: []multilevel.Level{
-				{Name: "client", Capacity: 300, Scheme: multilevel.SchemeLRU, HitLatency: 100 * time.Microsecond},
-				{Name: "server", Capacity: 300, Scheme: scheme, GroupSize: 5, HitLatency: 2 * time.Millisecond},
-			},
-			BackendLatency: 12 * time.Millisecond,
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	for _, scheme := range []simulate.Scheme{simulate.SchemeLRU, simulate.SchemeLFU, simulate.SchemeAggregating} {
+		res, err := simulate.RunServer(ids, simulate.ServerConfig{
+			FilterCapacity: 300,
+			ServerCapacity: 300,
+			Scheme:         scheme,
+			GroupSize:      5,
 		})
 		if err != nil {
 			return nil, err
 		}
 		label := string(scheme)
-		if scheme == multilevel.SchemeAggregating {
+		if scheme == simulate.SchemeAggregating {
 			label = "aggregating g=5"
 		}
+		mean := res.MeanLatency(simulate.ClientHitLatency, simulate.ServerHitLatency, simulate.BackendFetchLatency)
 		t.RowLabels = append(t.RowLabels, label)
 		t.Rows = append(t.Rows, []float64{
-			float64(res.MeanLatency()) / float64(time.Millisecond),
-			100 * res.Levels[0].HitRate(),
-			100 * res.Levels[1].HitRate(),
-			float64(res.BackendFetches),
+			ms(mean),
+			100 * float64(res.Opens-res.ClientMisses) / float64(res.Opens),
+			100 * res.HitRate,
+			float64(res.ClientMisses - res.ServerHits),
 		})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("workload=workstation opens=%d seed=%d; client LRU 300 @0.1ms, server 300 @2ms, backend @12ms", cfg.Opens, cfg.Seed),
+		fmt.Sprintf("workload=workstation opens=%d seed=%d; client LRU 300 @%gms, server 300 @%gms, backend @%gms",
+			cfg.Opens, cfg.Seed, ms(simulate.ClientHitLatency), ms(simulate.ServerHitLatency), ms(simulate.BackendFetchLatency)),
 		"extension study: the §4.3 scenario expressed as mean open latency")
 	return t, nil
 }

@@ -90,12 +90,6 @@ func (b Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
 type ClientConfig struct {
 	// CacheCapacity is the local whole-file cache size (default 128).
 	CacheCapacity int
-	// DisablePiggyback stops the client from forwarding its access
-	// history (hits included) to the server with each request. By
-	// default the history is piggybacked, giving the server unfiltered
-	// metadata (§3); disabling it models the uncooperative client of
-	// §4.3.
-	DisablePiggyback bool
 	// Timeout bounds each request round trip. Zero means no deadline: a
 	// stalled server can block a request indefinitely. On a pipelined
 	// connection a timeout poisons the whole connection (the stream
@@ -290,8 +284,6 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if conn != nil {
 		c.conn = newClientConn(conn)
 	}
-	// Without the piggybacked hits a server cannot follow the cache.
-	c.novalidate.Store(cfg.DisablePiggyback)
 	lru.OnEvict(func(id trace.FileID, _ bool) { c.data[id] = nil })
 	return c, nil
 }
@@ -383,9 +375,7 @@ func (c *Client) Open(path string) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	if !c.cfg.DisablePiggyback {
-		c.appendPending(path)
-	}
+	c.appendPending(path)
 	// Lookup, not Intern: a path is interned when a reply delivers it, so
 	// opens of nonexistent paths leave nothing behind.
 	if id, known := c.ids.Lookup(path); known {
@@ -463,9 +453,7 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 		return nil, errClientClosed
 	}
 	c.novalidate.Store(true)
-	if !c.cfg.DisablePiggyback {
-		c.appendPending(path)
-	}
+	c.appendPending(path)
 	c.mu.Unlock()
 
 	g, err := c.fetch(path, tctx)
@@ -503,9 +491,6 @@ func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
 // Accesses this client's own cache never saw end validation, like
 // FetchGroup.
 func (c *Client) NoteAccess(paths ...string) {
-	if c.cfg.DisablePiggyback {
-		return
-	}
 	c.novalidate.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -728,7 +713,7 @@ func (c *Client) claimPending(path string) (accessed, claimed []string) {
 	// backlog, the rest of the batch claims nothing and skips the lock. A
 	// concurrent append racing past this check simply rides the next
 	// request, which is the contract anyway.
-	if c.cfg.DisablePiggyback || c.pendingN.Load() == 0 {
+	if c.pendingN.Load() == 0 {
 		return nil, nil
 	}
 	c.mu.Lock()

@@ -405,29 +405,6 @@ func TestClientCacheEvictionKeepsDataConsistent(t *testing.T) {
 	}
 }
 
-func TestDisablePiggybackServerLearnsMissesOnly(t *testing.T) {
-	store := seededStore(t, 10)
-	srv, addr := startServer(t, store, ServerConfig{GroupSize: 2})
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 32, DisablePiggyback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	// Two misses then four local hits: the server must observe exactly
-	// the two misses.
-	for _, p := range []string{"/data/f000", "/data/f001", "/data/f000", "/data/f001", "/data/f000", "/data/f001"} {
-		if _, err := client.Open(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv.aggMu.Lock()
-	observed := srv.agg.Tracker().Observed()
-	srv.aggMu.Unlock()
-	if observed != 2 {
-		t.Errorf("server observed %d accesses, want 2 (misses only)", observed)
-	}
-}
-
 func TestServerIdleTimeoutDropsSilentClients(t *testing.T) {
 	store := seededStore(t, 2)
 	_, addr := startServer(t, store, ServerConfig{IdleTimeout: 50 * time.Millisecond})
@@ -696,6 +673,56 @@ func TestServerLoadMetadataPathTable(t *testing.T) {
 	}
 }
 
+// TestServerLoadMetadataRejectsUnknownIDs: the successor metadata may name
+// only files of the path table it is saved with. A snapshot whose table
+// lost /c while its metadata still learned /c is rejected, rather than
+// teaching successors of a path that does not exist.
+func TestServerLoadMetadataRejectsUnknownIDs(t *testing.T) {
+	store := NewStore()
+	for _, p := range []string{"/a", "/b", "/c"} {
+		if err := store.Put(p, []byte("contents of "+p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, addr := startServer(t, store, ServerConfig{GroupSize: 3})
+	c, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		for _, p := range []string{"/a", "/b", "/c"} {
+			if _, err := c.Open(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.SaveMetadata(&snap); err != nil {
+		t.Fatal(err)
+	}
+	table := "AGFS\x01\x03\x02/a\x02/b\x02/c"
+	if !bytes.HasPrefix(snap.Bytes(), []byte(table)) {
+		t.Fatalf("snapshot does not start with the three-path table: %q", snap.Bytes()[:len(table)])
+	}
+	data := append([]byte("AGFS\x01\x02\x02/a\x02/b"), snap.Bytes()[len(table):]...)
+
+	srv, err := NewServer(store, ServerConfig{GroupSize: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := srv.LoadMetadata(bytes.NewReader(data)); !errors.Is(err, ErrBadServerMetadata) {
+		t.Fatalf("err = %v, want ErrBadServerMetadata", err)
+	}
+	if n := srv.ids.Len(); n != 0 {
+		t.Errorf("rejected snapshot left %d interned paths, want 0", n)
+	}
+	if err := srv.LoadMetadata(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("the matching snapshot after a rejected one: %v", err)
+	}
+}
+
 func TestWriteThrough(t *testing.T) {
 	store := seededStore(t, 4)
 	_, addr := startServer(t, store, ServerConfig{GroupSize: 2})
@@ -802,12 +829,12 @@ func TestWriteDoesNotPerturbMetadata(t *testing.T) {
 func TestInterleavedClientsDoNotCorruptMetadata(t *testing.T) {
 	store := seededStore(t, 30)
 	srv, addr := startServer(t, store, ServerConfig{GroupSize: 3})
-	a, err := Dial(addr, ClientConfig{CacheCapacity: 2, DisablePiggyback: true})
+	a, err := Dial(addr, ClientConfig{CacheCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b, err := Dial(addr, ClientConfig{CacheCapacity: 2, DisablePiggyback: true})
+	b, err := Dial(addr, ClientConfig{CacheCapacity: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"aggcache/internal/successor"
 	"aggcache/internal/trace"
 )
 
@@ -108,7 +109,12 @@ func (s *Server) LoadMetadata(r io.Reader) error {
 
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	if err := s.agg.LoadMetadata(br); err != nil {
+	// The successor metadata may name only files of the table just read:
+	// any other id is a successor of a path that does not exist.
+	if err := s.agg.LoadMetadata(br, int(n)); err != nil {
+		if errors.Is(err, successor.ErrBadMetadata) {
+			return fmt.Errorf("%w: %w", ErrBadServerMetadata, err)
+		}
 		return err
 	}
 	s.ids = trace.WrapInterner(ids)

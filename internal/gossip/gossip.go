@@ -148,9 +148,6 @@ func (g *Gossiper) wireMetrics(reg *obs.Registry) {
 	g.staleHints = reg.LiveCounter("gossip_stale_hints_total", "hints ignored: epoch not newer than installed")
 	g.failures = reg.LiveCounter("gossip_failures_total", "view exchanges that failed (transport or refused)")
 	g.events = reg.Events()
-	reg.GaugeFunc("gossip_view_epoch", "epoch of the installed membership view as gossip sees it", func() float64 {
-		return float64(g.node.Epoch())
-	})
 }
 
 // Start launches the anti-entropy loop. A zero interval means the

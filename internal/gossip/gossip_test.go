@@ -89,11 +89,10 @@ func startHarness(t *testing.T, numNodes int) *harness {
 				faultnet.Faults{Gate: own}, nil), nil
 		}
 		node, err := cluster.NewNode(cluster.Config{
-			Self:        self,
-			Peers:       h.addrs,
-			PeerTimeout: 2 * time.Second,
-			Dialer:      dial,
-			Now:         h.clk.Now,
+			Self:   self,
+			Peers:  h.addrs,
+			Dialer: dial,
+			Now:    h.clk.Now,
 		})
 		if err != nil {
 			t.Fatal(err)

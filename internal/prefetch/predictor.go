@@ -27,85 +27,49 @@ type Predictor interface {
 	Name() string
 }
 
-// LastSuccessor predicts that each file will be followed by whatever
-// followed it last time, chaining that rule forward for deeper
-// predictions — the "last successor" model (Lei & Duchamp 1997).
-type LastSuccessor struct {
-	last    map[trace.FileID]trace.FileID
-	prev    trace.FileID
-	hasPrev bool
+// SuccessorChain predicts that each file will be followed by its stored
+// successor, chaining that rule forward for deeper predictions. The two
+// classic variants differ only in which successor is stored: the
+// last-successor model (Lei & Duchamp 1997) keeps whatever followed the
+// file last time; the first-successor variant compared by Kroeger & Long
+// (1999) keeps whatever followed it the first time it was ever seen. That
+// one adapts to nothing, which makes it a useful lower bound on
+// adaptivity.
+type SuccessorChain struct {
+	next map[trace.FileID]trace.FileID
+	// keepFirst selects the first-successor rule: Observe never
+	// overwrites a stored successor.
+	keepFirst bool
+	prev      trace.FileID
+	hasPrev   bool
 }
 
-var _ Predictor = (*LastSuccessor)(nil)
+var _ Predictor = (*SuccessorChain)(nil)
 
 // NewLastSuccessor returns an empty last-successor predictor.
-func NewLastSuccessor() *LastSuccessor {
-	return &LastSuccessor{last: make(map[trace.FileID]trace.FileID)}
+func NewLastSuccessor() *SuccessorChain {
+	return &SuccessorChain{next: make(map[trace.FileID]trace.FileID)}
 }
-
-// Observe implements Predictor.
-func (p *LastSuccessor) Observe(id trace.FileID) {
-	if p.hasPrev {
-		p.last[p.prev] = id
-	}
-	p.prev = id
-	p.hasPrev = true
-}
-
-// Predict implements Predictor by following the last-successor chain from
-// the current file.
-func (p *LastSuccessor) Predict(n int) []trace.FileID {
-	if !p.hasPrev || n <= 0 {
-		return nil
-	}
-	out := make([]trace.FileID, 0, n)
-	seen := map[trace.FileID]bool{p.prev: true}
-	cur := p.prev
-	for len(out) < n {
-		next, ok := p.last[cur]
-		if !ok || seen[next] {
-			break
-		}
-		out = append(out, next)
-		seen[next] = true
-		cur = next
-	}
-	return out
-}
-
-// Name implements Predictor.
-func (p *LastSuccessor) Name() string { return "last-successor" }
-
-// FirstSuccessor predicts that each file is followed by whatever followed
-// it the *first* time it was ever seen — the stable variant compared by
-// Kroeger & Long (1999). It adapts to nothing, which makes it a useful
-// lower bound on adaptivity.
-type FirstSuccessor struct {
-	first   map[trace.FileID]trace.FileID
-	prev    trace.FileID
-	hasPrev bool
-}
-
-var _ Predictor = (*FirstSuccessor)(nil)
 
 // NewFirstSuccessor returns an empty first-successor predictor.
-func NewFirstSuccessor() *FirstSuccessor {
-	return &FirstSuccessor{first: make(map[trace.FileID]trace.FileID)}
+func NewFirstSuccessor() *SuccessorChain {
+	return &SuccessorChain{next: make(map[trace.FileID]trace.FileID), keepFirst: true}
 }
 
 // Observe implements Predictor.
-func (p *FirstSuccessor) Observe(id trace.FileID) {
+func (p *SuccessorChain) Observe(id trace.FileID) {
 	if p.hasPrev {
-		if _, ok := p.first[p.prev]; !ok {
-			p.first[p.prev] = id
+		if _, ok := p.next[p.prev]; !ok || !p.keepFirst {
+			p.next[p.prev] = id
 		}
 	}
 	p.prev = id
 	p.hasPrev = true
 }
 
-// Predict implements Predictor.
-func (p *FirstSuccessor) Predict(n int) []trace.FileID {
+// Predict implements Predictor by following the successor chain from the
+// current file.
+func (p *SuccessorChain) Predict(n int) []trace.FileID {
 	if !p.hasPrev || n <= 0 {
 		return nil
 	}
@@ -113,7 +77,7 @@ func (p *FirstSuccessor) Predict(n int) []trace.FileID {
 	seen := map[trace.FileID]bool{p.prev: true}
 	cur := p.prev
 	for len(out) < n {
-		next, ok := p.first[cur]
+		next, ok := p.next[cur]
 		if !ok || seen[next] {
 			break
 		}
@@ -125,7 +89,12 @@ func (p *FirstSuccessor) Predict(n int) []trace.FileID {
 }
 
 // Name implements Predictor.
-func (p *FirstSuccessor) Name() string { return "first-successor" }
+func (p *SuccessorChain) Name() string {
+	if p.keepFirst {
+		return "first-successor"
+	}
+	return "last-successor"
+}
 
 // ProbabilityGraph is Griffioen & Appleton's predictor (USENIX 1994): a
 // directed graph whose edge A->B counts how often B was accessed within a

@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"fmt"
+	"time"
 
 	"aggcache/internal/cache"
 	"aggcache/internal/core"
@@ -42,6 +43,8 @@ type ServerConfig struct {
 // ServerResult summarizes a two-level run.
 type ServerResult struct {
 	Config ServerConfig
+	// Opens is how many opens were replayed through the client filter.
+	Opens uint64
 	// ClientMisses is how many requests reached the server.
 	ClientMisses uint64
 	// ServerHits and HitRate describe the server cache: HitRate is the
@@ -61,7 +64,7 @@ func RunServer(ids []trace.FileID, cfg ServerConfig) (ServerResult, error) {
 		return ServerResult{}, fmt.Errorf("server sim: client filter: %w", err)
 	}
 
-	res := ServerResult{Config: cfg}
+	res := ServerResult{Config: cfg, Opens: uint64(len(ids))}
 	switch cfg.Scheme {
 	case SchemeLRU, SchemeLFU:
 		srv, err := cache.New(cache.Policy(cfg.Scheme), cfg.ServerCapacity)
@@ -105,6 +108,28 @@ func RunServer(ids []trace.FileID, cfg ServerConfig) (ServerResult, error) {
 		res.HitRate = float64(res.ServerHits) / float64(res.ClientMisses)
 	}
 	return res, nil
+}
+
+// The §4.3 hierarchy's prices: what an open costs at the level that
+// serves it. Pass them to MeanLatency.
+const (
+	ClientHitLatency    = 100 * time.Microsecond
+	ServerHitLatency    = 2 * time.Millisecond
+	BackendFetchLatency = 12 * time.Millisecond
+)
+
+// MeanLatency prices the run as §4.3's hierarchy: an open the client
+// filter serves costs client, a server hit costs server and an open both
+// levels miss costs backend. It is the summed cost over Opens, in integer
+// nanoseconds.
+func (r ServerResult) MeanLatency(client, server, backend time.Duration) time.Duration {
+	if r.Opens == 0 {
+		return 0
+	}
+	total := time.Duration(r.Opens-r.ClientMisses)*client +
+		time.Duration(r.ServerHits)*server +
+		time.Duration(r.ClientMisses-r.ServerHits)*backend
+	return total / time.Duration(r.Opens)
 }
 
 // ServerSweep runs RunServer across filter capacities for each scheme,

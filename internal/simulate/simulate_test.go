@@ -2,6 +2,7 @@ package simulate
 
 import (
 	"testing"
+	"time"
 
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
@@ -169,6 +170,82 @@ func TestRunServerAggregatingSurvivesFiltering(t *testing.T) {
 	}
 	if agg.HitRate <= lru.HitRate {
 		t.Error("aggregating cache did not beat LRU under filtering")
+	}
+}
+
+const (
+	clientHit  = 100 * time.Microsecond
+	serverHit  = time.Millisecond
+	backendHit = 10 * time.Millisecond
+)
+
+// MeanLatency prices every open at the level that served it, summed in
+// integer nanoseconds and then divided by the opens.
+func TestServerResultMeanLatency(t *testing.T) {
+	const client, server, backend = clientHit, serverHit, backendHit
+	// LRU(1) never hits an alternating sequence; behind it LRU(2) hits
+	// the second 1 and 2 and misses 1, 2, 3 and the last 1.
+	r, err := RunServer([]trace.FileID{1, 2, 1, 2, 3, 1}, ServerConfig{FilterCapacity: 1, ServerCapacity: 2, Scheme: SchemeLRU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Opens != 6 || r.ClientMisses != 6 || r.ServerHits != 2 {
+		t.Fatalf("result = %+v, want 6 opens, 6 client misses, 2 server hits", r)
+	}
+	if got, want := r.MeanLatency(client, server, backend), (2*server+4*backend)/6; got != want {
+		t.Errorf("MeanLatency = %v, want %v", got, want)
+	}
+}
+
+// Each level sees only the misses of the level above it, for every scheme.
+func TestRunServerCascade(t *testing.T) {
+	const client, server, backend = clientHit, serverHit, backendHit
+	ids := serverIDs(t, 8000)
+	for _, scheme := range []Scheme{SchemeLRU, SchemeLFU, SchemeAggregating} {
+		r, err := RunServer(ids, ServerConfig{FilterCapacity: 100, ServerCapacity: 300, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Opens != uint64(len(ids)) || r.ServerHits > r.ClientMisses || r.ClientMisses > r.Opens {
+			t.Fatalf("%s: counts do not cascade: %+v", scheme, r)
+		}
+		want := (time.Duration(r.Opens-r.ClientMisses)*client + time.Duration(r.ServerHits)*server +
+			time.Duration(r.ClientMisses-r.ServerHits)*backend) / time.Duration(r.Opens)
+		if got := r.MeanLatency(client, server, backend); got != want || got <= 0 {
+			t.Errorf("%s: MeanLatency = %v, want %v", scheme, got, want)
+		}
+	}
+}
+
+func TestRunServerEmptySequence(t *testing.T) {
+	empty, err := RunServer(nil, ServerConfig{FilterCapacity: 4, ServerCapacity: 4, Scheme: SchemeLFU})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if empty.Opens != 0 || empty.MeanLatency(clientHit, serverHit, backendHit) != 0 {
+		t.Errorf("empty run = %+v", empty)
+	}
+}
+
+// The latency version of Figure 4's story: swapping the server cache from
+// LRU to aggregating cuts the mean open latency.
+func TestAggregatingServerCutsLatency(t *testing.T) {
+	tr, err := workload.Standard(workload.ProfileWorkstation, 1, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := tr.OpenIDs()
+	mean := func(scheme Scheme) time.Duration {
+		r, err := RunServer(ids, ServerConfig{FilterCapacity: 300, ServerCapacity: 300, Scheme: scheme})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.MeanLatency(ClientHitLatency, ServerHitLatency, BackendFetchLatency)
+	}
+	lru, agg := mean(SchemeLRU), mean(SchemeAggregating)
+	t.Logf("mean open latency: lru-server=%v agg-server=%v", lru, agg)
+	if agg >= lru {
+		t.Errorf("aggregating server latency %v >= lru %v", agg, lru)
 	}
 }
 

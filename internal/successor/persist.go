@@ -24,8 +24,9 @@ var persistMagic = [4]byte{'A', 'G', 'S', 'M'}
 const persistVersion = 1
 
 // maxSnapshotID bounds file ids accepted from snapshots: the tracker's
-// per-file tables are dense, so an absurd id would otherwise translate
-// directly into an absurd allocation.
+// per-file tables are dense, and so is the group builder's seen-table, so
+// an absurd id would otherwise translate directly into an absurd
+// allocation.
 const maxSnapshotID = 1 << 28
 
 // ErrBadMetadata is returned by LoadTracker when the input is not a
@@ -137,8 +138,19 @@ func (t *Tracker) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadTracker restores a tracker from a snapshot written by Save.
-func LoadTracker(r io.Reader) (*Tracker, error) {
+// LoadTracker restores a tracker from a snapshot written by Save. files is
+// the size of the caller's file-id space: a snapshot that names an id at
+// or past it, or past the format's own bound, fails with ErrBadMetadata
+// before the id sizes anything. Pass math.MaxInt for the format's bound
+// alone.
+func LoadTracker(r io.Reader, files int) (*Tracker, error) {
+	limit := uint64(min(max(files, 0), maxSnapshotID+1))
+	checkID := func(what string, id uint64) error {
+		if id >= limit {
+			return fmt.Errorf("%w: %s file id %d out of range", ErrBadMetadata, what, id)
+		}
+		return nil
+	}
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -210,6 +222,13 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Without hasPrev the context is never read, and a fresh tracker's is
+	// id 0 even when the caller's id space is empty.
+	if t.hasPrev || prev != 0 {
+		if err := checkID("predecessor", prev); err != nil {
+			return nil, err
+		}
+	}
 	t.prev = trace.FileID(prev)
 
 	nCounts, err := get()
@@ -225,8 +244,8 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if id > maxSnapshotID {
-			return nil, fmt.Errorf("successor: count file id %d out of range", id)
+		if err := checkID("count", id); err != nil {
+			return nil, err
 		}
 		if int(id) >= len(t.counts) {
 			t.counts = trace.GrowDense(t.counts, trace.FileID(id))
@@ -243,8 +262,8 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 		if err != nil {
 			return nil, err
 		}
-		if owner > maxSnapshotID {
-			return nil, fmt.Errorf("successor: list owner id %d out of range", owner)
+		if err := checkID("list owner", owner); err != nil {
+			return nil, err
 		}
 		l := t.listFor(trace.FileID(owner))
 		if l.clock, err = get(); err != nil {
@@ -266,6 +285,9 @@ func LoadTracker(r io.Reader) (*Tracker, error) {
 			var e entry
 			id, err := get()
 			if err != nil {
+				return nil, err
+			}
+			if err := checkID("successor", id); err != nil {
 				return nil, err
 			}
 			e.id = trace.FileID(id)

@@ -2,6 +2,9 @@ package successor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -37,7 +40,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			if err := orig.Save(&buf); err != nil {
 				t.Fatal(err)
 			}
-			restored, err := LoadTracker(&buf)
+			restored, err := LoadTracker(&buf, 60) // every id it learned is below 60
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,10 +86,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadTrackerRejectsGarbage(t *testing.T) {
-	if _, err := LoadTracker(strings.NewReader("")); err == nil {
+	if _, err := LoadTracker(strings.NewReader(""), math.MaxInt); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := LoadTracker(strings.NewReader("XXXXnope")); err != ErrBadMetadata {
+	if _, err := LoadTracker(strings.NewReader("XXXXnope"), math.MaxInt); err != ErrBadMetadata {
 		t.Errorf("err = %v, want ErrBadMetadata", err)
 	}
 }
@@ -100,7 +103,7 @@ func TestLoadTrackerRejectsTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for _, cut := range []int{5, 10, len(full) / 2, len(full) - 1} {
-		if _, err := LoadTracker(bytes.NewReader(full[:cut])); err == nil {
+		if _, err := LoadTracker(bytes.NewReader(full[:cut]), math.MaxInt); err == nil {
 			t.Errorf("truncated snapshot at %d accepted", cut)
 		}
 	}
@@ -112,7 +115,7 @@ func TestSaveLoadEmptyTracker(t *testing.T) {
 	if err := tr.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadTracker(&buf)
+	restored, err := LoadTracker(&buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +138,7 @@ func TestSaveLoadSaveIsByteIdentical(t *testing.T) {
 		if err := orig.Save(&first); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := LoadTracker(bytes.NewReader(first.Bytes()))
+		loaded, err := LoadTracker(bytes.NewReader(first.Bytes()), math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,4 +157,108 @@ func TestSaveLoadSaveIsByteIdentical(t *testing.T) {
 			t.Errorf("%s: a loaded tracker's Observe of a never-seen id allocates %.0f objects, budget exactly 0", name, allocs)
 		}
 	}
+}
+
+// snapshot encodes a tracker snapshot by hand: an LRU(3) tracker whose
+// predecessor context is prev, with one count for owner and one list,
+// owner's, holding the single successor succ.
+func snapshot(prev, owner, succ uint64) []byte {
+	b := []byte("AGSM")
+	for _, v := range []uint64{persistVersion, 3} {
+		b = binary.AppendUvarint(b, v)
+	}
+	b = append(b, "lru"...)
+	for _, v := range []uint64{
+		3, 0, // capacity, lambda bits
+		2, 1, prev, // observed, hasPrev, prev
+		1, owner, 1, // one count: owner seen once
+		1, owner, 1, 1, // one list: owner, clock, one entry
+		succ, 1, 0, 1, // the entry: id, count, weight bits, tick
+	} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// TestLoadTrackerRejectsOutOfRangeIDs: every id a snapshot names — counts,
+// list owners, successor entries and the predecessor context — is checked
+// against the caller's id space before it is converted to a FileID, so a
+// successor id past the format's bound cannot size the group builder's
+// dense tables, and one past 2^32 cannot wrap onto a real file.
+func TestLoadTrackerRejectsOutOfRangeIDs(t *testing.T) {
+	if _, err := LoadTracker(bytes.NewReader(snapshot(1, 0, 1)), 2); err != nil {
+		t.Fatalf("in-range snapshot rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name              string
+		prev, owner, succ uint64
+		files             int
+	}{
+		{"successor past the format bound", 1, 0, 0xFFFFFF00, math.MaxInt},
+		{"successor wrapping to file 1", 1, 0, 1<<32 + 1, math.MaxInt},
+		{"predecessor past the format bound", 0xFFFFFF00, 0, 1, math.MaxInt},
+		{"successor at the id space", 1, 0, 2, 2},
+		{"predecessor at the id space", 2, 0, 1, 2},
+		{"owner at the id space", 1, 2, 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadTracker(bytes.NewReader(snapshot(tc.prev, tc.owner, tc.succ)), tc.files)
+			if !errors.Is(err, ErrBadMetadata) {
+				t.Fatalf("err = %v, want ErrBadMetadata", err)
+			}
+		})
+	}
+}
+
+// FuzzLoadTracker: any input either fails or loads a tracker that names
+// no id outside the id space, and that saves to a snapshot which loads
+// and saves back to the same bytes.
+func FuzzLoadTracker(f *testing.F) {
+	const files = 64
+	f.Add(snapshot(1, 0, 1))
+	f.Add(snapshot(1, 0, 0xFFFFFF00))
+	for _, tr := range newPolicyTrackers(f) {
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 300; i++ {
+			tr.Observe(trace.FileID(rng.Intn(files)))
+		}
+		var buf bytes.Buffer
+		if err := tr.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := LoadTracker(bytes.NewReader(data), files)
+		if err != nil {
+			return
+		}
+		if len(tr.counts) > 2*files || len(tr.lists) > 2*files {
+			t.Fatalf("tables sized %d/%d for an id space of %d", len(tr.counts), len(tr.lists), files)
+		}
+		for id, l := range tr.lists {
+			if l == nil {
+				continue
+			}
+			for _, s := range l.Ranked() {
+				if s >= files {
+					t.Fatalf("list of %d names successor %d, id space %d", id, s, files)
+				}
+			}
+		}
+		var first, second bytes.Buffer
+		if err := tr.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadTracker(bytes.NewReader(first.Bytes()), files)
+		if err != nil {
+			t.Fatalf("a loaded tracker's own snapshot fails to load: %v", err)
+		}
+		if err := back.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Save -> Load -> Save changed the snapshot")
+		}
+	})
 }

@@ -433,7 +433,7 @@ func TestEvaluateReplacementEventsPerClient(t *testing.T) {
 
 // newPolicyTrackers returns one tracker per policy, bounded ones at
 // capacity 3 (the default) and 5 (a list that grows past its first block).
-func newPolicyTrackers(t *testing.T) map[string]*Tracker {
+func newPolicyTrackers(t testing.TB) map[string]*Tracker {
 	t.Helper()
 	out := make(map[string]*Tracker)
 	for _, c := range []int{3, 5} {

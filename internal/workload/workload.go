@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"time"
 
 	"aggcache/internal/trace"
@@ -172,6 +173,21 @@ func Standard(p Profile, seed int64, opens int) (*trace.Trace, error) {
 		return nil, err
 	}
 	return Generate(cfg)
+}
+
+// Load is the commands' trace source: the trace file at path, in any
+// format trace.Read sniffs, or the calibrated trace for profile p when
+// path is empty.
+func Load(path string, p Profile, seed int64, opens int) (*trace.Trace, error) {
+	if path == "" {
+		return Standard(p, seed, opens)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return trace.Read(f)
 }
 
 func (c Config) withDefaults() Config {
