@@ -68,12 +68,21 @@ ignore-guard:
 # constants, and the client always piggybacks its history (the §4.3 "no
 # cooperation" model lives in the simulator, ServerConfig.Piggyback). So
 # is gossip's copy of the membership epoch, cluster_membership_epoch's
-# value under a second name.
+# value under a second name. So is the forward hop: clients send each miss
+# to its owner, so a node never forwards — no Client.FetchGroup, no
+# NoteAccess relay and peer backlog, no internal/singleflight and its
+# flights — and a client reports what it holds instead of a server
+# replaying its cache: no shadow, its note/install replay, its hello
+# capacity, its resets or the unvalidated flag. Requests and replies leave
+# on the goroutine that made them: no mux writer, no reply-writer loop.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'takeCallScrap|takeOrphanScrap|storeScrap|scrapCalls|TracedRouter|troute' --include='*.go' --exclude='*_test.go' .
-	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' internal/fsnet
+	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'FetchGroup\(|NoteAccess\(|Backlog\(\)|flights|cluster_peer_backlog|cluster_forwarded_opens|cluster_coalesced_forwards|shareForward' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'newShadow|\*shadow\b|sh\.note\(|shadow\.install|maxShadowCapacity|openUnvalidated|novalidate|ShadowResets|shadow_resets' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'func \(m \*muxConn\) writer|m\.wake|rw\.wake|drainAndStop|func \(rw \*replyWriter\) loop' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'len\(c\.pending\) < maxStatPaths|protocolVersion = 3' --include='*.go' --exclude='*_test.go' .

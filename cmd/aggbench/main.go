@@ -11,10 +11,12 @@
 // connections spread over them round-robin. Without -addr the same load
 // drives an in-process consistent-hash ring of -cluster nodes
 // (internal/cluster, replicated stores; 1 by default), through the same
-// code path. -workers 1 keeps one request in flight per connection, the
-// lock-step baseline. -metrics wires an internal/obs registry into the
-// clients and prints its series with the report, time-to-first-byte
-// (fsnet_client_ttfb_ns) included.
+// code path. Either way a connection's client pulls the ring from the
+// server it dialed and sends each miss to its path's owner. -workers 1
+// keeps one request in flight per connection, the lock-step baseline.
+// -metrics wires an internal/obs registry into the clients and prints its
+// series with the report, time-to-first-byte (fsnet_client_ttfb_ns)
+// included.
 //
 // -trace-collect turns aggbench into the fleet trace scraper instead:
 // given the stats addresses of running aggserve nodes, it unions the
@@ -148,13 +150,11 @@ func (r *result) pct(p float64) time.Duration {
 	return time.Duration(r.hist.Percentile(p))
 }
 
-// clusterSummary aggregates node routing counters across the ring.
+// clusterSummary is what the in-process ring's servers answered: each
+// node's open and write requests, in boot order. Clients send every miss
+// to its path's owner, so these are the fetches each node owns.
 type clusterSummary struct {
-	nodes     int
-	local     uint64
-	forwarded uint64
-	coalesced uint64
-	degraded  uint64
+	requests []uint64
 }
 
 func (r *result) throughput() float64 {
@@ -298,10 +298,10 @@ func provision(addr string, seqs [][]string) error {
 }
 
 // fleet is what a run drives: the addresses its connections spread over
-// and, for the in-process ring, the nodes the report reads.
+// and, for the in-process ring, the servers the report reads.
 type fleet struct {
 	targets []string
-	nodes   []*cluster.Node // nil for an external fleet
+	servers []*fsnet.Server // nil for an external fleet
 	stops   []func() error
 }
 
@@ -348,7 +348,6 @@ func boot(cfg config, seqs [][]string) (*fleet, error) {
 		srv, err := fsnet.NewServer(store, fsnet.ServerConfig{
 			GroupSize:     groupSize,
 			CacheCapacity: serverCache,
-			Router:        node,
 			Views:         node,
 		})
 		if err != nil {
@@ -357,7 +356,7 @@ func boot(cfg config, seqs [][]string) (*fleet, error) {
 		}
 		l := listeners[i]
 		go func() { _ = srv.Serve(l) }()
-		f.nodes = append(f.nodes, node)
+		f.servers = append(f.servers, srv)
 		f.stops = append(f.stops, node.Close, srv.Close)
 	}
 	return f, nil
@@ -452,17 +451,13 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 		res.client.Retries += st.Retries
 		res.client.BrokenConns += st.BrokenConns
 		res.client.Reconnects += st.Reconnects
+		res.client.Rerouted += st.Rerouted
 	}
 	if res.client.Opens > 0 {
 		res.hitRate = float64(res.client.Hits) / float64(res.client.Opens)
 	}
-	res.clus.nodes = len(f.nodes)
-	for _, n := range f.nodes {
-		st := n.Stats()
-		res.clus.local += st.LocalOpens
-		res.clus.forwarded += st.ForwardedOpens
-		res.clus.coalesced += st.CoalescedForwards
-		res.clus.degraded += st.DegradedOpens
+	for _, srv := range f.servers {
+		res.clus.requests = append(res.clus.requests, srv.Stats().Requests)
 	}
 	return res, nil
 }
@@ -478,13 +473,12 @@ func (r *result) writeText(out *os.File) {
 		r.hitRate, r.client.Fetches, r.client.FilesReceived, r.client.PrefetchHits)
 	fmt.Fprintf(out, "  validation: validated-files %d  validation-misses %d  history-dropped %d  bytes-received %d\n",
 		r.client.ValidatedFiles, r.client.ValidationMisses, r.client.HistoryDropped, r.client.BytesReceived)
-	if r.client.Retries+r.client.BrokenConns > 0 {
-		fmt.Fprintf(out, "  recovery:   retries %d  broken-conns %d  reconnects %d\n",
-			r.client.Retries, r.client.BrokenConns, r.client.Reconnects)
+	if r.client.Retries+r.client.BrokenConns+r.client.Rerouted > 0 {
+		fmt.Fprintf(out, "  recovery:   retries %d  broken-conns %d  reconnects %d  rerouted %d\n",
+			r.client.Retries, r.client.BrokenConns, r.client.Reconnects, r.client.Rerouted)
 	}
-	if r.clus.nodes > 0 {
-		fmt.Fprintf(out, "  cluster:    %d nodes  local %d  forwarded %d  coalesced %d  degraded %d\n",
-			r.clus.nodes, r.clus.local, r.clus.forwarded, r.clus.coalesced, r.clus.degraded)
+	if len(r.clus.requests) > 0 {
+		fmt.Fprintf(out, "  cluster:    %d nodes  requests per node %v\n", len(r.clus.requests), r.clus.requests)
 	}
 	if r.reg != nil {
 		for _, s := range r.reg.Snapshot() {

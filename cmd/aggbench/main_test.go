@@ -99,7 +99,9 @@ func mustParse(t *testing.T, args ...string) config {
 
 // TestRunLoadCluster drives a small but complete clustered load run:
 // in-process ring, replicated stores, every open correct (errors gate),
-// and the routing counters account for actual cross-node traffic.
+// and every fetch sent straight to one owner: each node answers some of
+// them, the nodes' requests sum to the clients' fetches, and no open had
+// to be rerouted.
 func TestRunLoadCluster(t *testing.T) {
 	res, err := runLoad(mustParse(t, "-cluster", "2", "-conns", "4", "-workers", "2", "-opens", "300"))
 	if err != nil {
@@ -111,17 +113,21 @@ func TestRunLoadCluster(t *testing.T) {
 	if res.opens != 4*300 {
 		t.Errorf("opens = %d, want %d", res.opens, 4*300)
 	}
-	if res.clus.nodes != 2 {
-		t.Errorf("cluster nodes = %d, want 2", res.clus.nodes)
+	if len(res.clus.requests) != 2 {
+		t.Fatalf("cluster nodes = %d, want 2", len(res.clus.requests))
 	}
-	if res.clus.forwarded == 0 {
-		t.Error("no cross-node opens in a 2-node run")
+	var sum uint64
+	for i, n := range res.clus.requests {
+		if n == 0 {
+			t.Errorf("node %d answered no fetch in a 2-node run", i)
+		}
+		sum += n
 	}
-	if res.clus.local == 0 {
-		t.Error("no locally owned opens in a 2-node run")
+	if sum != res.client.Fetches {
+		t.Errorf("nodes answered %d requests, clients fetched %d times", sum, res.client.Fetches)
 	}
-	if res.clus.degraded != 0 {
-		t.Errorf("healthy cluster degraded %d opens", res.clus.degraded)
+	if res.client.Rerouted != 0 {
+		t.Errorf("healthy cluster rerouted %d opens", res.client.Rerouted)
 	}
 }
 

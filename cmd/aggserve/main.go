@@ -226,8 +226,8 @@ func run(args []string) error {
 			}
 		}
 		// Fail fast: a -self that is malformed or absent from the peer
-		// list would otherwise surface only on the first forward, as a
-		// confusing misroute. Catch it before binding any sockets.
+		// list would otherwise surface only as a confusing misroute of
+		// clients' opens. Catch it before binding any sockets.
 		if err := validatePeers(selfAddr, peerList); err != nil {
 			return err
 		}
@@ -236,7 +236,6 @@ func run(args []string) error {
 			Self:  selfAddr,
 			Peers: peerList,
 			Obs:   reg,
-			Trace: tracer,
 		})
 		if err != nil {
 			return err
@@ -295,9 +294,8 @@ func run(args []string) error {
 		Trace:             tracer,
 	}
 	if node != nil {
-		// A typed nil in the Router interface would still be "set"; only
-		// wire the hooks when clustering is actually on.
-		srvCfg.Router = node
+		// A typed nil in the Views interface would still be "set"; only
+		// wire the view when clustering is actually on.
 		srvCfg.Views = node
 	}
 	srv, err := fsnet.NewServer(store, srvCfg)
@@ -438,14 +436,9 @@ loop:
 		return err
 	}
 	st := srv.Stats()
-	log.Printf("aggserve: requests=%d errors=%d files-sent=%d validated=%d bytes-saved=%d shadow-resets=%d rejected=%d panics=%d disconnects=%d cache{%s}",
-		st.Requests, st.Errors, st.FilesSent, st.ValidatedMembers, st.ValidatedBytesSaved, st.ShadowResets,
+	log.Printf("aggserve: requests=%d errors=%d files-sent=%d validated=%d bytes-saved=%d rejected=%d panics=%d disconnects=%d cache{%s}",
+		st.Requests, st.Errors, st.FilesSent, st.ValidatedMembers, st.ValidatedBytesSaved,
 		st.Rejected, st.Panics, st.Disconnects, st.Cache.String())
-	if node != nil {
-		cs := node.Stats()
-		log.Printf("aggserve: cluster local=%d forwarded=%d coalesced=%d degraded=%d",
-			cs.LocalOpens, cs.ForwardedOpens, cs.CoalescedForwards, cs.DegradedOpens)
-	}
 	return nil
 }
 

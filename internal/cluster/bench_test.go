@@ -2,11 +2,11 @@ package cluster
 
 import "testing"
 
-// BenchmarkOpenForwarded is an open whose group lives on another node:
-// client → entry node → owner and back, the owner's group materialised
-// once at the entry node. Every iteration forwards.
-func BenchmarkOpenForwarded(b *testing.B) {
-	tc := forwardRing(b)
+// BenchmarkOpenOwnerDirect is a miss of a path another node owns: the
+// client sends it straight to the owner, which stages the group from its
+// store. Every iteration fetches.
+func BenchmarkOpenOwnerDirect(b *testing.B) {
+	tc := plainRing(b)
 	op := tc.opener(b, 0, tc.pathsOwnedBy(b, 1, 8))
 	for i := 0; i < 64; i++ {
 		op()

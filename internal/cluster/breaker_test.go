@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,39 +11,20 @@ import (
 	"aggcache/internal/fsnet"
 )
 
-// failOnceRouter answers its first open with a handled error — what a
-// recovered panic or a malformed group makes of an open: a CodeInternal
-// reply — and declines every later one to the server's own store.
-type failOnceRouter struct{ calls atomic.Int32 }
-
-func (r *failOnceRouter) RouteOpen(string, []string) ([]fsnet.GroupFile, bool, error) {
-	if r.calls.Add(1) == 1 {
-		return nil, true, errors.New("owner failed the open")
-	}
-	return nil, false, nil
-}
-
-// breakerRig is a node whose one peer is a plain fsnet.Server behind
-// router (nil for none), reached through a gate, on a fake clock. The
-// returned path is the peer's, and the peer's breaker has tripped on it
-// after failureThreshold failed forwards.
+// breakerRig is a node whose one peer is a plain fsnet.Server — one with
+// no membership view, so it answers a view pull with a typed error —
+// reached through a gate, on a fake clock. The peer's breaker has tripped
+// after failureThreshold failed view pulls.
 type breakerRig struct {
 	node *Node
-	path string
+	peer string
 	gate *faultnet.Gate
 	clk  *tick
 }
 
-func newBreakerRig(t *testing.T, router fsnet.OpenRouter) *breakerRig {
+func newBreakerRig(t *testing.T) *breakerRig {
 	t.Helper()
-	store := fsnet.NewStore()
-	for f := 0; f < testFiles; f++ {
-		path := fmt.Sprintf("/data/f%03d", f)
-		if err := store.Put(path, []byte(testContent(path))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv, err := fsnet.NewServer(store, fsnet.ServerConfig{Router: router})
+	srv, err := fsnet.NewServer(fsnet.NewStore(), fsnet.ServerConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +35,10 @@ func newBreakerRig(t *testing.T, router fsnet.OpenRouter) *breakerRig {
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close() })
 
-	owner := l.Addr().String()
-	r := &breakerRig{gate: &faultnet.Gate{}, clk: newTick()}
+	r := &breakerRig{peer: l.Addr().String(), gate: &faultnet.Gate{}, clk: newTick()}
 	r.node, err = NewNode(Config{
 		Self:  "127.0.0.1:1", // never dialled: the node serves no one here
-		Peers: []string{"127.0.0.1:1", owner},
+		Peers: []string{"127.0.0.1:1", r.peer},
 		Now:   r.clk.Now,
 		Dialer: func(addr string) (net.Conn, error) {
 			if r.gate.Down() {
@@ -76,75 +55,57 @@ func newBreakerRig(t *testing.T, router fsnet.OpenRouter) *breakerRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = r.node.Close() })
-	for f := 0; f < testFiles && r.path == ""; f++ {
-		if path := fmt.Sprintf("/data/f%03d", f); r.node.Owner(path) == owner {
-			r.path = path
-		}
-	}
-	if r.path == "" {
-		t.Fatal("the peer owns no test path")
-	}
 
 	r.gate.SetDown(true)
 	for i := 0; i < failureThreshold; i++ {
-		if _, handled, err := r.node.RouteOpen(r.path, nil); handled || err != nil {
-			t.Fatalf("open with the owner down: handled=%v err=%v, want degraded", handled, err)
+		if _, _, err := r.node.ViewPullFrom(r.peer); !errors.Is(err, fsnet.ErrConnBroken) {
+			t.Fatalf("pull with the peer down: %v, want a transport failure", err)
 		}
 	}
 	if st := r.node.Stats().Peers[0]; st.Up || st.Trips != 1 {
-		t.Fatalf("peer %+v after %d failed forwards, want tripped", st, failureThreshold)
+		t.Fatalf("peer %+v after %d failed pulls, want tripped", st, failureThreshold)
 	}
 	r.gate.SetDown(false)
 	return r
 }
 
-// forwardsAgain lapses one more cooldown and checks that the breaker
-// admits a forward: an unresolved probe would refuse it for good.
-func (r *breakerRig) forwardsAgain(t *testing.T) {
+// exchangesAgain lapses one more cooldown and checks that the breaker
+// admits an exchange: an unresolved probe would refuse it for good.
+func (r *breakerRig) exchangesAgain(t *testing.T) {
 	t.Helper()
 	r.clk.Advance(2 * time.Minute)
-	before := r.node.Stats().ForwardedOpens
-	files, handled, err := r.node.RouteOpen(r.path, nil)
-	if !handled || err != nil {
-		t.Fatalf("open after the cooldown: handled=%v err=%v, want forwarded (peer %+v)", handled, err, r.node.Stats().Peers[0])
-	}
-	if string(files[0].Data) != testContent(r.path) {
-		t.Errorf("forwarded open read %q", files[0].Data)
-	}
-	if got := r.node.Stats().ForwardedOpens; got != before+1 {
-		t.Errorf("ForwardedOpens %d -> %d, want one more", before, got)
-	}
-}
-
-// TestTypedErrorResolvesForwardProbe: an owner that answers the
-// half-open probe with a typed error is alive, so the probe closes the
-// breaker. The forward that carried it degrades, and the next one goes
-// through.
-func TestTypedErrorResolvesForwardProbe(t *testing.T) {
-	router := &failOnceRouter{}
-	r := newBreakerRig(t, router)
-	r.clk.Advance(2 * time.Minute)
-	if _, handled, err := r.node.RouteOpen(r.path, nil); handled || err != nil {
-		t.Fatalf("probe answered with a typed error: handled=%v err=%v, want degraded", handled, err)
-	}
-	if router.calls.Load() != 1 {
-		t.Fatalf("the owner saw %d opens, want the probe", router.calls.Load())
+	if _, _, err := r.node.ViewPullFrom(r.peer); err == nil || errors.Is(err, ErrPeerDown) || errors.Is(err, fsnet.ErrConnBroken) {
+		t.Fatalf("pull after the cooldown: %v, want the peer's typed refusal (peer %+v)", err, r.node.Stats().Peers[0])
 	}
 	if st := r.node.Stats().Peers[0]; !st.Up || st.Failures != 0 {
 		t.Errorf("peer %+v after a typed reply, want closed", st)
 	}
-	r.forwardsAgain(t)
+}
+
+// TestTypedErrorResolvesViewProbe: a peer that answers the half-open
+// probe — here a view pull — with a typed error is alive, so the probe
+// closes the breaker, and the next exchange goes through.
+func TestTypedErrorResolvesViewProbe(t *testing.T) {
+	r := newBreakerRig(t)
+	r.clk.Advance(2 * time.Minute)
+	if _, _, err := r.node.ViewPullFrom(r.peer); err == nil || errors.Is(err, ErrPeerDown) {
+		t.Fatalf("probe: %v, want the peer's typed refusal", err)
+	}
+	if st := r.node.Stats().Peers[0]; !st.Up || st.Failures != 0 {
+		t.Errorf("peer %+v after a typed reply, want closed", st)
+	}
+	r.exchangesAgain(t)
 }
 
 // TestTypedErrorResolvesHandoffProbe: the same for a drain whose handoff
 // is the probe. The goodbye push finds the cooldown running and skips the
 // peer; the cooldown lapses while the groups are exported; the handoff
-// takes the probe and the owner refuses its anchor as not found.
+// takes the probe and the peer refuses its anchor as not found.
 func TestTypedErrorResolvesHandoffProbe(t *testing.T) {
-	r := newBreakerRig(t, nil)
+	r := newBreakerRig(t)
 	rep, err := r.node.Drain(exportFunc(func() []fsnet.HandoffGroup {
 		r.clk.Advance(2 * time.Minute)
-		return []fsnet.HandoffGroup{{Anchor: "/nowhere/anchor", Members: []string{r.path}}}
+		return []fsnet.HandoffGroup{{Anchor: "/nowhere/anchor", Members: []string{"/nowhere/member"}}}
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +116,7 @@ func TestTypedErrorResolvesHandoffProbe(t *testing.T) {
 	if st := r.node.Stats().Peers[0]; !st.Up || st.Failures != 0 {
 		t.Errorf("peer %+v after a typed reply, want closed", st)
 	}
-	r.forwardsAgain(t)
+	r.exchangesAgain(t)
 }
 
 // exportFunc is a GroupSource that ignores the ownership filter.

@@ -1,37 +1,30 @@
 // Package cluster shards the aggregating cache across a set of fsnet
-// servers. Each node owns the paths that consistent-hash to it (see
-// Ring) and serves them from its own aggregating server; opens that
-// land on a non-owner are forwarded to the owner over the pipelined
-// fsnet client, and the owner's whole group reply comes back in that one
-// hop. Placement is therefore group-affine without any extra machinery:
-// a group's anchor path and its learned successors hash together only in
-// the owner's metadata, and the single FetchGroup round trip moves the
-// entire group, anchored at the demanded file, to the requesting node. A
-// remotely owned open has one answer: the owner's group, or, while the
-// owner's breaker is open, the degraded local path. The peer clients are
-// transport only, and a forwarded group is never copied: the frames read
-// from the owner are one reference-counted fsnet.Group that the reply
-// writes to its socket (DESIGN.md §11 has the ownership rules).
+// servers. Each node owns the paths that consistent-hash to it
+// (internal/ring) and learns their relationships from the opens it
+// serves. Clients hold the same ring — fsnet.Dial pulls the member list
+// from its seed — and send each miss straight to its path's owner, with
+// the client's whole piggybacked history, so an open costs one round trip
+// to the server that learned its stream, as in the paper (§3, Fig 2). A
+// node never forwards: an open that reaches a non-owner (a client with a
+// stale view, or one whose owner is down) is served from the node's own
+// replica of the store, which is always correct, so a dead peer degrades
+// grouping, never availability.
 //
-// A Node plugs into an fsnet.Server as its OpenRouter: the server
-// consults RouteOpen before its own cache and store, and everything the
-// node declines — paths it owns, and paths whose owner is down — falls
-// through to the local aggregating serving path. With replicated backing
-// stores that fallback is always correct, so a dead peer degrades
-// throughput, never availability: no open errors because a peer died.
+// A Node plugs into an fsnet.Server as its membership view (ServerConfig
+// .Views): replies piggyback its epoch, so clients and peers learn of
+// membership changes, and its view is what clients pull. Membership is
+// dynamic: the ring and peer set live in an immutable, epoch-numbered
+// view swapped atomically by Update (see membership.go), so nodes join and
+// leave a running cluster without a restart. Graceful departure is Drain
+// (drain.go): the leaving node streams each owned group's learned state to
+// its new owner.
 //
-// Membership is dynamic: the ring and peer set live in an immutable,
-// epoch-numbered view swapped atomically by Update (see membership.go),
-// so nodes join and leave a running cluster without a restart. Graceful
-// departure is Drain (drain.go): the leaving node streams each owned
-// group's learned state to its new owner. While a peer is down past its
-// breaker, the history its opens owe it waits on the peer client's
-// piggyback backlog and rides, in order, the probe that heals the peer.
-//
-// Peer health is a consecutive-failure circuit breaker fed only by
-// transport errors (fsnet.ErrConnBroken). A tripped breaker short-
-// circuits forwarding for downDuration, then admits exactly one probe;
-// the probe's outcome either heals the peer or re-arms the cooldown.
+// The node's peer clients carry only the cluster's own traffic — gossip's
+// view exchanges and drain handoffs. Peer health is a consecutive-failure
+// circuit breaker fed only by transport errors (fsnet.ErrConnBroken). A
+// tripped breaker short-circuits exchanges with the peer for downDuration,
+// then admits exactly one probe; the probe's outcome either heals the
+// peer or re-arms the cooldown.
 package cluster
 
 import (
@@ -47,10 +40,10 @@ import (
 	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
 	"aggcache/internal/obs/otrace"
-	"aggcache/internal/singleflight"
+	"aggcache/internal/ring"
 )
 
-// Peer health and forwarding.
+// Peer health.
 const (
 	// failureThreshold is how many consecutive transport failures mark a
 	// peer down.
@@ -58,8 +51,7 @@ const (
 	// downDuration is how long a tripped peer stays down before one
 	// probe is admitted.
 	downDuration = 2 * time.Second
-	// peerTimeout bounds each forwarded round trip: a forward must never
-	// hang longer than a degraded local fetch would.
+	// peerTimeout bounds each exchange with a peer.
 	peerTimeout = 2 * time.Second
 )
 
@@ -85,19 +77,12 @@ type Config struct {
 	// Now is the clock for breaker cooldowns; nil selects time.Now.
 	// Tests substitute a fake clock.
 	Now func() time.Time
-	// Obs, when set, registers the node's routing counters, a per-peer
+	// Obs, when set, registers the node's open counter, a per-peer
 	// breaker-state gauge (0 closed, 1 open, 2 half-open), per-peer
-	// failure/trip/backlog gauges and membership/drain counters with the
-	// given registry, and records breaker and membership transitions to
-	// its event log. NodeStats works either way, fed from the same
-	// counters.
+	// failure/trip gauges and membership/drain counters with the given
+	// registry, and records breaker and membership transitions to its event
+	// log. NodeStats works either way, fed from the same counters.
 	Obs *obs.Registry
-	// Trace, when set, records routing spans — coalesced waits and
-	// forwarded RPCs — as children of the request's inbound trace
-	// context, and propagates the context to the owning peer on forwarded
-	// opens (fsnet msgTraceCtx). Nil keeps routing span-free; untraced
-	// requests cost nothing either way.
-	Trace *otrace.Tracer
 }
 
 func (cfg Config) withDefaults() Config {
@@ -110,9 +95,9 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Node is one member of the peer tier. It implements fsnet.OpenRouter;
-// wire it into the co-located server via ServerConfig.Router. All
-// methods are safe for concurrent use.
+// Node is one member of the peer tier. It implements fsnet.ViewSource;
+// wire it into the co-located server via ServerConfig.Views. All methods
+// are safe for concurrent use.
 type Node struct {
 	cfg  Config
 	self string
@@ -130,15 +115,10 @@ type Node struct {
 	// gossipview.go); nil until a gossiper subscribes.
 	viewHint atomic.Pointer[func(addr string, epoch uint64)]
 
-	flights singleflight.Group[forward]
-
-	// Routing counters (obs.Counter wraps one atomic each). With cfg.Obs
-	// these are the series /metrics exposes, so NodeStats cannot drift.
-	localOpens     *obs.Counter
-	forwardedOpens *obs.Counter
-	coalesced      *obs.Counter
-	degradedOpens  *obs.Counter
-	notFound       *obs.Counter
+	// localOpens counts opens offered through Route (obs.Counter wraps
+	// one atomic). With cfg.Obs it is the series /metrics exposes, so
+	// NodeStats cannot drift.
+	localOpens *obs.Counter
 
 	// Membership and drain accounting.
 	updates      *obs.Counter
@@ -149,40 +129,26 @@ type Node struct {
 	events *obs.EventLog
 }
 
-// forward is one owner fetch's outcome, shared across coalesced opens:
-// the leader owns the reference the fetch returned, and shareForward takes
-// one more for each follower before it wakes.
-type forward struct {
-	group *fsnet.Group
-	err   error
-}
-
-func shareForward(f forward) {
-	if f.group != nil {
-		f.group.Retain()
-	}
-}
-
 var _ fsnet.InlineRouter = (*Node)(nil)
 
 // NewNode validates cfg and installs the epoch-1 view: the ring over
 // cfg.Peers plus one lazy-dialing fsnet client per remote peer. No
-// connection is opened until the first forward, so nodes of a cluster
+// connection is opened until the first exchange, so nodes of a cluster
 // can start in any order.
 func NewNode(cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self must be set")
 	}
-	ring := NewRing(0)
-	ring.Add(cfg.Peers...)
-	if !ring.Has(cfg.Self) {
+	r := ring.New(0)
+	r.Add(cfg.Peers...)
+	if !r.Has(cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q not in Peers %v", cfg.Self, cfg.Peers)
 	}
 	n := &Node{cfg: cfg, self: cfg.Self}
 	n.wireMetrics(cfg.Obs)
-	v := &view{epoch: 1, ring: ring, peers: make(map[string]*peer), hash: viewHash(ring.Members())}
-	for _, addr := range ring.Members() {
+	v := &view{epoch: 1, ring: r, peers: make(map[string]*peer), hash: viewHash(r.Members())}
+	for _, addr := range r.Members() {
 		if addr == cfg.Self {
 			continue
 		}
@@ -204,11 +170,10 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 	client, err := fsnet.NewClient(nil, fsnet.ClientConfig{
 		Dialer:  func() (net.Conn, error) { return dial(addr) },
 		Timeout: peerTimeout,
-		// Fail fast: retries would only delay the breaker's verdict,
-		// and the degraded local path is always available.
+		// Fail fast: retries would only delay the breaker's verdict.
 		MaxRetries: 0,
-		// Piggyback this node's view epoch on every forward so peers
-		// learn of membership changes without a dedicated exchange.
+		// Piggyback this node's view epoch on every exchange so peers
+		// learn of membership changes without a dedicated one.
 		Views: n,
 	})
 	if err != nil {
@@ -223,15 +188,11 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 	return p, nil
 }
 
-// wireMetrics initializes the routing counters — standalone atomics with
-// no registry, registered series otherwise — plus the pull-style
+// wireMetrics initializes the counters — standalone atomics with no
+// registry, registered series otherwise — plus the pull-style
 // membership-epoch and drain gauges.
 func (n *Node) wireMetrics(reg *obs.Registry) {
-	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens this node owned, declined to the local serving path")
-	n.forwardedOpens = reg.LiveCounter("cluster_forwarded_opens_total", "opens answered by an owner fetch (successful peer hops)")
-	n.coalesced = reg.LiveCounter("cluster_coalesced_forwards_total", "opens that shared another open's in-flight owner fetch")
-	n.degradedOpens = reg.LiveCounter("cluster_degraded_opens_total", "opens declined to the local path because the owner was down or the forward failed")
-	n.notFound = reg.LiveCounter("cluster_not_found_total", "owner replies that the path does not exist")
+	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens offered to the node's router, all served by the local server")
 	n.updates = reg.LiveCounter("cluster_membership_updates_total", "membership views installed by Update")
 	n.staleUpdates = reg.LiveCounter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
 	n.drainSent = reg.LiveCounter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
@@ -254,136 +215,24 @@ func (n *Node) Owner(path string) string { return n.view.Load().ring.Owner(path)
 // Self returns this node's own address.
 func (n *Node) Self() string { return n.self }
 
-// RouteOpen implements fsnet.OpenRouter. Paths this node owns — and
-// paths whose owner is unreachable — are declined so the embedding
-// server serves them from its own aggregating cache and store; everything
-// else is answered by one FetchGroup hop to the owner, with the
-// downstream client's piggybacked history relayed so the owner's
-// successor metadata stays as complete as a direct client's.
-//
-// The membership view is loaded once per call: an open that raced a
-// ring swap completes against the view it started with.
-//
-// This plain form is a thin adapter for callers that want a slice (a
-// server embeds the node as an InlineRouter and never comes this way): it
-// copies the files, demanded file first, into one exact-size slab and a
-// fresh []GroupFile, which the caller may keep as long as it likes, and
-// releases the group Route handed over, so its frames go back to the pool.
+// RouteOpen implements fsnet.OpenRouter by declining every open: clients
+// send each miss to its owner, and a node serves whatever reaches it from
+// its own store. It stays only for callers that still wire a node in as a
+// plain router.
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
-	g, handled, _, err := n.Route(path, accessed, otrace.Ctx{}, true)
-	if g == nil {
-		return nil, handled, err
-	}
-	defer g.Release()
-	size := 0
-	for _, f := range g.Files {
-		size += len(f.Data)
-	}
-	slab := make([]byte, 0, size)
-	files := make([]fsnet.GroupFile, 0, len(g.Files))
-	for _, f := range g.Files {
-		start := len(slab)
-		slab = append(slab, f.Data...)
-		f.Data = slab[start:len(slab):len(slab)]
-		files = append(files, f)
-	}
-	return files, handled, err
+	n.localOpens.Add(1)
+	return nil, false, nil
 }
 
-// Route implements fsnet.InlineRouter, the one routing path behind
-// RouteOpen too. mayWait is false on a read loop, where the open stops
-// short of the forward and of admit, whose probe slot belongs to a caller
-// that goes on to forward: the routing outcomes that need no peer round
-// trip — the path is this node's own, or its owner's breaker is open —
-// are served there, and anything else reports blocks=true untouched, to
-// come back with mayWait on a worker. A sampled context gets a child span
-// for the routing outcome — "coalesced_wait" or "forward_rpc" — and rides
-// the forwarded FetchGroup to the owner, whose server records its own
-// spans under the same trace ID; the fleet scraper stitches the two
-// nodes' rings back into one tree. A handled group comes with one
-// reference for the caller and leads with the demanded file.
+// Route implements fsnet.InlineRouter the same way, so a server that
+// still names a node as its router serves every open inline on its read
+// loop.
 func (n *Node) Route(path string, accessed []string, tctx otrace.Ctx, mayWait bool) (g *fsnet.Group, handled, blocks bool, err error) {
-	v := n.view.Load()
-	owner := v.ring.Owner(path)
-	if owner == n.self || owner == "" {
-		n.localOpens.Add(1)
-		return nil, false, false, nil
-	}
-	p := v.peers[owner]
-	if !mayWait && p.up() {
-		return nil, false, true, nil
-	}
-
-	// The relay, once per remotely owned open answered here: the downstream
-	// client's history joins the owner's backlog, then the open itself —
-	// appended by the FetchGroup that forwards it, noted by every outcome
-	// that sends none. Nothing else holds history, so an outage reaches the
-	// owner in the order it happened, in the probe that heals it.
-	p.client.NoteAccess(accessed...)
-	if !mayWait || !p.admit() {
-		// The owner is down: the open degrades to the local path.
-		p.client.NoteAccess(path)
-		n.degradedOpens.Add(1)
-		return nil, false, false, nil
-	}
-
-	tr := n.cfg.Trace
-	var tstart time.Time
-	if tctx.Sampled {
-		tstart = n.cfg.Now()
-	}
-
-	// Coalesce concurrent forwards of the same path: one FetchGroup
-	// serves every open that arrived while it was in flight, each through
-	// a reference of its own. Only the leader's context travels
-	// downstream; a sampled follower records just its local wait below.
-	res, _, coalesced := n.flights.Do(path, func() (forward, bool) {
-		fctx := tr.Child(tctx)
-		var fstart time.Time
-		if fctx.Sampled {
-			fstart = n.cfg.Now()
-		}
-		g, err := p.client.FetchGroup(path, fctx)
-		if fctx.Sampled {
-			tr.Record(fctx, "forward_rpc", path, fstart, n.cfg.Now().Sub(fstart))
-		}
-		// Every outcome resolves the breaker: the one admit handed out may
-		// have been the probe.
-		p.noteOutcome(err)
-		return forward{group: g, err: err}, true
-	}, shareForward)
-	if coalesced {
-		// A follower sent nothing: its open rides the next forward.
-		p.client.NoteAccess(path)
-	}
-	switch {
-	case res.err == nil:
-		if coalesced {
-			n.coalesced.Add(1)
-			if tctx.Sampled {
-				tr.Record(tr.Child(tctx), "coalesced_wait", path, tstart, n.cfg.Now().Sub(tstart))
-			}
-		} else {
-			n.forwardedOpens.Add(1)
-		}
-		// The owner's reply leads with the path it was asked for.
-		return res.group, true, false, nil
-	case errors.Is(res.err, fsnet.ErrNotFound):
-		// The owner is authoritative and the stores are replicas: a
-		// local re-check cannot succeed, so answer not-found directly.
-		n.notFound.Add(1)
-		return nil, true, false, res.err
-	default:
-		// Transport or server failure: degrade to the local store. The
-		// open still succeeds, just without the owner's group metadata.
-		n.degradedOpens.Add(1)
-		return nil, false, false, nil
-	}
+	n.localOpens.Add(1)
+	return nil, false, false, nil
 }
 
-// Close shuts down every peer client of the current view. In-flight
-// forwards fail over to the degraded local path like any other
-// transport failure.
+// Close shuts down every peer client of the current view.
 func (n *Node) Close() error {
 	n.viewMu.Lock()
 	defer n.viewMu.Unlock()
@@ -403,7 +252,7 @@ func (n *Node) Close() error {
 // PeerStatus is one remote peer's health snapshot.
 type PeerStatus struct {
 	Addr string
-	// Up reports whether forwards are currently admitted (a peer in
+	// Up reports whether exchanges are currently admitted (a peer in
 	// cooldown reports false; one admitting its probe reports true).
 	Up bool
 	// Failures is the consecutive transport-failure count (resets on
@@ -411,9 +260,6 @@ type PeerStatus struct {
 	Failures uint64
 	// Trips counts how many times the breaker opened.
 	Trips uint64
-	// Backlog counts relayed accesses waiting for the next forward to the
-	// peer: while it is down, the outage so far (bounded, newest kept).
-	Backlog int
 }
 
 // NodeStats is a snapshot of the node's routing activity, shaped for
@@ -425,24 +271,16 @@ type NodeStats struct {
 	// whether the node has begun its graceful departure.
 	Epoch    uint64
 	Draining bool
-	// LocalOpens counts opens this node owned (declined to the local
-	// serving path); ForwardedOpens counts opens answered by an owner
-	// fetch this open itself performed (coalesced followers are counted
-	// under CoalescedForwards instead, so ForwardedOpens is also the
-	// number of successful peer hops).
-	LocalOpens     uint64
-	ForwardedOpens uint64
-	// MirrorHits is always 0: the node keeps no copy of a peer's groups.
-	// It stays for readers that still name it.
-	MirrorHits uint64
-	// CoalescedForwards counts opens that shared another open's
-	// in-flight owner fetch.
+	// LocalOpens counts opens offered to the node's router: all of them
+	// are served by the local server.
+	LocalOpens uint64
+	// ForwardedOpens, MirrorHits, CoalescedForwards and DegradedOpens are
+	// always 0: a node neither forwards an open nor keeps a copy of a
+	// peer's groups. They stay for readers that still name them.
+	ForwardedOpens    uint64
+	MirrorHits        uint64
 	CoalescedForwards uint64
-	// DegradedOpens were declined to the local path because the owner
-	// was down or the forward failed.
-	DegradedOpens uint64
-	// NotFound counts owner replies that the path does not exist.
-	NotFound uint64
+	DegradedOpens     uint64
 	// Drain accounting: groups handed off to their new owners, and
 	// groups the drain could not deliver.
 	DrainGroupsSent   uint64
@@ -459,10 +297,6 @@ func (n *Node) Stats() NodeStats {
 		Epoch:             v.epoch,
 		Draining:          n.draining.Load(),
 		LocalOpens:        n.localOpens.Load(),
-		ForwardedOpens:    n.forwardedOpens.Load(),
-		CoalescedForwards: n.coalesced.Load(),
-		DegradedOpens:     n.degradedOpens.Load(),
-		NotFound:          n.notFound.Load(),
 		DrainGroupsSent:   n.drainSent.Load(),
 		DrainGroupsFailed: n.drainFailed.Load(),
 	}
@@ -472,7 +306,6 @@ func (n *Node) Stats() NodeStats {
 			Up:       p.up(),
 			Failures: p.fails.Load(),
 			Trips:    p.trips.Load(),
-			Backlog:  p.client.Backlog(),
 		})
 	}
 	sort.Slice(st.Peers, func(i, j int) bool { return st.Peers[i].Addr < st.Peers[j].Addr })
@@ -507,7 +340,7 @@ const (
 )
 
 // wireMetrics registers the peer's breaker-state gauge plus pull-style
-// failure, trip and backlog gauges, labelled by peer address. Registration is
+// failure and trip gauges, labelled by peer address. Registration is
 // idempotent, so a peer removed and later re-added reuses the same
 // series; the GaugeFunc callbacks are replaced to read the new peer's
 // (fresh) breaker state.
@@ -524,13 +357,10 @@ func (p *peer) wireMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("cluster_peer_trips", "times the peer's breaker opened", func() float64 {
 		return float64(p.trips.Load())
 	}, obs.L("peer", p.addr))
-	reg.GaugeFunc("cluster_peer_backlog", "relayed accesses waiting for the next forward to the peer", func() float64 {
-		return float64(p.client.Backlog())
-	}, obs.L("peer", p.addr))
 }
 
-// admit reports whether a forward may proceed. While the cooldown runs
-// every forward is refused; once it lapses exactly one caller wins the
+// admit reports whether an exchange may proceed. While the cooldown runs
+// every exchange is refused; once it lapses exactly one caller wins the
 // probe slot and the rest stay refused until the probe's outcome lands.
 func (p *peer) admit() bool {
 	du := p.downUntil.Load()
@@ -561,8 +391,8 @@ func (p *peer) up() bool {
 // transport failure feeds the breaker, while anything else — success or
 // a typed server error — proves the peer alive. Leaving an admitted
 // probe unresolved would wedge the breaker half-open and refuse every
-// later exchange, so every exchange that admit let through — a forward,
-// a handoff, a view pull or push — ends here.
+// later exchange, so every exchange that admit let through — a handoff, a
+// view pull or push — ends here.
 func (p *peer) noteOutcome(err error) {
 	if errors.Is(err, fsnet.ErrConnBroken) {
 		p.noteFailure()

@@ -4,20 +4,22 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"aggcache/internal/faultnet"
 	"aggcache/internal/fsnet"
-	"aggcache/internal/obs/otrace"
 )
 
 // testCluster is an in-process N-node cluster: every node runs a real
 // fsnet server over a real TCP loopback listener with a Node wired in as
-// its router, each node's backing store holds identical replicated
-// content, and every peer connection passes through a per-target
-// faultnet gate so tests can kill a peer at an exact instant.
+// its membership view, each node's backing store holds identical
+// replicated content, and every connection to a node — a peer's or a
+// test client's — passes through a per-target faultnet gate so tests can
+// kill a node at an exact instant.
 type testCluster struct {
 	addrs   []string
 	nodes   []*Node
@@ -51,15 +53,9 @@ func (c *tick) Advance(d time.Duration) {
 
 func testContent(path string) string { return "contents of " + path }
 
-func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config)) *testCluster {
-	t.Helper()
-	return startClusterBehind(t, numNodes, mut, nil)
-}
-
-// startClusterBehind is startCluster with node i's listener passed through
-// wrap first (nil leaves them all plain), for tests that interpose on the
-// connections a node accepts rather than the ones it dials.
-func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config), wrap func(i int, l net.Listener) net.Listener) *testCluster {
+// startCluster starts numNodes nodes; mut, when set, edits node i's
+// configuration and its server's before either is built.
+func startCluster(t testing.TB, numNodes int, mut func(i int, cfg *Config, srv *fsnet.ServerConfig)) *testCluster {
 	t.Helper()
 	tc := &testCluster{gates: make(map[string]*faultnet.Gate), clk: newTick()}
 
@@ -72,18 +68,6 @@ func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config)
 		listeners[i] = l
 		tc.addrs = append(tc.addrs, l.Addr().String())
 		tc.gates[l.Addr().String()] = &faultnet.Gate{}
-	}
-
-	dial := func(addr string) (net.Conn, error) {
-		gate := tc.gates[addr]
-		if gate.Down() {
-			return nil, fmt.Errorf("%w: gate down: dial %s", faultnet.ErrInjected, addr)
-		}
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return faultnet.Wrap(conn, faultnet.Faults{Gate: gate}, nil), nil
 	}
 
 	for i := 0; i < numNodes; i++ {
@@ -99,11 +83,12 @@ func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config)
 		cfg := Config{
 			Self:   tc.addrs[i],
 			Peers:  tc.addrs,
-			Dialer: dial,
+			Dialer: tc.dial,
 			Now:    tc.clk.Now,
 		}
+		scfg := fsnet.ServerConfig{GroupSize: 3, SuccessorCapacity: 2}
 		if mut != nil {
-			mut(i, &cfg)
+			mut(i, &cfg, &scfg)
 		}
 		node, err := NewNode(cfg)
 		if err != nil {
@@ -111,29 +96,31 @@ func startClusterBehind(t testing.TB, numNodes int, mut func(i int, cfg *Config)
 		}
 		tc.nodes = append(tc.nodes, node)
 
-		srv, err := fsnet.NewServer(store, fsnet.ServerConfig{
-			GroupSize:         3,
-			SuccessorCapacity: 2,
-			Router:            node,
-			Views:             node,
-			// The node and its server share one tracer, mirroring aggserve:
-			// a mut that wires cfg.Trace gets inbound-context decoding on
-			// the serving side for free.
-			Trace: cfg.Trace,
-		})
+		scfg.Views = node
+		srv, err := fsnet.NewServer(store, scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.servers = append(tc.servers, srv)
-		l := listeners[i]
-		if wrap != nil {
-			l = wrap(i, l)
-		}
-		go func() { _ = srv.Serve(l) }()
+		go func(l net.Listener) { _ = srv.Serve(l) }(listeners[i])
 	}
 
 	t.Cleanup(tc.close)
 	return tc
+}
+
+// dial connects to a node through its gate: refused while the gate is
+// down, and a live connection fails the instant it goes down.
+func (tc *testCluster) dial(addr string) (net.Conn, error) {
+	gate := tc.gates[addr]
+	if gate.Down() {
+		return nil, fmt.Errorf("%w: gate down: dial %s", faultnet.ErrInjected, addr)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return faultnet.Wrap(conn, faultnet.Faults{Gate: gate}, nil), nil
 }
 
 // close shuts every node and server down and waits for their handlers,
@@ -159,30 +146,37 @@ func (tc *testCluster) checkGroupBalance(t *testing.T, base int64) {
 	}
 }
 
-// fetchGroup is FetchGroup for a test that only inspects the reply: a
-// private copy of the group, its reference released.
-func fetchGroup(c *fsnet.Client, path string) ([]fsnet.GroupFile, error) {
-	g, err := c.FetchGroup(path, otrace.Ctx{})
-	if err != nil {
-		return nil, err
-	}
-	defer g.Release()
-	files := make([]fsnet.GroupFile, len(g.Files))
-	for i, f := range g.Files {
-		files[i] = fsnet.GroupFile{Path: f.Path, Data: append([]byte(nil), f.Data...)}
-	}
-	return files, nil
-}
-
-// client dials a plain workload client against node i's server.
+// client dials a workload client whose seed is node i. Its connections —
+// to the seed and to every owner it sends a miss to — pass through the
+// nodes' gates unless cfg names dialers of its own.
 func (tc *testCluster) client(t testing.TB, i int, cfg fsnet.ClientConfig) *fsnet.Client {
 	t.Helper()
+	if cfg.Dialer == nil {
+		cfg.Dialer = func() (net.Conn, error) { return tc.dial(tc.addrs[i]) }
+	}
+	if cfg.DialMember == nil {
+		cfg.DialMember = tc.dial
+	}
 	c, err := fsnet.Dial(tc.addrs[i], cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = c.Close() })
 	return c
+}
+
+// requests returns each server's request count.
+func (tc *testCluster) requests() []uint64 {
+	out := make([]uint64, len(tc.servers))
+	for i, srv := range tc.servers {
+		out[i] = srv.Stats().Requests
+	}
+	return out
+}
+
+// owner returns the index of the node that owns path.
+func (tc *testCluster) owner(path string) int {
+	return slices.Index(tc.addrs, tc.nodes[0].Owner(path))
 }
 
 // pathOwnedBy returns a test path owned by node owner, skipping paths in
@@ -201,7 +195,8 @@ func (tc *testCluster) pathOwnedBy(t testing.TB, owner int, skip map[string]bool
 
 // TestClusterPlacementAgreement: every node computes the same owner for
 // every path, and each node owns a non-empty share — the no-coordination
-// invariant the one-hop forwarding design rests on.
+// invariant that lets a client send each miss to the node that learned
+// its stream.
 func TestClusterPlacementAgreement(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	owned := make(map[string]int)
@@ -223,240 +218,185 @@ func TestClusterPlacementAgreement(t *testing.T) {
 }
 
 // TestClusterEveryOpenCorrect is the acceptance workload: concurrent
-// clients against all three nodes open every file repeatedly; every open
-// must return the right bytes no matter which node served it or where
-// the path lives. Runs under -race in `make race`.
+// clients seeded at all three nodes open every file repeatedly; every
+// open must return the right bytes, and every miss must reach exactly
+// its path's owner: each node's requests are the misses of the paths it
+// owns, and no node forwards. Runs under -race in `make race`.
 func TestClusterEveryOpenCorrect(t *testing.T) {
 	base, _ := liveGroups()
 	tc := startCluster(t, 3, nil)
 	defer tc.checkGroupBalance(t, base)
 	var wg sync.WaitGroup
 	errs := make(chan error, 3)
+	misses := make([][3]uint64, 3) // by client, by owner
 	for i := 0; i < 3; i++ {
-		i := i
+		// Small cache so opens keep reaching the servers.
+		client := tc.client(t, i, fsnet.ClientConfig{CacheCapacity: 4})
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			// Small cache so opens keep reaching the server and exercise
-			// the forwarding path rather than the client cache.
-			client, err := fsnet.Dial(tc.addrs[i], fsnet.ClientConfig{CacheCapacity: 4})
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer client.Close()
 			for round := 0; round < 3; round++ {
 				for f := 0; f < testFiles; f++ {
 					path := fmt.Sprintf("/data/f%03d", (f+17*i)%testFiles)
+					if !client.Contains(path) {
+						misses[i][tc.owner(path)]++
+					}
 					data, err := client.Open(path)
 					if err != nil {
-						errs <- fmt.Errorf("node %d open %s: %w", i, path, err)
+						errs <- fmt.Errorf("client %d open %s: %w", i, path, err)
 						return
 					}
 					if string(data) != testContent(path) {
-						errs <- fmt.Errorf("node %d open %s = %q", i, path, data)
+						errs <- fmt.Errorf("client %d open %s = %q", i, path, data)
 						return
 					}
 				}
 			}
-			errs <- nil
-		}()
+			if st := client.Stats(); st.Rerouted != 0 {
+				errs <- fmt.Errorf("client %d rerouted %d opens with every node up", i, st.Rerouted)
+			}
+		}(i)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
-
-	var local, forwarded uint64
 	for i, n := range tc.nodes {
-		st := n.Stats()
-		local += st.LocalOpens
-		forwarded += st.ForwardedOpens
-		if st.DegradedOpens != 0 {
-			t.Errorf("node %d: %d degraded opens with all peers up", i, st.DegradedOpens)
+		var owned uint64
+		for c := range misses {
+			owned += misses[c][i]
 		}
-		for _, p := range st.Peers {
-			if !p.Up {
-				t.Errorf("node %d reports peer %s down", i, p.Addr)
-			}
+		if got := tc.servers[i].Stats().Requests; got != owned || owned == 0 {
+			t.Errorf("node %d served %d requests; the clients missed %d paths it owns", i, got, owned)
 		}
-		answered := st.ForwardedOpens + st.CoalescedForwards
-		if srv := tc.servers[i].Stats(); srv.RemoteOpens != answered {
-			t.Errorf("node %d: server RemoteOpens=%d, node answered %d", i, srv.RemoteOpens, answered)
+		if st := n.Stats(); st.ForwardedOpens != 0 || st.DegradedOpens != 0 {
+			t.Errorf("node %d: forwarded %d, degraded %d; a node never forwards", i, st.ForwardedOpens, st.DegradedOpens)
 		}
-	}
-	if local == 0 || forwarded == 0 {
-		t.Errorf("workload exercised local=%d forwarded=%d opens; want both > 0", local, forwarded)
 	}
 }
 
-// TestClusterNotFoundComesFromOwner: a path that exists nowhere gets a
-// typed ErrNotFound through the forwarding path, not a transport error,
-// and does not trip the owner's breaker.
+// TestClusterNotFound: a path that exists nowhere gets a typed
+// ErrNotFound from its owner, not a transport error, and the client does
+// not route around the owner for it.
 func TestClusterNotFound(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	// Find a requesting node that does not own the bogus path.
 	missing := "/nope/missing"
-	via := 0
-	if tc.nodes[0].Owner(missing) == tc.addrs[0] {
-		via = 1
-	}
-	client := tc.client(t, via, fsnet.ClientConfig{})
+	owner := tc.owner(missing)
+	client := tc.client(t, (owner+1)%3, fsnet.ClientConfig{})
 	if _, err := client.Open(missing); !errors.Is(err, fsnet.ErrNotFound) {
 		t.Fatalf("open of missing path: %v, want ErrNotFound", err)
 	}
-	st := tc.nodes[via].Stats()
-	if st.NotFound != 1 {
-		t.Errorf("NotFound = %d, want 1", st.NotFound)
+	if st := tc.servers[owner].Stats(); st.Requests != 1 || st.Errors != 1 {
+		t.Errorf("owner stats %+v, want the one request answered with an error", st)
 	}
-	for _, p := range st.Peers {
-		if p.Failures != 0 {
-			t.Errorf("not-found counted as failure against %s", p.Addr)
-		}
+	if st := client.Stats(); st.Rerouted != 0 || st.BrokenConns != 0 {
+		t.Errorf("client stats %+v: a typed reply must not count against the owner", st)
 	}
 }
 
 // TestClusterGroupAffinity: the owner learns successor transitions from
-// relayed piggyback history, and one forwarded hop then delivers the
-// whole learned group to a client of a *different* node.
+// the history its clients send with their misses, and one fetch then
+// delivers the whole learned group to a client seeded at a *different*
+// node.
 func TestClusterGroupAffinity(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 
-	// anchor is owned by node 0; the workload runs against node 1.
+	// anchor and follow are owned by node 0; the clients are seeded at
+	// node 1.
 	anchor := tc.pathOwnedBy(t, 0, nil)
 	follow := tc.pathOwnedBy(t, 0, map[string]bool{anchor: true})
 
-	client := tc.client(t, 1, fsnet.ClientConfig{})
-	// Train: open anchor then follow repeatedly. Cache hits accumulate
-	// in the client's piggyback backlog; FetchGroup drains it through
-	// node 1, which relays it to the owner on the forwarded fetch.
+	// Train: a cache of one makes every open a miss, so each carries the
+	// open before it to the owner.
+	trainer := tc.client(t, 1, fsnet.ClientConfig{CacheCapacity: 1})
 	for round := 0; round < 6; round++ {
-		if _, err := client.Open(anchor); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.Open(follow); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fetchGroup(client, anchor); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A fresh client of node 1 opens only the anchor; the owner's group
-	// must bring the learned successor along in the same hop.
-	probe := tc.client(t, 1, fsnet.ClientConfig{})
-	group, err := fetchGroup(probe, anchor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if group[0].Path != anchor || string(group[0].Data) != testContent(anchor) {
-		t.Fatalf("group head = %q (%q)", group[0].Path, group[0].Data)
-	}
-	found := false
-	for _, f := range group[1:] {
-		if f.Path == follow {
-			found = true
-			if string(f.Data) != testContent(follow) {
-				t.Errorf("prefetched member data = %q", f.Data)
+		for _, p := range []string{anchor, follow} {
+			if _, err := trainer.Open(p); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	if !found {
-		paths := make([]string, len(group))
-		for i, f := range group {
-			paths[i] = f.Path
-		}
-		t.Fatalf("learned successor %s missing from forwarded group %v", follow, paths)
+
+	// A fresh client opens only the anchor; the owner's group must bring
+	// the learned successor along in the same round trip.
+	probe := tc.client(t, 1, fsnet.ClientConfig{})
+	before := tc.requests()
+	if data, err := probe.Open(anchor); err != nil || string(data) != testContent(anchor) {
+		t.Fatalf("open %s = %q, %v", anchor, data, err)
 	}
-	if st := tc.nodes[1].Stats(); st.ForwardedOpens == 0 {
-		t.Error("affinity workload never forwarded")
+	if !probe.Contains(follow) {
+		t.Fatalf("learned successor %s missing from the anchor's group", follow)
+	}
+	if data, err := probe.Open(follow); err != nil || string(data) != testContent(follow) {
+		t.Errorf("prefetched member %s = %q, %v", follow, data, err)
+	}
+	after := tc.requests()
+	if after[0] != before[0]+1 || after[1] != before[1] || after[2] != before[2] {
+		t.Errorf("requests per node %v -> %v, want one more at the owner and none elsewhere", before, after)
 	}
 }
 
-// TestClusterPeerDeathDegrades is the failover acceptance test: killing
-// a peer mid-workload must not fail a single open. Forwards to the dead
-// owner fall back to the local replica, the breaker trips after the
-// failure threshold, and a healed peer is readmitted after cooldown via
-// a single probe.
+// TestClusterPeerDeathDegrades is the owner-death acceptance test: a node
+// killed mid-replay must not fail a single open. A miss it owns is sent
+// to another member, which serves it from its own replica, while the
+// client backs off the dead node; once the node returns the client dials
+// it again and its misses go home.
 func TestClusterPeerDeathDegrades(t *testing.T) {
-	const threshold = failureThreshold
-	tc := startCluster(t, 3, nil) // the cooldown lapses only via the fake clock
-
-	victim := 2
-	path := tc.pathOwnedBy(t, victim, nil)
-	client := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 2})
-
-	open := func() {
+	tc := startCluster(t, 3, nil)
+	const victim = 2
+	client := tc.client(t, 0, fsnet.ClientConfig{
+		CacheCapacity: 4,
+		Backoff:       fsnet.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+	})
+	replay := func(round int) {
 		t.Helper()
-		data, err := fetchGroup(client, path)
-		if err != nil {
-			t.Fatalf("open during failover: %v", err)
-		}
-		if string(data[0].Data) != testContent(path) {
-			t.Fatalf("open during failover = %q", data[0].Data)
+		for f := 0; f < testFiles; f++ {
+			path := fmt.Sprintf("/data/f%03d", (f+7*round)%testFiles)
+			data, err := client.Open(path)
+			if err != nil {
+				t.Fatalf("round %d: open %s: %v", round, path, err)
+			}
+			if string(data) != testContent(path) {
+				t.Fatalf("round %d: open %s = %q", round, path, data)
+			}
 		}
 	}
-
-	open() // healthy forward
-	if st := tc.nodes[0].Stats(); st.ForwardedOpens != 1 {
-		t.Fatalf("ForwardedOpens = %d before kill, want 1", st.ForwardedOpens)
+	replay(0)
+	if st := client.Stats(); st.Rerouted != 0 || tc.servers[victim].Stats().Requests == 0 {
+		t.Fatalf("healthy round: rerouted %d, victim served %d", st.Rerouted, tc.servers[victim].Stats().Requests)
 	}
 
-	// Kill the owner: dials are refused and live conns fail instantly.
+	// Kill the owner: dials are refused and live connections fail.
 	tc.gates[tc.addrs[victim]].SetDown(true)
-
-	// Every open keeps succeeding. The first `threshold` opens fail
-	// their forward and degrade; after that the breaker short-circuits.
-	for i := 0; i < threshold+3; i++ {
-		open()
+	served := tc.servers[victim].Stats().Requests
+	survivors := tc.requests()
+	replay(1)
+	if st := client.Stats(); st.Rerouted == 0 {
+		t.Error("no open was rerouted while the owner was dead")
 	}
-	st := tc.nodes[0].Stats()
-	if st.DegradedOpens != uint64(threshold+3) {
-		t.Errorf("DegradedOpens = %d, want %d", st.DegradedOpens, threshold+3)
+	if got := tc.servers[victim].Stats().Requests; got != served {
+		t.Errorf("the dead owner served %d requests", got-served)
 	}
-	var victimStatus PeerStatus
-	for _, p := range st.Peers {
-		if p.Addr == tc.addrs[victim] {
-			victimStatus = p
-		}
-	}
-	if victimStatus.Up {
-		t.Error("victim still reported up after breaker tripped")
-	}
-	if victimStatus.Trips == 0 {
-		t.Error("breaker never tripped")
-	}
-	// The local replica actually served the degraded opens.
-	if srv := tc.servers[0].Stats(); srv.Cache.Misses == 0 {
-		t.Error("degraded opens never staged from the local store")
+	if now := tc.requests(); now[0]+now[1] == survivors[0]+survivors[1] {
+		t.Error("the survivors served none of the dead owner's misses")
 	}
 
-	// Heal the peer but not the clock: still refused (cooldown).
+	// Heal: after its backoff the client dials the owner again.
 	tc.gates[tc.addrs[victim]].SetDown(false)
-	open()
-	if got := tc.nodes[0].Stats().ForwardedOpens; got != 1 {
-		t.Errorf("ForwardedOpens = %d during cooldown, want still 1", got)
+	time.Sleep(20 * time.Millisecond)
+	reconnects := client.Stats().Reconnects
+	replay(2)
+	if got := tc.servers[victim].Stats().Requests; got == served {
+		t.Error("the healed owner got no request back")
 	}
-
-	// Cooldown lapses: exactly one probe goes through and heals.
-	tc.clk.Advance(downDuration + time.Second)
-	open()
-	st = tc.nodes[0].Stats()
-	if st.ForwardedOpens != 2 {
-		t.Errorf("ForwardedOpens = %d after heal, want 2", st.ForwardedOpens)
-	}
-	for _, p := range st.Peers {
-		if p.Addr == tc.addrs[victim] && (!p.Up || p.Failures != 0) {
-			t.Errorf("healed peer status = %+v", p)
-		}
+	if client.Stats().Reconnects == reconnects {
+		t.Error("the client never redialed the healed owner")
 	}
 }
 
 // TestClusterKillDuringConcurrentWorkload: the no-request-errors
-// guarantee holds when the peer dies in the middle of a concurrent
+// guarantee holds when a node dies in the middle of a concurrent
 // workload, not between requests.
 func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	base, _ := liveGroups()
@@ -467,22 +407,16 @@ func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 2)
 	// Workers run one warm-up round, rendezvous so the kill lands while
-	// both are mid-workload, then keep going against the dead owner.
+	// both are mid-workload, then keep going with the owner dead.
 	var warmed sync.WaitGroup
 	warmed.Add(2)
 	killed := make(chan struct{})
-	for i := 0; i < 2; i++ { // workloads only against the survivors
-		i := i
+	clients := make([]*fsnet.Client, 2)
+	for i := range clients { // clients seeded only at the survivors
+		clients[i] = tc.client(t, i, fsnet.ClientConfig{CacheCapacity: 4})
 		wg.Add(1)
-		go func() {
+		go func(i int, client *fsnet.Client) {
 			defer wg.Done()
-			client, err := fsnet.Dial(tc.addrs[i], fsnet.ClientConfig{CacheCapacity: 4})
-			if err != nil {
-				warmed.Done()
-				errs <- err
-				return
-			}
-			defer client.Close()
 			for round := 0; round < 4; round++ {
 				if round == 1 {
 					warmed.Done()
@@ -492,17 +426,16 @@ func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 					path := fmt.Sprintf("/data/f%03d", f)
 					data, err := client.Open(path)
 					if err != nil {
-						errs <- fmt.Errorf("node %d open %s: %w", i, path, err)
+						errs <- fmt.Errorf("client %d open %s: %w", i, path, err)
 						return
 					}
 					if string(data) != testContent(path) {
-						errs <- fmt.Errorf("node %d open %s = %q", i, path, data)
+						errs <- fmt.Errorf("client %d open %s = %q", i, path, data)
 						return
 					}
 				}
 			}
-			errs <- nil
-		}()
+		}(i, clients[i])
 	}
 	warmed.Wait()
 	tc.gates[tc.addrs[victim]].SetDown(true)
@@ -510,133 +443,110 @@ func TestClusterKillDuringConcurrentWorkload(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
+		t.Fatal(err)
 	}
-	degraded := tc.nodes[0].Stats().DegradedOpens + tc.nodes[1].Stats().DegradedOpens
-	if degraded == 0 {
-		t.Error("kill mid-workload caused no degraded opens; gate flipped too late?")
+	if clients[0].Stats().Rerouted+clients[1].Stats().Rerouted == 0 {
+		t.Error("kill mid-workload rerouted no open; gate flipped too late?")
 	}
 }
 
-// TestClusterForwardCoalescing: concurrent opens of the same remote path
-// share one owner fetch. The dialer stalls the first connection long
-// enough for the herd to pile up, then every open resolves from the one
-// flight — each through a reference of its own. Once the leader's reply
-// is written (its reference released) a follower's reference is the only
-// thing keeping the group's frames from the pool: the followers outlive
-// the leader, read their bytes after every earlier holder has let go, and
-// the last one out recycles.
-func TestClusterForwardCoalescing(t *testing.T) {
-	const herd = 8
-	release := make(chan struct{})
-	var stallOnce sync.Once
-	base, counted := liveGroups()
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		base := cfg.Dialer
-		cfg.Dialer = func(addr string) (net.Conn, error) {
-			stallOnce.Do(func() { <-release })
-			return base(addr)
-		}
-	})
-	path := tc.pathOwnedBy(t, 1, nil)
+// stallBound is the longest an open may take while an owner accepts
+// connections but never answers: fsnet's 2 s bound on a connection to a
+// member other than the seed, which applies when ClientConfig.Timeout is
+// zero, plus scheduling slack.
+const stallBound = 3 * time.Second
 
-	var wg sync.WaitGroup
-	got := make(chan *fsnet.Group, herd)
-	for i := 0; i < herd; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g, handled, _, err := tc.nodes[0].Route(path, nil, otrace.Ctx{}, true)
-			if err != nil || !handled {
-				t.Errorf("Route handled=%v err=%v", handled, err)
-				return
+// TestClusterStalledOwnerDegrades: an owner that stops answering without
+// refusing anything — its connections take no bytes, its dials succeed
+// and then hang in the handshake — costs an open at most the member
+// bound, even with no client Timeout set. Every open returns the right
+// bytes from a survivor, concurrent opens queued behind the owner's hung
+// redial give up with it instead of dialing again one by one, and once
+// the owner drains again the client's misses go home.
+func TestClusterStalledOwnerDegrades(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	const victim = 2
+	gate := tc.gates[tc.addrs[victim]]
+	defer gate.Resume()
+	var redials atomic.Int32 // dials of the victim while it stalls
+	var held atomic.Bool
+	client := tc.client(t, 0, fsnet.ClientConfig{
+		CacheCapacity: 4,
+		Backoff:       fsnet.Backoff{Base: 100 * time.Millisecond, Max: 100 * time.Millisecond},
+		DialMember: func(addr string) (net.Conn, error) {
+			if held.Load() && addr == tc.addrs[victim] {
+				redials.Add(1)
 			}
-			got <- g
-		}()
-	}
-	time.Sleep(50 * time.Millisecond) // let the herd queue behind the stalled dial
-	close(release)
-	wg.Wait()
-	close(got)
-	if t.Failed() {
-		return
-	}
-	st := tc.nodes[0].Stats()
-	if total := st.ForwardedOpens + st.CoalescedForwards; total != herd {
-		t.Errorf("forwarded %d + coalesced %d != herd %d", st.ForwardedOpens, st.CoalescedForwards, herd)
-	}
-	if st.ForwardedOpens != 1 {
-		t.Errorf("ForwardedOpens = %d, want 1 (single flight)", st.ForwardedOpens)
-	}
-	if st.CoalescedForwards == 0 {
-		t.Error("no opens coalesced behind the stalled flight")
-	}
-	// One holder after another writes its reply and lets go; whoever is
-	// left still reads the right bytes.
-	for g := range got {
-		if len(g.Files) == 0 {
-			t.Fatal("a holder's group is empty: an earlier holder's release emptied it")
+			return tc.dial(addr)
+		},
+	})
+	replay := func(worker, round int) error {
+		for f := 0; f < testFiles; f++ {
+			path := fmt.Sprintf("/data/f%03d", (f+7*round+13*worker)%testFiles)
+			start := time.Now()
+			data, err := client.Open(path)
+			if took := time.Since(start); took > stallBound {
+				return fmt.Errorf("worker %d round %d: open %s took %v, bound %v", worker, round, path, took, stallBound)
+			}
+			if err != nil {
+				return fmt.Errorf("worker %d round %d: open %s: %w", worker, round, path, err)
+			}
+			if string(data) != testContent(path) {
+				return fmt.Errorf("worker %d round %d: open %s = %q", worker, round, path, data)
+			}
 		}
-		if f := g.Files[0]; f.Path != path || string(f.Data) != testContent(path) {
-			t.Fatalf("coalesced open read %q = %q after earlier holders released", f.Path, f.Data)
-		}
-		g.Release()
+		return nil
 	}
-	if now, _ := liveGroups(); counted && now != base {
-		t.Errorf("%d groups still referenced after the whole herd released, want 0", now-base)
+	if err := replay(0, 0); err != nil {
+		t.Fatal(err)
 	}
-}
+	if tc.servers[victim].Stats().Requests == 0 {
+		t.Fatal("healthy round: the victim served nothing")
+	}
 
-// TestCoalescedFollowerHistoryReachesOwner: a follower of a coalesced
-// forward sends no request of its own, but the history it carried and its
-// open of the path are still owed to the owner. Two opens of one path,
-// each with a different predecessor, share one flight parked behind a held
-// gate; after the next forward flushes the backlog the owner has learned
-// the path as the successor of both.
-func TestCoalescedFollowerHistoryReachesOwner(t *testing.T) {
-	tc := startCluster(t, 2, nil)
-	n, gate := tc.nodes[0], tc.gates[tc.addrs[1]]
-	p := tc.pathsOwnedBy(t, 1, 5)
-	warm, path, first, second, flush := p[0], p[1], p[2], p[3], p[4]
-
-	// Handshake now, so the only write the gate parks is the leader's fetch.
-	if _, handled, err := n.RouteOpen(warm, nil); !handled || err != nil {
-		t.Fatalf("warm forward: handled=%v err=%v", handled, err)
-	}
+	// The workers outlast the bound on the victim's live connection, its
+	// backoff, and the bound on one redial that hangs in the handshake.
 	gate.Hold()
+	held.Store(true)
+	start := time.Now()
+	served := tc.servers[victim].Stats().Requests
 	var wg sync.WaitGroup
-	open := func(history string) {
-		defer wg.Done()
-		if _, handled, err := n.RouteOpen(path, []string{history}); !handled || err != nil {
-			t.Errorf("open of %s after %s: handled=%v err=%v", path, history, handled, err)
-		}
+	errs := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 1; time.Since(start) < 4500*time.Millisecond; round++ {
+				if err := replay(w, round); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
 	}
-	wg.Add(2)
-	go open(first)
-	for gate.Waiting() == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	go open(second)
-	// The follower notes its history, then joins the flight.
-	for deadline := time.Now().Add(2 * time.Second); n.Stats().Peers[0].Backlog == 0 && time.Now().Before(deadline); {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(20 * time.Millisecond)
-	gate.Resume()
 	wg.Wait()
-	if st := n.Stats(); st.ForwardedOpens != 2 || st.CoalescedForwards != 1 {
-		t.Fatalf("forwarded %d, coalesced %d: the second open did not share the first's flight", st.ForwardedOpens, st.CoalescedForwards)
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if client.Stats().Rerouted == 0 {
+		t.Error("no open was rerouted while the owner stalled")
+	}
+	if got := tc.servers[victim].Stats().Requests; got != served {
+		t.Errorf("the stalled owner served %d requests", got-served)
+	}
+	if redials.Load() == 0 {
+		t.Error("the client never redialed the stalled owner")
 	}
 
-	if _, handled, err := n.RouteOpen(flush, nil); !handled || err != nil {
-		t.Fatalf("flushing forward: handled=%v err=%v", handled, err)
+	held.Store(false)
+	gate.Resume()
+	time.Sleep(200 * time.Millisecond) // past the backoff
+	if err := replay(0, 0); err != nil {
+		t.Fatal(err)
 	}
-	for _, history := range []string{first, second} {
-		if got := groupOf(tc.servers[1], history); len(got) == 0 || got[0] != path {
-			t.Errorf("owner's group of %s = %v, want it led by %s", history, got, path)
-		}
+	if got := tc.servers[victim].Stats().Requests; got == served {
+		t.Error("the owner got no request back once it drained again")
 	}
 }
 
@@ -648,16 +558,18 @@ func TestClusterNodeConfigValidation(t *testing.T) {
 	if _, err := NewNode(Config{Self: "x", Peers: []string{"a", "b"}}); err == nil {
 		t.Error("Self outside Peers accepted")
 	}
-	// A single-node cluster owns everything and never forwards.
-	n, err := NewNode(Config{Self: "a", Peers: []string{"a"}})
+	// A node declines every open to its own server.
+	n, err := NewNode(Config{Self: "a", Peers: []string{"a", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	if _, handled, err := n.RouteOpen("/any", nil); handled || err != nil {
-		t.Errorf("single-node RouteOpen handled=%v err=%v, want local", handled, err)
+	for _, path := range []string{"/any", "/other"} {
+		if _, handled, err := n.RouteOpen(path, nil); handled || err != nil {
+			t.Errorf("RouteOpen(%s) handled=%v err=%v, want declined", path, handled, err)
+		}
 	}
-	if st := n.Stats(); st.LocalOpens != 1 || len(st.Peers) != 0 {
-		t.Errorf("single-node stats = %+v", st)
+	if st := n.Stats(); st.LocalOpens != 2 || len(st.Peers) != 1 || st.ForwardedOpens != 0 {
+		t.Errorf("stats = %+v", st)
 	}
 }

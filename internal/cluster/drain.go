@@ -6,6 +6,7 @@ import (
 
 	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
+	"aggcache/internal/ring"
 )
 
 // ErrDraining reports that a drain has already begun; Drain runs at
@@ -55,10 +56,9 @@ type DrainReport struct {
 // moved paths warm the moment the fleet's membership updates land.
 //
 // Drain deliberately leaves this node's own view intact: it keeps
-// serving the paths it still owns locally, which is always correct, and
-// avoids the forwarding ping-pong that a unilaterally shrunk view would
-// cause against peers still holding the old one (one-hop forwarding
-// relies on view agreement; correctness never does). Peers exclude the
+// serving every open that still reaches it from its own store, which is
+// always correct, and clients holding the old view keep sending it the
+// paths it owned until they pull the new one. Peers exclude the
 // drained node on their own schedule via their next Update. Callers
 // typically trigger Drain from SIGTERM or an HTTP /drain endpoint, wait
 // for it to return, and then shut the process down.
@@ -73,7 +73,7 @@ func (n *Node) Drain(src GroupSource) (DrainReport, error) {
 		obs.F("epoch", strconv.FormatUint(v.epoch, 10)))
 
 	// The ring as it will be without us decides where each group goes.
-	rest := NewRing(0)
+	rest := ring.New(0)
 	for _, m := range v.ring.Members() {
 		if m != n.self {
 			rest.Add(m)

@@ -59,8 +59,12 @@ func (n *Node) OnViewHint(fn func(addr string, epoch uint64)) {
 }
 
 // NoteViewEpoch implements fsnet.ViewSource by forwarding the hint to
-// the registered OnViewHint callback, if any.
+// the registered OnViewHint callback, if any. A hint with no sender — a
+// client's view pull names none — has no one to pull from and is dropped.
 func (n *Node) NoteViewEpoch(addr string, epoch uint64) {
+	if addr == "" {
+		return
+	}
 	if fn := n.viewHint.Load(); fn != nil {
 		(*fn)(addr, epoch)
 	}

@@ -140,6 +140,13 @@ func TestViewHintHookDelivery(t *testing.T) {
 	default:
 		t.Fatal("hook not invoked synchronously")
 	}
+	// A client's view pull carries no address: nobody to pull from.
+	tc.nodes[0].NoteViewEpoch("", 9)
+	select {
+	case h := <-got:
+		t.Errorf("hook invoked for a hint with no sender: %+v", h)
+	default:
+	}
 	tc.nodes[0].OnViewHint(nil)
 	tc.nodes[0].NoteViewEpoch("peer:9", 8)
 	select {

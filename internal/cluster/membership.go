@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"aggcache/internal/obs"
+	"aggcache/internal/ring"
 )
 
 // ErrStaleView rejects a membership update that does not advance the
@@ -28,7 +29,7 @@ var ErrStaleView = errors.New("cluster: stale membership view")
 // started with, and the next open sees the new one.
 type view struct {
 	epoch uint64
-	ring  *Ring
+	ring  *ring.Ring
 	peers map[string]*peer
 	hash  uint64
 }
@@ -77,14 +78,12 @@ func (n *Node) Draining() bool { return n.draining.Load() }
 // two operators racing the *same* epoch mint: whichever list hashes
 // higher wins on every node, so the fleet converges without any
 // coordination. peers is the complete new member list; Self need not be
-// in it (a node that has been drained out keeps running and forwards
-// everything it no longer owns).
+// in it (a node that has been drained out keeps running and serves
+// whatever still reaches it).
 //
 // Surviving peers keep their breaker state and client connections;
 // joining peers get fresh ones. Removed peers are garbage-collected:
-// their clients are closed (an in-flight forward to one degrades to the
-// local path, like any transport failure) and take the history still
-// owed to the peer with them, and their breaker entries are dropped.
+// their clients are closed and their breaker entries are dropped.
 //
 // An update whose member list includes Self ends a drain: the operator
 // has explicitly put this node back in the ring, so it becomes ready
@@ -100,19 +99,19 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 		n.staleUpdates.Add(1)
 		return fmt.Errorf("%w: epoch %d < installed %d", ErrStaleView, epoch, cur.epoch)
 	}
-	ring := NewRing(0)
-	ring.Add(peers...)
-	if ring.Len() == 0 {
+	r := ring.New(0)
+	r.Add(peers...)
+	if r.Len() == 0 {
 		return errors.New("cluster: membership view has no members")
 	}
-	hash := viewHash(ring.Members())
+	hash := viewHash(r.Members())
 	if epoch == cur.epoch && hash <= cur.hash {
 		n.staleUpdates.Add(1)
 		return fmt.Errorf("%w: epoch %d content hash %016x does not beat installed %016x",
 			ErrStaleView, epoch, hash, cur.hash)
 	}
-	next := &view{epoch: epoch, ring: ring, peers: make(map[string]*peer), hash: hash}
-	for _, addr := range ring.Members() {
+	next := &view{epoch: epoch, ring: r, peers: make(map[string]*peer), hash: hash}
+	for _, addr := range r.Members() {
 		if addr == n.self {
 			continue
 		}
@@ -129,15 +128,14 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 	n.view.Store(next)
 
 	// Close the clients of departed peers. This runs after the swap so no
-	// new open can pick a removed peer, and closing its client fails the
-	// (bounded) in-flight forwards over to the degraded local path.
+	// new exchange can pick a removed peer.
 	for addr, p := range cur.peers {
 		if next.peers[addr] == nil {
 			_ = p.client.Close()
 		}
 	}
 
-	if ring.Has(n.self) && n.draining.CompareAndSwap(true, false) {
+	if r.Has(n.self) && n.draining.CompareAndSwap(true, false) {
 		n.events.Record("cluster_rejoin",
 			obs.F("self", n.self),
 			obs.F("epoch", strconv.FormatUint(epoch, 10)))
@@ -145,7 +143,7 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 	n.updates.Add(1)
 	n.events.Record("membership_update",
 		obs.F("epoch", strconv.FormatUint(epoch, 10)),
-		obs.F("members", strconv.Itoa(ring.Len())))
+		obs.F("members", strconv.Itoa(r.Len())))
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"aggcache/internal/fsnet"
 	"aggcache/internal/gossip"
-	"aggcache/internal/obs"
 )
 
 // TestMembershipUpdateSwapsRing: installing a smaller view reassigns the
@@ -166,25 +165,23 @@ func sameMembers(a, b []string) bool {
 
 // TestMembershipRemovedPeerGC is the regression test for the leak where
 // a removed peer's breaker state lived forever: dropping a peer from the
-// view must delete its breaker entry and backlog, and re-adding it must
-// start from a fresh, closed breaker and an empty backlog.
+// view must delete its breaker entry, and re-adding it must start from a
+// fresh, closed breaker.
 func TestMembershipRemovedPeerGC(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	n := tc.nodes[0]
 	victim := tc.addrs[2]
-	path := tc.pathOwnedBy(t, 2, nil)
 
-	// Forward once, then trip the victim's breaker.
-	if _, handled, err := n.RouteOpen(path, nil); err != nil || !handled {
-		t.Fatalf("warm forward: handled=%v err=%v", handled, err)
+	// Exchange once, then trip the victim's breaker: each failed view
+	// pull counts, and the failureThreshold-th opens the breaker and its
+	// 2 s cooldown.
+	if _, _, err := n.ViewPullFrom(victim); err != nil {
+		t.Fatalf("warm pull: %v", err)
 	}
 	tc.gates[victim].SetDown(true)
-	second := tc.pathOwnedBy(t, 2, map[string]bool{path: true})
-	// Each failed forward degrades to the local replica (handled=false);
-	// the failureThreshold-th trips the victim's breaker.
 	for i := 0; i < failureThreshold; i++ {
-		if _, handled, err := n.RouteOpen(second, nil); err != nil || handled {
-			t.Fatalf("tripping open %d: handled=%v err=%v", i, handled, err)
+		if _, _, err := n.ViewPullFrom(victim); err == nil {
+			t.Fatalf("pull %d from a dead peer succeeded", i)
 		}
 	}
 	st := n.Stats()
@@ -201,15 +198,7 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 		t.Fatal("victim missing from stats before removal")
 	}
 
-	// The failed forward's history is owed to the victim.
-	for _, p := range st.Peers {
-		if p.Addr == victim && p.Backlog == 0 {
-			t.Errorf("nothing on the victim's backlog after a failed forward: %+v", p)
-		}
-	}
-
-	// Remove the victim: breaker entry and backlog (it is the closed
-	// client's) must go with it.
+	// Remove the victim: its breaker entry must go with it.
 	if err := n.Update(2, tc.addrs[:2]); err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +220,17 @@ func TestMembershipRemovedPeerGC(t *testing.T) {
 	for _, p := range st.Peers {
 		if p.Addr == victim {
 			found = true
-			if !p.Up || p.Failures != 0 || p.Trips != 0 || p.Backlog != 0 {
-				t.Errorf("re-added peer inherited old breaker state or backlog: %+v", p)
+			if !p.Up || p.Failures != 0 || p.Trips != 0 {
+				t.Errorf("re-added peer inherited old breaker state: %+v", p)
 			}
 		}
 	}
 	if !found {
 		t.Fatal("re-added peer missing from stats")
 	}
-	// And it forwards again immediately — no cooldown carried over.
-	if _, handled, err := n.RouteOpen(path, nil); err != nil || !handled {
-		t.Errorf("forward to re-added peer: handled=%v err=%v", handled, err)
+	// And it exchanges again immediately — no cooldown carried over.
+	if _, _, err := n.ViewPullFrom(victim); err != nil {
+		t.Errorf("pull from the re-added peer: %v", err)
 	}
 }
 
@@ -303,93 +292,12 @@ func TestParsePeersFile(t *testing.T) {
 	}
 }
 
-// groupOf returns the members an owner would ship with anchor right now.
-func groupOf(s *fsnet.Server, anchor string) []string {
-	for _, g := range s.ExportGroups(func(path string) bool { return path == anchor }) {
-		return g.Members
-	}
-	return nil
-}
-
-// TestOutageHistoryRidesHealingProbe: the history a node owes a down owner
-// waits in one place, the peer client's backlog, so the probe that heals
-// the peer delivers the whole outage in its own request and the owner
-// learns it in the order it happened. Failed forwards lead up to a, whose
-// forward trips the breaker; b and c are short-circuited while it is open
-// and d is the probe: the owner must learn a→b, b→c, c→d — not a→d, what
-// it learned when the failed forwards' history rode the probe and the
-// short-circuited opens a replay behind it.
-func TestOutageHistoryRidesHealingProbe(t *testing.T) {
-	reg := obs.NewRegistry()
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
-		if i == 0 {
-			cfg.Obs = reg
-		}
-	})
-	n := tc.nodes[0]
-	victim := tc.addrs[1]
-	all := tc.pathsOwnedBy(t, 1, failureThreshold+3)
-	p := all[failureThreshold-1:] // a, b, c, d
-
-	tc.gates[victim].SetDown(true)
-	// The leading opens and a each eat a forward failure, and a's trips
-	// the breaker; b and c short-circuit on it. All degrade to the local
-	// replica.
-	for _, path := range all[:failureThreshold] {
-		if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
-			t.Fatalf("open of %s with the owner down: handled=%v err=%v, want degraded", path, handled, err)
-		}
-	}
-	if st := n.Stats().Peers[0]; st.Trips != 1 || st.Up {
-		t.Fatalf("peer %+v after %d failed forwards, want tripped", st, failureThreshold)
-	}
-	failed := n.Stats().Peers[0].Failures
-	for _, path := range p[1:3] {
-		if _, handled, err := n.RouteOpen(path, nil); err != nil || handled {
-			t.Fatalf("open of %s with the breaker open: handled=%v err=%v, want degraded", path, handled, err)
-		}
-	}
-	if st := n.Stats().Peers[0]; st.Trips != 1 || st.Up || st.Failures != failed {
-		t.Fatalf("peer %+v after two opens on the open breaker, want still tripped with no new forward failure", st)
-	}
-	owed := failureThreshold + 2
-	if got := n.Stats().Peers[0].Backlog; got != owed {
-		t.Fatalf("Backlog = %d with %d opens owed to the down owner, want %d", got, owed, owed)
-	}
-	if got := gaugeValue(t, reg, "cluster_peer_backlog", victim); got != float64(owed) {
-		t.Errorf("cluster_peer_backlog = %v during the outage, want %d", got, owed)
-	}
-
-	// Heal and lapse the cooldown: the next open is the probe.
-	tc.gates[victim].SetDown(false)
-	tc.clk.Advance(downDuration + time.Second)
-	if _, handled, err := n.RouteOpen(p[3], nil); err != nil || !handled {
-		t.Fatalf("probe open: handled=%v err=%v", handled, err)
-	}
-	if got, st := gaugeValue(t, reg, "cluster_peer_backlog", victim), n.Stats().Peers[0]; got != 0 || st.Backlog != 0 || !st.Up {
-		t.Errorf("after the probe: cluster_peer_backlog = %v, peer %+v, want an empty backlog on a healed peer", got, st)
-	}
-
-	owner := tc.servers[1]
-	if got := groupOf(owner, p[0]); len(got) == 0 || got[0] != p[1] {
-		t.Errorf("owner's group of a = %v, want it led by b (%s)", got, p[1])
-	}
-	if got := groupOf(owner, p[2]); len(got) == 0 || got[0] != p[3] {
-		t.Errorf("owner's group of c = %v, want it led by d (%s)", got, p[3])
-	}
-	for _, m := range groupOf(owner, p[0]) {
-		if m == p[3] {
-			t.Errorf("owner learned a→d (group of a = %v): the outage arrived out of order", groupOf(owner, p[0]))
-		}
-	}
-}
-
 // TestClusterChurnKillRejoinDrain is the elastic-membership acceptance
 // test: under a concurrent workload a node is killed, heals and rejoins,
 // and then a *different* node is removed from the ring and drained — all
 // without one client-visible error, with the drained node's group state
-// landing warm on the new owners, and with the routing counter equation
-// intact on every node afterwards. Runs under -race in `make race`.
+// landing warm on the new owners, and with no open ever forwarded. Runs
+// under -race in `make race`.
 func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	const (
@@ -402,18 +310,16 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	var warmed sync.WaitGroup
 	warmed.Add(2)
 	killed := make(chan struct{})
-	for i := 0; i < 2; i++ {
-		i := i
+	clients := make([]*fsnet.Client, 2)
+	for i := range clients {
+		client := tc.client(t, i, fsnet.ClientConfig{
+			CacheCapacity: 4,
+			Backoff:       fsnet.Backoff{Base: time.Millisecond, Max: 5 * time.Millisecond},
+		})
+		clients[i] = client
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			client, err := fsnet.Dial(tc.addrs[i], fsnet.ClientConfig{CacheCapacity: 4})
-			if err != nil {
-				warmed.Done()
-				errs <- err
-				return
-			}
-			defer client.Close()
 			for round := 0; round < 4; round++ {
 				if round == 1 {
 					warmed.Done()
@@ -440,11 +346,10 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 	warmed.Wait()
 	tc.gates[tc.addrs[victim]].SetDown(true)
 	close(killed)
-	// ...give the survivors time to trip breakers and degrade opens, then
-	// heal it and lapse the cooldown so probes readmit it.
+	// ...give the clients time to route around it, then heal it so their
+	// backoff readmits it.
 	time.Sleep(100 * time.Millisecond)
 	tc.gates[tc.addrs[victim]].SetDown(false)
-	tc.clk.Advance(2 * time.Minute)
 
 	wg.Wait()
 	close(errs)
@@ -482,20 +387,15 @@ func TestClusterChurnKillRejoinDrain(t *testing.T) {
 		t.Errorf("receivers installed %d handoff groups, drain sent %d", received, rep.GroupsSent)
 	}
 
-	// After the full kill/rejoin/drain cycle the per-node counter
-	// equation still holds: every remote open the server delegated is
-	// accounted for by exactly one routing outcome.
+	// After the full kill/rejoin/drain cycle no open was ever answered by
+	// anything but the server it reached.
 	for i, n := range tc.nodes {
-		st := n.Stats()
-		answered := st.ForwardedOpens + st.CoalescedForwards
-		if srv := tc.servers[i].Stats(); srv.RemoteOpens != answered {
-			t.Errorf("node %d: server RemoteOpens=%d != forwarded %d + coalesced %d",
-				i, srv.RemoteOpens, st.ForwardedOpens, st.CoalescedForwards)
+		if st, srv := n.Stats(), tc.servers[i].Stats(); st.ForwardedOpens != 0 || srv.RemoteOpens != 0 {
+			t.Errorf("node %d: forwarded %d, server RemoteOpens %d; want none", i, st.ForwardedOpens, srv.RemoteOpens)
 		}
 	}
-	degraded := tc.nodes[0].Stats().DegradedOpens + tc.nodes[drained].Stats().DegradedOpens
-	if degraded == 0 {
-		t.Error("kill window produced no degraded opens; outage never landed")
+	if clients[0].Stats().Rerouted+clients[1].Stats().Rerouted == 0 {
+		t.Error("kill window rerouted no open; outage never landed")
 	}
 
 	// The shrunk ring still serves everything, warm state included.

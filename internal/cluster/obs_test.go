@@ -79,7 +79,7 @@ func TestBreakerGaugeTransitions(t *testing.T) {
 		t.Fatalf("trips gauge = %v, want 1", got)
 	}
 	if p.admit() {
-		t.Fatal("open breaker admitted a forward")
+		t.Fatal("open breaker admitted an exchange")
 	}
 	// A failure landing during the cooldown extends it silently.
 	p.noteFailure()
@@ -139,7 +139,8 @@ func TestBreakerGaugeTransitions(t *testing.T) {
 }
 
 // TestNodeMetricsRegistered checks that constructing an instrumented
-// node exports the full routing-counter catalogue plus per-peer series.
+// node exports its open counter plus per-peer series, and none of the
+// forwarding series a node without a forward hop would leave at zero.
 func TestNodeMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	n, err := NewNode(Config{
@@ -159,22 +160,19 @@ func TestNodeMetricsRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exposition does not parse: %v\n%s", err, sb.String())
 	}
-	for _, name := range []string{
-		"cluster_local_opens_total",
-		"cluster_forwarded_opens_total",
-		"cluster_coalesced_forwards_total",
-		"cluster_degraded_opens_total",
-		"cluster_not_found_total",
-	} {
-		if _, ok := parsed.Find(name, nil); !ok {
-			t.Errorf("metric %s not exported", name)
+	if _, ok := parsed.Find("cluster_local_opens_total", nil); !ok {
+		t.Error("metric cluster_local_opens_total not exported")
+	}
+	for _, name := range []string{"forwarded_opens", "coalesced_forwards", "degraded_opens", "not_found", "peer_backlog"} {
+		if strings.Contains(sb.String(), "cluster_"+name) {
+			t.Errorf("cluster_%s is exported; a node never forwards", name)
 		}
 	}
 	if strings.Contains(sb.String(), "cluster_mirror_") {
 		t.Error("a mirror series is exported; the node keeps no copy of a peer's groups")
 	}
 	for _, addr := range []string{"127.0.0.1:7002", "127.0.0.1:7003"} {
-		for _, name := range []string{"cluster_peer_state", "cluster_peer_failures", "cluster_peer_trips", "cluster_peer_backlog"} {
+		for _, name := range []string{"cluster_peer_state", "cluster_peer_failures", "cluster_peer_trips"} {
 			if _, ok := parsed.Find(name, map[string]string{"peer": addr}); !ok {
 				t.Errorf("metric %s{peer=%q} not exported", name, addr)
 			}

@@ -1,0 +1,294 @@
+package cluster
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"math"
+	"math/rand"
+	"net"
+	"slices"
+	"testing"
+	"time"
+
+	"aggcache/internal/alloctest"
+	"aggcache/internal/fsnet"
+	"aggcache/internal/obs/otrace"
+	"aggcache/internal/successor"
+	"aggcache/internal/trace"
+)
+
+// plainRing is the 3-node ring of the allocation pins and benchmarks:
+// clients and peers dial over plain TCP (the fault-injecting wrapper the
+// other tests interpose allocates on its own account).
+func plainRing(t testing.TB) *testCluster {
+	return startCluster(t, 3, func(i int, cfg *Config, _ *fsnet.ServerConfig) {
+		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	})
+}
+
+// pathsOwnedBy returns n distinct test paths owned by node owner.
+func (tc *testCluster) pathsOwnedBy(t testing.TB, owner, n int) []string {
+	t.Helper()
+	skip := make(map[string]bool)
+	paths := make([]string, n)
+	for i := range paths {
+		paths[i] = tc.pathOwnedBy(t, owner, skip)
+		skip[paths[i]] = true
+	}
+	return paths
+}
+
+// opener returns an op that opens paths round-robin through a plain-TCP
+// client seeded at node seed whose cache holds a single file, so every
+// open is a fetch and pays the client's one slab for the fetched group —
+// the cache's immutable storage. That slab is each budget below, whole.
+func (tc *testCluster) opener(t testing.TB, seed int, paths []string) func() {
+	client := tc.client(t, seed, fsnet.ClientConfig{
+		CacheCapacity: 1,
+		Dialer:        func() (net.Conn, error) { return net.Dial("tcp", tc.addrs[seed]) },
+		DialMember:    func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+	})
+	i := 0
+	return func() {
+		path := paths[i%len(paths)]
+		i++
+		data, err := client.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(data) != testContent(path) {
+			t.Fatalf("open %s = %q", path, data)
+		}
+	}
+}
+
+// TestAllocBudgetOwnerDirectFetch pins a miss of a path another node
+// owns: the client sends it straight to the owner over a connection of its
+// own, the owner stages its group into a pooled fsnet.Group and writes it
+// from the store, and the client keeps it in one slab — the only
+// allocation, the same budget as a fetch from a lone server
+// (TestAllocBudgetLocalFetch). The budget was 1 too while an entry node
+// relayed the owner's frames; the hop it took is gone.
+func TestAllocBudgetOwnerDirectFetch(t *testing.T) {
+	tc := plainRing(t)
+	op := tc.opener(t, 0, tc.pathsOwnedBy(t, 1, 4))
+	if allocs := alloctest.PerOp(t, op); allocs != 1 {
+		t.Errorf("owner-direct fetch allocates %.0f objects, budget exactly 1", allocs)
+	}
+	if got := tc.requests(); got[1] < 400 || got[0] != 0 {
+		t.Errorf("requests per node %v: the pinned opens did not all go to their owner", got)
+	}
+}
+
+// TestAllocBudgetLocallyOwnedOpen pins a miss of a path the seed owns:
+// served on the seed's read loop for the price of a lone server's fetch,
+// the client's slab.
+func TestAllocBudgetLocallyOwnedOpen(t *testing.T) {
+	tc := plainRing(t)
+	op := tc.opener(t, 0, tc.pathsOwnedBy(t, 0, 4))
+	if allocs := alloctest.PerOp(t, op); allocs != 1 {
+		t.Errorf("locally owned open allocates %.0f objects, budget exactly 1", allocs)
+	}
+	if got := tc.requests(); got[0] < 400 || got[1]+got[2] != 0 {
+		t.Errorf("requests per node %v: the pinned opens were not all the seed's", got)
+	}
+}
+
+// TestRouteFromReadLoop pins what Route does for a read loop (mayWait
+// false), and for a worker: a node declines every open, the path its own
+// or not and its owner up or down, and never asks for a goroutine that
+// may wait.
+func TestRouteFromReadLoop(t *testing.T) {
+	tc := startCluster(t, 2, nil)
+	n := tc.nodes[0]
+	own := tc.pathOwnedBy(t, 0, nil)
+	remote := tc.pathOwnedBy(t, 1, nil)
+	check := func(when string) {
+		t.Helper()
+		for _, path := range []string{own, remote} {
+			for _, mayWait := range []bool{false, true} {
+				if g, handled, blocks, err := n.Route(path, []string{own}, otrace.Ctx{}, mayWait); g != nil || handled || blocks || err != nil {
+					t.Errorf("%s: Route(%s, mayWait %v) handled=%v blocks=%v err=%v, want declined", when, path, mayWait, handled, blocks, err)
+				}
+			}
+		}
+	}
+	check("owner up")
+	tc.gates[tc.addrs[1]].SetDown(true)
+	check("owner down")
+	if st := n.Stats(); st.LocalOpens != 8 || st.ForwardedOpens+st.DegradedOpens != 0 {
+		t.Errorf("stats %+v, want 8 local opens and nothing else", st)
+	}
+}
+
+// metadataTracker reads a server's learned successor metadata back
+// through SaveMetadata: its path table, then its tracker.
+func metadataTracker(t *testing.T, srv *fsnet.Server) (*successor.Tracker, []string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := srv.SaveMetadata(&buf); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	if _, err := r.Seek(4, io.SeekStart); err != nil { // the magic
+		t.Fatal(err)
+	}
+	uvarint := func() uint64 {
+		v, err := binary.ReadUvarint(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	uvarint() // the format version
+	paths := make([]string, uvarint())
+	for i := range paths {
+		p := make([]byte, uvarint())
+		if _, err := io.ReadFull(r, p); err != nil {
+			t.Fatal(err)
+		}
+		paths[i] = string(p)
+	}
+	tr, err := successor.LoadTracker(r, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr, paths
+}
+
+// TestLearningPartition is the ring's learning contract with clients that
+// send each miss to its owner: a seeded lock-step replay through one
+// client on a three-node ring teaches each node exactly what a tracker
+// learns when fed, for each miss p_i the node owns, the opens h_i the
+// client made since its previous miss and then p_i — the whole pending
+// history goes to the owner of the path being fetched. No node forwards.
+func TestLearningPartition(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	client := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 8})
+	refs := make([]*successor.Tracker, 3)
+	ids := trace.NewInterner()
+	for i := range refs {
+		var err error
+		if refs[i], err = successor.NewTracker(successor.PolicyLRU, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A walk with locality: mostly the next file of a task of eight,
+	// sometimes a jump to another task.
+	rng := rand.New(rand.NewSource(7))
+	var history []trace.FileID
+	f := 0
+	for i := 0; i < 3000; i++ {
+		if rng.Intn(5) == 0 {
+			f = rng.Intn(testFiles/8) * 8
+		} else {
+			f = f/8*8 + (f+1)%8
+		}
+		path := fmt.Sprintf("/data/f%03d", f)
+		hit := client.Contains(path)
+		data, err := client.Open(path)
+		if err != nil || string(data) != testContent(path) {
+			t.Fatalf("open %d %s = %q, %v", i, path, data, err)
+		}
+		id := ids.Intern(path)
+		if hit {
+			history = append(history, id)
+			continue
+		}
+		owner := refs[tc.owner(path)]
+		for _, h := range history {
+			owner.Observe(h)
+		}
+		owner.Observe(id)
+		history = history[:0]
+	}
+	if st := client.Stats(); st.Fetches == 0 || st.Hits == 0 || st.Rerouted != 0 {
+		t.Fatalf("client stats %+v: want hits and fetches, nothing rerouted", st)
+	}
+	for i, srv := range tc.servers {
+		got, paths := metadataTracker(t, srv)
+		if len(paths) == 0 {
+			t.Errorf("node %d learned nothing", i)
+		}
+		for f := 0; f < testFiles; f++ {
+			path := fmt.Sprintf("/data/f%03d", f)
+			var want, have []string
+			if id, ok := ids.Lookup(path); ok {
+				for _, s := range refs[i].Successors(id) {
+					want = append(want, ids.Path(s))
+				}
+			}
+			if id := slices.Index(paths, path); id >= 0 {
+				for _, s := range got.Successors(trace.FileID(id)) {
+					have = append(have, paths[s])
+				}
+			}
+			if !slices.Equal(have, want) {
+				t.Errorf("node %d: successors of %s = %v, the partition model says %v", i, path, have, want)
+			}
+		}
+		if st := tc.nodes[i].Stats(); st.ForwardedOpens != 0 {
+			t.Errorf("node %d forwarded %d opens", i, st.ForwardedOpens)
+		}
+	}
+}
+
+// TestClientFollowsViewChange: a view installed with Update reaches the
+// client by the hint its next reply piggybacks. The client pulls the new
+// member list, closes its connection to the member that left, and sends
+// that member's paths to their new owners.
+func TestClientFollowsViewChange(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	client := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 1})
+	gone := tc.pathOwnedBy(t, 2, nil)
+	stay := tc.pathOwnedBy(t, 0, nil)
+	for _, p := range []string{gone, stay} {
+		if _, err := client.Open(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tc.servers[2].Stats().Requests; got != 1 {
+		t.Fatalf("node 2 served %d requests before the change, want 1", got)
+	}
+	for i := 0; i < 2; i++ {
+		if err := tc.nodes[i].Update(2, tc.addrs[:2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The seed's next reply carries the new epoch; the pull it starts
+	// runs beside the opens that follow, until one of them goes to the
+	// path's new owner.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if _, err := client.Open(stay); err != nil {
+			t.Fatal(err)
+		}
+		before := tc.servers[2].Stats().Requests
+		if _, err := client.Open(gone); err != nil {
+			t.Fatal(err)
+		}
+		if tc.servers[2].Stats().Requests == before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the client never followed the new view")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	served := tc.servers[2].Stats().Requests
+	for i := 0; i < 10; i++ {
+		if data, err := client.Open(gone); err != nil || string(data) != testContent(gone) {
+			t.Fatalf("open %s after the change = %q, %v", gone, data, err)
+		}
+		if _, err := client.Open(stay); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := tc.servers[2].Stats().Requests; got != served {
+		t.Errorf("the departed node served %d more requests after the client pulled the new view", got-served)
+	}
+	if st := client.Stats(); st.Rerouted != 0 {
+		t.Errorf("rerouted %d opens: the departed member's connection should close, not fail", st.Rerouted)
+	}
+}

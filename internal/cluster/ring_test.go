@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// The ring's property tests build it through NewRing, the alias
+// benchmark/ names, so they pin both internal/ring's placement and that
+// the alias is that ring. The golden owner table is in internal/ring.
+
 func ringKeys(n int, seed int64) []string {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]string, n)

@@ -29,31 +29,31 @@ func collectTrace(t *testing.T, tracers []*otrace.Tracer, hi, lo uint64, want in
 	}
 }
 
-// TestClusterForwardTracePropagation is the acceptance test for
-// wire-propagated tracing: one forwarded open, sampling forced on, must
-// yield a single trace whose spans cover the client, the entry node,
-// and the owning peer — stitched only by trace ID, with every non-root
-// span's parent resolving to another span of the same trace.
-func TestClusterForwardTracePropagation(t *testing.T) {
+// TestClusterTraceResolvesOnOwner is the acceptance test for
+// wire-propagated tracing on a ring: one sampled open of a path another
+// node owns must yield a single trace of two spans — the client's root
+// and the owner's serving span beneath it, recorded on the owner and on
+// no other node — stitched only by trace ID.
+func TestClusterTraceResolvesOnOwner(t *testing.T) {
 	tracers := make([]*otrace.Tracer, 3)
-	tc := startCluster(t, 3, func(i int, cfg *Config) {
+	tc := startCluster(t, 3, func(i int, _ *Config, srv *fsnet.ServerConfig) {
 		tracers[i] = otrace.New(otrace.Config{Node: fmt.Sprintf("node%d", i), SampleRate: 1})
-		cfg.Trace = tracers[i]
+		srv.Trace = tracers[i]
 	})
 
 	clientTrace := otrace.New(otrace.Config{Node: "client", SampleRate: 1})
 	c := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 8, Trace: clientTrace})
 
-	// A path owned by node 1, opened through node 0: the entry node must
-	// forward, so the trace has to cross a process-shaped boundary (three
-	// tracers standing in for three processes).
+	// A path owned by node 1, opened by a client seeded at node 0: the
+	// open crosses to node 1 (three tracers standing in for three
+	// processes).
 	path := tc.pathOwnedBy(t, 1, nil)
 	data, err := c.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(data) != testContent(path) {
-		t.Fatalf("forwarded open returned %q", data)
+		t.Fatalf("open returned %q", data)
 	}
 
 	// The client's root span identifies the trace.
@@ -63,71 +63,40 @@ func TestClusterForwardTracePropagation(t *testing.T) {
 	}
 	hi, lo := croots[0].Hi, croots[0].Lo
 
-	// Expect at least: client_open (client), forward (node 0 server),
-	// forward_rpc (node 0 router), hit or stage (node 1 server).
-	all := collectTrace(t, append(tracers, clientTrace), hi, lo, 4)
-	byName := map[string][]otrace.Span{}
-	byID := map[uint64]otrace.Span{}
+	all := collectTrace(t, append(tracers, clientTrace), hi, lo, 2)
+	var serving []otrace.Span
 	for _, s := range all {
 		if s.Hi != hi || s.Lo != lo {
 			t.Fatalf("span from another trace leaked in: %+v", s)
 		}
-		byName[s.Name] = append(byName[s.Name], s)
-		byID[s.ID] = s
-	}
-	for _, want := range []string{"client_open", "forward", "forward_rpc"} {
-		if len(byName[want]) == 0 {
-			t.Fatalf("trace missing %q span; got %+v", want, byName)
+		if s.Name == "hit" || s.Name == "stage" {
+			serving = append(serving, s)
 		}
 	}
-	if len(byName["hit"])+len(byName["stage"]) == 0 {
-		t.Fatalf("trace missing the owner's serving span; got %+v", byName)
+	if len(all) != 2 || len(serving) != 1 {
+		t.Fatalf("trace spans = %+v, want the client's root and one serving span", all)
 	}
-
-	// Node attribution: the entry hop recorded on node0, the serving hop
-	// on node1, and the trace spans more than one node.
-	if n := byName["forward"][0].Node; n != "node0" {
-		t.Fatalf("forward span recorded on %q, want node0", n)
-	}
-	serving := append(byName["hit"], byName["stage"]...)
 	if n := serving[0].Node; n != "node1" {
-		t.Fatalf("serving span recorded on %q, want node1", n)
+		t.Fatalf("serving span recorded on %q, want the owner, node1", n)
 	}
-
-	// Every non-root span's parent must be a span of this trace, and the
-	// chain client_open -> forward -> forward_rpc -> serving must hold.
-	roots := 0
-	for _, s := range all {
-		if s.Parent == 0 {
-			roots++
-			continue
+	if p := serving[0].Parent; p != croots[0].ID {
+		t.Fatalf("serving span's parent = %x, want the client root %x", p, croots[0].ID)
+	}
+	for i, tr := range tracers {
+		if i != 1 && len(tr.TraceSpans(hi, lo)) != 0 {
+			t.Errorf("node%d recorded spans of a trace it never served", i)
 		}
-		if _, ok := byID[s.Parent]; !ok {
-			t.Fatalf("span %+v has dangling parent %x", s, s.Parent)
-		}
-	}
-	if roots != 1 {
-		t.Fatalf("trace has %d roots, want exactly the client's", roots)
-	}
-	if p := byName["forward"][0].Parent; p != croots[0].ID {
-		t.Fatalf("forward's parent = %x, want the client root %x", p, croots[0].ID)
-	}
-	if p := byName["forward_rpc"][0].Parent; p != byName["forward"][0].ID {
-		t.Fatalf("forward_rpc's parent = %x, want the forward span %x", p, byName["forward"][0].ID)
-	}
-	if p := serving[0].Parent; p != byName["forward_rpc"][0].ID {
-		t.Fatalf("serving span's parent = %x, want forward_rpc %x", p, byName["forward_rpc"][0].ID)
 	}
 }
 
-// TestClusterLocalOpenSingleNodeTrace: an open the entry node serves
-// itself stays a one-node trace — client root plus the local serving
+// TestClusterLocalOpenSingleNodeTrace: an open of a path the seed owns
+// stays a one-node trace on the seed — client root plus the local serving
 // phase, no forward spans anywhere in the fleet.
 func TestClusterLocalOpenSingleNodeTrace(t *testing.T) {
 	tracers := make([]*otrace.Tracer, 2)
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
+	tc := startCluster(t, 2, func(i int, _ *Config, srv *fsnet.ServerConfig) {
 		tracers[i] = otrace.New(otrace.Config{Node: fmt.Sprintf("node%d", i), SampleRate: 1})
-		cfg.Trace = tracers[i]
+		srv.Trace = tracers[i]
 	})
 	clientTrace := otrace.New(otrace.Config{Node: "client", SampleRate: 1})
 	c := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 8, Trace: clientTrace})
@@ -160,9 +129,9 @@ func TestClusterLocalOpenSingleNodeTrace(t *testing.T) {
 // zero-alloc contract's behavioral half.
 func TestClusterUntracedStaysZero(t *testing.T) {
 	tracers := make([]*otrace.Tracer, 2)
-	tc := startCluster(t, 2, func(i int, cfg *Config) {
+	tc := startCluster(t, 2, func(i int, _ *Config, srv *fsnet.ServerConfig) {
 		tracers[i] = otrace.New(otrace.Config{Node: fmt.Sprintf("node%d", i), SampleRate: -1})
-		cfg.Trace = tracers[i]
+		srv.Trace = tracers[i]
 	})
 	clientTrace := otrace.New(otrace.Config{Node: "client", SampleRate: -1})
 	c := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 8, Trace: clientTrace})

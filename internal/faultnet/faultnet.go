@@ -101,7 +101,8 @@ func (s *Stats) Total() uint64 {
 // Resume every Write on a gated connection blocks, then proceeds untouched
 // — a receiver that stopped draining at an exact instant, which is how a
 // test keeps a reply in its writer's hands while it pulls the reply's
-// source out from under it.
+// source out from under it. As against a real stalled receiver, a parked
+// Write gives up at the connection's write deadline.
 type Gate struct {
 	down atomic.Bool
 
@@ -138,20 +139,30 @@ func (g *Gate) Resume() {
 // Waiting reports how many writes are parked right now.
 func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
 
-// park blocks while the gate is held, or until closed is.
-func (g *Gate) park(closed <-chan struct{}) {
+// park blocks while the gate is held, until closed is, or until deadline
+// (zero: none) passes, which it reports as os.ErrDeadlineExceeded.
+func (g *Gate) park(closed <-chan struct{}, deadline time.Time) error {
 	g.mu.Lock()
 	held := g.held
 	g.mu.Unlock()
 	if held == nil {
-		return
+		return nil
 	}
 	g.waiting.Add(1)
 	defer g.waiting.Add(-1)
+	var expire <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expire = t.C
+	}
 	select {
 	case <-held:
 	case <-closed:
+	case <-expire:
+		return os.ErrDeadlineExceeded
 	}
+	return nil
 }
 
 // gated reports whether the gate fault fires for this connection.
@@ -185,9 +196,10 @@ type Conn struct {
 	f     Faults
 	stats *Stats
 
-	mu           sync.Mutex // guards rng and readDeadline
-	rng          *rand.Rand
-	readDeadline time.Time
+	mu            sync.Mutex // guards rng and the deadlines
+	rng           *rand.Rand
+	readDeadline  time.Time
+	writeDeadline time.Time
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -288,7 +300,12 @@ func (c *Conn) blackhole() error {
 // Write implements net.Conn.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.f.Gate != nil {
-		c.f.Gate.park(c.closed)
+		c.mu.Lock()
+		d := c.writeDeadline
+		c.mu.Unlock()
+		if err := c.f.Gate.park(c.closed, d); err != nil {
+			return 0, err
+		}
 	}
 	if c.gated() {
 		c.stats.Gated.Add(1)
@@ -330,7 +347,7 @@ func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
 // SetDeadline implements net.Conn.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
-	c.readDeadline = t
+	c.readDeadline, c.writeDeadline = t, t
 	c.mu.Unlock()
 	return c.inner.SetDeadline(t)
 }
@@ -345,6 +362,9 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 
 // SetWriteDeadline implements net.Conn.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.writeDeadline = t
+	c.mu.Unlock()
 	return c.inner.SetWriteDeadline(t)
 }
 

@@ -458,4 +458,12 @@ func TestGateHoldParksWrites(t *testing.T) {
 	if gate.Waiting() != 0 {
 		t.Errorf("Waiting = %d after the connection closed, want 0", gate.Waiting())
 	}
+
+	// A write deadline ends the wait, as it would on a stalled socket.
+	d := Wrap(b, Faults{Gate: &gate}, nil)
+	_ = d.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
+	if _, err := d.Write([]byte("late")); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("parked write past its deadline = %v, want os.ErrDeadlineExceeded", err)
+	}
+	gate.Resume()
 }

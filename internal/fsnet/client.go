@@ -13,6 +13,7 @@ import (
 	"aggcache/internal/cache"
 	"aggcache/internal/obs"
 	"aggcache/internal/obs/otrace"
+	"aggcache/internal/ring"
 	"aggcache/internal/trace"
 )
 
@@ -31,6 +32,21 @@ var ErrConnBroken = errors.New("fsnet: connection broken")
 var ErrProtocolVersion = errors.New("fsnet: peer speaks another protocol version")
 
 var errClientClosed = errors.New("fsnet: client closed")
+
+// errMemberGone fails a call on the connection of a member that left the
+// view; the open is routed again.
+var errMemberGone = fmt.Errorf("%w: member left the view", ErrConnBroken)
+
+// errMemberDown fails a call that waited behind a dial of the same member
+// that failed; the open is routed again rather than dial a second time.
+var errMemberDown = fmt.Errorf("%w: member unreachable", ErrConnBroken)
+
+// memberTimeout bounds the dial, the handshake and every round trip of a
+// connection to a ring member other than the seed when
+// ClientConfig.Timeout is zero: a miss goes straight to its owner, and an
+// owner that stopped answering must cost an open no more than this before
+// the open goes to another member.
+const memberTimeout = 2 * time.Second
 
 // Backoff is an exponential backoff schedule with jitter, governing the
 // delay before each retry of a failed round trip.
@@ -90,19 +106,28 @@ func (b Backoff) delay(attempt int, rng *rand.Rand) time.Duration {
 type ClientConfig struct {
 	// CacheCapacity is the local whole-file cache size (default 128).
 	CacheCapacity int
-	// Timeout bounds each request round trip. Zero means no deadline: a
-	// stalled server can block a request indefinitely. On a pipelined
-	// connection a timeout poisons the whole connection (the stream
-	// position is unknown), failing every in-flight call.
+	// Timeout bounds each request round trip. Zero means no deadline on
+	// the seed's connection, where a stalled server can block a request
+	// indefinitely, and memberTimeout on the connections to the other
+	// members of its ring. On a pipelined connection a timeout poisons
+	// the whole connection (the stream position is unknown), failing
+	// every in-flight call.
 	Timeout time.Duration
-	// Dialer re-establishes the connection after a failure. Dial
-	// installs a TCP dialer for its address automatically; NewClient
-	// leaves it nil (no reconnection) unless the caller provides one.
+	// Dialer re-establishes the connection to the seed — the server the
+	// client was made for — after a failure. Dial installs a TCP dialer
+	// for its address automatically; NewClient leaves it nil (no
+	// reconnection) unless the caller provides one.
 	Dialer func() (net.Conn, error)
+	// DialMember opens a connection to a member of the seed's ring by its
+	// advertised address; nil selects TCP, bounded like the member's round
+	// trips. A dialer of the caller's own should bound its wait too. Tests
+	// use it to put faults on the connections to owners.
+	DialMember func(addr string) (net.Conn, error)
 	// MaxRetries is how many additional attempts a failed round trip
 	// gets over a fresh connection (0 = fail fast). Retries apply to
 	// transport failures and server-busy rejections, never to
-	// application errors like ErrNotFound.
+	// application errors like ErrNotFound. An open whose owner fails is
+	// first sent once to another member, which is not a retry.
 	MaxRetries int
 	// Backoff shapes the delay between retries; zero values take the
 	// defaults documented on the Backoff type.
@@ -124,8 +149,8 @@ type ClientConfig struct {
 	// client.
 	Views ViewSource
 	// Trace, when set, mints a trace context at every Open entry
-	// (head-sampled per the tracer's rate; FetchGroup runs under its
-	// caller's) and records the client span into the tracer's ring.
+	// (head-sampled per the tracer's rate) and records the client span
+	// into the tracer's ring.
 	// Sampled contexts ride the connection as msgTraceCtx piggybacks so downstream servers join the same
 	// trace; unsampled requests pay one atomic add and send
 	// nothing. Nil disables tracing entirely.
@@ -149,8 +174,8 @@ type ClientStats struct {
 	// ValidatedFiles counts header-only members matched against the
 	// cached copy and left in place. ValidationMisses counts the ones the
 	// cache could not match — not resident, or resident under another tag:
-	// each is dropped from its group (one lost prefetch) and ends
-	// validation on the connection.
+	// each is dropped from its group (one lost prefetch) and reported to
+	// the server with the next open.
 	ValidatedFiles   uint64
 	ValidationMisses uint64
 	// HistoryDropped counts piggyback-history entries shed, oldest first,
@@ -163,10 +188,13 @@ type ClientStats struct {
 	// Writes counts successful Write calls.
 	Writes uint64
 	// BrokenConns counts connections poisoned after an I/O or protocol
-	// error (each is closed and never reused).
+	// error (each is closed and never reused), to any member.
 	BrokenConns uint64
 	// Reconnects counts successful redials after a broken connection.
 	Reconnects uint64
+	// Rerouted counts opens sent to another member because their owner's
+	// connection failed.
+	Rerouted uint64
 	// Retries counts round-trip attempts beyond each request's first.
 	Retries uint64
 	// DegradedHits counts cache hits served while the client had no
@@ -188,26 +216,87 @@ func newClientConn(conn net.Conn) *clientConn {
 	return &clientConn{conn: conn, r: bufio.NewReaderSize(conn, connBufSize), w: bufio.NewWriterSize(conn, connBufSize)}
 }
 
+// link is the client's connection slot for one server: the seed, or a
+// member of the seed's ring. Besides the connection it keeps what the
+// connection's server knows of this client's cache, so each open can
+// report what changed (DESIGN.md §11), and a failure count that routes
+// opens around a member that stopped answering.
+type link struct {
+	addr string // advertised member address; "" for a seed no view has named
+	dial func() (net.Conn, error)
+	// timeout bounds the handshake and each round trip (0: none).
+	timeout time.Duration
+	connMu  sync.Mutex // serializes dial + handshake
+
+	// Guarded by Client.mu.
+	conn *clientConn // dialed, handshake pending; nil once the mux owns it
+	mux  *muxConn    // live transport; nil while disconnected
+	// redial: a dial of this link replaces a connection it had.
+	redial bool
+	// gone: the member left the view; the link is closed and never
+	// redialed.
+	gone bool
+	// known is, by FileID, the tag the server on the live connection
+	// believes this client holds (0: not held); dirty lists the files whose
+	// state may have changed since, marked in marked. Reset with every
+	// connection: a new server knows nothing.
+	known  []uint64
+	marked []bool
+	dirty  []trace.FileID
+	// downUntil routes opens this member owns to another one until then;
+	// fails is the consecutive transport failures that set it.
+	downUntil time.Time
+	fails     int
+}
+
+// mark notes that id's residency or tag may differ from what the link's
+// server believes. Called with Client.mu held.
+func (l *link) mark(id trace.FileID) {
+	if int(id) >= len(l.marked) {
+		l.marked = trace.GrowDense(l.marked, id)
+		l.known = trace.GrowDense(l.known, id)
+	}
+	if !l.marked[id] {
+		l.marked[id] = true
+		l.dirty = append(l.dirty, id)
+	}
+}
+
 // Client is the client-side cache manager of Figure 2. It is safe for
-// concurrent use by multiple goroutines. The connection is multiplexed:
+// concurrent use by multiple goroutines. Each connection is multiplexed:
 // concurrent opens are pipelined over one connection and replies are
 // matched by request ID, so N goroutines proceed without serializing on
 // the wire. Broken connections are redialed with exponential backoff when
 // a Dialer is configured.
 //
+// A client starts with one server, the seed. If the seed's hello names a
+// ring, the first open pulls the member list, and from then on every miss
+// goes straight to the member that owns its path (internal/ring) over a
+// connection of its own, dialed on first use; writes and the cluster
+// verbs stay with the seed. A piggybacked view hint of a newer epoch
+// re-pulls the list.
+//
 // Locking (see DESIGN.md §10): mu guards the cache state, stats, pending
-// history, and the connection slots, and is never held across network I/O
-// — Stats, Contains, Close, and cache hits always return promptly even
-// while requests are stalled on the wire. connMu serializes connection
-// establishment (dial + handshake). rngMu guards the retry-jitter source.
-// Order: connMu → mux.mu → mu; rngMu is a leaf.
+// history, the view and the links' connection slots and report state, and
+// is never held across network I/O — Stats, Contains, Close, and cache
+// hits always return promptly even while requests are stalled on the
+// wire. A link's connMu serializes its connection establishment (dial +
+// handshake); viewMu serializes view pulls. rngMu guards the retry-jitter
+// source. Order: viewMu → connMu → mux.mu → mu; rngMu is a leaf.
 type Client struct {
 	cfg ClientConfig
 	m   clientMetrics
 
-	mu      sync.Mutex
-	conn    *clientConn // dialed, handshake pending; nil once the mux owns it
-	mux     *muxConn    // live transport; nil while disconnected
+	mu   sync.Mutex
+	seed *link
+	// ring places paths on members once a view is pulled; nil before, and
+	// for good when the seed is in no ring. links holds the members'
+	// slots by address (the seed's among them under its advertised
+	// address), tracked the slots with a live connection.
+	ring    *ring.Ring
+	links   map[string]*link
+	tracked []*link
+	live    int // links holding a connection
 	ids     *trace.Interner
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
@@ -220,24 +309,17 @@ type Client struct {
 	// which bounds the stack by the most claims ever in flight at once.
 	pendingFree [][]string
 	gidScratch  []trace.FileID
+	reported    []trace.FileID // appendOpen's scratch
 	stats       ClientStats
 	closed      bool
 
-	// pendingN mirrors len(pending) so claimPending can skip the lock
-	// when there is nothing to claim — the common case once a batch's
-	// first open has swept the backlog.
-	pendingN atomic.Int64
-
-	// novalidate is set, for good, once the cache stops being what a server
-	// replaying this client's requests and replies would compute: history
-	// was shed, a header-only chunk did not match, replies are not cached
-	// (FetchGroup) or accesses are not its own (NoteAccess), piggybacking
-	// is off, or a connection is dialed with files already cached. From
-	// then on a hello declares no capacity and every open on a connection
-	// that did declare one carries openUnvalidated (DESIGN.md §11).
-	novalidate atomic.Bool
-
-	connMu sync.Mutex // serializes dial + handshake
+	viewMu sync.Mutex
+	// viewChecked is set once the seed's hello has been seen and, if it
+	// named a ring, the view pulled; viewEpoch is the pulled view's epoch
+	// (0: none), and repull guards the one re-pull a hint may start.
+	viewChecked atomic.Bool
+	viewEpoch   atomic.Uint64
+	repull      atomic.Bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // retry jitter; guarded by rngMu
@@ -245,7 +327,9 @@ type Client struct {
 
 // Dial connects a new client to the server at addr and installs a TCP
 // dialer for that address so broken connections can be re-established
-// (when cfg.MaxRetries > 0 or on the request after a failure).
+// (when cfg.MaxRetries > 0 or on the request after a failure). If the
+// server is a member of a ring, the client pulls the member list with its
+// first open and sends every miss to its path's owner from then on.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	if cfg.Dialer == nil {
 		cfg.Dialer = func() (net.Conn, error) { return net.Dial("tcp", addr) }
@@ -257,13 +341,17 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	return NewClient(conn, cfg)
 }
 
-// NewClient wraps an established connection (useful for tests and custom
-// transports). The protocol handshake runs lazily on the first request.
-// Without a cfg.Dialer the client cannot reconnect: the first broken
-// connection leaves it permanently degraded.
+// NewClient wraps an established connection to the seed (useful for
+// tests and custom transports). The protocol handshake runs lazily on the
+// first request. Without a cfg.Dialer the client cannot reconnect to the
+// seed: the first broken connection leaves it permanently degraded there.
 func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 128
+	}
+	if cfg.DialMember == nil {
+		timeout := cfg.memberTimeout()
+		cfg.DialMember = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) }
 	}
 	cfg.Backoff = cfg.Backoff.withDefaults()
 	lru, err := cache.NewGroupLRU(cfg.CacheCapacity)
@@ -275,21 +363,43 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		seed = 1
 	}
 	c := &Client{
-		cfg: cfg,
-		m:   newClientMetrics(cfg.Obs),
-		ids: trace.NewInterner(),
-		lru: lru,
-		rng: rand.New(rand.NewSource(seed)),
+		cfg:  cfg,
+		m:    newClientMetrics(cfg.Obs),
+		seed: &link{dial: cfg.Dialer, timeout: cfg.Timeout, redial: true},
+		ids:  trace.NewInterner(),
+		lru:  lru,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 	if conn != nil {
-		c.conn = newClientConn(conn)
+		c.seed.conn = newClientConn(conn)
+		c.live = 1
 	}
-	lru.OnEvict(func(id trace.FileID, _ bool) { c.data[id] = nil })
+	lru.OnEvict(func(id trace.FileID, _ bool) {
+		c.data[id] = nil
+		c.markAll(id)
+	})
 	return c, nil
 }
 
-// Close shuts the connection down. Open fails afterwards. Close never
-// waits on in-flight requests: it closes the live connection, which
+// memberTimeout is the bound on a connection to a member other than the
+// seed: Timeout if set, else the package's memberTimeout.
+func (cfg *ClientConfig) memberTimeout() time.Duration {
+	if cfg.Timeout > 0 {
+		return cfg.Timeout
+	}
+	return memberTimeout
+}
+
+// markAll notes a change to id's residency or tag on every live link.
+// Called with mu held.
+func (c *Client) markAll(id trace.FileID) {
+	for _, l := range c.tracked {
+		l.mark(id)
+	}
+}
+
+// Close shuts every connection down. Open fails afterwards. Close never
+// waits on in-flight requests: it closes the live connections, which
 // aborts any blocked I/O and fails every pipelined in-flight call.
 func (c *Client) Close() error {
 	c.mu.Lock()
@@ -298,15 +408,37 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	cc, m := c.conn, c.mux
-	c.conn, c.mux = nil, nil
+	links := []*link{c.seed}
+	for _, l := range c.links {
+		if l != c.seed {
+			links = append(links, l)
+		}
+	}
+	var err error
+	for _, l := range links {
+		if cerr := c.detach(l); err == nil {
+			err = cerr
+		}
+	}
 	c.mu.Unlock()
+	return err
+}
+
+// detach empties a link's connection slots and closes what they held; the
+// mux reader notices the close and fails all in-flight calls. Called with
+// mu held.
+func (c *Client) detach(l *link) error {
+	cc, m := l.conn, l.mux
+	if cc != nil || m != nil {
+		c.live--
+	}
+	l.conn, l.mux = nil, nil
+	c.untrack(l)
 	var err error
 	if cc != nil {
 		err = cc.conn.Close()
 	}
 	if m != nil {
-		// The reader notices the close and fails all in-flight calls.
 		if cerr := m.conn.Close(); err == nil {
 			err = cerr
 		}
@@ -330,11 +462,11 @@ func (c *Client) Contains(path string) bool {
 }
 
 // Connected reports whether the client currently holds a live (not
-// poisoned) connection.
+// poisoned) connection to any server.
 func (c *Client) Connected() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.conn != nil || c.mux != nil
+	return c.live > 0
 }
 
 // ensureDense grows the FileID-indexed data and tags slices to cover id. Interned
@@ -382,7 +514,7 @@ func (c *Client) Open(path string) ([]byte, error) {
 		if hit, speculative := c.lru.Demand(id); hit {
 			c.stats.Opens++
 			c.stats.Hits++
-			degraded := c.conn == nil && c.mux == nil
+			degraded := c.live == 0
 			if degraded {
 				c.stats.DegradedHits++
 			}
@@ -403,108 +535,15 @@ func (c *Client) Open(path string) ([]byte, error) {
 	}
 	c.mu.Unlock()
 
-	g, err := c.fetch(path, tctx)
+	out, err := c.fetch(path, tctx)
 	if err != nil {
 		return nil, err
 	}
-
-	c.mu.Lock()
-	c.stats.Opens++
-	c.stats.Fetches++
-	// The reply leads with path (decodeChunks), so path exists: interning
-	// the caller's string here saves installViews materialising a copy.
-	c.ids.Intern(path)
-	out := c.installViews(g)
-	c.mu.Unlock()
-	g.Release()
 	if tctx.Sampled {
 		c.cfg.Trace.Record(tctx, "client_open", path, tstart, time.Since(tstart))
 	}
 	return out, nil
 }
-
-// FetchGroup fetches path from the server and returns the entire group
-// reply — the demanded file first, then its opportunistically fetched
-// members — as the frames it arrived in: the group's Data are views into
-// the buffers the mux reader filled, nothing is copied, and the caller owns
-// one reference (see Group). It is the transport the cluster tier forwards
-// through: it never answers from the local cache (a forward must see the
-// owner's current group, not a stale local copy) and never installs into
-// it (the caller keeps the group; a second copy here would never be read).
-// Only the access history and the fetch counters are touched — which is
-// why a client used this way asks for no validation: its cache is not what
-// the replies would make it.
-//
-// tctx is the caller's trace context: the cluster tier threads the
-// server-side context of the open it is forwarding, so the downstream
-// owner's spans join the original trace instead of starting a new one. A
-// zero context traces nothing.
-func (c *Client) FetchGroup(path string, tctx otrace.Ctx) (*Group, error) {
-	if path == "" || len(path) > maxPath {
-		return nil, fmt.Errorf("fsnet: invalid path %q", path)
-	}
-	var tstart time.Time
-	if tctx.Sampled {
-		tstart = time.Now()
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, errClientClosed
-	}
-	c.novalidate.Store(true)
-	c.appendPending(path)
-	c.mu.Unlock()
-
-	g, err := c.fetch(path, tctx)
-	if err != nil {
-		return nil, err
-	}
-	if g.held != 0 {
-		// Nothing here could supply the bytes, and the request said so.
-		g.Release()
-		return nil, c.desync(errors.New("header-only chunk in an unvalidated reply"))
-	}
-
-	c.mu.Lock()
-	c.stats.Opens++
-	c.stats.Fetches++
-	c.stats.FilesReceived += uint64(len(g.Files))
-	for i, p := range g.paths {
-		// The interner owns the path string: no per-member allocation
-		// once the path has been seen.
-		g.Files[i].Path = c.ids.Path(c.ids.InternBytes(p))
-		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
-	}
-	c.mu.Unlock()
-	if tctx.Sampled {
-		c.cfg.Trace.Record(tctx, "client_open_group", path, tstart, time.Since(tstart))
-	}
-	return g, nil
-}
-
-// NoteAccess appends externally observed opens — e.g. a cluster node
-// relaying a downstream client's piggybacked history — to the history
-// this client piggybacks on its next fetch, preserving order. The backlog
-// is bounded by the protocol limit and keeps the newest (appendPending), so
-// a flood or an outage that outlasts it loses only its oldest transitions.
-// Accesses this client's own cache never saw end validation, like
-// FetchGroup.
-func (c *Client) NoteAccess(paths ...string) {
-	c.novalidate.Store(true)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range paths {
-		if p == "" || len(p) > maxPath {
-			continue
-		}
-		c.appendPending(p)
-	}
-}
-
-// Backlog reports how many noted accesses are waiting for the next fetch
-// to carry them to the server.
-func (c *Client) Backlog() int { return int(c.pendingN.Load()) }
 
 // Handoff streams one drained group to the server: the anchor path plus
 // its learned members, which the server installs into its successor
@@ -525,52 +564,59 @@ func (c *Client) Handoff(anchor string, members []string) error {
 		}
 	}
 	payload := encodeHandoffRequest(handoffRequest{Anchor: anchor, Members: members})
-	typ, body, _, err := c.roundTrip(msgHandoff, "", payload, otrace.Ctx{})
+	res, m, err := c.roundTrip(c.toSeed, msgHandoff, "", payload, otrace.Ctx{})
 	if err != nil {
 		return err
 	}
-	defer putFrameBuf(body)
-	if typ != msgHandoffOK {
-		return c.replyErr(typ, body)
+	defer putFrameBuf(res.payload)
+	if res.typ != msgHandoffOK {
+		return replyErr(m, res.typ, res.payload)
 	}
 	return nil
 }
 
-// ViewPull asks the server for its membership view (gossip anti-entropy).
-// The request carries our own epoch and address, so the responder can
-// note us for a symmetric pull-back if we are the newer side. The reply
-// is either the responder's full view (members non-nil: it was newer) or
-// just its epoch (members nil: it was not newer than the epoch we sent).
-// Requires cfg.Views.
+// ViewPull asks the seed for its membership view (gossip anti-entropy).
+// The request carries our own epoch and address — those of cfg.Views, or
+// 0 and "" without one — so the responder can note us for a symmetric
+// pull-back if we are the newer side. The reply is either the responder's
+// full view (members non-nil: it was newer) or just its epoch (members
+// nil: it was not newer than the epoch we sent).
 func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
-	vs := c.cfg.Views
-	if vs == nil {
-		return 0, nil, errors.New("fsnet: ViewPull needs cfg.Views")
+	epoch, _, members, err = c.viewPull(c.seed)
+	return epoch, members, err
+}
+
+// viewPull is ViewPull to one link, with the responder's address.
+func (c *Client) viewPull(l *link) (epoch uint64, sender string, members []string, err error) {
+	var payload []byte
+	if vs := c.cfg.Views; vs != nil {
+		payload = appendViewMsg(nil, vs.Epoch(), vs.Self())
+	} else {
+		payload = appendViewMsg(nil, 0, "")
 	}
-	payload := appendViewMsg(nil, vs.Epoch(), vs.Self())
-	typ, body, _, err := c.roundTrip(msgViewPull, "", payload, otrace.Ctx{})
+	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", payload, otrace.Ctx{})
 	if err != nil {
-		return 0, nil, err
+		return 0, "", nil, err
 	}
-	defer putFrameBuf(body)
-	switch typ {
+	defer putFrameBuf(res.payload)
+	switch res.typ {
 	case msgViewPush:
-		epoch, _, members, derr := decodeViewPush(body)
+		epoch, sender, members, derr := decodeViewPush(res.payload)
 		if derr != nil {
-			return 0, nil, c.desync(derr)
+			return 0, "", nil, desync(m, derr)
 		}
 		if members == nil {
 			members = []string{} // non-nil: a pushed empty view is still a view
 		}
-		return epoch, members, nil
+		return epoch, sender, members, nil
 	case msgViewHint:
-		epoch, _, derr := decodeViewMsg(body)
+		epoch, sender, derr := decodeViewMsg(res.payload)
 		if derr != nil {
-			return 0, nil, c.desync(derr)
+			return 0, "", nil, desync(m, derr)
 		}
-		return epoch, nil, nil
+		return epoch, sender, nil, nil
 	default:
-		return 0, nil, c.replyErr(typ, body)
+		return 0, "", nil, replyErr(m, res.typ, res.payload)
 	}
 }
 
@@ -590,22 +636,22 @@ func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, e
 		return 0, fmt.Errorf("fsnet: view of %d members exceeds limit %d", len(members), maxViewMembers)
 	}
 	payload := appendViewPush(nil, epoch, vs.Self(), members)
-	typ, body, _, err := c.roundTrip(msgViewPush, "", payload, otrace.Ctx{})
+	res, m, err := c.roundTrip(c.toSeed, msgViewPush, "", payload, otrace.Ctx{})
 	if err != nil {
 		return 0, err
 	}
-	defer putFrameBuf(body)
-	if typ != msgViewHint {
-		return 0, c.replyErr(typ, body)
+	defer putFrameBuf(res.payload)
+	if res.typ != msgViewHint {
+		return 0, replyErr(m, res.typ, res.payload)
 	}
-	remoteEpoch, _, derr := decodeViewMsg(body)
+	remoteEpoch, _, derr := decodeViewMsg(res.payload)
 	if derr != nil {
-		return 0, c.desync(derr)
+		return 0, desync(m, derr)
 	}
 	return remoteEpoch, nil
 }
 
-// Write stores a whole file on the server (write-through) and refreshes
+// Write stores a whole file on the seed (write-through) and refreshes
 // the local cached copy if resident. Writes are not access events: the
 // grouping model tracks opens (§2.2), so a write does not perturb the
 // piggybacked history. Whole-file writes are idempotent, so transport
@@ -618,17 +664,17 @@ func (c *Client) Write(path string, data []byte) error {
 		return fmt.Errorf("fsnet: file of %d bytes exceeds limit %d", len(data), maxFileSize)
 	}
 	payload := encodeWriteRequest(writeRequest{Path: path, Data: data})
-	typ, body, _, err := c.roundTrip(msgWrite, "", payload, otrace.Ctx{})
+	res, m, err := c.roundTrip(c.toSeed, msgWrite, "", payload, otrace.Ctx{})
 	if err != nil {
 		return err
 	}
-	defer putFrameBuf(body)
-	if typ != msgWriteOK {
-		return c.replyErr(typ, body)
+	defer putFrameBuf(res.payload)
+	if res.typ != msgWriteOK {
+		return replyErr(m, res.typ, res.payload)
 	}
-	tag, derr := decodeWriteOK(body)
+	tag, derr := decodeWriteOK(res.payload)
 	if derr != nil {
-		return c.desync(derr)
+		return desync(m, derr)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -636,10 +682,12 @@ func (c *Client) Write(path string, data []byte) error {
 	// new storage (earlier Open results keep the old bytes) without a copy:
 	// the encoded request ends with the contents, and a reply means the mux
 	// writer is done with it. The tag the server's store gave those bytes
-	// comes with the ack, so the pair stays one a later reply can validate.
+	// comes with the ack, so the pair stays one a later reply can validate
+	// once the next open has reported it.
 	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
 		c.data[id] = payload[len(payload)-len(data) : len(payload) : len(payload)]
 		c.tags[id] = tag
+		c.markAll(id)
 	}
 	c.stats.Writes++
 	return nil
@@ -649,14 +697,14 @@ func (c *Client) Write(path string, data []byte) error {
 // call's error. A msgError is the server's typed answer (CodeNotFound
 // maps to ErrNotFound) and leaves the connection in service. Anything
 // else — an error payload that does not decode included — means the reply
-// stream is desynchronized, and the connection is poisoned.
-func (c *Client) replyErr(typ uint8, body []byte) error {
+// stream is desynchronized, and m, the connection it came on, is poisoned.
+func replyErr(m *muxConn, typ uint8, body []byte) error {
 	if typ != msgError {
-		return c.desync(fmt.Errorf("unexpected reply type %d", typ))
+		return desync(m, fmt.Errorf("unexpected reply type %d", typ))
 	}
 	e, derr := decodeErrorResponse(body)
 	if derr != nil {
-		return c.desync(derr)
+		return desync(m, derr)
 	}
 	if e.Code == CodeNotFound {
 		return fmt.Errorf("%w: %s", ErrNotFound, e.Message)
@@ -664,66 +712,246 @@ func (c *Client) replyErr(typ uint8, body []byte) error {
 	return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
 }
 
-// desync poisons the live connection after a reply that round-tripped
-// intact failed to decode, and wraps the cause for the caller.
-func (c *Client) desync(cause error) error {
-	c.mu.Lock()
-	m := c.mux
-	c.mu.Unlock()
-	if m != nil {
-		m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
-	}
+// desync poisons m after a reply that round-tripped intact failed to
+// decode, and wraps the cause for the caller.
+func desync(m *muxConn, cause error) error {
+	m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
 	return fmt.Errorf("%w: %v", ErrConnBroken, cause)
 }
 
-// fetch performs one open round trip, retrying per the config. The
-// piggybacked history is claimed when the request is written and
-// restored if the server demonstrably never processed it (any reply frame
-// consumes it): a failed round trip retains the history so the access
-// transitions are re-sent — and the server still learns them — on the
-// next successful request (§3 metadata quality).
+// fetch performs one open round trip to path's owner, retrying per the
+// config. The piggybacked history is claimed when the request is written
+// and restored if the server demonstrably never processed it (any reply
+// frame consumes it): a failed round trip retains the history so the
+// access transitions are re-sent — and a server still learns them — on
+// the next successful request (§3 metadata quality).
 //
-// The caller owns the returned group's one reference.
-func (c *Client) fetch(path string, tctx otrace.Ctx) (*Group, error) {
-	typ, body, g, err := c.roundTrip(msgOpen, path, nil, tctx)
+// The mux reader installed the group the reply carried (install); fetch
+// returns the demanded file's contents.
+func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
+	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, nil, tctx)
 	if err != nil {
 		return nil, err
 	}
-	if typ != msgGroupEnd {
-		defer putFrameBuf(body)
-		return nil, c.replyErr(typ, body)
+	if res.typ != msgGroupEnd {
+		defer putFrameBuf(res.payload)
+		return nil, replyErr(m, res.typ, res.payload)
 	}
-	// The mux reader only delivers a group its msgGroupEnd counted, and
-	// the count is never zero: g has members.
-	if derr := decodeChunks(g, path); derr != nil {
-		g.Release()
-		return nil, c.desync(derr)
-	}
-	return g, nil
+	return res.data, nil
 }
 
-// claimPending atomically takes the pending history for one open of path.
-// It returns the Accessed list to send — the claimed history minus a
-// trailing entry for the demanded path itself (the server appends the
-// demanded open on arrival), capped at the protocol limit by dropping the
-// oldest overflow — and the slice to hand to restorePending should the
-// attempt fail before the server saw it.
-func (c *Client) claimPending(path string) (accessed, claimed []string) {
-	// Lock-free fast path: once a flush's first open has swept the
-	// backlog, the rest of the batch claims nothing and skips the lock. A
-	// concurrent append racing past this check simply rides the next
-	// request, which is the contract anyway.
-	if c.pendingN.Load() == 0 {
-		return nil, nil
+// install is the mux reader's tail of a fetch: it validates the group
+// reply to call, an open, installs it in the cache, counts the open, and
+// returns the demanded file's contents. It releases g.
+// Installing on the reader keeps the order the server sent the
+// connection's replies in, which is the order its residency table
+// assumed: a reply may vouch for a member an earlier reply delivered.
+func (c *Client) install(m *muxConn, call *muxCall, g *Group) ([]byte, error) {
+	defer g.Release()
+	// The mux reader only delivers a group its msgGroupEnd counted, and
+	// the count is never zero: g has members.
+	if err := decodeChunks(g, call.path); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.pending) == 0 {
-		return nil, nil
+	c.stats.Opens++
+	c.stats.Fetches++
+	// The reply leads with path (decodeChunks), so path exists: interning
+	// the caller's string here saves installViews materialising a copy.
+	c.ids.Intern(call.path)
+	return c.installViews(g, m), nil
+}
+
+// toSeed is the route of every verb but an open: the seed's connection.
+func (c *Client) toSeed() (*link, *muxConn, error) { return c.on(c.seed) }
+
+// on returns l's live connection, establishing one if needed.
+func (c *Client) on(l *link) (*link, *muxConn, error) {
+	m, err := c.transport(l)
+	return l, m, err
+}
+
+// toOwner routes one open: to the seed until a view says otherwise, then
+// to the member owning path — or, while that member's connection is
+// failing, to another one, which serves the open from its own replica of
+// the store. The first open of a client whose seed's hello named a ring
+// pulls the view before it is routed.
+func (c *Client) toOwner(path string) (*link, *muxConn, error) {
+	if !c.viewChecked.Load() {
+		if err := c.checkView(); err != nil {
+			return c.seed, nil, err
+		}
 	}
+	c.mu.Lock()
+	l := c.seed
+	if c.ring != nil {
+		if owner := c.links[c.ring.Owner(path)]; owner != nil {
+			l = owner
+		}
+		if now := time.Now(); now.Before(l.downUntil) {
+			l = c.fallback(l, now)
+		}
+	}
+	c.mu.Unlock()
+	return c.on(l)
+}
+
+// fallback picks the member that serves an open while its owner l is
+// failing: the seed, else the first member in address order that is not
+// failing too, else l itself. Called with mu held.
+func (c *Client) fallback(l *link, now time.Time) *link {
+	if l != c.seed && !now.Before(c.seed.downUntil) {
+		return c.seed
+	}
+	for _, addr := range c.ring.Members() {
+		if alt := c.links[addr]; alt != l && !now.Before(alt.downUntil) {
+			return alt
+		}
+	}
+	return l
+}
+
+// reroute records a transport failure of l and reports whether the next
+// attempt routes elsewhere: true for a member that left the view, and for
+// a member of the view, whose opens go to another member until its
+// backoff passes.
+func (c *Client) reroute(l *link) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if l.gone {
+		return true
+	}
+	if !c.markDown(l) {
+		return false
+	}
+	c.stats.Rerouted++
+	return true
+}
+
+// markDown backs a member of the view off after a transport failure and
+// reports whether l is one. The calls failed by one outage — every call in
+// flight on a poisoned connection, a dial's waiters — count as one
+// failure: a member already backed off stays at its step. Called with mu
+// held.
+func (c *Client) markDown(l *link) bool {
+	if c.ring == nil || c.links[l.addr] != l {
+		return false
+	}
+	if now := time.Now(); !now.Before(l.downUntil) {
+		l.fails++
+		l.downUntil = now.Add(c.backoffDelay(l.fails - 1))
+	}
+	return true
+}
+
+// checkView learns from the seed's hello whether it is in a ring and, if
+// so, pulls the view. An error is the seed's transport failing, for the
+// caller to handle as its own.
+func (c *Client) checkView() error {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	if c.viewChecked.Load() {
+		return nil
+	}
+	m, err := c.transport(c.seed)
+	if err != nil {
+		return err
+	}
+	if m.epoch > 0 {
+		if err := c.pullView(c.seed); err != nil {
+			// The seed serves this open; the next one asks again.
+			return nil
+		}
+	}
+	c.viewChecked.Store(true)
+	return nil
+}
+
+// noteViewHint starts one re-pull, from l, when a server announces an
+// epoch newer than the view the client routes by. Called on mux readers,
+// so it never waits.
+func (c *Client) noteViewHint(l *link, epoch uint64) {
+	if cur := c.viewEpoch.Load(); cur == 0 || epoch <= cur || !c.repull.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer c.repull.Store(false)
+		c.viewMu.Lock()
+		defer c.viewMu.Unlock()
+		_ = c.pullView(l)
+	}()
+}
+
+// pullView fetches l's view and routes by it. Members that left are
+// closed, and any still owed history rides the next open. Called with
+// viewMu held.
+func (c *Client) pullView(l *link) error {
+	epoch, sender, members, err := c.viewPull(l)
+	if err != nil {
+		return err
+	}
+	next := ring.New(0)
+	next.Add(members...)
+	if members == nil || next.Len() == 0 {
+		return nil
+	}
+	c.mu.Lock()
+	if c.closed || (c.ring != nil && epoch <= c.viewEpoch.Load()) {
+		c.mu.Unlock()
+		return nil
+	}
+	if l.addr == "" {
+		l.addr = sender
+	}
+	links := make(map[string]*link, next.Len())
+	for _, addr := range next.Members() {
+		switch {
+		case c.links[addr] != nil:
+			links[addr] = c.links[addr]
+		case addr == c.seed.addr:
+			links[addr] = c.seed
+		default:
+			dial := c.cfg.DialMember
+			links[addr] = &link{addr: addr, dial: func() (net.Conn, error) { return dial(addr) }, timeout: c.cfg.memberTimeout()}
+		}
+	}
+	for addr, old := range c.links {
+		if links[addr] == nil && old != c.seed {
+			old.gone = true
+			_ = c.detach(old)
+		}
+	}
+	c.ring, c.links = next, links
+	c.viewEpoch.Store(max(epoch, 1))
+	c.mu.Unlock()
+	return nil
+}
+
+// appendOpen encodes one open for l's connection: the demanded path, the
+// piggybacked history and l's residency report. The history claimed is
+// returned for restorePending should the connection die before the
+// server saw it. Called by the mux's flush with its lock held.
+func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed []string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var accessed []string
+	if len(c.pending) > 0 {
+		accessed, claimed = c.claimPending(path)
+	}
+	dst = appendOpenRequest(dst, path, accessed)
+	return c.appendReport(dst, l), claimed
+}
+
+// claimPending takes the pending history for one open of path. It returns
+// the Accessed list to send — the claimed history minus a trailing entry
+// for the demanded path itself (the server appends the demanded open on
+// arrival), capped at the protocol limit by dropping the oldest overflow
+// — and the slice to hand to restorePending should the attempt fail
+// before the server saw it. Called with mu held.
+func (c *Client) claimPending(path string) (accessed, claimed []string) {
 	claimed = c.pending
 	c.pending = nil
-	c.pendingN.Store(0)
 	accessed = claimed
 	if n := len(accessed); accessed[n-1] == path {
 		accessed = accessed[:n-1]
@@ -740,19 +968,51 @@ func (c *Client) claimPending(path string) (accessed, claimed []string) {
 	return accessed, claimed
 }
 
-// appendPending adds one path to the piggyback backlog — the one way in,
-// for an open, a group fetch and a relayed access alike — reviving a
-// recycled claim's storage when the backlog is empty. The backlog is
-// bounded by the protocol limit and keeps the newest: at the bound the
-// oldest quarter is shed in one block (amortised constant work an
-// access), counted, never silently. Called with mu held.
+// appendReport appends l's residency report: every marked file whose
+// state at this client — the tag it holds, or 0 — differs from what l's
+// server believes, up to the protocol bound (the rest stay marked). What
+// it reports, l's server believes from then on. Called with mu held.
+func (c *Client) appendReport(dst []byte, l *link) []byte {
+	if len(l.dirty) == 0 {
+		return dst
+	}
+	ids := c.reported[:0]
+	i := 0
+	for ; i < len(l.dirty) && len(ids) < maxReport; i++ {
+		id := l.dirty[i]
+		l.marked[id] = false
+		var tag uint64
+		if c.lru.Contains(id) {
+			tag = c.tags[id]
+		}
+		if tag != l.known[id] {
+			l.known[id] = tag
+			ids = append(ids, id)
+		}
+	}
+	l.dirty = l.dirty[:copy(l.dirty, l.dirty[i:])]
+	c.reported = ids
+	if len(ids) == 0 {
+		return dst
+	}
+	dst = appendReportHdr(dst, len(ids))
+	for _, id := range ids {
+		dst = appendReportEntry(dst, c.ids.Path(id), l.known[id])
+	}
+	return dst
+}
+
+// appendPending adds one path to the piggyback backlog — the one way in —
+// reviving a recycled claim's storage when the backlog is empty. The
+// backlog is bounded by the protocol limit and keeps the newest: at the
+// bound the oldest quarter is shed in one block (amortised constant work
+// an access), counted, never silently. Called with mu held.
 func (c *Client) appendPending(path string) {
 	if len(c.pending) >= maxStatPaths {
 		shed := len(c.pending) - maxStatPaths*3/4
 		kept := copy(c.pending, c.pending[shed:])
 		clear(c.pending[kept:])
 		c.pending = c.pending[:kept]
-		c.pendingN.Store(int64(kept))
 		c.noteShed(shed)
 	}
 	if n := len(c.pendingFree); c.pending == nil && n > 0 {
@@ -760,16 +1020,13 @@ func (c *Client) appendPending(path string) {
 		c.pendingFree = c.pendingFree[:n-1]
 	}
 	c.pending = append(c.pending, path)
-	c.pendingN.Add(1)
 }
 
-// noteShed accounts for n history entries the server will never see. It
-// can no longer follow the cache from what it is sent, so validation ends.
-// Called with mu held.
+// noteShed accounts for n history entries no server will see. Called with
+// mu held.
 func (c *Client) noteShed(n int) {
 	c.stats.HistoryDropped += uint64(n)
 	c.m.historyDropped.Add(uint64(n))
-	c.novalidate.Store(true)
 }
 
 // freePending recycles a claimed history the server has consumed: its
@@ -797,7 +1054,6 @@ func (c *Client) restorePending(claimed []string) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.pendingN.Add(int64(len(claimed)))
 	if len(c.pending) == 0 {
 		c.pending = claimed
 		return
@@ -815,16 +1071,19 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 	return c.cfg.Backoff.delay(attempt, c.rng)
 }
 
-// roundTrip performs one request with retries: ensure a live transport
-// (dialing and handshaking as needed), send, await the matching reply.
-// Transport failures — the server's MaxConns rejection of a hello among
-// them — poison the connection and are retried with backoff up to
-// cfg.MaxRetries; a peer of another protocol version is not.
-// Application errors are returned to the caller undisturbed. The returned
-// payload — or, for a streamed group reply, each chunk of the returned
-// group — aliases a pooled buffer; the caller recycles the payload, or
-// releases the group, after decoding.
-func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (uint8, []byte, *Group, error) {
+// roundTrip performs one request with retries: route picks the link and
+// ensures its live transport (dialing and handshaking as needed), then the
+// request is sent and the matching reply awaited. Transport failures —
+// the server's MaxConns rejection of a hello among them — poison the
+// connection and are retried with backoff up to cfg.MaxRetries; a failed
+// owner first hands the request to another member, once, without a
+// retry; a peer of another protocol version is not retried at all.
+// Application errors are returned to the caller undisturbed, with the
+// connection they came on. The returned payload — or, for a streamed
+// group reply, each chunk of the returned group — aliases a pooled
+// buffer; the caller recycles the payload, or releases the group, after
+// decoding.
+func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, *muxConn, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
 		start := time.Now()
@@ -833,32 +1092,39 @@ func (c *Client) roundTrip(reqType uint8, path string, payload []byte, tctx otra
 			c.m.inflight.Add(-1)
 		}()
 	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			time.Sleep(c.backoffDelay(attempt - 1))
-			c.mu.Lock()
-			closed := c.closed
-			if !closed {
-				c.stats.Retries++
-			}
-			c.mu.Unlock()
-			if closed {
-				return 0, nil, nil, errClientClosed
-			}
-			c.m.retries.Inc()
-		}
-		m, err := c.transport()
+	rerouted := false
+	for attempt := 0; ; {
+		l, m, err := route()
 		if err == nil {
 			var res muxResult
 			// A failed call's claimed history was restored by the poison
 			// that failed it.
 			if res, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
-				return res.typ, res.payload, res.group, nil
+				return res, m, nil
 			}
 		}
-		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) || attempt >= c.cfg.MaxRetries {
-			return 0, nil, nil, err
+		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) {
+			return muxResult{}, nil, err
 		}
+		if !rerouted && reqType == msgOpen && c.reroute(l) {
+			rerouted = true
+			continue
+		}
+		if attempt >= c.cfg.MaxRetries {
+			return muxResult{}, nil, err
+		}
+		attempt++
+		time.Sleep(c.backoffDelay(attempt - 1))
+		c.mu.Lock()
+		closed := c.closed
+		if !closed {
+			c.stats.Retries++
+		}
+		c.mu.Unlock()
+		if closed {
+			return muxResult{}, nil, errClientClosed
+		}
+		c.m.retries.Inc()
 	}
 }
 
@@ -872,12 +1138,12 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	// the call is overdue, which delivers an error result here.
 	res := <-call.done
 	if res.err != nil {
-		// A poisoned connection fails its calls while its writer may still
-		// be reading them out of the batch it was sending: the call is left
-		// to the collector, not recycled under the writer.
+		// A poisoned connection fails its calls while a flush may still be
+		// reading them out of the batch it was sending: the call is left to
+		// the collector, not recycled under the flush.
 		return muxResult{}, res.err
 	}
-	// A reply means the writer sent the request and is done with the call,
+	// A reply means the flush sent the request and is done with the call,
 	// and exactly one result is ever delivered: the call is free for reuse.
 	// The server consumed the piggybacked history the call claimed, so its
 	// storage can back the next backlog.
@@ -886,116 +1152,137 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	return res, nil
 }
 
-// transport returns the live mux, establishing one (dial + handshake)
-// when the slot is empty. connMu makes sure only one goroutine dials
+// transport returns l's live mux, establishing one (dial + handshake)
+// when the slot is empty. l.connMu makes sure only one goroutine dials
 // while the rest wait and then share the result.
-func (c *Client) transport() (*muxConn, error) {
-	if m, err := c.liveMux(); m != nil || err != nil {
+func (c *Client) transport(l *link) (*muxConn, error) {
+	m, fails, err := c.liveMux(l)
+	if m != nil || err != nil {
 		return m, err
 	}
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if m, err := c.liveMux(); m != nil || err != nil {
+	l.connMu.Lock()
+	defer l.connMu.Unlock()
+	m, failed, err := c.liveMux(l)
+	if m != nil || err != nil {
 		return m, err
+	}
+	if failed != fails {
+		// The dial this call waited behind failed: the caller routes
+		// elsewhere instead of waiting out a dial of its own.
+		return nil, errMemberDown
 	}
 
 	// Take the connection NewClient wrapped if it is still waiting for its
-	// handshake; otherwise this is a redial. The candidate stays published
-	// in c.conn throughout the handshake so a concurrent Close can abort a
-	// blocked negotiation by closing the socket.
+	// handshake; otherwise dial. The candidate stays published in l.conn
+	// throughout the handshake so a concurrent Close can abort a blocked
+	// negotiation by closing the socket.
 	c.mu.Lock()
-	cc := c.conn
+	cc, redial := l.conn, l.redial
 	c.mu.Unlock()
-	redial := cc == nil
-	if redial {
-		if c.cfg.Dialer == nil {
+	if cc == nil {
+		if l.dial == nil {
 			return nil, fmt.Errorf("%w: no dialer configured", ErrConnBroken)
 		}
-		raw, err := c.cfg.Dialer()
+		raw, err := l.dial()
 		if err != nil {
-			return nil, fmt.Errorf("%w: redial: %v", ErrConnBroken, err)
+			c.failDial(l)
+			return nil, fmt.Errorf("%w: dial: %v", ErrConnBroken, err)
 		}
 		cc = newClientConn(raw)
 		c.mu.Lock()
-		if c.closed {
+		if err := c.usable(l); err != nil {
 			c.mu.Unlock()
 			_ = raw.Close()
-			return nil, errClientClosed
+			return nil, err
 		}
-		c.conn = cc
+		l.conn = cc
+		c.live++
 		c.mu.Unlock()
+	} else {
+		redial = false
 	}
-	validated, err := c.handshake(cc)
+	epoch, err := c.handshake(cc, l.timeout)
 	if err != nil {
-		c.dropConn(cc)
+		c.dropConn(l, cc)
+		c.failDial(l)
 		return nil, err
 	}
-	return c.installMux(cc, redial, validated)
+	return c.installMux(l, cc, redial, epoch)
 }
 
-// liveMux returns the installed transport, or nil when there is none.
-func (c *Client) liveMux() (*muxConn, error) {
+// failDial backs l off before its connMu is released, so the calls
+// queued behind the failed dial see the failure (transport) and route
+// elsewhere.
+func (c *Client) failDial(l *link) {
+	c.mu.Lock()
+	c.markDown(l)
+	c.mu.Unlock()
+}
+
+// liveMux returns l's installed transport, or nil when there is none,
+// with l's failure count.
+func (c *Client) liveMux(l *link) (*muxConn, int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return nil, errClientClosed
+	if err := c.usable(l); err != nil {
+		return nil, 0, err
 	}
-	return c.mux, nil
+	return l.mux, l.fails, nil
+}
+
+// usable refuses a connection to a closed client or a departed member.
+// Called with mu held.
+func (c *Client) usable(l *link) error {
+	switch {
+	case c.closed:
+		return errClientClosed
+	case l.gone:
+		return errMemberGone
+	}
+	return nil
 }
 
 // handshake offers protocolVersion and requires the server to accept
-// exactly that. The hello declares the cache's capacity only while the
-// cache is still empty and validation has not ended: a server can replay a
-// cache from nothing, not from the middle. validated reports that the
-// server agreed to shadow it, so this connection's opens must say when
-// that stops being true. Called with connMu held, before the connection
-// is installed.
-func (c *Client) handshake(cc *clientConn) (validated bool, err error) {
-	if c.cfg.Timeout > 0 {
-		_ = cc.conn.SetDeadline(time.Now().Add(c.cfg.Timeout))
+// exactly that; the server answers with its view epoch. Called with the
+// link's connMu held, before the connection is installed; timeout (0:
+// none) bounds the exchange.
+func (c *Client) handshake(cc *clientConn, timeout time.Duration) (epoch uint64, err error) {
+	if timeout > 0 {
+		_ = cc.conn.SetDeadline(time.Now().Add(timeout))
 		defer cc.conn.SetDeadline(time.Time{})
 	}
-	c.mu.Lock()
-	if c.lru.Len() > 0 {
-		c.novalidate.Store(true)
-	}
-	c.mu.Unlock()
-	var capacity uint64
-	if !c.novalidate.Load() {
-		capacity = uint64(c.cfg.CacheCapacity)
-	}
-	if err := writeHello(cc.conn, msgHello, protocolVersion, capacity); err != nil {
-		return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+	if err := writeHello(cc.conn, msgHello, protocolVersion, 0); err != nil {
+		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	typ, payload, err := readFrame(cc.r)
 	if err != nil {
-		return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
+		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
 	defer putFrameBuf(payload)
 	switch typ {
 	case msgHelloOK:
-		ver, shadowed, derr := decodeHello(payload)
+		ver, epoch, derr := decodeHello(payload)
 		if derr != nil {
-			return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
 		if ver != protocolVersion {
-			return false, fmt.Errorf("%w: %w: server answered version %d, want %d", ErrConnBroken, ErrProtocolVersion, ver, protocolVersion)
+			return 0, fmt.Errorf("%w: %w: server answered version %d, want %d", ErrConnBroken, ErrProtocolVersion, ver, protocolVersion)
 		}
-		return shadowed > 0, nil
+		return epoch, nil
 	case msgError:
 		e, derr := decodeErrorResponse(payload)
 		if derr != nil {
-			return false, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
+			return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, derr)
 		}
 		if e.Code == CodeBadRequest {
 			// The peer understood the frame but not the offer.
-			return false, fmt.Errorf("%w: %w: hello refused: %s", ErrConnBroken, ErrProtocolVersion, e.Message)
+			return 0, fmt.Errorf("%w: %w: hello refused: %s", ErrConnBroken, ErrProtocolVersion, e.Message)
 		}
 		// CodeBusy lands here: the accept limit answers the hello, and the
 		// caller backs off and redials.
-		return false, fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
+		return 0, fmt.Errorf("%w: handshake rejected: server error %d: %s", ErrConnBroken, e.Code, e.Message)
 	default:
-		return false, fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
+		return 0, fmt.Errorf("%w: unexpected handshake reply type %d", ErrConnBroken, typ)
 	}
 }
 
@@ -1010,20 +1297,33 @@ func (c *Client) noteReconnect(conn net.Conn) {
 	c.m.events.Record("reconnect", obs.F("addr", addr))
 }
 
-// installMux publishes a handshaken connection as the transport and
-// starts its goroutines. Called with connMu held.
-func (c *Client) installMux(cc *clientConn, countRedial, validated bool) (*muxConn, error) {
-	m := newMuxConn(c, cc, validated)
+// installMux publishes a handshaken connection as l's transport and
+// starts its reader. A new connection's server knows nothing of this
+// client's cache, so every resident file is marked for the first report.
+// Called with l.connMu held.
+func (c *Client) installMux(l *link, cc *clientConn, countRedial bool, epoch uint64) (*muxConn, error) {
+	m := newMuxConn(c, l, cc, epoch)
 	c.mu.Lock()
-	if c.closed {
+	if err := c.usable(l); err != nil {
 		c.mu.Unlock()
 		_ = cc.conn.Close()
-		return nil, errClientClosed
+		return nil, err
 	}
-	if c.conn == cc {
-		c.conn = nil // the candidate graduates to the mux
+	if l.conn == cc {
+		l.conn = nil // the candidate graduates to the mux
+	} else {
+		c.live++ // a concurrent detach emptied the slot
 	}
-	c.mux = m
+	l.mux, l.redial = m, true
+	clear(l.known)
+	clear(l.marked)
+	l.dirty = l.dirty[:0]
+	for id := range c.data {
+		if c.lru.Contains(trace.FileID(id)) {
+			l.mark(trace.FileID(id))
+		}
+	}
+	c.tracked = append(c.tracked, l)
 	if countRedial {
 		c.stats.Reconnects++
 	}
@@ -1031,20 +1331,31 @@ func (c *Client) installMux(cc *clientConn, countRedial, validated bool) (*muxCo
 	if countRedial {
 		c.noteReconnect(cc.conn)
 	}
-	m.start()
+	go m.reader()
 	return m, nil
+}
+
+// untrack stops reporting to l. Called with mu held.
+func (c *Client) untrack(l *link) {
+	for i, t := range c.tracked {
+		if t == l {
+			c.tracked = append(c.tracked[:i], c.tracked[i+1:]...)
+			return
+		}
+	}
 }
 
 // dropConn closes a connection whose handshake failed and empties the
 // slot so nothing reuses its stream. The broken connection is counted
 // only if the candidate is still in the slot — a concurrent Close already
 // emptied it.
-func (c *Client) dropConn(cc *clientConn) {
+func (c *Client) dropConn(l *link, cc *clientConn) {
 	_ = cc.conn.Close()
 	c.mu.Lock()
-	counted := c.conn == cc
+	counted := l.conn == cc
 	if counted {
-		c.conn = nil
+		l.conn = nil
+		c.live--
 		c.stats.BrokenConns++
 	}
 	c.mu.Unlock()
@@ -1053,14 +1364,16 @@ func (c *Client) dropConn(cc *clientConn) {
 	}
 }
 
-// dropMux empties the transport slot after a poison. The deliberate
-// teardown in Close empties the slot first, so a poison racing with Close
-// does not count a broken connection.
+// dropMux empties m's slot after a poison. The deliberate teardown in
+// Close and in a view change empties the slot first, so a poison racing
+// with them does not count a broken connection.
 func (c *Client) dropMux(m *muxConn) {
 	c.mu.Lock()
 	counted := false
-	if c.mux == m {
-		c.mux = nil
+	if l := m.l; l.mux == m {
+		l.mux = nil
+		c.live--
+		c.untrack(l)
 		if !c.closed {
 			c.stats.BrokenConns++
 			counted = true
@@ -1088,15 +1401,20 @@ func (c *Client) noteBroken() {
 // contents are copied once, into one new slab the slots window; a slot's
 // old storage is left as it was for whoever still holds it.
 //
-// A header-only member carries a tag and no bytes: the server's shadow of
-// this cache showed it resident with those very contents. If it is, its
-// slot, tag and LRU position stay as they are — Install keeps a resident
-// member where it earned its place — and the slab is sized without it. If
-// it is not (the shadow was wrong), the member is left out of the install
-// altogether: one lost prefetch, nothing cached that was not received, and
-// the next request tells the server to stop validating. Called with mu
-// held.
-func (c *Client) installViews(g *Group) []byte {
+// A header-only member carries a tag and no bytes: m's server believed
+// this cache holds it with those very contents. If it does, its slot, tag
+// and LRU position stay as they are — Install keeps a resident member
+// where it earned its place — and the slab is sized without it. If it does
+// not (a report raced the reply), the member is left out of the install
+// altogether: one lost prefetch, nothing cached that was not received,
+// and the next report puts the server right.
+//
+// What m's server now believes — every member it sent in full is held at
+// its tag — is recorded for m's link, and every member is marked on every
+// link, so each report says what differs. Called with mu held.
+func (c *Client) installViews(g *Group, m *muxConn) []byte {
+	l := m.l
+	current := l.mux == m
 	ids := c.gidScratch[:0]
 	var file [maxGroup]uint8 // ids[k] is g.Files[file[k]]
 	for i := range g.paths {
@@ -1104,11 +1422,15 @@ func (c *Client) installViews(g *Group) []byte {
 		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
 		if g.held&(1<<i) != 0 {
 			tag := g.Files[i].Tag
-			mid, known := c.ids.LookupBytes(g.paths[i])
-			if !known || tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
+			mid := c.ids.InternBytes(g.paths[i])
+			c.ensureDense(mid)
+			if tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
 				c.stats.ValidationMisses++
 				c.m.validationMisses.Inc()
-				c.novalidate.Store(true)
+				if current {
+					l.mark(mid)
+					l.known[mid] = tag
+				}
 				continue
 			}
 			c.stats.ValidatedFiles++
@@ -1133,13 +1455,24 @@ func (c *Client) installViews(g *Group) []byte {
 	}
 	slab := make([]byte, size)
 	for k, mid := range ids {
-		if i := file[k]; g.held&(1<<i) == 0 && c.lru.Contains(mid) {
+		i := file[k]
+		if g.held&(1<<i) != 0 {
+			continue
+		}
+		if c.lru.Contains(mid) {
 			n := copy(slab, g.Files[i].Data)
 			// Capacity-limited, so an append through one member cannot
 			// reach into the next.
 			c.data[mid], slab = slab[:n:n], slab[n:]
 			c.tags[mid] = g.Files[i].Tag
 		}
+		c.markAll(mid)
+		if current {
+			l.known[mid] = g.Files[i].Tag
+		}
+	}
+	if l.fails > 0 {
+		l.fails, l.downUntil = 0, time.Time{}
 	}
 	return c.data[ids[0]]
 }

@@ -18,14 +18,14 @@ import (
 // same paths (minus the empty piggybacked ones it drops).
 func FuzzParseOpenRequest(f *testing.F) {
 	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a", "", "/b"}}))
-	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a"}, Flags: openUnvalidated}))
-	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x02)) // an unknown flag
-	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x00)) // a flags byte nobody needed to send
+	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a"}, Report: []reported{{"/a", 0}, {"/b", 7}}}))
+	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x02)) // a report cut short
+	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x00)) // an empty report nobody needed to send
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeOpenRequest(data)
-		path, views, flags, err := parseOpenRequest(data, nil)
+		path, views, report, err := parseOpenRequest(data, nil, nil)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("parseOpenRequest err = %v, reference err = %v", err, wantErr)
 		}
@@ -41,8 +41,12 @@ func FuzzParseOpenRequest(f *testing.F) {
 				ref = append(ref, p)
 			}
 		}
-		if string(path) != want.Path || !reflect.DeepEqual(got, ref) || flags != want.Flags {
-			t.Fatalf("parsed (%q, %q, %#x), reference (%q, %q, %#x)", path, got, flags, want.Path, ref, want.Flags)
+		var gotReport []reported
+		for _, e := range report {
+			gotReport = append(gotReport, reported{string(e.path), e.tag})
+		}
+		if string(path) != want.Path || !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotReport, want.Report) {
+			t.Fatalf("parsed (%q, %q, %v), reference (%q, %q, %v)", path, got, gotReport, want.Path, ref, want.Report)
 		}
 	})
 }
@@ -91,22 +95,22 @@ func FuzzDecodeGroupEnd(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(appendUvarint(appendUvarint(nil, protocolVersion), 128))
-	f.Add(appendUvarint(nil, protocolVersion)) // the older generations' form: no capacity
+	f.Add(appendUvarint(appendUvarint(nil, protocolVersion), 3)) // a hello answer naming a ring
+	f.Add(appendUvarint(nil, protocolVersion))                   // a client's hello: no second field
 	f.Add([]byte{})
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, capacity, err := decodeHello(data)
+		v, epoch, err := decodeHello(data)
 		if err != nil {
 			return
 		}
 		var wire bytes.Buffer
-		if err := writeHello(&wire, msgHello, v, capacity); err != nil {
+		if err := writeHello(&wire, msgHelloOK, v, epoch); err != nil {
 			t.Fatal(err)
 		}
-		v2, c2, err := decodeHello(wire.Bytes()[4+1:])
-		if err != nil || v2 != v || c2 != capacity {
-			t.Fatalf("round trip = (%d, %d, %v), want (%d, %d)", v2, c2, err, v, capacity)
+		v2, e2, err := decodeHello(wire.Bytes()[4+1:])
+		if err != nil || v2 != v || e2 != epoch {
+			t.Fatalf("round trip = (%d, %d, %v), want (%d, %d)", v2, e2, err, v, epoch)
 		}
 	})
 }

@@ -7,13 +7,13 @@ import (
 )
 
 // Group is one group reply, carried unchanged through every layer that
-// touches it: the mux reader fills it with the chunk frames the owner
-// sent, and the entry node's reply writer sends it — the bytes read off
-// the wire are the bytes written. A locally staged group is the same type
-// with no frames: its Data are references into the store.
+// touches it: at the client, the mux reader fills it with the chunk
+// frames the server sent and installs it from them; at the server, a
+// staged group is the same type with no frames — its Data are references
+// into the store — that the reply writes.
 //
 // A Group is reference counted and recycled. Whoever receives one from
-// Client.FetchGroup, an InlineRouter or NewGroup owns one reference and
+// the mux reader, an InlineRouter or NewGroup owns one reference and
 // must Release it exactly once; Retain adds a reference and is only legal
 // while the caller provably holds a live one. After Release a holder
 // touches neither Files nor any Data: the last Release hands the frame

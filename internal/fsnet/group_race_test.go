@@ -2,11 +2,7 @@
 
 package fsnet
 
-import (
-	"testing"
-
-	"aggcache/internal/obs/otrace"
-)
+import "testing"
 
 // liveGroups reads the race-build reference balance.
 func liveGroups() (n int64, counted bool) { return LiveGroups(), true }
@@ -16,14 +12,12 @@ func liveGroups() (n int64, counted bool) { return LiveGroups(), true }
 // (Files) or overwritten (the frames its Data pointed into), and the
 // container's count stays at zero for good.
 func TestReleasedGroupIsPoisoned(t *testing.T) {
-	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
-	client, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	g, err := client.FetchGroup("/data/f000", otrace.Ctx{})
-	if err != nil {
+	// A group as the mux reader builds one: a chunk frame from the pool,
+	// decoded in place.
+	g := NewGroup()
+	hdr := appendMemberChunkHdr(nil, 1, "/data/f000", 7, len("contents of /data/f000"), false)
+	g.bufs = append(g.bufs, append(append(getFrameBuf(0), hdr[4+v2HdrLen:]...), "contents of /data/f000"...))
+	if err := decodeChunks(g, "/data/f000"); err != nil {
 		t.Fatal(err)
 	}
 	stale := g.Files[0].Data

@@ -46,45 +46,49 @@ func TestGroupReferenceCounting(t *testing.T) {
 	g.refs.Store(0)
 }
 
-// TestFetchGroupIsTheFramesRead: the forward's group is not a copy. Every
-// member's Data lies inside the frame buffer its chunk arrived in, the
-// and the paths are the interner's strings.
+// TestFetchGroupIsTheFramesRead: the group a fetch delivers to the
+// install is not a copy. decodeChunks leaves every member's Data and path
+// inside the frame buffer its chunk arrived in — header-only members
+// included, with no Data — and an append through Data cannot write into
+// the frame.
 func TestFetchGroupIsTheFramesRead(t *testing.T) {
-	_, addr := startServer(t, seededStore(t, 6), ServerConfig{GroupSize: 3, SuccessorCapacity: 2})
-	client, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for i := 0; i < 4; i++ {
-		for _, p := range []string{"/data/f000", "/data/f001", "/data/f002"} {
-			if _, err := client.Open(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g, err := client.FetchGroup("/data/f000", otrace.Ctx{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := NewGroup()
 	defer g.Release()
-	if len(g.Files) < 2 || len(g.Files) != len(g.bufs) {
-		t.Fatalf("group of %d files in %d frames, want a trained group, one frame each", len(g.Files), len(g.bufs))
+	members := []struct {
+		path string
+		data string
+		held bool
+	}{{"/data/f000", "contents of /data/f000", false}, {"/data/f001", "", true}, {"/data/f002", "contents of /data/f002", false}}
+	for _, m := range members {
+		hdr := appendMemberChunkHdr(nil, 1, m.path, contentTag([]byte(m.path)), len(m.data), m.held)
+		buf := append(getFrameBuf(0), hdr[4+v2HdrLen:]...)
+		g.bufs = append(g.bufs, append(buf, m.data...))
+	}
+	if err := decodeChunks(g, "/data/f000"); err != nil {
+		t.Fatal(err)
+	}
+	if g.held != 1<<1 {
+		t.Errorf("held = %#b, want member 1 alone", g.held)
 	}
 	for i, f := range g.Files {
-		if string(f.Data) != "contents of "+f.Path {
-			t.Errorf("member %d: %q holds %q", i, f.Path, f.Data)
+		m := members[i]
+		if string(g.paths[i]) != m.path || string(f.Data) != m.data || f.Tag != contentTag([]byte(m.path)) {
+			t.Errorf("member %d: %q holds %q, tag %#x", i, g.paths[i], f.Data, f.Tag)
+		}
+		buf := g.bufs[i]
+		if inFrame, _, _, _, _ := memberChunkView(buf); &inFrame[0] != &g.paths[i][0] {
+			t.Errorf("member %d: path is not a view into its chunk's frame buffer", i)
+		}
+		if m.held {
+			continue
 		}
 		// A chunk's payload ends with the contents.
-		if buf := g.bufs[i]; len(f.Data) == 0 || &f.Data[0] != &buf[len(buf)-len(f.Data)] {
+		if &f.Data[0] != &buf[len(buf)-len(f.Data)] {
 			t.Errorf("member %d: Data is not a view into its chunk's frame buffer", i)
 		}
 		if cap(f.Data) != len(f.Data) {
 			t.Errorf("member %d: cap %d > len %d, an append would write into the frame", i, cap(f.Data), len(f.Data))
 		}
-	}
-	if st := client.Stats(); st.BytesReceived == 0 || client.Contains("/nope") {
-		t.Errorf("stats not kept: %+v", st)
 	}
 }
 
@@ -105,10 +109,7 @@ func TestClientCloseMidGroup(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		g, err := client.FetchGroup("/s/half", otrace.Ctx{})
-		if err == nil {
-			g.Release()
-		}
+		_, err := client.Open("/s/half")
 		done <- err
 	}()
 	for ttfb.Count() == 0 { // the chunk has reached the call

@@ -78,7 +78,7 @@ func TestHandoffInstallsGroup(t *testing.T) {
 		t.Errorf("stats contract violated after handoff: %+v", st)
 	}
 
-	group, err := fetchGroup(c, anchor)
+	group, err := newRawFetcher(t, addr).fetch(anchor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +190,11 @@ func TestHandoffLearnsOnlyStoredPaths(t *testing.T) {
 			}
 			var succ []string
 			if id, ok := srv.ids.Lookup(c.anchor); ok {
+				srv.aggMu.Lock()
 				for _, s := range srv.agg.Tracker().Successors(id) {
 					succ = append(succ, srv.ids.Path(s))
 				}
+				srv.aggMu.Unlock()
 			}
 			if !slices.Equal(succ, c.wantSucc) {
 				t.Errorf("anchor successors %v, want %v", succ, c.wantSucc)

@@ -23,12 +23,10 @@ type serverMetrics struct {
 	handoffs    *obs.Counter
 	streamed    *obs.Counter
 
-	// Validated replies (DESIGN.md §11): members sent header-only, the
-	// contents that saved, and shadows discarded, by what discarded them.
+	// Validated replies (DESIGN.md §11): members sent header-only, and the
+	// contents that saved.
 	validated      *obs.Counter
 	validatedBytes *obs.Counter
-	resetsHistory  *obs.Counter
-	resetsClient   *obs.Counter
 
 	// Per-phase open latency: a request is a cache hit, a store stage,
 	// or a router forward — the three serving paths of DESIGN.md §10/§11.
@@ -44,8 +42,6 @@ type serverMetrics struct {
 func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 	const latName = "fsnet_server_request_latency_ns"
 	const latHelp = "open latency in nanoseconds by serving phase"
-	const resetsName = "fsnet_server_shadow_resets_total"
-	const resetsHelp = "connection shadows discarded after vouching for a reply, by what contradicted them"
 	return serverMetrics{
 		requests:    reg.LiveCounter("fsnet_server_requests_total", "open and write requests served, including errors"),
 		errors:      reg.LiveCounter("fsnet_server_errors_total", "error replies plus protocol violations"),
@@ -59,8 +55,6 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 
 		validated:      reg.LiveCounter("fsnet_server_validated_members_total", "group members sent header-only: the client held them unchanged"),
 		validatedBytes: reg.LiveCounter("fsnet_server_validated_bytes_saved_total", "file contents kept off the wire by header-only members"),
-		resetsHistory:  reg.LiveCounter(resetsName, resetsHelp, obs.L("reason", "history")),
-		resetsClient:   reg.LiveCounter(resetsName, resetsHelp, obs.L("reason", "client")),
 
 		latHit:     reg.Histogram(latName, latHelp, obs.L("phase", "hit")),
 		latStage:   reg.Histogram(latName, latHelp, obs.L("phase", "stage")),

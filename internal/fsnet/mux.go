@@ -11,67 +11,69 @@ import (
 	"aggcache/internal/obs/otrace"
 )
 
-// muxConn is the client transport: one TCP connection shared by any
-// number of goroutines, with pipelined requests and out-of-order replies
-// matched by request ID.
+// muxConn is the client transport to one server: one TCP connection
+// shared by any number of goroutines, with pipelined requests and
+// out-of-order replies matched by request ID.
 //
-// A writer goroutine drains a queue of calls and flushes them in batches
-// (many frames, one syscall); a reader goroutine decodes reply frames and
+// Requests leave on the goroutine that made them: a caller queues its call
+// and flushes the queue, and a caller that finds a flush under way leaves
+// its call to it, so calls that arrive together leave together (many
+// frames, one syscall). A reader goroutine decodes reply frames and
 // delivers each to its call's completion channel. A group reply arrives
 // as a stream of msgMemberChunk frames closed by msgGroupEnd; the reader
-// accumulates the chunks and delivers the completed group. With a request
-// timeout configured, one watchdog timer per connection — not one per
-// call — poisons the connection when the oldest unanswered call passes
-// its deadline (the stream position is unknown by then). Any transport or
+// accumulates the chunks, installs the completed group in the client's
+// cache — in the order the server sent the replies — and delivers the
+// demanded file. With a request timeout configured, one watchdog timer
+// per connection — not one per call — poisons the connection when the
+// oldest unanswered call passes its deadline (the stream position is
+// unknown by then). Any transport or
 // protocol error poisons the whole connection: every in-flight call fails
 // fast with ErrConnBroken, claimed piggyback history is restored to the
 // client in call order, and the connection is closed and never reused.
 type muxConn struct {
 	c    *Client
+	l    *link // the slot this connection fills
 	conn net.Conn
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	// View-hint piggyback state, touched only by the writer goroutine:
+	// epoch is the view epoch the server's hello announced (0: no ring).
+	epoch uint64
+
+	// View-hint piggyback state, touched only by the flushing goroutine:
 	// the epoch last announced on this connection, so a stable view costs
 	// one frame per connection rather than one per batch.
 	hintSent  bool
 	hintEpoch uint64
 
-	// validated: the server answered the hello by agreeing to shadow the
-	// client's cache, so every open written once the client's novalidate is
-	// set must carry openUnvalidated. Fixed at the handshake.
-	validated bool
-
-	mu     sync.Mutex
-	nextID uint64
-	calls  map[uint64]*muxCall // in flight: queued or written, awaiting reply
-	queue  []*muxCall          // awaiting the writer goroutine
-	freeQ  []*muxCall          // recycled queue storage for the next batch
-	broken bool
-	err    error // first error, set when broken
+	mu       sync.Mutex
+	nextID   uint64
+	calls    map[uint64]*muxCall // in flight: queued or written, awaiting reply
+	queue    []*muxCall          // awaiting a flush
+	freeQ    []*muxCall          // recycled queue storage for the next batch
+	flushing bool                // a caller is writing the queue out
+	broken   bool
+	err      error // first error, set when broken
 	// watch is the deadline watchdog: armed by the first call enqueued
 	// while it is idle (watching false), it re-arms itself for the oldest
 	// in-flight deadline each time it fires and goes idle when nothing is
 	// in flight. Nil until the first call of a connection with a timeout.
 	watch    *time.Timer
 	watching bool
-
-	wake chan struct{} // capacity 1; nudges the writer
 }
 
 // muxCall is one pipelined request.
 type muxCall struct {
 	id  uint64
 	typ uint8
-	// path is the demanded path of a msgOpen; the writer goroutine claims
-	// the piggyback history and encodes the payload at write time, so one
-	// flush's worth of opens shares a single claim instead of claiming
-	// per call.
+	// path is the demanded path of a msgOpen; the flush claims the
+	// piggyback history and the residency report and encodes the payload
+	// at write time, so one flush's worth of opens shares a single claim
+	// instead of claiming per call.
 	path    string
 	payload []byte
 	// claimed is the piggyback history this call took from the client's
-	// pending list when the writer encoded it; it is restored if the
+	// pending list when the flush encoded it; it is restored if the
 	// connection dies before the server demonstrably processed the call.
 	// Calls poisoned before they were written have no claim — their
 	// history simply stayed on the pending list.
@@ -83,7 +85,7 @@ type muxCall struct {
 	// configured timeout.
 	deadline time.Time
 	// tctx is the call's trace context. A sampled context makes the
-	// writer emit one msgTraceCtx piggyback frame ahead of the request
+	// flush emit one msgTraceCtx piggyback frame ahead of the request
 	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
 	// group accumulates the member-chunk payloads of a streamed group
@@ -113,43 +115,36 @@ func putMuxCall(call *muxCall) {
 type muxResult struct {
 	typ     uint8
 	payload []byte
-	// group is a streamed group reply: the member-chunk payloads in
-	// group order (typ is msgGroupEnd, payload nil), not yet validated.
-	// The receiver owns its one reference.
-	group *Group
-	err   error
+	// data is a group reply's demanded file (typ msgGroupEnd, payload
+	// nil), as the reader installed it in the cache.
+	data []byte
+	err  error
 }
 
-func newMuxConn(c *Client, cc *clientConn, validated bool) *muxConn {
+func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
 	return &muxConn{
-		c:         c,
-		conn:      cc.conn,
-		r:         cc.r,
-		w:         cc.w,
-		validated: validated,
-		calls:     make(map[uint64]*muxCall),
-		wake:      make(chan struct{}, 1),
+		c:     c,
+		l:     l,
+		conn:  cc.conn,
+		r:     cc.r,
+		w:     cc.w,
+		epoch: epoch,
+		calls: make(map[uint64]*muxCall),
 	}
 }
 
-// start launches the writer and reader goroutines. Called after the mux is
-// installed in the client's connection slot.
-func (m *muxConn) start() {
-	go m.writer()
-	go m.reader()
-}
-
-// enqueue registers one call and hands it to the writer. msgOpen payloads
-// are not encoded here: the writer claims the piggyback history and
-// encodes at write time, preserving the invariant that claims happen in
-// request-ID order (the writer drains the queue in ID order).
+// enqueue registers one call and flushes the queue, or leaves the call to
+// a flush under way. msgOpen payloads are not encoded here: the flush
+// claims the piggyback history and encodes at write time, preserving the
+// invariant that claims happen in request-ID order (a flush drains the
+// queue in ID order).
 func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (*muxCall, error) {
 	call := muxCallPool.Get().(*muxCall)
 	call.typ = reqType
 	call.path = path
 	call.payload = payload
 	call.tctx = tctx
-	timeout := m.c.cfg.Timeout
+	timeout := m.l.timeout
 	if reqType == msgOpen && m.c.m.ttfb != nil {
 		call.start = time.Now()
 	}
@@ -181,11 +176,13 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	call.id = m.nextID
 	m.calls[call.id] = call
 	m.queue = append(m.queue, call)
-	m.mu.Unlock()
-	select {
-	case m.wake <- struct{}{}:
-	default:
+	if m.flushing {
+		m.mu.Unlock()
+		return call, nil
 	}
+	m.flushing = true
+	m.mu.Unlock()
+	m.flush()
 	return call, nil
 }
 
@@ -217,91 +214,83 @@ func (m *muxConn) expire() {
 	m.mu.Unlock()
 	// The stream position is unknown after a timeout, so the whole
 	// connection is poisoned — which fails every in-flight call.
-	m.poison(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, m.c.cfg.Timeout))
+	m.poison(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, m.l.timeout))
 }
 
-// writer drains the queue in batches: every queued frame is buffered and
-// the batch shares one Flush, so k pipelined requests cost one syscall
-// instead of k. Open payloads are encoded here, into one pooled scratch
-// buffer per batch, after claiming the pending piggyback history — still
-// under m.mu, so the claim-order/ID-order invariant holds and the claimed
-// slices are safely published to the reader and poison paths.
-func (m *muxConn) writer() {
-	for range m.wake {
-		for {
-			m.mu.Lock()
-			if m.broken {
-				m.mu.Unlock()
-				return
+// flush writes the queue out in batches until it is empty: every queued
+// frame is buffered and the batch shares one Flush, so k pipelined
+// requests cost one syscall instead of k. Open payloads are encoded here,
+// into one pooled scratch buffer per batch, after claiming the pending
+// piggyback history and the link's report — still under m.mu, so the
+// claim-order/ID-order invariant holds and the claimed slices are safely
+// published to the reader and poison paths. Called by the goroutine that
+// set flushing.
+func (m *muxConn) flush() {
+	for {
+		m.mu.Lock()
+		if m.broken || len(m.queue) == 0 {
+			m.flushing = false
+			m.mu.Unlock()
+			return
+		}
+		batch := m.queue
+		if m.freeQ != nil {
+			m.queue = m.freeQ[:0]
+			m.freeQ = nil
+		} else {
+			m.queue = nil
+		}
+		enc := getEncodeBuf()
+		for _, call := range batch {
+			if call.typ != msgOpen {
+				continue
 			}
-			if len(m.queue) == 0 {
-				m.mu.Unlock()
+			start := len(enc)
+			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path)
+			call.payload = enc[start:]
+		}
+		m.mu.Unlock()
+		var err error
+		// Piggyback the membership epoch ahead of the batch when a view
+		// source is wired: one msgViewHint under request ID 0 (never a real
+		// request ID — those start at 1), re-sent only when the epoch
+		// changes. Appending to enc after the unlock is safe: if append
+		// reallocates, the batch payload slices keep aliasing the old
+		// (immutable) backing.
+		if m.c.cfg.Views != nil {
+			if epoch := m.c.cfg.Views.Epoch(); !m.hintSent || epoch != m.hintEpoch {
+				start := len(enc)
+				enc = appendViewMsg(enc, epoch, m.c.cfg.Views.Self())
+				err = putFrameID(m.w, msgViewHint, 0, enc[start:])
+				m.hintSent, m.hintEpoch = true, epoch
+			}
+		}
+		for _, call := range batch {
+			if err != nil {
 				break
 			}
-			batch := m.queue
-			if m.freeQ != nil {
-				m.queue = m.freeQ[:0]
-				m.freeQ = nil
-			} else {
-				m.queue = nil
-			}
-			enc := getEncodeBuf()
-			for _, call := range batch {
-				if call.typ != msgOpen {
-					continue
-				}
-				var accessed []string
-				accessed, call.claimed = m.c.claimPending(call.path)
+			if call.tctx.Sampled {
+				// Announce the sampled call's trace context under request
+				// ID 0 immediately before its request frame; the server
+				// attaches it to the matching request ID.
 				start := len(enc)
-				enc = appendOpenRequest(enc, call.path, accessed)
-				if m.validated && m.c.novalidate.Load() {
-					enc = append(enc, openUnvalidated)
-				}
-				call.payload = enc[start:]
-			}
-			m.mu.Unlock()
-			var err error
-			// Piggyback the membership epoch ahead of the batch when a
-			// view source is wired: one msgViewHint under request ID 0
-			// (never a real request ID — those start at 1), re-sent only
-			// when the epoch changes. Appending to enc after the unlock is
-			// safe: if append reallocates, the batch payload slices keep
-			// aliasing the old (immutable) backing.
-			if m.c.cfg.Views != nil {
-				if epoch := m.c.cfg.Views.Epoch(); !m.hintSent || epoch != m.hintEpoch {
-					start := len(enc)
-					enc = appendViewMsg(enc, epoch, m.c.cfg.Views.Self())
-					err = putFrameID(m.w, msgViewHint, 0, enc[start:])
-					m.hintSent, m.hintEpoch = true, epoch
-				}
-			}
-			for _, call := range batch {
-				if err != nil {
-					break
-				}
-				if call.tctx.Sampled {
-					// Announce the sampled call's trace context under
-					// request ID 0 immediately before its request frame;
-					// the server attaches it to the matching request ID.
-					start := len(enc)
-					enc = appendTraceCtx(enc, call.id, call.tctx)
-					if err = putFrameID(m.w, msgTraceCtx, 0, enc[start:]); err != nil {
-						break
-					}
-				}
-				if err = putFrameID(m.w, call.typ, call.id, call.payload); err != nil {
+				enc = appendTraceCtx(enc, call.id, call.tctx)
+				if err = putFrameID(m.w, msgTraceCtx, 0, enc[start:]); err != nil {
 					break
 				}
 			}
-			if err == nil {
-				err = m.w.Flush()
+			if err = putFrameID(m.w, call.typ, call.id, call.payload); err != nil {
+				break
 			}
-			putFrameBuf(enc)
-			m.recycleBatch(batch)
-			if err != nil {
-				m.poison(fmt.Errorf("%w: %v", ErrConnBroken, err))
-				return
-			}
+		}
+		if err == nil {
+			err = m.w.Flush()
+		}
+		putFrameBuf(enc)
+		m.recycleBatch(batch)
+		if err != nil {
+			// The next pass finds the connection broken and stops.
+			m.poison(fmt.Errorf("%w: %v", ErrConnBroken, err))
 		}
 	}
 }
@@ -343,6 +332,7 @@ func (m *muxConn) reader() {
 			if m.c.cfg.Views != nil {
 				m.c.cfg.Views.NoteViewEpoch(sender, epoch)
 			}
+			m.c.noteViewHint(m.l, epoch)
 			continue
 		}
 		switch typ {
@@ -397,10 +387,18 @@ func (m *muxConn) reader() {
 				}
 				derr = fmt.Errorf("group end declares %d members, got %d", n, got)
 			}
+			if derr == nil && call.typ != msgOpen {
+				derr = fmt.Errorf("group reply to request type %d", call.typ)
+			}
+			var data []byte
+			if derr == nil {
+				// Installed here, in the order the server sent its replies:
+				// a reply may vouch for a member an earlier one delivered.
+				data, derr = m.c.install(m, call, g)
+			} else if g != nil {
+				g.Release()
+			}
 			if derr != nil {
-				if g != nil {
-					g.Release()
-				}
 				werr := fmt.Errorf("%w: %v", ErrConnBroken, derr)
 				// The stream is untrustworthy beyond this point; the call
 				// was already removed from the in-flight map, so fail it
@@ -409,7 +407,7 @@ func (m *muxConn) reader() {
 				call.done <- muxResult{err: werr}
 				return
 			}
-			call.done <- muxResult{typ: msgGroupEnd, group: g}
+			call.done <- muxResult{typ: msgGroupEnd, data: data}
 		default:
 			m.mu.Lock()
 			call, ok := m.calls[id]
@@ -489,11 +487,6 @@ func (m *muxConn) poison(err error) {
 	m.mu.Unlock()
 
 	_ = m.conn.Close()
-	// Nudge the writer so it observes broken and exits.
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
 
 	for _, call := range orphans {
 		if call.group != nil {

@@ -2,7 +2,6 @@ package fsnet
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -45,13 +44,15 @@ func TestServerMetricsExposition(t *testing.T) {
 	defer c.Close()
 
 	// Two fetches of the same path: the first stages, the second is a
-	// server cache hit (FetchGroup never answers from the local cache).
+	// server cache hit (the raw fetcher keeps no cache), then a routed one
+	// through the client.
+	raw := newRawFetcher(t, addr)
 	for i := 0; i < 2; i++ {
-		if _, err := fetchGroup(c, "/data/f000"); err != nil {
+		if _, err := raw.fetch("/data/f000"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := fetchGroup(c, routePrefix+"a"); err != nil {
+	if _, err := c.Open(routePrefix + "a"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +138,7 @@ func TestClientReconnectMetrics(t *testing.T) {
 	if _, err := c.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
-	_ = c.desync(errors.New("injected"))
+	poisonSeed(c)
 	if _, err := c.Open("/data/f001"); err != nil {
 		t.Fatal(err)
 	}
@@ -251,17 +252,16 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 		}
 	}()
 
+	// Raw fetchers keep no cache, so every open exercises the server.
+	fetchers := make([]*rawFetcher, workers)
+	for w := range fetchers {
+		fetchers[w] = newRawFetcher(t, addr)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := Dial(addr, ClientConfig{Timeout: 10 * time.Second})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer c.Close()
 			for i := 0; i < opensPerWorker; i++ {
 				var path string
 				switch i % 3 {
@@ -272,9 +272,7 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 				default:
 					path = fmt.Sprintf("%sr%d", routePrefix, i%5)
 				}
-				// FetchGroup never answers from the local cache, so every
-				// iteration exercises the server.
-				if _, err := fetchGroup(c, path); err != nil && !errors.Is(err, errClientClosed) {
+				if _, err := fetchers[w].fetch(path); err != nil {
 					t.Errorf("open %s: %v", path, err)
 					return
 				}
@@ -301,8 +299,8 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 // TestValidationSeriesMove drives each series of the validated-reply
 // protocol off zero and checks it against the stats struct it mirrors:
 // members sent header-only and the bytes that saved, the client's count of
-// the ones it honoured and of the ones it could not, history shed at the
-// bound, and shadows dropped for either reason.
+// the ones it honoured and of the ones it could not, and history shed at
+// the bound — after which validation goes on.
 func TestValidationSeriesMove(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, addr := startServer(t, seededStore(t, 24), ServerConfig{GroupSize: 4, Obs: reg})
@@ -349,14 +347,16 @@ func TestValidationSeriesMove(t *testing.T) {
 	if v := value("fsnet_client_validated_files_total", nil); v != float64(cs.ValidatedFiles) {
 		t.Errorf("client validated_files_total = %v, Stats says %d", v, cs.ValidatedFiles)
 	}
-	for _, reason := range []string{"history", "client"} {
-		if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": reason}); v != 0 {
-			t.Errorf("shadow_resets_total{reason=%s} = %v before any reset", reason, v)
-		}
+	var exposed strings.Builder
+	if err := reg.WritePrometheus(&exposed); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exposed.String(), "shadow_resets") {
+		t.Error("a shadow-reset series is still exposed: reports leave nothing to reset")
 	}
 
-	// More hits than one request can carry: history is shed, the next
-	// request says so, and the server drops the shadow at the client's word.
+	// More hits than one request can carry: history is shed and counted,
+	// and validation goes on.
 	for i := 0; i < maxStatPaths+8; i++ {
 		open(c, 1+i%2)
 	}
@@ -365,28 +365,12 @@ func TestValidationSeriesMove(t *testing.T) {
 		t.Errorf("history_dropped_total = %v, Stats says %d; want both above zero",
 			value("fsnet_client_history_dropped_total", nil), cs.HistoryDropped)
 	}
-	if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": "client"}); v != 1 {
-		t.Errorf("shadow_resets_total{reason=client} = %v, want 1", v)
+	validated := srv.Stats().ValidatedMembers
+	for i := 0; i < 3*40; i++ {
+		open(c, sharedWalk(i))
 	}
-
-	// A second connection piggybacks an access it was never sent: the
-	// server drops that shadow on its own evidence.
-	rc := rawHelloCap(t, rawDial(t, addr), 4)
-	for id, accessed := range [][]string{nil, {"/data/f020"}} {
-		rc.send(t, msgOpen, uint64(id+1), appendOpenRequest(nil, "/data/f001", accessed))
-		for typ := uint8(0); typ != msgGroupEnd; {
-			var payload []byte
-			if typ, _, payload, err = readFrameID(rc.r); err != nil {
-				t.Fatal(err)
-			}
-			putFrameBuf(payload)
-		}
-	}
-	if v := value("fsnet_server_shadow_resets_total", map[string]string{"reason": "history"}); v != 1 {
-		t.Errorf("shadow_resets_total{reason=history} = %v, want 1", v)
-	}
-	if got := srv.Stats().ShadowResets; got != 2 {
-		t.Errorf("Stats().ShadowResets = %d, want both resets", got)
+	if now := srv.Stats().ValidatedMembers; now == validated {
+		t.Errorf("validated_members_total stuck at %d after the shed", now)
 	}
 
 	// A server whose shadow is wrong: a header-only chunk for a file this

@@ -70,8 +70,8 @@ func pinScript() []pinStep {
 // runPinScript replays the script over one raw connection and returns the
 // SHA-256 over every reply in its historical form (type byte || payload,
 // a streamed group reassembled into one msgGroupV1 payload followed by its
-// members' tags), oldest first. The connection asks for no validation, so
-// every member arrives in full.
+// members' tags), oldest first. Each open reports every file the
+// connection received before as dropped, so every member arrives in full.
 func runPinScript(t *testing.T, addr string) string {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
@@ -81,12 +81,14 @@ func runPinScript(t *testing.T, addr string) string {
 	defer conn.Close()
 	rc := rawHello(t, conn)
 	h := sha256.New()
+	var received []reported
 	for i, step := range pinScript() {
 		id := uint64(i + 1)
 		if step.write {
 			rc.send(t, msgWrite, id, encodeWriteRequest(writeRequest{Path: step.path, Data: []byte(step.data)}))
 		} else {
-			rc.send(t, msgOpen, id, appendOpenRequest(nil, step.path, step.accessed))
+			rc.send(t, msgOpen, id, encodeOpenRequest(openRequest{Path: step.path, Accessed: step.accessed, Report: received}))
+			received = nil
 		}
 		var files []fileData
 		var tags []byte
@@ -103,6 +105,7 @@ func runPinScript(t *testing.T, addr string) string {
 				}
 				files = append(files, fileData{Path: string(path), Data: data})
 				tags = binary.BigEndian.AppendUint64(tags, tag)
+				received = append(received, reported{Path: string(path)})
 				continue
 			case msgGroupEnd:
 				if n, err := decodeGroupEnd(payload); err != nil || n != len(files) {

@@ -36,14 +36,14 @@ const (
 	msgWrite
 	// msgWriteOK acknowledges a write, carrying the stored contents' tag.
 	msgWriteOK
-	// msgHello is the client's protocol-version offer plus the capacity of
-	// the cache it asks the server to shadow, the first frame of every
-	// connection. A server answers an offer below protocolVersion — or any
-	// other first frame — with one msgError and closes.
+	// msgHello is the client's protocol-version offer, the first frame of
+	// every connection. A server answers an offer below protocolVersion —
+	// or any other first frame — with one msgError and closes.
 	msgHello
 	// msgHelloOK is the server's handshake reply carrying the version the
-	// connection speaks. Every later frame carries a request ID and replies
-	// may return out of order.
+	// connection speaks and the epoch of the server's membership view (0:
+	// the server is in no ring). Every later frame carries a request ID and
+	// replies may return out of order.
 	msgHelloOK
 	// msgHandoff is a peer->peer drain transfer: one group a departing
 	// cluster node owned — the anchor path plus its learned members in
@@ -89,13 +89,15 @@ const (
 )
 
 // protocolVersion is the one protocol version this package speaks: the
-// hello exchange carrying the client's cache capacity, request-ID framing,
-// and streamed group replies whose member chunks carry a content tag and
-// may be header-only (DESIGN.md §10). The number is a wire value — earlier
-// ones were the lock-step, assembled-reply and untagged-stream generations
-// it replaced — and the handshake exists to turn a peer built before or
-// after it away with a typed error instead of a desynchronised stream.
-const protocolVersion = 4
+// hello exchange carrying the server's view epoch, request-ID framing,
+// opens that carry the client's residency report, and streamed group
+// replies whose member chunks carry a content tag and may be header-only
+// (DESIGN.md §10). The number is a wire value — earlier ones were the
+// lock-step, assembled-reply, untagged-stream and replayed-shadow
+// generations it replaced — and the handshake exists to turn a peer built
+// before or after it away with a typed error instead of a desynchronised
+// stream.
+const protocolVersion = 5
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -336,22 +338,21 @@ func getEncodeBuf() []byte {
 }
 
 // writeHello frames a msgHello or msgHelloOK: the protocol version, then
-// a client cache capacity in whole files. In a msgHello it is the size of
-// the (empty) cache the client asks the server to shadow so that members
-// it already holds can be validated instead of re-sent; zero asks for no
-// validation. In a msgHelloOK it is what the server agreed to shadow — the
-// offer, or zero.
-func writeHello(w io.Writer, typ uint8, version int, capacity uint64) error {
+// in a msgHelloOK the server's view epoch. A msgHello has no second field.
+func writeHello(w io.Writer, typ uint8, version int, epoch uint64) error {
 	var v [2 * binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(v[:], uint64(version))
-	n += binary.PutUvarint(v[n:], capacity)
+	if typ == msgHelloOK {
+		n += binary.PutUvarint(v[n:], epoch)
+	}
 	return writeFrame(w, typ, v[:n])
 }
 
-// decodeHello accepts a hello that ends after the version (capacity zero):
-// that is what the generations before the capacity field sent, and they
-// must reach the version check to be refused by number.
-func decodeHello(payload []byte) (version int, capacity uint64, err error) {
+// decodeHello accepts a hello that ends after the version (epoch zero),
+// and one with a second field: the generation before this one declared a
+// cache capacity there, and it must reach the version check to be refused
+// by number.
+func decodeHello(payload []byte) (version int, epoch uint64, err error) {
 	d := decoder{buf: payload}
 	v, err := d.uvarint()
 	if err != nil {
@@ -361,14 +362,14 @@ func decodeHello(payload []byte) (version int, capacity uint64, err error) {
 		return 0, 0, fmt.Errorf("fsnet: protocol version %d out of range", v)
 	}
 	if len(d.buf) > 0 {
-		if capacity, err = d.uvarint(); err != nil {
+		if epoch, err = d.uvarint(); err != nil {
 			return 0, 0, err
 		}
 	}
 	if err := d.done(); err != nil {
 		return 0, 0, err
 	}
-	return int(v), capacity, nil
+	return int(v), epoch, nil
 }
 
 // Payload encoding helpers: strings and byte blobs are uvarint length +
@@ -441,19 +442,12 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// openUnvalidated is the one msgOpen flag: the client's cache is no longer
-// what a replay of this connection's requests and replies would make it —
-// it shed history, found a header-only chunk it could not honour, or is
-// not caching these replies at all — so the server must stop validating
-// for the rest of the connection's life.
-const openUnvalidated = 0x01
-
 // appendOpenRequest appends a msgOpen payload to dst: the demanded path,
 // then the piggybacked list of paths the client accessed (hit or miss)
 // since its previous request, oldest first. The list excludes the
 // demanded path itself, which the server appends to the learned stream on
-// arrival. One flags byte may follow the list; it is omitted when zero, so
-// the sender appends it itself.
+// arrival. A residency report (appendReport) may follow; a payload that
+// ends after the list reports nothing.
 func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	dst = appendString(dst, path)
 	dst = appendUvarint(dst, uint64(len(accessed)))
@@ -463,41 +457,77 @@ func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
 	return dst
 }
 
+// reportEntry is one line of a residency report: a file whose state at
+// the client the connection's server does not know yet — the tag the
+// client now holds it at, or 0 for a file it no longer holds.
+type reportEntry struct {
+	path []byte
+	tag  uint64
+}
+
+// maxReport bounds a report's entries; what does not fit rides the next
+// request.
+const maxReport = maxStatPaths
+
+// appendReportHdr and appendReportEntry append a residency report to a
+// msgOpen payload: a uvarint count, then each entry as its path and a u64
+// tag (DESIGN.md §11).
+func appendReportHdr(dst []byte, n int) []byte { return appendUvarint(dst, uint64(n)) }
+
+func appendReportEntry(dst []byte, path string, tag uint64) []byte {
+	return binary.BigEndian.AppendUint64(appendString(dst, path), tag)
+}
+
 // parseOpenRequest validates a msgOpen payload and returns the demanded
-// path plus the piggybacked paths appended to accessed, all as views
-// aliasing payload — no copies, valid only while the payload buffer is —
-// and the flags byte (zero when the payload ends without one). Empty
-// piggybacked paths carry no access and are dropped.
-func parseOpenRequest(payload []byte, accessed [][]byte) (path []byte, _ [][]byte, flags uint8, err error) {
+// path, the piggybacked paths appended to accessed and the report entries
+// appended to report, all as views aliasing payload — no copies, valid
+// only while the payload buffer is. Empty piggybacked paths carry no
+// access and are dropped.
+func parseOpenRequest(payload []byte, accessed [][]byte, report []reportEntry) (path []byte, _ [][]byte, _ []reportEntry, err error) {
 	d := decoder{buf: payload}
 	if path, err = d.view(maxPath); err != nil {
-		return nil, accessed, 0, err
+		return nil, accessed, report, err
 	}
 	if len(path) == 0 {
-		return nil, accessed, 0, errors.New("fsnet: empty path")
+		return nil, accessed, report, errors.New("fsnet: empty path")
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, accessed, 0, err
+		return nil, accessed, report, err
 	}
 	if n > maxStatPaths {
-		return nil, accessed, 0, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
+		return nil, accessed, report, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
 	for i := uint64(0); i < n; i++ {
 		p, err := d.view(maxPath)
 		if err != nil {
-			return nil, accessed, 0, err
+			return nil, accessed, report, err
 		}
 		if len(p) != 0 {
 			accessed = append(accessed, p)
 		}
 	}
-	if len(d.buf) == 1 {
-		if flags, d.buf = d.buf[0], nil; flags&^openUnvalidated != 0 {
-			return nil, accessed, 0, fmt.Errorf("fsnet: unknown open flags %#x", flags)
-		}
+	if len(d.buf) == 0 {
+		return path, accessed, report, nil
 	}
-	return path, accessed, flags, d.done()
+	if n, err = d.uvarint(); err != nil {
+		return nil, accessed, report, err
+	}
+	if n == 0 || n > maxReport {
+		return nil, accessed, report, fmt.Errorf("fsnet: report of %d entries out of range [1,%d]", n, maxReport)
+	}
+	for i := uint64(0); i < n; i++ {
+		p, err := d.view(maxPath)
+		if err != nil {
+			return nil, accessed, report, err
+		}
+		if len(p) == 0 || len(d.buf) < 8 {
+			return nil, accessed, report, errors.New("fsnet: malformed report entry")
+		}
+		report = append(report, reportEntry{path: p, tag: binary.BigEndian.Uint64(d.buf)})
+		d.buf = d.buf[8:]
+	}
+	return path, accessed, report, d.done()
 }
 
 // handoffRequest is the payload of msgHandoff: one drained group's

@@ -2,6 +2,7 @@ package fsnet
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -18,13 +19,22 @@ import (
 type openRequest struct {
 	Path     string
 	Accessed []string
-	Flags    uint8
+	Report   []reported
+}
+
+// reported is one decoded residency-report entry.
+type reported struct {
+	Path string
+	Tag  uint64
 }
 
 func encodeOpenRequest(req openRequest) []byte {
 	b := appendOpenRequest(nil, req.Path, req.Accessed)
-	if req.Flags != 0 {
-		b = append(b, req.Flags)
+	if len(req.Report) > 0 {
+		b = appendReportHdr(b, len(req.Report))
+		for _, e := range req.Report {
+			b = appendReportEntry(b, e.Path, e.Tag)
+		}
 	}
 	return b
 }
@@ -57,10 +67,25 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 		}
 		req.Accessed = append(req.Accessed, p)
 	}
-	if len(d.buf) == 1 {
-		if req.Flags, d.buf = d.buf[0], nil; req.Flags&^openUnvalidated != 0 {
-			return req, fmt.Errorf("fsnet: unknown open flags %#x", req.Flags)
+	if len(d.buf) == 0 {
+		return req, nil
+	}
+	if n, err = d.uvarint(); err != nil {
+		return req, err
+	}
+	if n == 0 || n > maxReport {
+		return req, fmt.Errorf("fsnet: report of %d entries out of range", n)
+	}
+	for i := uint64(0); i < n; i++ {
+		p, err := d.str(maxPath)
+		if err != nil {
+			return req, err
 		}
+		if p == "" || len(d.buf) < 8 {
+			return req, errors.New("fsnet: malformed report entry")
+		}
+		req.Report = append(req.Report, reported{Path: p, Tag: binary.BigEndian.Uint64(d.buf)})
+		d.buf = d.buf[8:]
 	}
 	return req, d.done()
 }
@@ -137,4 +162,15 @@ func (rc *rawConn) recvError(t testing.TB, id uint64) errorResponse {
 		t.Fatal(err)
 	}
 	return e
+}
+
+// poisonSeed breaks the client's live connection to its seed, as a reply
+// that failed to decode would.
+func poisonSeed(c *Client) {
+	c.mu.Lock()
+	m := c.seed.mux
+	c.mu.Unlock()
+	if m != nil {
+		_ = desync(m, errors.New("injected"))
+	}
 }

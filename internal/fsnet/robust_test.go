@@ -197,7 +197,7 @@ func TestPiggybackRetainedAcrossFailedRoundTrip(t *testing.T) {
 	}
 	// Poison the healthy conn so the next miss redials onto the faulty
 	// second connection and the round trip fails, carrying the history.
-	_ = client.desync(errors.New("injected"))
+	poisonSeed(client)
 	if _, err := client.Open("/data/f005"); !errors.Is(err, ErrConnBroken) {
 		t.Fatalf("expected failed round trip, got %v", err)
 	}

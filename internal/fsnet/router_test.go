@@ -1,9 +1,10 @@
 package fsnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
-	"slices"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,9 +13,8 @@ import (
 	"aggcache/internal/obs/otrace"
 )
 
-// The router suite covers the hooks the cluster peer tier composes from:
-// the ServerConfig.Router open interception point, Client.FetchGroup's
-// whole-group staging, and Client.NoteAccess's piggyback relay.
+// The router suite covers the ServerConfig.Router open interception
+// point and the whole group a client fetch brings back.
 
 // scriptedRouter handles paths under /remote/ with a fixed two-file
 // group and records every call; everything else falls through to the
@@ -251,7 +251,7 @@ func TestClusterOpenGroup(t *testing.T) {
 		}
 	}
 
-	group, err := fetchGroup(client, "/data/f000")
+	group, err := newRawFetcher(t, addr).fetch("/data/f000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,15 +274,7 @@ func TestClusterOpenGroup(t *testing.T) {
 		t.Errorf("trained successor /data/f001 missing from group %v", groupPaths(group))
 	}
 
-	// FetchGroup bypasses the local cache: another call fetches again.
-	before := client.Stats().Fetches
-	if _, err := fetchGroup(client, "/data/f000"); err != nil {
-		t.Fatal(err)
-	}
-	if got := client.Stats().Fetches; got != before+1 {
-		t.Errorf("Fetches = %d after second FetchGroup, want %d", got, before+1)
-	}
-	// ... while plain Open is a cache hit.
+	// The client's own copy of the group: a plain Open is a hit.
 	hitsBefore := client.Stats().Hits
 	if _, err := client.Open("/data/f000"); err != nil {
 		t.Fatal(err)
@@ -292,19 +284,69 @@ func TestClusterOpenGroup(t *testing.T) {
 	}
 }
 
-// fetchGroup is FetchGroup for a test that only inspects the reply: a
-// private copy of the group, its reference released.
-func fetchGroup(c *Client, path string) ([]GroupFile, error) {
-	g, err := c.FetchGroup(path, c.cfg.Trace.Root())
-	if err != nil {
+// rawFetcher opens paths over one raw connection that caches nothing, for
+// tests that inspect whole group replies: every open reaches the server,
+// and each reports the members of the one before as dropped, so every
+// member arrives in full.
+type rawFetcher struct {
+	conn    net.Conn
+	r       *bufio.Reader
+	w       *bufio.Writer
+	id      uint64
+	dropped []reported
+}
+
+func newRawFetcher(t *testing.T, addr string) *rawFetcher {
+	t.Helper()
+	rc := rawHello(t, rawDial(t, addr))
+	t.Cleanup(func() { _ = rc.Close() })
+	return &rawFetcher{conn: rc.Conn, r: rc.r, w: rc.w}
+}
+
+// fetch opens path and returns its group reply, demanded file first; a
+// msgError reply is returned as an error, ErrNotFound for CodeNotFound.
+func (f *rawFetcher) fetch(path string) ([]GroupFile, error) {
+	f.id++
+	req := encodeOpenRequest(openRequest{Path: path, Report: f.dropped})
+	f.dropped = nil
+	if err := putFrameID(f.w, msgOpen, f.id, req); err != nil {
 		return nil, err
 	}
-	defer g.Release()
-	files := make([]GroupFile, len(g.Files))
-	for i, f := range g.Files {
-		files[i] = GroupFile{Path: f.Path, Data: append([]byte(nil), f.Data...)}
+	if err := f.w.Flush(); err != nil {
+		return nil, err
 	}
-	return files, nil
+	var files []GroupFile
+	for {
+		typ, id, payload, err := readFrameID(f.r)
+		if err != nil {
+			return nil, err
+		}
+		if id != f.id {
+			return nil, fmt.Errorf("reply to request %d, want %d", id, f.id)
+		}
+		switch typ {
+		case msgMemberChunk:
+			p, data, tag, held, err := memberChunkView(payload)
+			if err != nil || held {
+				return nil, fmt.Errorf("chunk: held %v, %v", held, err)
+			}
+			files = append(files, GroupFile{Path: string(p), Data: append([]byte(nil), data...), Tag: tag})
+			f.dropped = append(f.dropped, reported{Path: string(p)})
+		case msgGroupEnd:
+			return files, nil
+		case msgError:
+			e, err := decodeErrorResponse(payload)
+			if err != nil {
+				return nil, err
+			}
+			if e.Code == CodeNotFound {
+				return nil, fmt.Errorf("%w: %s", ErrNotFound, e.Message)
+			}
+			return nil, fmt.Errorf("server error %d: %s", e.Code, e.Message)
+		default:
+			return nil, fmt.Errorf("unexpected reply type %d", typ)
+		}
+	}
 }
 
 func groupPaths(files []GroupFile) []string {
@@ -313,81 +355,4 @@ func groupPaths(files []GroupFile) []string {
 		out[i] = f.Path
 	}
 	return out
-}
-
-// TestClusterNoteAccessRelay: externally noted accesses ride the next
-// fetch's piggyback and reach the server's metadata, so a relaying node
-// gives the owner the same learning stream a direct client would.
-func TestClusterNoteAccessRelay(t *testing.T) {
-	store := seededStore(t, 6)
-	_, addr := startServer(t, store, ServerConfig{GroupSize: 3, SuccessorCapacity: 2})
-	relay, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-
-	// Relay a history this client never opened itself: f002 -> f003,
-	// several times, each followed by a fetch that carries it.
-	for i := 0; i < 6; i++ {
-		relay.NoteAccess("/data/f002", "/data/f003")
-		if _, err := fetchGroup(relay, "/data/f003"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	group, err := fetchGroup(relay, "/data/f002")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, f := range group {
-		if f.Path == "/data/f003" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("relayed transition f002->f003 not learned; group = %v", groupPaths(group))
-	}
-}
-
-// TestNoteAccessKeepsNewest: the relay backlog is bounded by the protocol's
-// piggyback limit and sheds from the front, so what survives a flood — or
-// an outage longer than the bound — is the newest history, unbroken and in
-// order, and that is what the next fetch delivers.
-func TestNoteAccessKeepsNewest(t *testing.T) {
-	// The server drops history naming files it never held: note real ones.
-	const notes, batchLen = 3 * maxStatPaths, 7
-	router := &scriptedRouter{}
-	_, addr := startServer(t, seededStore(t, notes+batchLen), ServerConfig{Router: router})
-	relay, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer relay.Close()
-
-	var noted []string
-	for len(noted) < notes {
-		batch := make([]string, batchLen)
-		for i := range batch {
-			batch[i] = fmt.Sprintf("/data/f%03d", len(noted)+i)
-		}
-		relay.NoteAccess(batch...)
-		noted = append(noted, batch...)
-	}
-	kept := relay.Backlog()
-	if kept == 0 || kept > maxStatPaths {
-		t.Fatalf("Backlog = %d after %d notes, want within (0, %d]", kept, len(noted), maxStatPaths)
-	}
-	if _, err := fetchGroup(relay, "/data/f000"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := router.lastAccess.Load().([]string)
-	if want := noted[len(noted)-kept:]; !slices.Equal(got, want) {
-		t.Errorf("the fetch delivered %d paths ending in %q; want the newest %d noted, %q … %q",
-			len(got), got[max(len(got)-1, 0):], kept, want[0], want[kept-1])
-	}
-	if relay.Backlog() != 0 {
-		t.Errorf("Backlog = %d after the fetch that carried it, want 0", relay.Backlog())
-	}
 }

@@ -153,17 +153,12 @@ type ServerStats struct {
 	// member stream (msgMemberChunk frames closed by msgGroupEnd).
 	StreamedGroups uint64
 	// ValidatedMembers counts group members sent header-only because the
-	// connection's shadow showed the client holding them unchanged (they
-	// are counted in FilesSent too); ValidatedBytesSaved sums the contents
-	// that therefore stayed off the wire — the redundant bytes per group
-	// fetch, live.
+	// connection's residency table showed the client holding them unchanged
+	// (they are counted in FilesSent too); ValidatedBytesSaved sums the
+	// contents that therefore stayed off the wire — the redundant bytes per
+	// group fetch, live.
 	ValidatedMembers    uint64
 	ValidatedBytesSaved uint64
-	// ShadowResets counts connections whose shadow was discarded after it
-	// had vouched for at least one reply: the piggybacked history did not
-	// fit it, or the client reported a miss. Such a connection is served
-	// in full for the rest of its life.
-	ShadowResets uint64
 	// Cache is the server memory cache accounting (hits are requests
 	// served without staging from the store).
 	Cache core.Stats
@@ -386,7 +381,6 @@ func (s *Server) Stats() ServerStats {
 
 		ValidatedMembers:    s.m.validated.Load(),
 		ValidatedBytesSaved: s.m.validatedBytes.Load(),
-		ShadowResets:        s.m.resetsHistory.Load() + s.m.resetsClient.Load(),
 	}
 	// Last, so its value bounds every per-outcome counter read above.
 	st.Requests = s.m.requests.Load()
@@ -415,17 +409,18 @@ func (s *Server) logf(format string, args ...interface{}) {
 // manufacture relationships that never happened on any machine (§2.2).
 func (s *Server) handleConn(conn net.Conn, src uint64) {
 	r := bufio.NewReaderSize(conn, connBufSize)
-	if capacity, ok := s.handshake(conn, r); ok {
-		s.serve(conn, r, src, newShadow(capacity))
+	if s.handshake(conn, r) {
+		s.serve(conn, r, src)
 	}
 }
 
 // handshake reads the connection's first frame, which must be a msgHello
-// offering at least protocolVersion, and answers msgHelloOK. Anything else
-// — another message type, a malformed hello, an older version — is
-// refused with one bare-framed msgError, and the caller closes. capacity
-// is the client cache the server agreed to shadow, zero for none.
-func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (capacity uint64, ok bool) {
+// offering at least protocolVersion, and answers msgHelloOK with the
+// server's view epoch, which tells a client whether there is a ring to
+// pull. Anything else — another message type, a malformed hello, an older
+// version — is refused with one bare-framed msgError, and the caller
+// closes.
+func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (ok bool) {
 	// serve recovers its own panics and owns the write side from its first
 	// reply on; this recovery covers the handshake alone.
 	defer func() {
@@ -433,38 +428,40 @@ func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (capacity uint64, ok 
 			s.m.panics.Add(1)
 			s.logf("fsnet: %s: recovered handshake panic: %v", conn.RemoteAddr(), p)
 			s.refuse(conn, CodeInternal, "internal server error")
-			capacity, ok = 0, false
+			ok = false
 		}
 	}()
 	if !s.armIdle(conn) {
-		return 0, false
+		return false
 	}
 	typ, payload, err := readFrame(r)
 	if err != nil {
 		s.readFailed(conn, err)
-		return 0, false
+		return false
 	}
 	defer putFrameBuf(payload)
 	var refusal string
 	if typ != msgHello {
 		refusal = fmt.Sprintf("expected a protocol hello, got message type %d", typ)
-	} else if offered, declared, err := decodeHello(payload); err != nil {
+	} else if offered, _, err := decodeHello(payload); err != nil {
 		refusal = err.Error()
 	} else if offered < protocolVersion {
 		refusal = fmt.Sprintf("protocol version %d is not supported, need %d", offered, protocolVersion)
-	} else if declared <= maxShadowCapacity {
-		capacity = declared
 	}
 	if refusal != "" {
 		s.refuse(conn, CodeBadRequest, refusal)
-		return 0, false
+		return false
+	}
+	var epoch uint64
+	if s.cfg.Views != nil {
+		epoch = s.cfg.Views.Epoch()
 	}
 	s.armWrite(conn)
-	if err := writeHello(conn, msgHelloOK, protocolVersion, capacity); err != nil {
+	if err := writeHello(conn, msgHelloOK, protocolVersion, epoch); err != nil {
 		s.disconnect(conn, err)
-		return 0, false
+		return false
 	}
-	return capacity, true
+	return true
 }
 
 // refuse answers a connection that failed the handshake: one bare-framed
@@ -492,18 +489,19 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 
 // serve is the pipelined loop. The read loop serves inline every open
 // that finishes without a peer round trip — all of them on a server with
-// no router; the locally owned and degraded ones behind an
-// InlineRouter: the in-memory path never blocks on anything but the
-// reply writer's own backpressure, and a goroutine hand-off is two
-// scheduler hops per request, measurable at loopback rates. Forwarded
-// opens, writes, handoffs and view frames go to the connection's workers,
-// so a slow peer never holds up the opens queued behind it. A dedicated
-// reply writer batches completed replies — out of order — onto the wire
-// with one flush per batch. A malformed request payload fails only its
-// own request; the framed stream stays intact, so the connection keeps
-// serving.
-func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64, sh *shadow) {
-	rw := newReplyWriter(s, conn, sh)
+// no router, and every one an InlineRouter declines: the in-memory path
+// never blocks on anything but the socket's own backpressure, and a
+// goroutine hand-off is two scheduler hops per request, measurable at
+// loopback rates. Opens a router must wait on, writes, handoffs and view
+// frames go to the connection's workers, so a slow one never holds up the
+// opens queued behind it. Replies leave on the goroutine that made them:
+// the read loop flushes the replies it queued before a read that could
+// block, a worker after its request, and whoever flushes takes every reply
+// queued by then, so a pipelined burst leaves in one write. A malformed
+// request payload fails only its own request; the framed stream stays
+// intact, so the connection keeps serving.
+func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
+	rw := &replyWriter{s: s, conn: conn}
 	cw := connWorkers{s: s, rw: rw, src: src, jobs: make(chan connJob)}
 	inlineOpens := s.cfg.Router == nil || s.iroute != nil
 	func() {
@@ -522,6 +520,9 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64, sh *shadow) {
 		var pendID uint64
 		var pendCtx otrace.Ctx
 		for {
+			if !frameBuffered(r) {
+				rw.flush()
+			}
 			if !s.armIdle(conn) {
 				return
 			}
@@ -577,7 +578,17 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64, sh *shadow) {
 		}
 	}()
 	cw.stop()
-	rw.drainAndStop()
+	rw.flush()
+}
+
+// frameBuffered reports whether r holds a whole request-ID frame, so that
+// reading it cannot block.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return r.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // connWorkers runs the requests of one pipelined connection that may
@@ -626,6 +637,7 @@ func (cw *connWorkers) run(j connJob) {
 	defer cw.wg.Done()
 	for ok := true; ok; j, ok = <-cw.jobs {
 		cw.s.serveRequest(cw.rw, cw.src, j.typ, j.id, j.payload, j.tctx, false)
+		cw.rw.flush()
 	}
 }
 
@@ -656,7 +668,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
 		// and the group is built in pooled scratch.
-		g, errResp, err := s.openView(payload, src, rw.shadow, tctx, inline)
+		g, errResp, err := s.openView(payload, src, &rw.res, tctx, inline)
 		if err == errRouteBlocks {
 			return false
 		}
@@ -678,7 +690,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
-		tag, errResp := s.write(path, data, rw.shadow)
+		tag, errResp := s.write(path, data)
 		putFrameBuf(payload)
 		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
@@ -780,10 +792,10 @@ func (s *Server) disconnect(conn net.Conn, err error) {
 // through the interner's string for a path it knows, so only the first
 // write of a path no open has named allocates its key; that path is
 // interned once the store has accepted it, and a rejected write interns
-// nothing. The tag the store gave the contents goes back in the ack and,
-// for a path the connection's shadow holds, into the shadow: the client
-// refreshes its cached copy from the same pair.
-func (s *Server) write(pathView, data []byte, sh *shadow) (uint64, errorResponse) {
+// nothing. The tag the store gave the contents goes back in the ack: the
+// client refreshes its cached copy from it and reports the new pair with
+// its next open.
+func (s *Server) write(pathView, data []byte) (uint64, errorResponse) {
 	s.m.requests.Add(1)
 	var path string
 	id, known := s.ids.LookupBytes(pathView)
@@ -796,9 +808,7 @@ func (s *Server) write(pathView, data []byte, sh *shadow) (uint64, errorResponse
 	if err != nil {
 		return 0, errorResponse{Code: CodeBadRequest, Message: err.Error()}
 	}
-	if known {
-		sh.wrote(id, tag)
-	} else {
+	if !known {
 		s.ids.Intern(path)
 	}
 	return tag, errorResponse{}
@@ -895,8 +905,9 @@ func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
 // interned access IDs and the built group. Pooled so a steady-state open
 // allocates none of it.
 type openScratch struct {
-	views [][]byte // piggybacked path views into the frame buffer
-	ids   []trace.FileID
+	views  [][]byte      // piggybacked path views into the frame buffer
+	report []reportEntry // the residency report, as views into the frame buffer
+	ids    []trace.FileID
 	// accessed is the piggybacked history as the interner's own strings,
 	// for the router (whose interface carries strings across the cluster
 	// tier); filled only on a routed server.
@@ -920,18 +931,19 @@ var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
 // read loop only (inline), errRouteBlocks. The caller owns one reference
 // to the returned group, which leads with the demanded file.
 //
-// sh, the connection's shadow, is shown the piggybacked history exactly
-// once per request that is answered — not by an inline attempt that ends
-// in errRouteBlocks, which a worker repeats from the top.
-func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ctx, inline bool) (*Group, errorResponse, error) {
+// res, the connection's residency table, takes the request's report
+// before anything is answered. An inline attempt that ends in
+// errRouteBlocks has applied it too; the worker that repeats the request
+// applies the same entries again, which changes nothing.
+func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrace.Ctx, inline bool) (*Group, errorResponse, error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
-	pathView, views, flags, err := parseOpenRequest(payload, sc.views[:0])
-	sc.views = views
+	pathView, views, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
+	sc.views, sc.report = views, report
 	if err != nil {
 		return nil, errorResponse{}, err
 	}
-	unvalidated := flags&openUnvalidated != 0
+	res.apply(s, report)
 
 	var start time.Time
 	timed := s.m.timed() || tctx.Sampled
@@ -945,13 +957,10 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 	if !routed {
 		s.m.requests.Add(1)
 		if !exists {
-			// The history this request carried is read by nobody.
-			sh.note(&s.m, nil, len(sc.views) > 0, unvalidated)
 			return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
 		}
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
-	lost := false
 	for _, pv := range sc.views {
 		// Like the demanded path, a piggybacked one gets an ID only if it
 		// exists: history naming files the store never held is dropped, so
@@ -961,7 +970,6 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 		aid, known := s.ids.LookupBytes(pv)
 		if !known {
 			if !s.store.containsBytes(pv) {
-				lost = true
 				continue
 			}
 			aid = s.ids.InternBytes(pv)
@@ -986,7 +994,6 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 		if blocks {
 			return nil, errorResponse{}, errRouteBlocks
 		}
-		sh.note(&s.m, sc.ids, lost, unvalidated)
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
@@ -996,8 +1003,6 @@ func (s *Server) openView(payload []byte, src uint64, sh *shadow, tctx otrace.Ct
 		if !exists {
 			return nil, errorResponse{Code: CodeNotFound, Message: path}, nil
 		}
-	} else {
-		sh.note(&s.m, sc.ids, lost, unvalidated)
 	}
 	g, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
 	return g, errResp, nil
@@ -1126,12 +1131,14 @@ func (s *Server) stageGroup(group []trace.FileID) *Group {
 }
 
 // replyWriter serializes and batches the replies of one pipelined
-// connection: handler goroutines enqueue completed replies, and a single
-// writer goroutine drains whatever has accumulated in one write — so k
-// ready replies cost one syscall, and a slow store read never blocks the
-// replies queued behind it.
+// connection. Handlers queue completed replies and then flush: the first
+// to flush writes every reply queued by then in one write, and goes on
+// writing until the queue is empty, while a handler that finds a flush
+// under way leaves its replies to it — so k ready replies cost one
+// syscall, no goroutine waits on another's write, and no reply waits on a
+// goroutine hand-off.
 //
-// The writer is scatter-gather: group replies are member streams whose
+// The write is scatter-gather: group replies are member streams whose
 // frame headers and path metadata live in one pooled arena while the file
 // contents ride as store references, and the whole batch goes to the
 // socket in a single net.Buffers writev — the reply bytes are never
@@ -1139,23 +1146,21 @@ func (s *Server) stageGroup(group []trace.FileID) *Group {
 type replyWriter struct {
 	s    *Server
 	conn net.Conn
-	// shadow is the connection's replay of its client's cache, nil when the
-	// hello asked for none: writeBatch consults it for every group reply.
-	shadow *shadow
+	// res is the connection's table of what its client holds: writeBatch
+	// consults it for every group reply.
+	res residency
 
-	mu      sync.Mutex
-	queue   []reply
-	free    []reply // recycled batch storage
-	dead    bool
-	stop    bool
-	wake    chan struct{}
-	stopped chan struct{}
+	mu       sync.Mutex
+	queue    []reply
+	free     []reply // recycled batch storage
+	dead     bool
+	flushing bool
 
-	bufs net.Buffers // scatter-gather scratch, reused per batch
-
-	// View-hint piggyback state, touched only by the loop goroutine: the
-	// epoch last announced on this connection, so a stable view costs one
-	// frame per connection rather than one per batch.
+	// Touched only by the flushing goroutine: the scatter-gather scratch,
+	// reused per batch, and the view-hint piggyback state — the epoch last
+	// announced on this connection, so a stable view costs one frame per
+	// connection rather than one per batch.
+	bufs      net.Buffers
 	sentAny   bool
 	sentEpoch uint64
 }
@@ -1176,30 +1181,18 @@ type reply struct {
 	group *Group
 }
 
-func newReplyWriter(s *Server, conn net.Conn, sh *shadow) *replyWriter {
-	rw := &replyWriter{
-		s:       s,
-		conn:    conn,
-		shadow:  sh,
-		wake:    make(chan struct{}, 1),
-		stopped: make(chan struct{}),
-	}
-	go rw.loop()
-	return rw
-}
-
-// sendError enqueues an error reply and counts it.
+// sendError queues an error reply and counts it.
 func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 	rw.s.m.errors.Add(1)
 	rw.send(id, msgError, appendErrorResponse(getEncodeBuf(), errResp), true)
 }
 
-// send enqueues one reply frame for the writer goroutine.
+// send queues one reply frame.
 func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendGroup enqueues one streamed group reply, taking over the caller's
+// sendGroup queues one streamed group reply, taking over the caller's
 // reference to g.
 func (rw *replyWriter) sendGroup(id uint64, g *Group) {
 	rw.enqueue(reply{id: id, group: g})
@@ -1214,56 +1207,37 @@ func (rw *replyWriter) enqueue(rep reply) {
 	}
 	rw.queue = append(rw.queue, rep)
 	rw.mu.Unlock()
-	select {
-	case rw.wake <- struct{}{}:
-	default:
-	}
 }
 
-// drainAndStop flushes any remaining replies and waits for the writer
-// goroutine to exit. Called after every handler has completed.
-func (rw *replyWriter) drainAndStop() {
+// flush writes the queued replies, unless another goroutine's flush is
+// under way: that one writes them before it stops.
+func (rw *replyWriter) flush() {
 	rw.mu.Lock()
-	rw.stop = true
-	rw.mu.Unlock()
-	select {
-	case rw.wake <- struct{}{}:
-	default:
+	if rw.flushing {
+		rw.mu.Unlock()
+		return
 	}
-	<-rw.stopped
-}
-
-func (rw *replyWriter) loop() {
-	defer close(rw.stopped)
-	for range rw.wake {
-		for {
-			rw.mu.Lock()
-			batch := rw.queue
-			// Hand the previous batch's storage back so steady-state
-			// batching reallocates nothing.
-			rw.queue = rw.free[:0]
-			rw.free = nil
-			dead, stopped := rw.dead, rw.stop
+	rw.flushing = true
+	for {
+		batch := rw.queue
+		// Hand the previous batch's storage back so steady-state
+		// batching reallocates nothing.
+		rw.queue = rw.free[:0]
+		rw.free = nil
+		if rw.dead || len(batch) == 0 {
+			rw.flushing = false
 			rw.mu.Unlock()
-			if dead {
-				rw.recycle(batch)
-				return
-			}
-			if len(batch) == 0 {
-				rw.recycle(batch)
-				if stopped {
-					return
-				}
-				break
-			}
-			rw.s.armWrite(rw.conn)
-			err := rw.writeBatch(batch)
 			rw.recycle(batch)
-			if err != nil {
-				rw.fail(err)
-				return
-			}
+			return
 		}
+		rw.mu.Unlock()
+		rw.s.armWrite(rw.conn)
+		err := rw.writeBatch(batch)
+		rw.recycle(batch)
+		if err != nil {
+			rw.fail(err)
+		}
+		rw.mu.Lock()
 	}
 }
 
@@ -1294,11 +1268,10 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 		rep := &batch[i]
 		if rep.group != nil {
 			// The demanded file leads, the rest follow in arrival order —
-			// each in full unless the connection's shadow shows the client
-			// holding it at this very tag. Staged and forwarded groups
-			// both come through here.
+			// each in full unless the connection's residency table shows
+			// the client holding it at this very tag.
 			files := rep.group.Files
-			held := rw.shadow.install(rw.s.ids, files)
+			held := rw.res.send(rw.s.ids, files)
 			for k := range files {
 				skip := held&(1<<k) != 0
 				if skip {
@@ -1353,7 +1326,7 @@ func (rep *reply) drop() {
 }
 
 // recycle drops a batch that has been written, or never will be, and
-// offers its storage back for the next drain.
+// offers its storage back for the next flush.
 func (rw *replyWriter) recycle(batch []reply) {
 	for i := range batch {
 		batch[i].drop()
@@ -1367,7 +1340,8 @@ func (rw *replyWriter) recycle(batch []reply) {
 
 // fail marks the write side dead after an I/O failure, drops the replies
 // queued behind the failed batch, and closes the connection so the read
-// loop unblocks; counted once as a disconnect.
+// loop unblocks; counted once as a disconnect (only the flushing goroutine
+// writes, so only it can fail).
 func (rw *replyWriter) fail(err error) {
 	rw.mu.Lock()
 	rw.dead = true

@@ -106,9 +106,9 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, typ u
 				if err != nil || typ != msgHello {
 					return
 				}
-				_, capacity, err := decodeHello(payload)
+				_, _, err = decodeHello(payload)
 				putFrameBuf(payload)
-				if err != nil || writeHello(conn, msgHelloOK, protocolVersion, capacity) != nil {
+				if err != nil || writeHello(conn, msgHelloOK, protocolVersion, 0) != nil {
 					return
 				}
 				for {

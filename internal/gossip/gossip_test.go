@@ -268,9 +268,10 @@ func TestNoteEpochFiltersStaleAndDedupes(t *testing.T) {
 	g.NoteEpoch("b:2", 5) // not newer
 	g.NoteEpoch("b:2", 3) // stale
 	g.NoteEpoch("a:1", 9) // self
+	g.NoteEpoch("", 9)    // a client's pull names no sender
 	g.Stop()              // waits for any pull goroutines
 	if got := v.pullCount(); got != 0 {
-		t.Fatalf("stale/self hints triggered %d pulls, want 0", got)
+		t.Fatalf("stale, self and senderless hints triggered %d pulls, want 0", got)
 	}
 
 	v2 := &scriptedView{self: "a:1", epoch: 5, members: []string{"a:1", "b:2"}}

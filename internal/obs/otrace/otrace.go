@@ -91,7 +91,7 @@ func ParseTraceID(s string) (hi, lo uint64, ok bool) {
 }
 
 // Span is one completed unit of work: a phase of a request (hit, stage,
-// forward, coalesced wait, …), a whole client call, or a gossip round. Spans
+// …), a whole client call, or a gossip round. Spans
 // sharing (Hi, Lo) belong to one trace; Parent links them into a tree.
 type Span struct {
 	Hi, Lo uint64

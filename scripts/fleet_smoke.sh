@@ -3,9 +3,10 @@
 # aggbench once, boots one three-node cluster from a shared peers file
 # with tracing, gossip and the event log all switched on, and walks it
 # through a deployment's life in order: ready -> verified load + metrics
-# -> validated replies -> stitched traces -> a one-node reload spread by gossip -> a drain
-# under load. aggbench exits non-zero on any failed or wrong-bytes open,
-# so "the load exits 0" is the zero-failed-opens assertion.
+# -> validated replies -> one-node traces -> a one-node reload spread
+# by gossip -> a drain under load. aggbench exits non-zero on any failed
+# or wrong-bytes open, so "the load exits 0" is the zero-failed-opens
+# assertion.
 # Run via `make fleet-smoke`.
 set -eu
 
@@ -84,20 +85,27 @@ curl -fsS "http://$S1/metrics" | grep '^fsnet_server_requests_total'
 curl -fsS "http://$S1/metrics.json" | grep -c '"metrics"' >/dev/null
 AGGCACHE_METRICS_URL="http://$S1/metrics" go test -run TestLiveExposition -count=1 ./internal/obs/
 
-# 4. Tracing: with -trace-sample 1 every open minted a root and opens of
-# remotely-owned paths carried the context to their owner. The fleet
-# scraper must stitch a trace spanning two nodes, or exit non-zero.
-"$TMP/aggbench" -trace-collect "$S1,$S2,$S3" -trace-min-nodes 2 > "$TMP/traces" \
-    || { cat "$TMP/traces" >&2; fail "no trace spans 2 nodes"; }
-# The widest trace is first; its ID must resolve via /trace/<id> on at
-# least two of the three nodes (404 on non-participants is correct).
-TID=$(grep -o '"trace_id": "[0-9a-f]\{32\}"' "$TMP/traces" | head -1 | cut -d'"' -f4)
-[ -n "$TID" ] || fail "collector emitted no trace IDs"
+# 4. Tracing: with -trace-sample 1 every open a node served minted a root.
+# Clients send each miss straight to its path's owner and no node relays
+# one, so a sampled open's trace resolves on exactly one node: the one
+# that recorded its span. That this node owns the path is pinned in
+# process (TestClusterTraceResolvesOnOwner).
+"$TMP/aggbench" -trace-collect "$S1,$S2,$S3" > "$TMP/traces" \
+    || { cat "$TMP/traces" >&2; fail "trace collection failed"; }
+# The first serving span in the scrape: its trace ID, node and path.
+set -- $(awk -F'"' '$2 == "trace_id" { tid = $4 } $2 == "node" { node = $4 } $2 == "name" { name = $4 }
+    $2 == "path" && (name == "stage" || name == "hit") { print tid, node, $4; exit }' "$TMP/traces")
+TID=${1:-} NODE=${2:-} TPATH=${3:-}
+[ -n "$TPATH" ] || fail "collector emitted no trace of a served open"
 hits=0
-for s in "$S1" "$S2" "$S3"; do
-    if [ "$(status "$s/trace/$TID")" = 200 ]; then hits=$((hits + 1)); fi
+for pair in "$A1 $S1" "$A2 $S2" "$A3 $S3"; do
+    set -- $pair
+    if [ "$(status "$2/trace/$TID")" = 200 ]; then
+        hits=$((hits + 1))
+        [ "$1" = "$NODE" ] || fail "trace $TID of $TPATH resolves on $1, but $NODE recorded it"
+    fi
 done
-[ "$hits" -ge 2 ] || fail "trace $TID resolves on $hits nodes, want >= 2"
+[ "$hits" = 1 ] || fail "trace $TID resolves on $hits nodes, want $NODE alone"
 # Exemplars: histograms link buckets to trace IDs in OpenMetrics syntax.
 curl -fsS "http://$S1/metrics" | grep -q '# {trace_id="' || fail "/metrics carries no exemplars"
 
@@ -144,4 +152,4 @@ for s in "$S1" "$S2"; do
     curl -fsS "http://$s/stats" | grep -q '"Members": 2' || fail "survivor $s still lists the drained node"
 done
 
-echo "fleet-smoke: OK ($validated members validated and $misses missed in lock step, trace $TID spans $hits nodes, $moved gossip transfers, $installed handoff groups installed, zero failed opens)"
+echo "fleet-smoke: OK ($validated members validated and $misses missed in lock step, trace $TID resolves on $NODE alone, $moved gossip transfers, $installed handoff groups installed, zero failed opens)"
