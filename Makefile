@@ -75,6 +75,11 @@ ignore-guard:
 # replaying its cache: no shadow, its note/install replay, its hello
 # capacity, its resets or the unvalidated flag. Requests and replies leave
 # on the goroutine that made them: no mux writer, no reply-writer loop.
+# So is the node-to-node epoch-hint channel: views move between nodes only
+# by exchange (gossip's pull and push, a drain's goodbye), so no client
+# announces an epoch, no node notes one, no hint starts a pull, and an
+# exchange never dials outside the installed view. Servers still hint
+# their clients (Client.noteViewHint).
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -96,6 +101,7 @@ lint-dead:
 	@! grep -rnE 'newMirror|purgeOwner|mirMu|MirrorTTL|MirrorGroups|MirrorRetainedBytes|RetainedBytes\(|cluster_mirror_' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'RouteOpenTraced|TryRouteOpen|wireOrder|runParallel|ClientSweepOpt|ServerSweepOpt|ring-replicas|gossip-fanout|Fanout:' --include='*.go' --exclude='*_test.go' .
 	@! grep -rniE 'churn|internal/gossip' --include='*.go' --exclude='*_test.go' cmd/aggbench
+	@! grep -rnE 'NoteViewEpoch|OnViewHint|NoteEpoch\(|transientClient|hintSent|hintPulls|staleHints|gossip_hint_pulls|gossip_stale_hints' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'internal/multilevel|SimulateHierarchy|HierarchyConfig|DisablePiggyback|FailureThreshold|DownDuration|PeerTimeout|gossip_view_epoch' --include='*.go' --exclude='*_test.go' .
 
 vet:

@@ -110,7 +110,7 @@ func run(args []string) error {
 		peers        = fl.String("peers", "", "comma-separated cluster peer addresses (must include -self); empty runs standalone")
 		peersFile    = fl.String("peers-file", "", "file of cluster peer addresses, one per line with optional 'epoch N' directive; re-read on SIGHUP or POST /reload")
 		self         = fl.String("self", "", "this node's advertised address within -peers (defaults to -addr)")
-		gossipEvery  = fl.Duration("gossip-interval", time.Second, "anti-entropy period for membership gossip (0 disables the background loop; piggybacked hints still converge)")
+		gossipEvery  = fl.Duration("gossip-interval", time.Second, "anti-entropy period for membership gossip (0 disables gossip: views then move only by reload or a drain's goodbye push)")
 		traceSample  = fl.Int("trace-sample", otrace.DefaultSampleRate, "head-sample one request trace in N (1 traces everything, negative disables head sampling; slow requests are always tail-captured)")
 		traceCap     = fl.Int("trace-buffer", otrace.DefaultCapacity, "bound on the in-memory span ring served by /traces and /trace/<id>")
 		statsAddr    = fl.String("stats", "", "serve stats over HTTP on this address: /stats (JSON counters), /metrics (Prometheus text), /metrics.json (metrics plus recent events)")
@@ -251,9 +251,10 @@ func run(args []string) error {
 		log.Printf("aggserve: joined %d-peer ring as %s (epoch %d)", len(peerList), selfAddr, node.Epoch())
 	}
 
-	// The gossiper runs whenever clustering is on, even at interval 0:
-	// hint-triggered pulls (a peer's piggybacked epoch outrunning ours)
-	// need its subscription regardless of the anti-entropy loop.
+	// Anti-entropy is the only way this node learns a view from its
+	// peers. At interval 0 the gossiper never runs, so the view moves
+	// only by reload or a draining peer's goodbye push; it is built
+	// anyway so the gossip series are exposed whenever clustering is on.
 	if node != nil {
 		gsp := gossip.New(gossip.Config{Node: node, Interval: *gossipEvery, Obs: reg, Trace: tracer})
 		gsp.Start()

@@ -11,11 +11,12 @@
 // grouping, never availability.
 //
 // A Node plugs into an fsnet.Server as its membership view (ServerConfig
-// .Views): replies piggyback its epoch, so clients and peers learn of
-// membership changes, and its view is what clients pull. Membership is
-// dynamic: the ring and peer set live in an immutable, epoch-numbered
-// view swapped atomically by Update (see membership.go), so nodes join and
-// leave a running cluster without a restart. Graceful departure is Drain
+// .Views): replies piggyback its epoch, so clients learn of membership
+// changes, and its view is what clients pull. Nodes learn views from each
+// other only by exchanging them (internal/gossip, a drain's goodbye).
+// Membership is dynamic: the ring and peer set live in an immutable,
+// epoch-numbered view swapped atomically by Update (see membership.go),
+// so nodes join and leave a running cluster without a restart. Graceful departure is Drain
 // (drain.go): the leaving node streams each owned group's learned state to
 // its new owner.
 //
@@ -71,8 +72,9 @@ type Config struct {
 	// groups. It stays settable for callers that still name it.
 	MirrorCapacity int
 
-	// Dialer opens a connection to a peer address; nil selects TCP.
-	// Tests use it to interpose faultnet gates and latency.
+	// Dialer opens a connection to a peer address; nil selects TCP,
+	// bounded by peerTimeout like the rest of the exchange. Tests use it
+	// to interpose faultnet gates and latency.
 	Dialer func(addr string) (net.Conn, error)
 	// Now is the clock for breaker cooldowns; nil selects time.Now.
 	// Tests substitute a fake clock.
@@ -87,7 +89,7 @@ type Config struct {
 
 func (cfg Config) withDefaults() Config {
 	if cfg.Dialer == nil {
-		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+		cfg.Dialer = func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, peerTimeout) }
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -110,10 +112,6 @@ type Node struct {
 	closed bool
 
 	draining atomic.Bool
-
-	// viewHint is the registered gossip hint callback (see OnViewHint in
-	// gossipview.go); nil until a gossiper subscribes.
-	viewHint atomic.Pointer[func(addr string, epoch uint64)]
 
 	// localOpens counts opens offered through Route (obs.Counter wraps
 	// one atomic). With cfg.Obs it is the series /metrics exposes, so
@@ -172,9 +170,6 @@ func (n *Node) newPeer(addr string) (*peer, error) {
 		Timeout: peerTimeout,
 		// Fail fast: retries would only delay the breaker's verdict.
 		MaxRetries: 0,
-		// Piggyback this node's view epoch on every exchange so peers
-		// learn of membership changes without a dedicated one.
-		Views: n,
 	})
 	if err != nil {
 		return nil, err

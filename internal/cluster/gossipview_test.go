@@ -2,8 +2,13 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
+
+	"aggcache/internal/fsnet"
+	"aggcache/internal/gossip"
+	"aggcache/internal/obs"
 )
 
 // TestApplyViewSemantics pins the ViewSource contract gossip depends
@@ -31,8 +36,8 @@ func TestApplyViewSemantics(t *testing.T) {
 }
 
 // TestViewPullPushBetweenNodes exchanges views over the real wire in
-// both directions, including the transient-client path for an address
-// outside the caller's installed view.
+// both directions, and an address outside the caller's installed view is
+// refused without a dial.
 func TestViewPullPushBetweenNodes(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	a, b := tc.nodes[0], tc.nodes[1]
@@ -41,7 +46,14 @@ func TestViewPullPushBetweenNodes(t *testing.T) {
 	if err := b.Update(4, tc.addrs); err != nil {
 		t.Fatal(err)
 	}
-	applied, remote, err := a.ViewPullFrom(tc.addrs[1])
+	// b pulling from the older a learns a's epoch and installs nothing;
+	// an older view is no stale update.
+	applied, remote, err := b.ViewPullFrom(tc.addrs[0])
+	if err != nil || applied || remote != 1 || b.staleUpdates.Load() != 0 {
+		t.Fatalf("ViewPullFrom(older) = (%v, %d, %v) with %d stale updates, want (false, 1, nil) and 0",
+			applied, remote, err, b.staleUpdates.Load())
+	}
+	applied, remote, err = a.ViewPullFrom(tc.addrs[1])
 	if err != nil || !applied || remote != 4 {
 		t.Fatalf("ViewPullFrom(newer) = (%v, %d, %v), want (true, 4, nil)", applied, remote, err)
 	}
@@ -68,14 +80,54 @@ func TestViewPullPushBetweenNodes(t *testing.T) {
 		t.Fatalf("b after push: epoch %d members %v, want 6/%v", b.Epoch(), b.Members(), tc.addrs[:2])
 	}
 
-	// Node 2 is no longer in a's view, so this pull runs over a
-	// transient client; node 2 still sits at epoch 1.
-	applied, remote, err = a.ViewPullFrom(tc.addrs[2])
-	if err != nil || applied || remote != 1 {
-		t.Fatalf("transient ViewPullFrom = (%v, %d, %v), want (false, 1, nil)", applied, remote, err)
+	// Node 2 is no longer in a's view: both verbs refuse it, typed.
+	if applied, _, err := a.ViewPullFrom(tc.addrs[2]); applied || !errors.Is(err, ErrNotMember) {
+		t.Fatalf("out-of-view ViewPullFrom = (%v, %v), want ErrNotMember", applied, err)
 	}
-	if a.Epoch() != 6 {
-		t.Fatalf("transient pull moved a's epoch to %d", a.Epoch())
+	if _, err := a.ViewPushTo(tc.addrs[2], 6, tc.addrs[:2]); !errors.Is(err, ErrNotMember) {
+		t.Fatalf("out-of-view ViewPushTo = %v, want ErrNotMember", err)
+	}
+	if a.Epoch() != 6 || tc.nodes[2].Epoch() != 1 {
+		t.Fatalf("refused exchanges moved epochs: a %d, node 2 %d", a.Epoch(), tc.nodes[2].Epoch())
+	}
+}
+
+// TestViewMovesOnlyByExchange: a node learns a view only when an exchange
+// is scheduled for it. Every node runs a gossiper built as aggserve builds
+// one (hand-driven here), and the last node drains. Its goodbye moves the
+// survivors at once; the drainer itself, which talked to both during the
+// goodbye and the handoffs, must stay on its own view until its own
+// anti-entropy round pulls the goodbye.
+func TestViewMovesOnlyByExchange(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	const drained = 2
+	gossipers := make([]*gossip.Gossiper, len(tc.nodes))
+	for i, n := range tc.nodes {
+		gossipers[i] = gossip.New(gossip.Config{Node: n, Seed: int64(i + 1), Obs: obs.NewRegistry()})
+		gossipers[i].Start()
+		defer gossipers[i].Stop()
+	}
+	// Give the drain groups to hand off, so it talks to its peers twice.
+	client := tc.client(t, drained, fsnet.ClientConfig{CacheCapacity: 4})
+	for f := 0; f < testFiles; f++ {
+		if _, err := client.Open(fmt.Sprintf("/data/f%03d", f)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := tc.nodes[drained].Drain(tc.servers[drained])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoodbyePushed != 2 {
+		t.Fatalf("goodbye reached %d survivors, want 2", rep.GoodbyePushed)
+	}
+	time.Sleep(200 * time.Millisecond)
+	if got := tc.nodes[drained].Epoch(); got != 1 {
+		t.Fatalf("drainer moved to epoch %d with no exchange scheduled, want 1", got)
+	}
+	gossipers[drained].Tick()
+	if got := tc.nodes[drained].Epoch(); got != rep.GoodbyeEpoch {
+		t.Fatalf("drainer at epoch %d after its own round, want the goodbye's %d", got, rep.GoodbyeEpoch)
 	}
 }
 
@@ -116,43 +168,6 @@ func TestDrainGoodbyeConvergesSurvivors(t *testing.T) {
 	if tc.nodes[2].Epoch() != 1 || !tc.nodes[2].Draining() {
 		t.Errorf("drainer epoch %d draining %v, want own view intact and draining",
 			tc.nodes[2].Epoch(), tc.nodes[2].Draining())
-	}
-}
-
-// TestViewHintHookDelivery: hints flow transport → Node → registered
-// callback, and unregistering stops them.
-func TestViewHintHookDelivery(t *testing.T) {
-	tc := startCluster(t, 2, nil)
-	type hint struct {
-		addr  string
-		epoch uint64
-	}
-	got := make(chan hint, 4)
-	tc.nodes[0].OnViewHint(func(addr string, epoch uint64) {
-		got <- hint{addr, epoch}
-	})
-	tc.nodes[0].NoteViewEpoch("peer:9", 7)
-	select {
-	case h := <-got:
-		if h.addr != "peer:9" || h.epoch != 7 {
-			t.Errorf("hook got %+v, want peer:9/7", h)
-		}
-	default:
-		t.Fatal("hook not invoked synchronously")
-	}
-	// A client's view pull carries no address: nobody to pull from.
-	tc.nodes[0].NoteViewEpoch("", 9)
-	select {
-	case h := <-got:
-		t.Errorf("hook invoked for a hint with no sender: %+v", h)
-	default:
-	}
-	tc.nodes[0].OnViewHint(nil)
-	tc.nodes[0].NoteViewEpoch("peer:9", 8)
-	select {
-	case h := <-got:
-		t.Errorf("unregistered hook still invoked: %+v", h)
-	default:
 	}
 }
 

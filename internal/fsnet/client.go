@@ -141,13 +141,6 @@ type ClientConfig struct {
 	// reconnect/conn_broken/degraded_hit events to its event log.
 	// ClientStats stays authoritative either way.
 	Obs *obs.Registry
-	// Views, when set, wires membership-view dissemination into the
-	// transport (internal/gossip): connections piggyback the local epoch
-	// as a msgViewHint ahead of each request batch, inbound
-	// hints are forwarded to Views.NoteViewEpoch, and ViewPull/ViewPush
-	// become usable. Nil keeps the wire byte-identical to a pre-gossip
-	// client.
-	Views ViewSource
 	// Trace, when set, mints a trace context at every Open entry
 	// (head-sampled per the tracer's rate) and records the client span
 	// into the tracer's ring.
@@ -576,66 +569,47 @@ func (c *Client) Handoff(anchor string, members []string) error {
 }
 
 // ViewPull asks the seed for its membership view (gossip anti-entropy).
-// The request carries our own epoch and address — those of cfg.Views, or
-// 0 and "" without one — so the responder can note us for a symmetric
-// pull-back if we are the newer side. The reply is either the responder's
-// full view (members non-nil: it was newer) or just its epoch (members
-// nil: it was not newer than the epoch we sent).
+// The reply is the responder's full view, whatever its epoch; members is
+// never nil.
 func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 	epoch, _, members, err = c.viewPull(c.seed)
 	return epoch, members, err
 }
 
-// viewPull is ViewPull to one link, with the responder's address.
+// viewPull is ViewPull to one link, with the responder's address. The
+// request's epoch and sender fields are left zero: the responder ignores
+// them.
 func (c *Client) viewPull(l *link) (epoch uint64, sender string, members []string, err error) {
-	var payload []byte
-	if vs := c.cfg.Views; vs != nil {
-		payload = appendViewMsg(nil, vs.Epoch(), vs.Self())
-	} else {
-		payload = appendViewMsg(nil, 0, "")
-	}
-	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", payload, otrace.Ctx{})
+	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", appendViewMsg(nil, 0, ""), otrace.Ctx{})
 	if err != nil {
 		return 0, "", nil, err
 	}
 	defer putFrameBuf(res.payload)
-	switch res.typ {
-	case msgViewPush:
-		epoch, sender, members, derr := decodeViewPush(res.payload)
-		if derr != nil {
-			return 0, "", nil, desync(m, derr)
-		}
-		if members == nil {
-			members = []string{} // non-nil: a pushed empty view is still a view
-		}
-		return epoch, sender, members, nil
-	case msgViewHint:
-		epoch, sender, derr := decodeViewMsg(res.payload)
-		if derr != nil {
-			return 0, "", nil, desync(m, derr)
-		}
-		return epoch, sender, nil, nil
-	default:
+	if res.typ != msgViewPush {
 		return 0, "", nil, replyErr(m, res.typ, res.payload)
 	}
+	epoch, sender, members, derr := decodeViewPush(res.payload)
+	if derr != nil {
+		return 0, "", nil, desync(m, derr)
+	}
+	if members == nil {
+		members = []string{} // non-nil: a pushed empty view is still a view
+	}
+	return epoch, sender, members, nil
 }
 
 // ViewPush offers a membership view to the server, which validates and
 // installs it through its own view source (a stale epoch is not an
 // error — the receiver was simply newer). The returned remoteEpoch is
 // the receiver's epoch after the install. The pushed view is explicit
-// rather than read from cfg.Views because a draining node's goodbye
-// pushes a view it deliberately does not install itself. Requires
-// cfg.Views.
+// because a draining node's goodbye pushes a view it deliberately does
+// not install itself. The push's sender field is left empty: the
+// receiver ignores it.
 func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, err error) {
-	vs := c.cfg.Views
-	if vs == nil {
-		return 0, errors.New("fsnet: ViewPush needs cfg.Views")
-	}
 	if len(members) > maxViewMembers {
 		return 0, fmt.Errorf("fsnet: view of %d members exceeds limit %d", len(members), maxViewMembers)
 	}
-	payload := appendViewPush(nil, epoch, vs.Self(), members)
+	payload := appendViewPush(nil, epoch, "", members)
 	res, m, err := c.roundTrip(c.toSeed, msgViewPush, "", payload, otrace.Ctx{})
 	if err != nil {
 		return 0, err
@@ -893,7 +867,7 @@ func (c *Client) pullView(l *link) error {
 	}
 	next := ring.New(0)
 	next.Add(members...)
-	if members == nil || next.Len() == 0 {
+	if next.Len() == 0 {
 		return nil
 	}
 	c.mu.Lock()

@@ -40,12 +40,6 @@ type muxConn struct {
 	// epoch is the view epoch the server's hello announced (0: no ring).
 	epoch uint64
 
-	// View-hint piggyback state, touched only by the flushing goroutine:
-	// the epoch last announced on this connection, so a stable view costs
-	// one frame per connection rather than one per batch.
-	hintSent  bool
-	hintEpoch uint64
-
 	mu       sync.Mutex
 	nextID   uint64
 	calls    map[uint64]*muxCall // in flight: queued or written, awaiting reply
@@ -251,28 +245,14 @@ func (m *muxConn) flush() {
 		}
 		m.mu.Unlock()
 		var err error
-		// Piggyback the membership epoch ahead of the batch when a view
-		// source is wired: one msgViewHint under request ID 0 (never a real
-		// request ID — those start at 1), re-sent only when the epoch
-		// changes. Appending to enc after the unlock is safe: if append
-		// reallocates, the batch payload slices keep aliasing the old
-		// (immutable) backing.
-		if m.c.cfg.Views != nil {
-			if epoch := m.c.cfg.Views.Epoch(); !m.hintSent || epoch != m.hintEpoch {
-				start := len(enc)
-				enc = appendViewMsg(enc, epoch, m.c.cfg.Views.Self())
-				err = putFrameID(m.w, msgViewHint, 0, enc[start:])
-				m.hintSent, m.hintEpoch = true, epoch
-			}
-		}
 		for _, call := range batch {
-			if err != nil {
-				break
-			}
 			if call.tctx.Sampled {
 				// Announce the sampled call's trace context under request
 				// ID 0 immediately before its request frame; the server
-				// attaches it to the matching request ID.
+				// attaches it to the matching request ID. Appending to enc
+				// after the unlock is safe: if append reallocates, the
+				// batch payload slices keep aliasing the old (immutable)
+				// backing.
 				start := len(enc)
 				enc = appendTraceCtx(enc, call.id, call.tctx)
 				if err = putFrameID(m.w, msgTraceCtx, 0, enc[start:]); err != nil {
@@ -321,16 +301,13 @@ func (m *muxConn) reader() {
 		if id == 0 && typ == msgViewHint {
 			// Unsolicited epoch announcement from the server's reply
 			// batches; request IDs start at 1, so ID 0 never matches a
-			// call. Advisory: noted when a view source is wired, dropped
-			// otherwise.
-			epoch, sender, derr := decodeViewMsg(payload)
+			// call. A client routing by a ring re-pulls it when the
+			// epoch is newer.
+			epoch, _, derr := decodeViewMsg(payload)
 			putFrameBuf(payload)
 			if derr != nil {
 				m.poison(fmt.Errorf("%w: %v", ErrConnBroken, derr))
 				return
-			}
-			if m.c.cfg.Views != nil {
-				m.c.cfg.Views.NoteViewEpoch(sender, epoch)
 			}
 			m.c.noteViewHint(m.l, epoch)
 			continue

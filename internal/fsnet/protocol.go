@@ -64,20 +64,19 @@ const (
 	msgGroupEnd
 	// msgViewHint is an advisory membership-epoch announcement: the
 	// sender's advertised cluster address plus its installed view epoch.
-	// It piggybacks unsolicited under request ID 0, deduplicated per epoch
-	// per connection, and also serves as the "not newer than you" reply to
-	// msgViewPull and the ack to msgViewPush. Advisory only: a receiver
-	// without a view source ignores it.
+	// A server piggybacks it unsolicited under request ID 0 ahead of its
+	// reply batches, deduplicated per epoch per connection, and it is the
+	// ack to msgViewPush. Only servers send it.
 	msgViewHint
 	// msgViewPull asks the receiver for its membership view. The payload
-	// carries the puller's own address and epoch so the responder can
-	// pull back symmetrically if the puller is the newer side. Answered
-	// with msgViewPush (responder newer) or msgViewHint (responder not
-	// newer).
+	// has viewMsg's layout; a client sends epoch 0 and no address, and
+	// the receiver ignores both. Answered with msgViewPush carrying the
+	// receiver's full view.
 	msgViewPull
 	// msgViewPush carries a full membership view — epoch, sender address,
-	// and the peer list — for the receiver to validate and install.
-	// Acked with msgViewHint carrying the receiver's resulting epoch.
+	// and the peer list — for the receiver to validate and install. A
+	// client leaves the sender empty; the receiver ignores it. Acked with
+	// msgViewHint carrying the receiver's resulting epoch.
 	msgViewPush
 	// msgTraceCtx is the distributed-tracing piggyback: an unsolicited
 	// frame under request ID 0 announcing the trace context (128-bit

@@ -71,10 +71,11 @@ type ServerConfig struct {
 	// tail-captured even when unsampled. Nil (the default) drops inbound
 	// trace frames and keeps the serving path span-free.
 	Trace *otrace.Tracer
-	// Views, when set, wires membership-view dissemination into the
-	// serving path (internal/gossip): reply batches piggyback the local
-	// epoch as a msgViewHint, inbound hints feed
-	// Views.NoteViewEpoch, and msgViewPull/msgViewPush are served.
+	// Views, when set, wires the node's membership view into the serving
+	// path: the hello and reply batches carry its epoch (a msgViewHint,
+	// once per epoch per connection), so owner-direct clients follow
+	// view changes, and msgViewPull/msgViewPush (internal/gossip) are
+	// served.
 	// Nil answers view frames with CodeBadRequest and keeps the reply
 	// stream byte-identical to a pre-gossip server.
 	Views ViewSource
@@ -531,25 +532,10 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
 				s.readFailed(conn, err)
 				return
 			}
-			if typ == msgViewHint {
-				// Unsolicited epoch announcement piggybacked ahead of a
-				// client's request batch. Advisory by design: malformed or
-				// unconfigured hints are dropped, never answered, so a
-				// plain client works unchanged against a gossip-enabled
-				// server and vice versa.
-				if vs := s.cfg.Views; vs != nil {
-					if epoch, sender, derr := decodeViewMsg(payload); derr == nil {
-						vs.NoteViewEpoch(sender, epoch)
-					}
-				}
-				putFrameBuf(payload)
-				continue
-			}
 			if typ == msgTraceCtx {
 				// Trace-context piggyback for the next request frame.
-				// Advisory like view hints: undecodable contexts (or any
-				// arriving at an untraced server) are dropped, never
-				// answered.
+				// Advisory: undecodable contexts (or any arriving at an
+				// untraced server) are dropped, never answered.
 				if s.cfg.Trace != nil {
 					if tid, wctx, derr := decodeTraceCtx(payload); derr == nil {
 						pendID, pendCtx = tid, wctx
@@ -710,16 +696,14 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		}
 		rw.send(id, msgHandoffOK, nil, false)
 	case msgViewPull:
-		// Anti-entropy exchange: answer with our full view when we are at
-		// least as new as the puller, otherwise just our epoch. Equal
-		// epochs still ship the members: two operators racing the same
-		// epoch mint produce divergent same-epoch views, and the puller
-		// resolves the tie by view-content hash (internal/cluster) — which
-		// it can only do if it sees our members. Either way the puller's
-		// own epoch is noted, so if *it* is the newer side the view source
-		// pulls back symmetrically. View frames are control-plane traffic
-		// and count no request, like the handshake.
-		epoch, sender, err := decodeViewMsg(payload)
+		// Anti-entropy exchange: answer with our full view whatever the
+		// puller holds. Equal epochs must ship the members too: two
+		// operators racing the same epoch mint produce divergent
+		// same-epoch views, and the puller resolves the tie by
+		// view-content hash (internal/cluster). The request's epoch and
+		// sender are ignored. View frames are control-plane traffic and
+		// count no request, like the handshake.
+		_, _, err := decodeViewMsg(payload)
 		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
@@ -730,13 +714,8 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: "no membership view"})
 			return
 		}
-		vs.NoteViewEpoch(sender, epoch)
-		ourEpoch, members := vs.ViewSnapshot()
-		if ourEpoch >= epoch {
-			rw.send(id, msgViewPush, appendViewPush(getEncodeBuf(), ourEpoch, vs.Self(), members), true)
-			return
-		}
-		rw.send(id, msgViewHint, appendViewMsg(getEncodeBuf(), ourEpoch, vs.Self()), true)
+		epoch, members := vs.ViewSnapshot()
+		rw.send(id, msgViewPush, appendViewPush(getEncodeBuf(), epoch, vs.Self(), members), true)
 	case msgViewPush:
 		epoch, _, members, err := decodeViewPush(payload)
 		putFrameBuf(payload)

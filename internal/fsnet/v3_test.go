@@ -299,7 +299,7 @@ func TestGarbageReplyPoisonsEveryVerb(t *testing.T) {
 				addr := fakeV3Server(t, func(_ net.Conn, w *bufio.Writer, _ uint8, id uint64, _ []byte) bool {
 					return putFrameID(w, g.typ, id, g.payload) == nil
 				})
-				client, err := Dial(addr, ClientConfig{Views: newTestViews("client:1", 1, "client:1")})
+				client, err := Dial(addr, ClientConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}

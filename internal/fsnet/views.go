@@ -10,9 +10,8 @@ import (
 // cluster tier implements it; fsnet only ever calls through this
 // interface, keeping the import direction cluster → fsnet.
 //
-// Implementations must be safe for concurrent use: Epoch is read on the
-// connection writer goroutines (once per batch), and NoteViewEpoch is
-// called from reader goroutines — it must not block on network I/O.
+// Implementations must be safe for concurrent use: every connection's
+// goroutines call them.
 type ViewSource interface {
 	// Self is this node's advertised cluster address, identifying the
 	// sender in view frames (an inbound TCP connection's remote address
@@ -27,10 +26,6 @@ type ViewSource interface {
 	// not an error — the receiver is simply newer — so it reports
 	// applied=false with a nil error; err is reserved for invalid views.
 	ApplyView(epoch uint64, members []string) (applied bool, err error)
-	// NoteViewEpoch records that the peer at addr advertises epoch.
-	// Called on transport reader goroutines for every hint seen; it must
-	// return quickly (hand off to a background puller, never dial here).
-	NoteViewEpoch(addr string, epoch uint64)
 }
 
 // maxViewMembers bounds the peer list of a msgViewPush. Matches the
@@ -39,7 +34,8 @@ type ViewSource interface {
 const maxViewMembers = 1024
 
 // viewMsg — the payload of msgViewHint and msgViewPull — is
-// uvarint epoch, then the sender's advertised address.
+// uvarint epoch, then the sender's advertised address. A client's pull
+// sends 0 and "", which the server ignores.
 
 func appendViewMsg(dst []byte, epoch uint64, sender string) []byte {
 	dst = appendUvarint(dst, epoch)

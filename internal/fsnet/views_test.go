@@ -13,22 +13,20 @@ import (
 
 // The view suite pins the gossip wire extension: codec bounds, the
 // pull/push exchange against a real server, the mid-stream-cut poisoning
-// contract, and the hint piggyback riding ordinary opens in both
-// directions.
+// contract, and the server's hint piggyback riding ordinary replies.
 
 // testViews is a scripted ViewSource: a mutable epoch+members pair with
-// highest-epoch-wins ApplyView semantics and a log of every hint noted.
+// highest-epoch-wins ApplyView semantics.
 type testViews struct {
 	self string
 
 	mu      sync.Mutex
 	epoch   uint64
 	members []string
-	noted   map[string]uint64 // latest hinted epoch per sender
 }
 
 func newTestViews(self string, epoch uint64, members ...string) *testViews {
-	return &testViews{self: self, epoch: epoch, members: members, noted: make(map[string]uint64)}
+	return &testViews{self: self, epoch: epoch, members: members}
 }
 
 func (v *testViews) Self() string { return v.self }
@@ -54,20 +52,6 @@ func (v *testViews) ApplyView(epoch uint64, members []string) (bool, error) {
 	v.epoch = epoch
 	v.members = append([]string(nil), members...)
 	return true, nil
-}
-
-func (v *testViews) NoteViewEpoch(addr string, epoch uint64) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if epoch > v.noted[addr] {
-		v.noted[addr] = epoch
-	}
-}
-
-func (v *testViews) notedEpoch(addr string) uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.noted[addr]
 }
 
 func TestViewCodecRoundTrip(t *testing.T) {
@@ -104,47 +88,27 @@ func TestViewCodecRoundTrip(t *testing.T) {
 }
 
 // TestViewPullPushExchange drives the full exchange against a real
-// server: pull when the server is newer (full view comes back), pull
-// when it is older (bare epoch hint comes back, and the server learns
-// our epoch), push installing a view, and a stale push acked with the
-// server's higher epoch.
+// server: a pull answered with the full view, push installing a view,
+// a pull answered with the full view even when the server is not newer,
+// and a stale push acked with the server's higher epoch.
 func TestViewPullPushExchange(t *testing.T) {
 	sv := newTestViews("server:1", 5, "server:1", "peer:2")
 	store := seededStore(t, 4)
 	srv, addr := startServer(t, store, ServerConfig{GroupSize: 2, CacheCapacity: 8, Views: sv})
 
-	cv := newTestViews("client:1", 1, "client:1")
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
 
-	// Server newer: the pull answers with the full view.
+	// The pull answers with the full view.
 	epoch, members, err := client.ViewPull()
 	if err != nil {
 		t.Fatalf("ViewPull: %v", err)
 	}
 	if epoch != 5 || len(members) != 2 || members[0] != "server:1" {
 		t.Fatalf("ViewPull = (%d, %v), want (5, [server:1 peer:2])", epoch, members)
-	}
-	// The pull itself carried our epoch; the server noted it for a
-	// symmetric pull-back decision.
-	if got := sv.notedEpoch("client:1"); got != 1 {
-		t.Errorf("server noted client epoch %d, want 1", got)
-	}
-
-	// Client newer: the pull answers with a bare epoch hint (nil
-	// members), never a full view.
-	if _, err := cv.ApplyView(9, []string{"client:1", "other:3"}); err != nil {
-		t.Fatal(err)
-	}
-	epoch, members, err = client.ViewPull()
-	if err != nil {
-		t.Fatalf("ViewPull (client newer): %v", err)
-	}
-	if members != nil || epoch != 5 {
-		t.Fatalf("ViewPull (client newer) = (%d, %v), want (5, nil)", epoch, members)
 	}
 
 	// Push installs on the server and the ack echoes the new epoch.
@@ -154,6 +118,12 @@ func TestViewPullPushExchange(t *testing.T) {
 	}
 	if remote != 9 || sv.Epoch() != 9 {
 		t.Fatalf("ViewPush installed epoch %d (ack %d), want 9", sv.Epoch(), remote)
+	}
+
+	// A pull still answers with the full view, now the pushed one.
+	epoch, members, err = client.ViewPull()
+	if err != nil || epoch != 9 || len(members) != 2 || members[1] != "other:3" {
+		t.Fatalf("ViewPull after push = (%d, %v, %v), want (9, [client:1 other:3])", epoch, members, err)
 	}
 
 	// A stale push is not an error: the ack carries the server's higher
@@ -179,8 +149,7 @@ func TestViewPullPushExchange(t *testing.T) {
 func TestViewExchangeAgainstUnconfiguredServer(t *testing.T) {
 	store := seededStore(t, 2)
 	_, addr := startServer(t, store, ServerConfig{GroupSize: 2, CacheCapacity: 8})
-	cv := newTestViews("client:1", 3, "client:1")
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +193,7 @@ func TestViewPushMidStreamCutPoisonsOnlyInFlight(t *testing.T) {
 		return false
 	})
 
-	cv := newTestViews("client:1", 1, "client:1")
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv, MaxRetries: 0})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, MaxRetries: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,17 +225,18 @@ func TestViewPushMidStreamCutPoisonsOnlyInFlight(t *testing.T) {
 	}
 }
 
-// TestHintPiggybackBothDirections: one ordinary open is enough for both
-// sides to learn each other's epoch — the client's hint leads its first
-// request batch, the server's hint leads its first reply batch. No
-// extra round trips, no background loop.
+// TestHintPiggybackBothDirections: one ordinary open is enough for a
+// client to learn the server's epoch — the server's hint leads its first
+// reply batch, and a client routing by a ring re-pulls the view on a
+// newer one. No extra request of the client's own, no background loop.
+// Peers no longer send hints the other way: a client's frames carry no
+// epoch.
 func TestHintPiggybackBothDirections(t *testing.T) {
 	sv := newTestViews("server:1", 5, "server:1")
 	store := seededStore(t, 2)
 	_, addr := startServer(t, store, ServerConfig{GroupSize: 2, CacheCapacity: 8, Views: sv})
 
-	cv := newTestViews("client:1", 3, "client:1")
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 4, Views: cv})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,47 +244,86 @@ func TestHintPiggybackBothDirections(t *testing.T) {
 	if _, err := client.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
-	// The hints frame their batches, so by the time the open returned,
-	// both notes had already been processed in order.
-	if got := sv.notedEpoch("client:1"); got != 3 {
-		t.Errorf("server noted client epoch %d, want 3", got)
+	if got := client.viewEpoch.Load(); got != 5 {
+		t.Fatalf("client routes by epoch %d, want the server's 5", got)
 	}
-	if got := cv.notedEpoch("server:1"); got != 5 {
-		t.Errorf("client noted server epoch %d, want 5", got)
+	// The server moves on; the hint leading the next reply batch starts
+	// the client's re-pull.
+	if _, err := sv.ApplyView(6, []string{"server:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.Open("/data/f001"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for client.viewEpoch.Load() != 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("client still routes by epoch %d after the server's hint of 6", client.viewEpoch.Load())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
-// TestHintDedupPerEpoch: the hint is per-connection state, re-sent only
-// when the epoch moves — a steady stream of opens pays for exactly one
-// hint, and an epoch bump pays for exactly one more.
+// TestHintDedupPerEpoch: the server's hint is per-connection state,
+// re-sent only when the epoch moves — a steady stream of opens pays for
+// exactly one hint, and an epoch bump pays for exactly one more. Read
+// off a raw connection, so every frame the server sends is counted.
 func TestHintDedupPerEpoch(t *testing.T) {
 	sv := newTestViews("server:1", 1, "server:1")
 	store := seededStore(t, 8)
 	_, addr := startServer(t, store, ServerConfig{GroupSize: 2, CacheCapacity: 8, Views: sv})
 
-	cv := newTestViews("client:1", 2, "client:1")
-	client, err := Dial(addr, ClientConfig{CacheCapacity: 0, Views: cv})
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
-	for i := 0; i < 4; i++ {
-		if _, err := client.Open(fmt.Sprintf("/data/f%03d", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := sv.notedEpoch("client:1"); got != 2 {
-		t.Fatalf("server noted epoch %d, want 2", got)
-	}
-	if _, err := cv.ApplyView(7, []string{"client:1"}); err != nil {
+	defer conn.Close()
+	if err := writeHello(conn, msgHello, protocolVersion, 0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 4; i < 8; i++ {
-		if _, err := client.Open(fmt.Sprintf("/data/f%03d", i)); err != nil {
-			t.Fatal(err)
-		}
+	rc := &rawConn{Conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	if typ, payload, err := readFrame(rc.r); err != nil || typ != msgHelloOK {
+		t.Fatalf("handshake reply = type %d, %v; want msgHelloOK", typ, err)
+	} else if _, epoch, err := decodeHello(payload); err != nil || epoch != 1 {
+		t.Fatalf("hello epoch = %d, %v; want 1", epoch, err)
 	}
-	if got := sv.notedEpoch("client:1"); got != 7 {
-		t.Fatalf("server noted epoch %d after bump, want 7", got)
+	// opens sends one open per path, each in lock step, and returns the
+	// epochs of the hints that came with the replies.
+	opens := func(from, to int) []uint64 {
+		var hints []uint64
+		for i := from; i < to; i++ {
+			id := uint64(i + 1)
+			rc.send(t, msgOpen, id, encodeOpenRequest(openRequest{Path: fmt.Sprintf("/data/f%03d", i)}))
+			for done := false; !done; {
+				typ, gotID, payload, err := readFrameID(rc.r)
+				if err != nil {
+					t.Fatalf("open %d reply: %v", i, err)
+				}
+				switch {
+				case gotID == 0 && typ == msgViewHint:
+					epoch, sender, err := decodeViewMsg(payload)
+					if err != nil || sender != "server:1" {
+						t.Fatalf("hint = (%d, %q, %v)", epoch, sender, err)
+					}
+					hints = append(hints, epoch)
+				case gotID != id:
+					t.Fatalf("open %d: frame type %d for id %d", i, typ, gotID)
+				case typ == msgGroupEnd:
+					done = true
+				case typ != msgMemberChunk:
+					t.Fatalf("open %d: frame type %d", i, typ)
+				}
+			}
+		}
+		return hints
+	}
+	if got := opens(0, 4); len(got) != 1 || got[0] != 1 {
+		t.Fatalf("hints over the first four opens = %v, want [1]", got)
+	}
+	if _, err := sv.ApplyView(7, []string{"server:1"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := opens(4, 8); len(got) != 1 || got[0] != 7 {
+		t.Fatalf("hints after the bump = %v, want [7]", got)
 	}
 }

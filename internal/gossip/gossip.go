@@ -1,23 +1,13 @@
 // Package gossip converges cluster membership fleet-wide from a single
-// operator action. It layers two dissemination channels over the view
-// verbs the cluster tier exposes:
-//
-// Piggyback: every fsnet forward and reply already
-// carries the sender's view epoch as a tiny hint frame (see
-// fsnet.ViewSource). The transport surfaces each hint through
-// OnViewHint; the gossiper reacts to a hint newer than the installed
-// view by pulling the sender's full view in the background. Hints make
-// convergence ride the data path — a fleet under load converges at
-// request latency, not gossip-interval latency — and pulling instead of
-// pushing on a hint means a new view is fetched once per hinted peer,
-// not blasted at every connection (no push storms).
-//
-// Anti-entropy: a background loop wakes every Interval, picks one random
-// live peer, and exchanges views with it — pull first, then push back if
-// the peer turned out to be older. Anti-entropy is what carries idle
-// fleets and heals partitions: it needs no traffic and no hints, only
-// that the pair can talk. Random peer choice gives the standard epidemic
-// O(log n) spread without tracking who knows what.
+// operator action by anti-entropy over the view verbs the cluster tier
+// exposes: a background loop wakes every Interval, picks one random live
+// peer, and exchanges views with it — pull first, then push back if the
+// peer turned out to be older. It needs no traffic, only that the pair
+// can talk, so it carries idle fleets and heals partitions alike, and
+// random peer choice gives the standard epidemic O(log n) spread without
+// tracking who knows what. These rounds, and a draining node's goodbye
+// push (cluster.Node.Drain), are the only ways a view moves between
+// nodes: no request or reply between nodes announces an epoch.
 //
 // Epoch rules are the cluster tier's (Update): higher epoch wins,
 // stale views are refused, ties never install. The gossiper adds no
@@ -45,9 +35,6 @@ type View interface {
 	Epoch() uint64
 	// ViewSnapshot returns the installed epoch and member list together.
 	ViewSnapshot() (epoch uint64, members []string)
-	// OnViewHint registers fn to observe every view-epoch hint the
-	// transport sees; nil unregisters.
-	OnViewHint(fn func(addr string, epoch uint64))
 	// ViewPullFrom fetches addr's view and installs it if newer,
 	// reporting whether it installed and addr's epoch.
 	ViewPullFrom(addr string) (applied bool, remoteEpoch uint64, err error)
@@ -61,8 +48,7 @@ type Config struct {
 	// Node is the membership view to disseminate. Required.
 	Node View
 	// Interval is the anti-entropy period. Zero or negative disables
-	// the background loop — hint-triggered pulls still run, and Tick
-	// can be driven by hand.
+	// the background loop; Tick can still be driven by hand.
 	Interval time.Duration
 	// Ticker builds the loop's trigger channel; nil selects a
 	// time.Ticker. Tests inject a hand-fired channel so rounds run on
@@ -71,8 +57,8 @@ type Config struct {
 	// Seed seeds peer selection; 0 draws from the wall clock. Tests fix
 	// it so every round's peer choice is reproducible.
 	Seed int64
-	// Obs, when set, registers the gossip counters and the view-epoch
-	// gauge with the given registry.
+	// Obs, when set, registers the gossip counters with the given
+	// registry.
 	Obs *obs.Registry
 	// Trace, when set, makes each anti-entropy round a trace root (its
 	// per-peer exchanges child spans), head-sampled at the tracer's own
@@ -80,9 +66,9 @@ type Config struct {
 	Trace *otrace.Tracer
 }
 
-// Gossiper runs the two dissemination channels for one node. Start it
-// after the node is serving and Stop it before the node closes. All
-// methods are safe for concurrent use.
+// Gossiper runs anti-entropy for one node. Start it after the node is
+// serving and Stop it before the node closes. All methods are safe for
+// concurrent use.
 type Gossiper struct {
 	node     View
 	interval time.Duration
@@ -92,24 +78,20 @@ type Gossiper struct {
 	rndMu sync.Mutex
 	rnd   *rand.Rand
 
-	mu       sync.Mutex
-	stopped  bool
-	inflight map[string]uint64 // hinted pulls in flight: addr -> epoch
-	stop     chan struct{}
-	wg       sync.WaitGroup
+	mu      sync.Mutex
+	stopped bool
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
-	rounds     *obs.Counter
-	pulls      *obs.Counter
-	pushes     *obs.Counter
-	applied    *obs.Counter
-	hintPulls  *obs.Counter
-	staleHints *obs.Counter
-	failures   *obs.Counter
-	events     *obs.EventLog
+	rounds   *obs.Counter
+	pulls    *obs.Counter
+	pushes   *obs.Counter
+	applied  *obs.Counter
+	failures *obs.Counter
+	events   *obs.EventLog
 }
 
-// New builds a gossiper and subscribes it to the node's view hints.
-// The anti-entropy loop does not run until Start.
+// New builds a gossiper. The anti-entropy loop does not run until Start.
 func New(cfg Config) *Gossiper {
 	if cfg.Node == nil {
 		panic("gossip: Config.Node is required")
@@ -131,11 +113,9 @@ func New(cfg Config) *Gossiper {
 		ticker:   tick,
 		trace:    cfg.Trace,
 		rnd:      rand.New(rand.NewSource(seed)),
-		inflight: make(map[string]uint64),
 		stop:     make(chan struct{}),
 	}
 	g.wireMetrics(cfg.Obs)
-	cfg.Node.OnViewHint(g.NoteEpoch)
 	return g
 }
 
@@ -144,14 +124,12 @@ func (g *Gossiper) wireMetrics(reg *obs.Registry) {
 	g.pulls = reg.LiveCounter("gossip_pulls_total", "view pull exchanges completed")
 	g.pushes = reg.LiveCounter("gossip_pushes_total", "views pushed to peers that were older")
 	g.applied = reg.LiveCounter("gossip_views_applied_total", "remote views installed via gossip")
-	g.hintPulls = reg.LiveCounter("gossip_hint_pulls_total", "background pulls triggered by piggybacked hints")
-	g.staleHints = reg.LiveCounter("gossip_stale_hints_total", "hints ignored: epoch not newer than installed")
 	g.failures = reg.LiveCounter("gossip_failures_total", "view exchanges that failed (transport or refused)")
 	g.events = reg.Events()
 }
 
-// Start launches the anti-entropy loop. A zero interval means the
-// gossiper is hint-driven only, so Start is a no-op.
+// Start launches the anti-entropy loop. With a zero interval there is
+// no loop, so Start is a no-op.
 func (g *Gossiper) Start() {
 	if g.interval <= 0 {
 		return
@@ -180,8 +158,7 @@ func (g *Gossiper) loop() {
 	}
 }
 
-// Stop unsubscribes from hints, halts the loop, and waits for every
-// in-flight background pull. Idempotent.
+// Stop halts the loop and waits for its round in flight. Idempotent.
 func (g *Gossiper) Stop() {
 	g.mu.Lock()
 	if g.stopped {
@@ -191,7 +168,6 @@ func (g *Gossiper) Stop() {
 	g.stopped = true
 	close(g.stop)
 	g.mu.Unlock()
-	g.node.OnViewHint(nil)
 	g.wg.Wait()
 }
 
@@ -253,47 +229,6 @@ func (g *Gossiper) exchange(addr string, epoch uint64, members []string, tctx ot
 		}
 		g.pushes.Add(1)
 	}
-}
-
-// NoteEpoch is the hint callback (registered with OnViewHint): a peer
-// advertised holding epoch. A hint at or below the installed epoch is
-// noise; a newer one triggers one background pull from that peer,
-// deduplicated so a burst of hints from a busy connection costs one
-// exchange, not one per frame. Never blocks — safe on reader goroutines.
-func (g *Gossiper) NoteEpoch(addr string, epoch uint64) {
-	if addr == "" || addr == g.node.Self() || epoch <= g.node.Epoch() {
-		g.staleHints.Add(1)
-		return
-	}
-	g.mu.Lock()
-	if g.stopped || g.inflight[addr] >= epoch {
-		g.mu.Unlock()
-		return
-	}
-	g.inflight[addr] = epoch
-	g.wg.Add(1)
-	g.mu.Unlock()
-	go func() {
-		defer g.wg.Done()
-		defer func() {
-			g.mu.Lock()
-			delete(g.inflight, addr)
-			g.mu.Unlock()
-		}()
-		g.hintPulls.Add(1)
-		applied, _, err := g.node.ViewPullFrom(addr)
-		if err != nil {
-			g.failures.Add(1)
-			return
-		}
-		g.pulls.Add(1)
-		if applied {
-			g.applied.Add(1)
-			g.events.Record("gossip_apply",
-				obs.F("from", addr),
-				obs.F("epoch", strconv.FormatUint(g.node.Epoch(), 10)))
-		}
-	}()
 }
 
 func (g *Gossiper) intn(n int) int {

@@ -1,6 +1,7 @@
 package gossip_test
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -203,17 +204,19 @@ func TestPartitionHealConverges(t *testing.T) {
 	}
 }
 
-// scriptedView is a minimal View for unit-testing the gossiper's hint
-// and tick logic without sockets.
+// scriptedView is a minimal View for unit-testing the gossiper's tick
+// logic without sockets.
 type scriptedView struct {
 	self string
 
 	mu      sync.Mutex
 	epoch   uint64
 	members []string
-	hook    func(addr string, epoch uint64)
 	pulls   []string
 	pushes  []string
+	// pull, when set, scripts ViewPullFrom's answer; nil reports the
+	// peer at our own epoch and installs nothing.
+	pull func() (applied bool, remote uint64, err error)
 }
 
 func (v *scriptedView) Self() string { return v.self }
@@ -230,16 +233,13 @@ func (v *scriptedView) ViewSnapshot() (uint64, []string) {
 	return v.epoch, append([]string(nil), v.members...)
 }
 
-func (v *scriptedView) OnViewHint(fn func(addr string, epoch uint64)) {
-	v.mu.Lock()
-	v.hook = fn
-	v.mu.Unlock()
-}
-
 func (v *scriptedView) ViewPullFrom(addr string) (bool, uint64, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.pulls = append(v.pulls, addr)
+	if v.pull != nil {
+		return v.pull()
+	}
 	return false, v.epoch, nil
 }
 
@@ -250,38 +250,44 @@ func (v *scriptedView) ViewPushTo(addr string, epoch uint64, members []string) (
 	return epoch, nil
 }
 
-func (v *scriptedView) pullCount() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return len(v.pulls)
-}
-
-// TestNoteEpochFiltersStaleAndDedupes: hints at or below the installed
-// epoch trigger nothing; a newer hint triggers exactly one pull even
-// when the same hint arrives in a burst.
-func TestNoteEpochFiltersStaleAndDedupes(t *testing.T) {
+// TestGossipSeriesMove: New registers exactly the five gossip counters,
+// and each moves with the rounds that should move it — a round against a
+// newer peer pulls and installs, one against an older peer pushes back,
+// one against a downed peer fails.
+func TestGossipSeriesMove(t *testing.T) {
 	v := &scriptedView{self: "a:1", epoch: 5, members: []string{"a:1", "b:2"}}
 	reg := obs.NewRegistry()
-	g := gossip.New(gossip.Config{Node: v, Obs: reg})
+	g := gossip.New(gossip.Config{Node: v, Obs: reg, Seed: 1})
 	defer g.Stop()
 
-	g.NoteEpoch("b:2", 5) // not newer
-	g.NoteEpoch("b:2", 3) // stale
-	g.NoteEpoch("a:1", 9) // self
-	g.NoteEpoch("", 9)    // a client's pull names no sender
-	g.Stop()              // waits for any pull goroutines
-	if got := v.pullCount(); got != 0 {
-		t.Fatalf("stale, self and senderless hints triggered %d pulls, want 0", got)
+	names := []string{"gossip_rounds_total", "gossip_pulls_total", "gossip_pushes_total",
+		"gossip_views_applied_total", "gossip_failures_total"}
+	check := func(when string, want ...float64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if len(snap) != len(names) {
+			t.Fatalf("%s: %d series registered, want %d: %+v", when, len(snap), len(names), snap)
+		}
+		for i, s := range snap {
+			if s.Name != names[i] || s.Kind != obs.KindCounter || s.Value != want[i] {
+				t.Errorf("%s: series %d = %s (%v) at %v, want counter %s at %v",
+					when, i, s.Name, s.Kind, s.Value, names[i], want[i])
+			}
+		}
 	}
+	check("at rest", 0, 0, 0, 0, 0)
 
-	v2 := &scriptedView{self: "a:1", epoch: 5, members: []string{"a:1", "b:2"}}
-	g2 := gossip.New(gossip.Config{Node: v2})
-	g2.NoteEpoch("b:2", 7)
-	g2.NoteEpoch("b:2", 7) // duplicate while (or after) the first is in flight
-	g2.Stop()
-	if got := v2.pullCount(); got < 1 || got > 2 {
-		t.Fatalf("newer hint triggered %d pulls, want 1 (or 2 if the first completed)", got)
-	}
+	v.pull = func() (bool, uint64, error) { return true, 9, nil }
+	g.Tick()
+	check("after a round against a newer peer", 1, 1, 0, 1, 0)
+
+	v.pull = func() (bool, uint64, error) { return false, 2, nil }
+	g.Tick()
+	check("after a round against an older peer", 2, 2, 1, 1, 0)
+
+	v.pull = func() (bool, uint64, error) { return false, 0, errors.New("peer down") }
+	g.Tick()
+	check("after a round against a downed peer", 3, 2, 1, 1, 1)
 }
 
 // TestTickPushesBackWhenPeerOlder: a round against an older peer pulls
@@ -305,8 +311,8 @@ func TestTickPushesBackWhenPeerOlder(t *testing.T) {
 	v.epoch = 5
 	v.mu.Unlock()
 	older := &scriptedView{self: "a:1", epoch: 5, members: []string{"a:1", "b:2"}}
-	olderReport := uint64(2)
-	pullStub := gossip.New(gossip.Config{Node: &reportingView{scriptedView: older, report: olderReport}, Seed: 1})
+	older.pull = func() (bool, uint64, error) { return false, 2, nil }
+	pullStub := gossip.New(gossip.Config{Node: older, Seed: 1})
 	defer pullStub.Stop()
 	pullStub.Tick()
 	older.mu.Lock()
@@ -315,18 +321,6 @@ func TestTickPushesBackWhenPeerOlder(t *testing.T) {
 	if pulls != 1 || pushes != 1 {
 		t.Fatalf("tick against older peer: %d pulls %d pushes, want 1/1", pulls, pushes)
 	}
-}
-
-// reportingView wraps scriptedView to report a fixed remote epoch from
-// pulls, simulating an older peer.
-type reportingView struct {
-	*scriptedView
-	report uint64
-}
-
-func (v *reportingView) ViewPullFrom(addr string) (bool, uint64, error) {
-	_, _, _ = v.scriptedView.ViewPullFrom(addr)
-	return false, v.report, nil
 }
 
 // TestTickFanoutDeterministic: each round reconciles with exactly one
