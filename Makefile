@@ -79,7 +79,12 @@ ignore-guard:
 # by exchange (gossip's pull and push, a drain's goodbye), so no client
 # announces an epoch, no node notes one, no hint starts a pull, and an
 # exchange never dials outside the installed view. Servers still hint
-# their clients (Client.noteViewHint).
+# their clients (Client.noteViewHint). So is the server's worker pool and
+# the second router interface: no open waits on a peer, so each
+# connection's read loop serves every request and writes every reply — no
+# per-connection workers or their bound, no InlineRouter, no inline retry
+# of an open that blocks — and a client's view hint is followed by its
+# next miss, not by a re-pull goroutine.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -103,6 +108,7 @@ lint-dead:
 	@! grep -rniE 'churn|internal/gossip' --include='*.go' --exclude='*_test.go' cmd/aggbench
 	@! grep -rnE 'NoteViewEpoch|OnViewHint|NoteEpoch\(|transientClient|hintSent|hintPulls|staleHints|gossip_hint_pulls|gossip_stale_hints' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'internal/multilevel|SimulateHierarchy|HierarchyConfig|DisablePiggyback|FailureThreshold|DownDuration|PeerTimeout|gossip_view_epoch' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'InlineRouter|errRouteBlocks|connWorkers|maxServerPipeline|iroute|inlineOpens|repull' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...

@@ -40,7 +40,6 @@ import (
 
 	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
-	"aggcache/internal/obs/otrace"
 	"aggcache/internal/ring"
 )
 
@@ -113,7 +112,7 @@ type Node struct {
 
 	draining atomic.Bool
 
-	// localOpens counts opens offered through Route (obs.Counter wraps
+	// localOpens counts opens offered through RouteOpen (obs.Counter wraps
 	// one atomic). With cfg.Obs it is the series /metrics exposes, so
 	// NodeStats cannot drift.
 	localOpens *obs.Counter
@@ -127,7 +126,7 @@ type Node struct {
 	events *obs.EventLog
 }
 
-var _ fsnet.InlineRouter = (*Node)(nil)
+var _ fsnet.OpenRouter = (*Node)(nil)
 
 // NewNode validates cfg and installs the epoch-1 view: the ring over
 // cfg.Peers plus one lazy-dialing fsnet client per remote peer. No
@@ -217,14 +216,6 @@ func (n *Node) Self() string { return n.self }
 func (n *Node) RouteOpen(path string, accessed []string) ([]fsnet.GroupFile, bool, error) {
 	n.localOpens.Add(1)
 	return nil, false, nil
-}
-
-// Route implements fsnet.InlineRouter the same way, so a server that
-// still names a node as its router serves every open inline on its read
-// loop.
-func (n *Node) Route(path string, accessed []string, tctx otrace.Ctx, mayWait bool) (g *fsnet.Group, handled, blocks bool, err error) {
-	n.localOpens.Add(1)
-	return nil, false, false, nil
 }
 
 // Close shuts down every peer client of the current view.

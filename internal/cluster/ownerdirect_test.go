@@ -10,11 +10,9 @@ import (
 	"net"
 	"slices"
 	"testing"
-	"time"
 
 	"aggcache/internal/alloctest"
 	"aggcache/internal/fsnet"
-	"aggcache/internal/obs/otrace"
 	"aggcache/internal/successor"
 	"aggcache/internal/trace"
 )
@@ -96,10 +94,9 @@ func TestAllocBudgetLocallyOwnedOpen(t *testing.T) {
 	}
 }
 
-// TestRouteFromReadLoop pins what Route does for a read loop (mayWait
-// false), and for a worker: a node declines every open, the path its own
-// or not and its owner up or down, and never asks for a goroutine that
-// may wait.
+// TestRouteFromReadLoop pins what RouteOpen does on a read loop: a node
+// declines every open, the path its own or not and its owner up or down,
+// so the read loop serves it from the local store without waiting.
 func TestRouteFromReadLoop(t *testing.T) {
 	tc := startCluster(t, 2, nil)
 	n := tc.nodes[0]
@@ -108,18 +105,16 @@ func TestRouteFromReadLoop(t *testing.T) {
 	check := func(when string) {
 		t.Helper()
 		for _, path := range []string{own, remote} {
-			for _, mayWait := range []bool{false, true} {
-				if g, handled, blocks, err := n.Route(path, []string{own}, otrace.Ctx{}, mayWait); g != nil || handled || blocks || err != nil {
-					t.Errorf("%s: Route(%s, mayWait %v) handled=%v blocks=%v err=%v, want declined", when, path, mayWait, handled, blocks, err)
-				}
+			if files, handled, err := n.RouteOpen(path, []string{own}); files != nil || handled || err != nil {
+				t.Errorf("%s: RouteOpen(%s) = %d files, handled=%v err=%v, want declined", when, path, len(files), handled, err)
 			}
 		}
 	}
 	check("owner up")
 	tc.gates[tc.addrs[1]].SetDown(true)
 	check("owner down")
-	if st := n.Stats(); st.LocalOpens != 8 || st.ForwardedOpens+st.DegradedOpens != 0 {
-		t.Errorf("stats %+v, want 8 local opens and nothing else", st)
+	if st := n.Stats(); st.LocalOpens != 4 || st.ForwardedOpens+st.DegradedOpens != 0 {
+		t.Errorf("stats %+v, want 4 local opens and nothing else", st)
 	}
 }
 
@@ -236,15 +231,16 @@ func TestLearningPartition(t *testing.T) {
 }
 
 // TestClientFollowsViewChange: a view installed with Update reaches the
-// client by the hint its next reply piggybacks. The client pulls the new
-// member list, closes its connection to the member that left, and sends
-// that member's paths to their new owners.
+// client by the hint its next reply piggybacks, and the miss after that
+// reply pulls the new member list before it is routed. The client closes
+// its connection to the member that left and sends that member's paths
+// to their new owners.
 func TestClientFollowsViewChange(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	client := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 1})
 	gone := tc.pathOwnedBy(t, 2, nil)
 	stay := tc.pathOwnedBy(t, 0, nil)
-	for _, p := range []string{gone, stay} {
+	for _, p := range []string{stay, gone} {
 		if _, err := client.Open(p); err != nil {
 			t.Fatal(err)
 		}
@@ -257,36 +253,19 @@ func TestClientFollowsViewChange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The seed's next reply carries the new epoch; the pull it starts
-	// runs beside the opens that follow, until one of them goes to the
-	// path's new owner.
-	for deadline := time.Now().Add(5 * time.Second); ; {
+	// The cache holds gone alone, so stay is a miss for the seed, whose
+	// reply carries the new epoch; gone, the next miss, goes to its new
+	// owner.
+	for i := 0; i < 10; i++ {
 		if _, err := client.Open(stay); err != nil {
 			t.Fatal(err)
 		}
-		before := tc.servers[2].Stats().Requests
-		if _, err := client.Open(gone); err != nil {
-			t.Fatal(err)
-		}
-		if tc.servers[2].Stats().Requests == before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the client never followed the new view")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	served := tc.servers[2].Stats().Requests
-	for i := 0; i < 10; i++ {
 		if data, err := client.Open(gone); err != nil || string(data) != testContent(gone) {
 			t.Fatalf("open %s after the change = %q, %v", gone, data, err)
 		}
-		if _, err := client.Open(stay); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if got := tc.servers[2].Stats().Requests; got != served {
-		t.Errorf("the departed node served %d more requests after the client pulled the new view", got-served)
+	if got := tc.servers[2].Stats().Requests; got != 1 {
+		t.Errorf("the departed node served %d requests after the seed hinted the new view", got-1)
 	}
 	if st := client.Stats(); st.Rerouted != 0 {
 		t.Errorf("rerouted %d opens: the departed member's connection should close, not fail", st.Rerouted)

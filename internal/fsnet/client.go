@@ -267,7 +267,7 @@ func (l *link) mark(id trace.FileID) {
 // goes straight to the member that owns its path (internal/ring) over a
 // connection of its own, dialed on first use; writes and the cluster
 // verbs stay with the seed. A piggybacked view hint of a newer epoch
-// re-pulls the list.
+// makes the next miss re-pull the list before it is routed.
 //
 // Locking (see DESIGN.md §10): mu guards the cache state, stats, pending
 // history, the view and the links' connection slots and report state, and
@@ -309,10 +309,11 @@ type Client struct {
 	viewMu sync.Mutex
 	// viewChecked is set once the seed's hello has been seen and, if it
 	// named a ring, the view pulled; viewEpoch is the pulled view's epoch
-	// (0: none), and repull guards the one re-pull a hint may start.
+	// (0: none), and hinted the link whose server last announced a newer
+	// one, for the next miss to pull from.
 	viewChecked atomic.Bool
 	viewEpoch   atomic.Uint64
-	repull      atomic.Bool
+	hinted      atomic.Pointer[link]
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // retry jitter; guarded by rngMu
@@ -750,12 +751,16 @@ func (c *Client) on(l *link) (*link, *muxConn, error) {
 // to the member owning path — or, while that member's connection is
 // failing, to another one, which serves the open from its own replica of
 // the store. The first open of a client whose seed's hello named a ring
-// pulls the view before it is routed.
+// pulls the view before it is routed, and so does the first open after a
+// server hinted a newer view.
 func (c *Client) toOwner(path string) (*link, *muxConn, error) {
 	if !c.viewChecked.Load() {
 		if err := c.checkView(); err != nil {
 			return c.seed, nil, err
 		}
+	}
+	if c.hinted.Load() != nil {
+		c.followHint()
 	}
 	c.mu.Lock()
 	l := c.seed
@@ -842,19 +847,23 @@ func (c *Client) checkView() error {
 	return nil
 }
 
-// noteViewHint starts one re-pull, from l, when a server announces an
-// epoch newer than the view the client routes by. Called on mux readers,
-// so it never waits.
+// noteViewHint records l when its server announces an epoch newer than
+// the view the client routes by, so that the next miss pulls the view
+// from it (followHint). Called on mux readers, so it never waits.
 func (c *Client) noteViewHint(l *link, epoch uint64) {
-	if cur := c.viewEpoch.Load(); cur == 0 || epoch <= cur || !c.repull.CompareAndSwap(false, true) {
-		return
+	if cur := c.viewEpoch.Load(); cur != 0 && epoch > cur {
+		c.hinted.Store(l)
 	}
-	go func() {
-		defer c.repull.Store(false)
-		c.viewMu.Lock()
-		defer c.viewMu.Unlock()
+}
+
+// followHint pulls the view from the hinted link. A failed pull leaves the
+// old view in place, and the open is routed by it.
+func (c *Client) followHint() {
+	c.viewMu.Lock()
+	defer c.viewMu.Unlock()
+	if l := c.hinted.Swap(nil); l != nil {
 		_ = c.pullView(l)
-	}()
+	}
 }
 
 // pullView fetches l's view and routes by it. Members that left are

@@ -9,95 +9,25 @@ import (
 	"time"
 
 	"aggcache/internal/alloctest"
-	"aggcache/internal/obs/otrace"
 )
 
-// peerRouter stands in for the cluster tier: paths under /remote/ are
-// another node's, so Route refuses them from a read loop and RouteOpen
-// "forwards" — it parks until released — while every other path is
-// declined to the local serving path without waiting.
+// peerRouter stands in for a router that forwards: RouteOpen parks a
+// path under /remote/ until released, then answers for it, and declines
+// every other path to the local serving path without waiting.
 type peerRouter struct {
-	entered chan string   // receives each path RouteOpen parks on
 	release chan struct{} // closed to let parked forwards return
 }
 
 func newPeerRouter() *peerRouter {
-	return &peerRouter{entered: make(chan string, 16), release: make(chan struct{})}
+	return &peerRouter{release: make(chan struct{})}
 }
 
 func (r *peerRouter) RouteOpen(path string, accessed []string) ([]GroupFile, bool, error) {
 	if !strings.HasPrefix(path, "/remote/") {
 		return nil, false, nil
 	}
-	r.entered <- path
 	<-r.release
 	return []GroupFile{{Path: path, Data: []byte("forwarded " + path)}}, true, nil
-}
-
-func (r *peerRouter) Route(path string, accessed []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
-	if !mayWait && strings.HasPrefix(path, "/remote/") {
-		return nil, false, true, nil
-	}
-	files, handled, err := r.RouteOpen(path, accessed)
-	if !handled {
-		return nil, false, false, err
-	}
-	g := NewGroup()
-	g.Files = append(g.Files, files...)
-	return g, true, false, err
-}
-
-// TestPipelinedLocalOpenOvertakesSlowForward: serving locally owned opens
-// on the read loop must not serialise the connection behind a peer round
-// trip — an open that needs one leaves the read loop for a worker, and a
-// later local open on the same connection is answered while it waits.
-func TestPipelinedLocalOpenOvertakesSlowForward(t *testing.T) {
-	router := newPeerRouter()
-	srv, addr := startServer(t, seededStore(t, 4), ServerConfig{Router: router})
-	client, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	forwarded := make(chan error, 1)
-	go func() {
-		data, err := client.Open("/remote/slow")
-		if err == nil && string(data) != "forwarded /remote/slow" {
-			err = errors.New("forwarded open returned " + string(data))
-		}
-		forwarded <- err
-	}()
-	<-router.entered // the forward is parked on its worker
-
-	local := make(chan error, 1)
-	go func() {
-		data, err := client.Open("/data/f001")
-		if err == nil && string(data) != "contents of /data/f001" {
-			err = errors.New("local open returned " + string(data))
-		}
-		local <- err
-	}()
-	select {
-	case err := <-local:
-		if err != nil {
-			t.Fatalf("local open behind a slow forward: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("local open waited for the forward ahead of it on the connection")
-	}
-	select {
-	case err := <-forwarded:
-		t.Fatalf("forward returned (%v) before its peer answered", err)
-	default:
-	}
-	close(router.release)
-	if err := <-forwarded; err != nil {
-		t.Fatalf("forwarded open: %v", err)
-	}
-	if st := srv.Stats(); st.Requests != 2 || st.RemoteOpens != 1 {
-		t.Errorf("Requests = %d, RemoteOpens = %d, want 2 and 1 (a refused inline try counts nothing)", st.Requests, st.RemoteOpens)
-	}
 }
 
 // TestClientWatchdogRearmsAfterIdle: the per-connection deadline watchdog
@@ -206,8 +136,8 @@ func TestAllocBudgetFirstSightFetch(t *testing.T) {
 }
 
 // TestAllocBudgetRoutedLocalOpen pins the open a clustered node owns: the
-// router is consulted and declines, and from there the request costs what
-// an unrouted one does. It used to decode into fresh strings and spawn a
+// plain router is consulted on the read loop and declines, and from there
+// the request costs what an unrouted one does. It used to decode into fresh strings and spawn a
 // goroutine. The budget was 1 while Open had a variant that copied into a
 // caller's reused buffer and the test measured through that; through Open
 // itself the parent cost the same 2 (its copy-out is now the slab). A

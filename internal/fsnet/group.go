@@ -13,7 +13,7 @@ import (
 // into the store — that the reply writes.
 //
 // A Group is reference counted and recycled. Whoever receives one from
-// the mux reader, an InlineRouter or NewGroup owns one reference and
+// the mux reader or NewGroup owns one reference and
 // must Release it exactly once; Retain adds a reference and is only legal
 // while the caller provably holds a live one. After Release a holder
 // touches neither Files nor any Data: the last Release hands the frame
@@ -42,7 +42,7 @@ type Group struct {
 var groupPool = sync.Pool{New: func() interface{} { return new(Group) }}
 
 // NewGroup returns an empty group holding one reference, for the caller
-// to fill Files (an InlineRouter that builds its own replies, a test).
+// to fill Files (the server staging a reply, a test).
 func NewGroup() *Group {
 	g := groupPool.Get().(*Group)
 	g.refs.Store(1)

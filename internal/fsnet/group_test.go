@@ -9,7 +9,6 @@ import (
 
 	"aggcache/internal/faultnet"
 	"aggcache/internal/obs"
-	"aggcache/internal/obs/otrace"
 )
 
 // mustPanic runs f and fails the test unless it panics.
@@ -126,101 +125,49 @@ func TestClientCloseMidGroup(t *testing.T) {
 	}
 }
 
-// holdRouter forwards every /remote/ path: the open parks until the test
-// sends on the path's channel, then answers with a one-file group the
-// router itself keeps a second reference to, so the test can watch the
-// server's reference come back.
-type holdRouter struct {
-	entered chan string
-	release map[string]chan struct{}
-	groups  map[string]*Group
-}
-
-func newHoldRouter(paths ...string) *holdRouter {
-	r := &holdRouter{entered: make(chan string, len(paths)), release: map[string]chan struct{}{}, groups: map[string]*Group{}}
-	for _, p := range paths {
-		r.release[p] = make(chan struct{})
-		g := NewGroup()
-		g.Files = append(g.Files, GroupFile{Path: p, Data: []byte("forwarded " + p)})
-		r.groups[p] = g
-	}
-	return r
-}
-
-func (r *holdRouter) RouteOpen(string, []string) ([]GroupFile, bool, error) {
-	return nil, false, errors.New("holdRouter is an InlineRouter")
-}
-
-func (r *holdRouter) Route(path string, _ []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
-	g := r.groups[path]
-	if g == nil {
-		return nil, false, false, nil
-	}
-	if !mayWait {
-		return nil, false, true, nil
-	}
-	r.entered <- path
-	<-r.release[path]
-	g.Retain() // the server's reference
-	return g, true, false, nil
-}
-
 // TestReplyDroppedUnwrittenReleasesGroup: a group reply that never
 // reaches the wire gives its reference back all the same, once — whether
-// its batch's write failed or it was enqueued on a writer already dead.
+// its batch's write failed or it was queued on a writer already dead.
 func TestReplyDroppedUnwrittenReleasesGroup(t *testing.T) {
-	router := newHoldRouter("/remote/a", "/remote/b")
-	srv, err := NewServer(seededStore(t, 2), ServerConfig{Router: router})
+	srv, err := NewServer(seededStore(t, 2), ServerConfig{WriteTimeout: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The writer's connection parks every write until its deadline: a
+	// client that stopped reading.
 	var gate faultnet.Gate
-	go func() { _ = srv.Serve(faultnet.WrapListener(l, faultnet.Faults{Gate: &gate})) }()
-	defer srv.Close()
-
-	client, err := Dial(l.Addr().String(), ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Open("/data/f000"); err != nil { // handshake done, connection warm
-		t.Fatal(err)
-	}
-	failed := make(chan error, 2)
-	for _, p := range []string{"/remote/a", "/remote/b"} {
-		go func() {
-			_, err := client.Open(p)
-			failed <- err
-		}()
-		<-router.entered // parked on its worker
+	gate.Hold()
+	defer gate.Resume()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	rw := &replyWriter{s: srv, conn: faultnet.Wrap(local, faultnet.Faults{Gate: &gate}, nil)}
+	group := func(path string) *Group {
+		g := NewGroup()
+		g.Files = append(g.Files, GroupFile{Path: path, Data: []byte("contents of " + path)})
+		g.Retain() // the reply's reference; the test keeps the first
+		return g
 	}
 
-	// The server's side of the connection dies; the read loop, blocked in
-	// its Read, does not notice. Reply a meets the dead socket: its batch
-	// fails and the writer is marked dead.
-	gate.SetDown(true)
-	router.release["/remote/a"] <- struct{}{}
-	for srv.Stats().Disconnects == 0 {
-		time.Sleep(time.Millisecond)
+	a := group("/data/f000")
+	rw.sendGroup(1, a)
+	rw.flush() // the batch's write times out
+	if st := srv.Stats(); st.Disconnects != 1 {
+		t.Fatalf("Disconnects = %d after the held write timed out, want 1", st.Disconnects)
 	}
-	if n := router.groups["/remote/a"].refs.Load(); n != 1 {
-		t.Errorf("reply a, written into a dead socket: %d references left, want the router's 1", n)
+	if n := a.refs.Load(); n != 1 {
+		t.Errorf("reply a, in the failed batch: %d references left, want the test's 1", n)
 	}
-	// Reply b is enqueued on the dead writer.
-	router.release["/remote/b"] <- struct{}{}
-	for deadline := time.Now().Add(5 * time.Second); router.groups["/remote/b"].refs.Load() != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("reply b, enqueued on a dead writer: %d references left, want the router's 1", router.groups["/remote/b"].refs.Load())
-		}
-		time.Sleep(time.Millisecond)
+	// A reply queued after the failure is dropped at once, and nothing is
+	// written or counted again.
+	b := group("/data/f001")
+	rw.sendGroup(2, b)
+	if n := b.refs.Load(); n != 1 {
+		t.Errorf("reply b, queued on the dead writer: %d references left, want the test's 1", n)
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-failed; !errors.Is(err, ErrConnBroken) {
-			t.Errorf("open on the killed connection: err = %v, want ErrConnBroken", err)
-		}
+	rw.flush()
+	if st := srv.Stats(); st.Disconnects != 1 || gate.Waiting() != 0 {
+		t.Errorf("Disconnects = %d, %d writes parked after the dead writer's flush; want 1 and 0", st.Disconnects, gate.Waiting())
 	}
+	a.Release()
+	b.Release()
 }

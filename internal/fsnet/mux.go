@@ -301,8 +301,8 @@ func (m *muxConn) reader() {
 		if id == 0 && typ == msgViewHint {
 			// Unsolicited epoch announcement from the server's reply
 			// batches; request IDs start at 1, so ID 0 never matches a
-			// call. A client routing by a ring re-pulls it when the
-			// epoch is newer.
+			// call. A client routing by a ring re-pulls the view before
+			// its next miss when the epoch is newer.
 			epoch, _, derr := decodeViewMsg(payload)
 			putFrameBuf(payload)
 			if derr != nil {

@@ -1,8 +1,11 @@
 package fsnet
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
+	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -209,5 +212,114 @@ func TestSamePathHerd(t *testing.T) {
 	}
 	if st.StreamedGroups != herd || st.Errors != 0 {
 		t.Errorf("StreamedGroups = %d, Errors = %d, want %d clean group replies", st.StreamedGroups, st.Errors, herd)
+	}
+}
+
+// TestRequestsServedInRequestOrder: a connection's requests are served in
+// the order they were sent, whatever their kind. A write and an open of
+// the same path arrive in one TCP segment; the open's reply carries the
+// written bytes under the tag the write's ack reported.
+func TestRequestsServedInRequestOrder(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
+	rc := rawHello(t, rawDial(t, addr))
+	_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	const path = "/data/f000"
+	burst := appendFrameID(nil, msgWrite, 1, encodeWriteRequest(writeRequest{Path: path, Data: []byte("rewritten")}))
+	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, path, nil))
+	if _, err := rc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	typ, id, payload, err := readFrameID(rc.r)
+	if err != nil || typ != msgWriteOK || id != 1 {
+		t.Fatalf("first reply = type %d id %d, %v; want the write's ack", typ, id, err)
+	}
+	tag, err := decodeWriteOK(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ, id, payload, err = readFrameID(rc.r)
+	if err != nil || typ != msgMemberChunk || id != 2 {
+		t.Fatalf("second reply = type %d id %d, %v; want the open's first member", typ, id, err)
+	}
+	p, data, got, held, err := memberChunkView(payload)
+	if err != nil || held || string(p) != path || string(data) != "rewritten" || got != tag {
+		t.Errorf("open after the write = %s %q tag %d (held %v, %v); want %s %q tag %d", p, data, got, held, err, path, "rewritten", tag)
+	}
+}
+
+// TestOneGoroutinePerConnection: a connection is served by its read loop
+// alone. While the server's reply side is held, 64 pipelined writes, a
+// handoff and a view pull are read, served and queued, and the process
+// has no goroutine more than it had with the connection idle; once the
+// hold lifts, every reply arrives in request order.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	srv, err := NewServer(seededStore(t, 3), ServerConfig{Views: newTestViews("server:1", 1, "server:1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate faultnet.Gate
+	go func() { _ = srv.Serve(faultnet.WrapListener(l, faultnet.Faults{Gate: &gate})) }()
+	defer srv.Close()
+	defer gate.Resume()
+
+	conn := rawDial(t, l.Addr().String())
+	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rc := &rawConn{Conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	if err := writeHello(conn, msgHello, protocolVersion, 0); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := readFrame(rc.r); err != nil || typ != msgHelloOK {
+		t.Fatalf("handshake reply = type %d, %v; want msgHelloOK", typ, err)
+	}
+	idle := runtime.NumGoroutine()
+
+	const writes = 64
+	gate.Hold()
+	var burst []byte
+	for id := uint64(1); id <= writes; id++ {
+		burst = appendFrameID(burst, msgWrite, id, encodeWriteRequest(writeRequest{Path: "/data/f000", Data: []byte(fmt.Sprint(id))}))
+	}
+	burst = appendFrameID(burst, msgHandoff, writes+1, encodeHandoffRequest(handoffRequest{Anchor: "/data/f001", Members: []string{"/data/f002"}}))
+	burst = appendFrameID(burst, msgViewPull, writes+2, appendViewMsg(nil, 0, "peer:1"))
+	if _, err := rc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); gate.Waiting() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never wrote the replies")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// A goroutine some earlier test left winding down may still be
+	// counted; one the server started would stay while the hold lasts.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > idle; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines with the replies held, %d with the connection idle", runtime.NumGoroutine(), idle)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	gate.Resume()
+	want := []uint8{msgViewHint}
+	for id := 1; id <= writes; id++ {
+		want = append(want, msgWriteOK)
+	}
+	want = append(want, msgHandoffOK, msgViewPush)
+	for i, w := range want {
+		typ, id, payload, err := readFrameID(rc.r)
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		putFrameBuf(payload)
+		if typ != w || id != uint64(i) {
+			t.Fatalf("reply %d = type %d id %d, want type %d id %d", i, typ, id, w, i)
+		}
+	}
+	if st := srv.Stats(); st.Handoffs != 1 || st.Errors != 0 {
+		t.Errorf("Handoffs %d Errors %d, want 1 and 0", st.Handoffs, st.Errors)
 	}
 }

@@ -1,10 +1,6 @@
 package fsnet
 
-import (
-	"sync"
-
-	"aggcache/internal/trace"
-)
+import "aggcache/internal/trace"
 
 // residency is the server's table of what one connection's client holds:
 // by the server's FileID, the tag of the contents the client caches, zero
@@ -24,11 +20,10 @@ import (
 // the client then lacks is dropped by the client (one lost prefetch, never
 // wrong bytes) and corrected by its next report.
 //
-// The mutex orders the request that applies a report against the reply
-// that consults the table; a connection with one request in flight never
-// contends on it.
+// Only the connection's read loop touches the table: it applies each
+// request's report and writes each reply, so the two are ordered by the
+// loop itself.
 type residency struct {
-	mu   sync.Mutex
 	tags []uint64
 }
 
@@ -39,8 +34,6 @@ func (rs *residency) apply(s *Server, report []reportEntry) {
 	if len(report) == 0 {
 		return
 	}
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	for _, e := range report {
 		id, known := s.ids.LookupBytes(e.path)
 		if !known {
@@ -58,8 +51,6 @@ func (rs *residency) apply(s *Server, report []reportEntry) {
 // bit i set means files[i] is one the client holds at that very tag. The
 // demanded file is never held. Every other member is recorded as sent.
 func (rs *residency) send(ids *trace.SyncInterner, files []fileData) (held uint64) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
 	for i := range files {
 		id := ids.Intern(files[i].Path)
 		if tag := files[i].Tag; i > 0 && tag != 0 && int(id) < len(rs.tags) && rs.tags[id] == tag {
@@ -71,7 +62,7 @@ func (rs *residency) send(ids *trace.SyncInterner, files []fileData) (held uint6
 	return held
 }
 
-// set records tag for id. Called with mu held.
+// set records tag for id.
 func (rs *residency) set(id trace.FileID, tag uint64) {
 	if int(id) >= len(rs.tags) {
 		if tag == 0 {

@@ -9,8 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"aggcache/internal/obs/otrace"
 )
 
 // The router suite covers the ServerConfig.Router open interception
@@ -23,7 +21,8 @@ type scriptedRouter struct {
 	calls       atomic.Uint64
 	lastAccess  atomic.Value // []string
 	notFound    bool
-	malformed   bool
+	empty       bool // a handled group with no files
+	wrongHead   bool // a group led by a file other than the demanded one
 	internalErr bool
 }
 
@@ -40,8 +39,11 @@ func (r *scriptedRouter) RouteOpen(path string, accessed []string) ([]GroupFile,
 		return nil, true, fmt.Errorf("%w: %s", ErrNotFound, path)
 	case r.internalErr:
 		return nil, true, errors.New("peer tier exploded")
-	case r.malformed:
-		return []GroupFile{{Path: "/wrong/head", Data: []byte("x")}}, true, nil
+	case r.empty:
+		return nil, true, nil
+	case r.wrongHead:
+		// The demanded file follows, so only the head is wrong.
+		return []GroupFile{{Path: "/wrong/head", Data: []byte("x")}, {Path: path, Data: []byte("routed " + path)}}, true, nil
 	}
 	return []GroupFile{
 		{Path: path, Data: []byte("routed " + path)},
@@ -112,69 +114,50 @@ func TestClusterRouterNotFound(t *testing.T) {
 	}
 }
 
+// TestClusterRouterErrorsStayPerRequest: a router's error fails its own
+// request with CodeInternal; the connection keeps serving, and nothing
+// the server built for the failed open stays referenced (race builds
+// count the balance).
 func TestClusterRouterErrorsStayPerRequest(t *testing.T) {
-	store := seededStore(t, 2)
-	for name, router := range map[string]*scriptedRouter{
-		"malformed": {malformed: true},
-		"internal":  {internalErr: true},
-	} {
-		_, addr := startServer(t, store, ServerConfig{Router: router})
-		client, err := Dial(addr, ClientConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := client.Open("/remote/x"); err == nil {
-			t.Errorf("%s: routed open succeeded", name)
-		}
-		// The error was a typed reply, not a poisoned stream: the same
-		// connection keeps serving local paths.
-		if _, err := client.Open("/data/f000"); err != nil {
-			t.Errorf("%s: local open after routed error: %v", name, err)
-		}
-		client.Close()
+	base, counted := liveGroups()
+	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: &scriptedRouter{internalErr: true}})
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// badGroupRouter is an InlineRouter whose every /remote/ group is
-// malformed: empty, or headed by a file other than the demanded one (the
-// demanded file follows it, so only the head is wrong). With onWorker it
-// refuses the read loop, so the open comes back on a worker; otherwise
-// it answers inline.
-type badGroupRouter struct {
-	empty    bool
-	onWorker bool
-}
-
-func (r badGroupRouter) RouteOpen(string, []string) ([]GroupFile, bool, error) {
-	return nil, false, errors.New("badGroupRouter is an InlineRouter")
-}
-
-func (r badGroupRouter) Route(path string, _ []string, _ otrace.Ctx, mayWait bool) (*Group, bool, bool, error) {
-	if !strings.HasPrefix(path, "/remote/") {
-		return nil, false, false, nil
+	if _, err := client.Open("/remote/x"); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("server error %d:", CodeInternal)) {
+		t.Errorf("routed open err = %v, want a CodeInternal server error", err)
 	}
-	if r.onWorker && !mayWait {
-		return nil, false, true, nil
+	// The error was a typed reply, not a poisoned stream: the same
+	// connection keeps serving local paths.
+	if _, err := client.Open("/data/f000"); err != nil {
+		t.Errorf("local open after routed error: %v", err)
 	}
-	g := NewGroup()
-	if !r.empty {
-		g.Files = append(g.Files,
-			GroupFile{Path: "/wrong/head", Data: []byte("x")},
-			GroupFile{Path: path, Data: []byte("routed " + path)})
+	if st := client.Stats(); st.BrokenConns != 0 {
+		t.Errorf("%d broken connections, want 0", st.BrokenConns)
 	}
-	return g, true, false, nil
+	client.Close()
+	if st := srv.Stats(); st.RemoteOpens != 0 || st.Errors != 1 || st.Panics != 0 {
+		t.Errorf("RemoteOpens %d Errors %d Panics %d, want 0, 1 and 0", st.RemoteOpens, st.Errors, st.Panics)
+	}
+	_ = srv.Close() // waits for the read loops: no reply is in flight
+	if now, _ := liveGroups(); counted && now != base {
+		t.Errorf("%d groups still referenced, want 0", now-base)
+	}
 }
 
 // TestInlineRouterMalformedGroupStaysPerRequest: a group that does not
 // lead with the demanded file — an empty one included — fails its own
-// request with CodeInternal, inline or on a worker, and by the server's
-// check, not a recovered panic; the connection keeps serving, and the
+// request with CodeInternal, by the server's check and not a recovered
+// panic; the connection keeps serving the requests that follow, and the
 // server releases the rejected group (race builds count the balance).
 func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
-	for _, r := range []badGroupRouter{{empty: true}, {}, {empty: true, onWorker: true}, {onWorker: true}} {
-		name := fmt.Sprintf("empty=%v/onWorker=%v", r.empty, r.onWorker)
+	for name, router := range map[string]*scriptedRouter{
+		"empty":      {empty: true},
+		"wrong head": {wrongHead: true},
+	} {
 		base, counted := liveGroups()
-		srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: r})
+		srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: router})
 		rc := rawHello(t, rawDial(t, addr))
 		_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for id := uint64(1); id <= 4; id += 2 {
@@ -196,7 +179,7 @@ func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
 		if st := srv.Stats(); st.RemoteOpens != 0 || st.Errors != 2 || st.Panics != 0 {
 			t.Errorf("%s: RemoteOpens %d Errors %d Panics %d, want 0, 2 and 0", name, st.RemoteOpens, st.Errors, st.Panics)
 		}
-		_ = srv.Close() // waits for the handlers: no reply is in flight
+		_ = srv.Close() // waits for the read loops: no reply is in flight
 		if now, _ := liveGroups(); counted && now != base {
 			t.Errorf("%s: %d groups still referenced, want 0", name, now-base)
 		}

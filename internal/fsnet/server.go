@@ -18,11 +18,6 @@ import (
 	"aggcache/internal/trace"
 )
 
-// maxServerPipeline bounds the request-handler goroutines per pipelined
-// connection, so one peer flooding requests cannot exhaust the scheduler
-// before backpressure reaches its socket.
-const maxServerPipeline = 64
-
 // ServerConfig parameterizes a file server.
 type ServerConfig struct {
 	// GroupSize caps the retrieval group size g (default 5); a group stops
@@ -38,8 +33,8 @@ type ServerConfig struct {
 	// long. Zero disables the timeout.
 	IdleTimeout time.Duration
 	// WriteTimeout bounds each reply write so a stalled reader cannot
-	// wedge its handler (the write deadline is re-armed per reply
-	// batch). Zero disables the bound.
+	// wedge its connection's read loop (the write deadline is re-armed
+	// per reply batch). Zero disables the bound.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served connections. Excess connections
 	// are rejected gracefully: the server sends msgError with CodeBusy
@@ -82,8 +77,10 @@ type ServerConfig struct {
 }
 
 // OpenRouter routes open requests whose group is placed on another
-// server. Implementations must be safe for concurrent use; RouteOpen is
-// called outside every server lock and may block on network I/O.
+// server. Implementations must be safe for concurrent use: RouteOpen is
+// called on each connection's read loop, outside every server lock. A
+// router that blocks stalls only its own connection, whose later requests
+// wait their turn in request order.
 type OpenRouter interface {
 	// RouteOpen resolves path into its group — demanded file first — or
 	// reports handled=false to have the server stage the group from its
@@ -98,28 +95,6 @@ type OpenRouter interface {
 	// to reuse. A handled error is returned to the client: ErrNotFound maps
 	// to CodeNotFound, anything else to CodeInternal.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
-}
-
-// InlineRouter is the optional extension of OpenRouter, asserted once at
-// construction: a router that accepts the request's trace context — so a
-// forwarded open's downstream RPC becomes a child span of this server's —
-// can tell, without waiting on anything, whether an open needs a peer
-// round trip, and answers with the reference-counted Group it holds
-// instead of a slice. With one, a connection's read loop serves the opens
-// that need no round trip itself, exactly as a server without a router
-// serves every open, and a handled group reaches the reply writer as it
-// is; behind a plain OpenRouter every open runs on a worker goroutine,
-// the trace context is not propagated and the reply copies the slice.
-type InlineRouter interface {
-	OpenRouter
-	// Route is RouteOpen with the caller's trace context (the zero Ctx
-	// means the request is untraced), answering with a group that leads
-	// with the demanded file. The server owns one reference to a handled
-	// group and releases it once the reply is written or dropped. With
-	// mayWait false the caller is a read loop: an open that needs a peer
-	// round trip is left untouched and reported as blocks=true, and the
-	// server repeats it with mayWait true from a goroutine that may wait.
-	Route(path string, accessed []string, tctx otrace.Ctx, mayWait bool) (g *Group, handled, blocks bool, err error)
 }
 
 // ServerStats is a snapshot of server activity.
@@ -179,10 +154,6 @@ type Server struct {
 	cfg    ServerConfig
 	store  *Store
 	logger *log.Logger
-
-	// iroute is cfg.Router's InlineRouter form, asserted once at
-	// construction; nil when the router is not one.
-	iroute InlineRouter
 
 	// Hot counters; atomic (obs.Counter wraps one atomic each) so
 	// concurrent handlers never contend. With cfg.Obs these are the very
@@ -247,7 +218,6 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 		m:      newServerMetrics(cfg.Obs, cfg.SlowRequest),
 	}
-	s.iroute, _ = cfg.Router.(InlineRouter)
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("fsnet_server_open_conns", "connections currently served", func() float64 {
 			s.connMu.Lock()
@@ -328,8 +298,8 @@ func (s *Server) rejectConn(conn net.Conn) {
 	}))
 }
 
-// Close stops accepting, closes live connections, and waits for handlers
-// to drain.
+// Close stops accepting, closes live connections, and waits for their
+// read loops to finish.
 func (s *Server) Close() error {
 	s.connMu.Lock()
 	if s.closed {
@@ -488,83 +458,71 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 	}
 }
 
-// serve is the pipelined loop. The read loop serves inline every open
-// that finishes without a peer round trip — all of them on a server with
-// no router, and every one an InlineRouter declines: the in-memory path
-// never blocks on anything but the socket's own backpressure, and a
-// goroutine hand-off is two scheduler hops per request, measurable at
-// loopback rates. Opens a router must wait on, writes, handoffs and view
-// frames go to the connection's workers, so a slow one never holds up the
-// opens queued behind it. Replies leave on the goroutine that made them:
-// the read loop flushes the replies it queued before a read that could
-// block, a worker after its request, and whoever flushes takes every reply
-// queued by then, so a pipelined burst leaves in one write. A malformed
-// request payload fails only its own request; the framed stream stays
-// intact, so the connection keeps serving.
+// serve is the pipelined loop: one goroutine per connection reads each
+// request, serves it and queues its reply, so a connection's requests run
+// in the order they were sent (DESIGN.md §10). Nothing on the serving path
+// waits on a peer — opens, writes, handoffs and view frames touch only the
+// server's own cache, store and view — so the read loop never blocks on
+// anything but its socket, and a goroutine hand-off would only add two
+// scheduler hops per request. The replies queued since the last read are
+// flushed before a read that could block, so a pipelined burst leaves in
+// one write. A malformed request payload fails only its own request; the
+// framed stream stays intact, so the connection keeps serving.
 func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
 	rw := &replyWriter{s: s, conn: conn}
-	cw := connWorkers{s: s, rw: rw, src: src, jobs: make(chan connJob)}
-	inlineOpens := s.cfg.Router == nil || s.iroute != nil
-	func() {
-		// A panic in the read loop itself (as opposed to in a handler,
-		// which recovers per request) must not skip the drain below: the
-		// reply writer owns the write side.
-		defer func() {
-			if p := recover(); p != nil {
-				s.m.panics.Add(1)
-				s.logf("fsnet: %s: recovered read-loop panic: %v", conn.RemoteAddr(), p)
-			}
-		}()
-		// Pending inbound trace context: the peer's writer emits each
-		// msgTraceCtx immediately before the request frame it annotates,
-		// so a single pending pair (cleared at the next request) suffices.
-		var pendID uint64
-		var pendCtx otrace.Ctx
-		for {
-			if !frameBuffered(r) {
-				rw.flush()
-			}
-			if !s.armIdle(conn) {
-				return
-			}
-			typ, id, payload, err := readFrameID(r)
-			if err != nil {
-				s.readFailed(conn, err)
-				return
-			}
-			if typ == msgTraceCtx {
-				// Trace-context piggyback for the next request frame.
-				// Advisory: undecodable contexts (or any arriving at an
-				// untraced server) are dropped, never answered.
-				if s.cfg.Trace != nil {
-					if tid, wctx, derr := decodeTraceCtx(payload); derr == nil {
-						pendID, pendCtx = tid, wctx
-					}
-				}
-				putFrameBuf(payload)
-				continue
-			}
-			var tctx otrace.Ctx
-			if typ == msgOpen {
-				if pendCtx.Sampled && pendID == id {
-					// Continue the sender's trace as a child span.
-					tctx = s.cfg.Trace.Child(pendCtx)
-				} else {
-					// No inbound context: this server is the trace's entry
-					// point; its own head sampler decides. Nil-safe and
-					// branch-only when tracing is unwired.
-					tctx = s.cfg.Trace.Root()
-				}
-				pendCtx = otrace.Ctx{}
-				if inlineOpens && s.serveRequest(rw, src, typ, id, payload, tctx, true) {
-					continue
-				}
-			}
-			cw.dispatch(connJob{typ: typ, id: id, payload: payload, tctx: tctx})
+	defer rw.flush()
+	// A panic in the read loop itself (as opposed to in a handler, which
+	// recovers per request) must not skip the flush above.
+	defer func() {
+		if p := recover(); p != nil {
+			s.m.panics.Add(1)
+			s.logf("fsnet: %s: recovered read-loop panic: %v", conn.RemoteAddr(), p)
 		}
 	}()
-	cw.stop()
-	rw.flush()
+	// Pending inbound trace context: the peer's writer emits each
+	// msgTraceCtx immediately before the request frame it annotates, so a
+	// single pending pair (cleared at the next request) suffices.
+	var pendID uint64
+	var pendCtx otrace.Ctx
+	for {
+		if !frameBuffered(r) {
+			rw.flush()
+		}
+		if !s.armIdle(conn) {
+			return
+		}
+		typ, id, payload, err := readFrameID(r)
+		if err != nil {
+			s.readFailed(conn, err)
+			return
+		}
+		if typ == msgTraceCtx {
+			// Trace-context piggyback for the next request frame.
+			// Advisory: undecodable contexts (or any arriving at an
+			// untraced server) are dropped, never answered.
+			if s.cfg.Trace != nil {
+				if tid, wctx, derr := decodeTraceCtx(payload); derr == nil {
+					pendID, pendCtx = tid, wctx
+				}
+			}
+			putFrameBuf(payload)
+			continue
+		}
+		var tctx otrace.Ctx
+		if typ == msgOpen {
+			if pendCtx.Sampled && pendID == id {
+				// Continue the sender's trace as a child span.
+				tctx = s.cfg.Trace.Child(pendCtx)
+			} else {
+				// No inbound context: this server is the trace's entry
+				// point; its own head sampler decides. Nil-safe and
+				// branch-only when tracing is unwired.
+				tctx = s.cfg.Trace.Root()
+			}
+			pendCtx = otrace.Ctx{}
+		}
+		s.serveRequest(rw, src, typ, id, payload, tctx)
+	}
 }
 
 // frameBuffered reports whether r holds a whole request-ID frame, so that
@@ -577,70 +535,10 @@ func frameBuffered(r *bufio.Reader) bool {
 	return r.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
-// connWorkers runs the requests of one pipelined connection that may
-// wait on a peer or the store's write lock. Workers start lazily, one
-// per request that finds none idle, up to maxServerPipeline, and live
-// until the connection closes: a steady request stream is handed from the
-// read loop to a parked goroutine instead of spawning one per request.
-// dispatch and stop are the read loop's.
-type connWorkers struct {
-	s   *Server
-	rw  *replyWriter
-	src uint64
-	// jobs is unbuffered, so a send that does not block has found a
-	// worker parked in its receive.
-	jobs    chan connJob
-	started int
-	wg      sync.WaitGroup
-}
-
-// connJob is one request frame on its way to a worker.
-type connJob struct {
-	typ     uint8
-	id      uint64
-	payload []byte
-	tctx    otrace.Ctx
-}
-
-func (cw *connWorkers) dispatch(j connJob) {
-	select {
-	case cw.jobs <- j:
-		return
-	default:
-	}
-	if cw.started < maxServerPipeline {
-		cw.started++
-		cw.wg.Add(1)
-		go cw.run(j)
-		return
-	}
-	// Every worker is busy: wait for one, so backpressure reaches the
-	// peer's socket.
-	cw.jobs <- j
-}
-
-func (cw *connWorkers) run(j connJob) {
-	defer cw.wg.Done()
-	for ok := true; ok; j, ok = <-cw.jobs {
-		cw.s.serveRequest(cw.rw, cw.src, j.typ, j.id, j.payload, j.tctx, false)
-		cw.rw.flush()
-	}
-}
-
-// stop lets every worker finish its request and exit.
-func (cw *connWorkers) stop() {
-	close(cw.jobs)
-	cw.wg.Wait()
-}
-
-// serveRequest handles one pipelined request. A panic is recovered
-// here, converted into a CodeInternal reply for this request only, and
-// the connection keeps serving.
-//
-// inline marks a call from the read loop, which only passes opens: one
-// that turns out to need a peer round trip is left untouched — payload
-// included — and reported as not served, for a worker to repeat.
-func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx, inline bool) (served bool) {
+// serveRequest handles one pipelined request and queues its reply. A
+// panic is recovered here, converted into a CodeInternal reply for this
+// request only, and the connection keeps serving.
+func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64, payload []byte, tctx otrace.Ctx) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.m.panics.Add(1)
@@ -648,16 +546,12 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeInternal, Message: "internal server error"})
 		}
 	}()
-	served = true
 	switch typ {
 	case msgOpen:
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
 		// and the group is built in pooled scratch.
-		g, errResp, err := s.openView(payload, src, &rw.res, tctx, inline)
-		if err == errRouteBlocks {
-			return false
-		}
+		g, errResp, err := s.openView(payload, src, &rw.res, tctx)
 		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
@@ -743,11 +637,10 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			Message: fmt.Sprintf("unknown message type %d", typ),
 		})
 	}
-	return
 }
 
 // armWrite starts the per-reply write deadline, so a peer that stops
-// reading cannot wedge this handler once kernel buffers fill.
+// reading cannot wedge the read loop once kernel buffers fill.
 func (s *Server) armWrite(conn net.Conn) {
 	if s.cfg.WriteTimeout > 0 {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
@@ -896,25 +789,19 @@ type openScratch struct {
 
 var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
 
-// errRouteBlocks is openView's answer to the read loop when the open
-// needs a peer round trip: nothing was counted, learned or released.
-var errRouteBlocks = errors.New("fsnet: open needs a peer round trip")
-
 // openView serves one open out of its frame: the demanded and
 // piggybacked paths are interned as byte views straight out of the frame
 // buffer — no request struct, no path strings, no Accessed slice — and
 // the group is built in pooled scratch. A router sees the interner's own
 // strings for the same paths, so a routed open decodes without
 // allocating either. A non-nil error reports a malformed payload (the
-// caller answers CodeBadRequest without counting a request) or, from the
-// read loop only (inline), errRouteBlocks. The caller owns one reference
-// to the returned group, which leads with the demanded file.
+// caller answers CodeBadRequest without counting a request). The caller
+// owns one reference to the returned group, which leads with the demanded
+// file.
 //
 // res, the connection's residency table, takes the request's report
-// before anything is answered. An inline attempt that ends in
-// errRouteBlocks has applied it too; the worker that repeats the request
-// applies the same entries again, which changes nothing.
-func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrace.Ctx, inline bool) (*Group, errorResponse, error) {
+// before anything is answered.
+func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrace.Ctx) (*Group, errorResponse, error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	pathView, views, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
@@ -969,10 +856,7 @@ func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrac
 	if routed {
 		// The router comes first: a path another node owns is answered by
 		// that node, present in the local store or not.
-		g, errResp, handled, blocks := s.routeOpen(path, sc.accessed, tctx, inline)
-		if blocks {
-			return nil, errorResponse{}, errRouteBlocks
-		}
+		g, errResp, handled := s.routeOpen(path, sc.accessed)
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
@@ -1044,43 +928,27 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 // routeOpen hands one open to the configured Router and counts the
 // request once the router has answered. handled=false means the caller
 // serves the request locally (the router declined: the path is locally
-// owned, or its owner is down and the open degrades to a local fetch).
-// inline asks the InlineRouter not to wait on a peer; blocks=true is its
-// refusal, with nothing counted. A handled group comes with one reference
-// for the caller: the InlineRouter's own, or a pooled container holding a
-// plain router's files.
-func (s *Server) routeOpen(path string, accessed []string, tctx otrace.Ctx, inline bool) (g *Group, errResp errorResponse, handled, blocks bool) {
-	var err error
-	if s.iroute == nil {
-		var files []GroupFile
-		if files, handled, err = s.cfg.Router.RouteOpen(path, accessed); len(files) > 0 {
-			g = NewGroup()
-			g.Files = append(g.Files, files[:min(len(files), maxGroup)]...)
-		}
-	} else {
-		g, handled, blocks, err = s.iroute.Route(path, accessed, tctx, !inline)
-		if blocks {
-			return nil, errorResponse{}, false, true
-		}
-	}
+// owned, or its owner is down and the open degrades to a local fetch). A
+// handled group comes with one reference for the caller: a pooled
+// container holding the router's files.
+func (s *Server) routeOpen(path string, accessed []string) (g *Group, errResp errorResponse, handled bool) {
+	files, handled, err := s.cfg.Router.RouteOpen(path, accessed)
 	s.m.requests.Add(1)
-	if handled && err == nil && (g == nil || len(g.Files) == 0 || len(g.Files) > maxGroup || g.Files[0].Path != path) {
-		err = errors.New("router returned malformed group")
-	}
-	if g != nil && (!handled || err != nil) {
-		g.Release()
-	}
 	switch {
 	case !handled:
-		return nil, errorResponse{}, false, false
+		return nil, errorResponse{}, false
+	case err == nil && (len(files) == 0 || files[0].Path != path):
+		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true
 	case err == nil:
+		g = NewGroup()
+		g.Files = append(g.Files, files[:min(len(files), maxGroup)]...)
 		s.m.remote.Add(1)
 		s.m.sent.Add(uint64(len(g.Files)))
-		return g, errorResponse{}, true, false
+		return g, errorResponse{}, true
 	case errors.Is(err, ErrNotFound):
-		return nil, errorResponse{Code: CodeNotFound, Message: path}, true, false
+		return nil, errorResponse{Code: CodeNotFound, Message: path}, true
 	default:
-		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true, false
+		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true
 	}
 }
 
@@ -1109,13 +977,10 @@ func (s *Server) stageGroup(group []trace.FileID) *Group {
 	return g
 }
 
-// replyWriter serializes and batches the replies of one pipelined
-// connection. Handlers queue completed replies and then flush: the first
-// to flush writes every reply queued by then in one write, and goes on
-// writing until the queue is empty, while a handler that finds a flush
-// under way leaves its replies to it — so k ready replies cost one
-// syscall, no goroutine waits on another's write, and no reply waits on a
-// goroutine hand-off.
+// replyWriter batches the replies of one pipelined connection. Only the
+// connection's read loop touches it: each request queues its reply, and
+// the read loop flushes before a read that could block, so k replies
+// ready together cost one syscall.
 //
 // The write is scatter-gather: group replies are member streams whose
 // frame headers and path metadata live in one pooled arena while the file
@@ -1129,16 +994,12 @@ type replyWriter struct {
 	// consults it for every group reply.
 	res residency
 
-	mu       sync.Mutex
-	queue    []reply
-	free     []reply // recycled batch storage
-	dead     bool
-	flushing bool
+	queue []reply
+	dead  bool
 
-	// Touched only by the flushing goroutine: the scatter-gather scratch,
-	// reused per batch, and the view-hint piggyback state — the epoch last
-	// announced on this connection, so a stable view costs one frame per
-	// connection rather than one per batch.
+	// The scatter-gather scratch, reused per batch, and the view-hint
+	// piggyback state — the epoch last announced on this connection, so a
+	// stable view costs one frame per connection rather than one per batch.
 	bufs      net.Buffers
 	sentAny   bool
 	sentEpoch uint64
@@ -1178,45 +1039,31 @@ func (rw *replyWriter) sendGroup(id uint64, g *Group) {
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
-	rw.mu.Lock()
 	if rw.dead {
-		rw.mu.Unlock()
 		rep.drop()
 		return
 	}
 	rw.queue = append(rw.queue, rep)
-	rw.mu.Unlock()
 }
 
-// flush writes the queued replies, unless another goroutine's flush is
-// under way: that one writes them before it stops.
+// flush writes the queued replies in one batch. A failed write marks the
+// write side dead, so later replies are dropped as they are queued, and
+// closes the connection, so the read loop's next read fails; counted once
+// as a disconnect.
 func (rw *replyWriter) flush() {
-	rw.mu.Lock()
-	if rw.flushing {
-		rw.mu.Unlock()
+	if len(rw.queue) == 0 {
 		return
 	}
-	rw.flushing = true
-	for {
-		batch := rw.queue
-		// Hand the previous batch's storage back so steady-state
-		// batching reallocates nothing.
-		rw.queue = rw.free[:0]
-		rw.free = nil
-		if rw.dead || len(batch) == 0 {
-			rw.flushing = false
-			rw.mu.Unlock()
-			rw.recycle(batch)
-			return
-		}
-		rw.mu.Unlock()
-		rw.s.armWrite(rw.conn)
-		err := rw.writeBatch(batch)
-		rw.recycle(batch)
-		if err != nil {
-			rw.fail(err)
-		}
-		rw.mu.Lock()
+	rw.s.armWrite(rw.conn)
+	err := rw.writeBatch(rw.queue)
+	for i := range rw.queue {
+		rw.queue[i].drop()
+	}
+	rw.queue = rw.queue[:0]
+	if err != nil {
+		rw.dead = true
+		rw.s.disconnect(rw.conn, err)
+		_ = rw.conn.Close()
 	}
 }
 
@@ -1302,34 +1149,4 @@ func (rep *reply) drop() {
 		rep.group.Release()
 	}
 	*rep = reply{}
-}
-
-// recycle drops a batch that has been written, or never will be, and
-// offers its storage back for the next flush.
-func (rw *replyWriter) recycle(batch []reply) {
-	for i := range batch {
-		batch[i].drop()
-	}
-	rw.mu.Lock()
-	if rw.free == nil || cap(batch) > cap(rw.free) {
-		rw.free = batch[:0]
-	}
-	rw.mu.Unlock()
-}
-
-// fail marks the write side dead after an I/O failure, drops the replies
-// queued behind the failed batch, and closes the connection so the read
-// loop unblocks; counted once as a disconnect (only the flushing goroutine
-// writes, so only it can fail).
-func (rw *replyWriter) fail(err error) {
-	rw.mu.Lock()
-	rw.dead = true
-	queued := rw.queue
-	rw.queue = nil
-	rw.mu.Unlock()
-	for i := range queued {
-		queued[i].drop()
-	}
-	rw.s.disconnect(rw.conn, err)
-	_ = rw.conn.Close()
 }

@@ -227,13 +227,13 @@ func TestViewPushMidStreamCutPoisonsOnlyInFlight(t *testing.T) {
 
 // TestHintPiggybackBothDirections: one ordinary open is enough for a
 // client to learn the server's epoch — the server's hint leads its first
-// reply batch, and a client routing by a ring re-pulls the view on a
-// newer one. No extra request of the client's own, no background loop.
-// Peers no longer send hints the other way: a client's frames carry no
-// epoch.
+// reply batch, and a client routing by a ring re-pulls the view, on a
+// newer one, before its next miss. No extra request of the client's own,
+// no background loop. Peers no longer send hints the other way: a
+// client's frames carry no epoch.
 func TestHintPiggybackBothDirections(t *testing.T) {
 	sv := newTestViews("server:1", 5, "server:1")
-	store := seededStore(t, 2)
+	store := seededStore(t, 3)
 	_, addr := startServer(t, store, ServerConfig{GroupSize: 2, CacheCapacity: 8, Views: sv})
 
 	client, err := Dial(addr, ClientConfig{CacheCapacity: 4})
@@ -247,20 +247,22 @@ func TestHintPiggybackBothDirections(t *testing.T) {
 	if got := client.viewEpoch.Load(); got != 5 {
 		t.Fatalf("client routes by epoch %d, want the server's 5", got)
 	}
-	// The server moves on; the hint leading the next reply batch starts
-	// the client's re-pull.
+	// The server moves on; the hint leading the next reply batch is noted,
+	// and the miss after it pulls the view before it is routed.
 	if _, err := sv.ApplyView(6, []string{"server:1"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := client.Open("/data/f001"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for client.viewEpoch.Load() != 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("client still routes by epoch %d after the server's hint of 6", client.viewEpoch.Load())
-		}
-		time.Sleep(time.Millisecond)
+	if got := client.viewEpoch.Load(); got != 5 {
+		t.Fatalf("client routes by epoch %d before its next miss, want 5: nothing pulls in the background", got)
+	}
+	if _, err := client.Open("/data/f002"); err != nil {
+		t.Fatal(err)
+	}
+	if got := client.viewEpoch.Load(); got != 6 {
+		t.Fatalf("client routes by epoch %d after the miss that followed the server's hint of 6", got)
 	}
 }
 
