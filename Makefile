@@ -84,7 +84,11 @@ ignore-guard:
 # connection's read loop serves every request and writes every reply — no
 # per-connection workers or their bound, no InlineRouter, no inline retry
 # of an open that blocks — and a client's view hint is followed by its
-# next miss, not by a re-pull goroutine.
+# next miss, not by a re-pull goroutine. So is the client mux's reply map
+# and its watchdog timer: a server answers each connection's requests in
+# request order (protocol version 6), so in-flight calls are a queue whose
+# head every reply must answer, and a request timeout is the connection's
+# read deadline, moved by the reader — no timer per call or per connection.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -109,6 +113,8 @@ lint-dead:
 	@! grep -rnE 'NoteViewEpoch|OnViewHint|NoteEpoch\(|transientClient|hintSent|hintPulls|staleHints|gossip_hint_pulls|gossip_stale_hints' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'internal/multilevel|SimulateHierarchy|HierarchyConfig|DisablePiggyback|FailureThreshold|DownDuration|PeerTimeout|gossip_view_epoch' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'InlineRouter|errRouteBlocks|connWorkers|maxServerPipeline|iroute|inlineOpens|repull' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'func \(m \*muxConn\) expire|m\.watching|map\[uint64\]\*muxCall' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn 'time\.AfterFunc' --include='*.go' --exclude='*_test.go' internal/fsnet
 
 vet:
 	$(GO) vet ./...

@@ -196,10 +196,14 @@ type Conn struct {
 	f     Faults
 	stats *Stats
 
-	mu            sync.Mutex // guards rng and the deadlines
+	mu            sync.Mutex // guards rng, the deadlines and readMoved
 	rng           *rand.Rand
 	readDeadline  time.Time
 	writeDeadline time.Time
+	// readMoved is closed, and replaced, whenever the read deadline is
+	// set, so a blackholed Read honours a deadline set while it blocks, as
+	// a net.Conn's Read does.
+	readMoved chan struct{}
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -216,11 +220,12 @@ func Wrap(conn net.Conn, f Faults, stats *Stats) *Conn {
 		f.Latency = time.Millisecond
 	}
 	return &Conn{
-		inner:  conn,
-		f:      f,
-		stats:  stats,
-		rng:    rand.New(rand.NewSource(f.Seed)),
-		closed: make(chan struct{}),
+		inner:     conn,
+		f:         f,
+		stats:     stats,
+		rng:       rand.New(rand.NewSource(f.Seed)),
+		readMoved: make(chan struct{}),
+		closed:    make(chan struct{}),
 	}
 }
 
@@ -281,7 +286,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 // closes, then reports the corresponding error — the wire went silent.
 func (c *Conn) blackhole() error {
 	c.mu.Lock()
-	d := c.readDeadline
+	d, moved := c.readDeadline, c.readMoved
 	c.mu.Unlock()
 	var expire <-chan time.Time
 	if !d.IsZero() {
@@ -294,6 +299,8 @@ func (c *Conn) blackhole() error {
 		return os.ErrDeadlineExceeded
 	case <-c.closed:
 		return net.ErrClosed
+	case <-moved:
+		return c.blackhole() // under the new deadline
 	}
 }
 
@@ -348,6 +355,7 @@ func (c *Conn) RemoteAddr() net.Addr { return c.inner.RemoteAddr() }
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDeadline, c.writeDeadline = t, t
+	c.moveRead()
 	c.mu.Unlock()
 	return c.inner.SetDeadline(t)
 }
@@ -356,8 +364,16 @@ func (c *Conn) SetDeadline(t time.Time) error {
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	c.readDeadline = t
+	c.moveRead()
 	c.mu.Unlock()
 	return c.inner.SetReadDeadline(t)
+}
+
+// moveRead wakes a blackholed Read to take up the new read deadline.
+// Called with mu held.
+func (c *Conn) moveRead() {
+	close(c.readMoved)
+	c.readMoved = make(chan struct{})
 }
 
 // SetWriteDeadline implements net.Conn.

@@ -138,6 +138,30 @@ func TestBlackholeHonoursReadDeadline(t *testing.T) {
 	}
 }
 
+// TestBlackholeTakesUpLaterDeadline: a deadline set while a blackholed
+// Read blocks bounds it, as it bounds a blocked Read on a net.Conn.
+func TestBlackholeTakesUpLaterDeadline(t *testing.T) {
+	a, _ := tcpPair(t)
+	c := Wrap(a, Faults{Seed: 9, BlackholeProb: 1}, nil)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Read(make([]byte, 4))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	if err := c.SetReadDeadline(time.Now().Add(30 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("err = %v, want deadline exceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("blackholed read ignored a deadline set while it blocked")
+	}
+}
+
 func TestBlackholeUnblocksOnClose(t *testing.T) {
 	a, _ := tcpPair(t)
 	c := Wrap(a, Faults{Seed: 9, BlackholeProb: 1}, nil)

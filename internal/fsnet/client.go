@@ -257,10 +257,10 @@ func (l *link) mark(id trace.FileID) {
 
 // Client is the client-side cache manager of Figure 2. It is safe for
 // concurrent use by multiple goroutines. Each connection is multiplexed:
-// concurrent opens are pipelined over one connection and replies are
-// matched by request ID, so N goroutines proceed without serializing on
-// the wire. Broken connections are redialed with exponential backoff when
-// a Dialer is configured.
+// concurrent opens are pipelined over one connection and the server
+// answers them in request order, so N goroutines proceed without
+// serializing on the wire. Broken connections are redialed with
+// exponential backoff when a Dialer is configured.
 //
 // A client starts with one server, the seed. If the seed's hello names a
 // ring, the first open pulls the member list, and from then on every miss
@@ -1117,8 +1117,8 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	if err != nil {
 		return muxResult{}, err
 	}
-	// With a timeout configured the connection's watchdog poisons it once
-	// the call is overdue, which delivers an error result here.
+	// With a timeout configured the connection's read deadline poisons it
+	// once the call is overdue, which delivers an error result here.
 	res := <-call.done
 	if res.err != nil {
 		// A poisoned connection fails its calls while a flush may still be

@@ -30,8 +30,8 @@ func (r *peerRouter) RouteOpen(path string, accessed []string) ([]GroupFile, boo
 	return []GroupFile{{Path: path, Data: []byte("forwarded " + path)}}, true, nil
 }
 
-// TestClientWatchdogRearmsAfterIdle: the per-connection deadline watchdog
-// goes idle when nothing is in flight and must come back for the next
+// TestClientWatchdogRearmsAfterIdle: the connection's read deadline is
+// cleared when nothing is in flight and must be armed again by the next
 // call — a request that stalls after a quiet spell still fails within its
 // timeout, with the typed transport error.
 func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
@@ -48,8 +48,7 @@ func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
 	if _, err := client.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
-	// Long enough for the watchdog armed by that open to fire, find
-	// nothing in flight, and stand down.
+	// Long enough for a deadline left armed by that open to have fired.
 	time.Sleep(3 * timeout)
 	start := time.Now()
 	_, err = client.Open("/remote/never")
@@ -152,7 +151,7 @@ func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 
 // TestAllocBudgetPipelinedOpens pins the fetch under pipelining: eight
 // goroutines share one connection and each op is one flight of eight
-// fetches. Batched writes, out-of-order replies and the mux's queues cost
+// fetches. Batched writes, pipelined replies and the mux's queues cost
 // nothing on top of eight single fetches, and neither does the piggyback
 // backlog any more: a claim in flight has taken its storage with it, and
 // the client used to recycle one claim's worth, so a miss that landed

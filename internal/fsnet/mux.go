@@ -2,9 +2,10 @@ package fsnet
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
-	"sort"
+	"os"
 	"sync"
 	"time"
 
@@ -12,24 +13,26 @@ import (
 )
 
 // muxConn is the client transport to one server: one TCP connection
-// shared by any number of goroutines, with pipelined requests and
-// out-of-order replies matched by request ID.
+// shared by any number of goroutines, with pipelined requests whose
+// replies come back in request order (protocol version 6).
 //
 // Requests leave on the goroutine that made them: a caller queues its call
 // and flushes the queue, and a caller that finds a flush under way leaves
 // its call to it, so calls that arrive together leave together (many
 // frames, one syscall). A reader goroutine decodes reply frames and
-// delivers each to its call's completion channel. A group reply arrives
+// delivers each to the oldest call in flight, the head of a FIFO queue; a
+// frame for any other request is a protocol error. A group reply arrives
 // as a stream of msgMemberChunk frames closed by msgGroupEnd; the reader
 // accumulates the chunks, installs the completed group in the client's
 // cache — in the order the server sent the replies — and delivers the
-// demanded file. With a request timeout configured, one watchdog timer
-// per connection — not one per call — poisons the connection when the
-// oldest unanswered call passes its deadline (the stream position is
-// unknown by then). Any transport or
-// protocol error poisons the whole connection: every in-flight call fails
-// fast with ErrConnBroken, claimed piggyback history is restored to the
-// client in call order, and the connection is closed and never reused.
+// demanded file. With a request timeout configured, the connection's read
+// deadline is the head call's deadline: the reader moves it as each call
+// completes and clears it when nothing is in flight, so a stalled reply
+// surfaces as a read error (the stream position is unknown by then). Any
+// transport or protocol error poisons the whole connection: every
+// in-flight call fails fast with ErrConnBroken, claimed piggyback history
+// is restored to the client in call order, and the connection is closed
+// and never reused.
 type muxConn struct {
 	c    *Client
 	l    *link // the slot this connection fills
@@ -40,26 +43,23 @@ type muxConn struct {
 	// epoch is the view epoch the server's hello announced (0: no ring).
 	epoch uint64
 
-	mu       sync.Mutex
-	nextID   uint64
-	calls    map[uint64]*muxCall // in flight: queued or written, awaiting reply
-	queue    []*muxCall          // awaiting a flush
-	freeQ    []*muxCall          // recycled queue storage for the next batch
-	flushing bool                // a caller is writing the queue out
-	broken   bool
-	err      error // first error, set when broken
-	// watch is the deadline watchdog: armed by the first call enqueued
-	// while it is idle (watching false), it re-arms itself for the oldest
-	// in-flight deadline each time it fires and goes idle when nothing is
-	// in flight. Nil until the first call of a connection with a timeout.
-	watch    *time.Timer
-	watching bool
+	mu     sync.Mutex
+	nextID uint64
+	// head and tail bound the calls in flight — queued or written, awaiting
+	// reply — oldest first, linked through muxCall.next.
+	head, tail *muxCall
+	queue      []*muxCall // awaiting a flush
+	freeQ      []*muxCall // recycled queue storage for the next batch
+	flushing   bool       // a caller is writing the queue out
+	broken     bool
+	err        error // first error, set when broken
 }
 
 // muxCall is one pipelined request.
 type muxCall struct {
-	id  uint64
-	typ uint8
+	id   uint64
+	typ  uint8
+	next *muxCall // the call sent after this one, while both are in flight
 	// path is the demanded path of a msgOpen; the flush claims the
 	// piggyback history and the residency report and encodes the payload
 	// at write time, so one flush's worth of opens shares a single claim
@@ -75,8 +75,8 @@ type muxCall struct {
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
 	start time.Time
-	// deadline is when the watchdog gives up on the call; zero without a
-	// configured timeout.
+	// deadline is the read deadline while the call heads the queue; zero
+	// without a configured timeout.
 	deadline time.Time
 	// tctx is the call's trace context. A sampled context makes the
 	// flush emit one msgTraceCtx piggyback frame ahead of the request
@@ -123,7 +123,6 @@ func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
 		r:     cc.r,
 		w:     cc.w,
 		epoch: epoch,
-		calls: make(map[uint64]*muxCall),
 	}
 }
 
@@ -156,19 +155,22 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 		putMuxCall(call)
 		return nil, err
 	}
-	if timeout > 0 && !m.watching {
-		// Every call shares one timeout, so deadlines only grow: the
-		// watchdog, once armed, needs no nudge from later calls.
-		m.watching = true
-		if m.watch == nil {
-			m.watch = time.AfterFunc(timeout, m.expire)
-		} else {
-			m.watch.Reset(timeout)
-		}
-	}
 	m.nextID++
 	call.id = m.nextID
-	m.calls[call.id] = call
+	if m.tail == nil {
+		m.head = call
+		if timeout > 0 {
+			// The call makes an idle connection busy. Later calls are
+			// answered after it and share its timeout, so only the head's
+			// deadline is armed: the reader moves it on as each head
+			// completes. An error here means the connection is closed,
+			// which its reader reports.
+			_ = m.conn.SetReadDeadline(call.deadline)
+		}
+	} else {
+		m.tail.next = call
+	}
+	m.tail = call
 	m.queue = append(m.queue, call)
 	if m.flushing {
 		m.mu.Unlock()
@@ -178,37 +180,6 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	m.mu.Unlock()
 	m.flush()
 	return call, nil
-}
-
-// expire is the watchdog's timer function: it poisons the connection if
-// the oldest in-flight call is past its deadline, otherwise sleeps until
-// that deadline, and goes idle when nothing is in flight.
-func (m *muxConn) expire() {
-	m.mu.Lock()
-	if m.broken {
-		m.mu.Unlock()
-		return
-	}
-	var oldest time.Time
-	for _, call := range m.calls {
-		if oldest.IsZero() || call.deadline.Before(oldest) {
-			oldest = call.deadline
-		}
-	}
-	if oldest.IsZero() {
-		m.watching = false
-		m.mu.Unlock()
-		return
-	}
-	if wait := time.Until(oldest); wait > 0 {
-		m.watch.Reset(wait)
-		m.mu.Unlock()
-		return
-	}
-	m.mu.Unlock()
-	// The stream position is unknown after a timeout, so the whole
-	// connection is poisoned — which fails every in-flight call.
-	m.poison(fmt.Errorf("%w: request timed out after %v", ErrConnBroken, m.l.timeout))
 }
 
 // flush writes the queue out in batches until it is empty: every queued
@@ -287,14 +258,18 @@ func (m *muxConn) recycleBatch(batch []*muxCall) {
 	m.mu.Unlock()
 }
 
-// reader decodes replies and delivers each to its caller. Streamed group
-// replies accumulate on their call until the closing msgGroupEnd. Any
-// read or framing error — including Close of the underlying connection —
-// poisons the mux, which fails all in-flight calls.
+// reader decodes replies and delivers each to the call at the head of the
+// queue. Streamed group replies accumulate on their call until the closing
+// msgGroupEnd. Any read or framing error — including Close of the
+// underlying connection and the head call's deadline passing — poisons the
+// mux, which fails all in-flight calls.
 func (m *muxConn) reader() {
 	for {
 		typ, id, payload, err := readFrameID(m.r)
 		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				err = fmt.Errorf("request timed out after %v", m.l.timeout)
+			}
 			m.poison(fmt.Errorf("%w: %v", ErrConnBroken, err))
 			return
 		}
@@ -312,45 +287,34 @@ func (m *muxConn) reader() {
 			m.c.noteViewHint(m.l, epoch)
 			continue
 		}
+		m.mu.Lock()
+		call := m.head
+		if call == nil || call.id != id {
+			m.mu.Unlock()
+			putFrameBuf(payload)
+			m.poison(fmt.Errorf("%w: reply for request %d out of request order", ErrConnBroken, id))
+			return
+		}
 		switch typ {
 		case msgMemberChunk:
-			m.mu.Lock()
-			call, ok := m.calls[id]
-			var first bool
-			if ok {
-				if call.group == nil {
-					call.group = NewGroup()
-				}
-				if len(call.group.bufs) >= maxGroup {
-					m.mu.Unlock()
-					putFrameBuf(payload)
-					m.poison(fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
-					return
-				}
-				first = len(call.group.bufs) == 0
-				call.group.bufs = append(call.group.bufs, payload)
+			if call.group == nil {
+				call.group = NewGroup()
 			}
-			m.mu.Unlock()
-			if !ok {
+			if len(call.group.bufs) >= maxGroup {
+				m.mu.Unlock()
 				putFrameBuf(payload)
-				m.poison(fmt.Errorf("%w: chunk for unknown request %d", ErrConnBroken, id))
+				m.poison(fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
 				return
 			}
+			first := len(call.group.bufs) == 0
+			call.group.bufs = append(call.group.bufs, payload)
+			m.mu.Unlock()
 			if first && !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
 		case msgGroupEnd:
-			m.mu.Lock()
-			call, ok := m.calls[id]
-			if ok {
-				delete(m.calls, id)
-			}
+			m.retire()
 			m.mu.Unlock()
-			if !ok {
-				putFrameBuf(payload)
-				m.poison(fmt.Errorf("%w: group end for unknown request %d", ErrConnBroken, id))
-				return
-			}
 			n, derr := decodeGroupEnd(payload)
 			putFrameBuf(payload)
 			g := call.group
@@ -378,39 +342,48 @@ func (m *muxConn) reader() {
 			if derr != nil {
 				werr := fmt.Errorf("%w: %v", ErrConnBroken, derr)
 				// The stream is untrustworthy beyond this point; the call
-				// was already removed from the in-flight map, so fail it
-				// directly after poisoning the rest.
+				// has already left the queue, so fail it directly after
+				// poisoning the rest.
 				m.poison(werr)
 				call.done <- muxResult{err: werr}
 				return
 			}
 			call.done <- muxResult{typ: msgGroupEnd, data: data}
 		default:
-			m.mu.Lock()
-			call, ok := m.calls[id]
-			// A single-frame reply to a call that has already buffered
-			// member chunks cuts a streamed group short: the call stays in
-			// flight, so the poison below fails it and recycles its chunks.
-			midStream := ok && call.group != nil
-			if ok && !midStream {
-				delete(m.calls, id)
-			}
-			m.mu.Unlock()
-			if !ok {
-				putFrameBuf(payload)
-				m.poison(fmt.Errorf("%w: reply for unknown request %d", ErrConnBroken, id))
-				return
-			}
-			if midStream {
+			if call.group != nil {
+				// A single-frame reply to a call that has already buffered
+				// member chunks cuts a streamed group short: the call stays
+				// queued, so the poison fails it and recycles its chunks.
+				m.mu.Unlock()
 				putFrameBuf(payload)
 				m.poison(fmt.Errorf("%w: reply type %d inside the streamed group of request %d", ErrConnBroken, typ, id))
 				return
 			}
+			m.retire()
+			m.mu.Unlock()
 			if !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
 			call.done <- muxResult{typ: typ, payload: payload}
 		}
+	}
+}
+
+// retire takes the head call, which the reader has answered, off the
+// queue and moves the read deadline to the next call's — or clears it when
+// nothing is left in flight. Called with mu held.
+func (m *muxConn) retire() {
+	call := m.head
+	m.head, call.next = call.next, nil
+	var deadline time.Time
+	if m.head == nil {
+		m.tail = nil
+	} else {
+		deadline = m.head.deadline
+	}
+	if m.l.timeout > 0 {
+		// An error means the connection is closed: the next read fails.
+		_ = m.conn.SetReadDeadline(deadline)
 	}
 }
 
@@ -429,7 +402,8 @@ func (m *muxConn) observeTTFB(call *muxCall) {
 // poison marks the mux broken, closes the connection, restores every
 // unanswered call's claimed history to the client (oldest call first),
 // empties the client's connection slot, and fails every unanswered call
-// with err. Idempotent; only the first error wins.
+// with err, front of the queue to back. Idempotent; only the first error
+// wins.
 func (m *muxConn) poison(err error) {
 	m.mu.Lock()
 	if m.broken {
@@ -438,21 +412,13 @@ func (m *muxConn) poison(err error) {
 	}
 	m.broken = true
 	m.err = err
-	orphans := make([]*muxCall, 0, len(m.calls))
-	for _, call := range m.calls {
-		orphans = append(orphans, call)
-	}
-	m.calls = nil
+	orphans := m.head
+	m.head, m.tail = nil, nil
 	m.queue, m.freeQ = nil, nil
-	if m.watch != nil {
-		m.watch.Stop()
-	}
-	// Request IDs were assigned — and their histories claimed — in ID
-	// order, so restoring in ID order reassembles the piggyback backlog
-	// oldest-first.
-	sort.Slice(orphans, func(i, j int) bool { return orphans[i].id < orphans[j].id })
+	// Histories were claimed in queue order, so restoring front to back
+	// reassembles the piggyback backlog oldest-first.
 	var hist []string
-	for _, call := range orphans {
+	for call := orphans; call != nil; call = call.next {
 		hist = append(hist, call.claimed...)
 	}
 	// Both before the lock drops: a caller that enqueue refuses from here
@@ -465,11 +431,13 @@ func (m *muxConn) poison(err error) {
 
 	_ = m.conn.Close()
 
-	for _, call := range orphans {
+	for call := orphans; call != nil; {
+		next := call.next
 		if call.group != nil {
 			call.group.Release()
 			call.group = nil
 		}
 		call.done <- muxResult{err: err}
+		call = next
 	}
 }

@@ -9,7 +9,7 @@
 // msgHello answered by msgHelloOK, both in bare frames — and then carries
 // request-ID frames: pipelined requests one way, and the other way group
 // replies streamed as per-member msgMemberChunk frames closed by
-// msgGroupEnd, out of order across requests (DESIGN.md §10).
+// msgGroupEnd, in request order (DESIGN.md §10).
 package fsnet
 
 import (
@@ -42,8 +42,8 @@ const (
 	msgHello
 	// msgHelloOK is the server's handshake reply carrying the version the
 	// connection speaks and the epoch of the server's membership view (0:
-	// the server is in no ring). Every later frame carries a request ID and
-	// replies may return out of order.
+	// the server is in no ring). Every later frame carries a request ID, and
+	// the server answers each connection's requests in request order.
 	msgHelloOK
 	// msgHandoff is a peer->peer drain transfer: one group a departing
 	// cluster node owned — the anchor path plus its learned members in
@@ -88,15 +88,16 @@ const (
 )
 
 // protocolVersion is the one protocol version this package speaks: the
-// hello exchange carrying the server's view epoch, request-ID framing,
-// opens that carry the client's residency report, and streamed group
-// replies whose member chunks carry a content tag and may be header-only
-// (DESIGN.md §10). The number is a wire value — earlier ones were the
-// lock-step, assembled-reply, untagged-stream and replayed-shadow
+// hello exchange carrying the server's view epoch, request-ID framing with
+// each connection's replies in request order, opens that carry the
+// client's residency report, and streamed group replies whose member
+// chunks carry a content tag and may be header-only (DESIGN.md §10). The
+// number is a wire value — earlier ones were the lock-step,
+// assembled-reply, untagged-stream, replayed-shadow and any-order-reply
 // generations it replaced — and the handshake exists to turn a peer built
 // before or after it away with a typed error instead of a desynchronised
 // stream.
-const protocolVersion = 5
+const protocolVersion = 6
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -229,8 +230,9 @@ func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 }
 
 // Request-ID framing: u32 length (type + id + payload), u8 type, u64
-// request ID, payload. The request ID ties a reply to its request so a
-// pipelined connection may return replies out of order. (The constant is
+// request ID, payload. The request ID ties a reply to its request: a
+// pipelined connection's replies come back in request order, so each must
+// carry the ID of the oldest request still unanswered. (The constant is
 // named for the protocol version that introduced the header; the
 // wire-format pin test, which must not change, spells it this way.)
 const v2HdrLen = 1 + 8 // type + request ID, inside the length prefix

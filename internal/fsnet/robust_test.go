@@ -3,6 +3,7 @@ package fsnet
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,6 +40,113 @@ func TestClientTimeoutBoundsStalledRequest(t *testing.T) {
 	if st := client.Stats(); st.BrokenConns != 1 {
 		t.Errorf("BrokenConns = %d, want 1", st.BrokenConns)
 	}
+}
+
+// TestClientTimeoutFailsPipelinedCalls: three opens are in flight on one
+// connection whose writes are parked, so no reply can come. The read
+// deadline armed by the first of them fails all three with the timed-out
+// error, and the next open redials and succeeds.
+func TestClientTimeoutFailsPipelinedCalls(t *testing.T) {
+	// The deadline runs from the first open's enqueue, so the other two
+	// must join the queue within the timeout. An attempt in which the
+	// scheduler was slower than that proves nothing and is run again.
+	for attempt := 1; !pipelinedTimeout(t, 100*time.Millisecond); attempt++ {
+		if attempt == 5 {
+			t.Fatal("in 5 attempts the three opens were never in flight together before the first one's deadline")
+		}
+	}
+}
+
+// pipelinedTimeout runs one attempt of TestClientTimeoutFailsPipelinedCalls
+// on a fresh server and client. It reports false, asserting nothing, when
+// the connection broke before all three opens were in flight.
+func pipelinedTimeout(t *testing.T, timeout time.Duration) bool {
+	_, addr := startServer(t, seededStore(t, 8), ServerConfig{})
+	gate := &faultnet.Gate{}
+	dial, _ := faultnet.GatedDialer(addr, gate)
+	conn, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A one-file cache keeps every open below a miss.
+	client, err := NewClient(conn, ClientConfig{CacheCapacity: 1, Timeout: timeout, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Open("/data/f000"); err != nil { // the handshake, before the gate holds
+		t.Fatal(err)
+	}
+	client.mu.Lock()
+	m := client.seed.mux
+	client.mu.Unlock()
+
+	gate.Hold()
+	start := time.Now()
+	errs := make(chan error, 3)
+	opened := 0
+	open := func(path string) {
+		opened++
+		go func() {
+			_, err := client.Open(path)
+			errs <- err
+		}()
+	}
+	// wait polls until ready holds or m broke, bounded well past any
+	// deadline; it reports whether m is still whole.
+	wait := func(what string, ready func(inFlight int) bool) bool {
+		for time.Since(start) < 5*time.Second {
+			m.mu.Lock()
+			n, broken := 0, m.broken
+			for call := m.head; call != nil; call = call.next {
+				n++
+			}
+			m.mu.Unlock()
+			if broken {
+				return false
+			}
+			if ready(n) {
+				return true
+			}
+			time.Sleep(time.Millisecond)
+		}
+		t.Fatalf("%s: neither happened nor timed out within 5 s", what)
+		return false
+	}
+	settle := func() bool { // a spoilt attempt: let every open finish
+		gate.Resume()
+		for i := 0; i < opened; i++ {
+			<-errs
+		}
+		return false
+	}
+	open("/data/f001")
+	// The first open's flush is parked in its write.
+	if !wait("the first open reaching the wire", func(int) bool { return gate.Waiting() > 0 }) {
+		return settle()
+	}
+	open("/data/f002") // both queue behind the parked flush
+	open("/data/f003")
+	if !wait("three opens in flight", func(n int) bool { return n == 3 }) {
+		return settle()
+	}
+	for i := 0; i < 3; i++ {
+		err := <-errs
+		if !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "timed out") {
+			t.Errorf("pipelined open err = %v, want a timed-out ErrConnBroken", err)
+		}
+	}
+	if elapsed := time.Since(start); elapsed > 10*timeout {
+		t.Errorf("pipelined opens failed after %v, want within %v", elapsed, 10*timeout)
+	}
+	if st := client.Stats(); st.BrokenConns != 1 {
+		t.Errorf("BrokenConns = %d, want 1: the three opens shared one connection", st.BrokenConns)
+	}
+	gate.Resume()
+	if _, err := client.Open("/data/f004"); err != nil {
+		t.Fatalf("open after the timed-out connection: %v", err)
+	}
+	return true
 }
 
 // TestClientPoisonsConnAfterIOError: after any I/O failure the connection

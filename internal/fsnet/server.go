@@ -41,12 +41,12 @@ type ServerConfig struct {
 	// and closes. Zero means unlimited.
 	MaxConns int
 	// Router, when set, is consulted before any open is served from the
-	// local cache and store. It lets an embedding tier (internal/cluster)
-	// place a path's group on another server: when RouteOpen reports the
-	// request handled, its files become the reply verbatim and the local
-	// metadata, cache, and store are left untouched. When it reports the
-	// request unhandled the server serves it locally as usual — which is
-	// also the cluster tier's degraded path when the owning peer is down.
+	// local cache and store, on the connection's read loop: when RouteOpen
+	// reports the request handled, its files become the reply verbatim and
+	// the local metadata, cache, and store are left untouched; when it
+	// reports the request unhandled the server serves it locally as usual.
+	// A cluster node (internal/cluster) declines every open, since its
+	// clients send each miss to the path's owner.
 	Router OpenRouter
 	// Logger receives connection-level errors; nil discards them.
 	Logger *log.Logger
@@ -76,23 +76,23 @@ type ServerConfig struct {
 	Views ViewSource
 }
 
-// OpenRouter routes open requests whose group is placed on another
-// server. Implementations must be safe for concurrent use: RouteOpen is
-// called on each connection's read loop, outside every server lock. A
-// router that blocks stalls only its own connection, whose later requests
-// wait their turn in request order.
+// OpenRouter answers open requests in the server's place: it may supply
+// the whole group for a path or decline it to the server's own store.
+// Implementations must be safe for concurrent use: RouteOpen is called on
+// each connection's read loop, outside every server lock. A router that
+// blocks stalls only its own connection, whose later requests wait their
+// turn in request order.
 type OpenRouter interface {
 	// RouteOpen resolves path into its group — demanded file first — or
 	// reports handled=false to have the server stage the group from its
 	// own store. accessed is the client's piggybacked access history,
-	// relayed so the remote owner's metadata stays as complete as the
-	// local server's would (§3); it is the server's pooled scratch, valid
-	// only until RouteOpen returns, though the strings in it (and path)
-	// may be kept. The server copies the returned slice's elements into
-	// its reply and never writes through them; the contents must stay
-	// unchanged until the reply is on the wire, which a router cannot
-	// observe — so they are the router's to leave to the collector, never
-	// to reuse. A handled error is returned to the client: ErrNotFound maps
+	// which the server learns only when it serves the open itself; it is
+	// the server's pooled scratch, valid only until RouteOpen returns,
+	// though the strings in it (and path) may be kept. The server copies
+	// the returned slice's elements into its reply and never writes
+	// through them; the contents must stay unchanged until the reply is on
+	// the wire, which a router cannot observe — so they are the router's
+	// to leave to the collector, never to reuse. A handled error is returned to the client: ErrNotFound maps
 	// to CodeNotFound, anything else to CodeInternal.
 	RouteOpen(path string, accessed []string) (files []GroupFile, handled bool, err error)
 }

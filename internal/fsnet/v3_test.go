@@ -222,6 +222,70 @@ func TestMidStreamCutFailsOnlyThatCall(t *testing.T) {
 	}
 }
 
+// TestRepliesOutOfOrderPoison: a server answers each connection's
+// requests in request order, so a reply for any call but the oldest in
+// flight is a protocol error. The scripted server holds the first of two
+// pipelined opens and answers the second first: both calls fail with the
+// typed transport error, the connection counts as broken once, and the
+// next open succeeds on a fresh connection.
+func TestRepliesOutOfOrderPoison(t *testing.T) {
+	held := make(chan struct{})
+	var opens atomic.Int32
+	var heldID uint64 // the first open's request: read and written by one connection's goroutine
+	var heldPath string
+	addr := fakeV3Server(t, serveOpens(func(w *bufio.Writer, id uint64, req openRequest) bool {
+		reply := func(id uint64, path string) bool {
+			return writeChunk(w, id, path, []byte("whole "+path)) == nil &&
+				putFrameID(w, msgGroupEnd, id, appendGroupEnd(nil, 1)) == nil
+		}
+		switch opens.Add(1) {
+		case 1:
+			heldID, heldPath = id, req.Path
+			close(held)
+			return true
+		case 2:
+			return reply(id, req.Path) && reply(heldID, heldPath)
+		default:
+			return reply(id, req.Path)
+		}
+	}))
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 8, MaxRetries: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	errs := make(chan error, 2)
+	open := func(path string) {
+		go func() {
+			_, err := client.Open(path)
+			errs <- err
+		}()
+	}
+	open("/s/one")
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first open never reached the server")
+	}
+	open("/s/two")
+	for i := 0; i < 2; i++ {
+		if err := <-errs; !errors.Is(err, ErrConnBroken) {
+			t.Errorf("pipelined open err = %v, want ErrConnBroken", err)
+		}
+	}
+	if st := client.Stats(); st.BrokenConns != 1 {
+		t.Errorf("BrokenConns = %d, want 1", st.BrokenConns)
+	}
+	data, err := client.Open("/s/three")
+	if err != nil {
+		t.Fatalf("open on a fresh connection: %v", err)
+	}
+	if want := "whole /s/three"; string(data) != want {
+		t.Errorf("open 3 = %q, want %q", data, want)
+	}
+}
+
 // TestStreamFaultsPoison scripts replies that violate the streaming
 // contract after a well-formed start. Each must fail the open with the
 // typed transport error and poison the connection — never surface a short
@@ -333,6 +397,8 @@ func TestVersionRejection(t *testing.T) {
 		{"hello-1", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 1)) }},
 		{"hello-2", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 2)) }},
 		{"hello-3", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 3)) }},
+		// Version 5 replied in any order; its hello had today's layout.
+		{"hello-5", func(conn net.Conn) error { return writeHello(conn, msgHello, 5, 0) }},
 	} {
 		t.Run("server/"+tc.name, func(t *testing.T) {
 			srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
@@ -365,6 +431,7 @@ func TestVersionRejection(t *testing.T) {
 	}{
 		{"hello-ok-2", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 2, 0) }},
 		{"hello-ok-3", func(conn net.Conn) error { return writeFrame(conn, msgHelloOK, appendUvarint(nil, 3)) }},
+		{"hello-ok-5", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 5, 0) }},
 		{"unknown-type", func(conn net.Conn) error {
 			return writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
 				Code: CodeBadRequest, Message: "unknown message type 6",
