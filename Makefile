@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead vet test race bench bench-e2e fleet-smoke experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead vet test race mux-race bench bench-e2e fleet-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -88,7 +88,10 @@ ignore-guard:
 # and its watchdog timer: a server answers each connection's requests in
 # request order (protocol version 6), so in-flight calls are a queue whose
 # head every reply must answer, and a request timeout is the connection's
-# read deadline, moved by the reader — no timer per call or per connection.
+# deadline — no timer per call or per connection. So is the client mux's
+# reader goroutine: the call at the head of the queue reads its own reply,
+# installs it and hands the read role to the next call, arming its own
+# deadline for reads and writes alike, so a client starts no goroutine.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -114,6 +117,7 @@ lint-dead:
 	@! grep -rnE 'internal/multilevel|SimulateHierarchy|HierarchyConfig|DisablePiggyback|FailureThreshold|DownDuration|PeerTimeout|gossip_view_epoch' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'InlineRouter|errRouteBlocks|connWorkers|maxServerPipeline|iroute|inlineOpens|repull' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'func \(m \*muxConn\) expire|m\.watching|map\[uint64\]\*muxCall' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'func \(m \*muxConn\) reader|go m\.reader\(\)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'time\.AfterFunc' --include='*.go' --exclude='*_test.go' internal/fsnet
 
 vet:
@@ -124,6 +128,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The client mux's orderings, timeouts and idle close, ten times over under
+# the race detector: the call at the head of the queue reads its own reply
+# and hands the read role on, so these are the tests a lost or doubled
+# hand-off, an install out of arrival order or a deadline left unarmed
+# fails, some of them only now and then.
+mux-race:
+	$(GO) test -race -count 10 -run '^(TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -418,9 +418,9 @@ func (c *Client) Close() error {
 	return err
 }
 
-// detach empties a link's connection slots and closes what they held; the
-// mux reader notices the close and fails all in-flight calls. Called with
-// mu held.
+// detach empties a link's connection slots and closes what they held; a
+// call reading its reply there fails on the closed connection and poisons
+// the calls behind it. Called with mu held.
 func (c *Client) detach(l *link) error {
 	cc, m := l.conn, l.mux
 	if cc != nil || m != nil {
@@ -701,8 +701,9 @@ func desync(m *muxConn, cause error) error {
 // access transitions are re-sent — and a server still learns them — on
 // the next successful request (§3 metadata quality).
 //
-// The mux reader installed the group the reply carried (install); fetch
-// returns the demanded file's contents.
+// The call installed the group the reply carried (install) before the
+// next call on its connection could read; fetch returns the demanded
+// file's contents.
 func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
 	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, nil, tctx)
 	if err != nil {
@@ -715,16 +716,16 @@ func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
 	return res.data, nil
 }
 
-// install is the mux reader's tail of a fetch: it validates the group
-// reply to call, an open, installs it in the cache, counts the open, and
-// returns the demanded file's contents. It releases g.
-// Installing on the reader keeps the order the server sent the
-// connection's replies in, which is the order its residency table
-// assumed: a reply may vouch for a member an earlier reply delivered.
+// install is the tail of a fetch's read: it validates the group reply to
+// call, an open, installs it in the cache, counts the open, and returns
+// the demanded file's contents. It releases g. The call installs before it
+// hands the read role on, which keeps the order the server sent the
+// connection's replies in, the order its residency table assumed: a reply
+// may vouch for a member an earlier reply delivered.
 func (c *Client) install(m *muxConn, call *muxCall, g *Group) ([]byte, error) {
 	defer g.Release()
-	// The mux reader only delivers a group its msgGroupEnd counted, and
-	// the count is never zero: g has members.
+	// A call installs only a group its msgGroupEnd counted, and the count
+	// is never zero: g has members.
 	if err := decodeChunks(g, call.path); err != nil {
 		return nil, err
 	}
@@ -849,7 +850,8 @@ func (c *Client) checkView() error {
 
 // noteViewHint records l when its server announces an epoch newer than
 // the view the client routes by, so that the next miss pulls the view
-// from it (followHint). Called on mux readers, so it never waits.
+// from it (followHint). Called by a call reading its reply, which holds the
+// connection's read role, so it never waits.
 func (c *Client) noteViewHint(l *link, epoch uint64) {
 	if cur := c.viewEpoch.Load(); cur != 0 && epoch > cur {
 		c.hinted.Store(l)
@@ -1075,15 +1077,24 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 			c.m.inflight.Add(-1)
 		}()
 	}
-	rerouted := false
+	rerouted, resent := false, false
 	for attempt := 0; ; {
 		l, m, err := route()
 		if err == nil {
 			var res muxResult
+			var idle bool
 			// A failed call's claimed history was restored by the poison
 			// that failed it.
-			if res, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
+			if res, idle, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
 				return res, m, nil
+			}
+			if idle && !resent {
+				// The server most likely closed the connection while it
+				// sat idle, as an HTTP client finds of a kept-alive one:
+				// the request goes once more, on a fresh connection, and
+				// is not a retry.
+				resent = true
+				continue
 			}
 		}
 		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) {
@@ -1111,28 +1122,31 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 	}
 }
 
-// callMux performs one pipelined call over the multiplexed transport.
-func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, error) {
-	call, err := m.enqueue(reqType, path, payload, tctx)
+// callMux performs one pipelined call over the multiplexed transport. A
+// failed call reports idle when it found the connection idle after earlier
+// calls and failed before any byte of its reply arrived, other than by its
+// timeout.
+func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (res muxResult, idle bool, err error) {
+	call, head, err := m.enqueue(reqType, path, payload, tctx)
 	if err != nil {
-		return muxResult{}, err
+		return muxResult{}, false, err
 	}
-	// With a timeout configured the connection's read deadline poisons it
-	// once the call is overdue, which delivers an error result here.
-	res := <-call.done
-	if res.err != nil {
+	// With a timeout configured the connection's deadline poisons it once
+	// the call at its head is overdue, which fails this one too.
+	if res = m.await(call, head); res.err != nil {
 		// A poisoned connection fails its calls while a flush may still be
-		// reading them out of the batch it was sending: the call is left to
-		// the collector, not recycled under the flush.
-		return muxResult{}, res.err
+		// reading them out of the batch it was sending, and the hand-off
+		// may still be on its way: the call is left to the collector, not
+		// recycled.
+		return muxResult{}, call.idle && !errors.Is(res.err, errTimedOut), res.err
 	}
 	// A reply means the flush sent the request and is done with the call,
-	// and exactly one result is ever delivered: the call is free for reuse.
-	// The server consumed the piggybacked history the call claimed, so its
+	// and the call consumed all it was sent: it is free for reuse. The
+	// server consumed the piggybacked history the call claimed, so its
 	// storage can back the next backlog.
 	c.freePending(call.claimed)
 	putMuxCall(call)
-	return res, nil
+	return res, false, nil
 }
 
 // transport returns l's live mux, establishing one (dial + handshake)
@@ -1280,10 +1294,10 @@ func (c *Client) noteReconnect(conn net.Conn) {
 	c.m.events.Record("reconnect", obs.F("addr", addr))
 }
 
-// installMux publishes a handshaken connection as l's transport and
-// starts its reader. A new connection's server knows nothing of this
-// client's cache, so every resident file is marked for the first report.
-// Called with l.connMu held.
+// installMux publishes a handshaken connection as l's transport; it starts
+// no goroutine, since each call reads its own reply. A new connection's
+// server knows nothing of this client's cache, so every resident file is
+// marked for the first report. Called with l.connMu held.
 func (c *Client) installMux(l *link, cc *clientConn, countRedial bool, epoch uint64) (*muxConn, error) {
 	m := newMuxConn(c, l, cc, epoch)
 	c.mu.Lock()
@@ -1314,7 +1328,6 @@ func (c *Client) installMux(l *link, cc *clientConn, countRedial bool, epoch uin
 	if countRedial {
 		c.noteReconnect(cc.conn)
 	}
-	go m.reader()
 	return m, nil
 }
 

@@ -405,41 +405,50 @@ func TestClientCacheEvictionKeepsDataConsistent(t *testing.T) {
 	}
 }
 
+// TestServerIdleTimeoutDropsSilentClients: a server drops a client that
+// stays silent past its idle timeout, and the client's next open succeeds
+// over a fresh connection. Nothing reads an idle connection, so the drop
+// is noticed by that open, which finds the connection closed before any
+// byte of its reply arrived and is sent once more on a fresh connection —
+// not as a retry, so it succeeds with MaxRetries 0 as well.
 func TestServerIdleTimeoutDropsSilentClients(t *testing.T) {
-	store := seededStore(t, 2)
-	_, addr := startServer(t, store, ServerConfig{IdleTimeout: 50 * time.Millisecond})
-	// The pipelined transport notices the server's idle drop asynchronously
-	// (its reader sees EOF and poisons the connection), so the next open
-	// transparently redials rather than failing. MaxRetries absorbs the
-	// window where a request is enqueued just before the drop is noticed.
-	client, err := Dial(addr, ClientConfig{MaxRetries: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	if _, err := client.Open("/data/f000"); err != nil {
-		t.Fatal(err)
-	}
-	// Stay silent past the idle timeout; the server must drop us.
-	time.Sleep(150 * time.Millisecond)
-	if _, err := client.Open("/data/f001"); err != nil {
-		t.Errorf("open after idle disconnect did not recover: %v", err)
-	}
-	st := client.Stats()
-	if st.BrokenConns == 0 {
-		t.Errorf("stats = %+v, want the idle drop recorded as a broken connection", st)
-	}
-	if st.Reconnects == 0 {
-		t.Errorf("stats = %+v, want a reconnect after the idle drop", st)
-	}
-	// A fresh connection still works too.
-	fresh, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fresh.Close()
-	if _, err := fresh.Open("/data/f001"); err != nil {
-		t.Errorf("fresh client failed: %v", err)
+	for _, retries := range []int{3, 0} {
+		t.Run(fmt.Sprintf("MaxRetries=%d", retries), func(t *testing.T) {
+			store := seededStore(t, 2)
+			_, addr := startServer(t, store, ServerConfig{IdleTimeout: 50 * time.Millisecond})
+			client, err := Dial(addr, ClientConfig{MaxRetries: retries})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Open("/data/f000"); err != nil {
+				t.Fatal(err)
+			}
+			// Stay silent past the idle timeout; the server must drop us.
+			time.Sleep(150 * time.Millisecond)
+			if _, err := client.Open("/data/f001"); err != nil {
+				t.Errorf("open after idle disconnect did not recover: %v", err)
+			}
+			st := client.Stats()
+			if st.BrokenConns == 0 {
+				t.Errorf("stats = %+v, want the idle drop recorded as a broken connection", st)
+			}
+			if st.Reconnects == 0 {
+				t.Errorf("stats = %+v, want a reconnect after the idle drop", st)
+			}
+			if st.Retries != 0 {
+				t.Errorf("stats = %+v, want the open after the idle drop sent again without a retry", st)
+			}
+			// A fresh connection still works too.
+			fresh, err := Dial(addr, ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			if _, err := fresh.Open("/data/f001"); err != nil {
+				t.Errorf("fresh client failed: %v", err)
+			}
+		})
 	}
 }
 

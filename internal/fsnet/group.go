@@ -7,13 +7,13 @@ import (
 )
 
 // Group is one group reply, carried unchanged through every layer that
-// touches it: at the client, the mux reader fills it with the chunk
-// frames the server sent and installs it from them; at the server, a
+// touches it: at the client, the call a reply answers fills it with the
+// chunk frames the server sent as it reads them and installs it from them; at the server, a
 // staged group is the same type with no frames — its Data are references
 // into the store — that the reply writes.
 //
 // A Group is reference counted and recycled. Whoever receives one from
-// the mux reader or NewGroup owns one reference and
+// a call's read or NewGroup owns one reference and
 // must Release it exactly once; Retain adds a reference and is only legal
 // while the caller provably holds a live one. After Release a holder
 // touches neither Files nor any Data: the last Release hands the frame
@@ -96,7 +96,7 @@ func decodeChunks(g *Group, path string) error {
 			return err
 		}
 		if held {
-			g.held |= 1 << i // the mux reader admits at most maxGroup (64) chunks
+			g.held |= 1 << i // a call's read admits at most maxGroup (64) chunks
 		}
 		g.paths = append(g.paths, p)
 		// Capacity-limited, so an append through one member cannot reach

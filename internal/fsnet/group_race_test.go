@@ -12,7 +12,7 @@ func liveGroups() (n int64, counted bool) { return LiveGroups(), true }
 // (Files) or overwritten (the frames its Data pointed into), and the
 // container's count stays at zero for good.
 func TestReleasedGroupIsPoisoned(t *testing.T) {
-	// A group as the mux reader builds one: a chunk frame from the pool,
+	// A group as a reading call builds one: a chunk frame from the pool,
 	// decoded in place.
 	g := NewGroup()
 	hdr := appendMemberChunkHdr(nil, 1, "/data/f000", 7, len("contents of /data/f000"), false)

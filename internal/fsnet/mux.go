@@ -19,25 +19,29 @@ import (
 // Requests leave on the goroutine that made them: a caller queues its call
 // and flushes the queue, and a caller that finds a flush under way leaves
 // its call to it, so calls that arrive together leave together (many
-// frames, one syscall). A reader goroutine decodes reply frames and
-// delivers each to the oldest call in flight, the head of a FIFO queue; a
-// frame for any other request is a protocol error. A group reply arrives
-// as a stream of msgMemberChunk frames closed by msgGroupEnd; the reader
-// accumulates the chunks, installs the completed group in the client's
-// cache — in the order the server sent the replies — and delivers the
-// demanded file. With a request timeout configured, the connection's read
-// deadline is the head call's deadline: the reader moves it as each call
-// completes and clears it when nothing is in flight, so a stalled reply
-// surfaces as a read error (the stream position is unknown by then). Any
+// frames, one syscall). Replies are read by the goroutine that made them
+// too: the call at the head of the in-flight queue reads frames until its
+// own reply is complete — a frame for any other request is a protocol
+// error — installs it, and only then hands the read role to the next call,
+// so replies install in the order the server sent them. A group reply
+// arrives as a stream of msgMemberChunk frames closed by msgGroupEnd; the
+// head accumulates the chunks, installs the completed group in the
+// client's cache and returns the demanded file. Calls behind the head wait
+// for the hand-off. With a request timeout configured, the connection's
+// deadline, in both directions, is the head call's own: the head arms it
+// when it takes the read role, so a stalled reply or a stalled flush
+// surfaces as an I/O error (the stream position is unknown by then). Any
 // transport or protocol error poisons the whole connection: every
 // in-flight call fails fast with ErrConnBroken, claimed piggyback history
 // is restored to the client in call order, and the connection is closed
-// and never reused.
+// and never reused. Nothing reads an idle connection, so a server's idle
+// close is noticed by the next call, which is sent once more on a fresh
+// connection if nothing of its reply arrived (Client.roundTrip).
 type muxConn struct {
 	c    *Client
 	l    *link // the slot this connection fills
 	conn net.Conn
-	r    *bufio.Reader
+	r    *bufio.Reader // read only by the call at the head of the queue
 	w    *bufio.Writer
 
 	// epoch is the view epoch the server's hello announced (0: no ring).
@@ -46,7 +50,8 @@ type muxConn struct {
 	mu     sync.Mutex
 	nextID uint64
 	// head and tail bound the calls in flight — queued or written, awaiting
-	// reply — oldest first, linked through muxCall.next.
+	// reply — oldest first, linked through muxCall.next. The head holds the
+	// read role.
 	head, tail *muxCall
 	queue      []*muxCall // awaiting a flush
 	freeQ      []*muxCall // recycled queue storage for the next batch
@@ -54,6 +59,9 @@ type muxConn struct {
 	broken     bool
 	err        error // first error, set when broken
 }
+
+// errTimedOut marks the transport error of a call whose deadline passed.
+var errTimedOut = errors.New("request timed out")
 
 // muxCall is one pipelined request.
 type muxCall struct {
@@ -75,33 +83,38 @@ type muxCall struct {
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
 	start time.Time
-	// deadline is the read deadline while the call heads the queue; zero
-	// without a configured timeout.
+	// deadline is the connection's deadline while the call heads the
+	// queue; zero without a configured timeout.
 	deadline time.Time
+	// idle marks a call that found a connection which had served earlier
+	// calls idle, until a byte of its reply arrives: a connection failing
+	// before then was most likely closed by its server while idle.
+	idle bool
 	// tctx is the call's trace context. A sampled context makes the
 	// flush emit one msgTraceCtx piggyback frame ahead of the request
 	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
 	// group accumulates the member-chunk payloads of a streamed group
-	// reply until its msgGroupEnd arrives. Owned by the reader while the
-	// call is in flight, then handed to the caller.
+	// reply until its msgGroupEnd arrives; the call reads it alone.
 	group *Group
-	// done receives exactly one result (buffered so the reader never
-	// blocks on a caller).
-	done chan muxResult
+	// done receives the read role (nil) when the call becomes the head of
+	// the queue, or the error that poisoned the connection. A call can be
+	// sent both, so there is room for both and neither send blocks.
+	done chan error
 }
 
-// muxCallPool recycles call objects (and their completion channels):
-// exactly one result is delivered and consumed per call, so a call is
-// free for reuse as soon as its caller has read the result.
+// muxCallPool recycles call objects (and their channels): a call that
+// completes has consumed everything ever sent to it, so it is free for
+// reuse as soon as its caller has its result.
 var muxCallPool = sync.Pool{
-	New: func() interface{} { return &muxCall{done: make(chan muxResult, 1)} },
+	New: func() interface{} { return &muxCall{done: make(chan error, 2)} },
 }
 
 func putMuxCall(call *muxCall) {
 	call.id, call.typ, call.path = 0, 0, ""
 	call.payload, call.claimed, call.group = nil, nil, nil
 	call.start, call.deadline = time.Time{}, time.Time{}
+	call.idle = false
 	call.tctx = otrace.Ctx{}
 	muxCallPool.Put(call)
 }
@@ -110,7 +123,7 @@ type muxResult struct {
 	typ     uint8
 	payload []byte
 	// data is a group reply's demanded file (typ msgGroupEnd, payload
-	// nil), as the reader installed it in the cache.
+	// nil), as the call installed it in the cache.
 	data []byte
 	err  error
 }
@@ -127,12 +140,13 @@ func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
 }
 
 // enqueue registers one call and flushes the queue, or leaves the call to
-// a flush under way. msgOpen payloads are not encoded here: the flush
-// claims the piggyback history and encodes at write time, preserving the
-// invariant that claims happen in request-ID order (a flush drains the
-// queue in ID order).
-func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (*muxCall, error) {
-	call := muxCallPool.Get().(*muxCall)
+// a flush under way; it reports whether the call heads the queue, and so
+// holds the read role from the start. msgOpen payloads are not encoded
+// here: the flush claims the piggyback history and encodes at write time,
+// preserving the invariant that claims happen in request-ID order (a flush
+// drains the queue in ID order).
+func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (call *muxCall, head bool, err error) {
+	call = muxCallPool.Get().(*muxCall)
 	call.typ = reqType
 	call.path = path
 	call.payload = payload
@@ -153,20 +167,16 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 		err := m.err
 		m.mu.Unlock()
 		putMuxCall(call)
-		return nil, err
+		return nil, false, err
 	}
 	m.nextID++
 	call.id = m.nextID
-	if m.tail == nil {
+	if head = m.tail == nil; head {
+		// The call makes an idle connection busy. Its deadline is armed
+		// before its request is written, so the flush is bounded too.
 		m.head = call
-		if timeout > 0 {
-			// The call makes an idle connection busy. Later calls are
-			// answered after it and share its timeout, so only the head's
-			// deadline is armed: the reader moves it on as each head
-			// completes. An error here means the connection is closed,
-			// which its reader reports.
-			_ = m.conn.SetReadDeadline(call.deadline)
-		}
+		call.idle = call.id > 1
+		m.arm(call)
 	} else {
 		m.tail.next = call
 	}
@@ -174,12 +184,22 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	m.queue = append(m.queue, call)
 	if m.flushing {
 		m.mu.Unlock()
-		return call, nil
+		return call, head, nil
 	}
 	m.flushing = true
 	m.mu.Unlock()
 	m.flush()
-	return call, nil
+	return call, head, nil
+}
+
+// arm makes the head call's deadline the connection's, for reads and
+// writes alike: the head reads its own reply, and every flush until the
+// next head arms is answered after it. An error means the connection is
+// closed, which the next read or write reports.
+func (m *muxConn) arm(call *muxCall) {
+	if m.l.timeout > 0 {
+		_ = m.conn.SetDeadline(call.deadline)
+	}
 }
 
 // flush writes the queue out in batches until it is empty: every queued
@@ -188,8 +208,7 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 // into one pooled scratch buffer per batch, after claiming the pending
 // piggyback history and the link's report — still under m.mu, so the
 // claim-order/ID-order invariant holds and the claimed slices are safely
-// published to the reader and poison paths. Called by the goroutine that
-// set flushing.
+// published to the poison path. Called by the goroutine that set flushing.
 func (m *muxConn) flush() {
 	for {
 		m.mu.Lock()
@@ -241,7 +260,7 @@ func (m *muxConn) flush() {
 		m.recycleBatch(batch)
 		if err != nil {
 			// The next pass finds the connection broken and stops.
-			m.poison(fmt.Errorf("%w: %v", ErrConnBroken, err))
+			m.poison(m.transportErr(err))
 		}
 	}
 }
@@ -258,20 +277,41 @@ func (m *muxConn) recycleBatch(batch []*muxCall) {
 	m.mu.Unlock()
 }
 
-// reader decodes replies and delivers each to the call at the head of the
-// queue. Streamed group replies accumulate on their call until the closing
-// msgGroupEnd. Any read or framing error — including Close of the
-// underlying connection and the head call's deadline passing — poisons the
-// mux, which fails all in-flight calls.
-func (m *muxConn) reader() {
+// transportErr wraps a read or write error of the connection, naming a
+// passed deadline as the request timeout.
+func (m *muxConn) transportErr(err error) error {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return fmt.Errorf("%w: %w after %v", ErrConnBroken, errTimedOut, m.l.timeout)
+	}
+	return fmt.Errorf("%w: %v", ErrConnBroken, err)
+}
+
+// await returns call's reply. A call behind the head first waits for the
+// read role, or for the error that poisoned the connection; the head then
+// reads frames until its reply is complete. Streamed group replies
+// accumulate on the call until the closing msgGroupEnd and are installed
+// before the read role passes on. Any read or framing error — including
+// Close of the underlying connection and the head's deadline passing —
+// poisons the mux, which fails all in-flight calls.
+func (m *muxConn) await(call *muxCall, head bool) muxResult {
+	if !head {
+		if err := <-call.done; err != nil {
+			return muxResult{err: err}
+		}
+		m.arm(call)
+	}
+	if call.idle {
+		// One byte of the reply shows the connection outlived its idle
+		// spell; until then a failure may be the server's idle close.
+		if _, err := m.r.Peek(1); err != nil {
+			return m.fail(call, m.transportErr(err))
+		}
+		call.idle = false
+	}
 	for {
 		typ, id, payload, err := readFrameID(m.r)
 		if err != nil {
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				err = fmt.Errorf("request timed out after %v", m.l.timeout)
-			}
-			m.poison(fmt.Errorf("%w: %v", ErrConnBroken, err))
-			return
+			return m.fail(call, m.transportErr(err))
 		}
 		if id == 0 && typ == msgViewHint {
 			// Unsolicited epoch announcement from the server's reply
@@ -281,19 +321,14 @@ func (m *muxConn) reader() {
 			epoch, _, derr := decodeViewMsg(payload)
 			putFrameBuf(payload)
 			if derr != nil {
-				m.poison(fmt.Errorf("%w: %v", ErrConnBroken, derr))
-				return
+				return m.fail(call, fmt.Errorf("%w: %v", ErrConnBroken, derr))
 			}
 			m.c.noteViewHint(m.l, epoch)
 			continue
 		}
-		m.mu.Lock()
-		call := m.head
-		if call == nil || call.id != id {
-			m.mu.Unlock()
+		if id != call.id {
 			putFrameBuf(payload)
-			m.poison(fmt.Errorf("%w: reply for request %d out of request order", ErrConnBroken, id))
-			return
+			return m.fail(call, fmt.Errorf("%w: reply for request %d out of request order", ErrConnBroken, id))
 		}
 		switch typ {
 		case msgMemberChunk:
@@ -301,90 +336,87 @@ func (m *muxConn) reader() {
 				call.group = NewGroup()
 			}
 			if len(call.group.bufs) >= maxGroup {
-				m.mu.Unlock()
 				putFrameBuf(payload)
-				m.poison(fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
-				return
+				return m.fail(call, fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
 			}
-			first := len(call.group.bufs) == 0
 			call.group.bufs = append(call.group.bufs, payload)
-			m.mu.Unlock()
-			if first && !call.start.IsZero() {
+			if len(call.group.bufs) == 1 && !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
 		case msgGroupEnd:
-			m.retire()
-			m.mu.Unlock()
-			n, derr := decodeGroupEnd(payload)
+			n, err := decodeGroupEnd(payload)
 			putFrameBuf(payload)
-			g := call.group
-			call.group = nil
-			if derr == nil && (g == nil || n != len(g.bufs)) {
+			got := 0
+			if call.group != nil {
+				got = len(call.group.bufs)
+			}
+			switch {
+			case err != nil:
+			case n != got:
 				// decodeGroupEnd rejects a count of zero, so a group end
 				// with no chunks before it lands here too.
-				got := 0
-				if g != nil {
-					got = len(g.bufs)
+				err = fmt.Errorf("group end declares %d members, got %d", n, got)
+			case call.typ != msgOpen:
+				err = fmt.Errorf("group reply to request type %d", call.typ)
+			default:
+				// Installed before the read role passes on, in the order
+				// the server sent its replies: a reply may vouch for a
+				// member an earlier one delivered.
+				g := call.group
+				call.group = nil
+				var data []byte
+				if data, err = m.c.install(m, call, g); err == nil {
+					return m.retire(call, muxResult{typ: msgGroupEnd, data: data})
 				}
-				derr = fmt.Errorf("group end declares %d members, got %d", n, got)
 			}
-			if derr == nil && call.typ != msgOpen {
-				derr = fmt.Errorf("group reply to request type %d", call.typ)
-			}
-			var data []byte
-			if derr == nil {
-				// Installed here, in the order the server sent its replies:
-				// a reply may vouch for a member an earlier one delivered.
-				data, derr = m.c.install(m, call, g)
-			} else if g != nil {
-				g.Release()
-			}
-			if derr != nil {
-				werr := fmt.Errorf("%w: %v", ErrConnBroken, derr)
-				// The stream is untrustworthy beyond this point; the call
-				// has already left the queue, so fail it directly after
-				// poisoning the rest.
-				m.poison(werr)
-				call.done <- muxResult{err: werr}
-				return
-			}
-			call.done <- muxResult{typ: msgGroupEnd, data: data}
+			return m.fail(call, fmt.Errorf("%w: %v", ErrConnBroken, err))
 		default:
 			if call.group != nil {
 				// A single-frame reply to a call that has already buffered
-				// member chunks cuts a streamed group short: the call stays
-				// queued, so the poison fails it and recycles its chunks.
-				m.mu.Unlock()
+				// member chunks cuts a streamed group short.
 				putFrameBuf(payload)
-				m.poison(fmt.Errorf("%w: reply type %d inside the streamed group of request %d", ErrConnBroken, typ, id))
-				return
+				return m.fail(call, fmt.Errorf("%w: reply type %d inside the streamed group of request %d", ErrConnBroken, typ, id))
 			}
-			m.retire()
-			m.mu.Unlock()
 			if !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
-			call.done <- muxResult{typ: typ, payload: payload}
+			return m.retire(call, muxResult{typ: typ, payload: payload})
 		}
 	}
 }
 
-// retire takes the head call, which the reader has answered, off the
-// queue and moves the read deadline to the next call's — or clears it when
-// nothing is left in flight. Called with mu held.
-func (m *muxConn) retire() {
-	call := m.head
-	m.head, call.next = call.next, nil
-	var deadline time.Time
-	if m.head == nil {
+// retire takes the head call, which has its reply, off the queue and hands
+// the read role to the next call. A connection poisoned meanwhile fails
+// the call with the rest: the poison already restored its claimed history.
+func (m *muxConn) retire(call *muxCall, res muxResult) muxResult {
+	m.mu.Lock()
+	if m.broken {
+		err := m.err
+		m.mu.Unlock()
+		putFrameBuf(res.payload)
+		return muxResult{err: err}
+	}
+	next := call.next
+	m.head, call.next = next, nil
+	if next == nil {
 		m.tail = nil
-	} else {
-		deadline = m.head.deadline
 	}
-	if m.l.timeout > 0 {
-		// An error means the connection is closed: the next read fails.
-		_ = m.conn.SetReadDeadline(deadline)
+	m.mu.Unlock()
+	if next != nil {
+		next.done <- nil
 	}
+	return res
+}
+
+// fail ends the head call's read on err: it releases the chunks the call
+// buffered and poisons the connection, and the call fails with the error
+// that poisoned it.
+func (m *muxConn) fail(call *muxCall, err error) muxResult {
+	if call.group != nil {
+		call.group.Release()
+		call.group = nil
+	}
+	return muxResult{err: m.poison(err)}
 }
 
 // observeTTFB records a call's time-to-first-byte, attaching the trace
@@ -402,13 +434,15 @@ func (m *muxConn) observeTTFB(call *muxCall) {
 // poison marks the mux broken, closes the connection, restores every
 // unanswered call's claimed history to the client (oldest call first),
 // empties the client's connection slot, and fails every unanswered call
-// with err, front of the queue to back. Idempotent; only the first error
-// wins.
-func (m *muxConn) poison(err error) {
+// with err, front of the queue to back; the head, reading, finds the
+// closed connection. Idempotent: only the first error wins, and poison
+// returns it.
+func (m *muxConn) poison(err error) error {
 	m.mu.Lock()
 	if m.broken {
+		err = m.err
 		m.mu.Unlock()
-		return
+		return err
 	}
 	m.broken = true
 	m.err = err
@@ -433,11 +467,8 @@ func (m *muxConn) poison(err error) {
 
 	for call := orphans; call != nil; {
 		next := call.next
-		if call.group != nil {
-			call.group.Release()
-			call.group = nil
-		}
-		call.done <- muxResult{err: err}
+		call.done <- err
 		call = next
 	}
+	return err
 }

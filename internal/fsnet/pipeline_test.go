@@ -323,3 +323,38 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 		t.Errorf("Handoffs %d Errors %d, want 1 and 0", st.Handoffs, st.Errors)
 	}
 }
+
+// TestClientStartsNoGoroutine: a client starts no goroutine of its own —
+// every call writes its request and reads its reply on the goroutine that
+// made it — so Dial and 100 opens, most of them fetches, leave the process
+// exactly one goroutine more than before: the server's read loop for the
+// new connection.
+func TestClientStartsNoGoroutine(t *testing.T) {
+	const files = 8
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{})
+	before := runtime.NumGoroutine()
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for i := 0; i < 100; i++ {
+		if _, err := client.Open(fmt.Sprintf("/data/f%03d", i%files)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := client.Stats(); st.Fetches < 50 {
+		t.Fatalf("Fetches = %d, want most of the 100 opens to read a reply", st.Fetches)
+	}
+	// A goroutine some earlier test left winding down may still be
+	// counted; one the client started would stay while it is open.
+	const server = 1
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before+server; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Dial and 100 opens, %d before plus %d of the server's:\n%s",
+				runtime.NumGoroutine(), before, server, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

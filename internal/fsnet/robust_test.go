@@ -43,9 +43,9 @@ func TestClientTimeoutBoundsStalledRequest(t *testing.T) {
 }
 
 // TestClientTimeoutFailsPipelinedCalls: three opens are in flight on one
-// connection whose writes are parked, so no reply can come. The read
-// deadline armed by the first of them fails all three with the timed-out
-// error, and the next open redials and succeeds.
+// connection whose writes are parked, so no reply can come. The deadline
+// the first of them armed, for writes as well as reads, fails all three
+// with the timed-out error, and the next open redials and succeeds.
 func TestClientTimeoutFailsPipelinedCalls(t *testing.T) {
 	// The deadline runs from the first open's enqueue, so the other two
 	// must join the queue within the timeout. An attempt in which the
@@ -147,6 +147,44 @@ func pipelinedTimeout(t *testing.T, timeout time.Duration) bool {
 		t.Fatalf("open after the timed-out connection: %v", err)
 	}
 	return true
+}
+
+// TestClientWatchdogRearmsAfterIdle: the deadline the last call armed has
+// passed while the connection sat idle, and the next call must arm its
+// own before it writes — a request that stalls after a quiet spell still
+// fails within its timeout, with the typed transport error, and is not
+// sent again: a timeout is no idle close.
+func TestClientWatchdogRearmsAfterIdle(t *testing.T) {
+	router := newPeerRouter()
+	defer close(router.release)
+	_, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: router})
+	const timeout = 100 * time.Millisecond
+	client, err := Dial(addr, ClientConfig{Timeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	if _, err := client.Open("/data/f000"); err != nil {
+		t.Fatal(err)
+	}
+	// Long enough for a deadline left armed by that open to have fired.
+	time.Sleep(3 * timeout)
+	start := time.Now()
+	_, err = client.Open("/remote/never")
+	if !errors.Is(err, ErrConnBroken) || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("stalled open err = %v, want a timed-out ErrConnBroken", err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > 20*timeout {
+		t.Errorf("stalled open failed after %v, want about %v", elapsed, timeout)
+	}
+	if st := client.Stats(); st.Reconnects != 0 {
+		t.Errorf("Reconnects = %d after the stalled open, want 0: a timed-out call is not sent again", st.Reconnects)
+	}
+	// The poisoned connection is replaced and serves again.
+	if _, err := client.Open("/data/f001"); err != nil {
+		t.Fatalf("open after the timed-out connection was replaced: %v", err)
+	}
 }
 
 // TestClientPoisonsConnAfterIOError: after any I/O failure the connection

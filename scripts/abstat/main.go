@@ -2,7 +2,7 @@
 // collects them, into one JSON document on standard output: per workload
 // and end-to-end metric of BENCHMARK.json, the medians and quartiles of
 // both sides, the pairs each side won, and one verdict; and per workload
-// and diagnostic the runs printed, the medians and quartiles alone.
+// and diagnostic the medians, quartiles and pairs won, with no verdict.
 //
 // Usage:
 //
@@ -12,8 +12,14 @@
 // line of each run, one per line, line i of both files being pair i. It
 // may hold WORKLOAD.base.diag.jsonl and WORKLOAD.head.diag.jsonl too: one
 // JSON object of diagnostic values (loadgen.ops_per_s, …) per run, in the
-// same order. A diagnostic has no bound and gets no verdict, and one that
-// some run lacks is left out.
+// same order. A diagnostic has no bound and gets no verdict; its pairs are
+// won in the direction BENCHMARK.json's per_layer declares, and one that
+// per_layer does not list, or that some run lacks, is left out.
+//
+// One diagnostic is derived from each run's end-to-end metrics rather than
+// printed: server_misses_per_open = server_miss_rate × (1 − client_hit_rate),
+// the server misses per client open (lower is better). It is exact while
+// every client miss is one open served by the server it reaches.
 //
 // The verdict follows the simplicity review's rules, with each metric's
 // bound taken as a share of the base side's median:
@@ -47,6 +53,10 @@ type benchmarkSpec struct {
 		Better string  `json:"better"`
 		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
+	PerLayer []struct {
+		Name   string `json:"name"`
+		Better string `json:"better"`
+	} `json:"per_layer"`
 }
 
 // runResult is the JSON line one benchmark run ends with.
@@ -83,10 +93,14 @@ type metricReport struct {
 
 // diagnosticReport compares a metric that has no bound.
 type diagnosticReport struct {
-	Base sideStats `json:"base"`
-	Head sideStats `json:"head"`
+	Better string    `json:"better"`
+	Base   sideStats `json:"base"`
+	Head   sideStats `json:"head"`
 	// Change is the head median relative to the base median, minus one.
 	Change float64 `json:"change"`
+	Wins   int     `json:"head_wins"`
+	Losses int     `json:"head_losses"`
+	Ties   int     `json:"ties"`
 }
 
 type workloadReport struct {
@@ -152,9 +166,13 @@ func run(benchPath, dir, base, head string, workloads []string) error {
 			rep.Metrics[m.Name] = compare(b, h, m.Better == "higher", m.Bound)
 			rep.Metrics[m.Name].Better = m.Better
 		}
-		if rep.Diagnostics, err = diagnostics(dir, w, len(baseRuns)); err != nil {
+		if rep.Diagnostics, err = diagnostics(dir, w, len(baseRuns), directions(spec)); err != nil {
 			return err
 		}
+		if rep.Diagnostics == nil {
+			rep.Diagnostics = make(map[string]*diagnosticReport)
+		}
+		rep.Diagnostics["server_misses_per_open"] = compareDiag(serverMissesPerOpen(baseRuns), serverMissesPerOpen(headRuns), "lower")
 		doc.Workloads[w] = rep
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
@@ -185,8 +203,27 @@ func readRuns(path string) ([]runResult, error) {
 	return runs, sc.Err()
 }
 
-// diagnostics compares w's diagnostic files in dir, when there are any.
-func diagnostics(dir, w string, pairs int) (map[string]*diagnosticReport, error) {
+// directions maps each per_layer metric to the way it is better.
+func directions(spec benchmarkSpec) map[string]string {
+	better := make(map[string]string, len(spec.PerLayer))
+	for _, m := range spec.PerLayer {
+		better[m.Name] = m.Better
+	}
+	return better
+}
+
+// serverMissesPerOpen derives each run's server misses per client open.
+func serverMissesPerOpen(runs []runResult) []float64 {
+	vs := make([]float64, len(runs))
+	for i, r := range runs {
+		vs[i] = r.Metrics["server_miss_rate"].Value * (1 - r.Metrics["client_hit_rate"].Value)
+	}
+	return vs
+}
+
+// diagnostics compares w's diagnostic files in dir, when there are any;
+// better gives each diagnostic's direction.
+func diagnostics(dir, w string, pairs int, better map[string]string) (map[string]*diagnosticReport, error) {
 	base, err := readDiag(filepath.Join(dir, w+".base.diag.jsonl"))
 	if err != nil || base == nil {
 		return nil, err
@@ -201,16 +238,23 @@ func diagnostics(dir, w string, pairs int) (map[string]*diagnosticReport, error)
 	reps := make(map[string]*diagnosticReport)
 	for name := range base[0] {
 		b, h := diagValues(base, name), diagValues(head, name)
-		if b == nil || h == nil {
+		if b == nil || h == nil || better[name] == "" {
 			continue
 		}
-		r := &diagnosticReport{Base: stats(b), Head: stats(h)}
-		if r.Base.Median != 0 {
-			r.Change = r.Head.Median/r.Base.Median - 1
-		}
-		reps[name] = r
+		reps[name] = compareDiag(b, h, better[name])
 	}
 	return reps, nil
+}
+
+// compareDiag compares the head runs h of a diagnostic against the base
+// runs b, pair i being b[i] and h[i]; better is "higher" or "lower".
+func compareDiag(b, h []float64, better string) *diagnosticReport {
+	r := &diagnosticReport{Better: better, Base: stats(b), Head: stats(h)}
+	if r.Base.Median != 0 {
+		r.Change = r.Head.Median/r.Base.Median - 1
+	}
+	r.Wins, r.Losses, r.Ties = tally(b, h, betterFunc(better == "higher"))
+	return r
 }
 
 // readDiag reads one side's diagnostic lines; nil when the file is absent.
@@ -280,23 +324,9 @@ func values(runs []runResult, name string) []float64 {
 // compare judges the head runs h against the base runs b, pair i being
 // b[i] and h[i].
 func compare(b, h []float64, higher bool, bound float64) *metricReport {
-	better := func(x, y float64) bool { // x better than y
-		if higher {
-			return x > y
-		}
-		return x < y
-	}
+	better := betterFunc(higher)
 	r := &metricReport{Bound: bound, Base: stats(b), Head: stats(h)}
-	for i := range b {
-		switch {
-		case better(h[i], b[i]):
-			r.Wins++
-		case better(b[i], h[i]):
-			r.Losses++
-		default:
-			r.Ties++
-		}
-	}
+	r.Wins, r.Losses, r.Ties = tally(b, h, better)
 	bm, hm := r.Base.Median, r.Head.Median
 	iqr := r.Base.Q3 - r.Base.Q1
 	if bm != 0 {
@@ -327,6 +357,29 @@ func compare(b, h []float64, higher bool, bound float64) *metricReport {
 		r.Verdict = "unchanged"
 	}
 	return r
+}
+
+// betterFunc reports whether x is better than y.
+func betterFunc(higher bool) func(x, y float64) bool {
+	if higher {
+		return func(x, y float64) bool { return x > y }
+	}
+	return func(x, y float64) bool { return x < y }
+}
+
+// tally counts the pairs (b[i], h[i]) the head won, lost and tied.
+func tally(b, h []float64, better func(x, y float64) bool) (wins, losses, ties int) {
+	for i := range b {
+		switch {
+		case better(h[i], b[i]):
+			wins++
+		case better(b[i], h[i]):
+			losses++
+		default:
+			ties++
+		}
+	}
+	return wins, losses, ties
 }
 
 // stats returns the median and quartiles of vs (linear interpolation
