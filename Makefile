@@ -92,6 +92,13 @@ ignore-guard:
 # reader goroutine: the call at the head of the queue reads its own reply,
 # installs it and hands the read role to the next call, arming its own
 # deadline for reads and writes alike, so a client starts no goroutine.
+# So is the pooled, reference-counted group reply and its race-build
+# scribble and live count: a reply has one owner at a time — the server
+# stages its members on the connection's reply writer, the client call
+# that reads it keeps its chunk frames and installs from them — and the
+# server builds each open's group once (core's ServeGroup). So is the
+# client's stack of spare history arrays: a claim swaps the backlog's
+# array for the claiming call's empty one.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -119,6 +126,7 @@ lint-dead:
 	@! grep -rnE 'func \(m \*muxConn\) expire|m\.watching|map\[uint64\]\*muxCall' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'func \(m \*muxConn\) reader|go m\.reader\(\)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'time\.AfterFunc' --include='*.go' --exclude='*_test.go' internal/fsnet
+	@! grep -rnE 'func \(g \*Group\) Retain|groupPool|scribbleReleased|LiveGroups|pendingFree|freePending|AppendBuildGroup' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -133,9 +141,10 @@ race:
 # the race detector: the call at the head of the queue reads its own reply
 # and hands the read role on, so these are the tests a lost or doubled
 # hand-off, an install out of arrival order or a deadline left unarmed
-# fails, some of them only now and then.
+# fails, some of them only now and then; and the two that cut a group
+# reply short, at the client mid-stream and at a dead reply writer.
 mux-race:
-	$(GO) test -race -count 10 -run '^(TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -64,8 +64,8 @@ func (tc *testCluster) opener(t testing.TB, seed int, paths []string) func() {
 
 // TestAllocBudgetOwnerDirectFetch pins a miss of a path another node
 // owns: the client sends it straight to the owner over a connection of its
-// own, the owner stages its group into a pooled fsnet.Group and writes it
-// from the store, and the client keeps it in one slab — the only
+// own, the owner stages its group on the connection's reply writer and
+// writes it from the store, and the client keeps it in one slab — the only
 // allocation, the same budget as a fetch from a lone server
 // (TestAllocBudgetLocalFetch). The budget was 1 too while an entry node
 // relayed the owner's frames; the hop it took is gone.

@@ -157,9 +157,9 @@ type AggregatingCache struct {
 	stats   Stats
 	m       coreMetrics
 
-	// groupBuf is the reused per-miss group scratch: fetchGroup builds
-	// into it via Builder.AppendBuild and consumes it immediately, so
-	// the miss path performs no group allocation.
+	// groupBuf is the reused per-miss group scratch: Serve builds into
+	// it via Builder.AppendBuild and installs it at once, so the miss
+	// path performs no group allocation.
 	groupBuf []trace.FileID
 }
 
@@ -242,6 +242,30 @@ func (c *AggregatingCache) LearnFrom(src uint64, ids ...trace.FileID) {
 // Serve performs the caching half of an access: hit bookkeeping or a group
 // fetch. Callers that also Learn the same stream should use Access.
 func (c *AggregatingCache) Serve(id trace.FileID) bool {
+	if c.demand(id) {
+		return true
+	}
+	c.groupBuf = c.builder.AppendBuild(c.groupBuf[:0], id)
+	c.install(c.groupBuf)
+	return false
+}
+
+// ServeGroup is Serve for a server that answers every open with its
+// group: it appends the group for id to dst — built once, and installed
+// if the access missed — and returns the extended slice with the hit.
+func (c *AggregatingCache) ServeGroup(dst []trace.FileID, id trace.FileID) ([]trace.FileID, bool) {
+	hit := c.demand(id)
+	start := len(dst)
+	dst = c.builder.AppendBuild(dst, id)
+	if !hit {
+		c.install(dst[start:])
+	}
+	return dst, hit
+}
+
+// demand counts one demand access to id as a hit or a miss and reports
+// the hit.
+func (c *AggregatingCache) demand(id trace.FileID) bool {
 	if hit, speculative := c.lru.Demand(id); hit {
 		c.stats.Hits++
 		c.m.hits.Inc()
@@ -253,16 +277,13 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 	}
 	c.stats.Misses++
 	c.m.misses.Inc()
-	c.fetchGroup(id)
 	return false
 }
 
-// fetchGroup retrieves the group for id and installs it. The whole group
-// transfers (the server makes a best-effort retrieval of g files); where
-// its files land, and what makes room for them, is cache.GroupLRU's rule.
-func (c *AggregatingCache) fetchGroup(id trace.FileID) {
-	c.groupBuf = c.builder.AppendBuild(c.groupBuf[:0], id)
-	g := c.groupBuf
+// install fetches the missed group g. The whole group transfers (the
+// server makes a best-effort retrieval of g files); where its files land,
+// and what makes room for them, is cache.GroupLRU's rule.
+func (c *AggregatingCache) install(g []trace.FileID) {
 	c.stats.GroupFetches++
 	c.stats.FilesFetched += uint64(len(g))
 	c.m.groupSize.Observe(uint64(len(g)))
@@ -304,18 +325,9 @@ func (c *AggregatingCache) Stats() Stats {
 func (c *AggregatingCache) Tracker() *successor.Tracker { return c.tracker }
 
 // BuildGroup returns the group that a demand miss on id would fetch right
-// now, without touching cache state. Network servers use this to answer
-// group retrievals.
+// now, without touching cache state.
 func (c *AggregatingCache) BuildGroup(id trace.FileID) []trace.FileID {
 	return c.builder.Build(id)
-}
-
-// AppendBuildGroup is BuildGroup into caller-owned storage: the group is
-// appended to dst and the extended slice returned, so the server's open
-// hot path reuses one scratch slice per request instead of allocating a
-// group per miss.
-func (c *AggregatingCache) AppendBuildGroup(dst []trace.FileID, id trace.FileID) []trace.FileID {
-	return c.builder.AppendBuild(dst, id)
 }
 
 // SaveMetadata persists the successor metadata (the paper keeps the

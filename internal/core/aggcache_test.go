@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -230,6 +231,46 @@ func TestBuildGroupDoesNotTouchState(t *testing.T) {
 	}
 	if agg.Stats() != before {
 		t.Error("BuildGroup changed stats")
+	}
+}
+
+// TestServeGroupIsServeAndBuildGroup: ServeGroup returns the group
+// BuildGroup would have built just before it, on hits and misses alike,
+// and leaves the cache and its Stats exactly as Serve does.
+func TestServeGroupIsServeAndBuildGroup(t *testing.T) {
+	cfg := Config{Capacity: 12, GroupSize: 4}
+	served, grouped := mustNew(t, cfg), mustNew(t, cfg)
+	rng := rand.New(rand.NewSource(1))
+	var scratch []trace.FileID
+	hits := 0
+	for i := 0; i < 2000; i++ {
+		id := trace.FileID(rng.Intn(30))
+		served.LearnFrom(1, id)
+		grouped.LearnFrom(1, id)
+		want := grouped.BuildGroup(id)
+		wantHit := served.Serve(id)
+		var hit bool
+		scratch, hit = grouped.ServeGroup(scratch[:0], id)
+		if hit != wantHit {
+			t.Fatalf("access %d of %d: ServeGroup hit = %v, Serve hit = %v", i, id, hit, wantHit)
+		}
+		if !slices.Equal(scratch, want) {
+			t.Fatalf("access %d of %d (hit %v): ServeGroup group = %v, BuildGroup = %v", i, id, hit, scratch, want)
+		}
+		if grouped.Stats() != served.Stats() {
+			t.Fatalf("access %d of %d (hit %v): ServeGroup stats %+v, Serve stats %+v", i, id, hit, grouped.Stats(), served.Stats())
+		}
+		for f := trace.FileID(0); f < 30; f++ {
+			if grouped.Contains(f) != served.Contains(f) {
+				t.Fatalf("access %d: residency of %d differs", i, f)
+			}
+		}
+		if hit {
+			hits++
+		}
+	}
+	if hits == 0 || hits == 2000 {
+		t.Fatalf("%d hits in 2000 accesses: the stream must both hit and miss", hits)
 	}
 }
 

@@ -294,17 +294,15 @@ type Client struct {
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	tags    []uint64        // by FileID: the tag data[id] arrived (or was written) under
-	pending []string        // access history awaiting piggybacking
-	// pendingFree stacks the storage of successfully delivered claims,
-	// handed back so the backlog regrows without reallocating after every
-	// sweep. A claim in flight has taken its array with it, so k pipelined
-	// claims need k arrays: a new one is only made when the stack is empty,
-	// which bounds the stack by the most claims ever in flight at once.
-	pendingFree [][]string
-	gidScratch  []trace.FileID
-	reported    []trace.FileID // appendOpen's scratch
-	stats       ClientStats
-	closed      bool
+	// pending is the access history awaiting piggybacking. A claim takes
+	// its array and leaves the claiming call's empty one in its place, so
+	// the backlog regrows without reallocating.
+	pending    []string
+	reply      groupReply // install's decode of the reply it installs
+	gidScratch []trace.FileID
+	reported   []trace.FileID // appendOpen's scratch
+	stats      ClientStats
+	closed     bool
 
 	viewMu sync.Mutex
 	// viewChecked is set once the seed's hello has been seen and, if it
@@ -717,26 +715,28 @@ func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
 }
 
 // install is the tail of a fetch's read: it validates the group reply to
-// call, an open, installs it in the cache, counts the open, and returns
-// the demanded file's contents. It releases g. The call installs before it
+// call, an open, out of the chunk frames the call kept, installs it in the
+// cache, counts the open, and returns the demanded file's contents; the
+// frames go back to the frame pool either way. The call installs before it
 // hands the read role on, which keeps the order the server sent the
 // connection's replies in, the order its residency table assumed: a reply
 // may vouch for a member an earlier reply delivered.
-func (c *Client) install(m *muxConn, call *muxCall, g *Group) ([]byte, error) {
-	defer g.Release()
-	// A call installs only a group its msgGroupEnd counted, and the count
-	// is never zero: g has members.
-	if err := decodeChunks(g, call.path); err != nil {
-		return nil, err
-	}
+func (c *Client) install(m *muxConn, call *muxCall) ([]byte, error) {
+	defer call.putChunks()
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	g := &c.reply
+	defer g.reset()
+	// A call installs only a group its msgGroupEnd counted, and the count
+	// is never zero: the reply has members.
+	if err := decodeChunks(g, call.chunks, call.path); err != nil {
+		return nil, err
+	}
 	c.stats.Opens++
 	c.stats.Fetches++
 	// The reply leads with path (decodeChunks), so path exists: interning
-	// the caller's string here saves installViews materialising a copy.
-	c.ids.Intern(call.path)
-	return c.installViews(g, m), nil
+	// the caller's string saves installViews materialising a copy.
+	return c.installViews(g, m, c.ids.Intern(call.path)), nil
 }
 
 // toSeed is the route of every verb but an open: the seed's connection.
@@ -916,13 +916,15 @@ func (c *Client) pullView(l *link) error {
 // appendOpen encodes one open for l's connection: the demanded path, the
 // piggybacked history and l's residency report. The history claimed is
 // returned for restorePending should the connection die before the
-// server saw it. Called by the mux's flush with its lock held.
-func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed []string) {
+// server saw it; spare is the claiming call's empty array, returned when
+// there is nothing to claim. Called by the mux's flush with its lock held.
+func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_ []byte, claimed []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var accessed []string
+	claimed = spare
 	if len(c.pending) > 0 {
-		accessed, claimed = c.claimPending(path)
+		accessed, claimed = c.claimPending(path, spare)
 	}
 	dst = appendOpenRequest(dst, path, accessed)
 	return c.appendReport(dst, l), claimed
@@ -933,10 +935,11 @@ func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed
 // for the demanded path itself (the server appends the demanded open on
 // arrival), capped at the protocol limit by dropping the oldest overflow
 // — and the slice to hand to restorePending should the attempt fail
-// before the server saw it. Called with mu held.
-func (c *Client) claimPending(path string) (accessed, claimed []string) {
+// before the server saw it. spare, an empty array, takes the claimed
+// one's place. Called with mu held.
+func (c *Client) claimPending(path string, spare []string) (accessed, claimed []string) {
 	claimed = c.pending
-	c.pending = nil
+	c.pending = spare
 	accessed = claimed
 	if n := len(accessed); accessed[n-1] == path {
 		accessed = accessed[:n-1]
@@ -987,9 +990,8 @@ func (c *Client) appendReport(dst []byte, l *link) []byte {
 	return dst
 }
 
-// appendPending adds one path to the piggyback backlog — the one way in —
-// reviving a recycled claim's storage when the backlog is empty. The
-// backlog is bounded by the protocol limit and keeps the newest: at the
+// appendPending adds one path to the piggyback backlog — the one way in.
+// The backlog is bounded by the protocol limit and keeps the newest: at the
 // bound the oldest quarter is shed in one block (amortised constant work
 // an access), counted, never silently. Called with mu held.
 func (c *Client) appendPending(path string) {
@@ -1000,10 +1002,6 @@ func (c *Client) appendPending(path string) {
 		c.pending = c.pending[:kept]
 		c.noteShed(shed)
 	}
-	if n := len(c.pendingFree); c.pending == nil && n > 0 {
-		c.pending, c.pendingFree[n-1] = c.pendingFree[n-1], nil
-		c.pendingFree = c.pendingFree[:n-1]
-	}
 	c.pending = append(c.pending, path)
 }
 
@@ -1012,21 +1010,6 @@ func (c *Client) appendPending(path string) {
 func (c *Client) noteShed(n int) {
 	c.stats.HistoryDropped += uint64(n)
 	c.m.historyDropped.Add(uint64(n))
-}
-
-// freePending recycles a claimed history the server has consumed: its
-// storage backs a later backlog. String refs are dropped so the recycled
-// array does not pin old paths.
-func (c *Client) freePending(claimed []string) {
-	if cap(claimed) == 0 {
-		return
-	}
-	for i := range claimed {
-		claimed[i] = ""
-	}
-	c.mu.Lock()
-	c.pendingFree = append(c.pendingFree, claimed[:0])
-	c.mu.Unlock()
 }
 
 // restorePending prepends a claimed history that the server never saw, so
@@ -1064,10 +1047,10 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // owner first hands the request to another member, once, without a
 // retry; a peer of another protocol version is not retried at all.
 // Application errors are returned to the caller undisturbed, with the
-// connection they came on. The returned payload — or, for a streamed
-// group reply, each chunk of the returned group — aliases a pooled
-// buffer; the caller recycles the payload, or releases the group, after
-// decoding.
+// connection they came on. The returned payload aliases a pooled
+// buffer, which the caller recycles after decoding; a streamed group
+// reply was installed by the call that read it, and comes back as the
+// demanded file's contents.
 func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, *muxConn, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
@@ -1143,8 +1126,7 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	// A reply means the flush sent the request and is done with the call,
 	// and the call consumed all it was sent: it is free for reuse. The
 	// server consumed the piggybacked history the call claimed, so its
-	// storage can back the next backlog.
-	c.freePending(call.claimed)
+	// array can back a later backlog.
 	putMuxCall(call)
 	return res, false, nil
 }
@@ -1407,17 +1389,18 @@ func (c *Client) noteBroken() {
 //
 // What m's server now believes — every member it sent in full is held at
 // its tag — is recorded for m's link, and every member is marked on every
-// link, so each report says what differs. Called with mu held.
-func (c *Client) installViews(g *Group, m *muxConn) []byte {
+// link, so each report says what differs. demanded is the interned id of
+// the demanded file, which leads the reply. Called with mu held.
+func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) []byte {
 	l := m.l
 	current := l.mux == m
 	ids := c.gidScratch[:0]
-	var file [maxGroup]uint8 // ids[k] is g.Files[file[k]]
+	var file [maxGroup]uint8 // ids[k] is g.files[file[k]]
 	for i := range g.paths {
 		c.stats.FilesReceived++
-		c.stats.BytesReceived += uint64(len(g.Files[i].Data))
+		c.stats.BytesReceived += uint64(len(g.files[i].Data))
 		if g.held&(1<<i) != 0 {
-			tag := g.Files[i].Tag
+			tag := g.files[i].Tag
 			mid := c.ids.InternBytes(g.paths[i])
 			c.ensureDense(mid)
 			if tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
@@ -1435,7 +1418,10 @@ func (c *Client) installViews(g *Group, m *muxConn) []byte {
 			ids = append(ids, mid)
 			continue
 		}
-		mid := c.ids.InternBytes(g.paths[i])
+		mid := demanded
+		if i > 0 {
+			mid = c.ids.InternBytes(g.paths[i])
+		}
 		c.ensureDense(mid)
 		file[len(ids)] = uint8(i)
 		ids = append(ids, mid)
@@ -1446,7 +1432,7 @@ func (c *Client) installViews(g *Group, m *muxConn) []byte {
 	size := 0
 	for k, mid := range ids {
 		if i := file[k]; g.held&(1<<i) == 0 && c.lru.Contains(mid) {
-			size += len(g.Files[i].Data)
+			size += len(g.files[i].Data)
 		}
 	}
 	slab := make([]byte, size)
@@ -1456,15 +1442,15 @@ func (c *Client) installViews(g *Group, m *muxConn) []byte {
 			continue
 		}
 		if c.lru.Contains(mid) {
-			n := copy(slab, g.Files[i].Data)
+			n := copy(slab, g.files[i].Data)
 			// Capacity-limited, so an append through one member cannot
 			// reach into the next.
 			c.data[mid], slab = slab[:n:n], slab[n:]
-			c.tags[mid] = g.Files[i].Tag
+			c.tags[mid] = g.files[i].Tag
 		}
 		c.markAll(mid)
 		if current {
-			l.known[mid] = g.Files[i].Tag
+			l.known[mid] = g.files[i].Tag
 		}
 	}
 	if l.fails > 0 {

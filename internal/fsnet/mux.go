@@ -25,8 +25,9 @@ import (
 // error — installs it, and only then hands the read role to the next call,
 // so replies install in the order the server sent them. A group reply
 // arrives as a stream of msgMemberChunk frames closed by msgGroupEnd; the
-// head accumulates the chunks, installs the completed group in the
-// client's cache and returns the demanded file. Calls behind the head wait
+// head keeps the chunks' frames, installs the completed group in the
+// client's cache straight out of them, hands them back to the frame pool
+// and returns the demanded file. Calls behind the head wait
 // for the hand-off. With a request timeout configured, the connection's
 // deadline, in both directions, is the head call's own: the head arms it
 // when it takes the read role, so a stalled reply or a stalled flush
@@ -78,7 +79,8 @@ type muxCall struct {
 	// pending list when the flush encoded it; it is restored if the
 	// connection dies before the server demonstrably processed the call.
 	// Calls poisoned before they were written have no claim — their
-	// history simply stayed on the pending list.
+	// history simply stayed on the pending list. Between claims it is the
+	// empty array a claim leaves on the pending list in its place.
 	claimed []string
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
@@ -94,9 +96,10 @@ type muxCall struct {
 	// flush emit one msgTraceCtx piggyback frame ahead of the request
 	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
-	// group accumulates the member-chunk payloads of a streamed group
-	// reply until its msgGroupEnd arrives; the call reads it alone.
-	group *Group
+	// chunks are the member-chunk frames of a streamed group reply, in
+	// arrival order, kept until its msgGroupEnd arrives and the call
+	// installs them; the call reads and holds them alone.
+	chunks [][]byte
 	// done receives the read role (nil) when the call becomes the head of
 	// the queue, or the error that poisoned the connection. A call can be
 	// sent both, so there is room for both and neither send blocks.
@@ -110,9 +113,14 @@ var muxCallPool = sync.Pool{
 	New: func() interface{} { return &muxCall{done: make(chan error, 2)} },
 }
 
+// putMuxCall recycles a call that has its reply. The server consumed
+// the history it claimed, so the claim's array is kept, emptied, to back
+// a later backlog.
 func putMuxCall(call *muxCall) {
 	call.id, call.typ, call.path = 0, 0, ""
-	call.payload, call.claimed, call.group = nil, nil, nil
+	call.payload = nil
+	clear(call.claimed)
+	call.claimed = call.claimed[:0]
 	call.start, call.deadline = time.Time{}, time.Time{}
 	call.idle = false
 	call.tctx = otrace.Ctx{}
@@ -230,7 +238,7 @@ func (m *muxConn) flush() {
 				continue
 			}
 			start := len(enc)
-			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path)
+			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path, call.claimed)
 			call.payload = enc[start:]
 		}
 		m.mu.Unlock()
@@ -332,46 +340,37 @@ func (m *muxConn) await(call *muxCall, head bool) muxResult {
 		}
 		switch typ {
 		case msgMemberChunk:
-			if call.group == nil {
-				call.group = NewGroup()
-			}
-			if len(call.group.bufs) >= maxGroup {
+			if len(call.chunks) >= maxGroup {
 				putFrameBuf(payload)
 				return m.fail(call, fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
 			}
-			call.group.bufs = append(call.group.bufs, payload)
-			if len(call.group.bufs) == 1 && !call.start.IsZero() {
+			call.chunks = append(call.chunks, payload)
+			if len(call.chunks) == 1 && !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
 		case msgGroupEnd:
 			n, err := decodeGroupEnd(payload)
 			putFrameBuf(payload)
-			got := 0
-			if call.group != nil {
-				got = len(call.group.bufs)
-			}
 			switch {
 			case err != nil:
-			case n != got:
+			case n != len(call.chunks):
 				// decodeGroupEnd rejects a count of zero, so a group end
 				// with no chunks before it lands here too.
-				err = fmt.Errorf("group end declares %d members, got %d", n, got)
+				err = fmt.Errorf("group end declares %d members, got %d", n, len(call.chunks))
 			case call.typ != msgOpen:
 				err = fmt.Errorf("group reply to request type %d", call.typ)
 			default:
 				// Installed before the read role passes on, in the order
 				// the server sent its replies: a reply may vouch for a
 				// member an earlier one delivered.
-				g := call.group
-				call.group = nil
 				var data []byte
-				if data, err = m.c.install(m, call, g); err == nil {
+				if data, err = m.c.install(m, call); err == nil {
 					return m.retire(call, muxResult{typ: msgGroupEnd, data: data})
 				}
 			}
 			return m.fail(call, fmt.Errorf("%w: %v", ErrConnBroken, err))
 		default:
-			if call.group != nil {
+			if len(call.chunks) > 0 {
 				// A single-frame reply to a call that has already buffered
 				// member chunks cuts a streamed group short.
 				putFrameBuf(payload)
@@ -408,15 +407,21 @@ func (m *muxConn) retire(call *muxCall, res muxResult) muxResult {
 	return res
 }
 
-// fail ends the head call's read on err: it releases the chunks the call
-// buffered and poisons the connection, and the call fails with the error
-// that poisoned it.
+// fail ends the head call's read on err: it hands the chunks the call
+// kept back to the frame pool and poisons the connection, and the call
+// fails with the error that poisoned it.
 func (m *muxConn) fail(call *muxCall, err error) muxResult {
-	if call.group != nil {
-		call.group.Release()
-		call.group = nil
-	}
+	call.putChunks()
 	return muxResult{err: m.poison(err)}
+}
+
+// putChunks hands the chunk frames the call kept back to the frame pool.
+func (call *muxCall) putChunks() {
+	for i, b := range call.chunks {
+		putFrameBuf(b)
+		call.chunks[i] = nil
+	}
+	call.chunks = call.chunks[:0]
 }
 
 // observeTTFB records a call's time-to-first-byte, attaching the trace

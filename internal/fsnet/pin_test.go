@@ -90,7 +90,7 @@ func runPinScript(t *testing.T, addr string) string {
 			rc.send(t, msgOpen, id, encodeOpenRequest(openRequest{Path: step.path, Accessed: step.accessed, Report: received}))
 			received = nil
 		}
-		var files []fileData
+		var files []GroupFile
 		var tags []byte
 		for done := false; !done; {
 			typ, gotID, payload, err := readFrameID(rc.r)
@@ -103,7 +103,7 @@ func runPinScript(t *testing.T, addr string) string {
 				if err != nil || held {
 					t.Fatalf("step %d chunk: held=%v, %v", i, held, err)
 				}
-				files = append(files, fileData{Path: string(path), Data: data})
+				files = append(files, GroupFile{Path: string(path), Data: data})
 				tags = binary.BigEndian.AppendUint64(tags, tag)
 				received = append(received, reported{Path: string(path)})
 				continue

@@ -133,11 +133,6 @@ const (
 // ErrNotFound is returned by Client.Open for missing files.
 var ErrNotFound = errors.New("fsnet: file not found")
 
-// fileData is one file in a group reply; the serving path's name for
-// GroupFile, so routed and locally staged groups reach the reply writer
-// as the same slice type.
-type fileData = GroupFile
-
 // GroupFile is one file of a group, as exposed to code embedding the
 // client or server — the cluster peer tier (internal/cluster) routes
 // whole groups of these between nodes. The demanded file always leads a

@@ -95,7 +95,7 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 // the form the reply-hash pin was captured in.
 const msgGroupV1 = uint8(2)
 
-func appendGroupResponse(dst []byte, files []fileData) []byte {
+func appendGroupResponse(dst []byte, files []GroupFile) []byte {
 	dst = appendUvarint(dst, uint64(len(files)))
 	for _, f := range files {
 		dst = appendString(dst, f.Path)

@@ -50,14 +50,14 @@ func (rs *residency) apply(s *Server, report []reportEntry) {
 // the demanded file first — and returns the members to send header-only:
 // bit i set means files[i] is one the client holds at that very tag. The
 // demanded file is never held. Every other member is recorded as sent.
-func (rs *residency) send(ids *trace.SyncInterner, files []fileData) (held uint64) {
+func (rs *residency) send(files []member) (held uint64) {
 	for i := range files {
-		id := ids.Intern(files[i].Path)
-		if tag := files[i].Tag; i > 0 && tag != 0 && int(id) < len(rs.tags) && rs.tags[id] == tag {
+		id, tag := files[i].id, files[i].Tag
+		if i > 0 && tag != 0 && int(id) < len(rs.tags) && rs.tags[id] == tag {
 			held |= 1 << i
 			continue
 		}
-		rs.set(id, files[i].Tag)
+		rs.set(id, tag)
 	}
 	return held
 }

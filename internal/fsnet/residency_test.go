@@ -257,7 +257,7 @@ func replayValidated(t *testing.T, tr *trace.Trace, nodes, capacity, g int) (Cli
 // and the client honours every one the servers sent.
 func TestShadowMatchesClient(t *testing.T) {
 	opens := 20000
-	if _, race := liveGroups(); race || testing.Short() {
+	if raceBuild || testing.Short() {
 		opens = 4000 // the per-open snapshot of the cache is slow under the detector
 	}
 	cells := []struct{ capacity, g int }{{32, 5}, {128, 3}, {8, 5}, {64, 1}, {512, 8}}

@@ -115,11 +115,8 @@ func TestClusterRouterNotFound(t *testing.T) {
 }
 
 // TestClusterRouterErrorsStayPerRequest: a router's error fails its own
-// request with CodeInternal; the connection keeps serving, and nothing
-// the server built for the failed open stays referenced (race builds
-// count the balance).
+// request with CodeInternal; the connection keeps serving.
 func TestClusterRouterErrorsStayPerRequest(t *testing.T) {
-	base, counted := liveGroups()
 	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: &scriptedRouter{internalErr: true}})
 	client, err := Dial(addr, ClientConfig{})
 	if err != nil {
@@ -140,23 +137,17 @@ func TestClusterRouterErrorsStayPerRequest(t *testing.T) {
 	if st := srv.Stats(); st.RemoteOpens != 0 || st.Errors != 1 || st.Panics != 0 {
 		t.Errorf("RemoteOpens %d Errors %d Panics %d, want 0, 1 and 0", st.RemoteOpens, st.Errors, st.Panics)
 	}
-	_ = srv.Close() // waits for the read loops: no reply is in flight
-	if now, _ := liveGroups(); counted && now != base {
-		t.Errorf("%d groups still referenced, want 0", now-base)
-	}
 }
 
 // TestInlineRouterMalformedGroupStaysPerRequest: a group that does not
 // lead with the demanded file — an empty one included — fails its own
 // request with CodeInternal, by the server's check and not a recovered
-// panic; the connection keeps serving the requests that follow, and the
-// server releases the rejected group (race builds count the balance).
+// panic; the connection keeps serving the requests that follow.
 func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
 	for name, router := range map[string]*scriptedRouter{
 		"empty":      {empty: true},
 		"wrong head": {wrongHead: true},
 	} {
-		base, counted := liveGroups()
 		srv, addr := startServer(t, seededStore(t, 2), ServerConfig{Router: router})
 		rc := rawHello(t, rawDial(t, addr))
 		_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -178,10 +169,6 @@ func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
 		}
 		if st := srv.Stats(); st.RemoteOpens != 0 || st.Errors != 2 || st.Panics != 0 {
 			t.Errorf("%s: RemoteOpens %d Errors %d Panics %d, want 0, 2 and 0", name, st.RemoteOpens, st.Errors, st.Panics)
-		}
-		_ = srv.Close() // waits for the read loops: no reply is in flight
-		if now, _ := liveGroups(); counted && now != base {
-			t.Errorf("%s: %d groups still referenced, want 0", name, now-base)
 		}
 	}
 }

@@ -550,8 +550,10 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 	case msgOpen:
 		// The demanded and piggybacked paths are interned straight out of
 		// the pooled frame buffer — no path strings, no Accessed slice —
-		// and the group is built in pooled scratch.
-		g, errResp, err := s.openView(payload, src, &rw.res, tctx)
+		// the group is built in pooled scratch, and its members are staged
+		// on the reply writer from start on.
+		start := len(rw.staged)
+		errResp, err := s.openView(payload, src, rw, tctx)
 		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
@@ -562,7 +564,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			return
 		}
 		s.m.streamed.Add(1)
-		rw.sendGroup(id, g)
+		rw.sendGroup(id, start)
 	case msgWrite:
 		path, data, err := parseWriteRequest(payload)
 		if err != nil {
@@ -795,21 +797,21 @@ var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch
 // the group is built in pooled scratch. A router sees the interner's own
 // strings for the same paths, so a routed open decodes without
 // allocating either. A non-nil error reports a malformed payload (the
-// caller answers CodeBadRequest without counting a request). The caller
-// owns one reference to the returned group, which leads with the demanded
-// file.
+// caller answers CodeBadRequest without counting a request). An open
+// answered with its group leaves the members staged at the end of
+// rw.staged, the demanded file first; any other answer stages nothing.
 //
-// res, the connection's residency table, takes the request's report
-// before anything is answered.
-func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrace.Ctx) (*Group, errorResponse, error) {
+// rw's residency table takes the request's report before anything is
+// answered.
+func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otrace.Ctx) (errorResponse, error) {
 	sc := openScratchPool.Get().(*openScratch)
 	defer openScratchPool.Put(sc)
 	pathView, views, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
 	sc.views, sc.report = views, report
 	if err != nil {
-		return nil, errorResponse{}, err
+		return errorResponse{}, err
 	}
-	res.apply(s, report)
+	rw.res.apply(s, report)
 
 	var start time.Time
 	timed := s.m.timed() || tctx.Sampled
@@ -823,7 +825,7 @@ func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrac
 	if !routed {
 		s.m.requests.Add(1)
 		if !exists {
-			return nil, errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
+			return errorResponse{Code: CodeNotFound, Message: string(pathView)}, nil
 		}
 	}
 	sc.ids, sc.accessed = sc.ids[:0], sc.accessed[:0]
@@ -856,45 +858,44 @@ func (s *Server) openView(payload []byte, src uint64, res *residency, tctx otrac
 	if routed {
 		// The router comes first: a path another node owns is answered by
 		// that node, present in the local store or not.
-		g, errResp, handled := s.routeOpen(path, sc.accessed)
+		errResp, handled := s.routeOpen(rw, path, sc.accessed)
 		if handled {
 			if timed {
 				s.observeServed(tctx, "forward", path, start)
 			}
-			return g, errResp, nil
+			return errResp, nil
 		}
 		if !exists {
-			return nil, errorResponse{Code: CodeNotFound, Message: path}, nil
+			return errorResponse{Code: CodeNotFound, Message: path}, nil
 		}
 	}
-	g, errResp := s.serveOpen(id, path, src, sc, timed, start, tctx)
-	return g, errResp, nil
+	return s.serveOpen(rw, id, path, src, sc, timed, start, tctx), nil
 }
 
 // serveOpen is the local tail of an open: learn the piggybacked
 // transitions, stage the group through the aggregating cache, and read
-// the members' contents. sc.ids holds the interned access history; the
-// demanded id is appended to it.
-func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) (*Group, errorResponse) {
+// the members' contents onto rw. sc.ids holds the interned access
+// history; the demanded id is appended to it.
+func (s *Server) serveOpen(rw *replyWriter, id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) errorResponse {
 	// Piggybacked history first (oldest..newest), then the demanded
 	// open, preserving the client's true access order: one call learns
 	// the whole request.
 	sc.ids = append(sc.ids, id)
 	s.aggMu.Lock()
 	s.agg.LearnFrom(src, sc.ids...)
-	// Stage the group into the server memory cache; hit-or-miss selects
-	// the latency phase below.
-	hit := s.agg.Serve(id)
-	sc.group = s.agg.AppendBuildGroup(sc.group[:0], id)
+	// Stage the group into the server memory cache, built once for the
+	// cache and the reply; hit-or-miss selects the latency phase below.
+	var hit bool
+	sc.group, hit = s.agg.ServeGroup(sc.group[:0], id)
 	s.aggMu.Unlock()
 
-	g := s.stageGroup(sc.group)
-	if g == nil {
+	n := s.stageGroup(rw, sc.group)
+	if n == 0 {
 		// The file vanished between the existence check and the staged
 		// read; rare, and the learning above recorded a genuine access.
-		return nil, errorResponse{Code: CodeNotFound, Message: path}
+		return errorResponse{Code: CodeNotFound, Message: path}
 	}
-	s.m.sent.Add(uint64(len(g.Files)))
+	s.m.sent.Add(uint64(n))
 	if timed {
 		phase := "stage"
 		if hit {
@@ -902,7 +903,7 @@ func (s *Server) serveOpen(id trace.FileID, path string, src uint64, sc *openScr
 		}
 		s.observeServed(tctx, phase, path, start)
 	}
-	return g, errorResponse{}
+	return errorResponse{}
 }
 
 // observeServed finishes one timed open: the phase span for a sampled
@@ -929,52 +930,57 @@ func (s *Server) observeServed(tctx otrace.Ctx, phase, path string, start time.T
 // request once the router has answered. handled=false means the caller
 // serves the request locally (the router declined: the path is locally
 // owned, or its owner is down and the open degrades to a local fetch). A
-// handled group comes with one reference for the caller: a pooled
-// container holding the router's files.
-func (s *Server) routeOpen(path string, accessed []string) (g *Group, errResp errorResponse, handled bool) {
+// handled group's files are copied onto rw, each with its path interned.
+func (s *Server) routeOpen(rw *replyWriter, path string, accessed []string) (errResp errorResponse, handled bool) {
 	files, handled, err := s.cfg.Router.RouteOpen(path, accessed)
 	s.m.requests.Add(1)
 	switch {
 	case !handled:
-		return nil, errorResponse{}, false
+		return errorResponse{}, false
 	case err == nil && (len(files) == 0 || files[0].Path != path):
-		return nil, errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true
+		return errorResponse{Code: CodeInternal, Message: "router returned malformed group"}, true
 	case err == nil:
-		g = NewGroup()
-		g.Files = append(g.Files, files[:min(len(files), maxGroup)]...)
+		files = files[:min(len(files), maxGroup)]
+		for _, f := range files {
+			rw.staged = append(rw.staged, member{GroupFile: f, id: s.ids.Intern(f.Path)})
+		}
 		s.m.remote.Add(1)
-		s.m.sent.Add(uint64(len(g.Files)))
-		return g, errorResponse{}, true
+		s.m.sent.Add(uint64(len(files)))
+		return errorResponse{}, true
 	case errors.Is(err, ErrNotFound):
-		return nil, errorResponse{Code: CodeNotFound, Message: path}, true
+		return errorResponse{Code: CodeNotFound, Message: path}, true
 	default:
-		return nil, errorResponse{Code: CodeInternal, Message: err.Error()}, true
+		return errorResponse{Code: CodeInternal, Message: err.Error()}, true
 	}
 }
 
 // stageGroup reads the built group — demanded file first — from the
-// store into a pooled Group: the best-effort read of §3, so a member that
-// has vanished is skipped and only a missing demanded file fails the open
-// (nil).
+// store onto rw and returns how many members it staged: the best-effort
+// read of §3, so a member that has vanished is skipped and only a missing
+// demanded file fails the open (0, nothing staged).
 //
 // The contents are zero-copy references into the store (getRef), each with
-// the tag the store gave it: Put
-// replaces a path's slice wholesale, so a staged ref can never be
-// mutated underneath the reply writer. The caller owns the group's one
-// reference.
-func (s *Server) stageGroup(group []trace.FileID) *Group {
-	g := NewGroup()
+// the tag the store gave it: Put replaces a path's slice wholesale, so a
+// staged ref can never be mutated underneath the reply writer.
+func (s *Server) stageGroup(rw *replyWriter, group []trace.FileID) int {
+	start := len(rw.staged)
 	for i, gid := range group {
 		p := s.ids.Path(gid)
 		d, tag, ok := s.store.getRef(p)
 		if ok {
-			g.Files = append(g.Files, fileData{Path: p, Data: d, Tag: tag})
+			rw.staged = append(rw.staged, member{GroupFile: GroupFile{Path: p, Data: d, Tag: tag}, id: gid})
 		} else if i == 0 {
-			g.Release()
-			return nil
+			return 0
 		}
 	}
-	return g
+	return len(rw.staged) - start
+}
+
+// member is one staged member of a group reply: the file, and the FileID
+// its group was built with.
+type member struct {
+	GroupFile
+	id trace.FileID
 }
 
 // replyWriter batches the replies of one pipelined connection. Only the
@@ -996,6 +1002,9 @@ type replyWriter struct {
 
 	queue []reply
 	dead  bool
+	// staged holds the members of the queued group replies, each reply a
+	// window into it; flush clears it for the next batch.
+	staged []member
 
 	// The scatter-gather scratch, reused per batch, and the view-hint
 	// piggyback state — the epoch last announced on this connection, so a
@@ -1014,11 +1023,10 @@ type reply struct {
 	// writer hands it back once the bytes are on the wire (or the write
 	// side is dead).
 	pooled bool
-	// group, when non-nil, is a streamed group reply (typ and payload are
-	// unused): one msgMemberChunk per file, in order — the demanded file
-	// first — plus a closing msgGroupEnd. The reply owns one reference,
-	// released once the batch is written or dropped.
-	group *Group
+	// A typ of msgGroupEnd is a streamed group reply (payload unused):
+	// one msgMemberChunk per member of staged[lo:hi], in order — the
+	// demanded file first — plus the closing msgGroupEnd.
+	lo, hi int
 }
 
 // sendError queues an error reply and counts it.
@@ -1032,18 +1040,27 @@ func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
 	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
 }
 
-// sendGroup queues one streamed group reply, taking over the caller's
-// reference to g.
-func (rw *replyWriter) sendGroup(id uint64, g *Group) {
-	rw.enqueue(reply{id: id, group: g})
+// sendGroup queues one streamed group reply: the members staged from lo
+// on.
+func (rw *replyWriter) sendGroup(id uint64, lo int) {
+	rw.enqueue(reply{id: id, typ: msgGroupEnd, lo: lo, hi: len(rw.staged)})
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
 	if rw.dead {
+		// Nothing is queued on a dead writer, so nothing staged is needed.
 		rep.drop()
+		rw.unstage()
 		return
 	}
 	rw.queue = append(rw.queue, rep)
+}
+
+// unstage drops every staged member, so the reused storage pins no
+// store contents.
+func (rw *replyWriter) unstage() {
+	clear(rw.staged)
+	rw.staged = rw.staged[:0]
 }
 
 // flush writes the queued replies in one batch. A failed write marks the
@@ -1060,6 +1077,7 @@ func (rw *replyWriter) flush() {
 		rw.queue[i].drop()
 	}
 	rw.queue = rw.queue[:0]
+	rw.unstage()
 	if err != nil {
 		rw.dead = true
 		rw.s.disconnect(rw.conn, err)
@@ -1092,19 +1110,19 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 	}
 	for i := range batch {
 		rep := &batch[i]
-		if rep.group != nil {
+		if rep.typ == msgGroupEnd {
 			// The demanded file leads, the rest follow in arrival order —
 			// each in full unless the connection's residency table shows
 			// the client holding it at this very tag.
-			files := rep.group.Files
-			held := rw.res.send(rw.s.ids, files)
+			files := rw.staged[rep.lo:rep.hi]
+			held := rw.res.send(files)
 			for k := range files {
 				skip := held&(1<<k) != 0
 				if skip {
 					rw.s.m.validated.Inc()
 					rw.s.m.validatedBytes.Add(uint64(len(files[k].Data)))
 				}
-				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[k], skip)
+				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[k].GroupFile, skip)
 			}
 			var cnt [10]byte // uvarint member count
 			n := binary.PutUvarint(cnt[:], uint64(len(files)))
@@ -1130,7 +1148,7 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 // appendMemberChunk adds one member to a batch: its chunk header in the
 // arena and, unless the client holds it (held), its contents referenced
 // where they lie.
-func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f fileData, held bool) ([]byte, net.Buffers) {
+func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f GroupFile, held bool) ([]byte, net.Buffers) {
 	start := len(arena)
 	arena = appendMemberChunkHdr(arena, id, f.Path, f.Tag, len(f.Data), held)
 	if bufs = append(bufs, arena[start:]); !held {
@@ -1139,14 +1157,11 @@ func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f fileData, he
 	return arena, bufs
 }
 
-// drop gives up what a reply holds — its pooled payload, its reference
-// to its group — once it is on the wire or will never be.
+// drop gives up a reply's pooled payload once it is on the wire or will
+// never be.
 func (rep *reply) drop() {
 	if rep.pooled {
 		putFrameBuf(rep.payload)
-	}
-	if rep.group != nil {
-		rep.group.Release()
 	}
 	*rep = reply{}
 }
