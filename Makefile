@@ -98,7 +98,12 @@ ignore-guard:
 # that reads it keeps its chunk frames and installs from them — and the
 # server builds each open's group once (core's ServeGroup). So is the
 # client's stack of spare history arrays: a claim swaps the backlog's
-# array for the claiming call's empty one.
+# array for the claiming call's empty one. So is the process-wide frame
+# pool, its boxing trick and the open path's scratch pool: a frame's bytes
+# belong to the connection that reads them, each end reads and encodes
+# into buffers its connection keeps (bounded by maxKeptBuf), and every
+# reply is decoded before the read role passes on, so nothing hands a
+# frame back.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -127,6 +132,7 @@ lint-dead:
 	@! grep -rnE 'func \(m \*muxConn\) reader|go m\.reader\(\)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'time\.AfterFunc' --include='*.go' --exclude='*_test.go' internal/fsnet
 	@! grep -rnE 'func \(g \*Group\) Retain|groupPool|scribbleReleased|LiveGroups|pendingFree|freePending|AppendBuildGroup' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'frameBufPool|boxPool|getFrameBuf|putFrameBuf|getEncodeBuf|openScratchPool|putChunks' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -141,10 +147,12 @@ race:
 # the race detector: the call at the head of the queue reads its own reply
 # and hands the read role on, so these are the tests a lost or doubled
 # hand-off, an install out of arrival order or a deadline left unarmed
-# fails, some of them only now and then; and the two that cut a group
-# reply short, at the client mid-stream and at a dead reply writer.
+# fails, some of them only now and then; the two that cut a group reply
+# short, at the client mid-stream and at a dead reply writer; and five
+# verbs in flight at once, each of which must decode its reply before the
+# next call reads into the connection's reply buffer.
 mux-race:
-	$(GO) test -race -count 10 -run '^(TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestPipelinedVerbsDecodeTheirOwnReplies|TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

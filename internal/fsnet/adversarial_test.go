@@ -126,7 +126,7 @@ func TestAdversarialBadRequests(t *testing.T) {
 		t.Errorf("malformed open: error code = %d, want CodeBadRequest", e.Code)
 	}
 	rc.send(t, msgOpen, 3, appendOpenRequest(nil, "/data/f000", nil))
-	if typ, id, _, err := readFrameID(rc.r); err != nil || typ != msgMemberChunk || id != 3 {
+	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 3 {
 		t.Fatalf("open after two bad requests = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
 	if st := srv.Stats(); st.Errors != 2 || st.Requests != 1 {
@@ -148,11 +148,10 @@ func TestPiggybackedMissingPathsAreNotInterned(t *testing.T) {
 				t.Helper()
 				rc.send(t, msgOpen, id, appendOpenRequest(nil, "/data/f000", accessed))
 				for {
-					typ, gotID, payload, err := readFrameID(rc.r)
+					typ, gotID, _, err := readFrameID(rc.r, nil)
 					if err != nil || gotID != id || (typ != msgMemberChunk && typ != msgGroupEnd) {
 						t.Fatalf("open %d: reply type %d id %d, %v; want its group stream", id, typ, gotID, err)
 					}
-					putFrameBuf(payload)
 					if typ == msgGroupEnd {
 						return
 					}
@@ -331,7 +330,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	}
 	// The connection survives its handler's panic.
 	rc.send(t, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil))
-	if typ, id, _, err := readFrameID(rc.r); err != nil || typ != msgMemberChunk || id != 2 {
+	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 2 {
 		t.Fatalf("open after the panic = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
 
@@ -346,7 +345,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	_ = clientConn.SetDeadline(time.Now().Add(2 * time.Second))
 	pc := rawHello(t, clientConn)
 	pc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil))
-	if _, _, _, err := readFrameID(pc.r); err == nil {
+	if _, _, _, err := readFrameID(pc.r, nil); err == nil {
 		t.Error("connection outlived a read-loop panic")
 	}
 	if got := srv.Stats().Panics; got != 2 {

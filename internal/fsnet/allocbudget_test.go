@@ -1,8 +1,11 @@
 package fsnet
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"net"
+	"runtime/debug"
 	"testing"
 
 	"aggcache/internal/alloctest"
@@ -38,9 +41,10 @@ func fetchAllocs(t *testing.T, router OpenRouter) float64 {
 
 // TestAllocBudgetLocalFetch pins the plain fetch, no router configured:
 // the client's slab for the fetched group — the cache's immutable storage
-// — and nothing else. The server stages into a pooled Group the reply
-// writer releases once written, so its result slice (the second
-// allocation of the old budget) is gone.
+// — and nothing else. The server stages the group's members on the
+// connection's reply writer, so its result slice (the second allocation
+// of the old budget) is gone, and both ends read and encode frames in
+// buffers their connection keeps.
 func TestAllocBudgetLocalFetch(t *testing.T) {
 	if allocs := fetchAllocs(t, nil); allocs != 1 {
 		t.Errorf("local fetch allocates %.0f objects, budget exactly 1", allocs)
@@ -89,8 +93,8 @@ func TestAllocBudgetFirstSightFetch(t *testing.T) {
 // caller's reused buffer and the test measured through that; through Open
 // itself the parent cost the same 2 (its copy-out is now the slab). A
 // reused buffer's 0-alloc fetch is what immutable cache storage gives up.
-// Now 1: the staged group is pooled like every other reply, which leaves
-// the client's slab.
+// Now 1: the group is staged on the connection like every other reply,
+// which leaves the client's slab.
 func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 	if allocs := fetchAllocs(t, newPeerRouter()); allocs != 1 {
 		t.Errorf("routed-local open allocates %.0f objects, budget exactly 1", allocs)
@@ -184,9 +188,9 @@ func TestAllocBudgetClientHit(t *testing.T) {
 // client cache costs the same: the local refresh points the slot at the
 // tail of the encoded request, new storage that nothing overwrites, so a
 // slice an earlier Open returned keeps the old bytes. That is also why the
-// encoded request is not pooled: for a resident path its tail is the cache
-// slot's new immutable storage, so recycling it would fork the write path
-// on residency.
+// encoded request is not the connection's request batch: for a resident
+// path its tail is the cache slot's new immutable storage, so reusing it
+// would fork the write path on residency.
 func TestAllocBudgetWrite(t *testing.T) {
 	_, addr := startServer(t, seededStore(t, 2), ServerConfig{})
 	client, err := Dial(addr, ClientConfig{})
@@ -219,5 +223,130 @@ func TestAllocBudgetWrite(t *testing.T) {
 	}
 	if fresh, err := client.Open("/data/f001"); err != nil || !bytes.Equal(fresh, data) {
 		t.Errorf("Open after the Write = %d bytes, %v; want the %d written", len(fresh), err, len(data))
+	}
+}
+
+// TestKeptBuffersStayUnderBound pins the retention bound on both ends of a
+// connection: a write larger than maxKeptBuf, then a group whose member is
+// larger, each leave every buffer the connection keeps — the server's
+// request buffer, the client's request batch and reply buffer — as it was
+// before, under the bound, and the reply arena is under it when the
+// connection ends. Each large frame is read into a buffer of its own,
+// dropped after it, so a round of the two and a fetch of a group the size
+// of the repository benchmark's (five 16 KiB files) allocates those two
+// buffers, the large write's and open's own objects, and for the fetch its
+// slab alone: the kept buffers still fit it.
+func TestKeptBuffersStayUnderBound(t *testing.T) {
+	const (
+		files    = 8
+		fileSize = 16 << 10
+	)
+	store := NewStore()
+	paths := make([]string, files)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/data/f%03d", i)
+		if err := store.Put(paths[i], bytes.Repeat([]byte{byte('a' + i)}, fileSize)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := NewServer(store, ServerConfig{GroupSize: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The server end is served by hand, so the test sees the reply writer
+	// that holds its buffers; a pipe orders what the test reads of them
+	// after what the server wrote.
+	local, remote := net.Pipe()
+	rw := &replyWriter{s: srv, conn: local}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r := bufio.NewReaderSize(local, connBufSize)
+		if srv.handshake(local, r) {
+			srv.serve(rw, r, 1)
+		}
+	}()
+	client, err := NewClient(remote, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = client.Close()
+		<-served
+	}()
+	i := 0
+	fetch := func() {
+		d, err := client.Open(paths[i%files])
+		if err != nil || len(d) != fileSize || d[0] != byte('a'+i%files) {
+			t.Fatalf("open %s = %d bytes, %v", paths[i%files], len(d), err)
+		}
+		i++
+	}
+	big := bytes.Repeat([]byte{'z'}, maxKeptBuf+64<<10)
+	write := func() {
+		if err := client.Write("/big", big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func() {
+		if d, err := client.Open("/big"); err != nil || !bytes.Equal(d, big) {
+			t.Fatalf("open /big = %d bytes, %v", len(d), err)
+		}
+	}
+	// The server learns the cycle and every buffer grows to a group; then
+	// a first round of large frames and the fetches after it have both
+	// ends learn /big, so the counted fetch sees nothing for the first time.
+	for i < 8*files {
+		fetch()
+	}
+	write()
+	open()
+	for i < 16*files {
+		fetch()
+	}
+	before := client.Stats()
+	fetch()
+	if st := client.Stats(); st.FilesReceived-before.FilesReceived != 5 || st.BytesReceived-before.BytesReceived != 5*fileSize {
+		t.Fatalf("a fetch received %d files, %d bytes; want a group of five in full", st.FilesReceived-before.FilesReceived, st.BytesReceived-before.BytesReceived)
+	}
+
+	client.mu.Lock()
+	m := client.seed.mux
+	client.mu.Unlock()
+	kept := func() [3]int { return [3]int{cap(rw.req), cap(m.enc), cap(m.rbuf)} }
+	grown := kept()
+	if grown[2] < 5*fileSize || grown[2] > maxKeptBuf {
+		t.Fatalf("reply buffer of %d bytes after fetches of %d", grown[2], 5*fileSize)
+	}
+	write()
+	if now := kept(); now != grown {
+		t.Errorf("after a write larger than the bound, request buffer, request batch and reply buffer hold %v bytes; want %v, as before", now, grown)
+	}
+	open()
+	if now := kept(); now != grown {
+		t.Errorf("after a group with a member larger than the bound, request buffer, request batch and reply buffer hold %v bytes; want %v, as before", now, grown)
+	}
+	if !raceBuild { // allocation counts are pinned without the race detector
+		// Collection is off because of a known defect, not a cost of the
+		// connection's: the client's piggyback-history arrays travel in
+		// pooled calls, so a collection that empties muxCallPool drops
+		// them and the next Open regrows its backlog in appendPending
+		// (ROADMAP item 18 (c)). Once that is mended, count with
+		// collection on and revisit this budget.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		round := func() {
+			write()
+			open()
+			fetch()
+		}
+		if allocs := testing.AllocsPerRun(10, round); allocs != 6 {
+			t.Errorf("a round of a large write, a large open and a fetch allocates %.0f objects, budget exactly 6: "+
+				"the encoded write, the server's buffer for it, the store's copy, the client's buffer for the large reply, its slab and the fetch's slab", allocs)
+		}
+	}
+	_ = client.Close()
+	<-served
+	if cap(rw.arena) > maxKeptBuf {
+		t.Errorf("reply arena of %d bytes kept, bound %d", cap(rw.arena), maxKeptBuf)
 	}
 }

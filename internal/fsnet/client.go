@@ -33,6 +33,12 @@ var ErrProtocolVersion = errors.New("fsnet: peer speaks another protocol version
 
 var errClientClosed = errors.New("fsnet: client closed")
 
+// errDesync fails a call whose reply arrived whole but did not decode, or
+// had a type its request cannot have. The server may already have applied
+// the request, so the call is neither rerouted nor retried; the calls
+// queued behind it were not answered and are.
+var errDesync = errors.New("desynchronized reply stream")
+
 // errMemberGone fails a call on the connection of a member that left the
 // view; the open is routed again.
 var errMemberGone = fmt.Errorf("%w: member left the view", ErrConnBroken)
@@ -556,15 +562,8 @@ func (c *Client) Handoff(anchor string, members []string) error {
 		}
 	}
 	payload := encodeHandoffRequest(handoffRequest{Anchor: anchor, Members: members})
-	res, m, err := c.roundTrip(c.toSeed, msgHandoff, "", payload, otrace.Ctx{})
-	if err != nil {
-		return err
-	}
-	defer putFrameBuf(res.payload)
-	if res.typ != msgHandoffOK {
-		return replyErr(m, res.typ, res.payload)
-	}
-	return nil
+	_, err := c.roundTrip(c.toSeed, msgHandoff, "", payload, otrace.Ctx{})
+	return err
 }
 
 // ViewPull asks the seed for its membership view (gossip anti-entropy).
@@ -579,22 +578,14 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 // request's epoch and sender fields are left zero: the responder ignores
 // them.
 func (c *Client) viewPull(l *link) (epoch uint64, sender string, members []string, err error) {
-	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", appendViewMsg(nil, 0, ""), otrace.Ctx{})
+	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", appendViewMsg(nil, 0, ""), otrace.Ctx{})
 	if err != nil {
 		return 0, "", nil, err
 	}
-	defer putFrameBuf(res.payload)
-	if res.typ != msgViewPush {
-		return 0, "", nil, replyErr(m, res.typ, res.payload)
+	if res.members == nil {
+		res.members = []string{} // non-nil: a pushed empty view is still a view
 	}
-	epoch, sender, members, derr := decodeViewPush(res.payload)
-	if derr != nil {
-		return 0, "", nil, desync(m, derr)
-	}
-	if members == nil {
-		members = []string{} // non-nil: a pushed empty view is still a view
-	}
-	return epoch, sender, members, nil
+	return res.epoch, res.sender, res.members, nil
 }
 
 // ViewPush offers a membership view to the server, which validates and
@@ -609,19 +600,8 @@ func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, e
 		return 0, fmt.Errorf("fsnet: view of %d members exceeds limit %d", len(members), maxViewMembers)
 	}
 	payload := appendViewPush(nil, epoch, "", members)
-	res, m, err := c.roundTrip(c.toSeed, msgViewPush, "", payload, otrace.Ctx{})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrameBuf(res.payload)
-	if res.typ != msgViewHint {
-		return 0, replyErr(m, res.typ, res.payload)
-	}
-	remoteEpoch, _, derr := decodeViewMsg(res.payload)
-	if derr != nil {
-		return 0, desync(m, derr)
-	}
-	return remoteEpoch, nil
+	res, err := c.roundTrip(c.toSeed, msgViewPush, "", payload, otrace.Ctx{})
+	return res.epoch, err
 }
 
 // Write stores a whole file on the seed (write-through) and refreshes
@@ -637,17 +617,9 @@ func (c *Client) Write(path string, data []byte) error {
 		return fmt.Errorf("fsnet: file of %d bytes exceeds limit %d", len(data), maxFileSize)
 	}
 	payload := encodeWriteRequest(writeRequest{Path: path, Data: data})
-	res, m, err := c.roundTrip(c.toSeed, msgWrite, "", payload, otrace.Ctx{})
+	res, err := c.roundTrip(c.toSeed, msgWrite, "", payload, otrace.Ctx{})
 	if err != nil {
 		return err
-	}
-	defer putFrameBuf(res.payload)
-	if res.typ != msgWriteOK {
-		return replyErr(m, res.typ, res.payload)
-	}
-	tag, derr := decodeWriteOK(res.payload)
-	if derr != nil {
-		return desync(m, derr)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -659,37 +631,11 @@ func (c *Client) Write(path string, data []byte) error {
 	// once the next open has reported it.
 	if id, ok := c.ids.Lookup(path); ok && c.lru.Contains(id) {
 		c.data[id] = payload[len(payload)-len(data) : len(payload) : len(payload)]
-		c.tags[id] = tag
+		c.tags[id] = res.tag
 		c.markAll(id)
 	}
 	c.stats.Writes++
 	return nil
-}
-
-// replyErr turns a reply of a type its verb did not ask for into the
-// call's error. A msgError is the server's typed answer (CodeNotFound
-// maps to ErrNotFound) and leaves the connection in service. Anything
-// else — an error payload that does not decode included — means the reply
-// stream is desynchronized, and m, the connection it came on, is poisoned.
-func replyErr(m *muxConn, typ uint8, body []byte) error {
-	if typ != msgError {
-		return desync(m, fmt.Errorf("unexpected reply type %d", typ))
-	}
-	e, derr := decodeErrorResponse(body)
-	if derr != nil {
-		return desync(m, derr)
-	}
-	if e.Code == CodeNotFound {
-		return fmt.Errorf("%w: %s", ErrNotFound, e.Message)
-	}
-	return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
-}
-
-// desync poisons m after a reply that round-tripped intact failed to
-// decode, and wraps the cause for the caller.
-func desync(m *muxConn, cause error) error {
-	m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
-	return fmt.Errorf("%w: %v", ErrConnBroken, cause)
 }
 
 // fetch performs one open round trip to path's owner, retrying per the
@@ -703,40 +649,32 @@ func desync(m *muxConn, cause error) error {
 // next call on its connection could read; fetch returns the demanded
 // file's contents.
 func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
-	res, m, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, nil, tctx)
-	if err != nil {
-		return nil, err
-	}
-	if res.typ != msgGroupEnd {
-		defer putFrameBuf(res.payload)
-		return nil, replyErr(m, res.typ, res.payload)
-	}
-	return res.data, nil
+	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, nil, tctx)
+	return res.data, err
 }
 
 // install is the tail of a fetch's read: it validates the group reply to
-// call, an open, out of the chunk frames the call kept, installs it in the
-// cache, counts the open, and returns the demanded file's contents; the
-// frames go back to the frame pool either way. The call installs before it
-// hands the read role on, which keeps the order the server sent the
-// connection's replies in, the order its residency table assumed: a reply
-// may vouch for a member an earlier reply delivered.
-func (c *Client) install(m *muxConn, call *muxCall) ([]byte, error) {
-	defer call.putChunks()
+// an open of path out of the chunk frames in buf — chunk i ends at
+// ends[i] — installs it in the cache, counts the open, and returns the
+// demanded file's contents. The call installs before it hands the read
+// role on, which keeps the order the server sent the connection's replies
+// in, the order its residency table assumed: a reply may vouch for a
+// member an earlier reply delivered.
+func (c *Client) install(m *muxConn, path string, buf []byte, ends []int) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := &c.reply
 	defer g.reset()
 	// A call installs only a group its msgGroupEnd counted, and the count
 	// is never zero: the reply has members.
-	if err := decodeChunks(g, call.chunks, call.path); err != nil {
+	if err := decodeChunks(g, buf, ends, path); err != nil {
 		return nil, err
 	}
 	c.stats.Opens++
 	c.stats.Fetches++
 	// The reply leads with path (decodeChunks), so path exists: interning
 	// the caller's string saves installViews materialising a copy.
-	return c.installViews(g, m, c.ids.Intern(call.path)), nil
+	return c.installViews(g, m, c.ids.Intern(path)), nil
 }
 
 // toSeed is the route of every verb but an open: the seed's connection.
@@ -1046,12 +984,11 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // connection and are retried with backoff up to cfg.MaxRetries; a failed
 // owner first hands the request to another member, once, without a
 // retry; a peer of another protocol version is not retried at all.
-// Application errors are returned to the caller undisturbed, with the
-// connection they came on. The returned payload aliases a pooled
-// buffer, which the caller recycles after decoding; a streamed group
-// reply was installed by the call that read it, and comes back as the
-// demanded file's contents.
-func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, *muxConn, error) {
+// A server's msgError answer is returned as the error, undisturbed and
+// not retried. The reply comes back decoded by the call that read it: a
+// streamed group reply was installed, and comes back as the demanded
+// file's contents.
+func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
 		start := time.Now()
@@ -1069,7 +1006,7 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 			// A failed call's claimed history was restored by the poison
 			// that failed it.
 			if res, idle, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
-				return res, m, nil
+				return res, res.refused
 			}
 			if idle && !resent {
 				// The server most likely closed the connection while it
@@ -1080,15 +1017,15 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 				continue
 			}
 		}
-		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) {
-			return muxResult{}, nil, err
+		if errors.Is(err, errClientClosed) || errors.Is(err, ErrProtocolVersion) || errors.Is(err, errDesync) {
+			return muxResult{}, err
 		}
 		if !rerouted && reqType == msgOpen && c.reroute(l) {
 			rerouted = true
 			continue
 		}
 		if attempt >= c.cfg.MaxRetries {
-			return muxResult{}, nil, err
+			return muxResult{}, err
 		}
 		attempt++
 		time.Sleep(c.backoffDelay(attempt - 1))
@@ -1099,7 +1036,7 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 		}
 		c.mu.Unlock()
 		if closed {
-			return muxResult{}, nil, errClientClosed
+			return muxResult{}, errClientClosed
 		}
 		c.m.retries.Inc()
 	}
@@ -1116,12 +1053,12 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	}
 	// With a timeout configured the connection's deadline poisons it once
 	// the call at its head is overdue, which fails this one too.
-	if res = m.await(call, head); res.err != nil {
+	if res, err = m.await(call, head); err != nil {
 		// A poisoned connection fails its calls while a flush may still be
 		// reading them out of the batch it was sending, and the hand-off
 		// may still be on its way: the call is left to the collector, not
 		// recycled.
-		return muxResult{}, call.idle && !errors.Is(res.err, errTimedOut), res.err
+		return muxResult{}, call.idle && !errors.Is(err, errTimedOut), err
 	}
 	// A reply means the flush sent the request and is done with the call,
 	// and the call consumed all it was sent: it is free for reuse. The
@@ -1237,7 +1174,6 @@ func (c *Client) handshake(cc *clientConn, timeout time.Duration) (epoch uint64,
 	if err != nil {
 		return 0, fmt.Errorf("%w: handshake: %v", ErrConnBroken, err)
 	}
-	defer putFrameBuf(payload)
 	switch typ {
 	case msgHelloOK:
 		ver, epoch, derr := decodeHello(payload)

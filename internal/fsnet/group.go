@@ -3,8 +3,8 @@ package fsnet
 import "fmt"
 
 // groupReply is a group reply decoded in place, by the client that
-// installs it: views into the chunk frames its call read, valid until
-// those frames go back to the frame pool.
+// installs it: views into the chunk frames its call read into the
+// connection's reply buffer, valid until the connection's next read.
 type groupReply struct {
 	// files is the group in arrival order, the demanded file first: each
 	// member's contents and tag.
@@ -17,13 +17,16 @@ type groupReply struct {
 	held uint64
 }
 
-// decodeChunks validates a streamed reply's chunk frames and records
-// their views in g: each member's contents and tag in files, its path
-// bytes in paths, the header-only ones in held. The demanded file must
-// lead and must have come in full.
-func decodeChunks(g *groupReply, chunks [][]byte, path string) error {
-	for i, buf := range chunks {
-		p, d, tag, held, err := memberChunkView(buf)
+// decodeChunks validates a streamed reply's chunk frames — read one after
+// another into buf, chunk i ending at ends[i] — and records their views in
+// g: each member's contents and tag in files, its path bytes in paths, the
+// header-only ones in held. The demanded file must lead and must have come
+// in full.
+func decodeChunks(g *groupReply, buf []byte, ends []int, path string) error {
+	start := 0
+	for i, end := range ends {
+		p, d, tag, held, err := memberChunkView(buf[start:end])
+		start = end
 		if err != nil {
 			return err
 		}
@@ -44,8 +47,8 @@ func decodeChunks(g *groupReply, chunks [][]byte, path string) error {
 	return nil
 }
 
-// reset drops g's views, before their frames go back to the pool, and
-// keeps its storage for the next reply.
+// reset drops g's views, before the connection reads into their frames
+// again, and keeps its storage for the next reply.
 func (g *groupReply) reset() {
 	clear(g.paths)
 	clear(g.files)

@@ -14,45 +14,49 @@ import (
 
 // TestFetchGroupIsTheFramesRead: the reply a fetch installs is not a
 // copy. decodeChunks leaves every member's Data and path inside the chunk
-// frame it arrived in — header-only members included, with no Data — and
-// an append through Data cannot write into the frame.
+// frame it arrived in, in the connection's reply buffer — header-only
+// members included, with no Data — and an append through Data cannot
+// write into the next frame.
 func TestFetchGroupIsTheFramesRead(t *testing.T) {
 	members := []struct {
 		path string
 		data string
 		held bool
 	}{{"/data/f000", "contents of /data/f000", false}, {"/data/f001", "", true}, {"/data/f002", "contents of /data/f002", false}}
-	var chunks [][]byte
+	var buf []byte
+	var ends []int
 	for _, m := range members {
 		hdr := appendMemberChunkHdr(nil, 1, m.path, contentTag([]byte(m.path)), len(m.data), m.held)
-		buf := append(getFrameBuf(0), hdr[4+v2HdrLen:]...)
-		chunks = append(chunks, append(buf, m.data...))
+		buf = append(append(buf, hdr[4+v2HdrLen:]...), m.data...)
+		ends = append(ends, len(buf))
 	}
 	var g groupReply
-	if err := decodeChunks(&g, chunks, "/data/f000"); err != nil {
+	if err := decodeChunks(&g, buf, ends, "/data/f000"); err != nil {
 		t.Fatal(err)
 	}
 	if g.held != 1<<1 {
 		t.Errorf("held = %#b, want member 1 alone", g.held)
 	}
+	start := 0
 	for i, f := range g.files {
 		m := members[i]
 		if string(g.paths[i]) != m.path || string(f.Data) != m.data || f.Tag != contentTag([]byte(m.path)) {
 			t.Errorf("member %d: %q holds %q, tag %#x", i, g.paths[i], f.Data, f.Tag)
 		}
-		buf := chunks[i]
-		if inFrame, _, _, _, _ := memberChunkView(buf); &inFrame[0] != &g.paths[i][0] {
-			t.Errorf("member %d: path is not a view into its chunk's frame buffer", i)
+		chunk := buf[start:ends[i]]
+		start = ends[i]
+		if inFrame, _, _, _, _ := memberChunkView(chunk); &inFrame[0] != &g.paths[i][0] {
+			t.Errorf("member %d: path is not a view into its chunk's frame", i)
 		}
 		if m.held {
 			continue
 		}
 		// A chunk's payload ends with the contents.
-		if &f.Data[0] != &buf[len(buf)-len(f.Data)] {
-			t.Errorf("member %d: Data is not a view into its chunk's frame buffer", i)
+		if &f.Data[0] != &chunk[len(chunk)-len(f.Data)] {
+			t.Errorf("member %d: Data is not a view into its chunk's frame", i)
 		}
 		if cap(f.Data) != len(f.Data) {
-			t.Errorf("member %d: cap %d > len %d, an append would write into the frame", i, cap(f.Data), len(f.Data))
+			t.Errorf("member %d: cap %d > len %d, an append would write into the next frame", i, cap(f.Data), len(f.Data))
 		}
 	}
 	g.reset()
@@ -96,7 +100,7 @@ func TestClientCloseMidGroup(t *testing.T) {
 // TestReplyDroppedUnwrittenReleasesGroup: a group reply that never
 // reaches the wire leaves nothing staged behind — whether its batch's
 // write failed or it was queued on a writer already dead — so the reused
-// staging storage pins no store contents.
+// staging and scatter-gather storage pins no store contents.
 func TestReplyDroppedUnwrittenReleasesGroup(t *testing.T) {
 	srv, err := NewServer(seededStore(t, 2), ServerConfig{WriteTimeout: 20 * time.Millisecond})
 	if err != nil {
@@ -123,6 +127,11 @@ func TestReplyDroppedUnwrittenReleasesGroup(t *testing.T) {
 		for i, m := range rw.staged[:cap(rw.staged)] {
 			if m.Data != nil {
 				t.Errorf("%s: staging slot %d still holds %s's contents", what, i, m.Path)
+			}
+		}
+		for i, b := range rw.bufs[:cap(rw.bufs)] {
+			if b != nil {
+				t.Errorf("%s: scatter-gather slot %d still holds %q", what, i, b)
 			}
 		}
 	}

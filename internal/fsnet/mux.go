@@ -23,27 +23,37 @@ import (
 // too: the call at the head of the in-flight queue reads frames until its
 // own reply is complete — a frame for any other request is a protocol
 // error — installs it, and only then hands the read role to the next call,
-// so replies install in the order the server sent them. A group reply
-// arrives as a stream of msgMemberChunk frames closed by msgGroupEnd; the
-// head keeps the chunks' frames, installs the completed group in the
-// client's cache straight out of them, hands them back to the frame pool
-// and returns the demanded file. Calls behind the head wait
-// for the hand-off. With a request timeout configured, the connection's
-// deadline, in both directions, is the head call's own: the head arms it
-// when it takes the read role, so a stalled reply or a stalled flush
-// surfaces as an I/O error (the stream position is unknown by then). Any
-// transport or protocol error poisons the whole connection: every
-// in-flight call fails fast with ErrConnBroken, claimed piggyback history
-// is restored to the client in call order, and the connection is closed
-// and never reused. Nothing reads an idle connection, so a server's idle
-// close is noticed by the next call, which is sent once more on a fresh
-// connection if nothing of its reply arrived (Client.roundTrip).
+// so replies install in the order the server sent them. The head decodes
+// its whole reply before it hands the role on: a group reply arrives as a
+// stream of msgMemberChunk frames closed by msgGroupEnd, which the head
+// reads into the connection's reply buffer one after another and installs
+// in the client's cache straight out of it, and any other reply it decodes
+// into its result, so no reply bytes outlive the read. Calls behind the
+// head wait for the hand-off. With a request timeout configured, the
+// connection's deadline, in both directions, is the head call's own: the
+// head arms it when it takes the read role, so a stalled reply or a
+// stalled flush surfaces as an I/O error (the stream position is unknown
+// by then). Any transport or protocol error poisons the whole
+// connection: every in-flight call fails fast with ErrConnBroken, claimed
+// piggyback history is restored to the client in call order, and the
+// connection is closed and never reused. Nothing reads an idle
+// connection, so a server's idle close is noticed by the next call, which
+// is sent once more on a fresh connection if nothing of its reply arrived
+// (Client.roundTrip).
 type muxConn struct {
 	c    *Client
 	l    *link // the slot this connection fills
 	conn net.Conn
 	r    *bufio.Reader // read only by the call at the head of the queue
 	w    *bufio.Writer
+
+	// rbuf is the reply buffer, and ends the end offsets in it of the
+	// member chunks read so far; the head call alone reads into them.
+	// enc is the request batch the flush encodes, the flusher's alone.
+	// maxKeptBuf bounds what each keeps.
+	rbuf []byte
+	ends []int
+	enc  []byte
 
 	// epoch is the view epoch the server's hello announced (0: no ring).
 	epoch uint64
@@ -96,10 +106,6 @@ type muxCall struct {
 	// flush emit one msgTraceCtx piggyback frame ahead of the request
 	// frame; the zero value sends nothing.
 	tctx otrace.Ctx
-	// chunks are the member-chunk frames of a streamed group reply, in
-	// arrival order, kept until its msgGroupEnd arrives and the call
-	// installs them; the call reads and holds them alone.
-	chunks [][]byte
 	// done receives the read role (nil) when the call becomes the head of
 	// the queue, or the error that poisoned the connection. A call can be
 	// sent both, so there is room for both and neither send blocks.
@@ -127,13 +133,20 @@ func putMuxCall(call *muxCall) {
 	muxCallPool.Put(call)
 }
 
+// muxResult is a call's reply, decoded by the call that read it.
 type muxResult struct {
-	typ     uint8
-	payload []byte
-	// data is a group reply's demanded file (typ msgGroupEnd, payload
-	// nil), as the call installed it in the cache.
+	// data is an open's demanded file, as the call installed it in the
+	// cache; tag is a write's, from its ack.
 	data []byte
-	err  error
+	tag  uint64
+	// epoch, sender and members are a view verb's answer: a pull's view, or
+	// the epoch a push left the receiver at.
+	epoch   uint64
+	sender  string
+	members []string
+	// refused is the server's msgError answer as an error: the request
+	// failed, and the connection stays in service.
+	refused error
 }
 
 func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
@@ -213,7 +226,7 @@ func (m *muxConn) arm(call *muxCall) {
 // flush writes the queue out in batches until it is empty: every queued
 // frame is buffered and the batch shares one Flush, so k pipelined
 // requests cost one syscall instead of k. Open payloads are encoded here,
-// into one pooled scratch buffer per batch, after claiming the pending
+// into the connection's batch buffer, after claiming the pending
 // piggyback history and the link's report — still under m.mu, so the
 // claim-order/ID-order invariant holds and the claimed slices are safely
 // published to the poison path. Called by the goroutine that set flushing.
@@ -232,7 +245,7 @@ func (m *muxConn) flush() {
 		} else {
 			m.queue = nil
 		}
-		enc := getEncodeBuf()
+		enc := m.enc
 		for _, call := range batch {
 			if call.typ != msgOpen {
 				continue
@@ -264,7 +277,7 @@ func (m *muxConn) flush() {
 		if err == nil {
 			err = m.w.Flush()
 		}
-		putFrameBuf(enc)
+		m.enc = keepBuf(m.enc, enc)
 		m.recycleBatch(batch)
 		if err != nil {
 			// The next pass finds the connection broken and stops.
@@ -296,15 +309,14 @@ func (m *muxConn) transportErr(err error) error {
 
 // await returns call's reply. A call behind the head first waits for the
 // read role, or for the error that poisoned the connection; the head then
-// reads frames until its reply is complete. Streamed group replies
-// accumulate on the call until the closing msgGroupEnd and are installed
-// before the read role passes on. Any read or framing error — including
-// Close of the underlying connection and the head's deadline passing —
-// poisons the mux, which fails all in-flight calls.
-func (m *muxConn) await(call *muxCall, head bool) muxResult {
+// reads and decodes its reply (read) and only then hands the read role
+// on. Any read, framing or decoding error — including Close of the
+// underlying connection and the head's deadline passing — poisons the
+// mux, which fails all in-flight calls.
+func (m *muxConn) await(call *muxCall, head bool) (muxResult, error) {
 	if !head {
 		if err := <-call.done; err != nil {
-			return muxResult{err: err}
+			return muxResult{}, err
 		}
 		m.arm(call)
 	}
@@ -312,88 +324,132 @@ func (m *muxConn) await(call *muxCall, head bool) muxResult {
 		// One byte of the reply shows the connection outlived its idle
 		// spell; until then a failure may be the server's idle close.
 		if _, err := m.r.Peek(1); err != nil {
-			return m.fail(call, m.transportErr(err))
+			return muxResult{}, m.poison(m.transportErr(err))
 		}
 		call.idle = false
 	}
+	res, err := m.read(call)
+	if errors.Is(err, errDesync) {
+		// The calls behind this one were not answered: they fail with an
+		// error that lets them be sent again.
+		m.poison(fmt.Errorf("%w: desynchronized reply stream", ErrConnBroken))
+		return muxResult{}, err
+	}
+	if err != nil {
+		return muxResult{}, m.poison(err)
+	}
+	return m.retire(call, res)
+}
+
+// read reads frames into the connection's reply buffer until call's reply
+// is complete, and decodes it: a streamed group is installed in the
+// client's cache (Client.install), in the order the server sent its
+// replies — a reply may vouch for a member an earlier one delivered — and
+// any other reply is decoded into the result. A frame for another request
+// is a protocol error.
+func (m *muxConn) read(call *muxCall) (muxResult, error) {
+	buf, ends := m.rbuf[:0], m.ends[:0]
 	for {
-		typ, id, payload, err := readFrameID(m.r)
+		n := len(buf)
+		typ, id, grown, err := readFrameID(m.r, buf)
 		if err != nil {
-			return m.fail(call, m.transportErr(err))
+			return muxResult{}, m.transportErr(err)
 		}
+		buf = grown
+		payload := buf[n:]
 		if id == 0 && typ == msgViewHint {
 			// Unsolicited epoch announcement from the server's reply
 			// batches; request IDs start at 1, so ID 0 never matches a
 			// call. A client routing by a ring re-pulls the view before
 			// its next miss when the epoch is newer.
 			epoch, _, derr := decodeViewMsg(payload)
-			putFrameBuf(payload)
 			if derr != nil {
-				return m.fail(call, fmt.Errorf("%w: %v", ErrConnBroken, derr))
+				return muxResult{}, fmt.Errorf("%w: %v", ErrConnBroken, derr)
 			}
 			m.c.noteViewHint(m.l, epoch)
+			buf = buf[:n]
 			continue
 		}
 		if id != call.id {
-			putFrameBuf(payload)
-			return m.fail(call, fmt.Errorf("%w: reply for request %d out of request order", ErrConnBroken, id))
+			return muxResult{}, fmt.Errorf("%w: reply for request %d out of request order", ErrConnBroken, id)
 		}
-		switch typ {
-		case msgMemberChunk:
-			if len(call.chunks) >= maxGroup {
-				putFrameBuf(payload)
-				return m.fail(call, fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup))
+		if typ == msgMemberChunk {
+			if len(ends) == maxGroup {
+				return muxResult{}, fmt.Errorf("%w: streamed group exceeds %d members", ErrConnBroken, maxGroup)
 			}
-			call.chunks = append(call.chunks, payload)
-			if len(call.chunks) == 1 && !call.start.IsZero() {
+			if ends = append(ends, len(buf)); len(ends) == 1 && !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
-		case msgGroupEnd:
-			n, err := decodeGroupEnd(payload)
-			putFrameBuf(payload)
+			continue
+		}
+		var res muxResult
+		switch {
+		case typ == msgGroupEnd:
+			var count int
+			count, err = decodeGroupEnd(payload)
 			switch {
 			case err != nil:
-			case n != len(call.chunks):
+			case count != len(ends):
 				// decodeGroupEnd rejects a count of zero, so a group end
 				// with no chunks before it lands here too.
-				err = fmt.Errorf("group end declares %d members, got %d", n, len(call.chunks))
+				err = fmt.Errorf("group end declares %d members, got %d", count, len(ends))
 			case call.typ != msgOpen:
 				err = fmt.Errorf("group reply to request type %d", call.typ)
 			default:
-				// Installed before the read role passes on, in the order
-				// the server sent its replies: a reply may vouch for a
-				// member an earlier one delivered.
-				var data []byte
-				if data, err = m.c.install(m, call); err == nil {
-					return m.retire(call, muxResult{typ: msgGroupEnd, data: data})
-				}
+				res.data, err = m.c.install(m, call.path, buf[:n], ends)
 			}
-			return m.fail(call, fmt.Errorf("%w: %v", ErrConnBroken, err))
+		case len(ends) > 0:
+			// A single-frame reply to a call that has already read member
+			// chunks cuts a streamed group short.
+			err = fmt.Errorf("reply type %d inside the streamed group of request %d", typ, id)
 		default:
-			if len(call.chunks) > 0 {
-				// A single-frame reply to a call that has already buffered
-				// member chunks cuts a streamed group short.
-				putFrameBuf(payload)
-				return m.fail(call, fmt.Errorf("%w: reply type %d inside the streamed group of request %d", ErrConnBroken, typ, id))
-			}
 			if !call.start.IsZero() {
 				m.observeTTFB(call)
 			}
-			return m.retire(call, muxResult{typ: typ, payload: payload})
+			if res, err = decodeReply(call.typ, typ, payload); err != nil {
+				err = fmt.Errorf("%w: %v", errDesync, err)
+			}
 		}
+		m.rbuf, m.ends = keepBuf(m.rbuf, buf), ends[:0]
+		if err != nil {
+			return muxResult{}, fmt.Errorf("%w: %w", ErrConnBroken, err)
+		}
+		return res, nil
 	}
+}
+
+// decodeReply decodes a single-frame reply to a request of type reqType.
+// An error is a reply the request cannot have: the stream is
+// desynchronized.
+func decodeReply(reqType, typ uint8, payload []byte) (res muxResult, err error) {
+	switch {
+	case typ == msgError:
+		var e errorResponse
+		if e, err = decodeErrorResponse(payload); err == nil {
+			res.refused = e.err()
+		}
+	case typ == msgWriteOK && reqType == msgWrite:
+		res.tag, err = decodeWriteOK(payload)
+	case typ == msgHandoffOK && reqType == msgHandoff:
+	case typ == msgViewPush && reqType == msgViewPull:
+		res.epoch, res.sender, res.members, err = decodeViewPush(payload)
+	case typ == msgViewHint && reqType == msgViewPush:
+		res.epoch, _, err = decodeViewMsg(payload)
+	default:
+		err = fmt.Errorf("unexpected reply type %d to request type %d", typ, reqType)
+	}
+	return res, err
 }
 
 // retire takes the head call, which has its reply, off the queue and hands
 // the read role to the next call. A connection poisoned meanwhile fails
 // the call with the rest: the poison already restored its claimed history.
-func (m *muxConn) retire(call *muxCall, res muxResult) muxResult {
+func (m *muxConn) retire(call *muxCall, res muxResult) (muxResult, error) {
 	m.mu.Lock()
 	if m.broken {
 		err := m.err
 		m.mu.Unlock()
-		putFrameBuf(res.payload)
-		return muxResult{err: err}
+		return muxResult{}, err
 	}
 	next := call.next
 	m.head, call.next = next, nil
@@ -404,24 +460,7 @@ func (m *muxConn) retire(call *muxCall, res muxResult) muxResult {
 	if next != nil {
 		next.done <- nil
 	}
-	return res
-}
-
-// fail ends the head call's read on err: it hands the chunks the call
-// kept back to the frame pool and poisons the connection, and the call
-// fails with the error that poisoned it.
-func (m *muxConn) fail(call *muxCall, err error) muxResult {
-	call.putChunks()
-	return muxResult{err: m.poison(err)}
-}
-
-// putChunks hands the chunk frames the call kept back to the frame pool.
-func (call *muxCall) putChunks() {
-	for i, b := range call.chunks {
-		putFrameBuf(b)
-		call.chunks[i] = nil
-	}
-	call.chunks = call.chunks[:0]
+	return res, nil
 }
 
 // observeTTFB records a call's time-to-first-byte, attaching the trace

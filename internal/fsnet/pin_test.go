@@ -93,7 +93,7 @@ func runPinScript(t *testing.T, addr string) string {
 		var files []GroupFile
 		var tags []byte
 		for done := false; !done; {
-			typ, gotID, payload, err := readFrameID(rc.r)
+			typ, gotID, payload, err := readFrameID(rc.r, nil)
 			if err != nil || gotID != id {
 				t.Fatalf("step %d reply: id %d, %v", i, gotID, err)
 			}

@@ -2,6 +2,7 @@ package fsnet
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -229,7 +230,7 @@ func TestRequestsServedInRequestOrder(t *testing.T) {
 	if _, err := rc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	typ, id, payload, err := readFrameID(rc.r)
+	typ, id, payload, err := readFrameID(rc.r, nil)
 	if err != nil || typ != msgWriteOK || id != 1 {
 		t.Fatalf("first reply = type %d id %d, %v; want the write's ack", typ, id, err)
 	}
@@ -237,7 +238,7 @@ func TestRequestsServedInRequestOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, id, payload, err = readFrameID(rc.r)
+	typ, id, payload, err = readFrameID(rc.r, nil)
 	if err != nil || typ != msgMemberChunk || id != 2 {
 		t.Fatalf("second reply = type %d id %d, %v; want the open's first member", typ, id, err)
 	}
@@ -310,11 +311,10 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 	}
 	want = append(want, msgHandoffOK, msgViewPush)
 	for i, w := range want {
-		typ, id, payload, err := readFrameID(rc.r)
+		typ, id, _, err := readFrameID(rc.r, nil)
 		if err != nil {
 			t.Fatalf("reply %d: %v", i, err)
 		}
-		putFrameBuf(payload)
 		if typ != w || id != uint64(i) {
 			t.Fatalf("reply %d = type %d id %d, want type %d id %d", i, typ, id, w, i)
 		}
@@ -356,5 +356,128 @@ func TestClientStartsNoGoroutine(t *testing.T) {
 				runtime.NumGoroutine(), before, server, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPipelinedVerbsDecodeTheirOwnReplies: five verbs in flight at once on
+// one connection — an open the server's cache holds, an open it misses, a
+// Write, an open of a missing path and a ViewPull — each get their own
+// answer: bytes, the write's tag, ErrNotFound and the view. The server's
+// replies are held until all five are in flight, so they arrive back to
+// back and each is read into the connection's one reply buffer; a call
+// that handed the read role on before it decoded its reply would decode
+// the bytes of the next one (under -race, a data race on the buffer).
+func TestPipelinedVerbsDecodeTheirOwnReplies(t *testing.T) {
+	srv, err := NewServer(seededStore(t, 4), ServerConfig{Views: newTestViews("server:1", 3, "server:1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate faultnet.Gate
+	go func() { _ = srv.Serve(faultnet.WrapListener(l, faultnet.Faults{Gate: &gate})) }()
+	defer srv.Close()
+	defer gate.Resume()
+	addr := l.Addr().String()
+
+	// Another client leaves /data/f000 in the server's cache.
+	warm, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := warm.Open("/data/f000"); err != nil {
+		t.Fatal(err)
+	}
+	_ = warm.Close()
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	// /data/f001 is resident, so the write's tag is kept with its bytes.
+	if _, err := client.Open("/data/f001"); err != nil {
+		t.Fatal(err)
+	}
+	inflight := func() int {
+		client.mu.Lock()
+		m := client.seed.mux
+		client.mu.Unlock()
+		if m == nil {
+			return 0
+		}
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		n := 0
+		for call := m.head; call != nil; call = call.next {
+			n++
+		}
+		return n
+	}
+	before := srv.Stats().Cache
+
+	written := []byte("written while four other verbs were in flight")
+	var (
+		hit, miss                                      []byte
+		hitErr, missErr, writeErr, missingErr, pullErr error
+		epoch                                          uint64
+		members                                        []string
+	)
+	verbs := []func(){
+		func() { hit, hitErr = client.Open("/data/f000") },
+		func() { miss, missErr = client.Open("/data/f002") },
+		func() { writeErr = client.Write("/data/f001", written) },
+		func() { _, missingErr = client.Open("/data/missing") },
+		func() { epoch, members, pullErr = client.ViewPull() },
+	}
+	gate.Hold()
+	var wg sync.WaitGroup
+	for _, verb := range verbs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			verb()
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); inflight() < len(verbs); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d verbs in flight", inflight(), len(verbs))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	gate.Resume()
+	wg.Wait()
+
+	if hitErr != nil || string(hit) != "contents of /data/f000" {
+		t.Errorf("open of a server-cached file = %q, %v", hit, hitErr)
+	}
+	if missErr != nil || string(miss) != "contents of /data/f002" {
+		t.Errorf("open of a file the server misses = %q, %v", miss, missErr)
+	}
+	if after := srv.Stats().Cache; after.Hits-before.Hits != 1 || after.Misses-before.Misses != 1 {
+		t.Errorf("server cache hits +%d, misses +%d; want one of each", after.Hits-before.Hits, after.Misses-before.Misses)
+	}
+	if writeErr != nil {
+		t.Errorf("write: %v", writeErr)
+	}
+	client.mu.Lock()
+	id, _ := client.ids.Lookup("/data/f001")
+	tag := client.tags[id]
+	client.mu.Unlock()
+	if tag != contentTag(written) {
+		t.Errorf("the written file's tag = %#x, want the store's %#x", tag, contentTag(written))
+	}
+	if d, err := client.Open("/data/f001"); err != nil || !bytes.Equal(d, written) {
+		t.Errorf("open after the write = %q, %v; want %q", d, err, written)
+	}
+	if !errors.Is(missingErr, ErrNotFound) {
+		t.Errorf("open of a missing path: err = %v, want ErrNotFound", missingErr)
+	}
+	if pullErr != nil || epoch != 3 || len(members) != 1 || members[0] != "server:1" {
+		t.Errorf("view pull = epoch %d, %q, %v; want epoch 3, [server:1]", epoch, members, pullErr)
+	}
+	if st := client.Stats(); st.BrokenConns != 0 {
+		t.Errorf("BrokenConns = %d, want 0", st.BrokenConns)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"slices"
 )
 
 // Message types.
@@ -162,19 +162,28 @@ type errorResponse struct {
 	Message string
 }
 
+// err is the error a client's call fails with on this answer:
+// CodeNotFound is ErrNotFound.
+func (e errorResponse) err() error {
+	if e.Code == CodeNotFound {
+		return fmt.Errorf("%w: %s", ErrNotFound, e.Message)
+	}
+	return fmt.Errorf("fsnet: server error %d: %s", e.Code, e.Message)
+}
+
 // Bare frames — u32 length (type + payload), u8 type, payload — are the
 // handshake envelope: the hello, its answer, and a refusal sent before
 // any handshake. Everything after msgHelloOK is request-ID framed.
 
-// writeFrame writes one bare frame to w in a single Write.
+// writeFrame writes one bare frame to w in a single Write. It runs once
+// a connection, so its buffer is its own.
 func writeFrame(w io.Writer, typ uint8, payload []byte) error {
 	if len(payload)+1 > maxFrame {
 		return fmt.Errorf("fsnet: frame of %d bytes exceeds limit", len(payload)+1)
 	}
-	b := binary.BigEndian.AppendUint32(getEncodeBuf(), uint32(len(payload)+1))
+	b := binary.BigEndian.AppendUint32(make([]byte, 0, 5+len(payload)), uint32(len(payload)+1))
 	b = append(append(b, typ), payload...)
 	_, err := w.Write(b)
-	putFrameBuf(b)
 	return err
 }
 
@@ -194,11 +203,8 @@ func peekN(r *bufio.Reader, n int) ([]byte, error) {
 	return b, nil
 }
 
-// readFrame reads one bare frame, returning its type and payload. The
-// header is read separately from the payload so the returned payload
-// slice spans its pooled buffer from offset zero: recycling it preserves
-// the buffer's full capacity. (Slicing the type byte off a combined read
-// would shave a byte of capacity per cycle until every buffer cap-missed.)
+// readFrame reads one bare frame, returning its type and a payload of its
+// own: a handshake reads one.
 func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	hdr, err := peekN(r, 4)
 	if err != nil {
@@ -216,9 +222,8 @@ func readFrame(r *bufio.Reader) (uint8, []byte, error) {
 	if err != nil {
 		return 0, nil, fmt.Errorf("fsnet: short frame: %w", err)
 	}
-	payload := getFrameBuf(int(n) - 1)
+	payload := make([]byte, n-1)
 	if _, err := io.ReadFull(r, payload); err != nil {
-		putFrameBuf(payload)
 		return 0, nil, fmt.Errorf("fsnet: short frame: %w", err)
 	}
 	return typ, payload, nil
@@ -254,11 +259,12 @@ func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 	return err
 }
 
-// readFrameID reads one request-ID frame, returning its type, request ID,
-// and payload. The payload aliases a pooled buffer; hand it back via
-// putFrameBuf once fully decoded. As in readFrame, the frame header is
-// read separately so the recycled payload keeps its full capacity.
-func readFrameID(r *bufio.Reader) (uint8, uint64, []byte, error) {
+// readFrameID reads one request-ID frame and appends its payload to buf,
+// returning its type, its request ID and the grown buffer; the payload is
+// the grown buffer past len(buf). A frame's bytes belong to the connection
+// that reads them and stay valid until its next read into the same buffer:
+// what a reader keeps it copies or decodes before then (DESIGN.md §10).
+func readFrameID(r *bufio.Reader, buf []byte) (uint8, uint64, []byte, error) {
 	lenb, err := peekN(r, 4)
 	if err != nil {
 		return 0, 0, nil, err
@@ -276,61 +282,31 @@ func readFrameID(r *bufio.Reader) (uint8, uint64, []byte, error) {
 	}
 	typ, id := hdr[0], binary.BigEndian.Uint64(hdr[1:])
 	_, _ = r.Discard(v2HdrLen)
-	payload := getFrameBuf(int(n) - v2HdrLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		putFrameBuf(payload)
+	start := len(buf)
+	buf = slices.Grow(buf, int(n)-v2HdrLen)[:start+int(n)-v2HdrLen]
+	if _, err := io.ReadFull(r, buf[start:]); err != nil {
 		return 0, 0, nil, fmt.Errorf("fsnet: short frame: %w", err)
 	}
-	return typ, id, payload, nil
+	return typ, id, buf, nil
 }
 
-// frameBufPool recycles frame bodies across requests. Decoders copy every
-// string and blob they keep, so a frame buffer is free for reuse as soon
-// as its payload has been decoded; the hot open path then performs no
-// per-frame allocation beyond the decoded file contents themselves.
-//
-// The pool stores *[]byte, not []byte: putting a bare slice into a
-// sync.Pool boxes its header on every Put (one hidden allocation per
-// recycled frame — measured as a top allocator before this change). The
-// pointer boxes themselves cycle through boxPool, so steady-state
-// get/put pairs allocate nothing at all.
-var frameBufPool = sync.Pool{New: func() interface{} {
-	b := make([]byte, 0, 4096)
-	return &b
-}}
+// maxKeptBuf bounds the buffers a connection keeps between frames: its
+// request buffer and reply arena on a server, its request batch and reply
+// buffer on a client. A buffer that grew past it for one large frame — a
+// big write, a group with a big member — is dropped after that frame, and
+// the connection goes on with the buffer it had, so one large file does
+// not pin its size on every connection that once carried it. 1 MiB holds
+// more than ten of the benchmark's groups of five 16 KiB files; frames
+// over it are unmeasured (DESIGN.md §10).
+const maxKeptBuf = 1 << 20
 
-// boxPool recycles the empty *[]byte headers frameBufPool threads its
-// buffers through.
-var boxPool = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-func getFrameBuf(n int) []byte {
-	bp := frameBufPool.Get().(*[]byte)
-	b := *bp
-	*bp = nil
-	boxPool.Put(bp)
-	if cap(b) < n {
-		putFrameBuf(b) // keep the small one for small frames
-		return make([]byte, n)
+// keepBuf returns the buffer a connection keeps after a frame: grown,
+// emptied, unless it grew past maxKeptBuf; then the one it kept before.
+func keepBuf(kept, grown []byte) []byte {
+	if cap(grown) > maxKeptBuf {
+		return kept[:0]
 	}
-	return b[:n]
-}
-
-// putFrameBuf returns a frame payload (or body) to the pool. Accepts the
-// payload sub-slice handed out by readFrame/readFrameID; the lost header
-// bytes of capacity are irrelevant to reuse.
-func putFrameBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxFrame {
-		return
-	}
-	bp := boxPool.Get().(*[]byte)
-	*bp = b[:0]
-	frameBufPool.Put(bp)
-}
-
-// getEncodeBuf returns a zero-length pooled buffer for append-style
-// encoding; hand the grown result back via putFrameBuf once written.
-func getEncodeBuf() []byte {
-	return getFrameBuf(0)
+	return grown[:0]
 }
 
 // writeHello frames a msgHello or msgHelloOK: the protocol version, then
@@ -651,8 +627,8 @@ func decodeErrorResponse(payload []byte) (errorResponse, error) {
 // contents. The demanded file never does.
 //
 // The server never materializes a chunk frame as one contiguous buffer:
-// appendMemberChunkHdr builds everything up to the file contents in a
-// pooled scratch slice, and the contents ride as their own element of a
+// appendMemberChunkHdr builds everything up to the file contents in the
+// connection's reply arena, and the contents ride as their own element of a
 // net.Buffers scatter-gather write, straight from the store's slice.
 
 // chunkHeld flags a header-only member chunk.
@@ -681,21 +657,24 @@ func appendMemberChunkHdr(dst []byte, id uint64, path string, tag uint64, dataLe
 	return dst
 }
 
-// appendFrameID appends one complete request-ID frame (header plus
-// payload) to dst; the scatter-gather reply path uses it for the small
-// frames (group end, write/handoff acks, errors) that share a batch with
-// streamed chunks.
-func appendFrameID(dst []byte, typ uint8, id uint64, payload []byte) []byte {
-	dst = append(dst, 0, 0, 0, 0)
-	binary.BigEndian.PutUint32(dst[len(dst)-4:], uint32(len(payload)+v2HdrLen))
-	dst = append(dst, typ)
-	dst = binary.BigEndian.AppendUint64(dst, id)
-	return append(dst, payload...)
+// startFrameID appends a request-ID frame header to dst with its length
+// left open; endFrameID closes it once the payload follows. The reply
+// writer encodes its small frames (group end, write/handoff acks, view
+// answers, errors) this way, in place in its arena, beside the streamed
+// chunks of the same batch.
+func startFrameID(dst []byte, typ uint8, id uint64) []byte {
+	dst = append(dst, 0, 0, 0, 0, typ)
+	return binary.BigEndian.AppendUint64(dst, id)
+}
+
+// endFrameID patches the length of frame, which startFrameID began.
+func endFrameID(frame []byte) {
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
 }
 
 // memberChunkView decodes a msgMemberChunk payload into views aliasing
-// the payload buffer — no copies; the caller owns the buffer until it is
-// done with both views. A held chunk has nil data.
+// the payload buffer — no copies, valid until the connection's next read
+// into it. A held chunk has nil data.
 func memberChunkView(payload []byte) (path, data []byte, tag uint64, held bool, err error) {
 	d := decoder{buf: payload}
 	n, err := d.uvarint()

@@ -8,6 +8,16 @@ import (
 	"testing/quick"
 )
 
+// appendFrameID appends one complete request-ID frame to dst, encoded as
+// a server's reply writer encodes its frames, for tests that craft a burst
+// of frames by hand.
+func appendFrameID(dst []byte, typ uint8, id uint64, payload []byte) []byte {
+	rw := replyWriter{arena: dst}
+	start := rw.frame(id, typ)
+	rw.end(append(rw.arena, payload...), start)
+	return rw.arena
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, msgOpen, []byte("hello")); err != nil {

@@ -131,7 +131,6 @@ func rawHelloCap(t testing.TB, conn net.Conn, capacity uint64) *rawConn {
 	if ver, shadowed, err := decodeHello(payload); err != nil || ver != protocolVersion || shadowed != capacity {
 		t.Fatalf("handshake reply = version %d, capacity %d, %v; want %d, %d", ver, shadowed, err, protocolVersion, capacity)
 	}
-	putFrameBuf(payload)
 	return rc
 }
 
@@ -150,7 +149,7 @@ func (rc *rawConn) send(t testing.TB, typ uint8, id uint64, payload []byte) {
 // recvError reads one frame and requires it to be the msgError for id.
 func (rc *rawConn) recvError(t testing.TB, id uint64) errorResponse {
 	t.Helper()
-	typ, gotID, payload, err := readFrameID(rc.r)
+	typ, gotID, payload, err := readFrameID(rc.r, nil)
 	if err != nil {
 		t.Fatalf("no reply to request %d: %v", id, err)
 	}
@@ -171,6 +170,6 @@ func poisonSeed(c *Client) {
 	m := c.seed.mux
 	c.mu.Unlock()
 	if m != nil {
-		_ = desync(m, errors.New("injected"))
+		_ = m.poison(fmt.Errorf("%w: injected", ErrConnBroken))
 	}
 }

@@ -464,8 +464,8 @@ func TestAllocBudgetValidatedFetch(t *testing.T) {
 // TestAllocBudgetValidatedReply pins the server's side: on a warmed
 // connection an open answered with four header-only members allocates
 // exactly what the same open answered in full does — nothing. The client
-// here is a raw connection that recycles every frame, so the whole
-// process's allocations are the server's. To be answered in full it
+// here is a raw connection that reads every frame into one buffer, so the
+// whole process's allocations are the server's. To be answered in full it
 // reports, with every open, that it dropped the other lead's group.
 func TestAllocBudgetValidatedReply(t *testing.T) {
 	router := newFixedRouter(fixedLeads, fixedMembers...)
@@ -477,7 +477,7 @@ func TestAllocBudgetValidatedReply(t *testing.T) {
 		}
 		defer conn.Close()
 		rc := rawHello(t, conn)
-		var req []byte
+		var req, buf []byte
 		id := uint64(0)
 		return alloctest.PerOp(t, func() {
 			id++
@@ -491,11 +491,11 @@ func TestAllocBudgetValidatedReply(t *testing.T) {
 			}
 			rc.send(t, msgOpen, id, req)
 			for {
-				typ, gotID, payload, err := readFrameID(rc.r)
-				putFrameBuf(payload)
+				typ, gotID, frame, err := readFrameID(rc.r, buf[:0])
 				if err != nil || gotID != id || (typ != msgMemberChunk && typ != msgGroupEnd) {
 					t.Fatalf("reply to open %d: type %d id %d, %v", id, typ, gotID, err)
 				}
+				buf = frame
 				if typ == msgGroupEnd {
 					return
 				}
@@ -884,7 +884,7 @@ func TestReportSetsAndClearsEntries(t *testing.T) {
 		id++
 		rc.send(t, msgOpen, id, encodeOpenRequest(openRequest{Path: path, Accessed: accessed, Report: report}))
 		for {
-			typ, gotID, payload, err := readFrameID(rc.r)
+			typ, gotID, payload, err := readFrameID(rc.r, nil)
 			if err != nil || gotID != id {
 				t.Fatalf("reply to open %d: id %d, %v", id, gotID, err)
 			}
@@ -909,12 +909,10 @@ func TestReportSetsAndClearsEntries(t *testing.T) {
 			}
 			teacher.send(t, msgOpen, uint64(3*round+i+1), appendOpenRequest(nil, f(i), accessed))
 			for typ := uint8(0); typ != msgGroupEnd; {
-				var payload []byte
 				var err error
-				if typ, _, payload, err = readFrameID(teacher.r); err != nil {
+				if typ, _, _, err = readFrameID(teacher.r, nil); err != nil {
 					t.Fatal(err)
 				}
-				putFrameBuf(payload)
 			}
 		}
 	}

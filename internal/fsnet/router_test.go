@@ -158,7 +158,7 @@ func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
 			}
 			rc.send(t, msgOpen, id+1, appendOpenRequest(nil, "/data/f000", nil))
 			for {
-				typ, got, _, err := readFrameID(rc.r)
+				typ, got, _, err := readFrameID(rc.r, nil)
 				if err != nil || got != id+1 || (typ != msgMemberChunk && typ != msgGroupEnd) {
 					t.Fatalf("%s: local open after the malformed group = type %d id %d, %v", name, typ, got, err)
 				}
@@ -287,7 +287,7 @@ func (f *rawFetcher) fetch(path string) ([]GroupFile, error) {
 	}
 	var files []GroupFile
 	for {
-		typ, id, payload, err := readFrameID(f.r)
+		typ, id, payload, err := readFrameID(f.r, nil)
 		if err != nil {
 			return nil, err
 		}

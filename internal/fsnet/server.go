@@ -87,7 +87,7 @@ type OpenRouter interface {
 	// reports handled=false to have the server stage the group from its
 	// own store. accessed is the client's piggybacked access history,
 	// which the server learns only when it serves the open itself; it is
-	// the server's pooled scratch, valid only until RouteOpen returns,
+	// the connection's scratch, valid only until RouteOpen returns,
 	// though the strings in it (and path) may be kept. The server copies
 	// the returned slice's elements into its reply and never writes
 	// through them; the contents must stay unchanged until the reply is on
@@ -381,7 +381,7 @@ func (s *Server) logf(format string, args ...interface{}) {
 func (s *Server) handleConn(conn net.Conn, src uint64) {
 	r := bufio.NewReaderSize(conn, connBufSize)
 	if s.handshake(conn, r) {
-		s.serve(conn, r, src)
+		s.serve(&replyWriter{s: s, conn: conn}, r, src)
 	}
 }
 
@@ -410,7 +410,6 @@ func (s *Server) handshake(conn net.Conn, r *bufio.Reader) (ok bool) {
 		s.readFailed(conn, err)
 		return false
 	}
-	defer putFrameBuf(payload)
 	var refusal string
 	if typ != msgHello {
 		refusal = fmt.Sprintf("expected a protocol hello, got message type %d", typ)
@@ -460,7 +459,9 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 
 // serve is the pipelined loop: one goroutine per connection reads each
 // request, serves it and queues its reply, so a connection's requests run
-// in the order they were sent (DESIGN.md §10). Nothing on the serving path
+// in the order they were sent (DESIGN.md §10). Each request is read into
+// the one buffer the connection keeps, rw.req, and is done with before the
+// next read. Nothing on the serving path
 // waits on a peer — opens, writes, handoffs and view frames touch only the
 // server's own cache, store and view — so the read loop never blocks on
 // anything but its socket, and a goroutine hand-off would only add two
@@ -468,8 +469,8 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // flushed before a read that could block, so a pipelined burst leaves in
 // one write. A malformed request payload fails only its own request; the
 // framed stream stays intact, so the connection keeps serving.
-func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
-	rw := &replyWriter{s: s, conn: conn}
+func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
+	conn := rw.conn
 	defer rw.flush()
 	// A panic in the read loop itself (as opposed to in a handler, which
 	// recovers per request) must not skip the flush above.
@@ -491,11 +492,12 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
 		if !s.armIdle(conn) {
 			return
 		}
-		typ, id, payload, err := readFrameID(r)
+		typ, id, payload, err := readFrameID(r, rw.req)
 		if err != nil {
 			s.readFailed(conn, err)
 			return
 		}
+		rw.req = keepBuf(rw.req, payload)
 		if typ == msgTraceCtx {
 			// Trace-context piggyback for the next request frame.
 			// Advisory: undecodable contexts (or any arriving at an
@@ -505,7 +507,6 @@ func (s *Server) serve(conn net.Conn, r *bufio.Reader, src uint64) {
 					pendID, pendCtx = tid, wctx
 				}
 			}
-			putFrameBuf(payload)
 			continue
 		}
 		var tctx otrace.Ctx
@@ -549,12 +550,11 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 	switch typ {
 	case msgOpen:
 		// The demanded and piggybacked paths are interned straight out of
-		// the pooled frame buffer — no path strings, no Accessed slice —
-		// the group is built in pooled scratch, and its members are staged
-		// on the reply writer from start on.
+		// the request's frame — no path strings, no Accessed slice — the
+		// group is built in the connection's scratch, and its members are
+		// staged on the reply writer from start on.
 		start := len(rw.staged)
 		errResp, err := s.openView(payload, src, rw, tctx)
-		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
@@ -568,20 +568,18 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 	case msgWrite:
 		path, data, err := parseWriteRequest(payload)
 		if err != nil {
-			putFrameBuf(payload)
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
 		tag, errResp := s.write(path, data)
-		putFrameBuf(payload)
 		if errResp.Code != 0 {
 			rw.sendError(id, errResp)
 			return
 		}
-		rw.send(id, msgWriteOK, appendWriteOK(getEncodeBuf(), tag), true)
+		start := rw.frame(id, msgWriteOK)
+		rw.send(appendWriteOK(rw.arena, tag), start)
 	case msgHandoff:
 		req, err := decodeHandoffRequest(payload)
-		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
@@ -590,7 +588,7 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errResp)
 			return
 		}
-		rw.send(id, msgHandoffOK, nil, false)
+		rw.send(rw.arena, rw.frame(id, msgHandoffOK))
 	case msgViewPull:
 		// Anti-entropy exchange: answer with our full view whatever the
 		// puller holds. Equal epochs must ship the members too: two
@@ -600,7 +598,6 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		// sender are ignored. View frames are control-plane traffic and
 		// count no request, like the handshake.
 		_, _, err := decodeViewMsg(payload)
-		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
@@ -611,10 +608,10 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			return
 		}
 		epoch, members := vs.ViewSnapshot()
-		rw.send(id, msgViewPush, appendViewPush(getEncodeBuf(), epoch, vs.Self(), members), true)
+		start := rw.frame(id, msgViewPush)
+		rw.send(appendViewPush(rw.arena, epoch, vs.Self(), members), start)
 	case msgViewPush:
 		epoch, _, members, err := decodeViewPush(payload)
-		putFrameBuf(payload)
 		if err != nil {
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
 			return
@@ -631,9 +628,9 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: aerr.Error()})
 			return
 		}
-		rw.send(id, msgViewHint, appendViewMsg(getEncodeBuf(), vs.Epoch(), vs.Self()), true)
+		start := rw.frame(id, msgViewHint)
+		rw.send(appendViewMsg(rw.arena, vs.Epoch(), vs.Self()), start)
 	default:
-		putFrameBuf(payload)
 		rw.sendError(id, errorResponse{
 			Code:    CodeBadRequest,
 			Message: fmt.Sprintf("unknown message type %d", typ),
@@ -776,11 +773,11 @@ func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
 }
 
 // openScratch carries the per-request working set of the open hot path:
-// interned access IDs and the built group. Pooled so a steady-state open
-// allocates none of it.
+// interned access IDs and the built group. Each connection keeps one, so a
+// steady-state open allocates none of it.
 type openScratch struct {
-	views  [][]byte      // piggybacked path views into the frame buffer
-	report []reportEntry // the residency report, as views into the frame buffer
+	views  [][]byte      // piggybacked path views into the request's frame
+	report []reportEntry // the residency report, as views into the frame
 	ids    []trace.FileID
 	// accessed is the piggybacked history as the interner's own strings,
 	// for the router (whose interface carries strings across the cluster
@@ -789,14 +786,12 @@ type openScratch struct {
 	group    []trace.FileID
 }
 
-var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch) }}
-
 // openView serves one open out of its frame: the demanded and
 // piggybacked paths are interned as byte views straight out of the frame
 // buffer — no request struct, no path strings, no Accessed slice — and
-// the group is built in pooled scratch. A router sees the interner's own
-// strings for the same paths, so a routed open decodes without
-// allocating either. A non-nil error reports a malformed payload (the
+// the group is built in the connection's scratch. A router sees the
+// interner's own strings for the same paths, so a routed open decodes
+// without allocating either. A non-nil error reports a malformed payload (the
 // caller answers CodeBadRequest without counting a request). An open
 // answered with its group leaves the members staged at the end of
 // rw.staged, the demanded file first; any other answer stages nothing.
@@ -804,8 +799,7 @@ var openScratchPool = sync.Pool{New: func() interface{} { return new(openScratch
 // rw's residency table takes the request's report before anything is
 // answered.
 func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otrace.Ctx) (errorResponse, error) {
-	sc := openScratchPool.Get().(*openScratch)
-	defer openScratchPool.Put(sc)
+	sc := &rw.scratch
 	pathView, views, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
 	sc.views, sc.report = views, report
 	if err != nil {
@@ -983,28 +977,36 @@ type member struct {
 	id trace.FileID
 }
 
-// replyWriter batches the replies of one pipelined connection. Only the
-// connection's read loop touches it: each request queues its reply, and
-// the read loop flushes before a read that could block, so k replies
-// ready together cost one syscall.
+// replyWriter batches the replies of one pipelined connection, and keeps
+// the rest of the connection's state its read loop needs. Only that loop
+// touches it: each request queues its reply, and the read loop flushes
+// before a read that could block, so k replies ready together cost one
+// syscall.
 //
-// The write is scatter-gather: group replies are member streams whose
-// frame headers and path metadata live in one pooled arena while the file
-// contents ride as store references, and the whole batch goes to the
-// socket in a single net.Buffers writev — the reply bytes are never
-// assembled into a contiguous buffer.
+// The write is scatter-gather: every frame header, small reply and chunk
+// header is encoded into the writer's own arena, while the file contents
+// ride as store references, and the whole batch goes to the socket in a
+// single net.Buffers writev — the reply bytes are never assembled into a
+// contiguous buffer.
 type replyWriter struct {
 	s    *Server
 	conn net.Conn
 	// res is the connection's table of what its client holds: writeBatch
 	// consults it for every group reply.
 	res residency
+	// req is the buffer the read loop reads each request into, and scratch
+	// the open path's working set.
+	req     []byte
+	scratch openScratch
 
 	queue []reply
 	dead  bool
 	// staged holds the members of the queued group replies, each reply a
-	// window into it; flush clears it for the next batch.
+	// window into it; arena holds the encoded frames of the queued replies
+	// and then the batch's chunk headers. flush empties both for the next
+	// batch.
 	staged []member
+	arena  []byte
 
 	// The scatter-gather scratch, reused per batch, and the view-hint
 	// piggyback state — the epoch last announced on this connection, so a
@@ -1016,40 +1018,55 @@ type replyWriter struct {
 
 // reply is one queued reply: a single frame, or a streamed group.
 type reply struct {
-	id      uint64
-	typ     uint8
-	payload []byte
-	// pooled marks a payload encoded into a frame-pool buffer; the
-	// writer hands it back once the bytes are on the wire (or the write
-	// side is dead).
-	pooled bool
-	// A typ of msgGroupEnd is a streamed group reply (payload unused):
-	// one msgMemberChunk per member of staged[lo:hi], in order — the
-	// demanded file first — plus the closing msgGroupEnd.
+	// A group reply is one msgMemberChunk per member of staged[lo:hi], in
+	// order — the demanded file first — plus the closing msgGroupEnd, all
+	// under id. Any other reply is the complete frame arena[lo:hi].
+	id     uint64
+	group  bool
 	lo, hi int
 }
 
 // sendError queues an error reply and counts it.
 func (rw *replyWriter) sendError(id uint64, errResp errorResponse) {
 	rw.s.m.errors.Add(1)
-	rw.send(id, msgError, appendErrorResponse(getEncodeBuf(), errResp), true)
+	start := rw.frame(id, msgError)
+	rw.send(appendErrorResponse(rw.arena, errResp), start)
 }
 
-// send queues one reply frame.
-func (rw *replyWriter) send(id uint64, typ uint8, payload []byte, pooled bool) {
-	rw.enqueue(reply{id: id, typ: typ, payload: payload, pooled: pooled})
+// frame starts one frame at the end of the arena and returns where it
+// starts. The caller appends the payload to rw.arena and closes the frame
+// with end, or with send to queue it as a reply.
+func (rw *replyWriter) frame(id uint64, typ uint8) (start int) {
+	start = len(rw.arena)
+	rw.arena = startFrameID(rw.arena, typ, id)
+	return start
+}
+
+// end closes the frame begun at start; arena is the arena with its payload
+// appended. It returns the frame.
+func (rw *replyWriter) end(arena []byte, start int) []byte {
+	rw.arena = arena
+	endFrameID(arena[start:])
+	return arena[start:]
+}
+
+// send closes the frame begun at start and queues it as a reply.
+func (rw *replyWriter) send(arena []byte, start int) {
+	rw.end(arena, start)
+	rw.enqueue(reply{lo: start, hi: len(arena)})
 }
 
 // sendGroup queues one streamed group reply: the members staged from lo
 // on.
 func (rw *replyWriter) sendGroup(id uint64, lo int) {
-	rw.enqueue(reply{id: id, typ: msgGroupEnd, lo: lo, hi: len(rw.staged)})
+	rw.enqueue(reply{id: id, group: true, lo: lo, hi: len(rw.staged)})
 }
 
 func (rw *replyWriter) enqueue(rep reply) {
 	if rw.dead {
-		// Nothing is queued on a dead writer, so nothing staged is needed.
-		rep.drop()
+		// Nothing is queued on a dead writer, so nothing staged or
+		// encoded is needed.
+		rw.arena = rw.arena[:0]
 		rw.unstage()
 		return
 	}
@@ -1073,11 +1090,9 @@ func (rw *replyWriter) flush() {
 	}
 	rw.s.armWrite(rw.conn)
 	err := rw.writeBatch(rw.queue)
-	for i := range rw.queue {
-		rw.queue[i].drop()
-	}
 	rw.queue = rw.queue[:0]
 	rw.unstage()
+	rw.arena = keepBuf(nil, rw.arena)
 	if err != nil {
 		rw.dead = true
 		rw.s.disconnect(rw.conn, err)
@@ -1085,14 +1100,13 @@ func (rw *replyWriter) flush() {
 	}
 }
 
-// writeBatch puts one batch on the wire: frame headers and chunk
-// metadata accumulate in one pooled arena, file contents are referenced
-// in place, and the whole batch leaves in a single net.Buffers write.
-// Arena growth may reallocate its backing array, but segments already
-// recorded in bufs keep pointing at the old array's (immutable) bytes,
-// so earlier frames are never corrupted.
+// writeBatch puts one batch on the wire: chunk headers join the queued
+// frames in the arena, file contents are referenced in place, and the
+// whole batch leaves in a single net.Buffers write. Arena growth may
+// reallocate its backing array, but segments already recorded in bufs
+// keep pointing at the old array's (immutable) bytes, so earlier frames
+// are never corrupted.
 func (rw *replyWriter) writeBatch(batch []reply) error {
-	arena := getEncodeBuf()
 	bufs := rw.bufs[:0]
 	// Piggyback the membership epoch ahead of the batch when a view
 	// source is wired: one msgViewHint under request ID 0 (request IDs
@@ -1100,68 +1114,43 @@ func (rw *replyWriter) writeBatch(batch []reply) error {
 	// this is a single nil check — the hit path stays alloc-free.
 	if vs := rw.s.cfg.Views; vs != nil {
 		if epoch := vs.Epoch(); !rw.sentAny || epoch != rw.sentEpoch {
-			scratch := appendViewMsg(getEncodeBuf(), epoch, vs.Self())
-			start := len(arena)
-			arena = appendFrameID(arena, msgViewHint, 0, scratch)
-			bufs = append(bufs, arena[start:])
-			putFrameBuf(scratch)
+			start := rw.frame(0, msgViewHint)
+			bufs = append(bufs, rw.end(appendViewMsg(rw.arena, epoch, vs.Self()), start))
 			rw.sentAny, rw.sentEpoch = true, epoch
 		}
 	}
-	for i := range batch {
-		rep := &batch[i]
-		if rep.typ == msgGroupEnd {
-			// The demanded file leads, the rest follow in arrival order —
-			// each in full unless the connection's residency table shows
-			// the client holding it at this very tag.
-			files := rw.staged[rep.lo:rep.hi]
-			held := rw.res.send(files)
-			for k := range files {
-				skip := held&(1<<k) != 0
-				if skip {
-					rw.s.m.validated.Inc()
-					rw.s.m.validatedBytes.Add(uint64(len(files[k].Data)))
-				}
-				arena, bufs = appendMemberChunk(arena, bufs, rep.id, files[k].GroupFile, skip)
-			}
-			var cnt [10]byte // uvarint member count
-			n := binary.PutUvarint(cnt[:], uint64(len(files)))
-			start := len(arena)
-			arena = appendFrameID(arena, msgGroupEnd, rep.id, cnt[:n])
-			bufs = append(bufs, arena[start:])
+	for _, rep := range batch {
+		if !rep.group {
+			bufs = append(bufs, rw.arena[rep.lo:rep.hi])
 			continue
 		}
-		start := len(arena)
-		arena = appendFrameID(arena, rep.typ, rep.id, rep.payload)
-		bufs = append(bufs, arena[start:])
+		// The demanded file leads, the rest follow in arrival order — each
+		// in full unless the connection's residency table shows the client
+		// holding it at this very tag.
+		files := rw.staged[rep.lo:rep.hi]
+		held := rw.res.send(files)
+		for k := range files {
+			skip := held&(1<<k) != 0
+			if skip {
+				rw.s.m.validated.Inc()
+				rw.s.m.validatedBytes.Add(uint64(len(files[k].Data)))
+			}
+			start := len(rw.arena)
+			rw.arena = appendMemberChunkHdr(rw.arena, rep.id, files[k].Path, files[k].Tag, len(files[k].Data), skip)
+			if bufs = append(bufs, rw.arena[start:]); !skip {
+				bufs = append(bufs, files[k].Data)
+			}
+		}
+		start := rw.frame(rep.id, msgGroupEnd)
+		bufs = append(bufs, rw.end(appendGroupEnd(rw.arena, len(files)), start))
 	}
 	// WriteTo consumes its receiver (and may rewrite elements on partial
 	// writes), so give it the scratch directly and re-truncate next
-	// batch; the element values are disposable.
+	// batch. The elements are cleared, as the staged members are, so the
+	// reused storage pins neither store contents nor an arena flush drops.
 	rw.bufs = bufs
 	_, err := rw.bufs.WriteTo(rw.conn)
+	clear(bufs)
 	rw.bufs = bufs[:0]
-	putFrameBuf(arena)
 	return err
-}
-
-// appendMemberChunk adds one member to a batch: its chunk header in the
-// arena and, unless the client holds it (held), its contents referenced
-// where they lie.
-func appendMemberChunk(arena []byte, bufs net.Buffers, id uint64, f GroupFile, held bool) ([]byte, net.Buffers) {
-	start := len(arena)
-	arena = appendMemberChunkHdr(arena, id, f.Path, f.Tag, len(f.Data), held)
-	if bufs = append(bufs, arena[start:]); !held {
-		bufs = append(bufs, f.Data)
-	}
-	return arena, bufs
-}
-
-// drop gives up a reply's pooled payload once it is on the wire or will
-// never be.
-func (rep *reply) drop() {
-	if rep.pooled {
-		putFrameBuf(rep.payload)
-	}
-	*rep = reply{}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync/atomic"
@@ -107,17 +108,15 @@ func fakeV3Server(t *testing.T, serve func(conn net.Conn, w *bufio.Writer, typ u
 					return
 				}
 				_, _, err = decodeHello(payload)
-				putFrameBuf(payload)
 				if err != nil || writeHello(conn, msgHelloOK, protocolVersion, 0) != nil {
 					return
 				}
 				for {
-					typ, id, payload, err := readFrameID(r)
+					typ, id, payload, err := readFrameID(r, nil)
 					if err != nil {
 						return
 					}
 					ok := id == 0 || serve(conn, w, typ, id, payload)
-					putFrameBuf(payload)
 					if !ok || w.Flush() != nil {
 						return
 					}
@@ -338,6 +337,8 @@ func TestStreamFaultsPoison(t *testing.T) {
 // and a frame type no verb expects. Both mean the reply stream is
 // desynchronized: the call fails with the typed transport error and the
 // connection is poisoned rather than left installed for the next caller.
+// The reply arrived, so the server may have applied the request: with
+// retries configured it is still sent exactly once.
 func TestGarbageReplyPoisonsEveryVerb(t *testing.T) {
 	verbs := []struct {
 		name string
@@ -360,19 +361,28 @@ func TestGarbageReplyPoisonsEveryVerb(t *testing.T) {
 	for _, v := range verbs {
 		for _, g := range garbage {
 			t.Run(v.name+"/"+g.name, func(t *testing.T) {
-				addr := fakeV3Server(t, func(_ net.Conn, w *bufio.Writer, _ uint8, id uint64, _ []byte) bool {
-					return putFrameID(w, g.typ, id, g.payload) == nil
-				})
-				client, err := Dial(addr, ClientConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer client.Close()
-				if err := v.call(client); !errors.Is(err, ErrConnBroken) {
-					t.Fatalf("err = %v, want ErrConnBroken", err)
-				}
-				if st := client.Stats(); st.BrokenConns != 1 || client.Connected() {
-					t.Errorf("stats = %+v, connected = %v; want the connection poisoned", st, client.Connected())
+				for _, retries := range []int{0, 2} {
+					t.Run(fmt.Sprintf("retries-%d", retries), func(t *testing.T) {
+						var served atomic.Int32
+						addr := fakeV3Server(t, func(_ net.Conn, w *bufio.Writer, _ uint8, id uint64, _ []byte) bool {
+							served.Add(1)
+							return putFrameID(w, g.typ, id, g.payload) == nil
+						})
+						client, err := Dial(addr, ClientConfig{MaxRetries: retries, Backoff: Backoff{Base: time.Millisecond, Max: time.Millisecond, Multiplier: 1}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer client.Close()
+						if err := v.call(client); !errors.Is(err, ErrConnBroken) {
+							t.Fatalf("err = %v, want ErrConnBroken", err)
+						}
+						if st := client.Stats(); st.BrokenConns != 1 || st.Retries != 0 || client.Connected() {
+							t.Errorf("stats = %+v, connected = %v; want the connection poisoned and no retry", st, client.Connected())
+						}
+						if n := served.Load(); n != 1 {
+							t.Errorf("server answered %d requests, want 1: a garbled reply is not retried", n)
+						}
+					})
 				}
 			})
 		}

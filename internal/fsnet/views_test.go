@@ -297,7 +297,7 @@ func TestHintDedupPerEpoch(t *testing.T) {
 			id := uint64(i + 1)
 			rc.send(t, msgOpen, id, encodeOpenRequest(openRequest{Path: fmt.Sprintf("/data/f%03d", i)}))
 			for done := false; !done; {
-				typ, gotID, payload, err := readFrameID(rc.r)
+				typ, gotID, payload, err := readFrameID(rc.r, nil)
 				if err != nil {
 					t.Fatalf("open %d reply: %v", i, err)
 				}

@@ -36,7 +36,7 @@ func (in *Interner) Intern(path string) FileID {
 // conversion compiles to an allocation-free lookup); a first-time
 // assignment copies the path into the interner's arena, so path may be
 // overwritten as soon as the call returns. The wire decoders use this to
-// translate paths straight out of pooled frame buffers.
+// translate paths straight out of a connection's frame buffer.
 func (in *Interner) InternBytes(path []byte) FileID {
 	if id, ok := in.ids[string(path)]; ok {
 		return id

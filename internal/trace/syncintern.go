@@ -79,8 +79,8 @@ func (s *SyncInterner) Intern(path string) FileID {
 // InternBytes is Intern for a path held in a byte slice; the lock-free
 // hit path allocates nothing, and a first-time assignment copies the path
 // into the interner's arena, so path may be overwritten as soon as the
-// call returns. Wire decoders use this to intern paths straight out of
-// pooled frame buffers.
+// call returns. Wire decoders use this to intern paths straight out of a
+// connection's frame buffer.
 func (s *SyncInterner) InternBytes(path []byte) FileID {
 	snap := s.snap.Load()
 	if id, ok := snap.ids[string(path)]; ok {
