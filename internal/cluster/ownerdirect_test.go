@@ -202,6 +202,9 @@ func TestLearningPartition(t *testing.T) {
 	if st := client.Stats(); st.Fetches == 0 || st.Hits == 0 || st.Rerouted != 0 {
 		t.Fatalf("client stats %+v: want hits and fetches, nothing rerouted", st)
 	}
+	// A server learns a request's history after its reply is on the wire:
+	// closing the nodes waits for every read loop, and with it for that.
+	tc.close()
 	for i, srv := range tc.servers {
 		got, paths := metadataTracker(t, srv)
 		if len(paths) == 0 {

@@ -250,17 +250,52 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 	return false
 }
 
-// ServeGroup is Serve for a server that answers every open with its
-// group: it appends the group for id to dst — built once, and installed
-// if the access missed — and returns the extended slice with the hit.
-func (c *AggregatingCache) ServeGroup(dst []trace.FileID, id trace.FileID) ([]trace.FileID, bool) {
-	hit := c.demand(id)
+// ServeFrom is Serve for a server that answers every open with its group
+// and learns from the history its client piggybacks (§3). seq is what the
+// metadata has yet to learn of source src, oldest first, ending with the
+// demanded file: a request's piggybacked history and demanded id, after
+// any a caller still owes from the source's earlier requests. ServeFrom
+// counts the demand, appends the group to dst, installs it on a miss and
+// returns the extended slice with the hit.
+//
+// The group is built from the metadata as it stands, so the reply need
+// not wait for the learning. Learning seq adds successors to the lists of
+// the source's last learned access and of every entry of seq but the
+// last, and a build reads only its members' lists: unless one of those
+// files is a member, learning first would have built the same group, and
+// ServeFrom reports owed — the caller must LearnFrom(src, seq...) before
+// it serves the source's next request, or pass seq on as that request's
+// prefix. Otherwise ServeFrom learns seq, rebuilds, and owes nothing.
+func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace.FileID) (_ []trace.FileID, hit, owed bool) {
+	id := seq[len(seq)-1]
+	hit = c.demand(id)
 	start := len(dst)
 	dst = c.builder.AppendBuild(dst, id)
+	if c.learningChanges(src, seq[:len(seq)-1]) {
+		c.LearnFrom(src, seq...)
+		dst = c.builder.AppendBuild(dst[:start], id)
+	} else {
+		owed = true
+	}
 	if !hit {
 		c.install(dst[start:])
 	}
-	return dst, hit
+	return dst, hit, owed
+}
+
+// learningChanges reports whether learning src's accesses before the
+// demanded file, preceding, could change the group just built: whether
+// the source's last learned access or one of preceding is a member.
+func (c *AggregatingCache) learningChanges(src uint64, preceding []trace.FileID) bool {
+	if last, ok := c.tracker.Last(src); ok && c.builder.DependsOn(last) {
+		return true
+	}
+	for _, id := range preceding {
+		if c.builder.DependsOn(id) {
+			return true
+		}
+	}
+	return false
 }
 
 // demand counts one demand access to id as a hit or a miss and reports

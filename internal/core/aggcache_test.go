@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -234,10 +235,11 @@ func TestBuildGroupDoesNotTouchState(t *testing.T) {
 	}
 }
 
-// TestServeGroupIsServeAndBuildGroup: ServeGroup returns the group
-// BuildGroup would have built just before it, on hits and misses alike,
-// and leaves the cache and its Stats exactly as Serve does.
-func TestServeGroupIsServeAndBuildGroup(t *testing.T) {
+// TestServeFromIsServeAndBuildGroup: on a stream with no piggybacked
+// history, ServeFrom plus the learning it leaves owed returns the group
+// BuildGroup builds after learning, on hits and misses alike, and leaves
+// the cache and its Stats exactly as learning and then Serve do.
+func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 	cfg := Config{Capacity: 12, GroupSize: 4}
 	served, grouped := mustNew(t, cfg), mustNew(t, cfg)
 	rng := rand.New(rand.NewSource(1))
@@ -246,19 +248,21 @@ func TestServeGroupIsServeAndBuildGroup(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		id := trace.FileID(rng.Intn(30))
 		served.LearnFrom(1, id)
-		grouped.LearnFrom(1, id)
-		want := grouped.BuildGroup(id)
+		want := served.BuildGroup(id)
 		wantHit := served.Serve(id)
-		var hit bool
-		scratch, hit = grouped.ServeGroup(scratch[:0], id)
+		var hit, owed bool
+		scratch, hit, owed = grouped.ServeFrom(scratch[:0], 1, []trace.FileID{id})
+		if owed {
+			grouped.LearnFrom(1, id)
+		}
 		if hit != wantHit {
-			t.Fatalf("access %d of %d: ServeGroup hit = %v, Serve hit = %v", i, id, hit, wantHit)
+			t.Fatalf("access %d of %d: ServeFrom hit = %v, Serve hit = %v", i, id, hit, wantHit)
 		}
 		if !slices.Equal(scratch, want) {
-			t.Fatalf("access %d of %d (hit %v): ServeGroup group = %v, BuildGroup = %v", i, id, hit, scratch, want)
+			t.Fatalf("access %d of %d (hit %v): ServeFrom group = %v, BuildGroup = %v", i, id, hit, scratch, want)
 		}
 		if grouped.Stats() != served.Stats() {
-			t.Fatalf("access %d of %d (hit %v): ServeGroup stats %+v, Serve stats %+v", i, id, hit, grouped.Stats(), served.Stats())
+			t.Fatalf("access %d of %d (hit %v): ServeFrom stats %+v, Serve stats %+v", i, id, hit, grouped.Stats(), served.Stats())
 		}
 		for f := trace.FileID(0); f < 30; f++ {
 			if grouped.Contains(f) != served.Contains(f) {
@@ -271,6 +275,149 @@ func TestServeGroupIsServeAndBuildGroup(t *testing.T) {
 	}
 	if hits == 0 || hits == 2000 {
 		t.Fatalf("%d hits in 2000 accesses: the stream must both hit and miss", hits)
+	}
+}
+
+// TestServeFromMatchesLearnThenServe is ServeFrom's differential test: a
+// server that answers each request with ServeFrom and learns what it
+// leaves owed afterwards holds the same groups, hits, cache contents and
+// successor lists as one that learns each request's history first and
+// serves after. Seeded streams from four sources run in bursts: the
+// requests of one burst come from one source, and the learning they owe
+// rides as the next request's prefix until the burst ends and pays it, as
+// a connection's pipelined requests do. The group, hit and cache are
+// compared after every request, and the successor lists whenever nothing
+// is owed. Every case that decides whether learning must come first
+// occurs: an empty history, a history naming the demanded file, the
+// source's last access in the group and a member named mid-history.
+func TestServeFromMatchesLearnThenServe(t *testing.T) {
+	const (
+		files   = 40
+		sources = 4
+	)
+	configs := map[string]Config{
+		"chain":   {Capacity: 10, GroupSize: 4},
+		"cut":     {Capacity: 10, GroupSize: 5, LinkShare: 1.0 / 3},
+		"breadth": {Capacity: 10, GroupSize: 4, Strategy: group.StrategyBreadth},
+		"lfu":     {Capacity: 10, GroupSize: 3, SuccessorPolicy: successor.PolicyLFU},
+		"single":  {Capacity: 10, GroupSize: 1},
+	}
+	for name, cfg := range configs {
+		t.Run(name, func(t *testing.T) {
+			for seed := int64(1); seed <= 3; seed++ {
+				diffServeFrom(t, cfg, seed, files, sources)
+			}
+		})
+	}
+}
+
+func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
+	t.Helper()
+	ref, sut := mustNew(t, cfg), mustNew(t, cfg)
+	rng := rand.New(rand.NewSource(seed))
+	// Each source walks its own task of eight files with locality, now
+	// and then jumping to another task, so learned chains form groups.
+	pos := make([]int, sources)
+	next := func(src int) trace.FileID {
+		if rng.Intn(5) == 0 {
+			pos[src] = rng.Intn(files/8) * 8
+		} else {
+			pos[src] = pos[src]/8*8 + (pos[src]+1)%8
+		}
+		return trace.FileID(pos[src])
+	}
+	var (
+		owed, seq, hist []trace.FileID
+		scratch         []trace.FileID
+		cases           [5]int // empty, names demanded, last in group, member mid-history, owed
+	)
+	src := 0
+	for step := 0; step < 3000; step++ {
+		if len(owed) == 0 {
+			src = rng.Intn(sources)
+		}
+		hist = hist[:0]
+		for n := rng.Intn(6); len(hist) < n; {
+			hist = append(hist, next(src))
+		}
+		d := next(src)
+		switch rng.Intn(8) {
+		case 0:
+			hist = hist[:0]
+		case 1:
+			// The demanded file is also in the history, as when a client
+			// re-demands a file it has just evicted.
+			hist = append(hist, d)
+		case 2:
+			if len(hist) > 1 {
+				// A member named mid-history: the demanded file's own
+				// chain, then more history after it.
+				hist = append(hist[:1], append([]trace.FileID{d}, hist[1:]...)...)
+			}
+		}
+
+		// The cases, read off the metadata the group is built from.
+		before := sut.BuildGroup(d)
+		last, hasLast := sut.Tracker().Last(uint64(src))
+		if len(hist) == 0 {
+			cases[0]++
+		}
+		if slices.Contains(hist, d) {
+			cases[1]++
+		}
+		if hasLast && len(before) > 1 && slices.Contains(before, last) {
+			cases[2]++
+		}
+		if len(before) > 1 && len(hist) > 1 && slices.ContainsFunc(hist[:len(hist)-1], func(h trace.FileID) bool { return slices.Contains(before, h) }) {
+			cases[3]++
+		}
+
+		ref.LearnFrom(uint64(src), append(slices.Clone(hist), d)...)
+		want := ref.BuildGroup(d)
+		wantHit := ref.Serve(d)
+
+		seq = append(append(append(seq[:0], owed...), hist...), d)
+		var hit, isOwed bool
+		scratch, hit, isOwed = sut.ServeFrom(scratch[:0], uint64(src), seq)
+		owed = owed[:0]
+		if isOwed {
+			cases[4]++
+			owed = append(owed, seq...)
+		}
+		if len(owed) > 0 && (rng.Intn(3) == 0 || step == 2999) {
+			// The burst ends: its replies are flushed, then learned.
+			sut.LearnFrom(uint64(src), owed...)
+			owed = owed[:0]
+		}
+
+		where := fmt.Sprintf("seed %d step %d (source %d, history %v, demanded %d)", seed, step, src, hist, d)
+		if hit != wantHit || !slices.Equal(scratch, want) {
+			t.Fatalf("%s: ServeFrom = %v hit %v, learning first = %v hit %v", where, scratch, hit, want, wantHit)
+		}
+		if sut.Stats() != ref.Stats() {
+			t.Fatalf("%s: stats %+v, learning first %+v", where, sut.Stats(), ref.Stats())
+		}
+		for f := trace.FileID(0); f < trace.FileID(files); f++ {
+			if sut.Contains(f) != ref.Contains(f) {
+				t.Fatalf("%s: residency of %d differs", where, f)
+			}
+			if len(owed) > 0 {
+				continue
+			}
+			if got, want := sut.Tracker().Successors(f), ref.Tracker().Successors(f); !slices.Equal(got, want) {
+				t.Fatalf("%s: successors of %d = %v, learning first %v", where, f, got, want)
+			}
+			for _, s := range ref.Tracker().Successors(f) {
+				if got, want := sut.Tracker().List(f).Count(s), ref.Tracker().List(f).Count(s); got != want {
+					t.Fatalf("%s: count of %d after %d = %d, learning first %d", where, s, f, got, want)
+				}
+			}
+		}
+	}
+	for i, n := range cases {
+		if n == 0 && !(i >= 2 && i <= 3 && cfg.GroupSize == 1) {
+			t.Errorf("seed %d: case %d never occurred (cases %v)", seed, i, cases)
+		}
 	}
 }
 

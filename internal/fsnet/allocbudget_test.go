@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -327,12 +328,13 @@ func TestKeptBuffersStayUnderBound(t *testing.T) {
 		t.Errorf("after a group with a member larger than the bound, request buffer, request batch and reply buffer hold %v bytes; want %v, as before", now, grown)
 	}
 	if !raceBuild { // allocation counts are pinned without the race detector
-		// Collection is off because of a known defect, not a cost of the
-		// connection's: the client's piggyback-history arrays travel in
-		// pooled calls, so a collection that empties muxCallPool drops
-		// them and the next Open regrows its backlog in appendPending
-		// (ROADMAP item 18 (c)). Once that is mended, count with
-		// collection on and revisit this budget.
+		// Collection is off because each round's large frames start about
+		// one collection cycle, and a cycle costs the runtime allocations
+		// of its own that are not the connection's: the per-P array of
+		// every sync.Pool in use, the unique package's cleanup and the
+		// channel waiters net.Pipe parks on. With collection on a round
+		// counts 8 to 10. The client's history arrays are pinned with
+		// collection on by TestHistoryArraysSurviveCollection.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		round := func() {
 			write()
@@ -348,5 +350,49 @@ func TestKeptBuffersStayUnderBound(t *testing.T) {
 	<-served
 	if cap(rw.arena) > maxKeptBuf {
 		t.Errorf("reply arena of %d bytes kept, bound %d", cap(rw.arena), maxKeptBuf)
+	}
+}
+
+// TestHistoryArraysSurviveCollection: the client keeps the arrays of the
+// piggyback history it has claimed and the server has consumed, so a
+// collection, which empties every sync.Pool, leaves a claim a spare array
+// to put in the backlog's place and the backlog does not regrow. Runs
+// with collection on, under the race detector too.
+func TestHistoryArraysSurviveCollection(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 4), ServerConfig{GroupSize: 1})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	open := func(i int) {
+		if _, err := client.Open(fmt.Sprintf("/data/f%03d", i%4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backlog := func() (length, capacity int) {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		return len(client.pending), cap(client.pending)
+	}
+	// Each file is fetched, then hit: the hit adds to the backlog and the
+	// next fetch claims it. Two such visits leave the client the array
+	// the first fetch claimed.
+	for i := 0; i < 2; i++ {
+		open(i)
+		open(i)
+	}
+	for i := 2; i < 10; i++ {
+		runtime.GC()
+		runtime.GC()
+		fetches := client.Stats().Fetches
+		open(i)
+		if got := client.Stats().Fetches - fetches; got != 1 {
+			t.Fatalf("open %d made %d fetches, want 1", i, got)
+		}
+		if n, c := backlog(); n != 0 || c == 0 {
+			t.Fatalf("fetch %d after two collections left a backlog of %d in an array of %d; want an empty array to regrow into", i, n, c)
+		}
+		open(i) // a hit, into that array
 	}
 }

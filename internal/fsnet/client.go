@@ -301,9 +301,12 @@ type Client struct {
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	tags    []uint64        // by FileID: the tag data[id] arrived (or was written) under
 	// pending is the access history awaiting piggybacking. A claim takes
-	// its array and leaves the claiming call's empty one in its place, so
-	// the backlog regrows without reallocating.
+	// its array and leaves one of spares in its place, and an answered
+	// open hands its claim's array back, emptied, to spares: the backlog
+	// regrows without reallocating, and the client keeps as many arrays
+	// as it ever had claims in flight at once, plus one.
 	pending    []string
+	spares     [][]string
 	reply      groupReply // install's decode of the reply it installs
 	gidScratch []trace.FileID
 	reported   []trace.FileID // appendOpen's scratch
@@ -854,15 +857,14 @@ func (c *Client) pullView(l *link) error {
 // appendOpen encodes one open for l's connection: the demanded path, the
 // piggybacked history and l's residency report. The history claimed is
 // returned for restorePending should the connection die before the
-// server saw it; spare is the claiming call's empty array, returned when
-// there is nothing to claim. Called by the mux's flush with its lock held.
-func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_ []byte, claimed []string) {
+// server saw it, or for keepSpare once it is answered. Called by the
+// mux's flush with its lock held.
+func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var accessed []string
-	claimed = spare
 	if len(c.pending) > 0 {
-		accessed, claimed = c.claimPending(path, spare)
+		accessed, claimed = c.claimPending(path)
 	}
 	dst = appendOpenRequest(dst, path, accessed)
 	return c.appendReport(dst, l), claimed
@@ -873,11 +875,15 @@ func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_
 // for the demanded path itself (the server appends the demanded open on
 // arrival), capped at the protocol limit by dropping the oldest overflow
 // — and the slice to hand to restorePending should the attempt fail
-// before the server saw it. spare, an empty array, takes the claimed
-// one's place. Called with mu held.
-func (c *Client) claimPending(path string, spare []string) (accessed, claimed []string) {
+// before the server saw it. A spare array, if the client has one, takes
+// the claimed one's place. Called with mu held.
+func (c *Client) claimPending(path string) (accessed, claimed []string) {
 	claimed = c.pending
-	c.pending = spare
+	c.pending = nil
+	if n := len(c.spares); n > 0 {
+		c.pending, c.spares[n-1] = c.spares[n-1], nil
+		c.spares = c.spares[:n-1]
+	}
 	accessed = claimed
 	if n := len(accessed); accessed[n-1] == path {
 		accessed = accessed[:n-1]
@@ -892,6 +898,18 @@ func (c *Client) claimPending(path string, spare []string) (accessed, claimed []
 		c.noteShed(overflow)
 	}
 	return accessed, claimed
+}
+
+// keepSpare takes back the array of a claim the server has consumed,
+// emptied, for a later claim to leave in the backlog's place.
+func (c *Client) keepSpare(claimed []string) {
+	if cap(claimed) == 0 {
+		return
+	}
+	clear(claimed)
+	c.mu.Lock()
+	c.spares = append(c.spares, claimed[:0])
+	c.mu.Unlock()
 }
 
 // appendReport appends l's residency report: every marked file whose
@@ -1064,6 +1082,7 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	// and the call consumed all it was sent: it is free for reuse. The
 	// server consumed the piggybacked history the call claimed, so its
 	// array can back a later backlog.
+	c.keepSpare(call.claimed)
 	putMuxCall(call)
 	return res, false, nil
 }

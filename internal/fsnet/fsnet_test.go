@@ -817,6 +817,12 @@ func TestWriteDoesNotPerturbMetadata(t *testing.T) {
 	if _, err := client.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
+	// The open's history is learned after its reply is on the wire and
+	// before the connection's next request is read: once a write is
+	// answered, nothing the open taught is still to come.
+	if err := client.Write("/data/f001", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
 	before := func() uint64 {
 		srv.aggMu.Lock()
 		defer srv.aggMu.Unlock()

@@ -87,10 +87,10 @@ type muxCall struct {
 	payload []byte
 	// claimed is the piggyback history this call took from the client's
 	// pending list when the flush encoded it; it is restored if the
-	// connection dies before the server demonstrably processed the call.
+	// connection dies before the server demonstrably processed the call,
+	// and its array goes back to the client once the call is answered.
 	// Calls poisoned before they were written have no claim — their
-	// history simply stayed on the pending list. Between claims it is the
-	// empty array a claim leaves on the pending list in its place.
+	// history simply stayed on the pending list.
 	claimed []string
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
@@ -119,14 +119,11 @@ var muxCallPool = sync.Pool{
 	New: func() interface{} { return &muxCall{done: make(chan error, 2)} },
 }
 
-// putMuxCall recycles a call that has its reply. The server consumed
-// the history it claimed, so the claim's array is kept, emptied, to back
-// a later backlog.
+// putMuxCall recycles a call that has its reply, or none because it was
+// never sent.
 func putMuxCall(call *muxCall) {
 	call.id, call.typ, call.path = 0, 0, ""
-	call.payload = nil
-	clear(call.claimed)
-	call.claimed = call.claimed[:0]
+	call.payload, call.claimed = nil, nil
 	call.start, call.deadline = time.Time{}, time.Time{}
 	call.idle = false
 	call.tctx = otrace.Ctx{}
@@ -251,7 +248,7 @@ func (m *muxConn) flush() {
 				continue
 			}
 			start := len(enc)
-			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path, call.claimed)
+			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path)
 			call.payload = enc[start:]
 		}
 		m.mu.Unlock()

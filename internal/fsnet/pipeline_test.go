@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -479,5 +480,136 @@ func TestPipelinedVerbsDecodeTheirOwnReplies(t *testing.T) {
 	}
 	if st := client.Stats(); st.BrokenConns != 0 {
 		t.Errorf("BrokenConns = %d, want 0", st.BrokenConns)
+	}
+}
+
+// readGroupPaths reads the group reply to request id off rc and returns
+// its members' paths, demanded file first.
+func readGroupPaths(t *testing.T, rc *rawConn, id uint64) []string {
+	t.Helper()
+	var paths []string
+	for {
+		typ, gotID, payload, err := readFrameID(rc.r, nil)
+		if err != nil || gotID != id || (typ != msgMemberChunk && typ != msgGroupEnd) {
+			t.Fatalf("reply to %d: type %d id %d, %v; want its group", id, typ, gotID, err)
+		}
+		if typ == msgGroupEnd {
+			return paths
+		}
+		p, _, _, _, err := memberChunkView(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, string(p))
+	}
+}
+
+// successorPaths returns the successors srv has learned for path, best
+// first.
+func successorPaths(srv *Server, path string) []string {
+	srv.aggMu.Lock()
+	defer srv.aggMu.Unlock()
+	var out []string
+	if id, ok := srv.ids.Lookup(path); ok {
+		for _, s := range srv.agg.Tracker().Successors(id) {
+			out = append(out, srv.ids.Path(s))
+		}
+	}
+	return out
+}
+
+// TestPipelinedOpensLearnInRequestOrder: a server learns an open's
+// piggybacked history after the reply is on the wire, and a request
+// pipelined behind it is still served as if that history had been
+// learned first. The second open of the burst demands a file the first
+// one's history taught a chain to, so its group must carry the chain.
+func TestPipelinedOpensLearnInRequestOrder(t *testing.T) {
+	srv, addr := startServer(t, seededStore(t, 8), ServerConfig{GroupSize: 3})
+	rc := rawHello(t, rawDial(t, addr))
+	_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	history := []string{"/data/f000", "/data/f001", "/data/f002"}
+	// One write, so the server reads the second open before it flushes the
+	// first one's reply, and so before the first one's history is learned.
+	burst := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f005", history))
+	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil))
+	if _, err := rc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if got := readGroupPaths(t, rc, 1); !slices.Equal(got, []string{"/data/f005"}) {
+		t.Errorf("first open's group = %v, want the demanded file alone: nothing is learned yet", got)
+	}
+	if got, want := readGroupPaths(t, rc, 2), history; !slices.Equal(got, want) {
+		t.Errorf("second open's group = %v, want %v: the chain the first open's history taught", got, want)
+	}
+	_ = rc.Close()
+	_ = srv.Close()
+	for path, want := range map[string][]string{
+		"/data/f000": {"/data/f001"},
+		"/data/f002": {"/data/f005"},
+		"/data/f005": {"/data/f000"},
+	} {
+		if got := successorPaths(srv, path); !slices.Equal(got, want) {
+			t.Errorf("successors of %s = %v, want %v", path, got, want)
+		}
+	}
+	srv.aggMu.Lock()
+	observed := srv.agg.Tracker().Observed()
+	srv.aggMu.Unlock()
+	if observed != 5 {
+		t.Errorf("server observed %d accesses, want 5: each learned once", observed)
+	}
+}
+
+// TestClosedConnectionLearnsOwedHistory: a connection that ends with an
+// open's history still to be learned has it learned before its source is
+// forgotten, so the tracker keeps no predecessor for the source, and a
+// snapshot taken afterwards holds the transitions. The connection ends
+// either by its client closing right after the reply, or by a malformed
+// frame pipelined behind the open, which ends the read loop before it
+// flushes.
+func TestClosedConnectionLearnsOwedHistory(t *testing.T) {
+	history := []string{"/data/f000", "/data/f001", "/data/f002"}
+	open := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f003", history))
+	runt := []byte{0, 0, 0, 0} // a frame length below any header
+	for name, burst := range map[string][]byte{
+		"client-close":   open,
+		"malformed-next": append(slices.Clone(open), runt...),
+	} {
+		t.Run(name, func(t *testing.T) {
+			srv, addr := startServer(t, seededStore(t, 6), ServerConfig{GroupSize: 3})
+			rc := rawHello(t, rawDial(t, addr))
+			_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := rc.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			if got := readGroupPaths(t, rc, 1); !slices.Equal(got, []string{"/data/f003"}) {
+				t.Errorf("group = %v, want the demanded file alone", got)
+			}
+			_ = rc.Close()
+			_ = srv.Close() // waits for the connection's read loop
+			srv.aggMu.Lock()
+			last, kept := srv.agg.Tracker().Last(1)
+			srv.aggMu.Unlock()
+			if kept {
+				t.Errorf("the closed connection's source keeps predecessor %d", last)
+			}
+			var snap bytes.Buffer
+			if err := srv.SaveMetadata(&snap); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := NewServer(seededStore(t, 6), ServerConfig{GroupSize: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.LoadMetadata(&snap); err != nil {
+				t.Fatal(err)
+			}
+			chain := append(slices.Clone(history), "/data/f003")
+			for i := 0; i+1 < len(chain); i++ {
+				if got := successorPaths(restored, chain[i]); !slices.Equal(got, chain[i+1:i+2]) {
+					t.Errorf("snapshot: successors of %s = %v, want %v", chain[i], got, chain[i+1:i+2])
+				}
+			}
+		})
 	}
 }

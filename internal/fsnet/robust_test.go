@@ -348,27 +348,24 @@ func TestPiggybackRetainedAcrossFailedRoundTrip(t *testing.T) {
 		t.Fatalf("expected failed round trip, got %v", err)
 	}
 
-	before := func() uint64 {
-		srv.aggMu.Lock()
-		defer srv.aggMu.Unlock()
-		return srv.agg.Tracker().Observed()
-	}()
-
 	// The next request (clean third connection) must deliver the
 	// retained history: 2 hit records + the failed demanded open + this
 	// open itself.
 	if _, err := client.Open("/data/f006"); err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	after := func() uint64 {
+	// A server learns a request's history after its reply is on the wire;
+	// Close waits for every connection's read loop, and with it for that.
+	_ = srv.Close()
+	observed := func() uint64 {
 		srv.aggMu.Lock()
 		defer srv.aggMu.Unlock()
 		return srv.agg.Tracker().Observed()
 	}()
-	// f000,f001 hits + f005 (failed demanded, re-sent as history) +
-	// f006 demanded = 4 newly observed accesses.
-	if after-before != 4 {
-		t.Errorf("server observed %d accesses after recovery, want 4 (history retained)", after-before)
+	// f000, f001 demanded, then f000,f001 hits + f005 (failed demanded,
+	// re-sent as history) + f006 demanded: 4 accesses after recovery.
+	if observed != 6 {
+		t.Errorf("server observed %d accesses, want 6: 2 misses, then 4 after recovery (history retained)", observed)
 	}
 	// And the hit-path transition f000 -> f001 was learned.
 	srv.aggMu.Lock()

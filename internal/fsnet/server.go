@@ -149,7 +149,8 @@ type ServerStats struct {
 // a read-lock fast path for known paths, store reads happen outside any
 // server lock, and only the successor-table update plus cache admission
 // sit under the short aggMu critical section — the one server-wide mutex
-// a locally served open takes, once.
+// a locally served open takes: once to build its group, and once more
+// after its reply is flushed when the history it carried is learned then.
 type Server struct {
 	cfg    ServerConfig
 	store  *Store
@@ -461,17 +462,24 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // request, serves it and queues its reply, so a connection's requests run
 // in the order they were sent (DESIGN.md §10). Each request is read into
 // the one buffer the connection keeps, rw.req, and is done with before the
-// next read. Nothing on the serving path
-// waits on a peer — opens, writes, handoffs and view frames touch only the
-// server's own cache, store and view — so the read loop never blocks on
-// anything but its socket, and a goroutine hand-off would only add two
-// scheduler hops per request. The replies queued since the last read are
-// flushed before a read that could block, so a pipelined burst leaves in
-// one write. A malformed request payload fails only its own request; the
-// framed stream stays intact, so the connection keeps serving.
+// next read. Nothing on the serving path waits on a peer — opens, writes,
+// handoffs and view frames touch only the server's own cache, store and
+// view — so the read loop never blocks on anything but its socket, and a
+// goroutine hand-off would only add two scheduler hops per request. The
+// replies queued since the last read are flushed before a read that could
+// block, so a pipelined burst leaves in one write. Only then does the
+// metadata learn the history the burst's opens carried, unless learning
+// it could have changed one of their groups (core.AggregatingCache.ServeFrom),
+// so no reply waits for it; an open read before it is paid takes it on as
+// the prefix of its own history. A malformed request payload fails only
+// its own request; the framed stream stays intact, so the connection
+// keeps serving.
 func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	conn := rw.conn
-	defer rw.flush()
+	defer func() {
+		rw.flush()
+		s.learnOwed(&rw.scratch, src)
+	}()
 	// A panic in the read loop itself (as opposed to in a handler, which
 	// recovers per request) must not skip the flush above.
 	defer func() {
@@ -488,6 +496,7 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	for {
 		if !frameBuffered(r) {
 			rw.flush()
+			s.learnOwed(&rw.scratch, src)
 		}
 		if !s.armIdle(conn) {
 			return
@@ -524,6 +533,18 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 		}
 		s.serveRequest(rw, src, typ, id, payload, tctx)
 	}
+}
+
+// learnOwed teaches the metadata what the connection's opens still owe
+// it, once their replies are on the wire.
+func (s *Server) learnOwed(sc *openScratch, src uint64) {
+	if len(sc.owed) == 0 {
+		return
+	}
+	s.aggMu.Lock()
+	s.agg.LearnFrom(src, sc.owed...)
+	s.aggMu.Unlock()
+	sc.owed = sc.owed[:0]
 }
 
 // frameBuffered reports whether r holds a whole request-ID frame, so that
@@ -779,6 +800,11 @@ type openScratch struct {
 	views  [][]byte      // piggybacked path views into the request's frame
 	report []reportEntry // the residency report, as views into the frame
 	ids    []trace.FileID
+	// owed is what the connection's opens have not yet taught the
+	// metadata: their histories and demanded files, oldest first
+	// (core.AggregatingCache.ServeFrom). The read loop learns it after
+	// each flush.
+	owed []trace.FileID
 	// accessed is the piggybacked history as the interner's own strings,
 	// for the router (whose interface carries strings across the cluster
 	// tier); filled only on a routed server.
@@ -866,27 +892,31 @@ func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otra
 	return s.serveOpen(rw, id, path, src, sc, timed, start, tctx), nil
 }
 
-// serveOpen is the local tail of an open: learn the piggybacked
-// transitions, stage the group through the aggregating cache, and read
-// the members' contents onto rw. sc.ids holds the interned access
-// history; the demanded id is appended to it.
+// serveOpen is the local tail of an open: stage the group through the
+// aggregating cache and read the members' contents onto rw. sc.ids holds
+// the interned access history. The history and the demanded open join
+// what the connection already owes the metadata, sc.owed; the group is
+// built without learning them unless learning could change it, and what
+// is still owed is learned once the reply is flushed (serve).
 func (s *Server) serveOpen(rw *replyWriter, id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) errorResponse {
 	// Piggybacked history first (oldest..newest), then the demanded
-	// open, preserving the client's true access order: one call learns
-	// the whole request.
-	sc.ids = append(sc.ids, id)
+	// open, preserving the client's true access order.
+	sc.owed = append(append(sc.owed, sc.ids...), id)
 	s.aggMu.Lock()
-	s.agg.LearnFrom(src, sc.ids...)
 	// Stage the group into the server memory cache, built once for the
 	// cache and the reply; hit-or-miss selects the latency phase below.
-	var hit bool
-	sc.group, hit = s.agg.ServeGroup(sc.group[:0], id)
+	var hit, owed bool
+	sc.group, hit, owed = s.agg.ServeFrom(sc.group[:0], src, sc.owed)
 	s.aggMu.Unlock()
+	if !owed {
+		sc.owed = sc.owed[:0]
+	}
 
 	n := s.stageGroup(rw, sc.group)
 	if n == 0 {
 		// The file vanished between the existence check and the staged
-		// read; rare, and the learning above recorded a genuine access.
+		// read; rare, and the accesses the request carried are genuine
+		// all the same, so they are learned.
 		return errorResponse{Code: CodeNotFound, Message: path}
 	}
 	s.m.sent.Add(uint64(n))

@@ -121,6 +121,13 @@ func (b *Builder) AppendBuild(dst []trace.FileID, id trace.FileID) []trace.FileI
 	return dst
 }
 
+// DependsOn reports whether the group AppendBuild returned last depends on
+// id's successor list. A build reads only its members' lists, so it does
+// when id is a member; a group of one reads none.
+func (b *Builder) DependsOn(id trace.FileID) bool {
+	return b.size > 1 && b.marked(id)
+}
+
 // nextGen starts a fresh, empty seen-set in O(1) by bumping the
 // generation stamp. On the (rare) uint32 wraparound the stamps are
 // cleared so stale marks from 2^32 builds ago cannot alias.

@@ -111,6 +111,13 @@ func (t *Tracker) ObserveFrom(src uint64, ids ...trace.FileID) {
 	t.prevBySrc[src] = prev
 }
 
+// Last returns the source's last observed access: the predecessor of the
+// next access ObserveFrom records for it.
+func (t *Tracker) Last(src uint64) (trace.FileID, bool) {
+	id, ok := t.prevBySrc[src]
+	return id, ok
+}
+
 // ForgetSource drops a source's predecessor context (e.g. when its
 // connection closes); its contributions to the shared lists remain.
 func (t *Tracker) ForgetSource(src uint64) {
