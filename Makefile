@@ -97,9 +97,9 @@ ignore-guard:
 # stages its members on the connection's reply writer, the client call
 # that reads it keeps its chunk frames and installs from them — and the
 # server builds each open's group once. So are pendingFree, freePending
-# and appendPending's revive branch: the client keeps the arrays of the
-# history claims its servers consumed (Client.spares), and a claim, not an
-# append, leaves one in the backlog's place. So is the process-wide frame
+# and appendPending's revive branch: a call keeps the array of the history
+# claim its server consumed, and its next claim, not an append, leaves it
+# in the backlog's place. So is the process-wide frame
 # pool, its boxing trick and the open path's scratch pool: a frame's bytes
 # belong to the connection that reads them, each end reads and encodes
 # into buffers its connection keeps (bounded by maxKeptBuf), and every
@@ -107,7 +107,11 @@ ignore-guard:
 # frame back. So is core's ServeGroup, which learned a request's history
 # before building its group: ServeFrom builds first and leaves the
 # learning owed to after the reply is flushed unless it could change the
-# group.
+# group. So are the client's second set of counts, the call pool and the
+# spare history arrays: ClientStats reads the counters /metrics scrapes
+# (no c.stats under the client's lock), and a call belongs to its
+# connection, which recycles it with the history array it keeps (no
+# sync.Pool in fsnet, muxCallPool, keepSpare or Client.spares).
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -138,6 +142,8 @@ lint-dead:
 	@! grep -rnE 'func \(g \*Group\) Retain|groupPool|scribbleReleased|LiveGroups|pendingFree|freePending|AppendBuildGroup' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'frameBufPool|boxPool|getFrameBuf|putFrameBuf|getEncodeBuf|openScratchPool|putChunks' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'ServeGroup(' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'sync\.Pool|c\.spares|c\.stats\.' --include='*.go' --exclude='*_test.go' internal/fsnet
+	@! grep -rnE 'muxCallPool|keepSpare' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -158,9 +164,12 @@ race:
 # next call reads into the connection's reply buffer; and the two that
 # show a server learns each open's history in request order although it
 # learns it after the reply, in a pipelined burst and when the connection
-# ends with learning still owed.
+# ends with learning still owed; and the two that show a client's counts
+# and calls have one owner each: snapshots taken under concurrent opens
+# keep their bounds and equal the scraped series, and a connection
+# recycles its own calls through collections.
 mux-race:
-	$(GO) test -race -count 10 -run '^(TestPipelinedVerbsDecodeTheirOwnReplies|TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup|TestPipelinedOpensLearnInRequestOrder|TestClosedConnectionLearnsOwedHistory)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestPipelinedVerbsDecodeTheirOwnReplies|TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup|TestPipelinedOpensLearnInRequestOrder|TestClosedConnectionLearnsOwedHistory|TestConcurrentClientStatsSnapshot|TestCallsSurviveCollection)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

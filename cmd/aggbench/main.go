@@ -437,7 +437,13 @@ func drive(cfg config, seqs [][]string, f *fleet) (*result, error) {
 	res.elapsed = time.Since(start)
 	res.opens = opens.Load()
 	res.errors = errCount.Load()
-	for _, c := range clients {
+	// With -metrics the clients share the registry's counters, so any one
+	// client's Stats is already the fleet's.
+	counted := clients
+	if reg != nil {
+		counted = clients[:1]
+	}
+	for _, c := range counted {
 		st := c.Stats()
 		res.client.Opens += st.Opens
 		res.client.Hits += st.Hits

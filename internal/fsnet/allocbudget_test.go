@@ -329,12 +329,13 @@ func TestKeptBuffersStayUnderBound(t *testing.T) {
 	}
 	if !raceBuild { // allocation counts are pinned without the race detector
 		// Collection is off because each round's large frames start about
-		// one collection cycle, and a cycle costs the runtime allocations
-		// of its own that are not the connection's: the per-P array of
-		// every sync.Pool in use, the unique package's cleanup and the
-		// channel waiters net.Pipe parks on. With collection on a round
-		// counts 8 to 10. The client's history arrays are pinned with
-		// collection on by TestHistoryArraysSurviveCollection.
+		// one collection cycle, and a cycle now and then costs the runtime
+		// allocations of its own that are not the connection's: the unique
+		// package's cleanup and the channel waiters net.Pipe parks on. With
+		// collection on a round counts 6, now and then 8. The connection's
+		// calls and the history arrays they keep are pinned with collection
+		// on by TestCallsSurviveCollection and
+		// TestHistoryArraysSurviveCollection.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		round := func() {
 			write()
@@ -394,5 +395,48 @@ func TestHistoryArraysSurviveCollection(t *testing.T) {
 			t.Fatalf("fetch %d after two collections left a backlog of %d in an array of %d; want an empty array to regrow into", i, n, c)
 		}
 		open(i) // a hit, into that array
+	}
+}
+
+// TestCallsSurviveCollection: a connection keeps the calls it has carried,
+// so after a collection the next fetch reuses the very call object its
+// connection answered the last one with. Runs with collection on, under
+// the race detector too.
+func TestCallsSurviveCollection(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 4), ServerConfig{GroupSize: 1})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	free := func() *muxCall {
+		client.mu.Lock()
+		m := client.seed.mux
+		client.mu.Unlock()
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if m.free == nil || m.free.next != nil {
+			t.Fatalf("a serial client's connection keeps %v on its free list; want exactly one call", m.free)
+		}
+		return m.free
+	}
+	open := func(i int) {
+		fetches := client.Stats().Fetches
+		if _, err := client.Open(fmt.Sprintf("/data/f%03d", i%4)); err != nil {
+			t.Fatal(err)
+		}
+		if got := client.Stats().Fetches - fetches; got != 1 {
+			t.Fatalf("open %d made %d fetches, want 1", i, got)
+		}
+	}
+	open(0)
+	kept := free()
+	for i := 1; i < 10; i++ {
+		runtime.GC()
+		runtime.GC()
+		open(i)
+		if now := free(); now != kept {
+			t.Fatalf("fetch %d after two collections was carried by a new call %p, not the connection's %p", i, now, kept)
+		}
 	}
 }

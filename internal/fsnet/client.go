@@ -141,11 +141,13 @@ type ClientConfig struct {
 	// Seed makes retry jitter deterministic; zero selects a fixed
 	// default so behaviour is reproducible unless varied explicitly.
 	Seed int64
-	// Obs, when set, registers client-side counters (reconnects, broken
-	// connections, retries, degraded hits), an in-flight gauge, and a
-	// round-trip latency histogram with the given registry, and records
-	// reconnect/conn_broken/degraded_hit events to its event log.
-	// ClientStats stays authoritative either way.
+	// Obs, when set, registers the counters ClientStats reads (hits,
+	// prefetch hits, fetches, files and bytes received, writes, the
+	// validation and connection counts), an in-flight gauge and the
+	// round-trip and time-to-first-byte histograms with the given registry,
+	// and records reconnect/conn_broken/degraded_hit events to its event
+	// log. Clients given one registry share its counters, so each one's
+	// Stats reports them all.
 	Obs *obs.Registry
 	// Trace, when set, mints a trace context at every Open entry
 	// (head-sampled per the tracer's rate) and records the client span
@@ -156,9 +158,10 @@ type ClientConfig struct {
 	Trace *otrace.Tracer
 }
 
-// ClientStats is a snapshot of client cache activity.
+// ClientStats is a snapshot of client cache activity: each field but Opens
+// reads the counter ClientConfig.Obs exposes, without a lock (Client.Stats).
 type ClientStats struct {
-	// Opens counts Open calls that succeeded.
+	// Opens counts Open calls that succeeded: Hits + Fetches.
 	Opens uint64
 	// Hits counts opens served from the local cache; Fetches counts
 	// requests sent to the server (== Opens - Hits).
@@ -275,13 +278,14 @@ func (l *link) mark(id trace.FileID) {
 // verbs stay with the seed. A piggybacked view hint of a newer epoch
 // makes the next miss re-pull the list before it is routed.
 //
-// Locking (see DESIGN.md §10): mu guards the cache state, stats, pending
-// history, the view and the links' connection slots and report state, and
-// is never held across network I/O — Stats, Contains, Close, and cache
-// hits always return promptly even while requests are stalled on the
-// wire. A link's connMu serializes its connection establishment (dial +
-// handshake); viewMu serializes view pulls. rngMu guards the retry-jitter
-// source. Order: viewMu → connMu → mux.mu → mu; rngMu is a leaf.
+// Locking (see DESIGN.md §10): mu guards the cache state, pending history,
+// the view and the links' connection slots and report state, and is never
+// held across network I/O — Contains, Close, and cache hits always return
+// promptly even while requests are stalled on the wire. Stats takes no
+// lock: the counts are atomic counters (clientMetrics). A link's connMu
+// serializes its connection establishment (dial + handshake); viewMu
+// serializes view pulls. rngMu guards the retry-jitter source. Order:
+// viewMu → connMu → mux.mu → mu; rngMu is a leaf.
 type Client struct {
 	cfg ClientConfig
 	m   clientMetrics
@@ -301,16 +305,13 @@ type Client struct {
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	tags    []uint64        // by FileID: the tag data[id] arrived (or was written) under
 	// pending is the access history awaiting piggybacking. A claim takes
-	// its array and leaves one of spares in its place, and an answered
-	// open hands its claim's array back, emptied, to spares: the backlog
-	// regrows without reallocating, and the client keeps as many arrays
-	// as it ever had claims in flight at once, plus one.
+	// its array into the call that sends it and leaves in its place the
+	// emptied array that call kept from its last claim, so the backlog
+	// regrows without reallocating.
 	pending    []string
-	spares     [][]string
 	reply      groupReply // install's decode of the reply it installs
 	gidScratch []trace.FileID
 	reported   []trace.FileID // appendOpen's scratch
-	stats      ClientStats
 	closed     bool
 
 	viewMu sync.Mutex
@@ -447,11 +448,31 @@ func (c *Client) detach(l *link) error {
 	return err
 }
 
-// Stats returns a snapshot of client activity.
+// Stats returns a snapshot of client activity. The counts are loaded one
+// by one while opens may run, each bounded count before the count that
+// bounds it, which its writer moves first: no snapshot shows more prefetch
+// or degraded hits than hits, or more validated and missed members than
+// members received.
 func (c *Client) Stats() ClientStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	m := &c.m
+	st := ClientStats{
+		PrefetchHits:     m.prefetchHits.Load(),
+		DegradedHits:     m.degradedHits.Load(),
+		ValidatedFiles:   m.validatedFiles.Load(),
+		ValidationMisses: m.validationMisses.Load(),
+		HistoryDropped:   m.historyDropped.Load(),
+		Writes:           m.writes.Load(),
+		BrokenConns:      m.brokenConns.Load(),
+		Reconnects:       m.reconnects.Load(),
+		Rerouted:         m.reroutes.Load(),
+		Retries:          m.retries.Load(),
+	}
+	st.Hits = m.hits.Load()
+	st.Fetches = m.fetches.Load()
+	st.FilesReceived = m.filesReceived.Load()
+	st.BytesReceived = m.bytesReceived.Load()
+	st.Opens = st.Hits + st.Fetches
+	return st
 }
 
 // Contains reports whether path is in the local cache.
@@ -513,17 +534,13 @@ func (c *Client) Open(path string) ([]byte, error) {
 	// opens of nonexistent paths leave nothing behind.
 	if id, known := c.ids.Lookup(path); known {
 		if hit, speculative := c.lru.Demand(id); hit {
-			c.stats.Opens++
-			c.stats.Hits++
 			degraded := c.live == 0
-			if degraded {
-				c.stats.DegradedHits++
-			}
-			if speculative {
-				c.stats.PrefetchHits++
-			}
 			out := c.data[id]
 			c.mu.Unlock()
+			c.m.hits.Inc()
+			if speculative {
+				c.m.prefetchHits.Inc()
+			}
 			if degraded {
 				c.m.degradedHits.Inc()
 				c.m.events.Record("degraded_hit", obs.F("path", path))
@@ -637,7 +654,7 @@ func (c *Client) Write(path string, data []byte) error {
 		c.tags[id] = res.tag
 		c.markAll(id)
 	}
-	c.stats.Writes++
+	c.m.writes.Inc()
 	return nil
 }
 
@@ -673,8 +690,7 @@ func (c *Client) install(m *muxConn, path string, buf []byte, ends []int) ([]byt
 	if err := decodeChunks(g, buf, ends, path); err != nil {
 		return nil, err
 	}
-	c.stats.Opens++
-	c.stats.Fetches++
+	c.m.fetches.Inc()
 	// The reply leads with path (decodeChunks), so path exists: interning
 	// the caller's string saves installViews materialising a copy.
 	return c.installViews(g, m, c.ids.Intern(path)), nil
@@ -746,7 +762,7 @@ func (c *Client) reroute(l *link) bool {
 	if !c.markDown(l) {
 		return false
 	}
-	c.stats.Rerouted++
+	c.m.reroutes.Inc()
 	return true
 }
 
@@ -855,16 +871,19 @@ func (c *Client) pullView(l *link) error {
 }
 
 // appendOpen encodes one open for l's connection: the demanded path, the
-// piggybacked history and l's residency report. The history claimed is
-// returned for restorePending should the connection die before the
-// server saw it, or for keepSpare once it is answered. Called by the
-// mux's flush with its lock held.
-func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed []string) {
+// piggybacked history and l's residency report. spare is the emptied array
+// the call sending the open kept from its last claim. The history claimed
+// — spare itself when there is none — is returned for the call to keep:
+// for restorePending should the connection die before the server saw it,
+// or as the call's spare once it is answered. Called by the mux's flush
+// with its lock held.
+func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_ []byte, claimed []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var accessed []string
+	claimed = spare
 	if len(c.pending) > 0 {
-		accessed, claimed = c.claimPending(path)
+		accessed, claimed = c.claimPending(path, spare)
 	}
 	dst = appendOpenRequest(dst, path, accessed)
 	return c.appendReport(dst, l), claimed
@@ -875,15 +894,10 @@ func (c *Client) appendOpen(dst []byte, l *link, path string) (_ []byte, claimed
 // for the demanded path itself (the server appends the demanded open on
 // arrival), capped at the protocol limit by dropping the oldest overflow
 // — and the slice to hand to restorePending should the attempt fail
-// before the server saw it. A spare array, if the client has one, takes
-// the claimed one's place. Called with mu held.
-func (c *Client) claimPending(path string) (accessed, claimed []string) {
-	claimed = c.pending
-	c.pending = nil
-	if n := len(c.spares); n > 0 {
-		c.pending, c.spares[n-1] = c.spares[n-1], nil
-		c.spares = c.spares[:n-1]
-	}
+// before the server saw it. The emptied spare array takes the claimed
+// one's place. Called with mu held.
+func (c *Client) claimPending(path string, spare []string) (accessed, claimed []string) {
+	claimed, c.pending = c.pending, spare
 	accessed = claimed
 	if n := len(accessed); accessed[n-1] == path {
 		accessed = accessed[:n-1]
@@ -895,21 +909,9 @@ func (c *Client) claimPending(path string) (accessed, claimed []string) {
 		overflow := len(accessed) - maxStatPaths
 		accessed = accessed[overflow:]
 		claimed = claimed[overflow:]
-		c.noteShed(overflow)
+		c.m.historyDropped.Add(uint64(overflow))
 	}
 	return accessed, claimed
-}
-
-// keepSpare takes back the array of a claim the server has consumed,
-// emptied, for a later claim to leave in the backlog's place.
-func (c *Client) keepSpare(claimed []string) {
-	if cap(claimed) == 0 {
-		return
-	}
-	clear(claimed)
-	c.mu.Lock()
-	c.spares = append(c.spares, claimed[:0])
-	c.mu.Unlock()
 }
 
 // appendReport appends l's residency report: every marked file whose
@@ -956,16 +958,9 @@ func (c *Client) appendPending(path string) {
 		kept := copy(c.pending, c.pending[shed:])
 		clear(c.pending[kept:])
 		c.pending = c.pending[:kept]
-		c.noteShed(shed)
+		c.m.historyDropped.Add(uint64(shed))
 	}
 	c.pending = append(c.pending, path)
-}
-
-// noteShed accounts for n history entries no server will see. Called with
-// mu held.
-func (c *Client) noteShed(n int) {
-	c.stats.HistoryDropped += uint64(n)
-	c.m.historyDropped.Add(uint64(n))
 }
 
 // restorePending prepends a claimed history that the server never saw, so
@@ -1049,9 +1044,6 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 		time.Sleep(c.backoffDelay(attempt - 1))
 		c.mu.Lock()
 		closed := c.closed
-		if !closed {
-			c.stats.Retries++
-		}
 		c.mu.Unlock()
 		if closed {
 			return muxResult{}, errClientClosed
@@ -1072,18 +1064,12 @@ func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte,
 	// With a timeout configured the connection's deadline poisons it once
 	// the call at its head is overdue, which fails this one too.
 	if res, err = m.await(call, head); err != nil {
-		// A poisoned connection fails its calls while a flush may still be
+		// A poisoned connection's calls go with it: a flush may still be
 		// reading them out of the batch it was sending, and the hand-off
-		// may still be on its way: the call is left to the collector, not
-		// recycled.
+		// may still be on its way.
 		return muxResult{}, call.idle && !errors.Is(err, errTimedOut), err
 	}
-	// A reply means the flush sent the request and is done with the call,
-	// and the call consumed all it was sent: it is free for reuse. The
-	// server consumed the piggybacked history the call claimed, so its
-	// array can back a later backlog.
-	c.keepSpare(call.claimed)
-	putMuxCall(call)
+	// The answered call is back on its connection's free list (retire).
 	return res, false, nil
 }
 
@@ -1220,8 +1206,8 @@ func (c *Client) handshake(cc *clientConn, timeout time.Duration) (epoch uint64,
 	}
 }
 
-// noteReconnect mirrors a successful redial into the obs registry.
-// Called outside mu so a slow event sink never stalls the cache.
+// noteReconnect counts a successful redial and logs it. Called outside mu
+// so a slow event sink never stalls the cache.
 func (c *Client) noteReconnect(conn net.Conn) {
 	c.m.reconnects.Inc()
 	addr := ""
@@ -1258,9 +1244,6 @@ func (c *Client) installMux(l *link, cc *clientConn, countRedial bool, epoch uin
 		}
 	}
 	c.tracked = append(c.tracked, l)
-	if countRedial {
-		c.stats.Reconnects++
-	}
 	c.mu.Unlock()
 	if countRedial {
 		c.noteReconnect(cc.conn)
@@ -1289,7 +1272,6 @@ func (c *Client) dropConn(l *link, cc *clientConn) {
 	if counted {
 		l.conn = nil
 		c.live--
-		c.stats.BrokenConns++
 	}
 	c.mu.Unlock()
 	if counted {
@@ -1307,10 +1289,7 @@ func (c *Client) dropMux(m *muxConn) {
 		l.mux = nil
 		c.live--
 		c.untrack(l)
-		if !c.closed {
-			c.stats.BrokenConns++
-			counted = true
-		}
+		counted = !c.closed
 	}
 	c.mu.Unlock()
 	if counted {
@@ -1318,7 +1297,7 @@ func (c *Client) dropMux(m *muxConn) {
 	}
 }
 
-// noteBroken mirrors a counted broken connection into the obs registry.
+// noteBroken counts a broken connection and logs it.
 func (c *Client) noteBroken() {
 	c.m.brokenConns.Inc()
 	c.m.events.Record("conn_broken")
@@ -1351,15 +1330,15 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 	current := l.mux == m
 	ids := c.gidScratch[:0]
 	var file [maxGroup]uint8 // ids[k] is g.files[file[k]]
+	received := 0
+	c.m.filesReceived.Add(uint64(len(g.paths)))
 	for i := range g.paths {
-		c.stats.FilesReceived++
-		c.stats.BytesReceived += uint64(len(g.files[i].Data))
+		received += len(g.files[i].Data)
 		if g.held&(1<<i) != 0 {
 			tag := g.files[i].Tag
 			mid := c.ids.InternBytes(g.paths[i])
 			c.ensureDense(mid)
 			if tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
-				c.stats.ValidationMisses++
 				c.m.validationMisses.Inc()
 				if current {
 					l.mark(mid)
@@ -1367,7 +1346,6 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 				}
 				continue
 			}
-			c.stats.ValidatedFiles++
 			c.m.validatedFiles.Inc()
 			file[len(ids)] = uint8(i)
 			ids = append(ids, mid)
@@ -1382,6 +1360,7 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 		ids = append(ids, mid)
 	}
 	c.gidScratch = ids
+	c.m.bytesReceived.Add(uint64(received))
 
 	c.lru.Install(ids, false)
 	size := 0

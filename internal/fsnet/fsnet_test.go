@@ -356,6 +356,36 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestServerCloseCountsAcceptedConns closes servers just as they accept a
+// connection. Serve counts the connection's goroutine before it releases
+// the lock under which Close marks the server closed, so Close's wait
+// covers every connection it accepted; counting it after the lock races
+// with that wait, which the race detector reports (`make race`; it needs
+// many rounds to hit the window).
+func TestServerCloseCountsAcceptedConns(t *testing.T) {
+	for i := 0; i < 1000; i++ {
+		srv, err := NewServer(NewStore(), ServerConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- srv.Serve(l) }()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		<-done // nil, or an error if Close came first
+		_ = conn.Close()
+	}
+}
+
 func TestServerRejectsGarbageConnection(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 1), ServerConfig{})
 	conn, err := net.Dial("tcp", addr)

@@ -88,15 +88,27 @@ func (m *serverMetrics) observeOpen(phase string, path string, d time.Duration, 
 	}
 }
 
-// clientMetrics is the client's instrumentation bundle. ClientStats (the
-// mutex-guarded snapshot struct) stays authoritative; these series are
-// bumped alongside at the same sites and are all nil without a registry,
-// so the uninstrumented client pays only nil-check branches.
+// clientMetrics is the client's instrumentation bundle. Its counters are
+// made as the server's are, so ClientStats reads the storage /metrics is
+// scraped from, and clients that share a registry share their counts. The
+// in-flight gauge, the histograms and the event log need a registry.
 type clientMetrics struct {
-	reconnects   *obs.Counter
-	brokenConns  *obs.Counter
-	retries      *obs.Counter
-	degradedHits *obs.Counter
+	// The paper's quantities (Fig 2): opens served from the cache, of them
+	// the ones a prefetched member served, and fetches with what they
+	// delivered. A writer moves hits before prefetchHits and degradedHits,
+	// and filesReceived before validatedFiles and validationMisses.
+	hits          *obs.Counter
+	prefetchHits  *obs.Counter
+	degradedHits  *obs.Counter
+	fetches       *obs.Counter
+	filesReceived *obs.Counter
+	bytesReceived *obs.Counter
+	// Writes, and the connections' failures and what they cost.
+	writes      *obs.Counter
+	reconnects  *obs.Counter
+	brokenConns *obs.Counter
+	retries     *obs.Counter
+	reroutes    *obs.Counter
 	// Validated replies, the client's side: header-only members honoured,
 	// ones it could not honour, and piggyback history shed at the bound.
 	validatedFiles   *obs.Counter
@@ -112,20 +124,24 @@ type clientMetrics struct {
 	ttfb *obs.Histogram
 }
 
-// newClientMetrics wires the bundle; every series stays nil when reg is.
+// newClientMetrics wires the bundle, registering with reg when non-nil.
 func newClientMetrics(reg *obs.Registry) clientMetrics {
-	if reg == nil {
-		return clientMetrics{}
-	}
 	return clientMetrics{
-		reconnects:   reg.Counter("fsnet_client_reconnects_total", "successful redials after a broken connection"),
-		brokenConns:  reg.Counter("fsnet_client_broken_conns_total", "connections poisoned after an I/O or protocol error"),
-		retries:      reg.Counter("fsnet_client_retries_total", "round-trip attempts beyond each request's first"),
-		degradedHits: reg.Counter("fsnet_client_degraded_hits_total", "cache hits served with no live connection"),
+		hits:          reg.LiveCounter("fsnet_client_hits_total", "opens served from the local cache"),
+		prefetchHits:  reg.LiveCounter("fsnet_client_prefetch_hits_total", "cache hits on a member that arrived undemanded and had not been demanded since"),
+		degradedHits:  reg.LiveCounter("fsnet_client_degraded_hits_total", "cache hits served with no live connection"),
+		fetches:       reg.LiveCounter("fsnet_client_fetches_total", "opens answered by a group fetched from a server"),
+		filesReceived: reg.LiveCounter("fsnet_client_files_received_total", "group members received, header-only ones included"),
+		bytesReceived: reg.LiveCounter("fsnet_client_bytes_received_total", "file contents received in group replies"),
+		writes:        reg.LiveCounter("fsnet_client_writes_total", "whole-file writes the seed acknowledged"),
+		reconnects:    reg.LiveCounter("fsnet_client_reconnects_total", "successful redials after a broken connection"),
+		brokenConns:   reg.LiveCounter("fsnet_client_broken_conns_total", "connections poisoned after an I/O or protocol error"),
+		retries:       reg.LiveCounter("fsnet_client_retries_total", "round-trip attempts beyond each request's first"),
+		reroutes:      reg.LiveCounter("fsnet_client_reroutes_total", "opens sent to another member because their owner's connection failed"),
 
-		validatedFiles:   reg.Counter("fsnet_client_validated_files_total", "group members that arrived header-only and matched the cached copy"),
-		validationMisses: reg.Counter("fsnet_client_validation_misses_total", "header-only members the cache could not match, dropped from their group"),
-		historyDropped:   reg.Counter("fsnet_client_history_dropped_total", "piggyback history entries shed, oldest first, at the protocol bound"),
+		validatedFiles:   reg.LiveCounter("fsnet_client_validated_files_total", "group members that arrived header-only and matched the cached copy"),
+		validationMisses: reg.LiveCounter("fsnet_client_validation_misses_total", "header-only members the cache could not match, dropped from their group"),
+		historyDropped:   reg.LiveCounter("fsnet_client_history_dropped_total", "piggyback history entries shed, oldest first, at the protocol bound"),
 
 		inflight: reg.Gauge("fsnet_client_inflight", "round trips currently on the wire"),
 		callLat:  reg.Histogram("fsnet_client_call_latency_ns", "round-trip latency in nanoseconds, retries included"),

@@ -66,19 +66,26 @@ type muxConn struct {
 	head, tail *muxCall
 	queue      []*muxCall // awaiting a flush
 	freeQ      []*muxCall // recycled queue storage for the next batch
-	flushing   bool       // a caller is writing the queue out
-	broken     bool
-	err        error // first error, set when broken
+	// free lists the answered calls, linked through muxCall.next, for
+	// enqueue to reuse; the connection keeps as many as it ever had in
+	// flight at once. A poisoned connection's calls go with it.
+	free     *muxCall
+	flushing bool // a caller is writing the queue out
+	broken   bool
+	err      error // first error, set when broken
 }
 
 // errTimedOut marks the transport error of a call whose deadline passed.
 var errTimedOut = errors.New("request timed out")
 
-// muxCall is one pipelined request.
+// muxCall is one pipelined request. It belongs to the connection that
+// carries it, which recycles it once it is answered.
 type muxCall struct {
-	id   uint64
-	typ  uint8
-	next *muxCall // the call sent after this one, while both are in flight
+	id  uint64
+	typ uint8
+	// next is the call sent after this one while both are in flight, or
+	// the next answered call on the connection's free list.
+	next *muxCall
 	// path is the demanded path of a msgOpen; the flush claims the
 	// piggyback history and the residency report and encodes the payload
 	// at write time, so one flush's worth of opens shares a single claim
@@ -87,10 +94,11 @@ type muxCall struct {
 	payload []byte
 	// claimed is the piggyback history this call took from the client's
 	// pending list when the flush encoded it; it is restored if the
-	// connection dies before the server demonstrably processed the call,
-	// and its array goes back to the client once the call is answered.
-	// Calls poisoned before they were written have no claim — their
-	// history simply stayed on the pending list.
+	// connection dies before the server demonstrably processed the call.
+	// An answered call keeps its array, emptied, and its next claim leaves
+	// it in the pending list's place. Calls poisoned before they were
+	// written have no claim — their history simply stayed on the pending
+	// list.
 	claimed []string
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
@@ -110,24 +118,6 @@ type muxCall struct {
 	// the queue, or the error that poisoned the connection. A call can be
 	// sent both, so there is room for both and neither send blocks.
 	done chan error
-}
-
-// muxCallPool recycles call objects (and their channels): a call that
-// completes has consumed everything ever sent to it, so it is free for
-// reuse as soon as its caller has its result.
-var muxCallPool = sync.Pool{
-	New: func() interface{} { return &muxCall{done: make(chan error, 2)} },
-}
-
-// putMuxCall recycles a call that has its reply, or none because it was
-// never sent.
-func putMuxCall(call *muxCall) {
-	call.id, call.typ, call.path = 0, 0, ""
-	call.payload, call.claimed = nil, nil
-	call.start, call.deadline = time.Time{}, time.Time{}
-	call.idle = false
-	call.tctx = otrace.Ctx{}
-	muxCallPool.Put(call)
 }
 
 // muxResult is a call's reply, decoded by the call that read it.
@@ -164,29 +154,30 @@ func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
 // preserving the invariant that claims happen in request-ID order (a flush
 // drains the queue in ID order).
 func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (call *muxCall, head bool, err error) {
-	call = muxCallPool.Get().(*muxCall)
-	call.typ = reqType
-	call.path = path
-	call.payload = payload
-	call.tctx = tctx
-	timeout := m.l.timeout
+	var start, deadline time.Time
 	if reqType == msgOpen && m.c.m.ttfb != nil {
-		call.start = time.Now()
+		start = time.Now()
 	}
-	if timeout > 0 {
-		now := call.start
+	if timeout := m.l.timeout; timeout > 0 {
+		now := start
 		if now.IsZero() {
 			now = time.Now()
 		}
-		call.deadline = now.Add(timeout)
+		deadline = now.Add(timeout)
 	}
 	m.mu.Lock()
 	if m.broken {
 		err := m.err
 		m.mu.Unlock()
-		putMuxCall(call)
 		return nil, false, err
 	}
+	if call = m.free; call != nil {
+		m.free, call.next = call.next, nil
+	} else {
+		call = &muxCall{done: make(chan error, 2)}
+	}
+	call.typ, call.path, call.payload, call.tctx = reqType, path, payload, tctx
+	call.start, call.deadline = start, deadline
 	m.nextID++
 	call.id = m.nextID
 	if head = m.tail == nil; head {
@@ -248,7 +239,7 @@ func (m *muxConn) flush() {
 				continue
 			}
 			start := len(enc)
-			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path)
+			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path, call.claimed)
 			call.payload = enc[start:]
 		}
 		m.mu.Unlock()
@@ -438,9 +429,14 @@ func decodeReply(reqType, typ uint8, payload []byte) (res muxResult, err error) 
 	return res, err
 }
 
-// retire takes the head call, which has its reply, off the queue and hands
-// the read role to the next call. A connection poisoned meanwhile fails
-// the call with the rest: the poison already restored its claimed history.
+// retire takes the head call, which has its reply, off the queue onto the
+// free list and hands the read role to the next call. A connection
+// poisoned meanwhile fails the call with the rest: the poison already
+// restored its claimed history.
+//
+// The call is free for reuse: the flush that sent it is done with it, it
+// consumed everything ever sent to its done channel, and the server
+// consumed the history it claimed, whose array it keeps, emptied.
 func (m *muxConn) retire(call *muxCall, res muxResult) (muxResult, error) {
 	m.mu.Lock()
 	if m.broken {
@@ -449,10 +445,13 @@ func (m *muxConn) retire(call *muxCall, res muxResult) (muxResult, error) {
 		return muxResult{}, err
 	}
 	next := call.next
-	m.head, call.next = next, nil
+	m.head = next
 	if next == nil {
 		m.tail = nil
 	}
+	clear(call.claimed)
+	*call = muxCall{claimed: call.claimed[:0], next: m.free, done: call.done}
+	m.free = call
 	m.mu.Unlock()
 	if next != nil {
 		next.done <- nil

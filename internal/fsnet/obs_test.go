@@ -296,6 +296,133 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 	}
 }
 
+// TestConcurrentClientStatsSnapshot is TestConcurrentStatsSnapshot for the
+// client: eight goroutines open and write over one registry-instrumented
+// client — cache hits, fetches, and replies with header-only members —
+// while a snapshotter reads Stats() throughout. Every snapshot must keep
+// the bounds the counters' write order promises, and at quiescence every
+// field must equal the /metrics series it reads. Run with -race (`make
+// race`).
+func TestConcurrentClientStatsSnapshot(t *testing.T) {
+	const files = 24
+	reg := obs.NewRegistry()
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 4})
+	c, err := Dial(addr, ClientConfig{CacheCapacity: 16, Obs: reg, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const workers = 8
+	const opensPerWorker = 120
+	const writeEvery = 10
+	// One walk of the files in order, over and over, is a loop the cache
+	// cannot hold: every open fetches, and the server learns each file's
+	// successors. The workers then walk it from their own offsets, so a
+	// fetch brings the next files along and they are opened as prefetch
+	// hits while other workers' replies vouch for resident members.
+	for i := 0; i < 4*files; i++ {
+		if _, err := c.Open(fmt.Sprintf("/data/f%03d", i%files)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := make(chan struct{})
+	snapErr := make(chan error, 1)
+	var snapWG sync.WaitGroup
+	snapWG.Add(1)
+	go func() {
+		defer snapWG.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := c.Stats()
+			var err error
+			switch {
+			case st.Opens != st.Hits+st.Fetches:
+				err = fmt.Errorf("Opens=%d != Hits+Fetches=%d", st.Opens, st.Hits+st.Fetches)
+			case st.PrefetchHits > st.Hits:
+				err = fmt.Errorf("PrefetchHits=%d > Hits=%d", st.PrefetchHits, st.Hits)
+			case st.ValidatedFiles+st.ValidationMisses > st.FilesReceived:
+				err = fmt.Errorf("ValidatedFiles+ValidationMisses=%d > FilesReceived=%d",
+					st.ValidatedFiles+st.ValidationMisses, st.FilesReceived)
+			}
+			if err != nil {
+				snapErr <- fmt.Errorf("snapshot tearing: %w (%+v)", err, st)
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < opensPerWorker; i++ {
+				path := fmt.Sprintf("/data/f%03d", (w*3+i)%files)
+				if _, err := c.Open(path); err != nil {
+					t.Errorf("open %s: %v", path, err)
+					return
+				}
+				if i%writeEvery == 0 {
+					if err := c.Write(path, []byte(fmt.Sprintf("rewritten %s by %d", path, w))); err != nil {
+						t.Errorf("write %s: %v", path, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	snapWG.Wait()
+	select {
+	case err := <-snapErr:
+		t.Fatal(err)
+	default:
+	}
+
+	st := c.Stats()
+	if opens := uint64(4*files + workers*opensPerWorker); st.Opens != opens || st.Writes != workers*opensPerWorker/writeEvery {
+		t.Fatalf("Opens=%d Writes=%d, want %d and %d (%+v)", st.Opens, st.Writes,
+			opens, workers*opensPerWorker/writeEvery, st)
+	}
+	if st.Hits == 0 || st.Fetches == 0 || st.PrefetchHits == 0 || st.ValidatedFiles == 0 {
+		t.Fatalf("the workload left a count at zero: %+v", st)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, field := range map[string]uint64{
+		"fsnet_client_hits_total":              st.Hits,
+		"fsnet_client_fetches_total":           st.Fetches,
+		"fsnet_client_files_received_total":    st.FilesReceived,
+		"fsnet_client_bytes_received_total":    st.BytesReceived,
+		"fsnet_client_prefetch_hits_total":     st.PrefetchHits,
+		"fsnet_client_degraded_hits_total":     st.DegradedHits,
+		"fsnet_client_writes_total":            st.Writes,
+		"fsnet_client_validated_files_total":   st.ValidatedFiles,
+		"fsnet_client_validation_misses_total": st.ValidationMisses,
+		"fsnet_client_history_dropped_total":   st.HistoryDropped,
+		"fsnet_client_broken_conns_total":      st.BrokenConns,
+		"fsnet_client_reconnects_total":        st.Reconnects,
+		"fsnet_client_reroutes_total":          st.Rerouted,
+		"fsnet_client_retries_total":           st.Retries,
+	} {
+		if s, ok := parsed.Find(name, nil); !ok || s.Value != float64(field) {
+			t.Errorf("%s = %+v, %v; Stats says %d", name, s, ok, field)
+		}
+	}
+}
+
 // TestValidationSeriesMove drives each series of the validated-reply
 // protocol off zero and checks it against the stats struct it mirrors:
 // members sent header-only and the bytes that saved, the client's count of

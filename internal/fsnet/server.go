@@ -258,10 +258,11 @@ func (s *Server) Serve(l net.Listener) error {
 			_ = conn.Close()
 			return nil
 		}
+		// Counted under connMu, so Close's wait covers every goroutine.
 		if s.cfg.MaxConns > 0 && len(s.conns) >= s.cfg.MaxConns {
+			s.wg.Add(1)
 			s.connMu.Unlock()
 			s.m.rejected.Add(1)
-			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
 				s.rejectConn(conn)
@@ -271,9 +272,9 @@ func (s *Server) Serve(l net.Listener) error {
 		s.conns[conn] = struct{}{}
 		s.nextSrc++
 		src := s.nextSrc
+		s.wg.Add(1)
 		s.connMu.Unlock()
 
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer s.forget(conn, src)
