@@ -54,7 +54,7 @@ type Config struct {
 	// count is more than LinkShare of the counts its predecessor's list
 	// retains, so GroupSize becomes a cap (group.NewCutBuilder). 0, the
 	// default, cuts nothing — the paper's rule, which every simulator
-	// figure runs; the network server runs fsnet.LinkShare.
+	// figure runs; the network server runs the constant LinkShare.
 	LinkShare float64
 	// Obs, when set, registers hit/miss/prefetch/eviction counters and a
 	// group-size distribution histogram with the given registry,
@@ -106,8 +106,15 @@ type Stats struct {
 	// GroupFetches counts remote retrieval operations (== Misses).
 	GroupFetches uint64
 	// FilesFetched is the total number of files transferred, demanded
-	// plus opportunistic members.
+	// plus opportunistic members: on a server, the members of each missed
+	// group it staged (Stage), which may be more than it replied with.
 	FilesFetched uint64
+	// Loads counts files that entered the cache: the demanded file on a
+	// miss and every group member that was not already resident, on a
+	// miss or, in Stage, on the re-stage of a hit. It is what the cache's
+	// placement costs its backing store. On a server, FilesFetched and
+	// Loads move when a request is staged, after its demand is counted.
+	Loads uint64
 	// PrefetchHits counts demand hits served by a file that entered the
 	// cache as a non-demanded group member and had not been demanded
 	// since — the grouping win.
@@ -133,17 +140,18 @@ func (s Stats) HitRate() float64 {
 
 // String renders the stats compactly.
 func (s Stats) String() string {
-	return fmt.Sprintf("hits=%d misses=%d group-fetches=%d files-fetched=%d prefetch-hits=%d hit-rate=%.3f",
-		s.Hits, s.Misses, s.GroupFetches, s.FilesFetched, s.PrefetchHits, s.HitRate())
+	return fmt.Sprintf("hits=%d misses=%d group-fetches=%d files-fetched=%d loads=%d prefetch-hits=%d hit-rate=%.3f",
+		s.Hits, s.Misses, s.GroupFetches, s.FilesFetched, s.Loads, s.PrefetchHits, s.HitRate())
 }
 
 // PrefetchAccuracy is PrefetchHits over all opportunistically fetched
 // files: how often a speculative group member was actually used.
 func (s Stats) PrefetchAccuracy() float64 {
-	speculative := s.FilesFetched - s.GroupFetches // exclude demanded files
-	if speculative == 0 {
+	// A server's misses not yet staged count a fetch and no files.
+	if s.FilesFetched <= s.GroupFetches {
 		return 0
 	}
+	speculative := s.FilesFetched - s.GroupFetches // exclude demanded files
 	return float64(s.PrefetchHits) / float64(speculative)
 }
 
@@ -201,6 +209,7 @@ type coreMetrics struct {
 	misses       *obs.Counter
 	prefetchHits *obs.Counter
 	evictions    *obs.Counter
+	loads        *obs.Counter
 	groupSize    *obs.Histogram
 }
 
@@ -213,6 +222,7 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		misses:       reg.Counter("core_cache_misses_total", "demand accesses that triggered a group fetch"),
 		prefetchHits: reg.Counter("core_cache_prefetch_hits_total", "demand hits on files that arrived as non-demanded group members"),
 		evictions:    reg.Counter("core_cache_evictions_total", "capacity evictions"),
+		loads:        reg.Counter("core_cache_loads_total", "files that entered the cache, demanded or staged"),
 		groupSize:    reg.Histogram("core_group_size", "files per fetched group, demanded file included"),
 	}
 }
@@ -246,26 +256,41 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 		return true
 	}
 	c.groupBuf = c.builder.AppendBuild(c.groupBuf[:0], id)
-	c.install(c.groupBuf)
+	c.install(c.groupBuf, false)
 	return false
 }
 
-// ServeFrom is Serve for a server that answers every open with its group
-// and learns from the history its client piggybacks (§3). seq is what the
-// metadata has yet to learn of source src, oldest first, ending with the
-// demanded file: a request's piggybacked history and demanded id, after
-// any a caller still owes from the source's earlier requests. ServeFrom
-// counts the demand, appends the group to dst, installs it on a miss and
-// returns the extended slice with the hit.
+// StageDepth is how many replies deep Stage stages: it builds the
+// demanded file's group to StageDepth × GroupSize members and keeps them
+// all, while ServeFrom answers with the first GroupSize. Like the link cut
+// it is a rule, not an option. Behind a client that installs every reply,
+// the server's copy of the reply itself serves nobody until the client
+// has dropped it; the members after it are what that client will ask for
+// next (DESIGN.md §5).
+const StageDepth = 2
+
+// LinkShare is the link cut every network server builds its groups with
+// (Config.LinkShare): a successor joins a group only when it took more
+// than a third of its predecessor's retained successions, so a group stops
+// where prediction stops and GroupSize is a cap. DESIGN.md §5 has the
+// measurements behind the value.
+const LinkShare = 1.0 / 3
+
+// ServeFrom answers a request to a server that answers every open with
+// its group and learns from the history its client piggybacks (§3). seq
+// is the request's piggybacked history, oldest first, ending with the
+// demanded file. ServeFrom counts the demand, appends the reply — the
+// demanded file's group, GroupSize deep — to dst and returns the extended
+// slice with the hit. It installs nothing: the caller must Stage the
+// request before it serves the source's next one.
 //
 // The group is built from the metadata as it stands, so the reply need
 // not wait for the learning. Learning seq adds successors to the lists of
 // the source's last learned access and of every entry of seq but the
 // last, and a build reads only its members' lists: unless one of those
 // files is a member, learning first would have built the same group, and
-// ServeFrom reports owed — the caller must LearnFrom(src, seq...) before
-// it serves the source's next request, or pass seq on as that request's
-// prefix. Otherwise ServeFrom learns seq, rebuilds, and owes nothing.
+// ServeFrom reports owed — Stage learns seq. Otherwise ServeFrom learns
+// seq, rebuilds, and owes nothing.
 func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace.FileID) (_ []trace.FileID, hit, owed bool) {
 	id := seq[len(seq)-1]
 	hit = c.demand(id)
@@ -277,10 +302,24 @@ func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace
 	} else {
 		owed = true
 	}
-	if !hit {
-		c.install(dst[start:])
-	}
 	return dst, hit, owed
+}
+
+// Stage finishes a request ServeFrom answered, with the seq, hit and owed
+// of that call: it learns seq if ServeFrom left it owed, builds the
+// demanded file's group StageDepth deep and installs the whole build — on
+// a miss as the fetch, on a hit as a re-stage that fetches nothing. The
+// deep build reads the learned metadata, and a builder extends a group
+// one member at a time, so it starts with the reply. Together the two
+// calls leave the cache as learning seq, counting the demand and
+// installing the deep build would; a server runs Stage after the reply
+// is on the wire.
+func (c *AggregatingCache) Stage(src uint64, seq []trace.FileID, hit, owed bool) {
+	if owed {
+		c.LearnFrom(src, seq...)
+	}
+	c.groupBuf = c.builder.AppendBuildN(c.groupBuf[:0], seq[len(seq)-1], StageDepth*c.cfg.GroupSize)
+	c.install(c.groupBuf, hit)
 }
 
 // learningChanges reports whether learning src's accesses before the
@@ -298,8 +337,8 @@ func (c *AggregatingCache) learningChanges(src uint64, preceding []trace.FileID)
 	return false
 }
 
-// demand counts one demand access to id as a hit or a miss and reports
-// the hit.
+// demand counts one demand access to id as a hit or a miss, which is the
+// group fetch, and reports the hit.
 func (c *AggregatingCache) demand(id trace.FileID) bool {
 	if hit, speculative := c.lru.Demand(id); hit {
 		c.stats.Hits++
@@ -311,18 +350,26 @@ func (c *AggregatingCache) demand(id trace.FileID) bool {
 		return true
 	}
 	c.stats.Misses++
+	c.stats.GroupFetches++
 	c.m.misses.Inc()
 	return false
 }
 
-// install fetches the missed group g. The whole group transfers (the
-// server makes a best-effort retrieval of g files); where its files land,
-// and what makes room for them, is cache.GroupLRU's rule.
-func (c *AggregatingCache) install(g []trace.FileID) {
-	c.stats.GroupFetches++
-	c.stats.FilesFetched += uint64(len(g))
-	c.m.groupSize.Observe(uint64(len(g)))
-	c.lru.Install(g, c.cfg.Placement == PlacementHead)
+// install places group g, led by the demanded file; where its files land,
+// and what makes room for them, is cache.GroupLRU's rule. After a miss it
+// completes the fetch: the whole group transfers (the server makes a
+// best-effort retrieval of g files) and the demanded file enters. After a
+// hit it is a re-stage, which fetches nothing: only the members not yet
+// resident enter, and they count as loads all the same.
+func (c *AggregatingCache) install(g []trace.FileID, hit bool) {
+	loads := uint64(c.lru.Install(g, c.cfg.Placement == PlacementHead))
+	if !hit {
+		c.stats.FilesFetched += uint64(len(g))
+		c.m.groupSize.Observe(uint64(len(g)))
+		loads++
+	}
+	c.stats.Loads += loads
+	c.m.loads.Add(loads)
 	c.stats.Evictions = c.lru.Evictions()
 }
 

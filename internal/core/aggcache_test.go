@@ -235,10 +235,31 @@ func TestBuildGroupDoesNotTouchState(t *testing.T) {
 	}
 }
 
+// stageFirst is the reference ServeFrom and Stage are pinned to: learn
+// seq, then
+// count the demand for its last entry, build that file's group StageDepth
+// deep with a builder of its own over the same metadata, install the
+// build on a hit as on a miss, and answer with its first GroupSize
+// members.
+func stageFirst(t *testing.T, c *AggregatingCache, src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
+	t.Helper()
+	c.LearnFrom(src, seq...)
+	id := seq[len(seq)-1]
+	deep, err := group.NewCutBuilder(c.Tracker(), StageDepth*c.cfg.GroupSize, c.cfg.Strategy, c.cfg.LinkShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := deep.Build(id)
+	hit := c.demand(id)
+	c.install(staged, hit)
+	return staged[:min(len(staged), c.GroupSize())], hit
+}
+
 // TestServeFromIsServeAndBuildGroup: on a stream with no piggybacked
-// history, ServeFrom plus the learning it leaves owed returns the group
-// BuildGroup builds after learning, on hits and misses alike, and leaves
-// the cache and its Stats exactly as learning and then Serve do.
+// history, ServeFrom answers with the group BuildGroup builds after
+// learning — the paper's g-group — on hits and misses alike, and with
+// Stage after it leaves the cache and its Stats exactly as learning, then
+// staging the StageDepth-deep build on hit and miss (stageFirst), do.
 func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 	cfg := Config{Capacity: 12, GroupSize: 4}
 	served, grouped := mustNew(t, cfg), mustNew(t, cfg)
@@ -247,22 +268,22 @@ func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 	hits := 0
 	for i := 0; i < 2000; i++ {
 		id := trace.FileID(rng.Intn(30))
-		served.LearnFrom(1, id)
+		reply, wantHit := stageFirst(t, served, 1, []trace.FileID{id})
 		want := served.BuildGroup(id)
-		wantHit := served.Serve(id)
+		if !slices.Equal(reply, want) {
+			t.Fatalf("access %d of %d: the deep build's prefix %v, BuildGroup %v", i, id, reply, want)
+		}
 		var hit, owed bool
 		scratch, hit, owed = grouped.ServeFrom(scratch[:0], 1, []trace.FileID{id})
-		if owed {
-			grouped.LearnFrom(1, id)
-		}
+		grouped.Stage(1, []trace.FileID{id}, hit, owed)
 		if hit != wantHit {
-			t.Fatalf("access %d of %d: ServeFrom hit = %v, Serve hit = %v", i, id, hit, wantHit)
+			t.Fatalf("access %d of %d: ServeFrom hit = %v, reference hit = %v", i, id, hit, wantHit)
 		}
 		if !slices.Equal(scratch, want) {
 			t.Fatalf("access %d of %d (hit %v): ServeFrom group = %v, BuildGroup = %v", i, id, hit, scratch, want)
 		}
 		if grouped.Stats() != served.Stats() {
-			t.Fatalf("access %d of %d (hit %v): ServeFrom stats %+v, Serve stats %+v", i, id, hit, grouped.Stats(), served.Stats())
+			t.Fatalf("access %d of %d (hit %v): ServeFrom stats %+v, reference stats %+v", i, id, hit, grouped.Stats(), served.Stats())
 		}
 		for f := trace.FileID(0); f < 30; f++ {
 			if grouped.Contains(f) != served.Contains(f) {
@@ -278,18 +299,59 @@ func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 	}
 }
 
+// TestServeFromRestagesOnHit: ServeFrom answers and counts the demand,
+// a miss as the fetch, and installs nothing; Stage installs the deep
+// group. On a hit it installs the demanded file's deep group again, which
+// loads the members that are not resident but fetches nothing, so every
+// request is still a hit or a fetch.
+func TestServeFromRestagesOnHit(t *testing.T) {
+	c := mustNew(t, Config{Capacity: 8, GroupSize: 2})
+	for i := 0; i < 3; i++ {
+		c.LearnFrom(1, 1, 2, 3, 4, 5)
+	}
+	seq := []trace.FileID{1}
+	reply, hit, owed := c.ServeFrom(nil, 2, seq)
+	if hit || !slices.Equal(reply, []trace.FileID{1, 2}) {
+		t.Fatalf("first open of 1: reply %v hit %v, want [1 2] and a miss", reply, hit)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.GroupFetches != 1 || st.FilesFetched != 0 || st.Loads != 0 || c.Contains(1) {
+		t.Fatalf("answered, not staged: %+v, 1 resident %v; want the fetch counted and nothing installed", st, c.Contains(1))
+	}
+	c.Stage(2, seq, hit, owed)
+	st := c.Stats()
+	if st.GroupFetches != 1 || st.FilesFetched != 4 || st.Loads != 4 || !c.Contains(4) || c.Contains(5) {
+		t.Fatalf("after the miss: %+v, 4 resident %v, 5 resident %v; want the 4-deep group {1 2 3 4} staged", st, c.Contains(4), c.Contains(5))
+	}
+	seq = []trace.FileID{3}
+	reply, hit, owed = c.ServeFrom(nil, 2, seq)
+	if !hit || !slices.Equal(reply, []trace.FileID{3, 4}) {
+		t.Fatalf("open of staged 3: reply %v hit %v, want [3 4] and a hit", reply, hit)
+	}
+	c.Stage(2, seq, hit, owed)
+	st = c.Stats()
+	if !c.Contains(5) {
+		t.Error("the hit on 3 did not re-stage its continuation 5")
+	}
+	if st.GroupFetches != 1 || st.FilesFetched != 4 || st.Loads != 5 {
+		t.Errorf("after the hit: %+v; want one fetch of 4 files and 5 loads", st)
+	}
+	if st.Hits+st.GroupFetches != 2 || st.PrefetchHits != 1 {
+		t.Errorf("after the hit: %+v; want Hits + GroupFetches == 2 requests, one prefetch hit", st)
+	}
+}
+
 // TestServeFromMatchesLearnThenServe is ServeFrom's differential test: a
-// server that answers each request with ServeFrom and learns what it
-// leaves owed afterwards holds the same groups, hits, cache contents and
-// successor lists as one that learns each request's history first and
-// serves after. Seeded streams from four sources run in bursts: the
-// requests of one burst come from one source, and the learning they owe
-// rides as the next request's prefix until the burst ends and pays it, as
-// a connection's pipelined requests do. The group, hit and cache are
-// compared after every request, and the successor lists whenever nothing
-// is owed. Every case that decides whether learning must come first
+// server that answers each request with ServeFrom and then finishes it
+// with Stage holds the same groups, hits, cache contents and successor
+// lists as one that learns each request's history first and stages after
+// (stageFirst: the deep build, installed on hit and miss, answered with
+// its prefix). Seeded streams from four sources interleave in runs, as
+// the requests of concurrent connections do. The reply and hit are
+// compared after ServeFrom, and the stats, cache and successor lists
+// after Stage. Every case that decides whether learning must come first
 // occurs: an empty history, a history naming the demanded file, the
-// source's last access in the group and a member named mid-history.
+// source's last access in the group, a member named mid-history, and
+// learning left owed to Stage.
 func TestServeFromMatchesLearnThenServe(t *testing.T) {
 	const (
 		files   = 40
@@ -327,13 +389,13 @@ func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
 		return trace.FileID(pos[src])
 	}
 	var (
-		owed, seq, hist []trace.FileID
-		scratch         []trace.FileID
-		cases           [5]int // empty, names demanded, last in group, member mid-history, owed
+		seq, hist []trace.FileID
+		scratch   []trace.FileID
+		cases     [5]int // empty, names demanded, last in group, member mid-history, owed
 	)
 	src := 0
 	for step := 0; step < 3000; step++ {
-		if len(owed) == 0 {
+		if rng.Intn(3) == 0 {
 			src = rng.Intn(sources)
 		}
 		hist = hist[:0]
@@ -372,37 +434,25 @@ func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
 			cases[3]++
 		}
 
-		ref.LearnFrom(uint64(src), append(slices.Clone(hist), d)...)
-		want := ref.BuildGroup(d)
-		wantHit := ref.Serve(d)
+		want, wantHit := stageFirst(t, ref, uint64(src), append(slices.Clone(hist), d))
 
-		seq = append(append(append(seq[:0], owed...), hist...), d)
+		seq = append(append(seq[:0], hist...), d)
 		var hit, isOwed bool
 		scratch, hit, isOwed = sut.ServeFrom(scratch[:0], uint64(src), seq)
-		owed = owed[:0]
 		if isOwed {
 			cases[4]++
-			owed = append(owed, seq...)
 		}
-		if len(owed) > 0 && (rng.Intn(3) == 0 || step == 2999) {
-			// The burst ends: its replies are flushed, then learned.
-			sut.LearnFrom(uint64(src), owed...)
-			owed = owed[:0]
-		}
-
 		where := fmt.Sprintf("seed %d step %d (source %d, history %v, demanded %d)", seed, step, src, hist, d)
 		if hit != wantHit || !slices.Equal(scratch, want) {
 			t.Fatalf("%s: ServeFrom = %v hit %v, learning first = %v hit %v", where, scratch, hit, want, wantHit)
 		}
+		sut.Stage(uint64(src), seq, hit, isOwed)
 		if sut.Stats() != ref.Stats() {
 			t.Fatalf("%s: stats %+v, learning first %+v", where, sut.Stats(), ref.Stats())
 		}
 		for f := trace.FileID(0); f < trace.FileID(files); f++ {
 			if sut.Contains(f) != ref.Contains(f) {
 				t.Fatalf("%s: residency of %d differs", where, f)
-			}
-			if len(owed) > 0 {
-				continue
 			}
 			if got, want := sut.Tracker().Successors(f), ref.Tracker().Successors(f); !slices.Equal(got, want) {
 				t.Fatalf("%s: successors of %d = %v, learning first %v", where, f, got, want)

@@ -9,8 +9,9 @@ import (
 )
 
 // TestObsCountersMirrorStats drives an instrumented cache through hits,
-// misses, prefetch hits, and evictions and checks that the exported
-// counters agree with Stats and the group-size histogram fills.
+// misses, prefetch hits, evictions and loads of staged members, and
+// checks that the exported counters agree with Stats and the group-size
+// histogram fills.
 func TestObsCountersMirrorStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := mustNew(t, Config{Capacity: 3, GroupSize: 2, Obs: reg})
@@ -41,6 +42,7 @@ func TestObsCountersMirrorStats(t *testing.T) {
 		"core_cache_misses_total":        st.Misses,
 		"core_cache_prefetch_hits_total": st.PrefetchHits,
 		"core_cache_evictions_total":     st.Evictions,
+		"core_cache_loads_total":         st.Loads,
 	}
 	for name, want := range counters {
 		s, ok := parsed.Find(name, nil)
@@ -48,8 +50,8 @@ func TestObsCountersMirrorStats(t *testing.T) {
 			t.Errorf("%s = %+v (found %v), want %d", name, s, ok, want)
 		}
 	}
-	if st.PrefetchHits == 0 || st.Evictions == 0 {
-		t.Fatalf("workload did not exercise prefetch hits / evictions: %+v", st)
+	if st.PrefetchHits == 0 || st.Evictions == 0 || st.Loads <= st.GroupFetches {
+		t.Fatalf("workload did not exercise prefetch hits / evictions / member loads: %+v", st)
 	}
 	if s, ok := parsed.Find("core_group_size_count", nil); !ok || uint64(s.Value) != st.GroupFetches {
 		t.Fatalf("group-size histogram count = %+v (found %v), want %d", s, ok, st.GroupFetches)

@@ -74,6 +74,7 @@ var titles = map[string]string{
 	"xcontext":   "Extension: per-client vs merged successor contexts on the users workload (\u00a72.2)",
 	"xbakeoff":   "Extension: every replacement policy vs the aggregating cache, all workloads",
 	"xprune":     "Extension: cutting weak links vs static group size (Fig 7's falling predictability)",
+	"xhier":      "Extension: Fig 4 behind the paper's own client (server miss rate and loads per open)",
 }
 
 // registry maps experiment IDs to runners.
@@ -100,6 +101,7 @@ var registry = map[string]Runner{
 	"xcontext":   xcontext,
 	"xbakeoff":   xbakeoff,
 	"xprune":     xprune,
+	"xhier":      xhier,
 }
 
 // IDs returns the known experiment IDs in stable order.

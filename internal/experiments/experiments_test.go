@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ var small = Config{Opens: 12000, Seed: 1}
 func TestIDsStable(t *testing.T) {
 	ids := IDs()
 	want := []string{"3a", "3b", "4a", "4b", "4c", "5a", "5b", "7", "8a", "8b", "claims",
-		"xbakeoff", "xcontext", "xdecay", "xhoard", "xlatency", "xoverlap", "xplacement", "xprefetch", "xprune", "xweb"}
+		"xbakeoff", "xcontext", "xdecay", "xhier", "xhoard", "xlatency", "xoverlap", "xplacement", "xprefetch", "xprune", "xweb"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v, want %v", ids, want)
 	}
@@ -482,5 +483,37 @@ func TestExtensionPrune(t *testing.T) {
 	}
 	if cells != 16 {
 		t.Errorf("compared %d cells, want 16", cells)
+	}
+}
+
+// TestExtensionHier pins xhier's shape: behind the service's own client
+// the paper's g5 server is within 0.01 of an LRU server's miss rate in
+// every profile x client capacity cell, and the deep group re-staged on a
+// hit beats both in every cell, for more loads per open than g5.
+func TestExtensionHier(t *testing.T) {
+	tab, err := Run("xhier", small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * len(hierFilters); len(tab.Rows) != want {
+		t.Fatalf("rows = %d, want %d", len(tab.Rows), want)
+	}
+	profiles := map[string]bool{}
+	for i, row := range tab.Rows {
+		key := fmt.Sprintf("%s/%v", tab.RowLabels[i], row[0])
+		profiles[tab.RowLabels[i]] = true
+		lru, g5, g5Loads, staged, stagedLoads := row[1], row[3], row[4], row[7], row[8]
+		if math.Abs(g5-lru) > 0.01 {
+			t.Errorf("%s: g5 miss rate %.3f, LRU %.3f: more than 0.01 apart", key, g5, lru)
+		}
+		if staged >= g5 || staged >= lru {
+			t.Errorf("%s: re-staged deep groups miss %.3f, g5 %.3f, LRU %.3f", key, staged, g5, lru)
+		}
+		if stagedLoads <= g5Loads {
+			t.Errorf("%s: re-staged loads/open %.3f, g5 %.3f: the deep group loaded no more", key, stagedLoads, g5Loads)
+		}
+	}
+	if len(profiles) != 4 {
+		t.Errorf("profiles %v, want four", profiles)
 	}
 }

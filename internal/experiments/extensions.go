@@ -579,3 +579,75 @@ func xbakeoff(cfg Config) (*Table, error) {
 		"the aggregating cache may exceed OPT: OPT bounds demand-only policies, while grouping transfers extra files per miss")
 	return t, nil
 }
+
+// hierSchemes are xhier's server columns, in order.
+var hierSchemes = []struct {
+	label  string
+	scheme simulate.Scheme
+}{
+	{"lru", simulate.SchemeLRU},
+	{"g5", simulate.SchemeAggregating},
+	{"2g", simulate.SchemeDeep},
+	{"2g re-staged", simulate.SchemeStaged},
+}
+
+// hierFilters are xhier's per-client cache capacities.
+var hierFilters = []int{32, 64, 150, 300}
+
+// xhier is Figure 4 behind the paper's own client rather than an LRU one:
+// each trace client runs the service's client cache, which installs the
+// group the server answers each miss with and piggybacks its history, in
+// front of one 300-file server that cuts weak links as the network server
+// does. Per profile and client capacity it reports the server miss rate
+// of an LRU server, the paper's g5 server, one that builds its groups
+// twice as deep and one that also re-stages the deep group on a hit (the
+// network server's rule), each beside the files its cache loaded per open.
+func xhier(cfg Config) (*Table, error) {
+	const serverCap = 300
+	profiles := []workload.Profile{
+		workload.ProfileWrite, workload.ProfileUsers,
+		workload.ProfileServer, workload.ProfileWorkstation,
+	}
+	t := &Table{
+		ID:     "xhier",
+		XLabel: "profile, client cache capacity",
+		Columns: []string{"filter",
+			"lru", "lru loads/open", "g5", "g5 loads/open",
+			"2g", "2g loads/open", "2g re-staged", "2g re-staged loads/open"},
+	}
+	t.Title, _ = Title("xhier")
+	rows := len(profiles) * len(hierFilters)
+	cells := make([]simulate.MultiServerResult, rows*len(hierSchemes))
+	err := simulate.ForEach(len(cells), sweepOptions(cfg), func(i int) error {
+		row := i / len(hierSchemes)
+		tr, _, err := standardWorkload(cfg, profiles[row/len(hierFilters)])
+		if err != nil {
+			return err
+		}
+		cells[i], err = simulate.RunServerMulti(tr.Events, simulate.ServerConfig{
+			FilterCapacity: hierFilters[row%len(hierFilters)],
+			ServerCapacity: serverCap,
+			Scheme:         hierSchemes[i%len(hierSchemes)].scheme,
+			GroupSize:      5,
+			Piggyback:      true,
+			Filter:         simulate.ClientGroup,
+		})
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for row := 0; row < rows; row++ {
+		line := []float64{float64(hierFilters[row%len(hierFilters)])}
+		for _, r := range cells[row*len(hierSchemes) : (row+1)*len(hierSchemes)] {
+			line = append(line, 1-r.HitRate, float64(r.Loads)/float64(r.Opens))
+		}
+		t.RowLabels = append(t.RowLabels, string(profiles[row/len(hierFilters)]))
+		t.Rows = append(t.Rows, line)
+	}
+	t.Notes = append(t.Notes,
+		fmt.Sprintf("opens=%d seed=%d; server cache=%d files, g=5, link cut 1/3; one client cache per trace client", cfg.Opens, cfg.Seed, serverCap),
+		"y = server miss rate per request reaching the server, and files loaded into the server cache per open",
+		"2g: groups built 2g deep, first g sent, installed on a miss; re-staged: installed on a hit too (core.AggregatingCache.Stage)")
+	return t, nil
+}

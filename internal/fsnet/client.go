@@ -245,10 +245,59 @@ type link struct {
 	known  []uint64
 	marked []bool
 	dirty  []trace.FileID
+	// written and answered count the opens sent on the live connection
+	// and the replies to them read so far. kept holds, oldest first, the
+	// files evicted while some of those opens were unanswered: their
+	// requests' reports still showed the files held, so their replies may
+	// send them header-only (installViews). Reset with every connection.
+	written, answered uint64
+	kept              []keptFile
 	// downUntil routes opens this member owns to another one until then;
 	// fails is the consecutive transport failures that set it.
 	downUntil time.Time
 	fails     int
+}
+
+// keptFile is a file evicted while opens its link had written were
+// unanswered: the contents and tag it had, and how many opens the link
+// had written then.
+type keptFile struct {
+	id    trace.FileID
+	tag   uint64
+	data  []byte
+	until uint64
+}
+
+// answer counts one reply to an open read on l's live connection and lets
+// go of the kept files no unanswered open's reply can vouch for. Called
+// with Client.mu held.
+func (l *link) answer() {
+	l.answered++
+	l.release()
+}
+
+// release lets go of the kept files written no later than the last
+// answered open. Called with Client.mu held.
+func (l *link) release() {
+	n := 0
+	for n < len(l.kept) && l.kept[n].until <= l.answered {
+		n++
+	}
+	if n > 0 {
+		clear(l.kept[copy(l.kept, l.kept[n:]):])
+		l.kept = l.kept[:len(l.kept)-n]
+	}
+}
+
+// keptData returns the contents l kept of id, evicted at tag, if any.
+// Called with Client.mu held.
+func (l *link) keptData(id trace.FileID, tag uint64) ([]byte, bool) {
+	for _, k := range l.kept {
+		if k.id == id && k.tag == tag {
+			return k.data, true
+		}
+	}
+	return nil, false
 }
 
 // mark notes that id's residency or tag may differ from what the link's
@@ -376,11 +425,17 @@ func NewClient(conn net.Conn, cfg ClientConfig) (*Client, error) {
 		c.seed.conn = newClientConn(conn)
 		c.live = 1
 	}
-	lru.OnEvict(func(id trace.FileID, _ bool) {
-		c.data[id] = nil
-		c.markAll(id)
-	})
+	lru.OnEvict(c.evicted)
 	return c, nil
+}
+
+// evicted is the cache's eviction hook: it keeps the file for any opens in
+// flight, drops its bytes and marks it on every live link. Called with mu
+// held.
+func (c *Client) evicted(id trace.FileID, _ bool) {
+	c.keep(id)
+	c.data[id] = nil
+	c.markAll(id)
 }
 
 // memberTimeout is the bound on a connection to a member other than the
@@ -390,6 +445,17 @@ func (cfg *ClientConfig) memberTimeout() time.Duration {
 		return cfg.Timeout
 	}
 	return memberTimeout
+}
+
+// keep holds on to an evicted file's contents for every live link with
+// opens unanswered: the requests of those opens reported the file held, so
+// their replies may send it header-only. Called with mu held.
+func (c *Client) keep(id trace.FileID) {
+	for _, l := range c.tracked {
+		if l.written > l.answered {
+			l.kept = append(l.kept, keptFile{id: id, tag: c.tags[id], data: c.data[id], until: l.written})
+		}
+	}
 }
 
 // markAll notes a change to id's residency or tag on every live link.
@@ -882,6 +948,7 @@ func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_
 	defer c.mu.Unlock()
 	var accessed []string
 	claimed = spare
+	l.written++
 	if len(c.pending) > 0 {
 		accessed, claimed = c.claimPending(path, spare)
 	}
@@ -895,9 +962,24 @@ func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_
 // arrival), capped at the protocol limit by dropping the oldest overflow
 // — and the slice to hand to restorePending should the attempt fail
 // before the server saw it. The emptied spare array takes the claimed
-// one's place. Called with mu held.
+// one's place.
+//
+// The claim ends at the open's own entry, the last one naming path: the
+// entries after it are opens made while it waited to be written, in
+// flight beside it, and they belong to the requests that carry them. Sent
+// with it, they would teach the server successions that never happened
+// (the later opens before this one). They move to the spare array.
+// Called with mu held.
 func (c *Client) claimPending(path string, spare []string) (accessed, claimed []string) {
-	claimed, c.pending = c.pending, spare
+	own := len(c.pending) - 1
+	for own >= 0 && c.pending[own] != path {
+		own--
+	}
+	if own >= 0 && own < len(c.pending)-1 {
+		claimed, c.pending = c.pending[:own+1], append(spare[:0], c.pending[own+1:]...)
+	} else {
+		claimed, c.pending = c.pending, spare
+	}
 	accessed = claimed
 	if n := len(accessed); accessed[n-1] == path {
 		accessed = accessed[:n-1]
@@ -1251,8 +1333,10 @@ func (c *Client) installMux(l *link, cc *clientConn, countRedial bool, epoch uin
 	return m, nil
 }
 
-// untrack stops reporting to l. Called with mu held.
+// untrack stops reporting to l, whose connection's opens will not be
+// answered. Called with mu held.
 func (c *Client) untrack(l *link) {
+	l.written, l.answered, l.kept = 0, 0, nil
 	for i, t := range c.tracked {
 		if t == l {
 			c.tracked = append(c.tracked[:i], c.tracked[i+1:]...)
@@ -1303,6 +1387,16 @@ func (c *Client) noteBroken() {
 	c.m.events.Record("conn_broken")
 }
 
+// answered counts an open m's server refused toward the opens its link
+// has had answered (installViews counts the rest).
+func (c *Client) answered(m *muxConn) {
+	c.mu.Lock()
+	if l := m.l; l.mux == m {
+		l.answer()
+	}
+	c.mu.Unlock()
+}
+
 // installViews installs a fetched group and returns the demanded file's
 // contents: cache.GroupLRU decides which of its files are resident
 // afterwards (demanded file at the head — it always enters — other members
@@ -1316,10 +1410,12 @@ func (c *Client) noteBroken() {
 // A header-only member carries a tag and no bytes: m's server believed
 // this cache holds it with those very contents. If it does, its slot, tag
 // and LRU position stay as they are — Install keeps a resident member
-// where it earned its place — and the slab is sized without it. If it does
-// not (a report raced the reply), the member is left out of the install
-// altogether: one lost prefetch, nothing cached that was not received,
-// and the next report puts the server right.
+// where it earned its place — and the slab is sized without it. If an
+// earlier reply's install evicted it after m's request was written, the
+// link kept its contents (keep), and it installs from them as if sent. If
+// it is missing otherwise (a report raced the reply), the member is left
+// out of the install altogether: one lost prefetch, nothing cached that
+// was not received, and the next report puts the server right.
 //
 // What m's server now believes — every member it sent in full is held at
 // its tag — is recorded for m's link, and every member is marked on every
@@ -1338,6 +1434,20 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 			tag := g.files[i].Tag
 			mid := c.ids.InternBytes(g.paths[i])
 			c.ensureDense(mid)
+			if current && !c.lru.Contains(mid) {
+				if data, ok := l.keptData(mid, tag); ok {
+					// Evicted after the request was written, by the
+					// install of an earlier reply: the kept contents are
+					// what the server vouched for, so the member installs
+					// as if it had been sent.
+					c.m.validatedFiles.Inc()
+					g.held &^= 1 << i
+					g.files[i].Data = data
+					file[len(ids)] = uint8(i)
+					ids = append(ids, mid)
+					continue
+				}
+			}
 			if tag == 0 || !c.lru.Contains(mid) || c.tags[mid] != tag {
 				c.m.validationMisses.Inc()
 				if current {
@@ -1362,6 +1472,12 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 	c.gidScratch = ids
 	c.m.bytesReceived.Add(uint64(received))
 
+	// The reply is answered before its install: the files the install
+	// evicts cannot be vouched for by the request it answers, so only
+	// opens still in flight make keep hold on to them.
+	if current {
+		l.answered++
+	}
 	c.lru.Install(ids, false)
 	size := 0
 	for k, mid := range ids {
@@ -1386,6 +1502,9 @@ func (c *Client) installViews(g *groupReply, m *muxConn, demanded trace.FileID) 
 		if current {
 			l.known[mid] = g.files[i].Tag
 		}
+	}
+	if current {
+		l.release()
 	}
 	if l.fails > 0 {
 		l.fails, l.downUntil = 0, time.Time{}

@@ -396,6 +396,8 @@ func (m *muxConn) read(call *muxCall) (muxResult, error) {
 			}
 			if res, err = decodeReply(call.typ, typ, payload); err != nil {
 				err = fmt.Errorf("%w: %v", errDesync, err)
+			} else if call.typ == msgOpen {
+				m.c.answered(m)
 			}
 		}
 		m.rbuf, m.ends = keepBuf(m.rbuf, buf), ends[:0]

@@ -13,11 +13,14 @@ import (
 // simulator. One Client against one in-process Server replays a trace
 // while a core.AggregatingCache of the client's size replays the same
 // opens, and a second, server-sized one is driven the way
-// simulate.RunServer's piggyback branch drives it (Learn on every open,
-// Serve on every client miss). Every open must agree on hit or miss, the
-// client's counters must equal the simulated client's, and
-// ServerStats.Cache must equal the simulated server's. Both simulated
-// caches build their groups with the server's LinkShare. So that the
+// simulate.RunServer drives SchemeStaged behind ClientGroup: every client
+// miss is a ServeFrom of the opens since the previous one and the missed
+// file, then a Stage of the same. Every open must agree on hit or miss,
+// the client's counters must equal the simulated client's, and
+// ServerStats.Cache, read once the server has closed and so staged every
+// open, must equal the simulated server's — the deep staging and its
+// re-stage on a hit included. Both simulated
+// caches build their groups with the server's core.LinkShare. So that the
 // oracle really exercises the cut, at least one cell must receive fewer
 // files than Fetches × g, and fewer than a client whose groups are not
 // cut would have received.
@@ -53,11 +56,11 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cl.Close()
-				simClient, err := core.New(core.Config{Capacity: cell.capacity, GroupSize: cell.g, LinkShare: LinkShare})
+				simClient, err := core.New(core.Config{Capacity: cell.capacity, GroupSize: cell.g, LinkShare: core.LinkShare})
 				if err != nil {
 					t.Fatal(err)
 				}
-				simServer, err := core.New(core.Config{Capacity: serverCache, GroupSize: cell.g, LinkShare: LinkShare})
+				simServer, err := core.New(core.Config{Capacity: serverCache, GroupSize: cell.g, LinkShare: core.LinkShare})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,17 +68,23 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var hist, seq []trace.FileID
 				for i, id := range ids {
 					before := cl.Stats().Hits
 					if _, err := cl.Open(tr.Paths.Path(id)); err != nil {
 						t.Fatalf("open %d: %v", i, err)
 					}
 					liveHit := cl.Stats().Hits > before
-					simServer.Learn(id)
 					uncut.Access(id)
 					simHit := simClient.Access(id)
-					if !simHit {
-						simServer.Serve(id)
+					if simHit {
+						hist = append(hist, id)
+					} else {
+						hist = append(hist, id)
+						var hit, owed bool
+						seq, hit, owed = simServer.ServeFrom(seq[:0], 1, hist)
+						simServer.Stage(1, hist, hit, owed)
+						hist = hist[:0]
 					}
 					if liveHit != simHit {
 						t.Fatalf("open %d (%s): live hit=%v, simulator hit=%v", i, tr.Paths.Path(id), liveHit, simHit)
@@ -85,6 +94,9 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 				if cs.Hits != want.Hits || cs.Fetches != want.Misses ||
 					cs.PrefetchHits != want.PrefetchHits || cs.FilesReceived != want.FilesFetched {
 					t.Errorf("client stats %+v, simulator %+v", cs, want)
+				}
+				if err := srv.Close(); err != nil {
+					t.Fatal(err)
 				}
 				if got, want := srv.Stats().Cache, simServer.Stats(); got != want {
 					t.Errorf("server cache stats %+v, simulator %+v", got, want)

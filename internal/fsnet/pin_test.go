@@ -141,6 +141,7 @@ var pinWantStats = ServerStats{
 		Misses:       8,
 		GroupFetches: 8,
 		FilesFetched: 8,
+		Loads:        8, // every miss's demanded file; not in the original capture
 		Evictions:    2,
 	},
 }
@@ -149,6 +150,11 @@ func TestSequentialServerPinnedBehaviour(t *testing.T) {
 	store := pinStore(t)
 	srv, addr := startServer(t, store, ServerConfig{GroupSize: 3, CacheCapacity: 6, SuccessorCapacity: 2})
 	gotHash := runPinScript(t, addr)
+	// A request's staging follows its reply; closing the server waits
+	// for every connection's last one.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	gotStats := srv.Stats()
 	if gotHash != pinWantHash {
 		t.Errorf("reply hash = %s, want %s", gotHash, pinWantHash)

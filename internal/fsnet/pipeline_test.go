@@ -519,7 +519,7 @@ func successorPaths(srv *Server, path string) []string {
 }
 
 // TestPipelinedOpensLearnInRequestOrder: a server learns an open's
-// piggybacked history after the reply is on the wire, and a request
+// piggybacked history after it has built the reply, and a request
 // pipelined behind it is still served as if that history had been
 // learned first. The second open of the burst demands a file the first
 // one's history taught a chain to, so its group must carry the chain.
@@ -611,5 +611,26 @@ func TestClosedConnectionLearnsOwedHistory(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestClaimEndsAtTheOpensOwnEntry: an open claims the piggyback history
+// through its own entry, the last one naming its path, and leaves the
+// entries after it — opens made while it waited to be written — to the
+// requests that carry them, so the server never learns a later open as a
+// predecessor of an earlier one. With no entry of its own (history
+// restored or shed) it claims everything.
+func TestClaimEndsAtTheOpensOwnEntry(t *testing.T) {
+	c := &Client{pending: []string{"/a", "/b", "/a", "/c", "/d"}}
+	spare := make([]string, 0, 8)
+	accessed, claimed := c.claimPending("/a", spare)
+	if !slices.Equal(accessed, []string{"/a", "/b"}) || !slices.Equal(claimed, []string{"/a", "/b", "/a"}) || !slices.Equal(c.pending, []string{"/c", "/d"}) {
+		t.Fatalf("claim of /a: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
+	}
+	if accessed, claimed = c.claimPending("/c", nil); len(accessed) != 0 || !slices.Equal(claimed, []string{"/c"}) || !slices.Equal(c.pending, []string{"/d"}) {
+		t.Fatalf("claim of /c: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
+	}
+	if accessed, claimed = c.claimPending("/x", make([]string, 0, 4)); !slices.Equal(accessed, []string{"/d"}) || !slices.Equal(claimed, []string{"/d"}) || len(c.pending) != 0 {
+		t.Fatalf("claim of /x: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
 	}
 }

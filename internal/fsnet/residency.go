@@ -15,10 +15,14 @@ import "aggcache/internal/trace"
 // connection's server did not send it — installed from another member of
 // the ring, refreshed by a write, or cached before this connection
 // existed. With one request in flight per client the table is therefore
-// exactly the client's cache when the request is written. A report can
-// race a reply in flight on a pipelined connection; a header-only member
-// the client then lacks is dropped by the client (one lost prefetch, never
-// wrong bytes) and corrected by its next report.
+// exactly the client's cache when the request is written. On a pipelined
+// connection an earlier reply's install can evict a member after a
+// request that still reported it held was written; the client keeps such
+// a file's contents until every open written before the eviction is
+// answered, so a header-only member it no longer caches still installs.
+// A header-only member the client lacks otherwise is dropped by the
+// client (one lost prefetch, never wrong bytes) and corrected by its next
+// report.
 //
 // Only the connection's read loop touches the table: it applies each
 // request's report and writes each reply, so the two are ordered by the

@@ -373,6 +373,76 @@ func TestPipelinedValidationStaysNearLockStep(t *testing.T) {
 	}
 }
 
+// TestKeptFilesLetGoOnceAnswered: a pipelined client keeps the contents
+// of a file an install evicts while opens written before the eviction are
+// unanswered, and lets go of them as those opens are answered, so once
+// the walks are done and every open is answered it keeps nothing. In lock
+// step the reply being installed is the only open in flight, and it
+// counts as answered before its install, so no eviction keeps anything.
+func TestKeptFilesLetGoOnceAnswered(t *testing.T) {
+	_, addr := startServer(t, seededStore(t, 24), ServerConfig{GroupSize: 4})
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	kept := func() (n int, inFlight bool) {
+		client.mu.Lock()
+		defer client.mu.Unlock()
+		for _, l := range client.tracked {
+			n += len(l.kept)
+			inFlight = inFlight || l.written != l.answered
+		}
+		return n, inFlight
+	}
+	// Lock step first: the hook runs under client.mu, inside an install.
+	evictions, keptInLockStep := 0, 0
+	client.lru.OnEvict(func(id trace.FileID, speculative bool) {
+		client.evicted(id, speculative)
+		evictions++
+		for _, l := range client.tracked {
+			keptInLockStep += len(l.kept)
+		}
+	})
+	for i := 0; i < 600; i++ {
+		path := fmt.Sprintf("/data/f%03d", sharedWalk(i))
+		if _, err := client.Open(path); err != nil {
+			t.Fatalf("lock-step open %s: %v", path, err)
+		}
+	}
+	client.mu.Lock()
+	client.lru.OnEvict(client.evicted)
+	client.mu.Unlock()
+	if evictions == 0 || keptInLockStep != 0 {
+		t.Fatalf("lock step: %d evictions kept %d files, want evictions and nothing kept", evictions, keptInLockStep)
+	}
+	var wg sync.WaitGroup
+	var sawKept atomic.Bool
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 600; i++ {
+				path := fmt.Sprintf("/data/f%03d", sharedWalk(i+13*w))
+				if d, err := client.Open(path); err != nil || string(d) != "contents of "+path {
+					t.Errorf("open %s = %q, %v", path, d, err)
+					return
+				}
+				if n, _ := kept(); n > 0 {
+					sawKept.Store(true)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !sawKept.Load() {
+		t.Error("no install evicted a file while opens were in flight: nothing was kept")
+	}
+	if n, inFlight := kept(); n != 0 || inFlight {
+		t.Errorf("with every open answered the client keeps %d files (opens unanswered: %v)", n, inFlight)
+	}
+}
+
 // fixedRouter answers each path under routePrefix with a fixed group — the
 // path, then the shared members — built once and tagged as a store would,
 // so a test controls exactly which members a reply repeats.

@@ -21,7 +21,7 @@ import (
 // ServerConfig parameterizes a file server.
 type ServerConfig struct {
 	// GroupSize caps the retrieval group size g (default 5); a group stops
-	// earlier where its links are weak (LinkShare).
+	// earlier where its links are weak (core.LinkShare).
 	GroupSize int
 	// CacheCapacity is the server's memory cache in whole files
 	// (default 256). The cache is an aggregating cache: when a demanded
@@ -149,8 +149,9 @@ type ServerStats struct {
 // a read-lock fast path for known paths, store reads happen outside any
 // server lock, and only the successor-table update plus cache admission
 // sit under the short aggMu critical section — the one server-wide mutex
-// a locally served open takes: once to build its group, and once more
-// after its reply is flushed when the history it carried is learned then.
+// a locally served open takes: once to build its reply, and once more
+// after the reply is flushed, to learn the history it carried and stage
+// its deep group.
 type Server struct {
 	cfg    ServerConfig
 	store  *Store
@@ -179,13 +180,6 @@ type Server struct {
 	wg       sync.WaitGroup
 }
 
-// LinkShare is the link cut every server builds its groups with
-// (core.Config.LinkShare): a successor joins a group only when it took more
-// than a third of its predecessor's retained successions, so a group stops
-// where prediction stops and GroupSize is a cap. DESIGN.md §5 has the
-// measurements behind the value.
-const LinkShare = 1.0 / 3
-
 // NewServer builds a server over the given store.
 func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 	if store == nil {
@@ -204,7 +198,7 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		Capacity:          cfg.CacheCapacity,
 		GroupSize:         cfg.GroupSize,
 		SuccessorCapacity: cfg.SuccessorCapacity,
-		LinkShare:         LinkShare,
+		LinkShare:         core.LinkShare,
 		Obs:               cfg.Obs,
 	})
 	if err != nil {
@@ -468,18 +462,18 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // view — so the read loop never blocks on anything but its socket, and a
 // goroutine hand-off would only add two scheduler hops per request. The
 // replies queued since the last read are flushed before a read that could
-// block, so a pipelined burst leaves in one write. Only then does the
-// metadata learn the history the burst's opens carried, unless learning
-// it could have changed one of their groups (core.AggregatingCache.ServeFrom),
-// so no reply waits for it; an open read before it is paid takes it on as
-// the prefix of its own history. A malformed request payload fails only
-// its own request; the framed stream stays intact, so the connection
-// keeps serving.
+// block, so a pipelined burst leaves in one write. Only then is the last
+// open finished (core.AggregatingCache.Stage): the metadata learns the
+// history it carried, unless learning it could have changed its reply
+// (ServeFrom), and its deep group is staged, so no reply waits for
+// either; an open read before that finishes its predecessor first. A
+// malformed request payload fails only its own request; the framed
+// stream stays intact, so the connection keeps serving.
 func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	conn := rw.conn
 	defer func() {
 		rw.flush()
-		s.learnOwed(&rw.scratch, src)
+		s.stageServed(&rw.scratch, src)
 	}()
 	// A panic in the read loop itself (as opposed to in a handler, which
 	// recovers per request) must not skip the flush above.
@@ -497,7 +491,7 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	for {
 		if !frameBuffered(r) {
 			rw.flush()
-			s.learnOwed(&rw.scratch, src)
+			s.stageServed(&rw.scratch, src)
 		}
 		if !s.armIdle(conn) {
 			return
@@ -536,16 +530,26 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	}
 }
 
-// learnOwed teaches the metadata what the connection's opens still owe
-// it, once their replies are on the wire.
-func (s *Server) learnOwed(sc *openScratch, src uint64) {
-	if len(sc.owed) == 0 {
+// stageServed finishes the connection's last open once its reply is on
+// the wire (stage).
+func (s *Server) stageServed(sc *openScratch, src uint64) {
+	if len(sc.served) == 0 {
 		return
 	}
 	s.aggMu.Lock()
-	s.agg.LearnFrom(src, sc.owed...)
+	s.stage(sc, src)
 	s.aggMu.Unlock()
-	sc.owed = sc.owed[:0]
+}
+
+// stage finishes the connection's last open, if it is not yet:
+// core.AggregatingCache.Stage learns what its history still owes the
+// metadata and stages its deep group. Called with aggMu held.
+func (s *Server) stage(sc *openScratch, src uint64) {
+	if len(sc.served) == 0 {
+		return
+	}
+	s.agg.Stage(src, sc.served, sc.hit, sc.owed)
+	sc.served = sc.served[:0]
 }
 
 // frameBuffered reports whether r holds a whole request-ID frame, so that
@@ -801,11 +805,13 @@ type openScratch struct {
 	views  [][]byte      // piggybacked path views into the request's frame
 	report []reportEntry // the residency report, as views into the frame
 	ids    []trace.FileID
-	// owed is what the connection's opens have not yet taught the
-	// metadata: their histories and demanded files, oldest first
-	// (core.AggregatingCache.ServeFrom). The read loop learns it after
-	// each flush.
-	owed []trace.FileID
+	// served is the connection's last open — its history and demanded
+	// file, oldest first — until core.AggregatingCache.Stage has finished
+	// it with hit and owed, what ServeFrom answered: the read loop stages
+	// it once the reply batch is flushed, or before the connection's next
+	// open is served.
+	served    []trace.FileID
+	hit, owed bool
 	// accessed is the piggybacked history as the interner's own strings,
 	// for the router (whose interface carries strings across the cluster
 	// tier); filled only on a routed server.
@@ -893,25 +899,23 @@ func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otra
 	return s.serveOpen(rw, id, path, src, sc, timed, start, tctx), nil
 }
 
-// serveOpen is the local tail of an open: stage the group through the
-// aggregating cache and read the members' contents onto rw. sc.ids holds
-// the interned access history. The history and the demanded open join
-// what the connection already owes the metadata, sc.owed; the group is
-// built without learning them unless learning could change it, and what
-// is still owed is learned once the reply is flushed (serve).
+// serveOpen is the local tail of an open: answer it through the
+// aggregating cache and read the reply's members onto rw. sc.ids holds the
+// interned access history. The reply is built without learning the
+// history unless learning could change it; the learning and the staging
+// of the open's deep group wait until the reply is flushed (serve), or
+// until the connection's next open, whichever comes first.
 func (s *Server) serveOpen(rw *replyWriter, id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) errorResponse {
+	s.aggMu.Lock()
+	// A pipelined open's predecessor may still be queued, unflushed.
+	s.stage(sc, src)
 	// Piggybacked history first (oldest..newest), then the demanded
 	// open, preserving the client's true access order.
-	sc.owed = append(append(sc.owed, sc.ids...), id)
-	s.aggMu.Lock()
-	// Stage the group into the server memory cache, built once for the
-	// cache and the reply; hit-or-miss selects the latency phase below.
-	var hit, owed bool
-	sc.group, hit, owed = s.agg.ServeFrom(sc.group[:0], src, sc.owed)
+	sc.served = append(append(sc.served, sc.ids...), id)
+	sc.group, sc.hit, sc.owed = s.agg.ServeFrom(sc.group[:0], src, sc.served)
+	// hit-or-miss selects the latency phase below.
+	hit := sc.hit
 	s.aggMu.Unlock()
-	if !owed {
-		sc.owed = sc.owed[:0]
-	}
 
 	n := s.stageGroup(rw, sc.group)
 	if n == 0 {

@@ -44,6 +44,8 @@ type Builder struct {
 	// count is more than share of the counts its predecessor's list
 	// retains. 0 cuts nothing.
 	share float64
+	// built is the size cap of the last build, for DependsOn.
+	built int
 
 	// seen is a dense generation-stamped membership set indexed by
 	// FileID (IDs are interned densely, so they double as indices).
@@ -104,9 +106,19 @@ func (b *Builder) Build(id trace.FileID) []trace.FileID {
 // (beyond one-time scratch growth), which is what strips the group
 // construction out of the aggregating cache's miss-path heap traffic.
 func (b *Builder) AppendBuild(dst []trace.FileID, id trace.FileID) []trace.FileID {
+	return b.AppendBuildN(dst, id, b.size)
+}
+
+// AppendBuildN is AppendBuild with a size cap of n instead of Size. Both
+// strategies extend a group one member at a time, each pick reading only
+// the members before it, so the first m members of a build capped at
+// n >= m are exactly the build capped at m: one deep build also yields
+// every shallower group.
+func (b *Builder) AppendBuildN(dst []trace.FileID, id trace.FileID, n int) []trace.FileID {
 	start := len(dst)
 	dst = append(dst, id)
-	if b.size == 1 {
+	b.built = n
+	if n <= 1 {
 		return dst
 	}
 	b.nextGen()
@@ -114,18 +126,18 @@ func (b *Builder) AppendBuild(dst []trace.FileID, id trace.FileID) []trace.FileI
 
 	switch b.strategy {
 	case StrategyChain:
-		dst = b.extendChain(dst, start)
+		dst = b.extendChain(dst, start, n)
 	case StrategyBreadth:
-		dst = b.extendBreadth(dst, start)
+		dst = b.extendBreadth(dst, start, n)
 	}
 	return dst
 }
 
-// DependsOn reports whether the group AppendBuild returned last depends on
-// id's successor list. A build reads only its members' lists, so it does
-// when id is a member; a group of one reads none.
+// DependsOn reports whether the group the last AppendBuild or AppendBuildN
+// returned depends on id's successor list. A build reads only its members'
+// lists, so it does when id is a member; a group of one reads none.
 func (b *Builder) DependsOn(id trace.FileID) bool {
-	return b.size > 1 && b.marked(id)
+	return b.built > 1 && b.marked(id)
 }
 
 // nextGen starts a fresh, empty seen-set in O(1) by bumping the
@@ -160,10 +172,10 @@ func (b *Builder) marked(id trace.FileID) bool {
 // extendChain follows most-likely successors as far as possible; when the
 // chain revisits a member or runs out of metadata it scans earlier members'
 // remaining ranked successors for a fresh continuation point. The group
-// under construction is dst[start:].
-func (b *Builder) extendChain(dst []trace.FileID, start int) []trace.FileID {
+// under construction is dst[start:], capped at n members.
+func (b *Builder) extendChain(dst []trace.FileID, start, n int) []trace.FileID {
 	cur := dst[start]
-	for len(dst)-start < b.size {
+	for len(dst)-start < n {
 		next, ok := b.chainNext(cur)
 		if !ok {
 			next, ok = b.fallback(dst[start:])
@@ -208,10 +220,11 @@ func (b *Builder) fallback(group []trace.FileID) (trace.FileID, bool) {
 	return 0, false
 }
 
-// extendBreadth performs a BFS over ranked successors.
-func (b *Builder) extendBreadth(dst []trace.FileID, start int) []trace.FileID {
+// extendBreadth performs a BFS over ranked successors, capped at n
+// members.
+func (b *Builder) extendBreadth(dst []trace.FileID, start, n int) []trace.FileID {
 	b.queue = append(b.queue[:0], dst[start])
-	for qi := 0; qi < len(b.queue) && len(dst)-start < b.size; qi++ {
+	for qi := 0; qi < len(b.queue) && len(dst)-start < n; qi++ {
 		for _, s := range b.successors(b.queue[qi]) {
 			if b.marked(s) {
 				continue
@@ -219,7 +232,7 @@ func (b *Builder) extendBreadth(dst []trace.FileID, start int) []trace.FileID {
 			dst = append(dst, s)
 			b.mark(s)
 			b.queue = append(b.queue, s)
-			if len(dst)-start >= b.size {
+			if len(dst)-start >= n {
 				break
 			}
 		}

@@ -412,3 +412,63 @@ func FuzzBuilder(f *testing.F) {
 		checkBuilder(t, refPolicies[data[0]&3], 1+int(data[0]>>2)%5, seq)
 	})
 }
+
+// TestDeepBuildPrefixIsTheGroup: for the chain, breadth and cut builders
+// over random trackers, the first g members of a build capped at 2g are
+// the build capped at g, whether the deep build comes from AppendBuildN on
+// the g builder or from a builder of size 2g; and DependsOn afterwards
+// covers every member of the deep build. This is what lets one build serve
+// both a reply and the deeper group a server stages.
+func TestDeepBuildPrefixIsTheGroup(t *testing.T) {
+	builders := []struct {
+		name     string
+		strategy Strategy
+		share    float64
+	}{{"chain", StrategyChain, 0}, {"breadth", StrategyBreadth, 0}, {"cut", StrategyChain, 1.0 / 3}}
+	deeper := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		universe := 2 + rng.Intn(30)
+		tr, err := successor.NewTracker(refPolicies[seed%4], 1+rng.Intn(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			tr.Observe(trace.FileID(rng.Intn(universe)))
+		}
+		for _, bc := range builders {
+			for g := 1; g <= 8; g++ {
+				shallow, err := NewCutBuilder(tr, g, bc.strategy, bc.share)
+				if err != nil {
+					t.Fatal(err)
+				}
+				deep, err := NewCutBuilder(tr, 2*g, bc.strategy, bc.share)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id := trace.FileID(0); id < trace.FileID(universe); id++ {
+					want := shallow.Build(id)
+					built := shallow.AppendBuildN(nil, id, 2*g)
+					if !slices.Equal(built, deep.Build(id)) {
+						t.Fatalf("seed %d %s g %d: AppendBuildN(%d, %d) = %v, size-%d builder %v",
+							seed, bc.name, g, id, 2*g, built, 2*g, deep.Build(id))
+					}
+					for _, m := range built {
+						if !shallow.DependsOn(m) {
+							t.Fatalf("seed %d %s g %d: deep build %v of %d does not depend on member %d", seed, bc.name, g, built, id, m)
+						}
+					}
+					if got := built[:min(len(built), g)]; !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s g %d: first %d of the deep build of %d = %v, the g build %v", seed, bc.name, g, g, id, got, want)
+					}
+					if len(built) > len(want) {
+						deeper++
+					}
+				}
+			}
+		}
+	}
+	if deeper == 0 {
+		t.Error("no deep build outgrew its g build: the prefix was never tested")
+	}
+}

@@ -54,6 +54,7 @@ func TestLiveExposition(t *testing.T) {
 	for _, name := range []string{
 		"core_cache_hits_total",
 		"core_cache_misses_total",
+		"core_cache_loads_total",
 		"fsnet_server_open_conns",
 	} {
 		if _, ok := parsed.Find(name, nil); !ok {

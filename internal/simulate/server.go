@@ -6,6 +6,8 @@ import (
 
 	"aggcache/internal/cache"
 	"aggcache/internal/core"
+	"aggcache/internal/group"
+	"aggcache/internal/successor"
 	"aggcache/internal/trace"
 )
 
@@ -22,22 +24,52 @@ const (
 	// SchemeAggregating is the paper's grouping server cache (labelled
 	// g5 in Figure 4 when GroupSize is 5).
 	SchemeAggregating Scheme = "agg"
+	// SchemeDeep is SchemeAggregating with groups built core.StageDepth
+	// times GroupSize deep, of which a client behind ClientGroup
+	// receives the first GroupSize: the network server's deep build without its
+	// re-stage on a hit.
+	SchemeDeep Scheme = "deep"
+	// SchemeStaged is the network server's own rule, driven through
+	// core.AggregatingCache.ServeFrom and Stage: answered with the group
+	// GroupSize deep, then the deep build installed, on a hit as on a
+	// miss.
+	SchemeStaged Scheme = "staged"
 )
 
-// ServerConfig parameterizes a two-level simulation: a client LRU cache of
+// Filter selects the client cache in front of the server.
+type Filter string
+
+// Client filters.
+const (
+	// ClientLRU, the default, is §4.3's intervening client cache: a plain
+	// LRU that keeps only what it demanded. Figure 4's filter.
+	ClientLRU Filter = "lru"
+	// ClientGroup is the service's own client (fsnet.Client): a
+	// cache.GroupLRU per client that installs the group the server
+	// answers each of its misses with.
+	ClientGroup Filter = "group"
+)
+
+// ServerConfig parameterizes a two-level simulation: a client cache of
 // FilterCapacity in front of a server cache of ServerCapacity.
 type ServerConfig struct {
 	FilterCapacity int
 	ServerCapacity int
 	Scheme         Scheme
-	// GroupSize applies to SchemeAggregating; default 5 (the paper's
-	// g5 configuration).
+	// GroupSize applies to the grouping schemes, and to the replies a client
+	// behind ClientGroup receives; default 5 (the paper's g5
+	// configuration).
 	GroupSize int
-	// Piggyback, for SchemeAggregating, forwards the client's full
+	// Piggyback, for the grouping schemes, forwards the client's full
 	// access stream to the server's metadata (§3's cooperative mode).
 	// Without it the server learns only from the filtered miss stream,
 	// the §4.3 "no cooperation" assumption.
 	Piggyback bool
+	// Filter selects the client cache; "" is ClientLRU. SchemeDeep and
+	// SchemeStaged run behind ClientGroup only, and behind ClientGroup
+	// every server cuts weak links at core.LinkShare, as the network
+	// server does.
+	Filter Filter
 }
 
 // ServerResult summarizes a two-level run.
@@ -51,13 +83,31 @@ type ServerResult struct {
 	// paper's Figure-4 y-axis.
 	ServerHits uint64
 	HitRate    float64
+	// Loads counts files that entered the server cache (core.Stats.Loads;
+	// a miss for LRU). Counted behind ClientGroup only.
+	Loads uint64
 }
 
 // RunServer simulates the Figure-4 scenario: every open goes to the client
-// LRU first; its misses form the server's request stream.
+// cache first; its misses form the server's request stream.
 func RunServer(ids []trace.FileID, cfg ServerConfig) (ServerResult, error) {
 	if cfg.GroupSize == 0 {
 		cfg.GroupSize = 5
+	}
+	if cfg.Filter == ClientGroup {
+		h, err := runGroupFilter(cfg, func(open func(uint16, trace.FileID)) {
+			for _, id := range ids {
+				open(0, id)
+			}
+		})
+		if err != nil {
+			return ServerResult{}, err
+		}
+		return ServerResult{Config: cfg, Opens: h.opens, ClientMisses: h.misses,
+			ServerHits: h.hits, HitRate: h.hitRate(), Loads: h.loads}, nil
+	}
+	if err := cfg.lruFilter(); err != nil {
+		return ServerResult{}, err
 	}
 	client, err := cache.NewLRU(cfg.FilterCapacity)
 	if err != nil {
@@ -170,6 +220,9 @@ type MultiServerResult struct {
 	// ServerHits and HitRate describe the shared server cache.
 	ServerHits uint64
 	HitRate    float64
+	// Opens and Loads are ServerResult's, counted behind ClientGroup only.
+	Opens uint64
+	Loads uint64
 }
 
 // RunServerMulti simulates the Figure-4 scenario with the multi-client
@@ -180,6 +233,23 @@ type MultiServerResult struct {
 func RunServerMulti(events []trace.Event, cfg ServerConfig) (MultiServerResult, error) {
 	if cfg.GroupSize == 0 {
 		cfg.GroupSize = 5
+	}
+	if cfg.Filter == ClientGroup {
+		h, err := runGroupFilter(cfg, func(open func(uint16, trace.FileID)) {
+			for _, ev := range events {
+				if ev.Op == trace.OpOpen {
+					open(ev.Client, ev.File)
+				}
+			}
+		})
+		if err != nil {
+			return MultiServerResult{}, err
+		}
+		return MultiServerResult{Config: cfg, Clients: h.clients, ClientMisses: h.misses,
+			ServerHits: h.hits, HitRate: h.hitRate(), Opens: h.opens, Loads: h.loads}, nil
+	}
+	if err := cfg.lruFilter(); err != nil {
+		return MultiServerResult{}, err
 	}
 	if cfg.Scheme != SchemeAggregating {
 		return MultiServerResult{}, fmt.Errorf("server sim: multi-client mode supports only the aggregating scheme, got %q", cfg.Scheme)
@@ -222,4 +292,145 @@ func RunServerMulti(events []trace.Event, cfg ServerConfig) (MultiServerResult, 
 		res.HitRate = float64(res.ServerHits) / float64(res.ClientMisses)
 	}
 	return res, nil
+}
+
+// lruFilter rejects what cannot run behind ClientLRU.
+func (cfg ServerConfig) lruFilter() error {
+	switch {
+	case cfg.Filter != "" && cfg.Filter != ClientLRU:
+		return fmt.Errorf("server sim: unknown filter %q", cfg.Filter)
+	case cfg.Scheme == SchemeDeep || cfg.Scheme == SchemeStaged:
+		return fmt.Errorf("server sim: scheme %q runs behind the %q filter only", cfg.Scheme, ClientGroup)
+	}
+	return nil
+}
+
+// hierarchy is what runGroupFilter counts.
+type hierarchy struct {
+	opens, misses, hits, loads uint64
+	clients                    int
+}
+
+func (h hierarchy) hitRate() float64 {
+	if h.misses == 0 {
+		return 0
+	}
+	return float64(h.hits) / float64(h.misses)
+}
+
+// groupClient is one client behind ClientGroup: its cache and, with Piggyback,
+// the opens it has made since its last request to the server.
+type groupClient struct {
+	lru     *cache.GroupLRU
+	history []trace.FileID
+}
+
+// runGroupFilter is the service's shape: replay calls open for every open,
+// in trace order, with the client that made it; each client's GroupLRU
+// serves what it holds and installs the server's reply to each of its
+// misses. The server learns each request's history and demanded file
+// with the client as the source, when the request arrives, as a network
+// server does; without Piggyback the history is empty. A grouping scheme
+// replies with the group its metadata builds (its first GroupSize members
+// for SchemeDeep and SchemeStaged); an LRU server replies with the
+// group a tracker and builder of the same rules build from what it has
+// learned, so only the server cache differs between the schemes.
+func runGroupFilter(cfg ServerConfig, replay func(open func(client uint16, id trace.FileID))) (hierarchy, error) {
+	var h hierarchy
+	serve, agg, err := groupServer(cfg)
+	if err != nil {
+		return h, err
+	}
+	clients := make(map[uint16]*groupClient)
+	var seq []trace.FileID
+	replay(func(client uint16, id trace.FileID) {
+		if err != nil {
+			return
+		}
+		h.opens++
+		c, ok := clients[client]
+		if !ok {
+			lru, nerr := cache.NewGroupLRU(cfg.FilterCapacity)
+			if nerr != nil {
+				err = fmt.Errorf("server sim: client filter: %w", nerr)
+				return
+			}
+			c = &groupClient{lru: lru}
+			clients[client] = c
+		}
+		if hit, _ := c.lru.Demand(id); hit {
+			if cfg.Piggyback {
+				c.history = append(c.history, id)
+			}
+			return
+		}
+		h.misses++
+		seq = append(append(seq[:0], c.history...), id)
+		c.history = c.history[:0]
+		reply, hit := serve(uint64(client), seq)
+		if hit {
+			h.hits++
+		}
+		c.lru.Install(reply, false)
+	})
+	h.clients = len(clients)
+	if agg != nil {
+		h.loads = agg.Stats().Loads
+	} else {
+		h.loads = h.misses - h.hits // an LRU server loads what it missed
+	}
+	return h, err
+}
+
+// groupServer builds cfg's server behind ClientGroup: serve answers one
+// request — seq is its history, ending with the demanded file — with the
+// reply a client installs and whether the server cache hit. agg is the
+// server cache of a grouping scheme, nil for LRU.
+func groupServer(cfg ServerConfig) (serve func(src uint64, seq []trace.FileID) ([]trace.FileID, bool), agg *core.AggregatingCache, err error) {
+	g := cfg.GroupSize
+	var reply []trace.FileID
+	switch cfg.Scheme {
+	case SchemeLRU:
+		srv, err := cache.NewLRU(cfg.ServerCapacity)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server sim: %w", err)
+		}
+		tracker, err := successor.NewTracker(successor.PolicyLRU, 3)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server sim: %w", err)
+		}
+		b, err := group.NewCutBuilder(tracker, g, group.StrategyChain, core.LinkShare)
+		if err != nil {
+			return nil, nil, fmt.Errorf("server sim: %w", err)
+		}
+		return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
+			tracker.ObserveFrom(src, seq...)
+			reply = b.AppendBuild(reply[:0], seq[len(seq)-1])
+			return reply, srv.Access(seq[len(seq)-1])
+		}, nil, nil
+	case SchemeAggregating, SchemeDeep, SchemeStaged:
+		depth := g
+		if cfg.Scheme == SchemeDeep {
+			depth = core.StageDepth * g
+		}
+		srv, err := core.New(core.Config{Capacity: cfg.ServerCapacity, GroupSize: depth, LinkShare: core.LinkShare})
+		if err != nil {
+			return nil, nil, fmt.Errorf("server sim: %w", err)
+		}
+		if cfg.Scheme == SchemeStaged {
+			return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
+				var hit, owed bool
+				reply, hit, owed = srv.ServeFrom(reply[:0], src, seq)
+				srv.Stage(src, seq, hit, owed)
+				return reply, hit
+			}, srv, nil
+		}
+		return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
+			id := seq[len(seq)-1]
+			srv.LearnFrom(src, seq...)
+			built := srv.BuildGroup(id)
+			return built[:min(len(built), g)], srv.Serve(id)
+		}, srv, nil
+	}
+	return nil, nil, fmt.Errorf("server sim: scheme %q does not run behind the %q filter", cfg.Scheme, ClientGroup)
 }

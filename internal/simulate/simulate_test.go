@@ -344,3 +344,76 @@ func TestRunServerMultiValidation(t *testing.T) {
 		t.Errorf("empty run = %+v, %v", res, err)
 	}
 }
+
+// TestGroupFilterOnlyServerCacheDiffers: behind the service's own client
+// every scheme answers a miss with the same group — the first g members
+// of what one set of metadata rules builds from one learned stream — so
+// the clients make the same requests and only the server cache's hits and
+// loads differ. An LRU server loads one file a miss; the grouping servers
+// load more, and the deep re-staging server misses least.
+func TestGroupFilterOnlyServerCacheDiffers(t *testing.T) {
+	tr, err := workload.Standard(workload.ProfileWorkstation, 1, 12000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, multi := range []bool{false, true} {
+		results := map[Scheme]MultiServerResult{}
+		for _, scheme := range []Scheme{SchemeLRU, SchemeAggregating, SchemeDeep, SchemeStaged} {
+			cfg := ServerConfig{FilterCapacity: 32, ServerCapacity: 300, Scheme: scheme,
+				Piggyback: true, Filter: ClientGroup}
+			if multi {
+				results[scheme], err = RunServerMulti(tr.Events, cfg)
+			} else {
+				var r ServerResult
+				r, err = RunServer(tr.OpenIDs(), cfg)
+				results[scheme] = MultiServerResult{Config: r.Config, Clients: 1, ClientMisses: r.ClientMisses,
+					ServerHits: r.ServerHits, HitRate: r.HitRate, Opens: r.Opens, Loads: r.Loads}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		lru, staged := results[SchemeLRU], results[SchemeStaged]
+		if lru.Opens != 12000 || lru.ClientMisses == 0 || lru.ClientMisses == lru.Opens {
+			t.Fatalf("multi %v: LRU run %+v", multi, lru)
+		}
+		if lru.Loads != lru.ClientMisses-lru.ServerHits {
+			t.Errorf("multi %v: LRU server loaded %d files for %d server misses", multi, lru.Loads, lru.ClientMisses-lru.ServerHits)
+		}
+		for scheme, r := range results {
+			if r.ClientMisses != lru.ClientMisses || r.Clients != lru.Clients {
+				t.Errorf("multi %v: %s clients made %d requests, %d clients; LRU's %d, %d", multi, scheme, r.ClientMisses, r.Clients, lru.ClientMisses, lru.Clients)
+			}
+			if scheme != SchemeLRU && r.Loads <= lru.Loads {
+				t.Errorf("multi %v: %s loaded %d files, LRU %d", multi, scheme, r.Loads, lru.Loads)
+			}
+			if scheme != SchemeStaged && staged.HitRate <= r.HitRate {
+				t.Errorf("multi %v: re-staged server hit rate %.3f, %s %.3f", multi, staged.HitRate, scheme, r.HitRate)
+			}
+		}
+	}
+}
+
+func TestGroupFilterValidation(t *testing.T) {
+	ids := []trace.FileID{1, 2, 3}
+	for _, scheme := range []Scheme{SchemeDeep, SchemeStaged} {
+		if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: scheme}); err == nil {
+			t.Errorf("%s accepted behind an LRU filter", scheme)
+		}
+		if _, err := RunServerMulti(nil, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: scheme}); err == nil {
+			t.Errorf("%s accepted behind an LRU filter (multi)", scheme)
+		}
+	}
+	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: SchemeLRU, Filter: "nope"}); err == nil {
+		t.Error("unknown filter accepted")
+	}
+	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 0, ServerCapacity: 10, Scheme: SchemeStaged, Filter: ClientGroup}); err == nil {
+		t.Error("zero client capacity accepted")
+	}
+	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: "nope", Filter: ClientGroup}); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: SchemeLFU, Filter: ClientGroup}); err == nil {
+		t.Error("LFU accepted behind the group filter")
+	}
+}
