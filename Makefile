@@ -111,7 +111,10 @@ ignore-guard:
 # spare history arrays: ClientStats reads the counters /metrics scrapes
 # (no c.stats under the client's lock), and a call belongs to its
 # connection, which recycles it with the history array it keeps (no
-# sync.Pool in fsnet, muxCallPool, keepSpare or Client.spares).
+# sync.Pool in fsnet, muxCallPool, keepSpare or Client.spares). So are
+# the single-list victim primitives evictVictim and evictVictimExceptIDs:
+# a GroupLRU makes room from its recency or its probation list
+# (evictOldestExcept), so a victim names its list.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -144,6 +147,7 @@ lint-dead:
 	@! grep -rn 'ServeGroup(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'sync\.Pool|c\.spares|c\.stats\.' --include='*.go' --exclude='*_test.go' internal/fsnet
 	@! grep -rnE 'muxCallPool|keepSpare' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn 'evictVictim' --include='*.go' --exclude='*_test.go' .
 
 vet:
 	$(GO) vet ./...
@@ -177,15 +181,17 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # The repository benchmark (BENCHMARK.json, benchmark/): its own tests,
-# then one short client_hot, cluster3 and sim_sweep run each through the
-# command BENCHMARK.json declares. client_hot is the workload whose set-up
-# is mostly trace synthesis. sim_sweep's warm-up is a differential check of
-# the simulator: RunClient at g = 1 and FilterLRU against an independent
-# container/list LRU at every capacity on every profile. A smoke — the
-# measured run is `bash benchmark/run.sh --workload all`.
+# then one short run of each of its four workloads through the command
+# BENCHMARK.json declares. client_hot is the workload whose set-up is
+# mostly trace synthesis; server_rw is the one the server cache's staging
+# rule moves (its server_miss_rate). sim_sweep's warm-up is a differential
+# check of the simulator: RunClient at g = 1 and FilterLRU against an
+# independent container/list LRU at every capacity on every profile. A
+# smoke — the measured run is `bash benchmark/run.sh --workload all`.
 bench-e2e:
 	cd benchmark && $(GO) test ./...
 	bash benchmark/run.sh --workload client_hot --seconds 1
+	bash benchmark/run.sh --workload server_rw --seconds 1
 	bash benchmark/run.sh --workload cluster3 --seconds 1
 	bash benchmark/run.sh --workload sim_sweep --seconds 1
 

@@ -11,11 +11,14 @@ import (
 type ids = []trace.FileID
 
 // groupStep is one call on a GroupLRU: Install(install, head) when install
-// is set, Demand(demand) otherwise, with the results it must return.
+// is set — Stage(install, probation) when stage is — and Demand(demand)
+// otherwise, with the results it must return.
 type groupStep struct {
-	install  ids
-	head     bool
-	admitted int
+	install   ids
+	head      bool
+	stage     bool
+	probation int
+	admitted  int
 
 	demand           trace.FileID
 	hit, speculative bool
@@ -31,11 +34,12 @@ func demanded(files ...trace.FileID) []groupStep {
 
 func TestGroupLRU(t *testing.T) {
 	cases := []struct {
-		name     string
-		capacity int
-		steps    []groupStep
-		resident ids      // MRU first
-		evicted  []string // "id" or "id*" (still speculative), in order
+		name      string
+		capacity  int
+		steps     []groupStep
+		resident  ids      // MRU first
+		probation ids      // the probation list, most recent first
+		evicted   []string // "id" or "id*" (still speculative), in order
 	}{
 		{
 			name:     "members go to the tail in rank order",
@@ -110,6 +114,43 @@ func TestGroupLRU(t *testing.T) {
 			resident: ids{2, 1, 9},
 			evicted:  []string{"3"},
 		},
+		{
+			name:      "staged members wait on probation, the first successor most recent",
+			capacity:  6,
+			steps:     append(demanded(1, 2), groupStep{install: ids{3, 4, 5}, stage: true, probation: 3, admitted: 2}),
+			resident:  ids{3, 2, 1},
+			probation: ids{4, 5},
+		},
+		{
+			name:     "probation at its bound gives the victim, below it the LRU tail does",
+			capacity: 5,
+			steps: append(demanded(1, 2),
+				groupStep{install: ids{3, 4, 5}, stage: true, probation: 2, admitted: 2},
+				groupStep{install: ids{6, 7, 8}, stage: true, probation: 2, admitted: 2}),
+			resident:  ids{6, 3, 2},
+			probation: ids{7, 8},
+			evicted:   []string{"5*", "1", "4*"},
+		},
+		{
+			name:     "a demand takes a probation file to the head as a speculative hit",
+			capacity: 6,
+			steps: append(demanded(1, 2),
+				groupStep{install: ids{3, 4, 5}, stage: true, probation: 3, admitted: 2},
+				groupStep{demand: 5, hit: true, speculative: true},
+				groupStep{demand: 5, hit: true}),
+			resident:  ids{5, 3, 2, 1},
+			probation: ids{4},
+		},
+		{
+			name:     "a staged group's resident members stay put and are never the victim",
+			capacity: 4,
+			steps: append(demanded(1, 2),
+				groupStep{install: ids{3, 4}, stage: true, probation: 1, admitted: 1},
+				groupStep{install: ids{5, 4, 6}, stage: true, probation: 1, admitted: 1}),
+			resident:  ids{5, 3},
+			probation: ids{6, 4},
+			evicted:   []string{"1", "2"},
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -126,6 +167,12 @@ func TestGroupLRU(t *testing.T) {
 				evicted = append(evicted, s)
 			})
 			for i, st := range tc.steps {
+				if st.stage {
+					if got := g.Stage(st.install, st.probation); got != st.admitted {
+						t.Errorf("step %d: Stage(%v, %d) admitted %d, want %d", i, st.install, st.probation, got, st.admitted)
+					}
+					continue
+				}
 				if st.install != nil {
 					if got := g.Install(st.install, st.head); got != st.admitted {
 						t.Errorf("step %d: Install(%v) admitted %d, want %d", i, st.install, got, st.admitted)
@@ -140,14 +187,21 @@ func TestGroupLRU(t *testing.T) {
 			if got := g.lru.resident(); !reflect.DeepEqual(got, tc.resident) {
 				t.Errorf("resident = %v, want %v", got, tc.resident)
 			}
+			var probation ids
+			for _, e := range probationEntries(g) {
+				probation = append(probation, e.id)
+			}
+			if !reflect.DeepEqual(probation, tc.probation) {
+				t.Errorf("probation = %v, want %v", probation, tc.probation)
+			}
 			if !reflect.DeepEqual(evicted, tc.evicted) {
 				t.Errorf("evicted = %v, want %v", evicted, tc.evicted)
 			}
-			if g.Len() != len(tc.resident) || g.Cap() != tc.capacity || g.Evictions() != uint64(len(tc.evicted)) {
+			if n := len(tc.resident) + len(tc.probation); g.Len() != n || g.Cap() != tc.capacity || g.Evictions() != uint64(len(tc.evicted)) {
 				t.Errorf("Len/Cap/Evictions = %d/%d/%d, want %d/%d/%d",
-					g.Len(), g.Cap(), g.Evictions(), len(tc.resident), tc.capacity, len(tc.evicted))
+					g.Len(), g.Cap(), g.Evictions(), n, tc.capacity, len(tc.evicted))
 			}
-			for _, id := range tc.resident {
+			for _, id := range append(tc.resident, tc.probation...) {
 				if !g.Contains(id) {
 					t.Errorf("Contains(%d) = false for a resident", id)
 				}

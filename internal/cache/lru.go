@@ -16,10 +16,14 @@ type LRU struct {
 	// nodes grows by append up to capacity; evicted nodes are recycled
 	// through free, so a full cache churns with no allocation.
 	nodes []lruNode
-	head  int32 // most recently used, or none
-	tail  int32 // least recently used, or none
+	links       // the recency list
 	free  int32 // recycled nodes, linked through next, or none
 	size  int
+	// probation is GroupLRU's second list (Stage): a node flagged
+	// probation is linked there instead of in the recency list. size
+	// counts both lists; probLen counts probation alone.
+	probation links
+	probLen   int
 	// onEvict, when set, sees every capacity eviction (not remove).
 	onEvict func(id trace.FileID, speculative bool)
 	stats   Stats
@@ -27,11 +31,19 @@ type LRU struct {
 
 var _ Cache = (*LRU)(nil)
 
+// links is a list of slab nodes linked through prev and next.
+type links struct {
+	head int32 // most recently used, or none
+	tail int32 // least recently used, or none
+}
+
 type lruNode struct {
 	id         trace.FileID
 	prev, next int32
 	// speculative marks a GroupLRU member not demanded since it arrived.
 	speculative bool
+	// probation marks a node linked on the probation list.
+	probation bool
 }
 
 // NewLRU returns an LRU cache holding up to capacity files.
@@ -39,7 +51,7 @@ func NewLRU(capacity int) (*LRU, error) {
 	if err := checkCapacity(capacity); err != nil {
 		return nil, err
 	}
-	return &LRU{capacity: capacity, head: none, tail: none, free: none}, nil
+	return &LRU{capacity: capacity, links: links{none, none}, probation: links{none, none}, free: none}, nil
 }
 
 // Access records a demand reference: a hit moves id to the head, a miss
@@ -131,13 +143,14 @@ func (c *LRU) victim() (trace.FileID, bool) {
 	return c.nodes[c.tail].id, true
 }
 
-// evictVictimExceptIDs evicts the least recently used entry whose id is
+// evictOldestExcept evicts the least recently used node of l whose id is
 // not in protected, reporting which id was dropped, or false when every
-// resident is protected. The protected set is a small fetch group:
-// membership is a linear scan, which for the paper's g of a handful beats
-// building a map on every miss; the slice is read-only and never retained.
-func (c *LRU) evictVictimExceptIDs(protected []trace.FileID) (trace.FileID, bool) {
-	for i := c.tail; i != none; i = c.nodes[i].prev {
+// node of l is protected (a nil protected set protects nothing). The
+// protected set is a small fetch group: membership is a linear scan, which
+// for the paper's g of a handful beats building a map on every miss; the
+// slice is read-only and never retained.
+func (c *LRU) evictOldestExcept(l *links, protected []trace.FileID) (trace.FileID, bool) {
+	for i := l.tail; i != none; i = c.nodes[i].prev {
 		if !containsID(protected, c.nodes[i].id) {
 			return c.evict(i), true
 		}
@@ -165,16 +178,8 @@ func (c *LRU) evict(i int32) trace.FileID {
 	return n.id
 }
 
-// evictVictim evicts the least recently used entry, reporting which id was
-// dropped.
-func (c *LRU) evictVictim() (trace.FileID, bool) {
-	if c.tail == none {
-		return 0, false
-	}
-	return c.evict(c.tail), true
-}
-
-// resident returns the resident ids from most to least recently used.
+// resident returns the ids on the recency list from most to least
+// recently used (a GroupLRU's probation files are not on it).
 func (c *LRU) resident() []trace.FileID {
 	out := make([]trace.FileID, 0, c.size)
 	for i := c.head; i != none; i = c.nodes[i].next {
@@ -203,25 +208,22 @@ func (c *LRU) add(id trace.FileID) int32 {
 	return i
 }
 
-// drop unlinks node i, marks its file not resident and recycles it.
+// drop unlinks node i from its list, marks its file not resident and
+// recycles it.
 func (c *LRU) drop(i int32) {
-	c.unlink(i)
+	if c.nodes[i].probation {
+		c.unlinkFrom(&c.probation, i)
+		c.probLen--
+	} else {
+		c.unlink(i)
+	}
 	c.slot[c.nodes[i].id] = 0
 	c.nodes[i].next = c.free
 	c.free = i
 	c.size--
 }
 
-func (c *LRU) pushHead(i int32) {
-	n := &c.nodes[i]
-	n.prev, n.next = none, c.head
-	if c.head == none {
-		c.tail = i
-	} else {
-		c.nodes[c.head].prev = i
-	}
-	c.head = i
-}
+func (c *LRU) pushHead(i int32) { c.linkHead(&c.links, i) }
 
 func (c *LRU) moveToHead(i int32) {
 	if c.head == i {
@@ -231,15 +233,41 @@ func (c *LRU) moveToHead(i int32) {
 	c.pushHead(i)
 }
 
-func (c *LRU) unlink(i int32) {
+func (c *LRU) unlink(i int32) { c.unlinkFrom(&c.links, i) }
+
+// linkHead links the unlinked node i at l's head.
+func (c *LRU) linkHead(l *links, i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = none, l.head
+	if l.head == none {
+		l.tail = i
+	} else {
+		c.nodes[l.head].prev = i
+	}
+	l.head = i
+}
+
+// linkAfter links the unlinked node i into l right behind node at.
+func (c *LRU) linkAfter(l *links, at, i int32) {
+	n := &c.nodes[i]
+	n.prev, n.next = at, c.nodes[at].next
+	if n.next == none {
+		l.tail = i
+	} else {
+		c.nodes[n.next].prev = i
+	}
+	c.nodes[at].next = i
+}
+
+func (c *LRU) unlinkFrom(l *links, i int32) {
 	n := &c.nodes[i]
 	if n.prev == none {
-		c.head = n.next
+		l.head = n.next
 	} else {
 		c.nodes[n.prev].next = n.next
 	}
 	if n.next == none {
-		c.tail = n.prev
+		l.tail = n.prev
 	} else {
 		c.nodes[n.next].prev = n.prev
 	}

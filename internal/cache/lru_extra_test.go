@@ -11,7 +11,7 @@ func TestLRUEvictVictim(t *testing.T) {
 	c.Access(1)
 	c.Access(2)
 	c.Access(3)
-	id, ok := c.evictVictim()
+	id, ok := c.evictOldestExcept(&c.links, nil)
 	if !ok || id != 1 {
 		t.Fatalf("EvictVictim = %d,%v want 1,true", id, ok)
 	}
@@ -21,9 +21,9 @@ func TestLRUEvictVictim(t *testing.T) {
 	if s := c.Stats(); s.Evictions != 1 {
 		t.Errorf("Evictions = %d, want 1", s.Evictions)
 	}
-	c.evictVictim()
-	c.evictVictim()
-	if _, ok := c.evictVictim(); ok {
+	c.evictOldestExcept(&c.links, nil)
+	c.evictOldestExcept(&c.links, nil)
+	if _, ok := c.evictOldestExcept(&c.links, nil); ok {
 		t.Error("EvictVictim on empty cache reported ok")
 	}
 }
@@ -34,9 +34,9 @@ func TestLRUEvictVictimExceptSkipsProtected(t *testing.T) {
 		c.Access(id)
 	}
 	// LRU order (victim first): 1, 2, 3, 4.
-	id, ok := c.evictVictimExceptIDs([]trace.FileID{1, 2})
+	id, ok := c.evictOldestExcept(&c.links, []trace.FileID{1, 2})
 	if !ok || id != 3 {
-		t.Fatalf("evictVictimExceptIDs = %d,%v want 3,true", id, ok)
+		t.Fatalf("evictOldestExcept = %d,%v want 3,true", id, ok)
 	}
 	if !c.Contains(1) || !c.Contains(2) {
 		t.Error("protected entries evicted")
@@ -47,7 +47,7 @@ func TestLRUEvictVictimExceptAllProtected(t *testing.T) {
 	c, _ := NewLRU(2)
 	c.Access(1)
 	c.Access(2)
-	if _, ok := c.evictVictimExceptIDs([]trace.FileID{1, 2}); ok {
+	if _, ok := c.evictOldestExcept(&c.links, []trace.FileID{1, 2}); ok {
 		t.Error("eviction succeeded with every resident protected")
 	}
 	if c.Len() != 2 {
@@ -62,7 +62,7 @@ func TestLRUOnEvictCallback(t *testing.T) {
 	c.Access(1)
 	c.Access(2)
 	c.Access(3) // evicts 1
-	c.evictVictim()
+	c.evictOldestExcept(&c.links, nil)
 	if len(evicted) != 2 || evicted[0] != 1 || evicted[1] != 2 {
 		t.Errorf("evicted = %v, want [1 2]", evicted)
 	}

@@ -48,7 +48,8 @@ type Config struct {
 	SuccessorCapacity int
 	// Strategy selects group construction; default transitive chaining.
 	Strategy group.Strategy
-	// Placement selects member placement; default tail.
+	// Placement selects where Serve places members; default tail. Stage
+	// always places them on the probation list.
 	Placement Placement
 	// LinkShare cuts weak links: a successor joins a group only when its
 	// count is more than LinkShare of the counts its predecessor's list
@@ -164,6 +165,9 @@ type AggregatingCache struct {
 	builder *group.Builder
 	stats   Stats
 	m       coreMetrics
+	// probation is the bound Stage keeps its members' probation list
+	// to (ProbationGroups).
+	probation int
 
 	// groupBuf is the reused per-miss group scratch: Serve builds into
 	// it via Builder.AppendBuild and installs it at once, so the miss
@@ -191,11 +195,12 @@ func New(cfg Config) (*AggregatingCache, error) {
 		return nil, err
 	}
 	c := &AggregatingCache{
-		cfg:     cfg,
-		lru:     lru,
-		tracker: tracker,
-		builder: builder,
-		m:       newCoreMetrics(cfg.Obs),
+		cfg:       cfg,
+		lru:       lru,
+		tracker:   tracker,
+		builder:   builder,
+		m:         newCoreMetrics(cfg.Obs),
+		probation: min(ProbationGroups*StageDepth*cfg.GroupSize, cfg.Capacity/2),
 	}
 	lru.OnEvict(c.evicted)
 	return c, nil
@@ -256,7 +261,7 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 		return true
 	}
 	c.groupBuf = c.builder.AppendBuild(c.groupBuf[:0], id)
-	c.install(c.groupBuf, false)
+	c.count(c.groupBuf, c.lru.Install(c.groupBuf, c.cfg.Placement == PlacementHead), false)
 	return false
 }
 
@@ -268,6 +273,15 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 // has dropped it; the members after it are what that client will ask for
 // next (DESIGN.md §5).
 const StageDepth = 2
+
+// ProbationGroups is how many staged groups, StageDepth × GroupSize
+// files each, the server cache's probation list keeps before its oldest
+// member is the first to go (cache.GroupLRU.Stage), capped at half the
+// capacity. At the LRU tail, where the paper's rule puts a group's
+// members, the next staging — often another connection's — evicted a
+// continuation before its client asked for it. Like StageDepth it is a
+// rule, not an option; DESIGN.md §5 has the sweep behind the value.
+const ProbationGroups = 3
 
 // LinkShare is the link cut every network server builds its groups with
 // (Config.LinkShare): a successor joins a group only when it took more
@@ -305,21 +319,26 @@ func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace
 	return dst, hit, owed
 }
 
-// Stage finishes a request ServeFrom answered, with the seq, hit and owed
-// of that call: it learns seq if ServeFrom left it owed, builds the
-// demanded file's group StageDepth deep and installs the whole build — on
-// a miss as the fetch, on a hit as a re-stage that fetches nothing. The
-// deep build reads the learned metadata, and a builder extends a group
-// one member at a time, so it starts with the reply. Together the two
-// calls leave the cache as learning seq, counting the demand and
-// installing the deep build would; a server runs Stage after the reply
-// is on the wire.
-func (c *AggregatingCache) Stage(src uint64, seq []trace.FileID, hit, owed bool) {
+// Stage finishes a request ServeFrom answered, with the seq, reply, hit
+// and owed of that call: it learns seq if ServeFrom left it owed, extends
+// the reply to the demanded file's group StageDepth deep and stages the
+// whole build — on a miss as the fetch, on a hit as a re-stage that
+// fetches nothing — with its members on the probation list
+// (cache.GroupLRU.Stage). A build reads only its members' lists, and
+// learning seq changed none of the reply's, so the reply is the learned
+// deep build's prefix and the build resumes from it
+// (group.Builder.ResumeN); should another source's request have changed
+// a member's list in between, the staged group still starts with what
+// the client was sent. Together the two calls leave the cache as
+// learning seq, counting the demand and staging the deep build would; a
+// server runs Stage after the reply is on the wire. reply is read-only
+// and not retained.
+func (c *AggregatingCache) Stage(src uint64, seq, reply []trace.FileID, hit, owed bool) {
 	if owed {
 		c.LearnFrom(src, seq...)
 	}
-	c.groupBuf = c.builder.AppendBuildN(c.groupBuf[:0], seq[len(seq)-1], StageDepth*c.cfg.GroupSize)
-	c.install(c.groupBuf, hit)
+	c.groupBuf = c.builder.ResumeN(append(c.groupBuf[:0], reply...), StageDepth*c.cfg.GroupSize)
+	c.count(c.groupBuf, c.lru.Stage(c.groupBuf, c.probation), hit)
 }
 
 // learningChanges reports whether learning src's accesses before the
@@ -355,14 +374,14 @@ func (c *AggregatingCache) demand(id trace.FileID) bool {
 	return false
 }
 
-// install places group g, led by the demanded file; where its files land,
-// and what makes room for them, is cache.GroupLRU's rule. After a miss it
+// count books group g, led by the demanded file, once cache.GroupLRU has
+// placed it and admitted that many of its members. After a miss it
 // completes the fetch: the whole group transfers (the server makes a
 // best-effort retrieval of g files) and the demanded file enters. After a
 // hit it is a re-stage, which fetches nothing: only the members not yet
-// resident enter, and they count as loads all the same.
-func (c *AggregatingCache) install(g []trace.FileID, hit bool) {
-	loads := uint64(c.lru.Install(g, c.cfg.Placement == PlacementHead))
+// resident entered, and they count as loads all the same.
+func (c *AggregatingCache) count(g []trace.FileID, admitted int, hit bool) {
+	loads := uint64(admitted)
 	if !hit {
 		c.stats.FilesFetched += uint64(len(g))
 		c.m.groupSize.Observe(uint64(len(g)))

@@ -251,7 +251,7 @@ func stageFirst(t *testing.T, c *AggregatingCache, src uint64, seq []trace.FileI
 	}
 	staged := deep.Build(id)
 	hit := c.demand(id)
-	c.install(staged, hit)
+	c.count(staged, c.lru.Stage(staged, c.probation), hit)
 	return staged[:min(len(staged), c.GroupSize())], hit
 }
 
@@ -275,7 +275,7 @@ func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 		}
 		var hit, owed bool
 		scratch, hit, owed = grouped.ServeFrom(scratch[:0], 1, []trace.FileID{id})
-		grouped.Stage(1, []trace.FileID{id}, hit, owed)
+		grouped.Stage(1, []trace.FileID{id}, scratch, hit, owed)
 		if hit != wantHit {
 			t.Fatalf("access %d of %d: ServeFrom hit = %v, reference hit = %v", i, id, hit, wantHit)
 		}
@@ -317,7 +317,7 @@ func TestServeFromRestagesOnHit(t *testing.T) {
 	if st := c.Stats(); st.Misses != 1 || st.GroupFetches != 1 || st.FilesFetched != 0 || st.Loads != 0 || c.Contains(1) {
 		t.Fatalf("answered, not staged: %+v, 1 resident %v; want the fetch counted and nothing installed", st, c.Contains(1))
 	}
-	c.Stage(2, seq, hit, owed)
+	c.Stage(2, seq, reply, hit, owed)
 	st := c.Stats()
 	if st.GroupFetches != 1 || st.FilesFetched != 4 || st.Loads != 4 || !c.Contains(4) || c.Contains(5) {
 		t.Fatalf("after the miss: %+v, 4 resident %v, 5 resident %v; want the 4-deep group {1 2 3 4} staged", st, c.Contains(4), c.Contains(5))
@@ -327,7 +327,7 @@ func TestServeFromRestagesOnHit(t *testing.T) {
 	if !hit || !slices.Equal(reply, []trace.FileID{3, 4}) {
 		t.Fatalf("open of staged 3: reply %v hit %v, want [3 4] and a hit", reply, hit)
 	}
-	c.Stage(2, seq, hit, owed)
+	c.Stage(2, seq, reply, hit, owed)
 	st = c.Stats()
 	if !c.Contains(5) {
 		t.Error("the hit on 3 did not re-stage its continuation 5")
@@ -337,6 +337,50 @@ func TestServeFromRestagesOnHit(t *testing.T) {
 	}
 	if st.Hits+st.GroupFetches != 2 || st.PrefetchHits != 1 {
 		t.Errorf("after the hit: %+v; want Hits + GroupFetches == 2 requests, one prefetch hit", st)
+	}
+}
+
+// TestStagedMembersWaitOnProbation: Stage keeps its groups' members on a
+// probation list of ProbationGroups × StageDepth × GroupSize files, capped
+// at half the capacity, so a staging makes room from the oldest staged
+// members before it touches a demanded file, and each member it evicts
+// undemanded counts in PrefetchedEvicted; a member still on the list is a
+// prefetch hit.
+func TestStagedMembersWaitOnProbation(t *testing.T) {
+	c := mustNew(t, Config{Capacity: 8, GroupSize: 2})
+	if c.probation != 4 {
+		t.Fatalf("probation bound %d, want min(3 × 2 × 2, 8/2) = 4", c.probation)
+	}
+	stage := func(id trace.FileID) {
+		seq := []trace.FileID{id}
+		reply, hit, owed := c.ServeFrom(nil, 2, seq)
+		c.Stage(2, seq, reply, hit, owed)
+	}
+	for i := 0; i < 3; i++ {
+		c.LearnFrom(1, 10, 11, 12, 13)
+		c.LearnFrom(1, 20, 21, 22, 23)
+		c.LearnFrom(1, 30, 31, 32, 33)
+	}
+	stage(10)
+	stage(20) // full: 10 and 20 demanded, six members on probation
+	if st := c.Stats(); c.Len() != 8 || st.Evictions != 0 {
+		t.Fatalf("after two stagings: %d resident, %+v; want 8 and no eviction", c.Len(), st)
+	}
+	stage(30)
+	st := c.Stats()
+	if st.Evictions != 4 || st.PrefetchedEvicted != 4 {
+		t.Errorf("third staging: %d evictions, %d undemanded; want 4 and 4", st.Evictions, st.PrefetchedEvicted)
+	}
+	for _, id := range []trace.FileID{10, 20, 30, 31, 32, 33, 21, 22} {
+		if !c.Contains(id) {
+			t.Errorf("%d not resident: the demanded files and the newest staged members stay", id)
+		}
+	}
+	if !c.Serve(21) {
+		t.Fatal("open of staged 21 missed")
+	}
+	if got := c.Stats().PrefetchHits; got != 1 {
+		t.Errorf("PrefetchHits = %d after the hit on a probation member, want 1", got)
 	}
 }
 
@@ -446,7 +490,7 @@ func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
 		if hit != wantHit || !slices.Equal(scratch, want) {
 			t.Fatalf("%s: ServeFrom = %v hit %v, learning first = %v hit %v", where, scratch, hit, want, wantHit)
 		}
-		sut.Stage(uint64(src), seq, hit, isOwed)
+		sut.Stage(uint64(src), seq, scratch, hit, isOwed)
 		if sut.Stats() != ref.Stats() {
 			t.Fatalf("%s: stats %+v, learning first %+v", where, sut.Stats(), ref.Stats())
 		}

@@ -489,7 +489,8 @@ func TestExtensionPrune(t *testing.T) {
 // TestExtensionHier pins xhier's shape: behind the service's own client
 // the paper's g5 server is within 0.01 of an LRU server's miss rate in
 // every profile x client capacity cell, and the deep group re-staged on a
-// hit beats both in every cell, for more loads per open than g5.
+// hit, its members on probation, beats all three in every cell — the 2g
+// group installed at the LRU tail too — for more loads per open than g5.
 func TestExtensionHier(t *testing.T) {
 	tab, err := Run("xhier", small)
 	if err != nil {
@@ -502,12 +503,12 @@ func TestExtensionHier(t *testing.T) {
 	for i, row := range tab.Rows {
 		key := fmt.Sprintf("%s/%v", tab.RowLabels[i], row[0])
 		profiles[tab.RowLabels[i]] = true
-		lru, g5, g5Loads, staged, stagedLoads := row[1], row[3], row[4], row[7], row[8]
+		lru, g5, g5Loads, deep, staged, stagedLoads := row[1], row[3], row[4], row[5], row[7], row[8]
 		if math.Abs(g5-lru) > 0.01 {
 			t.Errorf("%s: g5 miss rate %.3f, LRU %.3f: more than 0.01 apart", key, g5, lru)
 		}
-		if staged >= g5 || staged >= lru {
-			t.Errorf("%s: re-staged deep groups miss %.3f, g5 %.3f, LRU %.3f", key, staged, g5, lru)
+		if staged >= g5 || staged >= lru || staged >= deep {
+			t.Errorf("%s: re-staged deep groups miss %.3f, g5 %.3f, LRU %.3f, 2g %.3f", key, staged, g5, lru, deep)
 		}
 		if stagedLoads <= g5Loads {
 			t.Errorf("%s: re-staged loads/open %.3f, g5 %.3f: the deep group loaded no more", key, stagedLoads, g5Loads)

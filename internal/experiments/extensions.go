@@ -600,8 +600,9 @@ var hierFilters = []int{32, 64, 150, 300}
 // front of one 300-file server that cuts weak links as the network server
 // does. Per profile and client capacity it reports the server miss rate
 // of an LRU server, the paper's g5 server, one that builds its groups
-// twice as deep and one that also re-stages the deep group on a hit (the
-// network server's rule), each beside the files its cache loaded per open.
+// twice as deep and one that also re-stages the deep group on a hit and
+// keeps its members on a probation list (the network server's rule), each
+// beside the files its cache loaded per open.
 func xhier(cfg Config) (*Table, error) {
 	const serverCap = 300
 	profiles := []workload.Profile{
@@ -648,6 +649,6 @@ func xhier(cfg Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("opens=%d seed=%d; server cache=%d files, g=5, link cut 1/3; one client cache per trace client", cfg.Opens, cfg.Seed, serverCap),
 		"y = server miss rate per request reaching the server, and files loaded into the server cache per open",
-		"2g: groups built 2g deep, first g sent, installed on a miss; re-staged: installed on a hit too (core.AggregatingCache.Stage)")
+		"2g: groups built 2g deep, first g sent, installed on a miss, members at the LRU tail; re-staged: installed on a hit too, members on a probation list (core.AggregatingCache.Stage)")
 	return t, nil
 }

@@ -301,8 +301,10 @@ func TestConcurrentStatsSnapshot(t *testing.T) {
 // client — cache hits, fetches, and replies with header-only members —
 // while a snapshotter reads Stats() throughout. Every snapshot must keep
 // the bounds the counters' write order promises, and at quiescence every
-// field must equal the /metrics series it reads. Run with -race (`make
-// race`).
+// field must equal the /metrics series it reads. A second leg makes every
+// hit a prefetch hit, so PrefetchHits ≤ Hits holds with nothing to spare
+// and a Stats that loaded Hits first would break it. Run with -race
+// (`make race`).
 func TestConcurrentClientStatsSnapshot(t *testing.T) {
 	const files = 24
 	reg := obs.NewRegistry()
@@ -326,36 +328,7 @@ func TestConcurrentClientStatsSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stop := make(chan struct{})
-	snapErr := make(chan error, 1)
-	var snapWG sync.WaitGroup
-	snapWG.Add(1)
-	go func() {
-		defer snapWG.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			st := c.Stats()
-			var err error
-			switch {
-			case st.Opens != st.Hits+st.Fetches:
-				err = fmt.Errorf("Opens=%d != Hits+Fetches=%d", st.Opens, st.Hits+st.Fetches)
-			case st.PrefetchHits > st.Hits:
-				err = fmt.Errorf("PrefetchHits=%d > Hits=%d", st.PrefetchHits, st.Hits)
-			case st.ValidatedFiles+st.ValidationMisses > st.FilesReceived:
-				err = fmt.Errorf("ValidatedFiles+ValidationMisses=%d > FilesReceived=%d",
-					st.ValidatedFiles+st.ValidationMisses, st.FilesReceived)
-			}
-			if err != nil {
-				snapErr <- fmt.Errorf("snapshot tearing: %w (%+v)", err, st)
-				return
-			}
-		}
-	}()
-
+	stop := snapshotClient(c)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -377,12 +350,8 @@ func TestConcurrentClientStatsSnapshot(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	snapWG.Wait()
-	select {
-	case err := <-snapErr:
+	if err := stop(); err != nil {
 		t.Fatal(err)
-	default:
 	}
 
 	st := c.Stats()
@@ -419,6 +388,102 @@ func TestConcurrentClientStatsSnapshot(t *testing.T) {
 	} {
 		if s, ok := parsed.Find(name, nil); !ok || s.Value != float64(field) {
 			t.Errorf("%s = %+v, %v; Stats says %d", name, s, ok, field)
+		}
+	}
+
+	prefetchHitsOnly(t)
+}
+
+// prefetchHitsOnly is TestConcurrentClientStatsSnapshot's second leg. A
+// teacher walks 64 files in order so the server learns each one's
+// successor; then four workers each walk their own 16 of them, lap after
+// lap, over one client of 8 files. A file is opened by one worker only,
+// and 63 other opens come between two of its opens, so every hit is the
+// first demand of a file a reply brought along: a prefetch hit.
+func prefetchHitsOnly(t *testing.T) {
+	const files, workers, laps = 64, 4, 200
+	_, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 4})
+	teacher, err := Dial(addr, ClientConfig{CacheCapacity: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*files; i++ {
+		if _, err := teacher.Open(fmt.Sprintf("/data/f%03d", i%files)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = teacher.Close()
+	c, err := Dial(addr, ClientConfig{CacheCapacity: 8, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stop := snapshotClient(c)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			const share = files / workers
+			for i := 0; i < laps*share; i++ {
+				path := fmt.Sprintf("/data/f%03d", w*share+i%share)
+				if _, err := c.Open(path); err != nil {
+					t.Errorf("open %s: %v", path, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Stats(); st.Hits == 0 || st.PrefetchHits != st.Hits {
+		t.Fatalf("PrefetchHits=%d, Hits=%d: want every hit a prefetch hit, and some (%+v)", st.PrefetchHits, st.Hits, st)
+	}
+}
+
+// snapshotClient reads c.Stats() in a loop until the returned stop is
+// called, and stop reports the first snapshot that broke a bound the
+// counters' write order promises.
+func snapshotClient(c *Client) (stop func() error) {
+	done := make(chan struct{})
+	snapErr := make(chan error, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st := c.Stats()
+			var err error
+			switch {
+			case st.Opens != st.Hits+st.Fetches:
+				err = fmt.Errorf("Opens=%d != Hits+Fetches=%d", st.Opens, st.Hits+st.Fetches)
+			case st.PrefetchHits > st.Hits:
+				err = fmt.Errorf("PrefetchHits=%d > Hits=%d", st.PrefetchHits, st.Hits)
+			case st.ValidatedFiles+st.ValidationMisses > st.FilesReceived:
+				err = fmt.Errorf("ValidatedFiles+ValidationMisses=%d > FilesReceived=%d",
+					st.ValidatedFiles+st.ValidationMisses, st.FilesReceived)
+			}
+			if err != nil {
+				snapErr <- fmt.Errorf("snapshot tearing: %w (%+v)", err, st)
+				return
+			}
+		}
+	}()
+	return func() error {
+		close(done)
+		wg.Wait()
+		select {
+		case err := <-snapErr:
+			return err
+		default:
+			return nil
 		}
 	}
 }

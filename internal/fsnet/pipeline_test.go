@@ -391,6 +391,12 @@ func TestPipelinedVerbsDecodeTheirOwnReplies(t *testing.T) {
 	if _, err := warm.Open("/data/f000"); err != nil {
 		t.Fatal(err)
 	}
+	// The server stages an open after its reply is on the wire, before it
+	// reads the connection's next request: once a second round trip on
+	// the same connection returns, /data/f000 is in its cache.
+	if _, _, err := warm.ViewPull(); err != nil {
+		t.Fatal(err)
+	}
 	_ = warm.Close()
 	client, err := Dial(addr, ClientConfig{CacheCapacity: 8})
 	if err != nil {

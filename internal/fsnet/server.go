@@ -548,7 +548,7 @@ func (s *Server) stage(sc *openScratch, src uint64) {
 	if len(sc.served) == 0 {
 		return
 	}
-	s.agg.Stage(src, sc.served, sc.hit, sc.owed)
+	s.agg.Stage(src, sc.served, sc.group, sc.hit, sc.owed)
 	sc.served = sc.served[:0]
 }
 

@@ -123,12 +123,33 @@ func (b *Builder) AppendBuildN(dst []trace.FileID, id trace.FileID, n int) []tra
 	}
 	b.nextGen()
 	b.mark(id)
+	return b.extend(dst, start, n)
+}
 
+// ResumeN extends group, a group this builder built, to a size cap of n
+// and returns the extended slice. A build's state after each member is
+// the members so far — its seen-set, the chain's last member, the
+// breadth-first queue — so when the metadata has not changed since group
+// was built, ResumeN returns exactly what AppendBuildN(group[0], n) would.
+// A chain resumes from group's last member and rereads earlier lists only
+// to fall back; breadth rereads its members' lists, finding marked files.
+func (b *Builder) ResumeN(group []trace.FileID, n int) []trace.FileID {
+	b.built = n
+	b.nextGen()
+	for _, m := range group {
+		b.mark(m)
+	}
+	return b.extend(group, 0, n)
+}
+
+// extend grows the group dst[start:] to at most n members by the
+// builder's strategy; its members are marked seen.
+func (b *Builder) extend(dst []trace.FileID, start, n int) []trace.FileID {
 	switch b.strategy {
 	case StrategyChain:
-		dst = b.extendChain(dst, start, n)
+		return b.extendChain(dst, start, n)
 	case StrategyBreadth:
-		dst = b.extendBreadth(dst, start, n)
+		return b.extendBreadth(dst, start, n)
 	}
 	return dst
 }
@@ -169,12 +190,13 @@ func (b *Builder) marked(id trace.FileID) bool {
 	return int(id) < len(b.seen) && b.seen[id] == b.gen
 }
 
-// extendChain follows most-likely successors as far as possible; when the
-// chain revisits a member or runs out of metadata it scans earlier members'
-// remaining ranked successors for a fresh continuation point. The group
-// under construction is dst[start:], capped at n members.
+// extendChain follows most-likely successors from the group's last member
+// as far as possible; when the chain revisits a member or runs out of
+// metadata it scans earlier members' remaining ranked successors for a
+// fresh continuation point. The group under construction is dst[start:],
+// capped at n members.
 func (b *Builder) extendChain(dst []trace.FileID, start, n int) []trace.FileID {
-	cur := dst[start]
+	cur := dst[len(dst)-1]
 	for len(dst)-start < n {
 		next, ok := b.chainNext(cur)
 		if !ok {
@@ -221,9 +243,10 @@ func (b *Builder) fallback(group []trace.FileID) (trace.FileID, bool) {
 }
 
 // extendBreadth performs a BFS over ranked successors, capped at n
-// members.
+// members. Every member joins the queue as it joins the group, so the
+// queue starts as the group dst[start:].
 func (b *Builder) extendBreadth(dst []trace.FileID, start, n int) []trace.FileID {
-	b.queue = append(b.queue[:0], dst[start])
+	b.queue = append(b.queue[:0], dst[start:]...)
 	for qi := 0; qi < len(b.queue) && len(dst)-start < n; qi++ {
 		for _, s := range b.successors(b.queue[qi]) {
 			if b.marked(s) {

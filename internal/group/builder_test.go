@@ -416,9 +416,11 @@ func FuzzBuilder(f *testing.F) {
 // TestDeepBuildPrefixIsTheGroup: for the chain, breadth and cut builders
 // over random trackers, the first g members of a build capped at 2g are
 // the build capped at g, whether the deep build comes from AppendBuildN on
-// the g builder or from a builder of size 2g; and DependsOn afterwards
+// the g builder, from a builder of size 2g or from resuming the g build
+// (ResumeN) after another build in between; and DependsOn afterwards
 // covers every member of the deep build. This is what lets one build serve
-// both a reply and the deeper group a server stages.
+// both a reply and the deeper group a server stages, extended from the
+// reply.
 func TestDeepBuildPrefixIsTheGroup(t *testing.T) {
 	builders := []struct {
 		name     string
@@ -448,10 +450,20 @@ func TestDeepBuildPrefixIsTheGroup(t *testing.T) {
 				}
 				for id := trace.FileID(0); id < trace.FileID(universe); id++ {
 					want := shallow.Build(id)
+					shallow.Build(trace.FileID(rng.Intn(universe))) // another connection's build
+					resumed := shallow.ResumeN(slices.Clone(want), 2*g)
+					for _, m := range resumed {
+						if !shallow.DependsOn(m) {
+							t.Fatalf("seed %d %s g %d: resumed %v of %d does not depend on member %d", seed, bc.name, g, resumed, id, m)
+						}
+					}
 					built := shallow.AppendBuildN(nil, id, 2*g)
 					if !slices.Equal(built, deep.Build(id)) {
 						t.Fatalf("seed %d %s g %d: AppendBuildN(%d, %d) = %v, size-%d builder %v",
 							seed, bc.name, g, id, 2*g, built, 2*g, deep.Build(id))
+					}
+					if !slices.Equal(resumed, built) {
+						t.Fatalf("seed %d %s g %d: ResumeN(%v, %d) = %v, AppendBuildN = %v", seed, bc.name, g, want, 2*g, resumed, built)
 					}
 					for _, m := range built {
 						if !shallow.DependsOn(m) {

@@ -27,12 +27,12 @@ const (
 	// SchemeDeep is SchemeAggregating with groups built core.StageDepth
 	// times GroupSize deep, of which a client behind ClientGroup
 	// receives the first GroupSize: the network server's deep build without its
-	// re-stage on a hit.
+	// re-stage on a hit and with its members at the LRU tail.
 	SchemeDeep Scheme = "deep"
 	// SchemeStaged is the network server's own rule, driven through
 	// core.AggregatingCache.ServeFrom and Stage: answered with the group
-	// GroupSize deep, then the deep build installed, on a hit as on a
-	// miss.
+	// GroupSize deep, then the deep build staged, on a hit as on a miss,
+	// its members on the server cache's probation list.
 	SchemeStaged Scheme = "staged"
 )
 
@@ -421,7 +421,7 @@ func groupServer(cfg ServerConfig) (serve func(src uint64, seq []trace.FileID) (
 			return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
 				var hit, owed bool
 				reply, hit, owed = srv.ServeFrom(reply[:0], src, seq)
-				srv.Stage(src, seq, hit, owed)
+				srv.Stage(src, seq, reply, hit, owed)
 				return reply, hit
 			}, srv, nil
 		}
