@@ -31,9 +31,9 @@
 // nodes join and leave without restarting the fleet. The -stats
 // listener additionally serves /healthz (liveness), /readyz (readiness:
 // 503 while draining, so a load balancer rotates the node out), and
-// POST /drain, which streams every owned group's learned state to its
-// next owner and flips readiness. SIGTERM on a clustered node drains
-// before exiting, so a rolling restart hands state off automatically.
+// POST /drain, which flips readiness and pushes the view without this
+// node to its peers. SIGTERM on a clustered node drains before exiting,
+// so a rolling restart moves clients off the node automatically.
 //
 // Observability: every aggserve carries an internal/obs registry wired
 // through the server, cache, and cluster layers. The -stats HTTP server
@@ -358,13 +358,12 @@ func run(args []string) error {
 				http.Error(w, "not clustered", http.StatusConflict)
 				return
 			}
-			rep, err := node.Drain(srv)
+			rep, err := node.Drain()
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusConflict)
 				return
 			}
-			log.Printf("aggserve: drained: %d groups exported, %d sent, %d failed, %d skipped",
-				rep.GroupsExported, rep.GroupsSent, rep.GroupsFailed, rep.GroupsSkipped)
+			logDrain(rep)
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")
@@ -409,16 +408,15 @@ loop:
 			}
 			log.Printf("aggserve: received %s, shutting down", s)
 			if s == syscall.SIGTERM && node != nil {
-				// Graceful exit: hand owned group state to the next
-				// owners before closing, so a rolling restart stays warm.
+				// Graceful exit: push the view without this node to the
+				// survivors before closing, so clients move off it.
 				// SIGINT skips the drain for a fast local stop.
-				if rep, err := node.Drain(srv); err != nil {
+				if rep, err := node.Drain(); err != nil {
 					if !errors.Is(err, cluster.ErrDraining) {
 						log.Printf("aggserve: drain: %v", err)
 					}
 				} else {
-					log.Printf("aggserve: drained: %d groups exported, %d sent, %d failed, %d skipped",
-						rep.GroupsExported, rep.GroupsSent, rep.GroupsFailed, rep.GroupsSkipped)
+					logDrain(rep)
 				}
 			}
 			break loop
@@ -501,6 +499,17 @@ func statsSnapshot(srv *fsnet.Server, node *cluster.Node) snapshot {
 		snap.Cluster = &cs
 	}
 	return snap
+}
+
+// logDrain logs a drain's goodbye: the view without this node, and the
+// peers it reached, failed or skipped.
+func logDrain(rep cluster.DrainReport) {
+	if rep.GoodbyeEpoch == 0 {
+		log.Printf("aggserve: drained: no peer in view %d to say goodbye to", rep.Epoch)
+		return
+	}
+	log.Printf("aggserve: drained: goodbye epoch %d pushed to %d peers, %d failed, %d skipped",
+		rep.GoodbyeEpoch, rep.GoodbyePushed, rep.GoodbyeFailed, rep.GoodbyeSkipped)
 }
 
 // saveMetadata writes the server's learned state atomically (write to a

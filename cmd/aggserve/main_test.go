@@ -451,8 +451,8 @@ func httpGet(t *testing.T, url string) (int, string) {
 
 // TestRunClusterDrainEndpoints exercises the operational surface of a
 // rolling restart: /healthz and /readyz report a healthy joined node,
-// POST /drain hands group state off and flips readiness to 503, and a
-// second drain is rejected as a conflict.
+// POST /drain pushes the survivor the view without the drained node and
+// flips readiness to 503, and a second drain is rejected as a conflict.
 func TestRunClusterDrainEndpoints(t *testing.T) {
 	addrs := freeAddrs(t, 3)
 	peers := strings.Join(addrs[:2], ",")
@@ -492,9 +492,8 @@ func TestRunClusterDrainEndpoints(t *testing.T) {
 		t.Errorf("/readyz = %d %q, want 200 ready", code, body)
 	}
 
-	// Open some files so the node has learned group state to hand off —
-	// once its peer is listening: forwards into a port nobody has bound yet
-	// trip the peer's breaker, and a drain skips a peer that is down.
+	// Open some files so the node drains under learned state — once its
+	// peer is listening: a goodbye to a port nobody has bound yet fails.
 	dialRetry(t, addrs[1]).Close()
 	client := dialRetry(t, addrs[0])
 	for f := 0; f < 30; f++ {
@@ -522,8 +521,15 @@ func TestRunClusterDrainEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /drain = %d", resp.StatusCode)
 	}
-	if rep.GroupsExported == 0 || rep.GroupsSent == 0 {
-		t.Errorf("drain report %+v: expected exported and sent groups after workload", rep)
+	if rep.GoodbyePushed != 1 || rep.GoodbyeFailed != 0 {
+		t.Errorf("drain report %+v: want the goodbye pushed to the one survivor, none failed", rep)
+	}
+	survivor := dialRetry(t, addrs[1])
+	epoch, members, err := survivor.ViewPull()
+	survivor.Close()
+	if err != nil || epoch != rep.GoodbyeEpoch || len(members) != 1 || members[0] != addrs[1] {
+		t.Errorf("survivor view = epoch %d %v, %v; want the goodbye view %d with itself alone",
+			epoch, members, err, rep.GoodbyeEpoch)
 	}
 
 	if code, body := httpGet(t, base+"/readyz"); code != http.StatusServiceUnavailable {

@@ -97,29 +97,22 @@ func TestTypedErrorResolvesViewProbe(t *testing.T) {
 	r.exchangesAgain(t)
 }
 
-// TestTypedErrorResolvesHandoffProbe: the same for a drain whose handoff
-// is the probe. The goodbye push finds the cooldown running and skips the
-// peer; the cooldown lapses while the groups are exported; the handoff
-// takes the probe and the peer refuses its anchor as not found.
-func TestTypedErrorResolvesHandoffProbe(t *testing.T) {
+// TestTypedErrorResolvesGoodbyeProbe: the same for a drain whose goodbye
+// is the probe. The cooldown lapses before the drain; the goodbye push
+// takes the half-open probe and the peer, which has no membership view,
+// refuses it with a typed error.
+func TestTypedErrorResolvesGoodbyeProbe(t *testing.T) {
 	r := newBreakerRig(t)
-	rep, err := r.node.Drain(exportFunc(func() []fsnet.HandoffGroup {
-		r.clk.Advance(2 * time.Minute)
-		return []fsnet.HandoffGroup{{Anchor: "/nowhere/anchor", Members: []string{"/nowhere/member"}}}
-	}))
+	r.clk.Advance(2 * time.Minute)
+	rep, err := r.node.Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GoodbyeSkipped != 1 || rep.GroupsFailed != 1 {
-		t.Fatalf("drain report %+v, want the goodbye skipped and the handoff refused", rep)
+	if rep.GoodbyeFailed != 1 || rep.GoodbyePushed != 0 || rep.GoodbyeSkipped != 0 {
+		t.Fatalf("drain report %+v, want the goodbye admitted and refused", rep)
 	}
 	if st := r.node.Stats().Peers[0]; !st.Up || st.Failures != 0 {
 		t.Errorf("peer %+v after a typed reply, want closed", st)
 	}
 	r.exchangesAgain(t)
 }
-
-// exportFunc is a GroupSource that ignores the ownership filter.
-type exportFunc func() []fsnet.HandoffGroup
-
-func (f exportFunc) ExportGroups(func(string) bool) []fsnet.HandoffGroup { return f() }

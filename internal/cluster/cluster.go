@@ -16,12 +16,12 @@
 // other only by exchanging them (internal/gossip, a drain's goodbye).
 // Membership is dynamic: the ring and peer set live in an immutable,
 // epoch-numbered view swapped atomically by Update (see membership.go),
-// so nodes join and leave a running cluster without a restart. Graceful departure is Drain
-// (drain.go): the leaving node streams each owned group's learned state to
-// its new owner.
+// so nodes join and leave a running cluster without a restart. Graceful
+// departure is Drain (drain.go), a view change: the leaving node turns
+// unready and pushes the view without itself to its peers.
 //
 // The node's peer clients carry only the cluster's own traffic — gossip's
-// view exchanges and drain handoffs. Peer health is a consecutive-failure
+// view exchanges and a drain's goodbye. Peer health is a consecutive-failure
 // circuit breaker fed only by transport errors (fsnet.ErrConnBroken). A
 // tripped breaker short-circuits exchanges with the peer for downDuration,
 // then admits exactly one probe; the probe's outcome either heals the
@@ -117,11 +117,9 @@ type Node struct {
 	// NodeStats cannot drift.
 	localOpens *obs.Counter
 
-	// Membership and drain accounting.
+	// Membership accounting.
 	updates      *obs.Counter
 	staleUpdates *obs.Counter
-	drainSent    *obs.Counter
-	drainFailed  *obs.Counter
 
 	events *obs.EventLog
 }
@@ -189,8 +187,6 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.localOpens = reg.LiveCounter("cluster_local_opens_total", "opens offered to the node's router, all served by the local server")
 	n.updates = reg.LiveCounter("cluster_membership_updates_total", "membership views installed by Update")
 	n.staleUpdates = reg.LiveCounter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
-	n.drainSent = reg.LiveCounter("cluster_drain_groups_sent_total", "groups handed off to their new owners by Drain")
-	n.drainFailed = reg.LiveCounter("cluster_drain_groups_failed_total", "groups Drain could not deliver to their new owners")
 	n.events = reg.Events()
 	reg.GaugeFunc("cluster_membership_epoch", "epoch of the installed membership view", func() float64 {
 		return float64(n.Epoch())
@@ -267,10 +263,6 @@ type NodeStats struct {
 	MirrorHits        uint64
 	CoalescedForwards uint64
 	DegradedOpens     uint64
-	// Drain accounting: groups handed off to their new owners, and
-	// groups the drain could not deliver.
-	DrainGroupsSent   uint64
-	DrainGroupsFailed uint64
 	Peers             []PeerStatus
 }
 
@@ -278,13 +270,11 @@ type NodeStats struct {
 func (n *Node) Stats() NodeStats {
 	v := n.view.Load()
 	st := NodeStats{
-		Self:              n.self,
-		Members:           v.ring.Len(),
-		Epoch:             v.epoch,
-		Draining:          n.draining.Load(),
-		LocalOpens:        n.localOpens.Load(),
-		DrainGroupsSent:   n.drainSent.Load(),
-		DrainGroupsFailed: n.drainFailed.Load(),
+		Self:       n.self,
+		Members:    v.ring.Len(),
+		Epoch:      v.epoch,
+		Draining:   n.draining.Load(),
+		LocalOpens: n.localOpens.Load(),
 	}
 	for _, p := range v.peers {
 		st.Peers = append(st.Peers, PeerStatus{
@@ -377,8 +367,8 @@ func (p *peer) up() bool {
 // transport failure feeds the breaker, while anything else — success or
 // a typed server error — proves the peer alive. Leaving an admitted
 // probe unresolved would wedge the breaker half-open and refuse every
-// later exchange, so every exchange that admit let through — a handoff, a
-// view pull or push — ends here.
+// later exchange, so every exchange that admit let through — a view pull
+// or push, a drain's goodbye included — ends here.
 func (p *peer) noteOutcome(err error) {
 	if errors.Is(err, fsnet.ErrConnBroken) {
 		p.noteFailure()

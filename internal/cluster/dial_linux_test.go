@@ -42,7 +42,7 @@ func blackholeListener(t *testing.T) string {
 
 // TestDefaultDialIsBounded: with no Dialer configured, an exchange with a
 // peer that drops SYNs fails within peerTimeout instead of stalling the
-// caller — the serial anti-entropy loop, a drain's handoffs — for the
+// caller — the serial anti-entropy loop, a drain's goodbye — for the
 // kernel's whole SYN retry schedule.
 func TestDefaultDialIsBounded(t *testing.T) {
 	peer := blackholeListener(t)

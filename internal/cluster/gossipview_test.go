@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
-	"aggcache/internal/fsnet"
 	"aggcache/internal/gossip"
 	"aggcache/internal/obs"
 )
@@ -96,8 +94,8 @@ func TestViewPullPushBetweenNodes(t *testing.T) {
 // is scheduled for it. Every node runs a gossiper built as aggserve builds
 // one (hand-driven here), and the last node drains. Its goodbye moves the
 // survivors at once; the drainer itself, which talked to both during the
-// goodbye and the handoffs, must stay on its own view until its own
-// anti-entropy round pulls the goodbye.
+// goodbye, must stay on its own view until its own anti-entropy round
+// pulls the goodbye.
 func TestViewMovesOnlyByExchange(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	const drained = 2
@@ -107,14 +105,7 @@ func TestViewMovesOnlyByExchange(t *testing.T) {
 		gossipers[i].Start()
 		defer gossipers[i].Stop()
 	}
-	// Give the drain groups to hand off, so it talks to its peers twice.
-	client := tc.client(t, drained, fsnet.ClientConfig{CacheCapacity: 4})
-	for f := 0; f < testFiles; f++ {
-		if _, err := client.Open(fmt.Sprintf("/data/f%03d", f)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep, err := tc.nodes[drained].Drain(tc.servers[drained])
+	rep, err := tc.nodes[drained].Drain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +127,7 @@ func TestViewMovesOnlyByExchange(t *testing.T) {
 // survivor's view with no operator reload anywhere.
 func TestDrainGoodbyeConvergesSurvivors(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	rep, err := tc.nodes[2].Drain(tc.servers[2])
+	rep, err := tc.nodes[2].Drain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,9 @@ func TestAdversarialBrokenFrames(t *testing.T) {
 }
 
 // TestAdversarialBadRequests: a request that frames correctly but cannot
-// be served — an unknown message type, an open whose payload is garbage —
-// fails alone with a typed msgError; the stream is intact, so the
-// connection keeps serving.
+// be served — an unknown message type, a reserved one, an open whose
+// payload is garbage — fails alone with a typed msgError; the stream is
+// intact, so the connection keeps serving.
 func TestAdversarialBadRequests(t *testing.T) {
 	srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
 	rc := rawHello(t, rawDial(t, addr))
@@ -125,19 +125,24 @@ func TestAdversarialBadRequests(t *testing.T) {
 	if e := rc.recvError(t, 2); e.Code != CodeBadRequest {
 		t.Errorf("malformed open: error code = %d, want CodeBadRequest", e.Code)
 	}
-	rc.send(t, msgOpen, 3, appendOpenRequest(nil, "/data/f000", nil))
-	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 3 {
-		t.Fatalf("open after two bad requests = type %d id %d, %v; want its first chunk", typ, id, err)
+	// Type 8 was version 6's drain group transfer; it is reserved now.
+	rc.send(t, 8, 3, appendString(nil, "/data/f000"))
+	if e := rc.recvError(t, 3); e.Code != CodeBadRequest {
+		t.Errorf("reserved type: error code = %d, want CodeBadRequest", e.Code)
 	}
-	if st := srv.Stats(); st.Errors != 2 || st.Requests != 1 {
-		t.Errorf("server stats = %+v, want two errors and the one served open", st)
+	rc.send(t, msgOpen, 4, appendOpenRequest(nil, "/data/f000", nil))
+	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 4 {
+		t.Fatalf("open after three bad requests = type %d id %d, %v; want its first chunk", typ, id, err)
+	}
+	if st := srv.Stats(); st.Errors != 3 || st.Requests != 1 {
+		t.Errorf("server stats = %+v, want three errors and the one served open", st)
 	}
 }
 
 // TestPiggybackedMissingPathsAreNotInterned: history naming files the
 // store never held must not grow the server's ID space (nor, through it,
-// ExportGroups' walk and the saved metadata), on an unrouted server and on
-// a routed one alike; history naming real files still arrives.
+// the saved metadata), on an unrouted server and on a routed one alike;
+// history naming real files still arrives.
 func TestPiggybackedMissingPathsAreNotInterned(t *testing.T) {
 	for name, router := range map[string]OpenRouter{"unrouted": nil, "routed": newPeerRouter()} {
 		t.Run(name, func(t *testing.T) {

@@ -629,29 +629,6 @@ func (c *Client) Open(path string) ([]byte, error) {
 	return out, nil
 }
 
-// Handoff streams one drained group to the server: the anchor path plus
-// its learned members, which the server installs into its successor
-// metadata and stages into its cache — the graceful-drain transfer of
-// the cluster tier (a departing owner calls this once per owned group,
-// addressed to the group's next owner). Handoffs are idempotent
-// metadata installs, so transport failures are retried like opens.
-func (c *Client) Handoff(anchor string, members []string) error {
-	if anchor == "" || len(anchor) > maxPath {
-		return fmt.Errorf("fsnet: invalid path %q", anchor)
-	}
-	if len(members) == 0 || len(members) > maxGroup {
-		return fmt.Errorf("fsnet: handoff of %d members out of range [1,%d]", len(members), maxGroup)
-	}
-	for _, p := range members {
-		if p == "" || len(p) > maxPath {
-			return fmt.Errorf("fsnet: invalid path %q", p)
-		}
-	}
-	payload := encodeHandoffRequest(handoffRequest{Anchor: anchor, Members: members})
-	_, err := c.roundTrip(c.toSeed, msgHandoff, "", payload, otrace.Ctx{})
-	return err
-}
-
 // ViewPull asks the seed for its membership view (gossip anti-entropy).
 // The reply is the responder's full view, whatever its epoch; members is
 // never nil.

@@ -153,21 +153,6 @@ func FuzzDecodeTraceCtx(f *testing.F) {
 	})
 }
 
-func FuzzDecodeHandoffRequest(f *testing.F) {
-	f.Add(encodeHandoffRequest(handoffRequest{Anchor: "/x", Members: []string{"/a", "/b"}}))
-	f.Add([]byte{})
-	f.Add([]byte{0x01, '/', 0x00})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := decodeHandoffRequest(data)
-		if err != nil {
-			return
-		}
-		if again, err := decodeHandoffRequest(encodeHandoffRequest(req)); err != nil || !reflect.DeepEqual(again, req) {
-			t.Fatalf("round trip = (%+v, %v), want %+v", again, err, req)
-		}
-	})
-}
-
 func FuzzDecodeWriteRequest(f *testing.F) {
 	f.Add(encodeWriteRequest(writeRequest{Path: "/x", Data: []byte("abc")}))
 	f.Add([]byte{})

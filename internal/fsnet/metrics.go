@@ -20,7 +20,6 @@ type serverMetrics struct {
 	panics      *obs.Counter
 	disconnects *obs.Counter
 	remote      *obs.Counter
-	handoffs    *obs.Counter
 	streamed    *obs.Counter
 
 	// Validated replies (DESIGN.md §11): members sent header-only, and the
@@ -50,7 +49,6 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 		panics:      reg.LiveCounter("fsnet_server_panics_total", "handler panics recovered and converted to error replies"),
 		disconnects: reg.LiveCounter("fsnet_server_disconnects_total", "connections terminated abnormally by I/O failures"),
 		remote:      reg.LiveCounter("fsnet_server_remote_opens_total", "open requests answered by the configured router"),
-		handoffs:    reg.LiveCounter("fsnet_server_handoff_groups_total", "drain handoff groups installed from departing peers"),
 		streamed:    reg.LiveCounter("fsnet_server_streamed_groups_total", "group replies delivered, each as a member stream"),
 
 		validated:      reg.LiveCounter("fsnet_server_validated_members_total", "group members sent header-only: the client held them unchanged"),

@@ -420,7 +420,6 @@ func decodeReply(reqType, typ uint8, payload []byte) (res muxResult, err error) 
 		}
 	case typ == msgWriteOK && reqType == msgWrite:
 		res.tag, err = decodeWriteOK(payload)
-	case typ == msgHandoffOK && reqType == msgHandoff:
 	case typ == msgViewPush && reqType == msgViewPull:
 		res.epoch, res.sender, res.members, err = decodeViewPush(payload)
 	case typ == msgViewHint && reqType == msgViewPush:

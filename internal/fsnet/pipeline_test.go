@@ -251,7 +251,7 @@ func TestRequestsServedInRequestOrder(t *testing.T) {
 
 // TestOneGoroutinePerConnection: a connection is served by its read loop
 // alone. While the server's reply side is held, 64 pipelined writes, a
-// handoff and a view pull are read, served and queued, and the process
+// write to a second file and a view pull are read, served and queued, and the process
 // has no goroutine more than it had with the connection idle; once the
 // hold lifts, every reply arrives in request order.
 func TestOneGoroutinePerConnection(t *testing.T) {
@@ -285,7 +285,7 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 	for id := uint64(1); id <= writes; id++ {
 		burst = appendFrameID(burst, msgWrite, id, encodeWriteRequest(writeRequest{Path: "/data/f000", Data: []byte(fmt.Sprint(id))}))
 	}
-	burst = appendFrameID(burst, msgHandoff, writes+1, encodeHandoffRequest(handoffRequest{Anchor: "/data/f001", Members: []string{"/data/f002"}}))
+	burst = appendFrameID(burst, msgWrite, writes+1, encodeWriteRequest(writeRequest{Path: "/data/f001", Data: []byte("second")}))
 	burst = appendFrameID(burst, msgViewPull, writes+2, appendViewMsg(nil, 0, "peer:1"))
 	if _, err := rc.Write(burst); err != nil {
 		t.Fatal(err)
@@ -310,7 +310,7 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 	for id := 1; id <= writes; id++ {
 		want = append(want, msgWriteOK)
 	}
-	want = append(want, msgHandoffOK, msgViewPush)
+	want = append(want, msgWriteOK, msgViewPush)
 	for i, w := range want {
 		typ, id, _, err := readFrameID(rc.r, nil)
 		if err != nil {
@@ -320,8 +320,8 @@ func TestOneGoroutinePerConnection(t *testing.T) {
 			t.Fatalf("reply %d = type %d id %d, want type %d id %d", i, typ, id, w, i)
 		}
 	}
-	if st := srv.Stats(); st.Handoffs != 1 || st.Errors != 0 {
-		t.Errorf("Handoffs %d Errors %d, want 1 and 0", st.Handoffs, st.Errors)
+	if st := srv.Stats(); st.Requests != writes+1 || st.Errors != 0 {
+		t.Errorf("Requests %d Errors %d, want %d and 0", st.Requests, st.Errors, writes+1)
 	}
 }
 

@@ -45,13 +45,11 @@ const (
 	// the server is in no ring). Every later frame carries a request ID, and
 	// the server answers each connection's requests in request order.
 	msgHelloOK
-	// msgHandoff is a peer->peer drain transfer: one group a departing
-	// cluster node owned — the anchor path plus its learned members in
-	// group order — for the receiver to install into its successor
-	// metadata and cache, so it serves the moved paths warm.
-	msgHandoff
-	// msgHandoffOK acknowledges a handoff install.
-	msgHandoffOK
+	// Types 8 and 9 are reserved: they were a drain's group transfer and
+	// its ack in protocol version 6. Nothing sends them and no reader
+	// accepts them.
+	_
+	_
 	// msgMemberChunk is one member of a streamed group reply: the path,
 	// content tag and contents of a single file — or, for a member the
 	// client already holds at that tag, the path and tag alone. The
@@ -94,10 +92,10 @@ const (
 // chunks carry a content tag and may be header-only (DESIGN.md §10). The
 // number is a wire value — earlier ones were the lock-step,
 // assembled-reply, untagged-stream, replayed-shadow and any-order-reply
-// generations it replaced — and the handshake exists to turn a peer built
-// before or after it away with a typed error instead of a desynchronised
-// stream.
-const protocolVersion = 6
+// generations it replaced, and the one whose drains sent group transfers
+// (types 8 and 9) — and the handshake exists to turn a peer built before
+// or after it away with a typed error instead of a desynchronised stream.
+const protocolVersion = 7
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -145,15 +143,6 @@ type GroupFile struct {
 	// (DESIGN.md §11). Equal non-zero tags of one path mean equal contents;
 	// zero means "no validator", and such a member is always sent in full.
 	Tag uint64
-}
-
-// HandoffGroup is one group being drained from a departing cluster node
-// to the peer that owns it next: the anchor path plus its learned
-// members in group order, metadata only — the stores are replicated, so
-// the bytes are already at the receiver.
-type HandoffGroup struct {
-	Anchor  string
-	Members []string
 }
 
 // errorResponse is the payload of msgError.
@@ -502,56 +491,6 @@ func parseOpenRequest(payload []byte, accessed [][]byte, report []reportEntry) (
 	return path, accessed, report, d.done()
 }
 
-// handoffRequest is the payload of msgHandoff: one drained group's
-// anchor path plus learned members, successor order preserved.
-type handoffRequest struct {
-	Anchor  string
-	Members []string
-}
-
-func encodeHandoffRequest(req handoffRequest) []byte {
-	b := appendString(nil, req.Anchor)
-	b = appendUvarint(b, uint64(len(req.Members)))
-	for _, p := range req.Members {
-		b = appendString(b, p)
-	}
-	return b
-}
-
-func decodeHandoffRequest(payload []byte) (handoffRequest, error) {
-	d := decoder{buf: payload}
-	var req handoffRequest
-	var err error
-	if req.Anchor, err = d.str(maxPath); err != nil {
-		return req, err
-	}
-	if req.Anchor == "" {
-		return req, errors.New("fsnet: empty anchor path")
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return req, err
-	}
-	if n == 0 || n > maxGroup {
-		return req, fmt.Errorf("fsnet: handoff of %d members out of range", n)
-	}
-	req.Members = make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		p, err := d.str(maxPath)
-		if err != nil {
-			return req, err
-		}
-		if p == "" {
-			return req, errors.New("fsnet: empty handoff member path")
-		}
-		req.Members = append(req.Members, p)
-	}
-	if err := d.done(); err != nil {
-		return req, err
-	}
-	return req, nil
-}
-
 // writeRequest is the payload of msgWrite.
 type writeRequest struct {
 	Path string
@@ -659,7 +598,7 @@ func appendMemberChunkHdr(dst []byte, id uint64, path string, tag uint64, dataLe
 
 // startFrameID appends a request-ID frame header to dst with its length
 // left open; endFrameID closes it once the payload follows. The reply
-// writer encodes its small frames (group end, write/handoff acks, view
+// writer encodes its small frames (group end, write acks, view
 // answers, errors) this way, in place in its arena, beside the streamed
 // chunks of the same batch.
 func startFrameID(dst []byte, typ uint8, id uint64) []byte {

@@ -121,10 +121,6 @@ type ServerStats struct {
 	// RemoteOpens counts open requests answered by the configured Router
 	// (the cluster peer tier) rather than by the local cache and store.
 	RemoteOpens uint64
-	// Handoffs counts drain handoff groups installed from departing
-	// peers (each learns the group's successor chain and stages its
-	// anchor into the cache).
-	Handoffs uint64
 	// StreamedGroups counts successful group replies, each delivered as a
 	// member stream (msgMemberChunk frames closed by msgGroupEnd).
 	StreamedGroups uint64
@@ -342,7 +338,6 @@ func (s *Server) Stats() ServerStats {
 		Panics:         s.m.panics.Load(),
 		Disconnects:    s.m.disconnects.Load(),
 		RemoteOpens:    s.m.remote.Load(),
-		Handoffs:       s.m.handoffs.Load(),
 		StreamedGroups: s.m.streamed.Load(),
 		Cache:          cacheStats,
 
@@ -457,9 +452,9 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // request, serves it and queues its reply, so a connection's requests run
 // in the order they were sent (DESIGN.md §10). Each request is read into
 // the one buffer the connection keeps, rw.req, and is done with before the
-// next read. Nothing on the serving path waits on a peer — opens, writes,
-// handoffs and view frames touch only the server's own cache, store and
-// view — so the read loop never blocks on anything but its socket, and a
+// next read. Nothing on the serving path waits on a peer — opens, writes
+// and view frames touch only the server's own cache, store and view — so
+// the read loop never blocks on anything but its socket, and a
 // goroutine hand-off would only add two scheduler hops per request. The
 // replies queued since the last read are flushed before a read that could
 // block, so a pipelined burst leaves in one write. Only then is the last
@@ -604,17 +599,6 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		}
 		start := rw.frame(id, msgWriteOK)
 		rw.send(appendWriteOK(rw.arena, tag), start)
-	case msgHandoff:
-		req, err := decodeHandoffRequest(payload)
-		if err != nil {
-			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
-			return
-		}
-		if errResp := s.handoff(req); errResp.Code != 0 {
-			rw.sendError(id, errResp)
-			return
-		}
-		rw.send(rw.arena, rw.frame(id, msgHandoffOK))
 	case msgViewPull:
 		// Anti-entropy exchange: answer with our full view whatever the
 		// puller holds. Equal epochs must ship the members too: two
@@ -709,93 +693,6 @@ func (s *Server) write(pathView, data []byte) (uint64, errorResponse) {
 		s.ids.Intern(path)
 	}
 	return tag, errorResponse{}
-}
-
-// handoff installs one drained group from a departing peer: the anchor
-// and its members are learned as a successor chain under a dedicated
-// source context (so the transfer can never interleave with a live
-// client stream's transitions), and the anchor is staged into the cache
-// — the receiver serves the moved paths warm from its first open.
-//
-// The chain is first-order: anchor→m1→m2→…, which the group builder
-// re-expands transitively, so a later BuildGroup(anchor) reproduces the
-// departed owner's group shape up to the configured group size.
-//
-// Like an open, a handoff gives an id only to a path the store holds
-// (DESIGN.md §10): an anchor the store lacks is answered CodeNotFound,
-// having learned and staged nothing, and a member it lacks is dropped
-// before learning, as openView drops piggybacked history — a dead link
-// would otherwise take a share of its predecessor's counts.
-//
-// Accounting keeps the documented Stats contract: the handoff counts
-// one request, and the Serve below counts exactly one cache hit or
-// group fetch, so Requests >= Hits + GroupFetches + RemoteOpens holds
-// with equality at quiescence exactly as for opens.
-func (s *Server) handoff(req handoffRequest) errorResponse {
-	s.m.requests.Add(1)
-	if !s.store.Contains(req.Anchor) {
-		return errorResponse{Code: CodeNotFound, Message: req.Anchor}
-	}
-	chain := make([]trace.FileID, 0, 1+len(req.Members))
-	chain = append(chain, s.ids.Intern(req.Anchor))
-	for _, p := range req.Members {
-		id, known := s.ids.Lookup(p)
-		if !known {
-			if !s.store.Contains(p) {
-				continue
-			}
-			id = s.ids.Intern(p)
-		}
-		chain = append(chain, id)
-	}
-	s.connMu.Lock()
-	s.nextSrc++
-	src := s.nextSrc
-	s.connMu.Unlock()
-
-	s.aggMu.Lock()
-	s.agg.LearnFrom(src, chain...)
-	s.agg.Serve(chain[0])
-	// The transfer source is one-shot; drop its stream cursor so the id
-	// space stays bounded by live connections.
-	s.agg.Tracker().ForgetSource(src)
-	s.aggMu.Unlock()
-	s.m.handoffs.Add(1)
-	return errorResponse{}
-}
-
-// ExportGroups snapshots the groups this server would serve right now
-// for every interned path accepted by owned — each as its anchor plus
-// learned members — skipping single-file groups (nothing learned to
-// move). The cluster tier's Drain feeds each to the path's next owner
-// via Client.Handoff. Pass nil to export every group.
-func (s *Server) ExportGroups(owned func(path string) bool) []HandoffGroup {
-	n := s.ids.Len()
-	var out []HandoffGroup
-	for i := 0; i < n; i++ {
-		id := trace.FileID(i)
-		path := s.ids.Path(id)
-		if path == "" || (owned != nil && !owned(path)) {
-			continue
-		}
-		s.aggMu.Lock()
-		g := s.agg.BuildGroup(id)
-		s.aggMu.Unlock()
-		if len(g) <= 1 {
-			continue
-		}
-		members := make([]string, 0, len(g)-1)
-		for _, gid := range g[1:] {
-			if p := s.ids.Path(gid); p != "" {
-				members = append(members, p)
-			}
-		}
-		if len(members) == 0 {
-			continue
-		}
-		out = append(out, HandoffGroup{Anchor: path, Members: members})
-	}
-	return out
 }
 
 // openScratch carries the per-request working set of the open hot path:

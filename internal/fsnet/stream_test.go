@@ -332,7 +332,7 @@ func TestStreamFaultsPoison(t *testing.T) {
 	}
 }
 
-// TestGarbageReplyPoisonsEveryVerb answers each of the five request verbs
+// TestGarbageReplyPoisonsEveryVerb answers each of the four request verbs
 // with a reply it cannot use — a msgError whose payload does not decode,
 // and a frame type no verb expects. Both mean the reply stream is
 // desynchronized: the call fails with the typed transport error and the
@@ -346,7 +346,6 @@ func TestGarbageReplyPoisonsEveryVerb(t *testing.T) {
 	}{
 		{"open", func(c *Client) error { _, err := c.Open("/g/x"); return err }},
 		{"write", func(c *Client) error { return c.Write("/g/x", []byte("data")) }},
-		{"handoff", func(c *Client) error { return c.Handoff("/g/x", []string{"/g/y"}) }},
 		{"view-pull", func(c *Client) error { _, _, err := c.ViewPull(); return err }},
 		{"view-push", func(c *Client) error { _, err := c.ViewPush(2, []string{"a:1"}); return err }},
 	}
@@ -409,6 +408,8 @@ func TestVersionRejection(t *testing.T) {
 		{"hello-3", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 3)) }},
 		// Version 5 replied in any order; its hello had today's layout.
 		{"hello-5", func(conn net.Conn) error { return writeHello(conn, msgHello, 5, 0) }},
+		// Version 6 could send a drain's group transfer (types 8 and 9).
+		{"hello-6", func(conn net.Conn) error { return writeHello(conn, msgHello, 6, 0) }},
 	} {
 		t.Run("server/"+tc.name, func(t *testing.T) {
 			srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
@@ -442,6 +443,7 @@ func TestVersionRejection(t *testing.T) {
 		{"hello-ok-2", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 2, 0) }},
 		{"hello-ok-3", func(conn net.Conn) error { return writeFrame(conn, msgHelloOK, appendUvarint(nil, 3)) }},
 		{"hello-ok-5", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 5, 0) }},
+		{"hello-ok-6", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 6, 0) }},
 		{"unknown-type", func(conn net.Conn) error {
 			return writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
 				Code: CodeBadRequest, Message: "unknown message type 6",
