@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead vet test race mux-race bench bench-e2e fleet-smoke experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead fmt-check vet test race mux-race bench bench-e2e fleet-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -118,7 +118,10 @@ ignore-guard:
 # handoff: a drain is a view change — readiness off, then the goodbye
 # push — and a new owner learns from the histories its clients piggyback,
 # so no group transfer message (types 8 and 9 are reserved), codec, RPC,
-# export walk, report fields or counters.
+# export walk, report fields or counters. So are the simulator's other
+# two-level loops: RunServer is RunServerMulti's replay of one client, and
+# every scheme runs behind either client cache, so no runGroupFilter and
+# its groupServer closures, no lruFilter check and no groupClient.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -153,6 +156,11 @@ lint-dead:
 	@! grep -rnE 'muxCallPool|keepSpare' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'evictVictim' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'msgHandoff|handoffRequest|HandoffGroup|ExportGroups|GroupSource|GroupsSent|drainSent|handoff_groups|drain_groups' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'runGroupFilter|groupServer|lruFilter|groupClient' --include='*.go' --exclude='*_test.go' .
+
+# Fail if any tracked Go file, benchmark/ included, is not gofmt-clean.
+fmt-check:
+	@out=$$(git ls-files '*.go' | xargs gofmt -l 2>&1); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

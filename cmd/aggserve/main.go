@@ -17,12 +17,15 @@
 // for live inspection of a long-running server.
 //
 // Clustering: -peers (or -peers-file) joins a consistent-hash peer ring
-// (internal/cluster). Opens for paths this node owns are served locally;
-// everything else is fetched from the owning peer in one group hop — the
-// owner's group, anchored at the demanded file — with health-checked
-// failover to the local store when a peer is down. Every node of a
-// cluster must be started with the same peer list and a -self address
-// that appears in it. -stats serves a JSON snapshot (server counters plus
+// (internal/cluster). Clients pull the ring from the node they dial and
+// send each miss, with their piggybacked history, straight to the path's
+// owner, which answers with the group it learned; a node never forwards.
+// An open that reaches a non-owner (a client with a stale view, or one
+// whose owner is down) is served from this node's own store, so a dead
+// peer costs grouping, never availability. Every node of a cluster must
+// be started with the same peer list and a -self address that appears in
+// it. Peers exchange only views (gossip and a drain's goodbye), behind a
+// per-peer breaker. -stats serves a JSON snapshot (server counters plus
 // per-peer health) over HTTP.
 //
 // Elastic membership: -peers-file names a file of peer addresses (one

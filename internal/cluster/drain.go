@@ -20,7 +20,7 @@ type DrainReport struct {
 	Epoch uint64
 	// Goodbye accounting: the self-less view's epoch, and how many peers
 	// it was pushed to, failed to reach, or was skipped for (breaker
-	// open). Survivors that miss the goodbye still converge by gossip
+	// open, or no longer in the view). Survivors that miss the goodbye still converge by gossip
 	// from the peers that got it.
 	GoodbyeEpoch   uint64
 	GoodbyePushed  int
@@ -64,18 +64,15 @@ func (n *Node) Drain() (DrainReport, error) {
 	}
 	rep.GoodbyeEpoch = v.epoch + 1
 	for _, target := range goodbye {
-		p := v.peers[target]
-		if p == nil || !p.admit() {
+		_, err := n.ViewPushTo(target, rep.GoodbyeEpoch, goodbye)
+		switch {
+		case errors.Is(err, ErrPeerDown), errors.Is(err, ErrNotMember):
 			rep.GoodbyeSkipped++
-			continue
-		}
-		_, err := p.client.ViewPush(rep.GoodbyeEpoch, goodbye)
-		p.noteOutcome(err)
-		if err != nil {
+		case err != nil:
 			rep.GoodbyeFailed++
-			continue
+		default:
+			rep.GoodbyePushed++
 		}
-		rep.GoodbyePushed++
 	}
 	n.events.Record("drain_goodbye",
 		obs.F("self", n.self),

@@ -2,7 +2,9 @@ package fsnet
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
+	"log"
 	"net"
 	"testing"
 	"time"
@@ -149,5 +151,44 @@ func TestReplyDroppedUnwrittenReleasesGroup(t *testing.T) {
 	rw.flush()
 	if st := srv.Stats(); st.Disconnects != 1 || gate.Waiting() != 0 {
 		t.Errorf("Disconnects = %d, %d writes parked after the dead writer's flush; want 1 and 0", st.Disconnects, gate.Waiting())
+	}
+}
+
+// TestCloseDuringReplyIsNoDisconnect: a reply write that fails because
+// the server itself closed the connection (Close) is a clean departure,
+// as a read that fails for that reason is: Disconnects stays 0 and
+// nothing is logged.
+func TestCloseDuringReplyIsNoDisconnect(t *testing.T) {
+	var logged bytes.Buffer
+	srv, err := NewServer(seededStore(t, 2), ServerConfig{Logger: log.New(&logged, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gate faultnet.Gate
+	go func() { _ = srv.Serve(faultnet.WrapListener(l, faultnet.Faults{Gate: &gate})) }()
+	defer srv.Close()
+
+	rc := rawHello(t, rawDial(t, l.Addr().String()))
+	gate.Hold()
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil))
+	for deadline := time.Now().Add(5 * time.Second); gate.Waiting() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the server never wrote the reply")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gate.Resume()
+	if st := srv.Stats(); st.Disconnects != 0 {
+		t.Errorf("Disconnects = %d after Close cut a held reply, want 0", st.Disconnects)
+	}
+	if logged.Len() != 0 {
+		t.Errorf("Close cutting a held reply logged %q", logged.String())
 	}
 }

@@ -657,8 +657,13 @@ func (s *Server) armWrite(conn net.Conn) {
 }
 
 // disconnect records an abnormal connection termination caused by a
-// failed reply write (stalled reader, reset, ...).
+// failed reply write (stalled reader, reset, ...). A write that failed
+// because the server closed the connection (Close) is no disconnect, as
+// in readFailed.
 func (s *Server) disconnect(conn net.Conn, err error) {
+	if errors.Is(err, net.ErrClosed) {
+		return
+	}
 	s.m.disconnects.Add(1)
 	s.logf("fsnet: %s: write: %v", conn.RemoteAddr(), err)
 }

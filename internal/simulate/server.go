@@ -25,8 +25,8 @@ const (
 	// g5 in Figure 4 when GroupSize is 5).
 	SchemeAggregating Scheme = "agg"
 	// SchemeDeep is SchemeAggregating with groups built core.StageDepth
-	// times GroupSize deep, of which a client behind ClientGroup
-	// receives the first GroupSize: the network server's deep build without its
+	// times GroupSize deep, of which a client behind ClientGroup receives
+	// the first GroupSize: the network server's deep build without its
 	// re-stage on a hit and with its members at the LRU tail.
 	SchemeDeep Scheme = "deep"
 	// SchemeStaged is the network server's own rule, driven through
@@ -56,19 +56,16 @@ type ServerConfig struct {
 	FilterCapacity int
 	ServerCapacity int
 	Scheme         Scheme
-	// GroupSize applies to the grouping schemes, and to the replies a client
-	// behind ClientGroup receives; default 5 (the paper's g5
-	// configuration).
+	// GroupSize applies to the grouping schemes, and to the replies a
+	// client behind ClientGroup receives; default 5 (the paper's g5).
 	GroupSize int
-	// Piggyback, for the grouping schemes, forwards the client's full
-	// access stream to the server's metadata (§3's cooperative mode).
-	// Without it the server learns only from the filtered miss stream,
+	// Piggyback sends each miss with the opens the client served since its
+	// last one, for the server's metadata to learn (§3's cooperative
+	// mode). Without it the server learns only the filtered miss stream,
 	// the §4.3 "no cooperation" assumption.
 	Piggyback bool
-	// Filter selects the client cache; "" is ClientLRU. SchemeDeep and
-	// SchemeStaged run behind ClientGroup only, and behind ClientGroup
-	// every server cuts weak links at core.LinkShare, as the network
-	// server does.
+	// Filter selects the client cache; "" is ClientLRU. Every scheme runs
+	// behind either.
 	Filter Filter
 }
 
@@ -84,80 +81,26 @@ type ServerResult struct {
 	ServerHits uint64
 	HitRate    float64
 	// Loads counts files that entered the server cache (core.Stats.Loads;
-	// a miss for LRU). Counted behind ClientGroup only.
+	// a miss for LRU or LFU). Counted behind ClientGroup only.
 	Loads uint64
 }
 
-// RunServer simulates the Figure-4 scenario: every open goes to the client
-// cache first; its misses form the server's request stream.
+// RunServer simulates the Figure-4 scenario with one client: every open
+// goes to the client cache first; its misses form the server's request
+// stream. It is RunServerMulti's replay of one client's opens.
 func RunServer(ids []trace.FileID, cfg ServerConfig) (ServerResult, error) {
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 5
-	}
-	if cfg.Filter == ClientGroup {
-		h, err := runGroupFilter(cfg, func(open func(uint16, trace.FileID)) {
-			for _, id := range ids {
-				open(0, id)
-			}
-		})
-		if err != nil {
-			return ServerResult{}, err
-		}
-		return ServerResult{Config: cfg, Opens: h.opens, ClientMisses: h.misses,
-			ServerHits: h.hits, HitRate: h.hitRate(), Loads: h.loads}, nil
-	}
-	if err := cfg.lruFilter(); err != nil {
+	var r replay
+	if err := r.srv.init(cfg); err != nil {
 		return ServerResult{}, err
 	}
-	client, err := cache.NewLRU(cfg.FilterCapacity)
-	if err != nil {
-		return ServerResult{}, fmt.Errorf("server sim: client filter: %w", err)
+	var c client
+	if err := r.join(&c); err != nil {
+		return ServerResult{}, err
 	}
-
-	res := ServerResult{Config: cfg, Opens: uint64(len(ids))}
-	switch cfg.Scheme {
-	case SchemeLRU, SchemeLFU:
-		srv, err := cache.New(cache.Policy(cfg.Scheme), cfg.ServerCapacity)
-		if err != nil {
-			return ServerResult{}, fmt.Errorf("server sim: %w", err)
-		}
-		for _, id := range ids {
-			if client.Access(id) {
-				continue
-			}
-			res.ClientMisses++
-			if srv.Access(id) {
-				res.ServerHits++
-			}
-		}
-	case SchemeAggregating:
-		srv, err := core.New(core.Config{Capacity: cfg.ServerCapacity, GroupSize: cfg.GroupSize})
-		if err != nil {
-			return ServerResult{}, fmt.Errorf("server sim: %w", err)
-		}
-		for _, id := range ids {
-			if cfg.Piggyback {
-				srv.Learn(id)
-			}
-			if client.Access(id) {
-				continue
-			}
-			res.ClientMisses++
-			if !cfg.Piggyback {
-				srv.Learn(id)
-			}
-			if srv.Serve(id) {
-				res.ServerHits++
-			}
-		}
-	default:
-		return ServerResult{}, fmt.Errorf("server sim: unknown scheme %q", cfg.Scheme)
+	for _, id := range ids {
+		r.open(&c, 0, id)
 	}
-
-	if res.ClientMisses > 0 {
-		res.HitRate = float64(res.ServerHits) / float64(res.ClientMisses)
-	}
-	return res, nil
+	return r.result(), nil
 }
 
 // The §4.3 hierarchy's prices: what an open costs at the level that
@@ -210,227 +153,194 @@ func ServerSweep(ids []trace.FileID, schemes []ServerConfig, filters []int, opt 
 	return out, nil
 }
 
-// MultiServerResult extends ServerResult with per-client accounting.
+// MultiServerResult is a two-level run of many clients.
 type MultiServerResult struct {
-	Config ServerConfig
+	ServerResult
 	// Clients is the number of distinct clients simulated.
 	Clients int
-	// ClientMisses is the total number of requests reaching the server.
-	ClientMisses uint64
-	// ServerHits and HitRate describe the shared server cache.
-	ServerHits uint64
-	HitRate    float64
-	// Opens and Loads are ServerResult's, counted behind ClientGroup only.
-	Opens uint64
-	Loads uint64
 }
 
 // RunServerMulti simulates the Figure-4 scenario with the multi-client
-// reality restored: each client has its own LRU cache of FilterCapacity,
-// and the shared server learns with one metadata context per client (the
+// reality restored: each client has its own cache of FilterCapacity, and
+// the shared server learns with one metadata context per client (the
 // §2.2 choice), so interleaved clients cannot manufacture bogus
 // transitions. Events that are not opens are ignored.
 func RunServerMulti(events []trace.Event, cfg ServerConfig) (MultiServerResult, error) {
-	if cfg.GroupSize == 0 {
-		cfg.GroupSize = 5
-	}
-	if cfg.Filter == ClientGroup {
-		h, err := runGroupFilter(cfg, func(open func(uint16, trace.FileID)) {
-			for _, ev := range events {
-				if ev.Op == trace.OpOpen {
-					open(ev.Client, ev.File)
-				}
-			}
-		})
-		if err != nil {
-			return MultiServerResult{}, err
-		}
-		return MultiServerResult{Config: cfg, Clients: h.clients, ClientMisses: h.misses,
-			ServerHits: h.hits, HitRate: h.hitRate(), Opens: h.opens, Loads: h.loads}, nil
-	}
-	if err := cfg.lruFilter(); err != nil {
+	var r replay
+	if err := r.srv.init(cfg); err != nil {
 		return MultiServerResult{}, err
 	}
-	if cfg.Scheme != SchemeAggregating {
-		return MultiServerResult{}, fmt.Errorf("server sim: multi-client mode supports only the aggregating scheme, got %q", cfg.Scheme)
-	}
-	srv, err := core.New(core.Config{Capacity: cfg.ServerCapacity, GroupSize: cfg.GroupSize})
-	if err != nil {
-		return MultiServerResult{}, fmt.Errorf("server sim: %w", err)
-	}
-
-	res := MultiServerResult{Config: cfg}
-	filters := make(map[uint16]*cache.LRU)
+	var clients []*client // indexed by client id
 	for _, ev := range events {
 		if ev.Op != trace.OpOpen {
 			continue
 		}
-		client, ok := filters[ev.Client]
-		if !ok {
-			client, err = cache.NewLRU(cfg.FilterCapacity)
-			if err != nil {
-				return MultiServerResult{}, fmt.Errorf("server sim: client filter: %w", err)
+		if int(ev.Client) >= len(clients) {
+			clients = append(clients, make([]*client, int(ev.Client)+1-len(clients))...)
+		}
+		if clients[ev.Client] == nil {
+			clients[ev.Client] = new(client)
+			if err := r.join(clients[ev.Client]); err != nil {
+				return MultiServerResult{}, err
 			}
-			filters[ev.Client] = client
 		}
-		if cfg.Piggyback {
-			srv.LearnFrom(uint64(ev.Client), ev.File)
-		}
-		if client.Access(ev.File) {
-			continue
-		}
-		res.ClientMisses++
-		if !cfg.Piggyback {
-			srv.LearnFrom(uint64(ev.Client), ev.File)
-		}
-		if srv.Serve(ev.File) {
-			res.ServerHits++
-		}
+		r.open(clients[ev.Client], uint64(ev.Client), ev.File)
 	}
-	res.Clients = len(filters)
+	return MultiServerResult{ServerResult: r.result(), Clients: r.clients}, nil
+}
+
+// replay is one two-level run: its clients' caches in front of one
+// server. A client's miss is a request that carries its history and ends
+// with the demanded file; the server learns it, with the client as the
+// source, when it arrives, as a network server does, and behind
+// ClientGroup the client installs the reply.
+type replay struct {
+	srv     server
+	res     ServerResult
+	clients int
+}
+
+// client is a client's cache — an LRU behind ClientLRU, a GroupLRU behind
+// ClientGroup — and, with Piggyback, the opens it served since its miss.
+type client struct {
+	lru     *cache.LRU
+	group   *cache.GroupLRU
+	history []trace.FileID
+}
+
+// join gives client c its cache.
+func (r *replay) join(c *client) (err error) {
+	if r.srv.replies {
+		c.group, err = cache.NewGroupLRU(r.srv.cfg.FilterCapacity)
+	} else {
+		c.lru, err = cache.NewLRU(r.srv.cfg.FilterCapacity)
+	}
+	if err != nil {
+		return fmt.Errorf("server sim: client filter: %w", err)
+	}
+	r.clients++
+	return nil
+}
+
+// open replays one open by client c, the server's source src.
+func (r *replay) open(c *client, src uint64, id trace.FileID) {
+	r.res.Opens++
+	hit := c.lru != nil && c.lru.Access(id)
+	if c.group != nil {
+		hit, _ = c.group.Demand(id)
+	}
+	if hit {
+		if r.srv.cfg.Piggyback {
+			c.history = append(c.history, id)
+		}
+		return
+	}
+	r.res.ClientMisses++
+	var reply []trace.FileID
+	if len(c.history) == 0 {
+		one := [1]trace.FileID{id} // on the stack: a bare request costs no buffer
+		reply, hit = r.srv.serve(src, one[:])
+	} else {
+		seq := append(c.history, id)
+		c.history = seq[:0]
+		reply, hit = r.srv.serve(src, seq)
+	}
+	if hit {
+		r.res.ServerHits++
+	}
+	if c.group != nil {
+		c.group.Install(reply, false)
+	}
+}
+
+func (r *replay) result() ServerResult {
+	res := r.res
+	res.Config = r.srv.cfg
 	if res.ClientMisses > 0 {
 		res.HitRate = float64(res.ServerHits) / float64(res.ClientMisses)
 	}
-	return res, nil
+	if r.srv.replies {
+		res.Loads = res.ClientMisses - res.ServerHits // a plain cache loads what it missed
+		if r.srv.agg != nil {
+			res.Loads = r.srv.agg.Stats().Loads
+		}
+	}
+	return res
 }
 
-// lruFilter rejects what cannot run behind ClientLRU.
-func (cfg ServerConfig) lruFilter() error {
+// server is a scheme's server cache: a plain LRU or LFU cache, or an
+// aggregating one. Behind ClientGroup (replies) it answers each request
+// with the demanded file's group, GroupSize deep — a plain cache builds
+// it with a tracker and builder of the aggregating cache's rules, so only
+// the server cache differs between the schemes — and every scheme cuts
+// weak links at core.LinkShare, as the network server does.
+type server struct {
+	cfg     ServerConfig
+	replies bool
+	plain   cache.Cache
+	tracker *successor.Tracker
+	builder *group.Builder
+	agg     *core.AggregatingCache
+	reply   []trace.FileID
+}
+
+func (s *server) init(cfg ServerConfig) (err error) {
+	if cfg.GroupSize == 0 {
+		cfg.GroupSize = 5
+	}
+	s.cfg, s.replies = cfg, cfg.Filter == ClientGroup
+	var share float64
+	if s.replies {
+		share = core.LinkShare
+	}
 	switch {
-	case cfg.Filter != "" && cfg.Filter != ClientLRU:
-		return fmt.Errorf("server sim: unknown filter %q", cfg.Filter)
-	case cfg.Scheme == SchemeDeep || cfg.Scheme == SchemeStaged:
-		return fmt.Errorf("server sim: scheme %q runs behind the %q filter only", cfg.Scheme, ClientGroup)
+	case cfg.Filter != "" && cfg.Filter != ClientLRU && !s.replies:
+		err = fmt.Errorf("unknown filter %q", cfg.Filter)
+	case cfg.Scheme == SchemeLRU || cfg.Scheme == SchemeLFU:
+		s.plain, err = cache.New(cache.Policy(cfg.Scheme), cfg.ServerCapacity)
+		if err == nil && s.replies {
+			if s.tracker, err = successor.NewTracker(successor.PolicyLRU, 3); err == nil {
+				s.builder, err = group.NewCutBuilder(s.tracker, cfg.GroupSize, group.StrategyChain, share)
+			}
+		}
+	case cfg.Scheme == SchemeAggregating || cfg.Scheme == SchemeDeep || cfg.Scheme == SchemeStaged:
+		depth := cfg.GroupSize
+		if cfg.Scheme == SchemeDeep {
+			depth *= core.StageDepth
+		}
+		s.agg, err = core.New(core.Config{Capacity: cfg.ServerCapacity, GroupSize: depth, LinkShare: share})
+	default:
+		err = fmt.Errorf("unknown scheme %q", cfg.Scheme)
+	}
+	if err != nil {
+		return fmt.Errorf("server sim: %w", err)
 	}
 	return nil
 }
 
-// hierarchy is what runGroupFilter counts.
-type hierarchy struct {
-	opens, misses, hits, loads uint64
-	clients                    int
-}
-
-func (h hierarchy) hitRate() float64 {
-	if h.misses == 0 {
-		return 0
+// serve answers one request from source src — seq is its history, ending
+// with the demanded file — with the reply, nil unless replies, and
+// whether the server cache hit.
+func (s *server) serve(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
+	id := seq[len(seq)-1]
+	switch {
+	case s.plain != nil:
+		if s.replies {
+			s.tracker.ObserveFrom(src, seq...)
+			s.reply = s.builder.AppendBuild(s.reply[:0], id)
+		}
+		return s.reply, s.plain.Access(id)
+	case s.cfg.Scheme == SchemeStaged:
+		var hit, owed bool
+		s.reply, hit, owed = s.agg.ServeFrom(s.reply[:0], src, seq)
+		s.agg.Stage(src, seq, s.reply, hit, owed)
+		return s.reply, hit
 	}
-	return float64(h.hits) / float64(h.misses)
-}
-
-// groupClient is one client behind ClientGroup: its cache and, with Piggyback,
-// the opens it has made since its last request to the server.
-type groupClient struct {
-	lru     *cache.GroupLRU
-	history []trace.FileID
-}
-
-// runGroupFilter is the service's shape: replay calls open for every open,
-// in trace order, with the client that made it; each client's GroupLRU
-// serves what it holds and installs the server's reply to each of its
-// misses. The server learns each request's history and demanded file
-// with the client as the source, when the request arrives, as a network
-// server does; without Piggyback the history is empty. A grouping scheme
-// replies with the group its metadata builds (its first GroupSize members
-// for SchemeDeep and SchemeStaged); an LRU server replies with the
-// group a tracker and builder of the same rules build from what it has
-// learned, so only the server cache differs between the schemes.
-func runGroupFilter(cfg ServerConfig, replay func(open func(client uint16, id trace.FileID))) (hierarchy, error) {
-	var h hierarchy
-	serve, agg, err := groupServer(cfg)
-	if err != nil {
-		return h, err
-	}
-	clients := make(map[uint16]*groupClient)
-	var seq []trace.FileID
-	replay(func(client uint16, id trace.FileID) {
-		if err != nil {
-			return
-		}
-		h.opens++
-		c, ok := clients[client]
-		if !ok {
-			lru, nerr := cache.NewGroupLRU(cfg.FilterCapacity)
-			if nerr != nil {
-				err = fmt.Errorf("server sim: client filter: %w", nerr)
-				return
-			}
-			c = &groupClient{lru: lru}
-			clients[client] = c
-		}
-		if hit, _ := c.lru.Demand(id); hit {
-			if cfg.Piggyback {
-				c.history = append(c.history, id)
-			}
-			return
-		}
-		h.misses++
-		seq = append(append(seq[:0], c.history...), id)
-		c.history = c.history[:0]
-		reply, hit := serve(uint64(client), seq)
-		if hit {
-			h.hits++
-		}
-		c.lru.Install(reply, false)
-	})
-	h.clients = len(clients)
-	if agg != nil {
-		h.loads = agg.Stats().Loads
-	} else {
-		h.loads = h.misses - h.hits // an LRU server loads what it missed
-	}
-	return h, err
-}
-
-// groupServer builds cfg's server behind ClientGroup: serve answers one
-// request — seq is its history, ending with the demanded file — with the
-// reply a client installs and whether the server cache hit. agg is the
-// server cache of a grouping scheme, nil for LRU.
-func groupServer(cfg ServerConfig) (serve func(src uint64, seq []trace.FileID) ([]trace.FileID, bool), agg *core.AggregatingCache, err error) {
-	g := cfg.GroupSize
+	s.agg.LearnFrom(src, seq...)
 	var reply []trace.FileID
-	switch cfg.Scheme {
-	case SchemeLRU:
-		srv, err := cache.NewLRU(cfg.ServerCapacity)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server sim: %w", err)
-		}
-		tracker, err := successor.NewTracker(successor.PolicyLRU, 3)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server sim: %w", err)
-		}
-		b, err := group.NewCutBuilder(tracker, g, group.StrategyChain, core.LinkShare)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server sim: %w", err)
-		}
-		return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
-			tracker.ObserveFrom(src, seq...)
-			reply = b.AppendBuild(reply[:0], seq[len(seq)-1])
-			return reply, srv.Access(seq[len(seq)-1])
-		}, nil, nil
-	case SchemeAggregating, SchemeDeep, SchemeStaged:
-		depth := g
-		if cfg.Scheme == SchemeDeep {
-			depth = core.StageDepth * g
-		}
-		srv, err := core.New(core.Config{Capacity: cfg.ServerCapacity, GroupSize: depth, LinkShare: core.LinkShare})
-		if err != nil {
-			return nil, nil, fmt.Errorf("server sim: %w", err)
-		}
-		if cfg.Scheme == SchemeStaged {
-			return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
-				var hit, owed bool
-				reply, hit, owed = srv.ServeFrom(reply[:0], src, seq)
-				srv.Stage(src, seq, reply, hit, owed)
-				return reply, hit
-			}, srv, nil
-		}
-		return func(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
-			id := seq[len(seq)-1]
-			srv.LearnFrom(src, seq...)
-			built := srv.BuildGroup(id)
-			return built[:min(len(built), g)], srv.Serve(id)
-		}, srv, nil
+	if s.replies {
+		built := s.agg.BuildGroup(id)
+		reply = built[:min(len(built), s.cfg.GroupSize)]
 	}
-	return nil, nil, fmt.Errorf("server sim: scheme %q does not run behind the %q filter", cfg.Scheme, ClientGroup)
+	return reply, s.agg.Serve(id)
 }

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -332,9 +333,6 @@ func TestRunServerMulti(t *testing.T) {
 }
 
 func TestRunServerMultiValidation(t *testing.T) {
-	if _, err := RunServerMulti(nil, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: SchemeLRU}); err == nil {
-		t.Error("non-aggregating scheme accepted")
-	}
 	if _, err := RunServerMulti([]trace.Event{{Op: trace.OpOpen}}, ServerConfig{FilterCapacity: 0, ServerCapacity: 10, Scheme: SchemeAggregating}); err == nil {
 		t.Error("zero filter capacity accepted")
 	}
@@ -366,8 +364,7 @@ func TestGroupFilterOnlyServerCacheDiffers(t *testing.T) {
 			} else {
 				var r ServerResult
 				r, err = RunServer(tr.OpenIDs(), cfg)
-				results[scheme] = MultiServerResult{Config: r.Config, Clients: 1, ClientMisses: r.ClientMisses,
-					ServerHits: r.ServerHits, HitRate: r.HitRate, Opens: r.Opens, Loads: r.Loads}
+				results[scheme] = MultiServerResult{ServerResult: r, Clients: 1}
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -396,14 +393,6 @@ func TestGroupFilterOnlyServerCacheDiffers(t *testing.T) {
 
 func TestGroupFilterValidation(t *testing.T) {
 	ids := []trace.FileID{1, 2, 3}
-	for _, scheme := range []Scheme{SchemeDeep, SchemeStaged} {
-		if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: scheme}); err == nil {
-			t.Errorf("%s accepted behind an LRU filter", scheme)
-		}
-		if _, err := RunServerMulti(nil, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: scheme}); err == nil {
-			t.Errorf("%s accepted behind an LRU filter (multi)", scheme)
-		}
-	}
 	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: SchemeLRU, Filter: "nope"}); err == nil {
 		t.Error("unknown filter accepted")
 	}
@@ -413,7 +402,45 @@ func TestGroupFilterValidation(t *testing.T) {
 	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: "nope", Filter: ClientGroup}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
-	if _, err := RunServer(ids, ServerConfig{FilterCapacity: 10, ServerCapacity: 10, Scheme: SchemeLFU, Filter: ClientGroup}); err == nil {
-		t.Error("LFU accepted behind the group filter")
+}
+
+// TestRunServerIsOneClientOfMulti: RunServer is RunServerMulti's replay of
+// one client, so for every scheme, filter and Piggyback the two agree
+// field for field over the same opens — here those of client 7, whose
+// server context is not the one-stream source 0 RunServer learns on —
+// and every scheme runs behind either filter.
+func TestRunServerIsOneClientOfMulti(t *testing.T) {
+	tr, err := workload.Standard(workload.ProfileWorkstation, 1, 6000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := slices.Clone(tr.Events)
+	for i := range events {
+		events[i].Client = 7
+	}
+	ids := tr.OpenIDs()
+	for _, scheme := range []Scheme{SchemeLRU, SchemeLFU, SchemeAggregating, SchemeDeep, SchemeStaged} {
+		for _, filter := range []Filter{"", ClientLRU, ClientGroup} {
+			for _, piggyback := range []bool{false, true} {
+				cfg := ServerConfig{FilterCapacity: 64, ServerCapacity: 200, Scheme: scheme, Piggyback: piggyback, Filter: filter}
+				one, err := RunServer(ids, cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				multi, err := RunServerMulti(events, cfg)
+				if err != nil {
+					t.Fatalf("%+v: multi: %v", cfg, err)
+				}
+				if want := (MultiServerResult{ServerResult: one, Clients: 1}); multi != want {
+					t.Errorf("RunServerMulti = %+v, RunServer = %+v", multi, want)
+				}
+				if one.Opens != uint64(len(ids)) || one.ClientMisses == 0 || one.ServerHits == 0 {
+					t.Errorf("%+v: degenerate run %+v", cfg, one)
+				}
+				if (one.Loads != 0) != (filter == ClientGroup) {
+					t.Errorf("%+v: Loads %d, want them counted behind ClientGroup only", cfg, one.Loads)
+				}
+			}
+		}
 	}
 }

@@ -51,43 +51,32 @@ func EvaluateReplacement(seq []trace.FileID, policy Policy, capacity int) (Repla
 
 // EvaluateReplacementEvents replays open events, attributing each
 // transition to the issuing client when perClient is true (so transitions
-// never span clients), or treating the merged stream as one sequence when
-// false. The successor lists are shared either way; only the predecessor
-// context differs. This quantifies the §2.2 modeling question about
-// differentiating events by driving client.
+// never span clients), or treating the merged stream as one sequence,
+// source 0, when false. The successor lists are shared either way; only
+// the predecessor context, which the tracker keeps, differs. This
+// quantifies the §2.2 modeling question about differentiating events by
+// driving client.
 func EvaluateReplacementEvents(events []trace.Event, policy Policy, capacity int, perClient bool) (ReplacementEval, error) {
 	tr, err := NewTracker(policy, capacity)
 	if err != nil {
 		return ReplacementEval{}, err
 	}
 	var ev ReplacementEval
-	prevBySrc := make(map[uint64]trace.FileID)
-	var prev trace.FileID
-	var hasPrev bool
 	for _, e := range events {
 		if e.Op != trace.OpOpen {
 			continue
 		}
-		var p trace.FileID
-		var ok bool
+		var src uint64
 		if perClient {
-			p, ok = prevBySrc[uint64(e.Client)]
-		} else {
-			p, ok = prev, hasPrev
+			src = uint64(e.Client)
 		}
-		if ok {
+		if p, ok := tr.Last(src); ok {
 			ev.Transitions++
 			if l := tr.List(p); l == nil || !l.Contains(e.File) {
 				ev.Missed++
 			}
 		}
-		if perClient {
-			tr.ObserveFrom(uint64(e.Client), e.File)
-			prevBySrc[uint64(e.Client)] = e.File
-		} else {
-			tr.Observe(e.File)
-			prev, hasPrev = e.File, true
-		}
+		tr.ObserveFrom(src, e.File)
 	}
 	return ev, nil
 }

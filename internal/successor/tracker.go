@@ -26,16 +26,18 @@ type Tracker struct {
 	// arena the chunks their entries are carved from: first sight of a
 	// file costs no heap object of its own. A List never moves, so the
 	// pointers in lists (and the ones List hands out) stay valid.
-	slab     []List
-	arena    entryArena
+	slab  []List
+	arena entryArena
+	// prev and hasPrev are source 0's predecessor context: the stream
+	// Observe records.
 	prev     trace.FileID
 	hasPrev  bool
 	observed uint64
-	// prevBySrc holds per-source predecessor contexts for ObserveFrom:
-	// the paper's §2.2 asks whether events should be differentiated "based
-	// on the identity of the driving client, program, user, or process" -
-	// interleaved sources otherwise manufacture transitions that never
-	// happened on any machine.
+	// prevBySrc holds every other source's predecessor context for
+	// ObserveFrom: the paper's §2.2 asks whether events should be
+	// differentiated "based on the identity of the driving client,
+	// program, user, or process" - interleaved sources otherwise
+	// manufacture transitions that never happened on any machine.
 	prevBySrc map[uint64]trace.FileID
 }
 
@@ -65,7 +67,8 @@ func NewDecayTracker(capacity int, lambda float64) (*Tracker, error) {
 
 // Observe records the next file access in the sequence: it increments the
 // file's access count and registers it as the immediate successor of the
-// previously observed file.
+// previously observed file. The sequence is source 0's: Observe(id) is
+// ObserveFrom(0, id).
 func (t *Tracker) Observe(id trace.FileID) {
 	t.observed++
 	t.bumpCount(id)
@@ -91,15 +94,13 @@ func (t *Tracker) bumpCount(id trace.FileID) {
 // remain shared. Use this when one tracker ingests interleaved streams,
 // e.g. a server learning from several clients at once. A run of accesses
 // is one call — a request's whole piggybacked history — so the source's
-// context is read and written once, not once per access.
+// context is read and written once, not once per access. Source 0 is
+// the stream Observe records, and keeps its context without a map.
 func (t *Tracker) ObserveFrom(src uint64, ids ...trace.FileID) {
 	if len(ids) == 0 {
 		return
 	}
-	if t.prevBySrc == nil {
-		t.prevBySrc = make(map[uint64]trace.FileID)
-	}
-	prev, ok := t.prevBySrc[src]
+	prev, ok := t.Last(src)
 	for _, id := range ids {
 		t.observed++
 		t.bumpCount(id)
@@ -108,12 +109,22 @@ func (t *Tracker) ObserveFrom(src uint64, ids ...trace.FileID) {
 		}
 		prev, ok = id, true
 	}
-	t.prevBySrc[src] = prev
+	switch {
+	case src == 0:
+		t.prev, t.hasPrev = prev, true
+	case t.prevBySrc == nil:
+		t.prevBySrc = map[uint64]trace.FileID{src: prev}
+	default:
+		t.prevBySrc[src] = prev
+	}
 }
 
 // Last returns the source's last observed access: the predecessor of the
 // next access ObserveFrom records for it.
 func (t *Tracker) Last(src uint64) (trace.FileID, bool) {
+	if src == 0 {
+		return t.prev, t.hasPrev
+	}
 	id, ok := t.prevBySrc[src]
 	return id, ok
 }
@@ -121,6 +132,9 @@ func (t *Tracker) Last(src uint64) (trace.FileID, bool) {
 // ForgetSource drops a source's predecessor context (e.g. when its
 // connection closes); its contributions to the shared lists remain.
 func (t *Tracker) ForgetSource(src uint64) {
+	if src == 0 {
+		t.hasPrev = false
+	}
 	delete(t.prevBySrc, src)
 }
 

@@ -535,3 +535,36 @@ func TestAllocBudgetObserveFirstSight(t *testing.T) {
 		}
 	}
 }
+
+// TestObserveIsSourceZero: Observe records source 0's stream, so
+// ObserveFrom(0, …), Last(0) and ForgetSource(0) act on the context
+// Observe keeps, and every other source's context stays apart from it.
+func TestObserveIsSourceZero(t *testing.T) {
+	tr, err := NewTracker(PolicyLRU, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := tr.Last(0); ok {
+		t.Error("Last(0) set before any access")
+	}
+	tr.Observe(1)
+	tr.ObserveFrom(5, 9)
+	tr.ObserveFrom(0, 2)
+	if f, ok := tr.First(1); !ok || f != 2 {
+		t.Errorf("First(1) = %d,%v; want 2 learned across Observe and ObserveFrom(0)", f, ok)
+	}
+	if l := tr.List(9); l != nil {
+		t.Error("source 5's access gained a successor from source 0")
+	}
+	if last, ok := tr.Last(0); !ok || last != 2 {
+		t.Errorf("Last(0) = %d,%v; want 2", last, ok)
+	}
+	tr.ForgetSource(0)
+	tr.Observe(3)
+	if l := tr.List(2); l != nil && l.Contains(3) {
+		t.Error("transition recorded across ForgetSource(0)")
+	}
+	if last, ok := tr.Last(5); !ok || last != 9 {
+		t.Errorf("Last(5) = %d,%v; want 9", last, ok)
+	}
+}
