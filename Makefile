@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build ignore-guard lint-dead fmt-check vet test race mux-race bench bench-e2e fleet-smoke experiments examples fuzz clean
+.PHONY: all build ignore-guard lint-dead fmt-check vet test race mux-race stage-race bench bench-e2e fleet-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -121,7 +121,9 @@ ignore-guard:
 # export walk, report fields or counters. So are the simulator's other
 # two-level loops: RunServer is RunServerMulti's replay of one client, and
 # every scheme runs behind either client cache, so no runGroupFilter and
-# its groupServer closures, no lruFilter check and no groupClient.
+# its groupServer closures, no lruFilter check and no groupClient. So is
+# core's BuildGroup, which allocated a group per call: a caller builds
+# into a buffer it keeps (AppendGroup).
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -157,6 +159,7 @@ lint-dead:
 	@! grep -rn 'evictVictim' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'msgHandoff|handoffRequest|HandoffGroup|ExportGroups|GroupSource|GroupsSent|drainSent|handoff_groups|drain_groups' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'runGroupFilter|groupServer|lruFilter|groupClient' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn 'BuildGroup(' --include='*.go' --exclude='*_test.go' .
 
 # Fail if any tracked Go file, benchmark/ included, is not gofmt-clean.
 fmt-check:
@@ -189,6 +192,13 @@ race:
 # vouch for it are in flight, so validation stays near lock step.
 mux-race:
 	$(GO) test -race -count 10 -run '^(TestPipelinedValidationStaysNearLockStep|TestPipelinedVerbsDecodeTheirOwnReplies|TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup|TestPipelinedOpensLearnInRequestOrder|TestClosedConnectionLearnsOwedHistory|TestConcurrentClientStatsSnapshot|TestCallsSurviveCollection)$$' ./internal/fsnet
+
+# Staging on a ring, ten times over under the race detector: a server
+# rebuilds its ownership table under aggMu while opens run on two
+# connections and its view moves, and the ring replay's counts, pinned,
+# hold only while each node's stagings follow its read loop's order.
+stage-race:
+	$(GO) test -race -count 10 -run '^(TestStagingOwnershipFollowsView|TestSoloViewStagesAsNoView|TestRingReplayStagesOwnedFiles)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -219,9 +219,9 @@ func TestFacadePersistence(t *testing.T) {
 	if err := c2.LoadMetadata(&buf, math.MaxInt); err != nil {
 		t.Fatal(err)
 	}
-	g := c2.BuildGroup(1)
+	g := c2.AppendGroup(nil, 1)
 	if len(g) != 3 || g[1] != 2 {
-		t.Errorf("restored BuildGroup = %v", g)
+		t.Errorf("restored AppendGroup = %v", g)
 	}
 }
 

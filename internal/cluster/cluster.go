@@ -135,8 +135,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, errors.New("cluster: Self must be set")
 	}
-	r := ring.New(0)
-	r.Add(cfg.Peers...)
+	r := ring.Of(cfg.Peers...)
 	if !r.Has(cfg.Self) {
 		return nil, fmt.Errorf("cluster: Self %q not in Peers %v", cfg.Self, cfg.Peers)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strconv"
 
+	"aggcache/internal/fsnet"
 	"aggcache/internal/obs"
 )
 
@@ -19,9 +20,11 @@ type DrainReport struct {
 	// Epoch is the view the drain ran against.
 	Epoch uint64
 	// Goodbye accounting: the self-less view's epoch, and how many peers
-	// it was pushed to, failed to reach, or was skipped for (breaker
-	// open, or no longer in the view). Survivors that miss the goodbye still converge by gossip
-	// from the peers that got it.
+	// it was pushed to, failed at (the push reached the peer and then
+	// failed), or was skipped for (breaker open, no longer in the view, or
+	// no connection could be made — a peer that has already exited, as
+	// when a whole fleet stops at once). Survivors that miss the goodbye
+	// still converge by gossip from the peers that got it.
 	GoodbyeEpoch   uint64
 	GoodbyePushed  int
 	GoodbyeFailed  int
@@ -66,7 +69,7 @@ func (n *Node) Drain() (DrainReport, error) {
 	for _, target := range goodbye {
 		_, err := n.ViewPushTo(target, rep.GoodbyeEpoch, goodbye)
 		switch {
-		case errors.Is(err, ErrPeerDown), errors.Is(err, ErrNotMember):
+		case errors.Is(err, ErrPeerDown), errors.Is(err, ErrNotMember), errors.Is(err, fsnet.ErrUnreachable):
 			rep.GoodbyeSkipped++
 		case err != nil:
 			rep.GoodbyeFailed++

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
+	"aggcache/internal/fsnet"
 	"aggcache/internal/gossip"
 	"aggcache/internal/obs"
 )
@@ -159,6 +161,32 @@ func TestDrainGoodbyeConvergesSurvivors(t *testing.T) {
 	if tc.nodes[2].Epoch() != 1 || !tc.nodes[2].Draining() {
 		t.Errorf("drainer epoch %d draining %v, want own view intact and draining",
 			tc.nodes[2].Epoch(), tc.nodes[2].Draining())
+	}
+}
+
+// TestDrainSkipsPeerThatRefusesConnection: when a whole fleet stops, the
+// last node's goodbye goes to peers that have already exited. A push
+// whose connection could not be made never reached the peer, so it is
+// skipped, not failed.
+func TestDrainSkipsPeerThatRefusesConnection(t *testing.T) {
+	tc := startCluster(t, 2, func(i int, cfg *Config, _ *fsnet.ServerConfig) {
+		cfg.Dialer = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	})
+	// An exchange first: the peer has served (its listener is open) and
+	// the drainer holds a connection to it, as gossip leaves one.
+	if _, _, err := tc.nodes[0].ViewPullFrom(tc.addrs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.servers[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := tc.nodes[0].Drain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GoodbyeSkipped != 1 || rep.GoodbyeFailed != 0 || rep.GoodbyePushed != 0 {
+		t.Errorf("goodbye pushed/failed/skipped = %d/%d/%d, want 0/0/1",
+			rep.GoodbyePushed, rep.GoodbyeFailed, rep.GoodbyeSkipped)
 	}
 }
 

@@ -99,8 +99,7 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 		n.staleUpdates.Add(1)
 		return fmt.Errorf("%w: epoch %d < installed %d", ErrStaleView, epoch, cur.epoch)
 	}
-	r := ring.New(0)
-	r.Add(peers...)
+	r := ring.Of(peers...)
 	if r.Len() == 0 {
 		return errors.New("cluster: membership view has no members")
 	}

@@ -319,6 +319,17 @@ func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace
 	return dst, hit, owed
 }
 
+// Owner is what a cache on one node of a ring knows of the ring: the
+// files it owns, which are the only ones requests routed by the ring can
+// demand of it, and how many members share the files.
+type Owner interface {
+	// Owns reports whether this node owns id.
+	Owns(id trace.FileID) bool
+	// Members is the number of members the files are spread over; Stage
+	// counts fewer than one as one.
+	Members() int
+}
+
 // Stage finishes a request ServeFrom answered, with the seq, reply, hit
 // and owed of that call: it learns seq if ServeFrom left it owed, extends
 // the reply to the demanded file's group StageDepth deep and stages the
@@ -333,12 +344,40 @@ func (c *AggregatingCache) ServeFrom(dst []trace.FileID, src uint64, seq []trace
 // learning seq, counting the demand and staging the deep build would; a
 // server runs Stage after the reply is on the wire. reply is read-only
 // and not retained.
-func (c *AggregatingCache) Stage(src uint64, seq, reply []trace.FileID, hit, owed bool) {
+//
+// On a node of a ring, own filters what is staged: the demanded file and
+// only the members the node owns, since no request for another node's
+// file reaches it, on a probation list that keeps its meaning of
+// ProbationGroups staged groups — its bound divided by own.Members(),
+// rounded up (Probation; DESIGN.md §5). A nil own stages the whole build
+// under the whole bound.
+func (c *AggregatingCache) Stage(src uint64, seq, reply []trace.FileID, hit, owed bool, own Owner) {
 	if owed {
 		c.LearnFrom(src, seq...)
 	}
 	c.groupBuf = c.builder.ResumeN(append(c.groupBuf[:0], reply...), StageDepth*c.cfg.GroupSize)
-	c.count(c.groupBuf, c.lru.Stage(c.groupBuf, c.probation), hit)
+	if own != nil {
+		owned := c.groupBuf[:1]
+		for _, m := range c.groupBuf[1:] {
+			if own.Owns(m) {
+				owned = append(owned, m)
+			}
+		}
+		c.groupBuf = owned
+	}
+	c.count(c.groupBuf, c.lru.Stage(c.groupBuf, c.Probation(own)), hit)
+}
+
+// Probation returns the bound Stage keeps the probation list to:
+// ProbationGroups staged groups of StageDepth × GroupSize files, capped
+// at half the capacity — and, on a node that stages only the files it
+// owns, that node's share of them, ⌈bound / own.Members()⌉.
+func (c *AggregatingCache) Probation(own Owner) int {
+	if own == nil {
+		return c.probation
+	}
+	n := max(own.Members(), 1)
+	return (c.probation + n - 1) / n
 }
 
 // learningChanges reports whether learning src's accesses before the
@@ -425,10 +464,11 @@ func (c *AggregatingCache) Stats() Stats {
 // with Access.
 func (c *AggregatingCache) Tracker() *successor.Tracker { return c.tracker }
 
-// BuildGroup returns the group that a demand miss on id would fetch right
-// now, without touching cache state.
-func (c *AggregatingCache) BuildGroup(id trace.FileID) []trace.FileID {
-	return c.builder.Build(id)
+// AppendGroup appends to dst the group that a demand miss on id would
+// fetch right now, without touching cache state, and returns the
+// extended slice.
+func (c *AggregatingCache) AppendGroup(dst []trace.FileID, id trace.FileID) []trace.FileID {
+	return c.builder.AppendBuild(dst, id)
 }
 
 // SaveMetadata persists the successor metadata (the paper keeps the

@@ -226,12 +226,12 @@ func TestBuildGroupDoesNotTouchState(t *testing.T) {
 	agg.Access(2)
 	agg.Access(1)
 	before := agg.Stats()
-	g := agg.BuildGroup(1)
+	g := agg.AppendGroup(nil, 1)
 	if len(g) == 0 || g[0] != 1 {
-		t.Errorf("BuildGroup = %v", g)
+		t.Errorf("AppendGroup = %v", g)
 	}
 	if agg.Stats() != before {
-		t.Error("BuildGroup changed stats")
+		t.Error("AppendGroup changed stats")
 	}
 }
 
@@ -256,7 +256,7 @@ func stageFirst(t *testing.T, c *AggregatingCache, src uint64, seq []trace.FileI
 }
 
 // TestServeFromIsServeAndBuildGroup: on a stream with no piggybacked
-// history, ServeFrom answers with the group BuildGroup builds after
+// history, ServeFrom answers with the group AppendGroup builds after
 // learning — the paper's g-group — on hits and misses alike, and with
 // Stage after it leaves the cache and its Stats exactly as learning, then
 // staging the StageDepth-deep build on hit and miss (stageFirst), do.
@@ -269,18 +269,18 @@ func TestServeFromIsServeAndBuildGroup(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		id := trace.FileID(rng.Intn(30))
 		reply, wantHit := stageFirst(t, served, 1, []trace.FileID{id})
-		want := served.BuildGroup(id)
+		want := served.AppendGroup(nil, id)
 		if !slices.Equal(reply, want) {
-			t.Fatalf("access %d of %d: the deep build's prefix %v, BuildGroup %v", i, id, reply, want)
+			t.Fatalf("access %d of %d: the deep build's prefix %v, AppendGroup %v", i, id, reply, want)
 		}
 		var hit, owed bool
 		scratch, hit, owed = grouped.ServeFrom(scratch[:0], 1, []trace.FileID{id})
-		grouped.Stage(1, []trace.FileID{id}, scratch, hit, owed)
+		grouped.Stage(1, []trace.FileID{id}, scratch, hit, owed, nil)
 		if hit != wantHit {
 			t.Fatalf("access %d of %d: ServeFrom hit = %v, reference hit = %v", i, id, hit, wantHit)
 		}
 		if !slices.Equal(scratch, want) {
-			t.Fatalf("access %d of %d (hit %v): ServeFrom group = %v, BuildGroup = %v", i, id, hit, scratch, want)
+			t.Fatalf("access %d of %d (hit %v): ServeFrom group = %v, AppendGroup = %v", i, id, hit, scratch, want)
 		}
 		if grouped.Stats() != served.Stats() {
 			t.Fatalf("access %d of %d (hit %v): ServeFrom stats %+v, reference stats %+v", i, id, hit, grouped.Stats(), served.Stats())
@@ -317,7 +317,7 @@ func TestServeFromRestagesOnHit(t *testing.T) {
 	if st := c.Stats(); st.Misses != 1 || st.GroupFetches != 1 || st.FilesFetched != 0 || st.Loads != 0 || c.Contains(1) {
 		t.Fatalf("answered, not staged: %+v, 1 resident %v; want the fetch counted and nothing installed", st, c.Contains(1))
 	}
-	c.Stage(2, seq, reply, hit, owed)
+	c.Stage(2, seq, reply, hit, owed, nil)
 	st := c.Stats()
 	if st.GroupFetches != 1 || st.FilesFetched != 4 || st.Loads != 4 || !c.Contains(4) || c.Contains(5) {
 		t.Fatalf("after the miss: %+v, 4 resident %v, 5 resident %v; want the 4-deep group {1 2 3 4} staged", st, c.Contains(4), c.Contains(5))
@@ -327,7 +327,7 @@ func TestServeFromRestagesOnHit(t *testing.T) {
 	if !hit || !slices.Equal(reply, []trace.FileID{3, 4}) {
 		t.Fatalf("open of staged 3: reply %v hit %v, want [3 4] and a hit", reply, hit)
 	}
-	c.Stage(2, seq, reply, hit, owed)
+	c.Stage(2, seq, reply, hit, owed, nil)
 	st = c.Stats()
 	if !c.Contains(5) {
 		t.Error("the hit on 3 did not re-stage its continuation 5")
@@ -354,7 +354,7 @@ func TestStagedMembersWaitOnProbation(t *testing.T) {
 	stage := func(id trace.FileID) {
 		seq := []trace.FileID{id}
 		reply, hit, owed := c.ServeFrom(nil, 2, seq)
-		c.Stage(2, seq, reply, hit, owed)
+		c.Stage(2, seq, reply, hit, owed, nil)
 	}
 	for i := 0; i < 3; i++ {
 		c.LearnFrom(1, 10, 11, 12, 13)
@@ -381,6 +381,45 @@ func TestStagedMembersWaitOnProbation(t *testing.T) {
 	}
 	if got := c.Stats().PrefetchHits; got != 1 {
 		t.Errorf("PrefetchHits = %d after the hit on a probation member, want 1", got)
+	}
+}
+
+// oddOwner owns the odd file ids, on a ring of members nodes.
+type oddOwner struct{ members int }
+
+func (o oddOwner) Owns(id trace.FileID) bool { return id%2 == 1 }
+func (o oddOwner) Members() int              { return o.members }
+
+// TestStageKeepsOwnedMembers: on a node of a ring, Stage stages the
+// demanded file — owned or not — and only the members the node owns, on
+// a probation list of the node's share of the bound, rounded up; a
+// member count below one counts as one.
+func TestStageKeepsOwnedMembers(t *testing.T) {
+	c := mustNew(t, Config{Capacity: 40, GroupSize: 5})
+	for _, tc := range []struct {
+		own  Owner
+		want int
+	}{{nil, 20}, {oddOwner{1}, 20}, {oddOwner{2}, 10}, {oddOwner{3}, 7}, {oddOwner{0}, 20}} {
+		if got := c.Probation(tc.own); got != tc.want {
+			t.Errorf("Probation(%v) = %d, want %d", tc.own, got, tc.want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		c.LearnFrom(1, 100, 101, 102, 103, 104, 105, 106, 107, 108, 109)
+	}
+	seq := []trace.FileID{100}
+	reply, hit, owed := c.ServeFrom(nil, 2, seq)
+	if len(reply) != 5 {
+		t.Fatalf("reply %v, want the 5-deep group of 100", reply)
+	}
+	c.Stage(2, seq, reply, hit, owed, oddOwner{3})
+	for id := trace.FileID(100); id < 110; id++ {
+		if want := id == 100 || id%2 == 1; c.Contains(id) != want {
+			t.Errorf("resident(%d) = %v, want %v", id, c.Contains(id), want)
+		}
+	}
+	if st := c.Stats(); st.FilesFetched != 6 || st.Loads != 6 {
+		t.Errorf("FilesFetched %d, Loads %d; want the demanded file and five owned members, 6 and 6", st.FilesFetched, st.Loads)
 	}
 }
 
@@ -463,7 +502,7 @@ func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
 		}
 
 		// The cases, read off the metadata the group is built from.
-		before := sut.BuildGroup(d)
+		before := sut.AppendGroup(nil, d)
 		last, hasLast := sut.Tracker().Last(uint64(src))
 		if len(hist) == 0 {
 			cases[0]++
@@ -490,7 +529,7 @@ func diffServeFrom(t *testing.T, cfg Config, seed int64, files, sources int) {
 		if hit != wantHit || !slices.Equal(scratch, want) {
 			t.Fatalf("%s: ServeFrom = %v hit %v, learning first = %v hit %v", where, scratch, hit, want, wantHit)
 		}
-		sut.Stage(uint64(src), seq, scratch, hit, isOwed)
+		sut.Stage(uint64(src), seq, scratch, hit, isOwed, nil)
 		if sut.Stats() != ref.Stats() {
 			t.Fatalf("%s: stats %+v, learning first %+v", where, sut.Stats(), ref.Stats())
 		}

@@ -76,11 +76,11 @@ func TestAdaptiveDefaults(t *testing.T) {
 		c.Learn(id)
 		cut.Learn(id)
 	}
-	if g := c.BuildGroup(1); len(g) != 4 {
-		t.Errorf("default BuildGroup(1) = %v, want all four files", g)
+	if g := c.AppendGroup(nil, 1); len(g) != 4 {
+		t.Errorf("default AppendGroup(nil, 1) = %v, want all four files", g)
 	}
-	if g := cut.BuildGroup(1); len(g) != 1 {
-		t.Errorf("cut BuildGroup(1) = %v, want [1]", g)
+	if g := cut.AppendGroup(nil, 1); len(g) != 1 {
+		t.Errorf("cut AppendGroup(nil, 1) = %v, want [1]", g)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestLoadMetadataKeepsCut(t *testing.T) {
 	var before [][]trace.FileID
 	var short int
 	for id := trace.FileID(0); id < 300; id++ {
-		g := agg.BuildGroup(id)
+		g := agg.AppendGroup(nil, id)
 		if len(g) < cfg.GroupSize {
 			short++
 		}
@@ -226,8 +226,8 @@ func TestLoadMetadataKeepsCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, want := range before {
-		if got := restored.BuildGroup(trace.FileID(id)); !slices.Equal(got, want) {
-			t.Fatalf("BuildGroup(%d) after load = %v, before save %v", id, got, want)
+		if got := restored.AppendGroup(nil, trace.FileID(id)); !slices.Equal(got, want) {
+			t.Fatalf("AppendGroup(nil, %d) after load = %v, before save %v", id, got, want)
 		}
 	}
 }

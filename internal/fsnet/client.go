@@ -43,9 +43,11 @@ var errDesync = errors.New("desynchronized reply stream")
 // view; the open is routed again.
 var errMemberGone = fmt.Errorf("%w: member left the view", ErrConnBroken)
 
-// errMemberDown fails a call that waited behind a dial of the same member
-// that failed; the open is routed again rather than dial a second time.
-var errMemberDown = fmt.Errorf("%w: member unreachable", ErrConnBroken)
+// ErrUnreachable fails a call whose connection could not be made: its
+// dial failed, or it waited behind a dial of the same member that failed
+// (an open is then routed again rather than dial a second time). The
+// request never reached a server. It wraps ErrConnBroken.
+var ErrUnreachable = fmt.Errorf("%w: member unreachable", ErrConnBroken)
 
 // memberTimeout bounds the dial, the handshake and every round trip of a
 // connection to a ring member other than the seed when
@@ -876,8 +878,7 @@ func (c *Client) pullView(l *link) error {
 	if err != nil {
 		return err
 	}
-	next := ring.New(0)
-	next.Add(members...)
+	next := ring.Of(members...)
 	if next.Len() == 0 {
 		return nil
 	}
@@ -1149,7 +1150,7 @@ func (c *Client) transport(l *link) (*muxConn, error) {
 	if failed != fails {
 		// The dial this call waited behind failed: the caller routes
 		// elsewhere instead of waiting out a dial of its own.
-		return nil, errMemberDown
+		return nil, ErrUnreachable
 	}
 
 	// Take the connection NewClient wrapped if it is still waiting for its
@@ -1166,7 +1167,7 @@ func (c *Client) transport(l *link) (*muxConn, error) {
 		raw, err := l.dial()
 		if err != nil {
 			c.failDial(l)
-			return nil, fmt.Errorf("%w: dial: %v", ErrConnBroken, err)
+			return nil, fmt.Errorf("%w: dial: %v", ErrUnreachable, err)
 		}
 		cc = newClientConn(raw)
 		c.mu.Lock()

@@ -83,7 +83,7 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 						hist = append(hist, id)
 						var hit, owed bool
 						seq, hit, owed = simServer.ServeFrom(seq[:0], 1, hist)
-						simServer.Stage(1, hist, seq, hit, owed)
+						simServer.Stage(1, hist, seq, hit, owed, nil)
 						hist = hist[:0]
 					}
 					if liveHit != simHit {

@@ -167,6 +167,9 @@ type Server struct {
 	// network I/O.
 	aggMu sync.Mutex
 	agg   *core.AggregatingCache
+	// own, with Views, is which files this node owns: Stage keeps only
+	// those (ownership). Guarded by aggMu.
+	own *ownership
 
 	connMu   sync.Mutex
 	conns    map[net.Conn]struct{}
@@ -208,6 +211,9 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 		ids:    trace.NewSyncInterner(),
 		conns:  make(map[net.Conn]struct{}),
 		m:      newServerMetrics(cfg.Obs, cfg.SlowRequest),
+	}
+	if cfg.Views != nil {
+		s.own = &ownership{views: cfg.Views, ids: s.ids}
 	}
 	if cfg.Obs != nil {
 		cfg.Obs.GaugeFunc("fsnet_server_open_conns", "connections currently served", func() float64 {
@@ -538,12 +544,17 @@ func (s *Server) stageServed(sc *openScratch, src uint64) {
 
 // stage finishes the connection's last open, if it is not yet:
 // core.AggregatingCache.Stage learns what its history still owes the
-// metadata and stages its deep group. Called with aggMu held.
+// metadata and stages its deep group — on a node of a ring, the members
+// this node owns. Called with aggMu held.
 func (s *Server) stage(sc *openScratch, src uint64) {
 	if len(sc.served) == 0 {
 		return
 	}
-	s.agg.Stage(src, sc.served, sc.group, sc.hit, sc.owed)
+	var own core.Owner
+	if s.own != nil {
+		own = s.own.current()
+	}
+	s.agg.Stage(src, sc.served, sc.group, sc.hit, sc.owed, own)
 	sc.served = sc.served[:0]
 }
 

@@ -51,6 +51,15 @@ func New(replicas int) *Ring {
 	return &Ring{replicas: replicas, members: make(map[string]struct{})}
 }
 
+// Of returns the ring of a view's members with the default virtual-node
+// count: the one placement clients route by and nodes stage by, so the
+// two cannot disagree.
+func Of(members ...string) *Ring {
+	r := New(0)
+	r.Add(members...)
+	return r
+}
+
 // Add inserts members into the ring. Empty names and names already
 // present are ignored.
 func (r *Ring) Add(names ...string) {

@@ -333,14 +333,13 @@ func (s *server) serve(src uint64, seq []trace.FileID) ([]trace.FileID, bool) {
 	case s.cfg.Scheme == SchemeStaged:
 		var hit, owed bool
 		s.reply, hit, owed = s.agg.ServeFrom(s.reply[:0], src, seq)
-		s.agg.Stage(src, seq, s.reply, hit, owed)
+		s.agg.Stage(src, seq, s.reply, hit, owed, nil)
 		return s.reply, hit
 	}
 	s.agg.LearnFrom(src, seq...)
-	var reply []trace.FileID
 	if s.replies {
-		built := s.agg.BuildGroup(id)
-		reply = built[:min(len(built), s.cfg.GroupSize)]
+		s.reply = s.agg.AppendGroup(s.reply[:0], id)
+		s.reply = s.reply[:min(len(s.reply), s.cfg.GroupSize)]
 	}
-	return reply, s.agg.Serve(id)
+	return s.reply, s.agg.Serve(id)
 }

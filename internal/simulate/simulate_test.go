@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"aggcache/internal/alloctest"
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
 )
@@ -441,6 +442,34 @@ func TestRunServerIsOneClientOfMulti(t *testing.T) {
 					t.Errorf("%+v: Loads %d, want them counted behind ClientGroup only", cfg, one.Loads)
 				}
 			}
+		}
+	}
+}
+
+// TestAllocBudgetGroupReplies: behind ClientGroup every scheme answers a
+// client miss with a group, and the aggregating schemes build it into the
+// server's reused reply buffer as the LRU scheme does, so a whole cell
+// (server profile, 20 000 opens, client 32, Piggyback) allocates within a
+// constant of the LRU cell — set-up and the growth of tables and buffers,
+// none of it per request. Each g5 and deep reply allocated once: 5 806
+// and 5 807 allocations against the LRU cell's 131.
+func TestAllocBudgetGroupReplies(t *testing.T) {
+	tr, err := workload.Standard(workload.ProfileServer, 1, 20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := tr.OpenIDs()
+	cell := func(scheme Scheme) float64 {
+		return alloctest.Total(t, func() {
+			if _, err := RunServer(ids, ServerConfig{FilterCapacity: 32, ServerCapacity: 300, Scheme: scheme, Piggyback: true, Filter: ClientGroup}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lru := cell(SchemeLRU)
+	for _, scheme := range []Scheme{SchemeAggregating, SchemeDeep, SchemeStaged} {
+		if got := cell(scheme); got > lru+32 {
+			t.Errorf("%s cell: %.0f allocations, the LRU cell %.0f; want within 32", scheme, got, lru)
 		}
 	}
 }
