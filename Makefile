@@ -123,12 +123,15 @@ ignore-guard:
 # every scheme runs behind either client cache, so no runGroupFilter and
 # its groupServer closures, no lruFilter check and no groupClient. So is
 # core's BuildGroup, which allocated a group per call: a caller builds
-# into a buffer it keeps (AppendGroup).
+# into a buffer it keeps (AppendGroup). So is the per-connection staging,
+# stageServed and stage: a server keeps one unstaged open, and every aggMu
+# section finishes it first (lockAgg).
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'takeCallScrap|takeOrphanScrap|storeScrap|scrapCalls|TracedRouter|troute' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'singleflight' --include='*.go' --exclude='*_test.go' .
+	@! grep -rn 'stageServed(' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'FetchGroup\(|NoteAccess\(|Backlog\(\)|flights|cluster_peer_backlog|cluster_forwarded_opens|cluster_coalesced_forwards|shareForward' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'newShadow|\*shadow\b|sh\.note\(|shadow\.install|maxShadowCapacity|openUnvalidated|novalidate|ShadowResets|shadow_resets' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'func \(m \*muxConn\) writer|m\.wake|rw\.wake|drainAndStop|func \(rw \*replyWriter\) loop' --include='*.go' --exclude='*_test.go' .
@@ -193,12 +196,15 @@ race:
 mux-race:
 	$(GO) test -race -count 10 -run '^(TestPipelinedValidationStaysNearLockStep|TestPipelinedVerbsDecodeTheirOwnReplies|TestRequestsServedInRequestOrder|TestRepliesInstallInArrivalOrder|TestRepliesOutOfOrderPoison|TestMidStreamCutFailsOnlyThatCall|TestClientTimeoutFailsPipelinedCalls|TestClientTimeoutBoundsStalledRequest|TestClientWatchdogRearmsAfterIdle|TestChaosClientSideBlackholes|TestServerIdleTimeoutDropsSilentClients|TestClientStartsNoGoroutine|TestClientCloseMidGroup|TestReplyDroppedUnwrittenReleasesGroup|TestPipelinedOpensLearnInRequestOrder|TestClosedConnectionLearnsOwedHistory|TestConcurrentClientStatsSnapshot|TestCallsSurviveCollection)$$' ./internal/fsnet
 
-# Staging on a ring, ten times over under the race detector: a server
-# rebuilds its ownership table under aggMu while opens run on two
-# connections and its view moves, and the ring replay's counts, pinned,
-# hold only while each node's stagings follow its read loop's order.
+# Staging, ten times over under the race detector: a server rebuilds its
+# ownership table under aggMu while opens run on two connections and its
+# view moves; and the replays whose counts hold only while a server
+# finishes every answered open before it serves the next, on any
+# connection: the ring replay's pinned counts, two clients matching
+# simulate.RunServerMulti open by open, and two rings replaying one
+# two-client walk alike.
 stage-race:
-	$(GO) test -race -count 10 -run '^(TestStagingOwnershipFollowsView|TestSoloViewStagesAsNoView|TestRingReplayStagesOwnedFiles)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestStagingOwnershipFollowsView|TestSoloViewStagesAsNoView|TestRingReplayStagesOwnedFiles|TestTwoClientsMatchRunServerMulti|TestRingReplayTwoClientsIsReproducible)$$' ./internal/fsnet
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

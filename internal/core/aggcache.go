@@ -296,7 +296,9 @@ const LinkShare = 1.0 / 3
 // demanded file. ServeFrom counts the demand, appends the reply — the
 // demanded file's group, GroupSize deep — to dst and returns the extended
 // slice with the hit. It installs nothing: the caller must Stage the
-// request before it serves the source's next one.
+// request before it serves any next request, whatever its source — the
+// sequence of ServeFrom and Stage calls is then the sequential replay
+// the simulator runs.
 //
 // The group is built from the metadata as it stands, so the reply need
 // not wait for the learning. Learning seq adds successors to the lists of
@@ -338,9 +340,7 @@ type Owner interface {
 // (cache.GroupLRU.Stage). A build reads only its members' lists, and
 // learning seq changed none of the reply's, so the reply is the learned
 // deep build's prefix and the build resumes from it
-// (group.Builder.ResumeN); should another source's request have changed
-// a member's list in between, the staged group still starts with what
-// the client was sent. Together the two calls leave the cache as
+// (group.Builder.ResumeN). Together the two calls leave the cache as
 // learning seq, counting the demand and staging the deep build would; a
 // server runs Stage after the reply is on the wire. reply is read-only
 // and not retained.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -353,6 +354,35 @@ func TestServerCloseIdempotent(t *testing.T) {
 	defer l.Close()
 	if err := srv.Serve(l); err == nil {
 		t.Error("Serve after Close succeeded")
+	}
+}
+
+// TestServeAfterCloseRefusesDials: Serve on a closed server closes the
+// listener it was handed, so a dial is refused at once rather than parked
+// in the backlog, waiting out a handshake nobody will answer.
+func TestServeAfterCloseRefusesDials(t *testing.T) {
+	srv, err := NewServer(NewStore(), ServerConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(l); err == nil {
+		t.Fatal("Serve after Close returned nil, want an error")
+	}
+	conn, err := net.DialTimeout("tcp", l.Addr().String(), 2*time.Second)
+	if err == nil {
+		_ = conn.Close()
+		t.Fatal("a dial to the closed server's listener connected, want it refused")
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Errorf("dial: %v, want connection refused", err)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"aggcache/internal/cache"
 	"aggcache/internal/core"
+	"aggcache/internal/simulate"
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
 )
@@ -109,5 +111,121 @@ func TestLiveClientMatchesSimulator(t *testing.T) {
 	}
 	if !cut {
 		t.Error("every fetch carried a full group: the link cut never fired")
+	}
+}
+
+// alternatingWalk is a two-client walk over profile p: the opens of its
+// traces seeded 1 and 2, opens long each, taken in turn by client 0 and
+// client 1, over one path table.
+func alternatingWalk(t *testing.T, p workload.Profile, opens int) (*trace.Interner, []trace.Event) {
+	t.Helper()
+	paths := trace.NewInterner()
+	var streams [2][]trace.FileID
+	for c := range streams {
+		tr, err := workload.Standard(p, int64(c+1), opens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range tr.OpenIDs() {
+			streams[c] = append(streams[c], paths.Intern(tr.Paths.Path(id)))
+		}
+	}
+	var events []trace.Event
+	for i := 0; i < max(len(streams[0]), len(streams[1])); i++ {
+		for c, ids := range streams {
+			if i < len(ids) {
+				events = append(events, trace.Event{Op: trace.OpOpen, Client: uint16(c), File: ids[i]})
+			}
+		}
+	}
+	return paths, events
+}
+
+// TestTwoClientsMatchRunServerMulti is the model oracle with more than one
+// client: two Clients of cache 32 share one server (cache 300, g 5), and
+// one goroutine drives them alternately, each over its own trace (seeds 1
+// and 2 of one profile). The server finishes every answered open before
+// it serves the next, whatever the connection, so it is the sequential
+// two-level replay simulate.RunServerMulti runs (SchemeStaged behind
+// ClientGroup, Piggyback). Every open must agree on hit or miss with that
+// replay, stepped here open by open — each client a cache.GroupLRU that
+// installs its replies, the server a ServeFrom then a Stage with the
+// client as the source — and whose totals must be RunServerMulti's. So
+// must ServerStats.Cache's hits, misses and loads, read while the server
+// still serves: a snapshot includes every answered open's staging.
+func TestTwoClientsMatchRunServerMulti(t *testing.T) {
+	const (
+		opens       = 20000
+		clientCache = 32
+		serverCache = 300
+		g           = 5
+	)
+	for _, p := range []workload.Profile{workload.ProfileServer, workload.ProfileUsers} {
+		t.Run(string(p), func(t *testing.T) {
+			paths, events := alternatingWalk(t, p, opens)
+			store := NewStore()
+			for id := 0; id < paths.Len(); id++ {
+				if err := store.Put(paths.Path(trace.FileID(id)), []byte{byte(id)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			srv, addr := startServer(t, store, ServerConfig{GroupSize: g, CacheCapacity: serverCache})
+			simServer, err := core.New(core.Config{Capacity: serverCache, GroupSize: g, LinkShare: core.LinkShare})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var (
+				clients    [2]*Client
+				simClients [2]*cache.GroupLRU
+				history    [2][]trace.FileID
+				reply      []trace.FileID
+			)
+			for c := range clients {
+				if clients[c], err = Dial(addr, ClientConfig{CacheCapacity: clientCache}); err != nil {
+					t.Fatal(err)
+				}
+				defer clients[c].Close()
+				if simClients[c], err = cache.NewGroupLRU(clientCache); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, ev := range events {
+				c := ev.Client
+				before := clients[c].Stats().Hits
+				if _, err := clients[c].Open(paths.Path(ev.File)); err != nil {
+					t.Fatalf("open %d by client %d: %v", i, c, err)
+				}
+				liveHit := clients[c].Stats().Hits > before
+				simHit, _ := simClients[c].Demand(ev.File)
+				history[c] = append(history[c], ev.File)
+				if !simHit {
+					var hit, owed bool
+					reply, hit, owed = simServer.ServeFrom(reply[:0], uint64(c), history[c])
+					simServer.Stage(uint64(c), history[c], reply, hit, owed, nil)
+					simClients[c].Install(reply, false)
+					history[c] = history[c][:0]
+				}
+				if liveHit != simHit {
+					t.Fatalf("open %d by client %d (%s): live hit=%v, simulator hit=%v", i, c, paths.Path(ev.File), liveHit, simHit)
+				}
+			}
+			multi, err := simulate.RunServerMulti(events, simulate.ServerConfig{
+				FilterCapacity: clientCache, ServerCapacity: serverCache, GroupSize: g,
+				Scheme: simulate.SchemeStaged, Filter: simulate.ClientGroup, Piggyback: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped := simServer.Stats()
+			if stepped.Hits+stepped.Misses != multi.ClientMisses || stepped.Hits != multi.ServerHits || stepped.Loads != multi.Loads {
+				t.Fatalf("stepped replay %+v, RunServerMulti %+v", stepped, multi)
+			}
+			live := srv.Stats().Cache
+			t.Logf("%d requests, %d server hits, %d loads", live.Hits+live.Misses, live.Hits, live.Loads)
+			if live.Hits != multi.ServerHits || live.Misses != multi.ClientMisses-multi.ServerHits || live.Loads != multi.Loads {
+				t.Errorf("server cache %v; RunServerMulti %d hits of %d requests, %d loads",
+					live, multi.ServerHits, multi.ClientMisses, multi.Loads)
+			}
+		})
 	}
 }

@@ -67,27 +67,10 @@ func (o *rawOpener) open(path string, accessed ...string) error {
 	}
 }
 
-// settle returns once the server has staged every open sent so far: it
-// stages an open before it reads the connection's next request, so the
-// answer to a view pull sent after them follows their staging.
-func (o *rawOpener) settle(t testing.TB) {
-	t.Helper()
-	o.next++
-	o.rc.send(t, msgViewPull, o.next, appendViewMsg(nil, 0, ""))
-	for {
-		_, id, _, err := readFrameID(o.rc.r, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id == o.next {
-			return
-		}
-	}
-}
-
-// residents returns the paths among paths that srv's cache holds.
+// residents returns the paths among paths that srv's cache holds, once
+// it has staged every open it answered.
 func residents(srv *Server, paths []string) map[string]bool {
-	srv.aggMu.Lock()
+	srv.lockAgg()
 	defer srv.aggMu.Unlock()
 	held := make(map[string]bool)
 	for _, p := range paths {
@@ -135,7 +118,6 @@ func TestSoloViewStagesAsNoView(t *testing.T) {
 			}
 			prev = next
 		}
-		o.settle(t)
 	}
 	if got, want := solo.Stats().Cache, plain.Stats().Cache; got != want {
 		t.Errorf("one-member view: cache %+v, want a viewless server's %+v", got, want)
@@ -294,7 +276,6 @@ func TestStagingOwnershipFollowsView(t *testing.T) {
 		if err := o.open(anchor); err != nil {
 			t.Fatal(err)
 		}
-		o.settle(t)
 		held := residents(srv, run.chain)
 		for _, p := range run.chain {
 			if want := run.placed.Owner(p) == self; held[p] != want {

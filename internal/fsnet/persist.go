@@ -30,7 +30,7 @@ func (s *Server) SaveMetadata(w io.Writer) error {
 	// append-only, so snapshotting Len() up front yields a consistent
 	// prefix — and any ID the frozen agg metadata references was interned
 	// before its LearnFrom, hence before this lock, hence within Len().
-	s.aggMu.Lock()
+	s.lockAgg()
 	defer s.aggMu.Unlock()
 	n := s.ids.Len()
 
@@ -107,7 +107,7 @@ func (s *Server) LoadMetadata(r io.Reader) error {
 		}
 	}
 
-	s.aggMu.Lock()
+	s.lockAgg()
 	defer s.aggMu.Unlock()
 	// The successor metadata may name only files of the table just read:
 	// any other id is a successor of a path that does not exist.

@@ -17,16 +17,18 @@ import (
 // listeners got; the client dials a name through DialMember.
 var ringNames = []string{"node-a:1", "node-b:2", "node-c:3"}
 
-// ringFleet is a 3-node ring of servers and the one client that replays
-// a trace through it, over one connection per node: each node's stagings
-// are ordered by its own read loop, so a replay is deterministic.
+// ringFleet is a 3-node ring of servers, holding every path of a path
+// table, and the clients that replay opens through it, each over one
+// connection per node. A node finishes every open it answered before it
+// serves the next, whichever connection sends it, so a replay driven in
+// lock step is deterministic.
 type ringFleet struct {
-	client  *Client
+	clients []*Client
 	servers []*Server
 	owners  *ring.Ring
 }
 
-func newRingFleet(t *testing.T, tr *trace.Trace, clientCache, serverCache, g int) *ringFleet {
+func newRingFleet(t *testing.T, paths *trace.Interner, clients, clientCache, serverCache, g int) *ringFleet {
 	t.Helper()
 	f := &ringFleet{owners: ring.Of(ringNames...)}
 	addrs := make(map[string]string, len(ringNames))
@@ -37,8 +39,8 @@ func newRingFleet(t *testing.T, tr *trace.Trace, clientCache, serverCache, g int
 		}
 		addrs[name] = l.Addr().String()
 		store := NewStore()
-		for id := 0; id < tr.Paths.Len(); id++ {
-			p := tr.Paths.Path(trace.FileID(id))
+		for id := 0; id < paths.Len(); id++ {
+			p := paths.Path(trace.FileID(id))
 			if err := store.Put(p, traceContent(p, 0)); err != nil {
 				t.Fatal(err)
 			}
@@ -60,16 +62,18 @@ func newRingFleet(t *testing.T, tr *trace.Trace, clientCache, serverCache, g int
 		f.servers = append(f.servers, srv)
 	}
 	dial := func(name string) (net.Conn, error) { return net.Dial("tcp", addrs[name]) }
-	cl, err := Dial(addrs[ringNames[0]], ClientConfig{
-		CacheCapacity: clientCache,
-		Dialer:        func() (net.Conn, error) { return dial(ringNames[0]) },
-		DialMember:    dial,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for range clients {
+		cl, err := Dial(addrs[ringNames[0]], ClientConfig{
+			CacheCapacity: clientCache,
+			Dialer:        func() (net.Conn, error) { return dial(ringNames[0]) },
+			DialMember:    dial,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		f.clients = append(f.clients, cl)
 	}
-	t.Cleanup(func() { _ = cl.Close() })
-	f.client = cl
 	return f
 }
 
@@ -112,7 +116,8 @@ func TestRingReplayStagesOwnedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newRingFleet(t, tr, 64, 300, 5)
+	f := newRingFleet(t, tr.Paths, 1, 64, 300, 5)
+	cl := f.clients[0]
 	owner := make(map[string]int, tr.Paths.Len())
 	for id := 0; id < tr.Paths.Len(); id++ {
 		p := tr.Paths.Path(trace.FileID(id))
@@ -125,12 +130,12 @@ func TestRingReplayStagesOwnedFiles(t *testing.T) {
 	h := sha256.New()
 	for i, id := range tr.OpenIDs() {
 		path := tr.Paths.Path(id)
-		before := f.client.Stats().Hits
-		if _, err := f.client.Open(path); err != nil {
+		before := cl.Stats().Hits
+		if _, err := cl.Open(path); err != nil {
 			t.Fatalf("open %d (%s): %v", i, path, err)
 		}
 		hit := byte('m')
-		if f.client.Stats().Hits > before {
+		if cl.Stats().Hits > before {
 			hit = 'h'
 		}
 		h.Write([]byte{hit})
@@ -158,5 +163,44 @@ func TestRingReplayStagesOwnedFiles(t *testing.T) {
 			t.Errorf("node %d: %d server misses, want %d, fewer than the %d recorded before the rule",
 				n, misses[n], ringReplayMisses[n], ringReplayParentMisses[n])
 		}
+	}
+}
+
+// TestRingReplayTwoClientsIsReproducible: two clients replay the same
+// alternating walk (the users profile, seeds 1 and 2) through two fresh
+// 3-node rings, so every node serves a connection from each. A node
+// finishes each answered open before the next, whichever connection sends
+// it, so the two rings read the same: equal client hit/miss digests and
+// equal server misses on every node.
+func TestRingReplayTwoClientsIsReproducible(t *testing.T) {
+	paths, events := alternatingWalk(t, workload.ProfileUsers, 5000)
+	type result struct {
+		digest string
+		misses [3]uint64
+	}
+	var runs [2]result
+	for r := range runs {
+		f := newRingFleet(t, paths, 2, 64, 300, 5)
+		h := sha256.New()
+		for i, ev := range events {
+			cl := f.clients[ev.Client]
+			before := cl.Stats().Hits
+			if _, err := cl.Open(paths.Path(ev.File)); err != nil {
+				t.Fatalf("ring %d, open %d by client %d: %v", r, i, ev.Client, err)
+			}
+			hit := byte('m')
+			if cl.Stats().Hits > before {
+				hit = 'h'
+			}
+			h.Write([]byte{hit})
+		}
+		runs[r].digest = hex.EncodeToString(h.Sum(nil))
+		for n, srv := range f.servers {
+			runs[r].misses[n] = srv.Stats().Cache.Misses
+		}
+		t.Logf("ring %d: client digest %s, server misses per node %v", r, runs[r].digest, runs[r].misses)
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("two rings replaying one walk read %+v and %+v", runs[0], runs[1])
 	}
 }

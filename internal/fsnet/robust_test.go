@@ -354,11 +354,10 @@ func TestPiggybackRetainedAcrossFailedRoundTrip(t *testing.T) {
 	if _, err := client.Open("/data/f006"); err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
-	// A server learns a request's history after its reply is on the wire;
-	// Close waits for every connection's read loop, and with it for that.
-	_ = srv.Close()
+	// A server learns a request's history after its reply is on the wire,
+	// and before any other use of its cache (lockAgg).
 	observed := func() uint64 {
-		srv.aggMu.Lock()
+		srv.lockAgg()
 		defer srv.aggMu.Unlock()
 		return srv.agg.Tracker().Observed()
 	}()

@@ -147,7 +147,11 @@ type ServerStats struct {
 // sit under the short aggMu critical section — the one server-wide mutex
 // a locally served open takes: once to build its reply, and once more
 // after the reply is flushed, to learn the history it carried and stage
-// its deep group.
+// its deep group. At most one answered open, server-wide, waits for that
+// second step (unstaged), and every aggMu section finishes it first
+// (lockAgg), so the cache sees the opens of all connections in the order
+// it answered them: with any number of connections, the sequential model
+// of simulate.RunServerMulti.
 type Server struct {
 	cfg    ServerConfig
 	store  *Store
@@ -164,9 +168,13 @@ type Server struct {
 
 	// aggMu guards the aggregating cache: successor learning, residency
 	// bookkeeping, and group building. Never held across store or
-	// network I/O.
+	// network I/O. Every section takes it through lockAgg.
 	aggMu sync.Mutex
 	agg   *core.AggregatingCache
+	// unstaged is the last open ServeFrom answered, if Stage has not yet
+	// finished it; it points into the scratch of the connection that
+	// served it. Guarded by aggMu.
+	unstaged *openScratch
 	// own, with Views, is which files this node owns: Stage keeps only
 	// those (ownership). Guarded by aggMu.
 	own *ownership
@@ -227,11 +235,12 @@ func NewServer(store *Store, cfg ServerConfig) (*Server, error) {
 
 // Serve accepts connections on l until Close is called. It blocks; run it
 // in a goroutine for concurrent use. Serve returns nil after a graceful
-// Close.
+// Close; called after Close, it closes l and returns an error.
 func (s *Server) Serve(l net.Listener) error {
 	s.connMu.Lock()
 	if s.closed {
 		s.connMu.Unlock()
+		_ = l.Close()
 		return errors.New("fsnet: server already closed")
 	}
 	s.listener = l
@@ -333,8 +342,9 @@ func (s *Server) Close() error {
 // mid-flight, with equality at quiescence for an error-free, opens-only
 // workload (writes and not-found errors count a request without a cache
 // access). TestConcurrentStatsSnapshot enforces exactly this contract.
+// Cache includes the staging of every open answered before the call.
 func (s *Server) Stats() ServerStats {
-	s.aggMu.Lock()
+	s.lockAgg()
 	cacheStats := s.agg.Stats()
 	s.aggMu.Unlock()
 	st := ServerStats{
@@ -359,7 +369,7 @@ func (s *Server) forget(conn net.Conn, src uint64) {
 	s.connMu.Lock()
 	delete(s.conns, conn)
 	s.connMu.Unlock()
-	s.aggMu.Lock()
+	s.lockAgg()
 	s.agg.Tracker().ForgetSource(src)
 	s.aggMu.Unlock()
 	_ = conn.Close()
@@ -463,19 +473,17 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 // the read loop never blocks on anything but its socket, and a
 // goroutine hand-off would only add two scheduler hops per request. The
 // replies queued since the last read are flushed before a read that could
-// block, so a pipelined burst leaves in one write. Only then is the last
-// open finished (core.AggregatingCache.Stage): the metadata learns the
+// block, so a pipelined burst leaves in one write. Only then is the
+// server's unstaged open finished (lockAgg): the metadata learns the
 // history it carried, unless learning it could have changed its reply
 // (ServeFrom), and its deep group is staged, so no reply waits for
-// either; an open read before that finishes its predecessor first. A
-// malformed request payload fails only its own request; the framed
-// stream stays intact, so the connection keeps serving.
+// either; whichever aggMu section comes first — any connection's next
+// open included — finishes it instead. A malformed request payload fails
+// only its own request; the framed stream stays intact, so the
+// connection keeps serving.
 func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	conn := rw.conn
-	defer func() {
-		rw.flush()
-		s.stageServed(&rw.scratch, src)
-	}()
+	defer rw.flush()
 	// A panic in the read loop itself (as opposed to in a handler, which
 	// recovers per request) must not skip the flush above.
 	defer func() {
@@ -492,7 +500,8 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	for {
 		if !frameBuffered(r) {
 			rw.flush()
-			s.stageServed(&rw.scratch, src)
+			s.lockAgg()
+			s.aggMu.Unlock()
 		}
 		if !s.armIdle(conn) {
 			return
@@ -531,31 +540,24 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 	}
 }
 
-// stageServed finishes the connection's last open once its reply is on
-// the wire (stage).
-func (s *Server) stageServed(sc *openScratch, src uint64) {
-	if len(sc.served) == 0 {
-		return
-	}
+// lockAgg takes aggMu and finishes the server's unstaged open, if there
+// is one: core.AggregatingCache.Stage learns what its history still owes
+// the metadata and stages its deep group — on a node of a ring, the
+// members this node owns. Every aggMu section starts with it, so the
+// next request any connection serves, and every snapshot, sees the cache
+// as every open answered before it left it.
+func (s *Server) lockAgg() {
 	s.aggMu.Lock()
-	s.stage(sc, src)
-	s.aggMu.Unlock()
-}
-
-// stage finishes the connection's last open, if it is not yet:
-// core.AggregatingCache.Stage learns what its history still owes the
-// metadata and stages its deep group — on a node of a ring, the members
-// this node owns. Called with aggMu held.
-func (s *Server) stage(sc *openScratch, src uint64) {
-	if len(sc.served) == 0 {
+	sc := s.unstaged
+	if sc == nil {
 		return
 	}
 	var own core.Owner
 	if s.own != nil {
 		own = s.own.current()
 	}
-	s.agg.Stage(src, sc.served, sc.group, sc.hit, sc.owed, own)
-	sc.served = sc.served[:0]
+	s.agg.Stage(sc.src, sc.served, sc.group, sc.hit, sc.owed, own)
+	s.unstaged = nil
 }
 
 // frameBuffered reports whether r holds a whole request-ID frame, so that
@@ -719,11 +721,11 @@ type openScratch struct {
 	report []reportEntry // the residency report, as views into the frame
 	ids    []trace.FileID
 	// served is the connection's last open — its history and demanded
-	// file, oldest first — until core.AggregatingCache.Stage has finished
-	// it with hit and owed, what ServeFrom answered: the read loop stages
-	// it once the reply batch is flushed, or before the connection's next
-	// open is served.
+	// file, oldest first — with src, its source, and hit and owed, what
+	// ServeFrom answered. While the server's unstaged open is this one,
+	// lockAgg stages it from these; only aggMu sections write them.
 	served    []trace.FileID
+	src       uint64
 	hit, owed bool
 	// accessed is the piggybacked history as the interner's own strings,
 	// for the router (whose interface carries strings across the cluster
@@ -815,17 +817,18 @@ func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otra
 // serveOpen is the local tail of an open: answer it through the
 // aggregating cache and read the reply's members onto rw. sc.ids holds the
 // interned access history. The reply is built without learning the
-// history unless learning could change it; the learning and the staging
-// of the open's deep group wait until the reply is flushed (serve), or
-// until the connection's next open, whichever comes first.
+// history unless learning could change it; the open is left as the
+// server's unstaged one, and the learning and the staging of its deep
+// group wait for the next aggMu section (lockAgg): the read loop's, once
+// the reply is flushed (serve), or any connection's next open.
 func (s *Server) serveOpen(rw *replyWriter, id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) errorResponse {
-	s.aggMu.Lock()
-	// A pipelined open's predecessor may still be queued, unflushed.
-	s.stage(sc, src)
+	s.lockAgg()
 	// Piggybacked history first (oldest..newest), then the demanded
 	// open, preserving the client's true access order.
-	sc.served = append(append(sc.served, sc.ids...), id)
+	sc.served = append(append(sc.served[:0], sc.ids...), id)
 	sc.group, sc.hit, sc.owed = s.agg.ServeFrom(sc.group[:0], src, sc.served)
+	sc.src = src
+	s.unstaged = sc
 	// hit-or-miss selects the latency phase below.
 	hit := sc.hit
 	s.aggMu.Unlock()
