@@ -15,117 +15,44 @@ build:
 ignore-guard:
 	sh ./scripts/check_ignored_go.sh
 
-# Deleted concepts stay deleted: the LRU placement primitives have one
-# caller, cache.GroupLRU (PR 18), and the fsnet v1/v2 serving paths (PR 15),
-# aggbench's second measurement stack (PR 17) and the client's copy-out
-# path (PR 20: Open returns immutable cache storage) are gone; so are the
-# server's store-staging coalescer (fsnet no longer uses singleflight), the
-# client's reconnect scrap recycling and the second optional router
-# interface (PR 21), and the slab-and-slice forward — the client call that
-# copied a group out of its frames, the unexported container it copied from
-# and the write decoder that materialised a path string (PR 22: a group
-# reply is one fsnet.Group end to end; the mirror's member-first slice went
-# with it, but `led` is too short a word to guard), and hinted handoff's
-# second queue — the per-dead-peer table, its replay, its knob and its four
-# counters (PR 23: the history a node owes an owner waits on the peer
-# client's backlog and nowhere else), and the client's two silent history
-# guards — Open and FetchGroup each dropped the newest access at the bound;
-# every access now goes through appendPending, which sheds the oldest and
-# counts it — with the protocol generation whose replies carried no tags
-# (PR 24). Test files may name them; other Go source may not.
-# So are the map-indexed LRU and LFU: residency is a FileID slot table
-# into a pointer-free node slab. So are CLOCK, 2Q and MQ, deleted on
-# purpose (ARC beat all three in every xbakeoff cell), and container/list
-# in internal/cache: ARC is four of the package's dense LRUs. So is
-# format sniffing in the commands: trace.NewScanner tells text from binary
-# on any reader, so no command retries on ErrBadMagic or peeks itself. So
-# is the adaptive group-size controller: the link cut
-# (core.Config.LinkShare) beat it on fetches in every cell of three of
-# four profiles in xprune. So is every measuring path outside benchmark/
-# that nothing read: aggbench's delay harness behind -rtt, the
-# go-bench baseline stack (cmd/benchjson, internal/benchparse) and the
-# client's registry-less TTFB histogram with its Client.TTFB reader. So is
-# the cluster's hot-group mirror, with its TTL, its residency stats, its
-# three series and fsnet.Group.RetainedBytes, whose one caller it was: a
-# remotely owned open is answered by the owner's group or degrades.
-# cluster.Config.MirrorCapacity and NodeStats.MirrorHits stay, inert,
-# because benchmark/ still names them. So is the second routing verb and
-# the lead index it carried: with the mirror gone every reply leads with
-# the demanded file, so an InlineRouter has one method, Route, and the
-# reply writer sends a group's files in order (no wireOrder). So are
-# experiments' copy of the sweep worker pool (simulate.ForEach is the one)
-# and the sweeps' Options-less forms; the knobs nobody set — the ring's
-# per-node virtual-node count, on which nodes that disagreed silently
-# diverged in ownership, and the gossip fanout (one random peer a round);
-# and aggbench's churn conductor, a third drain-and-rejoin check beside
-# TestClusterDrainUnderLoadRejoinsByGossip and fleet-smoke: aggbench
-# neither names churn nor imports internal/gossip. So is the second
-# two-level simulator: internal/multilevel ran simulate.RunServer's model
-# again, generalised to N levels no caller used, so the §4.3 hierarchy is
-# RunServer priced by ServerResult.MeanLatency and the façade's
-# SimulateHierarchy names went with it. So are the knobs only tests set:
-# the breaker's threshold, cooldown and forward timeout are unexported
-# constants, and the client always piggybacks its history (the §4.3 "no
-# cooperation" model lives in the simulator, ServerConfig.Piggyback). So
-# is gossip's copy of the membership epoch, cluster_membership_epoch's
-# value under a second name. So is the forward hop: clients send each miss
-# to its owner, so a node never forwards — no Client.FetchGroup, no
-# NoteAccess relay and peer backlog, no internal/singleflight and its
-# flights — and a client reports what it holds instead of a server
-# replaying its cache: no shadow, its note/install replay, its hello
-# capacity, its resets or the unvalidated flag. Requests and replies leave
-# on the goroutine that made them: no mux writer, no reply-writer loop.
-# So is the node-to-node epoch-hint channel: views move between nodes only
-# by exchange (gossip's pull and push, a drain's goodbye), so no client
-# announces an epoch, no node notes one, no hint starts a pull, and an
-# exchange never dials outside the installed view. Servers still hint
-# their clients (Client.noteViewHint). So is the server's worker pool and
-# the second router interface: no open waits on a peer, so each
-# connection's read loop serves every request and writes every reply — no
-# per-connection workers or their bound, no InlineRouter, no inline retry
-# of an open that blocks — and a client's view hint is followed by its
-# next miss, not by a re-pull goroutine. So is the client mux's reply map
-# and its watchdog timer: a server answers each connection's requests in
-# request order (protocol version 6), so in-flight calls are a queue whose
-# head every reply must answer, and a request timeout is the connection's
-# deadline — no timer per call or per connection. So is the client mux's
-# reader goroutine: the call at the head of the queue reads its own reply,
-# installs it and hands the read role to the next call, arming its own
-# deadline for reads and writes alike, so a client starts no goroutine.
-# So is the pooled, reference-counted group reply and its race-build
-# scribble and live count: a reply has one owner at a time — the server
-# stages its members on the connection's reply writer, the client call
-# that reads it keeps its chunk frames and installs from them — and the
-# server builds each open's group once. So are pendingFree, freePending
-# and appendPending's revive branch: a call keeps the array of the history
-# claim its server consumed, and its next claim, not an append, leaves it
-# in the backlog's place. So is the process-wide frame
-# pool, its boxing trick and the open path's scratch pool: a frame's bytes
-# belong to the connection that reads them, each end reads and encodes
-# into buffers its connection keeps (bounded by maxKeptBuf), and every
-# reply is decoded before the read role passes on, so nothing hands a
-# frame back. So is core's ServeGroup, which learned a request's history
-# before building its group: ServeFrom builds first and leaves the
-# learning owed to after the reply is flushed unless it could change the
-# group. So are the client's second set of counts, the call pool and the
-# spare history arrays: ClientStats reads the counters /metrics scrapes
-# (no c.stats under the client's lock), and a call belongs to its
-# connection, which recycles it with the history array it keeps (no
-# sync.Pool in fsnet, muxCallPool, keepSpare or Client.spares). So are
-# the single-list victim primitives evictVictim and evictVictimExceptIDs:
-# a GroupLRU makes room from its recency or its probation list
-# (evictOldestExcept), so a victim names its list. So is the drain
-# handoff: a drain is a view change — readiness off, then the goodbye
-# push — and a new owner learns from the histories its clients piggyback,
-# so no group transfer message (types 8 and 9 are reserved), codec, RPC,
-# export walk, report fields or counters. So are the simulator's other
-# two-level loops: RunServer is RunServerMulti's replay of one client, and
-# every scheme runs behind either client cache, so no runGroupFilter and
-# its groupServer closures, no lruFilter check and no groupClient. So is
-# core's BuildGroup, which allocated a group per call: a caller builds
-# into a buffer it keeps (AppendGroup). So is the per-connection staging,
-# stageServed and stage: a server keeps one unstaged open, and every aggMu
-# section finishes it first (lockAgg).
+# Deleted concepts stay deleted: test files may name them, other Go source
+# may not. One line per guarded group, in the order of the greps below:
+#   list primitives outside internal/cache: GroupLRU is the one place the placement rule is written.
+#   older protocols, the second measuring stack, copy-out Open: one protocol; Open returns immutable storage.
+#   reconnect scrap, traced router: the scrap never ran on the ruler; there is one router interface.
+#   singleflight: the staging coalescer fired once in 38 428 groups, and no forward is left to coalesce.
+#   per-connection staging: a server keeps one unstaged open, and every aggMu section finishes it first.
+#   the forward hop and its relay, backlog and series: clients send each miss to its owner.
+#   the server's shadow of the client's LRU: a client reports what it holds, across connections.
+#   mux writer and reply-writer goroutines: requests and replies leave on the goroutine that made them.
+#   assembled groups, string-materialising write decoder: a reply is staged on its connection's writer.
+#   hinted handoff's second queue: history waits in the client's pending list and nowhere else.
+#   silent history guards, untagged protocol: the pending list sheds its oldest and counts it; chunks carry tags.
+#   map-indexed LRU and LFU: residency is a FileID slot table into a pointer-free slab.
+#   CLOCK, 2Q, MQ: ARC beat all three in every xbakeoff cell.
+#   container/list in internal/cache: ARC is four of the package's dense LRUs.
+#   format sniffing in the commands: trace.NewScanner tells text from binary on any reader.
+#   a command's own peeker: the same.
+#   the adaptive group-size controller: the link cut beat it on fetches in every cell of three of four xprune profiles.
+#   delay harness, go-bench baseline stack, Client.TTFB: no measuring path outside benchmark/ that nothing reads.
+#   the hot-group mirror: a remotely owned open is answered by its owner.
+#   second routing verb, wireOrder, second sweep pool, ring and fanout knobs: one verb, one pool, no knob only tests set.
+#   a churn conductor in aggbench: a drain under load is checked in process and by fleet-smoke.
+#   node-to-node epoch hints: views move between nodes only by exchange.
+#   the N-level simulator, breaker knobs, gossip's epoch series: RunServer is the model; constants; one series.
+#   per-connection workers and InlineRouter: no open waits on a peer, so the read loop serves every request.
+#   the mux's reply map and watchdog: replies come in request order; a timeout is the connection's deadline.
+#   the mux's reader goroutine: the call at the head of the queue reads its own reply.
+#   time.AfterFunc in fsnet: no timer per call or per connection.
+#   pooled, reference-counted group replies: a reply has one owner at a time.
+#   frame and scratch pools: a frame's bytes belong to the connection that reads them.
+#   ServeGroup: ServeFrom builds first and leaves the learning owed unless it could change the group.
+#   sync.Pool, spares and a second set of counts in fsnet: ClientStats reads the scraped counters.
+#   the call pool: a call belongs to its connection, which recycles it.
+#   single-list victim primitives: a GroupLRU victim names its list.
+#   the drain handoff: a drain is a view change; the group transfer bought less than the ruler resolves.
+#   the simulator's other two-level loops: RunServer is RunServerMulti with one client.
+#   BuildGroup: a caller builds into a buffer it keeps (AppendGroup).
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -227,8 +154,8 @@ bench-e2e:
 # The one real-process deployment check: build aggserve and aggbench,
 # boot a 3-node cluster, and walk it through readiness, a verified load
 # run, the live /metrics exposition, fleet-stitched traces, a one-node
-# reload spread by gossip, and a drain under load (DESIGN.md §12, §13,
-# §15, §16). Every in-process race test is `make race`.
+# reload spread by gossip, and a drain under load (DESIGN.md §5, §7).
+# Every in-process race test is `make race`.
 fleet-smoke:
 	sh ./scripts/fleet_smoke.sh
 

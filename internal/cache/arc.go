@@ -9,7 +9,7 @@ import "aggcache/internal/trace"
 // (B1, B2), and continuously tunes the target size p of T1 from which
 // ghost list is getting hits. Included as an ablation baseline.
 //
-// The four lists are the package's dense LRUs (DESIGN.md §9), MRU at the
+// The four lists are the package's dense LRUs (DESIGN.md §8), MRU at the
 // head, so a file is found by slot lookups and an access allocates nothing
 // once the slabs are full. ARC's own bounds keep |T1|+|B1| <= c,
 // |T1|+|T2| <= c and all four together <= 2c, so no list is full when it

@@ -7,7 +7,7 @@ import "aggcache/internal/trace"
 // insertion, protected eviction, the eviction hook) are package-private and
 // compose into the paper's group placement rule in one place, GroupLRU.
 //
-// Residency is dense (DESIGN.md §9): slot finds a file's node in the nodes
+// Residency is dense (DESIGN.md §8): slot finds a file's node in the nodes
 // slab, and the list is linked by int32 indices. Neither holds a pointer,
 // so the collector never scans them and relinking needs no write barrier.
 type LRU struct {

@@ -7,7 +7,7 @@ import (
 	"aggcache/internal/trace"
 )
 
-// TestDenseResidencyBounds pins the memory bound DESIGN.md §9 states:
+// TestDenseResidencyBounds pins the memory bound DESIGN.md §8 states:
 // after 100 000 distinct ids, in random order, through a capacity-c cache,
 // no slab has room for more than c entries (2c for ARC's B2) and every slot
 // table is at most 1.5 x (largest id + 1) + 1 long.

@@ -154,7 +154,7 @@ func TestDrainGoodbyeConvergesSurvivors(t *testing.T) {
 			t.Errorf("survivor %d has %d members, want 2", i, len(n.Members()))
 		}
 	}
-	// The drainer's own view stays intact (DESIGN.md §13): it keeps
+	// The drainer's own view stays intact (DESIGN.md §5): it keeps
 	// serving what it still holds, and the shrunk ring reaches it only
 	// if gossip echoes the goodbye back — which is harmless, but must
 	// not have happened synchronously here.

@@ -61,7 +61,7 @@ type Config struct {
 	// group-size distribution histogram with the given registry,
 	// incremented alongside Stats. Nil (the simulator default) leaves the
 	// access path with nothing but nil-check branches, preserving the
-	// allocation-free hot path (DESIGN.md §9).
+	// allocation-free hot path (DESIGN.md §8).
 	Obs *obs.Registry
 }
 
@@ -271,7 +271,7 @@ func (c *AggregatingCache) Serve(id trace.FileID) bool {
 // it is a rule, not an option. Behind a client that installs every reply,
 // the server's copy of the reply itself serves nobody until the client
 // has dropped it; the members after it are what that client will ask for
-// next (DESIGN.md §5).
+// next (DESIGN.md §3).
 const StageDepth = 2
 
 // ProbationGroups is how many staged groups, StageDepth × GroupSize
@@ -280,13 +280,13 @@ const StageDepth = 2
 // capacity. At the LRU tail, where the paper's rule puts a group's
 // members, the next staging — often another connection's — evicted a
 // continuation before its client asked for it. Like StageDepth it is a
-// rule, not an option; DESIGN.md §5 has the sweep behind the value.
+// rule, not an option; DESIGN.md §3 has the sweep behind the value.
 const ProbationGroups = 3
 
 // LinkShare is the link cut every network server builds its groups with
 // (Config.LinkShare): a successor joins a group only when it took more
 // than a third of its predecessor's retained successions, so a group stops
-// where prediction stops and GroupSize is a cap. DESIGN.md §5 has the
+// where prediction stops and GroupSize is a cap. DESIGN.md §3 has the
 // measurements behind the value.
 const LinkShare = 1.0 / 3
 
@@ -349,7 +349,7 @@ type Owner interface {
 // only the members the node owns, since no request for another node's
 // file reaches it, on a probation list that keeps its meaning of
 // ProbationGroups staged groups — its bound divided by own.Members(),
-// rounded up (Probation; DESIGN.md §5). A nil own stages the whole build
+// rounded up (Probation; DESIGN.md §3). A nil own stages the whole build
 // under the whole bound.
 func (c *AggregatingCache) Stage(src uint64, seq, reply []trace.FileID, hit, owed bool, own Owner) {
 	if owed {

@@ -223,7 +223,7 @@ func newClientConn(conn net.Conn) *clientConn {
 // link is the client's connection slot for one server: the seed, or a
 // member of the seed's ring. Besides the connection it keeps what the
 // connection's server knows of this client's cache, so each open can
-// report what changed (DESIGN.md §11), and a failure count that routes
+// report what changed (DESIGN.md §4), and a failure count that routes
 // opens around a member that stopped answering.
 type link struct {
 	addr string // advertised member address; "" for a seed no view has named
@@ -329,7 +329,7 @@ func (l *link) mark(id trace.FileID) {
 // verbs stay with the seed. A piggybacked view hint of a newer epoch
 // makes the next miss re-pull the list before it is routed.
 //
-// Locking (see DESIGN.md §10): mu guards the cache state, pending history,
+// Locking (see DESIGN.md §4): mu guards the cache state, pending history,
 // the view and the links' connection slots and report state, and is never
 // held across network I/O — Contains, Close, and cache hits always return
 // promptly even while requests are stalled on the wire. Stats takes no

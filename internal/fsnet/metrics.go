@@ -22,13 +22,13 @@ type serverMetrics struct {
 	remote      *obs.Counter
 	streamed    *obs.Counter
 
-	// Validated replies (DESIGN.md §11): members sent header-only, and the
+	// Validated replies (DESIGN.md §4): members sent header-only, and the
 	// contents that saved.
 	validated      *obs.Counter
 	validatedBytes *obs.Counter
 
 	// Per-phase open latency: a request is a cache hit, a store stage,
-	// or a router forward — the three serving paths of DESIGN.md §10/§11.
+	// or a router forward — the three serving paths of DESIGN.md §4.
 	latHit     *obs.Histogram
 	latStage   *obs.Histogram
 	latForward *obs.Histogram

@@ -9,7 +9,7 @@
 // msgHello answered by msgHelloOK, both in bare frames — and then carries
 // request-ID frames: pipelined requests one way, and the other way group
 // replies streamed as per-member msgMemberChunk frames closed by
-// msgGroupEnd, in request order (DESIGN.md §10).
+// msgGroupEnd, in request order (DESIGN.md §4).
 package fsnet
 
 import (
@@ -89,7 +89,7 @@ const (
 // hello exchange carrying the server's view epoch, request-ID framing with
 // each connection's replies in request order, opens that carry the
 // client's residency report, and streamed group replies whose member
-// chunks carry a content tag and may be header-only (DESIGN.md §10). The
+// chunks carry a content tag and may be header-only (DESIGN.md §4). The
 // number is a wire value — earlier ones were the lock-step,
 // assembled-reply, untagged-stream, replayed-shadow and any-order-reply
 // generations it replaced, and the one whose drains sent group transfers
@@ -140,7 +140,7 @@ type GroupFile struct {
 	Data []byte
 	// Tag is the validator of Data: a 64-bit tag of the contents, computed
 	// once by the store that holds them and carried unchanged by every hop
-	// (DESIGN.md §11). Equal non-zero tags of one path mean equal contents;
+	// (DESIGN.md §4). Equal non-zero tags of one path mean equal contents;
 	// zero means "no validator", and such a member is always sent in full.
 	Tag uint64
 }
@@ -252,7 +252,7 @@ func putFrameID(w *bufio.Writer, typ uint8, id uint64, payload []byte) error {
 // returning its type, its request ID and the grown buffer; the payload is
 // the grown buffer past len(buf). A frame's bytes belong to the connection
 // that reads them and stay valid until its next read into the same buffer:
-// what a reader keeps it copies or decodes before then (DESIGN.md §10).
+// what a reader keeps it copies or decodes before then (DESIGN.md §4).
 func readFrameID(r *bufio.Reader, buf []byte) (uint8, uint64, []byte, error) {
 	lenb, err := peekN(r, 4)
 	if err != nil {
@@ -286,7 +286,7 @@ func readFrameID(r *bufio.Reader, buf []byte) (uint8, uint64, []byte, error) {
 // the connection goes on with the buffer it had, so one large file does
 // not pin its size on every connection that once carried it. 1 MiB holds
 // more than ten of the benchmark's groups of five 16 KiB files; frames
-// over it are unmeasured (DESIGN.md §10).
+// over it are unmeasured (DESIGN.md §4).
 const maxKeptBuf = 1 << 20
 
 // keepBuf returns the buffer a connection keeps after a frame: grown,
@@ -432,7 +432,7 @@ const maxReport = maxStatPaths
 
 // appendReportHdr and appendReportEntry append a residency report to a
 // msgOpen payload: a uvarint count, then each entry as its path and a u64
-// tag (DESIGN.md §11).
+// tag (DESIGN.md §4).
 func appendReportHdr(dst []byte, n int) []byte { return appendUvarint(dst, uint64(n)) }
 
 func appendReportEntry(dst []byte, path string, tag uint64) []byte {
@@ -561,7 +561,7 @@ func decodeErrorResponse(payload []byte) (errorResponse, error) {
 // so chunks of different pipelined requests may interleave; within one
 // request ID, chunks arrive in group order with the demanded file first.
 //
-// A member the server knows the client holds unchanged (DESIGN.md §11)
+// A member the server knows the client holds unchanged (DESIGN.md §4)
 // crosses as a header-only chunk: path and tag, flagged chunkHeld, no
 // contents. The demanded file never does.
 //

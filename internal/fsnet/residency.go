@@ -6,7 +6,7 @@ import "aggcache/internal/trace"
 // by the server's FileID, the tag of the contents the client caches, zero
 // for a file it does not. A group member the table shows held at the
 // member's current tag crosses the wire as a header instead of as its
-// bytes (DESIGN.md §11).
+// bytes (DESIGN.md §4).
 //
 // Two things write the table and nothing else does. A member sent in full
 // sets its entry: the client installs what it receives. The client's

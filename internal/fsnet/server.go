@@ -115,7 +115,7 @@ type ServerStats struct {
 	// failures (including reply writes cut off by WriteTimeout).
 	Disconnects uint64
 	// CoalescedStages is always zero: the server no longer coalesces store
-	// stagings (the store is an in-memory map; DESIGN.md §10). The field
+	// stagings (the store is an in-memory map; DESIGN.md §4). The field
 	// stays only until the repository benchmark stops reading it.
 	CoalescedStages uint64
 	// RemoteOpens counts open requests answered by the configured Router
@@ -141,7 +141,7 @@ type ServerStats struct {
 // memory cache in front of the store.
 //
 // The serving path is sharded so concurrent requests mostly avoid each
-// other (see DESIGN.md §10): counters are atomics, the path interner has
+// other (see DESIGN.md §4): counters are atomics, the path interner has
 // a read-lock fast path for known paths, store reads happen outside any
 // server lock, and only the successor-table update plus cache admission
 // sit under the short aggMu critical section — the one server-wide mutex
@@ -466,7 +466,7 @@ func (s *Server) readFailed(conn net.Conn, err error) {
 
 // serve is the pipelined loop: one goroutine per connection reads each
 // request, serves it and queues its reply, so a connection's requests run
-// in the order they were sent (DESIGN.md §10). Each request is read into
+// in the order they were sent (DESIGN.md §4). Each request is read into
 // the one buffer the connection keeps, rw.req, and is done with before the
 // next read. Nothing on the serving path waits on a peer — opens, writes
 // and view frames touch only the server's own cache, store and view — so

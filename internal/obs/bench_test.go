@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// The benchmarks below back the overhead numbers quoted in DESIGN.md
-// §12: instrument cost on the hot path (counter add, histogram
+// The benchmarks below measure the overhead DESIGN.md §7 leaves to
+// them: instrument cost on the hot path (counter add, histogram
 // observe) and the cost of the nil fast path when no registry is
 // configured.
 

@@ -9,7 +9,7 @@
 // *Histogram, *EventLog, or *Registry no-ops — so instrumented code pays
 // only a predictable nil-check branch when no registry is configured.
 // That property is what keeps the simulator hot path allocation-free
-// (DESIGN.md §9) while the same code serves scraped metrics in aggserve.
+// (DESIGN.md §8) while the same code serves scraped metrics in aggserve.
 //
 // Typical wiring:
 //

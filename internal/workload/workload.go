@@ -2,7 +2,7 @@
 // properties of the four CMU DFSTrace workloads the paper evaluates
 // (mozart=workstation, ives=users, dvorak=write, barber=server). The real
 // traces are proprietary, so this generator is the documented substitution
-// (see DESIGN.md §3): it reproduces the properties the paper's results
+// (see DESIGN.md §1): it reproduces the properties the paper's results
 // depend on — heavy access skew, stable inter-file successor relations
 // born from recurring tasks, globally shared "hub" files that belong to
 // many working sets, write-driven churn, and multi-user interleaving —
