@@ -19,6 +19,11 @@ import (
 // checked.
 var citingDocs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
 
+// The Markdown files at the root whose "DESIGN.md §N" references are checked.
+var maintainedDocs = map[string]bool{
+	"DESIGN.md": true, "README.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true,
+}
+
 var (
 	testFuncRE  = regexp.MustCompile(`(?m)^func (?:\([^)]*\) )?((?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*)\(`)
 	testCiteRE  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
@@ -36,8 +41,9 @@ var (
 // name is a func in some _test.go of the tree (or a prefix of one, as in
 // TestAllocBudget*), every BENCH_PR<n>.json they cite is committed, and
 // every explicit "DESIGN.md §N" in Go source, the Makefile and the
-// Markdown files names a section DESIGN.md has. CHANGES.md and ISSUE.md
-// keep history, so they are not read.
+// Markdown files names a section DESIGN.md has. Of the Markdown files at the
+// root only the maintained documents are read; the others keep history or
+// quote outside text.
 func TestDocsCiteWhatExists(t *testing.T) {
 	var funcs []string
 	sections := map[string]bool{}
@@ -72,7 +78,8 @@ func TestDocsCiteWhatExists(t *testing.T) {
 				funcs = append(funcs, m[1])
 			}
 		}
-		skip := strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) || path == "CHANGES.md" || path == "ISSUE.md"
+		skip := strings.HasPrefix(path, "benchmark"+string(filepath.Separator)) ||
+			(path == name && strings.HasSuffix(name, ".md") && !maintainedDocs[name])
 		if !skip && (strings.HasSuffix(name, ".go") || strings.HasSuffix(name, ".md") || name == "Makefile") {
 			refFiles = append(refFiles, path)
 		}
