@@ -53,6 +53,9 @@ ignore-guard:
 #   the drain handoff: a drain is a view change; the group transfer bought less than the ruler resolves.
 #   the simulator's other two-level loops: RunServer is RunServerMulti with one client.
 #   BuildGroup: a caller builds into a buffer it keeps (AppendGroup).
+#   map-keyed entropy sums: one successor-entropy engine, whose sums visit conditions in id order and repeat bit for bit.
+#   heat ranked by sorting a copied count map: Tracker.Hottest is the one ranking, CompareHeat its one comparator.
+#   trace filters and an interner copy nothing called: ByOp and SplitByClient are the trace's filters.
 lint-dead:
 	@! grep -rnE 'InsertHead\(|InsertTail\(|EvictVictim' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/cache/'
 	@! grep -rnE 'MaxProtocol|serveV1|callV1|writeGobench|writeJSON|OpenInto|freeData|setData\(' --include='*.go' --exclude='*_test.go' .
@@ -90,6 +93,9 @@ lint-dead:
 	@! grep -rnE 'msgHandoff|handoffRequest|HandoffGroup|ExportGroups|GroupSource|GroupsSent|drainSent|handoff_groups|drain_groups' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'runGroupFilter|groupServer|lruFilter|groupClient' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn 'BuildGroup(' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'conditionalEntropy\(|entropy\.Distribution|func Distribution\(|map\[string\]\*dist' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'seedsByHeat|\.Counts\(\)|\) Counts\(\)' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE '\bByClient\(|\bByUID\(|\) Clone\(\) \*Interner|Paths\.Clone\(\)' --include='*.go' --exclude='*_test.go' .
 
 # Fail if any tracked Go file, benchmark/ included, is not gofmt-clean.
 fmt-check:

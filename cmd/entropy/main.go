@@ -99,13 +99,13 @@ func run(args []string) error {
 	if *ctxLen < 1 {
 		return fmt.Errorf("context must be >= 1, got %d", *ctxLen)
 	}
-	results := make([]entropy.Result, 0, *maxLen)
-	for k := 1; k <= *maxLen; k++ {
-		r, err := entropy.ConditionalEntropy(ids, *ctxLen, k)
-		if err != nil {
-			return err
-		}
-		results = append(results, r)
+	ks := make([]int, *maxLen)
+	for i := range ks {
+		ks[i] = i + 1
+	}
+	results, err := entropy.ConditionalSweep(ids, *ctxLen, ks)
+	if err != nil {
+		return err
 	}
 	fmt.Println("length  entropy(bits)  files  occurrences")
 	for _, r := range results {

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"aggcache/internal/successor"
 	"aggcache/internal/trace"
@@ -54,24 +53,10 @@ func run(args []string) error {
 	if *top > 0 {
 		// Restrict to the hottest files by re-tracking a filtered
 		// sequence: edges between cold files would swamp the output.
-		counts := tk.Counts()
-		type heat struct {
-			id trace.FileID
-			n  uint64
-		}
-		hs := make([]heat, 0, len(counts))
-		for id, n := range counts {
-			hs = append(hs, heat{id, n})
-		}
-		sort.Slice(hs, func(i, j int) bool {
-			if hs[i].n != hs[j].n {
-				return hs[i].n > hs[j].n
-			}
-			return hs[i].id < hs[j].id
-		})
+		hot := tk.Hottest()
 		keep := make(map[trace.FileID]bool, *top)
-		for i := 0; i < *top && i < len(hs); i++ {
-			keep[hs[i].id] = true
+		for _, id := range hot[:min(*top, len(hot))] {
+			keep[id] = true
 		}
 		var filtered []trace.FileID
 		for _, id := range ids {

@@ -1,8 +1,10 @@
 package entropy
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"aggcache/internal/trace"
@@ -189,24 +191,6 @@ func TestShortSequences(t *testing.T) {
 	}
 }
 
-func TestDistribution(t *testing.T) {
-	if got := Distribution(nil); got != 0 {
-		t.Errorf("Distribution(nil) = %v, want 0", got)
-	}
-	uniform := map[trace.FileID]int{1: 5, 2: 5, 3: 5, 4: 5}
-	if got := Distribution(uniform); math.Abs(got-2.0) > 1e-9 {
-		t.Errorf("uniform over 4 = %v, want 2 bits", got)
-	}
-	skewed := map[trace.FileID]int{1: 100, 2: 1}
-	if got := Distribution(skewed); got >= 1 || got <= 0 {
-		t.Errorf("skewed = %v, want in (0,1)", got)
-	}
-	withZero := map[trace.FileID]int{1: 4, 2: 0, 3: 4}
-	if got := Distribution(withZero); math.Abs(got-1.0) > 1e-9 {
-		t.Errorf("zero-count entry mishandled: %v, want 1 bit", got)
-	}
-}
-
 func TestConditionalEntropyValidation(t *testing.T) {
 	if _, err := ConditionalEntropy(nil, 0, 1); err == nil {
 		t.Error("ctxLen 0 accepted")
@@ -226,16 +210,18 @@ func TestConditionalEntropyOrder1MatchesSuccessorEntropy(t *testing.T) {
 			seq[i] = trace.FileID(rng.Intn(40))
 		}
 	}
-	a, err := SuccessorEntropy(seq, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ConditionalEntropy(seq, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(a.Bits-b.Bits) > 1e-9 {
-		t.Errorf("order-1 conditional %.6f != successor entropy %.6f", b.Bits, a.Bits)
+	for k := 1; k <= 5; k++ {
+		a, err := SuccessorEntropy(seq, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ConditionalEntropy(seq, 1, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != b {
+			t.Errorf("k=%d: order-1 conditional %+v != successor entropy %+v", k, b, a)
+		}
 	}
 }
 
@@ -261,5 +247,108 @@ func TestLongerContextMorePredictable(t *testing.T) {
 	}
 	if o2.Bits > 1e-9 {
 		t.Errorf("order-2 entropy %.3f, want 0 (fully determined)", o2.Bits)
+	}
+}
+
+// direct is Equation 2 generalized to ctxLen, computed the obvious way:
+// string-keyed contexts and symbols. The engine must match it.
+func direct(seq []trace.FileID, ctxLen, k int) Result {
+	key := func(ids []trace.FileID) string { return fmt.Sprint(ids) }
+	type dist struct {
+		occ     int
+		symbols map[string]int
+	}
+	dists := make(map[string]*dist)
+	for p := ctxLen - 1; p+k < len(seq); p++ {
+		c := key(seq[p-ctxLen+1 : p+1])
+		d, ok := dists[c]
+		if !ok {
+			d = &dist{symbols: make(map[string]int)}
+			dists[c] = d
+		}
+		d.occ++
+		d.symbols[key(seq[p+1:p+1+k])]++
+	}
+	res := Result{SymbolLength: k}
+	var total int
+	for _, d := range dists {
+		if d.occ > 1 {
+			total += d.occ
+		}
+	}
+	for _, d := range dists {
+		if d.occ <= 1 {
+			continue
+		}
+		var h float64
+		for _, n := range d.symbols {
+			p := float64(n) / float64(d.occ)
+			h -= p * math.Log2(p)
+		}
+		res.Bits += float64(d.occ) / float64(total) * h
+		res.Files++
+		res.Occurrences += d.occ
+	}
+	return res
+}
+
+func TestConditionalSweepMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	seq := make([]trace.FileID, 2000)
+	for i := range seq {
+		if rng.Float64() < 0.6 {
+			seq[i] = trace.FileID(i % 13)
+		} else {
+			seq[i] = trace.FileID(rng.Intn(50))
+		}
+	}
+	ks := []int{1, 2, 3, 4, 5}
+	for ctxLen := 1; ctxLen <= 3; ctxLen++ {
+		rs, err := ConditionalSweep(seq, ctxLen, ks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range ks {
+			want := direct(seq, ctxLen, k)
+			got := rs[i]
+			if got.Files != want.Files || got.Occurrences != want.Occurrences || got.SymbolLength != k ||
+				math.Abs(got.Bits-want.Bits) > 1e-9 {
+				t.Errorf("ctx %d k %d: got %+v, want %+v", ctxLen, k, got, want)
+			}
+		}
+	}
+	// Contexts longer than the sequence leave nothing to condition on.
+	r, err := ConditionalEntropy([]trace.FileID{1, 2, 1}, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r != (Result{SymbolLength: 1}) {
+		t.Errorf("context longer than the sequence: %+v", r)
+	}
+}
+
+func TestPerFile(t *testing.T) {
+	// 0 is followed by 1, 2, 1, 2 and 2 by 0, 4: one bit over two
+	// successors each. 1 always returns to 0. 4 is seen once: one
+	// successor, 0 bits. 3 is seen once, at the end: no successor.
+	seq := []trace.FileID{0, 1, 0, 2, 0, 1, 0, 2, 4, 3}
+	type stat struct {
+		successors int
+		bits       float64
+	}
+	got := make(map[trace.FileID]stat)
+	var order []trace.FileID
+	PerFile(seq, func(f trace.FileID, successors int, bits float64) {
+		got[f] = stat{successors, bits}
+		order = append(order, f)
+	})
+	want := map[trace.FileID]stat{0: {2, 1}, 1: {1, 0}, 2: {2, 1}, 4: {1, 0}}
+	if !slices.Equal(order, []trace.FileID{0, 1, 2, 4}) {
+		t.Errorf("visit order %v, want [0 1 2 4]", order)
+	}
+	for f, w := range want {
+		if got[f] != w {
+			t.Errorf("file %d: %+v, want %+v", f, got[f], w)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"slices"
@@ -516,5 +517,32 @@ func TestExtensionHier(t *testing.T) {
 	}
 	if len(profiles) != 4 {
 		t.Errorf("profiles %v, want four", profiles)
+	}
+}
+
+// analysisPinWant is the SHA-256 of the Rows of every table
+// TestAnalysisTablesPinned runs, recorded while ConditionalEntropy and
+// viz.Profile still had map-based entropy engines of their own,
+// EvaluateReplacement its own replay loop and the hoard its own heat sort.
+const analysisPinWant = "bc77d33028facc8a3f5a40c62440609ce239d7fa3ec2caaf49ef76f691f42250"
+
+// TestAnalysisTablesPinned pins the analysis tables digit for digit at
+// 12 000 opens, seed 1, as simulate's TestSweepCountersPinned pins the
+// simulator's sweeps: the Fig 5 replacement sweeps (5a, 5b), the
+// Fig 7 and Fig 8 entropy sweeps (7, 8a, 8b), and the extensions that
+// replay successor lists, build covers or hoards (xdecay, xcontext,
+// xhoard, xplacement, xoverlap). %v prints each float64 in its shortest
+// round-trip form, so a changed summation order moves the digest.
+func TestAnalysisTablesPinned(t *testing.T) {
+	h := sha256.New()
+	for _, id := range []string{"5a", "5b", "7", "8a", "8b", "xdecay", "xcontext", "xhoard", "xplacement", "xoverlap"} {
+		tab, err := Run(id, small)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %v\n", id, tab.Rows)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != analysisPinWant {
+		t.Errorf("analysis tables digest %s, want %s", got, analysisPinWant)
 	}
 }

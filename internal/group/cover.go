@@ -1,7 +1,7 @@
 package group
 
 import (
-	"sort"
+	"slices"
 
 	"aggcache/internal/successor"
 	"aggcache/internal/trace"
@@ -22,8 +22,7 @@ type Cover struct {
 // by the Builder's strategy, and group members may already be covered —
 // that is the permitted overlap.
 func BuildCover(t *successor.Tracker, b *Builder, files []trace.FileID) *Cover {
-	// Deduplicate and sort seeds by access count (desc), id asc for
-	// determinism.
+	// Deduplicate and sort seeds hot first (Tracker.CompareHeat).
 	uniq := make(map[trace.FileID]bool, len(files))
 	seeds := make([]trace.FileID, 0, len(files))
 	for _, id := range files {
@@ -32,13 +31,7 @@ func BuildCover(t *successor.Tracker, b *Builder, files []trace.FileID) *Cover {
 			seeds = append(seeds, id)
 		}
 	}
-	sort.Slice(seeds, func(i, j int) bool {
-		ci, cj := t.AccessCount(seeds[i]), t.AccessCount(seeds[j])
-		if ci != cj {
-			return ci > cj
-		}
-		return seeds[i] < seeds[j]
-	})
+	slices.SortFunc(seeds, t.CompareHeat)
 
 	covered := make(map[trace.FileID]bool, len(seeds))
 	var c Cover

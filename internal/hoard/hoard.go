@@ -70,17 +70,11 @@ func Build(t *successor.Tracker, policy Policy, budget, groupSize int) (*Hoard, 
 	if budget < 0 {
 		return nil, fmt.Errorf("hoard: budget must be >= 0, got %d", budget)
 	}
-	seeds := seedsByHeat(t)
 	h := &Hoard{files: make(map[trace.FileID]bool, budget)}
-
+	var seeds []trace.FileID
 	switch policy {
 	case PolicyFrequency:
-		for _, id := range seeds {
-			if h.Len() >= budget {
-				break
-			}
-			h.files[id] = true
-		}
+		seeds = t.Hottest()
 	case PolicyGroupClosure:
 		if groupSize < 1 {
 			return nil, fmt.Errorf("hoard: group size must be >= 1, got %d", groupSize)
@@ -89,41 +83,21 @@ func Build(t *successor.Tracker, policy Policy, budget, groupSize int) (*Hoard, 
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range seeds {
-			if h.Len() >= budget {
-				break
-			}
-			if h.files[id] {
-				continue
-			}
-			for _, m := range b.Build(id) {
-				if h.Len() >= budget {
-					break
-				}
-				h.files[m] = true
-			}
+		// The cover's groups, hottest seed first, flattened: each
+		// seed's whole closure is charged before the next seed's.
+		for _, g := range group.BuildCover(t, b, t.Hottest()).Groups {
+			seeds = append(seeds, g...)
 		}
 	default:
 		return nil, fmt.Errorf("hoard: unknown policy %q", policy)
 	}
-	return h, nil
-}
-
-// seedsByHeat returns every file the tracker has seen, in decreasing
-// access-count order (ids ascending on ties, for determinism).
-func seedsByHeat(t *successor.Tracker) []trace.FileID {
-	counts := t.Counts()
-	out := make([]trace.FileID, 0, len(counts))
-	for id := range counts {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if counts[out[i]] != counts[out[j]] {
-			return counts[out[i]] > counts[out[j]]
+	for _, id := range seeds {
+		if h.Len() >= budget {
+			break
 		}
-		return out[i] < out[j]
-	})
-	return out
+		h.files[id] = true
+	}
+	return h, nil
 }
 
 // Result is the outcome of a disconnected-operation replay.

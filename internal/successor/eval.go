@@ -30,23 +30,17 @@ func (e ReplacementEval) MissProbability() float64 {
 // bounded per-file lists fail to contain the actual next file. The check
 // happens before the list is updated, so the first observation of a given
 // successor is always a miss — including for the Oracle, which can predict
-// any previously seen successor but not an unseen one.
+// any previously seen successor but not an unseen one. Every open comes
+// from source 0, what Tracker.Observe records.
 func EvaluateReplacement(seq []trace.FileID, policy Policy, capacity int) (ReplacementEval, error) {
-	tr, err := NewTracker(policy, capacity)
+	r, err := newReplay(policy, capacity)
 	if err != nil {
 		return ReplacementEval{}, err
 	}
-	var ev ReplacementEval
-	for i, id := range seq {
-		if i > 0 {
-			ev.Transitions++
-			if l := tr.List(seq[i-1]); l == nil || !l.Contains(id) {
-				ev.Missed++
-			}
-		}
-		tr.Observe(id)
+	for _, id := range seq {
+		r.open(0, id)
 	}
-	return ev, nil
+	return r.ev, nil
 }
 
 // EvaluateReplacementEvents replays open events, attributing each
@@ -57,11 +51,10 @@ func EvaluateReplacement(seq []trace.FileID, policy Policy, capacity int) (Repla
 // quantifies the §2.2 modeling question about differentiating events by
 // driving client.
 func EvaluateReplacementEvents(events []trace.Event, policy Policy, capacity int, perClient bool) (ReplacementEval, error) {
-	tr, err := NewTracker(policy, capacity)
+	r, err := newReplay(policy, capacity)
 	if err != nil {
 		return ReplacementEval{}, err
 	}
-	var ev ReplacementEval
 	for _, e := range events {
 		if e.Op != trace.OpOpen {
 			continue
@@ -70,15 +63,36 @@ func EvaluateReplacementEvents(events []trace.Event, policy Policy, capacity int
 		if perClient {
 			src = uint64(e.Client)
 		}
-		if p, ok := tr.Last(src); ok {
-			ev.Transitions++
-			if l := tr.List(p); l == nil || !l.Contains(e.File) {
-				ev.Missed++
-			}
-		}
-		tr.ObserveFrom(src, e.File)
+		r.open(src, e.File)
 	}
-	return ev, nil
+	return r.ev, nil
+}
+
+// replay is both evaluators' tracker and tally. A method call per open,
+// not a callback: the Fig 5 sweep replays every open of a trace once per
+// policy and capacity.
+type replay struct {
+	tr *Tracker
+	ev ReplacementEval
+}
+
+func newReplay(policy Policy, capacity int) (*replay, error) {
+	tr, err := NewTracker(policy, capacity)
+	if err != nil {
+		return nil, err
+	}
+	return &replay{tr: tr}, nil
+}
+
+// open checks id against the list of src's predecessor, then learns it.
+func (r *replay) open(src uint64, id trace.FileID) {
+	if p, ok := r.tr.Last(src); ok {
+		r.ev.Transitions++
+		if l := r.tr.List(p); l == nil || !l.Contains(id) {
+			r.ev.Missed++
+		}
+	}
+	r.tr.ObserveFrom(src, id)
 }
 
 // EvaluateReplacementSweep runs EvaluateReplacement for every list capacity

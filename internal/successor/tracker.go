@@ -1,6 +1,9 @@
 package successor
 
 import (
+	"cmp"
+	"slices"
+
 	"aggcache/internal/trace"
 )
 
@@ -205,16 +208,26 @@ func (t *Tracker) AccessCount(id trace.FileID) uint64 {
 	return t.counts[id]
 }
 
-// Counts returns a copy of the per-file access counts for every observed
-// file.
-func (t *Tracker) Counts() map[trace.FileID]uint64 {
-	out := make(map[trace.FileID]uint64)
+// Hottest returns every observed file by access count descending, id
+// ascending on ties: the order of CompareHeat.
+func (t *Tracker) Hottest() []trace.FileID {
+	var out []trace.FileID
 	for id, n := range t.counts {
 		if n != 0 {
-			out[trace.FileID(id)] = n
+			out = append(out, trace.FileID(id))
 		}
 	}
+	slices.SortFunc(out, t.CompareHeat)
 	return out
+}
+
+// CompareHeat is Hottest's order as a slices.SortFunc comparator: access
+// count descending, id ascending on ties. Covers sort their seeds with it.
+func (t *Tracker) CompareHeat(a, b trace.FileID) int {
+	if ca, cb := t.AccessCount(a), t.AccessCount(b); ca != cb {
+		return cmp.Compare(cb, ca)
+	}
+	return cmp.Compare(a, b)
 }
 
 // Observed returns the total number of observations.

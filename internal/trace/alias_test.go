@@ -44,38 +44,6 @@ func TestOpenIDsDoesNotAlias(t *testing.T) {
 	}
 }
 
-// Clone must produce a fully independent interner: interning into either
-// side afterwards must not be visible through the other.
-func TestInternerCloneIsIndependent(t *testing.T) {
-	in := NewInterner()
-	a := in.Intern("/a")
-	b := in.Intern("/b")
-
-	cl := in.Clone()
-	if cl.Path(a) != "/a" || cl.Path(b) != "/b" {
-		t.Fatal("clone lost existing paths")
-	}
-	if got := cl.Intern("/a"); got != a {
-		t.Errorf("clone re-interned /a as %d, want %d", got, a)
-	}
-
-	// Diverge both sides.
-	c1 := in.Intern("/only-original")
-	c2 := cl.Intern("/only-clone")
-	if c1 != c2 {
-		t.Fatalf("divergent interns got different next ids: %d vs %d", c1, c2)
-	}
-	if cl.Path(c2) != "/only-clone" {
-		t.Errorf("clone path(%d) = %q", c2, cl.Path(c2))
-	}
-	if in.Path(c1) != "/only-original" {
-		t.Errorf("original path(%d) = %q; clone mutation leaked", c1, in.Path(c1))
-	}
-	if in.Len() != cl.Len() {
-		t.Errorf("lengths diverged unexpectedly: %d vs %d", in.Len(), cl.Len())
-	}
-}
-
 // byteInterner is what Interner and SyncInterner share.
 type byteInterner interface {
 	Intern(path string) FileID

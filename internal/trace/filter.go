@@ -31,28 +31,6 @@ func hasOp(ops []Op, op Op) bool {
 	return false
 }
 
-// ByClient returns the events issued by client, in order.
-func ByClient(events []Event, client uint16) []Event {
-	var out []Event
-	for _, ev := range events {
-		if ev.Client == client {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
-// ByUID returns the events issued by uid, in order.
-func ByUID(events []Event, uid uint32) []Event {
-	var out []Event
-	for _, ev := range events {
-		if ev.UID == uid {
-			out = append(out, ev)
-		}
-	}
-	return out
-}
-
 // Head returns the first n events (or all of them if the trace is shorter).
 // The returned slice is freshly allocated.
 func Head(events []Event, n int) []Event {

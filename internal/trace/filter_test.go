@@ -32,32 +32,6 @@ func TestByOp(t *testing.T) {
 	}
 }
 
-func TestByClient(t *testing.T) {
-	evs := mkEvents()
-	c1 := ByClient(evs, 1)
-	if len(c1) != 2 {
-		t.Fatalf("ByClient(1) len = %d, want 2", len(c1))
-	}
-	for _, ev := range c1 {
-		if ev.Client != 1 {
-			t.Errorf("ByClient returned client %d", ev.Client)
-		}
-	}
-	if got := ByClient(evs, 99); len(got) != 0 {
-		t.Errorf("ByClient(99) len = %d, want 0", len(got))
-	}
-}
-
-func TestByUID(t *testing.T) {
-	evs := mkEvents()
-	if got := ByUID(evs, 10); len(got) != 3 {
-		t.Errorf("ByUID(10) len = %d, want 3", len(got))
-	}
-	if got := ByUID(evs, 20); len(got) != 2 {
-		t.Errorf("ByUID(20) len = %d, want 2", len(got))
-	}
-}
-
 func TestHead(t *testing.T) {
 	evs := mkEvents()
 	tests := []struct {

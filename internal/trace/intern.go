@@ -72,19 +72,6 @@ func (in *Interner) Path(id FileID) string {
 // Len returns the number of interned paths.
 func (in *Interner) Len() int { return len(in.paths) }
 
-// Clone returns an independent copy of the interner.
-func (in *Interner) Clone() *Interner {
-	out := &Interner{
-		ids:   make(map[string]FileID, len(in.ids)),
-		paths: make([]string, len(in.paths)),
-	}
-	for p, id := range in.ids {
-		out.ids[p] = id
-	}
-	copy(out.paths, in.paths)
-	return out
-}
-
 // pathChunk is the size of one path arena chunk.
 const pathChunk = 64 << 10
 

@@ -48,23 +48,6 @@ func TestInternerLookupAndPath(t *testing.T) {
 	}
 }
 
-func TestInternerClone(t *testing.T) {
-	in := NewInterner()
-	in.Intern("a")
-	in.Intern("b")
-	cl := in.Clone()
-	cl.Intern("c")
-	if in.Len() != 2 {
-		t.Errorf("original Len = %d after clone mutation, want 2", in.Len())
-	}
-	if cl.Len() != 3 {
-		t.Errorf("clone Len = %d, want 3", cl.Len())
-	}
-	if p := cl.Path(0); p != "a" {
-		t.Errorf("clone Path(0) = %q, want a", p)
-	}
-}
-
 // Property: Path(Intern(p)) == p for any path.
 func TestInternerRoundTripProperty(t *testing.T) {
 	in := NewInterner()

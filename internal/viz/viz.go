@@ -9,7 +9,6 @@ package viz
 import (
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 
@@ -33,42 +32,29 @@ type FileEntry struct {
 
 // Profile computes per-file successor statistics for the topN most
 // accessed files (all files if topN <= 0), ordered by access count
-// descending, id ascending on ties.
+// descending, id ascending on ties. Successors and Entropy come from
+// entropy.PerFile.
 func Profile(t *trace.Trace, topN int) []FileEntry {
 	ids := t.OpenIDs()
-	counts := make(map[trace.FileID]int)
-	succs := make(map[trace.FileID]map[trace.FileID]int)
-	for i, id := range ids {
-		counts[id]++
-		if i+1 < len(ids) {
-			m, ok := succs[id]
-			if !ok {
-				m = make(map[trace.FileID]int, 2)
-				succs[id] = m
-			}
-			m[ids[i+1]]++
+	// byID is indexed by FileID until the unopened ids are dropped.
+	var byID []FileEntry
+	for _, id := range ids {
+		for int(id) >= len(byID) {
+			byID = append(byID, FileEntry{ID: trace.FileID(len(byID))})
 		}
+		byID[id].Accesses++
 	}
+	entropy.PerFile(ids, func(f trace.FileID, successors int, bits float64) {
+		byID[f].Successors = successors
+		byID[f].Entropy = bits
+	})
 
-	entries := make([]FileEntry, 0, len(counts))
-	for id, n := range counts {
-		e := FileEntry{
-			ID:       id,
-			Path:     t.Paths.Path(id),
-			Accesses: n,
+	entries := byID[:0]
+	for _, e := range byID {
+		if e.Accesses > 0 {
+			e.Path = t.Paths.Path(e.ID)
+			entries = append(entries, e)
 		}
-		if m := succs[id]; len(m) > 0 {
-			e.Successors = len(m)
-			var total int
-			for _, c := range m {
-				total += c
-			}
-			for _, c := range m {
-				p := float64(c) / float64(total)
-				e.Entropy -= p * math.Log2(p)
-			}
-		}
-		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Accesses != entries[j].Accesses {

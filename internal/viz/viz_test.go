@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aggcache/internal/entropy"
 	"aggcache/internal/trace"
 	"aggcache/internal/workload"
 )
@@ -197,6 +198,51 @@ func TestProfileOnGeneratedWorkload(t *testing.T) {
 	for _, e := range entries {
 		if e.Entropy < 0 {
 			t.Errorf("negative entropy: %+v", e)
+		}
+	}
+}
+
+// TestEntropyIsReproducible holds the entropy engine to its summation
+// order: conditions in id order, symbols in first-occurrence order, so a
+// rerun on the same trace repeats every result bit for bit, at every
+// context length, and every per-file profile with it.
+func TestEntropyIsReproducible(t *testing.T) {
+	tr, err := workload.Standard(workload.ProfileUsers, 1, 40000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := tr.OpenIDs()
+	for _, ctxLen := range []int{1, 2} {
+		for _, k := range []int{1, 3} {
+			first, err := entropy.ConditionalEntropy(ids, ctxLen, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 10; run++ {
+				r, err := entropy.ConditionalEntropy(ids, ctxLen, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(r.Bits) != math.Float64bits(first.Bits) || r != first {
+					t.Fatalf("ctx %d k %d: rerun %d gave %+v, first run %+v", ctxLen, k, run, r, first)
+				}
+			}
+		}
+	}
+	first := Profile(tr, 0)
+	for run := 1; run < 10; run++ {
+		entries := Profile(tr, 0)
+		if len(entries) != len(first) {
+			t.Fatalf("rerun %d: %d entries, first run %d", run, len(entries), len(first))
+		}
+		differ := 0
+		for i := range entries {
+			if entries[i] != first[i] || math.Float64bits(entries[i].Entropy) != math.Float64bits(first[i].Entropy) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Fatalf("rerun %d: %d of %d per-file entries differ from the first run", run, differ, len(entries))
 		}
 	}
 }
