@@ -26,8 +26,9 @@ ignore-guard:
 #   the server's shadow of the client's LRU: a client reports what it holds, across connections.
 #   mux writer and reply-writer goroutines: requests and replies leave on the goroutine that made them.
 #   assembled groups, string-materialising write decoder: a reply is staged on its connection's writer.
-#   hinted handoff's second queue: history waits in the client's pending list and nowhere else.
-#   silent history guards, untagged protocol: the pending list sheds its oldest and counts it; chunks carry tags.
+#   hinted handoff's second queue: history waits in the client's history log and nowhere else.
+#   silent history guards, the per-request backlog, protocols 3 and 7: one history log, a cursor per link; a link owed
+#   past the bound is sent the newest entries with the gap flag, counted; chunks carry tags; opens carry the flag.
 #   map-indexed LRU and LFU: residency is a FileID slot table into a pointer-free slab.
 #   CLOCK, 2Q, MQ: ARC beat all three in every xbakeoff cell.
 #   container/list in internal/cache: ARC is four of the package's dense LRUs.
@@ -67,7 +68,7 @@ lint-dead:
 	@! grep -rnE 'func \(m \*muxConn\) writer|m\.wake|rw\.wake|drainAndStop|func \(rw \*replyWriter\) loop' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'OpenGroup|chunkGroup|decodeWriteRequest' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'hintTable|stageHints|replayHints|HintCapacity|HintsQueued|HintsReplayed|HintsDropped|HintDepth' --include='*.go' --exclude='*_test.go' .
-	@! grep -rnE 'len\(c\.pending\) < maxStatPaths|protocolVersion = 3' --include='*.go' --exclude='*_test.go' .
+	@! grep -rnE 'c\.pending|appendPending|claimPending|restorePending|call\.claimed|protocolVersion = [37]$$' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'map\[trace\.FileID\]\*(lruNode|lfuNode)' --include='*.go' --exclude='*_test.go' .
 	@! grep -rnE 'NewCLOCK|NewTwoQ|NewMQ|PolicyCLOCK|PolicyMQ|PolicyTwoQ|BaselineCLOCK|BaselineMQ|BaselineTwoQ' --include='*.go' --exclude='*_test.go' .
 	@! grep -rn '"container/list"' --include='*.go' --exclude='*_test.go' internal/cache
@@ -133,11 +134,16 @@ mux-race:
 # ownership table under aggMu while opens run on two connections and its
 # view moves; and the replays whose counts hold only while a server
 # finishes every answered open before it serves the next, on any
-# connection: the ring replay's pinned counts, two clients matching
-# simulate.RunServerMulti open by open, and two rings replaying one
-# two-client walk alike.
+# connection: the ring replay on 2, 3 and 5 nodes, whose client sequence
+# is a one-member fleet's and whose peer stage hints land before the next
+# open, two clients matching simulate.RunServerMulti open by open, and two
+# rings replaying one two-client walk alike; and the stage hints
+# themselves: a receiver stages only what it owns, and a node's hints
+# reach their owners, are shed past the bound or at an open breaker, and
+# stop with the peer.
 stage-race:
-	$(GO) test -race -count 10 -run '^(TestStagingOwnershipFollowsView|TestSoloViewStagesAsNoView|TestRingReplayStagesOwnedFiles|TestTwoClientsMatchRunServerMulti|TestRingReplayTwoClientsIsReproducible)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestStagingOwnershipFollowsView|TestSoloViewStagesAsNoView|TestRingReplayStagesOwnedFiles|TestTwoClientsMatchRunServerMulti|TestRingReplayTwoClientsIsReproducible|TestPeerHintStagesOnlyOwnedFiles)$$' ./internal/fsnet
+	$(GO) test -race -count 10 -run '^(TestPeerHintSeriesMove|TestPeerHintSenderStopsWithThePeer)$$' ./internal/cluster
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -81,11 +81,29 @@ func (g *GroupLRU) Stage(group []trace.FileID, probation int) (admitted int) {
 	return g.place(group, false, true, probation)
 }
 
+// StageMembers is Stage with no demanded file: every non-resident file of
+// members enters the probation list as Stage's members do, and resident
+// ones stay where they are. A ring node stages a peer's stage hint with it
+// (core.AggregatingCache.StageHint).
+func (g *GroupLRU) StageMembers(members []trace.FileID, probation int) (admitted int) {
+	if len(members) == 0 {
+		return 0
+	}
+	return g.placeMembers(members, members, false, true, probation)
+}
+
 // place is Install and Stage: the demanded file goes to the head of the
 // recency list, members to its head or tail or, staged, onto the
 // probation list behind the member admitted before them; room is made by
 // evictOutside with bound.
 func (g *GroupLRU) place(group []trace.FileID, head, staged bool, bound int) (admitted int) {
+	g.placeDemanded(group, bound)
+	return g.placeMembers(group, group[1:], head, staged, bound)
+}
+
+// placeDemanded places a group's demanded file, group[0], at the head of the
+// recency list, as place does.
+func (g *GroupLRU) placeDemanded(group []trace.FileID, bound int) {
 	l := g.lru
 	if i := l.slot.lookup(group[0]); i != none {
 		n := &l.nodes[i]
@@ -102,8 +120,15 @@ func (g *GroupLRU) place(group []trace.FileID, head, staged bool, bound int) (ad
 		}
 		l.insertHead(group[0])
 	}
+}
+
+// placeMembers places members, which belong to group: each non-resident
+// one goes to the recency list's head or tail or, staged, onto the
+// probation list behind the member admitted before it.
+func (g *GroupLRU) placeMembers(group, members []trace.FileID, head, staged bool, bound int) (admitted int) {
+	l := g.lru
 	prev := none // the member staged last, behind which the next goes
-	for _, m := range group[1:] {
+	for _, m := range members {
 		if l.Contains(m) {
 			continue
 		}

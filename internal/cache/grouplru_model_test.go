@@ -91,7 +91,12 @@ func (m *groupModel) placeDemanded(group []trace.FileID, bound int) {
 // prob, the others order.
 func (m *groupModel) place(group []trace.FileID, head, staged bool, bound int) (admitted int) {
 	m.placeDemanded(group, bound)
-	for _, id := range group[1:] {
+	return m.placeMembers(group, group[1:], head, staged, bound)
+}
+
+// placeMembers runs members, which belong to group, through the rule.
+func (m *groupModel) placeMembers(group, members []trace.FileID, head, staged bool, bound int) (admitted int) {
+	for _, id := range members {
 		if s, _ := m.find(id); s != nil {
 			continue
 		}
@@ -120,12 +125,20 @@ func (m *groupModel) stage(group []trace.FileID, probation int) int {
 	return m.place(group, false, true, probation)
 }
 
+// stageMembers is stage with no demanded file: every file of group is a
+// member.
+func (m *groupModel) stageMembers(group []trace.FileID, probation int) int {
+	return m.placeMembers(group, group, false, true, probation)
+}
+
 // groupOp is Install(group, head) when group is set — Stage(group,
-// probation) when stage is — and Demand(demand) otherwise.
+// probation) when stage is, StageMembers(group, probation) when members
+// is too — and Demand(demand) otherwise.
 type groupOp struct {
 	group     []trace.FileID
 	head      bool
 	stage     bool
+	members   bool
 	probation int
 	demand    trace.FileID
 }
@@ -163,6 +176,11 @@ func checkGroupLRU(t testing.TB, capacity int, ops []groupOp) {
 	for k, op := range ops {
 		named := op.group
 		switch {
+		case op.members:
+			got, want := g.StageMembers(op.group, op.probation), m.stageMembers(op.group, op.probation)
+			if got != want {
+				t.Fatalf("op %d: StageMembers(%v, %d) admitted %d, model %d", k, op.group, op.probation, got, want)
+			}
 		case op.stage:
 			got, want := g.Stage(op.group, op.probation), m.stage(op.group, op.probation)
 			if got != want {
@@ -232,29 +250,33 @@ func randomGroupOps(rng *rand.Rand, capacity, n int, staged bool) []groupOp {
 		ops[k] = groupOp{group: group, head: rng.Intn(4) == 0}
 		if staged && rng.Intn(2) == 0 {
 			ops[k] = groupOp{group: group, stage: true, probation: rng.Intn(capacity + 1)}
+			ops[k].members = rng.Intn(3) == 0
 		}
 	}
 	return ops
 }
 
 // TestGroupLRUMatchesModel drives random ops through GroupLRU and the
-// model: Install with head and tail placement, Stage with every probation
-// bound, and Demand, interleaved.
+// model: Install with head and tail placement, Stage and StageMembers
+// with every probation bound, and Demand, interleaved.
 func TestGroupLRUMatchesModel(t *testing.T) {
-	staged := 0
+	staged, members := 0, 0
 	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		capacity := 1 + rng.Intn(12)
 		ops := randomGroupOps(rng, capacity, 400, true)
 		for _, op := range ops {
-			if op.stage {
+			switch {
+			case op.members:
+				members++
+			case op.stage:
 				staged++
 			}
 		}
 		checkGroupLRU(t, capacity, ops)
 	}
-	if staged == 0 {
-		t.Error("no Stage op was drawn")
+	if staged == 0 || members == 0 {
+		t.Errorf("%d Stage and %d StageMembers ops drawn; want both", staged, members)
 	}
 }
 
@@ -287,9 +309,10 @@ func TestInstallAndDemandNeverTouchProbation(t *testing.T) {
 // from the input: the first byte picks the capacity (1..8); then each op
 // byte's low bit picks Demand (one id byte follows) or a group, whose size
 // (1..16) is bits 1-4, its id bytes following. Bit 6 makes the group a
-// Stage with a probation bound of bits 5 and 7 (0..3); without it, the
-// group is an Install with head placement bit 5. An id byte of 0xC0 or
-// more is a far id.
+// Stage with a probation bound of bits 5 and 7 (0..3) — a StageMembers
+// when bit 0 of its first id byte is set too; without it, the group is an
+// Install with head placement bit 5. An id byte of 0xC0 or more is a far
+// id.
 func FuzzGroupLRU(f *testing.F) {
 	f.Add([]byte{3, 0x03, 1, 2, 0x07, 3, 4, 5, 0x00, 4, 0x23, 9, 1})
 	f.Add([]byte{0, 0x1f, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 0x02, 0xc5})
@@ -321,11 +344,12 @@ func FuzzGroupLRU(f *testing.F) {
 				continue
 			}
 			group := make([]trace.FileID, 1+int(b>>1&15))
+			members := len(data) > 0 && data[0]&1 != 0
 			for j := range group {
 				group[j] = id()
 			}
 			if b&0x40 != 0 {
-				ops = append(ops, groupOp{group: group, stage: true, probation: int(b>>5&1 | b>>6&2)})
+				ops = append(ops, groupOp{group: group, stage: true, members: members, probation: int(b>>5&1 | b>>6&2)})
 				continue
 			}
 			ops = append(ops, groupOp{group: group, head: b&0x20 != 0})

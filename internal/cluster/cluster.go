@@ -21,7 +21,9 @@
 // unready and pushes the view without itself to its peers.
 //
 // The node's peer clients carry only the cluster's own traffic — gossip's
-// view exchanges and a drain's goodbye. Peer health is a consecutive-failure
+// view exchanges, a drain's goodbye, and the stage hints that hand each
+// peer the files its server's deep builds predicted that peer owns
+// (hints.go). Peer health is a consecutive-failure
 // circuit breaker fed only by transport errors (fsnet.ErrConnBroken). A
 // tripped breaker short-circuits exchanges with the peer for downDuration,
 // then admits exactly one probe; the probe's outcome either heals the
@@ -121,6 +123,10 @@ type Node struct {
 	updates      *obs.Counter
 	staleUpdates *obs.Counter
 
+	// Stage hints (hints.go): paths sent to their owners, and shed.
+	hintsSent *obs.Counter
+	hintsShed *obs.Counter
+
 	events *obs.EventLog
 }
 
@@ -187,6 +193,7 @@ func (n *Node) wireMetrics(reg *obs.Registry) {
 	n.updates = reg.LiveCounter("cluster_membership_updates_total", "membership views installed by Update")
 	n.staleUpdates = reg.LiveCounter("cluster_membership_stale_total", "membership updates rejected for a stale epoch")
 	n.events = reg.Events()
+	n.wireHintMetrics(reg)
 	reg.GaugeFunc("cluster_membership_epoch", "epoch of the installed membership view", func() float64 {
 		return float64(n.Epoch())
 	})
@@ -223,7 +230,7 @@ func (n *Node) Close() error {
 	n.closed = true
 	var first error
 	for _, p := range n.view.Load().peers {
-		if err := p.client.Close(); err != nil && first == nil {
+		if err := p.close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -255,6 +262,10 @@ type NodeStats struct {
 	// LocalOpens counts opens offered to the node's router: all of them
 	// are served by the local server.
 	LocalOpens uint64
+	// PeerHintsSent counts the stage-hint paths the node's peers
+	// acknowledged; PeerHintsShed the ones dropped unsent.
+	PeerHintsSent uint64
+	PeerHintsShed uint64
 	// ForwardedOpens, MirrorHits, CoalescedForwards and DegradedOpens are
 	// always 0: a node neither forwards an open nor keeps a copy of a
 	// peer's groups. They stay for readers that still name them.
@@ -274,6 +285,9 @@ func (n *Node) Stats() NodeStats {
 		Epoch:      v.epoch,
 		Draining:   n.draining.Load(),
 		LocalOpens: n.localOpens.Load(),
+
+		PeerHintsSent: n.hintsSent.Load(),
+		PeerHintsShed: n.hintsShed.Load(),
 	}
 	for _, p := range v.peers {
 		st.Peers = append(st.Peers, PeerStatus{
@@ -294,6 +308,7 @@ type peer struct {
 	addr   string
 	client *fsnet.Client
 	now    func() time.Time
+	hints  peerHints
 
 	fails     atomic.Uint64 // consecutive transport failures
 	trips     atomic.Uint64
@@ -305,6 +320,13 @@ type peer struct {
 	// registry, so the breaker itself pays nothing extra.
 	state  *obs.Gauge
 	events *obs.EventLog
+}
+
+// close closes the peer's client and stops its hint sender.
+func (p *peer) close() error {
+	err := p.client.Close()
+	p.hints.stop()
+	return err
 }
 
 // Breaker gauge values exported as cluster_peer_state.

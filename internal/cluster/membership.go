@@ -130,7 +130,7 @@ func (n *Node) Update(epoch uint64, peers []string) error {
 	// new exchange can pick a removed peer.
 	for addr, p := range cur.peers {
 		if next.peers[addr] == nil {
-			_ = p.client.Close()
+			_ = p.close()
 		}
 	}
 

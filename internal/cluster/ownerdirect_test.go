@@ -155,26 +155,22 @@ func metadataTracker(t *testing.T, srv *fsnet.Server) (*successor.Tracker, []str
 
 // TestLearningPartition is the ring's learning contract with clients that
 // send each miss to its owner: a seeded lock-step replay through one
-// client on a three-node ring teaches each node exactly what a tracker
-// learns when fed, for each miss p_i the node owns, the opens h_i the
-// client made since its previous miss and then p_i — the whole pending
-// history goes to the owner of the path being fetched. No node forwards.
+// client on a three-node ring teaches every node exactly what one tracker
+// learns when fed the client's whole open stream, hits and misses alike,
+// in order, through the node's last request. Each open reaches every
+// owner once, with the next request the client sends it (the history log),
+// so every node sees each transition once: equal successor lists, equal
+// succession counts, equal access counts. No node forwards.
 func TestLearningPartition(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	client := tc.client(t, 0, fsnet.ClientConfig{CacheCapacity: 8})
-	refs := make([]*successor.Tracker, 3)
 	ids := trace.NewInterner()
-	for i := range refs {
-		var err error
-		if refs[i], err = successor.NewTracker(successor.PolicyLRU, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
+	var stream []trace.FileID
 	// A walk with locality: mostly the next file of a task of eight,
 	// sometimes a jump to another task.
 	rng := rand.New(rand.NewSource(7))
-	var history []trace.FileID
 	f := 0
+	var last string
 	for i := 0; i < 3000; i++ {
 		if rng.Intn(5) == 0 {
 			f = rng.Intn(testFiles/8) * 8
@@ -182,49 +178,67 @@ func TestLearningPartition(t *testing.T) {
 			f = f/8*8 + (f+1)%8
 		}
 		path := fmt.Sprintf("/data/f%03d", f)
-		hit := client.Contains(path)
 		data, err := client.Open(path)
 		if err != nil || string(data) != testContent(path) {
 			t.Fatalf("open %d %s = %q, %v", i, path, data, err)
 		}
-		id := ids.Intern(path)
-		if hit {
-			history = append(history, id)
-			continue
-		}
-		owner := refs[tc.owner(path)]
-		for _, h := range history {
-			owner.Observe(h)
-		}
-		owner.Observe(id)
-		history = history[:0]
+		stream = append(stream, ids.Intern(path))
+		last = path
 	}
 	if st := client.Stats(); st.Fetches == 0 || st.Hits == 0 || st.Rerouted != 0 {
 		t.Fatalf("client stats %+v: want hits and fetches, nothing rerouted", st)
+	}
+	// The opens after each node's last request have not reached it yet:
+	// one more open of every node's, each a miss in a cache of eight,
+	// carries them, and node i learns the stream through its own.
+	through := make([]int, len(tc.servers))
+	for i := range tc.servers {
+		skip := map[string]bool{last: true}
+		for f := 0; f < testFiles; f++ {
+			if p := fmt.Sprintf("/data/f%03d", f); client.Contains(p) {
+				skip[p] = true
+			}
+		}
+		path := tc.pathOwnedBy(t, i, skip)
+		if _, err := client.Open(path); err != nil {
+			t.Fatal(err)
+		}
+		stream = append(stream, ids.Intern(path))
+		through[i] = len(stream)
+		last = path
 	}
 	// A server learns a request's history after its reply is on the wire:
 	// closing the nodes waits for every read loop, and with it for that.
 	tc.close()
 	for i, srv := range tc.servers {
-		got, paths := metadataTracker(t, srv)
-		if len(paths) == 0 {
-			t.Errorf("node %d learned nothing", i)
+		ref, err := successor.NewTracker(successor.PolicyLRU, 2)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ref.ObserveAll(stream[:through[i]])
+		got, paths := metadataTracker(t, srv)
 		for f := 0; f < testFiles; f++ {
 			path := fmt.Sprintf("/data/f%03d", f)
 			var want, have []string
+			var wantCounts, haveCounts []uint64
+			var wantSeen, haveSeen uint64
 			if id, ok := ids.Lookup(path); ok {
-				for _, s := range refs[i].Successors(id) {
+				wantSeen = ref.AccessCount(id)
+				for _, s := range ref.Successors(id) {
 					want = append(want, ids.Path(s))
+					wantCounts = append(wantCounts, ref.List(id).Count(s))
 				}
 			}
 			if id := slices.Index(paths, path); id >= 0 {
+				haveSeen = got.AccessCount(trace.FileID(id))
 				for _, s := range got.Successors(trace.FileID(id)) {
 					have = append(have, paths[s])
+					haveCounts = append(haveCounts, got.List(trace.FileID(id)).Count(s))
 				}
 			}
-			if !slices.Equal(have, want) {
-				t.Errorf("node %d: successors of %s = %v, the partition model says %v", i, path, have, want)
+			if !slices.Equal(have, want) || !slices.Equal(haveCounts, wantCounts) || haveSeen != wantSeen {
+				t.Errorf("node %d: %s seen %d times, successors %v counted %v; the whole stream says %d, %v, %v",
+					i, path, haveSeen, have, haveCounts, wantSeen, want, wantCounts)
 			}
 		}
 		if st := tc.nodes[i].Stats(); st.ForwardedOpens != 0 {

@@ -173,6 +173,14 @@ type AggregatingCache struct {
 	// it via Builder.AppendBuild and installs it at once, so the miss
 	// path performs no group allocation.
 	groupBuf []trace.FileID
+	// unowned is the last Stage's deep build past what its Owner owns
+	// (Unowned).
+	unowned []trace.FileID
+	// hinted marks, by FileID, the resident files a peer's stage hint
+	// placed that no demand has reached yet (StageHint); peerHintHits
+	// counts the demands that did.
+	hinted       []bool
+	peerHintHits uint64
 }
 
 // New builds an aggregating cache from cfg, applying documented defaults
@@ -215,6 +223,7 @@ type coreMetrics struct {
 	prefetchHits *obs.Counter
 	evictions    *obs.Counter
 	loads        *obs.Counter
+	peerHintHits *obs.Counter
 	groupSize    *obs.Histogram
 }
 
@@ -228,6 +237,7 @@ func newCoreMetrics(reg *obs.Registry) coreMetrics {
 		prefetchHits: reg.Counter("core_cache_prefetch_hits_total", "demand hits on files that arrived as non-demanded group members"),
 		evictions:    reg.Counter("core_cache_evictions_total", "capacity evictions"),
 		loads:        reg.Counter("core_cache_loads_total", "files that entered the cache, demanded or staged"),
+		peerHintHits: reg.Counter("core_cache_peer_hint_hits_total", "demand hits on files a peer's stage hint placed, before their eviction"),
 		groupSize:    reg.Histogram("core_group_size", "files per fetched group, demanded file included"),
 	}
 }
@@ -356,17 +366,57 @@ func (c *AggregatingCache) Stage(src uint64, seq, reply []trace.FileID, hit, owe
 		c.LearnFrom(src, seq...)
 	}
 	c.groupBuf = c.builder.ResumeN(append(c.groupBuf[:0], reply...), StageDepth*c.cfg.GroupSize)
+	c.unowned = c.unowned[:0]
 	if own != nil {
 		owned := c.groupBuf[:1]
 		for _, m := range c.groupBuf[1:] {
 			if own.Owns(m) {
 				owned = append(owned, m)
+			} else {
+				c.unowned = append(c.unowned, m)
 			}
 		}
 		c.groupBuf = owned
 	}
 	c.count(c.groupBuf, c.lru.Stage(c.groupBuf, c.Probation(own)), hit)
 }
+
+// Unowned returns the members of the last Stage's deep build that its
+// Owner did not own, in build order — best prediction first — and none
+// after a Stage without one. A ring node hands them to their owners as
+// stage hints (StageHint). The slice is the cache's scratch, valid until
+// the next Stage.
+func (c *AggregatingCache) Unowned() []trace.FileID { return c.unowned }
+
+// StageHint stages files a peer's deep build predicted, best first, as
+// Stage stages a deep build's members, with no demanded file: each that
+// is not resident enters the probation list, kept under Probation(own),
+// and resident ones stay where they are. Nothing is learned and no demand
+// is counted; the files that enter count as loads. The caller passes only
+// files own owns. ids is read-only and not retained.
+func (c *AggregatingCache) StageHint(ids []trace.FileID, own Owner) {
+	for _, id := range ids {
+		if int(id) >= len(c.hinted) {
+			c.hinted = trace.GrowDense(c.hinted, id)
+		}
+		if !c.lru.Contains(id) {
+			c.hinted[id] = true
+		}
+	}
+	admitted := c.lru.StageMembers(ids, c.Probation(own))
+	for _, id := range ids {
+		if c.hinted[id] && !c.lru.Contains(id) {
+			c.hinted[id] = false // dropped for want of room
+		}
+	}
+	c.stats.Loads += uint64(admitted)
+	c.m.loads.Add(uint64(admitted))
+	c.stats.Evictions = c.lru.Evictions()
+}
+
+// PeerHintHits counts demand hits on files a peer's stage hint placed
+// (StageHint), each counted once, before the file's eviction.
+func (c *AggregatingCache) PeerHintHits() uint64 { return c.peerHintHits }
 
 // Probation returns the bound Stage keeps the probation list to:
 // ProbationGroups staged groups of StageDepth × GroupSize files, capped
@@ -404,6 +454,11 @@ func (c *AggregatingCache) demand(id trace.FileID) bool {
 		if speculative {
 			c.stats.PrefetchHits++
 			c.m.prefetchHits.Inc()
+			if int(id) < len(c.hinted) && c.hinted[id] {
+				c.hinted[id] = false
+				c.peerHintHits++
+				c.m.peerHintHits.Inc()
+			}
 		}
 		return true
 	}
@@ -432,10 +487,13 @@ func (c *AggregatingCache) count(g []trace.FileID, admitted int, hit bool) {
 }
 
 // evicted is the eviction hook: it counts wasted speculation.
-func (c *AggregatingCache) evicted(_ trace.FileID, speculative bool) {
+func (c *AggregatingCache) evicted(id trace.FileID, speculative bool) {
 	c.m.evictions.Inc()
 	if speculative {
 		c.stats.PrefetchedEvicted++
+		if int(id) < len(c.hinted) {
+			c.hinted[id] = false
+		}
 	}
 }
 

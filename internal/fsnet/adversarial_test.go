@@ -130,7 +130,7 @@ func TestAdversarialBadRequests(t *testing.T) {
 	if e := rc.recvError(t, 3); e.Code != CodeBadRequest {
 		t.Errorf("reserved type: error code = %d, want CodeBadRequest", e.Code)
 	}
-	rc.send(t, msgOpen, 4, appendOpenRequest(nil, "/data/f000", nil))
+	rc.send(t, msgOpen, 4, appendOpenRequest(nil, "/data/f000", nil, false))
 	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 4 {
 		t.Fatalf("open after three bad requests = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
@@ -151,7 +151,7 @@ func TestPiggybackedMissingPathsAreNotInterned(t *testing.T) {
 			_ = rc.SetReadDeadline(time.Now().Add(10 * time.Second))
 			open := func(id uint64, accessed []string) {
 				t.Helper()
-				rc.send(t, msgOpen, id, appendOpenRequest(nil, "/data/f000", accessed))
+				rc.send(t, msgOpen, id, appendOpenRequest(nil, "/data/f000", accessed, false))
 				for {
 					typ, gotID, _, err := readFrameID(rc.r, nil)
 					if err != nil || gotID != id || (typ != msgMemberChunk && typ != msgGroupEnd) {
@@ -290,7 +290,7 @@ func TestServerWriteTimeoutUnwedgesStalledReader(t *testing.T) {
 	srv, addr := startServer(t, store, ServerConfig{WriteTimeout: 150 * time.Millisecond})
 
 	rc := rawHello(t, rawDial(t, addr))
-	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/big", nil))
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/big", nil, false))
 	// Never read the multi-megabyte reply. The handler must give up on
 	// its own (not because we closed).
 	deadline := time.Now().Add(5 * time.Second)
@@ -329,12 +329,12 @@ func TestServerPanicRecovery(t *testing.T) {
 
 	rc := rawHello(t, rawDial(t, addr))
 	_ = rc.SetReadDeadline(time.Now().Add(2 * time.Second))
-	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/panic", nil))
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/panic", nil, false))
 	if e := rc.recvError(t, 1); e.Code != CodeInternal {
 		t.Errorf("recovery code = %d, want CodeInternal", e.Code)
 	}
 	// The connection survives its handler's panic.
-	rc.send(t, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil))
+	rc.send(t, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil, false))
 	if typ, id, _, err := readFrameID(rc.r, nil); err != nil || typ != msgMemberChunk || id != 2 {
 		t.Fatalf("open after the panic = type %d id %d, %v; want its first chunk", typ, id, err)
 	}
@@ -349,7 +349,7 @@ func TestServerPanicRecovery(t *testing.T) {
 	}()
 	_ = clientConn.SetDeadline(time.Now().Add(2 * time.Second))
 	pc := rawHello(t, clientConn)
-	pc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil))
+	pc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil, false))
 	if _, _, _, err := readFrameID(pc.r, nil); err == nil {
 		t.Error("connection outlived a read-loop panic")
 	}

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"testing"
+	"unsafe"
 
 	"aggcache/internal/alloctest"
 )
@@ -105,12 +106,10 @@ func TestAllocBudgetRoutedLocalOpen(t *testing.T) {
 // TestAllocBudgetPipelinedOpens pins the fetch under pipelining: eight
 // goroutines share one connection and each op is one flight of eight
 // fetches. Batched writes, pipelined replies and the mux's queues cost
-// nothing on top of eight single fetches, and neither does the piggyback
-// backlog any more: a claim in flight has taken its storage with it, and
-// the client used to recycle one claim's worth, so a miss that landed
-// meanwhile regrew the backlog (one allocation per open, 3 per fetch). It
-// now stacks every consumed claim's array, as many as were ever in flight
-// at once, so a flight of eight costs eight client slabs.
+// nothing on top of eight single fetches, and neither does the history
+// log: a claim is a range of it, not storage of its own, and the log's
+// array is reused once its entries are answered, so a flight of eight
+// costs eight client slabs.
 func TestAllocBudgetPipelinedOpens(t *testing.T) {
 	const (
 		workers = 8
@@ -354,11 +353,11 @@ func TestKeptBuffersStayUnderBound(t *testing.T) {
 	}
 }
 
-// TestHistoryArraysSurviveCollection: the client keeps the arrays of the
-// piggyback history it has claimed and the server has consumed, so a
-// collection, which empties every sync.Pool, leaves a claim a spare array
-// to put in the backlog's place and the backlog does not regrow. Runs
-// with collection on, under the race detector too.
+// TestHistoryArraysSurviveCollection: the client's history log keeps its
+// array. Each fetch consumes what the log held, and the next append finds
+// the array full of answered entries and moves the rest down instead of
+// regrowing, so after collections the log is the array it was. Runs with
+// collection on, under the race detector too.
 func TestHistoryArraysSurviveCollection(t *testing.T) {
 	_, addr := startServer(t, seededStore(t, 4), ServerConfig{GroupSize: 1})
 	client, err := Dial(addr, ClientConfig{CacheCapacity: 1})
@@ -371,19 +370,19 @@ func TestHistoryArraysSurviveCollection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	backlog := func() (length, capacity int) {
+	array := func() (*string, int) {
 		client.mu.Lock()
 		defer client.mu.Unlock()
-		return len(client.pending), cap(client.pending)
+		return unsafe.SliceData(client.log), cap(client.log)
 	}
-	// Each file is fetched, then hit: the hit adds to the backlog and the
-	// next fetch claims it. Two such visits leave the client the array
-	// the first fetch claimed.
-	for i := 0; i < 2; i++ {
+	// Each file is fetched, then hit: the hit is a log entry the next
+	// fetch carries. Four such visits grow the array to its size.
+	for i := 0; i < 4; i++ {
 		open(i)
 		open(i)
 	}
-	for i := 2; i < 10; i++ {
+	kept, size := array()
+	for i := 4; i < 20; i++ {
 		runtime.GC()
 		runtime.GC()
 		fetches := client.Stats().Fetches
@@ -391,10 +390,10 @@ func TestHistoryArraysSurviveCollection(t *testing.T) {
 		if got := client.Stats().Fetches - fetches; got != 1 {
 			t.Fatalf("open %d made %d fetches, want 1", i, got)
 		}
-		if n, c := backlog(); n != 0 || c == 0 {
-			t.Fatalf("fetch %d after two collections left a backlog of %d in an array of %d; want an empty array to regrow into", i, n, c)
-		}
 		open(i) // a hit, into that array
+		if now, c := array(); now != kept || c != size {
+			t.Fatalf("visit %d after two collections: the log is an array of %d at %p, want the one of %d at %p", i, c, now, size, kept)
+		}
 	}
 }
 

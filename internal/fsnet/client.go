@@ -182,9 +182,10 @@ type ClientStats struct {
 	// the server with the next open.
 	ValidatedFiles   uint64
 	ValidationMisses uint64
-	// HistoryDropped counts piggyback-history entries shed, oldest first,
-	// because more than the protocol bound accumulated between two
-	// requests (or across failed ones).
+	// HistoryDropped counts history-log entries a server was never sent,
+	// oldest first, because more than the protocol bound accumulated for
+	// its link between two requests (or across failed ones): the request
+	// after them carries the gap flag.
 	HistoryDropped uint64
 	// PrefetchHits counts opens served by a file that arrived as a
 	// non-demanded group member and had not been demanded since.
@@ -258,6 +259,12 @@ type link struct {
 	// fails is the consecutive transport failures that set it.
 	downUntil time.Time
 	fails     int
+	// cursor is the first entry of the client's history log this link's
+	// server has not been sent, and acked the first it has not answered
+	// the request of: the entries from acked on are the link's to keep.
+	// A poisoned connection moves cursor back to its oldest unanswered
+	// claim. Both survive reconnection.
+	cursor, acked uint64
 }
 
 // keptFile is a file evicted while opens its link had written were
@@ -329,7 +336,12 @@ func (l *link) mark(id trace.FileID) {
 // verbs stay with the seed. A piggybacked view hint of a newer epoch
 // makes the next miss re-pull the list before it is routed.
 //
-// Locking (see DESIGN.md §4): mu guards the cache state, pending history,
+// Every open, hit or miss, is an entry of one history log, and each link
+// keeps a cursor into it: an open sent to a server carries the entries
+// that server has not been sent, through the open's own, so every server
+// learns the client's whole stream in order (DESIGN.md §4).
+//
+// Locking (see DESIGN.md §4): mu guards the cache state, the history log,
 // the view and the links' connection slots and report state, and is never
 // held across network I/O — Contains, Close, and cache hits always return
 // promptly even while requests are stalled on the wire. Stats takes no
@@ -355,11 +367,11 @@ type Client struct {
 	lru     *cache.GroupLRU // residency and placement; the client keeps only bytes
 	data    [][]byte        // file contents by interned FileID; immutable once published (see Open)
 	tags    []uint64        // by FileID: the tag data[id] arrived (or was written) under
-	// pending is the access history awaiting piggybacking. A claim takes
-	// its array into the call that sends it and leaves in its place the
-	// emptied array that call kept from its last claim, so the backlog
-	// regrows without reallocating.
-	pending    []string
+	// log is the history log, oldest first: at least the entries some
+	// link still has unsent or unanswered, of the newest maxStatPaths,
+	// each numbered from the client's first open; logBase numbers log[0].
+	log        []string
+	logBase    uint64
 	reply      groupReply // install's decode of the reply it installs
 	gidScratch []trace.FileID
 	reported   []trace.FileID // appendOpen's scratch
@@ -597,7 +609,7 @@ func (c *Client) Open(path string) ([]byte, error) {
 		c.mu.Unlock()
 		return nil, errClientClosed
 	}
-	c.appendPending(path)
+	entry := c.logOpen(path)
 	// Lookup, not Intern: a path is interned when a reply delivers it, so
 	// opens of nonexistent paths leave nothing behind.
 	if id, known := c.ids.Lookup(path); known {
@@ -621,7 +633,7 @@ func (c *Client) Open(path string) ([]byte, error) {
 	}
 	c.mu.Unlock()
 
-	out, err := c.fetch(path, tctx)
+	out, err := c.fetch(path, entry, tctx)
 	if err != nil {
 		return nil, err
 	}
@@ -643,7 +655,7 @@ func (c *Client) ViewPull() (epoch uint64, members []string, err error) {
 // request's epoch and sender fields are left zero: the responder ignores
 // them.
 func (c *Client) viewPull(l *link) (epoch uint64, sender string, members []string, err error) {
-	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", appendViewMsg(nil, 0, ""), otrace.Ctx{})
+	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.on(l) }, msgViewPull, "", 0, appendViewMsg(nil, 0, ""), otrace.Ctx{})
 	if err != nil {
 		return 0, "", nil, err
 	}
@@ -665,7 +677,7 @@ func (c *Client) ViewPush(epoch uint64, members []string) (remoteEpoch uint64, e
 		return 0, fmt.Errorf("fsnet: view of %d members exceeds limit %d", len(members), maxViewMembers)
 	}
 	payload := appendViewPush(nil, epoch, "", members)
-	res, err := c.roundTrip(c.toSeed, msgViewPush, "", payload, otrace.Ctx{})
+	res, err := c.roundTrip(c.toSeed, msgViewPush, "", 0, payload, otrace.Ctx{})
 	return res.epoch, err
 }
 
@@ -682,7 +694,7 @@ func (c *Client) Write(path string, data []byte) error {
 		return fmt.Errorf("fsnet: file of %d bytes exceeds limit %d", len(data), maxFileSize)
 	}
 	payload := encodeWriteRequest(writeRequest{Path: path, Data: data})
-	res, err := c.roundTrip(c.toSeed, msgWrite, "", payload, otrace.Ctx{})
+	res, err := c.roundTrip(c.toSeed, msgWrite, "", 0, payload, otrace.Ctx{})
 	if err != nil {
 		return err
 	}
@@ -703,18 +715,29 @@ func (c *Client) Write(path string, data []byte) error {
 	return nil
 }
 
+// PeerHint sends the seed a stage hint (msgPeerHint): paths for it to
+// stage, best prediction first. payload is scratch for the encoded
+// request, returned grown for the caller to keep. A cluster node sends its
+// peers' hints through the client it keeps for each.
+func (c *Client) PeerHint(payload []byte, paths []string) ([]byte, error) {
+	payload = appendPeerHint(payload[:0], paths)
+	_, err := c.roundTrip(c.toSeed, msgPeerHint, "", 0, payload, otrace.Ctx{})
+	return payload, err
+}
+
 // fetch performs one open round trip to path's owner, retrying per the
-// config. The piggybacked history is claimed when the request is written
-// and restored if the server demonstrably never processed it (any reply
-// frame consumes it): a failed round trip retains the history so the
-// access transitions are re-sent — and a server still learns them — on
+// config. entry is the open's own entry in the history log: the request
+// carries the entries its link's server has not been sent, through entry,
+// claimed when it is written and given back if the server demonstrably
+// never processed it (any reply frame consumes them), so a failed round
+// trip's transitions are re-sent — and a server still learns them — on
 // the next successful request (§3 metadata quality).
 //
 // The call installed the group the reply carried (install) before the
 // next call on its connection could read; fetch returns the demanded
 // file's contents.
-func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
-	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, nil, tctx)
+func (c *Client) fetch(path string, entry uint64, tctx otrace.Ctx) ([]byte, error) {
+	res, err := c.roundTrip(func() (*link, *muxConn, error) { return c.toOwner(path) }, msgOpen, path, entry, nil, tctx)
 	return res.data, err
 }
 
@@ -725,16 +748,18 @@ func (c *Client) fetch(path string, tctx otrace.Ctx) ([]byte, error) {
 // role on, which keeps the order the server sent the connection's replies
 // in, the order its residency table assumed: a reply may vouch for a
 // member an earlier reply delivered.
-func (c *Client) install(m *muxConn, path string, buf []byte, ends []int) ([]byte, error) {
+func (c *Client) install(m *muxConn, call *muxCall, buf []byte, ends []int) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	g := &c.reply
 	defer g.reset()
+	path := call.path
 	// A call installs only a group its msgGroupEnd counted, and the count
 	// is never zero: the reply has members.
 	if err := decodeChunks(g, buf, ends, path); err != nil {
 		return nil, err
 	}
+	c.ack(m, call)
 	c.m.fetches.Inc()
 	// The reply leads with path (decodeChunks), so path exists: interning
 	// the caller's string saves installViews materialising a copy.
@@ -871,8 +896,9 @@ func (c *Client) followHint() {
 }
 
 // pullView fetches l's view and routes by it. Members that left are
-// closed, and any still owed history rides the next open. Called with
-// viewMu held.
+// closed; a member new to the client gets a link whose cursor is at the
+// log's first entry, so its first open carries the history the log holds.
+// Called with viewMu held.
 func (c *Client) pullView(l *link) error {
 	epoch, sender, members, err := c.viewPull(l)
 	if err != nil {
@@ -915,63 +941,54 @@ func (c *Client) pullView(l *link) error {
 }
 
 // appendOpen encodes one open for l's connection: the demanded path, the
-// piggybacked history and l's residency report. spare is the emptied array
-// the call sending the open kept from its last claim. The history claimed
-// — spare itself when there is none — is returned for the call to keep:
-// for restorePending should the connection die before the server saw it,
-// or as the call's spare once it is answered. Called by the mux's flush
-// with its lock held.
-func (c *Client) appendOpen(dst []byte, l *link, path string, spare []string) (_ []byte, claimed []string) {
+// history l's server has not been sent (claim) and l's residency report.
+// entry is the open's own entry in the log. It returns the claimed range
+// of log entries, [from, to), for the call to keep: to move l's cursor
+// back should the connection die before the server saw the open. Called
+// by the mux's flush with its lock held.
+func (c *Client) appendOpen(dst []byte, l *link, path string, entry uint64) (_ []byte, from, to uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var accessed []string
-	claimed = spare
 	l.written++
-	if len(c.pending) > 0 {
-		accessed, claimed = c.claimPending(path, spare)
-	}
-	dst = appendOpenRequest(dst, path, accessed)
-	return c.appendReport(dst, l), claimed
+	accessed, from, to, gap := c.claim(l, entry)
+	dst = appendOpenRequest(dst, path, accessed, gap)
+	return c.appendReport(dst, l), from, to
 }
 
-// claimPending takes the pending history for one open of path. It returns
-// the Accessed list to send — the claimed history minus a trailing entry
-// for the demanded path itself (the server appends the demanded open on
-// arrival), capped at the protocol limit by dropping the oldest overflow
-// — and the slice to hand to restorePending should the attempt fail
-// before the server saw it. The emptied spare array takes the claimed
-// one's place.
-//
-// The claim ends at the open's own entry, the last one naming path: the
-// entries after it are opens made while it waited to be written, in
-// flight beside it, and they belong to the requests that carry them. Sent
+// claim takes the history one open of entry to l carries: the log entries
+// from l's cursor up to the open's own, which the server appends itself
+// as the demanded path, and moves the cursor past the open's own entry.
+// The entries after it are opens made while it waited to be written, in
+// flight beside it, and they belong to the requests that carry them: sent
 // with it, they would teach the server successions that never happened
-// (the later opens before this one). They move to the spare array.
-// Called with mu held.
-func (c *Client) claimPending(path string, spare []string) (accessed, claimed []string) {
-	own := len(c.pending) - 1
-	for own >= 0 && c.pending[own] != path {
-		own--
+// (the later opens before this one).
+//
+// At most maxStatPaths entries go, the newest: when more are owed — a
+// link idle for long, or one dialled late — the older ones are counted in
+// HistoryDropped and the request carries the gap flag, so the server
+// learns no succession across them. An open whose own entry an open made
+// after it has already carried claims nothing. Called with mu held.
+func (c *Client) claim(l *link, entry uint64) (accessed []string, from, to uint64, gap bool) {
+	to = entry + 1
+	if l.cursor >= to {
+		return nil, l.cursor, l.cursor, false
 	}
-	if own >= 0 && own < len(c.pending)-1 {
-		claimed, c.pending = c.pending[:own+1], append(spare[:0], c.pending[own+1:]...)
-	} else {
-		claimed, c.pending = c.pending, spare
+	from = max(l.cursor, c.logBase)
+	if entry > maxStatPaths && from < entry-maxStatPaths {
+		from = entry - maxStatPaths
 	}
-	accessed = claimed
-	if n := len(accessed); accessed[n-1] == path {
-		accessed = accessed[:n-1]
+	if entry < c.logBase {
+		from = entry // shed before it was written: only the demand goes
 	}
-	if len(accessed) > maxStatPaths {
-		// Restores after repeated failures can grow the backlog past the
-		// frame limit; keep the newest transitions and forget the oldest
-		// so the backlog cannot grow without bound.
-		overflow := len(accessed) - maxStatPaths
-		accessed = accessed[overflow:]
-		claimed = claimed[overflow:]
-		c.m.historyDropped.Add(uint64(overflow))
+	if from > l.cursor {
+		gap = true
+		c.m.historyDropped.Add(from - l.cursor)
 	}
-	return accessed, claimed
+	if from < entry {
+		accessed = c.log[from-c.logBase : entry-c.logBase]
+	}
+	l.cursor = to
+	return accessed, from, to, gap
 }
 
 // appendReport appends l's residency report: every marked file whose
@@ -1008,39 +1025,38 @@ func (c *Client) appendReport(dst []byte, l *link) []byte {
 	return dst
 }
 
-// appendPending adds one path to the piggyback backlog — the one way in.
-// The backlog is bounded by the protocol limit and keeps the newest: at the
-// bound the oldest quarter is shed in one block (amortised constant work
-// an access), counted, never silently. Called with mu held.
-func (c *Client) appendPending(path string) {
-	if len(c.pending) >= maxStatPaths {
-		shed := len(c.pending) - maxStatPaths*3/4
-		kept := copy(c.pending, c.pending[shed:])
-		clear(c.pending[kept:])
-		c.pending = c.pending[:kept]
-		c.m.historyDropped.Add(uint64(shed))
+// logOpen appends path to the history log — the one way in — and returns
+// its entry. A full log array first drops the entries no link needs:
+// those before every link's acked, and all but the newest maxStatPaths,
+// which is every link could still be sent (claim). So the array stops
+// growing, and an entry is copied about once as the log moves on. Called
+// with mu held.
+func (c *Client) logOpen(path string) uint64 {
+	if len(c.log) == cap(c.log) {
+		end := c.logBase + uint64(len(c.log))
+		lo := c.seed.acked
+		for _, l := range c.links {
+			lo = min(lo, l.acked)
+		}
+		if end > maxStatPaths {
+			lo = max(lo, end-maxStatPaths)
+		}
+		if lo > c.logBase {
+			kept := copy(c.log, c.log[lo-c.logBase:])
+			clear(c.log[kept:])
+			c.log, c.logBase = c.log[:kept], lo
+		}
 	}
-	c.pending = append(c.pending, path)
+	c.log = append(c.log, path)
+	return c.logBase + uint64(len(c.log)) - 1
 }
 
-// restorePending prepends a claimed history that the server never saw, so
-// it rides along with the next successful request. Entries appended by
-// opens that ran during the failed round trip are newer and stay behind
-// the restored prefix.
-func (c *Client) restorePending(claimed []string) {
-	if len(claimed) == 0 {
-		return
+// ack records that m's server answered call: the log entries the call
+// claimed were consumed. Called with mu held.
+func (c *Client) ack(m *muxConn, call *muxCall) {
+	if l := m.l; l.mux == m {
+		l.acked = max(l.acked, call.to)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.pending) == 0 {
-		c.pending = claimed
-		return
-	}
-	merged := make([]string, 0, len(claimed)+len(c.pending))
-	merged = append(merged, claimed...)
-	merged = append(merged, c.pending...)
-	c.pending = merged
 }
 
 // backoffDelay returns the jittered sleep before retry attempt (0-based).
@@ -1061,7 +1077,7 @@ func (c *Client) backoffDelay(attempt int) time.Duration {
 // not retried. The reply comes back decoded by the call that read it: a
 // streamed group reply was installed, and comes back as the demanded
 // file's contents.
-func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, payload []byte, tctx otrace.Ctx) (muxResult, error) {
+func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8, path string, entry uint64, payload []byte, tctx otrace.Ctx) (muxResult, error) {
 	if c.m.inflight != nil {
 		c.m.inflight.Add(1)
 		start := time.Now()
@@ -1076,9 +1092,9 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 		if err == nil {
 			var res muxResult
 			var idle bool
-			// A failed call's claimed history was restored by the poison
-			// that failed it.
-			if res, idle, err = c.callMux(m, reqType, path, payload, tctx); err == nil {
+			// The poison that failed a call moved its link's cursor back
+			// over the history it claimed.
+			if res, idle, err = c.callMux(m, reqType, path, entry, payload, tctx); err == nil {
 				return res, res.refused
 			}
 			if idle && !resent {
@@ -1116,8 +1132,8 @@ func (c *Client) roundTrip(route func() (*link, *muxConn, error), reqType uint8,
 // failed call reports idle when it found the connection idle after earlier
 // calls and failed before any byte of its reply arrived, other than by its
 // timeout.
-func (c *Client) callMux(m *muxConn, reqType uint8, path string, payload []byte, tctx otrace.Ctx) (res muxResult, idle bool, err error) {
-	call, head, err := m.enqueue(reqType, path, payload, tctx)
+func (c *Client) callMux(m *muxConn, reqType uint8, path string, entry uint64, payload []byte, tctx otrace.Ctx) (res muxResult, idle bool, err error) {
+	call, head, err := m.enqueue(reqType, path, entry, payload, tctx)
 	if err != nil {
 		return muxResult{}, false, err
 	}
@@ -1341,13 +1357,16 @@ func (c *Client) dropConn(l *link, cc *clientConn) {
 	}
 }
 
-// dropMux empties m's slot after a poison. The deliberate teardown in
-// Close and in a view change empties the slot first, so a poison racing
-// with them does not count a broken connection.
-func (c *Client) dropMux(m *muxConn) {
+// dropMux empties m's slot after a poison and moves its link's cursor
+// back to from, the oldest history claim of the calls it failed (none:
+// from is past every entry), so the link's next open carries it again.
+// The deliberate teardown in Close and in a view change empties the slot
+// first, so a poison racing with them does not count a broken connection.
+func (c *Client) dropMux(m *muxConn, from uint64) {
 	c.mu.Lock()
 	counted := false
 	if l := m.l; l.mux == m {
+		l.cursor = min(l.cursor, from)
 		l.mux = nil
 		c.live--
 		c.untrack(l)
@@ -1367,11 +1386,12 @@ func (c *Client) noteBroken() {
 
 // answered counts an open m's server refused toward the opens its link
 // has had answered (installViews counts the rest).
-func (c *Client) answered(m *muxConn) {
+func (c *Client) answered(m *muxConn, call *muxCall) {
 	c.mu.Lock()
 	if l := m.l; l.mux == m {
 		l.answer()
 	}
+	c.ack(m, call)
 	c.mu.Unlock()
 }
 

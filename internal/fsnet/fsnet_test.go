@@ -232,7 +232,7 @@ func TestPiggybackTeachesServerWithoutMisses(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Force one more miss to flush the pending history.
+	// Force one more miss to carry the history the hits logged.
 	if _, err := client.Open("/data/f009"); err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,13 @@ func FuzzParseOpenRequest(f *testing.F) {
 	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a"}, Report: []reported{{"/a", 0}, {"/b", 7}}}))
 	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x02)) // a report cut short
 	f.Add(append(encodeOpenRequest(openRequest{Path: "/x"}), 0x00)) // an empty report nobody needed to send
+	f.Add(encodeOpenRequest(openRequest{Path: "/x", Accessed: []string{"/a", "/b"}, Gap: true}))
+	f.Add(encodeOpenRequest(openRequest{Path: "/x", Gap: true, Report: []reported{{"/a", 3}}}))
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		want, wantErr := decodeOpenRequest(data)
-		path, views, report, err := parseOpenRequest(data, nil, nil)
+		path, views, gap, report, err := parseOpenRequest(data, nil, nil)
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("parseOpenRequest err = %v, reference err = %v", err, wantErr)
 		}
@@ -45,8 +47,40 @@ func FuzzParseOpenRequest(f *testing.F) {
 		for _, e := range report {
 			gotReport = append(gotReport, reported{string(e.path), e.tag})
 		}
-		if string(path) != want.Path || !reflect.DeepEqual(got, ref) || !reflect.DeepEqual(gotReport, want.Report) {
-			t.Fatalf("parsed (%q, %q, %v), reference (%q, %q, %v)", path, got, gotReport, want.Path, ref, want.Report)
+		if string(path) != want.Path || !reflect.DeepEqual(got, ref) || gap != want.Gap || !reflect.DeepEqual(gotReport, want.Report) {
+			t.Fatalf("parsed (%q, %q, gap %v, %v), reference (%q, %q, gap %v, %v)", path, got, gap, gotReport, want.Path, ref, want.Gap, want.Report)
+		}
+	})
+}
+
+// FuzzDecodeStageHint: the stage-hint decoder never panics, and whatever
+// it accepts re-encodes to a payload that decodes to the same paths.
+func FuzzDecodeStageHint(f *testing.F) {
+	f.Add(appendPeerHint(nil, []string{"/a", "/b"}))
+	f.Add(appendPeerHint(nil, nil))
+	f.Add(appendPeerHint(nil, []string{"/a", "", "/c"}))
+	f.Add([]byte{0x02, 0x01})
+	f.Add([]byte{0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		views, err := parsePeerHint(data, nil)
+		if err != nil {
+			return
+		}
+		var paths []string
+		for _, v := range views {
+			if len(v) == 0 {
+				t.Fatal("an empty path survived the decode")
+			}
+			paths = append(paths, string(v))
+		}
+		again, err := parsePeerHint(appendPeerHint(nil, paths), nil)
+		if err != nil || len(again) != len(paths) {
+			t.Fatalf("re-encoded %q decodes to %d paths, %v", paths, len(again), err)
+		}
+		for i := range again {
+			if string(again[i]) != paths[i] {
+				t.Fatalf("re-encoded %q decodes to %q", paths, again)
+			}
 		}
 	})
 }

@@ -174,7 +174,7 @@ func TestCloseDuringReplyIsNoDisconnect(t *testing.T) {
 
 	rc := rawHello(t, rawDial(t, l.Addr().String()))
 	gate.Hold()
-	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil))
+	rc.send(t, msgOpen, 1, appendOpenRequest(nil, "/data/f000", nil, false))
 	for deadline := time.Now().Add(5 * time.Second); gate.Waiting() == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("the server never wrote the reply")

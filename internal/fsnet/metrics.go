@@ -26,6 +26,8 @@ type serverMetrics struct {
 	// contents that saved.
 	validated      *obs.Counter
 	validatedBytes *obs.Counter
+	// peerHints counts the paths of the peers' stage hints received.
+	peerHints *obs.Counter
 
 	// Per-phase open latency: a request is a cache hit, a store stage,
 	// or a router forward — the three serving paths of DESIGN.md §4.
@@ -53,6 +55,7 @@ func newServerMetrics(reg *obs.Registry, slow time.Duration) serverMetrics {
 
 		validated:      reg.LiveCounter("fsnet_server_validated_members_total", "group members sent header-only: the client held them unchanged"),
 		validatedBytes: reg.LiveCounter("fsnet_server_validated_bytes_saved_total", "file contents kept off the wire by header-only members"),
+		peerHints:      reg.LiveCounter("fsnet_server_peer_hints_received_total", "paths received in the peers' stage hints"),
 
 		latHit:     reg.Histogram(latName, latHelp, obs.L("phase", "hit")),
 		latStage:   reg.Histogram(latName, latHelp, obs.L("phase", "stage")),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -34,9 +35,9 @@ import (
 // head arms it when it takes the read role, so a stalled reply or a
 // stalled flush surfaces as an I/O error (the stream position is unknown
 // by then). Any transport or protocol error poisons the whole
-// connection: every in-flight call fails fast with ErrConnBroken, claimed
-// piggyback history is restored to the client in call order, and the
-// connection is closed and never reused. Nothing reads an idle
+// connection: every in-flight call fails fast with ErrConnBroken, the
+// link's cursor into the client's history log moves back to the oldest
+// unanswered claim, and the connection is closed and never reused. Nothing reads an idle
 // connection, so a server's idle close is noticed by the next call, which
 // is sent once more on a fresh connection if nothing of its reply arrived
 // (Client.roundTrip).
@@ -78,6 +79,9 @@ type muxConn struct {
 // errTimedOut marks the transport error of a call whose deadline passed.
 var errTimedOut = errors.New("request timed out")
 
+// noClaim is the from of a call that claimed no history.
+const noClaim = math.MaxUint64
+
 // muxCall is one pipelined request. It belongs to the connection that
 // carries it, which recycles it once it is answered.
 type muxCall struct {
@@ -86,20 +90,19 @@ type muxCall struct {
 	// next is the call sent after this one while both are in flight, or
 	// the next answered call on the connection's free list.
 	next *muxCall
-	// path is the demanded path of a msgOpen; the flush claims the
-	// piggyback history and the residency report and encodes the payload
-	// at write time, so one flush's worth of opens shares a single claim
-	// instead of claiming per call.
+	// path is the demanded path of a msgOpen and entry its own entry in
+	// the client's history log; the flush claims the history and the
+	// residency report and encodes the payload at write time, so claims
+	// are made in request order.
 	path    string
+	entry   uint64
 	payload []byte
-	// claimed is the piggyback history this call took from the client's
-	// pending list when the flush encoded it; it is restored if the
+	// from and to bound the history-log entries the flush claimed for the
+	// call, [from, to); the link's cursor moves back to from if the
 	// connection dies before the server demonstrably processed the call.
-	// An answered call keeps its array, emptied, and its next claim leaves
-	// it in the pending list's place. Calls poisoned before they were
-	// written have no claim — their history simply stayed on the pending
-	// list.
-	claimed []string
+	// A call poisoned before it was written claimed nothing: from is
+	// noClaim.
+	from, to uint64
 	// start is the enqueue time of a msgOpen, for time-to-first-byte;
 	// zero when the client has no ttfb histogram to record it in.
 	start time.Time
@@ -153,7 +156,7 @@ func newMuxConn(c *Client, l *link, cc *clientConn, epoch uint64) *muxConn {
 // here: the flush claims the piggyback history and encodes at write time,
 // preserving the invariant that claims happen in request-ID order (a flush
 // drains the queue in ID order).
-func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrace.Ctx) (call *muxCall, head bool, err error) {
+func (m *muxConn) enqueue(reqType uint8, path string, entry uint64, payload []byte, tctx otrace.Ctx) (call *muxCall, head bool, err error) {
 	var start, deadline time.Time
 	if reqType == msgOpen && m.c.m.ttfb != nil {
 		start = time.Now()
@@ -176,7 +179,8 @@ func (m *muxConn) enqueue(reqType uint8, path string, payload []byte, tctx otrac
 	} else {
 		call = &muxCall{done: make(chan error, 2)}
 	}
-	call.typ, call.path, call.payload, call.tctx = reqType, path, payload, tctx
+	call.typ, call.path, call.entry, call.payload, call.tctx = reqType, path, entry, payload, tctx
+	call.from, call.to = noClaim, noClaim
 	call.start, call.deadline = start, deadline
 	m.nextID++
 	call.id = m.nextID
@@ -214,10 +218,10 @@ func (m *muxConn) arm(call *muxCall) {
 // flush writes the queue out in batches until it is empty: every queued
 // frame is buffered and the batch shares one Flush, so k pipelined
 // requests cost one syscall instead of k. Open payloads are encoded here,
-// into the connection's batch buffer, after claiming the pending
-// piggyback history and the link's report — still under m.mu, so the
-// claim-order/ID-order invariant holds and the claimed slices are safely
-// published to the poison path. Called by the goroutine that set flushing.
+// into the connection's batch buffer, after claiming the link's history
+// and report — still under m.mu, so the claim-order/ID-order invariant
+// holds and the claimed ranges are safely published to the poison path.
+// Called by the goroutine that set flushing.
 func (m *muxConn) flush() {
 	for {
 		m.mu.Lock()
@@ -239,7 +243,7 @@ func (m *muxConn) flush() {
 				continue
 			}
 			start := len(enc)
-			enc, call.claimed = m.c.appendOpen(enc, m.l, call.path, call.claimed)
+			enc, call.from, call.to = m.c.appendOpen(enc, m.l, call.path, call.entry)
 			call.payload = enc[start:]
 		}
 		m.mu.Unlock()
@@ -384,7 +388,7 @@ func (m *muxConn) read(call *muxCall) (muxResult, error) {
 			case call.typ != msgOpen:
 				err = fmt.Errorf("group reply to request type %d", call.typ)
 			default:
-				res.data, err = m.c.install(m, call.path, buf[:n], ends)
+				res.data, err = m.c.install(m, call, buf[:n], ends)
 			}
 		case len(ends) > 0:
 			// A single-frame reply to a call that has already read member
@@ -397,7 +401,7 @@ func (m *muxConn) read(call *muxCall) (muxResult, error) {
 			if res, err = decodeReply(call.typ, typ, payload); err != nil {
 				err = fmt.Errorf("%w: %v", errDesync, err)
 			} else if call.typ == msgOpen {
-				m.c.answered(m)
+				m.c.answered(m, call)
 			}
 		}
 		m.rbuf, m.ends = keepBuf(m.rbuf, buf), ends[:0]
@@ -424,6 +428,10 @@ func decodeReply(reqType, typ uint8, payload []byte) (res muxResult, err error) 
 		res.epoch, res.sender, res.members, err = decodeViewPush(payload)
 	case typ == msgViewHint && reqType == msgViewPush:
 		res.epoch, _, err = decodeViewMsg(payload)
+	case typ == msgPeerHintOK && reqType == msgPeerHint:
+		if len(payload) != 0 {
+			err = fmt.Errorf("stage hint ack of %d bytes, want 0", len(payload))
+		}
 	default:
 		err = fmt.Errorf("unexpected reply type %d to request type %d", typ, reqType)
 	}
@@ -433,11 +441,10 @@ func decodeReply(reqType, typ uint8, payload []byte) (res muxResult, err error) 
 // retire takes the head call, which has its reply, off the queue onto the
 // free list and hands the read role to the next call. A connection
 // poisoned meanwhile fails the call with the rest: the poison already
-// restored its claimed history.
+// moved the link's cursor back over its claim.
 //
-// The call is free for reuse: the flush that sent it is done with it, it
-// consumed everything ever sent to its done channel, and the server
-// consumed the history it claimed, whose array it keeps, emptied.
+// The call is free for reuse: the flush that sent it is done with it, and
+// it consumed everything ever sent to its done channel.
 func (m *muxConn) retire(call *muxCall, res muxResult) (muxResult, error) {
 	m.mu.Lock()
 	if m.broken {
@@ -450,8 +457,7 @@ func (m *muxConn) retire(call *muxCall, res muxResult) (muxResult, error) {
 	if next == nil {
 		m.tail = nil
 	}
-	clear(call.claimed)
-	*call = muxCall{claimed: call.claimed[:0], next: m.free, done: call.done}
+	*call = muxCall{next: m.free, done: call.done}
 	m.free = call
 	m.mu.Unlock()
 	if next != nil {
@@ -472,8 +478,8 @@ func (m *muxConn) observeTTFB(call *muxCall) {
 	m.c.m.ttfb.Observe(d)
 }
 
-// poison marks the mux broken, closes the connection, restores every
-// unanswered call's claimed history to the client (oldest call first),
+// poison marks the mux broken, closes the connection, moves its link's
+// cursor back to the oldest history claim of the unanswered calls,
 // empties the client's connection slot, and fails every unanswered call
 // with err, front of the queue to back; the head, reading, finds the
 // closed connection. Idempotent: only the first error wins, and poison
@@ -490,18 +496,14 @@ func (m *muxConn) poison(err error) error {
 	orphans := m.head
 	m.head, m.tail = nil, nil
 	m.queue, m.freeQ = nil, nil
-	// Histories were claimed in queue order, so restoring front to back
-	// reassembles the piggyback backlog oldest-first.
-	var hist []string
+	from := uint64(noClaim)
 	for call := orphans; call != nil; call = call.next {
-		hist = append(hist, call.claimed...)
+		from = min(from, call.from)
 	}
-	// Both before the lock drops: a caller that enqueue refuses from here
-	// on must already find the history restored and the client
-	// disconnected (a cache hit right after its failed fetch is a
-	// degraded one).
-	m.c.restorePending(hist)
-	m.c.dropMux(m)
+	// Before the lock drops: a caller that enqueue refuses from here on
+	// must already find the cursor moved back and the client disconnected
+	// (a cache hit right after its failed fetch is a degraded one).
+	m.c.dropMux(m, from)
 	m.mu.Unlock()
 
 	_ = m.conn.Close()

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aggcache/internal/obs"
 	"aggcache/internal/ring"
 	"aggcache/internal/trace"
 )
@@ -282,5 +284,182 @@ func TestStagingOwnershipFollowsView(t *testing.T) {
 				t.Errorf("view %v: staged %s = %v, owned = %v", run.members, p, held[p], want)
 			}
 		}
+	}
+}
+
+// seriesValue reads the one sample of a series from reg.
+func seriesValue(t *testing.T, reg *obs.Registry, name string) float64 {
+	t.Helper()
+	for _, s := range reg.Snapshot() {
+		if s.Name == name {
+			return s.Value
+		}
+	}
+	t.Fatalf("no series %s", name)
+	return 0
+}
+
+// TestPeerHintStagesOnlyOwnedFiles: a stage hint is advice its receiver
+// checks against its own view, since the sender's may be another epoch's.
+// It stages, on its probation list, the hinted files it owns, drops the
+// ones another member owns and the ones its store never held, learns
+// nothing, counts no request and answers with an empty ack. A demand of a
+// hinted file is a hit, counted once in PeerHintHits and
+// core_cache_peer_hint_hits_total; fsnet_server_peer_hints_received_total
+// counts every path the hint carried.
+func TestPeerHintStagesOnlyOwnedFiles(t *testing.T) {
+	const self, files = "me:1", 60
+	members := []string{self, "peer:2", "peer:3"}
+	placement := ring.Of(members...)
+	reg := obs.NewRegistry()
+	srv, addr := startServer(t, seededStore(t, files), ServerConfig{GroupSize: 5, CacheCapacity: 100, Views: newTestViews(self, 1, members...), Obs: reg})
+	var all, mine, theirs []string
+	for i := 0; i < files; i++ {
+		p := fmt.Sprintf("/data/f%03d", i)
+		all = append(all, p)
+		if placement.Owner(p) == self {
+			mine = append(mine, p)
+		} else {
+			theirs = append(theirs, p)
+		}
+	}
+	hint := append(append(slices.Clone(mine[:4]), theirs[:4]...), "/no/such/file")
+	client, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.PeerHint(nil, hint); err != nil {
+		t.Fatal(err)
+	}
+	held := residents(srv, all)
+	for _, p := range all {
+		if want := slices.Contains(mine[:4], p); held[p] != want {
+			t.Errorf("after the hint, %s staged = %v, want %v", p, held[p], want)
+		}
+	}
+	st := srv.Stats()
+	if st.PeerHintsReceived != uint64(len(hint)) || st.Requests != 0 || st.Cache.Hits+st.Cache.Misses != 0 || st.Cache.Loads != 4 {
+		t.Errorf("after the hint: %+v; want %d paths received, 4 loads, no request or demand", st, len(hint))
+	}
+	if observed := func() uint64 {
+		srv.lockAgg()
+		defer srv.aggMu.Unlock()
+		return srv.agg.Tracker().Observed()
+	}(); observed != 0 {
+		t.Errorf("the hint taught the tracker %d accesses", observed)
+	}
+	o := dialRawOpener(t, addr)
+	for _, p := range []string{mine[0], mine[0]} {
+		if err := o.open(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := srv.Stats(); st.Cache.Hits != 2 || st.PeerHintHits != 1 {
+		t.Errorf("two demands of a hinted file: %d hits, %d on hinted files; want 2 and 1", st.Cache.Hits, st.PeerHintHits)
+	}
+	if got := seriesValue(t, reg, "core_cache_peer_hint_hits_total"); got != 1 {
+		t.Errorf("core_cache_peer_hint_hits_total = %v, want 1", got)
+	}
+	if got := seriesValue(t, reg, "fsnet_server_peer_hints_received_total"); got != float64(len(hint)) {
+		t.Errorf("fsnet_server_peer_hints_received_total = %v, want %d", got, len(hint))
+	}
+}
+
+// TestGapFlagForgetsTheSource: an open whose history carries the gap flag
+// makes the server forget what its connection opened last, so it learns
+// no succession across the entries the client shed, and learns the
+// history's own successions as ever.
+func TestGapFlagForgetsTheSource(t *testing.T) {
+	for _, gap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gap-%v", gap), func(t *testing.T) {
+			srv, addr := startServer(t, seededStore(t, 8), ServerConfig{GroupSize: 3})
+			o := dialRawOpener(t, addr)
+			if err := o.open("/data/f000"); err != nil {
+				t.Fatal(err)
+			}
+			o.next++
+			payload := encodeOpenRequest(openRequest{Path: "/data/f002", Accessed: []string{"/data/f001"}, Gap: gap})
+			if err := putFrameID(o.rc.w, msgOpen, o.next, payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.rc.w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for {
+				typ, _, _, err := readFrameID(o.rc.r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if typ == msgGroupEnd {
+					break
+				}
+			}
+			srv.lockAgg()
+			srv.aggMu.Unlock()
+			var want []string
+			if !gap {
+				want = []string{"/data/f001"}
+			}
+			if got := successorPaths(srv, "/data/f000"); !slices.Equal(got, want) {
+				t.Errorf("successors of f000 = %v, want %v", got, want)
+			}
+			if got := successorPaths(srv, "/data/f001"); !slices.Equal(got, []string{"/data/f002"}) {
+				t.Errorf("successors of f001 = %v, want [/data/f002]", got)
+			}
+		})
+	}
+}
+
+// TestRecentHintsAreNotRepeated: a node hands a file to its owner as a
+// stage hint at most once in hintRecent deep builds, since a re-hint that
+// soon finds it still resident there; after the window it hints it again,
+// and a new epoch starts the window over.
+func TestRecentHintsAreNotRepeated(t *testing.T) {
+	const self = "me:1"
+	members := []string{self, "peer:2", "peer:3"}
+	placement := ring.Of(members...)
+	views := newTestViews(self, 1, members...)
+	var got []string
+	views.hints = func(_ string, paths []string, _ int) { got = append(got, paths...) }
+	ids := trace.NewSyncInterner()
+	var theirs, other []trace.FileID
+	for i := 0; len(theirs) < 2 || len(other) < 1; i++ {
+		p := fmt.Sprintf("/data/f%03d", i)
+		switch {
+		case placement.Owner(p) == self:
+		case len(theirs) < 2:
+			theirs = append(theirs, ids.Intern(p))
+		default:
+			other = append(other, ids.Intern(p))
+		}
+	}
+	o := &ownership{views: views, ids: ids}
+	build := func(files []trace.FileID) []string {
+		got = got[:0]
+		o.current()
+		o.hint(files, 10)
+		return slices.Clone(got)
+	}
+	if n := len(build(theirs)); n != 2 {
+		t.Fatalf("first build hinted %d paths, want 2", n)
+	}
+	if n := len(build(theirs)); n != 0 {
+		t.Errorf("the same build again hinted %d paths, want none", n)
+	}
+	for i := 0; i < hintRecent-3; i++ {
+		build(other)
+	}
+	if n := len(build(theirs)); n != 0 {
+		t.Errorf("a build %d builds later hinted %d paths, want none", hintRecent-1, n)
+	}
+	if n := len(build(theirs)); n != 2 {
+		t.Errorf("a build %d builds later hinted %d paths, want 2", hintRecent, n)
+	}
+	views.mu.Lock()
+	views.epoch++
+	views.mu.Unlock()
+	if n := len(build(theirs)); n != 2 {
+		t.Errorf("the first build of a new epoch hinted %d paths, want 2", n)
 	}
 }

@@ -227,7 +227,7 @@ func TestRequestsServedInRequestOrder(t *testing.T) {
 	_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	const path = "/data/f000"
 	burst := appendFrameID(nil, msgWrite, 1, encodeWriteRequest(writeRequest{Path: path, Data: []byte("rewritten")}))
-	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, path, nil))
+	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, path, nil, false))
 	if _, err := rc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -536,8 +536,8 @@ func TestPipelinedOpensLearnInRequestOrder(t *testing.T) {
 	history := []string{"/data/f000", "/data/f001", "/data/f002"}
 	// One write, so the server reads the second open before it flushes the
 	// first one's reply, and so before the first one's history is learned.
-	burst := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f005", history))
-	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil))
+	burst := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f005", history, false))
+	burst = appendFrameID(burst, msgOpen, 2, appendOpenRequest(nil, "/data/f000", nil, false))
 	if _, err := rc.Write(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func TestPipelinedOpensLearnInRequestOrder(t *testing.T) {
 // flushes.
 func TestClosedConnectionLearnsOwedHistory(t *testing.T) {
 	history := []string{"/data/f000", "/data/f001", "/data/f002"}
-	open := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f003", history))
+	open := appendFrameID(nil, msgOpen, 1, appendOpenRequest(nil, "/data/f003", history, false))
 	runt := []byte{0, 0, 0, 0} // a frame length below any header
 	for name, burst := range map[string][]byte{
 		"client-close":   open,
@@ -620,23 +620,56 @@ func TestClosedConnectionLearnsOwedHistory(t *testing.T) {
 	}
 }
 
-// TestClaimEndsAtTheOpensOwnEntry: an open claims the piggyback history
-// through its own entry, the last one naming its path, and leaves the
-// entries after it — opens made while it waited to be written — to the
-// requests that carry them, so the server never learns a later open as a
-// predecessor of an earlier one. With no entry of its own (history
-// restored or shed) it claims everything.
+// TestClaimEndsAtTheOpensOwnEntry: an open claims the history log through
+// its own entry and leaves the entries after it — opens made while it
+// waited to be written — to the requests that carry them, so the server
+// never learns a later open as a predecessor of an earlier one. An open
+// whose own entry a later open already carried claims nothing, and each
+// link claims from its own cursor.
 func TestClaimEndsAtTheOpensOwnEntry(t *testing.T) {
-	c := &Client{pending: []string{"/a", "/b", "/a", "/c", "/d"}}
-	spare := make([]string, 0, 8)
-	accessed, claimed := c.claimPending("/a", spare)
-	if !slices.Equal(accessed, []string{"/a", "/b"}) || !slices.Equal(claimed, []string{"/a", "/b", "/a"}) || !slices.Equal(c.pending, []string{"/c", "/d"}) {
-		t.Fatalf("claim of /a: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
+	c := &Client{m: newClientMetrics(nil), seed: &link{}, log: []string{"/a", "/b", "/a", "/c", "/d"}}
+	l, other := &link{}, &link{}
+	claim := func(l *link, entry uint64, want ...string) {
+		t.Helper()
+		accessed, from, to, gap := c.claim(l, entry)
+		if !slices.Equal(accessed, want) || gap || l.cursor < entry+1 {
+			t.Fatalf("claim of entry %d: %q [%d, %d) gap %v, cursor %d; want %q", entry, accessed, from, to, gap, l.cursor, want)
+		}
 	}
-	if accessed, claimed = c.claimPending("/c", nil); len(accessed) != 0 || !slices.Equal(claimed, []string{"/c"}) || !slices.Equal(c.pending, []string{"/d"}) {
-		t.Fatalf("claim of /c: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
+	claim(l, 2, "/a", "/b")
+	claim(l, 3)
+	claim(l, 1) // carried by the claim of entry 2
+	claim(l, 4)
+	claim(other, 3, "/a", "/b", "/a")
+	if l.cursor != 5 || other.cursor != 4 {
+		t.Fatalf("cursors %d and %d, want 5 and 4", l.cursor, other.cursor)
 	}
-	if accessed, claimed = c.claimPending("/x", make([]string, 0, 4)); !slices.Equal(accessed, []string{"/d"}) || !slices.Equal(claimed, []string{"/d"}) || len(c.pending) != 0 {
-		t.Fatalf("claim of /x: accessed %q, claimed %q, left %q", accessed, claimed, c.pending)
+}
+
+// TestClaimShedsPastTheBoundWithAGap: a link owed more than maxStatPaths
+// entries is sent the newest maxStatPaths before the open's own, flagged
+// as gapped, and the rest are counted in HistoryDropped; so is a link
+// whose cursor the log's trimming passed.
+func TestClaimShedsPastTheBoundWithAGap(t *testing.T) {
+	const n = 2*maxStatPaths + 476
+	c := &Client{m: newClientMetrics(nil), seed: &link{}}
+	for i := 0; i < n; i++ {
+		c.logOpen(fmt.Sprintf("/data/f%04d", i))
+	}
+	l := &link{}
+	accessed, from, to, gap := c.claim(l, n-1)
+	if !gap || len(accessed) != maxStatPaths || accessed[0] != c.log[from-c.logBase] || from != n-1-maxStatPaths || to != n {
+		t.Fatalf("claim of entry %d: %d entries [%d, %d) gap %v", n-1, len(accessed), from, to, gap)
+	}
+	if got := c.Stats().HistoryDropped; got != n-1-maxStatPaths {
+		t.Errorf("HistoryDropped = %d, want %d", got, n-1-maxStatPaths)
+	}
+	if c.logBase == 0 {
+		t.Fatalf("a log of %d entries with no link's acked holding it was never trimmed", n)
+	}
+	late := &link{}
+	e := c.logOpen("/data/last")
+	if accessed, from, _, gap = c.claim(late, e); !gap || len(accessed) != maxStatPaths || from < c.logBase {
+		t.Fatalf("a link behind the log's first entry %d claims %d entries from %d, gap %v", c.logBase, len(accessed), from, gap)
 	}
 }

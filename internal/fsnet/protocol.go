@@ -25,7 +25,8 @@ import (
 const (
 	// msgOpen is a client->server open request: the demanded path plus
 	// the piggybacked list of paths the client accessed (hit or miss)
-	// since its previous request, in order.
+	// since its previous request to this server, in order, flagged when
+	// older entries were shed before it.
 	msgOpen = uint8(iota + 1)
 	// Type 2 is reserved: it was the contiguous group reply of the retired
 	// protocol versions 1 and 2. Nothing sends it and no reader accepts it.
@@ -83,19 +84,27 @@ const (
 	// carries. Sent only for head-sampled requests; a receiver without a
 	// tracer skips it.
 	msgTraceCtx
+	// msgPeerHint is a node->node stage hint: paths the sender's deep
+	// build predicted, best first, which the receiver owns. The receiver
+	// stages those it owns under its own view and answers msgPeerHintOK,
+	// an empty ack. Clients never send or see one.
+	msgPeerHint
+	msgPeerHintOK
 )
 
 // protocolVersion is the one protocol version this package speaks: the
 // hello exchange carrying the server's view epoch, request-ID framing with
 // each connection's replies in request order, opens that carry the
-// client's residency report, and streamed group replies whose member
-// chunks carry a content tag and may be header-only (DESIGN.md §4). The
-// number is a wire value — earlier ones were the lock-step,
-// assembled-reply, untagged-stream, replayed-shadow and any-order-reply
-// generations it replaced, and the one whose drains sent group transfers
-// (types 8 and 9) — and the handshake exists to turn a peer built before
-// or after it away with a typed error instead of a desynchronised stream.
-const protocolVersion = 7
+// client's residency report and a gap flag on their history, streamed
+// group replies whose member chunks carry a content tag and may be
+// header-only, and the nodes' stage hints (DESIGN.md §4). The number is a
+// wire value — earlier ones were the lock-step, assembled-reply,
+// untagged-stream, replayed-shadow and any-order-reply generations it
+// replaced, the one whose drains sent group transfers (types 8 and 9), and
+// version 7, whose opens had no gap flag and whose nodes sent no hints —
+// and the handshake exists to turn a peer built before or after it away
+// with a typed error instead of a desynchronised stream.
+const protocolVersion = 8
 
 // Protocol limits; violations terminate the connection.
 const (
@@ -405,13 +414,20 @@ func (d *decoder) done() error {
 
 // appendOpenRequest appends a msgOpen payload to dst: the demanded path,
 // then the piggybacked list of paths the client accessed (hit or miss)
-// since its previous request, oldest first. The list excludes the
-// demanded path itself, which the server appends to the learned stream on
-// arrival. A residency report (appendReport) may follow; a payload that
-// ends after the list reports nothing.
-func appendOpenRequest(dst []byte, path string, accessed []string) []byte {
+// since its previous request to this server, oldest first, its count
+// sent as uvarint 2 × count + gap. The list excludes the demanded path
+// itself, which the server appends to the learned stream on arrival. gap
+// says entries older than the list were shed: the server forgets the
+// connection's last access before it learns the list, so it never learns
+// a succession across the gap. A residency report (appendReport) may
+// follow; a payload that ends after the list reports nothing.
+func appendOpenRequest(dst []byte, path string, accessed []string, gap bool) []byte {
 	dst = appendString(dst, path)
-	dst = appendUvarint(dst, uint64(len(accessed)))
+	n := uint64(len(accessed)) << 1
+	if gap {
+		n |= 1
+	}
+	dst = appendUvarint(dst, n)
 	for _, p := range accessed {
 		dst = appendString(dst, p)
 	}
@@ -440,55 +456,90 @@ func appendReportEntry(dst []byte, path string, tag uint64) []byte {
 }
 
 // parseOpenRequest validates a msgOpen payload and returns the demanded
-// path, the piggybacked paths appended to accessed and the report entries
-// appended to report, all as views aliasing payload — no copies, valid
-// only while the payload buffer is. Empty piggybacked paths carry no
-// access and are dropped.
-func parseOpenRequest(payload []byte, accessed [][]byte, report []reportEntry) (path []byte, _ [][]byte, _ []reportEntry, err error) {
+// path, the piggybacked paths appended to accessed, the history's gap flag
+// and the report entries appended to report, all as views aliasing
+// payload — no copies, valid only while the payload buffer is. Empty
+// piggybacked paths carry no access and are dropped.
+func parseOpenRequest(payload []byte, accessed [][]byte, report []reportEntry) (path []byte, _ [][]byte, gap bool, _ []reportEntry, err error) {
 	d := decoder{buf: payload}
 	if path, err = d.view(maxPath); err != nil {
-		return nil, accessed, report, err
+		return nil, accessed, false, report, err
 	}
 	if len(path) == 0 {
-		return nil, accessed, report, errors.New("fsnet: empty path")
+		return nil, accessed, false, report, errors.New("fsnet: empty path")
 	}
 	n, err := d.uvarint()
 	if err != nil {
-		return nil, accessed, report, err
+		return nil, accessed, false, report, err
 	}
+	gap, n = n&1 != 0, n>>1
 	if n > maxStatPaths {
-		return nil, accessed, report, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
+		return nil, accessed, false, report, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}
 	for i := uint64(0); i < n; i++ {
 		p, err := d.view(maxPath)
 		if err != nil {
-			return nil, accessed, report, err
+			return nil, accessed, false, report, err
 		}
 		if len(p) != 0 {
 			accessed = append(accessed, p)
 		}
 	}
 	if len(d.buf) == 0 {
-		return path, accessed, report, nil
+		return path, accessed, gap, report, nil
 	}
 	if n, err = d.uvarint(); err != nil {
-		return nil, accessed, report, err
+		return nil, accessed, false, report, err
 	}
 	if n == 0 || n > maxReport {
-		return nil, accessed, report, fmt.Errorf("fsnet: report of %d entries out of range [1,%d]", n, maxReport)
+		return nil, accessed, false, report, fmt.Errorf("fsnet: report of %d entries out of range [1,%d]", n, maxReport)
 	}
 	for i := uint64(0); i < n; i++ {
 		p, err := d.view(maxPath)
 		if err != nil {
-			return nil, accessed, report, err
+			return nil, accessed, false, report, err
 		}
 		if len(p) == 0 || len(d.buf) < 8 {
-			return nil, accessed, report, errors.New("fsnet: malformed report entry")
+			return nil, accessed, false, report, errors.New("fsnet: malformed report entry")
 		}
 		report = append(report, reportEntry{path: p, tag: binary.BigEndian.Uint64(d.buf)})
 		d.buf = d.buf[8:]
 	}
-	return path, accessed, report, d.done()
+	return path, accessed, gap, report, d.done()
+}
+
+// appendPeerHint appends a msgPeerHint payload to dst: a uvarint count,
+// then the paths, best prediction first. Its ack, msgPeerHintOK, is empty.
+func appendPeerHint(dst []byte, paths []string) []byte {
+	dst = appendUvarint(dst, uint64(len(paths)))
+	for _, p := range paths {
+		dst = appendString(dst, p)
+	}
+	return dst
+}
+
+// parsePeerHint validates a msgPeerHint payload and appends its paths to
+// paths as views aliasing payload. Empty paths name nothing and are
+// dropped.
+func parsePeerHint(payload []byte, paths [][]byte) ([][]byte, error) {
+	d := decoder{buf: payload}
+	n, err := d.uvarint()
+	if err != nil {
+		return paths, err
+	}
+	if n > maxStatPaths {
+		return paths, fmt.Errorf("fsnet: stage hint of %d paths exceeds limit %d", n, maxStatPaths)
+	}
+	for i := uint64(0); i < n; i++ {
+		p, err := d.view(maxPath)
+		if err != nil {
+			return paths, err
+		}
+		if len(p) != 0 {
+			paths = append(paths, p)
+		}
+	}
+	return paths, d.done()
 }
 
 // writeRequest is the payload of msgWrite.

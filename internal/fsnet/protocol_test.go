@@ -3,6 +3,7 @@ package fsnet
 import (
 	"bufio"
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,6 +74,63 @@ func TestOpenRequestRoundTrip(t *testing.T) {
 	}
 	if got.Path != req.Path || len(got.Accessed) != 3 || got.Accessed[1] != "/b" {
 		t.Errorf("decoded = %+v", got)
+	}
+}
+
+// TestOpenGapFlagRoundTrip: the gap flag rides in the low bit of the
+// history count, with or without history and a report, and a version-7
+// count — the bare count of a history of n — reads as n/2 entries, so a
+// peer of that generation is turned away by the handshake, not parsed.
+func TestOpenGapFlagRoundTrip(t *testing.T) {
+	for _, req := range []openRequest{
+		{Path: "/x", Gap: true},
+		{Path: "/x", Accessed: []string{"/a", "/b"}, Gap: true},
+		{Path: "/x", Accessed: []string{"/a"}, Gap: true, Report: []reported{{"/a", 9}}},
+		{Path: "/x", Accessed: []string{"/a"}},
+	} {
+		payload := encodeOpenRequest(req)
+		got, err := decodeOpenRequest(payload)
+		if err != nil || got.Gap != req.Gap || !slices.Equal(got.Accessed, req.Accessed) {
+			t.Errorf("%+v round trips to %+v, %v", req, got, err)
+		}
+		path, views, gap, _, err := parseOpenRequest(payload, nil, nil)
+		if err != nil || string(path) != req.Path || gap != req.Gap || len(views) != len(req.Accessed) {
+			t.Errorf("%+v parses to %q, %d paths, gap %v, %v", req, path, len(views), gap, err)
+		}
+	}
+}
+
+// TestPeerHintRoundTrip: a stage hint carries its paths in order, drops
+// empty ones, and rejects a truncated payload, trailing bytes and a count
+// past the bound; its ack is empty and decodes only as the answer to a
+// hint.
+func TestPeerHintRoundTrip(t *testing.T) {
+	paths := []string{"/a", "/b", "/c"}
+	views, err := parsePeerHint(appendPeerHint(nil, paths), nil)
+	if err != nil || len(views) != 3 || string(views[0]) != "/a" || string(views[2]) != "/c" {
+		t.Fatalf("round trip = %q, %v", views, err)
+	}
+	if views, err := parsePeerHint(appendPeerHint(nil, []string{"/a", "", "/c"}), nil); err != nil || len(views) != 2 {
+		t.Errorf("hint with an empty path = %q, %v; want the two others", views, err)
+	}
+	full := appendPeerHint(nil, paths)
+	if _, err := parsePeerHint(full[:len(full)-1], nil); err == nil {
+		t.Error("truncated hint accepted")
+	}
+	if _, err := parsePeerHint(append(full, 0), nil); err == nil {
+		t.Error("trailing bytes accepted")
+	}
+	if _, err := parsePeerHint(appendUvarint(nil, maxStatPaths+1), nil); err == nil {
+		t.Error("hint past the path bound accepted")
+	}
+	if _, err := decodeReply(msgPeerHint, msgPeerHintOK, nil); err != nil {
+		t.Errorf("empty ack to a hint: %v", err)
+	}
+	if _, err := decodeReply(msgPeerHint, msgPeerHintOK, []byte{1}); err == nil {
+		t.Error("ack with a payload accepted")
+	}
+	if _, err := decodeReply(msgWrite, msgPeerHintOK, nil); err == nil {
+		t.Error("hint ack to a write accepted")
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 type openRequest struct {
 	Path     string
 	Accessed []string
-	Report   []reported
+	// Gap flags history shed before Accessed.
+	Gap    bool
+	Report []reported
 }
 
 // reported is one decoded residency-report entry.
@@ -29,7 +31,7 @@ type reported struct {
 }
 
 func encodeOpenRequest(req openRequest) []byte {
-	b := appendOpenRequest(nil, req.Path, req.Accessed)
+	b := appendOpenRequest(nil, req.Path, req.Accessed, req.Gap)
 	if len(req.Report) > 0 {
 		b = appendReportHdr(b, len(req.Report))
 		for _, e := range req.Report {
@@ -56,6 +58,7 @@ func decodeOpenRequest(payload []byte) (openRequest, error) {
 	if err != nil {
 		return req, err
 	}
+	req.Gap, n = n%2 == 1, n/2
 	if n > maxStatPaths {
 		return req, fmt.Errorf("fsnet: %d piggybacked paths exceed limit %d", n, maxStatPaths)
 	}

@@ -551,7 +551,7 @@ func TestAllocBudgetValidatedReply(t *testing.T) {
 		id := uint64(0)
 		return alloctest.PerOp(t, func() {
 			id++
-			req = appendOpenRequest(req[:0], fixedLeads[id%2], nil)
+			req = appendOpenRequest(req[:0], fixedLeads[id%2], nil, false)
 			if drop {
 				req = appendReportHdr(req, 1+len(fixedMembers))
 				req = appendReportEntry(req, fixedLeads[(id+1)%2], 0)
@@ -709,9 +709,10 @@ func TestHeldChunkWithoutACache(t *testing.T) {
 }
 
 // TestHistoryShedIsCounted: more hits than the protocol can piggyback
-// separate two fetches. The backlog sheds its oldest quarter at the bound,
-// so the server learns the newest hits, unbroken and in order; every shed
-// entry is counted; and since what the client holds is reported, not
+// separate two fetches. The fetch after them carries the newest the
+// protocol allows, with the gap flag, so the server learns the newest
+// hits, unbroken and in order; every entry it was never sent is counted;
+// and since what the client holds is reported, not
 // replayed from the history, validation goes on — every later open
 // byte-correct, no header-only member missed.
 func TestHistoryShedIsCounted(t *testing.T) {
@@ -731,7 +732,7 @@ func TestHistoryShedIsCounted(t *testing.T) {
 		}
 	}
 	// Two rounds over eight files: the second is all hits. The fetch of
-	// f008 then carries the backlog away.
+	// f008 then carries the history log's entries away.
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 8; i++ {
 			check(i)
@@ -977,7 +978,7 @@ func TestReportSetsAndClearsEntries(t *testing.T) {
 			if i > 0 {
 				accessed = []string{f(i - 1)}
 			}
-			teacher.send(t, msgOpen, uint64(3*round+i+1), appendOpenRequest(nil, f(i), accessed))
+			teacher.send(t, msgOpen, uint64(3*round+i+1), appendOpenRequest(nil, f(i), accessed, false))
 			for typ := uint8(0); typ != msgGroupEnd; {
 				var err error
 				if typ, _, _, err = readFrameID(teacher.r, nil); err != nil {

@@ -3,7 +3,9 @@ package fsnet
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"net"
+	"slices"
 	"testing"
 
 	"aggcache/internal/ring"
@@ -11,28 +13,38 @@ import (
 	"aggcache/internal/workload"
 )
 
-// ringNames are the members of the replay ring. They are names, not the
-// listeners' addresses, so the ring's placement — a function of the
-// member names alone — is the same in every run whatever ports the
-// listeners got; the client dials a name through DialMember.
-var ringNames = []string{"node-a:1", "node-b:2", "node-c:3"}
+// ringNames names the members of a replay ring of n nodes. They are
+// names, not the listeners' addresses, so the ring's placement — a
+// function of the member names alone — is the same in every run whatever
+// ports the listeners got; the client dials a name through DialMember.
+func ringNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("node-%c:%d", 'a'+i, i+1)
+	}
+	return names
+}
 
-// ringFleet is a 3-node ring of servers, holding every path of a path
-// table, and the clients that replay opens through it, each over one
-// connection per node. A node finishes every open it answered before it
-// serves the next, whichever connection sends it, so a replay driven in
-// lock step is deterministic.
+// ringFleet is a ring of servers, holding every path of a path table, and
+// the clients that replay opens through it, each over one connection per
+// node. Each node sends its stage hints to their owners over a client of
+// its own and waits for the ack, so a hint has landed when its sender's
+// staging is done; settle finishes every node's staging. A replay that
+// settles after every open is deterministic.
 type ringFleet struct {
+	names   []string
 	clients []*Client
 	servers []*Server
 	owners  *ring.Ring
 }
 
-func newRingFleet(t *testing.T, paths *trace.Interner, clients, clientCache, serverCache, g int) *ringFleet {
+func newRingFleet(t *testing.T, paths *trace.Interner, nodes, clients, clientCache, serverCache, g int) *ringFleet {
 	t.Helper()
-	f := &ringFleet{owners: ring.Of(ringNames...)}
-	addrs := make(map[string]string, len(ringNames))
-	for _, name := range ringNames {
+	names := ringNames(nodes)
+	f := &ringFleet{names: names, owners: ring.Of(names...)}
+	addrs := make(map[string]string, len(names))
+	dial := func(name string) (net.Conn, error) { return net.Dial("tcp", addrs[name]) }
+	for _, name := range names {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -45,10 +57,27 @@ func newRingFleet(t *testing.T, paths *trace.Interner, clients, clientCache, ser
 				t.Fatal(err)
 			}
 		}
+		views := newTestViews(name, 1, names...)
+		peers := map[string]*Client{}
+		var payload []byte
+		views.hints = func(owner string, hint []string, _ int) {
+			peer := peers[owner]
+			if peer == nil {
+				var err error
+				if peer, err = NewClient(nil, ClientConfig{Dialer: func() (net.Conn, error) { return dial(owner) }}); err != nil {
+					panic(err)
+				}
+				peers[owner] = peer
+			}
+			var err error
+			if payload, err = peer.PeerHint(payload, hint); err != nil {
+				panic(fmt.Sprintf("hint to %s: %v", owner, err))
+			}
+		}
 		srv, err := NewServer(store, ServerConfig{
 			GroupSize:     g,
 			CacheCapacity: serverCache,
-			Views:         newTestViews(name, 1, ringNames...),
+			Views:         views,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -58,14 +87,16 @@ func newRingFleet(t *testing.T, paths *trace.Interner, clients, clientCache, ser
 		t.Cleanup(func() {
 			_ = srv.Close()
 			<-done
+			for _, peer := range peers {
+				_ = peer.Close()
+			}
 		})
 		f.servers = append(f.servers, srv)
 	}
-	dial := func(name string) (net.Conn, error) { return net.Dial("tcp", addrs[name]) }
 	for range clients {
-		cl, err := Dial(addrs[ringNames[0]], ClientConfig{
+		cl, err := Dial(addrs[names[0]], ClientConfig{
 			CacheCapacity: clientCache,
-			Dialer:        func() (net.Conn, error) { return dial(ringNames[0]) },
+			Dialer:        func() (net.Conn, error) { return dial(names[0]) },
 			DialMember:    dial,
 		})
 		if err != nil {
@@ -75,6 +106,46 @@ func newRingFleet(t *testing.T, paths *trace.Interner, clients, clientCache, ser
 		f.clients = append(f.clients, cl)
 	}
 	return f
+}
+
+// settle finishes every node's answered open: its staging, and the hints
+// that sends, each of which its owner has staged once the ack is back.
+// Only the node that answered the last open has one, so no two nodes wait
+// on each other's hints.
+func (f *ringFleet) settle() {
+	for _, srv := range f.servers {
+		srv.lockAgg()
+		srv.aggMu.Unlock()
+	}
+}
+
+// replay opens each path of ids through client 0 in lock step, settling
+// the ring after every open, and returns the client's hit/miss digest and
+// each node's server misses. check, if set, runs after every open.
+func (f *ringFleet) replay(t *testing.T, paths *trace.Interner, ids []trace.FileID, check func(i int, path string)) (digest string, misses []uint64) {
+	t.Helper()
+	cl := f.clients[0]
+	h := sha256.New()
+	for i, id := range ids {
+		path := paths.Path(id)
+		before := cl.Stats().Hits
+		if _, err := cl.Open(path); err != nil {
+			t.Fatalf("open %d (%s): %v", i, path, err)
+		}
+		hit := byte('m')
+		if cl.Stats().Hits > before {
+			hit = 'h'
+		}
+		h.Write([]byte{hit})
+		f.settle()
+		if check != nil {
+			check(i, path)
+		}
+	}
+	for _, srv := range f.servers {
+		misses = append(misses, srv.Stats().Cache.Misses)
+	}
+	return hex.EncodeToString(h.Sum(nil)), misses
 }
 
 // strays counts the files node i holds that another node owns, each
@@ -92,77 +163,77 @@ func (f *ringFleet) strays(i int, owner map[string]int) (n int) {
 }
 
 // What the ring replay (users profile, seed 1, 10 000 opens, client
-// cache 64, server cache 300, g = 5) reads. The client's hit/miss digest
-// was recorded before nodes staged only the files they own, and the rule
-// leaves it as it was. Each node's server misses were 825, 934 and 867
-// then (ringReplayParentMisses); they are pinned at what the rule reads,
-// which neither a node staging every member under the scaled bound (821,
-// 931, 868) nor one staging its own under the whole bound of 30 (813,
-// 922, 856) reads.
-const ringReplayDigest = "dc959e54332169532768382de05b573ac81fa4a97745e5d4a80532724731fbc1"
-
-var (
-	ringReplayParentMisses = [3]uint64{825, 934, 867}
-	ringReplayMisses       = [3]uint64{814, 920, 855}
+// cache 64, server cache 300, g = 5) reads. With one history log every
+// owner learns the client's whole stream, so the client's hit/miss
+// sequence is a one-member fleet's on any ring (ringReplayDigest); with
+// requested history alone it was ringReplayParentDigest. Each node of the
+// 3-node ring missed 814, 920 and 855 times before the log and the peer
+// stage hints (ringReplayParentMisses); it misses less now, as many times
+// as pinned.
+const (
+	ringReplayDigest       = "6ec93f737f3e4f000754572be7ac5ad060ce85fb2b035626724f26a30b23d6ed"
+	ringReplayParentDigest = "dc959e54332169532768382de05b573ac81fa4a97745e5d4a80532724731fbc1"
 )
 
-// TestRingReplayStagesOwnedFiles replays a trace through a 3-node ring in
-// lock step. A node stages only the files it owns: after every open, no
-// node holds a file another node owns. The replies are what they were
-// before the rule (the client's hit/miss sequence is the recorded one),
-// and every node misses less than it did, as many times as pinned.
+var (
+	ringReplayParentMisses = [3]uint64{814, 920, 855}
+	ringReplayMisses       = [3]uint64{769, 871, 833}
+)
+
+// TestRingReplayStagesOwnedFiles replays a trace through rings of 2, 3
+// and 5 nodes in lock step, against a one-member fleet. The client's
+// hit/miss sequence on every ring is the one-member fleet's, bit for bit:
+// every owner learns the client's whole stream from its history log. A
+// node stages only the files it owns, its own and its peers' hints alike:
+// after every open no node holds a file another node owns. The hints
+// land: every node of a ring receives some, and each node of the 3-node
+// ring misses less than it did before the log and the hints, as many
+// times as pinned.
 func TestRingReplayStagesOwnedFiles(t *testing.T) {
 	tr, err := workload.Standard(workload.ProfileUsers, 1, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := newRingFleet(t, tr.Paths, 1, 64, 300, 5)
-	cl := f.clients[0]
-	owner := make(map[string]int, tr.Paths.Len())
-	for id := 0; id < tr.Paths.Len(); id++ {
-		p := tr.Paths.Path(trace.FileID(id))
-		for i, name := range ringNames {
-			if f.owners.Owner(p) == name {
-				owner[p] = i
+	ids := tr.OpenIDs()
+	solo, soloMisses := newRingFleet(t, tr.Paths, 1, 1, 64, 300, 5).replay(t, tr.Paths, ids, nil)
+	t.Logf("one member: client digest %s, server misses %v", solo, soloMisses)
+	if solo != ringReplayDigest {
+		t.Errorf("one-member client hit/miss digest %s, want %s", solo, ringReplayDigest)
+	}
+	for _, nodes := range []int{2, 3, 5} {
+		t.Run(fmt.Sprintf("nodes-%d", nodes), func(t *testing.T) {
+			f := newRingFleet(t, tr.Paths, nodes, 1, 64, 300, 5)
+			owner := make(map[string]int, tr.Paths.Len())
+			for id := 0; id < tr.Paths.Len(); id++ {
+				p := tr.Paths.Path(trace.FileID(id))
+				owner[p] = slices.Index(f.names, f.owners.Owner(p))
 			}
-		}
-	}
-	h := sha256.New()
-	for i, id := range tr.OpenIDs() {
-		path := tr.Paths.Path(id)
-		before := cl.Stats().Hits
-		if _, err := cl.Open(path); err != nil {
-			t.Fatalf("open %d (%s): %v", i, path, err)
-		}
-		hit := byte('m')
-		if cl.Stats().Hits > before {
-			hit = 'h'
-		}
-		h.Write([]byte{hit})
-		for n := range f.servers {
-			if got := f.strays(n, owner); got != 0 {
-				t.Fatalf("open %d (%s): node %d holds %d files another node owns", i, path, n, got)
+			digest, misses := f.replay(t, tr.Paths, ids, func(i int, path string) {
+				for n := range f.servers {
+					if got := f.strays(n, owner); got != 0 {
+						t.Fatalf("open %d (%s): node %d holds %d files another node owns", i, path, n, got)
+					}
+				}
+			})
+			t.Logf("client digest %s, server misses per node %v", digest, misses)
+			if digest != solo {
+				t.Errorf("client hit/miss digest %s, want the one-member fleet's %s", digest, solo)
 			}
-		}
-	}
-	digest := hex.EncodeToString(h.Sum(nil))
-	var misses [3]uint64
-	for n, srv := range f.servers {
-		// Closing waits for each connection's last staging.
-		if err := srv.Close(); err != nil {
-			t.Fatal(err)
-		}
-		misses[n] = srv.Stats().Cache.Misses
-	}
-	t.Logf("client digest %s, server misses per node %v", digest, misses)
-	if digest != ringReplayDigest {
-		t.Errorf("client hit/miss digest %s, want %s: the replies changed", digest, ringReplayDigest)
-	}
-	for n := range misses {
-		if misses[n] != ringReplayMisses[n] || misses[n] >= ringReplayParentMisses[n] {
-			t.Errorf("node %d: %d server misses, want %d, fewer than the %d recorded before the rule",
-				n, misses[n], ringReplayMisses[n], ringReplayParentMisses[n])
-		}
+			for n, srv := range f.servers {
+				if st := srv.Stats(); st.PeerHintsReceived == 0 {
+					t.Errorf("node %d received no stage hints", n)
+				}
+			}
+			if nodes != 3 {
+				return
+			}
+			for n := range misses {
+				if misses[n] != ringReplayMisses[n] || misses[n] >= ringReplayParentMisses[n] {
+					t.Errorf("node %d: %d server misses, want %d, fewer than the %d recorded before the log and the hints",
+						n, misses[n], ringReplayMisses[n], ringReplayParentMisses[n])
+				}
+			}
+		})
 	}
 }
 
@@ -170,8 +241,9 @@ func TestRingReplayStagesOwnedFiles(t *testing.T) {
 // alternating walk (the users profile, seeds 1 and 2) through two fresh
 // 3-node rings, so every node serves a connection from each. A node
 // finishes each answered open before the next, whichever connection sends
-// it, so the two rings read the same: equal client hit/miss digests and
-// equal server misses on every node.
+// it, and its hints land before the next open, so the two rings read the
+// same: equal client hit/miss digests and equal server misses on every
+// node.
 func TestRingReplayTwoClientsIsReproducible(t *testing.T) {
 	paths, events := alternatingWalk(t, workload.ProfileUsers, 5000)
 	type result struct {
@@ -180,7 +252,7 @@ func TestRingReplayTwoClientsIsReproducible(t *testing.T) {
 	}
 	var runs [2]result
 	for r := range runs {
-		f := newRingFleet(t, paths, 2, 64, 300, 5)
+		f := newRingFleet(t, paths, 3, 2, 64, 300, 5)
 		h := sha256.New()
 		for i, ev := range events {
 			cl := f.clients[ev.Client]
@@ -193,6 +265,7 @@ func TestRingReplayTwoClientsIsReproducible(t *testing.T) {
 				hit = 'h'
 			}
 			h.Write([]byte{hit})
+			f.settle()
 		}
 		runs[r].digest = hex.EncodeToString(h.Sum(nil))
 		for n, srv := range f.servers {

@@ -2,7 +2,9 @@ package fsnet
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -381,6 +383,56 @@ func TestPiggybackRetainedAcrossFailedRoundTrip(t *testing.T) {
 	srv.aggMu.Unlock()
 	if !learned {
 		t.Error("server did not learn the piggybacked f000 -> f001 transition")
+	}
+}
+
+// TestPoisonedClaimIsSentAgain: an open whose request claimed history
+// from the log and then died on the wire, before any reply, moves its
+// link's cursor back over that claim, so the next request on a fresh
+// connection carries the same entries again and the server learns every
+// access once: the hits, the failed open and the recovery open.
+func TestPoisonedClaimIsSentAgain(t *testing.T) {
+	srv, addr := startServer(t, seededStore(t, 10), ServerConfig{GroupSize: 1})
+	gate := &faultnet.Gate{}
+	dial := func() (net.Conn, error) {
+		if gate.Down() {
+			return nil, fmt.Errorf("%w: gate down", faultnet.ErrInjected)
+		}
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return faultnet.Wrap(raw, faultnet.Faults{Gate: gate}, nil), nil
+	}
+	client, err := Dial(addr, ClientConfig{CacheCapacity: 32, MaxRetries: 0, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for _, p := range []string{"/data/f000", "/data/f001", "/data/f000", "/data/f001"} {
+		if _, err := client.Open(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The flush claims f000, f001 (hits) for f002's request, whose write
+	// then fails.
+	gate.SetDown(true)
+	if _, err := client.Open("/data/f002"); err == nil {
+		t.Fatal("open through a closed gate succeeded")
+	}
+	gate.SetDown(false)
+	if _, err := client.Open("/data/f003"); err != nil {
+		t.Fatalf("recovery open: %v", err)
+	}
+	srv.lockAgg()
+	observed := srv.agg.Tracker().Observed()
+	srv.aggMu.Unlock()
+	// f000, f001 demanded; then the hits, the failed f002 and f003.
+	if observed != 6 {
+		t.Errorf("server observed %d accesses, want 6: the failed request's claim was lost or doubled", observed)
+	}
+	if got := successorPaths(srv, "/data/f002"); !slices.Equal(got, []string{"/data/f003"}) {
+		t.Errorf("successors of f002 = %v, want [/data/f003]", got)
 	}
 }
 

@@ -152,11 +152,11 @@ func TestInlineRouterMalformedGroupStaysPerRequest(t *testing.T) {
 		rc := rawHello(t, rawDial(t, addr))
 		_ = rc.SetReadDeadline(time.Now().Add(5 * time.Second))
 		for id := uint64(1); id <= 4; id += 2 {
-			rc.send(t, msgOpen, id, appendOpenRequest(nil, "/remote/x", nil))
+			rc.send(t, msgOpen, id, appendOpenRequest(nil, "/remote/x", nil, false))
 			if e := rc.recvError(t, id); e.Code != CodeInternal {
 				t.Errorf("%s: malformed group: code %d, want CodeInternal", name, e.Code)
 			}
-			rc.send(t, msgOpen, id+1, appendOpenRequest(nil, "/data/f000", nil))
+			rc.send(t, msgOpen, id+1, appendOpenRequest(nil, "/data/f000", nil, false))
 			for {
 				typ, got, _, err := readFrameID(rc.r, nil)
 				if err != nil || got != id+1 || (typ != msgMemberChunk && typ != msgGroupEnd) {

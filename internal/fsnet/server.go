@@ -131,6 +131,11 @@ type ServerStats struct {
 	// group fetch, live.
 	ValidatedMembers    uint64
 	ValidatedBytesSaved uint64
+	// PeerHintsReceived counts the paths of the stage hints this node's
+	// peers sent it, staged or not; PeerHintHits counts the demand hits on
+	// files such a hint placed, each before its eviction.
+	PeerHintsReceived uint64
+	PeerHintHits      uint64
 	// Cache is the server memory cache accounting (hits are requests
 	// served without staging from the store).
 	Cache core.Stats
@@ -345,7 +350,7 @@ func (s *Server) Close() error {
 // Cache includes the staging of every open answered before the call.
 func (s *Server) Stats() ServerStats {
 	s.lockAgg()
-	cacheStats := s.agg.Stats()
+	cacheStats, hintHits := s.agg.Stats(), s.agg.PeerHintHits()
 	s.aggMu.Unlock()
 	st := ServerStats{
 		Errors:         s.m.errors.Load(),
@@ -359,6 +364,8 @@ func (s *Server) Stats() ServerStats {
 
 		ValidatedMembers:    s.m.validated.Load(),
 		ValidatedBytesSaved: s.m.validatedBytes.Load(),
+		PeerHintsReceived:   s.m.peerHints.Load(),
+		PeerHintHits:        hintHits,
 	}
 	// Last, so its value bounds every per-outcome counter read above.
 	st.Requests = s.m.requests.Load()
@@ -543,21 +550,31 @@ func (s *Server) serve(rw *replyWriter, r *bufio.Reader, src uint64) {
 // lockAgg takes aggMu and finishes the server's unstaged open, if there
 // is one: core.AggregatingCache.Stage learns what its history still owes
 // the metadata and stages its deep group — on a node of a ring, the
-// members this node owns. Every aggMu section starts with it, so the
-// next request any connection serves, and every snapshot, sees the cache
-// as every open answered before it left it.
+// members this node owns, and the rest go to their owners as stage hints
+// (ownership.hint). Every aggMu section starts with it, so the next
+// request any connection serves, and every snapshot, sees the cache as
+// every open answered before it left it.
 func (s *Server) lockAgg() {
 	s.aggMu.Lock()
 	sc := s.unstaged
 	if sc == nil {
 		return
 	}
-	var own core.Owner
-	if s.own != nil {
-		own = s.own.current()
-	}
+	own := s.owner()
 	s.agg.Stage(sc.src, sc.served, sc.group, sc.hit, sc.owed, own)
 	s.unstaged = nil
+	if own != nil {
+		s.own.hint(s.agg.Unowned(), s.agg.Probation(own))
+	}
+}
+
+// owner returns the core.Owner staging runs under: nil without a view or
+// with a view of this node alone. Called with aggMu held.
+func (s *Server) owner() core.Owner {
+	if s.own == nil {
+		return nil
+	}
+	return s.own.current()
 }
 
 // frameBuffered reports whether r holds a whole request-ID frame, so that
@@ -653,6 +670,14 @@ func (s *Server) serveRequest(rw *replyWriter, src uint64, typ uint8, id uint64,
 		}
 		start := rw.frame(id, msgViewHint)
 		rw.send(appendViewMsg(rw.arena, vs.Epoch(), vs.Self()), start)
+	case msgPeerHint:
+		// A peer's stage hint: advice, control-plane traffic like the
+		// view frames, so it counts no request.
+		if err := s.stageHint(&rw.scratch, payload); err != nil {
+			rw.sendError(id, errorResponse{Code: CodeBadRequest, Message: err.Error()})
+			return
+		}
+		rw.send(rw.arena, rw.frame(id, msgPeerHintOK))
 	default:
 		rw.sendError(id, errorResponse{
 			Code:    CodeBadRequest,
@@ -718,6 +743,7 @@ func (s *Server) write(pathView, data []byte) (uint64, errorResponse) {
 // steady-state open allocates none of it.
 type openScratch struct {
 	views  [][]byte      // piggybacked path views into the request's frame
+	gap    bool          // the client shed history older than views
 	report []reportEntry // the residency report, as views into the frame
 	ids    []trace.FileID
 	// served is the connection's last open — its history and demanded
@@ -748,8 +774,8 @@ type openScratch struct {
 // answered.
 func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otrace.Ctx) (errorResponse, error) {
 	sc := &rw.scratch
-	pathView, views, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
-	sc.views, sc.report = views, report
+	pathView, views, gap, report, err := parseOpenRequest(payload, sc.views[:0], sc.report[:0])
+	sc.views, sc.report, sc.gap = views, report, gap
 	if err != nil {
 		return errorResponse{}, err
 	}
@@ -814,6 +840,46 @@ func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otra
 	return s.serveOpen(rw, id, path, src, sc, timed, start, tctx), nil
 }
 
+// stageHint stages a peer's stage hint (msgPeerHint): the paths this node
+// holds and owns under its own view — views may disagree for an epoch, so
+// the sender's word is not taken — in the order sent, through
+// core.AggregatingCache.StageHint, after the server's unstaged open
+// (lockAgg). Paths are interned straight out of the frame, as an open's
+// are; one the store never held is dropped.
+func (s *Server) stageHint(sc *openScratch, payload []byte) error {
+	views, err := parsePeerHint(payload, sc.views[:0])
+	sc.views = views
+	if err != nil {
+		return err
+	}
+	s.m.peerHints.Add(uint64(len(views)))
+	sc.ids = sc.ids[:0]
+	for _, pv := range views {
+		id, known := s.ids.LookupBytes(pv)
+		if !known {
+			if !s.store.containsBytes(pv) {
+				continue
+			}
+			id = s.ids.InternBytes(pv)
+		}
+		sc.ids = append(sc.ids, id)
+	}
+	s.lockAgg()
+	defer s.aggMu.Unlock()
+	own := s.owner()
+	if own != nil {
+		owned := sc.ids[:0]
+		for _, id := range sc.ids {
+			if own.Owns(id) {
+				owned = append(owned, id)
+			}
+		}
+		sc.ids = owned
+	}
+	s.agg.StageHint(sc.ids, own)
+	return nil
+}
+
 // serveOpen is the local tail of an open: answer it through the
 // aggregating cache and read the reply's members onto rw. sc.ids holds the
 // interned access history. The reply is built without learning the
@@ -823,6 +889,12 @@ func (s *Server) openView(payload []byte, src uint64, rw *replyWriter, tctx otra
 // the reply is flushed (serve), or any connection's next open.
 func (s *Server) serveOpen(rw *replyWriter, id trace.FileID, path string, src uint64, sc *openScratch, timed bool, start time.Time, tctx otrace.Ctx) errorResponse {
 	s.lockAgg()
+	if sc.gap {
+		// The client shed history older than this request's: what this
+		// connection's server learned last does not precede its first
+		// entry.
+		s.agg.Tracker().ForgetSource(src)
+	}
 	// Piggybacked history first (oldest..newest), then the demanded
 	// open, preserving the client's true access order.
 	sc.served = append(append(sc.served[:0], sc.ids...), id)

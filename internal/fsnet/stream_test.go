@@ -400,7 +400,7 @@ func TestVersionRejection(t *testing.T) {
 		first func(conn net.Conn) error
 	}{
 		{"open-first", func(conn net.Conn) error {
-			return writeFrame(conn, msgOpen, appendOpenRequest(nil, "/data/f000", nil))
+			return writeFrame(conn, msgOpen, appendOpenRequest(nil, "/data/f000", nil, false))
 		}},
 		// The retired generations' hellos ended after the version.
 		{"hello-1", func(conn net.Conn) error { return writeFrame(conn, msgHello, appendUvarint(nil, 1)) }},
@@ -410,6 +410,8 @@ func TestVersionRejection(t *testing.T) {
 		{"hello-5", func(conn net.Conn) error { return writeHello(conn, msgHello, 5, 0) }},
 		// Version 6 could send a drain's group transfer (types 8 and 9).
 		{"hello-6", func(conn net.Conn) error { return writeHello(conn, msgHello, 6, 0) }},
+		// Version 7's opens had no gap flag and its nodes sent no hints.
+		{"hello-7", func(conn net.Conn) error { return writeHello(conn, msgHello, 7, 0) }},
 	} {
 		t.Run("server/"+tc.name, func(t *testing.T) {
 			srv, addr := startServer(t, seededStore(t, 2), ServerConfig{})
@@ -444,6 +446,7 @@ func TestVersionRejection(t *testing.T) {
 		{"hello-ok-3", func(conn net.Conn) error { return writeFrame(conn, msgHelloOK, appendUvarint(nil, 3)) }},
 		{"hello-ok-5", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 5, 0) }},
 		{"hello-ok-6", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 6, 0) }},
+		{"hello-ok-7", func(conn net.Conn) error { return writeHello(conn, msgHelloOK, 7, 0) }},
 		{"unknown-type", func(conn net.Conn) error {
 			return writeFrame(conn, msgError, appendErrorResponse(nil, errorResponse{
 				Code: CodeBadRequest, Message: "unknown message type 6",

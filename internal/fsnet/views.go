@@ -26,6 +26,15 @@ type ViewSource interface {
 	// not an error — the receiver is simply newer — so it reports
 	// applied=false with a nil error; err is reserved for invalid views.
 	ApplyView(epoch uint64, members []string) (applied bool, err error)
+	// PeerHints takes a stage hint for member owner: paths this node's
+	// deep build predicted that owner owns, best prediction first, for
+	// owner to stage (msgPeerHint, Client.PeerHint). keep is the probation
+	// bound they are staged under, the most a sender need hold for owner
+	// at once. It is called under the server's aggMu, so it must neither
+	// block nor call back into the server; paths is the server's scratch,
+	// valid only during the call, though its strings may be kept. A hint
+	// is advice: dropping one costs a hit, never bytes.
+	PeerHints(owner string, paths []string, keep int)
 }
 
 // maxViewMembers bounds the peer list of a msgViewPush. Matches the

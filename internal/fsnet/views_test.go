@@ -23,6 +23,9 @@ type testViews struct {
 	mu      sync.Mutex
 	epoch   uint64
 	members []string
+	// hints, when set, takes every stage hint the server hands over;
+	// nil drops them.
+	hints func(owner string, paths []string, keep int)
 }
 
 func newTestViews(self string, epoch uint64, members ...string) *testViews {
@@ -41,6 +44,15 @@ func (v *testViews) ViewSnapshot() (uint64, []string) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.epoch, append([]string(nil), v.members...)
+}
+
+func (v *testViews) PeerHints(owner string, paths []string, keep int) {
+	v.mu.Lock()
+	hints := v.hints
+	v.mu.Unlock()
+	if hints != nil {
+		hints(owner, paths, keep)
+	}
 }
 
 func (v *testViews) ApplyView(epoch uint64, members []string) (bool, error) {

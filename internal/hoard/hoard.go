@@ -71,10 +71,9 @@ func Build(t *successor.Tracker, policy Policy, budget, groupSize int) (*Hoard, 
 		return nil, fmt.Errorf("hoard: budget must be >= 0, got %d", budget)
 	}
 	h := &Hoard{files: make(map[trace.FileID]bool, budget)}
-	var seeds []trace.FileID
 	switch policy {
 	case PolicyFrequency:
-		seeds = t.Hottest()
+		h.take(t.Hottest(), budget)
 	case PolicyGroupClosure:
 		if groupSize < 1 {
 			return nil, fmt.Errorf("hoard: group size must be >= 1, got %d", groupSize)
@@ -83,21 +82,41 @@ func Build(t *successor.Tracker, policy Policy, budget, groupSize int) (*Hoard, 
 		if err != nil {
 			return nil, err
 		}
-		// The cover's groups, hottest seed first, flattened: each
-		// seed's whole closure is charged before the next seed's.
-		for _, g := range group.BuildCover(t, b, t.Hottest()).Groups {
-			seeds = append(seeds, g...)
+		// The groups of group.BuildCover over t.Hottest(), hottest seed
+		// first, each seed's whole closure charged before the next
+		// seed's; built one at a time, and only until the budget is full.
+		var covered []bool
+		var g []trace.FileID
+		for _, seed := range t.Hottest() {
+			if h.Len() >= budget {
+				break
+			}
+			if int(seed) < len(covered) && covered[seed] {
+				continue
+			}
+			g = b.AppendBuild(g[:0], seed)
+			for _, m := range g {
+				if int(m) >= len(covered) {
+					covered = trace.GrowDense(covered, m)
+				}
+				covered[m] = true
+			}
+			h.take(g, budget)
 		}
 	default:
 		return nil, fmt.Errorf("hoard: unknown policy %q", policy)
 	}
-	for _, id := range seeds {
+	return h, nil
+}
+
+// take hoards ids in order until the hoard holds budget files.
+func (h *Hoard) take(ids []trace.FileID, budget int) {
+	for _, id := range ids {
 		if h.Len() >= budget {
-			break
+			return
 		}
 		h.files[id] = true
 	}
-	return h, nil
 }
 
 // Result is the outcome of a disconnected-operation replay.

@@ -2,10 +2,13 @@ package hoard
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"aggcache/internal/group"
 	"aggcache/internal/successor"
 	"aggcache/internal/trace"
+	"aggcache/internal/workload"
 )
 
 func tracker(t *testing.T, seq []trace.FileID) *successor.Tracker {
@@ -263,5 +266,57 @@ func TestFrequencyRankedClosuresHoardBetter(t *testing.T) {
 	t.Logf("closure completion: lru-ranked=%.3f lfu-ranked=%.3f", lru, lfu)
 	if lfu <= lru {
 		t.Errorf("frequency-ranked closures (%.3f) did not beat recency-ranked (%.3f)", lfu, lru)
+	}
+}
+
+// coverHoard is the group-closure hoard as it was built before the
+// lazy walk: the whole group.BuildCover over the hottest files,
+// flattened, taken until the budget is full.
+func coverHoard(t *testing.T, tr *successor.Tracker, budget, groupSize int) []trace.FileID {
+	t.Helper()
+	b, err := group.NewBuilder(tr, groupSize, group.StrategyChain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[trace.FileID]bool{}
+	for _, g := range group.BuildCover(tr, b, tr.Hottest()).Groups {
+		for _, id := range g {
+			if len(files) >= budget {
+				break
+			}
+			files[id] = true
+		}
+	}
+	return (&Hoard{files: files}).Files()
+}
+
+// TestGroupClosureMatchesWholeCover: the lazy group-closure hoard, which
+// builds each uncovered seed's group only while the budget has room,
+// selects what the whole cover's groups did, on four profiles, both
+// successor policies, four budgets and three group sizes.
+func TestGroupClosureMatchesWholeCover(t *testing.T) {
+	for _, p := range workload.Profiles() {
+		w, err := workload.Standard(p, 1, 12000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, policy := range []successor.Policy{successor.PolicyLRU, successor.PolicyLFU} {
+			tr, err := successor.NewTracker(policy, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr.ObserveAll(w.OpenIDs())
+			for _, budget := range []int{8, 16, 64, 500} {
+				for _, g := range []int{2, 5, 8} {
+					h, err := Build(tr, PolicyGroupClosure, budget, g)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := h.Files(), coverHoard(t, tr, budget, g); !slices.Equal(got, want) {
+						t.Errorf("%s %s budget %d g %d: hoard %v, the whole cover's %v", p, policy, budget, g, got, want)
+					}
+				}
+			}
+		}
 	}
 }
